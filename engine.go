@@ -104,7 +104,7 @@ type EngineOptions struct {
 	// CacheShards overrides the cache shard count (0 = default).
 	CacheShards int
 	// CacheMethod is the GIR algorithm used to build regions on the miss
-	// path (default FP).
+	// path. The zero value is FP; every method caches the same region.
 	CacheMethod Method
 	// FlushOnWrite reverts mutation handling to the coarse pre-invalidation
 	// strategy: every Insert/Delete clears the entire cache instead of

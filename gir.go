@@ -107,20 +107,24 @@ func spaceOfKind(k domain.Kind) Space {
 	return SpaceBox
 }
 
-// Method selects the Phase-2 GIR algorithm.
+// Method selects the Phase-2 GIR algorithm. The zero value is FP, so an
+// unset Method field (EngineOptions.CacheMethod in particular) means the
+// paper's headline algorithm, not the slowest one.
 type Method int
 
-// Phase-2 algorithms (see DESIGN.md and the paper's Sections 5–6).
+// Phase-2 algorithms (see DESIGN.md and the paper's Sections 5–6). All
+// produce the same region for linear scoring; they differ in cost.
 const (
+	// FP computes only the hull facets incident to the k-th result record
+	// — the paper's fastest and most scalable algorithm, and the zero
+	// value. Linear only.
+	FP Method = iota
 	// SP prunes candidate records to the skyline of the non-result set.
 	// Works for every monotone scoring function.
-	SP Method = iota
+	SP
 	// CP prunes further, to skyline records on the skyline's convex hull.
 	// Linear scoring only.
 	CP
-	// FP computes only the hull facets incident to the k-th result record
-	// — the paper's fastest and most scalable algorithm. Linear only.
-	FP
 	// Exhaustive derives one half-space per non-result record (the
 	// Section 3.3 baseline). Use only on small datasets, e.g. to validate.
 	Exhaustive
