@@ -1,13 +1,16 @@
 // Allocation gates for the hot path. These are regression tests, not
 // benchmarks: the warm cache hit must stay at zero heap allocations, a
 // cold BRS must stay within a small fixed budget (the owned-result slabs),
-// and results returned to callers must never alias pooled scratch memory
-// that a later query recycles.
+// a cache fill must stay within a fixed budget too (what the entry keeps,
+// not what Phase 2 touched), and results returned to callers — or kept by
+// the cache — must never alias pooled scratch memory that a later query
+// recycles.
 package gir
 
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/girlib/gir/internal/datagen"
@@ -18,7 +21,7 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-func allocDataset(t *testing.T, n, d int) *Dataset {
+func allocDataset(t testing.TB, n, d int) *Dataset {
 	t.Helper()
 	pts, err := datagen.Generate(datagen.IND, n, d, 1)
 	if err != nil {
@@ -89,6 +92,43 @@ func TestColdBRSAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("cold BRS allocated %.1f allocs/op, budget %d", allocs, budget)
 	}
+}
+
+// TestFillAllocBudget bounds one cache fill — an Engine.TopK miss: BRS,
+// the FP region, the inscribed box, the put and an eviction. Phase 2 runs
+// in pooled scratch (star, page block, raw constraints, the reduction's
+// programs), so what a fill allocates is what outlives it: the result,
+// the region's slab, the entry and its repair state — a few dozen
+// objects, where the one-object-per-facet, per-constraint and per-program
+// build took thousands.
+func TestFillAllocBudget(t *testing.T) {
+	ds := allocDataset(t, 20000, 4)
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8, CacheShards: 1})
+	defer e.Close()
+
+	const k, budget = 10, 100
+	seed := int64(500)
+	var errSeen, hitSeen bool
+	fill := func() {
+		seed++
+		res := e.TopK(datagen.Query(4, seed), k)
+		errSeen = errSeen || res.Err != nil
+		hitSeen = hitSeen || res.CacheHit
+	}
+	for i := 0; i < 16; i++ { // past capacity, pools warm
+		fill()
+	}
+	before := e.Stats().Computed
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, fill)
+	if errSeen || hitSeen || e.Stats().Computed-before != runs+1 {
+		t.Fatalf("not every call was a fill (err=%v, hit=%v, computed %d of %d)", errSeen, hitSeen, e.Stats().Computed-before, runs+1)
+	}
+	// datagen.Query allocates the vector: one object that is the test's.
+	if allocs-1 > budget {
+		t.Fatalf("a cache fill allocated %.1f objects, budget %d", allocs-1, budget)
+	}
+	t.Logf("a cache fill allocates %.1f objects (budget %d)", allocs-1, budget)
 }
 
 // TestBatchDispatchAllocBudget bounds the engine's per-query dispatch
@@ -228,6 +268,80 @@ func TestScratchPoolNoAliasing(t *testing.T) {
 		topk.BRS(tree, score.Linear{}, datagen.Query(4, seed), 20)
 	}
 	snap.verify(t, res)
+}
+
+// TestFillScratchNoAliasing is the fill's half of the ownership rule:
+// everything a cache entry keeps — region normals and query, records,
+// candidates, unexpanded-subtree bounds, inscribed box — is copied out of
+// the pooled Phase-2 scratch, so hundreds of later fills through the same
+// pools, from one goroutine and from four, leave it bit-identical.
+func TestFillScratchNoAliasing(t *testing.T) {
+	ds := allocDataset(t, 20000, 4)
+	e := NewEngine(ds, EngineOptions{Workers: 4})
+	defer e.Close()
+
+	q0 := datagen.Query(4, 7)
+	if res := e.TopK(q0, 10); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	entries := e.cache.inner.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d entries after one fill", len(entries))
+	}
+	entry := entries[0]
+	flatten := func() (floats []float64, ids []int64) {
+		floats = append(floats, entry.Region.Query...)
+		for _, c := range entry.Region.Constraints {
+			floats = append(floats, c.Normal...)
+			ids = append(ids, c.A, c.B)
+		}
+		for _, recs := range [][]topk.Record{entry.Records, entry.Cand} {
+			for _, r := range recs {
+				floats = append(append(floats, r.Point...), r.Score)
+				ids = append(ids, r.ID)
+			}
+		}
+		for _, b := range entry.Bounds {
+			floats = append(floats, b...)
+		}
+		return append(append(floats, entry.InnerLo...), entry.InnerHi...), ids
+	}
+	wantF, wantI := flatten()
+	if len(entry.Region.Constraints) == 0 || len(entry.Cand) == 0 || len(entry.Bounds) == 0 {
+		t.Fatalf("entry too bare to test: %d constraints, %d candidates, %d bounds", len(entry.Region.Constraints), len(entry.Cand), len(entry.Bounds))
+	}
+
+	check := func(after string) {
+		t.Helper()
+		gotF, gotI := flatten()
+		if !vecEqual(gotF, wantF) || len(gotI) != len(wantI) {
+			t.Fatalf("cache entry changed %s", after)
+		}
+		for i := range gotI {
+			if gotI[i] != wantI[i] {
+				t.Fatalf("cache entry ids changed %s", after)
+			}
+		}
+	}
+	fills := func(from, n int64) {
+		for s := from; s < from+n; s++ {
+			if res := e.TopK(datagen.Query(4, s), 5+int(s%16)); res.Err != nil {
+				t.Error(res.Err)
+			}
+		}
+	}
+	fills(1000, 200)
+	check("after 200 fills on one goroutine")
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			fills(2000+50*g, 50)
+		}(g)
+	}
+	wg.Wait()
+	check("after 200 fills on four goroutines")
 }
 
 // TestTopKBufDoesNotAliasCache checks the engine-level half of the rule:

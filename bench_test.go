@@ -235,6 +235,33 @@ func BenchmarkBRS(b *testing.B) {
 	}
 }
 
+// BenchmarkFill is one cache fill per iteration — probe miss, BRS, FP
+// region, inscribed box, put, eviction — on BenchmarkBRS's tree: 640
+// distinct vectors walked in a circle through a 64-entry cache, so no
+// vector finds its own entry again (fills/op reports how many did miss).
+func BenchmarkFill(b *testing.B) {
+	ds := allocDataset(b, 100000, 4)
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64, CacheShards: 1})
+	defer e.Close()
+	qs := make([][]float64, 640)
+	for i := range qs {
+		qs[i] = datagen.Query(4, int64(1000+i))
+	}
+	for _, q := range qs[:128] { // past capacity: every timed put evicts
+		e.TopK(q, benchK)
+	}
+	before := e.Stats().Computed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := e.TopK(qs[(128+i)%len(qs)], benchK); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
+}
+
 // BenchmarkBatchBRS measures the fused multi-query traversal against a
 // serving-shaped batch (jittered repeats of a few centers, the workload
 // girbench -fuse runs at scale). One iteration answers the whole batch;

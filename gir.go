@@ -685,9 +685,13 @@ func retainRepairState(inner *topk.Result) (cand []topk.Record, bounds []vec.Vec
 	}
 	cand = append([]topk.Record(nil), inner.T...)
 	if inner.Heap != nil {
+		// One slab for every corner: the entry keeps them all or none.
+		d := len(inner.Query)
+		slab := make([]float64, 0, inner.Heap.Len()*d)
 		bounds = make([]vec.Vector, 0, inner.Heap.Len())
 		for _, it := range *inner.Heap {
-			bounds = append(bounds, it.Rect.Hi.Clone())
+			slab = append(slab, it.Rect.Hi...)
+			bounds = append(bounds, slab[len(slab)-d:len(slab):len(slab)])
 		}
 	}
 	return cand, bounds, true

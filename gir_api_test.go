@@ -1,7 +1,11 @@
 package gir_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	gir "github.com/girlib/gir"
@@ -100,26 +104,140 @@ func TestResultConsumedOnce(t *testing.T) {
 	}
 }
 
+// TestAllMethodsAgreeOnMembership cross-validates the methods through the
+// public API: explicit ComputeGIR calls against the exhaustive baseline,
+// and — at the repository benchmark's shape — the region a zero-value
+// engine caches (an FP fill) against ComputeGIR with SP.
 func TestAllMethodsAgreeOnMembership(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ds, _ := gir.NewDataset(randomPoints(r, 300, 3))
-	q := []float64{0.4, 0.8, 0.3}
-	regions := map[gir.Method]*gir.GIR{}
-	for _, m := range []gir.Method{gir.SP, gir.CP, gir.FP, gir.Exhaustive} {
-		res, _ := ds.TopK(q, 8)
-		g, err := ds.ComputeGIR(res, m)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		regions[m] = g
-	}
-	for trial := 0; trial < 300; trial++ {
-		p := []float64{r.Float64(), r.Float64(), r.Float64()}
-		want := regions[gir.Exhaustive].Contains(p)
-		for m, g := range regions {
-			if g.Contains(p) != want {
-				t.Fatalf("%v disagrees with Exhaustive at %v", m, p)
+	t.Run("explicit", func(t *testing.T) {
+		r := rand.New(rand.NewSource(3))
+		ds, _ := gir.NewDataset(randomPoints(r, 300, 3))
+		q := []float64{0.4, 0.8, 0.3}
+		regions := map[gir.Method]*gir.GIR{}
+		for _, m := range []gir.Method{gir.SP, gir.CP, gir.FP, gir.Exhaustive} {
+			res, _ := ds.TopK(q, 8)
+			g, err := ds.ComputeGIR(res, m)
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
 			}
+			regions[m] = g
+		}
+		for trial := 0; trial < 300; trial++ {
+			p := []float64{r.Float64(), r.Float64(), r.Float64()}
+			want := regions[gir.Exhaustive].Contains(p)
+			for m, g := range regions {
+				if g.Contains(p) != want {
+					t.Fatalf("%v disagrees with Exhaustive at %v", m, p)
+				}
+			}
+		}
+	})
+	for _, space := range []gir.Space{gir.SpaceBox, gir.SpaceSimplex} {
+		for d := 3; d <= 5; d++ {
+			t.Run(fmt.Sprintf("engine/%v/d=%d", space, d), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(40 + d)))
+				engineFillMatchesSP(t, r, randomPoints(r, 20000, d), space, 8)
+			})
+		}
+	}
+	// Every record in the coordinate hyperplane x_d = 0: p_k has no
+	// virtual seed on that axis and no record leaves the flat, so FP finds
+	// no full-dimensional simplex and the fill is its SP fallback.
+	t.Run("engine/flat", func(t *testing.T) {
+		r := rand.New(rand.NewSource(46))
+		pts := randomPoints(r, 2000, 4)
+		for _, p := range pts {
+			p[3] = 0
+		}
+		engineFillMatchesSP(t, r, pts, gir.SpaceBox, 4)
+		ds, _ := gir.NewDataset(pts)
+		res, _ := ds.TopK([]float64{0.5, 0.4, 0.6, 0.3}, 10)
+		g, err := ds.ComputeGIR(res, gir.FP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Stats.StarFacets != 0 || g.Stats.SkylineSize == 0 {
+			t.Fatalf("FP on the flat dataset did not fall back to SP: %+v", g.Stats)
+		}
+	})
+}
+
+// engineFillMatchesSP fills a zero-value engine's cache with random
+// queries (k in 5..20) and holds every fill to ComputeGIR with SP: the
+// cached region has the same minimal (kind, A, B) constraints, and hits
+// served from it are byte-identical to Dataset.TopK.
+func engineFillMatchesSP(t *testing.T, r *rand.Rand, pts [][]float64, space gir.Space, queries int) {
+	ds, err := gir.NewDatasetInSpace(pts, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := gir.NewEngine(ds, gir.EngineOptions{})
+	defer e.Close()
+	pairs := func(g *gir.GIR) []string {
+		var out []string
+		for _, c := range g.Constraints() {
+			out = append(out, fmt.Sprintf("%s %d>%d", c.Kind, c.A, c.B))
+		}
+		sort.Strings(out)
+		return out
+	}
+	for i := 0; i < queries; i++ {
+		q := make([]float64, ds.Dim())
+		for j := range q {
+			q[j] = 0.15 + 0.7*r.Float64()
+		}
+		q = space.Normalize(q)
+		k := 5 + r.Intn(16)
+		if res := e.TopK(q, k); res.Err != nil || res.CacheHit {
+			t.Fatalf("query %d: err=%v hit=%v, want a fill", i, res.Err, res.CacheHit)
+		}
+		var cached *gir.GIR
+		for _, g := range e.CachedGIRs() {
+			if slices.Equal(g.Query(), q) {
+				cached = g
+			}
+		}
+		if cached == nil {
+			t.Fatalf("query %d: the fill cached nothing", i)
+		}
+		res, err := ds.TopK(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := ds.ComputeGIR(res, gir.SP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := pairs(cached), pairs(sp); !slices.Equal(got, want) {
+			t.Fatalf("query %d (k=%d): cached region %v, SP region %v", i, k, got, want)
+		}
+		// Nearby vectors inside the region are hits, and a hit is the
+		// fresh answer bit for bit.
+		hits := 0
+		for trial := 0; trial < 20; trial++ {
+			q2 := make([]float64, len(q))
+			for j := range q2 {
+				q2[j] = q[j] * (1 + 0.002*r.NormFloat64())
+			}
+			q2 = space.Normalize(q2)
+			if !cached.Contains(q2) {
+				continue
+			}
+			got := e.TopK(q2, k)
+			want, err := ds.TopK(q2, k)
+			if got.Err != nil || err != nil || !got.CacheHit {
+				t.Fatalf("query %d: in-region vector not served from the cache (err=%v/%v, hit=%v)", i, got.Err, err, got.CacheHit)
+			}
+			hits++
+			for j, w := range want.Records {
+				g := got.Records[j]
+				if g.ID != w.ID || math.Float64bits(g.Score) != math.Float64bits(w.Score) || !slices.Equal(g.Attrs, w.Attrs) {
+					t.Fatalf("query %d rank %d: hit served %+v, TopK %+v", i, j, g, w)
+				}
+			}
+		}
+		if hits == 0 {
+			t.Logf("query %d: no jittered vector fell inside the region", i)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,8 +49,12 @@ func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
 			}
 		}()
 	}
-	// Let every goroutine reach Do before the leader finishes.
-	for executions.Load() == 0 {
+	// Release the leader only once every other caller has joined its call:
+	// the group keeps no follower count, so read it off the goroutine dump —
+	// a follower is a goroutine parked in Call.Wait.
+	buf := make([]byte, 1<<20)
+	for strings.Count(string(buf[:runtime.Stack(buf, true)]), "engine.(*Call).Wait") < callers-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

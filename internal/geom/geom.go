@@ -11,6 +11,7 @@ package geom
 
 import (
 	"math"
+	"sync"
 
 	"github.com/girlib/gir/internal/lp"
 	"github.com/girlib/gir/internal/vec"
@@ -59,70 +60,89 @@ func ContainsAll(hs []Halfspace, x vec.Vector, tol float64) bool {
 // Near-parallel duplicates are collapsed first (keeping the lowest index),
 // since a pair of mutually redundant constraints would otherwise survive
 // the one-at-a-time elimination.
+//
+// The work runs in a pooled reducer — unit normals, the membership
+// programs' generator matrix and the simplex tableau — so only the
+// returned index slice is allocated.
 func ReduceCone(normals []vec.Vector, tol float64) []int {
 	n := len(normals)
 	if n == 0 {
 		return nil
 	}
+	r := reducers.Get().(*reducer)
+	defer reducers.Put(r)
 	d := len(normals[0])
-	unit := make([]vec.Vector, n)
-	alive := make([]bool, n)
+	r.unit, r.alive = vec.Grown(r.unit, n*d), vec.Grown(r.alive, n)
+	unit := func(i int) vec.Vector { return r.unit[i*d : (i+1)*d] }
 	for i, a := range normals {
+		r.alive[i] = false
 		if nm := vec.Norm(a); nm > tol {
-			unit[i] = vec.Scale(1/nm, a)
-			alive[i] = true
+			inv := 1 / nm
+			for j, x := range a {
+				unit(i)[j] = inv * x
+			}
+			r.alive[i] = true
 		}
 	}
 	// Collapse duplicates (same direction).
+	kept := 0
 	for i := 0; i < n; i++ {
-		if !alive[i] {
+		if !r.alive[i] {
 			continue
 		}
+		kept++
 		for j := i + 1; j < n; j++ {
-			if alive[j] && vec.Equal(unit[i], unit[j], 1e-9) {
-				alive[j] = false
+			if r.alive[j] && vec.Equal(unit(i), unit(j), 1e-9) {
+				r.alive[j] = false
 			}
 		}
 	}
-	// One-at-a-time conical membership elimination.
-	for i := 0; i < n; i++ {
-		if !alive[i] {
+	// One-at-a-time conical membership elimination: is unit(i) in
+	// {Σ λ_j g_j : λ ≥ 0} over the other live normals g_j? One equality
+	// row per dimension, one variable per generator.
+	r.gen, r.rows = vec.Grown(r.gen, d*kept), vec.Grown(r.rows, d)
+	for i := 0; i < n && kept > 1; i++ {
+		if !r.alive[i] {
 			continue
 		}
-		gens := make([]vec.Vector, 0, n)
+		m := kept - 1
+		for row := range r.rows {
+			r.rows[row] = lp.Constraint{Coef: r.gen[row*m : (row+1)*m], Op: lp.EQ, RHS: unit(i)[row]}
+		}
+		col := 0
 		for j := 0; j < n; j++ {
-			if j != i && alive[j] {
-				gens = append(gens, unit[j])
+			if j == i || !r.alive[j] {
+				continue
 			}
+			for row, x := range unit(j) {
+				r.rows[row].Coef[col] = x
+			}
+			col++
 		}
-		if len(gens) == 0 {
-			continue
-		}
-		if inCone(unit[i], gens, d) {
-			alive[i] = false
+		if r.lp.Feasible(m, r.rows) {
+			r.alive[i] = false
+			kept--
 		}
 	}
-	keep := make([]int, 0, n)
+	keep := make([]int, 0, kept)
 	for i := 0; i < n; i++ {
-		if alive[i] {
+		if r.alive[i] {
 			keep = append(keep, i)
 		}
 	}
 	return keep
 }
 
-// inCone reports whether target ∈ {Σ λ_j g_j : λ ≥ 0}.
-func inCone(target vec.Vector, gens []vec.Vector, d int) bool {
-	cons := make([]lp.Constraint, d)
-	for row := 0; row < d; row++ {
-		coef := make([]float64, len(gens))
-		for j, g := range gens {
-			coef[j] = g[row]
-		}
-		cons[row] = lp.Constraint{Coef: coef, Op: lp.EQ, RHS: target[row]}
-	}
-	return lp.Feasible(len(gens), cons)
+// reducer is ReduceCone's pooled workspace.
+type reducer struct {
+	unit  []float64 // the normals scaled to unit length, row-major
+	alive []bool
+	gen   []float64       // a membership program's rows, back to back
+	rows  []lp.Constraint // over gen
+	lp    lp.Solver
 }
+
+var reducers = sync.Pool{New: func() any { return new(reducer) }}
 
 // ChebyshevCenter computes the centre and radius of the largest inscribed
 // ball of the polytope given by the half-spaces (which should include box

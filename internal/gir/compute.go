@@ -1,9 +1,13 @@
 package gir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/girlib/gir/internal/domain"
+	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -86,6 +90,22 @@ func (o Options) domainOrBox(d int) domain.Domain {
 // It consumes the retained search heap inside res; compute the GIR before
 // reusing res for anything else.
 func Compute(tree *rtree.Tree, res *topk.Result, opt Options) (*Region, *Stats, error) {
+	return compute(tree, res, opt, true)
+}
+
+// ComputeStar derives the order-insensitive GIR* (Definition 2, Section
+// 7.1): the maximal locus where the composition of the top-k result is
+// preserved, ignoring the order among result records. It consumes the
+// retained search heap inside res.
+func ComputeStar(tree *rtree.Tree, res *topk.Result, opt Options) (*Region, *Stats, error) {
+	return compute(tree, res, opt, false)
+}
+
+// compute runs both variants. They differ in Phase 1 (the GIR keeps the
+// result's order, the GIR* does not) and in the anchors — the result
+// records Phase 2 keeps every non-result record below: p_k alone for the
+// GIR, the pruned result R⁻ for the GIR*.
+func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Region, *Stats, error) {
 	d := tree.Dim()
 	st := &Stats{Method: opt.Method.String(), TSize: len(res.T)}
 	if _, ok := res.Func.(score.Function); !ok {
@@ -95,155 +115,234 @@ func Compute(tree *rtree.Tree, res *topk.Result, opt Options) (*Region, *Stats, 
 		return nil, nil, fmt.Errorf("gir: method %v requires a linear scoring function; use SP (Section 7.2)", opt.Method)
 	}
 
-	cons := phase1(res)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.reset(d, sepFunc(res).Transform)
 
-	var phase2 []Constraint
+	anchors := res.Records[len(res.Records)-1:]
+	if ordered {
+		sc.phase1(res)
+	} else {
+		st.Method += "*"
+		anchors = resultMinus(res)
+		st.RMinus = len(anchors)
+	}
+
 	var err error
 	switch opt.Method {
 	case SP:
-		phase2 = spPhase2(tree, res, st)
+		// SL (and for CP, SL ∩ CH) is computed once and reused for every
+		// anchor (Section 7.1).
+		sc.spPhase(tree, res, anchors, st)
 	case CP:
-		phase2, err = cpPhase2(tree, res, st)
+		err = sc.cpPhase(tree, res, anchors, st)
 	case FP:
-		if d == 2 && !opt.Generic2DFP && !opt.Phase1Tighten {
-			phase2, err = fp2dPhase2(tree, res, st)
-		} else {
-			var pruner *phase1Pruner
-			if opt.Phase1Tighten {
-				pruner = newPhase1Pruner(cons, sepFunc(res).Transform(res.Kth().Point), opt.domainOrBox(d))
-			}
-			phase2, err = fpPhase2(tree, res, st, pruner)
+		if ordered && d == 2 && !opt.Generic2DFP && !opt.Phase1Tighten {
+			sc.fp2dPhase(tree, res, st)
+			break
 		}
+		var pruner *phase1Pruner
+		if ordered && opt.Phase1Tighten {
+			pruner = newPhase1Pruner(sc.normals, sc.g(res.Kth().Point), opt.domainOrBox(d))
+		}
+		err = sc.fpPhase(tree, res, anchors, st, pruner)
 	case Exhaustive:
-		phase2 = exhaustivePhase2(tree, res, st)
+		if !ordered {
+			// The baseline applies Definition 2 literally — every result
+			// record is an anchor — providing an independent check that the
+			// R⁻ pruning used by SP/CP/FP is sound.
+			anchors = res.Records
+		}
+		sc.exhaustivePhase(tree, res, anchors, st)
 	default:
 		err = fmt.Errorf("gir: unknown method %v", opt.Method)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	cons = append(cons, phase2...)
-	st.RawConstraints = len(cons)
-	if !opt.SkipReduce {
-		cons = reduce(cons)
-	}
+	st.RawConstraints = len(sc.cons)
+	cons, query := sc.finish(res.Query, opt.SkipReduce)
 	st.Constraints = len(cons)
-
-	reg := &Region{Dim: d, Query: res.Query.Clone(), Constraints: cons, OrderSensitive: true, Domain: opt.domainOrBox(d)}
-	return reg, st, nil
+	return &Region{Dim: d, Query: query, Constraints: cons, OrderSensitive: ordered, Domain: opt.domainOrBox(d)}, st, nil
 }
 
-// sepFunc returns the separable scoring function of a result; Compute and
-// ComputeStar guarantee the assertion before any helper runs.
+// sepFunc returns the separable scoring function of a result; compute
+// guarantees the assertion before any helper runs.
 func sepFunc(res *topk.Result) score.Function { return res.Func.(score.Function) }
+
+// scratch is the pooled workspace of one region computation: the raw
+// constraints, FP's stars with the page block and seed lists that feed
+// them, and the buffers of the final ordering. Everything in it is
+// private to the compute call holding it; finish copies what the Region
+// keeps into fresh slabs, so a Region never aliases pooled memory.
+type scratch struct {
+	d int
+	g func(vec.Vector) vec.Vector // the scoring function's transform
+
+	cons    []Constraint // raw constraints; finish points Normal into normals
+	normals []float64    // constraint i's normal is normals[i*d:(i+1)*d]
+	rows    []vec.Vector // finish: the normals as ReduceCone's input
+	slack   []float64    // finish: every raw constraint's Normal·q
+
+	stars   []hull.Star // FP: one per anchor
+	blk     rtree.NodeBlock
+	seeds   []vec.Vector
+	seedIDs []int64
+	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
+	sc.d, sc.g = d, g
+	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
+}
+
+// add appends the half-space keeping record b below record a, given
+// their points: (g(pa) − g(pb))·q' ≥ 0.
+func (sc *scratch) add(kind ConstraintKind, a, b int64, pa, pb vec.Vector) {
+	ga, gb := sc.g(pa), sc.g(pb)
+	for j := range ga {
+		sc.normals = append(sc.normals, ga[j]-gb[j])
+	}
+	sc.cons = append(sc.cons, Constraint{Kind: kind, A: a, B: b})
+}
 
 // phase1 derives the k−1 reorder constraints that preserve the score order
 // within the result (Section 4): (g(p_i) − g(p_{i+1}))·q' ≥ 0.
-func phase1(res *topk.Result) []Constraint {
-	g := sepFunc(res).Transform
-	cons := make([]Constraint, 0, len(res.Records)-1)
+func (sc *scratch) phase1(res *topk.Result) {
 	for i := 0; i+1 < len(res.Records); i++ {
 		a, b := res.Records[i], res.Records[i+1]
-		cons = append(cons, Constraint{
-			Normal: vec.Sub(g(a.Point), g(b.Point)),
-			Kind:   Reorder,
-			A:      a.ID,
-			B:      b.ID,
+		sc.add(Reorder, a.ID, b.ID, a.Point, b.Point)
+	}
+}
+
+// replace appends one Phase-2 half-space per (anchor, record) pair,
+// anchor-major: each keeps a non-result record below a result record.
+func (sc *scratch) replace(anchors, recs []topk.Record) {
+	for _, a := range anchors {
+		for _, p := range recs {
+			sc.add(Replace, a.ID, p.ID, a.Point, p.Point)
+		}
+	}
+}
+
+// finish turns the raw constraints into what the Region keeps: the
+// minimal set (unless skipReduce), Phase-1 constraints first and Phase-2
+// constraints in descending score of their non-result record at the query
+// — the most binding first, which is what Contains' first-violation exit
+// wants — copied with the query into one fresh slab. The reduction sees
+// the constraints in the order the phases emitted them, so the kept set
+// does not depend on the final order. Raw constraints are returned as
+// emitted.
+func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vector) {
+	d := sc.d
+	sc.rows = sc.rows[:0]
+	for i := range sc.cons {
+		sc.cons[i].Normal = sc.normals[i*d : (i+1)*d]
+		sc.rows = append(sc.rows, sc.cons[i].Normal)
+	}
+	var keep []int
+	if skipReduce || len(sc.cons) <= 1 {
+		keep = make([]int, len(sc.cons))
+		for i := range keep {
+			keep[i] = i
+		}
+	} else {
+		keep = geom.ReduceCone(sc.rows, 1e-12)
+		sc.slack = sc.slack[:0]
+		for _, n := range sc.rows {
+			sc.slack = append(sc.slack, vec.Dot(n, q))
+		}
+		slices.SortStableFunc(keep, func(a, b int) int {
+			if ka, kb := sc.cons[a].Kind, sc.cons[b].Kind; ka != kb || ka == Reorder {
+				return cmp.Compare(ka, kb)
+			}
+			return cmp.Compare(sc.slack[a], sc.slack[b])
 		})
 	}
-	return cons
-}
-
-// replaceConstraint builds the Phase-2 half-space keeping non-result
-// record p below result record anchor: (g(anchor) − g(p))·q' ≥ 0.
-func replaceConstraint(f score.Function, anchor, p topk.Record) Constraint {
-	return Constraint{
-		Normal: vec.Sub(f.Transform(anchor.Point), f.Transform(p.Point)),
-		Kind:   Replace,
-		A:      anchor.ID,
-		B:      p.ID,
+	slab := make([]float64, (len(keep)+1)*d)
+	query := vec.Vector(slab[:d:d])
+	copy(query, q)
+	cons := make([]Constraint, len(keep))
+	for i, k := range keep {
+		cons[i] = sc.cons[k]
+		cons[i].Normal = slab[(i+1)*d : (i+2)*d : (i+2)*d]
+		copy(cons[i].Normal, sc.cons[k].Normal)
 	}
+	return cons, query
 }
 
-// spPhase2 implements Skyline Pruning: one constraint per skyline record
-// of D\R.
-func spPhase2(tree *rtree.Tree, res *topk.Result, st *Stats) []Constraint {
+// spPhase implements Skyline Pruning: one constraint per anchor and
+// skyline record of D\R.
+func (sc *scratch) spPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) {
+	sc.replace(anchors, skylineOf(tree, res, st))
+}
+
+// skylineOf computes SL of D\R, consuming the retained heap.
+func skylineOf(tree *rtree.Tree, res *topk.Result, st *Stats) []topk.Record {
 	before := tree.Store().Stats().Reads
 	sl := skyline.OfNonResult(tree, res)
 	st.NodesRead = int(tree.Store().Stats().Reads - before)
 	st.SkylineSize = len(sl.Records)
-	pk := res.Kth()
-	cons := make([]Constraint, 0, len(sl.Records))
-	for _, p := range sl.Records {
-		cons = append(cons, replaceConstraint(sepFunc(res), pk, p))
-	}
-	return cons
+	return sl.Records
 }
 
-// cpPhase2 implements Convex-hull Pruning: constraints only from skyline
+// cpPhase implements Convex-hull Pruning: constraints only from skyline
 // records that are vertices of the convex hull of SL (Section 5.2: the
 // hull is computed over the skyline records only, never the full D\R).
-func cpPhase2(tree *rtree.Tree, res *topk.Result, st *Stats) ([]Constraint, error) {
-	before := tree.Store().Stats().Reads
-	sl := skyline.OfNonResult(tree, res)
-	st.NodesRead = int(tree.Store().Stats().Reads - before)
-	st.SkylineSize = len(sl.Records)
-	pk := res.Kth()
-
-	onHull := sl.Records
-	if len(sl.Records) > tree.Dim()+1 {
-		pts := make([]vec.Vector, len(sl.Records))
-		for i, r := range sl.Records {
+func (sc *scratch) cpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) error {
+	onHull := skylineOf(tree, res, st)
+	if len(onHull) > tree.Dim()+1 {
+		pts := make([]vec.Vector, len(onHull))
+		for i, r := range onHull {
 			pts[i] = r.Point
 		}
 		h, err := hull.Build(pts)
 		switch err {
 		case nil:
 			verts := h.VertexIndices()
+			sl := onHull
 			onHull = make([]topk.Record, len(verts))
 			for i, v := range verts {
-				onHull[i] = sl.Records[v]
+				onHull[i] = sl[v]
 			}
 		case hull.ErrDegenerate:
 			// The skyline lies in a lower-dimensional flat: every record
 			// may be extreme, so fall back to the full skyline (a correct
 			// superset; SP semantics).
 		default:
-			return nil, err
+			return err
 		}
 	}
 	st.HullVertices = len(onHull)
-	cons := make([]Constraint, 0, len(onHull))
-	for _, p := range onHull {
-		cons = append(cons, replaceConstraint(sepFunc(res), pk, p))
-	}
-	return cons, nil
+	sc.replace(anchors, onHull)
+	return nil
 }
 
-// exhaustivePhase2 is the Section 3.3 baseline: scan the dataset, one
-// half-space per non-result record. Exponential-grade intersection cost is
-// deferred to the reduction step; do not use beyond small n.
-func exhaustivePhase2(tree *rtree.Tree, res *topk.Result, st *Stats) []Constraint {
+// exhaustivePhase is the Section 3.3 baseline: scan the dataset, one
+// half-space per anchor and non-result record. Exponential-grade
+// intersection cost is deferred to the reduction step; do not use beyond
+// small n.
+func (sc *scratch) exhaustivePhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) {
 	inResult := make(map[int64]bool, len(res.Records))
 	for _, r := range res.Records {
 		inResult[r.ID] = true
 	}
-	pk := res.Kth()
-	var cons []Constraint
 	before := tree.Store().Stats().Reads
 	var rec func(n *rtree.Node)
 	rec = func(n *rtree.Node) {
 		for _, e := range n.Entries {
-			if n.Leaf {
-				if !inResult[e.RecID] {
-					cons = append(cons, replaceConstraint(sepFunc(res), pk, topk.Record{ID: e.RecID, Point: e.Point()}))
-				}
-			} else {
+			if !n.Leaf {
 				rec(tree.ReadNode(e.Child))
+			} else if !inResult[e.RecID] {
+				p := e.Point()
+				for _, a := range anchors {
+					sc.add(Replace, a.ID, e.RecID, a.Point, p)
+				}
 			}
 		}
 	}
 	rec(tree.ReadNode(tree.Root()))
 	st.NodesRead = int(tree.Store().Stats().Reads - before)
-	return cons
 }

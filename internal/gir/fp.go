@@ -2,6 +2,7 @@ package gir
 
 import (
 	"errors"
+	"slices"
 
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/hull"
@@ -23,11 +24,14 @@ type phase1Pruner struct {
 	d    int
 }
 
-func newPhase1Pruner(phase1 []Constraint, pk vec.Vector, dom domain.Domain) *phase1Pruner {
+// newPhase1Pruner takes the Phase-1 normals as one row-major slab (the
+// scratch's, copied: that one moves as Phase 2 appends to it).
+func newPhase1Pruner(phase1 []float64, pk vec.Vector, dom domain.Domain) *phase1Pruner {
 	d := dom.Dim()
-	cons := make([]lp.Constraint, 0, len(phase1)+d)
-	for _, c := range phase1 {
-		cons = append(cons, lp.Constraint{Coef: c.Normal, Op: lp.GE, RHS: 0})
+	phase1 = slices.Clone(phase1)
+	cons := make([]lp.Constraint, 0, len(phase1)/d+d)
+	for i := 0; i+d <= len(phase1); i += d {
+		cons = append(cons, lp.Constraint{Coef: phase1[i : i+d], Op: lp.GE, RHS: 0})
 	}
 	cons = append(cons, dom.LPConstraints()...)
 	return &phase1Pruner{cons: cons, pk: pk, d: d}
@@ -47,107 +51,123 @@ func (pp *phase1Pruner) canAffect(hi vec.Vector) bool {
 	return sol.Objective > 1e-12
 }
 
-// fpPhase2 implements Facet Pruning (Section 6): maintain only the convex-
-// hull facets of {p_k} ∪ D\R that are incident to p_k, first over the
-// in-memory set T (step 1), then refining against the R-tree through the
-// retained BRS search heap (step 2). The records incident to the final
-// facets — the critical records — are the only non-result records that can
-// bound the GIR.
+// fpPhase implements Facet Pruning (Section 6): maintain only the convex-
+// hull facets of {anchor} ∪ D\R that are incident to the anchor — one
+// star per anchor, p_k alone for the GIR (Section 7.1 for the GIR*) —
+// first over the in-memory set T (step 1), then refining against the
+// R-tree through the retained BRS search heap (step 2). The records
+// incident to the final facets — the critical records — are the only
+// non-result records that can bound the region.
 //
 // The generic star structure covers every dimensionality d ≥ 2; for d = 2
 // it degenerates exactly to the paper's two rotating facets (the star of a
 // convex-polygon vertex always has two edges), so no separate 2-d code
 // path is required for correctness. See BenchmarkAblationFP2D for the
 // measured difference against a specialized angular-sort variant.
-func fpPhase2(tree *rtree.Tree, res *topk.Result, st *Stats, pruner *phase1Pruner) ([]Constraint, error) {
-	pk := res.Kth()
-
-	star, err := buildStar(tree, res, pk, st)
+func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats, pruner *phase1Pruner) error {
+	stars, err := sc.buildStars(tree, res, anchors, st)
+	if errors.Is(err, hull.ErrDegenerate) {
+		// The known records span a lower-dimensional flat; SP is always
+		// applicable and exact, so degrade gracefully.
+		sc.spPhase(tree, res, anchors, st)
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, hull.ErrDegenerate) {
-			// The known records span a lower-dimensional flat; SP is always
-			// applicable and exact, so degrade gracefully.
-			return spPhase2(tree, res, st), nil
-		}
-		return nil, err
+		return err
 	}
 
 	// Step 2: refine against records still on disk, pruning heap entries
-	// whose MBB lies below every facet incident to p_k (and, with the
+	// whose MBB lies below every facet of every star (and, with the
 	// footnote-7 pruner, entries that cannot matter inside the Phase-1
-	// cone).
+	// cone). A fetched leaf goes to each star as one column-major block.
 	prunable := func(lo, hi vec.Vector) bool {
-		if !star.MBBAboveAny(lo, hi) {
-			return true
+		for i := range stars {
+			if stars[i].MBBAboveAny(lo, hi) {
+				return pruner != nil && !pruner.canAffect(hi)
+			}
 		}
-		return pruner != nil && !pruner.canAffect(hi)
+		return true
 	}
-	h := res.Heap
+	d, h := sc.d, res.Heap
 	for h.Len() > 0 {
 		it := h.PopItem()
 		if prunable(it.Rect.Lo, it.Rect.Hi) {
 			st.NodesPruned++
 			continue
 		}
-		n := tree.ReadNode(it.Child)
+		blk := tree.ReadBlock(it.Child, &sc.blk)
 		st.NodesRead++
-		for _, e := range n.Entries {
-			if n.Leaf {
-				star.Add(e.Point(), e.RecID)
-			} else {
-				if prunable(e.Rect.Lo, e.Rect.Hi) {
-					st.NodesPruned++
-					continue
-				}
-				key := res.Func.MaxScore(e.Rect.Lo, e.Rect.Hi, res.Query)
-				h.PushItem(topk.NodeItem{Key: key, Child: e.Child, Rect: e.Rect})
+		if blk.Leaf {
+			for i := range stars {
+				stars[i].AddBlock(blk.Cols, blk.RecIDs)
 			}
+			continue
+		}
+		for i, child := range blk.Children {
+			if prunable(blk.Lo[i*d:(i+1)*d], blk.Hi[i*d:(i+1)*d]) {
+				st.NodesPruned++
+				continue
+			}
+			// The block is overwritten by the next read; the pushed entry
+			// keeps its box in the scratch's arena.
+			at := len(sc.rects)
+			sc.rects = append(append(sc.rects, blk.Lo[i*d:(i+1)*d]...), blk.Hi[i*d:(i+1)*d]...)
+			rect := rtree.Rect{Lo: sc.rects[at : at+d : at+d], Hi: sc.rects[at+d : at+2*d : at+2*d]}
+			h.PushItem(topk.NodeItem{Key: res.Func.MaxScore(rect.Lo, rect.Hi, res.Query), Child: child, Rect: rect})
 		}
 	}
 
-	st.StarFacets = star.NumFacets()
-	ids := star.Critical()
-	pts := star.CriticalPoints()
-	st.Critical = len(ids)
-	cons := make([]Constraint, 0, len(ids))
-	for i, id := range ids {
-		cons = append(cons, replaceConstraint(sepFunc(res), pk, topk.Record{ID: id, Point: pts[i]}))
+	for i := range stars {
+		st.StarFacets += stars[i].NumFacets()
+		ids, pts := stars[i].Critical()
+		st.Critical += len(ids)
+		for j, id := range ids {
+			sc.add(Replace, anchors[i].ID, id, anchors[i].Point, pts[j])
+		}
 	}
-	return cons, nil
+	return nil
 }
 
-// buildStar runs FP's first step: seed the star of p_k with the paper's
-// virtual axis-projection points plus the in-memory set T (using the
-// max-per-dimension heuristic of Section 6.3.1, which initialSimplex's
-// greedy extent selection subsumes). If apex plus seeds are degenerate, it
-// pulls additional records from the search heap until a full-dimensional
-// simplex exists.
-func buildStar(tree *rtree.Tree, res *topk.Result, pk topk.Record, st *Stats) (*hull.Star, error) {
-	seeds, ids := hull.VirtualSeeds(pk.Point)
-	for _, rec := range res.T {
-		seeds = append(seeds, rec.Point)
-		ids = append(ids, rec.ID)
+// buildStars runs FP's first step: seed each anchor's star with the
+// paper's virtual axis-projection points plus the in-memory set T (using
+// the max-per-dimension heuristic of Section 6.3.1, which the star's
+// greedy extent selection subsumes). If an anchor plus seeds are
+// degenerate, it pulls additional records from the search heap into T
+// until a full-dimensional simplex exists.
+func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]hull.Star, error) {
+	for len(sc.stars) < len(anchors) {
+		sc.stars = append(sc.stars, hull.Star{})
 	}
-	star, err := hull.NewStar(pk.Point, seeds, ids)
-	for errors.Is(err, hull.ErrDegenerate) && res.Heap.Len() > 0 {
-		// Pull one more node's worth of records and retry.
-		it := res.Heap.PopItem()
-		n := tree.ReadNode(it.Child)
-		st.NodesRead++
-		for _, e := range n.Entries {
-			if n.Leaf {
-				seeds = append(seeds, e.Point())
-				ids = append(ids, e.RecID)
-				// Record it in T as well so that a later SP fallback (or any
-				// other consumer of the encountered set) still sees it.
-				rec := topk.Record{ID: e.RecID, Point: e.Point(), Score: res.Func.Score(e.Point(), res.Query)}
-				res.T = append(res.T, rec)
-			} else {
-				key := res.Func.MaxScore(e.Rect.Lo, e.Rect.Hi, res.Query)
-				res.Heap.PushItem(topk.NodeItem{Key: key, Child: e.Child, Rect: e.Rect})
+	stars := sc.stars[:len(anchors)]
+	for {
+		var err error
+		for i, a := range anchors {
+			vpts, vids := hull.VirtualSeeds(a.Point)
+			sc.seeds, sc.seedIDs = append(sc.seeds[:0], vpts...), append(sc.seedIDs[:0], vids...)
+			for _, rec := range res.T {
+				sc.seeds = append(sc.seeds, rec.Point)
+				sc.seedIDs = append(sc.seedIDs, rec.ID)
+			}
+			if err = stars[i].Reset(a.Point, sc.seeds, sc.seedIDs); err != nil {
+				break
 			}
 		}
-		star, err = hull.NewStar(pk.Point, seeds, ids)
+		if !errors.Is(err, hull.ErrDegenerate) || res.Heap.Len() == 0 {
+			return stars, err
+		}
+		// Pull one more node's worth of records and retry. They join T so
+		// that a later SP fallback (or any other consumer of the
+		// encountered set) still sees them.
+		blk := tree.ReadBlock(res.Heap.PopItem().Child, &sc.blk)
+		st.NodesRead++
+		for i := 0; i < blk.Count; i++ {
+			if blk.Leaf {
+				p := vec.Vector(blk.Point(i, make([]float64, sc.d)))
+				res.T = append(res.T, topk.Record{ID: blk.RecIDs[i], Point: p, Score: res.Func.Score(p, res.Query)})
+			} else {
+				lo, hi := vec.Vector(blk.Lo[i*sc.d:(i+1)*sc.d]).Clone(), vec.Vector(blk.Hi[i*sc.d:(i+1)*sc.d]).Clone()
+				res.Heap.PushItem(topk.NodeItem{Key: res.Func.MaxScore(lo, hi, res.Query), Child: blk.Children[i], Rect: rtree.Rect{Lo: lo, Hi: hi}})
+			}
+		}
 	}
-	return star, err
 }

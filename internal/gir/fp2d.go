@@ -9,7 +9,7 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// fp2dPhase2 is the paper's specialized two-dimensional FP (Section 6.2).
+// fp2dPhase is the paper's specialized two-dimensional FP (Section 6.2).
 // In 2-d the star of p_k always has exactly two facets — the clockwise and
 // anticlockwise bounds of the rotating sweeping line — so instead of
 // simplex bookkeeping the first step is a single angular scan over T, and
@@ -19,7 +19,7 @@ import (
 // every direction p − p_k lives (every non-result record scores below
 // p_k). The minimum and maximum angles are the two hull neighbours of
 // p_k, i.e. the interim critical records.
-func fp2dPhase2(tree *rtree.Tree, res *topk.Result, st *Stats) ([]Constraint, error) {
+func (sc *scratch) fp2dPhase(tree *rtree.Tree, res *topk.Result, st *Stats) {
 	pk := res.Kth()
 	q := res.Query
 
@@ -70,7 +70,7 @@ func fp2dPhase2(tree *rtree.Tree, res *topk.Result, st *Stats) ([]Constraint, er
 	if !cw.valid || !acw.valid {
 		// p_k sits on the query-space origin corner; no rotation bound
 		// exists and the phase contributes nothing.
-		return nil, nil
+		return
 	}
 
 	// facetLine builds the outward line through p_k and the candidate:
@@ -121,15 +121,13 @@ func fp2dPhase2(tree *rtree.Tree, res *topk.Result, st *Stats) ([]Constraint, er
 	}
 
 	st.StarFacets = 2
-	var cons []Constraint
 	for _, c := range []candidate{cw, acw} {
 		if c.rec.ID < 0 {
 			continue // virtual sentinel: implied by the query-space box
 		}
 		st.Critical++
-		cons = append(cons, replaceConstraint(sepFunc(res), pk, c.rec))
+		sc.add(Replace, pk.ID, c.rec.ID, pk.Point, c.rec.Point)
 	}
-	return cons, nil
 }
 
 // maxOverBox2 is the 2-d beneath-and-beyond bound.

@@ -399,7 +399,10 @@ func TestFigure3Example(t *testing.T) {
 		}
 	}
 	res := &topk.Result{Query: q, K: 4, Func: score.Linear{}, Records: recs}
-	cons := phase1(res)
+	var sc scratch
+	sc.reset(2, score.Linear{}.Transform)
+	sc.phase1(res)
+	cons, _ := sc.finish(q, true)
 	wantNormals := []vec.Vector{{0.04, 0.02}, {-0.02, 0.13}, {0.12, -0.05}}
 	if len(cons) != 3 {
 		t.Fatalf("got %d phase-1 constraints, want 3", len(cons))

@@ -1,72 +1,11 @@
 package gir
 
 import (
-	"errors"
-	"fmt"
-
 	"github.com/girlib/gir/internal/hull"
-	"github.com/girlib/gir/internal/rtree"
-	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/skyline"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
-
-// ComputeStar derives the order-insensitive GIR* (Definition 2, Section
-// 7.1): the maximal locus where the composition of the top-k result is
-// preserved, ignoring the order among result records. It consumes the
-// retained search heap inside res.
-func ComputeStar(tree *rtree.Tree, res *topk.Result, opt Options) (*Region, *Stats, error) {
-	d := tree.Dim()
-	st := &Stats{Method: opt.Method.String() + "*", TSize: len(res.T)}
-	if _, ok := res.Func.(score.Function); !ok {
-		return nil, nil, fmt.Errorf("gir: scoring function %q is not separable; use BuildOracle (Section 7.2)", res.Func.Name())
-	}
-	if opt.Method != SP && opt.Method != Exhaustive && !score.IsLinear(res.Func) {
-		return nil, nil, fmt.Errorf("gir: method %v requires a linear scoring function; use SP", opt.Method)
-	}
-
-	rMinus := resultMinus(res)
-	st.RMinus = len(rMinus)
-
-	var cons []Constraint
-	switch opt.Method {
-	case SP, CP:
-		// SL (and for CP, SL ∩ CH) is computed once and reused for every
-		// GIR_i derivation (Section 7.1).
-		var anchors []Constraint
-		var err error
-		if opt.Method == SP {
-			anchors = spStarPhase(tree, res, rMinus, st)
-		} else {
-			anchors, err = cpStarPhase(tree, res, rMinus, st)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		cons = anchors
-	case FP:
-		var err error
-		cons, err = fpStarPhase(tree, res, rMinus, st)
-		if err != nil {
-			return nil, nil, err
-		}
-	case Exhaustive:
-		// The baseline applies Definition 2 literally — every result record
-		// is an anchor — providing an independent check that the R⁻ pruning
-		// used by SP/CP/FP is sound.
-		cons = exhaustiveStarPhase(tree, res, res.Records, st)
-	default:
-		return nil, nil, fmt.Errorf("gir: unknown method %v", opt.Method)
-	}
-
-	st.RawConstraints = len(cons)
-	if !opt.SkipReduce {
-		cons = reduce(cons)
-	}
-	st.Constraints = len(cons)
-	return &Region{Dim: d, Query: res.Query.Clone(), Constraints: cons, OrderSensitive: false, Domain: opt.domainOrBox(d)}, st, nil
-}
 
 // resultMinus applies the two result-pruning rules of Section 7.1: drop
 // result records that (i) lie strictly inside the convex hull of R, or
@@ -121,152 +60,4 @@ func resultMinus(res *topk.Result) []topk.Record {
 		out = []topk.Record{res.Kth()}
 	}
 	return out
-}
-
-// spStarPhase: GIR_i per anchor from the shared skyline SL.
-func spStarPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) []Constraint {
-	before := tree.Store().Stats().Reads
-	sl := skyline.OfNonResult(tree, res)
-	st.NodesRead = int(tree.Store().Stats().Reads - before)
-	st.SkylineSize = len(sl.Records)
-	var cons []Constraint
-	for _, anchor := range anchors {
-		for _, p := range sl.Records {
-			cons = append(cons, replaceConstraint(sepFunc(res), anchor, p))
-		}
-	}
-	return cons
-}
-
-// cpStarPhase: like spStarPhase but over SL ∩ CH.
-func cpStarPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]Constraint, error) {
-	before := tree.Store().Stats().Reads
-	sl := skyline.OfNonResult(tree, res)
-	st.NodesRead = int(tree.Store().Stats().Reads - before)
-	st.SkylineSize = len(sl.Records)
-	onHull := sl.Records
-	if len(sl.Records) > tree.Dim()+1 {
-		pts := make([]vec.Vector, len(sl.Records))
-		for i, r := range sl.Records {
-			pts[i] = r.Point
-		}
-		h, err := hull.Build(pts)
-		switch err {
-		case nil:
-			verts := h.VertexIndices()
-			onHull = make([]topk.Record, len(verts))
-			for i, v := range verts {
-				onHull[i] = sl.Records[v]
-			}
-		case hull.ErrDegenerate:
-			// Fall back to the full skyline.
-		default:
-			return nil, err
-		}
-	}
-	st.HullVertices = len(onHull)
-	var cons []Constraint
-	for _, anchor := range anchors {
-		for _, p := range onHull {
-			cons = append(cons, replaceConstraint(sepFunc(res), anchor, p))
-		}
-	}
-	return cons, nil
-}
-
-// fpStarPhase maintains one star per anchor record concurrently
-// (Section 7.1): a heap entry is pruned only when its MBB lies below every
-// facet of every star, and each fetched record updates every star it rises
-// above.
-func fpStarPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]Constraint, error) {
-	stars := make([]*hull.Star, len(anchors))
-	for i, anchor := range anchors {
-		seeds, ids := hull.VirtualSeeds(anchor.Point)
-		for _, rec := range res.T {
-			seeds = append(seeds, rec.Point)
-			ids = append(ids, rec.ID)
-		}
-		star, err := hull.NewStar(anchor.Point, seeds, ids)
-		if err != nil {
-			if errors.Is(err, hull.ErrDegenerate) {
-				// Degrade to SP for the whole query (exact, possibly slower).
-				return spStarPhase(tree, res, anchors, st), nil
-			}
-			return nil, err
-		}
-		stars[i] = star
-	}
-
-	h := res.Heap
-	anyAbove := func(lo, hi vec.Vector) bool {
-		for _, s := range stars {
-			if s.MBBAboveAny(lo, hi) {
-				return true
-			}
-		}
-		return false
-	}
-	for h.Len() > 0 {
-		it := h.PopItem()
-		if !anyAbove(it.Rect.Lo, it.Rect.Hi) {
-			st.NodesPruned++
-			continue
-		}
-		n := tree.ReadNode(it.Child)
-		st.NodesRead++
-		for _, e := range n.Entries {
-			if n.Leaf {
-				for _, s := range stars {
-					s.Add(e.Point(), e.RecID)
-				}
-			} else {
-				if !anyAbove(e.Rect.Lo, e.Rect.Hi) {
-					st.NodesPruned++
-					continue
-				}
-				key := res.Func.MaxScore(e.Rect.Lo, e.Rect.Hi, res.Query)
-				h.PushItem(topk.NodeItem{Key: key, Child: e.Child, Rect: e.Rect})
-			}
-		}
-	}
-
-	var cons []Constraint
-	for i, s := range stars {
-		st.StarFacets += s.NumFacets()
-		ids := s.Critical()
-		pts := s.CriticalPoints()
-		st.Critical += len(ids)
-		for j, id := range ids {
-			cons = append(cons, replaceConstraint(sepFunc(res), anchors[i], topk.Record{ID: id, Point: pts[j]}))
-		}
-	}
-	return cons, nil
-}
-
-// exhaustiveStarPhase: the validation baseline for GIR*.
-func exhaustiveStarPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) []Constraint {
-	inResult := make(map[int64]bool, len(res.Records))
-	for _, r := range res.Records {
-		inResult[r.ID] = true
-	}
-	var cons []Constraint
-	before := tree.Store().Stats().Reads
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
-		for _, e := range n.Entries {
-			if n.Leaf {
-				if !inResult[e.RecID] {
-					p := topk.Record{ID: e.RecID, Point: e.Point()}
-					for _, anchor := range anchors {
-						cons = append(cons, replaceConstraint(sepFunc(res), anchor, p))
-					}
-				}
-			} else {
-				rec(tree.ReadNode(e.Child))
-			}
-		}
-	}
-	rec(tree.ReadNode(tree.Root()))
-	st.NodesRead = int(tree.Store().Stats().Reads - before)
-	return cons
 }

@@ -17,8 +17,10 @@
 package hull
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/girlib/gir/internal/vec"
@@ -63,15 +65,27 @@ func maxOverBox(n, lo, hi vec.Vector) float64 {
 	return s
 }
 
+// simplexScratch holds initialSimplex's working buffers so a reused Star
+// selects its simplex without allocating; the zero value is ready.
+type simplexScratch struct {
+	chosen  []int
+	used    []bool
+	basis   []float64 // orthonormal rows spanning the chosen points' affine hull
+	r, best []float64 // the residual being tested and the round's largest
+}
+
 // initialSimplex greedily selects d+1 affinely independent point indices,
 // optionally forcing the inclusion of index `force` (pass -1 to disable).
 // It returns ErrDegenerate if the points span a lower-dimensional flat.
-func initialSimplex(pts []vec.Vector, d int, force int) ([]int, error) {
+// The result and sc.used (which marks it) alias sc until its next use.
+func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]int, error) {
 	if len(pts) < d+1 {
 		return nil, ErrDegenerate
 	}
-	chosen := make([]int, 0, d+1)
-	used := make([]bool, len(pts))
+	chosen := sc.chosen[:0]
+	used := vec.Grown(sc.used, len(pts))
+	clear(used)
+	sc.used = used
 	if force >= 0 {
 		chosen = append(chosen, force)
 		used[force] = true
@@ -92,46 +106,56 @@ func initialSimplex(pts []vec.Vector, d int, force int) ([]int, error) {
 		chosen = append(chosen, lo)
 		used[lo] = true
 	}
-	// Orthonormal basis of the affine hull of the chosen points.
-	basis := make([]vec.Vector, 0, d)
+	// Each round takes the point with the largest residual against the
+	// affine hull of the points chosen so far.
 	origin := pts[chosen[0]]
-	residual := func(p vec.Vector) vec.Vector {
-		r := vec.Sub(p, origin)
-		for _, b := range basis {
-			vec.AXPY(-vec.Dot(r, b), b, r)
-		}
-		return r
-	}
+	basis := sc.basis[:0]
+	sc.r, sc.best = vec.Grown(sc.r, d), vec.Grown(sc.best, d)
+	r, bestRes := sc.r, sc.best
 	for len(chosen) < d+1 {
 		best, bestNorm := -1, 0.0
-		var bestRes vec.Vector
 		for i, p := range pts {
 			if used[i] {
 				continue
 			}
-			r := residual(p)
+			for j := range r {
+				r[j] = p[j] - origin[j]
+			}
+			for b := 0; b < len(basis); b += d {
+				row := basis[b : b+d]
+				vec.AXPY(-vec.Dot(r, row), row, r)
+			}
 			if n := vec.Norm(r); n > bestNorm {
-				best, bestNorm, bestRes = i, n, r
+				best, bestNorm = i, n
+				r, bestRes = bestRes, r
 			}
 		}
 		if best < 0 || bestNorm < Tol {
+			sc.chosen, sc.basis = chosen, basis
 			return nil, ErrDegenerate
 		}
 		chosen = append(chosen, best)
 		used[best] = true
-		basis = append(basis, vec.Scale(1/bestNorm, bestRes))
+		inv := 1 / bestNorm
+		for _, x := range bestRes {
+			basis = append(basis, inv*x)
+		}
 	}
+	sc.chosen, sc.basis = chosen, basis
 	return chosen, nil
 }
 
-// centroidOf returns the mean of the given points.
-func centroidOf(pts []vec.Vector, idx []int) vec.Vector {
-	d := len(pts[idx[0]])
-	c := make(vec.Vector, d)
+// centroidOf writes the mean of the indexed points into c.
+func centroidOf(c vec.Vector, pts []vec.Vector, idx []int) vec.Vector {
+	clear(c)
 	for _, i := range idx {
 		vec.AXPY(1, pts[i], c)
 	}
-	return vec.Scale(1/float64(len(idx)), c)
+	inv := 1 / float64(len(idx))
+	for j := range c {
+		c[j] *= inv
+	}
+	return c
 }
 
 // facetThrough builds the oriented facet through the d points indexed by
@@ -207,12 +231,12 @@ func build(points []vec.Vector, maxFacets int) (*Hull, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("hull: dimension %d not supported", d)
 	}
-	simplex, err := initialSimplex(points, d, -1)
+	simplex, err := initialSimplex(points, d, -1, new(simplexScratch))
 	if err != nil {
 		return nil, err
 	}
 	h := &Hull{Dim: d, Points: points}
-	interior := centroidOf(points, simplex)
+	interior := centroidOf(make(vec.Vector, d), points, simplex)
 
 	// d+1 simplex facets: facet i omits simplex[i]; its neighbor opposite
 	// vertex simplex[j] is facet j.
@@ -489,31 +513,57 @@ func (h *Hull) IncidentFacets(idx int) []*Facet {
 // --- Star: facets incident to a pinned apex --------------------------------
 
 // Star incrementally maintains the convex-hull facets incident to a pinned
-// apex over a growing point set. Points are fed one at a time with Add;
-// the structure is exact provided every added point has apex-score strictly
-// below the apex in the pinning direction (guaranteed in FP, where the apex
-// is the k-th result record and added points are non-result records).
+// apex over a growing point set. Points are fed one at a time with Add or
+// a column-major block at a time with AddBlock; the structure is exact
+// provided every added point has apex-score strictly below the apex in
+// the pinning direction (guaranteed in FP, where the apex is the k-th
+// result record and added points are non-result records).
+//
+// The layout is flat: only live facets are kept (an Add that changes the
+// star compacts the facets it replaced away), their normals row-major in
+// one slice with offsets and fixed-stride vertex ids beside them, the
+// points in one slab. Every buffer — including the scratch of Add,
+// AddBlock and Critical — is reused by Reset, so a pooled Star runs
+// without allocating once it has seen its largest input.
 type Star struct {
-	Dim  int
-	apex vec.Vector
+	Dim int
 
-	pts      []vec.Vector // non-apex points referenced by facets
-	ids      []int64      // caller's id per point; virtual points get negative ids
-	interior vec.Vector   // fixed interior reference for orientation
+	apex, interior vec.Vector // interior: fixed reference for orientation
+	pts            []float64  // non-apex points referenced by facets: point v is pts[v*Dim:(v+1)*Dim]
+	ids            []int64    // caller's id per point; virtual points get negative ids
 
-	facets []*sFacet
-	alive  int
-}
+	// Facet f has outward unit normal normals[f*Dim:(f+1)*Dim], offset
+	// offsets[f] and vertices verts[f*Dim:(f+1)*Dim] (positions into pts,
+	// apexID for the apex).
+	normals []float64
+	offsets []float64
+	verts   []int32
 
-type sFacet struct {
-	verts  []int // positions into pts; −1 denotes the apex
-	normal vec.Vector
-	offset float64
-	alive  bool
+	plane   vec.PlaneScratch
+	simplex simplexScratch
+	all     []vec.Vector // Reset: the apex followed by the seeds
+	span    []vec.Vector // addFacet: the new facet's points
+	nv      []int32      // add: the new facet's vertices
+	vis     []int        // add: facets the point sees, ascending
+	ridges  []int32      // add: candidate horizon ridges, Dim values each
+	order   []int        // add: ridge indices sorted by vertex tuple
+	point   vec.Vector   // AddBlock: the record gathered from its columns
+	dots    []float64    // screen: one facet's products with the block
+	mask    []bool       // AddBlock: records above some facet; Critical: points in use
+	view    [][]float64  // screen: the block's columns from some record on
+	cols    [][]float64  // Reset: unused seeds, column-major, over colbuf
+	colbuf  []float64
+	blockID []int64
+	crit    []int // Critical: positions of the critical points
+	critID  []int64
+	critPt  []vec.Vector
 }
 
 // apexID is the sentinel vertex id for the apex inside Star facets.
 const apexID = -1
+
+// seedBlock is how many seeds Reset transposes and screens at a time.
+const seedBlock = 128
 
 // NewStar builds the initial star from the apex and at least d seed points
 // (with caller ids). Seeds that are affinely dependent are skipped; if no
@@ -522,167 +572,280 @@ const apexID = -1
 // paper) should be given negative ids; they participate in the geometry but
 // are excluded from Critical().
 func NewStar(apex vec.Vector, seeds []vec.Vector, seedIDs []int64) (*Star, error) {
-	d := len(apex)
-	if d < 2 {
-		return nil, fmt.Errorf("hull: dimension %d not supported", d)
-	}
-	if len(seeds) != len(seedIDs) {
-		panic("hull: seeds and seedIDs length mismatch")
-	}
-	all := make([]vec.Vector, 0, len(seeds)+1)
-	all = append(all, apex)
-	all = append(all, seeds...)
-	simplex, err := initialSimplex(all, d, 0) // force apex (index 0)
-	if err != nil {
+	s := new(Star)
+	if err := s.Reset(apex, seeds, seedIDs); err != nil {
 		return nil, err
-	}
-	s := &Star{Dim: d, apex: apex, interior: centroidOf(all, simplex)}
-	// Register the chosen seed points.
-	pos := make(map[int]int, d) // index in `all` → index in s.pts
-	for _, si := range simplex {
-		if si == 0 {
-			continue
-		}
-		pos[si] = len(s.pts)
-		s.pts = append(s.pts, all[si])
-		s.ids = append(s.ids, seedIDs[si-1])
-	}
-	// Simplex facets containing the apex: omit one non-apex vertex each.
-	for _, omit := range simplex {
-		if omit == 0 {
-			continue
-		}
-		verts := make([]int, 0, d)
-		for _, si := range simplex {
-			if si == omit {
-				continue
-			}
-			if si == 0 {
-				verts = append(verts, apexID)
-			} else {
-				verts = append(verts, pos[si])
-			}
-		}
-		if !s.addFacet(verts) {
-			return nil, ErrDegenerate
-		}
-	}
-	// Feed the unused seeds through the normal incremental path.
-	used := make(map[int]bool, len(simplex))
-	for _, si := range simplex {
-		used[si] = true
-	}
-	for i := 1; i < len(all); i++ {
-		if !used[i] {
-			s.Add(all[i], seedIDs[i-1])
-		}
 	}
 	return s, nil
 }
 
-// point resolves a facet vertex id to coordinates.
-func (s *Star) point(v int) vec.Vector {
-	if v == apexID {
-		return s.apex
+// Reset rebuilds s as NewStar(apex, seeds, seedIDs) would build a fresh
+// star, reusing every buffer. The arguments are copied, not retained
+// (s.all keeps the slice headers until the next Reset).
+func (s *Star) Reset(apex vec.Vector, seeds []vec.Vector, seedIDs []int64) error {
+	d := len(apex)
+	if d < 2 {
+		return fmt.Errorf("hull: dimension %d not supported", d)
 	}
-	return s.pts[v]
+	if len(seeds) != len(seedIDs) {
+		panic("hull: seeds and seedIDs length mismatch")
+	}
+	s.Dim = d
+	s.pts, s.ids = s.pts[:0], s.ids[:0]
+	s.normals, s.offsets, s.verts = s.normals[:0], s.offsets[:0], s.verts[:0]
+	s.all = append(append(s.all[:0], apex), seeds...)
+	simplex, err := initialSimplex(s.all, d, 0, &s.simplex) // force apex (index 0)
+	if err != nil {
+		return err
+	}
+	s.apex = append(s.apex[:0], apex...)
+	s.interior = centroidOf(vec.Grown(s.interior, d), s.all, simplex)
+	s.span, s.point = vec.Grown(s.span, d), vec.Grown(s.point, d)
+	// Register the chosen seeds: simplex[i] (i ≥ 1, the apex is first) is
+	// point i−1.
+	for _, si := range simplex[1:] {
+		s.pts = append(s.pts, s.all[si]...)
+		s.ids = append(s.ids, seedIDs[si-1])
+	}
+	// Simplex facets containing the apex: omit one non-apex vertex each.
+	for omit := 1; omit <= d; omit++ {
+		nv := append(s.nv[:0], apexID)
+		for i := 1; i <= d; i++ {
+			if i != omit {
+				nv = append(nv, int32(i-1))
+			}
+		}
+		s.nv = nv
+		if !s.addFacet(nv) {
+			return ErrDegenerate
+		}
+	}
+	// Feed the unused seeds through the normal incremental path, a
+	// column-major block at a time.
+	s.colbuf, s.cols, s.blockID = vec.Grown(s.colbuf, d*seedBlock), vec.Grown(s.cols, d), vec.Grown(s.blockID, seedBlock)
+	for j := range s.cols {
+		s.cols[j] = s.colbuf[j*seedBlock : (j+1)*seedBlock]
+	}
+	used := s.simplex.used
+	for i := 1; i < len(s.all); {
+		n := 0
+		for ; i < len(s.all) && n < seedBlock; i++ {
+			if used[i] {
+				continue
+			}
+			for j, x := range s.all[i] {
+				s.cols[j][n] = x
+			}
+			s.blockID[n] = seedIDs[i-1]
+			n++
+		}
+		s.AddBlock(s.cols, s.blockID[:n])
+	}
+	return nil
 }
 
-// addFacet creates an oriented facet through the given vertex ids
-// (one of which must be apexID). Returns false on degeneracy.
-func (s *Star) addFacet(verts []int) bool {
-	span := make([]vec.Vector, len(verts))
+// addFacet appends the oriented facet through the given vertices (one of
+// which must be apexID; verts is copied). Returns false on degeneracy.
+func (s *Star) addFacet(verts []int32) bool {
+	d := s.Dim
 	for i, v := range verts {
-		span[i] = s.point(v)
+		if v == apexID {
+			s.span[i] = s.apex
+		} else {
+			s.span[i] = s.pts[int(v)*d : int(v)*d+d]
+		}
 	}
-	n, off, ok := vec.HyperplaneThrough(span, Tol)
+	at := len(s.normals)
+	s.normals = slices.Grow(s.normals, d)[:at+d]
+	n := vec.Vector(s.normals[at:])
+	off, ok := s.plane.Hyperplane(n, s.span, Tol)
 	if !ok {
+		s.normals = s.normals[:at]
 		return false
 	}
 	if vec.Dot(n, s.interior) > off {
-		n, off = vec.Scale(-1, n), -off
+		for i := range n {
+			n[i] = -n[i]
+		}
+		off = -off
 	}
-	s.facets = append(s.facets, &sFacet{verts: verts, normal: n, offset: off, alive: true})
-	s.alive++
+	s.offsets = append(s.offsets, off)
+	s.verts = append(s.verts, verts...)
 	return true
 }
 
 // Add processes a new point with the caller's id. It returns true if the
 // star changed (p is a new critical-candidate vertex), false if p was
-// discarded (below every incident facet).
-func (s *Star) Add(p vec.Vector, id int64) bool {
-	// Visible star facets.
-	var visible []*sFacet
-	for _, f := range s.facets {
-		if f.alive && vec.Dot(f.normal, p) > f.offset+Tol {
-			visible = append(visible, f)
+// discarded (below every incident facet) — in which case the star is
+// exactly as it was.
+func (s *Star) Add(p vec.Vector, id int64) bool { return s.add(p, id) > 0 }
+
+// add is Add returning how many facets it created; they are the last
+// ones, after the surviving facets in their old order.
+func (s *Star) add(p vec.Vector, id int64) int {
+	d := s.Dim
+	vis := s.vis[:0]
+	for f, off := range s.offsets {
+		var dot float64
+		for j, x := range s.normals[f*d : f*d+d] {
+			dot += x * p[j]
+		}
+		if dot > off+Tol {
+			vis = append(vis, f)
 		}
 	}
-	if len(visible) == 0 {
-		return false
+	s.vis = vis
+	if len(vis) == 0 {
+		return 0
 	}
-	// Horizon ridges through the apex: each apex-ridge is shared by exactly
-	// two star facets; it is a horizon ridge iff exactly one of them is
-	// visible.
-	type ridgeInfo struct {
-		verts []int
-		count int
-	}
-	ridges := map[string]*ridgeInfo{}
-	for _, f := range visible {
-		for pos, v := range f.verts {
-			if v == apexID {
+	// Horizon ridges through the apex: each apex-ridge (a facet minus one
+	// non-apex vertex) is shared by exactly two star facets; it is a
+	// horizon ridge iff exactly one of them is visible. A candidate is
+	// stored as its d−2 non-apex vertices in ascending order followed by
+	// the facet and vertex position it came from; sorting the candidates
+	// by vertex tuple puts the ones seen from two visible facets side by
+	// side.
+	w, stride := d-2, d
+	rid := s.ridges[:0]
+	for _, f := range vis {
+		fv := s.verts[f*d : f*d+d]
+		for pos, omit := range fv {
+			if omit == apexID {
 				continue // omitting the apex gives a non-apex ridge
 			}
-			ridge := make([]int, 0, s.Dim-1)
-			for j, w := range f.verts {
-				if j != pos {
-					ridge = append(ridge, w)
+			at := len(rid)
+			for j, v := range fv {
+				if j != pos && v != apexID {
+					rid = append(rid, v)
 				}
 			}
-			key := ridgeKey(ridge)
-			if ri, ok := ridges[key]; ok {
-				ri.count++
-			} else {
-				ridges[key] = &ridgeInfo{verts: ridge, count: 1}
+			slices.Sort(rid[at:])
+			rid = append(rid, int32(f), int32(pos))
+		}
+	}
+	s.ridges = rid
+	order := s.order[:0]
+	for r := 0; r < len(rid); r += stride {
+		order = append(order, r)
+	}
+	s.order = order
+	byTuple := func(a, b int) int { return slices.Compare(rid[a:a+w], rid[b:b+w]) }
+	slices.SortFunc(order, byTuple)
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && byTuple(order[i], order[j]) == 0 {
+			j++
+		}
+		if j-i > 1 { // interior ridge of the visible region
+			for _, r := range order[i:j] {
+				rid[r+w] = -1
+			}
+		}
+		i = j
+	}
+	// One new facet per horizon ridge: the ridge's vertices in their
+	// facet's order, then p.
+	pID, old := int32(len(s.ids)), len(s.offsets)
+	s.pts = append(s.pts, p...)
+	s.ids = append(s.ids, id)
+	for r := 0; r < len(rid); r += stride {
+		f, pos := int(rid[r+w]), int(rid[r+w+1])
+		if f < 0 {
+			continue
+		}
+		nv := s.nv[:0]
+		for j, v := range s.verts[f*d : f*d+d] {
+			if j != pos {
+				nv = append(nv, v)
+			}
+		}
+		s.nv = append(nv, pID)
+		s.addFacet(s.nv)
+	}
+	created := len(s.offsets) - old
+	if created == 0 {
+		// Degenerate corner case: p would swallow every facet it saw
+		// without replacements (numerically near-coplanar). Keep the old
+		// facets to stay conservative, and forget p.
+		s.pts, s.ids = s.pts[:len(s.pts)-d], s.ids[:pID]
+		return 0
+	}
+	// Compact the visible facets away.
+	to, next := vis[0], 1
+	for f := vis[0] + 1; f < len(s.offsets); f++ {
+		if next < len(vis) && vis[next] == f {
+			next++
+			continue
+		}
+		copy(s.normals[to*d:to*d+d], s.normals[f*d:f*d+d])
+		copy(s.verts[to*d:to*d+d], s.verts[f*d:f*d+d])
+		s.offsets[to] = s.offsets[f]
+		to++
+	}
+	s.normals, s.offsets, s.verts = s.normals[:to*d], s.offsets[:to], s.verts[:to*d]
+	return created
+}
+
+// AddBlock feeds the points of a column-major block — cols[j][i] is
+// coordinate j of point i, ids[i] its caller id, an R-tree leaf's layout
+// — in order, and reports whether the star changed. The outcome is
+// exactly that of calling Add for every point in turn: the block is
+// first screened against every facet with vec.DotColumns (bit-identical
+// to Add's own products), only points above some facet go through Add,
+// and whenever an Add changes the star the rest of the block is screened
+// against the facets it created. A point the screen passes is above a
+// facet of some earlier star, not necessarily the current one; Add
+// decides, so the screen can only skip points Add would discard.
+func (s *Star) AddBlock(cols [][]float64, ids []int64) bool {
+	s.mask = vec.Grown(s.mask, len(ids))
+	mask := s.mask
+	clear(mask)
+	s.screen(cols, mask, 0, 0)
+	changed := false
+	for i, id := range ids {
+		if !mask[i] {
+			continue
+		}
+		for j, col := range cols {
+			s.point[j] = col[i]
+		}
+		if created := s.add(s.point, id); created > 0 {
+			changed = true
+			s.screen(cols, mask, i+1, len(s.offsets)-created)
+		}
+	}
+	return changed
+}
+
+// screen sets mask[i] for every point i ≥ from of the block that lies
+// strictly above one of the facets from first on.
+func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
+	n, d := len(mask)-from, s.Dim
+	if n <= 0 {
+		return
+	}
+	s.dots, s.view = vec.Grown(s.dots, n), vec.Grown(s.view, d)
+	for j := range s.view {
+		s.view[j] = cols[j][from:]
+	}
+	mask = mask[from:]
+	for f := first; f < len(s.offsets); f++ {
+		vec.DotColumns(s.dots, s.normals[f*d:f*d+d], s.view)
+		limit := s.offsets[f] + Tol
+		for i, dot := range s.dots {
+			if dot > limit {
+				mask[i] = true
 			}
 		}
 	}
-	pID := len(s.pts)
-	s.pts = append(s.pts, p.Clone())
-	s.ids = append(s.ids, id)
-	created := 0
-	for _, ri := range ridges {
-		if ri.count != 1 {
-			continue // interior ridge of the visible region
-		}
-		verts := append(append(make([]int, 0, s.Dim), ri.verts...), pID)
-		if s.addFacet(verts) {
-			created++
-		}
-	}
-	for _, f := range visible {
-		f.alive = false
-		s.alive--
-	}
-	if created == 0 {
-		// Degenerate corner case: p swallowed every facet it saw without
-		// replacements (numerically near-coplanar). Keep the old facets to
-		// stay conservative.
-		for _, f := range visible {
-			f.alive = true
-			s.alive++
-		}
-		return false
-	}
-	return true
 }
 
 // AboveAny reports whether p lies strictly above at least one star facet
 // (i.e. whether Add would change the star).
 func (s *Star) AboveAny(p vec.Vector) bool {
-	for _, f := range s.facets {
-		if f.alive && vec.Dot(f.normal, p) > f.offset+Tol {
+	d := s.Dim
+	for f, off := range s.offsets {
+		if vec.Dot(s.normals[f*d:f*d+d], p) > off+Tol {
 			return true
 		}
 	}
@@ -693,76 +856,63 @@ func (s *Star) AboveAny(p vec.Vector) bool {
 // lies strictly above some star facet. R-tree nodes for which this is
 // false are pruned by FP's second step.
 func (s *Star) MBBAboveAny(lo, hi vec.Vector) bool {
-	for _, f := range s.facets {
-		if f.alive && maxOverBox(f.normal, lo, hi) > f.offset+Tol {
+	d := s.Dim
+	for f, off := range s.offsets {
+		if maxOverBox(s.normals[f*d:f*d+d], lo, hi) > off+Tol {
 			return true
 		}
 	}
 	return false
 }
 
-// NumFacets returns the number of live facets incident to the apex.
-func (s *Star) NumFacets() int { return s.alive }
+// NumFacets returns the number of facets incident to the apex.
+func (s *Star) NumFacets() int { return len(s.offsets) }
 
-// Critical returns the caller ids of the non-virtual records incident to
-// the star's facets — the paper's critical records — in sorted order.
-func (s *Star) Critical() []int64 {
-	seen := map[int64]bool{}
-	for _, f := range s.facets {
-		if !f.alive {
-			continue
-		}
-		for _, v := range f.verts {
-			if v == apexID {
-				continue
-			}
-			if id := s.ids[v]; id >= 0 {
-				seen[id] = true
-			}
+// Critical returns the non-virtual records incident to the star's facets
+// — the paper's critical records — as caller ids in ascending order with
+// their coordinates alongside. Both slices (and the coordinates) alias
+// the star's buffers: they are valid until its next Add, AddBlock, Reset
+// or Critical.
+func (s *Star) Critical() (ids []int64, pts []vec.Vector) {
+	d := s.Dim
+	s.mask = vec.Grown(s.mask, len(s.ids))
+	clear(s.mask)
+	for _, v := range s.verts {
+		if v != apexID {
+			s.mask[v] = true
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	crit := s.crit[:0]
+	for v, inUse := range s.mask {
+		if inUse && s.ids[v] >= 0 {
+			crit = append(crit, v)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.crit = crit
+	slices.SortFunc(crit, func(a, b int) int { return cmp.Compare(s.ids[a], s.ids[b]) })
+	ids, pts = s.critID[:0], s.critPt[:0]
+	for _, v := range crit {
+		ids = append(ids, s.ids[v])
+		pts = append(pts, s.pts[v*d:v*d+d:v*d+d])
+	}
+	s.critID, s.critPt = ids, pts
+	return ids, pts
 }
 
-// CriticalPoints returns the coordinates of the critical records, aligned
-// with Critical().
-func (s *Star) CriticalPoints() []vec.Vector {
-	ids := s.Critical()
-	byID := map[int64]vec.Vector{}
-	for i, id := range s.ids {
-		if id >= 0 {
-			byID[id] = s.pts[i]
-		}
-	}
-	out := make([]vec.Vector, len(ids))
-	for i, id := range ids {
-		out[i] = byID[id]
-	}
-	return out
-}
-
-// Facets returns copies of the live facets (vertex ids use −1 for the
-// apex and otherwise the caller ids passed to Add/NewStar).
+// Facets returns copies of the facets (vertex ids use −1 for the apex and
+// otherwise the caller ids passed to Add/NewStar).
 func (s *Star) Facets() []Facet {
-	out := make([]Facet, 0, s.alive)
-	for _, f := range s.facets {
-		if !f.alive {
-			continue
-		}
-		verts := make([]int, len(f.verts))
-		for i, v := range f.verts {
-			if v == apexID {
-				verts[i] = apexID
-			} else {
+	d := s.Dim
+	out := make([]Facet, len(s.offsets))
+	for f, off := range s.offsets {
+		verts := make([]int, d)
+		for i, v := range s.verts[f*d : f*d+d] {
+			verts[i] = apexID
+			if v != apexID {
 				verts[i] = int(s.ids[v])
 			}
 		}
-		out = append(out, Facet{Vertices: verts, Normal: f.normal.Clone(), Offset: f.offset})
+		out[f] = Facet{Vertices: verts, Normal: vec.Vector(s.normals[f*d : f*d+d]).Clone(), Offset: off}
 	}
 	return out
 }
@@ -772,11 +922,14 @@ func (s *Star) Facets() []Facet {
 // negative ids −1−i. They seed the star when few real points are known
 // (Section 6.2 and footnote 6) and are excluded from Critical().
 func VirtualSeeds(apex vec.Vector) (pts []vec.Vector, ids []int64) {
+	d := len(apex)
+	slab := make([]float64, d*d)
+	pts, ids = make([]vec.Vector, 0, d), make([]int64, 0, d)
 	for i, x := range apex {
 		if x <= Tol {
 			continue
 		}
-		v := make(vec.Vector, len(apex))
+		v := vec.Vector(slab[i*d : (i+1)*d : (i+1)*d])
 		v[i] = x
 		pts = append(pts, v)
 		ids = append(ids, int64(-1-i))

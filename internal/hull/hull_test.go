@@ -1,8 +1,10 @@
 package hull
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -299,7 +301,7 @@ func TestStarCriticalExcludesVirtual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := star.Critical(); len(got) != 0 {
+	if got, _ := star.Critical(); len(got) != 0 {
 		t.Errorf("virtual-only star critical = %v, want empty", got)
 	}
 	// A dominated point (below the apex in both dimensions) can never
@@ -312,7 +314,7 @@ func TestStarCriticalExcludesVirtual(t *testing.T) {
 	if !star.Add(vec.Vector{0.85, 0.1}, 42) {
 		t.Fatal("expected the star to change")
 	}
-	got := star.Critical()
+	got, _ := star.Critical()
 	if len(got) != 1 || got[0] != 42 {
 		t.Errorf("critical = %v, want [42]", got)
 	}
@@ -332,7 +334,8 @@ func TestStarDiscardsDominated(t *testing.T) {
 	if star.Add(vec.Vector{0.05, 0.05, 0.05}, 4) {
 		t.Error("interior point changed the star")
 	}
-	for _, id := range star.Critical() {
+	crit, _ := star.Critical()
+	for _, id := range crit {
 		if id == 4 {
 			t.Error("interior point became critical")
 		}
@@ -411,7 +414,8 @@ func TestStarOrderIndependence(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		a, b := s1.Critical(), s2.Critical()
+		a, _ := s1.Critical()
+		b, _ := s2.Critical()
 		if len(a) != len(b) {
 			return false
 		}
@@ -425,6 +429,144 @@ func TestStarOrderIndependence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(53))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// sameStar reports how two stars differ in what callers can observe:
+// facets (order, vertex ids, normal and offset bits), the critical set and
+// MBBAboveAny on random boxes. Empty means identical.
+func sameStar(r *rand.Rand, a, b *Star) string {
+	fa, fb := a.Facets(), b.Facets()
+	if len(fa) != len(fb) {
+		return fmt.Sprintf("%d facets against %d", len(fa), len(fb))
+	}
+	for i := range fa {
+		if !slices.Equal(fa[i].Vertices, fb[i].Vertices) {
+			return fmt.Sprintf("facet %d: vertices %v against %v", i, fa[i].Vertices, fb[i].Vertices)
+		}
+		if !slices.EqualFunc(fa[i].Normal, fb[i].Normal, sameBits) || !sameBits(fa[i].Offset, fb[i].Offset) {
+			return fmt.Sprintf("facet %d: plane bits differ", i)
+		}
+	}
+	ia, pa := a.Critical()
+	ib, pb := b.Critical()
+	if !slices.Equal(ia, ib) {
+		return fmt.Sprintf("critical %v against %v", ia, ib)
+	}
+	for i := range pa {
+		if !slices.EqualFunc(pa[i], pb[i], sameBits) {
+			return fmt.Sprintf("critical point %d differs", ia[i])
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		lo, hi := make(vec.Vector, a.Dim), make(vec.Vector, a.Dim)
+		for j := range lo {
+			lo[j] = r.Float64()
+			hi[j] = lo[j] + 0.3*r.Float64()
+		}
+		if a.MBBAboveAny(lo, hi) != b.MBBAboveAny(lo, hi) {
+			return fmt.Sprintf("MBBAboveAny(%v, %v) differs", lo, hi)
+		}
+	}
+	return ""
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// TestStarBlockFeedMatchesPointFeed is the property the screen rests on:
+// a point stream fed through AddBlock, in column-major blocks of any
+// size, leaves exactly the star that feeding it one Add at a time leaves.
+// The stream has what a leaf page has — records the apex dominates,
+// repeated records — and what it rarely has: points within Tol of a facet
+// plane, on either side.
+func TestStarBlockFeedMatchesPointFeed(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := 2 + int(seed%5) // 2..6
+		apex, pts := apexAndPoints(r, 40+r.Intn(200), d)
+		for i := 0; i < 20; i++ {
+			p := make(vec.Vector, d) // dominated: below the apex in every coordinate
+			for j := range p {
+				p[j] = apex[j] * r.Float64()
+			}
+			pts = append(pts, p, pts[r.Intn(len(pts))].Clone())
+		}
+		r.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		ids := make([]int64, len(pts))
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		// Points on the planes of the star half the stream builds, nudged
+		// by less than Tol: the second half meets them.
+		vpts, vids := VirtualSeeds(apex)
+		half, err := NewStar(apex, append(vpts, pts[:len(pts)/2]...), append(vids, ids[:len(ids)/2]...))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, f := range half.Facets() {
+			p := make(vec.Vector, d)
+			for _, v := range f.Vertices {
+				switch {
+				case v == apexID:
+					vec.AXPY(1/float64(d), apex, p)
+				case v < 0:
+					vec.AXPY(1/float64(d), vpts[-1-v], p)
+				default:
+					vec.AXPY(1/float64(d), pts[v], p)
+				}
+			}
+			vec.AXPY((r.Float64()*4-2)*Tol, f.Normal, p)
+			pts = append(pts, p)
+			ids = append(ids, int64(len(ids)))
+		}
+
+		one, err := NewStar(apex, vpts, vids)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		blocked, _ := NewStar(apex, vpts, vids)
+		for i, p := range pts {
+			one.Add(p, ids[i])
+		}
+		for at := 0; at < len(pts); {
+			n := min(1+r.Intn(96), len(pts)-at)
+			cols := make([][]float64, d)
+			for j := range cols {
+				cols[j] = make([]float64, n)
+				for i := range cols[j] {
+					cols[j][i] = pts[at+i][j]
+				}
+			}
+			blocked.AddBlock(cols, ids[at:at+n])
+			at += n
+		}
+		if diff := sameStar(r, one, blocked); diff != "" {
+			t.Fatalf("seed %d (d=%d, %d points): %s", seed, d, len(pts), diff)
+		}
+	}
+}
+
+// TestStarRejectedAddLeavesNoTrace: a point that sees every facet sharing
+// a ridge has no horizon, so Add creates nothing and must roll back — the
+// point is not kept, and the star goes on exactly as one that never saw it.
+func TestStarRejectedAddLeavesNoTrace(t *testing.T) {
+	apex := vec.Vector{0.9, 0.9}
+	vpts, vids := VirtualSeeds(apex)
+	seen, _ := NewStar(apex, vpts, vids)
+	clean, _ := NewStar(apex, vpts, vids)
+	if seen.Add(vec.Vector{0.95, 0.95}, 7) { // above both edges of the 2-d star
+		t.Fatal("a point with no horizon changed the star")
+	}
+	if len(seen.ids) != len(clean.ids) || len(seen.pts) != len(clean.pts) {
+		t.Fatalf("rejected point kept: %d ids, %d coordinates; want %d, %d", len(seen.ids), len(seen.pts), len(clean.ids), len(clean.pts))
+	}
+	for i, p := range []vec.Vector{{0.85, 0.2}, {0.3, 0.88}, {0.5, 0.5}} {
+		if seen.Add(p, int64(i)) != clean.Add(p, int64(i)) {
+			t.Fatalf("point %d: the stars disagree on whether it changed them", i)
+		}
+	}
+	if diff := sameStar(rand.New(rand.NewSource(1)), seen, clean); diff != "" {
+		t.Fatal(diff)
 	}
 }
 

@@ -134,9 +134,9 @@ func (tb *tableau) pivot(r, c int) {
 
 // simplex runs the primal simplex on the tableau for cost vector c (length
 // tb.cols), with columns j where banned[j] is true never entering the basis.
-// It returns the final status and the iteration count consumed.
-func (tb *tableau) simplex(c []float64, banned []bool, iterBudget int) (Status, int) {
-	red := make([]float64, tb.cols)
+// red is a work buffer of the same length. It returns the final status
+// and the iteration count consumed.
+func (tb *tableau) simplex(c, red []float64, banned []bool, iterBudget int) (Status, int) {
 	for iter := 0; iter < iterBudget; iter++ {
 		// Reduced costs: r_j = c_j − Σ_i c_basis(i) · T[i][j].
 		copy(red, c)
@@ -196,6 +196,30 @@ func (tb *tableau) simplex(c []float64, banned []bool, iterBudget int) (Status, 
 	return IterationLimit, iterBudget
 }
 
+// Solver runs Solve on reusable buffers: the tableau, the cost and
+// reduced-cost vectors and the solution vector live in the Solver and are
+// overwritten by its next call, so a loop of small programs (the cone
+// reduction's membership tests) allocates nothing once it has seen its
+// largest. The zero value is ready to use; a Solver must not be shared
+// between goroutines, and a Solution's X is valid until the next call.
+type Solver struct {
+	tb           tableau
+	ops          []Op
+	cost, red, x []float64
+	banned       []bool
+}
+
+// grown returns s resized to n zeroed elements, reallocating only when it
+// must.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // Solve solves the problem with the two-phase simplex method.
 //
 // Approximation note: presolve treats coefficients whose magnitude is
@@ -208,46 +232,26 @@ func (tb *tableau) simplex(c []float64, banned []bool, iterBudget int) (Status, 
 // priori — it is negligible when optimal variable magnitudes are O(1),
 // as in this library's unit-box geometry, but callers whose optima have
 // huge variable values should not rely on Optimal being exact.
-func Solve(p *Problem) Solution {
+func Solve(p *Problem) Solution { return new(Solver).Solve(p) }
+
+// Solve is the package-level Solve on the Solver's buffers.
+func (s *Solver) Solve(p *Problem) Solution {
 	n := p.NumVars
 	m := len(p.Constraints)
 	if p.Objective != nil && len(p.Objective) != n {
 		panic("lp: objective length does not match NumVars")
 	}
-	for _, con := range p.Constraints {
+
+	// Count auxiliary columns. Rows are normalized so RHS ≥ 0 first, which
+	// may flip operators.
+	s.ops = grown(s.ops, m)
+	nSlack, nArt := 0, 0
+	for i, con := range p.Constraints {
 		if len(con.Coef) != n {
 			panic("lp: constraint coefficient length does not match NumVars")
 		}
-	}
-
-	// Count auxiliary columns. Rows are normalized so RHS ≥ 0 first, which
-	// may flip operators, then presolved: each row is equilibrated by an
-	// exact power of two so its largest coefficient magnitude lands in
-	// [0.5, 1) — multiplying by 2^−e introduces no rounding, and a
-	// well-scaled tableau keeps pivots away from the breakdown regime the
-	// NumericalFailure certificate guards against — and coefficients that
-	// are sub-epsilon at that scale (pure noise next to the row's real
-	// entries, e.g. the 3e-10 beside 0.19s in corpus entry
-	// 229d1b270705bacf) are dropped before they can be picked as pivots.
-	// Dropping perturbs the problem: the post-solve certificate checks
-	// the returned point against the ORIGINAL constraints, so feasibility
-	// is never compromised, but optimality is certified only for the
-	// perturbed problem — see the approximation note on Solve.
-	type rowSpec struct {
-		coef []float64
-		op   Op
-		rhs  float64
-	}
-	rows := make([]rowSpec, m)
-	nSlack, nArt := 0, 0
-	for i, con := range p.Constraints {
-		op, rhs := con.Op, con.RHS
-		coef := append([]float64(nil), con.Coef...)
-		if rhs < 0 {
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
-			rhs = -rhs
+		op := con.Op
+		if con.RHS < 0 {
 			switch op {
 			case LE:
 				op = GE
@@ -255,27 +259,7 @@ func Solve(p *Problem) Solution {
 				op = LE
 			}
 		}
-		maxab := 0.0
-		for _, v := range coef {
-			if a := math.Abs(v); a > maxab {
-				maxab = a
-			}
-		}
-		if maxab > 0 {
-			if _, exp := math.Frexp(maxab); exp != 0 {
-				s := math.Ldexp(1, -exp)
-				for j := range coef {
-					coef[j] *= s
-				}
-				rhs *= s
-			}
-			for j, v := range coef {
-				if v != 0 && math.Abs(v) < eps {
-					coef[j] = 0
-				}
-			}
-		}
-		rows[i] = rowSpec{coef, op, rhs}
+		s.ops[i] = op
 		switch op {
 		case LE:
 			nSlack++
@@ -287,40 +271,81 @@ func Solve(p *Problem) Solution {
 		}
 	}
 
+	// Build the tableau, presolving each row in place: it is equilibrated
+	// by an exact power of two so its largest coefficient magnitude lands
+	// in [0.5, 1) — multiplying by 2^−e introduces no rounding, and a
+	// well-scaled tableau keeps pivots away from the breakdown regime the
+	// NumericalFailure certificate guards against — and coefficients that
+	// are sub-epsilon at that scale (pure noise next to the row's real
+	// entries, e.g. the 3e-10 beside 0.19s in corpus entry
+	// 229d1b270705bacf) are dropped before they can be picked as pivots.
+	// Dropping perturbs the problem: the post-solve certificate checks
+	// the returned point against the ORIGINAL constraints, so feasibility
+	// is never compromised, but optimality is certified only for the
+	// perturbed problem — see the approximation note on Solve.
 	cols := n + nSlack + nArt
-	tb := &tableau{m: m, cols: cols, t: make([]float64, m*(cols+1)), basis: make([]int, m), nArt: nArt}
+	tb := &s.tb
+	tb.m, tb.cols, tb.nArt = m, cols, nArt
+	tb.t, tb.basis = grown(tb.t, m*(cols+1)), grown(tb.basis, m)
 	slackAt, artAt := n, n+nSlack
-	for i, r := range rows {
-		for j, v := range r.coef {
-			tb.set(i, j, v)
+	for i, con := range p.Constraints {
+		row := tb.row(i)
+		coef, rhs := row[:n], con.RHS
+		copy(coef, con.Coef)
+		if rhs < 0 {
+			for j := range coef {
+				coef[j] = -coef[j]
+			}
+			rhs = -rhs
 		}
-		tb.set(i, cols, r.rhs)
-		switch r.op {
+		maxab := 0.0
+		for _, v := range coef {
+			if a := math.Abs(v); a > maxab {
+				maxab = a
+			}
+		}
+		if maxab > 0 {
+			if _, exp := math.Frexp(maxab); exp != 0 {
+				scale := math.Ldexp(1, -exp)
+				for j := range coef {
+					coef[j] *= scale
+				}
+				rhs *= scale
+			}
+			for j, v := range coef {
+				if v != 0 && math.Abs(v) < eps {
+					coef[j] = 0
+				}
+			}
+		}
+		row[cols] = rhs
+		switch s.ops[i] {
 		case LE:
-			tb.set(i, slackAt, 1)
+			row[slackAt] = 1
 			tb.basis[i] = slackAt
 			slackAt++
 		case GE:
-			tb.set(i, slackAt, -1)
+			row[slackAt] = -1
 			slackAt++
-			tb.set(i, artAt, 1)
+			row[artAt] = 1
 			tb.basis[i] = artAt
 			artAt++
 		case EQ:
-			tb.set(i, artAt, 1)
+			row[artAt] = 1
 			tb.basis[i] = artAt
 			artAt++
 		}
 	}
 
 	iterLeft := maxIter
+	s.red = grown(s.red, cols)
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
-		c1 := make([]float64, cols)
+		s.cost = grown(s.cost, cols)
 		for j := n + nSlack; j < cols; j++ {
-			c1[j] = 1
+			s.cost[j] = 1
 		}
-		st, used := tb.simplex(c1, nil, iterLeft)
+		st, used := tb.simplex(s.cost, s.red, nil, iterLeft)
 		iterLeft -= used
 		if st == IterationLimit {
 			return Solution{Status: IterationLimit}
@@ -357,15 +382,15 @@ func Solve(p *Problem) Solution {
 	}
 
 	// Phase 2.
-	c2 := make([]float64, cols)
+	s.cost = grown(s.cost, cols)
 	if p.Objective != nil {
-		copy(c2, p.Objective)
+		copy(s.cost, p.Objective)
 	}
-	banned := make([]bool, cols)
+	s.banned = grown(s.banned, cols)
 	for j := n + nSlack; j < cols; j++ {
-		banned[j] = true
+		s.banned[j] = true
 	}
-	st, _ := tb.simplex(c2, banned, iterLeft)
+	st, _ := tb.simplex(s.cost, s.red, s.banned, iterLeft)
 	if st == Unbounded {
 		return Solution{Status: Unbounded}
 	}
@@ -373,7 +398,8 @@ func Solve(p *Problem) Solution {
 		return Solution{Status: IterationLimit}
 	}
 
-	x := make([]float64, n)
+	s.x = grown(s.x, n)
+	x := s.x
 	for i, b := range tb.basis {
 		if b < n {
 			x[b] = tb.rhs(i)
@@ -440,9 +466,11 @@ func feasibleAt(cons []Constraint, x []float64) bool {
 
 // Feasible reports whether the constraint system (with x ≥ 0) has any
 // solution.
-func Feasible(numVars int, cons []Constraint) bool {
-	sol := Solve(&Problem{NumVars: numVars, Constraints: cons})
-	return sol.Status == Optimal
+func Feasible(numVars int, cons []Constraint) bool { return new(Solver).Feasible(numVars, cons) }
+
+// Feasible is the package-level Feasible on the Solver's buffers.
+func (s *Solver) Feasible(numVars int, cons []Constraint) bool {
+	return s.Solve(&Problem{NumVars: numVars, Constraints: cons}).Status == Optimal
 }
 
 // Minimize is a convenience wrapper that minimizes c·x over the system.

@@ -16,6 +16,16 @@ type Vector []float64
 // New returns a zero vector of dimension d.
 func New(d int) Vector { return make(Vector, d) }
 
+// Grown returns s resized to n elements, reallocating only when the
+// capacity is short: the idiom by which pooled scratch buffers are reused.
+// The contents are unspecified.
+func Grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))
@@ -244,39 +254,84 @@ func Solve(a *Matrix, b Vector, tol float64) (Vector, bool) {
 // The normal's orientation is arbitrary; callers orient it against a
 // reference point.
 func HyperplaneThrough(pts []Vector, tol float64) (normal Vector, offset float64, ok bool) {
-	d := len(pts)
-	if d == 0 || len(pts[0]) != d {
-		panic("vec: HyperplaneThrough requires d points of dimension d")
-	}
-	// Solve for n with n·(p_i − p_0) = 0, i = 1..d−1, plus a normalization
-	// row. We find a null vector of the (d−1)×d difference matrix via
-	// elimination: set one free variable to 1.
-	diffs := make([]Vector, d-1)
-	for i := 1; i < d; i++ {
-		diffs[i-1] = Sub(pts[i], pts[0])
-	}
-	normal, ok = NullVector(diffs, d, tol)
-	if !ok {
+	var ps PlaneScratch
+	normal = make(Vector, len(pts))
+	if offset, ok = ps.Hyperplane(normal, pts, tol); !ok {
 		return nil, 0, false
 	}
-	normal = Normalize(normal)
-	return normal, Dot(normal, pts[0]), true
+	return normal, offset, true
+}
+
+// PlaneScratch is the reusable workspace of the hyperplane solve: the
+// difference matrix it row-reduces and the pivot bookkeeping. The zero
+// value is ready to use; a caller that fits many hyperplanes (the star
+// hull creates one per new facet) keeps one and allocates nothing.
+type PlaneScratch struct {
+	a      Matrix
+	pivCol []int
+	isPiv  []bool
+}
+
+// Hyperplane is HyperplaneThrough writing the unit normal into the
+// caller's buffer (len d) — the same arithmetic in the same order, so the
+// result is bit-identical.
+func (ps *PlaneScratch) Hyperplane(normal Vector, pts []Vector, tol float64) (offset float64, ok bool) {
+	d := len(pts)
+	if d == 0 || len(pts[0]) != d || len(normal) != d {
+		panic("vec: Hyperplane requires d points of dimension d")
+	}
+	// Solve for n with n·(p_i − p_0) = 0, i = 1..d−1: a null vector of the
+	// (d−1)×d difference matrix, then normalized.
+	ps.size(d-1, d)
+	for i := 1; i < d; i++ {
+		row := ps.a.Row(i - 1)
+		for j := range row {
+			row[j] = pts[i][j] - pts[0][j]
+		}
+	}
+	if !ps.nullVector(normal, tol) {
+		return 0, false
+	}
+	n := Norm(normal)
+	if n == 0 {
+		panic("vec: normalize of zero vector")
+	}
+	inv := 1 / n
+	for i := range normal {
+		normal[i] *= inv
+	}
+	return Dot(normal, pts[0]), true
+}
+
+func (ps *PlaneScratch) size(m, d int) {
+	ps.a = Matrix{Rows: m, Cols: d, Data: Grown(ps.a.Data, m*d)}
+	ps.isPiv = Grown(ps.isPiv, d)
 }
 
 // NullVector finds a nonzero vector orthogonal to each of the given rows
 // (len(rows) must be < d). It returns ok=false if the rows do not have full
 // rank, i.e. the null space has dimension > d−len(rows) (degenerate input).
 func NullVector(rows []Vector, d int, tol float64) (Vector, bool) {
-	m := len(rows)
-	if m >= d {
+	if len(rows) >= d {
 		panic("vec: NullVector requires fewer rows than the dimension")
 	}
-	// Row-reduce a copy of the rows, tracking pivot columns.
-	a := NewMatrix(m, d)
+	var ps PlaneScratch
+	ps.size(len(rows), d)
 	for i, r := range rows {
-		copy(a.Row(i), r)
+		copy(ps.a.Row(i), r)
 	}
-	pivCols := make([]int, 0, m)
+	x := make(Vector, d)
+	if !ps.nullVector(x, tol) {
+		return nil, false
+	}
+	return x, true
+}
+
+// nullVector row-reduces ps.a in place and writes a null vector into x.
+func (ps *PlaneScratch) nullVector(x Vector, tol float64) bool {
+	a := &ps.a
+	m, d := a.Rows, a.Cols
+	pivCols := ps.pivCol[:0]
 	row := 0
 	for col := 0; col < d && row < m; col++ {
 		piv, pmax := row, math.Abs(a.At(row, col))
@@ -311,11 +366,13 @@ func NullVector(rows []Vector, d int, tol float64) (Vector, bool) {
 		pivCols = append(pivCols, col)
 		row++
 	}
+	ps.pivCol = pivCols
 	if row < m {
-		return nil, false // rank-deficient rows: ambiguous null space
+		return false // rank-deficient rows: ambiguous null space
 	}
 	// Choose the first non-pivot column as the free variable.
-	isPiv := make([]bool, d)
+	isPiv := ps.isPiv
+	clear(isPiv)
 	for _, c := range pivCols {
 		isPiv[c] = true
 	}
@@ -327,13 +384,13 @@ func NullVector(rows []Vector, d int, tol float64) (Vector, bool) {
 		}
 	}
 	if free < 0 {
-		return nil, false
+		return false
 	}
-	x := make(Vector, d)
+	clear(x)
 	x[free] = 1
 	// Back-substitute: for each pivot row, x[pivCol] = −a[row][free]/a[row][pivCol].
 	for i, c := range pivCols {
 		x[c] = -a.At(i, free) / a.At(i, c)
 	}
-	return x, true
+	return true
 }

@@ -164,6 +164,16 @@ func simplexLIRs(reg *gir.Region, dom domain.Domain, q vec.Vector) []Interval {
 // the envelope of rebalanced weight settings that keep the result).
 func MAH(reg *gir.Region, q vec.Vector) (lo, hi vec.Vector) {
 	d := reg.Dim
+	// The result is one slab; the bisection's trial box (l, u) lives on
+	// the stack for every practical d.
+	out := make(vec.Vector, 2*d)
+	lo, hi = out[:d:d], out[d:]
+	var stack [2 * 16]float64
+	buf := stack[:]
+	if 2*d > len(buf) {
+		buf = make([]float64, 2*d)
+	}
+	l, u := buf[:d], buf[d:2*d]
 	// Phase 1 — balanced seed. Starting coordinate ascent from the
 	// degenerate box [q,q] lets the first dimension consume all the slack
 	// and leaves the rest at zero width (volume 0, a worthless local
@@ -171,8 +181,8 @@ func MAH(reg *gir.Region, q vec.Vector) (lo, hi vec.Vector) {
 	// the LIR box around q that keeps every worst corner feasible; that
 	// box has positive volume whenever the region has interior around q.
 	ivs := axisLIRs(reg, q)
-	feasibleAt := func(s float64) (vec.Vector, vec.Vector, bool) {
-		l, u := make(vec.Vector, d), make(vec.Vector, d)
+	// feasibleAt builds the box scaled by s in (l, u) and tests it.
+	feasibleAt := func(s float64) bool {
 		for i := 0; i < d; i++ {
 			l[i] = q[i] - s*(q[i]-ivs[i].Lo)
 			u[i] = q[i] + s*(ivs[i].Hi-q[i])
@@ -187,20 +197,24 @@ func MAH(reg *gir.Region, q vec.Vector) (lo, hi vec.Vector) {
 				}
 			}
 			if worst < 0 {
-				return nil, nil, false
+				return false
 			}
 		}
-		return l, u, true
+		return true
 	}
-	lo, hi = q.Clone(), q.Clone()
+	copy(lo, q)
+	copy(hi, q)
 	sLo, sHi := 0.0, 1.0
-	if l, u, ok := feasibleAt(1); ok {
-		lo, hi = l, u
+	if feasibleAt(1) {
+		copy(lo, l)
+		copy(hi, u)
 	} else {
 		for iter := 0; iter < 40; iter++ {
 			mid := (sLo + sHi) / 2
-			if l, u, ok := feasibleAt(mid); ok {
-				lo, hi, sLo = l, u, mid
+			if feasibleAt(mid) {
+				copy(lo, l)
+				copy(hi, u)
+				sLo = mid
 			} else {
 				sHi = mid
 			}
