@@ -125,7 +125,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 				delete(mirror, id)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
-				ms = append(ms, CacheMutation{Version: ds.version.Load(), ID: id})
+				ms = append(ms, CacheMutation{Version: ds.Version(), ID: id})
 			} else {
 				p := []float64{r.Float64(), r.Float64(), r.Float64()}
 				if r.Intn(4) == 0 {
@@ -140,7 +140,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 				}
 				mirror[id] = p
 				live = append(live, id)
-				ms = append(ms, CacheMutation{Version: ds.version.Load(), Insert: true, ID: id, Point: p})
+				ms = append(ms, CacheMutation{Version: ds.Version(), Insert: true, ID: id, Point: p})
 			}
 		}
 

@@ -50,7 +50,7 @@ type CachedResult struct {
 // regions are rejected (serving an ordered list from one is unsound).
 // The result's retained repair state (Candidates plus unexpanded-subtree
 // bounds, snapshotted when the GIR computation consumed it) is stored with
-// the entry, so RepairInsert/RepairDelete can patch it later.
+// the entry, so ApplyBatch can patch it later.
 func (c *Cache) Put(g *GIR, res *TopKResult) bool {
 	if res == nil {
 		return false
@@ -100,13 +100,7 @@ func (c *Cache) commitPut(p *preparedPut, clearedThrough int64) bool {
 // Lookup serves a top-k query from the cache if some cached GIR contains
 // q. See CachedResult for partial-hit semantics.
 func (c *Cache) Lookup(q []float64, k int) (*CachedResult, bool) {
-	return c.lookupVeto(q, k, nil)
-}
-
-// lookupVeto is Lookup with the Engine's generation-fence veto: vetoed
-// entries are invisible and never counted as hits.
-func (c *Cache) lookupVeto(q []float64, k int, veto func(*cache.Entry) bool) (*CachedResult, bool) {
-	e, complete, ok := c.lookupEntry(q, k, veto)
+	e, complete, ok := c.lookupEntry(q, k, nil)
 	if !ok {
 		return nil, false
 	}
@@ -123,10 +117,11 @@ func (c *Cache) lookupVeto(q []float64, k int, veto func(*cache.Entry) bool) (*C
 
 // lookupEntry is the engine's allocation-free hit path: it hands back the
 // raw cache entry instead of materializing a CachedResult, so a complete
-// hit can be rescored straight into a caller-owned buffer. The entry's
-// Records are shared and read-only — the PutWithBox copy discipline means
-// they alias neither pooled scratch nor any caller slice. complete is
-// true when the entry covers the requested k.
+// hit can be rescored straight into a caller-owned buffer. Entries the
+// generation-fence veto rejects are invisible and never counted as hits.
+// The entry's Records are shared and read-only — the PutWithBox copy
+// discipline means they alias neither pooled scratch nor any caller
+// slice. complete is true when the entry covers the requested k.
 func (c *Cache) lookupEntry(q []float64, k int, veto func(*cache.Entry) bool) (e *cache.Entry, complete, ok bool) {
 	e, ok = c.inner.LookupVeto(vec.Vector(q), k, veto)
 	if !ok {
@@ -149,9 +144,9 @@ func (c *Cache) Shards() int { return c.inner.Shards() }
 func (c *Cache) Capacity() int { return c.inner.Capacity() }
 
 // Clear drops every cached entry. The blunt instrument for hand-managed
-// caches; InvalidateInsert/InvalidateDelete evict only the entries a
-// specific mutation can actually perturb (the Engine drives those
-// automatically from dataset mutation events).
+// caches; ApplyBatch touches only the entries a specific mutation can
+// actually perturb (the Engine drives that automatically from dataset
+// mutation events).
 func (c *Cache) Clear() { c.inner.Clear() }
 
 // CacheMutation is one already-applied dataset write, in the form
@@ -188,22 +183,15 @@ type BatchStats struct {
 // entry's candidate set, affecting ones patch the entry in place when a
 // sound closed-form repair exists and evict it otherwise, and a repaired
 // entry keeps being checked against the rest of the batch. Call it after
-// applying a burst of Dataset writes when managing a Cache by hand; it is
-// the batched generalization of RepairInsert/RepairDelete (which are
-// one-element batches of it), with the same concurrency contract:
-// maintenance must not run concurrently with itself (lookups may run
+// applying Dataset writes — one or a burst — when managing a Cache by
+// hand. Maintenance must not run concurrently with itself (lookups may run
 // concurrently freely).
 func (c *Cache) ApplyBatch(ms []CacheMutation) BatchStats {
 	batch := make([]maintain.Mutation, len(ms))
 	for i, m := range ms {
 		batch[i] = maintain.Mutation{Version: m.Version, Insert: m.Insert, ID: m.ID, Point: vec.Vector(m.Point)}
 	}
-	return c.apply(batch, true)
-}
-
-// apply runs one planner pass over the cache.
-func (c *Cache) apply(batch []maintain.Mutation, repairMode bool) BatchStats {
-	p := maintain.Planner{Repair: repairMode}
+	p := maintain.Planner{Repair: true}
 	out := p.Drain(c.inner, batch)
 	return BatchStats{
 		Entries:     out.Entries,
@@ -214,55 +202,4 @@ func (c *Cache) apply(batch []maintain.Mutation, repairMode bool) BatchStats {
 		StampRaises: out.StampRaises,
 		Predicates:  out.Predicates,
 	}
-}
-
-// InvalidateInsert evicts every cached entry whose result could change if
-// the record (id, p) were inserted into the dataset: an entry survives
-// only if no weight vector in its region scores p above the entry's k-th
-// record (decided in closed form where possible, by a small LP otherwise).
-// It returns the number of entries evicted. Call it after Dataset.Insert
-// when managing a Cache by hand. It is a one-element evict-only ApplyBatch.
-//
-// Surviving entries absorb the record into their retained candidate sets,
-// exactly as RepairInsert does — that is what keeps a later RepairDelete
-// sound, so the evict-only and repair API families can be mixed freely.
-// Like the repair methods, maintenance must not run concurrently with
-// itself (lookups may run concurrently freely).
-func (c *Cache) InvalidateInsert(id int64, p []float64) int {
-	return c.apply([]maintain.Mutation{{Insert: true, ID: id, Point: vec.Vector(p)}}, false).Evicted
-}
-
-// InvalidateDelete evicts every cached entry whose result contains the
-// deleted record id; entries whose results do not include the record keep
-// serving (their region remains a sound certificate — removing a
-// non-result record can only grow the true GIR) and drop the record from
-// their candidate sets. It returns the number of entries evicted. Call it
-// after Dataset.Delete when managing a Cache by hand; same concurrency
-// contract as InvalidateInsert.
-func (c *Cache) InvalidateDelete(id int64) int {
-	return c.apply([]maintain.Mutation{{Insert: false, ID: id}}, false).Evicted
-}
-
-// RepairInsert is InvalidateInsert with repair: every entry the inserted
-// record (id, p) can perturb is patched in place when the perturbation is
-// the closed-form k-th-displacement case (internal/repair), and evicted
-// only otherwise; unaffected entries absorb the record into their
-// candidate sets so later RepairDelete calls stay sound. Call it after
-// Dataset.Insert when managing a Cache by hand; like the Engine's drainer,
-// repair maintenance must not run concurrently with itself or with
-// RepairDelete (lookups may run concurrently freely).
-func (c *Cache) RepairInsert(id int64, p []float64) (repaired, evicted int) {
-	st := c.apply([]maintain.Mutation{{Insert: true, ID: id, Point: vec.Vector(p)}}, true)
-	return st.Repaired, st.Evicted
-}
-
-// RepairDelete is InvalidateDelete with repair: an entry whose result
-// contains the deleted record promotes the best retained candidate into
-// the freed slot (shrinking its region to where the promotion is provably
-// correct) and is evicted only when no candidate can be certified;
-// unaffected entries drop the record from their candidate sets. Same
-// concurrency contract as RepairInsert.
-func (c *Cache) RepairDelete(id int64) (repaired, evicted int) {
-	st := c.apply([]maintain.Mutation{{Insert: false, ID: id}}, true)
-	return st.Repaired, st.Evicted
 }

@@ -165,7 +165,7 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 					}
 				}
 				logMu.Lock()
-				mirror.log = append(mirror.log, churnLogEntry{version: ds.version.Load(), insert: false, id: victim.id})
+				mirror.log = append(mirror.log, churnLogEntry{version: ds.Version(), insert: false, id: victim.id})
 				logMu.Unlock()
 			} else {
 				// Bias some inserts toward the top corner so they really do
@@ -182,7 +182,7 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 					t.Error(err)
 					return
 				}
-				ent.version = ds.version.Load()
+				ent.version = ds.Version()
 				live = append(live, ent)
 				logMu.Lock()
 				mirror.log = append(mirror.log, ent)
@@ -207,9 +207,9 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 						{Vector: pool[pi], K: ks[pi]},
 						{Vector: pool[(pi+1)%len(pool)], K: ks[(pi+1)%len(pool)]},
 					}
-					v0 := ds.version.Load()
+					v0 := ds.Version()
 					out := e.BatchTopK(batch)
-					v1 := ds.version.Load()
+					v1 := ds.Version()
 					for bi, res := range out {
 						if res.Err != nil {
 							t.Errorf("batch query error: %v", res.Err)
@@ -218,9 +218,9 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 						results <- servedResult{q: batch[bi].Vector, k: batch[bi].K, ids: idsOf(res.Records), v0: v0, v1: v1}
 					}
 				} else {
-					v0 := ds.version.Load()
+					v0 := ds.Version()
 					res := e.TopK(pool[pi], ks[pi])
-					v1 := ds.version.Load()
+					v1 := ds.Version()
 					if res.Err != nil {
 						t.Errorf("query error: %v", res.Err)
 						return

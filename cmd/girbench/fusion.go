@@ -1,15 +1,17 @@
 // The -serve -fuse mode benchmarks the fused batched execution path: the
 // same Zipf/jitter stream every serving benchmark draws is served in
-// BatchTopK batches, with fusion off (FuseGroupSize 1, the per-query
-// fan baseline) and on (cache-missing queries grouped by angular
-// similarity, one shared traversal per group). The page-read economics —
-// reads a fused group actually paid vs visits served from its shared
-// decode cache — are printed per row and written as the BENCH_fusion.json
-// artifact.
+// batches, unfused (each batch fanned out as per-query Engine.TopK calls —
+// every miss a group of one; the baseline is built here from the public
+// call, the engine has no switch for it) and fused (BatchTopK:
+// cache-missing queries grouped by angular similarity, one shared
+// traversal per group). The page-read economics — reads a fused group
+// actually paid vs visits served from its shared decode cache — are
+// printed per row and written as the BENCH_fusion.json artifact.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -139,9 +141,16 @@ func runFusion(cfg serveConfig, jsonPath string, w io.Writer) error {
 	}
 
 	if err := row("unfused no-cache", func() (gir.EngineStats, error) {
-		e := gir.NewEngine(ds, gir.EngineOptions{Workers: cfg.Workers, CacheCapacity: -1, FuseGroupSize: 1})
+		e := gir.NewEngine(ds, gir.EngineOptions{Workers: cfg.Workers, CacheCapacity: -1})
 		defer e.Close()
-		return serveBatches(e)
+		errs := make([]error, len(queries))
+		for off := 0; off < len(queries); off += batchSize {
+			batch := queries[off:min(off+batchSize, len(queries))]
+			engine.Fan(len(batch), cfg.Workers, func(i int) {
+				errs[off+i] = e.TopK(batch[i].Vector, batch[i].K).Err
+			})
+		}
+		return e.Stats(), errors.Join(errs...)
 	}); err != nil {
 		return err
 	}

@@ -38,7 +38,6 @@ func main() {
 	serveWorkers := flag.Int("workers", 0, "-serve: engine worker-pool size (0 = GOMAXPROCS)")
 	serveChurn := flag.Float64("churn", 0, "-serve: fraction of operations that are Insert/Delete writes (> 0 runs the churn benchmark)")
 	serveRepair := flag.Bool("repair", false, "-serve -churn: also measure RepairMode (repair-instead-of-evict cache maintenance) as a third configuration")
-	serveBurst := flag.Int("burst", 0, "-serve -churn: writes arrive in bursts of this size (> 1 runs the batched-vs-per-mutation drain benchmark)")
 	serveWAL := flag.Bool("wal", false, "-serve -churn: benchmark write-ahead-log durability (no-wal vs per-append fsync vs group commit) instead of cache maintenance")
 	serveShards := flag.Int("shards", 0, "-serve: benchmark the horizontally partitioned scatter/gather tier with this many partitions vs a single partition (> 1)")
 	serveFuse := flag.Bool("fuse", false, "-serve: benchmark the fused batched execution path (BatchTopK with angular-similarity grouping and shared page scans) against the per-query fan (the BENCH_fusion.json artifact)")
@@ -47,7 +46,7 @@ func main() {
 	serveFsyncDelay := flag.Duration("fsyncdelay", 2*time.Millisecond, "-serve -stall: simulated extra fsync latency per durable write (a spinning disk's fsync; 0 = the real filesystem only)")
 	serveWALSync := flag.Int("walsync", 32, "-serve -wal: group-commit interval for the third row (fsync once per this many appends)")
 	serveSpace := flag.String("space", "box", "-serve: query-space domain — box ([0,1]^d) or simplex (the paper's Σw=1 convention; queries are sum-normalized)")
-	serveJSON := flag.String("json", "", "-serve: also write the measured rows to this file as JSON (the CI BENCH_hotpath.json / BENCH_serve.json / BENCH_repair.json / BENCH_batch.json / BENCH_simplex.json artifact)")
+	serveJSON := flag.String("json", "", "-serve: also write the measured rows to this file as JSON (the CI BENCH_hotpath.json / BENCH_serve.json / BENCH_repair.json / BENCH_simplex.json artifact)")
 	flag.IntVar(&cfg.N, "n", cfg.N, "synthetic dataset cardinality (paper: 1000000)")
 	flag.IntVar(&cfg.Queries, "queries", cfg.Queries, "queries averaged per cell (paper: 100)")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
@@ -136,17 +135,8 @@ func main() {
 			Batch: *serveBatch, Workers: *serveWorkers,
 			Space: space,
 		}
-		if *serveBurst < 0 || *serveBurst == 1 {
-			fatal("bad -burst: %d (want a burst size > 1, or 0 for uniform writes)", *serveBurst)
-		}
-		if *serveBurst > 1 && *serveChurn == 0 {
-			fatal("-burst shapes write arrivals and needs a write mix: add -churn (e.g. -churn 0.05)")
-		}
 		if *serveWAL && *serveChurn == 0 {
 			fatal("-wal prices the write path and needs a write mix: add -churn (e.g. -churn 0.05)")
-		}
-		if *serveWAL && *serveBurst > 1 {
-			fatal("-wal and -burst are separate benchmarks; pick one")
 		}
 		if *serveWALSync < 1 {
 			fatal("bad -walsync: %d (want a group-commit interval ≥ 1)", *serveWALSync)
@@ -154,14 +144,14 @@ func main() {
 		if *serveShards < 0 || *serveShards == 1 {
 			fatal("bad -shards: %d (want a partition count > 1, or 0 for the unsharded benchmarks)", *serveShards)
 		}
-		if *serveShards > 1 && (*serveWAL || *serveBurst > 1 || *serveRepair) {
-			fatal("-shards is its own benchmark; drop -wal/-burst/-repair")
+		if *serveShards > 1 && (*serveWAL || *serveRepair) {
+			fatal("-shards is its own benchmark; drop -wal/-repair")
 		}
-		if *serveStall && (*serveWAL || *serveBurst > 1 || *serveRepair || *serveShards > 1 || *serveChurn > 0) {
-			fatal("-stall is its own benchmark (it brings its own concurrent mutator); drop -wal/-burst/-repair/-shards/-churn")
+		if *serveStall && (*serveWAL || *serveRepair || *serveShards > 1 || *serveChurn > 0) {
+			fatal("-stall is its own benchmark (it brings its own concurrent mutator); drop -wal/-repair/-shards/-churn")
 		}
-		if *serveFuse && (*serveWAL || *serveBurst > 1 || *serveRepair || *serveShards > 1 || *serveChurn > 0 || *serveStall) {
-			fatal("-fuse is its own benchmark; drop -wal/-burst/-repair/-shards/-churn/-stall")
+		if *serveFuse && (*serveWAL || *serveRepair || *serveShards > 1 || *serveChurn > 0 || *serveStall) {
+			fatal("-fuse is its own benchmark; drop -wal/-repair/-shards/-churn/-stall")
 		}
 		if *serveWriteRate < 1 {
 			fatal("bad -writerate: %d (want at least one write per second)", *serveWriteRate)
@@ -178,8 +168,6 @@ func main() {
 			err = runShard(scfg, *serveChurn, *serveShards, *serveJSON, os.Stdout)
 		case *serveWAL:
 			err = runWAL(scfg, *serveChurn, *serveWALSync, *serveJSON, os.Stdout)
-		case *serveChurn > 0 && *serveBurst > 1:
-			err = runBurst(scfg, *serveChurn, *serveBurst, *serveRepair, *serveJSON, os.Stdout)
 		case *serveChurn > 0:
 			err = runChurn(scfg, *serveChurn, *serveRepair, *serveJSON, os.Stdout)
 		default:

@@ -106,12 +106,6 @@ type EngineOptions struct {
 	// CacheMethod is the GIR algorithm used to build regions on the miss
 	// path. The zero value is FP; every method caches the same region.
 	CacheMethod Method
-	// FlushOnWrite reverts mutation handling to the coarse pre-invalidation
-	// strategy: every Insert/Delete clears the entire cache instead of
-	// evicting only the entries it can perturb. No region analysis runs on
-	// writes, at the cost of a far lower hit rate under churn. Kept as a
-	// benchmark baseline and an escape hatch for write-dominated workloads.
-	FlushOnWrite bool
 	// RepairMode upgrades fine-grained invalidation to
 	// repair-instead-of-evict: an affected entry is patched in place when
 	// the mutation perturbs it in a closed-form way — an Insert that
@@ -120,20 +114,7 @@ type EngineOptions struct {
 	// result records promotes the best retained candidate — and evicted
 	// only when no sound repair exists (internal/repair). Repaired entries
 	// keep serving without a full top-k + GIR recompute on the next miss.
-	// Ignored when FlushOnWrite is set.
 	RepairMode bool
-	// DrainBatch caps how many pending mutations one maintenance pass
-	// coalesces (0 = unbounded, the default: a drain pass pops everything
-	// pending). 1 reproduces the pre-batching one-mutation-per-pass drain
-	// and is kept as a benchmark baseline (girbench -burst).
-	DrainBatch int
-	// FuseGroupSize caps how many cache-missing queries of one BatchTopK
-	// call a fused traversal serves together (0 = default 8). Misses are
-	// grouped by angular similarity of their weight vectors and each group
-	// shares one pass over the index pages; every member's result stays
-	// byte-identical to a solo TopK. 1 disables fusion (the per-query
-	// baseline).
-	FuseGroupSize int
 }
 
 // NewEngine builds an engine over the dataset.
@@ -154,14 +135,14 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 		}
 	}
 	e := &Engine{ds: ds, cache: c, opts: opts}
-	e.planner.Repair = opts.RepairMode && !opts.FlushOnWrite
+	e.planner.Repair = opts.RepairMode
 	e.invCond = sync.NewCond(&e.invMu)
 	if c != nil {
 		// Subscribe before reading the version: events for any later
 		// mutation are then guaranteed to reach the queue, and applied can
 		// only be behind reality (conservative).
 		e.unsub = ds.subscribe(e.enqueueMutation)
-		e.applied.Store(ds.version.Load())
+		e.applied.Store(ds.Version())
 		e.drained.Add(1)
 		go e.drainMutations()
 	}
@@ -224,12 +205,12 @@ func (e *Engine) Quiesce() {
 }
 
 // drainMutations reconciles pending mutations with the cache in version
-// order, a whole batch per pass: every pass pops all pending mutations (up
-// to DrainBatch) and hands them to the internal/maintain planner, which
-// scans the cache once and walks each entry through the batch's verdict
-// chain. The batch stays in pending until its pass completes, so
-// putIfCurrent can tell "reconciled" from "in flight"; applied then
-// advances straight to the batch's maximum version.
+// order, a whole batch per pass: every pass pops all pending mutations and
+// hands them to the internal/maintain planner, which scans the cache once
+// and walks each entry through the batch's verdict chain. The batch stays
+// in pending until its pass completes, so putIfCurrent can tell
+// "reconciled" from "in flight"; applied then advances straight to the
+// batch's maximum version.
 func (e *Engine) drainMutations() {
 	defer e.drained.Done()
 	for {
@@ -241,30 +222,18 @@ func (e *Engine) drainMutations() {
 			e.invMu.Unlock()
 			return
 		}
-		n := len(e.pending)
-		if e.opts.DrainBatch > 0 && n > e.opts.DrainBatch {
-			n = e.opts.DrainBatch
-		}
-		batch := make([]maintain.Mutation, n)
-		for i, m := range e.pending[:n] {
-			batch[i] = maintain.Mutation{Version: m.version, Insert: m.insert, ID: m.id, Point: vec.Vector(m.point)}
-		}
+		batch := e.pendingLocked()
+		n := len(batch)
 		e.invMu.Unlock()
 
-		if e.opts.FlushOnWrite {
-			cleared := int64(e.cache.inner.Clear())
-			e.affected.Add(cleared)
-			e.invalidated.Add(cleared)
-		} else {
-			out := e.planner.Drain(e.cache.inner, batch)
-			// Event counts are credited from applied outcomes, so the
-			// Repaired + Invalidated = Affected invariant is exact even when
-			// an affected entry vanishes to concurrent LRU pressure between
-			// the decision and its application.
-			e.affected.Add(int64(out.Affected))
-			e.repaired.Add(int64(out.Repaired))
-			e.invalidated.Add(int64(out.Evicted))
-		}
+		out := e.planner.Drain(e.cache.inner, batch)
+		// Event counts are credited from applied outcomes, so the
+		// Repaired + Invalidated = Affected invariant is exact even when
+		// an affected entry vanishes to concurrent LRU pressure between
+		// the decision and its application.
+		e.affected.Add(int64(out.Affected))
+		e.repaired.Add(int64(out.Repaired))
+		e.invalidated.Add(int64(out.Evicted))
 		e.drainPasses.Add(1)
 		e.drainedMuts.Add(int64(n))
 
@@ -280,34 +249,35 @@ func (e *Engine) drainMutations() {
 	}
 }
 
-// fenceVeto returns the lookup veto enforcing the generation fence, or nil
-// on the fast path (cache fully reconciled with the visible dataset
-// version — the steady state, two atomic loads). While mutations are
-// pending, a candidate hit is suppressed unless one batched predicate over
-// the whole pending window proves it unaffected (maintain.FenceAffected,
-// which also raises the entry's cleared stamp over the unaffecting prefix
-// so no (mutation, entry) pair is ever evaluated twice); the drainer will
-// evict or repair the truly affected entries and restore the fast path.
-func (e *Engine) fenceVeto() func(*cacheint.Entry) bool {
-	if e.applied.Load() >= e.ds.version.Load() {
+// pendingLocked copies the pending mutations, in ascending version order
+// (append order), into the planner's form; the caller holds invMu.
+func (e *Engine) pendingLocked() []maintain.Mutation {
+	batch := make([]maintain.Mutation, len(e.pending))
+	for i, m := range e.pending {
+		batch[i] = maintain.Mutation{Version: m.version, Insert: m.insert, ID: m.id, Point: vec.Vector(m.point)}
+	}
+	return batch
+}
+
+// fenceVeto returns the lookup veto enforcing the generation fence for a
+// call that observed the given dataset version, or nil on the fast path
+// (cache fully reconciled with that version — the steady state, one
+// atomic load). While mutations are pending, a candidate hit is suppressed
+// unless one batched predicate over the whole pending window proves it
+// unaffected (maintain.FenceAffected, which also raises the entry's
+// cleared stamp over the unaffecting prefix so no (mutation, entry) pair
+// is ever evaluated twice); the drainer will evict or repair the truly
+// affected entries and restore the fast path.
+func (e *Engine) fenceVeto(version int64) func(*cacheint.Entry) bool {
+	if e.applied.Load() >= version {
 		return nil
 	}
 	e.invMu.Lock()
-	snap := make([]maintain.Mutation, len(e.pending))
-	for i, m := range e.pending { // ascending version order (append order)
-		snap[i] = maintain.Mutation{Version: m.version, Insert: m.insert, ID: m.id, Point: vec.Vector(m.point)}
-	}
+	snap := e.pendingLocked()
 	e.invMu.Unlock()
 	if len(snap) == 0 {
 		// The drainer finished between the two loads; applied has caught up.
 		return nil
-	}
-	if e.opts.FlushOnWrite {
-		return func(*cacheint.Entry) bool {
-			// Coarse mode: any pending mutation invalidates everything.
-			e.fenced.Add(1)
-			return true
-		}
 	}
 	return func(entry *cacheint.Entry) bool {
 		if e.planner.FenceAffected(entry, snap) {
@@ -397,7 +367,7 @@ func (e *Engine) Stats() EngineStats {
 		FusedGroups:      e.fusedGroups.Load(),
 		FusedQueries:     e.fusedQueries.Load(),
 		SharedPageReads:  e.sharedReads.Load(),
-		Version:          e.ds.version.Load(),
+		Version:          e.ds.Version(),
 	}
 	st.Reconciled = st.Version
 	if e.cache != nil {
@@ -415,198 +385,45 @@ func (e *Engine) Cache() *Cache { return e.cache }
 // caches, fences, repairs or persists is clipped to this space.
 func (e *Engine) Space() Space { return e.ds.Space() }
 
-// defaultFuseGroupSize is the fused-traversal group cap when
-// EngineOptions.FuseGroupSize is left zero.
-const defaultFuseGroupSize = 8
+// fuseGroupSize caps how many misses of one call a fused traversal serves
+// together. Misses are grouped by angular similarity of their weight
+// vectors and each group shares one pass over the index pages; every
+// member's result stays byte-identical to a solo TopK.
+const fuseGroupSize = 8
 
-func (e *Engine) fuseLimit() int {
-	if e.opts.FuseGroupSize == 0 {
-		return defaultFuseGroupSize
-	}
-	if e.opts.FuseGroupSize < 1 {
-		return 1
-	}
-	return e.opts.FuseGroupSize
-}
+// The life of a query: probe (cache lookup under the generation fence
+// returned by fenceVeto) → on a miss, computeMisses dedupes the call's
+// misses and groups them (topk.FuseGroups) → computeGroup claims each
+// member's single-flight key, has Dataset.answerGroup compute the whole
+// group under one snapshot pin, offers each region to the cache
+// (putIfCurrent) and publishes each answer to its waiters (Group.Done). A
+// solo TopK is a batch of one and its miss a group of one; there is no
+// other way a result is computed.
 
 // BatchTopK answers a batch of top-k queries concurrently. The i-th result
 // corresponds to the i-th query; every result is byte-identical to what
 // Dataset.TopK would return for that query.
 //
-// Unless FuseGroupSize disables it, the batch's cache misses are
-// deduplicated, grouped by angular similarity of their weight vectors, and
-// each group is answered by ONE fused traversal that shares page decodes
-// and block-scores leaves for the whole group (topk.BRSGroup) — byte
-// identity per query is preserved by construction.
+// Cache lookups fan out across the worker pool; the batch's cache misses
+// are deduplicated, grouped by angular similarity of their weight vectors,
+// and each group is answered by ONE fused traversal that shares page
+// decodes and block-scores leaves for the whole group (topk.BRSGroup) —
+// byte identity per query is preserved by construction.
 func (e *Engine) BatchTopK(queries []Query) []EngineResult {
 	out := make([]EngineResult, len(queries))
-	if limit := e.fuseLimit(); limit > 1 && len(queries) > 1 {
-		e.batchTopKFused(queries, out, limit)
-		return out
-	}
+	missed := make([]bool, len(queries))
+	sn := e.ds.snap.Load()
 	engineint.Fan(len(queries), e.opts.Workers, func(i int) {
-		out[i] = e.serveTopK(queries[i])
+		out[i], missed[i] = e.probe(nil, queries[i], sn)
 	})
+	e.computeMisses(queries, out, missed, sn.version, e.opts.CacheMethod, false)
 	return out
-}
-
-// batchTopKFused is BatchTopK's fused execution: cache lookups fan out as
-// before; the misses are deduplicated within the batch, partitioned into
-// angular-similarity groups, and each group computed with one shared
-// traversal under one snapshot pin.
-func (e *Engine) batchTopKFused(queries []Query, out []EngineResult, limit int) {
-	n := len(queries)
-	miss := make([]bool, n)
-	engineint.Fan(n, e.opts.Workers, func(i int) {
-		q := queries[i]
-		if err := e.ds.validateQuery(q.Vector, q.K); err != nil {
-			out[i] = EngineResult{Err: err}
-			return
-		}
-		if e.cache != nil {
-			if entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K, e.fenceVeto()); ok {
-				if complete {
-					dst := make([]Record, q.K)
-					rescoreInto(dst, entry.Records[:q.K], q.Vector)
-					out[i] = EngineResult{Records: dst, CacheHit: true}
-					return
-				}
-				out[i].PartialHit = true
-			}
-		}
-		miss[i] = true
-	})
-
-	// In-batch dedupe: the first query with a given (vector, k) key owns
-	// the computation; repeats become followers and copy its answer, the
-	// same sharing single-flight gives concurrent callers.
-	byKey := make(map[string]int, n)
-	ownerIdx := make([]int, 0, n)
-	ownerKey := make([]string, 0, n)
-	var followers map[int][]int
-	for i := range queries {
-		if !miss[i] {
-			continue
-		}
-		key := "t:" + engineint.Key(queries[i].Vector, queries[i].K)
-		if o, ok := byKey[key]; ok {
-			if followers == nil {
-				followers = make(map[int][]int)
-			}
-			followers[o] = append(followers[o], i)
-			continue
-		}
-		byKey[key] = len(ownerIdx)
-		ownerIdx = append(ownerIdx, i)
-		ownerKey = append(ownerKey, key)
-	}
-
-	if len(ownerIdx) > 0 {
-		vecs := make([]vec.Vector, len(ownerIdx))
-		for j, i := range ownerIdx {
-			vecs[j] = vec.Vector(queries[i].Vector)
-		}
-		groups := topk.FuseGroups(vecs, limit)
-		engineint.Fan(len(groups), e.opts.Workers, func(gi int) {
-			e.computeFusedGroup(queries, out, ownerIdx, ownerKey, groups[gi])
-		})
-	}
-
-	for o, fs := range followers {
-		src := out[ownerIdx[o]]
-		for _, i := range fs {
-			e.deduped.Add(1)
-			out[i].Records = src.Records
-			out[i].Err = src.Err
-			out[i].Shared = true
-		}
-	}
-}
-
-// computeFusedGroup claims each member's single-flight key, answers the
-// claimed subset with one fused traversal under one snapshot pin,
-// publishes per-member results, then adopts results for members some
-// other caller was already computing. Claiming everything up front keeps
-// the engine's dedupe guarantee — a fused member and a concurrent solo
-// TopK for the same key still compute once — and waiting only AFTER our
-// own subset is published makes overlapping groups deadlock-free (a
-// leader never blocks before releasing its claims).
-func (e *Engine) computeFusedGroup(queries []Query, out []EngineResult, ownerIdx []int, ownerKey []string, group []int) {
-	type member struct {
-		i    int // index into queries/out
-		key  string
-		call *engineint.Call
-	}
-	lead := make([]member, 0, len(group))
-	var waiters []member
-	for _, g := range group {
-		c, leader := e.flight.Claim(ownerKey[g])
-		m := member{i: ownerIdx[g], key: ownerKey[g], call: c}
-		if leader {
-			lead = append(lead, m)
-		} else {
-			waiters = append(waiters, m)
-		}
-	}
-
-	if len(lead) > 0 {
-		e.computed.Add(int64(len(lead)))
-		qs := make([][]float64, len(lead))
-		ks := make([]int, len(lead))
-		for j, m := range lead {
-			qs[j] = queries[m.i].Vector
-			ks[j] = queries[m.i].K
-		}
-		var recs [][]Record
-		var errs []error
-		var stats topk.GroupStats
-		if e.cache == nil {
-			recs, stats, errs = e.ds.topKGroup(qs, ks)
-		} else {
-			fills, st, ferrs := e.ds.topKAndGIRGroup(qs, ks, e.opts.CacheMethod)
-			stats, errs = st, ferrs
-			recs = make([][]Record, len(fills))
-			for j, fill := range fills {
-				if fill == nil {
-					continue
-				}
-				e.putIfCurrent(fill)
-				recs[j] = fill.recs
-			}
-		}
-		e.sharedReads.Add(stats.SharedReads)
-		if len(lead) > 1 {
-			e.fusedGroups.Add(1)
-			e.fusedQueries.Add(int64(len(lead)))
-		}
-		for j, m := range lead {
-			if errs[j] != nil {
-				e.flight.Done(m.key, m.call, nil, errs[j])
-				out[m.i] = EngineResult{Err: errs[j], PartialHit: out[m.i].PartialHit}
-				continue
-			}
-			e.flight.Done(m.key, m.call, recs[j], nil)
-			out[m.i].Records = recs[j]
-		}
-	}
-
-	for _, m := range waiters {
-		v, err := m.call.Wait()
-		e.deduped.Add(1)
-		out[m.i].Shared = true
-		if err != nil {
-			out[m.i].Err = err
-			out[m.i].Records = nil
-			continue
-		}
-		out[m.i].Records = v.([]Record)
-	}
 }
 
 // TopK answers one query through the engine (cache + single-flight); it
 // is BatchTopK for a singleton batch, callable from many goroutines.
 func (e *Engine) TopK(q []float64, k int) EngineResult {
-	return e.serveTopK(Query{Vector: q, K: k})
+	return e.TopKBuf(nil, q, k)
 }
 
 // TopKBuf is TopK with a caller-provided result buffer: a complete cache
@@ -616,69 +433,185 @@ func (e *Engine) TopK(q []float64, k int) EngineResult {
 // through to the compute path and returns freshly allocated records, as
 // TopK does.
 func (e *Engine) TopKBuf(dst []Record, q []float64, k int) EngineResult {
-	return e.serveTopKBuf(dst, Query{Vector: q, K: k})
-}
-
-func (e *Engine) serveTopK(q Query) EngineResult {
-	return e.serveTopKBuf(nil, q)
-}
-
-func (e *Engine) serveTopKBuf(dst []Record, q Query) EngineResult {
-	if err := e.ds.validateQuery(q.Vector, q.K); err != nil {
-		return EngineResult{Err: err}
+	sn := e.ds.snap.Load()
+	res, missed := e.probe(dst, Query{Vector: q, K: k}, sn)
+	if !missed {
+		return res
 	}
-	var partial bool
-	if e.cache != nil {
-		if entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K, e.fenceVeto()); ok {
-			if complete {
-				if cap(dst) < q.K {
-					dst = make([]Record, q.K)
-				}
-				dst = dst[:q.K]
-				rescoreInto(dst, entry.Records[:q.K], q.Vector)
-				return EngineResult{Records: dst, CacheHit: true}
+	out := []EngineResult{res}
+	e.computeMisses([]Query{{Vector: q, K: k}}, out, []bool{true}, sn.version, e.opts.CacheMethod, false)
+	return out[0]
+}
+
+// probe validates one query against the snapshot its call observed on
+// entry and offers it to the cache under the generation fence. missed
+// reports that the query is valid and still needs computing (res then
+// carries only the PartialHit flag); otherwise res is final: the
+// validation error, or a complete hit rescored into dst.
+func (e *Engine) probe(dst []Record, q Query, sn *treeSnap) (res EngineResult, missed bool) {
+	if err := sn.validate(q.Vector, q.K); err != nil {
+		return EngineResult{Err: err}, false
+	}
+	if e.cache == nil {
+		return EngineResult{}, true
+	}
+	entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K, e.fenceVeto(sn.version))
+	if !ok {
+		return EngineResult{}, true
+	}
+	if !complete {
+		return EngineResult{PartialHit: true}, true // exact prefix exists; compute the full k fresh
+	}
+	if cap(dst) < q.K {
+		dst = make([]Record, q.K)
+	}
+	dst = dst[:q.K]
+	rescoreInto(dst, entry.Records[:q.K], q.Vector)
+	return EngineResult{Records: dst, CacheHit: true}, false
+}
+
+// member is one distinct missed query of a call: its position in the
+// call's queries/out, its single-flight key and, once computeGroup has
+// claimed that key, the call it leads or follows.
+type member struct {
+	i      int
+	key    string
+	call   *engineint.Call
+	leader bool
+}
+
+// computeMisses answers the queries of one call that missed[i] marks, into
+// out. The first query with a given (vector, k) owns the computation;
+// repeats become followers and copy its answer, the same sharing
+// single-flight gives concurrent callers. The owners are partitioned into
+// angular-similarity groups and each group computed by computeGroup.
+//
+// version is the dataset version the call observed on entry. It goes into
+// every single-flight key, so a caller only ever shares a computation
+// whose leader observed the same version — and pinned its snapshot after
+// that: a follower can never inherit a result older than what it had
+// already seen. m is the region method; wantGIR makes the region part of
+// the answer (BatchGIR) instead of only a cache fill.
+func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []bool, version int64, m Method, wantGIR bool) {
+	byKey := make(map[string]int, len(queries))
+	var owners []member
+	var vecs []vec.Vector
+	var followers map[int][]int
+	for i, q := range queries {
+		if !missed[i] {
+			continue
+		}
+		key := engineint.Key(q.Vector, q.K)
+		if o, ok := byKey[key]; ok {
+			if followers == nil {
+				followers = make(map[int][]int)
 			}
-			partial = true // exact prefix exists; compute the full k fresh
+			followers[o] = append(followers[o], i)
+			continue
 		}
+		byKey[key] = len(owners)
+		owners = append(owners, member{i: i, key: key})
+		vecs = append(vecs, vec.Vector(q.Vector))
 	}
-	recs, shared, err := e.computeTopK(q)
-	if err != nil {
-		return EngineResult{Err: err}
+	if len(owners) == 0 {
+		return
 	}
-	return EngineResult{Records: recs, PartialHit: partial, Shared: shared}
-}
+	prefix := fmt.Sprintf("t@%d:", version)
+	if wantGIR {
+		prefix = fmt.Sprintf("g%d@%d:", m, version)
+	}
+	for j := range owners {
+		owners[j].key = prefix + owners[j].key
+	}
 
-// computeTopK runs the BRS computation for a (vector, k) pair exactly once
-// among concurrent identical requests, filling the cache on the way out.
-func (e *Engine) computeTopK(q Query) ([]Record, bool, error) {
-	key := "t:" + engineint.Key(q.Vector, q.K)
-	v, err, shared := e.flight.Do(key, func() (any, error) {
-		e.computed.Add(1)
-		if e.cache == nil {
-			res, err := e.ds.TopK(q.Vector, q.K)
-			if err != nil {
-				return nil, err
-			}
-			return res.Records, nil
-		}
-		// Cache fill: the result and its GIR are computed under one read
-		// lock (no mutation can slip between them), and one GIR build per
-		// distinct result amortizes over every later hit. A GIR failure
-		// only skips the insert.
-		fill, err := e.ds.topKAndGIR(q.Vector, q.K, e.opts.CacheMethod)
-		if err != nil {
-			return nil, err
-		}
-		e.putIfCurrent(fill)
-		return fill.recs, nil
+	groups := topk.FuseGroups(vecs, fuseGroupSize)
+	engineint.Fan(len(groups), e.opts.Workers, func(gi int) {
+		e.computeGroup(queries, out, owners, groups[gi], m, wantGIR)
 	})
-	if shared {
+
+	for o, fs := range followers {
+		src := out[owners[o].i]
+		for _, i := range fs {
+			e.deduped.Add(1)
+			out[i].Records, out[i].GIR, out[i].Err = src.Records, src.GIR, src.Err
+			out[i].Shared = true
+		}
+	}
+}
+
+// computeGroup is the one claim → compute → put → publish sequence, for
+// the members owners[g], g in group. It claims each member's single-flight
+// key, answers the claimed subset with one fused traversal under one
+// snapshot pin (Dataset.answerGroup), offers each region to the cache and
+// publishes per-member results, then adopts results for members some
+// other caller was already computing. Claiming everything up front keeps
+// the engine's dedupe guarantee — a fused member and a concurrent solo
+// TopK for the same key still compute once — and waiting only AFTER our
+// own subset is published makes overlapping groups deadlock-free (a
+// leader never blocks before releasing its claims).
+func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []member, group []int, m Method, wantGIR bool) {
+	qs := make([]vec.Vector, 0, len(group))
+	ks := make([]int, 0, len(group))
+	for _, g := range group {
+		mb := &owners[g]
+		if mb.call, mb.leader = e.flight.Claim(mb.key); mb.leader {
+			qs, ks = append(qs, queries[mb.i].Vector), append(ks, queries[mb.i].K)
+		}
+	}
+
+	if len(qs) > 0 {
+		e.computed.Add(int64(len(qs)))
+		// One GIR build per distinct result amortizes over every later hit;
+		// without a cache nobody would read it.
+		answers, stats := e.ds.answerGroup(qs, ks, wantGIR || e.cache != nil, m)
+		e.sharedReads.Add(stats.SharedReads)
+		if len(qs) > 1 {
+			e.fusedGroups.Add(1)
+			e.fusedQueries.Add(int64(len(qs)))
+		}
+		next := 0
+		for _, g := range group {
+			mb := &owners[g]
+			if !mb.leader {
+				continue
+			}
+			a := &answers[next]
+			next++
+			err := a.err
+			if err == nil && wantGIR {
+				err = a.girErr // for a fill, a GIR failure only skips the insert
+			}
+			if err == nil {
+				e.putIfCurrent(a)
+			}
+			e.flight.Done(mb.key, mb.call, a, err)
+			out[mb.i].set(a, err, wantGIR)
+		}
+	}
+
+	for _, g := range group {
+		mb := &owners[g]
+		if mb.leader {
+			continue
+		}
+		v, err := mb.call.Wait()
 		e.deduped.Add(1)
+		out[mb.i].Shared = true
+		a, _ := v.(*groupAnswer)
+		out[mb.i].set(a, err, wantGIR)
 	}
-	if err != nil {
-		return nil, shared, err
+}
+
+// set fills in a computed answer, or its error; the PartialHit and Shared
+// flags are the caller's.
+func (r *EngineResult) set(a *groupAnswer, err error, wantGIR bool) {
+	if r.Err = err; err != nil {
+		return
 	}
-	return v.([]Record), shared, nil
+	r.Records = a.recs
+	if wantGIR {
+		r.GIR = a.g
+	}
 }
 
 // putIfCurrent inserts a freshly built region unless some mutation later
@@ -688,7 +621,7 @@ func (e *Engine) computeTopK(q Query) ([]Record, bool, error) {
 // never slip in behind an invalidation pass that would have evicted it: if
 // any mutation newer than ver exists, it is either still in pending (we
 // reject) or fully applied (applied > ver, we reject).
-func (e *Engine) putIfCurrent(fill *topKFill) {
+func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	if e.cache == nil || fill.girErr != nil || fill.g == nil {
 		return
 	}
@@ -714,45 +647,20 @@ func (e *Engine) putIfCurrent(fill *topKFill) {
 // BatchGIR answers a batch of queries AND computes each result's immutable
 // region concurrently, inserting every region into the cache (so a
 // BatchGIR warms the cache for subsequent BatchTopK traffic). Results are
-// byte-identical to sequential TopK + ComputeGIR pairs.
+// byte-identical to sequential TopK + ComputeGIR pairs. It takes the miss
+// path without a probe — a cache entry holds the region it was built
+// with, not one per method — so with caching disabled it is the plain
+// concurrent TopK + ComputeGIR fan-out.
 func (e *Engine) BatchGIR(queries []Query, m Method) []EngineResult {
 	out := make([]EngineResult, len(queries))
-	engineint.Fan(len(queries), e.opts.Workers, func(i int) {
-		out[i] = e.serveGIR(queries[i], m)
-	})
+	missed := make([]bool, len(queries))
+	sn := e.ds.snap.Load()
+	for i, q := range queries {
+		out[i].Err = sn.validate(q.Vector, q.K)
+		missed[i] = out[i].Err == nil
+	}
+	e.computeMisses(queries, out, missed, sn.version, m, true)
 	return out
-}
-
-type girAnswer struct {
-	records []Record
-	gir     *GIR
-}
-
-func (e *Engine) serveGIR(q Query, m Method) EngineResult {
-	if err := e.ds.validateQuery(q.Vector, q.K); err != nil {
-		return EngineResult{Err: err}
-	}
-	key := fmt.Sprintf("g%d:", m) + engineint.Key(q.Vector, q.K)
-	v, err, shared := e.flight.Do(key, func() (any, error) {
-		e.computed.Add(1)
-		fill, err := e.ds.topKAndGIR(q.Vector, q.K, m)
-		if err != nil {
-			return nil, err
-		}
-		if fill.girErr != nil {
-			return nil, fill.girErr
-		}
-		e.putIfCurrent(fill)
-		return girAnswer{records: fill.recs, gir: fill.g}, nil
-	})
-	if shared {
-		e.deduped.Add(1)
-	}
-	if err != nil {
-		return EngineResult{Err: err, Shared: shared}
-	}
-	a := v.(girAnswer)
-	return EngineResult{Records: a.records, GIR: a.gir, Shared: shared}
 }
 
 // rescoreInto rebuilds cache-hit records into dst with scores for the

@@ -86,7 +86,7 @@ func TestFusedBatchDifferentialSimplex(t *testing.T) {
 	runFusedDifferential(t, SpaceSimplex, EngineOptions{Workers: 4, CacheCapacity: -1})
 }
 
-// The cached arms route fused fills through topKAndGIRGroup + putIfCurrent:
+// The cached arms route fused fills through answerGroup + putIfCurrent:
 // every served record set (hit, fused miss, follower copy) must still be
 // byte-equal to a same-version recompute.
 func TestFusedBatchDifferentialCachedBox(t *testing.T) {
@@ -218,10 +218,12 @@ func runFusedDifferential(t *testing.T, space Space, opts EngineOptions) {
 		verified, st.FusedGroups, st.FusedQueries, st.SharedPageReads, st.Deduped, st.Computed, st.CacheHits)
 }
 
-// TestFuseGroupSizeOneDisablesFusion pins the escape hatch: FuseGroupSize
-// 1 routes BatchTopK through the legacy per-query fan and records no
-// fused activity.
-func TestFuseGroupSizeOneDisablesFusion(t *testing.T) {
+// TestGroupOfNEqualsNGroupsOfOne is the byte-identity contract at the
+// engine: a batch answered as fused groups (BatchTopK) equals the same
+// queries answered one call each (TopK — every miss a group of one), and
+// both equal a sequential Dataset.TopK. Only the batch records fused
+// activity; the solo calls share no page.
+func TestGroupOfNEqualsNGroupsOfOne(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	points := make([][]float64, 500)
 	for i := range points {
@@ -231,25 +233,32 @@ func TestFuseGroupSizeOneDisablesFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: -1, FuseGroupSize: 1})
-	defer e.Close()
+	solo := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: -1})
+	defer solo.Close()
+	fused := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: -1})
+	defer fused.Close()
 
 	center := []float64{0.5, 0.3, 0.2}
 	batch := fusedBatch(r, SpaceBox, [][]float64{center}, 32)
-	for i, res := range e.BatchTopK(batch) {
-		if res.Err != nil {
-			t.Fatalf("query %d: %v", i, res.Err)
+	group := fused.BatchTopK(batch)
+	for i, q := range batch {
+		one := solo.TopK(q.Vector, q.K)
+		if one.Err != nil || group[i].Err != nil {
+			t.Fatalf("query %d: solo %v, batch %v", i, one.Err, group[i].Err)
 		}
-		want, err := ds.TopK(batch[i].Vector, batch[i].K)
+		want, err := ds.TopK(q.Vector, q.K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireByteEqual(t, "unfused batch", res.Records, want)
+		requireByteEqual(t, "group of one", one.Records, want)
+		requireByteEqual(t, "group of N", group[i].Records, want)
 	}
-	st := e.Stats()
-	if st.FusedGroups != 0 || st.FusedQueries != 0 || st.SharedPageReads != 0 {
-		t.Fatalf("fusion ran with FuseGroupSize=1: groups=%d queries=%d shared=%d",
+	if st := solo.Stats(); st.FusedGroups != 0 || st.FusedQueries != 0 || st.SharedPageReads != 0 {
+		t.Fatalf("groups of one recorded fused activity: groups=%d queries=%d shared=%d",
 			st.FusedGroups, st.FusedQueries, st.SharedPageReads)
+	}
+	if st := fused.Stats(); st.FusedGroups == 0 || st.SharedPageReads == 0 {
+		t.Fatalf("the batch never fused (groups=%d shared=%d) — the comparison is vacuous", st.FusedGroups, st.SharedPageReads)
 	}
 }
 

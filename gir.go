@@ -207,13 +207,14 @@ type Dataset struct {
 	sidecar string           // page-aligned sidecar path (OpenOnDisk; removed by Close)
 	wal     *pager.WAL       // non-nil once EnableWAL/Recover attached a log
 	walDir  string           // the durable directory the WAL lives in
-	version atomic.Int64     // bumped by every successful mutation
 	space   Space            // the query-space domain (data space is [0,1]^d regardless)
 
-	// snap is the current published index version; readers pin it with
-	// pinSnap. retired holds superseded snapshots, oldest first, whose
-	// freed pages wait for the last pinned reader before returning to the
-	// store's freelist (reclaimLocked, under mu).
+	// snap is the current published index version — the tree state, the
+	// query space and the mutation version, swapped in together by
+	// publishSnapLocked, the one place any of them becomes visible. Readers
+	// pin it with pinSnap. retired holds superseded snapshots, oldest
+	// first, whose freed pages wait for the last pinned reader before
+	// returning to the store's freelist (reclaimLocked, under mu).
 	snap    atomic.Pointer[treeSnap]
 	retired []*treeSnap
 
@@ -288,19 +289,9 @@ func (s *treeSnap) topK(q []float64, k int, sc Scoring) (*topk.Result, error) {
 	return topk.BRS(s.tree, sc.function(s.tree.Dim()), vec.Vector(q), k), nil
 }
 
-// topKWith is topK on an explicitly threaded scratch, for callers that
-// reuse one workspace across many queries (the engine's fill path, batch
-// workers).
-func (s *treeSnap) topKWith(scr *topk.Scratch, q []float64, k int, sc Scoring) (*topk.Result, error) {
-	if err := s.validate(q, k); err != nil {
-		return nil, err
-	}
-	return topk.BRSWith(scr, s.tree, sc.function(s.tree.Dim()), vec.Vector(q), k), nil
-}
-
 // mutation describes one successful Insert or Delete, in the order the
 // mutations were applied. version is the dataset version the mutation
-// produced (the value ds.version holds once the mutation is visible).
+// produced (what Version reports once the mutation is visible).
 type mutation struct {
 	version int64
 	insert  bool
@@ -330,30 +321,49 @@ func (ds *Dataset) subscribe(fn func(mutation)) (unsubscribe func()) {
 	}
 }
 
-// publishLocked delivers a mutation event and then makes its version
-// visible; the caller holds ds.mu exclusively. Delivery strictly precedes
-// visibility — the snapshot swap is the visibility point — so a reader
-// that pins version v is guaranteed the events for every mutation up to v
-// were already handed to subscribers. freed is the mutation's superseded
-// page set (Tree.CommitCOW).
-func (ds *Dataset) publishLocked(insert bool, id int64, p []float64, freed []pager.PageID) {
-	m := mutation{
-		version: ds.version.Load() + 1,
-		insert:  insert,
-		id:      id,
-		point:   append([]float64(nil), p...),
+// applyLocked is the one mutation path: Insert and Delete reach it after
+// their log append, replay reaches it without one. It applies m to the
+// writer tree copy-on-write, delivers the event to subscribers and then
+// publishes the new snapshot; the caller holds ds.mu exclusively. Delivery
+// strictly precedes visibility — the snapshot swap is the visibility point
+// — so a reader that pins version v is guaranteed the events for every
+// mutation up to v were already handed to subscribers. It reports false,
+// with nothing published, for a delete of a record the index does not
+// hold: the failed walk wrote nothing, so the commit supersedes no pages.
+func (ds *Dataset) applyLocked(m mutation) bool {
+	ds.tree.BeginCOW()
+	if m.insert {
+		ds.tree.Insert(m.id, vec.Vector(m.point))
+	} else if !ds.tree.Delete(m.id, vec.Vector(m.point)) {
+		ds.tree.CommitCOW()
+		return false
 	}
+	freed := ds.tree.CommitCOW()
 	for _, fn := range ds.subs {
 		fn(m)
 	}
 	ds.publishSnapLocked(m.version, freed)
-	ds.version.Store(m.version)
+	return true
+}
+
+// nextMutationLocked stamps a mutation the caller is about to log and
+// apply with the version it will produce; the point is copied, so the
+// event subscribers keep does not alias the caller's slice.
+func (ds *Dataset) nextMutationLocked(insert bool, id int64, p []float64) mutation {
+	return mutation{
+		version: ds.Version() + 1,
+		insert:  insert,
+		id:      id,
+		point:   append([]float64(nil), p...),
+	}
 }
 
 // publishSnapLocked swaps in a fresh snapshot of the writer tree's state
-// and retires the previous one, attaching the pages this mutation
-// superseded; the caller holds ds.mu exclusively. Retired snapshots are
-// reclaimed oldest-first as their pins drain.
+// at the given version and retires the previous one, attaching the pages
+// this mutation superseded. It is the only place a dataset version (or
+// tree state, or query space) becomes visible; the caller holds ds.mu
+// exclusively, or is a constructor whose dataset nobody else can see yet.
+// Retired snapshots are reclaimed oldest-first as their pins drain.
 func (ds *Dataset) publishSnapLocked(version int64, freed []pager.PageID) {
 	root, height, size := ds.tree.Meta()
 	next := &treeSnap{
@@ -391,27 +401,11 @@ func (ds *Dataset) reclaimLocked() {
 	}
 }
 
-// initSnap publishes the dataset's first snapshot; constructors call it
-// once the tree, version and space fields are in place.
-func (ds *Dataset) initSnap() {
-	root, height, size := ds.tree.Meta()
-	ds.snap.Store(&treeSnap{
-		tree:    rtree.Attach(ds.store, ds.tree.Dim(), root, height, size),
-		version: ds.version.Load(),
-		space:   ds.space,
-	})
-}
-
 // NewDatasetInSpace is NewDataset with an explicit query-space domain.
 // The DATA space is [0,1]^d either way — only query vectors, regions and
 // volume measures live in the chosen space.
 func NewDatasetInSpace(points [][]float64, space Space) (*Dataset, error) {
-	ds, err := NewDataset(points)
-	if err != nil {
-		return nil, err
-	}
-	ds.SetSpace(space)
-	return ds, nil
+	return buildDataset(nil, points, space)
 }
 
 // Space returns the dataset's active query-space domain.
@@ -433,7 +427,7 @@ func (ds *Dataset) SetSpace(space Space) {
 	// Republish so readers pick the space up atomically with the index
 	// state; the version is unchanged (no mutation happened) and the
 	// retired predecessor carries no freed pages.
-	ds.publishSnapLocked(ds.version.Load(), nil)
+	ds.publishSnapLocked(ds.Version(), nil)
 }
 
 // NewDataset bulk-loads (STR) an R*-tree over the given points; record ids
@@ -441,31 +435,7 @@ func (ds *Dataset) SetSpace(space Space) {
 // and coordinates in [0,1]. The query space defaults to the unit box;
 // see NewDatasetInSpace for the paper's Σw=1 simplex.
 func NewDataset(points [][]float64) (*Dataset, error) {
-	if len(points) == 0 {
-		return nil, errors.New("gir: empty dataset")
-	}
-	d := len(points[0])
-	if d < 2 {
-		return nil, fmt.Errorf("gir: dimension %d not supported (need ≥ 2)", d)
-	}
-	pts := make([]vec.Vector, len(points))
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("gir: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		for j, x := range p {
-			if x < 0 || x > 1 {
-				return nil, fmt.Errorf("gir: point %d coordinate %d = %v outside [0,1]", i, j, x)
-			}
-		}
-		pts[i] = vec.Vector(p)
-	}
-	store := pager.NewMemStore()
-	tree := rtree.BulkLoad(store, d, pts, nil)
-	store.ResetStats()
-	ds := &Dataset{tree: tree, store: store, cost: pager.DefaultCostModel}
-	ds.initSnap()
-	return ds, nil
+	return buildDataset(nil, points, SpaceBox)
 }
 
 // NewDatasetWithIDs is NewDatasetInSpace with explicit record ids:
@@ -486,6 +456,12 @@ func NewDatasetWithIDs(ids []int64, points [][]float64, space Space) (*Dataset, 
 		}
 		seen[id] = struct{}{}
 	}
+	return buildDataset(ids, points, space)
+}
+
+// buildDataset validates the points and bulk-loads them into an in-memory
+// tree at version 0; nil ids means the point indices.
+func buildDataset(ids []int64, points [][]float64, space Space) (*Dataset, error) {
 	if len(points) == 0 {
 		return nil, errors.New("gir: empty dataset")
 	}
@@ -509,7 +485,7 @@ func NewDatasetWithIDs(ids []int64, points [][]float64, space Space) (*Dataset, 
 	tree := rtree.BulkLoad(store, d, pts, ids)
 	store.ResetStats()
 	ds := &Dataset{tree: tree, store: store, cost: pager.DefaultCostModel, space: space}
-	ds.initSnap()
+	ds.publishSnapLocked(0, nil)
 	return ds, nil
 }
 
@@ -528,14 +504,13 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	m := ds.nextMutationLocked(true, id, p)
 	if ds.wal != nil {
-		if err := ds.wal.Append(walEncode(ds.version.Load()+1, true, id, p)); err != nil {
+		if err := ds.wal.Append(walEncode(m)); err != nil {
 			return fmt.Errorf("gir: insert aborted, write-ahead append failed: %w", err)
 		}
 	}
-	ds.tree.BeginCOW()
-	ds.tree.Insert(id, vec.Vector(p))
-	ds.publishLocked(true, id, p, ds.tree.CommitCOW())
+	ds.applyLocked(m)
 	return nil
 }
 
@@ -551,21 +526,16 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 func (ds *Dataset) Delete(id int64, p []float64) (bool, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if ds.wal != nil && !ds.tree.Contains(id, vec.Vector(p)) {
+		return false, nil
+	}
+	m := ds.nextMutationLocked(false, id, p)
 	if ds.wal != nil {
-		if !ds.tree.Contains(id, vec.Vector(p)) {
-			return false, nil
-		}
-		if err := ds.wal.Append(walEncode(ds.version.Load()+1, false, id, p)); err != nil {
+		if err := ds.wal.Append(walEncode(m)); err != nil {
 			return false, fmt.Errorf("gir: delete aborted, write-ahead append failed: %w", err)
 		}
 	}
-	ds.tree.BeginCOW()
-	found := ds.tree.Delete(id, vec.Vector(p))
-	freed := ds.tree.CommitCOW()
-	if found {
-		ds.publishLocked(false, id, p, freed)
-	}
-	return found, nil
+	return ds.applyLocked(m), nil
 }
 
 // Len returns the number of records (of the currently published version;
@@ -579,8 +549,9 @@ func (ds *Dataset) Len() int {
 // sharded serving tier's version vector is built from — an Engine over
 // this dataset serves results at or past the version read here (its
 // generation fence vetoes cache hits that any not-yet-reconciled
-// mutation could perturb).
-func (ds *Dataset) Version() int64 { return ds.version.Load() }
+// mutation could perturb). The version is read off the published
+// snapshot, so it can never lag or lead the data a query sees.
+func (ds *Dataset) Version() int64 { return ds.snap.Load().version }
 
 // Dim returns the data dimensionality.
 func (ds *Dataset) Dim() int { return ds.tree.Dim() }
@@ -644,18 +615,6 @@ func wrapTopK(res *topk.Result, err error, k int, version int64) (*TopKResult, e
 		out.Records = append(out.Records, Record{ID: r.ID, Attrs: r.Point, Score: r.Score})
 	}
 	return out, nil
-}
-
-// acquireScratch borrows a pooled BRS workspace sized for the currently
-// published tree (no lock; the snapshot's geometry is immutable).
-func (ds *Dataset) acquireScratch() *topk.Scratch {
-	return topk.AcquireScratch(ds.snap.Load().tree)
-}
-
-// validateQuery checks a query vector and k against the dataset, with the
-// same errors for the sequential and batch (Engine) entry points.
-func (ds *Dataset) validateQuery(q []float64, k int) error {
-	return ds.snap.Load().validate(q, k)
 }
 
 // take marks the result consumed, returning an error on reuse. It also

@@ -440,8 +440,8 @@ type BatchOutcome struct {
 // a snapshot of each shard WITHOUT any cache lock held (it may solve LPs
 // for every mutation of the batch), then evictions and replacements are
 // applied under the shard lock by identity — entries inserted or evicted
-// concurrently are simply not considered, exactly as in EvictIf; the
-// Engine's generation fence covers that window. However long the batch,
+// concurrently are simply not considered; the Engine's generation fence
+// covers that window. However long the batch,
 // the cache is scanned once and each shard lock is taken at most twice
 // (snapshot + apply). A replacement inherits the old entry's recency
 // stamp, so a repair never perturbs LRU order.
@@ -565,47 +565,6 @@ func (c *Cache) Restore(s Snapshot, version int64) bool {
 	e.cleared.Store(version)
 	c.insert(e)
 	return true
-}
-
-// EvictIf removes every entry for which pred returns true and reports how
-// many were removed. pred is evaluated on a snapshot of each shard WITHOUT
-// any cache lock held — it may be arbitrarily expensive (the invalidation
-// predicate solves LPs) without stalling concurrent lookups. Removal is by
-// identity afterward, so entries inserted or evicted concurrently are
-// simply not considered; the Engine's generation fence covers that window.
-func (c *Cache) EvictIf(pred func(*Entry) bool) int {
-	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		snap := append([]*Entry(nil), s.entries...)
-		s.mu.RUnlock()
-		var victims []*Entry
-		for _, e := range snap {
-			if pred(e) {
-				victims = append(victims, e)
-			}
-		}
-		if len(victims) == 0 {
-			continue
-		}
-		s.mu.Lock()
-		for _, v := range victims {
-			for j, e := range s.entries {
-				if e == v {
-					n := len(s.entries)
-					s.entries[j] = s.entries[n-1]
-					s.entries[n-1] = nil
-					s.entries = s.entries[:n-1]
-					c.size.Add(-1)
-					removed++
-					break
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return removed
 }
 
 // Clear drops every entry (hit/miss counters are preserved) and reports

@@ -4,48 +4,6 @@ import (
 	"testing"
 )
 
-func TestEvictIf(t *testing.T) {
-	c := New(8)
-	var regs []*Entry
-	for i := 0; i < 4; i++ {
-		_, _, reg, recs := setup(t, int64(i+1), 200, 3, 3+i)
-		if !c.Put(reg, recs) {
-			t.Fatal("Put failed")
-		}
-		e, ok := c.Lookup(reg.Query, 3+i)
-		if !ok {
-			t.Fatal("fresh entry missed")
-		}
-		regs = append(regs, e)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// Evict entries with odd K; the rest must keep serving.
-	n := c.EvictIf(func(e *Entry) bool { return e.K%2 == 1 })
-	if n != 2 {
-		t.Fatalf("evicted %d entries, want 2", n)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len after EvictIf = %d", c.Len())
-	}
-	for _, e := range regs {
-		_, ok := c.Lookup(e.Region.Query, e.K)
-		if want := e.K%2 == 0; ok != want {
-			t.Errorf("entry K=%d: lookup ok=%v, want %v", e.K, ok, want)
-		}
-	}
-	if n := c.EvictIf(func(*Entry) bool { return false }); n != 0 {
-		t.Errorf("matched-nothing eviction removed %d", n)
-	}
-	if n := c.EvictIf(func(*Entry) bool { return true }); n != 2 {
-		t.Errorf("match-all eviction removed %d, want 2", n)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len after full eviction = %d", c.Len())
-	}
-}
-
 func TestLookupVeto(t *testing.T) {
 	_, q, reg, recs := setup(t, 9, 300, 3, 5)
 	c := New(4)

@@ -24,6 +24,20 @@ func TestFanCoversAllIndices(t *testing.T) {
 	Fan(0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
+// do runs fn once per key among concurrent callers through the group's
+// Claim/Done/Wait surface, the way the engine does for each member of a
+// miss group: the leader computes and publishes, everyone else waits.
+func do(g *Group, key string, fn func() (any, error)) (val any, err error, shared bool) {
+	c, leader := g.Claim(key)
+	if !leader {
+		val, err = c.Wait()
+		return val, err, true
+	}
+	val, err = fn()
+	g.Done(key, c, val, err)
+	return val, err, false
+}
+
 func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
 	var g Group
 	var executions atomic.Int32
@@ -36,7 +50,7 @@ func TestGroupDeduplicatesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() (any, error) {
+			v, err, shared := do(&g, "k", func() (any, error) {
 				executions.Add(1)
 				<-release
 				return 42, nil
@@ -74,7 +88,7 @@ func TestGroupDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(k string) {
 			defer wg.Done()
-			if _, err, _ := g.Do(k, func() (any, error) { n.Add(1); return nil, nil }); err != nil {
+			if _, err, _ := do(&g, k, func() (any, error) { n.Add(1); return nil, nil }); err != nil {
 				t.Error(err)
 			}
 		}(string(rune('a' + i)))
@@ -89,7 +103,7 @@ func TestGroupForgetsCompletedCalls(t *testing.T) {
 	var g Group
 	var n atomic.Int32
 	for i := 0; i < 3; i++ {
-		g.Do("k", func() (any, error) { n.Add(1); return nil, nil })
+		do(&g, "k", func() (any, error) { n.Add(1); return nil, nil })
 	}
 	if n.Load() != 3 {
 		t.Errorf("sequential calls collapsed: %d executions, want 3", n.Load())
@@ -99,8 +113,16 @@ func TestGroupForgetsCompletedCalls(t *testing.T) {
 func TestGroupPropagatesError(t *testing.T) {
 	var g Group
 	want := errors.New("boom")
-	_, err, _ := g.Do("k", func() (any, error) { return nil, want })
-	if err != want {
+	c, leader := g.Claim("k")
+	if !leader {
+		t.Fatal("first claim of a key is not its leader")
+	}
+	follower, second := g.Claim("k")
+	if second || follower != c {
+		t.Fatal("a claim of an in-flight key did not join its call")
+	}
+	g.Done("k", c, nil, want)
+	if _, err := follower.Wait(); err != want {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -42,46 +42,3 @@ func Fan(n, workers int, fn func(i int)) {
 	close(idx)
 	wg.Wait()
 }
-
-// FanScoped is Fan with per-worker state: scope runs once on each worker
-// goroutine and returns that worker's fn plus a cleanup called when the
-// worker's indices are exhausted. Batch drivers use it to thread one
-// reusable workspace (a pooled BRS scratch, say) through every query a
-// worker serves instead of borrowing one per index.
-func FanScoped(n, workers int, scope func() (fn func(i int), done func())) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn, done := scope()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		done()
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			fn, done := scope()
-			defer done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}

@@ -23,16 +23,16 @@ func (c *Call) Wait() (any, error) {
 	return c.val, c.err
 }
 
-// Group deduplicates concurrent function calls by key: while one call for
-// a key is in flight, later Do invocations with the same key wait for it
-// and share its result instead of executing fn again. Completed calls are
-// forgotten immediately (this is request collapsing, not caching — the
-// caller layers its own cache on top).
+// Group deduplicates concurrent computations by key: while one call for a
+// key is in flight, later claims of the same key wait for it and share its
+// result instead of computing again. Completed calls are forgotten
+// immediately (this is request collapsing, not caching — the caller
+// layers its own cache on top).
 //
-// Beyond Do, the Claim/Done pair exposes the same discipline split in
-// two, for callers that compute MANY claimed keys in one fused operation
-// (the engine's batched traversal): claim every key first, run the single
-// computation, then publish per-key results.
+// The discipline is split in two, Claim and Done, because the engine
+// computes MANY claimed keys in one fused operation: claim every key
+// first, run the single computation, then publish per-key results. One
+// key is the same sequence with one claim.
 type Group struct {
 	mu sync.Mutex
 	m  map[string]*Call
@@ -65,18 +65,4 @@ func (g *Group) Done(key string, c *Call, val any, err error) {
 	delete(g.m, key)
 	g.mu.Unlock()
 	c.wg.Done()
-}
-
-// Do executes fn once per key among concurrent callers, returning the
-// shared value and error. The boolean reports whether this caller shared
-// another caller's execution (true) or ran fn itself (false).
-func (g *Group) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
-	c, leader := g.Claim(key)
-	if !leader {
-		val, err = c.Wait()
-		return val, err, true
-	}
-	val, err = fn()
-	g.Done(key, c, val, err)
-	return val, err, false
 }

@@ -407,11 +407,11 @@ func (s *Solver) Solve(p *Problem) Solution {
 	}
 	// Verify the certificate: a tableau can terminate "optimal" with a
 	// solution that violates a constraint when pivots degrade on
-	// ill-conditioned rows. Found by FuzzRepairInsert (corpus entry
-	// 229d1b270705bacf): a row [3e-10, -0.19, -0.19] ≥ 0 was silently
-	// violated and the phantom optimum overstated a cache-repair margin
-	// by 0.69. Every caller treats non-Optimal conservatively, so the
-	// check converts silent wrong answers into safe refusals.
+	// ill-conditioned rows. Found by internal/repair's insert fuzz target
+	// (corpus entry 229d1b270705bacf): a row [3e-10, -0.19, -0.19] ≥ 0 was
+	// silently violated and the phantom optimum overstated a cache-repair
+	// margin by 0.69. Every caller treats non-Optimal conservatively, so
+	// the check converts silent wrong answers into safe refusals.
 	if !feasibleAt(p.Constraints, x) {
 		return Solution{Status: NumericalFailure}
 	}

@@ -493,6 +493,18 @@ func (t *Tree) ReadBlockCached(id pager.PageID, c *BlockCache) (blk *NodeBlock, 
 	return t.ReadBlock(id, c.blocks[s]), false, s
 }
 
+// CachedBlock returns the block an earlier ReadBlockCached retained for
+// id, and its slot, without touching the store; ok is false when the page
+// is not in the cache. It is the read of a traversal that nobody follows:
+// what it has to decode itself it need not retain.
+func (t *Tree) CachedBlock(id pager.PageID, c *BlockCache) (blk *NodeBlock, slot int, ok bool) {
+	s, ok := c.idx[t.resolveID(id)]
+	if !ok {
+		return nil, -1, false
+	}
+	return c.blocks[s], s, true
+}
+
 // Point gathers record i of a leaf block into dst (len ≥ d) and returns
 // dst[:d].
 func (b *NodeBlock) Point(i int, dst []float64) []float64 {

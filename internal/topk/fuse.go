@@ -3,11 +3,11 @@
 //
 // The contract that makes fusion safe to serve through every existing
 // seam (cache fills, GIR phase 2, repair retention) is byte-identity per
-// member: BRSGroup runs each member's EXACT solo traversal — the same
-// heap push/pop sequence, the same floating-point operations in the same
-// order — so Records, T and the resumable heap are bit-equal to BRSWith's.
-// What is shared is the page work: decoded blocks are memoized in a
-// group-level cache (the first member to touch a page pays its one
+// member: BRSGroup runs for each member the traversal a group of one runs
+// — the same heap push/pop sequence, the same floating-point operations in
+// the same order — so Records, T and the resumable heap are bit-equal to a
+// solo BRS's. What is shared is the page work: decoded blocks are memoized
+// in a group-level cache (the first member to touch a page pays its one
 // counted read), and on first decode a leaf is scored against every
 // still-active member's query in one block-kernel pass
 // (score.MultiLeafScorer over the queries×records tile), so later members
@@ -19,9 +19,7 @@ package topk
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/vec"
@@ -48,48 +46,6 @@ type GroupStats struct {
 func (a *GroupStats) add(b GroupStats) {
 	a.PageReads += b.PageReads
 	a.SharedReads += b.SharedReads
-}
-
-// GroupScratch is the pooled workspace of one fused group traversal: the
-// per-member solo Scratch (reused serially across members), the shared
-// block-decode cache, and the per-page precomputed score rows the
-// multi-query kernel fills at first decode. Like Scratch, everything in
-// it is private to the BRSGroup call using it; results are materialized
-// into owned memory before it is recycled.
-type GroupScratch struct {
-	s     *Scratch
-	cache rtree.BlockCache
-
-	// Per cache-slot side state: rows[slot] holds the leaf's score rows
-	// for members first[slot].. (member-major, blk.Count floats each);
-	// first[slot] < 0 means the slot has no precomputed rows (internal
-	// node, non-bulk scorer, or a last-member decode nobody else will
-	// revisit).
-	rows  [][]float64
-	first []int
-	views [][]float64 // reusable row views handed to the kernel
-
-	stats GroupStats
-}
-
-var groupScratchPool = sync.Pool{New: func() interface{} { return new(GroupScratch) }}
-
-// AcquireGroupScratch returns a fused-traversal workspace sized for
-// queries over tree. Release it when the group's results have been
-// materialized.
-func AcquireGroupScratch(tree *rtree.Tree) *GroupScratch {
-	gs := groupScratchPool.Get().(*GroupScratch)
-	gs.s = AcquireScratch(tree)
-	return gs
-}
-
-// Release returns the workspace to the pool. The caller must not touch it
-// afterwards; Results returned by BRSGroup stay valid (they own their
-// memory).
-func (gs *GroupScratch) Release() {
-	gs.s.Release()
-	gs.s = nil
-	groupScratchPool.Put(gs)
 }
 
 // ensureSlot grows the per-slot side state to cover slot.
@@ -121,21 +77,21 @@ func (gs *GroupScratch) scoreSlot(slot int, blk *rtree.NodeBlock, ml score.Multi
 }
 
 // leafRow returns member m's precomputed score row for a cached leaf
-// slot, or nil when the slot has none.
+// slot, or nil when the block is not retained (slot < 0) or has none.
 func (gs *GroupScratch) leafRow(slot, m, count int) []float64 {
-	f := gs.first[slot]
-	if f < 0 {
+	if slot < 0 || gs.first[slot] < 0 {
 		return nil
 	}
+	f := gs.first[slot]
 	return gs.rows[slot][(m-f)*count : (m-f+1)*count]
 }
 
 // BRSGroup answers a group of queries over one tree state with a fused
-// traversal: member results are byte-identical to per-query BRSWith calls
+// traversal: member results are byte-identical to per-query BRS calls
 // (same Records, T and resumable heap, bit for bit), but page decodes are
 // shared through the group cache and leaves are block-scored for all
 // still-active members at first decode. Members run in slice order; ks[i]
-// is member i's k. Panics exactly where BRSWith would (k out of range,
+// is member i's k. Panics exactly where BRS would (k out of range,
 // dimension mismatch, corrupt index).
 //
 // The group should hold angularly similar queries (see FuseGroups) — the
@@ -145,87 +101,12 @@ func BRSGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vect
 	if len(qs) != len(ks) {
 		panic(fmt.Sprintf("topk: BRSGroup got %d queries and %d ks", len(qs), len(ks)))
 	}
-	gs.cache.Reset()
-	gs.stats = GroupStats{}
+	gs.begin()
 	out := make([]*Result, len(qs))
 	for m := range qs {
-		out[m] = gs.runMember(tree, f, qs, ks, m)
+		out[m] = gs.runMember(tree, f, qs, ks[m], m)
 	}
 	return out, gs.stats
-}
-
-// runMember is BRSWith with reads routed through the group's decode
-// cache. Every branch that affects the result mirrors BRSWith exactly.
-func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int, m int) *Result {
-	q, k := qs[m], ks[m]
-	if k <= 0 || k > tree.Len() {
-		panic(fmt.Sprintf("topk: k=%d out of range for %d records", k, tree.Len()))
-	}
-	if len(q) != tree.Dim() {
-		panic("topk: query dimensionality mismatch")
-	}
-	d := tree.Dim()
-	s := gs.s
-	s.reset()
-	ml, multi := f.(score.MultiLeafScorer)
-	ls, bulk := f.(score.LeafScorer)
-
-	readBlock := func(id pager.PageID) (*rtree.NodeBlock, int) {
-		blk, cached, slot := tree.ReadBlockCached(id, &gs.cache)
-		if cached {
-			gs.stats.SharedReads++
-			return blk, slot
-		}
-		gs.stats.PageReads++
-		gs.ensureSlot(slot)
-		if multi && blk.Leaf && m+1 < len(qs) {
-			gs.scoreSlot(slot, blk, ml, qs, m)
-		} else {
-			gs.first[slot] = -1
-		}
-		return blk, slot
-	}
-
-	pushBlock := func(blk *rtree.NodeBlock, slot int) {
-		n := blk.Count
-		if blk.Leaf {
-			sc := gs.leafRow(slot, m, n)
-			if sc == nil {
-				sc = s.scores[:n]
-				if bulk {
-					ls.ScoreLeaf(sc, blk.Cols, q)
-				} else {
-					for i := 0; i < n; i++ {
-						sc[i] = f.Score(blk.Point(i, s.point), q)
-					}
-				}
-			}
-			for i := 0; i < n; i++ {
-				s.heap.push(brsItem{key: sc[i], id: blk.RecIDs[i], ref: s.putPoint(blk, i)})
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			lo := vec.Vector(blk.Lo[i*d : (i+1)*d])
-			hi := vec.Vector(blk.Hi[i*d : (i+1)*d])
-			key := f.MaxScore(lo, hi, q)
-			s.heap.push(brsItem{key: key, child: blk.Children[i], node: true, ref: s.putRect(lo, hi)})
-		}
-	}
-	pushBlock(readBlock(tree.Root()))
-
-	for len(s.heap) > 0 && len(s.top) < k {
-		it := s.heap.pop()
-		if it.node {
-			pushBlock(readBlock(it.child))
-			continue
-		}
-		s.top = append(s.top, it)
-	}
-	if len(s.top) < k {
-		panic("topk: heap exhausted before k records (corrupt index)")
-	}
-	return s.materialize(f, q, d, k)
 }
 
 // FuseGroups greedily partitions a query batch into fusion groups of at
@@ -247,9 +128,12 @@ func FuseGroups(qs []vec.Vector, limit int) [][]int {
 	}
 	d := len(qs[0])
 	unit := make([]float64, n*d)
-	assign := make([]int, n)
-	var reps []int // group -> member index of its representative
-	var sizes []int
+	// One int slab for all the bookkeeping — at most n groups — so that
+	// planning a group of one costs three allocations, not six.
+	ints := make([]int, 4*n)
+	assign, slab := ints[:n], ints[n:2*n]
+	reps := ints[2*n : 2*n : 3*n] // group -> member index of its representative
+	sizes := ints[3*n : 3*n : 4*n]
 	for i, q := range qs {
 		ok := len(q) == d
 		var norm float64
@@ -295,7 +179,6 @@ func FuseGroups(qs []vec.Vector, limit int) [][]int {
 	// One index slab backs every group, so a batch of singletons does not
 	// allocate per query.
 	groups := make([][]int, len(reps))
-	slab := make([]int, n)
 	off := 0
 	for g, sz := range sizes {
 		groups[g] = slab[off : off : off+sz]

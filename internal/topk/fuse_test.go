@@ -71,10 +71,12 @@ func sameResult(t *testing.T, tag string, got, want *Result) {
 }
 
 // TestBRSGroupByteIdentical is the fused-traversal differential at the
-// topk layer: every member of a fused group gets a Result bit-equal to a
-// solo BRS — records, scores, the candidate set T AND the resumable heap
-// (the engine's cache-fill GIR resumes from it, so identity must cover
-// the full retained state, not just the answer).
+// topk layer: a group of N equals N groups of one — every member of a
+// fused group gets a Result bit-equal to a solo BRS: records, scores, the
+// candidate set T AND the resumable heap (the engine's cache-fill GIR
+// resumes from it, so identity must cover the full retained state, not
+// just the answer). Both run the one traversal, so the answer is also
+// held against Scan, the oracle that shares no code with it.
 func TestBRSGroupByteIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, d := range []int{2, 4} {
@@ -84,6 +86,11 @@ func TestBRSGroupByteIdentical(t *testing.T) {
 		for i := range qs {
 			want := BRS(tree, score.Linear{}, qs[i], ks[i])
 			sameResult(t, "fused batch", got[i], want)
+			for j, rec := range Scan(tree, score.Linear{}, qs[i], ks[i]) {
+				if g := got[i].Records[j]; g.ID != rec.ID || g.Score != rec.Score {
+					t.Fatalf("query %d rank %d: group says (%d, %v), a full scan (%d, %v)", i, j, g.ID, g.Score, rec.ID, rec.Score)
+				}
+			}
 		}
 		if stats.SharedReads == 0 {
 			t.Error("jittered batch shared no page reads — fusion never engaged")

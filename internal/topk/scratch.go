@@ -4,83 +4,116 @@ import (
 	"sync"
 
 	"github.com/girlib/gir/internal/rtree"
+	"github.com/girlib/gir/internal/vec"
 )
 
-// Scratch is the pooled per-query workspace of the BRS hot path: the
-// search heap, the float64 arena behind its items, the reusable decoded
-// page block, and the per-leaf scoring buffers. One BRS run touches no
-// other transient memory, so a recycled Scratch makes the cold path
-// O(1) amortized allocations.
+// GroupScratch is the pooled workspace of one BRS group traversal — a
+// fused group of many queries or a solo query, which is a group of one.
+// It holds the member workspace (the search heap, the float64 arena
+// behind its items, the per-leaf scoring buffers), reused serially
+// across members, plus what a group shares: the block-decode cache and
+// the per-page precomputed score rows the multi-query kernel fills at
+// first decode. One traversal touches no other transient memory, so a
+// recycled GroupScratch makes the cold path O(1) amortized allocations.
 //
-// Ownership rule: everything inside a Scratch is private to the BRS call
-// using it. BRSWith deep-copies whatever outlives the call (Records, T,
-// the resumable heap, the query) into freshly allocated slabs before
-// returning, so a Result — and any cache entry built from it — never
-// aliases pooled memory. Release only after the call that used the
-// scratch has returned.
-type Scratch struct {
+// Ownership rule: everything inside a GroupScratch is private to the BRS
+// or BRSGroup call using it. Whatever outlives the call (Records, T, the
+// resumable heap, the query) is deep-copied into freshly allocated slabs
+// before the call returns, so a Result — and any cache entry built from
+// it — never aliases pooled memory. Release only after the call that
+// used the scratch has returned.
+type GroupScratch struct {
 	heap   brsHeap
 	arena  []float64 // backing store for heap item points / rects
 	top    []brsItem // the popped top-k, in pop order
-	blk    rtree.NodeBlock
 	point  []float64 // gather buffer for per-record scoring
 	scores []float64 // per-leaf bulk scoring buffer
+
+	// cache retains every page a member decodes for the members still to
+	// run. The group's last member — a solo query is its own last member —
+	// has nobody to retain for, and a traversal never revisits a page, so
+	// it decodes into the one reusable blk instead.
+	cache rtree.BlockCache
+	blk   rtree.NodeBlock
+
+	// Per cache-slot side state: rows[slot] holds the leaf's score rows
+	// for members first[slot].. (member-major, blk.Count floats each);
+	// first[slot] < 0 means the slot has no precomputed rows (internal
+	// node or non-bulk scorer).
+	rows  [][]float64
+	first []int
+	views [][]float64 // reusable row views handed to the kernel
+
+	one   [1]vec.Vector // BRS's one-member query list, so a solo call allocates none
+	stats GroupStats
 }
 
-var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
+var groupScratchPool = sync.Pool{New: func() interface{} { return new(GroupScratch) }}
 
-// AcquireScratch returns a workspace sized for queries over tree. Reused
-// scratches keep their grown capacity; fresh ones are pre-sized from the
-// tree's fan-out and height so the first query does not grow them either.
-func AcquireScratch(tree *rtree.Tree) *Scratch {
-	s := scratchPool.Get().(*Scratch)
+// AcquireGroupScratch returns a traversal workspace sized for queries
+// over tree. Reused scratches keep their grown capacity; fresh ones are
+// pre-sized from the tree's fan-out and height so the first query does
+// not grow them either. Release it when the group's results have been
+// materialized.
+func AcquireGroupScratch(tree *rtree.Tree) *GroupScratch {
+	gs := groupScratchPool.Get().(*GroupScratch)
 	d := tree.Dim()
 	// A BRS frontier holds at most one expanded node's entries per level
 	// plus the not-yet-popped remainder; fan-out × (height+1) is a
 	// comfortable over-estimate for the common k ≪ n case.
 	est := (tree.MaxLeafEntries() + tree.MaxInternalEntries()) * (tree.Height() + 1)
-	if cap(s.heap) < est {
-		s.heap = make(brsHeap, 0, est)
+	if cap(gs.heap) < est {
+		gs.heap = make(brsHeap, 0, est)
 	}
-	if cap(s.arena) < est*2*d {
-		s.arena = make([]float64, 0, est*2*d)
+	if cap(gs.arena) < est*2*d {
+		gs.arena = make([]float64, 0, est*2*d)
 	}
-	if cap(s.point) < d {
-		s.point = make([]float64, d)
+	if cap(gs.point) < d {
+		gs.point = make([]float64, d)
 	}
-	if cap(s.scores) < tree.MaxLeafEntries() {
-		s.scores = make([]float64, tree.MaxLeafEntries())
+	if cap(gs.scores) < tree.MaxLeafEntries() {
+		gs.scores = make([]float64, tree.MaxLeafEntries())
 	}
-	return s
+	return gs
 }
 
-// Release returns the scratch to the pool. The caller must not touch it —
-// or anything still aliasing its buffers — afterwards.
-func (s *Scratch) Release() {
-	scratchPool.Put(s)
+// Release returns the workspace to the pool. The caller must not touch it
+// — or anything still aliasing its buffers — afterwards; Results returned
+// by BRS and BRSGroup stay valid (they own their memory).
+func (gs *GroupScratch) Release() {
+	gs.one[0] = nil
+	groupScratchPool.Put(gs)
 }
 
-func (s *Scratch) reset() {
-	s.heap = s.heap[:0]
-	s.arena = s.arena[:0]
-	s.top = s.top[:0]
+// begin starts a new group on the workspace: a decode cache is only valid
+// against one tree state, so nothing carries over from the last group.
+func (gs *GroupScratch) begin() {
+	gs.cache.Reset()
+	gs.stats = GroupStats{}
+}
+
+// reset clears the member workspace for the group's next member.
+func (gs *GroupScratch) reset() {
+	gs.heap = gs.heap[:0]
+	gs.arena = gs.arena[:0]
+	gs.top = gs.top[:0]
 }
 
 // putPoint copies record i of a leaf block into the arena, returning its
 // offset.
-func (s *Scratch) putPoint(blk *rtree.NodeBlock, i int) int {
-	ref := len(s.arena)
+func (gs *GroupScratch) putPoint(blk *rtree.NodeBlock, i int) int {
+	ref := len(gs.arena)
 	for _, col := range blk.Cols {
-		s.arena = append(s.arena, col[i])
+		gs.arena = append(gs.arena, col[i])
 	}
 	return ref
 }
 
 // putRect copies a node's lo and hi corners into the arena, returning the
 // offset of lo (hi follows at ref+d).
-func (s *Scratch) putRect(lo, hi []float64) int {
-	ref := len(s.arena)
-	s.arena = append(s.arena, lo...)
-	s.arena = append(s.arena, hi...)
+func (gs *GroupScratch) putRect(lo, hi []float64) int {
+	ref := len(gs.arena)
+	gs.arena = append(gs.arena, lo...)
+	gs.arena = append(gs.arena, hi...)
 	return ref
 }

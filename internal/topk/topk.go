@@ -9,10 +9,12 @@
 // step) resumes the traversal from that heap, so no page is ever read
 // twice.
 //
-// The search runs entirely on a pooled Scratch workspace (typed heaps, a
-// float64 arena, reusable page blocks); the Result handed back is
-// materialized into freshly allocated slabs at the end, so it owns all of
-// its memory and the scratch can be recycled immediately.
+// There is one traversal (runMember), and it runs for a group of queries
+// over one tree state; a solo query is a group of one. The search runs
+// entirely on a pooled GroupScratch workspace (typed heaps, a float64
+// arena, reusable page blocks); the Result handed back is materialized
+// into freshly allocated slabs at the end, so it owns all of its memory
+// and the scratch can be recycled immediately.
 package topk
 
 import (
@@ -46,19 +48,26 @@ type Result struct {
 func (r *Result) Kth() Record { return r.Records[len(r.Records)-1] }
 
 // BRS answers the top-k query over the tree with scoring function f and
-// query vector q, using a pooled scratch workspace. It panics if k exceeds
-// the dataset size or is not positive.
+// query vector q, using a pooled workspace. It is a group of one: the same
+// member traversal BRSGroup runs, with no later member to share decoded
+// pages with. It panics if k exceeds the dataset size or is not positive.
 func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
-	s := AcquireScratch(tree)
-	defer s.Release()
-	return BRSWith(s, tree, f, q, k)
+	gs := AcquireGroupScratch(tree)
+	defer gs.Release()
+	gs.one[0] = q
+	gs.begin()
+	return gs.runMember(tree, f, gs.one[:], k, 0)
 }
 
-// BRSWith is BRS running on an explicitly provided scratch, for callers
-// that thread one workspace through many queries (the engine's serving
-// loop, batch workers). The returned Result owns all of its memory; s can
-// be reused for the next query as soon as BRSWith returns.
-func BRSWith(s *Scratch, tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
+// runMember is the BRS traversal, for member m of the group qs with
+// result size k. Reads go through the group's decode cache: the first
+// member to touch a page pays its one counted read and retains the block,
+// and a leaf is scored on first decode for every member still to run, so
+// a later member finds its score row precomputed; the last member retains
+// and scores for nobody. The returned Result owns all of its memory; the
+// workspace is reused for the next member as soon as runMember returns.
+func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int) *Result {
+	q := qs[m]
 	if k <= 0 || k > tree.Len() {
 		panic(fmt.Sprintf("topk: k=%d out of range for %d records", k, tree.Len()))
 	}
@@ -66,22 +75,53 @@ func BRSWith(s *Scratch, tree *rtree.Tree, f score.General, q vec.Vector, k int)
 		panic("topk: query dimensionality mismatch")
 	}
 	d := tree.Dim()
-	s.reset()
+	gs.reset()
+	ml, multi := f.(score.MultiLeafScorer)
 	ls, bulk := f.(score.LeafScorer)
+	last := m+1 == len(qs)
 
-	pushBlock := func(blk *rtree.NodeBlock) {
+	// readBlock returns the decoded page and its cache slot, -1 for a
+	// block that is not retained.
+	readBlock := func(id pager.PageID) (*rtree.NodeBlock, int) {
+		if last {
+			if blk, slot, ok := tree.CachedBlock(id, &gs.cache); ok {
+				gs.stats.SharedReads++
+				return blk, slot
+			}
+			gs.stats.PageReads++
+			return tree.ReadBlock(id, &gs.blk), -1
+		}
+		blk, cached, slot := tree.ReadBlockCached(id, &gs.cache)
+		if cached {
+			gs.stats.SharedReads++
+			return blk, slot
+		}
+		gs.stats.PageReads++
+		gs.ensureSlot(slot)
+		if multi && blk.Leaf {
+			gs.scoreSlot(slot, blk, ml, qs, m)
+		} else {
+			gs.first[slot] = -1
+		}
+		return blk, slot
+	}
+
+	pushBlock := func(blk *rtree.NodeBlock, slot int) {
 		n := blk.Count
 		if blk.Leaf {
-			sc := s.scores[:n]
-			if bulk {
-				ls.ScoreLeaf(sc, blk.Cols, q)
-			} else {
-				for i := 0; i < n; i++ {
-					sc[i] = f.Score(blk.Point(i, s.point), q)
+			sc := gs.leafRow(slot, m, n)
+			if sc == nil {
+				sc = gs.scores[:n]
+				if bulk {
+					ls.ScoreLeaf(sc, blk.Cols, q)
+				} else {
+					for i := 0; i < n; i++ {
+						sc[i] = f.Score(blk.Point(i, gs.point), q)
+					}
 				}
 			}
 			for i := 0; i < n; i++ {
-				s.heap.push(brsItem{key: sc[i], id: blk.RecIDs[i], ref: s.putPoint(blk, i)})
+				gs.heap.push(brsItem{key: sc[i], id: blk.RecIDs[i], ref: gs.putPoint(blk, i)})
 			}
 			return
 		}
@@ -89,25 +129,25 @@ func BRSWith(s *Scratch, tree *rtree.Tree, f score.General, q vec.Vector, k int)
 			lo := vec.Vector(blk.Lo[i*d : (i+1)*d])
 			hi := vec.Vector(blk.Hi[i*d : (i+1)*d])
 			key := f.MaxScore(lo, hi, q)
-			s.heap.push(brsItem{key: key, child: blk.Children[i], node: true, ref: s.putRect(lo, hi)})
+			gs.heap.push(brsItem{key: key, child: blk.Children[i], node: true, ref: gs.putRect(lo, hi)})
 		}
 	}
-	pushBlock(tree.ReadBlock(tree.Root(), &s.blk))
+	pushBlock(readBlock(tree.Root()))
 
-	for len(s.heap) > 0 && len(s.top) < k {
-		it := s.heap.pop()
+	for len(gs.heap) > 0 && len(gs.top) < k {
+		it := gs.heap.pop()
 		if it.node {
-			pushBlock(tree.ReadBlock(it.child, &s.blk))
+			pushBlock(readBlock(it.child))
 			continue
 		}
 		// A record popped from a max-heap on maxscore is the best
 		// unreported record overall (I/O optimality of BRS).
-		s.top = append(s.top, it)
+		gs.top = append(gs.top, it)
 	}
-	if len(s.top) < k {
+	if len(gs.top) < k {
 		panic("topk: heap exhausted before k records (corrupt index)")
 	}
-	return s.materialize(f, q, d, k)
+	return gs.materialize(f, q, d, k)
 }
 
 // materialize deep-copies the search state into a freshly allocated
@@ -117,9 +157,9 @@ func BRSWith(s *Scratch, tree *rtree.Tree, f score.General, q vec.Vector, k int)
 // (sorted by score afterwards), node items form the resumable heap
 // (re-heapified with Init) — exactly the retention the per-item
 // allocating implementation performed, so results are byte-identical.
-func (s *Scratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
+func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
 	nT, nH := 0, 0
-	for _, it := range s.heap {
+	for _, it := range gs.heap {
 		if it.node {
 			nH++
 		} else {
@@ -136,9 +176,9 @@ func (s *Scratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
 	res := &Result{K: k, Func: f, Query: next()}
 	copy(res.Query, q)
 	res.Records = make([]Record, k)
-	for i, it := range s.top {
+	for i, it := range gs.top {
 		p := next()
-		copy(p, s.arena[it.ref:it.ref+d])
+		copy(p, gs.arena[it.ref:it.ref+d])
 		res.Records[i] = Record{ID: it.id, Point: p, Score: it.key}
 	}
 	if nT > 0 {
@@ -146,16 +186,16 @@ func (s *Scratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
 	}
 	hp := make(NodeHeap, 0, nH)
 	rects := make([]float64, nH*2*d)
-	for _, it := range s.heap {
+	for _, it := range gs.heap {
 		if it.node {
 			lo, hi := vec.Vector(rects[:d]), vec.Vector(rects[d:2*d])
 			rects = rects[2*d:]
-			copy(lo, s.arena[it.ref:it.ref+d])
-			copy(hi, s.arena[it.ref+d:it.ref+2*d])
+			copy(lo, gs.arena[it.ref:it.ref+d])
+			copy(hi, gs.arena[it.ref+d:it.ref+2*d])
 			hp = append(hp, NodeItem{Key: it.key, Child: it.child, Rect: rtree.Rect{Lo: lo, Hi: hi}})
 		} else {
 			p := next()
-			copy(p, s.arena[it.ref:it.ref+d])
+			copy(p, gs.arena[it.ref:it.ref+d])
 			res.T = append(res.T, Record{ID: it.id, Point: p, Score: it.key})
 		}
 	}

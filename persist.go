@@ -13,7 +13,6 @@ import (
 
 	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/domain"
-	"github.com/girlib/gir/internal/engine"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
@@ -46,7 +45,7 @@ func (ds *Dataset) saveLocked(path string) error {
 	binary.LittleEndian.PutUint32(meta[8:], uint32(height))
 	binary.LittleEndian.PutUint64(meta[12:], uint64(size))
 	meta[20] = byte(ds.space)
-	binary.LittleEndian.PutUint64(meta[21:], uint64(ds.version.Load()))
+	binary.LittleEndian.PutUint64(meta[21:], uint64(ds.Version()))
 	return pager.Snapshot(ds.store, meta, path)
 }
 
@@ -95,8 +94,7 @@ func Open(path string) (*Dataset, error) {
 	}
 	tree := rtree.Attach(store, m.dim, m.root, m.height, m.size)
 	ds := &Dataset{tree: tree, store: store, cost: pager.DefaultCostModel, space: m.space}
-	ds.version.Store(m.version)
-	ds.initSnap()
+	ds.publishSnapLocked(m.version, nil)
 	return ds, nil
 }
 
@@ -159,8 +157,7 @@ func OpenOnDisk(path string) (*Dataset, error) {
 	}
 	tree := rtree.Attach(fs, m.dim, m.root, m.height, m.size)
 	ds := &Dataset{tree: tree, store: fs, cost: pager.DefaultCostModel, file: fs, sidecar: side, space: m.space}
-	ds.version.Store(m.version)
-	ds.initSnap()
+	ds.publishSnapLocked(m.version, nil)
 	return ds, nil
 }
 
@@ -189,69 +186,12 @@ func (ds *Dataset) Close() error {
 	return first
 }
 
-// BatchItem is one unit of work for ComputeGIRBatch.
-type BatchItem struct {
-	Query []float64
-	K     int
-}
-
-// BatchResult pairs a batch item with its outcome.
-type BatchResult struct {
-	Item   BatchItem
-	Result *TopKResult
-	GIR    *GIR
-	Err    error
-}
-
-// ComputeGIRBatch answers every query and computes its GIR concurrently
-// (page reads are counted through the shared store; reads/IO stats
-// aggregate across the batch). parallelism ≤ 0 means GOMAXPROCS. Results
-// are returned in input order.
-//
-// This is the low-level fan-out without caching or deduplication; the
-// Engine (BatchGIR) layers both on top and is what a serving workload
-// should use.
-func (ds *Dataset) ComputeGIRBatch(items []BatchItem, m Method, parallelism int) []BatchResult {
-	out := make([]BatchResult, len(items))
-	engine.FanScoped(len(items), parallelism, func() (func(int), func()) {
-		// One pooled BRS scratch per worker, reused across every item the
-		// worker serves.
-		sc := ds.acquireScratch()
-		return func(i int) {
-			it := items[i]
-			// One pinned snapshot per item: the traversal and the region
-			// build see the same index version even while mutations land.
-			sn := ds.pinSnap()
-			defer sn.release()
-			inner, err := sn.topKWith(sc, it.Query, it.K, Linear)
-			if err != nil {
-				out[i] = BatchResult{Item: it, Err: err}
-				return
-			}
-			res, _ := wrapTopK(inner, nil, it.K, sn.version)
-			// Keep an unconsumed copy of the records for the caller.
-			public := &TopKResult{Records: res.Records, K: res.K}
-			taken, err := res.take()
-			var g *GIR
-			if err == nil {
-				g, err = ds.computeGIRSnap(sn, taken, m, false)
-			}
-			out[i] = BatchResult{Item: it, Result: public, GIR: g, Err: err}
-		}, sc.Release
-	})
-	return out
-}
-
 // warmCacheMagic heads a warm-cache snapshot file (the trailing byte is a
-// format version). Version 2 added the query-space byte after the
-// dimension; version 3 added a whole-file CRC32C and the dataset version
-// the snapshot captured. Older versions still load (as box-space caches
-// for version 1), they just carry no checksum.
-var (
-	warmCacheMagic   = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '3'}
-	warmCacheMagicV2 = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '2'}
-	warmCacheMagicV1 = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '1'}
-)
+// format version): a whole-file CRC32C, then dimension, query space and
+// the dataset version the snapshot captured. No build since the
+// checksummed format writes versions 1 and 2; a file headed by either is
+// refused like any other unknown magic.
+var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '3'}
 
 // cacheCRC is the Castagnoli table the warm-cache checksum uses (the same
 // polynomial as the pager's snapshot and WAL checksums).
@@ -334,7 +274,7 @@ func (e *Engine) snapshotCacheQuiesced() ([]cacheint.Snapshot, int64, error) {
 	if n := len(e.pending); n > 0 {
 		return nil, 0, fmt.Errorf("gir: engine closed with %d mutations unreconciled — the cache is stale and was not saved", n)
 	}
-	version := e.ds.version.Load()
+	version := e.ds.Version()
 	entries := e.cache.inner.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].LastUse() < entries[j].LastUse() })
 	snaps := make([]cacheint.Snapshot, len(entries))
@@ -374,47 +314,22 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 	if err != nil {
 		return err
 	}
-	if len(data) < 8 {
+	if len(data) < 12 || !bytes.Equal(data[:8], warmCacheMagic[:]) {
 		return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
 	}
-	var magic [8]byte
-	copy(magic[:], data)
-	var body []byte
-	switch magic {
-	case warmCacheMagic:
-		if len(data) < 12 {
-			return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
-		}
-		if crc32.Checksum(data[12:], cacheCRC) != binary.LittleEndian.Uint32(data[8:]) {
-			return fmt.Errorf("gir: %s fails its checksum — the warm-cache snapshot is corrupt", path)
-		}
-		body = data[12:]
-	case warmCacheMagicV2, warmCacheMagicV1:
-		body = data[8:] // pre-checksum formats: decode guards only
-	default:
-		return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
+	if crc32.Checksum(data[12:], cacheCRC) != binary.LittleEndian.Uint32(data[8:]) {
+		return fmt.Errorf("gir: %s fails its checksum — the warm-cache snapshot is corrupt", path)
 	}
-	dec := cacheDecoder{r: bytes.NewReader(body)}
+	dec := cacheDecoder{r: bytes.NewReader(data[12:])}
 	dim := int(dec.u32())
-	space := SpaceBox // version-1 snapshots predate the simplex domain
-	if magic != warmCacheMagicV1 {
-		var sb [1]byte
-		dec.bytes(sb[:])
-		switch Space(sb[0]) {
-		case SpaceBox, SpaceSimplex:
-			space = Space(sb[0])
-		default:
-			if dec.err == nil {
-				return fmt.Errorf("gir: %s records unknown query space %d", path, sb[0])
-			}
-		}
+	var sb [1]byte
+	dec.bytes(sb[:])
+	space := Space(sb[0])
+	if dec.err == nil && space != SpaceBox && space != SpaceSimplex {
+		return fmt.Errorf("gir: %s records unknown query space %d", path, sb[0])
 	}
-	savedVersion, haveVersion := int64(0), false
-	if magic == warmCacheMagic {
-		savedVersion = dec.i64()
-		haveVersion = true
-	}
-	if dec.err == nil && requireVersion != nil && (!haveVersion || savedVersion != *requireVersion) {
+	savedVersion := dec.i64()
+	if dec.err == nil && requireVersion != nil && savedVersion != *requireVersion {
 		return nil // torn checkpoint pair: skip the warm start
 	}
 	if dec.err == nil && dim != e.ds.Dim() {
@@ -424,7 +339,7 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 		return fmt.Errorf("gir: cache snapshot was saved in the %v query space, dataset serves %v — cross-domain loads are refused", space, dsSpace)
 	}
 	count := int(dec.u32())
-	version := e.ds.version.Load()
+	version := e.ds.Version()
 	dom := space.domain(dim)
 	for i := 0; i < count; i++ {
 		snap := dec.entry(dim, dom)

@@ -137,59 +137,6 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestComputeGIRBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	ds, err := gir.NewDataset(randomPoints(r, 3000, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := make([]gir.BatchItem, 12)
-	for i := range items {
-		items[i] = gir.BatchItem{
-			Query: []float64{0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64()},
-			K:     3 + i%5,
-		}
-	}
-	items[5].K = -1 // one bad item must not poison the batch
-
-	results := ds.ComputeGIRBatch(items, gir.FP, 4)
-	if len(results) != len(items) {
-		t.Fatalf("%d results", len(results))
-	}
-	for i, br := range results {
-		if i == 5 {
-			if br.Err == nil {
-				t.Error("invalid k did not error")
-			}
-			continue
-		}
-		if br.Err != nil {
-			t.Fatalf("item %d: %v", i, br.Err)
-		}
-		if len(br.Result.Records) != items[i].K {
-			t.Fatalf("item %d: %d records", i, len(br.Result.Records))
-		}
-		if !br.GIR.Contains(items[i].Query) {
-			t.Fatalf("item %d: query outside its GIR", i)
-		}
-		// Sequential oracle.
-		seq, err := ds.TopK(items[i].Query, items[i].K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range seq.Records {
-			if seq.Records[j].ID != br.Result.Records[j].ID {
-				t.Fatalf("item %d rank %d differs from sequential run", i, j)
-			}
-		}
-	}
-	// The records-only copy in batch results must refuse GIR computation
-	// cleanly rather than crash.
-	if _, err := ds.ComputeGIR(results[0].Result, gir.FP); err == nil {
-		t.Error("records-only TopKResult powered a GIR computation")
-	}
-}
-
 func TestOnDiskDataset(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pts := randomPoints(r, 1500, 3)

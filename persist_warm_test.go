@@ -292,6 +292,20 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	if err := e.LoadCache(badPath); err == nil {
 		t.Error("snapshot with unknown query space accepted")
 	}
+
+	// A file headed GIRWARM2 — a format no build since the checksummed one
+	// writes — is outside input like any other unknown magic.
+	old := append([]byte(nil), data...)
+	old[7] = '2'
+	oldPath := filepath.Join(dir, "v2.gircache")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadCache(oldPath); err == nil {
+		t.Error("a GIRWARM2-headed file accepted")
+	} else if !strings.Contains(err.Error(), "not a warm-cache snapshot") {
+		t.Errorf("a GIRWARM2-headed file should be refused by its magic, got: %v", err)
+	}
 }
 
 // refreshCacheCRC recomputes a warm-cache snapshot's whole-file checksum
@@ -322,7 +336,7 @@ func TestSaveCacheAfterCloseWithPending(t *testing.T) {
 	}
 	e.Close()
 	e.invMu.Lock()
-	e.pending = append(e.pending, mutation{version: ds.version.Load() + 1, insert: true, id: 999, point: []float64{0.1, 0.2, 0.3}})
+	e.pending = append(e.pending, mutation{version: ds.Version() + 1, insert: true, id: 999, point: []float64{0.1, 0.2, 0.3}})
 	e.invMu.Unlock()
 
 	path := filepath.Join(t.TempDir(), "stale.gircache")

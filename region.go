@@ -112,127 +112,75 @@ func (ds *Dataset) computeGIRSnap(sn *treeSnap, inner *topk.Result, m Method, st
 	}, nil
 }
 
-// topKFill is the engine's cache-fill bundle: one query's records, region
-// and retained repair state, all computed against one dataset version.
-type topKFill struct {
+// groupAnswer is one member's share of an answerGroup call: its records
+// and, when a region was asked for, the region and the retained repair
+// state a cache entry keeps — all computed against one dataset version.
+type groupAnswer struct {
 	recs    []Record
 	g       *GIR // nil with girErr set when only the region build failed
 	cand    []topk.Record
 	bounds  []vec.Vector
 	candOK  bool
 	version int64
+	err     error // the member was invalid at the pinned version; nothing else is set
 	girErr  error
 }
 
-// topKAndGIR answers a query and computes its GIR against ONE pinned
-// snapshot, so no mutation can land between the traversal and the region
-// build (the retained BRS heap stays consistent with the pages Phase 2
-// resumes into). The repair state is snapshotted between BRS and Phase 2
-// — Phase 2 consumes the heap, and FP prunes subtrees from it without
-// reading them, so only the pre-Phase-2 state covers the dataset.
-func (ds *Dataset) topKAndGIR(q []float64, k int, m Method) (*topKFill, error) {
+// answerGroup is the one way a miss is computed, for one query or many,
+// with or without a region: it validates each member against ONE pinned
+// snapshot, answers the valid ones with one fused traversal
+// (topk.BRSGroup — a single member is a group of one) and, when build is
+// set, computes each member's GIR with method m under the same pin, so no
+// mutation can land between a traversal and its region build and each
+// retained heap resumes into exactly the pages its traversal read. The
+// repair state is snapshotted between BRS and Phase 2 — Phase 2 consumes
+// the heap, and FP prunes subtrees from it without reading them, so only
+// the pre-Phase-2 state covers the dataset.
+//
+// Validation is done here even when the caller already vetted the
+// queries: the pin may be a later version than the one that check saw,
+// and a racing delete can shrink the dataset below a member's k. Answers
+// are positionally aligned with qs as passed; qs and ks themselves are
+// consumed (the invalid members are compacted out of them in place).
+// Every member's records are byte-identical to a solo Dataset.TopK at the
+// pinned version. A member whose region build fails still carries its
+// records (girErr set).
+func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) ([]groupAnswer, topk.GroupStats) {
 	sn := ds.pinSnap()
 	defer sn.release()
-	sc := topk.AcquireScratch(sn.tree)
-	defer sc.Release()
-	out := &topKFill{version: sn.version}
-	res, err := sn.topKWith(sc, q, k, Linear)
-	if err != nil {
-		return nil, err
+	out := make([]groupAnswer, len(qs))
+	valid := 0
+	for i := range out {
+		out[i].version = sn.version
+		if out[i].err = sn.validate(qs[i], ks[i]); out[i].err == nil {
+			qs[valid], ks[valid] = qs[i], ks[i]
+			valid++
+		}
 	}
-	out.recs = make([]Record, len(res.Records))
-	for i, r := range res.Records {
-		out.recs[i] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
+	if valid == 0 {
+		return out, topk.GroupStats{}
 	}
-	out.cand, out.bounds, out.candOK = retainRepairState(res)
-	out.g, out.girErr = ds.computeGIRSnap(sn, res, m, false)
-	return out, nil
-}
-
-// runGroup validates each member of a fusion group against the pinned
-// snapshot and answers the valid ones with one fused traversal
-// (topk.BRSGroup). Validation is re-done here even though the engine
-// already vetted the batch: the pin may be a later version than the one
-// the batch-level check saw, and a racing delete can shrink the dataset
-// below a member's k. Results are positionally aligned with qs, nil where
-// errs[i] is set.
-func runGroup(sn *treeSnap, qs [][]float64, ks []int) ([]*topk.Result, topk.GroupStats, []error) {
-	n := len(qs)
-	results := make([]*topk.Result, n)
-	errs := make([]error, n)
-	vqs := make([]vec.Vector, 0, n)
-	vks := make([]int, 0, n)
-	idx := make([]int, 0, n)
-	for i := range qs {
-		if err := sn.validate(qs[i], ks[i]); err != nil {
-			errs[i] = err
+	gs := topk.AcquireGroupScratch(sn.tree)
+	results, stats := topk.BRSGroup(gs, sn.tree, score.Linear{}, qs[:valid], ks[:valid])
+	gs.Release()
+	next := 0
+	for i := range out {
+		a := &out[i]
+		if a.err != nil {
 			continue
 		}
-		vqs = append(vqs, vec.Vector(qs[i]))
-		vks = append(vks, ks[i])
-		idx = append(idx, i)
-	}
-	var stats topk.GroupStats
-	if len(vqs) > 0 {
-		gs := topk.AcquireGroupScratch(sn.tree)
-		var res []*topk.Result
-		res, stats = topk.BRSGroup(gs, sn.tree, score.Linear{}, vqs, vks)
-		gs.Release()
-		for j, i := range idx {
-			results[i] = res[j]
-		}
-	}
-	return results, stats, errs
-}
-
-// topKGroup answers a fusion group of queries under ONE pinned snapshot
-// with a shared traversal, for the engine's no-cache batch path. Every
-// member's records are byte-identical to a solo Dataset.TopK at the
-// pinned version.
-func (ds *Dataset) topKGroup(qs [][]float64, ks []int) ([][]Record, topk.GroupStats, []error) {
-	sn := ds.pinSnap()
-	defer sn.release()
-	results, stats, errs := runGroup(sn, qs, ks)
-	recs := make([][]Record, len(qs))
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		out := make([]Record, len(res.Records))
+		res := results[next]
+		next++
+		a.recs = make([]Record, len(res.Records))
 		for j, r := range res.Records {
-			out[j] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
+			a.recs[j] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
 		}
-		recs[i] = out
+		if build {
+			a.cand, a.bounds, a.candOK = retainRepairState(res)
+			a.g, a.girErr = ds.computeGIRSnap(sn, res, m, false)
+		}
 	}
-	return recs, stats, errs
-}
-
-// topKAndGIRGroup is topKGroup for the cache-fill path: one pinned
-// snapshot covers the fused traversal AND every member's GIR build, so
-// each fill's retained heap resumes into exactly the pages its traversal
-// read — the same single-pin discipline topKAndGIR keeps for one query.
-// Fills are positionally aligned with qs, nil where errs[i] is set; a
-// member whose region build fails still carries its records (girErr set,
-// the insert is skipped).
-func (ds *Dataset) topKAndGIRGroup(qs [][]float64, ks []int, m Method) ([]*topKFill, topk.GroupStats, []error) {
-	sn := ds.pinSnap()
-	defer sn.release()
-	results, stats, errs := runGroup(sn, qs, ks)
-	fills := make([]*topKFill, len(qs))
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		fill := &topKFill{version: sn.version}
-		fill.recs = make([]Record, len(res.Records))
-		for j, r := range res.Records {
-			fill.recs[j] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
-		}
-		fill.cand, fill.bounds, fill.candOK = retainRepairState(res)
-		fill.g, fill.girErr = ds.computeGIRSnap(sn, res, m, false)
-		fills[i] = fill
-	}
-	return fills, stats, errs
+	return out, stats
 }
 
 // Dim returns the query-space dimensionality.

@@ -187,79 +187,6 @@ func verifyEntry(t *testing.T, r *rand.Rand, ds *Dataset, mirror diffMirror, e *
 	}
 }
 
-// TestInvalidateThenRepairDeleteStaysSound pins that the evict-only and
-// repair maintenance families compose on a hand-managed cache: an
-// unaffecting insert that passes through InvalidateInsert (not
-// RepairInsert) must still land in the entry's candidate set, so a later
-// RepairDelete promotes the true next-best record rather than a stale
-// candidate from fill time.
-func TestInvalidateThenRepairDeleteStaysSound(t *testing.T) {
-	// Near-diagonal points: score order at q=(0.5,0.5) equals the diagonal
-	// order, and consecutive records dominate componentwise, so an insert
-	// strictly between two levels is provably unaffecting everywhere.
-	levels := []float64{0.9, 0.7, 0.5, 0.3, 0.1}
-	points := make([][]float64, len(levels))
-	for i, c := range levels {
-		points[i] = []float64{c + 0.001*float64(i), c - 0.001*float64(i)}
-	}
-	ds, err := NewDataset(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache(4)
-	q := []float64{0.5, 0.5}
-	res, err := ds.TopK(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ds.ComputeGIR(res, FP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Put(g, res) {
-		t.Fatal("Put failed")
-	}
-	kth := res.Records[1] // the 0.7-level record
-
-	// Insert between the 0.5 and 0.7 levels: dominated by the k-th record
-	// (unaffecting — the evict-only classifier keeps the entry) yet above
-	// every retained candidate.
-	p := []float64{0.6, 0.6}
-	const pid = int64(777)
-	if err := ds.Insert(pid, p); err != nil {
-		t.Fatal(err)
-	}
-	if ev := c.InvalidateInsert(pid, p); ev != 0 {
-		t.Fatalf("unaffecting insert evicted %d entries", ev)
-	}
-
-	// Delete the k-th result record and repair: the promotion must pick
-	// the freshly inserted record, not the stale fill-time next-best.
-	if ok, err := ds.Delete(kth.ID, kth.Attrs); err != nil || !ok {
-		t.Fatalf("delete failed: %v, %v", ok, err)
-	}
-	rep, ev := c.RepairDelete(kth.ID)
-	if rep != 1 || ev != 0 {
-		t.Fatalf("RepairDelete = (%d repaired, %d evicted), want (1, 0)", rep, ev)
-	}
-	got, ok := c.Lookup(q, 2)
-	if !ok {
-		t.Fatal("repaired entry missed")
-	}
-	fresh, err := ds.TopK(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Records {
-		if got.Records[i].ID != fresh.Records[i].ID {
-			t.Fatalf("mixed-API repair served %v, fresh top-k is %v", idsOf(got.Records), idsOf(fresh.Records))
-		}
-	}
-	if got.Records[1].ID != pid {
-		t.Fatalf("promotion picked record %d, want the absorbed insert %d", got.Records[1].ID, pid)
-	}
-}
-
 func TestRepairDifferential(t *testing.T) {
 	runRepairDifferential(t, SpaceBox)
 }
@@ -332,7 +259,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 	}
 
 	for step := 0; step < steps; step++ {
-		var rep, ev int
+		var st BatchStats
 		if len(live) > n/2 && r.Intn(3) == 0 {
 			// Delete a random live record (base or churned) so result
 			// records really do disappear.
@@ -345,8 +272,8 @@ func runRepairDifferential(t *testing.T, space Space) {
 			delete(mirror, id)
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
-			rep, ev = c.RepairDelete(id)
-			delRepaired += rep
+			st = c.ApplyBatch([]CacheMutation{{ID: id}})
+			delRepaired += st.Repaired
 		} else {
 			p := []float64{r.Float64(), r.Float64(), r.Float64()}
 			if r.Intn(4) == 0 { // adversarial: near the top corner
@@ -361,10 +288,10 @@ func runRepairDifferential(t *testing.T, space Space) {
 			}
 			mirror[id] = p
 			live = append(live, id)
-			rep, ev = c.RepairInsert(id, p)
-			insRepaired += rep
+			st = c.ApplyBatch([]CacheMutation{{Insert: true, ID: id, Point: p}})
+			insRepaired += st.Repaired
 		}
-		evicted += ev
+		evicted += st.Evicted
 
 		// Every entry pointer not seen before is a repaired replacement:
 		// verify it now, deeply for a rotating Method on a subsample.

@@ -7,9 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/pager"
-	"github.com/girlib/gir/internal/vec"
 )
 
 // WALOptions tunes the write-ahead log's durability/latency trade; see
@@ -37,15 +35,15 @@ const (
 // renaming the new snapshot and truncating the log leaves records the
 // snapshot already covers, and Recover skips them by version instead of
 // applying them twice.
-func walEncode(version int64, insert bool, id int64, p []float64) []byte {
-	buf := make([]byte, 8+1+8+4+8*len(p))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(version))
-	if insert {
+func walEncode(m mutation) []byte {
+	buf := make([]byte, 8+1+8+4+8*len(m.point))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(m.version))
+	if m.insert {
 		buf[8] = 1
 	}
-	binary.LittleEndian.PutUint64(buf[9:], uint64(id))
-	binary.LittleEndian.PutUint32(buf[17:], uint32(len(p)))
-	for i, x := range p {
+	binary.LittleEndian.PutUint64(buf[9:], uint64(m.id))
+	binary.LittleEndian.PutUint32(buf[17:], uint32(len(m.point)))
+	for i, x := range m.point {
 		binary.LittleEndian.PutUint64(buf[21+8*i:], math.Float64bits(x))
 	}
 	return buf
@@ -145,28 +143,17 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if m.version <= ds.version.Load() {
+	if m.version <= ds.Version() {
 		return nil // the snapshot postdates this record (checkpoint + crash)
 	}
 	if len(m.point) != ds.tree.Dim() {
 		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.point), ds.tree.Dim())
 	}
-	ds.tree.BeginCOW()
-	if m.insert {
-		ds.tree.Insert(m.id, vec.Vector(m.point))
-	} else if !ds.tree.Delete(m.id, vec.Vector(m.point)) {
+	if !ds.applyLocked(m) {
 		// The record passed its CRC, so this is real log/snapshot
-		// disagreement, not a torn write. The failed walk wrote nothing,
-		// so the commit publishes no pages.
-		ds.tree.CommitCOW()
+		// disagreement, not a torn write.
 		return fmt.Errorf("gir: WAL replays a delete of record %d the index does not hold", m.id)
 	}
-	freed := ds.tree.CommitCOW()
-	for _, fn := range ds.subs {
-		fn(m)
-	}
-	ds.publishSnapLocked(m.version, freed)
-	ds.version.Store(m.version)
 	return nil
 }
 
@@ -204,8 +191,9 @@ func (ds *Dataset) Checkpoint(dir string) error {
 }
 
 // Checkpoint persists the engine's dataset and warm cache to dir as one
-// consistent pair, then truncates the dataset's write-ahead log. It takes
-// the dataset's exclusive lock — blocking writers, not readers, for the
+// consistent pair, truncating the dataset's write-ahead log on the way
+// (Dataset.Checkpoint's steps, then the cache file). It takes the
+// dataset's exclusive lock — blocking writers, not readers, for the
 // duration — waits for every published mutation to be reconciled with the
 // cache, and only then snapshots both: the saved cache is exactly the
 // cache a fresh engine over the saved dataset state would serve.
@@ -217,35 +205,18 @@ func (ds *Dataset) Checkpoint(dir string) error {
 func (e *Engine) Checkpoint(dir string) error {
 	e.ds.mu.Lock()
 	defer e.ds.mu.Unlock()
-	var snaps []cacheint.Snapshot
-	var version int64
-	if e.cache != nil {
-		s, v, err := e.snapshotCacheQuiesced()
-		if err != nil {
-			return fmt.Errorf("gir: checkpoint aborted: %w", err)
-		}
-		snaps, version = s, v
+	if e.cache == nil {
+		return e.ds.checkpointLocked(dir)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	snaps, version, err := e.snapshotCacheQuiesced()
+	if err != nil {
+		return fmt.Errorf("gir: checkpoint aborted: %w", err)
+	}
+	if err := e.ds.checkpointLocked(dir); err != nil {
 		return err
 	}
-	if e.ds.wal != nil && dir != e.ds.walDir {
-		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", e.ds.walDir, dir)
-	}
-	if err := e.ds.saveLocked(filepath.Join(dir, datasetSnapName)); err != nil {
-		return err
-	}
-	if e.cache != nil {
-		err := writeCacheSnapshot(filepath.Join(dir, cacheSnapName),
-			e.ds.tree.Dim(), e.ds.space, version, snaps)
-		if err != nil {
-			return err
-		}
-	}
-	if e.ds.wal != nil {
-		return e.ds.wal.Reset()
-	}
-	return nil
+	return writeCacheSnapshot(filepath.Join(dir, cacheSnapName),
+		e.ds.tree.Dim(), e.ds.space, version, snaps)
 }
 
 // Recover restores a durable dataset from dir: it loads the snapshot,
@@ -286,7 +257,7 @@ func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset,
 	if e.cache != nil {
 		cachePath := filepath.Join(dir, cacheSnapName)
 		if _, err := os.Stat(cachePath); err == nil {
-			if err := e.loadCacheAtVersion(cachePath, ds.version.Load()); err != nil {
+			if err := e.loadCacheAtVersion(cachePath, ds.Version()); err != nil {
 				e.Close()
 				return nil, nil, err
 			}

@@ -185,9 +185,9 @@ func testReplayDifferential(t *testing.T, space Space, seed int64) {
 			t.Fatalf("replay of record %d: %v", i, err)
 		}
 		applyMut(t, ref, muts[i])
-		if shadow.Len() != ref.Len() || shadow.version.Load() != ref.version.Load() {
+		if shadow.Len() != ref.Len() || shadow.Version() != ref.Version() {
 			t.Fatalf("prefix %d: shadow (len %d, v%d) diverged from reference (len %d, v%d)",
-				i+1, shadow.Len(), shadow.version.Load(), ref.Len(), ref.version.Load())
+				i+1, shadow.Len(), shadow.Version(), ref.Len(), ref.Version())
 		}
 		q := pool[i%len(pool)]
 		if got, want := topkFingerprint(t, shadow, q, k), topkFingerprint(t, ref, q, k); got != want {
@@ -224,9 +224,9 @@ func assertRecoverEquals(t *testing.T, dir string, walLimit int64, ref *Dataset,
 		t.Fatalf("recover at prefix %d (wal cut %d): %v", prefix, walLimit, err)
 	}
 	defer rec.Close()
-	if rec.Len() != ref.Len() || rec.version.Load() != ref.version.Load() {
+	if rec.Len() != ref.Len() || rec.Version() != ref.Version() {
 		t.Fatalf("recover at prefix %d: (len %d, v%d) vs reference (len %d, v%d)",
-			prefix, rec.Len(), rec.version.Load(), ref.Len(), ref.version.Load())
+			prefix, rec.Len(), rec.Version(), ref.Len(), ref.Version())
 	}
 	for _, q := range pool {
 		if got, want := topkFingerprint(t, rec, q, k), topkFingerprint(t, ref, q, k); got != want {
@@ -287,9 +287,9 @@ func TestCheckpointIdempotentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if rec.Len() != ds.Len() || rec.version.Load() != ds.version.Load() {
+	if rec.Len() != ds.Len() || rec.Version() != ds.Version() {
 		t.Fatalf("stale-log recovery double-applied records: (len %d, v%d) vs live (len %d, v%d)",
-			rec.Len(), rec.version.Load(), ds.Len(), ds.version.Load())
+			rec.Len(), rec.Version(), ds.Len(), ds.Version())
 	}
 	q := []float64{0.4, 0.5, 0.6}
 	if got, want := topkFingerprint(t, rec, q, k), topkFingerprint(t, ds, q, k); got != want {
@@ -490,7 +490,7 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	versionBefore := ds.version.Load()
+	versionBefore := ds.Version()
 	recordsBefore := ds.WALStats().Records
 
 	// Sever the log. Any further append must fail.
@@ -517,7 +517,7 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 	if ds.Len() != n {
 		t.Fatalf("failed delete changed Len to %d, want %d", ds.Len(), n)
 	}
-	if v := ds.version.Load(); v != versionBefore {
+	if v := ds.Version(); v != versionBefore {
 		t.Fatalf("failed delete advanced the version to %d, want %d", v, versionBefore)
 	}
 	after, err := ds.TopK(q, 5)
