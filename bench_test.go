@@ -6,6 +6,9 @@ package gir
 
 import (
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/girlib/gir/internal/datagen"
@@ -260,6 +263,74 @@ func BenchmarkFill(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
+}
+
+// BenchmarkCheckpoint is one Engine.Checkpoint per iteration on
+// BenchmarkBRS's tree with its log on and a warm RepairMode cache of 300
+// entries; 24 balanced writes (off the clock, reconciled) separate two
+// checkpoints (12 on the first). KB/op is what the checkpoint wrote, from the files' sizes:
+// the cache snapshot, plus the delta file's growth — or the whole base when
+// the checkpoint replaced it (on a tree without delta checkpoints, always).
+func BenchmarkCheckpoint(b *testing.B) {
+	ds := allocDataset(b, 100000, 4)
+	dir := b.TempDir()
+	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 8}); err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 300, CacheShards: 1, RepairMode: true})
+	defer e.Close()
+	for i := 0; i < 300; i++ {
+		e.TopK(datagen.Query(4, int64(1000+i)), benchK)
+	}
+	size := func(name string) (int64, os.FileInfo) {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			return 0, nil
+		}
+		return fi.Size(), fi
+	}
+	r := rand.New(rand.NewSource(5))
+	_, base := size("dataset.snap")
+	var written, delta int64
+	var live [][]float64 // the last iteration's inserts, ids nextID-12..nextID-1
+	nextID := int64(1 << 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, p := range live { // 12 deletes + 12 inserts: the tree's size holds
+			if ok, err := ds.Delete(nextID-12+int64(j), p); err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+		}
+		live = live[:0]
+		for j := 0; j < 12; j++ {
+			live = append(live, []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()})
+			if err := ds.Insert(nextID+int64(j), live[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		nextID += 12
+		e.Quiesce()
+		b.StartTimer()
+		if err := e.Checkpoint(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		cache, _ := size("cache.snap")
+		snapSize, snap := size("dataset.snap")
+		deltaNow, _ := size("dataset.delta")
+		if os.SameFile(base, snap) {
+			written += cache + deltaNow - delta
+		} else {
+			written += cache + snapSize
+		}
+		base, delta = snap, deltaNow
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(written)/1024/float64(b.N), "KB/op")
 }
 
 // BenchmarkBatchBRS measures the fused multi-query traversal against a

@@ -76,7 +76,7 @@ func runChurn(cfg serveConfig, churn float64, repair bool, jsonPath string, w io
 		raw[i] = p
 	}
 	ops, queries, writes := engine.NewChurnWorkloadIn(
-		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 1, 5, 20,
+		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 5, 20,
 		cfg.Space == gir.SpaceSimplex)
 
 	fmt.Fprintf(w, "churn benchmark: n=%d d=%d space=%v, %d operations (%d queries, %d writes = %.1f%%) over %d distinct vectors (zipf s=%.2f)\n\n",

@@ -76,7 +76,7 @@ func runShard(cfg serveConfig, churn float64, shards int, jsonPath string, w io.
 		raw[i] = p
 	}
 	ops, queries, writes := engine.NewChurnWorkloadIn(
-		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 1, 5, 20,
+		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 5, 20,
 		cfg.Space == gir.SpaceSimplex)
 
 	fmt.Fprintf(w, "shard benchmark: n=%d d=%d space=%v, %d operations (%d queries, %d writes) over %d distinct vectors, 1 vs %d partitions\n\n",

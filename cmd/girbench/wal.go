@@ -66,7 +66,7 @@ func runWAL(cfg serveConfig, churn float64, syncEvery int, jsonPath string, w io
 		raw[i] = p
 	}
 	ops, queries, writes := engine.NewChurnWorkloadIn(
-		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 1, 5, 20,
+		cfg.Seed+1, cfg.D, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.Stream, churn, 5, 20,
 		cfg.Space == gir.SpaceSimplex)
 
 	fmt.Fprintf(w, "wal benchmark: n=%d d=%d space=%v, %d operations (%d queries, %d writes = %.1f%%), group commit every %d\n\n",

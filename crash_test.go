@@ -13,10 +13,11 @@ import (
 )
 
 // crashPoints is the deterministic population both the helper process and
-// the checking parent rebuild.
+// the checking parent rebuild — large enough that the helper's checkpoints
+// are mostly delta appends, with a compaction every few.
 func crashPoints() [][]float64 {
 	r := rand.New(rand.NewSource(161))
-	points := make([][]float64, 300)
+	points := make([][]float64, 3000)
 	for i := range points {
 		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
 	}
@@ -27,8 +28,10 @@ func crashPoints() [][]float64 {
 // by TestKillDurability in a child process. It opens (or creates) the
 // durable dataset, performs one SyncEvery=1 insert, acknowledges it on
 // stdout, then churns checkpoints and inserts until the parent SIGKILLs
-// it — so the kill lands at an arbitrary point of a snapshot write, a WAL
-// append, or the truncate between them.
+// it — so the kill lands at an arbitrary point of a delta append, a
+// compaction's base write, a WAL append, or the truncate behind them. It
+// reports its first compaction, so the parent kills a run that has been
+// through both kinds of checkpoint.
 func TestCrashHelperProcess(t *testing.T) {
 	dir := os.Getenv("GIR_CRASH_DIR")
 	if dir == "" {
@@ -59,10 +62,17 @@ func TestCrashHelperProcess(t *testing.T) {
 	fmt.Println("ACKED")
 	r := rand.New(rand.NewSource(time.Now().UnixNano()))
 	id := ackID + 1
+	appended, compacted := false, false
 	for {
 		if err := ds.Checkpoint(dir); err != nil {
 			fmt.Printf("HELPER-ERR %v\n", err)
 			os.Exit(1)
+		}
+		if ds.DeltaStats().Segments > 0 {
+			appended = true
+		} else if appended && !compacted {
+			compacted = true
+			fmt.Println("COMPACTED")
 		}
 		for i := 0; i < 16; i++ {
 			if err := ds.Insert(id, []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
@@ -76,17 +86,19 @@ func TestCrashHelperProcess(t *testing.T) {
 
 // TestKillDurability is the acceptance criterion's kill -9 test: a
 // process killed after Insert returned (SyncEvery=1) must recover that
-// insert, and a kill landing mid-checkpoint — mid snapshot write, mid WAL
-// append, or between the snapshot rename and the log truncate — must
-// leave the directory fully recoverable (the previous snapshot is never
-// corrupted; replay is idempotent). Two rounds, so the second round also
-// exercises recovery of a directory that already holds crash debris.
+// insert, and a kill landing mid-checkpoint — mid delta append, mid base
+// write, mid WAL append, or between either write and the log truncate —
+// must leave the directory fully recoverable (the previous snapshot state
+// is never corrupted; replay is idempotent). Each round waits for the helper
+// to have appended segments and compacted them once before the kill, and
+// the later rounds also exercise recovery of a directory that already holds
+// crash debris.
 func TestKillDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns helper processes")
 	}
 	dir := t.TempDir()
-	for round := 0; round < 2; round++ {
+	for round := 0; round < 3; round++ {
 		ackID := int64(1<<40) + int64(round)
 		cmd := exec.Command(os.Args[0], "-test.run", "TestCrashHelperProcess")
 		cmd.Env = append(os.Environ(),
@@ -101,25 +113,23 @@ func TestKillDurability(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := bufio.NewScanner(stdout)
-		acked := false
-		for sc.Scan() {
+		acked, compacted := false, false
+		for !compacted && sc.Scan() {
 			line := sc.Text()
 			if strings.HasPrefix(line, "HELPER-ERR") {
 				cmd.Process.Kill()
 				cmd.Wait()
 				t.Fatalf("round %d: helper failed: %s", round, line)
 			}
-			if line == "ACKED" {
-				acked = true
-				break
-			}
+			acked = acked || line == "ACKED"
+			compacted = line == "COMPACTED"
 		}
-		if !acked {
+		if !acked || !compacted {
 			cmd.Wait()
-			t.Fatalf("round %d: helper exited before acknowledging the insert", round)
+			t.Fatalf("round %d: helper exited early (insert acknowledged: %v, crossed a compaction: %v)", round, acked, compacted)
 		}
 		// Let the kill land somewhere inside the checkpoint/insert churn.
-		time.Sleep(time.Duration(20+round*35) * time.Millisecond)
+		time.Sleep(time.Duration(7+round*16) * time.Millisecond)
 		if err := cmd.Process.Kill(); err != nil {
 			t.Fatal(err)
 		}

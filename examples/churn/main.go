@@ -43,7 +43,7 @@ func main() {
 	for i, p := range pts {
 		raw[i] = p
 	}
-	ops, queries, writes := engine.NewChurnWorkload(23, d, distinct, zipfS, 0.001, stream, writeMix, 1, 5, 20)
+	ops, queries, writes := engine.NewChurnWorkloadIn(23, d, distinct, zipfS, 0.001, stream, writeMix, 5, 20, false)
 	fmt.Printf("workload: %d operations over %d records — %d top-k queries, %d writes (%.1f%%)\n\n",
 		stream, n, queries, writes, 100*float64(writes)/float64(stream))
 

@@ -209,6 +209,14 @@ type Dataset struct {
 	walDir  string           // the durable directory the WAL lives in
 	space   Space            // the query-space domain (data space is [0,1]^d regardless)
 
+	// Checkpoint state of walDir (see checkpointLocked): base identifies its
+	// dataset.snap, delta describes the dataset.delta that extends it, and
+	// dirty holds the pages written since the last checkpoint — non-nil
+	// exactly while the directory is attached, replay included.
+	base  pager.SidecarID
+	delta pager.DeltaStats
+	dirty map[pager.PageID]struct{}
+
 	// snap is the current published index version — the tree state, the
 	// query space and the mutation version, swapped in together by
 	// publishSnapLocked, the one place any of them becomes visible. Readers
@@ -330,6 +338,8 @@ func (ds *Dataset) subscribe(fn func(mutation)) (unsubscribe func()) {
 // mutation up to v were already handed to subscribers. It reports false,
 // with nothing published, for a delete of a record the index does not
 // hold: the failed walk wrote nothing, so the commit supersedes no pages.
+// While a durable directory is attached, the pages the mutation wrote join
+// the dirty set the next checkpoint persists.
 func (ds *Dataset) applyLocked(m mutation) bool {
 	ds.tree.BeginCOW()
 	if m.insert {
@@ -338,7 +348,12 @@ func (ds *Dataset) applyLocked(m mutation) bool {
 		ds.tree.CommitCOW()
 		return false
 	}
-	freed := ds.tree.CommitCOW()
+	freed, fresh := ds.tree.CommitCOW()
+	if ds.dirty != nil {
+		for id := range fresh {
+			ds.dirty[id] = struct{}{}
+		}
+	}
 	for _, fn := range ds.subs {
 		fn(m)
 	}

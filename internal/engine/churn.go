@@ -13,30 +13,19 @@ type ChurnOp struct {
 	K      int       // read: result size
 }
 
-// NewChurnWorkload builds a deterministic mixed operation stream: the
+// NewChurnWorkloadIn builds a deterministic mixed operation stream: the
 // query side is a Zipf-popular Stream (the serving pattern GIR caching
 // targets), and a writeMix fraction of operations are writes — inserts of
 // fresh records interleaved with deletes of earlier churn inserts. Most
 // inserted records follow the background distribution and rarely perturb
 // any cached top-k; one in four lands near the top corner, where it
 // genuinely displaces results and forces real invalidation work. It
-// returns the stream and the query/write counts.
-//
-// burst shapes the write arrivals: ≤ 1 spreads them uniformly (each
-// operation is independently a write with probability writeMix — the
-// original workload, byte-identical for a given seed); burst B > 1 makes
-// writes arrive in runs of B back-to-back operations (a run starts with
-// probability writeMix/B, so the overall write fraction is preserved) —
-// the bursty mixed traffic batched cache maintenance exists for.
-func NewChurnWorkload(seed int64, d, distinct int, zipfS, jitter float64, stream int, writeMix float64, burst, kmin, kmax int) (ops []ChurnOp, queries, writes int) {
-	return NewChurnWorkloadIn(seed, d, distinct, zipfS, jitter, stream, writeMix, burst, kmin, kmax, false)
-}
-
-// NewChurnWorkloadIn is NewChurnWorkload with a query-space switch: with
-// simplex true the query side is sum-normalized (NewStreamIn). Writes are
-// untouched either way — inserted records live in the [0,1]^d DATA space
-// regardless of which query space the serving stack runs in.
-func NewChurnWorkloadIn(seed int64, d, distinct int, zipfS, jitter float64, stream int, writeMix float64, burst, kmin, kmax int, simplex bool) (ops []ChurnOp, queries, writes int) {
+// returns the stream and the query/write counts. Each operation is
+// independently a write with probability writeMix. With simplex true the
+// query side is sum-normalized (NewStreamIn); writes are untouched either
+// way — inserted records live in the [0,1]^d DATA space regardless of which
+// query space the serving stack runs in.
+func NewChurnWorkloadIn(seed int64, d, distinct int, zipfS, jitter float64, stream int, writeMix float64, kmin, kmax int, simplex bool) (ops []ChurnOp, queries, writes int) {
 	st := NewStreamIn(seed, d, distinct, zipfS, kmin, kmax, jitter, simplex)
 	r := rand.New(rand.NewSource(seed + 1))
 	ops = make([]ChurnOp, stream)
@@ -67,21 +56,8 @@ func NewChurnWorkloadIn(seed int64, d, distinct int, zipfS, jitter float64, stre
 		nextID++
 		return op
 	}
-	pending := 0 // writes remaining in the current burst
 	for i := range ops {
-		isWrite := false
-		if burst <= 1 {
-			isWrite = r.Float64() < writeMix
-		} else {
-			if pending == 0 && r.Float64() < writeMix/float64(burst) {
-				pending = burst
-			}
-			if pending > 0 {
-				pending--
-				isWrite = true
-			}
-		}
-		if isWrite {
+		if r.Float64() < writeMix {
 			writes++
 			ops[i] = makeWrite()
 		} else {

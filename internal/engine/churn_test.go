@@ -2,53 +2,10 @@ package engine
 
 import "testing"
 
-// TestChurnWorkloadBurstMode pins the burst shape: writes arrive in runs
-// of exactly B (except a possible truncated run at the stream end), the
-// overall write fraction stays near writeMix, and the stream is
-// deterministic per seed.
-func TestChurnWorkloadBurstMode(t *testing.T) {
-	const stream, b = 8000, 8
-	ops, queries, writes := NewChurnWorkload(9, 3, 16, 1.2, 0.001, stream, 0.05, b, 5, 10)
-	if queries+writes != stream {
-		t.Fatalf("queries %d + writes %d != stream %d", queries, writes, stream)
-	}
-	if frac := float64(writes) / stream; frac < 0.03 || frac > 0.08 {
-		t.Fatalf("write fraction %.3f drifted from the 0.05 target", frac)
-	}
-	run := 0
-	runs := 0
-	for i, op := range ops {
-		if op.Write {
-			run++
-			continue
-		}
-		if run > 0 {
-			runs++
-			if run != b {
-				t.Fatalf("write run of length %d ending at op %d, want %d", run, i, b)
-			}
-			run = 0
-		}
-	}
-	if run > 0 && run > b { // trailing truncated run may be shorter, never longer
-		t.Fatalf("trailing run of length %d exceeds burst %d", run, b)
-	}
-	if runs < 10 {
-		t.Fatalf("only %d full bursts in %d ops — stream too quiet to test anything", runs, stream)
-	}
-
-	ops2, _, _ := NewChurnWorkload(9, 3, 16, 1.2, 0.001, stream, 0.05, b, 5, 10)
-	for i := range ops {
-		if ops[i].Write != ops2[i].Write || ops[i].ID != ops2[i].ID || ops[i].K != ops2[i].K {
-			t.Fatalf("burst workload is not deterministic at op %d", i)
-		}
-	}
-}
-
-// TestChurnWorkloadUniformUnchanged pins that burst ≤ 1 is the original
-// uniform stream: delete/insert balance and determinism.
+// TestChurnWorkloadUniformUnchanged pins the uniform write stream:
+// delete/insert balance and no systematic write runs.
 func TestChurnWorkloadUniformUnchanged(t *testing.T) {
-	ops, queries, writes := NewChurnWorkload(7, 3, 16, 1.2, 0.001, 4000, 0.1, 1, 5, 10)
+	ops, queries, writes := NewChurnWorkloadIn(7, 3, 16, 1.2, 0.001, 4000, 0.1, 5, 10, false)
 	if queries+writes != 4000 || writes == 0 {
 		t.Fatalf("bad counts: %d queries, %d writes", queries, writes)
 	}
@@ -73,9 +30,8 @@ func TestChurnWorkloadUniformUnchanged(t *testing.T) {
 	if inserts == 0 || deletes == 0 {
 		t.Fatalf("uniform stream lost its insert/delete mix: %d inserts, %d deletes", inserts, deletes)
 	}
-	// Uniform 10% writes make long runs wildly improbable; a burst-shaped
-	// stream would show systematic runs.
+	// Uniform 10% writes make long runs wildly improbable.
 	if longest >= 8 {
-		t.Fatalf("uniform stream has a %d-long write run — burst logic leaked", longest)
+		t.Fatalf("uniform stream has a %d-long write run", longest)
 	}
 }

@@ -175,13 +175,18 @@ func AtomicWriteFile(path string, write func(f *os.File) error) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	// Make the rename durable. Directory fsync is advisory on platforms
-	// that do not support it, so its failure is not fatal.
+	syncDir(dir) // make the rename durable
+	return nil
+}
+
+// syncDir fsyncs a directory so a rename or creation inside it is durable.
+// Directory fsync is advisory on platforms that do not support it, so its
+// failure is not fatal.
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
 // --- snapshotting -----------------------------------------------------------
@@ -196,7 +201,7 @@ const (
 	// (over metadata + pages) and atomic temp+fsync+rename replacement.
 	// Version-1 snapshots hold pages the current decoder would silently
 	// misread (coordinate bits as record IDs) and version-2 snapshots
-	// carry no checksum, so both are refused rather than migrated: a
+	// carry no checksum, so any other version is refused, not migrated: a
 	// loadable snapshot is always verifiable.
 	snapshotVersion = 3
 	snapshotHeader  = 20 // magic, version, page count, meta length, CRC32C
@@ -209,33 +214,27 @@ const (
 // pages, so LoadSnapshot detects bit rot as well as truncation.
 func Snapshot(store Store, meta []byte, path string) error {
 	return AtomicWriteFile(path, func(f *os.File) error {
-		head := make([]byte, snapshotHeader)
+		var head [snapshotHeader]byte
 		binary.LittleEndian.PutUint32(head[0:], snapshotMagic)
 		binary.LittleEndian.PutUint32(head[4:], snapshotVersion)
 		binary.LittleEndian.PutUint32(head[8:], uint32(store.NumPages()))
 		binary.LittleEndian.PutUint32(head[12:], uint32(len(meta)))
-		if _, err := f.Write(head); err != nil {
+		if _, err := f.Write(head[:]); err != nil {
 			return err
 		}
-		sum := crc32.Checksum(meta, walCRC)
-		if _, err := f.Write(meta); err != nil {
-			return err
-		}
-		page := make([]byte, PageSize)
+		sw := NewSumWriter(f)
+		sw.Bytes(meta)
 		for id := 1; id <= store.NumPages(); id++ {
-			for i := range page {
-				page[i] = 0
-			}
-			copy(page, store.Read(PageID(id)))
-			sum = crc32.Update(sum, walCRC, page)
-			if _, err := f.Write(page); err != nil {
-				return err
-			}
+			sw.Page(store.Read(PageID(id)))
+		}
+		sum, err := sw.Sum()
+		if err != nil {
+			return err
 		}
 		// Patch the checksum into the header now that it is known; the
 		// temp file is not visible at path until the rename.
 		binary.LittleEndian.PutUint32(head[16:], sum)
-		_, err := f.WriteAt(head[16:20], 16)
+		_, err = f.WriteAt(head[16:20], 16)
 		return err
 	})
 }
@@ -257,13 +256,8 @@ func LoadSnapshot(path string) (*MemStore, []byte, error) {
 	if binary.LittleEndian.Uint32(head[0:]) != snapshotMagic {
 		return nil, nil, fmt.Errorf("pager: %s is not a snapshot file", path)
 	}
-	switch v := binary.LittleEndian.Uint32(head[4:]); {
-	case v == 1:
-		return nil, nil, fmt.Errorf("pager: %s has snapshot version 1, which predates the column-major leaf layout; rebuild the index and save a new snapshot", path)
-	case v < snapshotVersion:
-		return nil, nil, fmt.Errorf("pager: %s has snapshot version %d, which predates snapshot checksums; rebuild the index and save a new snapshot", path, v)
-	case v > snapshotVersion:
-		return nil, nil, fmt.Errorf("pager: %s has snapshot version %d, newer than this build's %d", path, v, snapshotVersion)
+	if v := binary.LittleEndian.Uint32(head[4:]); v != snapshotVersion {
+		return nil, nil, fmt.Errorf("pager: %s has unsupported snapshot version %d; this build reads only version %d (the column-major leaf layout with a whole-file checksum) — rebuild the index and save a new snapshot", path, v, snapshotVersion)
 	}
 	nPages := int(binary.LittleEndian.Uint32(head[8:]))
 	metaLen := int(binary.LittleEndian.Uint32(head[12:]))
@@ -318,26 +312,27 @@ func sidecarTrailer(id SidecarID, pages int) []byte {
 	return t
 }
 
-// SnapshotCRC reads the whole-file checksum a current-version snapshot
-// records in its header, without loading the pages — the cheap content
-// identity sidecar reuse keys on.
-func SnapshotCRC(path string) (uint32, error) {
+// SnapshotID reads the content identity of a current-version snapshot — its
+// size and the whole-file checksum in its header — without loading the
+// pages. Sidecars and delta segments name the snapshot they derive from by it.
+func SnapshotID(path string) (SidecarID, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return SidecarID{}, err
 	}
 	defer f.Close()
-	head := make([]byte, snapshotHeader)
-	if _, err := io.ReadFull(f, head); err != nil {
-		return 0, fmt.Errorf("pager: %s is not a snapshot: %v", path, err)
+	info, err := f.Stat()
+	if err != nil {
+		return SidecarID{}, err
 	}
-	if binary.LittleEndian.Uint32(head[0:]) != snapshotMagic {
-		return 0, fmt.Errorf("pager: %s is not a snapshot", path)
+	var head [snapshotHeader]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return SidecarID{}, fmt.Errorf("pager: %s is not a snapshot: %v", path, err)
 	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v != snapshotVersion {
-		return 0, fmt.Errorf("pager: %s has snapshot version %d, want %d", path, v, snapshotVersion)
+	if m, v := binary.LittleEndian.Uint32(head[0:]), binary.LittleEndian.Uint32(head[4:]); m != snapshotMagic || v != snapshotVersion {
+		return SidecarID{}, fmt.Errorf("pager: %s is not a version-%d snapshot", path, snapshotVersion)
 	}
-	return binary.LittleEndian.Uint32(head[16:]), nil
+	return SidecarID{SrcSize: info.Size(), SrcCRC: binary.LittleEndian.Uint32(head[16:])}, nil
 }
 
 // AttachSidecar opens the sidecar at path if it is a complete rewrite of

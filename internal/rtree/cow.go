@@ -46,18 +46,20 @@ func (t *Tree) BeginCOW() {
 }
 
 // CommitCOW finishes the mutation: the root is resolved to its relocated
-// page, and the superseded page ids are returned. The caller owns making
-// the new version visible and eventually freeing the returned pages —
-// they still back every previously published version, so they must reach
+// page, and the superseded page ids are returned together with the fresh
+// ones — exactly the pages this mutation wrote, which is what an
+// incremental checkpoint has to persist. The caller owns making the new
+// version visible and eventually freeing the superseded pages — they still
+// back every previously published version, so they must reach
 // pager.Store.Free only once no pinned snapshot references them.
-func (t *Tree) CommitCOW() []pager.PageID {
+func (t *Tree) CommitCOW() (freed []pager.PageID, fresh map[pager.PageID]struct{}) {
 	if t.cow == nil {
 		panic("rtree: CommitCOW without BeginCOW")
 	}
 	t.root = t.resolveID(t.root)
-	freed := t.cow.freed
+	freed, fresh = t.cow.freed, t.cow.fresh
 	t.cow = nil
-	return freed
+	return freed, fresh
 }
 
 // resolveID maps a page id through the open mutation's remap (identity

@@ -57,7 +57,7 @@ func runShardDifferential(t *testing.T, space gir.Space, parts, n, d, distinct, 
 	defer c.Close()
 
 	ops, queries, writes := engineint.NewChurnWorkloadIn(
-		177, d, distinct, 1.3, 0.001, steps, 0.05, 0, 2, 8, space == gir.SpaceSimplex)
+		177, d, distinct, 1.3, 0.001, steps, 0.05, 2, 8, space == gir.SpaceSimplex)
 	if queries == 0 || writes == 0 {
 		t.Fatalf("degenerate workload: %d queries, %d writes", queries, writes)
 	}

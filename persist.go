@@ -38,6 +38,13 @@ func (ds *Dataset) Save(path string) error {
 // saveLocked is Save with the writer mutex already held, so no mutation
 // can land between the version it records and the pages it writes.
 func (ds *Dataset) saveLocked(path string) error {
+	return pager.Snapshot(ds.store, ds.metaLocked(), path)
+}
+
+// metaLocked encodes the metadata block a snapshot or delta segment
+// carries beside the pages (parseDatasetMeta is its inverse); the caller
+// holds the writer mutex.
+func (ds *Dataset) metaLocked() []byte {
 	root, height, size := ds.tree.Meta()
 	meta := make([]byte, 29)
 	binary.LittleEndian.PutUint32(meta[0:], uint32(ds.tree.Dim()))
@@ -46,7 +53,7 @@ func (ds *Dataset) saveLocked(path string) error {
 	binary.LittleEndian.PutUint64(meta[12:], uint64(size))
 	meta[20] = byte(ds.space)
 	binary.LittleEndian.PutUint64(meta[21:], uint64(ds.Version()))
-	return pager.Snapshot(ds.store, meta, path)
+	return meta
 }
 
 // datasetMeta decodes the snapshot metadata block: dimension, tree
@@ -88,6 +95,12 @@ func Open(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	return attachDataset(store, meta, path)
+}
+
+// attachDataset publishes a dataset over a loaded store at the state its
+// metadata block (read from path) describes.
+func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error) {
 	m, err := parseDatasetMeta(meta, path)
 	if err != nil {
 		return nil, err
@@ -135,19 +148,10 @@ func OpenOnDisk(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := parseDatasetMeta(meta, path)
+	id, err := pager.SnapshotID(path)
 	if err != nil {
 		return nil, err
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	crc, err := pager.SnapshotCRC(path)
-	if err != nil {
-		return nil, err
-	}
-	id := pager.SidecarID{SrcSize: info.Size(), SrcCRC: crc}
 	side := path + ".pages"
 	fs, ok := pager.AttachSidecar(side, id, store.NumPages())
 	if !ok {
@@ -155,9 +159,12 @@ func OpenOnDisk(path string) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	tree := rtree.Attach(fs, m.dim, m.root, m.height, m.size)
-	ds := &Dataset{tree: tree, store: fs, cost: pager.DefaultCostModel, file: fs, sidecar: side, space: m.space}
-	ds.publishSnapLocked(m.version, nil)
+	ds, err := attachDataset(fs, meta, path)
+	if err != nil {
+		fs.Close()
+		return nil, err
+	}
+	ds.file, ds.sidecar = fs, side
 	return ds, nil
 }
 
@@ -223,29 +230,31 @@ func (e *Engine) SaveCache(path string) error {
 
 // writeCacheSnapshot encodes and atomically writes a warm-cache snapshot:
 // magic, CRC32C of everything after it, then dimension, query space, the
-// dataset version the entries are reconciled with, and the entries.
+// dataset version the entries are reconciled with, and the entries. The
+// entries stream through one fixed chunk (pager.SumWriter) and the checksum
+// is patched into the header once known — the temp file is not visible at
+// path until the rename — so saving costs no buffer the size of the cache.
 func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps []cacheint.Snapshot) error {
-	var buf bytes.Buffer
-	enc := cacheEncoder{w: &buf}
-	enc.u32(uint32(dim))
-	enc.bytes([]byte{byte(space)})
-	enc.i64(version)
-	enc.u32(uint32(len(snaps)))
-	for _, s := range snaps {
-		enc.entry(s)
-	}
-	if enc.err != nil {
-		return fmt.Errorf("gir: saving cache to %s: %w", path, enc.err)
-	}
-	payload := buf.Bytes()
 	return pager.AtomicWriteFile(path, func(f *os.File) error {
 		var head [12]byte
 		copy(head[:8], warmCacheMagic[:])
-		binary.LittleEndian.PutUint32(head[8:], crc32.Checksum(payload, cacheCRC))
 		if _, err := f.Write(head[:]); err != nil {
 			return err
 		}
-		_, err := f.Write(payload)
+		w := pager.NewSumWriter(f)
+		w.U32(uint32(dim))
+		w.U8(byte(space))
+		w.U64(uint64(version))
+		w.U32(uint32(len(snaps)))
+		for i := range snaps {
+			encodeCacheEntry(w, &snaps[i])
+		}
+		sum, err := w.Sum()
+		if err != nil {
+			return fmt.Errorf("gir: saving cache to %s: %w", path, err)
+		}
+		binary.LittleEndian.PutUint32(head[8:], sum)
+		_, err = f.WriteAt(head[8:], 8)
 		return err
 	})
 }
@@ -298,14 +307,10 @@ func (e *Engine) LoadCache(path string) error {
 	return e.loadCache(path, nil)
 }
 
-// loadCacheAtVersion loads the snapshot only if it records exactly the
-// given dataset version. A version mismatch is not an error — it is the
-// signature of a checkpoint that crashed between its two file writes, and
-// costs the warm start, nothing else.
-func (e *Engine) loadCacheAtVersion(path string, version int64) error {
-	return e.loadCache(path, &version)
-}
-
+// loadCache is LoadCache, optionally only if the snapshot records exactly
+// *requireVersion (RecoverEngine's case). A version mismatch is not an error
+// — it is the signature of a checkpoint that crashed between its two file
+// writes, and costs the warm start, nothing else.
 func (e *Engine) loadCache(path string, requireVersion *int64) error {
 	if e.cache == nil {
 		return errors.New("gir: engine has no cache to load into")
@@ -354,85 +359,56 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 	return nil
 }
 
-// cacheEncoder serializes snapshots with sticky-error little-endian
-// primitives (the same style as the dataset snapshot format above).
-type cacheEncoder struct {
-	w   io.Writer
-	err error
-}
+// The warm-cache entry encoding (cacheDecoder.entry is its inverse):
+// little-endian fields, every vector length-prefixed.
 
-func (e *cacheEncoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(b)
-	}
-}
-
-func (e *cacheEncoder) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.bytes(b[:])
-}
-
-func (e *cacheEncoder) i64(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	e.bytes(b[:])
-}
-
-func (e *cacheEncoder) f64(v float64) {
-	e.i64(int64(math.Float64bits(v)))
-}
-
-func (e *cacheEncoder) vec(v vec.Vector) {
-	e.u32(uint32(len(v)))
+func encodeVec(w *pager.SumWriter, v vec.Vector) {
+	w.U32(uint32(len(v)))
 	for _, x := range v {
-		e.f64(x)
+		w.U64(math.Float64bits(x))
 	}
 }
 
-func (e *cacheEncoder) rec(r topk.Record) {
-	e.i64(r.ID)
-	e.vec(r.Point)
-	e.f64(r.Score)
+func encodeRecs(w *pager.SumWriter, recs []topk.Record) {
+	w.U32(uint32(len(recs)))
+	for _, r := range recs {
+		w.U64(uint64(r.ID))
+		encodeVec(w, r.Point)
+		w.U64(math.Float64bits(r.Score))
+	}
 }
 
-func (e *cacheEncoder) bool(v bool) {
+func encodeBool(w *pager.SumWriter, v bool) {
+	var b byte
 	if v {
-		e.bytes([]byte{1})
-	} else {
-		e.bytes([]byte{0})
+		b = 1
 	}
+	w.U8(b)
 }
 
-func (e *cacheEncoder) entry(s cacheint.Snapshot) {
-	e.vec(s.Region.Query)
-	e.bool(s.Region.OrderSensitive)
-	e.u32(uint32(len(s.Region.Constraints)))
+func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot) {
+	encodeVec(w, s.Region.Query)
+	encodeBool(w, s.Region.OrderSensitive)
+	w.U32(uint32(len(s.Region.Constraints)))
 	for _, c := range s.Region.Constraints {
-		e.vec(c.Normal)
-		e.bytes([]byte{byte(c.Kind)})
-		e.i64(c.A)
-		e.i64(c.B)
+		encodeVec(w, c.Normal)
+		w.U8(byte(c.Kind))
+		w.U64(uint64(c.A))
+		w.U64(uint64(c.B))
 	}
-	e.u32(uint32(len(s.Records)))
-	for _, r := range s.Records {
-		e.rec(r)
-	}
-	e.vec(s.InnerLo)
-	e.vec(s.InnerHi)
-	e.bool(s.CandComplete)
-	e.u32(uint32(len(s.Cand)))
-	for _, r := range s.Cand {
-		e.rec(r)
-	}
-	e.u32(uint32(len(s.Bounds)))
+	encodeRecs(w, s.Records)
+	encodeVec(w, s.InnerLo)
+	encodeVec(w, s.InnerHi)
+	encodeBool(w, s.CandComplete)
+	encodeRecs(w, s.Cand)
+	w.U32(uint32(len(s.Bounds)))
 	for _, b := range s.Bounds {
-		e.vec(b)
+		encodeVec(w, b)
 	}
-	e.i64(s.Version)
+	w.U64(uint64(s.Version))
 }
 
-// cacheDecoder mirrors cacheEncoder.
+// cacheDecoder reads what encodeCacheEntry and writeCacheSnapshot write.
 type cacheDecoder struct {
 	r   io.Reader
 	err error

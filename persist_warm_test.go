@@ -1,13 +1,18 @@
 package gir
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	cacheint "github.com/girlib/gir/internal/cache"
+	"github.com/girlib/gir/internal/topk"
 )
 
 // TestWarmCacheRoundTrip pins the warm-cache persistence contract: a
@@ -412,5 +417,131 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 	// would reject it at validation anyway; this pins the region itself).
 	if hit, ok := simplexEngine.Cache().Lookup([]float64{0.5, 0.6, 0.7}, k); ok {
 		t.Errorf("restored simplex region accepted a non-normalized vector: %+v", hit)
+	}
+}
+
+// refCacheEncoder is the per-field warm-cache encoder the streamed one
+// replaced — every field through its own little write into one payload
+// buffer, checksummed whole — kept here as the reference the GIRWARM3 bytes
+// are compared against.
+type refCacheEncoder struct{ buf bytes.Buffer }
+
+func (e *refCacheEncoder) u32(v uint32) { binary.Write(&e.buf, binary.LittleEndian, v) }
+func (e *refCacheEncoder) i64(v int64)  { binary.Write(&e.buf, binary.LittleEndian, v) }
+func (e *refCacheEncoder) f64(v float64) {
+	e.i64(int64(math.Float64bits(v)))
+}
+
+func (e *refCacheEncoder) vec(v []float64) {
+	e.u32(uint32(len(v)))
+	for _, x := range v {
+		e.f64(x)
+	}
+}
+
+func (e *refCacheEncoder) rec(r topk.Record) {
+	e.i64(r.ID)
+	e.vec(r.Point)
+	e.f64(r.Score)
+}
+
+func (e *refCacheEncoder) bool(v bool) {
+	if v {
+		e.buf.WriteByte(1)
+	} else {
+		e.buf.WriteByte(0)
+	}
+}
+
+func (e *refCacheEncoder) entry(s cacheint.Snapshot) {
+	e.vec(s.Region.Query)
+	e.bool(s.Region.OrderSensitive)
+	e.u32(uint32(len(s.Region.Constraints)))
+	for _, c := range s.Region.Constraints {
+		e.vec(c.Normal)
+		e.buf.WriteByte(byte(c.Kind))
+		e.i64(c.A)
+		e.i64(c.B)
+	}
+	e.u32(uint32(len(s.Records)))
+	for _, r := range s.Records {
+		e.rec(r)
+	}
+	e.vec(s.InnerLo)
+	e.vec(s.InnerHi)
+	e.bool(s.CandComplete)
+	e.u32(uint32(len(s.Cand)))
+	for _, r := range s.Cand {
+		e.rec(r)
+	}
+	e.u32(uint32(len(s.Bounds)))
+	for _, b := range s.Bounds {
+		e.vec(b)
+	}
+	e.i64(s.Version)
+}
+
+// TestWarmCacheBytesMatchReference pins the file format across the encoder
+// rewrite: for a cache with regions, records, retained repair state and
+// stamps moved by real mutations, the streamed writer's file — several
+// chunks long — is byte-identical to the reference encoder's.
+func TestWarmCacheBytesMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(93))
+	const n, d, k = 3000, 4, 10
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
+	}
+	ds, err := NewDatasetInSpace(points, SpaceSimplex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	defer e.Close()
+	for i := 0; i < 48; i++ {
+		q := SpaceSimplex.Normalize([]float64{0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64()})
+		if res := e.TopK(q, k); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	for _, m := range genChurn(r, points, 40, d) {
+		applyMut(t, ds, m)
+	}
+	snaps, version, err := e.snapshotCacheQuiesced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 16 {
+		t.Fatalf("only %d entries survived the churn — fixture too thin", len(snaps))
+	}
+
+	var ref refCacheEncoder
+	ref.u32(d)
+	ref.buf.WriteByte(byte(SpaceSimplex))
+	ref.i64(version)
+	ref.u32(uint32(len(snaps)))
+	for _, s := range snaps {
+		ref.entry(s)
+	}
+	want := append([]byte(nil), warmCacheMagic[:]...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(ref.buf.Bytes(), cacheCRC))
+	want = append(want, ref.buf.Bytes()...)
+
+	path := filepath.Join(t.TempDir(), "warm.gircache")
+	if err := writeCacheSnapshot(path, d, SpaceSimplex, version, snaps); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) < 3*(32<<10) {
+		t.Fatalf("file is %d bytes — the fixture must span several encoder chunks", len(got))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("streamed warm-cache file (%d bytes) differs from the reference encoding (%d bytes)", len(got), len(want))
+	}
+	if err := e.LoadCache(path); err != nil {
+		t.Fatalf("the engine cannot load what it wrote: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package gir
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,8 +16,12 @@ import (
 // (never a panic, never a silently garbage dataset), and with one byte
 // flipped per page-sized region must fail their checksums; a write-ahead
 // log truncated at every byte boundary must recover — without error — to
-// exactly the longest intact record prefix.
+// exactly the longest intact record prefix; and a delta file whose last
+// segment is cut at every byte or has any byte flipped must recover to
+// exactly the acknowledged state when the log it would have covered is still
+// beside it, and be refused when only a later log is (tornDeltaCorpus).
 func TestTornWriteCorpus(t *testing.T) {
+	t.Run("delta", tornDeltaCorpus)
 	r := rand.New(rand.NewSource(160))
 	const n, d, k = 100, 3, 4
 	points := make([][]float64, n)
@@ -234,6 +239,123 @@ func TestTornWriteCorpus(t *testing.T) {
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tornDeltaCorpus damages the last delta segment of a durable directory in
+// every way a crash or bit rot can and recovers beside two logs. Beside the
+// log the checkpoint was about to reset — what a crash mid-append leaves —
+// the damaged segment is dropped and the log replays: exactly the
+// acknowledged state, the loss reported. Beside the log written AFTER the
+// reset — only media damage produces that pair — the records continue past
+// a state the directory no longer holds, and recovery must refuse, never
+// serve the stale tree.
+func tornDeltaCorpus(t *testing.T) {
+	r := rand.New(rand.NewSource(162))
+	// Big enough that two small segments fit under the base (the
+	// compaction rule), small enough to recover tens of thousands of times.
+	points := make([][]float64, 600)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	dir := t.TempDir()
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	id := int64(1 << 20)
+	insert := func(n int) {
+		for ; n > 0; n-- {
+			if err := ds.Insert(id, []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	insert(1)
+	if err := ds.Checkpoint(dir); err != nil { // segment 1
+		t.Fatal(err)
+	}
+	firstEnd := ds.DeltaStats().Bytes
+	insert(1)
+	preLog := read(walName) // what the next checkpoint resets
+	ackLen, ackVersion := ds.Len(), ds.Version()
+	if err := ds.Checkpoint(dir); err != nil { // segment 2: the one damaged below
+		t.Fatal(err)
+	}
+	insert(2)
+	postLog := read(walName)
+	snapData, deltaData := read(datasetSnapName), read(datasetDeltaName)
+	if st := ds.DeltaStats(); st.Segments != 2 || st.Bytes != int64(len(deltaData)) || firstEnd <= 0 {
+		t.Fatalf("fixture: %+v over a %d-byte delta file, first segment ends at %d", st, len(deltaData), firstEnd)
+	}
+
+	crashDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashDir, datasetSnapName), snapData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recoverWith := func(delta, log []byte) (*Dataset, error) {
+		if err := os.WriteFile(filepath.Join(crashDir, datasetDeltaName), delta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashDir, walName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Recover(crashDir, WALOptions{})
+	}
+	check := func(what string, delta []byte) {
+		rec, err := recoverWith(delta, preLog)
+		if err != nil {
+			t.Fatalf("%s beside the pre-reset log: %v", what, err)
+		}
+		st := rec.DeltaStats()
+		if rec.Len() != ackLen || rec.Version() != ackVersion || st.Segments != 1 ||
+			st.TruncatedBytes != int64(len(delta))-firstEnd || st.ForeignTail {
+			t.Fatalf("%s beside the pre-reset log: (len %d, v%d), want (len %d, v%d); delta stats %+v",
+				what, rec.Len(), rec.Version(), ackLen, ackVersion, st)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := recoverWith(delta, postLog); err == nil {
+			t.Fatalf("%s beside the post-reset log recovered (len %d, v%d): a stale tree was served", what, rec.Len(), rec.Version())
+		}
+	}
+	for cut := int(firstEnd); cut < len(deltaData); cut++ {
+		check(fmt.Sprintf("last segment cut at %d/%d", cut, len(deltaData)), deltaData[:cut])
+	}
+	for off := int(firstEnd); off < len(deltaData); off++ {
+		cor := append([]byte(nil), deltaData...)
+		cor[off] ^= 0x20
+		check(fmt.Sprintf("last segment with byte %d flipped", off), cor)
+	}
+	// Intact, both logs recover: the older one is wholly covered by the
+	// segments and skipped by version, the newer one replays on top.
+	for _, c := range []struct {
+		log     []byte
+		version int64
+	}{{preLog, ackVersion}, {postLog, ds.Version()}} {
+		rec, err := recoverWith(deltaData, c.log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := rec.DeltaStats(); rec.Version() != c.version || st.Segments != 2 || st.TruncatedBytes != 0 {
+			t.Fatalf("intact delta file: recovered v%d, want v%d; delta stats %+v", rec.Version(), c.version, st)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

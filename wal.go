@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"github.com/girlib/gir/internal/pager"
 )
@@ -15,12 +16,15 @@ import (
 // an Insert or Delete that returned is durable.
 type WALOptions = pager.WALOptions
 
-// A durable directory holds the snapshot + log pair Recover restores
-// from. Engine.Checkpoint adds the warm-cache snapshot alongside.
+// A durable directory holds what Recover restores from: a base snapshot,
+// the delta segments checkpoints appended to it since (pager.AppendDelta),
+// and the log of the mutations after the last checkpoint. Engine.Checkpoint
+// adds the warm-cache snapshot alongside.
 const (
-	datasetSnapName = "dataset.snap"
-	cacheSnapName   = "cache.snap"
-	walName         = "wal.log"
+	datasetSnapName  = "dataset.snap"
+	datasetDeltaName = "dataset.delta"
+	cacheSnapName    = "cache.snap"
+	walName          = "wal.log"
 )
 
 // walEncode serializes one mutation as a WAL record payload:
@@ -80,11 +84,12 @@ func walDecode(payload []byte) (mutation, error) {
 // Insert/Delete appends a checksummed record to dir's write-ahead log
 // before the mutation becomes visible, fsynced per opts.SyncEvery. After
 // a crash, gir.Recover(dir) restores the snapshot and replays the log.
-// Checkpoint compacts the pair (fresh snapshot, empty log).
+// Checkpoint folds the log into the directory's snapshot state and
+// empties it.
 //
 // dir must not already hold a durable dataset — recover or remove it
 // first; two live datasets logging to one directory would interleave
-// their records.
+// their records. A stray delta file beside no snapshot is removed.
 func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -98,7 +103,7 @@ func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	if _, err := os.Stat(snap); err == nil {
 		return fmt.Errorf("gir: %s already holds a durable dataset — open it with gir.Recover, or remove it", dir)
 	}
-	if err := ds.saveLocked(snap); err != nil {
+	if err := ds.rebaseLocked(dir); err != nil {
 		return err
 	}
 	w, err := pager.OpenWAL(filepath.Join(dir, walName), opts, func([]byte) error {
@@ -109,6 +114,7 @@ func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	}
 	ds.wal = w
 	ds.walDir = dir
+	ds.dirty = make(map[pager.PageID]struct{})
 	return nil
 }
 
@@ -132,10 +138,27 @@ func (ds *Dataset) WALStats() WALStats {
 	return ds.wal.Stats()
 }
 
+// DeltaStats describes the durable directory's delta file (see
+// pager.DeltaStats): the segments extending its base snapshot, and the tail
+// the Recover that opened the directory dropped — TruncatedBytes, with
+// ForeignTail telling the debris of a crash inside a compaction (intact
+// segments of the replaced base) from a torn append.
+type DeltaStats = pager.DeltaStats
+
+// DeltaStats is WALStats' sibling for the delta file; the zero value is
+// returned when no WAL is attached.
+func (ds *Dataset) DeltaStats() DeltaStats {
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
+	return ds.delta
+}
+
 // applyWALPayload replays one logged mutation during recovery: records
-// the snapshot already covers (version ≤ the snapshot's) are skipped, the
-// rest are applied to the tree and published to subscribers exactly as
-// the original mutation was.
+// the snapshot state already covers (version ≤ the dataset's) are skipped,
+// the next one is applied to the tree and published to subscribers exactly
+// as the original mutation was, and a record that skips a version is an
+// error — applying past lost mutations (a damaged delta file, another
+// directory's log) would build a dataset that never existed.
 func (ds *Dataset) applyWALPayload(payload []byte) error {
 	m, err := walDecode(payload)
 	if err != nil {
@@ -143,8 +166,12 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if m.version <= ds.Version() {
+	v := ds.Version()
+	if m.version <= v {
 		return nil // the snapshot postdates this record (checkpoint + crash)
+	}
+	if m.version != v+1 {
+		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a lost or damaged %s?); refusing to replay past the gap", m.version, v, datasetDeltaName)
 	}
 	if len(m.point) != ds.tree.Dim() {
 		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.point), ds.tree.Dim())
@@ -157,10 +184,19 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	return nil
 }
 
-// checkpointLocked writes the dataset snapshot for dir and, when a WAL is
-// attached, truncates the log — every logged mutation is now covered by
-// the durable snapshot. The caller holds ds.mu exclusively, so no
-// mutation can land between the snapshot and the truncate.
+// checkpointLocked makes dir's snapshot state equal the dataset's and, when
+// a WAL is attached, empties the log every record of which is then covered.
+// The caller holds ds.mu exclusively, so no mutation can land between the
+// write and the truncate.
+//
+// With a log attached the cost is what changed, not what exists: the pages
+// written since the last checkpoint (ds.dirty) are appended to dir's delta
+// file as one checksummed segment naming the base it extends, and fsynced
+// before the log is reset. The base is rewritten (rebaseLocked, the
+// compaction step) by one fixed rule: when no base of the size this dataset
+// wrote or recovered sits in dir, or when the segment would make the delta
+// file outgrow the base — so the bytes written stay within twice the bytes
+// dirtied plus one base, and recovery reads at most twice the base.
 func (ds *Dataset) checkpointLocked(dir string) error {
 	if ds.wal != nil && dir != ds.walDir {
 		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", ds.walDir, dir)
@@ -168,21 +204,67 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := ds.saveLocked(filepath.Join(dir, datasetSnapName)); err != nil {
+	if ds.wal == nil {
+		return ds.saveLocked(filepath.Join(dir, datasetSnapName))
+	}
+	pages := make([]pager.PageID, 0, len(ds.dirty))
+	for id := range ds.dirty {
+		pages = append(pages, id)
+	}
+	slices.Sort(pages)
+	meta := ds.metaLocked()
+	info, err := os.Stat(filepath.Join(dir, datasetSnapName))
+	if err != nil || info.Size() != ds.base.SrcSize ||
+		ds.delta.Bytes+pager.DeltaSegmentSize(len(meta), len(pages)) > ds.base.SrcSize {
+		if err := ds.rebaseLocked(dir); err != nil {
+			return err
+		}
+	} else {
+		n, err := pager.AppendDelta(filepath.Join(dir, datasetDeltaName), ds.delta.Bytes, ds.base.SrcCRC, meta, ds.store, pages)
+		if err != nil {
+			return err
+		}
+		ds.delta.Segments++
+		ds.delta.Pages += int64(len(pages))
+		ds.delta.Bytes += n
+	}
+	if err := ds.wal.Reset(); err != nil {
 		return err
 	}
-	if ds.wal != nil {
-		return ds.wal.Reset()
+	clear(ds.dirty)
+	return nil
+}
+
+// rebaseLocked writes a full base snapshot of the current state into dir
+// (atomic rename) and removes the delta file it supersedes, in that order: a
+// crash between the two leaves segments naming the old base, which recovery
+// ignores, where removing first would strand the old base without the
+// segments the log was already reset behind.
+func (ds *Dataset) rebaseLocked(dir string) error {
+	snap := filepath.Join(dir, datasetSnapName)
+	if err := ds.saveLocked(snap); err != nil {
+		return err
+	}
+	id, err := pager.SnapshotID(snap)
+	if err != nil {
+		return err
+	}
+	ds.base = id
+	ds.delta.Segments, ds.delta.Pages, ds.delta.Bytes = 0, 0, 0 // the open's tail diagnostics stay
+	if err := os.Remove(filepath.Join(dir, datasetDeltaName)); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	return nil
 }
 
-// Checkpoint quiesces writers and persists the dataset to dir as one
-// atomic snapshot, then truncates the write-ahead log (when one is
-// attached via EnableWAL — dir must then be the WAL directory). A crash
-// at any point leaves dir recoverable: the snapshot is replaced by
-// rename, and log records the new snapshot already covers are skipped by
-// version on replay. Engines with a warm cache should use
+// Checkpoint quiesces writers and persists the dataset to dir, then
+// truncates the write-ahead log (when one is attached via EnableWAL — dir
+// must then be the WAL directory, and only the pages written since the last
+// checkpoint are appended; without a log it writes one atomic snapshot). A
+// crash at any point leaves dir recoverable: a base is replaced by rename, a
+// torn delta segment is dropped on open with the log it would have covered
+// still intact, and log records the snapshot state already covers are
+// skipped by version on replay. Engines with a warm cache should use
 // Engine.Checkpoint, which saves the cache in the same quiesced cut.
 func (ds *Dataset) Checkpoint(dir string) error {
 	ds.mu.Lock()
@@ -198,10 +280,9 @@ func (ds *Dataset) Checkpoint(dir string) error {
 // cache, and only then snapshots both: the saved cache is exactly the
 // cache a fresh engine over the saved dataset state would serve.
 //
-// Both files are replaced atomically and record the dataset version they
-// captured; RecoverEngine loads the cache only when its version matches
-// the dataset snapshot's, so a crash between the two writes costs the
-// warm start, never correctness.
+// Both record the dataset version they captured; RecoverEngine loads the
+// cache only when its version matches the dataset snapshot state's, so a
+// crash between the two writes costs the warm start, never correctness.
 func (e *Engine) Checkpoint(dir string) error {
 	e.ds.mu.Lock()
 	defer e.ds.mu.Unlock()
@@ -219,37 +300,74 @@ func (e *Engine) Checkpoint(dir string) error {
 		e.ds.tree.Dim(), e.ds.space, version, snaps)
 }
 
-// Recover restores a durable dataset from dir: it loads the snapshot,
-// replays every intact write-ahead record newer than it, truncates any
-// torn final record (the expected shape of a crash mid-append — never an
-// error), and leaves the log attached so new mutations keep appending.
-// The recovered state is exactly the never-crashed dataset that applied
-// the same durable mutation prefix. What the truncation discarded — bytes,
-// framable records, and whether the cause was checksum corruption or an
-// ordinary half-written final frame — is reported by ds.WALStats(), so a
-// clean restart (all tail counters zero) is distinguishable from loss.
+// Recover restores a durable dataset from dir: it loads the base snapshot,
+// applies every intact delta segment that extends it, replays every intact
+// write-ahead record newer than that state, truncates any torn final
+// segment or record (the expected shape of a crash mid-append — never an
+// error), and leaves the log attached so new mutations keep appending. The
+// recovered state is exactly the never-crashed dataset that applied the
+// same durable mutation prefix; a log that does not continue the snapshot
+// state version by version is refused. What the truncations discarded is
+// reported by ds.WALStats() and ds.DeltaStats(), so a clean restart (all
+// tail counters zero) is distinguishable from loss.
 func Recover(dir string, opts WALOptions) (*Dataset, error) {
-	ds, err := Open(filepath.Join(dir, datasetSnapName))
+	ds, err := openDurable(dir)
 	if err != nil {
 		return nil, err
 	}
-	w, err := pager.OpenWAL(filepath.Join(dir, walName), opts, ds.applyWALPayload)
-	if err != nil {
+	if err := ds.attachWAL(opts); err != nil {
 		return nil, err
 	}
-	ds.wal = w
-	ds.walDir = dir
 	return ds, nil
 }
 
+// openDurable loads dir's snapshot state — base plus delta segments — into
+// a dataset that tracks its dirty pages from here on, replay included.
+func openDurable(dir string) (*Dataset, error) {
+	snap := filepath.Join(dir, datasetSnapName)
+	store, meta, err := pager.LoadSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	id, err := pager.SnapshotID(snap)
+	if err != nil {
+		return nil, err
+	}
+	deltaMeta, delta, err := pager.ApplyDeltas(filepath.Join(dir, datasetDeltaName), id.SrcCRC, store)
+	if err != nil {
+		return nil, err
+	}
+	if deltaMeta != nil {
+		meta = deltaMeta
+	}
+	ds, err := attachDataset(store, meta, snap)
+	if err != nil {
+		return nil, err
+	}
+	ds.walDir, ds.base, ds.delta = dir, id, delta
+	ds.dirty = make(map[pager.PageID]struct{})
+	return ds, nil
+}
+
+// attachWAL opens walDir's log, replaying its tail into the dataset (and
+// through any engine already subscribed), and leaves it attached.
+func (ds *Dataset) attachWAL(opts WALOptions) error {
+	w, err := pager.OpenWAL(filepath.Join(ds.walDir, walName), opts, ds.applyWALPayload)
+	if err != nil {
+		return err
+	}
+	ds.wal = w
+	return nil
+}
+
 // RecoverEngine is Recover plus a warm engine: the cache snapshot written
-// by Engine.Checkpoint is restored when it matches the dataset snapshot's
-// version (a crash between the pair's two writes leaves a mismatch, which
-// costs the warm start, never correctness), and the write-ahead tail is
-// replayed through the engine's mutation pipeline so the cache is
+// by Engine.Checkpoint is restored when it matches the version of the
+// snapshot state (a crash between the checkpoint's writes leaves a mismatch,
+// which costs the warm start, never correctness), and the write-ahead tail
+// is replayed through the engine's mutation pipeline so the cache is
 // reconciled with every recovered mutation before the first query.
 func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset, *Engine, error) {
-	ds, err := Open(filepath.Join(dir, datasetSnapName))
+	ds, err := openDurable(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -257,19 +375,17 @@ func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset,
 	if e.cache != nil {
 		cachePath := filepath.Join(dir, cacheSnapName)
 		if _, err := os.Stat(cachePath); err == nil {
-			if err := e.loadCacheAtVersion(cachePath, ds.Version()); err != nil {
+			version := ds.Version()
+			if err := e.loadCache(cachePath, &version); err != nil {
 				e.Close()
 				return nil, nil, err
 			}
 		}
 	}
-	w, err := pager.OpenWAL(filepath.Join(dir, walName), wopts, ds.applyWALPayload)
-	if err != nil {
+	if err := ds.attachWAL(wopts); err != nil {
 		e.Close()
 		return nil, nil, err
 	}
-	ds.wal = w
-	ds.walDir = dir
 	e.Quiesce() // reconcile the replayed tail with the warm cache
 	return ds, e, nil
 }
