@@ -133,7 +133,7 @@ func TestFillAllocBudget(t *testing.T) {
 
 // TestBatchDispatchAllocBudget bounds the engine's per-query dispatch
 // overhead on the no-cache batch path: against a serving-shaped batch
-// (jittered repeats of a few centers — the BENCH_hotpath stream), fused
+// (jittered repeats of a few centers — the girbench -serve stream), fused
 // BatchTopK may cost at most 2 allocs/query more than a sequential
 // Dataset.TopK loop. The fused path's fixed per-group cost (claim
 // bookkeeping, group slices) must amortize across members; a regression

@@ -206,7 +206,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 	// With version stamps deduplicating (mutation, entry) pairs, the
 	// batched chain evaluates each pair exactly as often as the sequential
 	// recurrence — never more. (The engine-level saving beyond this comes
-	// from the shorter fence window; girbench -burst measures it.)
+	// from the shorter fence window; BenchmarkDrainBurst measures it.)
 	if totBatch.Predicates != totSeq.Predicates {
 		t.Errorf("batched chain changed the predicate work: batched %d, sequential %d",
 			totBatch.Predicates, totSeq.Predicates)

@@ -1,7 +1,7 @@
 // Benchmarks mirroring the paper's evaluation, one per table/figure, at
-// sizes where `go test -bench=.` completes in minutes (DESIGN.md §3 maps
-// each to the girbench figure that runs the full-scale version), plus
-// ablation benchmarks for the design decisions DESIGN.md §4 calls out.
+// sizes where `go test -bench=.` completes in minutes (BenchmarkFigN is
+// internal/bench's FigN, which `girbench -fig N` runs at full scale), plus
+// ablation benchmarks for the design decisions the package comments record.
 package gir
 
 import (
@@ -335,8 +335,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // BenchmarkBatchBRS measures the fused multi-query traversal against a
 // serving-shaped batch (jittered repeats of a few centers, the workload
-// girbench -fuse runs at scale). One iteration answers the whole batch;
-// pages/query counts the store reads fusion actually paid.
+// girbench -serve -table fuse runs at scale). One iteration answers the
+// whole batch; pages/query counts the store reads fusion actually paid.
 func BenchmarkBatchBRS(b *testing.B) {
 	env := setupBench(b, datagen.IND, 100000, 4)
 	const centers, per = 8, 8
@@ -362,7 +362,7 @@ func BenchmarkBatchBRS(b *testing.B) {
 	b.ReportMetric(reads/float64(b.N*len(qs)), "pages/query")
 }
 
-// --- Ablations for the design decisions DESIGN.md §4 records -------------
+// --- Ablations for the design decisions the package comments record ------
 
 // BenchmarkAblationReduce isolates the LP-based redundancy elimination:
 // GIR computation with and without the reduction step.

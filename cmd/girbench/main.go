@@ -1,8 +1,6 @@
-// Command girbench regenerates the paper's evaluation figures as printed
-// tables (see DESIGN.md §3 for the per-figure index and EXPERIMENTS.md for
-// paper-vs-measured comparisons).
-//
-// Usage:
+// Command girbench measures the library two ways. Without -serve it
+// regenerates the paper's evaluation figures (Section 8) as printed tables
+// — figure N is internal/bench's FigN:
 //
 //	girbench -fig 15                # one figure
 //	girbench                        # all figures
@@ -10,6 +8,12 @@
 //
 // Cells whose skyline/hull sizes would take hours (the paper's own SP/CP
 // charts reach 10⁶–10⁸ ms) are printed as skip(reason).
+//
+// With -serve it runs the serving suite (suite.go): six tables of arms over
+// one operation stream, one row schema, one report.
+//
+//	girbench -serve -json BENCH.json   # every table
+//	girbench -serve -table churn       # one of serve, fuse, churn, wal, stall, shard
 package main
 
 import (
@@ -22,31 +26,18 @@ import (
 	"strings"
 	"time"
 
-	gir "github.com/girlib/gir"
 	"github.com/girlib/gir/internal/bench"
 )
 
 func main() {
 	cfg := bench.Default()
 	fig := flag.Int("fig", 0, "figure to reproduce (6, 8, 14, 15, 16, 17, 18, 19); 0 = all")
-	serve := flag.Bool("serve", false, "run the concurrent serving benchmark (engine + sharded GIR cache) instead of a figure")
-	serveStream := flag.Int("stream", 4000, "-serve: queries in the served stream")
-	serveDistinct := flag.Int("distinct", 64, "-serve: distinct query vectors in the Zipf pool")
-	serveZipf := flag.Float64("zipf", 1.3, "-serve: Zipf skew parameter (> 1)")
-	serveJitter := flag.Float64("jitter", 0.001, "-serve: gaussian query jitter (0 = exact repeats only)")
-	serveBatch := flag.Int("batch", 64, "-serve: queries per BatchTopK call")
-	serveWorkers := flag.Int("workers", 0, "-serve: engine worker-pool size (0 = GOMAXPROCS)")
-	serveChurn := flag.Float64("churn", 0, "-serve: fraction of operations that are Insert/Delete writes (> 0 runs the churn benchmark)")
-	serveRepair := flag.Bool("repair", false, "-serve -churn: also measure RepairMode (repair-instead-of-evict cache maintenance) as a third configuration")
-	serveWAL := flag.Bool("wal", false, "-serve -churn: benchmark write-ahead-log durability (no-wal vs per-append fsync vs group commit) instead of cache maintenance")
-	serveShards := flag.Int("shards", 0, "-serve: benchmark the horizontally partitioned scatter/gather tier with this many partitions vs a single partition (> 1)")
-	serveFuse := flag.Bool("fuse", false, "-serve: benchmark the fused batched execution path (BatchTopK with angular-similarity grouping and shared page scans) against the per-query fan (the BENCH_fusion.json artifact)")
-	serveStall := flag.Bool("stall", false, "-serve: benchmark read tail latency against a dedicated mutator goroutine doing SyncEvery=1 durable writes (the BENCH_latency.json artifact)")
-	serveWriteRate := flag.Int("writerate", 200, "-serve -stall: the concurrent mutator's target durable-write rate per second")
-	serveFsyncDelay := flag.Duration("fsyncdelay", 2*time.Millisecond, "-serve -stall: simulated extra fsync latency per durable write (a spinning disk's fsync; 0 = the real filesystem only)")
-	serveWALSync := flag.Int("walsync", 32, "-serve -wal: group-commit interval for the third row (fsync once per this many appends)")
-	serveSpace := flag.String("space", "box", "-serve: query-space domain — box ([0,1]^d) or simplex (the paper's Σw=1 convention; queries are sum-normalized)")
-	serveJSON := flag.String("json", "", "-serve: also write the measured rows to this file as JSON (the CI BENCH_hotpath.json / BENCH_serve.json / BENCH_repair.json / BENCH_simplex.json artifact)")
+	serve := flag.Bool("serve", false, "run the serving suite instead of a figure")
+	suiteTable := flag.String("table", "", "-serve: run only this table (serve, fuse, churn, wal, stall, shard); default all")
+	suiteStream := flag.Int("stream", 4000, "-serve: operations in the stream")
+	suiteDistinct := flag.Int("distinct", 64, "-serve: distinct query vectors in the Zipf pool")
+	suiteSpace := flag.String("space", "box", "-serve: query-space domain — box ([0,1]^d) or simplex (the paper's Σw=1 convention; queries are sum-normalized)")
+	suiteJSON := flag.String("json", "", "-serve: also write the tables to this file as one JSON report (the committed BENCH.json)")
 	flag.IntVar(&cfg.N, "n", cfg.N, "synthetic dataset cardinality (paper: 1000000)")
 	flag.IntVar(&cfg.Queries, "queries", cfg.Queries, "queries averaged per cell (paper: 100)")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
@@ -76,15 +67,8 @@ func main() {
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal("bad -memprofile: %v", err)
-			}
-			defer f.Close()
 			runtime.GC() // flush recent frees so the profile shows live + cumulative allocs accurately
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal("-memprofile: %v", err)
-			}
+			writeProfile("heap", *memProfile)
 		}()
 	}
 	// The block/mutex collectors are off by default and stay off unless
@@ -112,68 +96,8 @@ func main() {
 	cfg.Cost.ReadLatency = *latency
 
 	if *serve {
-		if *serveZipf <= 1 {
-			fatal("bad -zipf: %v (the Zipf skew parameter must be > 1)", *serveZipf)
-		}
-		if *serveDistinct < 1 {
-			fatal("bad -distinct: %d (need at least one query vector)", *serveDistinct)
-		}
-		if *serveStream < 0 {
-			fatal("bad -stream: %d", *serveStream)
-		}
-		if *serveChurn < 0 || *serveChurn >= 1 {
-			fatal("bad -churn: %v (want a write fraction in [0, 1))", *serveChurn)
-		}
-		space, err := gir.ParseSpace(*serveSpace)
-		if err != nil {
-			fatal("bad -space: %v", err)
-		}
-		scfg := serveConfig{
-			N: cfg.N, D: 4, Seed: cfg.Seed,
-			Stream: *serveStream, Distinct: *serveDistinct,
-			ZipfS: *serveZipf, Jitter: *serveJitter,
-			Batch: *serveBatch, Workers: *serveWorkers,
-			Space: space,
-		}
-		if *serveWAL && *serveChurn == 0 {
-			fatal("-wal prices the write path and needs a write mix: add -churn (e.g. -churn 0.05)")
-		}
-		if *serveWALSync < 1 {
-			fatal("bad -walsync: %d (want a group-commit interval ≥ 1)", *serveWALSync)
-		}
-		if *serveShards < 0 || *serveShards == 1 {
-			fatal("bad -shards: %d (want a partition count > 1, or 0 for the unsharded benchmarks)", *serveShards)
-		}
-		if *serveShards > 1 && (*serveWAL || *serveRepair) {
-			fatal("-shards is its own benchmark; drop -wal/-repair")
-		}
-		if *serveStall && (*serveWAL || *serveRepair || *serveShards > 1 || *serveChurn > 0) {
-			fatal("-stall is its own benchmark (it brings its own concurrent mutator); drop -wal/-repair/-shards/-churn")
-		}
-		if *serveFuse && (*serveWAL || *serveRepair || *serveShards > 1 || *serveChurn > 0 || *serveStall) {
-			fatal("-fuse is its own benchmark; drop -wal/-repair/-shards/-churn/-stall")
-		}
-		if *serveWriteRate < 1 {
-			fatal("bad -writerate: %d (want at least one write per second)", *serveWriteRate)
-		}
-		if *serveFsyncDelay < 0 {
-			fatal("bad -fsyncdelay: %v", *serveFsyncDelay)
-		}
-		switch {
-		case *serveFuse:
-			err = runFusion(scfg, *serveJSON, os.Stdout)
-		case *serveStall:
-			err = runStall(scfg, *serveWriteRate, *serveFsyncDelay, *serveJSON, os.Stdout)
-		case *serveShards > 1:
-			err = runShard(scfg, *serveChurn, *serveShards, *serveJSON, os.Stdout)
-		case *serveWAL:
-			err = runWAL(scfg, *serveChurn, *serveWALSync, *serveJSON, os.Stdout)
-		case *serveChurn > 0:
-			err = runChurn(scfg, *serveChurn, *serveRepair, *serveJSON, os.Stdout)
-		default:
-			err = runServe(scfg, *serveJSON, os.Stdout)
-		}
-		if err != nil {
+		scfg := suiteConfig{N: cfg.N, Seed: cfg.Seed, Stream: *suiteStream, Distinct: *suiteDistinct, Space: *suiteSpace}
+		if err := runSuite(scfg, *suiteTable, *suiteJSON, os.Stdout); err != nil {
 			fatal("%v", err)
 		}
 		return
@@ -194,15 +118,16 @@ func fatal(format string, args ...interface{}) {
 	os.Exit(1)
 }
 
-// writeProfile dumps a named runtime profile ("block", "mutex") to path.
+// writeProfile dumps a named runtime profile ("heap", "block", "mutex") to
+// path.
 func writeProfile(name, path string) {
 	f, err := os.Create(path)
-	if err != nil {
-		fatal("bad -%sprofile: %v", name, err)
+	if err == nil {
+		defer f.Close()
+		err = pprof.Lookup(name).WriteTo(f, 0)
 	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fatal("-%sprofile: %v", name, err)
+	if err != nil {
+		fatal("writing the %s profile: %v", name, err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	gir "github.com/girlib/gir"
 )
 
 func TestParseInts(t *testing.T) {
@@ -33,319 +31,209 @@ func TestJoinInts(t *testing.T) {
 	}
 }
 
-// TestRunChurnSimplexSmoke runs the churn benchmark in the Σw=1 simplex
-// query space at toy scale and validates the BENCH_simplex.json artifact:
-// the config records the space, both rows are present with consistent
-// maintenance counters, and the cache genuinely hit (a domain mismatch
-// anywhere in the stack — validation, region membership, fence — would
-// zero the hit counts or error out).
-func TestRunChurnSimplexSmoke(t *testing.T) {
+// TestSuiteSmoke runs every table of the serving suite at toy scale in both
+// query spaces and holds, per table, the arm names in order and the one
+// thing each comparison is there to show; the file it wrote must read back
+// through the one report type as what was measured.
+func TestSuiteSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("churn benchmark smoke is not -short")
+		t.Skip("the serving suite smoke is not -short")
 	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_simplex.json"
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 300, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32, Space: gir.SpaceSimplex}
-	var buf strings.Builder
-	if err := runChurn(cfg, 0.08, false, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report churnReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if report.Config.Space != "simplex" {
-		t.Errorf("config space = %q, want simplex", report.Config.Space)
-	}
-	if len(report.Rows) != 2 || report.Rows[0].Name != "fine-grained" || report.Rows[1].Name != "global flush" {
-		t.Fatalf("unexpected rows: %+v", report.Rows)
-	}
-	for _, row := range report.Rows {
-		if row.Affected != row.Repaired+row.Invalidated {
-			t.Errorf("%s row breaks Affected == Repaired + Invalidated: %+v", row.Name, row)
-		}
-		if row.Hits == 0 {
-			t.Errorf("%s row served no cache hits — the simplex stack never matched a region", row.Name)
-		}
-	}
-}
-
-// TestRunServeSmoke runs the serving benchmark end to end at toy scale
-// and validates the BENCH_hotpath.json artifact: all four serving rows
-// are present, every row carries the allocation columns, and the warm
-// cached pass allocates less per query than the uncached one (the hot
-// path's whole point).
-func TestRunServeSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving benchmark smoke is not -short")
-	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_hotpath.json"
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 300, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32}
-	var buf strings.Builder
-	if err := runServe(cfg, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report serveReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	want := []string{"sequential no-cache", "engine no-cache", "engine cache (cold)", "engine cache (warm)"}
-	if len(report.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d: %+v", len(report.Rows), len(want), report.Rows)
-	}
-	for i, row := range report.Rows {
-		if row.Name != want[i] {
-			t.Errorf("row %d is %q, want %q", i, row.Name, want[i])
-		}
-		if row.Queries != cfg.Stream || row.QPS <= 0 {
-			t.Errorf("%s row has bad volume/throughput: %+v", row.Name, row)
-		}
-		if row.AllocsPerQuery < 0 || row.BytesPerQuery < 0 {
-			t.Errorf("%s row has negative allocation columns: %+v", row.Name, row)
-		}
-	}
-	warm := report.Rows[3]
-	if warm.Hits == 0 {
-		t.Error("warm pass served no cache hits")
-	}
-	if seq := report.Rows[0]; warm.Hits > 0 && warm.AllocsPerQuery >= seq.AllocsPerQuery+400 {
-		t.Errorf("warm cached pass allocates heavily (%.1f/query vs sequential %.1f): hot path regressed",
-			warm.AllocsPerQuery, seq.AllocsPerQuery)
-	}
-}
-
-// TestRunFusionSmoke runs the fused-batch benchmark end to end at toy
-// scale and validates the BENCH_fusion.json artifact schema: all four
-// rows present in order, fused rows recording fused groups/queries and
-// shared page reads, and the fused no-cache pass reading no more pages
-// than the unfused baseline (fewer is the whole point; equality is
-// tolerated only at this toy scale, never more).
-func TestRunFusionSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fusion benchmark smoke is not -short")
-	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_fusion.json"
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 300, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32}
-	var buf strings.Builder
-	if err := runFusion(cfg, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report fusionReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if report.Benchmark != "girbench-fusion" {
-		t.Fatalf("benchmark name = %q", report.Benchmark)
-	}
-	want := []string{"unfused no-cache", "fused no-cache", "fused cache (cold)", "fused cache (warm)"}
-	if len(report.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d: %+v", len(report.Rows), len(want), report.Rows)
-	}
-	for i, row := range report.Rows {
-		if row.Name != want[i] {
-			t.Errorf("row %d is %q, want %q", i, row.Name, want[i])
-		}
-		if row.Queries != cfg.Stream || row.QPS <= 0 {
-			t.Errorf("%s row has bad volume/throughput: %+v", row.Name, row)
-		}
-		if row.PageReads < 0 || row.AllocsPerQuery < 0 {
-			t.Errorf("%s row has negative counters: %+v", row.Name, row)
-		}
-	}
-	unfused, fused := report.Rows[0], report.Rows[1]
-	if unfused.FusedGroups != 0 || unfused.SharedPageReads != 0 {
-		t.Errorf("unfused baseline recorded fused activity: %+v", unfused)
-	}
-	if fused.FusedGroups == 0 || fused.FusedQueries == 0 {
-		t.Errorf("fused pass ran no fused traversals: %+v", fused)
-	}
-	if fused.SharedPageReads == 0 {
-		t.Errorf("fused pass shared no page reads: %+v", fused)
-	}
-	if fused.PageReads > unfused.PageReads {
-		t.Errorf("fusion read MORE pages than the per-query baseline: %d vs %d", fused.PageReads, unfused.PageReads)
-	}
-	if report.Config.GroupSize != 8 {
-		t.Errorf("config group_size = %d", report.Config.GroupSize)
-	}
-}
-
-// TestRunWALSmoke runs the durability benchmark end to end at toy scale
-// and validates the BENCH_wal.json artifact: all three durability rows
-// are present, write latencies are populated, and both WAL rows completed
-// the checkpoint + recovery round-trip.
-func TestRunWALSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wal benchmark smoke is not -short")
-	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_wal.json"
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 300, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32}
-	var buf strings.Builder
-	if err := runWAL(cfg, 0.08, 16, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report walReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	want := []string{"no-wal", "wal (sync every 1)", "wal (sync every 16)"}
-	if len(report.Rows) != len(want) {
-		t.Fatalf("got %d rows, want %d: %+v", len(report.Rows), len(want), report.Rows)
-	}
-	for i, row := range report.Rows {
-		if row.Name != want[i] {
-			t.Errorf("row %d is %q, want %q", i, row.Name, want[i])
-		}
-		if row.Writes == 0 || row.WriteP99US <= 0 || row.WriteP99US < row.WriteP50US {
-			t.Errorf("%s row has bad write latencies: %+v", row.Name, row)
-		}
-	}
-	for _, row := range report.Rows[1:] {
-		if !row.Recovered {
-			t.Errorf("%s row did not complete the checkpoint + recovery round-trip", row.Name)
-		}
-		if row.WALRecords != int64(row.Writes) {
-			t.Errorf("%s row logged %d records for %d writes", row.Name, row.WALRecords, row.Writes)
-		}
-	}
-	if report.Rows[0].SyncEvery != 0 || report.Rows[0].WALBytes != 0 {
-		t.Errorf("no-wal baseline carries WAL state: %+v", report.Rows[0])
-	}
-	if report.Config.SyncEvery != 16 {
-		t.Errorf("config sync_every = %d", report.Config.SyncEvery)
-	}
-}
-
-// TestRunStallSmoke runs the read-tail-latency benchmark end to end at
-// toy scale and validates the BENCH_latency.json artifact schema CI
-// uploads: both rows present, every row carrying ordered sampled
-// percentiles, the churn row showing real durable writes, and the
-// embedded pre-change baseline populated so the improvement ratio is
-// meaningful.
-func TestRunStallSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stall benchmark smoke is not -short")
-	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_latency.json"
-	// The churn stream must outlast a couple of scheduler ticks, or the
-	// mutator goroutine never preempts the single-core serve loop and the
-	// Writes assertion below is vacuous.
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 2000, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32, Space: gir.SpaceSimplex}
-	var buf strings.Builder
-	if err := runStall(cfg, 2000, 200*time.Microsecond, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report stallReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if report.Benchmark != "girbench-stall" {
-		t.Fatalf("benchmark name = %q", report.Benchmark)
-	}
-	if report.Config.WriteRate != 2000 || report.Config.FsyncDelayMS != 0.2 {
-		t.Errorf("config does not record the churn parameters: %+v", report.Config)
-	}
-	if len(report.Rows) != 2 || report.Rows[0].Name != "read-only" || report.Rows[1].Name != "syncevery=1 churn" {
-		t.Fatalf("unexpected rows: %+v", report.Rows)
-	}
-	for _, row := range report.Rows {
-		if row.Queries != cfg.Stream || row.QPS <= 0 {
-			t.Errorf("%s row has bad volume/throughput: %+v", row.Name, row)
-		}
-		if row.P50US <= 0 || row.P99US < row.P50US || row.P999US < row.P99US || row.MaxUS < row.P999US {
-			t.Errorf("%s row has unordered or empty percentiles: %+v", row.Name, row)
-		}
-	}
-	if report.Rows[0].Writes != 0 {
-		t.Errorf("read-only row saw %d writes", report.Rows[0].Writes)
-	}
-	if report.Rows[1].Writes == 0 {
-		t.Error("churn row saw no durable writes — the mutator never ran")
-	}
-	if report.BaselineP99US <= 0 || report.ImprovementX <= 0 {
-		t.Errorf("baseline comparison is empty: baseline=%v improvement=%v", report.BaselineP99US, report.ImprovementX)
-	}
-}
-
-// TestRunShardSmoke runs the sharded serving benchmark end to end at toy
-// scale and validates the BENCH_shard.json artifact schema: a 1-shard
-// baseline row plus the N-shard row, per-partition sub-rows that cover
-// every partition with real traffic, skew ratios ≥ 1, and merge overhead
-// populated only on the sharded row.
-func TestRunShardSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shard benchmark smoke is not -short")
-	}
-	dir := t.TempDir()
-	jsonPath := dir + "/BENCH_shard.json"
-	cfg := serveConfig{N: 1500, D: 3, Seed: 7, Stream: 300, Distinct: 8, ZipfS: 1.3, Jitter: 0.001, Batch: 32}
-	var buf strings.Builder
-	if err := runShard(cfg, 0.08, 4, jsonPath, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report shardReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if report.Benchmark != "girbench-serve-shard" || report.Config.Shards != 4 {
-		t.Fatalf("bad report header: %q, shards %d", report.Benchmark, report.Config.Shards)
-	}
-	if len(report.Rows) != 2 || report.Rows[0].Shards != 1 || report.Rows[1].Shards != 4 {
-		t.Fatalf("unexpected rows: %+v", report.Rows)
-	}
-	for _, row := range report.Rows {
-		if len(row.Parts) != row.Shards {
-			t.Fatalf("%s row has %d partition sub-rows for %d shards", row.Name, len(row.Parts), row.Shards)
-		}
-		if row.Queries != 300-row.Writes || row.QPS <= 0 {
-			t.Errorf("%s row has bad volume/throughput: %+v", row.Name, row)
-		}
-		if row.Hits == 0 {
-			t.Errorf("%s row served no cache hits", row.Name)
-		}
-		if row.RecordSkew < 1 || row.LookupSkew < 1 {
-			t.Errorf("%s row has skew ratios below 1: %+v", row.Name, row)
-		}
-		records := 0
-		for _, pr := range row.Parts {
-			records += pr.Records
-			if pr.Lookups == 0 {
-				t.Errorf("%s row: partition %d saw no lookups — the scatter skipped it", row.Name, pr.Part)
+	// The stream must outlast a couple of scheduler ticks, or on one core
+	// the stall table's mutator never gets to write beside the readers.
+	cfg := suiteConfig{N: 1500, Seed: 7, Stream: 1200, Distinct: 8}
+	checks := []struct {
+		table string
+		arms  []string
+		check func(t *testing.T, rows []row)
+	}{
+		{"serve", []string{"sequential no-cache", "engine no-cache", "engine cache (cold)", "engine cache (warm)"}, func(t *testing.T, rows []row) {
+			if rows[0].Hits+rows[1].Hits != 0 || rows[0].PageReads == 0 {
+				t.Errorf("the no-cache arms hit a cache or read nothing: %+v %+v", rows[0], rows[1])
 			}
-		}
-		if records < cfg.N {
-			t.Errorf("%s row: partitions hold %d records, seeded with %d", row.Name, records, cfg.N)
+			if warm := rows[3]; warm.Hits == 0 || warm.AllocsPerOp >= rows[0].AllocsPerOp+400 {
+				t.Errorf("warm pass: %d hits, %.1f allocs/op against %.1f sequential — the hot path regressed", warm.Hits, warm.AllocsPerOp, rows[0].AllocsPerOp)
+			}
+		}},
+		{"fuse", []string{"unfused no-cache", "fused no-cache", "fused cache (cold)", "fused cache (warm)"}, func(t *testing.T, rows []row) {
+			unfused, fused := rows[0], rows[1]
+			if unfused.FusedGroups != 0 || unfused.SharedPageReads != 0 {
+				t.Errorf("the per-query arm recorded fused activity: %+v", unfused)
+			}
+			if fused.FusedGroups == 0 || fused.FusedQueries == 0 || fused.SharedPageReads == 0 {
+				t.Errorf("the batched arm fused nothing: %+v", fused)
+			}
+			if fused.PageReads >= unfused.PageReads {
+				t.Errorf("fusion read %d pages, the per-query arm %d", fused.PageReads, unfused.PageReads)
+			}
+			if rows[3].Hits == 0 {
+				t.Error("warm fused pass served no cache hits")
+			}
+		}},
+		{"churn", []string{"repair", "fine-grained", "global flush"}, func(t *testing.T, rows []row) {
+			for _, r := range rows {
+				if r.Affected != r.Repaired+r.Invalidated {
+					t.Errorf("%s: affected %d != repaired %d + invalidated %d", r.Name, r.Affected, r.Repaired, r.Invalidated)
+				}
+				if r.Hits == 0 || r.Writes == 0 {
+					t.Errorf("%s: %d hits, %d writes — the cache never matched a region or the stream carried no churn", r.Name, r.Hits, r.Writes)
+				}
+			}
+			if rows[1].Repaired != 0 || rows[2].Repaired != 0 {
+				t.Errorf("an arm without RepairMode repaired: %+v %+v", rows[1], rows[2])
+			}
+		}},
+		{"wal", []string{"no-wal", "wal (sync every 1)", "wal (sync every 32)"}, func(t *testing.T, rows []row) {
+			if r := rows[0]; r.SyncEvery != 0 || r.WALBytes != 0 || r.WALRecords != 0 || r.Recovered {
+				t.Errorf("the no-wal arm carries log state: %+v", r)
+			}
+			for i, r := range rows {
+				if r.Writes == 0 || r.WriteP50US <= 0 || r.WriteP99US < r.WriteP50US {
+					t.Errorf("%s: bad write latencies: %+v", r.Name, r)
+				}
+				if i > 0 && (!r.Recovered || r.WALRecords != int64(r.Writes) || r.WALBytes == 0) {
+					t.Errorf("%s: recovered=%v with %d records, %d bytes logged for %d writes", r.Name, r.Recovered, r.WALRecords, r.WALBytes, r.Writes)
+				}
+			}
+			if rows[1].SyncEvery != 1 || rows[2].SyncEvery != 32 {
+				t.Errorf("sync_every = %d, %d", rows[1].SyncEvery, rows[2].SyncEvery)
+			}
+		}},
+		{"stall", []string{"read-only", "syncevery=1 churn"}, func(t *testing.T, rows []row) {
+			for _, r := range rows {
+				if r.Queries != cfg.Stream || r.P50US <= 0 || r.P99US < r.P50US || r.P999US < r.P99US || r.MaxUS < r.P999US {
+					t.Errorf("%s: unordered or empty read percentiles: %+v", r.Name, r)
+				}
+			}
+			if rows[0].Writes != 0 {
+				t.Errorf("the read-only arm saw %d writes", rows[0].Writes)
+			}
+			if rows[1].Writes == 0 || !rows[1].Recovered {
+				t.Errorf("the churn arm: %d durable writes, recovered=%v — the mutator never ran or its log does not replay", rows[1].Writes, rows[1].Recovered)
+			}
+		}},
+		{"shard", []string{"1 shard(s)", "4 shard(s)"}, func(t *testing.T, rows []row) {
+			for i, r := range rows {
+				if want := []int{1, 4}[i]; r.Shards != want || len(r.Parts) != want {
+					t.Fatalf("%s: %d shards, %d partition rows, want %d", r.Name, r.Shards, len(r.Parts), want)
+				}
+				if r.Hits == 0 || r.RecordSkew < 1 || r.LookupSkew < 1 {
+					t.Errorf("%s: no hits or a skew below 1: %+v", r.Name, r)
+				}
+				records := 0
+				for _, p := range r.Parts {
+					records += p.Records
+					if p.Hits+p.Partial+p.Misses == 0 {
+						t.Errorf("%s: %s saw no lookups — the scatter skipped it", r.Name, p.Name)
+					}
+				}
+				if records < cfg.N {
+					t.Errorf("%s: partitions hold %d records, seeded with %d", r.Name, records, cfg.N)
+				}
+			}
+			if rows[0].MergeOverheadPct != 0 {
+				t.Errorf("the one-partition row carries merge overhead: %+v", rows[0])
+			}
+		}},
+	}
+
+	for _, space := range []string{"box", "simplex"} {
+		t.Run(space, func(t *testing.T) {
+			cfg := cfg
+			cfg.Space = space
+			path := t.TempDir() + "/BENCH.json"
+			var out strings.Builder
+			if err := runSuite(cfg, "", path, &out); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep report
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatalf("the report is not valid JSON: %v", err)
+			}
+			if rep.Benchmark != "girbench-serve" || rep.Config.Space != space || rep.Config.N != cfg.N ||
+				rep.Config.D != suiteD || rep.Config.WriteMix != suiteWriteMix || rep.Config.WALGroup != suiteWALGroup ||
+				rep.Config.WriteRate != suiteWriteRate || rep.Config.FsyncDelayMS != 2 {
+				t.Errorf("report header: %q %+v", rep.Benchmark, rep.Config)
+			}
+			again, err := json.MarshalIndent(rep, "", "  ")
+			if err != nil || string(again)+"\n" != string(data) {
+				t.Errorf("the file does not round-trip through the report type (err %v)", err)
+			}
+			if len(rep.Tables) != len(checks) {
+				t.Fatalf("%d tables, want %d", len(rep.Tables), len(checks))
+			}
+			for i, c := range checks {
+				tb := rep.Tables[i]
+				t.Run(c.table, func(t *testing.T) {
+					if tb.Name != c.table || len(tb.Rows) != len(c.arms) {
+						t.Fatalf("table %d is %q with %d rows, want %q with %d", i, tb.Name, len(tb.Rows), c.table, len(c.arms))
+					}
+					for j, r := range tb.Rows {
+						if r.Name != c.arms[j] {
+							t.Errorf("arm %d is %q, want %q", j, r.Name, c.arms[j])
+						}
+						// Only the stall mutator writes outside the stream.
+						if inStream := r.Queries + r.Writes; r.QPS <= 0 || r.AllocsPerOp < 0 || r.Queries > cfg.Stream ||
+							(inStream != cfg.Stream && c.table != "stall") {
+							t.Errorf("%s: bad volume or throughput for a %d-op stream: %+v", r.Name, cfg.Stream, r)
+						}
+						if !strings.Contains(out.String(), "\n"+r.Name) {
+							t.Errorf("%s was not printed", r.Name)
+						}
+					}
+					c.check(t, tb.Rows)
+				})
+			}
+		})
+	}
+}
+
+// TestSuiteTableFlag holds -table: one name runs one table, an unknown one
+// is an error that lists the names, and so are sizes no stream can be
+// drawn from.
+func TestSuiteTableFlag(t *testing.T) {
+	cfg := suiteConfig{N: 400, Seed: 3, Stream: 60, Distinct: 4, Space: "box"}
+	var out strings.Builder
+	if err := runSuite(cfg, "wal", "", &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "\nwal —") || strings.Contains(s, "\nserve —") {
+		t.Errorf("-table wal printed:\n%s", s)
+	}
+	if err := runSuite(cfg, "burst", "", &out); err == nil || !strings.Contains(err.Error(), "serve, fuse, churn, wal, stall, shard") {
+		t.Errorf("unknown table: %v", err)
+	}
+	for _, bad := range []suiteConfig{{N: 400, Stream: 60, Distinct: 0, Space: "box"}, {N: 400, Stream: 60, Distinct: 4, Space: "sphere"}, {N: 400, Distinct: 4, Space: "box"}} {
+		if err := runSuite(bad, "", "", &out); err == nil {
+			t.Errorf("config %+v accepted", bad)
 		}
 	}
-	if report.Rows[0].MergeOverheadPct != 0 {
-		t.Errorf("baseline row carries merge overhead: %+v", report.Rows[0])
+}
+
+// TestLatSummaryNearestRank pins the one percentile rule reads and writes
+// share: the q-quantile of n sorted samples is the one at index ⌊q·n⌋,
+// clamped to the last — so p50 of an even count is the upper median, and a
+// tail quantile of a short sample is its maximum.
+func TestLatSummaryNearestRank(t *testing.T) {
+	if n, s := newLatRecorder(0).summarize(); n != 0 || s != (latSummary{}) {
+		t.Errorf("empty recorder: %d %+v", n, s)
+	}
+	l := newLatRecorder(4)
+	for _, us := range []int{40, 10, 30, 20} { // recorded out of order
+		l.add(time.Duration(us) * time.Microsecond)
+	}
+	if n, s := l.summarize(); n != 4 || s != (latSummary{P50US: 30, P99US: 40, P999US: 40, MaxUS: 40, MeanUS: 25}) {
+		t.Errorf("4 samples: %d %+v", n, s)
+	}
+	l = newLatRecorder(1000)
+	for us := 1; us <= 1000; us++ {
+		l.add(time.Duration(us) * time.Microsecond)
+	}
+	if n, s := l.summarize(); n != 1000 || s != (latSummary{P50US: 501, P99US: 991, P999US: 1000, MaxUS: 1000, MeanUS: 500.5}) {
+		t.Errorf("1000 samples: %d %+v", n, s)
 	}
 }

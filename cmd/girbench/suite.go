@@ -1,0 +1,677 @@
+// The -serve suite measures the serving side: one deterministic operation
+// stream (Zipf-popular top-k queries, optionally mixed with Insert/Delete
+// writes) is issued by one driver against one target at a time, and every
+// comparison the README makes is a table of arms — rows that differ in the
+// target they open and the way the stream is issued, never in how they are
+// timed, counted, printed or written. -json writes all tables as one
+// report (BENCH.json is the committed one).
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"runtime"
+	"strings"
+	"time"
+
+	gir "github.com/girlib/gir"
+	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/engine"
+	"github.com/girlib/gir/internal/shard"
+)
+
+// What CI, the README and the tests only ever ran at one value is a
+// constant of the suite, recorded in every report's config block.
+const (
+	suiteD          = 4
+	suiteZipfS      = 1.3   // Zipf skew of query popularity
+	suiteJitter     = 0.001 // gaussian nudge: near-repeats that land inside a cached region
+	suiteInflight   = 64    // concurrent callers of an in-flight arm = queries per BatchTopK call
+	suiteWriteMix   = 0.05  // share of operations that are writes in the churn, wal and shard streams
+	suiteWALGroup   = 32    // group-commit interval of the third wal arm
+	suiteWriteRate  = 200   // the stall mutator's durable writes per second
+	suiteFsyncDelay = 2 * time.Millisecond
+	suiteKMin       = 5
+	suiteKMax       = 20
+)
+
+// suiteConfig is what the command line chooses, plus the constants above
+// as the report records them.
+type suiteConfig struct {
+	N        int    `json:"n"`
+	D        int    `json:"d"`
+	Seed     int64  `json:"seed"`
+	Stream   int    `json:"stream"`
+	Distinct int    `json:"distinct"`
+	Space    string `json:"space"`
+
+	ZipfS        float64 `json:"zipf_s"`
+	Jitter       float64 `json:"jitter"`
+	Inflight     int     `json:"inflight"`
+	WriteMix     float64 `json:"write_mix"`
+	WALGroup     int     `json:"wal_group"`
+	WriteRate    int     `json:"write_rate"`
+	FsyncDelayMS float64 `json:"fsync_delay_ms"`
+	GOMAXPROCS   int     `json:"gomaxprocs"`
+}
+
+// Where an arm's stream goes.
+const (
+	same    = iota // the previous arm's target again: the warm pass of a cold one
+	bare           // a Dataset: every query traverses
+	engined        // an Engine over a Dataset: cache, single-flight, fence
+	sharded        // a shard.Coordinator over `parts` Engines
+)
+
+// arm is one row of a table: a target and a way of issuing the stream —
+// by default one caller, one operation a call, in stream order.
+type arm struct {
+	name    string
+	on      int
+	callers int  // > 1: that many concurrent callers, each operation still one call
+	batched bool // reads go in BatchTopK calls of up to suiteInflight consecutive ones
+	warm    bool // serve the stream's reads once, untimed, before measuring
+
+	nocache, repair bool // engined: caching off; RepairMode
+	flush           bool // engined: clear the whole cache after every write (the flush-the-world baseline the engine has no switch for)
+	walSync         int  // > 0: log to a temporary directory, fsync every walSync appends; the arm ends with a checkpoint and a recovery
+	mutator         bool // writes come from a paced concurrent goroutine, and every fsync takes suiteFsyncDelay longer (a spinning disk)
+	parts           int  // sharded: partition count
+}
+
+// table is one comparison: its arms over one stream. The same value is the
+// definition (arms) and, once run, the result (Rows).
+type table struct {
+	Name     string  `json:"name"`
+	Compares string  `json:"compares"`
+	WriteMix float64 `json:"write_mix"`
+	Rows     []row   `json:"rows"`
+	arms     []arm
+}
+
+var suiteTables = []table{
+	{Name: "serve", Compares: "a traversal per query vs the engine without and with the GIR cache, cold then warm", arms: []arm{
+		{name: "sequential no-cache", on: bare},
+		{name: "engine no-cache", on: engined, nocache: true, callers: suiteInflight},
+		{name: "engine cache (cold)", on: engined, callers: suiteInflight},
+		{name: "engine cache (warm)", on: same, callers: suiteInflight},
+	}},
+	{Name: "fuse", Compares: "per-query calls vs BatchTopK (in-batch dedupe, angularly similar misses sharing one traversal)", arms: []arm{
+		{name: "unfused no-cache", on: engined, nocache: true, callers: suiteInflight},
+		{name: "fused no-cache", on: engined, nocache: true, batched: true},
+		{name: "fused cache (cold)", on: engined, batched: true},
+		{name: "fused cache (warm)", on: same, batched: true},
+	}},
+	{Name: "churn", Compares: "what a warm cache keeps under writes: repair in place vs evict what a write can perturb vs flush everything", WriteMix: suiteWriteMix, arms: []arm{
+		{name: "repair", on: engined, repair: true, warm: true},
+		{name: "fine-grained", on: engined, warm: true},
+		{name: "global flush", on: engined, flush: true, warm: true},
+	}},
+	{Name: "wal", Compares: "what durability costs a write: no log vs an fsync per append vs group commit", WriteMix: suiteWriteMix, arms: []arm{
+		{name: "no-wal", on: bare},
+		{name: "wal (sync every 1)", on: bare, walSync: 1},
+		{name: fmt.Sprintf("wal (sync every %d)", suiteWALGroup), on: bare, walSync: suiteWALGroup},
+	}},
+	{Name: "stall", Compares: "read tail latency alone vs beside a writer that fsyncs every append: readers pin a snapshot and never wait for it", arms: []arm{
+		{name: "read-only", on: bare},
+		{name: "syncevery=1 churn", on: bare, walSync: 1, mutator: true},
+	}},
+	{Name: "shard", Compares: "one partition vs four: scatter/gather merge cost, hit rate, per-partition skew", WriteMix: suiteWriteMix, arms: []arm{
+		{name: "1 shard(s)", on: sharded, parts: 1, warm: true},
+		{name: "4 shard(s)", on: sharded, parts: 4, warm: true},
+	}},
+}
+
+// row is one measured arm. Counters are deltas over the timed pass (a warm
+// pass, or the cold arm before a warm one, is not in them); columns that do
+// not apply to an arm are zero and left out of the file. A read sample is
+// one TopK call or one BatchTopK call; a write sample one Insert or Delete.
+type row struct {
+	Name      string  `json:"name"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	QPS       float64 `json:"qps"`                   // queries / elapsed
+	OpsPerSec float64 `json:"ops_per_sec,omitempty"` // (queries + writes) / elapsed, on rows with writes
+	Queries   int     `json:"queries"`
+	Writes    int     `json:"writes"` // Inserts and Deletes applied during the pass, in-stream or by the mutator
+	Hits      int64   `json:"hits"`
+	Partial   int64   `json:"partial,omitempty"`
+	Misses    int64   `json:"misses"`
+	HitRate   float64 `json:"hit_rate"`
+	PageReads int64   `json:"page_reads"`
+	latSummary
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+
+	Deduped     int64 `json:"deduped,omitempty"`
+	Recomputes  int64 `json:"recomputes,omitempty"`
+	Affected    int64 `json:"affected,omitempty"` // = repaired + invalidated
+	Repaired    int64 `json:"repaired,omitempty"`
+	Invalidated int64 `json:"invalidated,omitempty"`
+	Fenced      int64 `json:"fenced,omitempty"`
+
+	PageReadsPerQuery float64 `json:"page_reads_per_query,omitempty"`
+	FusedGroups       int64   `json:"fused_groups,omitempty"`
+	FusedQueries      int64   `json:"fused_queries,omitempty"`
+	SharedPageReads   int64   `json:"shared_page_reads,omitempty"`
+
+	WriteP50US  float64 `json:"write_p50_us,omitempty"`
+	WriteP99US  float64 `json:"write_p99_us,omitempty"`
+	WriteMeanUS float64 `json:"write_mean_us,omitempty"`
+	SyncEvery   int     `json:"sync_every,omitempty"`
+	WALRecords  int64   `json:"wal_records,omitempty"` // the log at the end of the pass, before its checkpoint
+	WALBytes    int64   `json:"wal_bytes,omitempty"`
+	Recovered   bool    `json:"recovered,omitempty"` // checkpoint + Recover gave back the live cardinality
+
+	Shards           int     `json:"shards,omitempty"`
+	RecordSkew       float64 `json:"record_skew,omitempty"`
+	LookupSkew       float64 `json:"lookup_skew,omitempty"`
+	MergeOverheadPct float64 `json:"merge_overhead_pct,omitempty"` // QPS lost against the table's first row (negative = faster)
+	Parts            []row   `json:"parts,omitempty"`              // one per partition: records, version, its lookups as hits/partial/misses, lookups/s as qps
+	Records          int     `json:"records,omitempty"`
+	Version          int64   `json:"version,omitempty"`
+}
+
+// report is the -json file.
+type report struct {
+	Benchmark string      `json:"benchmark"`
+	Config    suiteConfig `json:"config"`
+	Tables    []table     `json:"tables"`
+}
+
+// counters is what a target has done so far; a row holds the difference of
+// two reads.
+type counters struct {
+	gir.EngineStats
+	PageReads int64
+	parts     []shard.PartitionStats // sharded targets only
+}
+
+// target is what a stream is issued against.
+type target interface {
+	TopK(q []float64, k int) error
+	BatchTopK(qs []gir.Query) error
+	Insert(id int64, p []float64) error
+	Delete(id int64, p []float64) error
+	Quiesce() // settle background maintenance so the counters are final
+	Counters() counters
+	// Finish adds what only this kind of target knows to its row, after
+	// the pass: the log and its recovery check, the partitions (as
+	// differences against the counters read before the pass).
+	Finish(r *row, before counters) error
+	Close()
+}
+
+// bareTarget is a Dataset on its own, with or without a log.
+type bareTarget struct {
+	ds      *gir.Dataset
+	walDir  string
+	walSync int
+}
+
+func (t *bareTarget) TopK(q []float64, k int) error { _, err := t.ds.TopK(q, k); return err }
+
+// BatchTopK on a target with no batch entry point is its queries in order.
+func (t *bareTarget) BatchTopK(qs []gir.Query) error {
+	for _, q := range qs {
+		if err := t.TopK(q.Vector, q.K); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+func (t *bareTarget) Insert(id int64, p []float64) error { return t.ds.Insert(id, p) }
+func (t *bareTarget) Delete(id int64, p []float64) error { _, err := t.ds.Delete(id, p); return err }
+func (t *bareTarget) Quiesce()                           {}
+func (t *bareTarget) Counters() counters                 { return counters{PageReads: t.ds.IOStats().PageReads} }
+
+// Finish on a logged dataset checkpoints, recovers the directory into a
+// second dataset and requires the same cardinality: a suite that prices a
+// broken durability path is worse than no number.
+func (t *bareTarget) Finish(r *row, _ counters) error {
+	if t.walDir == "" {
+		return nil
+	}
+	st := t.ds.WALStats()
+	r.SyncEvery, r.WALRecords, r.WALBytes = t.walSync, st.Records, st.Bytes
+	if err := t.ds.Checkpoint(t.walDir); err != nil {
+		return err
+	}
+	rec, err := gir.Recover(t.walDir, gir.WALOptions{SyncEvery: t.walSync})
+	if err != nil {
+		return fmt.Errorf("recovery after the pass: %w", err)
+	}
+	defer rec.Close()
+	if rec.Len() != t.ds.Len() {
+		return fmt.Errorf("recovery holds %d points, the live dataset %d", rec.Len(), t.ds.Len())
+	}
+	r.Recovered = true
+	return nil
+}
+
+func (t *bareTarget) Close() {
+	t.ds.Close()
+	if t.walDir != "" {
+		os.RemoveAll(t.walDir)
+	}
+}
+
+// engineTarget reads through an Engine and writes to the Dataset under it.
+type engineTarget struct {
+	*bareTarget
+	e       *gir.Engine
+	flush   bool
+	flushed int64 // entries the flush arm dropped, on top of the engine's own evictions
+}
+
+func (t *engineTarget) TopK(q []float64, k int) error { return t.e.TopK(q, k).Err }
+func (t *engineTarget) BatchTopK(qs []gir.Query) error {
+	for _, res := range t.e.BatchTopK(qs) {
+		if res.Err != nil {
+			return res.Err
+		}
+	}
+	return nil
+}
+func (t *engineTarget) Insert(id int64, p []float64) error {
+	return t.wrote(t.bareTarget.Insert(id, p))
+}
+func (t *engineTarget) Delete(id int64, p []float64) error {
+	return t.wrote(t.bareTarget.Delete(id, p))
+}
+func (t *engineTarget) wrote(err error) error {
+	if t.flush && err == nil {
+		t.flushed += int64(t.e.Cache().Len())
+		t.e.Cache().Clear()
+	}
+	return err
+}
+func (t *engineTarget) Quiesce() { t.e.Quiesce() }
+func (t *engineTarget) Counters() counters {
+	c := t.bareTarget.Counters()
+	c.EngineStats = t.e.Stats()
+	c.Affected += t.flushed
+	c.Invalidated += t.flushed
+	return c
+}
+func (t *engineTarget) Close() { t.e.Close(); t.bareTarget.Close() }
+
+// shardTarget is the partitioned tier.
+type shardTarget struct{ c *shard.Coordinator }
+
+func (t shardTarget) TopK(q []float64, k int) error { return t.c.TopK(q, k).Err }
+func (t shardTarget) BatchTopK(qs []gir.Query) error {
+	for _, res := range t.c.BatchTopK(qs) {
+		if res.Err != nil {
+			return res.Err
+		}
+	}
+	return nil
+}
+func (t shardTarget) Insert(id int64, p []float64) error { return t.c.Insert(id, p) }
+func (t shardTarget) Delete(id int64, p []float64) error { _, err := t.c.Delete(id, p); return err }
+func (t shardTarget) Quiesce()                           { t.c.Quiesce() }
+func (t shardTarget) Close()                             { t.c.Close() }
+func (t shardTarget) Counters() counters {
+	st := t.c.Stats()
+	c := counters{EngineStats: st.Aggregate, parts: st.Parts}
+	for i := range st.Parts {
+		c.PageReads += t.c.Dataset(i).IOStats().PageReads
+	}
+	return c
+}
+
+// Finish records the partitions: each one's records, version and its own
+// lookups during the pass (the skew ratios are the coordinator's, over its
+// lifetime — placement, not one pass).
+func (t shardTarget) Finish(r *row, before counters) error {
+	st := t.c.Stats()
+	r.Shards, r.RecordSkew, r.LookupSkew = len(st.Parts), st.RecordSkew, st.LookupSkew
+	for i, ps := range st.Parts {
+		was := before.parts[i].Engine
+		p := row{
+			Name: fmt.Sprintf("part %d", ps.Part), Records: ps.Records, Version: ps.Version,
+			Hits: ps.Engine.CacheHits - was.CacheHits, Partial: ps.Engine.PartialHits - was.PartialHits, Misses: ps.Engine.Misses - was.Misses,
+		}
+		if lookups := p.Hits + p.Partial + p.Misses; lookups > 0 {
+			p.HitRate = float64(p.Hits) / float64(lookups)
+			p.QPS = float64(lookups) / (r.ElapsedMS / 1e3)
+		}
+		r.Parts = append(r.Parts, p)
+	}
+	return nil
+}
+
+// suite is one run: the configuration and the points every arm shares.
+type suite struct {
+	cfg   suiteConfig
+	space gir.Space
+	raw   [][]float64
+}
+
+// runSuite runs the named table (all of them for ""), prints each as it
+// completes and, with jsonPath, writes the report.
+func runSuite(cfg suiteConfig, only, jsonPath string, w io.Writer) error {
+	space, err := gir.ParseSpace(cfg.Space)
+	if err != nil {
+		return fmt.Errorf("bad -space: %w", err)
+	}
+	if cfg.N < suiteKMax || cfg.Distinct < 1 || cfg.Stream < 1 {
+		return fmt.Errorf("bad size: -n %d (need ≥ %d), -distinct %d (need ≥ 1), -stream %d (need ≥ 1)", cfg.N, suiteKMax, cfg.Distinct, cfg.Stream)
+	}
+	cfg.D, cfg.ZipfS, cfg.Jitter, cfg.Inflight = suiteD, suiteZipfS, suiteJitter, suiteInflight
+	cfg.WriteMix, cfg.WALGroup, cfg.WriteRate = suiteWriteMix, suiteWALGroup, suiteWriteRate
+	cfg.FsyncDelayMS, cfg.GOMAXPROCS = float64(suiteFsyncDelay.Microseconds())/1e3, runtime.GOMAXPROCS(0)
+
+	var names []string
+	rep := report{Benchmark: "girbench-serve", Config: cfg}
+	for _, tb := range suiteTables {
+		names = append(names, tb.Name)
+		if only == "" || only == tb.Name {
+			rep.Tables = append(rep.Tables, tb)
+		}
+	}
+	if len(rep.Tables) == 0 {
+		return fmt.Errorf("bad -table %q (have %s)", only, strings.Join(names, ", "))
+	}
+
+	s := &suite{cfg: cfg, space: space}
+	for _, p := range datagen.Independent(cfg.N, cfg.D, cfg.Seed) {
+		s.raw = append(s.raw, p)
+	}
+	fmt.Fprintf(w, "serving suite: n=%d d=%d space=%v seed=%d, %d operations over %d distinct vectors (zipf s=%.2f, jitter %.3g), GOMAXPROCS=%d\n",
+		cfg.N, cfg.D, space, cfg.Seed, cfg.Stream, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.GOMAXPROCS)
+	for i := range rep.Tables {
+		tb := &rep.Tables[i]
+		if err := s.runTable(tb); err != nil {
+			return fmt.Errorf("table %s: %w", tb.Name, err)
+		}
+		printTable(w, tb)
+	}
+	if jsonPath == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
+	return nil
+}
+
+// runTable measures a table's arms in order over the stream of its mix;
+// mix 0 is the read-only stream (the same draws as NewStreamIn's).
+func (s *suite) runTable(tb *table) error {
+	ops, _, _ := engine.NewChurnWorkloadIn(s.cfg.Seed+1, s.cfg.D, s.cfg.Distinct, s.cfg.ZipfS, s.cfg.Jitter,
+		s.cfg.Stream, tb.WriteMix, suiteKMin, suiteKMax, s.space == gir.SpaceSimplex)
+	var t target
+	for _, a := range tb.arms {
+		if a.on != same {
+			var err error
+			if t, err = s.open(a); err != nil {
+				return err
+			}
+			defer t.Close() // a table has at most four arms; their targets go together when it ends
+		}
+		r, err := s.run(t, ops, a)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
+		if r.Shards > 1 {
+			r.MergeOverheadPct = 100 * (tb.Rows[0].QPS - r.QPS) / tb.Rows[0].QPS
+		}
+		tb.Rows = append(tb.Rows, r)
+	}
+	return nil
+}
+
+// open builds an arm's target over a fresh copy of the suite's points.
+func (s *suite) open(a arm) (target, error) {
+	eopts := gir.EngineOptions{CacheCapacity: 2 * s.cfg.Distinct, RepairMode: a.repair}
+	if a.nocache {
+		eopts.CacheCapacity = -1
+	}
+	if a.on == sharded {
+		c, err := shard.New(s.raw, shard.Options{Parts: a.parts, Space: s.space, Engine: eopts})
+		if err != nil {
+			return nil, err
+		}
+		return shardTarget{c}, nil
+	}
+	ds, err := gir.NewDatasetInSpace(s.raw, s.space)
+	if err != nil {
+		return nil, err
+	}
+	bt := &bareTarget{ds: ds, walSync: a.walSync}
+	if a.walSync > 0 {
+		if bt.walDir, err = os.MkdirTemp("", "girbench-wal-*"); err != nil {
+			return nil, err
+		}
+		wopts := gir.WALOptions{SyncEvery: a.walSync}
+		if a.mutator {
+			wopts.SyncHook = func() { time.Sleep(suiteFsyncDelay) }
+		}
+		if err := ds.EnableWAL(bt.walDir, wopts); err != nil {
+			bt.Close()
+			return nil, err
+		}
+	}
+	if a.on == bare {
+		return bt, nil
+	}
+	return &engineTarget{bareTarget: bt, e: gir.NewEngine(ds, eopts), flush: a.flush}, nil
+}
+
+// run issues ops against t the arm's way and returns the measured row.
+func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
+	// A call is one op, or — batched — a run of consecutive reads.
+	type call struct {
+		op    *engine.ChurnOp
+		batch []gir.Query
+	}
+	calls := make([]call, 0, len(ops))
+	queries := 0
+	for i := range ops {
+		op := &ops[i]
+		if n := len(calls); op.Write || !a.batched {
+			calls = append(calls, call{op: op})
+		} else if q := (gir.Query{Vector: op.Query, K: op.K}); n > 0 && calls[n-1].batch != nil && len(calls[n-1].batch) < suiteInflight {
+			calls[n-1].batch = append(calls[n-1].batch, q)
+		} else {
+			calls = append(calls, call{batch: []gir.Query{q}})
+		}
+		if op.Write {
+			continue
+		}
+		queries++
+		if a.warm { // the untimed pass: the stream's reads, once, in order
+			if err := t.TopK(op.Query, op.K); err != nil {
+				return row{}, err
+			}
+		}
+	}
+
+	// The one timed call: every read and every write of every arm, the
+	// mutator's included, goes through here.
+	reads, writes := newLatRecorder(len(calls)), newLatRecorder(len(calls))
+	do := func(c call) error {
+		var err error
+		rec := reads
+		start := time.Now()
+		switch {
+		case c.batch != nil:
+			err = t.BatchTopK(c.batch)
+		case !c.op.Write:
+			err = t.TopK(c.op.Query, c.op.K)
+		case c.op.Insert:
+			rec, err = writes, t.Insert(c.op.ID, c.op.Point)
+		default:
+			rec, err = writes, t.Delete(c.op.ID, c.op.Point)
+		}
+		rec.add(time.Since(start))
+		return err
+	}
+
+	before := t.Counters()
+	stop, mutated := make(chan struct{}), make(chan error, 1)
+	if a.mutator {
+		go func() {
+			mutated <- s.mutate(stop, func(op *engine.ChurnOp) error { return do(call{op: op}) })
+		}()
+		runtime.Gosched() // on one core the mutator otherwise first runs at the reader's first preemption, 10 ms in
+	} else {
+		mutated <- nil
+	}
+	errs := make([]error, len(calls))
+	var mem [2]runtime.MemStats
+	runtime.ReadMemStats(&mem[0])
+	start := time.Now()
+	engine.Fan(len(calls), max(1, a.callers), func(i int) { errs[i] = do(calls[i]) })
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&mem[1])
+	close(stop)
+	if err := errors.Join(append(errs, <-mutated)...); err != nil {
+		return row{}, err
+	}
+	t.Quiesce()
+	after := t.Counters()
+
+	nWrites, wlat := writes.summarize()
+	r := row{
+		Name:      a.name,
+		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+		QPS:       float64(queries) / elapsed.Seconds(),
+		Queries:   queries,
+		Writes:    nWrites,
+		Hits:      after.CacheHits - before.CacheHits,
+		Partial:   after.PartialHits - before.PartialHits,
+		Misses:    after.Misses - before.Misses,
+		PageReads: after.PageReads - before.PageReads,
+		// Mallocs and TotalAlloc are cumulative, so the difference is exact
+		// whatever the collector did during the pass.
+		AllocsPerOp: float64(mem[1].Mallocs-mem[0].Mallocs) / float64(len(ops)),
+		BytesPerOp:  float64(mem[1].TotalAlloc-mem[0].TotalAlloc) / float64(len(ops)),
+
+		Deduped:         after.Deduped - before.Deduped,
+		Recomputes:      after.Computed - before.Computed,
+		Affected:        after.Affected - before.Affected,
+		Repaired:        after.Repaired - before.Repaired,
+		Invalidated:     after.Invalidated - before.Invalidated,
+		Fenced:          after.Fenced - before.Fenced,
+		FusedGroups:     after.FusedGroups - before.FusedGroups,
+		FusedQueries:    after.FusedQueries - before.FusedQueries,
+		SharedPageReads: after.SharedPageReads - before.SharedPageReads,
+		WriteP50US:      wlat.P50US,
+		WriteP99US:      wlat.P99US,
+		WriteMeanUS:     wlat.MeanUS,
+	}
+	_, r.latSummary = reads.summarize()
+	r.PageReadsPerQuery = float64(r.PageReads) / float64(max(1, queries))
+	if nWrites > 0 {
+		r.OpsPerSec = float64(queries+nWrites) / elapsed.Seconds()
+	}
+	if lookups := r.Hits + r.Partial + r.Misses; lookups > 0 {
+		r.HitRate = float64(r.Hits) / float64(lookups)
+	}
+	err := t.Finish(&r, before)
+	return r, err
+}
+
+// mutate is the stall table's writer: it alternates inserting a fresh
+// record and deleting it — cardinality stays put while every operation pays
+// the full append + fsync — at suiteWriteRate, until stop closes.
+func (s *suite) mutate(stop <-chan struct{}, write func(*engine.ChurnOp) error) error {
+	rng := rand.New(rand.NewSource(s.cfg.Seed + 2))
+	op := engine.ChurnOp{Write: true, ID: int64(s.cfg.N), Point: make([]float64, s.cfg.D)}
+	// Catch-up pacing: a sleep can wake a scheduler tick late, so a sleep
+	// per write would undershoot the rate. Following the schedule and
+	// working off the backlog on each wake-up holds it, the way a real
+	// writer drains its queue.
+	for next := time.Now(); ; next = next.Add(time.Second / suiteWriteRate) {
+		if d := time.Until(next); d > 0 {
+			time.Sleep(d)
+		}
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		if op.Insert = !op.Insert; op.Insert {
+			for i := range op.Point {
+				op.Point[i] = rng.Float64()
+			}
+		}
+		if err := write(&op); err != nil {
+			return err
+		}
+		if !op.Insert {
+			op.ID++
+		}
+	}
+}
+
+// columns is every column a table can print, in print order; a table shows
+// the ones some row of it has a value in.
+var columns = []struct {
+	head, verb string
+	val        func(r *row) float64
+}{
+	{"elapsed", "%.0fms", func(r *row) float64 { return r.ElapsedMS }},
+	{"queries/s", "%.0f", func(r *row) float64 { return r.QPS }},
+	{"ops/s", "%.0f", func(r *row) float64 { return r.OpsPerSec }},
+	{"writes", "%.0f", func(r *row) float64 { return float64(r.Writes) }},
+	{"hits", "%.0f", func(r *row) float64 { return float64(r.Hits) }},
+	{"partial", "%.0f", func(r *row) float64 { return float64(r.Partial) }},
+	{"misses", "%.0f", func(r *row) float64 { return float64(r.Misses) }},
+	{"hit%", "%.1f", func(r *row) float64 { return 100 * r.HitRate }},
+	{"deduped", "%.0f", func(r *row) float64 { return float64(r.Deduped) }},
+	{"recomputes", "%.0f", func(r *row) float64 { return float64(r.Recomputes) }},
+	{"repaired", "%.0f", func(r *row) float64 { return float64(r.Repaired) }},
+	{"evicted", "%.0f", func(r *row) float64 { return float64(r.Invalidated) }},
+	{"fence-vetos", "%.0f", func(r *row) float64 { return float64(r.Fenced) }},
+	{"page reads", "%.0f", func(r *row) float64 { return float64(r.PageReads) }},
+	{"reads/query", "%.1f", func(r *row) float64 { return r.PageReadsPerQuery }},
+	{"groups", "%.0f", func(r *row) float64 { return float64(r.FusedGroups) }},
+	{"fusedq", "%.0f", func(r *row) float64 { return float64(r.FusedQueries) }},
+	{"shared reads", "%.0f", func(r *row) float64 { return float64(r.SharedPageReads) }},
+	{"allocs/op", "%.1f", func(r *row) float64 { return r.AllocsPerOp }},
+	{"B/op", "%.0f", func(r *row) float64 { return r.BytesPerOp }},
+	{"p50", "%.0fµ", func(r *row) float64 { return r.P50US }},
+	{"p99", "%.0fµ", func(r *row) float64 { return r.P99US }},
+	{"p99.9", "%.0fµ", func(r *row) float64 { return r.P999US }},
+	{"max", "%.0fµ", func(r *row) float64 { return r.MaxUS }},
+	{"write p50", "%.0fµ", func(r *row) float64 { return r.WriteP50US }},
+	{"write p99", "%.0fµ", func(r *row) float64 { return r.WriteP99US }},
+	{"wal bytes", "%.0f", func(r *row) float64 { return float64(r.WALBytes) }},
+	{"rec-skew", "%.2f", func(r *row) float64 { return r.RecordSkew }},
+	{"look-skew", "%.2f", func(r *row) float64 { return r.LookupSkew }},
+	{"merge-ovh%", "%.1f", func(r *row) float64 { return r.MergeOverheadPct }},
+}
+
+func printTable(w io.Writer, tb *table) {
+	fmt.Fprintf(w, "\n%s — %s\n%-22s", tb.Name, tb.Compares, "arm")
+	var shown []int
+	for i, c := range columns {
+		for j := range tb.Rows {
+			if c.val(&tb.Rows[j]) != 0 {
+				shown = append(shown, i)
+				fmt.Fprintf(w, " %*s", max(9, len(c.head)), c.head)
+				break
+			}
+		}
+	}
+	for j := range tb.Rows {
+		fmt.Fprintf(w, "\n%-22s", tb.Rows[j].Name)
+		for _, i := range shown {
+			c := columns[i]
+			fmt.Fprintf(w, " %*s", max(9, len(c.head)), fmt.Sprintf(c.verb, c.val(&tb.Rows[j])))
+		}
+	}
+	fmt.Fprintln(w)
+}

@@ -112,8 +112,9 @@ func spaceOfKind(k domain.Kind) Space {
 // paper's headline algorithm, not the slowest one.
 type Method int
 
-// Phase-2 algorithms (see DESIGN.md and the paper's Sections 5–6). All
-// produce the same region for linear scoring; they differ in cost.
+// Phase-2 algorithms (the paper's Sections 5–6, implemented in
+// internal/gir). All produce the same region for linear scoring; they
+// differ in cost.
 const (
 	// FP computes only the hull facets incident to the k-th result record
 	// — the paper's fastest and most scalable algorithm, and the zero
@@ -278,6 +279,11 @@ func (s *treeSnap) validate(q []float64, k int) error {
 			return errors.New("gir: query weights must be nonnegative")
 		}
 		sum += w
+	}
+	// One compare per query rejects NaN and +Inf weights: either poisons
+	// the sum, and neither fails w < 0 or the simplex test below.
+	if !(sum <= math.MaxFloat64) {
+		return errors.New("gir: query weights must be finite")
 	}
 	if s.space == SpaceSimplex && math.Abs(sum-1) > domain.EqTol {
 		return fmt.Errorf("gir: query weights sum to %v; the simplex query space needs Σw = 1 (normalize with gir.SpaceSimplex.Normalize)", sum)
@@ -489,10 +495,8 @@ func buildDataset(ids []int64, points [][]float64, space Space) (*Dataset, error
 		if len(p) != d {
 			return nil, fmt.Errorf("gir: point %d has dimension %d, want %d", i, len(p), d)
 		}
-		for j, x := range p {
-			if x < 0 || x > 1 {
-				return nil, fmt.Errorf("gir: point %d coordinate %d = %v outside [0,1]", i, j, x)
-			}
+		if err := checkUnitRange(p); err != nil {
+			return nil, fmt.Errorf("gir: point %d %v", i, err)
 		}
 		pts[i] = vec.Vector(p)
 	}
@@ -504,8 +508,22 @@ func buildDataset(ids []int64, points [][]float64, space Space) (*Dataset, error
 	return ds, nil
 }
 
+// checkUnitRange reports the first coordinate outside the [0,1] data
+// space. The test is written so that NaN fails it (x < 0 || x > 1 is false
+// for NaN).
+func checkUnitRange(p []float64) error {
+	for j, x := range p {
+		if !(x >= 0 && x <= 1) {
+			return fmt.Errorf("coordinate %d = %v outside [0,1]", j, x)
+		}
+	}
+	return nil
+}
+
 // Insert adds a record dynamically (R* insertion with forced reinsert).
-// It serializes with other writers but never blocks or excludes readers:
+// The point must have the dataset's dimension and coordinates in [0,1],
+// like the constructor's; one that does not is refused before anything is
+// logged or applied. It serializes with other writers but never blocks or excludes readers:
 // the insert builds new index pages copy-on-write and publishes them as a
 // new snapshot once complete, so in-flight queries keep traversing the
 // old version throughout. With a write-ahead log attached (EnableWAL),
@@ -516,6 +534,9 @@ func buildDataset(ids []int64, points [][]float64, space Space) (*Dataset, error
 func (ds *Dataset) Insert(id int64, p []float64) error {
 	if len(p) != ds.tree.Dim() {
 		return fmt.Errorf("gir: dimension mismatch")
+	}
+	if err := checkUnitRange(p); err != nil {
+		return fmt.Errorf("gir: insert %d: %v", id, err)
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -572,7 +593,7 @@ func (ds *Dataset) Version() int64 { return ds.snap.Load().version }
 func (ds *Dataset) Dim() int { return ds.tree.Dim() }
 
 // SetIOLatency configures the simulated per-page read latency used by
-// IOStats (default 100µs; see DESIGN.md §5).
+// IOStats (default 100µs, pager.DefaultCostModel).
 func (ds *Dataset) SetIOLatency(l time.Duration) { ds.cost = pager.CostModel{ReadLatency: l} }
 
 // IOStats returns the cumulative simulated I/O counters.

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 8) as printed series, at a
-// configurable scale. DESIGN.md §3 maps each figure to the function here
-// that reproduces it; cmd/girbench is the CLI front-end.
+// configurable scale. Figure N of the paper is the method FigN in
+// figures.go (Run dispatches on the number); cmd/girbench is the CLI
+// front-end.
 //
 // Scale and skipping: the paper's defaults (n up to 20M, d up to 8) push
 // SP and CP to 10⁶–10⁸ ms in the authors' own charts. The harness defaults

@@ -2,9 +2,9 @@
 // Independent / Correlated / Anti-correlated synthetic distributions of
 // Börzsönyi et al. [8] used throughout the evaluation, plus statistical
 // surrogates for the two real datasets (HOUSE from ipums.org and HOTEL
-// from hotelsbase.org), which are not redistributable. DESIGN.md §5
-// documents why the surrogates preserve the behaviours the experiments
-// depend on (cardinality, dimensionality, correlation structure).
+// from hotelsbase.org), which are not redistributable. The comments on
+// House and Hotel below say which behaviours the experiments depend on
+// (cardinality, dimensionality, correlation structure) each preserves.
 //
 // All generators are deterministic in their seed.
 package datagen

@@ -9,7 +9,7 @@
 //     and the star's non-apex vertices are the critical records.
 //
 // Correctness of star-only maintenance rests on two facts proved in the
-// paper (Section 6) and re-derived in DESIGN.md: (i) a ridge containing the
+// paper (Section 6): (i) a ridge containing the
 // apex is shared by exactly two facets that both contain the apex, so
 // horizon ridges through the apex are discoverable inside the star; and
 // (ii) a new point changes the star iff it lies strictly above one of the

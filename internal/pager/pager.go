@@ -35,7 +35,7 @@ type Stats struct {
 type CostModel struct {
 	// ReadLatency is charged per page read. The default (100µs) is the
 	// order of magnitude of a random 4 KiB read on a 2014-era 7200rpm
-	// disk with some locality; see EXPERIMENTS.md for sensitivity.
+	// disk with some locality; `girbench -iolat` reruns a figure at another value.
 	ReadLatency time.Duration
 }
 

@@ -419,7 +419,7 @@ func (t *Tree) ReadBlock(id pager.PageID, blk *NodeBlock) *NodeBlock {
 		}
 		return blk
 	}
-	blk.RecIDs, blk.Cols = nil, nil
+	blk.RecIDs, blk.Cols = nil, blk.Cols[:0] // the d column headers are a buffer too: the next leaf reslices them
 	if cap(blk.chbuf) < count {
 		blk.chbuf = make([]pager.PageID, count)
 	}

@@ -160,8 +160,8 @@ func (f Polynomial) Name() string { return "Polynomial" }
 // S(p,q) = w1·p1² + w2·e^p2 + w3·log p3 + w4·√p4, generalized to any d by
 // cycling through the four transforms. The logarithm is replaced by
 // log1p (log(1+x)), which is monotone increasing and finite at 0 — the
-// paper's log x diverges on normalized data with zero attributes (a
-// substitution documented in DESIGN.md §5).
+// paper's log x diverges on normalized data with zero attributes
+// (paper Section 7.2 defines the function; the substitution is ours).
 type Mixed struct{}
 
 func mixedTransform(i int, x float64) float64 {

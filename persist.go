@@ -134,15 +134,17 @@ func NewDatasetOnDiskInSpace(points [][]float64, path string, space Space) (*Dat
 	return OpenOnDisk(path)
 }
 
-// OpenOnDisk attaches to a dataset snapshot without loading it into
-// memory: every page access is a real file read. The snapshot layout is
-// header+metadata followed by page-aligned data; FileStore needs page
-// alignment, so reads go through a page-aligned sidecar file derived
-// from the snapshot. A sidecar left by an earlier open of the same
-// snapshot (matched by an embedded identity trailer: source size, mtime,
-// page count) is reused as-is; otherwise it is rebuilt under a unique
-// temp name and renamed into place, so concurrent openers of one path
-// never clobber each other. Close removes the sidecar.
+// OpenOnDisk serves a dataset snapshot from disk: every page access of a
+// query is a real file read. The snapshot is read once, whole, at open —
+// to verify its checksum and to have the pages to build the sidecar from —
+// and is not kept in memory afterwards. The snapshot layout is
+// header+metadata followed by page data; FileStore needs page alignment,
+// so reads go through a page-aligned sidecar file derived from the
+// snapshot. A sidecar left by an earlier open of the same snapshot
+// (matched by an embedded identity trailer: source size, the snapshot's
+// CRC32C, page count) is reused as-is; otherwise it is rebuilt under a
+// unique temp name and renamed into place, so concurrent openers of one
+// path never clobber each other. Close removes the sidecar.
 func OpenOnDisk(path string) (*Dataset, error) {
 	store, meta, err := pager.LoadSnapshot(path)
 	if err != nil {

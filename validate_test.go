@@ -1,0 +1,101 @@
+package gir
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestPointsOutsideUnitRangeRefused pins the data-space contract at every
+// door a point comes in by: the constructors and Insert refuse NaN and
+// out-of-range coordinates, and a refused Insert changes nothing — not the
+// cardinality, not the version, and not the write-ahead log (the check runs
+// before the append, so replay never meets a point the constructor would
+// have refused).
+func TestPointsOutsideUnitRangeRefused(t *testing.T) {
+	good := randPoints(rand.New(rand.NewSource(31)), 200, 3)
+	bad := []float64{math.NaN(), -0.1, 1.5, math.Inf(1)}
+	for _, x := range bad {
+		pts := append([][]float64{}, good...)
+		pts[17] = []float64{0.5, x, 0.5}
+		if _, err := NewDataset(pts); err == nil {
+			t.Errorf("NewDataset accepted coordinate %v", x)
+		}
+		ids := make([]int64, len(pts))
+		for i := range ids {
+			ids[i] = int64(1000 + i)
+		}
+		if _, err := NewDatasetWithIDs(ids, pts, SpaceSimplex); err == nil {
+			t.Errorf("NewDatasetWithIDs accepted coordinate %v", x)
+		}
+	}
+
+	ds, err := NewDataset(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.EnableWAL(t.TempDir(), WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	n, v, logged := ds.Len(), ds.Version(), ds.WALStats().Records
+	for _, p := range [][]float64{{7, -3, 0.5}, {0.5, math.NaN(), 0.5}, {0.5, 0.5, -0.1}, {1.5, 0.5, 0.5}} {
+		if err := ds.Insert(9001, p); err == nil {
+			t.Errorf("Insert accepted %v", p)
+		}
+	}
+	if ds.Len() != n || ds.Version() != v || ds.WALStats().Records != logged {
+		t.Errorf("refused inserts left a trace: len %d→%d, version %d→%d, wal records %d→%d",
+			n, ds.Len(), v, ds.Version(), logged, ds.WALStats().Records)
+	}
+	res, err := ds.TopK([]float64{1, 1, 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Records[0].ID == 9001 {
+		t.Error("a refused point is being served")
+	}
+	if err := ds.Insert(9001, []float64{0, 1, 0.5}); err != nil {
+		t.Errorf("a point on the boundary of [0,1]^d was refused: %v", err)
+	}
+}
+
+// TestNonFiniteWeightsRefused holds the query-side twin: NaN and +Inf
+// weights are errors from Dataset.TopK, Engine.TopK and Engine.BatchTopK in
+// both query spaces (on the simplex |NaN−1| > tol is false, so the Σw=1
+// test alone lets NaN through), and the engine neither computes nor caches
+// anything for them.
+func TestNonFiniteWeightsRefused(t *testing.T) {
+	points := randPoints(rand.New(rand.NewSource(32)), 300, 3)
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		ds, err := NewDatasetInSpace(points, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ds, EngineOptions{CacheCapacity: 16})
+		var batch []Query
+		for _, w := range []float64{math.NaN(), math.Inf(1)} {
+			q := []float64{0.5, w, 0.5}
+			if _, err := ds.TopK(q, 5); err == nil {
+				t.Errorf("%v: Dataset.TopK accepted weight %v", space, w)
+			}
+			if res := e.TopK(q, 5); res.Err == nil {
+				t.Errorf("%v: Engine.TopK accepted weight %v", space, w)
+			}
+			batch = append(batch, Query{Vector: q, K: 5})
+		}
+		for i, res := range e.BatchTopK(batch) {
+			if res.Err == nil {
+				t.Errorf("%v: Engine.BatchTopK accepted %v", space, batch[i].Vector)
+			}
+		}
+		if st := e.Stats(); e.Cache().Len() != 0 || st.Computed != 0 {
+			t.Errorf("%v: refused queries left %d cache entries and %d computations", space, e.Cache().Len(), st.Computed)
+		}
+		good := space.Normalize([]float64{0.5, 0.25, 0.25})
+		if res := e.TopK(good, 5); res.Err != nil {
+			t.Errorf("%v: a finite query was refused: %v", space, res.Err)
+		}
+		e.Close()
+	}
+}
