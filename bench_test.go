@@ -1,11 +1,11 @@
-// Benchmarks mirroring the paper's evaluation, one per table/figure, at
-// sizes where `go test -bench=.` completes in minutes (BenchmarkFigN is
-// internal/bench's FigN, which `girbench -fig N` runs at full scale), plus
-// ablation benchmarks for the design decisions the package comments record.
+// Microbenchmarks of the hot path (BRS, a cache fill, a checkpoint, a fused
+// batch) and ablation benchmarks for the design decisions the package
+// comments record. The paper's figures are not here: `girbench -fig N`
+// measures them, FIGURES.json holds their rows and cmd/girbench's
+// TestFigureClaims their orderings.
 package gir
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,7 +17,6 @@ import (
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
-	"github.com/girlib/gir/internal/skyline"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 	"github.com/girlib/gir/internal/volume"
@@ -44,188 +43,6 @@ func setupBench(b *testing.B, kind datagen.Kind, n, d int) *benchEnv {
 	tree := rtree.BulkLoad(store, d, pts, nil)
 	store.ResetStats()
 	return &benchEnv{tree: tree, store: store, q: datagen.Query(d, 7)}
-}
-
-func (e *benchEnv) girOnce(b *testing.B, m girint.Method, k int, star bool) *girint.Stats {
-	b.Helper()
-	res := topk.BRS(e.tree, score.Linear{}, e.q, k)
-	var st *girint.Stats
-	var err error
-	if star {
-		_, st, err = girint.ComputeStar(e.tree, res, girint.Options{Method: m})
-	} else {
-		_, st, err = girint.Compute(e.tree, res, girint.Options{Method: m})
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	return st
-}
-
-// BenchmarkFig6Skyline measures SL computation (the Figure 6(a) quantity
-// and the heart of SP) per distribution.
-func BenchmarkFig6Skyline(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
-		b.Run(string(kind), func(b *testing.B) {
-			env := setupBench(b, kind, benchN, 4)
-			b.ResetTimer()
-			var size int
-			for i := 0; i < b.N; i++ {
-				res := topk.BRS(env.tree, score.Linear{}, env.q, benchK)
-				sl := skyline.OfNonResult(env.tree, res)
-				size = len(sl.Records)
-			}
-			b.ReportMetric(float64(size), "|SL|")
-		})
-	}
-}
-
-// BenchmarkFig6HullCP measures the SL∩CH computation (Figure 6(b)).
-func BenchmarkFig6HullCP(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.IND, datagen.COR} {
-		b.Run(string(kind), func(b *testing.B) {
-			env := setupBench(b, kind, benchN, 4)
-			b.ResetTimer()
-			var st *girint.Stats
-			for i := 0; i < b.N; i++ {
-				st = env.girOnce(b, girint.CP, benchK, false)
-			}
-			b.ReportMetric(float64(st.HullVertices), "|SL∩CH|")
-		})
-	}
-}
-
-// BenchmarkFig8Star measures FP's star maintenance (Figure 8(b)) across
-// dimensionalities.
-func BenchmarkFig8Star(b *testing.B) {
-	for _, d := range []int{2, 4, 6, 8} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			env := setupBench(b, datagen.IND, benchN, d)
-			b.ResetTimer()
-			var st *girint.Stats
-			for i := 0; i < b.N; i++ {
-				st = env.girOnce(b, girint.FP, benchK, false)
-			}
-			b.ReportMetric(float64(st.StarFacets), "facets")
-			b.ReportMetric(float64(st.Critical), "critical")
-		})
-	}
-}
-
-// BenchmarkFig14Volume measures the volume-ratio estimator on real GIRs.
-func BenchmarkFig14Volume(b *testing.B) {
-	for _, d := range []int{2, 4, 6} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			env := setupBench(b, datagen.IND, benchN, d)
-			res := topk.BRS(env.tree, score.Linear{}, env.q, benchK)
-			reg, _, err := girint.Compute(env.tree, res, girint.Options{Method: girint.FP})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hs := reg.Halfspaces()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := volume.LogRatio(hs, d, volume.Options{Samples: 1000, Seed: int64(i + 1)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig15Methods is the headline comparison: CPU cost of CP vs SP
-// vs FP per distribution at the default dimensionality (Figure 15; the
-// I/O counterpart is the reads metric).
-func BenchmarkFig15Methods(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
-		for _, m := range []girint.Method{girint.CP, girint.SP, girint.FP} {
-			b.Run(fmt.Sprintf("%s/%s", kind, m), func(b *testing.B) {
-				if kind == datagen.ANTI && m != girint.FP {
-					b.Skip("ANTI skylines make SP/CP minutes-long at bench scale; run girbench -fig 15")
-				}
-				env := setupBench(b, kind, benchN, 4)
-				b.ResetTimer()
-				var reads int64
-				for i := 0; i < b.N; i++ {
-					before := env.store.Stats().Reads
-					env.girOnce(b, m, benchK, false)
-					reads += env.store.Stats().Reads - before
-				}
-				b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig16Cardinality scales n for the FP method (Figure 16's
-// headline series; SP/CP scale far worse, see girbench -fig 16).
-func BenchmarkFig16Cardinality(b *testing.B) {
-	for _, n := range []int{10000, 20000, 50000, 100000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			env := setupBench(b, datagen.IND, n, 4)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.girOnce(b, girint.FP, benchK, false)
-			}
-		})
-	}
-}
-
-// BenchmarkFig17RealData runs the three methods on the real-data
-// surrogates (Figure 17) at reduced cardinality.
-func BenchmarkFig17RealData(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.HOTEL, datagen.HOUSE} {
-		for _, m := range []girint.Method{girint.CP, girint.SP, girint.FP} {
-			b.Run(fmt.Sprintf("%s/%s", kind, m), func(b *testing.B) {
-				d := datagen.HotelD
-				if kind == datagen.HOUSE {
-					d = datagen.HouseD
-				}
-				env := setupBench(b, kind, 30000, d)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					env.girOnce(b, m, benchK, false)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig18GIRStar measures the order-insensitive variant (Figure 18).
-func BenchmarkFig18GIRStar(b *testing.B) {
-	for _, m := range []girint.Method{girint.SP, girint.FP} {
-		b.Run(m.String(), func(b *testing.B) {
-			env := setupBench(b, datagen.IND, benchN, 4)
-			b.ResetTimer()
-			var st *girint.Stats
-			for i := 0; i < b.N; i++ {
-				st = env.girOnce(b, m, benchK, true)
-			}
-			b.ReportMetric(float64(st.RMinus), "|R-|")
-		})
-	}
-}
-
-// BenchmarkFig19NonLinear measures SP under the Section 7.2 non-linear
-// monotone scoring functions (Figure 19).
-func BenchmarkFig19NonLinear(b *testing.B) {
-	fns := map[string]score.Function{
-		"Polynomial": score.NewPolynomial(datagen.HotelD),
-		"Mixed":      score.Mixed{},
-		"Linear":     score.Linear{},
-	}
-	for name, fn := range fns {
-		b.Run(name, func(b *testing.B) {
-			env := setupBench(b, datagen.HOTEL, 30000, datagen.HotelD)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := topk.BRS(env.tree, fn, env.q, benchK)
-				if _, _, err := girint.Compute(env.tree, res, girint.Options{Method: girint.SP}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkBRS isolates the top-k substrate all experiments share.

@@ -30,11 +30,11 @@ func (l *latRecorder) add(d time.Duration) {
 // latSummary is the percentile block of a row: embedded for reads, and
 // the source of the write_* columns.
 type latSummary struct {
-	P50US  float64 `json:"p50_us"`
-	P99US  float64 `json:"p99_us"`
-	P999US float64 `json:"p999_us"`
-	MaxUS  float64 `json:"max_us"`
-	MeanUS float64 `json:"mean_us"`
+	P50US  float64 `json:"p50_us,omitempty"`
+	P99US  float64 `json:"p99_us,omitempty"`
+	P999US float64 `json:"p999_us,omitempty"`
+	MaxUS  float64 `json:"max_us,omitempty"`
+	MeanUS float64 `json:"mean_us,omitempty"`
 }
 
 // summarize returns the sample count and the percentiles over the recorded

@@ -1,16 +1,15 @@
-// Command girbench measures the library two ways. Without -serve it
-// regenerates the paper's evaluation figures (Section 8) as printed tables
-// — figure N is internal/bench's FigN:
+// Command girbench measures the library: one harness (suite.go), two groups
+// of tables, one row schema, one report. Without -serve the tables are the
+// paper's evaluation figures (Section 8; figures.go):
 //
 //	girbench -fig 15                # one figure
-//	girbench                        # all figures
+//	girbench -json FIGURES.json     # all figures
 //	girbench -n 1000000 -queries 20 # closer to paper scale
 //
 // Cells whose skyline/hull sizes would take hours (the paper's own SP/CP
-// charts reach 10⁶–10⁸ ms) are printed as skip(reason).
+// charts reach 10⁶–10⁸ ms) are `skipped` rows that say why.
 //
-// With -serve it runs the serving suite (suite.go): six tables of arms over
-// one operation stream, one row schema, one report.
+// With -serve they are the serving tables: arms over one operation stream.
 //
 //	girbench -serve -json BENCH.json   # every table
 //	girbench -serve -table churn       # one of serve, fuse, churn, wal, stall, shard
@@ -24,30 +23,24 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
-
-	"github.com/girlib/gir/internal/bench"
 )
 
 func main() {
-	cfg := bench.Default()
+	var cfg suiteConfig
 	fig := flag.Int("fig", 0, "figure to reproduce (6, 8, 14, 15, 16, 17, 18, 19); 0 = all")
-	serve := flag.Bool("serve", false, "run the serving suite instead of a figure")
+	serve := flag.Bool("serve", false, "run the serving tables instead of the figures")
 	suiteTable := flag.String("table", "", "-serve: run only this table (serve, fuse, churn, wal, stall, shard); default all")
 	suiteStream := flag.Int("stream", 4000, "-serve: operations in the stream")
 	suiteDistinct := flag.Int("distinct", 64, "-serve: distinct query vectors in the Zipf pool")
 	suiteSpace := flag.String("space", "box", "-serve: query-space domain — box ([0,1]^d) or simplex (the paper's Σw=1 convention; queries are sum-normalized)")
-	suiteJSON := flag.String("json", "", "-serve: also write the tables to this file as one JSON report (the committed BENCH.json)")
-	flag.IntVar(&cfg.N, "n", cfg.N, "synthetic dataset cardinality (paper: 1000000)")
-	flag.IntVar(&cfg.Queries, "queries", cfg.Queries, "queries averaged per cell (paper: 100)")
-	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "deterministic seed")
-	flag.IntVar(&cfg.RealN, "realn", cfg.RealN, "cap HOUSE/HOTEL surrogate cardinality (0 = paper sizes)")
-	flag.DurationVar(&cfg.Budget, "budget", cfg.Budget, "wall-time budget per cell")
-	flag.IntVar(&cfg.SkylineCap, "skycap", cfg.SkylineCap, "abort SP/CP cells whose skyline exceeds this")
-	dims := flag.String("dims", joinInts(cfg.Dims), "comma-separated dimensionality sweep")
-	ks := flag.String("ks", joinInts(cfg.Ks), "comma-separated k sweep")
-	nsweep := flag.String("nsweep", joinInts(cfg.NSweep), "comma-separated cardinality sweep (figs 16/18)")
-	latency := flag.Duration("iolat", 100*time.Microsecond, "simulated latency per 4KiB page read")
+	suiteJSON := flag.String("json", "", "also write the tables to this file as one JSON report (the committed FIGURES.json and BENCH.json)")
+	flag.IntVar(&cfg.N, "n", 100_000, "synthetic dataset cardinality (paper: 1000000)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "deterministic seed")
+	queries := flag.Int("queries", 5, "figures: queries averaged per cell (paper: 100)")
+	realN := flag.Int("realn", 0, "figures: cap HOUSE/HOTEL surrogate cardinality (0 = paper sizes)")
+	dims := flag.String("dims", "2,3,4,5,6,7,8", "figures: comma-separated dimensionality sweep")
+	ks := flag.String("ks", "5,10,20,50,100", "figures: comma-separated k sweep")
+	nsweep := flag.String("nsweep", "50000,100000,500000,1000000,2000000", "figures: comma-separated cardinality sweep (figs 16/18)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit (go tool pprof)")
 	blockProfile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit (go tool pprof; records every blocking event)")
@@ -83,34 +76,27 @@ func main() {
 		defer writeProfile("mutex", *mutexProfile)
 	}
 
-	var err error
-	if cfg.Dims, err = parseInts(*dims); err != nil {
-		fatal("bad -dims: %v", err)
-	}
-	if cfg.Ks, err = parseInts(*ks); err != nil {
-		fatal("bad -ks: %v", err)
-	}
-	if cfg.NSweep, err = parseInts(*nsweep); err != nil {
-		fatal("bad -nsweep: %v", err)
-	}
-	cfg.Cost.ReadLatency = *latency
-
+	only := *suiteTable
 	if *serve {
-		scfg := suiteConfig{N: cfg.N, Seed: cfg.Seed, Stream: *suiteStream, Distinct: *suiteDistinct, Space: *suiteSpace}
-		if err := runSuite(scfg, *suiteTable, *suiteJSON, os.Stdout); err != nil {
-			fatal("%v", err)
+		cfg.Stream, cfg.Distinct, cfg.Space = *suiteStream, *suiteDistinct, *suiteSpace
+	} else {
+		only = ""
+		if *fig != 0 {
+			only = strconv.Itoa(*fig)
 		}
-		return
+		ints := func(name, csv string) []int {
+			xs, err := parseInts(csv)
+			if err != nil {
+				fatal("bad -%s: %v", name, err)
+			}
+			return xs
+		}
+		cfg.Queries, cfg.RealN = *queries, *realN
+		cfg.Dims, cfg.Ks, cfg.NSweep = ints("dims", *dims), ints("ks", *ks), ints("nsweep", *nsweep)
 	}
-
-	fmt.Printf("girbench: n=%d queries=%d seed=%d budget=%v (paper scale: -n 1000000 -queries 100)\n",
-		cfg.N, cfg.Queries, cfg.Seed, cfg.Budget)
-	start := time.Now()
-	h := bench.New(cfg, os.Stdout)
-	if err := h.Run(*fig); err != nil {
+	if err := runSuite(cfg, !*serve, only, *suiteJSON, os.Stdout); err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("\ntotal: %v\n", time.Since(start).Round(time.Millisecond))
 }
 
 func fatal(format string, args ...interface{}) {

@@ -143,7 +143,7 @@ func TestSuiteSmoke(t *testing.T) {
 			cfg.Space = space
 			path := t.TempDir() + "/BENCH.json"
 			var out strings.Builder
-			if err := runSuite(cfg, "", path, &out); err != nil {
+			if err := runSuite(cfg, false, "", path, &out); err != nil {
 				t.Fatal(err)
 			}
 			data, err := os.ReadFile(path)
@@ -192,25 +192,61 @@ func TestSuiteSmoke(t *testing.T) {
 	}
 }
 
-// TestSuiteTableFlag holds -table: one name runs one table, an unknown one
-// is an error that lists the names, and so are sizes no stream can be
-// drawn from.
+// TestSuiteTableFlag holds -table and -fig: one name runs one table (one
+// number that figure's), an unknown one is an error that lists what there
+// is, and so are sizes no stream can be drawn from or no cell measured at.
 func TestSuiteTableFlag(t *testing.T) {
 	cfg := suiteConfig{N: 400, Seed: 3, Stream: 60, Distinct: 4, Space: "box"}
 	var out strings.Builder
-	if err := runSuite(cfg, "wal", "", &out); err != nil {
+	if err := runSuite(cfg, false, "wal", "", &out); err != nil {
 		t.Fatal(err)
 	}
 	if s := out.String(); !strings.Contains(s, "\nwal —") || strings.Contains(s, "\nserve —") {
 		t.Errorf("-table wal printed:\n%s", s)
 	}
-	if err := runSuite(cfg, "burst", "", &out); err == nil || !strings.Contains(err.Error(), "serve, fuse, churn, wal, stall, shard") {
+	if err := runSuite(cfg, false, "burst", "", &out); err == nil || !strings.Contains(err.Error(), "serve, fuse, churn, wal, stall, shard") {
 		t.Errorf("unknown table: %v", err)
 	}
 	for _, bad := range []suiteConfig{{N: 400, Stream: 60, Distinct: 0, Space: "box"}, {N: 400, Stream: 60, Distinct: 4, Space: "sphere"}, {N: 400, Distinct: 4, Space: "box"}} {
-		if err := runSuite(bad, "", "", &out); err == nil {
+		if err := runSuite(bad, false, "", "", &out); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}
+	}
+
+	out.Reset()
+	tiny := suiteConfig{N: 400, Seed: 1, Queries: 1, RealN: 400, Dims: []int{2, 3}, Ks: []int{5}, NSweep: []int{300}}
+	if err := runSuite(tiny, true, "14", "", &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); !strings.Contains(s, "\nfig14a —") || !strings.Contains(s, "\nfig14b —") || strings.Contains(s, "\nfig15 —") {
+		t.Errorf("-fig 14 printed:\n%s", s)
+	}
+	if err := runSuite(tiny, true, "99", "", &out); err == nil || !strings.Contains(err.Error(), "6, 8, 14, 15, 16, 17, 18, 19") {
+		t.Errorf("unknown figure: %v", err)
+	}
+	// Each of these was a panic from the command line, or tables of nothing.
+	for _, bad := range []struct {
+		fig  string
+		edit func(*suiteConfig)
+	}{
+		{"15", func(c *suiteConfig) { c.Queries = 0 }},                 // -fig 15 -queries 0: divide by zero
+		{"15", func(c *suiteConfig) { c.N = 0 }},                       // -fig 15 -n 0: k out of range
+		{"16", func(c *suiteConfig) { c.NSweep = []int{5} }},           // -fig 16 -nsweep 5
+		{"17", func(c *suiteConfig) { c.RealN, c.Ks = 10, []int{20} }}, // -fig 17 -realn 10 -ks 20
+		{"", func(c *suiteConfig) { c.Dims = []int{1} }},               // -dims 1: no hull below d = 2
+		{"", func(c *suiteConfig) { c.Dims = nil }},                    // -dims ,: three empty tables, exit 0
+		{"17", func(c *suiteConfig) { c.Ks = []int{0} }},               // k = 0
+	} {
+		cfg := tiny
+		bad.edit(&cfg)
+		if err := runSuite(cfg, true, bad.fig, "", &out); err == nil || !strings.HasPrefix(err.Error(), "bad size:") {
+			t.Errorf("-fig %q with %+v: %v", bad.fig, cfg, err)
+		}
+	}
+	// What a figure does not build is not checked against it.
+	tiny.NSweep = []int{5}
+	if err := runSuite(tiny, true, "6", "", &out); err != nil {
+		t.Errorf("-fig 6 refused over -nsweep, which it never reads: %v", err)
 	}
 }
 

@@ -1,13 +1,19 @@
-// The -serve suite measures the serving side: one deterministic operation
-// stream (Zipf-popular top-k queries, optionally mixed with Insert/Delete
-// writes) is issued by one driver against one target at a time, and every
-// comparison the README makes is a table of arms — rows that differ in the
-// target they open and the way the stream is issued, never in how they are
-// timed, counted, printed or written. -json writes all tables as one
-// report (BENCH.json is the committed one).
+// The suite is every table girbench measures, in two groups that share the
+// row, the report, the printer, the -json writer and the size check.
+//
+// The serving tables (-serve) measure the serving side: one deterministic
+// operation stream (Zipf-popular top-k queries, optionally mixed with
+// Insert/Delete writes) is issued by one driver against one target at a
+// time, and every comparison the README makes is a table of arms — rows that
+// differ in the target they open and the way the stream is issued, never in
+// how they are timed, counted, printed or written (BENCH.json is the
+// committed report). The figure tables (figures.go) are the paper's
+// evaluation: their arms are Phase-2 computations over generated data, one
+// row per arm and sweep value (FIGURES.json).
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,12 +21,16 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	gir "github.com/girlib/gir"
 	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/engine"
+	girint "github.com/girlib/gir/internal/gir"
+	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/shard"
 )
 
@@ -39,24 +49,35 @@ const (
 	suiteKMax       = 20
 )
 
-// suiteConfig is what the command line chooses, plus the constants above
-// as the report records them.
+// suiteConfig is what the command line chooses, plus the constants of the
+// group being run (above, and in figures.go) as the report records them.
 type suiteConfig struct {
-	N        int    `json:"n"`
-	D        int    `json:"d"`
-	Seed     int64  `json:"seed"`
-	Stream   int    `json:"stream"`
-	Distinct int    `json:"distinct"`
-	Space    string `json:"space"`
+	N    int   `json:"n"`
+	D    int   `json:"d"` // the serving dimensionality, and the figures' default d
+	Seed int64 `json:"seed"`
 
-	ZipfS        float64 `json:"zipf_s"`
-	Jitter       float64 `json:"jitter"`
-	Inflight     int     `json:"inflight"`
-	WriteMix     float64 `json:"write_mix"`
-	WALGroup     int     `json:"wal_group"`
-	WriteRate    int     `json:"write_rate"`
-	FsyncDelayMS float64 `json:"fsync_delay_ms"`
-	GOMAXPROCS   int     `json:"gomaxprocs"`
+	Stream       int     `json:"stream,omitempty"`
+	Distinct     int     `json:"distinct,omitempty"`
+	Space        string  `json:"space,omitempty"`
+	ZipfS        float64 `json:"zipf_s,omitempty"`
+	Jitter       float64 `json:"jitter,omitempty"`
+	Inflight     int     `json:"inflight,omitempty"`
+	WriteMix     float64 `json:"write_mix,omitempty"`
+	WALGroup     int     `json:"wal_group,omitempty"`
+	WriteRate    int     `json:"write_rate,omitempty"`
+	FsyncDelayMS float64 `json:"fsync_delay_ms,omitempty"`
+	GOMAXPROCS   int     `json:"gomaxprocs,omitempty"` // serving only: no figure column depends on it
+
+	Queries       int     `json:"queries,omitempty"` // per figure cell
+	K             int     `json:"k,omitempty"`       // the figures' default k
+	RealN         int     `json:"realn,omitempty"`   // cap on the HOUSE/HOTEL surrogates; 0 = the paper's sizes
+	Dims          []int   `json:"dims,omitempty"`
+	Ks            []int   `json:"ks,omitempty"`
+	NSweep        []int   `json:"nsweep,omitempty"`
+	SkylineCap    int     `json:"skyline_cap,omitempty"`
+	FacetBudget   int     `json:"facet_budget,omitempty"`
+	VolumeSamples int     `json:"volume_samples,omitempty"`
+	ReadLatUS     float64 `json:"read_latency_us,omitempty"`
 }
 
 // Where an arm's stream goes.
@@ -83,14 +104,22 @@ type arm struct {
 	parts           int  // sharded: partition count
 }
 
-// table is one comparison: its arms over one stream. The same value is the
-// definition (arms) and, once run, the result (Rows).
+// table is one comparison: its arms over one stream, or — a figure table —
+// its kinds × cells over one sweep. The same value is the definition and,
+// once run, the result (Rows).
 type table struct {
 	Name     string  `json:"name"`
+	Figure   int     `json:"figure,omitempty"`
 	Compares string  `json:"compares"`
-	WriteMix float64 `json:"write_mix"`
+	WriteMix float64 `json:"write_mix,omitempty"`
+	Sweep    string  `json:"sweep,omitempty"` // d, n or k: the variable a figure row's `at` is a value of
 	Rows     []row   `json:"rows"`
 	arms     []arm
+
+	kinds   []datagen.Kind
+	cells   []cellArm
+	queries int  // queries per cell where not -queries: Figures 6 and 8 plot one query's counts
+	volume  bool // also estimate each region's volume ratio
 }
 
 var suiteTables = []table{
@@ -124,27 +153,45 @@ var suiteTables = []table{
 		{name: "1 shard(s)", on: sharded, parts: 1, warm: true},
 		{name: "4 shard(s)", on: sharded, parts: 4, warm: true},
 	}},
+
+	{Name: "fig6", Figure: 6, Sweep: "d", Compares: "what SP and CP keep of D\\R: |SL| (the SP rows) and |SL∩CH| (the CP rows) vs d, one query", queries: 1,
+		kinds: synthetic, cells: []cellArm{{method: girint.SP}, {method: girint.CP}}},
+	{Name: "fig8", Figure: 8, Sweep: "d", Compares: "facets of the full hull CH′ of {p_k} ∪ D\\R vs the facets incident to p_k that FP builds, and its critical records, one query", queries: 1,
+		kinds: synthetic, cells: []cellArm{{full: true}, {method: girint.FP}}},
+	{Name: "fig14a", Figure: 14, Sweep: "d", Compares: "log10 of the GIR's share of the query space vs d, synthetic data", volume: true,
+		kinds: synthetic, cells: []cellArm{{method: girint.FP}}},
+	{Name: "fig14b", Figure: 14, Sweep: "k", Compares: "log10 of the GIR's share of the query space vs k, the HOTEL and HOUSE surrogates", volume: true,
+		kinds: surrogate, cells: []cellArm{{method: girint.FP}}},
+	{Name: "fig15", Figure: 15, Sweep: "d", Compares: "Phase-2 CPU time and page reads of CP, SP and FP vs d", kinds: synthetic, cells: cpSpFp},
+	{Name: "fig16", Figure: 16, Sweep: "n", Compares: "Phase-2 CPU time and page reads of CP, SP and FP vs cardinality (the paper sweeps 0.5M–20M)", kinds: synthetic[:1], cells: cpSpFp},
+	{Name: "fig17", Figure: 17, Sweep: "k", Compares: "Phase-2 CPU time and page reads of CP, SP and FP vs k, the HOTEL and HOUSE surrogates", kinds: surrogate, cells: cpSpFp},
+	{Name: "fig18", Figure: 18, Sweep: "n", Compares: "the order-insensitive GIR* vs cardinality: fig16's cells, with the constraints of the |R⁻| removable result records", kinds: synthetic[:1],
+		cells: []cellArm{{method: girint.CP, star: true}, {method: girint.SP, star: true}, {method: girint.FP, star: true}}},
+	{Name: "fig19", Figure: 19, Sweep: "k", Compares: "SP, the one method that needs no linearity, under non-linear monotone scoring functions (Section 7.2) vs k on HOTEL", kinds: surrogate[:1],
+		cells: []cellArm{{method: girint.SP, fn: "Polynomial"}, {method: girint.SP, fn: "Mixed"}, {method: girint.SP, fn: "Linear"}}},
 }
 
 // row is one measured arm. Counters are deltas over the timed pass (a warm
 // pass, or the cold arm before a warm one, is not in them); columns that do
 // not apply to an arm are zero and left out of the file. A read sample is
 // one TopK call or one BatchTopK call; a write sample one Insert or Delete.
+// A figure row is one cell: its Phase-2 page reads summed over its queries,
+// and the columns from `at` down.
 type row struct {
 	Name      string  `json:"name"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	QPS       float64 `json:"qps"`                   // queries / elapsed
+	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	QPS       float64 `json:"qps,omitempty"`         // queries / elapsed
 	OpsPerSec float64 `json:"ops_per_sec,omitempty"` // (queries + writes) / elapsed, on rows with writes
 	Queries   int     `json:"queries"`
-	Writes    int     `json:"writes"` // Inserts and Deletes applied during the pass, in-stream or by the mutator
-	Hits      int64   `json:"hits"`
+	Writes    int     `json:"writes,omitempty"` // Inserts and Deletes applied during the pass, in-stream or by the mutator
+	Hits      int64   `json:"hits,omitempty"`
 	Partial   int64   `json:"partial,omitempty"`
-	Misses    int64   `json:"misses"`
-	HitRate   float64 `json:"hit_rate"`
+	Misses    int64   `json:"misses,omitempty"`
+	HitRate   float64 `json:"hit_rate,omitempty"`
 	PageReads int64   `json:"page_reads"`
 	latSummary
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 
 	Deduped     int64 `json:"deduped,omitempty"`
 	Recomputes  int64 `json:"recomputes,omitempty"`
@@ -173,6 +220,14 @@ type row struct {
 	Parts            []row   `json:"parts,omitempty"`              // one per partition: records, version, its lookups as hits/partial/misses, lookups/s as qps
 	Records          int     `json:"records,omitempty"`
 	Version          int64   `json:"version,omitempty"`
+
+	At           int     `json:"at,omitempty"`     // the table's sweep variable in this cell
+	CPUMS        float64 `json:"cpu_ms,omitempty"` // mean Phase-2 time per query: the one clock of a figure row, recorded and never asserted
+	IOMS         float64 `json:"io_ms,omitempty"`  // mean Phase-2 page reads per query, rounded, × the config's read latency
+	girint.Stats         // of the cell's first query
+	HullFacets   int     `json:"hull_facets,omitempty"`  // facets of CH′, the full hull of {p_k} ∪ D\R
+	Log10Volume  float64 `json:"log10_volume,omitempty"` // mean log10 of the region's share of the query space
+	Skipped      string  `json:"skipped,omitempty"`      // why the cell was not measured: a cap it would outgrow, or the error
 }
 
 // report is the -json file.
@@ -345,48 +400,74 @@ func (t shardTarget) Finish(r *row, before counters) error {
 	return nil
 }
 
-// suite is one run: the configuration and the points every arm shares.
+// suite is one run: the configuration, the points every serving arm shares
+// and the index consecutive figure cells share.
 type suite struct {
 	cfg   suiteConfig
 	space gir.Space
 	raw   [][]float64
+	idx   index
 }
 
-// runSuite runs the named table (all of them for ""), prints each as it
-// completes and, with jsonPath, writes the report.
-func runSuite(cfg suiteConfig, only, jsonPath string, w io.Writer) error {
-	space, err := gir.ParseSpace(cfg.Space)
-	if err != nil {
-		return fmt.Errorf("bad -space: %w", err)
+// runSuite runs one group of tables — the paper's figures, or the serving
+// tables — narrowed by only to one figure's tables or one serving table
+// (the whole group for ""), prints each as it completes and, with jsonPath,
+// writes the report.
+func runSuite(cfg suiteConfig, figures bool, only, jsonPath string, w io.Writer) error {
+	s := &suite{}
+	run, group, flagName := s.runTable, "serve", "table"
+	var header string
+	if figures {
+		run, group, flagName = s.runFigure, "figures", "fig"
+		cfg.D, cfg.K, cfg.FacetBudget, cfg.VolumeSamples = suiteD, figK, figFacetBudget, figVolumeSamples
+		cfg.SkylineCap = cmp.Or(cfg.SkylineCap, figSkylineCap) // a test lowers it; the command line cannot
+		cfg.ReadLatUS = float64(pager.DefaultCostModel.ReadLatency.Microseconds())
+		header = fmt.Sprintf("figures: -n %d -queries %d -seed %d -realn %d -dims %s -ks %s -nsweep %s; default d=%d k=%d (paper scale: -n 1000000 -queries 100)",
+			cfg.N, cfg.Queries, cfg.Seed, cfg.RealN, joinInts(cfg.Dims), joinInts(cfg.Ks), joinInts(cfg.NSweep), cfg.D, cfg.K)
+	} else {
+		var err error
+		if s.space, err = gir.ParseSpace(cfg.Space); err != nil {
+			return fmt.Errorf("bad -space: %w", err)
+		}
+		cfg.D, cfg.ZipfS, cfg.Jitter, cfg.Inflight = suiteD, suiteZipfS, suiteJitter, suiteInflight
+		cfg.WriteMix, cfg.WALGroup, cfg.WriteRate = suiteWriteMix, suiteWALGroup, suiteWriteRate
+		cfg.FsyncDelayMS, cfg.GOMAXPROCS = float64(suiteFsyncDelay.Microseconds())/1e3, runtime.GOMAXPROCS(0)
+		header = fmt.Sprintf("serving suite: n=%d d=%d space=%v seed=%d, %d operations over %d distinct vectors (zipf s=%.2f, jitter %.3g), GOMAXPROCS=%d",
+			cfg.N, cfg.D, s.space, cfg.Seed, cfg.Stream, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.GOMAXPROCS)
 	}
-	if cfg.N < suiteKMax || cfg.Distinct < 1 || cfg.Stream < 1 {
-		return fmt.Errorf("bad size: -n %d (need ≥ %d), -distinct %d (need ≥ 1), -stream %d (need ≥ 1)", cfg.N, suiteKMax, cfg.Distinct, cfg.Stream)
-	}
-	cfg.D, cfg.ZipfS, cfg.Jitter, cfg.Inflight = suiteD, suiteZipfS, suiteJitter, suiteInflight
-	cfg.WriteMix, cfg.WALGroup, cfg.WriteRate = suiteWriteMix, suiteWALGroup, suiteWriteRate
-	cfg.FsyncDelayMS, cfg.GOMAXPROCS = float64(suiteFsyncDelay.Microseconds())/1e3, runtime.GOMAXPROCS(0)
+	s.cfg = cfg
 
 	var names []string
-	rep := report{Benchmark: "girbench-serve", Config: cfg}
+	rep := report{Benchmark: "girbench-" + group, Config: cfg}
 	for _, tb := range suiteTables {
-		names = append(names, tb.Name)
-		if only == "" || only == tb.Name {
+		if (tb.Figure != 0) != figures {
+			continue
+		}
+		name := tb.Name
+		if figures {
+			name = strconv.Itoa(tb.Figure)
+		}
+		names = append(names, name)
+		if only == "" || only == name {
 			rep.Tables = append(rep.Tables, tb)
 		}
 	}
 	if len(rep.Tables) == 0 {
-		return fmt.Errorf("bad -table %q (have %s)", only, strings.Join(names, ", "))
+		return fmt.Errorf("bad -%s %q (have %s)", flagName, only, strings.Join(slices.Compact(names), ", "))
+	}
+	if err := checkSizes(&cfg, rep.Tables); err != nil {
+		return err
 	}
 
-	s := &suite{cfg: cfg, space: space}
-	for _, p := range datagen.Independent(cfg.N, cfg.D, cfg.Seed) {
-		s.raw = append(s.raw, p)
+	fmt.Fprintln(w, header)
+	if !figures {
+		for _, p := range datagen.Independent(cfg.N, cfg.D, cfg.Seed) {
+			s.raw = append(s.raw, p)
+		}
 	}
-	fmt.Fprintf(w, "serving suite: n=%d d=%d space=%v seed=%d, %d operations over %d distinct vectors (zipf s=%.2f, jitter %.3g), GOMAXPROCS=%d\n",
-		cfg.N, cfg.D, space, cfg.Seed, cfg.Stream, cfg.Distinct, cfg.ZipfS, cfg.Jitter, cfg.GOMAXPROCS)
 	for i := range rep.Tables {
 		tb := &rep.Tables[i]
-		if err := s.runTable(tb); err != nil {
+		if err := run(tb); err != nil {
 			return fmt.Errorf("table %s: %w", tb.Name, err)
 		}
 		printTable(w, tb)
@@ -402,6 +483,31 @@ func runSuite(cfg suiteConfig, only, jsonPath string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "\nwrote %s\n", jsonPath)
+	return nil
+}
+
+// checkSizes refuses, before anything is built, what no row could be
+// measured at: a stream nothing can be drawn from, a cell that asks an
+// index for more records than it holds, a sweep with nothing in it.
+func checkSizes(cfg *suiteConfig, tables []table) error {
+	for i := range tables {
+		tb := &tables[i]
+		if tb.Figure == 0 {
+			if cfg.N < suiteKMax || cfg.Distinct < 1 || cfg.Stream < 1 {
+				return fmt.Errorf("bad size: -n %d (need ≥ %d), -distinct %d (need ≥ 1), -stream %d (need ≥ 1)", cfg.N, suiteKMax, cfg.Distinct, cfg.Stream)
+			}
+			continue
+		}
+		cells := tb.figCells(cfg)
+		if cfg.Queries < 1 || len(cells) == 0 {
+			return fmt.Errorf("bad size: -queries %d (need ≥ 1); %s has %d cells along %s (need ≥ 1)", cfg.Queries, tb.Name, len(cells), tb.Sweep)
+		}
+		for _, c := range cells {
+			if c.k < 1 || c.n < c.k || c.d < 2 {
+				return fmt.Errorf("bad size: %s builds %s at n=%d, d=%d and asks it for k=%d (need n ≥ k ≥ 1 and d ≥ 2)", tb.Name, c.kind, c.n, c.d, c.k)
+			}
+		}
+	}
 	return nil
 }
 
@@ -622,6 +728,19 @@ var columns = []struct {
 	head, verb string
 	val        func(r *row) float64
 }{
+	{"|SL|", "%.0f", func(r *row) float64 { return float64(r.SkylineSize) }},
+	{"|SL∩CH|", "%.0f", func(r *row) float64 { return float64(r.HullVertices) }},
+	{"CH′ facets", "%.0f", func(r *row) float64 { return float64(r.HullFacets) }},
+	{"star facets", "%.0f", func(r *row) float64 { return float64(r.StarFacets) }},
+	{"critical", "%.0f", func(r *row) float64 { return float64(r.Critical) }},
+	{"|R⁻|", "%.0f", func(r *row) float64 { return float64(r.RMinus) }},
+	{"nodes read", "%.0f", func(r *row) float64 { return float64(r.NodesRead) }},
+	{"pruned", "%.0f", func(r *row) float64 { return float64(r.NodesPruned) }},
+	{"raw cons", "%.0f", func(r *row) float64 { return float64(r.RawConstraints) }},
+	{"cons", "%.0f", func(r *row) float64 { return float64(r.Constraints) }},
+	{"log10 vol", "%.2f", func(r *row) float64 { return r.Log10Volume }},
+	{"cpu ms", "%.2f", func(r *row) float64 { return r.CPUMS }},
+	{"io ms", "%.2f", func(r *row) float64 { return r.IOMS }},
 	{"elapsed", "%.0fms", func(r *row) float64 { return r.ElapsedMS }},
 	{"queries/s", "%.0f", func(r *row) float64 { return r.QPS }},
 	{"ops/s", "%.0f", func(r *row) float64 { return r.OpsPerSec }},
@@ -655,7 +774,7 @@ var columns = []struct {
 }
 
 func printTable(w io.Writer, tb *table) {
-	fmt.Fprintf(w, "\n%s — %s\n%-22s", tb.Name, tb.Compares, "arm")
+	fmt.Fprintf(w, "\n%s — %s\n%-26s", tb.Name, tb.Compares, "arm")
 	var shown []int
 	for i, c := range columns {
 		for j := range tb.Rows {
@@ -667,10 +786,18 @@ func printTable(w io.Writer, tb *table) {
 		}
 	}
 	for j := range tb.Rows {
-		fmt.Fprintf(w, "\n%-22s", tb.Rows[j].Name)
+		fmt.Fprintf(w, "\n%-26s", tb.Rows[j].Name)
+		if why := tb.Rows[j].Skipped; why != "" {
+			fmt.Fprintf(w, " skipped: %s", why)
+			continue
+		}
 		for _, i := range shown {
 			c := columns[i]
-			fmt.Fprintf(w, " %*s", max(9, len(c.head)), fmt.Sprintf(c.verb, c.val(&tb.Rows[j])))
+			text := "-" // zero: the column does not apply to this arm, or nothing happened
+			if v := c.val(&tb.Rows[j]); v != 0 {
+				text = fmt.Sprintf(c.verb, v)
+			}
+			fmt.Fprintf(w, " %*s", max(9, len(c.head)), text)
 		}
 	}
 	fmt.Fprintln(w)

@@ -170,19 +170,20 @@ func (r *Region) Shrink(added []Constraint) *Region {
 }
 
 // Stats reports what a GIR computation did — the quantities plotted in the
-// paper's Figures 6, 8 and 15–18.
+// paper's Figures 6, 8 and 15–18, under the column names girbench's figure
+// tables record them by.
 type Stats struct {
-	Method         string
-	TSize          int // non-result records retained by BRS
-	SkylineSize    int // |SL| (SP, CP)
-	HullVertices   int // |SL ∩ CH| (CP)
-	StarFacets     int // facets incident to p_k at the end (FP)
-	Critical       int // critical records (FP)
-	RMinus         int // |R⁻| (GIR* only)
-	NodesRead      int // index nodes fetched in Phase 2
-	NodesPruned    int // heap entries pruned without a read in Phase 2 (FP)
-	RawConstraints int // constraints before redundancy elimination
-	Constraints    int // constraints in the final minimal representation
+	Method         string `json:"method,omitempty"`
+	TSize          int    `json:"t_size,omitempty"`          // non-result records retained by BRS
+	SkylineSize    int    `json:"sl,omitempty"`              // |SL| (SP, CP)
+	HullVertices   int    `json:"sl_ch,omitempty"`           // |SL ∩ CH| (CP)
+	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP)
+	Critical       int    `json:"critical,omitempty"`        // critical records (FP)
+	RMinus         int    `json:"r_minus,omitempty"`         // |R⁻| (GIR* only)
+	NodesRead      int    `json:"nodes_read,omitempty"`      // index nodes fetched in Phase 2
+	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)
+	RawConstraints int    `json:"constraints_raw,omitempty"` // constraints before redundancy elimination
+	Constraints    int    `json:"constraints,omitempty"`     // constraints in the final minimal representation
 }
 
 // reduce eliminates redundant constraints via conical-membership LPs,

@@ -35,7 +35,8 @@ type Stats struct {
 type CostModel struct {
 	// ReadLatency is charged per page read. The default (100µs) is the
 	// order of magnitude of a random 4 KiB read on a 2014-era 7200rpm
-	// disk with some locality; `girbench -iolat` reruns a figure at another value.
+	// disk with some locality; girbench's figure tables charge it per Phase-2
+	// page read (`io_ms`; `read_latency_us` in the report's config).
 	ReadLatency time.Duration
 }
 
