@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
@@ -385,4 +386,71 @@ func TestTopKBufDoesNotAliasCache(t *testing.T) {
 				i, r.ID, r.Score, ids[i], scores[i])
 		}
 	}
+}
+
+// warmRepairCache fills a hand-managed, single-shard cache with FP regions
+// of the 20 000-record, d = 4 dataset — entries carrying the repair state
+// (candidates, unexpanded-subtree corners) a real fill retains: the
+// fixture of the drain gate and the maintenance microbenchmarks.
+func warmRepairCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
+	tb.Helper()
+	ds := allocDataset(tb, 20000, 4)
+	c := NewCacheSharded(2*entries, 1)
+	for i := 0; i < entries; i++ {
+		res, err := ds.TopK(datagen.Query(4, int64(900+i)), k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		g, err := ds.ComputeGIR(res, FP)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !c.Put(g, res) {
+			tb.Fatal("Put failed")
+		}
+	}
+	return c, c.inner.Entries()
+}
+
+// drainAllocBudget is TestDrainAllocBudget's budget: what a drain pass
+// measures × 2. alloc_race_test.go raises it to the race build's own
+// measurement × 2 — the gate holds there too, at the number that build reads.
+var drainAllocBudget = 90.0
+
+// TestDrainAllocBudget bounds one drain pass over a warm cache of 16
+// entries: one delete of a cached result record — every entry holding it
+// is repaired by promotion, several hundred candidate half-spaces handed
+// to Region.Shrink — and eight uniform inserts, each classified against
+// every entry. The pass works in pooled scratch (the added normals' slab,
+// the classifier's vectors and LP rows, the reduction's programs), so what
+// it allocates is what outlives it: a repaired entry's region slab,
+// records, candidates and inscribed box (45 objects; 1 428 before the
+// maintenance path was pooled).
+func TestDrainAllocBudget(t *testing.T) {
+	c, entries := warmRepairCache(t, 16, 10)
+	const runs = 8
+	var victims []int64
+	for _, e := range entries[:runs+1] {
+		victims = append(victims, e.Records[len(e.Records)/2].ID)
+	}
+	r := rand.New(rand.NewSource(5))
+	nextID := int64(1 << 40)
+	pass, repaired, affected := 0, 0, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		batch := []CacheMutation{{ID: victims[pass]}}
+		for i := 0; i < 8; i++ {
+			batch = append(batch, CacheMutation{Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
+			nextID++
+		}
+		st := c.ApplyBatch(batch)
+		repaired, affected = repaired+st.Repaired, affected+st.Affected
+		pass++
+	})
+	if repaired < pass {
+		t.Fatalf("%d passes repaired %d entries (%d affected): the gate is not measuring delete repair", pass, repaired, affected)
+	}
+	if allocs > drainAllocBudget {
+		t.Fatalf("a drain pass allocated %.1f objects, budget %.0f", allocs, drainAllocBudget)
+	}
+	t.Logf("a drain pass allocates %.1f objects (budget %.0f; %d passes, %d affect events, %d repaired)", allocs, drainAllocBudget, pass, affected, repaired)
 }

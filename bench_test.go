@@ -14,7 +14,9 @@ import (
 	"github.com/girlib/gir/internal/datagen"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/hull"
+	"github.com/girlib/gir/internal/invalidate"
 	"github.com/girlib/gir/internal/pager"
+	"github.com/girlib/gir/internal/repair"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -80,6 +82,61 @@ func BenchmarkFill(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
+}
+
+// BenchmarkShrinkRepairDelete is one delete repair per iteration on the
+// shape the traced churn workload measured: an entry of the 20 000-record,
+// d = 4 cache whose region has 8 constraints, the promoted candidate's
+// half-space against every other candidate and every unexpanded-subtree
+// corner handed to Region.Shrink (added/op), a handful kept.
+func BenchmarkShrinkRepairDelete(b *testing.B) {
+	_, entries := warmRepairCache(b, 32, benchK)
+	e := entries[0]
+	for _, x := range entries {
+		if abs(len(x.Region.Constraints)-8) < abs(len(e.Region.Constraints)-8) {
+			e = x
+		}
+	}
+	re := repair.Entry{Region: e.Region, Records: e.Records, Cand: e.Cand, Bounds: e.Bounds, InnerLo: e.InnerLo, InnerHi: e.InnerHi}
+	id := e.Records[len(e.Records)/2].ID
+	var rp *repair.Repaired
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if rp, ok = repair.Delete(re, id); !ok {
+			b.Fatal("the fixture's delete is not repairable")
+		}
+	}
+	b.ReportMetric(float64(len(e.Region.Constraints)), "old")
+	b.ReportMetric(float64(len(e.Cand)-1+len(e.Bounds)), "added/op")
+	b.ReportMetric(float64(len(rp.Region.Constraints)), "kept")
+}
+
+func abs(x int) int { return max(x, -x) }
+
+// BenchmarkInsertAffectsKeep is one uniform insert classified against
+// every entry of a 32-entry cache per iteration — the drain pass's inner
+// loop, where all but a fraction of a percent of the verdicts are "keep"
+// (affected/op reports the rest).
+func BenchmarkInsertAffectsKeep(b *testing.B) {
+	_, entries := warmRepairCache(b, 32, benchK)
+	r := rand.New(rand.NewSource(3))
+	pts := make([]vec.Vector, 1024)
+	for i := range pts {
+		pts[i] = vec.Vector{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
+	}
+	affected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range entries {
+			if invalidate.InsertAffects(e.Region, e.Records, pts[i%len(pts)], e.InnerLo, e.InnerHi) {
+				affected++
+			}
+		}
+	}
+	b.ReportMetric(float64(affected)/float64(b.N), "affected/op")
 }
 
 // BenchmarkCheckpoint is one Engine.Checkpoint per iteration on

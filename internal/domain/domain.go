@@ -96,11 +96,12 @@ type Domain interface {
 	// variables, with x ≥ 0 left implicit (the solver enforces it):
 	// x_i ≤ 1 for the box, Σx = 1 for the simplex.
 	LPConstraints() []lp.Constraint
-	// MaximizeLinear maximizes c·x over domain ∩ {cons}. It replaces
-	// direct lp.MaximizeOverBox call sites; the domain guarantees the
+	// MaximizeLinear maximizes c·x over domain ∩ {cons} on the caller's
+	// solver (a pooled one on the maintenance path; the Solution's X is
+	// the solver's, valid until its next call). The domain guarantees the
 	// program is bounded, so a non-Optimal status signals a numerical
 	// failure the caller should treat conservatively.
-	MaximizeLinear(c vec.Vector, cons []lp.Constraint) lp.Solution
+	MaximizeLinear(s *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution
 	// UpperBound returns max{c·w : w ∈ domain} in closed form — the
 	// domain-wide bound behind the dominance filters (≤ 0 means no point
 	// of the domain scores c positively).
@@ -221,10 +222,9 @@ func (b box) LPConstraints() []lp.Constraint {
 	return cons
 }
 
-// MaximizeLinear delegates to lp.MaximizeOverBox: identical constraint
-// construction, identical solver path, byte-identical solutions.
-func (b box) MaximizeLinear(c vec.Vector, cons []lp.Constraint) lp.Solution {
-	return lp.MaximizeOverBox(c, cons)
+// MaximizeLinear is lp's box-clipped program on the caller's solver.
+func (b box) MaximizeLinear(s *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
+	return s.MaximizeOverBox(c, cons)
 }
 
 func (b box) UpperBound(c vec.Vector) float64 {
@@ -347,11 +347,11 @@ func (s simplex) LPConstraints() []lp.Constraint {
 	return []lp.Constraint{{Coef: ones, Op: lp.EQ, RHS: 1}}
 }
 
-func (s simplex) MaximizeLinear(c vec.Vector, cons []lp.Constraint) lp.Solution {
+func (s simplex) MaximizeLinear(sv *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
 	all := make([]lp.Constraint, 0, 1+len(cons))
 	all = append(all, s.LPConstraints()...)
 	all = append(all, cons...)
-	return lp.Maximize(c, all)
+	return sv.Maximize(c, all)
 }
 
 // UpperBound over the simplex is attained at a vertex: max_j c_j.

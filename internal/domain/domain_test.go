@@ -143,7 +143,7 @@ func TestMaximizeLinearMatchesUpperBound(t *testing.T) {
 			c[j] = rng.NormFloat64()
 		}
 		for _, dom := range []Domain{UnitBox(d), Simplex(d)} {
-			sol := dom.MaximizeLinear(c, nil)
+			sol := dom.MaximizeLinear(new(lp.Solver), c, nil)
 			if sol.Status != lp.Optimal {
 				t.Fatalf("%s: status %v", dom.Name(), sol.Status)
 			}
@@ -190,7 +190,7 @@ func TestMaxOverBoxMatchesLP(t *testing.T) {
 		}
 		for _, dom := range []Domain{UnitBox(d), Simplex(d)} {
 			got, ok := dom.MaxOverBox(c, lo, hi)
-			sol := dom.MaximizeLinear(c, boxCons)
+			sol := dom.MaximizeLinear(new(lp.Solver), c, boxCons)
 			feasible := sol.Status == lp.Optimal
 			if !ok {
 				if feasible {

@@ -10,7 +10,9 @@
 package geom
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/girlib/gir/internal/lp"
@@ -75,14 +77,7 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 	r.unit, r.alive = vec.Grown(r.unit, n*d), vec.Grown(r.alive, n)
 	unit := func(i int) vec.Vector { return r.unit[i*d : (i+1)*d] }
 	for i, a := range normals {
-		r.alive[i] = false
-		if nm := vec.Norm(a); nm > tol {
-			inv := 1 / nm
-			for j, x := range a {
-				unit(i)[j] = inv * x
-			}
-			r.alive[i] = true
-		}
+		r.alive[i] = scaleTo(unit(i), a, tol)
 	}
 	// Collapse duplicates (same direction).
 	kept := 0
@@ -98,17 +93,12 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 		}
 	}
 	// One-at-a-time conical membership elimination: is unit(i) in
-	// {Σ λ_j g_j : λ ≥ 0} over the other live normals g_j? One equality
-	// row per dimension, one variable per generator.
-	r.gen, r.rows = vec.Grown(r.gen, d*kept), vec.Grown(r.rows, d)
+	// {Σ λ_j g_j : λ ≥ 0} over the other live normals g_j?
 	for i := 0; i < n && kept > 1; i++ {
 		if !r.alive[i] {
 			continue
 		}
-		m := kept - 1
-		for row := range r.rows {
-			r.rows[row] = lp.Constraint{Coef: r.gen[row*m : (row+1)*m], Op: lp.EQ, RHS: unit(i)[row]}
-		}
+		r.membership(kept-1, unit(i))
 		col := 0
 		for j := 0; j < n; j++ {
 			if j == i || !r.alive[j] {
@@ -119,7 +109,7 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 			}
 			col++
 		}
-		if r.lp.Feasible(m, r.rows) {
+		if r.lp.Feasible(kept-1, r.rows) {
 			r.alive[i] = false
 			kept--
 		}
@@ -133,13 +123,140 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 	return keep
 }
 
-// reducer is ReduceCone's pooled workspace.
+// ConeCuts returns, ascending, the indices of the added normals whose
+// half-space {x : a·x ≥ 0} still cuts once the kept ones hold — the
+// incremental face of ReduceCone, for a kept set that is already minimal.
+// The added normals are visited most binding at the point at first
+// (smallest a·at/‖a‖), each tested against the kept normals and the added
+// ones accepted before it: a zero normal or one that ImpliedByOne proves
+// (an exact duplicate direction at λ = 1) is dropped in closed form, the
+// rest by one membership program with a column per accepted normal, which
+// is where a near-duplicate direction goes. What is dropped is
+// implied on the nonnegative orthant, where every query space lies; an
+// accepted normal may make a kept one redundant, so a caller that wants
+// the minimal set reduces kept plus the result.
+func ConeCuts(kept, added []vec.Vector, at vec.Vector, tol float64) []int {
+	r := reducers.Get().(*reducer)
+	defer reducers.Put(r)
+	d := len(at)
+	r.unit, r.order = vec.Grown(r.unit, (len(kept)+len(added))*d), vec.Grown(r.order, len(added))
+	gen := func(i int) vec.Vector { return r.unit[i*d : (i+1)*d] }
+	g := 0
+	for _, a := range kept {
+		if scaleTo(gen(g), a, tol) {
+			g++
+		}
+	}
+	for i, a := range added {
+		r.order[i] = visit{vec.Dot(a, at) / vec.Norm(a), i}
+	}
+	slices.SortFunc(r.order, func(x, y visit) int {
+		return cmp.Or(cmp.Compare(x.slack, y.slack), cmp.Compare(x.i, y.i))
+	})
+	var cuts []int
+	for _, v := range r.order {
+		if u := gen(g); scaleTo(u, added[v.i], tol) && !r.implied(u, g) {
+			cuts = append(cuts, v.i)
+			g++
+		}
+	}
+	slices.Sort(cuts)
+	return cuts
+}
+
+// ImpliedByOne reports whether a·w ≥ 0 follows from n·w ≥ 0 alone on the
+// nonnegative orthant: whether a − λn is componentwise nonnegative for
+// some λ ≥ 0, in which case a·w = (a − λn)·w + λ(n·w) ≥ 0 for every
+// w ≥ 0 with n·w ≥ 0. Each component bounds λ from one side — a_i/n_i from
+// above where n_i > 0, from below where n_i < 0, and a_i ≥ 0 where
+// n_i = 0 — so the test is an interval intersection, no LP. It is a
+// certificate, not a decision: true is a proof, false says nothing.
+//
+// A negative n_i below 1e-9 of n's largest component counts as zero, as
+// lp's presolve reads it: it could only rescue a negative a_i with a λ so
+// large that the proof would rest on n·w being exactly, not numerically,
+// nonnegative (found by internal/repair's fuzz target, corpus entry
+// ef40aeaa2d409d8c).
+func ImpliedByOne(a, n vec.Vector) bool {
+	var scale float64
+	for _, ni := range n {
+		scale = max(scale, math.Abs(ni))
+	}
+	lo, hi := 0.0, math.Inf(1)
+	for i, ni := range n {
+		switch {
+		case ni > 0:
+			hi = min(hi, a[i]/ni)
+		case ni < -1e-9*scale:
+			lo = max(lo, a[i]/ni)
+		case !(a[i] >= 0):
+			return false
+		}
+	}
+	return lo <= hi
+}
+
+// scaleTo writes a scaled to unit length into dst and reports whether a is
+// longer than tol (a zero normal constrains nothing).
+func scaleTo(dst, a vec.Vector, tol float64) bool {
+	nm := vec.Norm(a)
+	if !(nm > tol) {
+		return false
+	}
+	inv := 1 / nm
+	for j, x := range a {
+		dst[j] = inv * x
+	}
+	return true
+}
+
+// reducer is ReduceCone's and ConeCuts' pooled workspace.
 type reducer struct {
 	unit  []float64 // the normals scaled to unit length, row-major
 	alive []bool
+	order []visit         // ConeCuts: the added normals, most binding first
 	gen   []float64       // a membership program's rows, back to back
 	rows  []lp.Constraint // over gen
 	lp    lp.Solver
+}
+
+// visit is one added normal in ConeCuts' order.
+type visit struct {
+	slack float64
+	i     int
+}
+
+// membership sizes the program "is target in the conical hull of m
+// generators": one equality row per dimension, one column per generator,
+// which the caller fills.
+func (r *reducer) membership(m int, target vec.Vector) {
+	d := len(target)
+	r.gen, r.rows = vec.Grown(r.gen, d*m), vec.Grown(r.rows, d)
+	for row := range r.rows {
+		r.rows[row] = lp.Constraint{Coef: r.gen[row*m : (row+1)*m], Op: lp.EQ, RHS: target[row]}
+	}
+}
+
+// implied reports whether the unit normal u is implied by the first g unit
+// normals of r.unit: closed form against each, then the membership program
+// against all.
+func (r *reducer) implied(u vec.Vector, g int) bool {
+	if g == 0 {
+		return false
+	}
+	d := len(u)
+	for j := 0; j < g; j++ {
+		if ImpliedByOne(u, r.unit[j*d:(j+1)*d]) {
+			return true
+		}
+	}
+	r.membership(g, u)
+	for j := 0; j < g; j++ {
+		for row, x := range r.unit[j*d : (j+1)*d] {
+			r.rows[row].Coef[j] = x
+		}
+	}
+	return r.lp.Feasible(g, r.rows)
 }
 
 var reducers = sync.Pool{New: func() any { return new(reducer) }}

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -269,5 +270,55 @@ func TestClipPolygonProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(23))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestImpliedByOneTable(t *testing.T) {
+	cases := []struct {
+		name string
+		a, n vec.Vector
+		want bool
+	}{
+		{"a is n", vec.Vector{1, -1}, vec.Vector{1, -1}, true},
+		{"a is a multiple of n", vec.Vector{3, -3, 0}, vec.Vector{1, -1, 0}, true},
+		{"a is n plus a nonnegative vector", vec.Vector{2, -1, 0.5}, vec.Vector{1, -1, 0}, true},
+		{"plain dominance (λ = 0)", vec.Vector{1, 0, 2}, vec.Vector{-1, 1, -1}, true},
+		{"zero in n under a nonnegative a_i", vec.Vector{1, -1, 0.3}, vec.Vector{1, -1, 0}, true},
+		{"zero in n under a negative a_i", vec.Vector{1, -1, -0.3}, vec.Vector{1, -1, 0}, false},
+		{"empty interval", vec.Vector{1, -2}, vec.Vector{1, -1}, false}, // λ ≤ 1 and λ ≥ 2
+		{"anti-parallel", vec.Vector{-1, 1}, vec.Vector{1, -1}, false},
+		{"zero n, negative a", vec.Vector{1, -1}, vec.Vector{0, 0}, false},
+		{"zero n, nonnegative a", vec.Vector{1, 0}, vec.Vector{0, 0}, true},
+		{"a sub-scale negative n_i rescues nothing", vec.Vector{0, 0, -0.19}, vec.Vector{-0.19, 0, -9e-72}, false},
+		{"NaN proves nothing", vec.Vector{math.NaN(), 1}, vec.Vector{1, -1}, false},
+	}
+	for _, c := range cases {
+		if got := ImpliedByOne(c.a, c.n); got != c.want {
+			t.Errorf("%s: ImpliedByOne(%v, %v) = %v, want %v", c.name, c.a, c.n, got, c.want)
+		}
+	}
+}
+
+func TestConeCuts(t *testing.T) {
+	at := vec.Vector{0.5, 0.3, 0.2}
+	kept := []vec.Vector{{1, -1, 0}}
+	added := []vec.Vector{
+		{0, 0, 0},      // zero: never cuts
+		{2, -2, 0},     // duplicate direction of a kept one
+		{2, -1, 0},     // kept one plus (1,0,0): implied on the orthant
+		{0, 1, -1},     // cuts
+		{0, 2, -2},     // duplicate of the previous
+		{1, 0, -1},     // the sum of the kept one and (0,1,−1): membership program
+		{1, -1.2, 0.1}, // cuts
+	}
+	got := ConeCuts(kept, added, at, 1e-12)
+	if want := []int{3, 6}; !slices.Equal(got, want) {
+		t.Errorf("ConeCuts = %v, want %v", got, want)
+	}
+	if got := ConeCuts(kept, nil, at, 1e-12); len(got) != 0 {
+		t.Errorf("ConeCuts with nothing added = %v", got)
+	}
+	if got := ConeCuts(nil, added[3:5], at, 1e-12); !slices.Equal(got, []int{0}) {
+		t.Errorf("ConeCuts with nothing kept = %v, want [0]", got)
 	}
 }

@@ -261,16 +261,7 @@ func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vect
 			return cmp.Compare(sc.slack[a], sc.slack[b])
 		})
 	}
-	slab := make([]float64, (len(keep)+1)*d)
-	query := vec.Vector(slab[:d:d])
-	copy(query, q)
-	cons := make([]Constraint, len(keep))
-	for i, k := range keep {
-		cons[i] = sc.cons[k]
-		cons[i].Normal = slab[(i+1)*d : (i+2)*d : (i+2)*d]
-		copy(cons[i].Normal, sc.cons[k].Normal)
-	}
-	return cons, query
+	return slabbed(d, q, sc.cons, keep)
 }
 
 // spPhase implements Skyline Pruning: one constraint per anchor and

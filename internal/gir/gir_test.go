@@ -58,7 +58,7 @@ func (fx *fixture) idsOfResult() []int64 {
 // direction, clipped to the region (for inside samples) or just beyond
 // (for outside samples).
 func insideSamples(r *rand.Rand, reg *Region, count int) []vec.Vector {
-	hs := reg.HalfspacesWithBox()
+	hs := reg.HalfspacesWithDomain()
 	var out []vec.Vector
 	for len(out) < count {
 		u := make(vec.Vector, reg.Dim)

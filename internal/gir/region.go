@@ -8,6 +8,7 @@ package gir
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
@@ -113,12 +114,6 @@ func (r *Region) HalfspacesWithDomain() []geom.Halfspace {
 	return append(r.Halfspaces(), r.Space().Halfspaces()...)
 }
 
-// HalfspacesWithBox is the historical name of HalfspacesWithDomain, from
-// when the unit box was the only query space.
-func (r *Region) HalfspacesWithBox() []geom.Halfspace {
-	return r.HalfspacesWithDomain()
-}
-
 // BindingConstraint returns the index of the constraint with the smallest
 // slack at q (the one the query would hit first moving outward along its
 // gradient), or -1 if the region has no constraints.
@@ -134,39 +129,68 @@ func (r *Region) BindingConstraint(q vec.Vector) int {
 }
 
 // Shrink returns a new region equal to r intersected with the added
-// half-spaces {Normal·q' ≥ 0}, with the combined constraint set reduced to
-// a minimal representation. The receiver is not modified — regions stay
-// immutable, which is what lets cached entries be read lock-free — and the
-// result shares the receiver's Dim, Query and OrderSensitive.
+// half-spaces {Normal·q' ≥ 0}, its constraint set a minimal representation.
+// The receiver is not modified — regions stay immutable, which is what lets
+// cached entries be read lock-free — and the result aliases neither it nor
+// added: the query and every kept normal are copied into one fresh slab,
+// so a caller may build the added normals in memory it reuses.
 //
-// Added constraints whose normal is componentwise nonnegative are dropped
-// up front: over the nonnegative query space they hold everywhere, so they
-// can never cut the region. This is the geometric core of cache repair
-// (internal/repair): a mutation that perturbs a cached result in a
-// closed-form way is absorbed by shrinking the region with the new
-// pairwise constraints instead of recomputing it from scratch.
+// The receiver's set is already minimal, so only the added half-spaces are
+// tested. Those with a componentwise nonnegative normal are dropped on
+// sight: over the nonnegative query space they hold everywhere.
+// geom.ConeCuts keeps, of the rest, those the receiver's constraints do not
+// imply — in closed form where one constraint alone proves it
+// (geom.ImpliedByOne), by a membership program a handful of columns wide
+// otherwise. A kept one can make one of the receiver's redundant, so the
+// few survivors go through the whole-set reduction once. This is the
+// geometric core of cache repair (internal/repair): a mutation that
+// perturbs a cached result in a closed-form way is absorbed by shrinking
+// the region with the new pairwise constraints instead of recomputing it.
 func (r *Region) Shrink(added []Constraint) *Region {
-	cons := make([]Constraint, 0, len(r.Constraints)+len(added))
-	cons = append(cons, r.Constraints...)
+	sc := scratchPool.Get().(*scratch)
+	defer func() { // the pool must not keep the receiver's and the caller's normals reachable
+		clear(sc.cons)
+		clear(sc.rows)
+		scratchPool.Put(sc)
+	}()
+	sc.cons, sc.rows = append(sc.cons[:0], r.Constraints...), sc.rows[:0]
+	for _, c := range r.Constraints {
+		sc.rows = append(sc.rows, c.Normal)
+	}
 	for _, c := range added {
-		redundant := true
-		for _, x := range c.Normal {
-			if x < 0 {
-				redundant = false
-				break
-			}
-		}
-		if !redundant {
-			cons = append(cons, c)
+		if slices.ContainsFunc(c.Normal, func(x float64) bool { return x < 0 }) {
+			sc.cons, sc.rows = append(sc.cons, c), append(sc.rows, c.Normal)
 		}
 	}
+	old := len(r.Constraints)
+	n := old // the receiver's constraints, then the added ones that cut
+	for _, i := range geom.ConeCuts(sc.rows[:old], sc.rows[old:], r.Query, 1e-12) {
+		sc.cons[n], sc.rows[n] = sc.cons[old+i], sc.rows[old+i]
+		n++
+	}
+	cons, query := slabbed(r.Dim, r.Query, sc.cons, geom.ReduceCone(sc.rows[:n], 1e-12))
 	return &Region{
 		Dim:            r.Dim,
-		Query:          r.Query.Clone(),
-		Constraints:    reduce(cons),
+		Query:          query,
+		Constraints:    cons,
 		OrderSensitive: r.OrderSensitive,
 		Domain:         r.Domain,
 	}
+}
+
+// slabbed copies the query and the constraints src[keep[i]] into one fresh
+// slab, so a Region never aliases pooled or caller-owned memory.
+func slabbed(d int, q vec.Vector, src []Constraint, keep []int) ([]Constraint, vec.Vector) {
+	slab := make([]float64, (len(keep)+1)*d)
+	query := vec.Vector(slab[:d:d])
+	copy(query, q)
+	cons := make([]Constraint, len(keep))
+	for i, k := range keep {
+		cons[i] = src[k]
+		cons[i].Normal = slab[(i+1)*d : (i+2)*d : (i+2)*d]
+		copy(cons[i].Normal, src[k].Normal)
+	}
+	return cons, query
 }
 
 // Stats reports what a GIR computation did — the quantities plotted in the
@@ -184,22 +208,4 @@ type Stats struct {
 	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)
 	RawConstraints int    `json:"constraints_raw,omitempty"` // constraints before redundancy elimination
 	Constraints    int    `json:"constraints,omitempty"`     // constraints in the final minimal representation
-}
-
-// reduce eliminates redundant constraints via conical-membership LPs,
-// preserving attribution.
-func reduce(cons []Constraint) []Constraint {
-	if len(cons) <= 1 {
-		return cons
-	}
-	normals := make([]vec.Vector, len(cons))
-	for i, c := range cons {
-		normals[i] = c.Normal
-	}
-	keep := geom.ReduceCone(normals, 1e-12)
-	out := make([]Constraint, len(keep))
-	for i, k := range keep {
-		out[i] = cons[k]
-	}
-	return out
 }

@@ -64,8 +64,8 @@ func TestHalfspacesWithBox(t *testing.T) {
 	if got := len(reg.Halfspaces()); got != 1 {
 		t.Errorf("Halfspaces = %d", got)
 	}
-	if got := len(reg.HalfspacesWithBox()); got != 1+6 {
-		t.Errorf("HalfspacesWithBox = %d, want 7", got)
+	if got := len(reg.HalfspacesWithDomain()); got != 1+6 {
+		t.Errorf("HalfspacesWithDomain = %d, want 7", got)
 	}
 }
 

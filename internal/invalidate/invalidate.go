@@ -21,14 +21,16 @@
 //
 //     a linear program over the region's constraint cone clipped to the
 //     region's query-space domain (internal/domain: the unit box or the
-//     Σw=1 simplex) — exactly what Domain.MaximizeLinear solves. Two
-//     closed-form filters decide the common cases without an LP: if the
+//     Σw=1 simplex) — exactly what Domain.MaximizeLinear solves.
+//     Closed-form filters decide the common cases without an LP: if the
 //     objective's domain-wide upper bound is nonpositive (for the box,
 //     p componentwise dominated by p_k; for the simplex, max_j (p−p_k)_j
 //     ≤ 0), no weight of the domain prefers p (keep); if the objective is
 //     already positive at the region's own query vector or anywhere in
 //     the entry's precomputed inscribed box intersected with the domain
-//     (the MAH fast path), some weight in R prefers p (evict).
+//     (the MAH fast path), some weight in R prefers p (evict); if one
+//     region constraint alone implies p_k·w ≥ p·w on the nonnegative
+//     orthant (geom.ImpliedByOne), no weight of R prefers p (keep).
 //
 // Decisions are conservative: any numerical doubt (LP non-optimal status,
 // margins inside tolerance of zero) resolves toward "affected", so a kept
@@ -40,6 +42,9 @@
 package invalidate
 
 import (
+	"sync"
+
+	"github.com/girlib/gir/internal/geom"
 	gir "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/lp"
 	"github.com/girlib/gir/internal/topk"
@@ -81,8 +86,14 @@ func DeleteAffects(recs []topk.Record, id int64) bool {
 }
 
 // InsertAffects reports whether inserting a record with attributes p can
-// change the top-|recs| result anywhere in reg. It runs the closed-form
-// filters first and falls back to the LP only when they are inconclusive.
+// change the top-|recs| result anywhere in reg. Four closed-form filters
+// run before the LP, cheapest first: the domain-wide bound (keep), the
+// region's own query (evict), the inscribed box (evict), and the
+// implication certificate (keep): one region normal n with (p_k − p) − λn
+// componentwise nonnegative for some λ ≥ 0 (geom.ImpliedByOne, the test
+// Region.Shrink screens added half-spaces with). Each filter decides only
+// its own direction; what they leave open falls through to the exact LP,
+// on a pooled scratch (the fence calls this from query goroutines).
 func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, innerHi vec.Vector) bool {
 	if reg == nil || len(recs) == 0 {
 		return true // nothing to certify against: evict
@@ -92,7 +103,13 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 		return true // malformed input: evict rather than risk staleness
 	}
 	dom := reg.Space()
-	diff := vec.Sub(p, pk)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	s.diff, s.keep = vec.Grown(s.diff, len(p)), vec.Grown(s.keep, len(p))
+	diff := s.diff // p − p_k: the margin's objective
+	for i := range p {
+		diff[i] = p[i] - pk[i]
+	}
 	// Dominance filter: the domain-wide upper bound of w·diff caps the
 	// margin everywhere in the region (R ⊆ domain). For the box this is
 	// the classical componentwise-dominance test (Σ of positive diffs);
@@ -115,17 +132,37 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 			return true
 		}
 	}
+	// Implication certificate: one region constraint alone proves the
+	// margin nonpositive on region ⊆ nonnegative orthant. Keep.
+	for i, x := range diff {
+		s.keep[i] = -x
+	}
+	for _, c := range reg.Constraints {
+		if geom.ImpliedByOne(s.keep, c.Normal) {
+			return false
+		}
+	}
 	// Exact decision: max w·(p − p_k) over the region's cone constraints
 	// clipped to the domain. The region's query vector is feasible, so a
 	// non-Optimal status is a numerical failure, resolved conservatively;
 	// only a margin beyond Tol signals a genuine overtake.
-	cons := make([]lp.Constraint, 0, len(reg.Constraints))
+	s.cons = s.cons[:0]
 	for _, c := range reg.Constraints {
-		cons = append(cons, lp.Constraint{Coef: c.Normal, Op: lp.GE, RHS: 0})
+		s.cons = append(s.cons, lp.Constraint{Coef: c.Normal, Op: lp.GE, RHS: 0})
 	}
-	sol := dom.MaximizeLinear(diff, cons)
+	sol := dom.MaximizeLinear(&s.lp, diff, s.cons)
+	clear(s.cons) // the pool must not keep the region's normals reachable
 	if sol.Status != lp.Optimal {
 		return true // numerical failure: evict conservatively
 	}
 	return sol.Objective > Tol
 }
+
+// scratch is one InsertAffects call's workspace.
+type scratch struct {
+	diff, keep vec.Vector
+	cons       []lp.Constraint
+	lp         lp.Solver
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}

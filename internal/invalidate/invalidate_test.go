@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/girlib/gir/internal/domain"
+	"github.com/girlib/gir/internal/geom"
 	gir "github.com/girlib/gir/internal/gir"
+	"github.com/girlib/gir/internal/lp"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -170,6 +173,54 @@ func TestInsertAffectsBoxConsistent(t *testing.T) {
 		without := InsertAffects(fx.reg, fx.recs, p, nil, nil)
 		if with != without {
 			t.Fatalf("insert %v: with box %v, without box %v", p, with, without)
+		}
+	}
+}
+
+// TestCertificateNeverOverclaims holds the closed-form implication
+// certificate against the LP it stands in front of, on both query spaces:
+// whenever geom.ImpliedByOne says a·w ≥ 0 follows from one region normal,
+// the maximum of −a·w over the region is at most Tol. The table covers the
+// certificate's branches — a zero component in n (the a_i ≥ 0 branch),
+// λ = 0 (plain dominance) and an empty interval; InsertAffects must keep
+// in the first two without being told.
+func TestCertificateNeverOverclaims(t *testing.T) {
+	pk := vec.Vector{0.6, 0.5, 0.4}
+	cases := []struct {
+		name    string
+		n       vec.Vector // the region's one constraint
+		p       vec.Vector // the inserted record; a = p_k − p
+		implied bool
+	}{
+		{"zero component in n, a_i ≥ 0 there", vec.Vector{1, -1, 0}, vec.Vector{0.3, 0.7, 0.35}, true}, // a = (0.3,−0.2,0.05)
+		{"zero component in n, a_i < 0 there", vec.Vector{1, -1, 0}, vec.Vector{0.3, 0.7, 0.45}, false},
+		{"λ = 0: plain dominance", vec.Vector{-1, 1, 0.5}, vec.Vector{0.5, 0.5, 0.1}, true},
+		{"λ pinned to one value", vec.Vector{1, -1, 0}, vec.Vector{0.4, 0.7, 0.4}, true}, // a = 0.2·n
+		{"empty interval", vec.Vector{1, -1, 0}, vec.Vector{0.5, 0.7, 0.4}, false},       // a = (0.1,−0.2,0): λ ≤ 0.1, λ ≥ 0.2
+	}
+	for _, c := range cases {
+		for _, dom := range []domain.Domain{domain.UnitBox(3), domain.Simplex(3)} {
+			q := dom.Normalize(vec.Vector{0.6, 0.3, 0.1})
+			if c.n[0] < 0 {
+				q = dom.Normalize(vec.Vector{0.1, 0.6, 0.3})
+			}
+			reg := &gir.Region{Dim: 3, Query: q, Domain: dom, Constraints: []gir.Constraint{{Normal: c.n}}}
+			a := vec.Sub(pk, c.p)
+			if got := geom.ImpliedByOne(a, c.n); got != c.implied {
+				t.Errorf("%s: ImpliedByOne = %v, want %v", c.name, got, c.implied)
+				continue
+			}
+			sol := dom.MaximizeLinear(new(lp.Solver), vec.Scale(-1, a), []lp.Constraint{{Coef: c.n, Op: lp.GE, RHS: 0}})
+			if sol.Status != lp.Optimal {
+				t.Fatalf("%s (%s): LP status %v", c.name, dom.Name(), sol.Status)
+			}
+			if c.implied && sol.Objective > Tol {
+				t.Errorf("%s (%s): certificate says implied, the LP finds a margin of %g", c.name, dom.Name(), sol.Objective)
+			}
+			recs := []topk.Record{{ID: 1, Point: pk}}
+			if got, want := InsertAffects(reg, recs, c.p, nil, nil), sol.Objective > Tol; got != want {
+				t.Errorf("%s (%s): InsertAffects = %v, the LP says %v (margin %g)", c.name, dom.Name(), got, want, sol.Objective)
+			}
 		}
 	}
 }

@@ -207,6 +207,10 @@ type Solver struct {
 	ops          []Op
 	cost, red, x []float64
 	banned       []bool
+
+	neg []float64    // Maximize's negated objective
+	hot []float64    // MaximizeOverBox's one-hot coefficients, n×n
+	box []Constraint // its rows: the n box rows over hot, then the caller's
 }
 
 // grown returns s resized to n zeroed elements, reallocating only when it
@@ -473,11 +477,6 @@ func (s *Solver) Feasible(numVars int, cons []Constraint) bool {
 	return s.Solve(&Problem{NumVars: numVars, Constraints: cons}).Status == Optimal
 }
 
-// Minimize is a convenience wrapper that minimizes c·x over the system.
-func Minimize(c []float64, cons []Constraint) Solution {
-	return Solve(&Problem{NumVars: len(c), Objective: c, Constraints: cons})
-}
-
 // MaximizeOverBox maximizes c·x over the unit box [0,1]^n intersected with
 // the given constraint system (x ≥ 0 is implicit, x ≤ 1 is appended here).
 // This is the shape of the cache-invalidation subproblem: the GIR is a cone
@@ -485,27 +484,34 @@ func Minimize(c []float64, cons []Constraint) Solution {
 // outscore the cached k-th record anywhere in the region" is exactly a
 // bounded LP over that body. The box guarantees the program is never
 // unbounded, so a non-Optimal status signals a numerical failure the
-// caller should treat conservatively.
-func MaximizeOverBox(c []float64, cons []Constraint) Solution {
+// caller should treat conservatively. The n one-hot box rows are built
+// once per n and kept with the Solver's other buffers.
+func (s *Solver) MaximizeOverBox(c []float64, cons []Constraint) Solution {
 	n := len(c)
-	all := make([]Constraint, 0, n+len(cons))
-	for j := 0; j < n; j++ {
-		coef := make([]float64, n)
-		coef[j] = 1
-		all = append(all, Constraint{Coef: coef, Op: LE, RHS: 1})
+	if len(s.hot) != n*n {
+		s.hot, s.box = make([]float64, n*n), s.box[:0]
+		for j := 0; j < n; j++ {
+			s.hot[j*n+j] = 1
+			s.box = append(s.box, Constraint{Coef: s.hot[j*n : (j+1)*n], Op: LE, RHS: 1})
+		}
 	}
-	all = append(all, cons...)
-	return Maximize(c, all)
+	s.box = append(s.box[:n], cons...)
+	sol := s.Maximize(c, s.box)
+	clear(s.box[n:]) // a pooled Solver must not keep the caller's rows reachable
+	return sol
 }
 
 // Maximize maximizes c·x over the system; the returned objective is the
 // maximum value.
-func Maximize(c []float64, cons []Constraint) Solution {
-	neg := make([]float64, len(c))
+func Maximize(c []float64, cons []Constraint) Solution { return new(Solver).Maximize(c, cons) }
+
+// Maximize is the package-level Maximize on the Solver's buffers.
+func (s *Solver) Maximize(c []float64, cons []Constraint) Solution {
+	s.neg = grown(s.neg, len(c))
 	for i, v := range c {
-		neg[i] = -v
+		s.neg[i] = -v
 	}
-	sol := Solve(&Problem{NumVars: len(c), Objective: neg, Constraints: cons})
+	sol := s.Solve(&Problem{NumVars: len(c), Objective: s.neg, Constraints: cons})
 	sol.Objective = -sol.Objective
 	return sol
 }

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// minimize is Solve on an objective and a constraint system.
+func minimize(c []float64, cons []Constraint) Solution {
+	return Solve(&Problem{NumVars: len(c), Objective: c, Constraints: cons})
+}
+
 func TestSimple2DMax(t *testing.T) {
 	// max x+y s.t. x ≤ 1, y ≤ 2 → 3 at (1,2).
 	sol := Maximize([]float64{1, 1}, []Constraint{
@@ -38,7 +43,7 @@ func TestClassicProductionLP(t *testing.T) {
 
 func TestGEAndEquality(t *testing.T) {
 	// min x+y s.t. x+y ≥ 2, x = 0.5 → 2 at (0.5, 1.5).
-	sol := Minimize([]float64{1, 1}, []Constraint{
+	sol := minimize([]float64{1, 1}, []Constraint{
 		{Coef: []float64{1, 1}, Op: GE, RHS: 2},
 		{Coef: []float64{1, 0}, Op: EQ, RHS: 0.5},
 	})
@@ -71,7 +76,7 @@ func TestUnbounded(t *testing.T) {
 
 func TestNegativeRHSNormalization(t *testing.T) {
 	// x − y ≤ −1 with x,y ≥ 0 means y ≥ x+1; min y is 1.
-	sol := Minimize([]float64{0, 1}, []Constraint{
+	sol := minimize([]float64{0, 1}, []Constraint{
 		{Coef: []float64{1, -1}, Op: LE, RHS: -1},
 	})
 	if sol.Status != Optimal || math.Abs(sol.Objective-1) > 1e-9 {
@@ -81,7 +86,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 
 func TestDegenerateRedundantRows(t *testing.T) {
 	// Duplicate equalities exercise the redundant-row path in phase 1.
-	sol := Minimize([]float64{1, 0}, []Constraint{
+	sol := minimize([]float64{1, 0}, []Constraint{
 		{Coef: []float64{1, 1}, Op: EQ, RHS: 1},
 		{Coef: []float64{1, 1}, Op: EQ, RHS: 1},
 		{Coef: []float64{2, 2}, Op: EQ, RHS: 2},
@@ -128,7 +133,7 @@ func TestOptimalBeatsCorners(t *testing.T) {
 		for j := range c {
 			c[j] = r.NormFloat64()
 		}
-		sol := Minimize(c, cons)
+		sol := minimize(c, cons)
 		if sol.Status != Optimal {
 			return false // box-bounded and contains 0 ⇒ must be solvable
 		}
@@ -278,5 +283,49 @@ func TestPresolveScalingPreservesSolution(t *testing.T) {
 	}
 	if math.Abs(sol.Objective-36) > 1e-6 {
 		t.Errorf("objective = %v, want 36", sol.Objective)
+	}
+}
+
+// One Solver across programs of different sizes must answer exactly what a
+// fresh one answers — the box rows it keeps are rebuilt when n changes,
+// never reused across it — and allocate nothing once it has seen the
+// largest.
+func TestSolverMaximizeOverBoxReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	type prog struct {
+		c    []float64
+		cons []Constraint
+	}
+	var progs []prog
+	for i := 0; i < 40; i++ {
+		n := 2 + i%4
+		p := prog{c: make([]float64, n)}
+		for j := range p.c {
+			p.c[j] = r.NormFloat64()
+		}
+		for k := r.Intn(4); k > 0; k-- {
+			coef := make([]float64, n)
+			for j := range coef {
+				coef[j] = r.NormFloat64()
+			}
+			p.cons = append(p.cons, Constraint{Coef: coef, Op: GE, RHS: 0})
+		}
+		progs = append(progs, p)
+	}
+	var s Solver
+	for i, p := range progs {
+		got, want := s.MaximizeOverBox(p.c, p.cons), new(Solver).MaximizeOverBox(p.c, p.cons)
+		if got.Status != want.Status || got.Objective != want.Objective {
+			t.Fatalf("program %d: reused solver %v %v, fresh solver %v %v", i, got.Status, got.Objective, want.Status, want.Objective)
+		}
+		for j := range want.X {
+			if got.X[j] != want.X[j] {
+				t.Fatalf("program %d: x[%d] = %v on the reused solver, %v fresh", i, j, got.X[j], want.X[j])
+			}
+		}
+	}
+	p := progs[3] // n = 5, the largest
+	if allocs := testing.AllocsPerRun(20, func() { s.MaximizeOverBox(p.c, p.cons) }); allocs != 0 {
+		t.Errorf("a warm Solver.MaximizeOverBox allocated %.0f objects", allocs)
 	}
 }

@@ -53,6 +53,8 @@
 package repair
 
 import (
+	"sync"
+
 	gir "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/invalidate"
 	"github.com/girlib/gir/internal/score"
@@ -219,7 +221,10 @@ func Delete(e Entry, id int64) (*Repaired, bool) {
 	// w·hi_j. If any such bound reaches t* at the query, a hidden record
 	// may deserve the slot instead: evict. Otherwise the corner constraints
 	// keep hidden records below t* across the whole shrunk region.
-	added := make([]gir.Constraint, 0, len(e.Cand)-1+len(e.Bounds))
+	sc := scratches.Get().(*scratch)
+	defer scratches.Put(sc)
+	sc.slab = vec.Grown(sc.slab, (len(e.Bounds)+len(e.Cand))*reg.Dim)[:0]
+	sc.added = sc.added[:0]
 	for _, hi := range e.Bounds {
 		if len(hi) != reg.Dim {
 			return nil, false
@@ -227,12 +232,8 @@ func Delete(e Entry, id int64) (*Repaired, bool) {
 		if bestScore-scoreAt(hi, q) <= Tol {
 			return nil, false
 		}
-		added = append(added, gir.Constraint{
-			Normal: vec.Sub(tstar.Point, hi),
-			Kind:   gir.Replace,
-			A:      tstar.ID,
-			B:      -1, // no single record: an unexpanded-subtree bound
-		})
+		// B −1: no single record, an unexpanded-subtree bound.
+		sc.add(tstar.Point, hi, tstar.ID, -1)
 	}
 	cand := make([]topk.Record, 0, len(e.Cand)-1)
 	for i, c := range e.Cand {
@@ -240,9 +241,9 @@ func Delete(e Entry, id int64) (*Repaired, bool) {
 			continue
 		}
 		cand = append(cand, c)
-		added = append(added, pairwise(tstar, c))
+		sc.add(tstar.Point, c.Point, tstar.ID, c.ID)
 	}
-	nreg := reg.Shrink(added)
+	nreg := reg.Shrink(sc.added)
 	if !nreg.Contains(q, 0) {
 		return nil, false
 	}
@@ -263,4 +264,31 @@ func pairwise(a, b topk.Record) gir.Constraint {
 		A:      a.ID,
 		B:      b.ID,
 	}
+}
+
+// scratch holds the half-spaces one Delete hands Region.Shrink — several
+// hundred, of which a handful survive, copied by Shrink — their normals in
+// one slab.
+type scratch struct {
+	slab  []float64
+	added []gir.Constraint
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// add appends the Replace half-space (a − b)·w ≥ 0, unless the normal is
+// componentwise nonnegative: that holds on every query space, and Shrink
+// would drop it on sight.
+func (sc *scratch) add(a, b vec.Vector, aID, bID int64) {
+	at, cuts := len(sc.slab), false
+	for i := range a {
+		x := a[i] - b[i]
+		sc.slab = append(sc.slab, x)
+		cuts = cuts || x < 0
+	}
+	if !cuts {
+		sc.slab = sc.slab[:at]
+		return
+	}
+	sc.added = append(sc.added, gir.Constraint{Normal: sc.slab[at:len(sc.slab):len(sc.slab)], Kind: gir.Replace, A: aID, B: bID})
 }

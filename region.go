@@ -233,7 +233,7 @@ func (g *GIR) Shrink(normals [][]float64) (*GIR, error) {
 			return nil, fmt.Errorf("gir: shrink normal %d has dimension %d, want %d", i, len(n), g.region.Dim)
 		}
 		added = append(added, girint.Constraint{
-			Normal: append(vec.Vector(nil), n...),
+			Normal: n, // Region.Shrink copies what it keeps
 			Kind:   girint.Replace,
 			A:      -1,
 			B:      -1,
