@@ -150,16 +150,14 @@ func (c *Cache) Capacity() int { return c.inner.Capacity() }
 func (c *Cache) Clear() { c.inner.Clear() }
 
 // CacheMutation is one already-applied dataset write, in the form
-// ApplyBatch reconciles a hand-managed cache with. Version optionally
-// stamps the mutation with the dataset version it produced — stamped
-// entries skip re-evaluation of mutations they are already cleared
-// through, exactly as in the Engine; 0 leaves stamps out of play.
-type CacheMutation struct {
-	Version int64
-	Insert  bool
-	ID      int64
-	Point   []float64 // the inserted record's attributes (Insert only)
-}
+// ApplyBatch reconciles a hand-managed cache with — the maintenance
+// layer's own mutation record: Insert (false = delete), the record's ID,
+// its Point (an insert's attributes; unused for a delete) and Version,
+// which optionally stamps the mutation with the dataset version it
+// produced — stamped entries skip re-evaluation of mutations they are
+// already cleared through, exactly as in the Engine; 0 leaves stamps out
+// of play.
+type CacheMutation = maintain.Mutation
 
 // BatchStats reports what one ApplyBatch pass did. Affected counts
 // (mutation, entry) pairs the batch could perturb and always equals
@@ -187,12 +185,8 @@ type BatchStats struct {
 // hand. Maintenance must not run concurrently with itself (lookups may run
 // concurrently freely).
 func (c *Cache) ApplyBatch(ms []CacheMutation) BatchStats {
-	batch := make([]maintain.Mutation, len(ms))
-	for i, m := range ms {
-		batch[i] = maintain.Mutation{Version: m.Version, Insert: m.Insert, ID: m.ID, Point: vec.Vector(m.Point)}
-	}
 	p := maintain.Planner{Repair: true}
-	out := p.Drain(c.inner, batch)
+	out := p.Drain(c.inner, ms)
 	return BatchStats{
 		Entries:     out.Entries,
 		Scans:       out.Scans,

@@ -3,6 +3,7 @@ package gir
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,7 +67,7 @@ type Engine struct {
 	// drain passes.
 	invMu        sync.Mutex
 	invCond      *sync.Cond
-	pending      []mutation
+	pending      []maintain.Mutation
 	applied      atomic.Int64
 	closed       bool
 	unsub        func()
@@ -91,9 +92,9 @@ type Engine struct {
 // EngineOptions tunes a new Engine. The zero value is ready to use:
 // GOMAXPROCS workers, a 1024-entry cache with the default shard count,
 // and FP (the paper's fastest method) for cache-fill GIR computation.
-// The query-space domain is inherited from the Dataset (NewDatasetInSpace
-// / SetSpace): fills, cache membership, invalidation predicates and
-// repairs all run in that space — see Engine.Space.
+// The query-space domain is inherited from the Dataset (NewDatasetInSpace):
+// fills, cache membership, invalidation predicates and repairs all run in
+// that space — see Engine.Space.
 type EngineOptions struct {
 	// Workers bounds the goroutines a batch fans out over (≤ 0 =
 	// GOMAXPROCS).
@@ -174,7 +175,7 @@ func (e *Engine) Close() {
 // enqueueMutation receives one dataset mutation. It runs under the
 // dataset's exclusive lock, before the mutation's version becomes visible,
 // so it must only append and signal — the LP work happens in the drainer.
-func (e *Engine) enqueueMutation(m mutation) {
+func (e *Engine) enqueueMutation(m maintain.Mutation) {
 	e.invMu.Lock()
 	if !e.closed {
 		if len(e.pending) == 0 {
@@ -222,7 +223,7 @@ func (e *Engine) drainMutations() {
 			e.invMu.Unlock()
 			return
 		}
-		batch := e.pendingLocked()
+		batch := slices.Clone(e.pending)
 		n := len(batch)
 		e.invMu.Unlock()
 
@@ -249,16 +250,6 @@ func (e *Engine) drainMutations() {
 	}
 }
 
-// pendingLocked copies the pending mutations, in ascending version order
-// (append order), into the planner's form; the caller holds invMu.
-func (e *Engine) pendingLocked() []maintain.Mutation {
-	batch := make([]maintain.Mutation, len(e.pending))
-	for i, m := range e.pending {
-		batch[i] = maintain.Mutation{Version: m.version, Insert: m.insert, ID: m.id, Point: vec.Vector(m.point)}
-	}
-	return batch
-}
-
 // fenceVeto returns the lookup veto enforcing the generation fence for a
 // call that observed the given dataset version, or nil on the fast path
 // (cache fully reconciled with that version — the steady state, one
@@ -273,7 +264,7 @@ func (e *Engine) fenceVeto(version int64) func(*cacheint.Entry) bool {
 		return nil
 	}
 	e.invMu.Lock()
-	snap := e.pendingLocked()
+	snap := slices.Clone(e.pending)
 	e.invMu.Unlock()
 	if len(snap) == 0 {
 		// The drainer finished between the two loads; applied has caught up.
@@ -638,7 +629,7 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	if e.applied.Load() > fill.version {
 		return
 	}
-	if n := len(e.pending); n > 0 && e.pending[n-1].version > fill.version {
+	if n := len(e.pending); n > 0 && e.pending[n-1].Version > fill.version {
 		return
 	}
 	e.cache.commitPut(p, fill.version)

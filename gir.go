@@ -37,6 +37,7 @@ import (
 	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/domain"
 	girint "github.com/girlib/gir/internal/gir"
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -200,21 +201,19 @@ type IOStats struct {
 // at; after an intervening mutation ComputeGIR returns an error — rerun
 // TopK.
 type Dataset struct {
-	mu      sync.RWMutex // serializes writers and configuration; readers do not take it
-	tree    *rtree.Tree  // the writer's mutable handle; readers use ds.snap
-	store   pager.Store
-	cost    pager.CostModel
-	file    *pager.FileStore // non-nil when disk-backed (Close releases it)
-	sidecar string           // page-aligned sidecar path (OpenOnDisk; removed by Close)
-	wal     *pager.WAL       // non-nil once EnableWAL/Recover attached a log
-	walDir  string           // the durable directory the WAL lives in
-	space   Space            // the query-space domain (data space is [0,1]^d regardless)
+	mu     sync.RWMutex // serializes writers and configuration; readers do not take it
+	tree   *rtree.Tree  // the writer's mutable handle; readers use ds.snap
+	store  pager.Store
+	cost   pager.CostModel
+	wal    *pager.WAL // non-nil once EnableWAL/Recover attached a log
+	walDir string     // the durable directory the WAL lives in
+	space  Space      // the query-space domain (data space is [0,1]^d regardless)
 
 	// Checkpoint state of walDir (see checkpointLocked): base identifies its
 	// dataset.snap, delta describes the dataset.delta that extends it, and
 	// dirty holds the pages written since the last checkpoint — non-nil
 	// exactly while the directory is attached, replay included.
-	base  pager.SidecarID
+	base  pager.BaseID
 	delta pager.DeltaStats
 	dirty map[pager.PageID]struct{}
 
@@ -227,8 +226,8 @@ type Dataset struct {
 	snap    atomic.Pointer[treeSnap]
 	retired []*treeSnap
 
-	subID int64                    // next subscriber handle
-	subs  map[int64]func(mutation) // mutation listeners (Engines), under mu
+	subID int64                             // next subscriber handle
+	subs  map[int64]func(maintain.Mutation) // mutation listeners (Engines), under mu
 }
 
 // treeSnap is one immutable published version of the index: a read-only
@@ -303,27 +302,17 @@ func (s *treeSnap) topK(q []float64, k int, sc Scoring) (*topk.Result, error) {
 	return topk.BRS(s.tree, sc.function(s.tree.Dim()), vec.Vector(q), k), nil
 }
 
-// mutation describes one successful Insert or Delete, in the order the
-// mutations were applied. version is the dataset version the mutation
-// produced (what Version reports once the mutation is visible).
-type mutation struct {
-	version int64
-	insert  bool
-	id      int64
-	point   []float64
-}
-
 // subscribe registers fn to observe every future mutation and returns an
 // unsubscribe function. fn is invoked while the exclusive mutation lock is
 // held and BEFORE the new dataset version becomes visible, so a reader
 // that observes version v is guaranteed the events for every mutation up
 // to v have already been delivered. fn must therefore be fast and must
 // never block (the Engine just appends to an in-memory queue).
-func (ds *Dataset) subscribe(fn func(mutation)) (unsubscribe func()) {
+func (ds *Dataset) subscribe(fn func(maintain.Mutation)) (unsubscribe func()) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.subs == nil {
-		ds.subs = make(map[int64]func(mutation))
+		ds.subs = make(map[int64]func(maintain.Mutation))
 	}
 	id := ds.subID
 	ds.subID++
@@ -346,11 +335,11 @@ func (ds *Dataset) subscribe(fn func(mutation)) (unsubscribe func()) {
 // hold: the failed walk wrote nothing, so the commit supersedes no pages.
 // While a durable directory is attached, the pages the mutation wrote join
 // the dirty set the next checkpoint persists.
-func (ds *Dataset) applyLocked(m mutation) bool {
+func (ds *Dataset) applyLocked(m maintain.Mutation) bool {
 	ds.tree.BeginCOW()
-	if m.insert {
-		ds.tree.Insert(m.id, vec.Vector(m.point))
-	} else if !ds.tree.Delete(m.id, vec.Vector(m.point)) {
+	if m.Insert {
+		ds.tree.Insert(m.ID, m.Point)
+	} else if !ds.tree.Delete(m.ID, m.Point) {
 		ds.tree.CommitCOW()
 		return false
 	}
@@ -363,19 +352,19 @@ func (ds *Dataset) applyLocked(m mutation) bool {
 	for _, fn := range ds.subs {
 		fn(m)
 	}
-	ds.publishSnapLocked(m.version, freed)
+	ds.publishSnapLocked(m.Version, freed)
 	return true
 }
 
 // nextMutationLocked stamps a mutation the caller is about to log and
 // apply with the version it will produce; the point is copied, so the
 // event subscribers keep does not alias the caller's slice.
-func (ds *Dataset) nextMutationLocked(insert bool, id int64, p []float64) mutation {
-	return mutation{
-		version: ds.Version() + 1,
-		insert:  insert,
-		id:      id,
-		point:   append([]float64(nil), p...),
+func (ds *Dataset) nextMutationLocked(insert bool, id int64, p []float64) maintain.Mutation {
+	return maintain.Mutation{
+		Version: ds.Version() + 1,
+		Insert:  insert,
+		ID:      id,
+		Point:   append(vec.Vector(nil), p...),
 	}
 }
 
@@ -432,23 +421,6 @@ func NewDatasetInSpace(points [][]float64, space Space) (*Dataset, error) {
 // Space returns the dataset's active query-space domain.
 func (ds *Dataset) Space() Space {
 	return ds.snap.Load().space
-}
-
-// SetSpace switches the query-space domain. Call it before serving
-// queries or attaching Engines: regions computed in one space must not be
-// mixed with queries validated in another (cached entries and warm-cache
-// snapshots record their space and would refuse the mismatch anyway).
-// Note that disk snapshots record the space at Save time — to persist a
-// non-default space, set it before Save, or build with
-// NewDatasetOnDiskInSpace.
-func (ds *Dataset) SetSpace(space Space) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	ds.space = space
-	// Republish so readers pick the space up atomically with the index
-	// state; the version is unchanged (no mutation happened) and the
-	// retired predecessor carries no freed pages.
-	ds.publishSnapLocked(ds.Version(), nil)
 }
 
 // NewDataset bulk-loads (STR) an R*-tree over the given points; record ids
@@ -690,20 +662,4 @@ func retainRepairState(inner *topk.Result) (cand []topk.Record, bounds []vec.Vec
 		}
 	}
 	return cand, bounds, true
-}
-
-// Candidates returns the non-result records the top-k traversal retained
-// (the paper's set T), in decreasing score order for the query. These are
-// the promotion candidates repair draws from when a result record is
-// deleted; they are exposed for diagnostics and hand-managed caches.
-func (r *TopKResult) Candidates() []Record {
-	src := r.cand
-	if !r.consumed && r.inner != nil {
-		src = r.inner.T
-	}
-	out := make([]Record, len(src))
-	for i, t := range src {
-		out[i] = Record{ID: t.ID, Attrs: t.Point, Score: t.Score}
-	}
-	return out
 }

@@ -243,7 +243,7 @@ func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vect
 		sc.rows = append(sc.rows, sc.cons[i].Normal)
 	}
 	var keep []int
-	if skipReduce || len(sc.cons) <= 1 {
+	if skipReduce {
 		keep = make([]int, len(sc.cons))
 		for i := range keep {
 			keep[i] = i

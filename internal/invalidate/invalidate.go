@@ -56,24 +56,6 @@ import (
 // any margin arising from data that is not engineered to tie.
 const Tol = 1e-9
 
-// Mutation is one dataset write, in the form the affectedness tests need.
-type Mutation struct {
-	Insert bool
-	ID     int64
-	Point  vec.Vector // the inserted record's attributes (Insert only)
-}
-
-// Affects reports whether the mutation can change the cached top-k result
-// recs anywhere inside region reg. innerLo/innerHi optionally give an
-// axis-parallel box inscribed in reg (e.g. its MAH) used as a fast
-// positive filter; pass nil to skip it.
-func Affects(m Mutation, reg *gir.Region, recs []topk.Record, innerLo, innerHi vec.Vector) bool {
-	if m.Insert {
-		return InsertAffects(reg, recs, m.Point, innerLo, innerHi)
-	}
-	return DeleteAffects(recs, m.ID)
-}
-
 // DeleteAffects reports whether deleting record id invalidates the cached
 // result recs: true iff the record is part of the result.
 func DeleteAffects(recs []topk.Record, id int64) bool {

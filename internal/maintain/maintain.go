@@ -44,15 +44,17 @@ import (
 	"github.com/girlib/gir/internal/viz"
 )
 
-// Mutation is one dataset write, in the order the writes were applied.
-// Version is the dataset version the mutation produced; 0 means an
-// unversioned (hand-managed) batch, for which stamp gating and raising are
-// skipped — the caller vouches for ordering instead.
+// Mutation is one dataset write, in the order the writes were applied —
+// the one record of it from the dataset's apply path and log through the
+// engine's pending window to the planner. Version is the dataset version
+// the mutation produced; 0 means an unversioned (hand-managed) batch, for
+// which stamp gating and raising are skipped — the caller vouches for
+// ordering instead.
 type Mutation struct {
 	Version int64
 	Insert  bool
 	ID      int64
-	Point   vec.Vector // the inserted record's attributes (Insert only)
+	Point   vec.Vector // the record's attributes; the planner reads an insert's only
 }
 
 // Outcome reports what one drain pass did. Affected, Repaired and Evicted
@@ -185,11 +187,10 @@ func (p *Planner) FenceAffected(e *cache.Entry, pending []Mutation) bool {
 // and counts the evaluation.
 func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 	p.predicates.Add(1)
-	return invalidate.Affects(invalidate.Mutation{
-		Insert: m.Insert,
-		ID:     m.ID,
-		Point:  m.Point,
-	}, e.Region, e.Records, e.InnerLo, e.InnerHi)
+	if m.Insert {
+		return invalidate.InsertAffects(e.Region, e.Records, m.Point, e.InnerLo, e.InnerHi)
+	}
+	return invalidate.DeleteAffects(e.Records, m.ID)
 }
 
 // absorb folds an unaffecting mutation into the entry view's candidate

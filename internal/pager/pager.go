@@ -53,7 +53,11 @@ func (c CostModel) IOTime(s Stats) time.Duration {
 // simultaneously, and reads never block each other. Alloc/Write may run
 // concurrently with reads but are expected to be rare once an index is
 // built; callers that mutate an index concurrently with queries need
-// higher-level coordination (see gir.Dataset).
+// higher-level coordination (see gir.Dataset). MemStore is the one
+// implementation; the interface is the seam for a test fake or another
+// backend. Read and Write cannot fail — everything the library writes to
+// a disk goes through AtomicWriteFile, AppendDelta and the WAL, which
+// return errors.
 type Store interface {
 	// Alloc reserves a new page and returns its id, preferring ids
 	// released by Free over growing the store.

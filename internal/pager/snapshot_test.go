@@ -1,90 +1,12 @@
 package pager
 
 import (
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestFileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	s, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := s.Alloc(), s.Alloc()
-	s.Write(a, []byte("alpha"))
-	s.Write(b, bytes.Repeat([]byte{0xAB}, PageSize))
-	if got := s.Read(a)[:5]; string(got) != "alpha" {
-		t.Errorf("page a = %q", got)
-	}
-	if got := s.Read(b); got[PageSize-1] != 0xAB {
-		t.Error("page b corrupted")
-	}
-	st := s.Stats()
-	if st.Reads != 2 || st.Writes != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and verify persistence.
-	s2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.NumPages() != 2 {
-		t.Fatalf("NumPages = %d", s2.NumPages())
-	}
-	if got := s2.Read(a)[:5]; string(got) != "alpha" {
-		t.Errorf("after reopen: %q", got)
-	}
-	if s2.Stats().Reads != 1 {
-		t.Error("reopened store stats not fresh")
-	}
-}
-
-func TestOpenFileStoreBadSize(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "odd")
-	if err := os.WriteFile(path, make([]byte, PageSize+7), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(path); err == nil {
-		t.Error("non-page-aligned file accepted")
-	}
-}
-
-func TestFileStorePanicsLikeMemStore(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	s, err := CreateFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, f := range []func(){
-		func() { s.Read(0) },
-		func() { s.Read(9) },
-		func() { s.Write(3, nil) },
-		func() { id := s.Alloc(); s.Write(id, make([]byte, PageSize+1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := NewMemStore()
@@ -236,50 +158,5 @@ func TestSnapshotAtomicReplace(t *testing.T) {
 	}
 	if len(matches) != 1 { // only the simulated crash debris remains
 		t.Errorf("atomic write left temp files behind: %v", matches)
-	}
-}
-
-// TestSidecarReuse pins the sidecar identity contract: a sidecar attaches
-// only for the exact snapshot it was derived from, and rebuilding goes
-// through a temp name + rename.
-func TestSidecarReuse(t *testing.T) {
-	dir := t.TempDir()
-	side := filepath.Join(dir, "snap.pages")
-	src := NewMemStore()
-	a := src.Alloc()
-	src.Write(a, []byte{1, 2, 3})
-	id := SidecarID{SrcSize: 1234, SrcCRC: 0xDEADBEEF}
-
-	if _, ok := AttachSidecar(side, id, src.NumPages()); ok {
-		t.Fatal("attached to a missing sidecar")
-	}
-	fs, err := CreateSidecar(side, src, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Read(a)[:3]; got[0] != 1 || got[2] != 3 {
-		t.Errorf("sidecar page = %v", got)
-	}
-	fs.Close()
-
-	// Same identity: reuse. Different identity (snapshot was rewritten —
-	// even to the same size): refuse.
-	fs2, ok := AttachSidecar(side, id, src.NumPages())
-	if !ok {
-		t.Fatal("valid sidecar not reused")
-	}
-	if got := fs2.Read(a)[:3]; got[1] != 2 {
-		t.Errorf("reused sidecar page = %v", got)
-	}
-	fs2.Close()
-	if _, ok := AttachSidecar(side, SidecarID{SrcSize: 1234, SrcCRC: 0xDEADBEF0}, src.NumPages()); ok {
-		t.Error("sidecar attached for a different source snapshot")
-	}
-	if _, ok := AttachSidecar(side, id, src.NumPages()+1); ok {
-		t.Error("sidecar attached with the wrong page count")
-	}
-	matches, _ := filepath.Glob(side + ".tmp-*")
-	if len(matches) != 0 {
-		t.Errorf("sidecar build left temp files behind: %v", matches)
 	}
 }

@@ -204,9 +204,9 @@ func New(store pager.Store, dim int) *Tree {
 	return t
 }
 
-// Attach reconstructs a Tree handle over an existing store (e.g. a
-// reopened pager.FileStore or a loaded snapshot) from its persisted
-// metadata, without touching any page.
+// Attach reconstructs a Tree handle over an existing store (a loaded
+// snapshot, with any delta segments applied) from its persisted metadata,
+// without touching any page.
 func Attach(store pager.Store, dim int, root pager.PageID, height, size int) *Tree {
 	maxLeaf, maxInt := capacities(dim)
 	return &Tree{
@@ -237,11 +237,6 @@ func (t *Tree) Root() pager.PageID { return t.root }
 
 // Store exposes the underlying page store (for I/O statistics).
 func (t *Tree) Store() pager.Store { return t.store }
-
-// RootRect returns the MBB of the whole tree (one counted read).
-func (t *Tree) RootRect() Rect {
-	return t.ReadNode(t.root).MBB(t.dim)
-}
 
 // ReadNode fetches and decodes a node page (a counted disk read). Inside a
 // copy-on-write mutation the id is resolved through the relocation remap,

@@ -145,9 +145,6 @@ func (o Options) workers(parts int) int {
 	return parts
 }
 
-// Partitions returns the partition count.
-func (c *Coordinator) Partitions() int { return len(c.parts) }
-
 // Dataset returns partition i's shard of the dataset.
 func (c *Coordinator) Dataset(i int) *gir.Dataset { return c.parts[i].ds }
 

@@ -111,88 +111,15 @@ func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error
 	return ds, nil
 }
 
-// NewDatasetOnDisk bulk-loads the index directly into a real page file at
-// path, so node visits are genuine file reads (the paper's default
-// setting is disk-resident data and index). Page 1 is a superblock with
-// the tree metadata; call Close when done.
-func NewDatasetOnDisk(points [][]float64, path string) (*Dataset, error) {
-	return NewDatasetOnDiskInSpace(points, path, SpaceBox)
-}
-
-// NewDatasetOnDiskInSpace is NewDatasetOnDisk with an explicit query
-// space. The space must be chosen at build time: the snapshot written to
-// path records it, so a SetSpace after the fact would be lost on the
-// next OpenOnDisk.
-func NewDatasetOnDiskInSpace(points [][]float64, path string, space Space) (*Dataset, error) {
-	ds, err := NewDatasetInSpace(points, space) // validates input, builds in memory first
-	if err != nil {
-		return nil, err
-	}
-	if err := ds.Save(path); err != nil {
-		return nil, err
-	}
-	return OpenOnDisk(path)
-}
-
-// OpenOnDisk serves a dataset snapshot from disk: every page access of a
-// query is a real file read. The snapshot is read once, whole, at open —
-// to verify its checksum and to have the pages to build the sidecar from —
-// and is not kept in memory afterwards. The snapshot layout is
-// header+metadata followed by page data; FileStore needs page alignment,
-// so reads go through a page-aligned sidecar file derived from the
-// snapshot. A sidecar left by an earlier open of the same snapshot
-// (matched by an embedded identity trailer: source size, the snapshot's
-// CRC32C, page count) is reused as-is; otherwise it is rebuilt under a
-// unique temp name and renamed into place, so concurrent openers of one
-// path never clobber each other. Close removes the sidecar.
-func OpenOnDisk(path string) (*Dataset, error) {
-	store, meta, err := pager.LoadSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	id, err := pager.SnapshotID(path)
-	if err != nil {
-		return nil, err
-	}
-	side := path + ".pages"
-	fs, ok := pager.AttachSidecar(side, id, store.NumPages())
-	if !ok {
-		if fs, err = pager.CreateSidecar(side, store, id); err != nil {
-			return nil, err
-		}
-	}
-	ds, err := attachDataset(fs, meta, path)
-	if err != nil {
-		fs.Close()
-		return nil, err
-	}
-	ds.file, ds.sidecar = fs, side
-	return ds, nil
-}
-
-// Close releases a disk-backed dataset: the write-ahead log (if one is
-// attached) is synced and closed, the page file handle released, and the
-// OpenOnDisk sidecar removed. It is a no-op for in-memory datasets
-// without a WAL.
+// Close syncs and closes the write-ahead log, if one is attached. It is a
+// no-op for a dataset without one.
 func (ds *Dataset) Close() error {
-	var first error
-	if ds.wal != nil {
-		first = ds.wal.Close()
-		ds.wal = nil
+	if ds.wal == nil {
+		return nil
 	}
-	if ds.file != nil {
-		if err := ds.file.Close(); err != nil && first == nil {
-			first = err
-		}
-		ds.file = nil
-	}
-	if ds.sidecar != "" {
-		if err := os.Remove(ds.sidecar); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
-		}
-		ds.sidecar = ""
-	}
-	return first
+	err := ds.wal.Close()
+	ds.wal = nil
+	return err
 }
 
 // warmCacheMagic heads a warm-cache snapshot file (the trailing byte is a

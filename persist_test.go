@@ -102,28 +102,6 @@ func TestSaveOpenKeepsSpace(t *testing.T) {
 	}
 }
 
-// TestOnDiskDatasetKeepsSpace pins the disk-backed constructor: the
-// space chosen at build time survives the Save + OpenOnDisk round trip
-// inside NewDatasetOnDiskInSpace.
-func TestOnDiskDatasetKeepsSpace(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	path := filepath.Join(t.TempDir(), "disk.gir")
-	ds, err := gir.NewDatasetOnDiskInSpace(randomPoints(r, 300, 3), path, gir.SpaceSimplex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	if ds.Space() != gir.SpaceSimplex {
-		t.Fatalf("disk dataset space = %v, want simplex", ds.Space())
-	}
-	if _, err := ds.TopK([]float64{0.5, 0.7, 0.4}, 3); err == nil {
-		t.Error("disk-backed simplex dataset accepted a non-normalized query")
-	}
-	if _, err := ds.TopK(gir.SpaceSimplex.Normalize([]float64{0.5, 0.7, 0.4}), 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "garbage")
 	if err := os.WriteFile(path, []byte("not a snapshot at all, definitely"), 0o644); err != nil {
@@ -135,136 +113,4 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := gir.Open(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file accepted")
 	}
-}
-
-func TestOnDiskDataset(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pts := randomPoints(r, 1500, 3)
-	path := filepath.Join(t.TempDir(), "disk.gir")
-	ds, err := gir.NewDatasetOnDisk(pts, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	q := []float64{0.6, 0.4, 0.8}
-	ds.ResetIOStats()
-	res, err := ds.TopK(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.IOStats().PageReads == 0 {
-		t.Error("disk-backed top-k performed no file reads")
-	}
-	// Results must match the in-memory dataset exactly.
-	mem, err := gir.NewDataset(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := mem.TopK(q, 8)
-	for i := range want.Records {
-		if res.Records[i].ID != want.Records[i].ID {
-			t.Fatalf("rank %d differs between disk and memory", i)
-		}
-	}
-	g, err := ds.ComputeGIR(res, gir.FP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Contains(q) {
-		t.Error("query outside its own GIR on disk-backed dataset")
-	}
-}
-
-// TestOnDiskSidecarLifecycle pins the sidecar contract: concurrent opens
-// of one snapshot share a valid existing sidecar instead of clobbering it
-// (and each other), Close removes it, a Close racing another live opener
-// leaves that opener serving, and a rewritten snapshot never reuses the
-// stale sidecar built from the old bytes.
-func TestOnDiskSidecarLifecycle(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	pts := randomPoints(r, 800, 3)
-	path := filepath.Join(t.TempDir(), "disk.gir")
-	ds1, err := gir.NewDatasetOnDisk(pts, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	side := path + ".pages"
-	info1, err := os.Stat(side)
-	if err != nil {
-		t.Fatalf("first open built no sidecar: %v", err)
-	}
-
-	// A second opener reuses the sidecar: no rewrite, same file.
-	ds2, err := gir.OpenOnDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, err := os.Stat(side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info2.ModTime().Equal(info1.ModTime()) || info2.Size() != info1.Size() {
-		t.Error("second open rewrote a valid sidecar instead of reusing it")
-	}
-	q := []float64{0.6, 0.4, 0.8}
-	want, err := ds1.TopK(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First opener closes: the sidecar is removed, but the still-open
-	// second dataset keeps serving from its handle.
-	if err := ds1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(side); !os.IsNotExist(err) {
-		t.Error("Close did not remove the sidecar")
-	}
-	got, err := ds2.TopK(q, 8)
-	if err != nil {
-		t.Fatalf("second opener broken by the first one's Close: %v", err)
-	}
-	for i := range want.Records {
-		if got.Records[i].ID != want.Records[i].ID {
-			t.Fatalf("rank %d differs across openers", i)
-		}
-	}
-	if err := ds2.Close(); err != nil {
-		t.Fatalf("double sidecar removal must be silent: %v", err)
-	}
-
-	// Rewriting the snapshot at the same path invalidates any sidecar
-	// left behind: a fresh open must serve the NEW data.
-	stale, err := gir.NewDatasetOnDisk(pts, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crashed process: the sidecar outlives the dataset.
-	pts2 := randomPoints(r, 800, 3)
-	if _, err := gir.NewDatasetOnDisk(pts2, path); err != nil {
-		t.Fatal(err)
-	}
-	ds3, err := gir.OpenOnDisk(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds3.Close()
-	mem, err := gir.NewDataset(pts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := mem.TopK(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got3, err := ds3.TopK(q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fresh.Records {
-		if got3.Records[i].ID != fresh.Records[i].ID {
-			t.Fatalf("open after snapshot rewrite served stale sidecar data at rank %d", i)
-		}
-	}
-	_ = stale
 }

@@ -341,7 +341,7 @@ func TestSaveCacheAfterCloseWithPending(t *testing.T) {
 	}
 	e.Close()
 	e.invMu.Lock()
-	e.pending = append(e.pending, mutation{version: ds.Version() + 1, insert: true, id: 999, point: []float64{0.1, 0.2, 0.3}})
+	e.pending = append(e.pending, CacheMutation{Version: ds.Version() + 1, Insert: true, ID: 999, Point: []float64{0.1, 0.2, 0.3}})
 	e.invMu.Unlock()
 
 	path := filepath.Join(t.TempDir(), "stale.gircache")

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/pager"
 )
 
@@ -39,15 +40,15 @@ const (
 // renaming the new snapshot and truncating the log leaves records the
 // snapshot already covers, and Recover skips them by version instead of
 // applying them twice.
-func walEncode(m mutation) []byte {
-	buf := make([]byte, 8+1+8+4+8*len(m.point))
-	binary.LittleEndian.PutUint64(buf[0:], uint64(m.version))
-	if m.insert {
+func walEncode(m maintain.Mutation) []byte {
+	buf := make([]byte, 8+1+8+4+8*len(m.Point))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Version))
+	if m.Insert {
 		buf[8] = 1
 	}
-	binary.LittleEndian.PutUint64(buf[9:], uint64(m.id))
-	binary.LittleEndian.PutUint32(buf[17:], uint32(len(m.point)))
-	for i, x := range m.point {
+	binary.LittleEndian.PutUint64(buf[9:], uint64(m.ID))
+	binary.LittleEndian.PutUint32(buf[17:], uint32(len(m.Point)))
+	for i, x := range m.Point {
 		binary.LittleEndian.PutUint64(buf[21+8*i:], math.Float64bits(x))
 	}
 	return buf
@@ -56,25 +57,25 @@ func walEncode(m mutation) []byte {
 // walDecode parses a payload produced by walEncode. The payload has
 // already passed the log's CRC, so a malformed record here means a real
 // format error, not a torn write.
-func walDecode(payload []byte) (mutation, error) {
+func walDecode(payload []byte) (maintain.Mutation, error) {
 	if len(payload) < 21 {
-		return mutation{}, fmt.Errorf("gir: WAL record of %d bytes is shorter than any mutation", len(payload))
+		return maintain.Mutation{}, fmt.Errorf("gir: WAL record of %d bytes is shorter than any mutation", len(payload))
 	}
-	m := mutation{
-		version: int64(binary.LittleEndian.Uint64(payload[0:])),
-		insert:  payload[8] == 1,
-		id:      int64(binary.LittleEndian.Uint64(payload[9:])),
+	m := maintain.Mutation{
+		Version: int64(binary.LittleEndian.Uint64(payload[0:])),
+		Insert:  payload[8] == 1,
+		ID:      int64(binary.LittleEndian.Uint64(payload[9:])),
 	}
 	if payload[8] > 1 {
-		return mutation{}, fmt.Errorf("gir: WAL record has unknown op %d", payload[8])
+		return maintain.Mutation{}, fmt.Errorf("gir: WAL record has unknown op %d", payload[8])
 	}
 	d := int(binary.LittleEndian.Uint32(payload[17:]))
 	if len(payload) != 21+8*d {
-		return mutation{}, fmt.Errorf("gir: WAL record declares dimension %d but holds %d bytes", d, len(payload))
+		return maintain.Mutation{}, fmt.Errorf("gir: WAL record declares dimension %d but holds %d bytes", d, len(payload))
 	}
-	m.point = make([]float64, d)
-	for i := range m.point {
-		m.point[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[21+8*i:]))
+	m.Point = make([]float64, d)
+	for i := range m.Point {
+		m.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[21+8*i:]))
 	}
 	return m, nil
 }
@@ -167,19 +168,19 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	v := ds.Version()
-	if m.version <= v {
+	if m.Version <= v {
 		return nil // the snapshot postdates this record (checkpoint + crash)
 	}
-	if m.version != v+1 {
-		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a lost or damaged %s?); refusing to replay past the gap", m.version, v, datasetDeltaName)
+	if m.Version != v+1 {
+		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a lost or damaged %s?); refusing to replay past the gap", m.Version, v, datasetDeltaName)
 	}
-	if len(m.point) != ds.tree.Dim() {
-		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.point), ds.tree.Dim())
+	if len(m.Point) != ds.tree.Dim() {
+		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.Point), ds.tree.Dim())
 	}
 	if !ds.applyLocked(m) {
 		// The record passed its CRC, so this is real log/snapshot
 		// disagreement, not a torn write.
-		return fmt.Errorf("gir: WAL replays a delete of record %d the index does not hold", m.id)
+		return fmt.Errorf("gir: WAL replays a delete of record %d the index does not hold", m.ID)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package gir
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -463,92 +464,152 @@ func TestRecoverEngineWarmPair(t *testing.T) {
 	}
 }
 
-// TestDeleteWALAppendFailure is the regression test for the Delete write
-// path: when the write-ahead append fails, Delete must return the error —
-// not panic — and leave the dataset untouched, with the record still
-// indexed and still served. The failing writer is injected by closing the
-// log's file out from under the dataset, so the next append's WriteAt
-// fails exactly like a full or yanked disk.
+// TestDeleteWALAppendFailure is the table of the write paths whose I/O can
+// fail (it began as the delete row): an insert and a delete against a
+// severed log, and a checkpoint against an obstacle where its delta file
+// goes. Each must return the error — not panic — and leave the dataset as
+// it stood: cardinality, version, the served top-k, the subscriber feed,
+// the log's record count and the dirty set. Once the fault is lifted the
+// same operation succeeds and Recover gives back the state it produced.
 func TestDeleteWALAppendFailure(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	const n, d = 200, 3
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-	}
-	ds, err := NewDataset(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	victim := int64(7)
 	q := []float64{0.4, 0.3, 0.3}
-	before, err := ds.TopK(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	versionBefore := ds.Version()
-	recordsBefore := ds.WALStats().Records
-
-	// Sever the log. Any further append must fail.
-	if err := ds.wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := func() (ok bool, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("Delete panicked on WAL append failure: %v", p)
+	// severLog closes the log's file out from under the dataset, so the
+	// next append's WriteAt fails exactly like a full or yanked disk.
+	severLog := func(t *testing.T, ds *Dataset, dir string) (lift func()) {
+		if err := ds.wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			w, err := pager.OpenWAL(filepath.Join(dir, walName), WALOptions{}, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		return ds.Delete(victim, points[victim])
-	}()
-	if err == nil {
-		t.Fatal("Delete with a failed WAL append reported success")
-	}
-	if ok {
-		t.Fatal("Delete reported the record removed despite the failed append")
-	}
-
-	// The failed delete must not have been applied: same cardinality, same
-	// version, no published mutation, and the record still served.
-	if ds.Len() != n {
-		t.Fatalf("failed delete changed Len to %d, want %d", ds.Len(), n)
-	}
-	if v := ds.Version(); v != versionBefore {
-		t.Fatalf("failed delete advanced the version to %d, want %d", v, versionBefore)
-	}
-	after, err := ds.TopK(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before.Records {
-		if before.Records[i].ID != after.Records[i].ID {
-			t.Fatalf("failed delete changed the served top-k: %+v vs %+v", before.Records, after.Records)
+			ds.mu.Lock()
+			ds.wal = w
+			ds.mu.Unlock()
 		}
 	}
-	if !ds.tree.Contains(victim, points[victim]) {
-		t.Fatal("failed delete removed the record from the index")
+	// blockDelta puts a directory where the checkpoint appends its segment.
+	blockDelta := func(t *testing.T, ds *Dataset, dir string) (lift func()) {
+		obstacle := filepath.Join(dir, datasetDeltaName)
+		if err := os.Mkdir(obstacle, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := os.Remove(obstacle); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	for _, tc := range []struct {
+		name   string
+		n      int // records built; 20 000 makes five inserts' pages a delta segment, not a rebase
+		writes int // inserts logged before the fault
+		fault  func(t *testing.T, ds *Dataset, dir string) (lift func())
+		op     func(ds *Dataset, dir string, victim Record) error
+		grows  int // what the operation adds to Len and to the feed's net count once it succeeds
+		logged int // records in the log after it succeeds
+	}{
+		{name: "insert", n: 200, fault: severLog, grows: 1, logged: 1,
+			op: func(ds *Dataset, _ string, _ Record) error { return ds.Insert(1<<40, []float64{0.9, 0.9, 0.9}) }},
+		{name: "delete", n: 200, fault: severLog, grows: -1, logged: 1,
+			op: func(ds *Dataset, _ string, victim Record) error {
+				ok, err := ds.Delete(victim.ID, victim.Attrs)
+				if err == nil && !ok {
+					err = fmt.Errorf("record %d not found", victim.ID)
+				}
+				return err
+			}},
+		{name: "checkpoint", n: 20000, writes: 5, fault: blockDelta,
+			op: func(ds *Dataset, dir string, _ Record) error { return ds.Checkpoint(dir) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(44))
+			ds, err := NewDataset(randPoints(r, tc.n, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			feed := 0
+			defer ds.subscribe(func(m CacheMutation) {
+				if m.Insert {
+					feed++
+				} else {
+					feed--
+				}
+			})()
+			for i := 0; i < tc.writes; i++ {
+				if err := ds.Insert(int64(1<<41+i), []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := ds.TopK(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := before.Records[0] // served, so an applied delete would show in the top-k
+			wantLen, wantVersion, wantDirty := ds.Len(), ds.Version(), maps.Clone(ds.dirty)
 
-	// A delete that misses must not log either (probe-first): reopen the
-	// log and check the record count did not move for a missing id.
-	w, err := pager.OpenWAL(filepath.Join(dir, walName), WALOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds.mu.Lock()
-	ds.wal = w
-	ds.mu.Unlock()
-	if ok, err := ds.Delete(1<<50, points[0]); err != nil || ok {
-		t.Fatalf("delete of a missing record: %v, %v", ok, err)
-	}
-	if got := ds.WALStats().Records; got != recordsBefore {
-		t.Fatalf("a missed delete appended to the WAL: %d records, want %d", got, recordsBefore)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
+			lift := tc.fault(t, ds, dir)
+			err = func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked on the I/O failure: %v", p)
+					}
+				}()
+				return tc.op(ds, dir, victim)
+			}()
+			if err == nil {
+				t.Fatal("reported success over the failed write")
+			}
+			if ds.Len() != wantLen || ds.Version() != wantVersion || feed != tc.writes {
+				t.Fatalf("the failed operation left Len %d, Version %d, feed %d; want %d, %d, %d", ds.Len(), ds.Version(), feed, wantLen, wantVersion, tc.writes)
+			}
+			if got := ds.WALStats().Records; got != int64(tc.writes) || !maps.Equal(ds.dirty, wantDirty) {
+				t.Fatalf("the failed operation left %d log records (want %d) and %d dirty pages (want %d)", got, tc.writes, len(ds.dirty), len(wantDirty))
+			}
+			after, err := ds.TopK(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range before.Records {
+				if before.Records[i].ID != after.Records[i].ID {
+					t.Fatalf("the failed operation changed the served top-k: %+v vs %+v", before.Records, after.Records)
+				}
+			}
+
+			lift()
+			if err := tc.op(ds, dir, victim); err != nil {
+				t.Fatalf("with the fault lifted: %v", err)
+			}
+			wantLen += tc.grows
+			if tc.grows != 0 {
+				wantVersion++ // an insert or a delete is one version; a checkpoint none
+			}
+			if ds.Len() != wantLen || ds.Version() != wantVersion || feed != tc.writes+tc.grows {
+				t.Fatalf("after the retry Len %d, Version %d, feed %d; want %d, %d, %d", ds.Len(), ds.Version(), feed, wantLen, wantVersion, tc.writes+tc.grows)
+			}
+			// A delete that misses must not log either (probe-first).
+			if ok, err := ds.Delete(1<<50, victim.Attrs); err != nil || ok {
+				t.Fatalf("delete of a missing record: %v, %v", ok, err)
+			}
+			if got := ds.WALStats().Records; got != int64(tc.logged) {
+				t.Fatalf("%d log records after the retry and a missed delete, want %d", got, tc.logged)
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Recover(dir, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if rec.Len() != wantLen || rec.Version() != wantVersion {
+				t.Fatalf("recovered Len %d, Version %d; want %d, %d", rec.Len(), rec.Version(), wantLen, wantVersion)
+			}
+		})
 	}
 }
