@@ -146,17 +146,9 @@ func BenchmarkInsertAffectsKeep(b *testing.B) {
 // the cache snapshot, plus the delta file's growth — or the whole base when
 // the checkpoint replaced it (on a tree without delta checkpoints, always).
 func BenchmarkCheckpoint(b *testing.B) {
-	ds := allocDataset(b, 100000, 4)
-	dir := b.TempDir()
-	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 8}); err != nil {
-		b.Fatal(err)
-	}
+	ds, e, dir := warmDurable(b)
 	defer ds.Close()
-	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 300, CacheShards: 1, RepairMode: true})
 	defer e.Close()
-	for i := 0; i < 300; i++ {
-		e.TopK(datagen.Query(4, int64(1000+i)), benchK)
-	}
 	size := func(name string) (int64, os.FileInfo) {
 		fi, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
@@ -205,6 +197,57 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(written)/1024/float64(b.N), "KB/op")
+}
+
+// warmDurableOpts is the engine warmDurable builds and
+// BenchmarkRecoverEngine recovers.
+var warmDurableOpts = EngineOptions{Workers: 1, CacheCapacity: 300, CacheShards: 1, RepairMode: true}
+
+// warmDurable is the checkpoint benchmarks' fixture: BenchmarkBRS's tree
+// with its log on in a fresh directory, and a warm RepairMode engine filled
+// from 300 distinct vectors.
+func warmDurable(b *testing.B) (*Dataset, *Engine, string) {
+	ds := allocDataset(b, 100000, 4)
+	dir := b.TempDir()
+	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 8}); err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(ds, warmDurableOpts)
+	for i := 0; i < 300; i++ {
+		e.TopK(datagen.Query(4, int64(1000+i)), benchK)
+	}
+	return ds, e, dir
+}
+
+// BenchmarkRecoverEngine is one RecoverEngine per iteration from the
+// directory one checkpoint of warmDurable's engine leaves, no log tail. It
+// is where the repair state a checkpoint no longer writes is paid for — one
+// traversal per entry.
+func BenchmarkRecoverEngine(b *testing.B) {
+	ds, e, dir := warmDurable(b)
+	if err := e.Checkpoint(dir); err != nil {
+		b.Fatal(err)
+	}
+	entries := e.Cache().Len()
+	e.Close()
+	if err := ds.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rds, re, err := RecoverEngine(dir, WALOptions{}, warmDurableOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := re.Cache().Len(); n != entries {
+			b.Fatalf("recovered %d entries, checkpointed %d", n, entries)
+		}
+		re.Close()
+		if err := rds.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkBatchBRS measures the fused multi-query traversal against a

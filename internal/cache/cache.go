@@ -324,7 +324,8 @@ func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
 // cover the dataset at the compute version) and the entry's compute
 // version (seeding ClearedThrough) supplied by the caller. The Engine uses
 // it to do the box geometry outside its fill lock, so dataset writers —
-// who publish events under that lock — are never stalled behind it.
+// who publish events under that lock — are never stalled behind it, and to
+// restore persisted entries (oldest first: insertion order is recency).
 func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, clearedThrough int64) bool {
 	if reg == nil || !reg.OrderSensitive {
 		return false
@@ -511,17 +512,16 @@ func (c *Cache) Entries() []*Entry {
 	return out
 }
 
-// Snapshot is the exported view of one entry's full state, in the form
-// warm-cache persistence serializes and Restore rebuilds. Version is the
-// entry's maintenance stamp (cleared and absorbed agree whenever the
-// maintenance goroutine is quiescent, which is when snapshots are taken).
+// Snapshot is the part of one entry's state warm-cache persistence
+// serializes: what no traversal can rebuild. The repair state (Cand, Bounds,
+// candComplete) is left out — the loader reruns the fill's traversal and
+// hands PutWithBox a fresh one. Version is the entry's maintenance stamp
+// (cleared and absorbed agree whenever the maintenance goroutine is
+// quiescent, which is when snapshots are taken).
 type Snapshot struct {
 	Region           *gir.Region
 	Records          []topk.Record
 	InnerLo, InnerHi vec.Vector
-	Cand             []topk.Record
-	Bounds           []vec.Vector
-	CandComplete     bool
 	Version          int64
 }
 
@@ -530,41 +530,18 @@ type Snapshot struct {
 // cache keeps the saved LRU order.
 func (e *Entry) LastUse() int64 { return e.lastUse.Load() }
 
-// Snapshot exports the entry's state. Call it only while maintenance is
-// quiescent (Cand/Bounds are maintenance-goroutine-owned). The candidate
-// slice is copied — it is the one piece of entry state later absorbs
-// mutate in place, so the snapshot must not alias it; everything else is
-// immutable once published.
+// Snapshot exports the entry's persisted state. Call it only while
+// maintenance is quiescent (the stamp is maintenance-goroutine-owned). It
+// copies nothing: every field it reads is immutable once published — the
+// candidate slice, the one piece later absorbs mutate in place, is not part
+// of it.
 func (e *Entry) Snapshot() Snapshot {
 	return Snapshot{
 		Region:  e.Region,
 		Records: e.Records,
 		InnerLo: e.InnerLo, InnerHi: e.InnerHi,
-		Cand: append([]topk.Record(nil), e.Cand...), Bounds: e.Bounds, CandComplete: e.candComplete,
 		Version: e.ClearedThrough(),
 	}
-}
-
-// Restore inserts a previously snapshotted entry, re-stamped at version
-// (the dataset version the restoring process considers current — the
-// caller certifies the dataset contents match the snapshot). Insertion
-// order becomes recency order, so restoring snapshots oldest-first
-// preserves the saved LRU behavior. Order-insensitive or region-less
-// snapshots are rejected.
-func (c *Cache) Restore(s Snapshot, version int64) bool {
-	if s.Region == nil || !s.Region.OrderSensitive {
-		return false
-	}
-	e := &Entry{
-		Region: s.Region, Records: s.Records, K: len(s.Records),
-		InnerLo: s.InnerLo, InnerHi: s.InnerHi,
-		Cand: append([]topk.Record(nil), s.Cand...), Bounds: s.Bounds,
-		candComplete: s.CandComplete,
-		absorbed:     version,
-	}
-	e.cleared.Store(version)
-	c.insert(e)
-	return true
 }
 
 // Clear drops every entry (hit/miss counters are preserved) and reports

@@ -124,28 +124,27 @@ func (ds *Dataset) Close() error {
 
 // warmCacheMagic heads a warm-cache snapshot file (the trailing byte is a
 // format version): a whole-file CRC32C, then dimension, query space and
-// the dataset version the snapshot captured. No build since the
-// checksummed format writes versions 1 and 2; a file headed by either is
-// refused like any other unknown magic.
-var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '3'}
+// the dataset version the snapshot captured. Version 4 stopped storing the
+// retained repair state version 3 carried; no loader reads versions 1–3 —
+// LoadCache refuses them by name, RecoverEngine starts cold beside one.
+var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '4'}
 
 // cacheCRC is the Castagnoli table the warm-cache checksum uses (the same
 // polynomial as the pager's snapshot and WAL checksums).
 var cacheCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveCache persists the engine's warm GIR cache — every entry's region,
-// result records, inscribed box, retained repair state (candidate set +
-// unexpanded-subtree bounds) and maintenance stamps — so a restarted
-// server can skip the cold-fill phase (LoadCache). The engine quiesces
-// first: every published mutation is reconciled before the snapshot, so
-// the saved entries are exactly the cache a fresh engine over the same
-// dataset state would serve from; an engine that was Closed with
-// mutations still unreconciled returns an error instead of persisting
-// stale entries. Entries are written in recency order, preserving LRU
-// behavior across the restart, and the file is checksummed and replaced
-// atomically. Save the dataset alongside (Dataset.Save): a warm cache is
-// only sound for the dataset state it was saved against (Engine.Checkpoint
-// writes the pair in one consistent cut).
+// result records, inscribed box and maintenance stamp; LoadCache rebuilds
+// the retained repair state — so a restarted server can skip the cold-fill
+// phase. The engine quiesces first: every published mutation is reconciled
+// before the snapshot, so the saved entries are exactly the cache a fresh
+// engine over the same dataset state would serve from; an engine that was
+// Closed with mutations still unreconciled returns an error instead of
+// persisting stale entries. Entries are written in recency order, preserving
+// LRU behavior across the restart, and the file is checksummed and replaced
+// atomically. Save the dataset alongside (Dataset.Save): a warm cache is only
+// sound for the dataset state it was saved against (Engine.Checkpoint writes
+// the pair in one consistent cut).
 func (e *Engine) SaveCache(path string) error {
 	if e.cache == nil {
 		return errors.New("gir: engine has no cache to save")
@@ -194,10 +193,8 @@ func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps 
 // lock mutation publishing and drain-pass completion run under — and
 // snapshots inside that critical section. A drain pass only exists while
 // its batch is in pending, so an empty queue under invMu means the
-// maintenance goroutine is idle and no absorb can race the copy
-// (Entry.Snapshot also copies the candidate slice, the one mutable piece
-// of entry state). Writers that arrive while the snapshot is being taken
-// simply block on publishing, exactly as they do behind a fill commit.
+// maintenance goroutine is idle and every stamp read is final. Writers that
+// arrive meanwhile block on publishing, as they do behind a fill commit.
 // The returned version is the dataset version the entries are exactly
 // reconciled with (no publish can complete while invMu is held, so the
 // read is stable). If the engine was Closed with mutations still queued,
@@ -230,8 +227,10 @@ func (e *Engine) snapshotCacheQuiesced() ([]cacheint.Snapshot, int64, error) {
 // domain is not a certificate over another, so cross-domain loads refuse
 // rather than silently serve box regions to simplex queries (or vice
 // versa). Anything subtler is the caller's contract — exactly as for a
-// hand-managed Cache. Restored entries serve immediately: the first
-// lookups of the restarted engine are warm hits.
+// hand-managed Cache. Each entry's repair state is rebuilt by rerunning its
+// fill's traversal on the dataset, one per entry; an entry the dataset
+// cannot answer (k above its size) fails the load. Restored entries serve
+// immediately: the first lookups of the restarted engine are warm hits.
 func (e *Engine) LoadCache(path string) error {
 	return e.loadCache(path, nil)
 }
@@ -239,7 +238,8 @@ func (e *Engine) LoadCache(path string) error {
 // loadCache is LoadCache, optionally only if the snapshot records exactly
 // *requireVersion (RecoverEngine's case). A version mismatch is not an error
 // — it is the signature of a checkpoint that crashed between its two file
-// writes, and costs the warm start, nothing else.
+// writes, and costs the warm start, nothing else; so does a file of an
+// earlier format, which an upgrade leaves beside unchanged dataset files.
 func (e *Engine) loadCache(path string, requireVersion *int64) error {
 	if e.cache == nil {
 		return errors.New("gir: engine has no cache to load into")
@@ -249,7 +249,13 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 		return err
 	}
 	if len(data) < 12 || !bytes.Equal(data[:8], warmCacheMagic[:]) {
-		return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
+		if len(data) < 8 || !bytes.Equal(data[:7], warmCacheMagic[:7]) || data[7] >= warmCacheMagic[7] {
+			return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
+		}
+		if requireVersion != nil {
+			return nil // an earlier format: skip the warm start
+		}
+		return fmt.Errorf("gir: %s is not a warm-cache snapshot this build reads: %s predates %s", path, data[:8], warmCacheMagic[:])
 	}
 	if crc32.Checksum(data[12:], cacheCRC) != binary.LittleEndian.Uint32(data[8:]) {
 		return fmt.Errorf("gir: %s fails its checksum — the warm-cache snapshot is corrupt", path)
@@ -273,14 +279,21 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 		return fmt.Errorf("gir: cache snapshot was saved in the %v query space, dataset serves %v — cross-domain loads are refused", space, dsSpace)
 	}
 	count := int(dec.u32())
-	version := e.ds.Version()
+	sn := e.ds.pinSnap()
+	defer sn.release()
+	gs := topk.AcquireGroupScratch(sn.tree)
+	defer gs.Release()
 	dom := space.domain(dim)
 	for i := 0; i < count; i++ {
-		snap := dec.entry(dim, dom)
+		s := dec.entry(dim, dom)
 		if dec.err != nil {
 			break
 		}
-		e.cache.inner.Restore(snap, version)
+		cand, bounds, ok, err := sn.repairState(gs, s.Region.Query, s.Records)
+		if err != nil {
+			return fmt.Errorf("gir: %s entry %d does not fit the dataset: %w", path, i, err)
+		}
+		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, cand, bounds, ok, sn.version)
 	}
 	if dec.err != nil {
 		return fmt.Errorf("gir: loading cache from %s: %w", path, dec.err)
@@ -328,12 +341,6 @@ func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot) {
 	encodeRecs(w, s.Records)
 	encodeVec(w, s.InnerLo)
 	encodeVec(w, s.InnerHi)
-	encodeBool(w, s.CandComplete)
-	encodeRecs(w, s.Cand)
-	w.U32(uint32(len(s.Bounds)))
-	for _, b := range s.Bounds {
-		encodeVec(w, b)
-	}
 	w.U64(uint64(s.Version))
 }
 
@@ -437,15 +444,6 @@ func (d *cacheDecoder) entry(dim int, dom domain.Domain) cacheint.Snapshot {
 	}
 	s.InnerLo = d.dimVec(dim, "inscribed-box corner")
 	s.InnerHi = d.dimVec(dim, "inscribed-box corner")
-	s.CandComplete = d.bool()
-	ncand := d.count("candidate")
-	for i := 0; i < ncand && d.err == nil; i++ {
-		s.Cand = append(s.Cand, d.dimRec(dim, "candidate point"))
-	}
-	nb := d.count("bound")
-	for i := 0; i < nb && d.err == nil; i++ {
-		s.Bounds = append(s.Bounds, d.dimVec(dim, "subtree bound"))
-	}
 	s.Version = d.i64()
 	return s
 }

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/topk"
+	"github.com/girlib/gir/internal/vec"
 )
 
 // TestWarmCacheRoundTrip pins the warm-cache persistence contract: a
@@ -311,6 +313,18 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "not a warm-cache snapshot") {
 		t.Errorf("a GIRWARM2-headed file should be refused by its magic, got: %v", err)
 	}
+
+	// GIRWARM3 — the format that still carried the repair state — is refused
+	// by its magic too, and the error names it.
+	old[7] = '3'
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadCache(oldPath); err == nil {
+		t.Error("a GIRWARM3-headed file accepted")
+	} else if !strings.Contains(err.Error(), "GIRWARM3") {
+		t.Errorf("a GIRWARM3-headed file should be refused by name, got: %v", err)
+	}
 }
 
 // refreshCacheCRC recomputes a warm-cache snapshot's whole-file checksum
@@ -422,8 +436,9 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 
 // refCacheEncoder is the per-field warm-cache encoder the streamed one
 // replaced — every field through its own little write into one payload
-// buffer, checksummed whole — kept here as the reference the GIRWARM3 bytes
-// are compared against.
+// buffer, checksummed whole — kept here as the reference the GIRWARM4 bytes
+// are compared against: per entry query, order flag, constraints, records,
+// inscribed box and stamp, and no repair state.
 type refCacheEncoder struct{ buf bytes.Buffer }
 
 func (e *refCacheEncoder) u32(v uint32) { binary.Write(&e.buf, binary.LittleEndian, v) }
@@ -469,22 +484,13 @@ func (e *refCacheEncoder) entry(s cacheint.Snapshot) {
 	}
 	e.vec(s.InnerLo)
 	e.vec(s.InnerHi)
-	e.bool(s.CandComplete)
-	e.u32(uint32(len(s.Cand)))
-	for _, r := range s.Cand {
-		e.rec(r)
-	}
-	e.u32(uint32(len(s.Bounds)))
-	for _, b := range s.Bounds {
-		e.vec(b)
-	}
 	e.i64(s.Version)
 }
 
 // TestWarmCacheBytesMatchReference pins the file format across the encoder
-// rewrite: for a cache with regions, records, retained repair state and
-// stamps moved by real mutations, the streamed writer's file — several
-// chunks long — is byte-identical to the reference encoder's.
+// rewrite: for a cache with regions, records and stamps moved by real
+// mutations (repairs included), the streamed writer's file — several chunks
+// long — is byte-identical to the reference encoder's.
 func TestWarmCacheBytesMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	const n, d, k = 3000, 4, 10
@@ -498,7 +504,7 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	}
 	e := NewEngine(ds, EngineOptions{RepairMode: true})
 	defer e.Close()
-	for i := 0; i < 48; i++ {
+	for i := 0; i < 128; i++ { // enough entries to span several chunks without their repair state
 		q := SpaceSimplex.Normalize([]float64{0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64()})
 		if res := e.TopK(q, k); res.Err != nil {
 			t.Fatal(res.Err)
@@ -543,5 +549,315 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	}
 	if err := e.LoadCache(path); err != nil {
 		t.Fatalf("the engine cannot load what it wrote: %v", err)
+	}
+}
+
+// TestRecoverEngineRebuildsRepairState pins what GIRWARM4 leaves to the
+// loader: the repair state a checkpoint no longer writes is rebuilt whole.
+// After churn (absorbed inserts and deletes, in-place repairs), a checkpoint
+// and a logged tail, every entry RecoverEngine restores covers the recovered
+// dataset with Records ∪ Cand ∪ Bounds, its Cand holds no result id, and
+// deleting cached k-th records repairs in place and serves brute force's
+// answers. The tie subtest restores an entry whose k-th record is the twin
+// of a duplicate point the rebuilding traversal does not report.
+func TestRecoverEngineRebuildsRepairState(t *testing.T) {
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		t.Run(space.String(), func(t *testing.T) { testRecoverRebuild(t, space) })
+	}
+	t.Run("tie", testRecoverRebuildTie)
+}
+
+// repairFixture is a durable dataset under churn with its shadow contents.
+type repairFixture struct {
+	t      *testing.T
+	r      *rand.Rand
+	mirror map[int64][]float64
+	live   []int64
+	nextID int64
+}
+
+func newRepairFixture(t *testing.T, seed int64, points [][]float64) *repairFixture {
+	f := &repairFixture{t: t, r: rand.New(rand.NewSource(seed)), mirror: make(map[int64][]float64), nextID: 1 << 20}
+	for i, p := range points {
+		f.mirror[int64(i)] = p
+		f.live = append(f.live, int64(i))
+	}
+	return f
+}
+
+func (f *repairFixture) del(ds *Dataset, id int64) {
+	applyMut(f.t, ds, churnMut{id: id, point: f.mirror[id]})
+	delete(f.mirror, id)
+	f.live = slices.DeleteFunc(f.live, func(x int64) bool { return x == id })
+}
+
+// churn applies steps random writes, about half inserts of fresh records and
+// half deletes of live ones.
+func (f *repairFixture) churn(ds *Dataset, steps int) {
+	for ; steps > 0; steps-- {
+		if f.r.Float64() < 0.5 {
+			p := []float64{f.r.Float64(), f.r.Float64(), f.r.Float64()}
+			applyMut(f.t, ds, churnMut{insert: true, id: f.nextID, point: p})
+			f.mirror[f.nextID] = p
+			f.live = append(f.live, f.nextID)
+			f.nextID++
+			continue
+		}
+		f.del(ds, f.live[f.r.Intn(len(f.live))])
+	}
+}
+
+// deleteKth deletes the k-th record of up to n cached entries (a record
+// shared by two entries is deleted once) and reports how many repairs the
+// engine credited for them.
+func (f *repairFixture) deleteKth(e *Engine, ds *Dataset, n int) int64 {
+	e.Quiesce()
+	before := e.Stats().Repaired
+	for _, ent := range e.cache.inner.Entries()[:min(n, e.cache.Len())] {
+		if id := ent.Records[ent.K-1].ID; f.mirror[id] != nil {
+			f.del(ds, id)
+		}
+	}
+	e.Quiesce()
+	return e.Stats().Repaired - before
+}
+
+// checkCoverage asserts the repair-state invariant on every cached entry:
+// complete, no result id among the candidates, and every other record of
+// the dataset a candidate or componentwise under a bound corner.
+func (f *repairFixture) checkCoverage(e *Engine) {
+	entries := e.cache.inner.Entries()
+	if len(entries) == 0 {
+		f.t.Fatal("nothing restored — the coverage check is vacuous")
+	}
+	for _, ent := range entries {
+		if !ent.CandComplete() {
+			f.t.Fatalf("entry at %v restored without repair state", ent.Region.Query)
+		}
+		covered := make(map[int64]bool, len(ent.Records)+len(ent.Cand))
+		for _, r := range ent.Records {
+			covered[r.ID] = true
+		}
+		for _, c := range ent.Cand {
+			if slices.ContainsFunc(ent.Records, func(r topk.Record) bool { return r.ID == c.ID }) {
+				f.t.Fatalf("entry at %v holds result record %d as a candidate", ent.Region.Query, c.ID)
+			}
+			covered[c.ID] = true
+		}
+		for id, p := range f.mirror {
+			under := func(hi vec.Vector) bool {
+				for j := range p {
+					if p[j] > hi[j] {
+						return false
+					}
+				}
+				return true
+			}
+			if !covered[id] && !slices.ContainsFunc(ent.Bounds, under) {
+				f.t.Fatalf("entry at %v: record %d %v is no result, no candidate and under no bound corner", ent.Region.Query, id, p)
+			}
+		}
+	}
+}
+
+// checkAnswers asserts every pool query's served ids equal brute force's.
+func (f *repairFixture) checkAnswers(e *Engine, pool [][]float64, k int) {
+	for i, q := range pool {
+		res := e.TopK(q, k)
+		if res.Err != nil {
+			f.t.Fatal(res.Err)
+		}
+		want := bruteTopK(f.mirror, q, k)
+		for j, r := range res.Records {
+			if r.ID != want[j] {
+				f.t.Fatalf("query %d rank %d serves %d, brute force %d", i, j, r.ID, want[j])
+			}
+		}
+	}
+}
+
+func testRecoverRebuild(t *testing.T, space Space) {
+	const n, k = 1500, 6
+	r := rand.New(rand.NewSource(171))
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	pool := make([][]float64, 24)
+	for i := range pool {
+		pool[i] = space.Normalize([]float64{0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64()})
+	}
+	f := newRepairFixture(t, 172, points)
+	dir := t.TempDir()
+	ds, err := NewDatasetInSpace(points, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 16}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	f.checkAnswers(e, pool, k)
+	f.churn(ds, 150)
+	if f.deleteKth(e, ds, 4) == 0 {
+		t.Fatal("no in-place repair before the checkpoint — the saved entries are all fresh fills")
+	}
+	f.checkAnswers(e, pool, k) // refills what the churn evicted
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	f.churn(ds, 100) // the logged tail RecoverEngine replays through the restored cache
+	e.Quiesce()
+	e.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	defer e2.Close()
+	if e2.Stats().Computed != 0 {
+		t.Fatal("recovery computed fills")
+	}
+	f.checkCoverage(e2)
+	if f.deleteKth(e2, ds2, 8) == 0 {
+		t.Fatal("no delete of a restored entry's k-th record was repaired in place")
+	}
+	f.checkCoverage(e2)
+	f.checkAnswers(e2, pool, k)
+}
+
+func testRecoverRebuildTie(t *testing.T) {
+	const n, k = 400, 5
+	r := rand.New(rand.NewSource(173))
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	q := []float64{0.5, 0.3, 0.6}
+	f := newRepairFixture(t, 174, points)
+	kth := bruteTopK(f.mirror, q, k)[k-1]
+	points = append(points, slices.Clone(points[kth])) // id n: the k-th record's twin
+	f.mirror[n] = points[n]
+	dir := t.TempDir()
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	if res := e.TopK(q, k); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the checkpoint's cache with the entry holding the twin the
+	// traversal did not report — what a repair that promoted it leaves.
+	snaps, version, err := e.snapshotCacheQuiesced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 {
+		t.Fatalf("the tie fill cached %d entries, want 1", len(snaps))
+	}
+	recs := slices.Clone(snaps[0].Records)
+	reported, other := recs[k-1].ID, kth
+	if reported == kth {
+		other = n
+	} else if reported != n {
+		t.Fatalf("fixture: the fill's k-th record is %d, neither twin (%d, %d)", reported, kth, n)
+	}
+	recs[k-1].ID = other
+	snaps[0].Records = recs
+	if err := writeCacheSnapshot(filepath.Join(dir, cacheSnapName), ds.Dim(), SpaceBox, version, snaps); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds2.Close()
+	defer e2.Close()
+	f.checkCoverage(e2)
+	ent := e2.cache.inner.Entries()[0]
+	if !slices.ContainsFunc(ent.Cand, func(c topk.Record) bool { return c.ID == reported }) {
+		t.Fatalf("the twin the traversal reports (%d) is not a candidate of the entry holding %d", reported, recs[k-1].ID)
+	}
+	if f.deleteKth(e2, ds2, 1) == 0 {
+		t.Fatal("deleting the entry's twin was not repaired in place")
+	}
+	f.checkAnswers(e2, [][]float64{q}, k)
+}
+
+// TestRecoverEngineColdBesideEarlierCacheFormat pins the upgrade path: a
+// durable directory whose cache.snap is GIRWARM3 — written by the build
+// before the format dropped the repair state — recovers cold (no entries,
+// correct answers) like a torn pair, instead of failing: its dataset files
+// did not change.
+func TestRecoverEngineColdBesideEarlierCacheFormat(t *testing.T) {
+	r := rand.New(rand.NewSource(175))
+	const n, k = 600, 5
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	q := []float64{0.4, 0.7, 0.2}
+	dir := t.TempDir()
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	if res := e.TopK(q, k); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	applyMut(t, ds, churnMut{insert: true, id: 1 << 20, point: []float64{0.9, 0.9, 0.9}})
+	want := topkFingerprint(t, ds, q, k)
+	e.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, cacheSnapName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[7] = '3'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	if err != nil {
+		t.Fatalf("a GIRWARM3 cache beside intact dataset files should cost the warm start, not fail: %v", err)
+	}
+	defer ds2.Close()
+	defer e2.Close()
+	if got := e2.Cache().Len(); got != 0 {
+		t.Fatalf("restored %d entries from a GIRWARM3 file", got)
+	}
+	if got := topkFingerprint(t, ds2, q, k); got != want {
+		t.Fatalf("recovered dataset answers %s, want %s", got, want)
+	}
+	res := e2.TopK(q, k)
+	if res.Err != nil || res.CacheHit {
+		t.Fatalf("cold engine: err %v, hit %v", res.Err, res.CacheHit)
 	}
 }

@@ -2,6 +2,7 @@ package gir
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	girint "github.com/girlib/gir/internal/gir"
@@ -181,6 +182,27 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 		}
 	}
 	return out, stats
+}
+
+// repairState rebuilds the repair state of an entry restored with result
+// recs at query q: the fill's own traversal, a group of one at (q, len(recs))
+// on this snapshot, then retainRepairState. The candidates are the
+// traversal's records ∪ T minus recs' ids — T itself off ties; on a tie at
+// the k-th score the traversal may report a record recs does not hold, and
+// keeping it keeps Records ∪ Cand ∪ Bounds covering the dataset.
+func (sn *treeSnap) repairState(gs *topk.GroupScratch, q vec.Vector, recs []topk.Record) ([]topk.Record, []vec.Vector, bool, error) {
+	if err := sn.validate(q, len(recs)); err != nil {
+		return nil, nil, false, err
+	}
+	results, _ := topk.BRSGroup(gs, sn.tree, score.Linear{}, []vec.Vector{q}, []int{len(recs)})
+	cand, bounds, ok := retainRepairState(results[0])
+	if !ok {
+		return nil, nil, false, nil
+	}
+	cand = slices.DeleteFunc(append(cand, results[0].Records...), func(c topk.Record) bool {
+		return slices.ContainsFunc(recs, func(r topk.Record) bool { return r.ID == c.ID })
+	})
+	return cand, bounds, true, nil
 }
 
 // Dim returns the query-space dimensionality.
