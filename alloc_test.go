@@ -109,7 +109,7 @@ var fillAllocBudget = 100.0
 
 func TestFillAllocBudget(t *testing.T) {
 	ds := allocDataset(t, 20000, 4)
-	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8, CacheShards: 1})
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8})
 	defer e.Close()
 
 	const k = 10
@@ -393,14 +393,14 @@ func TestTopKBufDoesNotAliasCache(t *testing.T) {
 	}
 }
 
-// warmRepairCache fills a hand-managed, single-shard cache with FP regions
+// warmRepairCache fills a hand-managed cache with FP regions
 // of the 20 000-record, d = 4 dataset — entries carrying the repair state
 // (candidates, unexpanded-subtree corners) a real fill retains: the
 // fixture of the drain gate and the maintenance microbenchmarks.
 func warmRepairCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
 	tb.Helper()
 	ds := allocDataset(tb, 20000, 4)
-	c := NewCacheSharded(2*entries, 1)
+	c := NewCache(2 * entries)
 	for i := 0; i < entries; i++ {
 		res, err := ds.TopK(datagen.Query(4, int64(900+i)), k)
 		if err != nil {

@@ -63,7 +63,7 @@ func BenchmarkBRS(b *testing.B) {
 // vector finds its own entry again (fills/op reports how many did miss).
 func BenchmarkFill(b *testing.B) {
 	ds := allocDataset(b, 100000, 4)
-	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64, CacheShards: 1})
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64})
 	defer e.Close()
 	qs := make([][]float64, 640)
 	for i := range qs {
@@ -201,7 +201,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // warmDurableOpts is the engine warmDurable builds and
 // BenchmarkRecoverEngine recovers.
-var warmDurableOpts = EngineOptions{Workers: 1, CacheCapacity: 300, CacheShards: 1, RepairMode: true}
+var warmDurableOpts = EngineOptions{Workers: 1, CacheCapacity: 300, RepairMode: true}
 
 // warmDurable is the checkpoint benchmarks' fixture: BenchmarkBRS's tree
 // with its log on in a fresh directory, and a warm RepairMode engine filled

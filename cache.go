@@ -13,32 +13,22 @@ import (
 // the paper's Introduction): a query whose vector lands inside a cached
 // result's GIR is served without touching the index.
 //
-// A Cache is safe for concurrent use and built to be contention-free
-// under heavy parallel serving: entries live in shards selected by
-// hashing the cached query vector, lookups take only per-shard read locks
-// (repeated queries touch exactly one shard; in-region queries that hash
-// elsewhere are still found by a read-locked probe of the other shards),
-// recency is stamped through a global atomic clock, and eviction is
-// approximate LRU across all shards. See internal/cache for the full
-// concurrency model.
+// A Cache is safe for concurrent use. Its entries are one immutable view
+// behind an atomic pointer: a lookup loads it and scans it with no lock,
+// writers publish a fresh copy, and the entries that serve the most hits
+// move to the front. Recency is stamped through a global atomic clock and
+// eviction is LRU. See internal/cache for the full concurrency model.
 type Cache struct {
 	inner *cache.Cache
 }
 
-// NewCache returns a cache holding at most capacity entries (approximate
-// LRU), with the default shard count.
+// NewCache returns a cache holding at most capacity entries (LRU).
 func NewCache(capacity int) *Cache { return &Cache{inner: cache.New(capacity)} }
-
-// NewCacheSharded returns a cache with an explicit shard count (clamped
-// to [1, capacity]). More shards spread concurrent lookups over more
-// read-write locks; the default suits most machines.
-func NewCacheSharded(capacity, shards int) *Cache {
-	return &Cache{inner: cache.NewSharded(capacity, shards)}
-}
 
 // CachedResult is a cache hit.
 type CachedResult struct {
-	// Records holds min(k, cached k) records, in exact result order.
+	// Records holds min(k, cached k) records, in exact result order, each
+	// scored for the looked-up vector.
 	Records []Record
 	// Complete is true when the cached entry covered the requested k;
 	// false means Records is an exact prefix and the caller should compute
@@ -59,7 +49,7 @@ func (c *Cache) Put(g *GIR, res *TopKResult) bool {
 }
 
 // preparedPut is a staged cache insert: all admission checks, record
-// copies and inscribed-box geometry done, only the shard append left. The
+// copies and inscribed-box geometry done, only the publication left. The
 // Engine stages outside its fill lock and commits inside it, so dataset
 // writers (which publish events under that lock) never wait on geometry.
 type preparedPut struct {
@@ -98,20 +88,15 @@ func (c *Cache) commitPut(p *preparedPut, clearedThrough int64) bool {
 }
 
 // Lookup serves a top-k query from the cache if some cached GIR contains
-// q. See CachedResult for partial-hit semantics.
+// q. See CachedResult for partial-hit semantics. The records are scored
+// for q, exactly as Dataset.TopK scores them.
 func (c *Cache) Lookup(q []float64, k int) (*CachedResult, bool) {
 	e, complete, ok := c.lookupEntry(q, k, nil)
 	if !ok {
 		return nil, false
 	}
-	limit := k
-	if limit > e.K {
-		limit = e.K
-	}
-	out := &CachedResult{Complete: complete}
-	for _, r := range e.Records[:limit] {
-		out.Records = append(out.Records, Record{ID: r.ID, Attrs: r.Point, Score: r.Score})
-	}
+	out := &CachedResult{Records: make([]Record, min(k, e.K)), Complete: complete}
+	rescoreInto(out.Records, e.Records[:len(out.Records)], q)
 	return out, true
 }
 
@@ -136,11 +121,8 @@ func (c *Cache) Stats() (hits, partial, misses int64) { return c.inner.Stats() }
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.inner.Len() }
 
-// Shards returns the shard count.
-func (c *Cache) Shards() int { return c.inner.Shards() }
-
 // Capacity returns the maximum number of entries the cache holds before
-// approximate-LRU eviction kicks in.
+// LRU eviction kicks in.
 func (c *Cache) Capacity() int { return c.inner.Capacity() }
 
 // Clear drops every cached entry. The blunt instrument for hand-managed

@@ -19,7 +19,7 @@ import (
 // Engine is a goroutine-safe batch-query serving layer over a Dataset and
 // a GIR-keyed Cache: the paper's caching application turned into a
 // concurrent subsystem. A batch of queries fans out across a worker pool;
-// each query is first offered to the sharded cache (a hit serves the exact
+// each query is first offered to the cache (a hit serves the exact
 // result without touching the index), identical in-flight misses are
 // collapsed into one computation (single-flight), and every freshly
 // computed result is inserted back into the cache keyed by its GIR.
@@ -90,8 +90,8 @@ type Engine struct {
 }
 
 // EngineOptions tunes a new Engine. The zero value is ready to use:
-// GOMAXPROCS workers, a 1024-entry cache with the default shard count,
-// and FP (the paper's fastest method) for cache-fill GIR computation.
+// GOMAXPROCS workers, a 1024-entry cache and FP (the paper's fastest
+// method) for cache-fill GIR computation.
 // The query-space domain is inherited from the Dataset (NewDatasetInSpace):
 // fills, cache membership, invalidation predicates and repairs all run in
 // that space — see Engine.Space.
@@ -102,7 +102,8 @@ type EngineOptions struct {
 	// CacheCapacity is the cache size in entries (0 = 1024, < 0 disables
 	// caching entirely — every query computes, useful as a baseline).
 	CacheCapacity int
-	// CacheShards overrides the cache shard count (0 = default).
+	// CacheShards is ignored: the cache is one lock-free view (see
+	// Cache). The field remains so existing callers still compile.
 	CacheShards int
 	// CacheMethod is the GIR algorithm used to build regions on the miss
 	// path. The zero value is FP; every method caches the same region.
@@ -129,11 +130,7 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 		if capacity == 0 {
 			capacity = 1024
 		}
-		if opts.CacheShards > 0 {
-			c = NewCacheSharded(capacity, opts.CacheShards)
-		} else {
-			c = NewCache(capacity)
-		}
+		c = NewCache(capacity)
 	}
 	e := &Engine{ds: ds, cache: c, opts: opts}
 	e.planner.Repair = opts.RepairMode
@@ -314,6 +311,7 @@ type EngineStats struct {
 	Repaired    int64 // affect events resolved by an in-place patch (RepairMode)
 	Invalidated int64 // cache entries evicted by fine-grained invalidation
 	Fenced      int64 // candidate hits vetoed while mutation events drained
+	CacheProbes int64 // cache entries containment-tested by lookups (÷ lookups = entries probed per lookup)
 
 	// Maintenance-pipeline economics (the batching the internal/maintain
 	// planner buys): how many passes reconciled how many mutations, how
@@ -363,6 +361,7 @@ func (e *Engine) Stats() EngineStats {
 	st.Reconciled = st.Version
 	if e.cache != nil {
 		st.CacheHits, st.PartialHits, st.Misses = e.cache.Stats()
+		st.CacheProbes = e.cache.inner.Probes()
 		st.Reconciled = e.applied.Load()
 	}
 	return st
@@ -618,8 +617,8 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	}
 	// Staging (record copies, inscribed-box geometry) happens before the
 	// lock: dataset writers publish events under invMu (via ds.mu), so the
-	// critical section must stay at a few comparisons plus the shard
-	// append.
+	// critical section must stay at a few comparisons plus the view's
+	// copy-and-publish.
 	p := prepareCachePut(fill.g, fill.recs, fill.cand, fill.bounds, fill.candOK)
 	if p == nil {
 		return

@@ -199,7 +199,7 @@ func TestEngineInvalidQueriesDoNotPoisonBatch(t *testing.T) {
 // stack (pager, rtree traversal, cache, single-flight).
 func TestEngineConcurrentSharedUse(t *testing.T) {
 	ds := engineDataset(t, 5, 2000, 3)
-	e := gir.NewEngine(ds, gir.EngineOptions{Workers: 4, CacheCapacity: 16, CacheShards: 4})
+	e := gir.NewEngine(ds, gir.EngineOptions{Workers: 4, CacheCapacity: 16})
 	defer e.Close()
 	queries := engineWorkload(60)
 
@@ -417,5 +417,40 @@ func BenchmarkBatchTopK(b *testing.B) {
 				e.BatchTopK(queries)
 			}
 		})
+	}
+}
+
+// TestCacheProbesPerHitAfterReorder reads the entries probed per hit from
+// EngineStats: with the one hot query's entry cached last, a hit tests
+// every entry before it, and once the cache has reordered its view by hits
+// served, a hit tests exactly one.
+func TestCacheProbesPerHitAfterReorder(t *testing.T) {
+	ds := engineDataset(t, 12, 2000, 3)
+	e := gir.NewEngine(ds, gir.EngineOptions{Workers: 1, CacheCapacity: 8})
+	defer e.Close()
+	cold := [][]float64{{0.9, 0.1, 0.1}, {0.1, 0.9, 0.1}, {0.1, 0.1, 0.9}, {0.9, 0.9, 0.1}}
+	hot := []float64{0.2, 0.5, 0.8}
+	for _, q := range append(cold, hot) {
+		if res := e.TopK(q, 10); res.Err != nil || res.CacheHit {
+			t.Fatalf("fill of %v: err=%v hit=%v", q, res.Err, res.CacheHit)
+		}
+	}
+	perHit := func(hits int) float64 {
+		t.Helper()
+		before := e.Stats()
+		for i := 0; i < hits; i++ {
+			if res := e.TopK(hot, 10); !res.CacheHit {
+				t.Fatal("hot query missed")
+			}
+		}
+		after := e.Stats()
+		return float64(after.CacheProbes-before.CacheProbes) / float64(after.CacheHits-before.CacheHits)
+	}
+	if got := perHit(1); got != float64(len(cold)+1) {
+		t.Fatalf("before a reorder a hit probed %.1f entries, want %d", got, len(cold)+1)
+	}
+	perHit(64 * (len(cold) + 1)) // crosses the reorder threshold
+	if got := perHit(100); got != 1 {
+		t.Fatalf("after a reorder a hit probed %.2f entries, want 1", got)
 	}
 }

@@ -399,6 +399,29 @@ func TestCacheAPI(t *testing.T) {
 	if hits, partial, _ := c.Stats(); hits != 2 || partial != 1 {
 		t.Errorf("stats: hits=%d partial=%d", hits, partial)
 	}
+
+	// A jittered vector inside the GIR is served the records scored for it,
+	// bit for bit what TopK computes, not the filling query's scores.
+	q2 := []float64{0.5, 0.6, 0.7001}
+	if !g.Contains(q2) {
+		t.Fatal("jittered vector left the GIR")
+	}
+	hit2, ok := c.Lookup(q2, 10)
+	if !ok || !hit2.Complete {
+		t.Fatal("jittered lookup inside the GIR missed")
+	}
+	fresh, err := ds.TopK(q2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range fresh.Records {
+		if got := hit2.Records[i]; got.ID != w.ID || got.Score != w.Score {
+			t.Fatalf("rank %d: served id %d score %x, TopK id %d score %x", i, got.ID, got.Score, w.ID, w.Score)
+		}
+	}
+	if hit2.Records[0].Score == recs[0].Score {
+		t.Fatal("jitter left the top score unchanged: the check cannot tell the two apart")
+	}
 }
 
 // The headline claim, end to end: every query vector inside the GIR gives

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,9 +10,9 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// mutexCache is the pre-sharding implementation — one global mutex and a
-// linear scan — kept here verbatim as the benchmark baseline so the
-// sharded cache's scaling claim is measured against the real predecessor.
+// mutexCache is the first implementation — one global mutex and a linear
+// scan — kept here verbatim as the benchmark baseline so the lock-free
+// view's scaling claim is measured against a real predecessor.
 type mutexCache struct {
 	mu      sync.Mutex
 	clock   int64
@@ -67,10 +66,9 @@ func (c *mutexCache) put(reg *gir.Region, records []topk.Record, capacity int) {
 }
 
 // BenchmarkLookupParallel measures concurrent hit-path throughput of the
-// sharded cache at several shard counts against the single-mutex
-// predecessor. Run with -cpu 1,4,8 to see the scaling: the mutex baseline
-// flatlines (every lookup serializes) while the sharded read path scales
-// with GOMAXPROCS.
+// lock-free view against the single-mutex predecessor. Run with -cpu 1,4,8
+// to see the scaling: the mutex baseline flatlines (every lookup
+// serializes) while the view's read path scales with GOMAXPROCS.
 func BenchmarkLookupParallel(b *testing.B) {
 	const nfix = 32
 	fixtures := buildFixtures(b, nfix, 14)
@@ -80,26 +78,24 @@ func BenchmarkLookupParallel(b *testing.B) {
 		queries[i] = fixtures[i].q
 	}
 
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("sharded-%d", shards), func(b *testing.B) {
-			c := NewSharded(nfix, shards)
-			for i := range fixtures {
-				c.Put(fixtures[i].reg, fixtures[i].recs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				r := rand.New(rand.NewSource(1))
-				for pb.Next() {
-					q := queries[r.Intn(nfix)]
-					if _, ok := c.Lookup(q, 6); !ok {
-						b.Error("unexpected miss")
-						return
-					}
+	b.Run("view", func(b *testing.B) {
+		c := New(nfix)
+		for i := range fixtures {
+			c.Put(fixtures[i].reg, fixtures[i].recs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			r := rand.New(rand.NewSource(1))
+			for pb.Next() {
+				q := queries[r.Intn(nfix)]
+				if _, ok := c.Lookup(q, 6); !ok {
+					b.Error("unexpected miss")
+					return
 				}
-			})
+			}
 		})
-	}
+	})
 
 	b.Run("mutex-baseline", func(b *testing.B) {
 		c := &mutexCache{}
@@ -124,7 +120,7 @@ func BenchmarkLookupParallel(b *testing.B) {
 // pressure (capacity below the working set).
 func BenchmarkPutParallel(b *testing.B) {
 	fixtures := buildFixtures(b, 16, 14)
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("view", func(b *testing.B) {
 		c := New(8)
 		b.ReportAllocs()
 		b.ResetTimer()

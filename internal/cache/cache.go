@@ -11,38 +11,50 @@
 //
 // # Concurrency
 //
-// The cache is sharded for contention-free concurrent serving. Entries are
-// placed in the shard selected by hashing the region's original query
-// vector; a lookup hashes its own vector the same way and scans that home
-// shard first under a read lock, so the hot serving workload — users
-// re-issuing popular queries — touches exactly one shard and lookups for
-// different queries proceed fully in parallel. Only if the home shard has
-// no containing region are the remaining shards probed (still read-locked,
-// never exclusively), which preserves the original semantics: a query
-// inside ANY cached GIR hits, wherever that region's entry lives.
+// The entries are one immutable view: a slice published through an atomic
+// pointer and never written after. A lookup loads it once and scans it
+// without a lock, so lookups never wait for each other or for a writer.
+// Writers — Put and the eviction it triggers, MaintainBatch's apply, Clear
+// and the reorder below — serialize on one mutex and publish a fresh copy;
+// fills are milliseconds apart, so copying a few hundred pointers per write
+// is noise. A lookup that loaded the previous view may serve an entry a
+// writer has just evicted or replaced: entries are immutable once
+// published, and the Engine's generation fence covers that window.
 //
-// Recency is tracked with a global atomic clock: a hit stamps the entry by
-// a single atomic store, without upgrading to a write lock. Eviction
-// (write-locked, on Put only) removes the globally least-recently-stamped
-// entry, giving approximate LRU across shards. Hit/partial/miss counters
-// are atomic, so Lookup on the hit path acquires no exclusive lock at all.
+// A lookup tests the query against the domain once per distinct domain in
+// the view, then each entry's cone on its flat row-major normals, stopping
+// at the first violated constraint. Entries are ordered by the hits they
+// serve: each counts its complete hits, and once the clock (below) has
+// advanced 64 ticks per entry since the last reorder, the hit that crosses
+// the threshold publishes the view stable-sorted by count, most first, and
+// halves every count so stale popularity fades — the frequency-count rule
+// for self-organizing lists. That hit only tries the writer mutex; if a
+// writer holds it, the next hit retries.
+//
+// Recency is a global atomic clock that ticks once per served lookup and
+// per put: a hit stamps its entry with the tick, and eviction removes the
+// least recently stamped entry. The tick doubles as the hit counter (hits
+// are the ticks that were neither partial hits nor puts), so a complete hit
+// takes no lock and updates two shared counters: the clock and the probe
+// count.
 package cache
 
 import (
-	"hash/maphash"
-	"math"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 	"github.com/girlib/gir/internal/viz"
 )
 
-// DefaultShards is the shard count used by New. Sixteen read-write locks
-// are plenty to spread lookups for tens of hardware threads while keeping
-// the cross-shard probe on a miss cheap.
+// DefaultShards is the shard count NewSharded was once given by default.
+// The cache is one lock-free view and ignores shard counts; the name stays
+// for callers that still pass one.
 const DefaultShards = 16
 
 // MaxRetained caps the repair state (candidates + subtree bounds) stored
@@ -53,8 +65,20 @@ const DefaultShards = 16
 // covers every record the fill did not report.
 const MaxRetained = 2048
 
+// reorderEvery is how many clock ticks per entry pass between two
+// reorders of the view.
+const reorderEvery = 64
+
 // Entry is one cached result with its immutable region.
 type Entry struct {
+	// The containment test's inputs, first so a probe reads them together:
+	// the region's cone normals as one row-major slab of dim-wide rows, and
+	// its domain (kind and dim identify it).
+	normals []float64
+	dim     int
+	kind    domain.Kind
+	space   domain.Domain
+
 	Region  *gir.Region
 	Records []topk.Record // the cached top-k, in score order
 	K       int
@@ -73,14 +97,48 @@ type Entry struct {
 	// sound. Both are owned by the single maintenance goroutine (the
 	// Engine's drainer, or the caller of the Cache's repair methods) —
 	// lookups never touch them — so they need no locking beyond the
-	// publish via the shard lock.
+	// publication of the view.
 	Cand         []topk.Record
 	Bounds       []vec.Vector
 	candComplete bool
 	absorbed     int64 // mutations ≤ this version are folded into Cand
 
 	lastUse atomic.Int64
+	hits    atomic.Int64 // complete hits served, halved at every reorder
+	rank    int64        // hits when the last reorder sorted; writer-only
 	cleared atomic.Int64 // mutations ≤ this version are known not to affect the entry
+}
+
+// newEntry builds an entry for reg, flattening its normals for the probe.
+func newEntry(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector) *Entry {
+	normals := make([]float64, 0, len(reg.Constraints)*reg.Dim)
+	for _, c := range reg.Constraints {
+		normals = append(normals, c.Normal...)
+	}
+	space := reg.Space()
+	return &Entry{
+		normals: normals, dim: reg.Dim, kind: space.Kind(), space: space,
+		Region: reg, Records: records, K: len(records),
+		InnerLo: innerLo, InnerHi: innerHi,
+	}
+}
+
+// coneContains reports whether q lies on the nonnegative side of every cone
+// normal. The dot product accumulates in vec.Dot's order, so the verdict is
+// Region.Contains's bit for bit; the caller has checked dim and domain.
+func (e *Entry) coneContains(q vec.Vector) bool {
+	d := e.dim
+	q = q[:d]
+	for row := e.normals; len(row) > 0; row = row[d:] {
+		var s float64
+		for i, x := range row[:d] {
+			s += x * q[i]
+		}
+		if s < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ClearedThrough returns the highest dataset version v such that every
@@ -150,68 +208,34 @@ func (e *Entry) AbsorbDelete(v int64, id int64) {
 	e.absorbed = v
 }
 
-// shard is one lock domain of the cache. Entries are append-ordered;
-// region containment is a linear scan (entries are few — the region test,
-// not the scan, dominates).
-type shard struct {
-	mu      sync.RWMutex
-	entries []*Entry
-}
-
-// Cache holds up to a fixed number of entries across its shards, with
-// approximate global LRU eviction. Safe for concurrent use.
+// Cache holds up to a fixed number of entries in one lock-free view, with
+// global LRU eviction. Safe for concurrent use.
 type Cache struct {
-	shards   []shard
+	view     atomic.Pointer[[]*Entry] // the published entries; never written after publication
+	mu       sync.Mutex               // serializes writers
 	capacity int
-	seed     maphash.Seed
 
-	clock atomic.Int64 // global recency clock
-	size  atomic.Int64 // total entries across shards
-
-	hits, misses, partial atomic.Int64
+	clock                         atomic.Int64 // one tick per served lookup and per put
+	partial, puts, misses, probes atomic.Int64
+	reorderedAt                   atomic.Int64 // clock at the last reorder
 }
 
-// New returns a cache holding at most capacity entries (≥ 1), with
-// DefaultShards shards.
-func New(capacity int) *Cache { return NewSharded(capacity, DefaultShards) }
-
-// NewSharded returns a cache with an explicit shard count. Shard counts
-// above the capacity are clamped (a shard per entry is the useful
-// maximum); counts below 1 fall back to 1.
-func NewSharded(capacity, shards int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	return &Cache{
-		shards:   make([]shard, shards),
-		capacity: capacity,
-		seed:     maphash.MakeSeed(),
-	}
+// New returns a cache holding at most capacity entries (≥ 1).
+func New(capacity int) *Cache {
+	c := &Cache{capacity: max(capacity, 1)}
+	c.view.Store(new([]*Entry))
+	return c
 }
 
-// shardFor hashes a query vector to its home shard.
-func (c *Cache) shardFor(q vec.Vector) *shard {
-	if len(c.shards) == 1 {
-		return &c.shards[0]
-	}
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	var buf [8]byte
-	for _, x := range q {
-		bits := math.Float64bits(x)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return &c.shards[h.Sum64()%uint64(len(c.shards))]
-}
+// NewSharded is New: the cache is one lock-free view, and the shard count
+// is ignored.
+func NewSharded(capacity, _ int) *Cache { return New(capacity) }
+
+// load returns the published view. Callers must not write to it.
+func (c *Cache) load() []*Entry { return *c.view.Load() }
+
+// publish makes entries the view. Writers only, under mu.
+func (c *Cache) publish(entries []*Entry) { c.view.Store(&entries) }
 
 // Lookup finds a cached entry whose GIR contains q, preferring one that
 // covers the requested k (several entries may contain q — e.g. the same
@@ -230,85 +254,86 @@ func (c *Cache) Lookup(q vec.Vector, k int) (*Entry, bool) {
 // hit). The Engine uses this as its generation fence — while mutation
 // events are still draining, a hit is only served after the candidate
 // entry is proven unaffected by every pending mutation. The veto may be
-// expensive (LP solves); it runs against a snapshot of the shard WITHOUT
-// the shard lock held, so concurrent Puts and evictions never stall
-// behind it. That is sound because entries are immutable once published
-// and the caller takes its fence snapshot before the scan: an entry
-// evicted mid-check is one the veto itself rejects, or one whose mutation
-// the query legitimately raced.
+// expensive (LP solves); it runs on the view the lookup loaded, with no
+// lock held, so concurrent Puts and evictions never stall behind it. That
+// is sound because entries are immutable once published and the caller
+// takes its fence snapshot before the scan: an entry evicted mid-check is
+// one the veto itself rejects, or one whose mutation the query
+// legitimately raced.
 func (c *Cache) LookupVeto(q vec.Vector, k int, veto func(*Entry) bool) (*Entry, bool) {
-	home := c.shardFor(q)
-	best := c.scan(home, q, k, veto)
-	if best == nil || best.K < k {
-		for i := range c.shards {
-			s := &c.shards[i]
-			if s == home {
-				continue
-			}
-			if e := c.scan(s, q, k, veto); e != nil && (best == nil || e.K > best.K) {
-				best = e
-				if best.K >= k {
-					break
-				}
-			}
-		}
+	view := c.load()
+	best, probes := bestContaining(view, q, k, veto)
+	c.probes.Add(int64(probes))
+	if best == nil {
+		c.misses.Add(1)
+		return nil, false
 	}
-	if best != nil {
-		return best, c.recordHit(best, k)
+	now := c.clock.Add(1)
+	best.lastUse.Store(now)
+	if k > best.K {
+		c.partial.Add(1)
+		return best, true
 	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// scan searches one shard: the first entry covering k wins; otherwise the
-// containing entry with the largest K (the longest exact prefix) is
-// returned. Vetoed entries are invisible. Without a veto the walk happens
-// under the read lock (containment tests are a few dot products); with one
-// the entries are snapshotted first so the potentially-expensive veto
-// never runs with a cache lock held.
-func (c *Cache) scan(s *shard, q vec.Vector, k int, veto func(*Entry) bool) *Entry {
-	if veto != nil {
-		s.mu.RLock()
-		snap := append([]*Entry(nil), s.entries...)
-		s.mu.RUnlock()
-		return bestContaining(snap, q, k, veto)
+	best.hits.Add(1)
+	if now-c.reorderedAt.Load() > reorderEvery*int64(len(view)) {
+		c.reorder()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return bestContaining(s.entries, q, k, nil)
+	return best, true
 }
 
 // bestContaining returns the first entry containing q that covers k, else
-// the containing entry with the largest K.
-func bestContaining(entries []*Entry, q vec.Vector, k int, veto func(*Entry) bool) *Entry {
-	var best *Entry
+// the containing entry with the largest K, and how many entries it
+// containment-tested. Vetoed entries are invisible.
+func bestContaining(entries []*Entry, q vec.Vector, k int, veto func(*Entry) bool) (best *Entry, probes int) {
+	kind, inside := domain.Kind(-1), false
 	for _, e := range entries {
-		if len(q) == e.Region.Dim && e.Region.Contains(q, 0) && (veto == nil || !veto(e)) {
-			if e.K >= k {
-				return e
-			}
-			if best == nil || e.K > best.K {
-				best = e
-			}
+		if e.dim != len(q) {
+			continue
+		}
+		if e.kind != kind { // every entry of one dim and kind shares the domain
+			kind, inside = e.kind, e.space.Contains(q, 0)
+		}
+		if !inside {
+			continue
+		}
+		probes++
+		if !e.coneContains(q) || (veto != nil && veto(e)) {
+			continue
+		}
+		if e.K >= k {
+			return e, probes
+		}
+		if best == nil || e.K > best.K {
+			best = e
 		}
 	}
-	return best
+	return best, probes
 }
 
-// recordHit stamps recency and bumps the hit counters; always true.
-func (c *Cache) recordHit(e *Entry, k int) bool {
-	e.lastUse.Store(c.clock.Add(1))
-	if k <= e.K {
-		c.hits.Add(1)
-	} else {
-		c.partial.Add(1)
+// reorder publishes the view stable-sorted by hits served, most first, and
+// halves every count. It gives up if a writer holds the mutex; the next hit
+// past the threshold retries. An already-ordered view is not copied.
+func (c *Cache) reorder() {
+	if !c.mu.TryLock() {
+		return
 	}
-	return true
+	defer c.mu.Unlock()
+	view := c.load()
+	for _, e := range view {
+		e.rank = e.hits.Load()
+		e.hits.Add(e.rank/2 - e.rank)
+	}
+	byHits := func(a, b *Entry) int { return cmp.Compare(b.rank, a.rank) }
+	if !slices.IsSortedFunc(view, byHits) {
+		fresh := slices.Clone(view)
+		slices.SortStableFunc(fresh, byHits)
+		c.publish(fresh)
+	}
+	c.reorderedAt.Store(c.clock.Load())
 }
 
-// Put stores a result and its order-sensitive GIR in the region query's
-// home shard, evicting the approximately least recently used entry
-// (cache-wide) if the cache is full. Order-insensitive regions are
+// Put stores a result and its order-sensitive GIR, evicting the least
+// recently used entry if the cache is full. Order-insensitive regions are
 // rejected: serving a cached *ordered* list from them would be unsound.
 // Entries stored through Put carry no repair state (delete repair evicts).
 func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
@@ -330,69 +355,39 @@ func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, inne
 	if reg == nil || !reg.OrderSensitive {
 		return false
 	}
+	e := newEntry(reg, records, innerLo, innerHi)
 	// The candidate set is mutated in place by later absorption
 	// (AbsorbInsert/AbsorbDelete), so the entry must own its backing array
 	// — the caller's slice may alias a TopKResult (Candidates) or be Put
 	// into several caches. Bounds are never mutated and can be shared.
-	e := &Entry{
-		Region: reg, Records: records, K: len(records),
-		InnerLo: innerLo, InnerHi: innerHi,
-		Cand: append([]topk.Record(nil), cand...), Bounds: bounds, candComplete: candComplete,
-		absorbed: clearedThrough,
-	}
+	e.Cand, e.Bounds, e.candComplete = append([]topk.Record(nil), cand...), bounds, candComplete
+	e.absorbed = clearedThrough
 	e.cleared.Store(clearedThrough)
 	c.insert(e)
 	return true
 }
 
-// insert publishes a fresh entry and enforces capacity.
+// insert publishes a fresh entry at the end of the view, evicting the least
+// recently stamped entry when the cache is full.
 func (c *Cache) insert(e *Entry) {
 	e.lastUse.Store(c.clock.Add(1))
-	s := c.shardFor(e.Region.Query)
-	s.mu.Lock()
-	s.entries = append(s.entries, e)
-	s.mu.Unlock()
-	c.size.Add(1)
-	for c.size.Load() > int64(c.capacity) {
-		if !c.evictOldest() {
-			break // cache drained by concurrent evictions
-		}
-	}
-}
-
-// evictOldest removes the entry with the globally smallest recency stamp.
-// It reports whether an entry was removed (and size decremented).
-func (c *Cache) evictOldest() bool {
-	var victim *Entry
-	var victimShard *shard
-	best := int64(math.MaxInt64)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for _, e := range s.entries {
-			if u := e.lastUse.Load(); u < best {
-				best, victim, victimShard = u, e, s
+	c.puts.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	view := c.load()
+	fresh := make([]*Entry, 0, min(len(view)+1, c.capacity))
+	if len(view) < c.capacity {
+		fresh = append(fresh, view...)
+	} else {
+		victim, oldest := 0, view[0].lastUse.Load()
+		for i, v := range view {
+			if u := v.lastUse.Load(); u < oldest {
+				victim, oldest = i, u
 			}
 		}
-		s.mu.RUnlock()
+		fresh = append(append(fresh, view[:victim]...), view[victim+1:]...)
 	}
-	if victim == nil {
-		return false
-	}
-	victimShard.mu.Lock()
-	defer victimShard.mu.Unlock()
-	for i, e := range victimShard.entries {
-		if e == victim {
-			n := len(victimShard.entries)
-			victimShard.entries[i] = victimShard.entries[n-1]
-			victimShard.entries[n-1] = nil
-			victimShard.entries = victimShard.entries[:n-1]
-			c.size.Add(-1)
-			return true
-		}
-	}
-	// A concurrent Put already evicted it; count that as progress.
-	return true
+	c.publish(append(fresh, e))
 }
 
 // RepairedEntry builds the replacement entry a successful repair swaps in
@@ -400,14 +395,12 @@ func (c *Cache) evictOldest() bool {
 // the old entry's unexpanded-subtree bounds and completeness flag, and
 // cleared/absorbed stamps at the repairing mutation's version (the repaired
 // entry is current as of that mutation, so the fence serves it
-// immediately). Recency carries over when the swap happens (MaintainBatch).
+// immediately). Recency and hit count carry over when the swap happens
+// (MaintainBatch).
 func RepairedEntry(old *Entry, reg *gir.Region, records, cand []topk.Record, innerLo, innerHi vec.Vector, version int64) *Entry {
-	e := &Entry{
-		Region: reg, Records: records, K: len(records),
-		InnerLo: innerLo, InnerHi: innerHi,
-		Cand: cand, Bounds: old.Bounds, candComplete: old.candComplete,
-		absorbed: version,
-	}
+	e := newEntry(reg, records, innerLo, innerHi)
+	e.Cand, e.Bounds, e.candComplete = cand, old.Bounds, old.candComplete
+	e.absorbed = version
 	e.cleared.Store(version)
 	return e
 }
@@ -418,8 +411,8 @@ func RepairedEntry(old *Entry, reg *gir.Region, records, cand []topk.Record, inn
 // per-(mutation, entry) event counts of the entry's verdict chain — an
 // entry repaired twice and then evicted reports Affected 3, Repaired 2,
 // Evict true — and are credited to the pass outcome only if the verdict
-// actually applies (the entry was still present when the shard lock was
-// retaken), which keeps Affected == Repaired + Evicted exact even under
+// actually applies (the entry was still cached when the writer mutex was
+// taken), which keeps Affected == Repaired + Evicted exact even under
 // concurrent LRU pressure.
 type BatchDecision struct {
 	Evict    bool
@@ -437,80 +430,62 @@ type BatchOutcome struct {
 }
 
 // MaintainBatch runs one maintenance pass over the whole cache for an
-// entire batch of pending mutations: decide is evaluated once per entry on
-// a snapshot of each shard WITHOUT any cache lock held (it may solve LPs
-// for every mutation of the batch), then evictions and replacements are
-// applied under the shard lock by identity — entries inserted or evicted
-// concurrently are simply not considered; the Engine's generation fence
-// covers that window. However long the batch,
-// the cache is scanned once and each shard lock is taken at most twice
-// (snapshot + apply). A replacement inherits the old entry's recency
-// stamp, so a repair never perturbs LRU order.
+// entire batch of pending mutations: decide is evaluated once per entry of
+// the published view with no lock held (it may solve LPs for every
+// mutation of the batch), then the evictions and replacements are applied
+// by identity to the view current at that point, published as one fresh
+// copy under the writer mutex. Entries inserted or evicted concurrently
+// are simply not considered; the Engine's generation fence covers that
+// window. However long the batch, the cache is scanned once and the mutex
+// is taken at most once. A replacement inherits the old entry's recency
+// stamp and hit count, so a repair never perturbs LRU or hit order.
 //
-// Lookups may keep serving a just-replaced old entry they snapshotted
-// before the swap; that is the same race as serving a just-evicted entry,
-// and the same fence veto suppresses it while the triggering mutations are
-// pending.
+// Lookups may keep serving a just-replaced old entry from the view they
+// loaded before the swap; that is the same race as serving a just-evicted
+// entry, and the same fence veto suppresses it while the triggering
+// mutations are pending.
 func (c *Cache) MaintainBatch(decide func(*Entry) BatchDecision) BatchOutcome {
-	var out BatchOutcome
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		snap := append([]*Entry(nil), s.entries...)
-		s.mu.RUnlock()
-		out.Entries += len(snap)
-		type verdict struct {
-			old *Entry
-			d   BatchDecision
-		}
-		var verdicts []verdict
-		for _, e := range snap {
-			if d := decide(e); d.Evict || d.Replace != nil {
-				verdicts = append(verdicts, verdict{e, d})
+	view := c.load()
+	out := BatchOutcome{Entries: len(view)}
+	var verdicts map[*Entry]BatchDecision
+	for _, e := range view {
+		if d := decide(e); d.Evict || d.Replace != nil {
+			if verdicts == nil {
+				verdicts = make(map[*Entry]BatchDecision)
 			}
+			verdicts[e] = d
 		}
-		if len(verdicts) == 0 {
+	}
+	if verdicts == nil {
+		return out
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	view = c.load()
+	fresh := make([]*Entry, 0, len(view))
+	for _, e := range view {
+		d, ok := verdicts[e]
+		if !ok {
+			fresh = append(fresh, e)
 			continue
 		}
-		s.mu.Lock()
-		for _, v := range verdicts {
-			for j, e := range s.entries {
-				if e != v.old {
-					continue
-				}
-				if v.d.Evict {
-					n := len(s.entries)
-					s.entries[j] = s.entries[n-1]
-					s.entries[n-1] = nil
-					s.entries = s.entries[:n-1]
-					c.size.Add(-1)
-					out.Evicted++
-				} else {
-					v.d.Replace.lastUse.Store(v.old.lastUse.Load())
-					s.entries[j] = v.d.Replace
-				}
-				out.Affected += v.d.Affected
-				out.Repaired += v.d.Repaired
-				break
-			}
+		if d.Evict {
+			out.Evicted++
+		} else {
+			d.Replace.lastUse.Store(e.lastUse.Load())
+			d.Replace.hits.Store(e.hits.Load())
+			fresh = append(fresh, d.Replace)
 		}
-		s.mu.Unlock()
+		out.Affected += d.Affected
+		out.Repaired += d.Repaired
 	}
+	c.publish(fresh)
 	return out
 }
 
-// Entries returns a point-in-time snapshot of every cached entry (tests,
-// diagnostics, and persistence).
-func (c *Cache) Entries() []*Entry {
-	var out []*Entry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		out = append(out, s.entries...)
-		s.mu.RUnlock()
-	}
-	return out
-}
+// Entries returns a point-in-time copy of the view (tests, diagnostics, and
+// persistence).
+func (c *Cache) Entries() []*Entry { return slices.Clone(c.load()) }
 
 // Snapshot is the part of one entry's state warm-cache persistence
 // serializes: what no traversal can rebuild. The repair state (Cand, Bounds,
@@ -549,37 +524,27 @@ func (e *Entry) Snapshot() Snapshot {
 // has mutated and per-entry invalidation is not wanted: a GIR only
 // describes the dataset state it was computed against.
 func (c *Cache) Clear() int {
-	removed := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		removed += len(s.entries)
-		c.size.Add(int64(-len(s.entries)))
-		s.entries = nil
-		s.mu.Unlock()
-	}
-	return removed
-}
-
-// Stats returns (hits, partial hits, misses).
-func (c *Cache) Stats() (hits, partial, misses int64) {
-	return c.hits.Load(), c.partial.Load(), c.misses.Load()
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	var n int
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.load())
+	c.publish(nil)
 	return n
 }
 
-// Shards returns the shard count (exposed for benchmarks and reports).
-func (c *Cache) Shards() int { return len(c.shards) }
+// Stats returns (hits, partial hits, misses). Hits are the clock's ticks
+// that were neither partial hits nor puts; those two are read first, and
+// every tick precedes its partial or put count, so the difference is never
+// negative.
+func (c *Cache) Stats() (hits, partial, misses int64) {
+	partial, puts := c.partial.Load(), c.puts.Load()
+	return c.clock.Load() - partial - puts, partial, c.misses.Load()
+}
+
+// Probes returns how many entries lookups have containment-tested.
+func (c *Cache) Probes() int64 { return c.probes.Load() }
+
+// Len returns the number of cached entries.
+func (c *Cache) Len() int { return len(c.load()) }
 
 // Capacity returns the maximum entry count the cache admits before
 // evicting (exposed so serving tiers can report per-partition fill).

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"cmp"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +23,23 @@ type fixture struct {
 	q        vec.Vector
 	reg      *gir.Region
 	recs     []topk.Record
-	expected []topk.Record // BRS(tree, q, maxK), ground truth for prefixes
+	expected []int64 // brute force's top-maxK ids, ground truth for prefixes
+}
+
+// bruteTopK scores every point and returns the ids of the best k, by score
+// descending and then id ascending.
+func bruteTopK(pts []vec.Vector, q vec.Vector, k int) []int64 {
+	ids := make([]int64, len(pts))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	slices.SortFunc(ids, func(a, b int64) int {
+		if c := cmp.Compare(vec.Dot(q, pts[b]), vec.Dot(q, pts[a])); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return ids[:k]
 }
 
 // buildFixtures computes GIRs for several queries over one dataset. All
@@ -53,8 +72,7 @@ func buildFixtures(t testing.TB, nfix, maxK int) []fixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected := topk.BRS(tree, score.Linear{}, q, maxK).Records
-		out = append(out, fixture{q: q, reg: reg, recs: recs, expected: expected})
+		out = append(out, fixture{q: q, reg: reg, recs: recs, expected: bruteTopK(pts, q, maxK)})
 	}
 	return out
 }
@@ -107,8 +125,8 @@ func TestConcurrentMixedK(t *testing.T) {
 					limit = e.K
 				}
 				for j := 0; j < limit; j++ {
-					if e.Records[j].ID != f.expected[j].ID {
-						t.Errorf("rank %d: served %d, want %d", j, e.Records[j].ID, f.expected[j].ID)
+					if e.Records[j].ID != f.expected[j] {
+						t.Errorf("rank %d: served %d, want %d", j, e.Records[j].ID, f.expected[j])
 						return
 					}
 				}
@@ -137,10 +155,7 @@ func TestConcurrentMixedK(t *testing.T) {
 // concurrent Puts the size bound holds once the dust settles.
 func TestConcurrentCapacityNeverExceededForLong(t *testing.T) {
 	fixtures := buildFixtures(t, 6, 10)
-	c := NewSharded(3, 4) // shards clamped to capacity
-	if c.Shards() != 3 {
-		t.Fatalf("Shards=%d, want clamp to 3", c.Shards())
-	}
+	c := New(3)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -159,11 +174,9 @@ func TestConcurrentCapacityNeverExceededForLong(t *testing.T) {
 	}
 }
 
-// TestCoveringEntryPreferred pins the k-preference in Lookup: when the
-// same query is cached at several k, a request must be served by an
-// entry that covers it (exact hit), not shadowed into a partial by a
-// smaller entry that merely comes first in scan order.
-func TestCoveringEntryPreferred(t *testing.T) {
+// oneQueryFixture returns a query over a fixed dataset and a function that
+// caches its top-k with its GIR, so one query can be cached at several k.
+func oneQueryFixture(t *testing.T) (vec.Vector, func(c *Cache, k int) *Entry) {
 	const n, d = 400, 3
 	r := rand.New(rand.NewSource(5))
 	pts := make([]vec.Vector, n)
@@ -175,7 +188,7 @@ func TestCoveringEntryPreferred(t *testing.T) {
 	}
 	tree := rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
 	q := vec.Vector{0.5, 0.6, 0.4}
-	put := func(c *Cache, k int) {
+	return q, func(c *Cache, k int) *Entry {
 		res := topk.BRS(tree, score.Linear{}, q, k)
 		recs := res.Records
 		reg, _, err := gir.Compute(tree, res, gir.Options{Method: gir.FP})
@@ -185,7 +198,17 @@ func TestCoveringEntryPreferred(t *testing.T) {
 		if !c.Put(reg, recs) {
 			t.Fatal("Put failed")
 		}
+		view := c.load()
+		return view[len(view)-1]
 	}
+}
+
+// TestCoveringEntryPreferred pins the k-preference in Lookup: when the
+// same query is cached at several k, a request must be served by an
+// entry that covers it (exact hit), not shadowed into a partial by a
+// smaller entry that merely comes first in scan order.
+func TestCoveringEntryPreferred(t *testing.T) {
+	q, put := oneQueryFixture(t)
 	c := New(8)
 	put(c, 5)  // the small entry lands first
 	put(c, 10) // the covering entry second
@@ -239,17 +262,15 @@ func TestClear(t *testing.T) {
 	}
 }
 
-// TestCrossShardHit pins the semantic the sharding must not break: a
-// query that lies inside a cached region but hashes to a different shard
-// than the region's own query still hits (via the read-locked probe).
+// TestCrossShardHit pins that a hit depends on the region alone, not on
+// the query's bytes: every nudge of the region's query that stays inside
+// it hits, whatever shard count the cache was asked for (NewSharded
+// ignores it).
 func TestCrossShardHit(t *testing.T) {
 	fixtures := buildFixtures(t, 4, 10)
 	c := NewSharded(16, 16)
 	f := &fixtures[0]
 	c.Put(f.reg, f.recs)
-	// Nudge until the perturbed vector is still inside the region; with
-	// high probability some nudge hashes off the home shard, and every
-	// nudge must hit regardless.
 	for scale := 1e-9; scale < 1e-3; scale *= 10 {
 		q2 := f.q.Clone()
 		q2[0] += scale
@@ -259,5 +280,134 @@ func TestCrossShardHit(t *testing.T) {
 		if _, ok := c.Lookup(q2, len(f.recs)); !ok {
 			t.Fatalf("in-region query missed at nudge %g", scale)
 		}
+	}
+}
+
+// TestReorderKeepsKPreference caches one query at K = 5 and at K = 20 and
+// holds the k-preference through reorders of the view: whichever entry
+// comes first, a k = 10 lookup is an exact hit on the K = 20 entry and a
+// k = 30 lookup a partial hit on it.
+func TestReorderKeepsKPreference(t *testing.T) {
+	q, put := oneQueryFixture(t)
+	c := New(8)
+	small := put(c, 5)
+	large := put(c, 20)
+	check := func(when string, first *Entry) {
+		t.Helper()
+		if got := c.load()[0]; got != first {
+			t.Fatalf("%s: the view starts with the K=%d entry, want K=%d", when, got.K, first.K)
+		}
+		if e, ok := c.Lookup(q, 10); !ok || e != large {
+			t.Fatalf("%s: k=10 not served by the K=20 entry (ok=%v)", when, ok)
+		}
+		_, partial0, _ := c.Stats()
+		if e, ok := c.Lookup(q, 30); !ok || e != large {
+			t.Fatalf("%s: k=30 not served by the K=20 entry (ok=%v)", when, ok)
+		}
+		if _, partial, _ := c.Stats(); partial != partial0+1 {
+			t.Fatalf("%s: k=30 lookup was not a partial hit", when)
+		}
+	}
+	check("before any reorder", small)
+
+	// k=10 hits all land on the K=20 entry; the one that takes the clock
+	// past 64 ticks per entry reorders the view.
+	for i := 0; i < reorderEvery*2; i++ {
+		c.Lookup(q, 10)
+	}
+	check("after the hit-driven reorder", large)
+
+	// Hand the small entry the larger count: a reorder moves it back in
+	// front, and the k-preference still finds the covering entry.
+	small.hits.Store(1 << 20)
+	c.reorder()
+	check("after a forced reorder", small)
+}
+
+// TestConcurrentViewWriters races lock-free lookups against every writer
+// of the view — Put with its LRU eviction, MaintainBatch evicting and
+// replacing entries, and forced reorders — and holds every served prefix to
+// brute force. CI runs it under -race at GOMAXPROCS 1, 2 and 4.
+func TestConcurrentViewWriters(t *testing.T) {
+	const (
+		nfix    = 12
+		maxK    = 20
+		readers = 4
+		iters   = 500
+	)
+	fixtures := buildFixtures(t, nfix, maxK)
+	c := New(8) // smaller than nfix: puts evict
+	for i := range fixtures[:8] {
+		c.Put(fixtures[i].reg, fixtures[i].recs)
+	}
+
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	writer := func(seed int64, step func(r *rand.Rand)) {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			r := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					step(r)
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	writer(1, func(r *rand.Rand) {
+		f := &fixtures[r.Intn(nfix)]
+		c.Put(f.reg, f.recs)
+	})
+	writer(2, func(r *rand.Rand) {
+		c.MaintainBatch(func(e *Entry) BatchDecision {
+			switch r.Intn(16) { // evictions rare enough that the puts keep the cache warm
+			case 0:
+				return BatchDecision{Evict: true, Affected: 1}
+			case 1, 2, 3, 4:
+				repl := RepairedEntry(e, e.Region, e.Records, nil, e.InnerLo, e.InnerHi, 0)
+				return BatchDecision{Replace: repl, Affected: 1, Repaired: 1}
+			}
+			return BatchDecision{}
+		})
+	})
+	writer(3, func(*rand.Rand) { c.reorder() })
+
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < iters; i++ {
+				f := &fixtures[r.Intn(nfix)]
+				k := 3 + r.Intn(maxK-3)
+				e, ok := c.Lookup(f.q, k)
+				if !ok {
+					continue
+				}
+				served.Add(1)
+				for j := 0; j < min(k, e.K); j++ {
+					if e.Records[j].ID != f.expected[j] {
+						t.Errorf("rank %d: served %d, want %d", j, e.Records[j].ID, f.expected[j])
+						return
+					}
+				}
+			}
+		}(int64(100 + w))
+	}
+	wg.Wait()
+	close(stop)
+	writers.Wait()
+	if served.Load() == 0 {
+		t.Error("no lookup was served: the race exercised nothing")
+	}
+	if c.Len() > 8 {
+		t.Errorf("Len=%d exceeds capacity 8", c.Len())
 	}
 }

@@ -14,14 +14,14 @@
 //	  affected   → repair in place when a sound closed-form patch exists
 //	               (Repair mode); the repaired view — not yet committed to
 //	               the cache — keeps being checked against the REST of the
-//	               batch, so one shard swap commits the net effect of any
-//	               number of in-batch repairs;
+//	               batch, so one publication of the cache's view commits
+//	               the net effect of any number of in-batch repairs;
 //	  else       → evict, short-circuiting the remaining mutations for
 //	               this entry.
 //
 // A drain pass over a burst of B mutations therefore performs exactly one
-// cache scan, at most two shard-lock acquisitions per shard, and at most
-// one stamp raise per entry, instead of B of each. Outcome counters are
+// cache scan, at most one acquisition of the cache's writer mutex, and at
+// most one stamp raise per entry, instead of B of each. Outcome counters are
 // per (mutation, entry) events, so the caller's per-mutation accounting
 // (Affected == Repaired + Invalidated) is reconstructed exactly from
 // batch outcomes.
