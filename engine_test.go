@@ -26,7 +26,7 @@ func engineDataset(t testing.TB, seed int64, n, d int) *gir.Dataset {
 // exact repeats (cache hits + single-flight candidates), near-duplicates
 // (region hits), and singletons (misses).
 func engineWorkload(n int) []gir.Query {
-	st := engineint.NewStream(99, 3, 25, 1.3, 3, 12, 0.004)
+	st := engineint.NewStreamIn(99, 3, 25, 1.3, 3, 12, 0.004, false)
 	qs, ks := st.Draw(n)
 	out := make([]gir.Query, n)
 	for i := range out {

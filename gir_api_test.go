@@ -456,3 +456,95 @@ func TestCachedAnswersMatchFreshOnes(t *testing.T) {
 		t.Skip("GIR too small for rejection sampling; covered by internal tests")
 	}
 }
+
+// TestGIRNestsInK holds the property Figure 14(b)'s shape rests on: a
+// longer result keeps more order, so for K < K′ the order-sensitive GIR of
+// the top-K′ lies inside the GIR of the top-K. In the d = 4 box it checks
+// sampled members of GIR(K′); in the d = 3 simplex, where VolumeRatio is
+// exact, it checks that the ratio never rises with k.
+func TestGIRNestsInK(t *testing.T) {
+	t.Run("box d=4", func(t *testing.T) {
+		r := rand.New(rand.NewSource(4))
+		ds, err := gir.NewDataset(randomPoints(r, 5000, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := []float64{0.8, 0.6, 0.3, 0.7}
+		regionOf := func(k int) *gir.GIR {
+			res, err := ds.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ds.ComputeGIR(res, gir.FP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		for _, pair := range [][2]int{{5, 10}, {20, 50}, {50, 100}} {
+			outer, inner := regionOf(pair[0]), regionOf(pair[1])
+			accepted, beyond := 0, 0
+			for _, sigma := range []float64{1e-2, 1e-3, 1e-4} {
+				for i := 0; i < 2000; i++ {
+					p := make([]float64, len(q))
+					for j := range p {
+						p[j] = q[j] + sigma*r.NormFloat64()
+					}
+					inOuter := outer.Contains(p)
+					if !inOuter {
+						beyond++
+					}
+					if !inner.Contains(p) {
+						continue
+					}
+					accepted++
+					if !inOuter {
+						t.Fatalf("%v is in GIR(top-%d) but not in GIR(top-%d)", p, pair[1], pair[0])
+					}
+				}
+			}
+			// The samples must both land in GIR(K′) and reach past GIR(K).
+			if accepted < 100 || beyond == 0 {
+				t.Fatalf("K=%d K′=%d: %d samples inside GIR(K′), %d outside GIR(K)", pair[0], pair[1], accepted, beyond)
+			}
+		}
+	})
+	t.Run("simplex d=3", func(t *testing.T) {
+		r := rand.New(rand.NewSource(1))
+		ds, err := gir.NewDatasetInSpace(randomPoints(r, 5000, 3), gir.SpaceSimplex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := gir.SpaceSimplex.Normalize([]float64{0.5, 0.3, 0.2})
+		ratio := func(k int, star bool) float64 {
+			res, err := ds.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compute := ds.ComputeGIR
+			if star {
+				compute = ds.ComputeGIRStar
+			}
+			g, err := compute(res, gir.FP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := g.VolumeRatio(gir.VolumeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		prev := 1.0
+		for _, k := range []int{1, 2, 3, 5, 8, 13, 20, 30, 50} {
+			v, star := ratio(k, false), ratio(k, true)
+			if v > prev {
+				t.Errorf("VolumeRatio rises from %g to %g at k=%d", prev, v, k)
+			}
+			if star < v {
+				t.Errorf("k=%d: GIR* ratio %g below GIR ratio %g", k, star, v)
+			}
+			prev = v
+		}
+	})
+}

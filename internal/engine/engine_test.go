@@ -147,8 +147,8 @@ func TestKeyDistinguishesQueries(t *testing.T) {
 
 func TestStreamDeterministicAndSkewed(t *testing.T) {
 	const draws = 2000
-	a := NewStream(7, 3, 50, 1.4, 5, 15, 0)
-	b := NewStream(7, 3, 50, 1.4, 5, 15, 0)
+	a := NewStreamIn(7, 3, 50, 1.4, 5, 15, 0, false)
+	b := NewStreamIn(7, 3, 50, 1.4, 5, 15, 0, false)
 	seen := map[string]int{}
 	for i := 0; i < draws; i++ {
 		qa, ka := a.Next()
@@ -182,7 +182,7 @@ func TestStreamDeterministicAndSkewed(t *testing.T) {
 }
 
 func TestStreamJitterStaysInRange(t *testing.T) {
-	st := NewStream(11, 4, 10, 1.2, 3, 3, 0.01)
+	st := NewStreamIn(11, 4, 10, 1.2, 3, 3, 0.01, false)
 	for i := 0; i < 500; i++ {
 		q, k := st.Next()
 		if k != 3 {

@@ -27,17 +27,12 @@ type Stream struct {
 	dom    domain.Domain // nil = box (raw vectors), else queries are normalized into it
 }
 
-// NewStream builds a stream of d-dimensional queries over `distinct`
+// NewStreamIn builds a stream of d-dimensional queries over `distinct`
 // vectors with Zipf parameter s (> 1; ~1.1 is mild skew, 2 heavy), k
 // drawn per vector from [kmin, kmax], and gaussian jitter of the given
-// magnitude (0 = exact repeats only).
-func NewStream(seed int64, d, distinct int, s float64, kmin, kmax int, jitter float64) *Stream {
-	return NewStreamIn(seed, d, distinct, s, kmin, kmax, jitter, false)
-}
-
-// NewStreamIn is NewStream with a query-space switch: with simplex true,
-// every pool vector and every jittered draw is sum-normalized, producing
-// the workload a Σw=1 (paper-convention) serving stack accepts. Jitter
+// magnitude (0 = exact repeats only). With simplex true, every pool
+// vector and every jittered draw is sum-normalized, producing the
+// workload a Σw=1 (paper-convention) serving stack accepts. Jitter
 // still lands near-repeats inside cached regions — normalization is a
 // positive scaling and linear ranking is scale-invariant, so a jittered
 // query stays in a region's cone exactly as often as its raw image.

@@ -264,10 +264,15 @@ func (g *GIR) Shrink(normals [][]float64) (*GIR, error) {
 	return &GIR{region: g.region.Shrink(added), Stats: g.Stats}, nil
 }
 
-// VolumeOptions tunes VolumeRatio.
+// VolumeOptions tunes VolumeRatio. The ratio is exact, and these options
+// ignored, in the box at d = 2 and in the simplex at d ≤ 3. Above that it
+// is a Monte-Carlo estimate whose spread grows as the ratio shrinks: at
+// the default 2000 samples, ratios below about 1e-5 move by up to two
+// decades across seeds (HOTEL surrogate, box d = 4, seeds 1–3: top-50
+// from 10^−6.8 to 10^−8.9, top-100 from 10^−5.5 to 10^−7.3). Do not rank
+// results by such ratios without more samples.
 type VolumeOptions struct {
-	// Samples per Monte-Carlo factor (default 2000). Ignored for d = 2,
-	// where the ratio is exact.
+	// Samples per Monte-Carlo factor (default 2000).
 	Samples int
 	// Seed of the deterministic estimator (default 1).
 	Seed int64
@@ -287,7 +292,7 @@ func (g *GIR) VolumeRatio(opt VolumeOptions) (float64, error) {
 
 // LogVolumeRatio returns ln(VolumeRatio); usable when the ratio underflows
 // (high dimensions shrink GIRs exponentially — Figure 14 spans 15 orders
-// of magnitude).
+// of magnitude). Such small ratios are estimates; see VolumeOptions.
 func (g *GIR) LogVolumeRatio(opt VolumeOptions) (float64, error) {
 	return volume.LogRatioIn(g.region.Space(), g.region.Halfspaces(),
 		volume.Options{Samples: opt.Samples, Seed: opt.Seed})
