@@ -324,26 +324,38 @@ func (ds *Dataset) subscribe(fn func(maintain.Mutation)) (unsubscribe func()) {
 	}
 }
 
-// applyLocked is the one mutation path: Insert and Delete reach it after
-// their log append, replay reaches it without one. It applies m to the
+// applyLocked is the one mutation path: Insert and Delete reach it with
+// their log append as log, replay reaches it with nil. It applies m to the
 // writer tree copy-on-write, delivers the event to subscribers and then
 // publishes the new snapshot; the caller holds ds.mu exclusively. Delivery
 // strictly precedes visibility — the snapshot swap is the visibility point
 // — so a reader that pins version v is guaranteed the events for every
-// mutation up to v were already handed to subscribers. It reports false,
-// with nothing published, for a delete of a record the index does not
-// hold: the failed walk wrote nothing, so the commit supersedes no pages.
-// While a durable directory is attached, the pages the mutation wrote join
-// the dirty set the next checkpoint persists.
-func (ds *Dataset) applyLocked(m maintain.Mutation) bool {
+// mutation up to v were already handed to subscribers. log runs before any
+// page is written: ahead of an insert, and for a delete once the tree's walk
+// has found the record, so one walk both probes and deletes and a miss is
+// never logged. It reports false, with nothing published, for a delete of a
+// record the index does not hold or a failed log (whose error it returns):
+// nothing was written, so the commit supersedes no pages. While a durable
+// directory is attached, the pages the mutation wrote join the dirty set the
+// next checkpoint persists.
+func (ds *Dataset) applyLocked(m maintain.Mutation, log func() error) (bool, error) {
 	ds.tree.BeginCOW()
+	var ok bool
+	var err error
 	if m.Insert {
-		ds.tree.Insert(m.ID, m.Point)
-	} else if !ds.tree.Delete(m.ID, m.Point) {
-		ds.tree.CommitCOW()
-		return false
+		if log != nil {
+			err = log()
+		}
+		if ok = err == nil; ok {
+			ds.tree.Insert(m.ID, m.Point)
+		}
+	} else {
+		ok, err = ds.tree.DeleteWith(m.ID, m.Point, log)
 	}
 	freed, fresh := ds.tree.CommitCOW()
+	if !ok {
+		return false, err
+	}
 	if ds.dirty != nil {
 		for id := range fresh {
 			ds.dirty[id] = struct{}{}
@@ -353,7 +365,16 @@ func (ds *Dataset) applyLocked(m maintain.Mutation) bool {
 		fn(m)
 	}
 	ds.publishSnapLocked(m.Version, freed)
-	return true
+	return true, nil
+}
+
+// logStep is m's write-ahead append for applyLocked, or nil when no log is
+// attached.
+func (ds *Dataset) logStep(m maintain.Mutation) func() error {
+	if ds.wal == nil {
+		return nil
+	}
+	return func() error { return ds.wal.Append(walEncode(m)) }
 }
 
 // nextMutationLocked stamps a mutation the caller is about to log and
@@ -513,12 +534,9 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	m := ds.nextMutationLocked(true, id, p)
-	if ds.wal != nil {
-		if err := ds.wal.Append(walEncode(m)); err != nil {
-			return fmt.Errorf("gir: insert aborted, write-ahead append failed: %w", err)
-		}
+	if _, err := ds.applyLocked(m, ds.logStep(m)); err != nil {
+		return fmt.Errorf("gir: insert aborted, write-ahead append failed: %w", err)
 	}
-	ds.applyLocked(m)
 	return nil
 }
 
@@ -529,21 +547,17 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 // attached, the deletion is appended — and, per WALOptions.SyncEvery,
 // fsynced — before the tree sheds the record, so a failed append aborts
 // the delete with the dataset untouched and the record still served.
-// (The tree is probed first so a miss never logs a record replay would
-// reject.)
+// (The append runs once the tree's walk has found the record, so a miss
+// never logs a record replay would reject.)
 func (ds *Dataset) Delete(id int64, p []float64) (bool, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if ds.wal != nil && !ds.tree.Contains(id, vec.Vector(p)) {
-		return false, nil
-	}
 	m := ds.nextMutationLocked(false, id, p)
-	if ds.wal != nil {
-		if err := ds.wal.Append(walEncode(m)); err != nil {
-			return false, fmt.Errorf("gir: delete aborted, write-ahead append failed: %w", err)
-		}
+	ok, err := ds.applyLocked(m, ds.logStep(m))
+	if err != nil {
+		return false, fmt.Errorf("gir: delete aborted, write-ahead append failed: %w", err)
 	}
-	return ds.applyLocked(m), nil
+	return ok, nil
 }
 
 // Len returns the number of records (of the currently published version;

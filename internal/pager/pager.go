@@ -62,7 +62,8 @@ type Store interface {
 	// Alloc reserves a new page and returns its id, preferring ids
 	// released by Free over growing the store.
 	Alloc() PageID
-	// Write stores data (at most PageSize bytes) at the page.
+	// Write stores a copy of data (at most PageSize bytes) at the page;
+	// the caller may reuse data once Write returns.
 	Write(id PageID, data []byte)
 	// Read returns the page contents. The returned slice must not be
 	// modified by the caller.

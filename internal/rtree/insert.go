@@ -18,16 +18,16 @@ func (t *Tree) Insert(id int64, p vec.Vector) {
 	if len(p) != t.dim {
 		panic(fmt.Sprintf("rtree: inserting %d-dimensional point into %d-dimensional tree", len(p), t.dim))
 	}
-	ctx := &insertCtx{reinserted: map[int]bool{}}
-	t.insertAtLevel(Entry{Rect: PointRect(p.Clone()), RecID: id}, 0, ctx)
+	var ctx insertCtx
+	t.insertAtLevel(Entry{Rect: PointRect(p), RecID: id}, 0, &ctx)
 	t.size++
 }
 
 // insertCtx tracks which levels have already used forced reinsertion during
 // one logical insert, so each level reinserts at most once (R* "overflow
-// treatment").
+// treatment"): bit l is level l.
 type insertCtx struct {
-	reinserted map[int]bool
+	reinserted uint64
 }
 
 // pathStep records one descent step: the parsed node and the index of the
@@ -59,8 +59,8 @@ func (t *Tree) insertAtLevel(e Entry, level int, ctx *insertCtx) {
 		var splitEntry *Entry
 		if overflow {
 			isRoot := lvl == t.height-1
-			if !isRoot && !ctx.reinserted[lvl] {
-				ctx.reinserted[lvl] = true
+			if bit := uint64(1) << lvl; !isRoot && ctx.reinserted&bit == 0 {
+				ctx.reinserted |= bit
 				evicted := t.forcedReinsertSet(node)
 				t.writeNode(node)
 				t.refreshPath(path)
@@ -138,20 +138,47 @@ func (t *Tree) growRoot(oldRoot *Node, sibling Entry) {
 }
 
 // chooseSubtree implements the R* descent rule: minimum overlap enlargement
-// when the children are leaves, minimum area enlargement otherwise.
+// when the children are leaves, minimum area enlargement otherwise, ties
+// broken by the smaller area and then the first child.
+//
+// The overlap sum skips only terms that are exactly 0, and stops only once
+// it cannot win, so it picks the child the full O(fan-out²) sum picks (for
+// finite coordinates). When r already lies inside a child, its enlarged box
+// is the child's and every term is 0. A sibling disjoint from the enlarged
+// box overlaps neither it nor the child inside it. And no term is negative,
+// even after rounding: each interval of enlarged ∩ o contains the one of
+// child ∩ o, and rounding is monotone in the differences and the products,
+// so the partial sum never falls and a candidate past the best has lost.
 func (t *Tree) chooseSubtree(n *Node, r Rect, childrenAreLeaves bool) int {
+	if t.enlarged.Lo == nil {
+		t.enlarged = Rect{Lo: make(vec.Vector, t.dim), Hi: make(vec.Vector, t.dim)}
+	}
+	enlarged := t.enlarged
 	best, bestOverlapInc, bestAreaInc, bestArea := -1, 0.0, 0.0, 0.0
 	for i, e := range n.Entries {
-		enlarged := e.Rect.Enlarged(r)
-		areaInc := enlarged.Area() - e.Rect.Area()
+		grew := false
+		for k := range enlarged.Lo {
+			lo, hi := e.Rect.Lo[k], e.Rect.Hi[k]
+			if r.Lo[k] < lo {
+				lo, grew = r.Lo[k], true
+			}
+			if r.Hi[k] > hi {
+				hi, grew = r.Hi[k], true
+			}
+			enlarged.Lo[k], enlarged.Hi[k] = lo, hi
+		}
 		area := e.Rect.Area()
+		areaInc := enlarged.Area() - area
 		overlapInc := 0.0
-		if childrenAreLeaves {
+		if childrenAreLeaves && grew {
 			for j, o := range n.Entries {
-				if j == i {
+				if j == i || !enlarged.Intersects(o.Rect) {
 					continue
 				}
 				overlapInc += enlarged.OverlapArea(o.Rect) - e.Rect.OverlapArea(o.Rect)
+				if best >= 0 && overlapInc > bestOverlapInc {
+					break
+				}
 			}
 		}
 		better := false
@@ -290,72 +317,54 @@ func (t *Tree) split(n *Node) *Node {
 	return sibling
 }
 
-// Contains reports whether the record with the given id exists at point
-// p — the same containment walk Delete uses, without mutating. It lets a
-// caller decide a mutation's outcome before committing to side effects
-// (e.g. logging a delete to a write-ahead log before applying it).
-func (t *Tree) Contains(id int64, p vec.Vector) bool {
-	var walk func(nid pager.PageID) bool
-	walk = func(nid pager.PageID) bool {
-		n := t.ReadNode(nid)
-		if n.Leaf {
-			for _, e := range n.Entries {
-				if e.RecID == id && vec.Equal(e.Point(), p, 0) {
-					return true
-				}
-			}
-			return false
-		}
-		for _, e := range n.Entries {
-			if e.Rect.Contains(p) && walk(e.Child) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(t.root)
-}
-
 // Delete removes the record with the given id located at point p. It
 // returns false if no such record exists. Underfull nodes along the path
 // are dissolved and their entries reinserted (condense-tree).
 func (t *Tree) Delete(id int64, p vec.Vector) bool {
-	type step struct {
-		node *Node
-		slot int
-	}
-	var leafPath []step
-	var found *Node
-	var foundPath []step
+	ok, _ := t.DeleteWith(id, p, nil)
+	return ok
+}
 
-	var walk func(nid pager.PageID, level int, path []step) bool
-	walk = func(nid pager.PageID, level int, path []step) bool {
+// DeleteWith is Delete with a step between finding the record and removing
+// it: once the walk has found the record, step (when non-nil) runs before
+// any page is written. A failed step ends the delete with the tree as it
+// was, and its error is returned; a miss never runs it. It lets a caller
+// log a delete before applying it on the same walk that decides whether
+// there is anything to log.
+func (t *Tree) DeleteWith(id int64, p vec.Vector, step func() error) (bool, error) {
+	var found *Node
+	var leafPath []pathStep
+
+	var walk func(nid pager.PageID, path []pathStep) bool
+	walk = func(nid pager.PageID, path []pathStep) bool {
 		n := t.ReadNode(nid)
 		if n.Leaf {
 			for i, e := range n.Entries {
 				if e.RecID == id && vec.Equal(e.Point(), p, 0) {
 					n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 					found = n
-					foundPath = append([]step(nil), path...)
+					leafPath = append([]pathStep(nil), path...)
 					return true
 				}
 			}
 			return false
 		}
 		for i, e := range n.Entries {
-			if e.Rect.Contains(p) {
-				if walk(e.Child, level-1, append(path, step{n, i})) {
-					return true
-				}
+			if e.Rect.Contains(p) && walk(e.Child, append(path, pathStep{n, i})) {
+				return true
 			}
 		}
 		return false
 	}
-	if !walk(t.root, t.height-1, nil) {
-		return false
+	if !walk(t.root, nil) {
+		return false, nil
+	}
+	if step != nil {
+		if err := step(); err != nil {
+			return false, err
+		}
 	}
 	t.size--
-	leafPath = foundPath
 
 	// Condense: dissolve underfull nodes bottom-up, collect orphans.
 	type orphan struct {
@@ -412,13 +421,9 @@ func (t *Tree) Delete(id int64, p vec.Vector) bool {
 	}
 
 	// Reinsert orphans at their original levels.
-	ctx := &insertCtx{reinserted: map[int]bool{}}
+	var ctx insertCtx
 	for _, o := range orphans {
-		if o.level == 0 {
-			t.insertAtLevel(o.e, 0, ctx)
-		} else {
-			t.insertAtLevel(o.e, o.level, ctx)
-		}
+		t.insertAtLevel(o.e, o.level, &ctx)
 	}
-	return true
+	return true, nil
 }

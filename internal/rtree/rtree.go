@@ -169,6 +169,11 @@ type Tree struct {
 	// (see cow.go). Nil outside BeginCOW/CommitCOW: mutations then write
 	// pages in place exactly as the original tree did.
 	cow *cowState
+
+	// Writer scratch: chooseSubtree's enlarged box and writeNode's page
+	// buffer (the store copies what it is given).
+	enlarged Rect
+	wbuf     []byte
 }
 
 const nodeHeader = 4 // leaf flag (1) + entry count (2) + pad (1)
@@ -278,7 +283,10 @@ func (t *Tree) writeNode(n *Node) {
 			t.cow.freed = append(t.cow.freed, old)
 		}
 	}
-	buf := make([]byte, 0, pager.PageSize)
+	buf := t.wbuf[:0]
+	if buf == nil {
+		buf = make([]byte, 0, pager.PageSize)
+	}
 	var flag byte
 	if n.Leaf {
 		flag = 1
@@ -307,41 +315,47 @@ func (t *Tree) writeNode(n *Node) {
 		}
 	}
 	t.store.Write(n.ID, buf)
+	t.wbuf = buf
 }
 
+// decode parses a page into a Node whose coordinates all live in one
+// []float64 slab: each entry's Lo and Hi are capped sub-slices of it (a leaf
+// entry's Lo is its Hi), so an append can never spill into a neighbour.
+// Nothing writes into decoded coordinates — the R* algorithms replace an
+// entry's Rect rather than edit it, and ExpandInPlace only grows the fresh
+// EmptyRect of MBB — and that must stay so, or entries would corrupt each
+// other.
 func (t *Tree) decode(id pager.PageID, buf []byte) *Node {
 	n := &Node{ID: id, Leaf: buf[0] == 1}
 	count := int(binary.LittleEndian.Uint16(buf[1:3]))
+	d := t.dim
 	off := nodeHeader
-	n.Entries = make([]Entry, count)
+	n.Entries = make([]Entry, count, count+1) // room for the entry an insert adds
 	if n.Leaf {
-		for i := 0; i < count; i++ {
-			recID := int64(binary.LittleEndian.Uint64(buf[off:]))
+		slab := make([]float64, count*d)
+		for i := range n.Entries {
+			p := slab[i*d : (i+1)*d : (i+1)*d]
+			n.Entries[i] = Entry{Rect: PointRect(p), RecID: int64(binary.LittleEndian.Uint64(buf[off:]))}
 			off += 8
-			n.Entries[i] = Entry{Rect: PointRect(make(vec.Vector, t.dim)), RecID: recID}
 		}
-		for j := 0; j < t.dim; j++ {
+		for j := 0; j < d; j++ {
 			for i := 0; i < count; i++ {
-				n.Entries[i].Rect.Lo[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+				slab[i*d+j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 				off += 8
 			}
 		}
 		return n
 	}
-	for i := 0; i < count; i++ {
+	slab := make([]float64, 2*count*d)
+	for i := range n.Entries {
 		child := pager.PageID(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		lo := make(vec.Vector, t.dim)
-		hi := make(vec.Vector, t.dim)
-		for j := 0; j < t.dim; j++ {
-			lo[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+		box := slab[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
+		for k := range box {
+			box[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
-		for j := 0; j < t.dim; j++ {
-			hi[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		n.Entries[i] = Entry{Rect: Rect{Lo: lo, Hi: hi}, Child: child}
+		n.Entries[i] = Entry{Rect: Rect{Lo: box[:d:d], Hi: box[d:]}, Child: child}
 	}
 	return n
 }
@@ -404,13 +418,14 @@ func (t *Tree) ReadBlock(id pager.PageID, blk *NodeBlock) *NodeBlock {
 			blk.RecIDs[i] = int64(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
-		for j := 0; j < d; j++ {
-			col := blk.colbuf[j*count : (j+1)*count]
-			for i := 0; i < count; i++ {
-				col[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			blk.Cols[j] = col
+		// The d columns lie back to back on the page: decode them as one
+		// run of count·d words, then cut it into columns.
+		words := blk.colbuf[:count*d]
+		for k := range words {
+			words[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8*k:]))
+		}
+		for j := range blk.Cols {
+			blk.Cols[j] = words[j*count : (j+1)*count]
 		}
 		return blk
 	}

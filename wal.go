@@ -177,7 +177,7 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	if len(m.Point) != ds.tree.Dim() {
 		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.Point), ds.tree.Dim())
 	}
-	if !ds.applyLocked(m) {
+	if ok, _ := ds.applyLocked(m, nil); !ok {
 		// The record passed its CRC, so this is real log/snapshot
 		// disagreement, not a torn write.
 		return fmt.Errorf("gir: WAL replays a delete of record %d the index does not hold", m.ID)
