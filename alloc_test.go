@@ -77,8 +77,14 @@ func TestWarmCacheHitZeroAllocs(t *testing.T) {
 
 // TestColdBRSAllocBudget bounds the cold query: with the pooled scratch
 // doing the candidate flow, a full BRS should allocate only the owned
-// result (points slab, rects slab, three slice headers' backing arrays and
-// the Result itself) — a small constant, not O(nodes visited).
+// result (points slab, rects slab, the backing arrays of Records, T and
+// the resumable heap, the heap's header and the Result itself): 7 objects,
+// a small constant, not O(nodes visited).
+//
+// coldBRSAllocBudget is its budget; alloc_race_test.go raises it as it
+// does fillAllocBudget.
+var coldBRSAllocBudget = 12.0
+
 func TestColdBRSAllocBudget(t *testing.T) {
 	pts, err := datagen.Generate(datagen.IND, 20000, 4, 1)
 	if err != nil {
@@ -86,13 +92,13 @@ func TestColdBRSAllocBudget(t *testing.T) {
 	}
 	tree := rtree.BulkLoad(pager.NewMemStore(), 4, pts, nil)
 	q := datagen.Query(4, 7)
-	const budget = 32
 	allocs := testing.AllocsPerRun(50, func() {
 		topk.BRS(tree, score.Linear{}, q, 20)
 	})
-	if allocs > budget {
-		t.Fatalf("cold BRS allocated %.1f allocs/op, budget %d", allocs, budget)
+	if allocs > coldBRSAllocBudget {
+		t.Fatalf("cold BRS allocated %.1f allocs/op, budget %.0f", allocs, coldBRSAllocBudget)
 	}
+	t.Logf("a cold BRS allocates %.1f objects (budget %.0f)", allocs, coldBRSAllocBudget)
 }
 
 // TestFillAllocBudget bounds one cache fill — an Engine.TopK miss: BRS,

@@ -126,13 +126,29 @@ func newEntry(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vecto
 // coneContains reports whether q lies on the nonnegative side of every cone
 // normal. The dot product accumulates in vec.Dot's order, so the verdict is
 // Region.Contains's bit for bit; the caller has checked dim and domain.
+//
+// Rows are tested two at a time, as two independent sums: one sum at a
+// time, the loop waits on its add chain, and its speed depended on where
+// the linker placed it (see vec.DotColumns).
 func (e *Entry) coneContains(q vec.Vector) bool {
 	d := e.dim
 	q = q[:d]
-	for row := e.normals; len(row) > 0; row = row[d:] {
+	row := e.normals
+	for ; len(row) >= 2*d; row = row[2*d:] {
+		a, b := row[:d], row[d:2*d]
+		var s, t float64
+		for i, x := range q {
+			s += a[i] * x
+			t += b[i] * x
+		}
+		if s < 0 || t < 0 {
+			return false
+		}
+	}
+	if len(row) > 0 {
 		var s float64
-		for i, x := range row[:d] {
-			s += x * q[i]
+		for i, x := range q {
+			s += row[i] * x
 		}
 		if s < 0 {
 			return false

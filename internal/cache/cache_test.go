@@ -160,3 +160,38 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestConeContainsMatchesRegion: the probe's cone test, two rows at a
+// time, gives Region.Contains's verdict for every vector inside the
+// domain — with odd and even constraint counts, and rows whose dot with
+// the vector is exactly zero (kept) or the smallest negative (refused).
+func TestConeContainsMatchesRegion(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		d := 2 + r.Intn(5)
+		q := make(vec.Vector, d)
+		for j := range q {
+			q[j] = r.Float64()
+		}
+		reg := &gir.Region{Dim: d, Query: q}
+		for c := r.Intn(10); c > 0; c-- {
+			n := make(vec.Vector, d)
+			switch r.Intn(4) {
+			case 0: // orthogonal to q: the dot is exactly zero
+				n[0], n[1] = q[1], -q[0]
+			case 1: // a hair below zero
+				n[0], n[1] = q[1], -q[0]
+				n[d-1] -= 1e-300
+			default:
+				for j := range n {
+					n[j] = 0.2*r.Float64() - 0.02
+				}
+			}
+			reg.Constraints = append(reg.Constraints, gir.Constraint{Normal: n})
+		}
+		e := newEntry(reg, nil, nil, nil)
+		if got, want := e.coneContains(q), reg.Contains(q, 0); got != want {
+			t.Fatalf("trial %d (d=%d, %d constraints): coneContains %v, Region.Contains %v", trial, d, len(reg.Constraints), got, want)
+		}
+	}
+}

@@ -188,6 +188,7 @@ type scratch struct {
 	blk     rtree.NodeBlock
 	seeds   []vec.Vector
 	seedIDs []int64
+	virtual []float64 // the virtual seeds' coordinates
 	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
 }
 

@@ -142,8 +142,7 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 	for {
 		var err error
 		for i, a := range anchors {
-			vpts, vids := hull.VirtualSeeds(a.Point)
-			sc.seeds, sc.seedIDs = append(sc.seeds[:0], vpts...), append(sc.seedIDs[:0], vids...)
+			sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
 			for _, rec := range res.T {
 				sc.seeds = append(sc.seeds, rec.Point)
 				sc.seedIDs = append(sc.seedIDs, rec.ID)

@@ -60,9 +60,9 @@ func (sc *scratch) fp2dPhase(tree *rtree.Tree, res *topk.Result, st *Stats) {
 			acw = candidate{rec, a, true}
 		}
 	}
-	vpts, vids := hull.VirtualSeeds(pk.Point)
-	for i, p := range vpts {
-		consider(topk.Record{ID: vids[i], Point: p}, true)
+	sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, pk.Point)
+	for i, p := range sc.seeds {
+		consider(topk.Record{ID: sc.seedIDs[i], Point: p}, true)
 	}
 	for _, rec := range res.T {
 		consider(rec, false)

@@ -52,7 +52,11 @@ func (f *Facet) Above(p vec.Vector) bool { return vec.Dot(f.Normal, p) > f.Offse
 func (f *Facet) Slack(p vec.Vector) float64 { return vec.Dot(f.Normal, p) - f.Offset }
 
 // maxOverBox returns max_{x ∈ [lo,hi]} n·x, the "beneath-and-beyond" bound
-// used to prune R-tree MBBs against facet planes.
+// used to prune R-tree MBBs against facet planes. It accumulates the terms
+// as Dot and vec.DotColumns do, from 0 in ascending coordinate order; since
+// a product with a fixed n_i and a sum are monotone under IEEE rounding,
+// the bound is ≥ the computed dot of every point in the box, not only of
+// the exact one.
 func maxOverBox(n, lo, hi vec.Vector) float64 {
 	var s float64
 	for i, ni := range n {
@@ -68,16 +72,22 @@ func maxOverBox(n, lo, hi vec.Vector) float64 {
 // simplexScratch holds initialSimplex's working buffers so a reused Star
 // selects its simplex without allocating; the zero value is ready.
 type simplexScratch struct {
-	chosen  []int
-	used    []bool
-	basis   []float64 // orthonormal rows spanning the chosen points' affine hull
-	r, best []float64 // the residual being tested and the round's largest
+	chosen []int
+	used   []bool
+	basis  []float64 // orthonormal rows spanning the chosen points' affine hull
+	res    []float64 // point i's residual against the basis is res[i*d:(i+1)*d]
 }
 
 // initialSimplex greedily selects d+1 affinely independent point indices,
 // optionally forcing the inclusion of index `force` (pass -1 to disable).
 // It returns ErrDegenerate if the points span a lower-dimensional flat.
 // The result and sc.used (which marks it) alias sc until its next use.
+//
+// Every point keeps its residual across rounds, and a round projects out
+// only the basis row the last one added: the same operations, in the same
+// order, as recomputing p − origin and projecting out every row each
+// round, so the choice and the basis bits are that loop's, at O(|pts|·d²)
+// rather than O(|pts|·d³).
 func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]int, error) {
 	if len(pts) < d+1 {
 		return nil, ErrDegenerate
@@ -110,24 +120,24 @@ func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]i
 	// affine hull of the points chosen so far.
 	origin := pts[chosen[0]]
 	basis := sc.basis[:0]
-	sc.r, sc.best = vec.Grown(sc.r, d), vec.Grown(sc.best, d)
-	r, bestRes := sc.r, sc.best
+	sc.res = vec.Grown(sc.res, len(pts)*d)
 	for len(chosen) < d+1 {
 		best, bestNorm := -1, 0.0
 		for i, p := range pts {
 			if used[i] {
 				continue
 			}
-			for j := range r {
-				r[j] = p[j] - origin[j]
-			}
-			for b := 0; b < len(basis); b += d {
-				row := basis[b : b+d]
+			r := vec.Vector(sc.res[i*d : i*d+d])
+			if len(basis) == 0 {
+				for j := range r {
+					r[j] = p[j] - origin[j]
+				}
+			} else {
+				row := vec.Vector(basis[len(basis)-d:])
 				vec.AXPY(-vec.Dot(r, row), row, r)
 			}
 			if n := vec.Norm(r); n > bestNorm {
 				best, bestNorm = i, n
-				r, bestRes = bestRes, r
 			}
 		}
 		if best < 0 || bestNorm < Tol {
@@ -137,7 +147,7 @@ func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]i
 		chosen = append(chosen, best)
 		used[best] = true
 		inv := 1 / bestNorm
-		for _, x := range bestRes {
+		for _, x := range sc.res[best*d : best*d+d] {
 			basis = append(basis, inv*x)
 		}
 	}
@@ -548,6 +558,7 @@ type Star struct {
 	ridges  []int32      // add: candidate horizon ridges, Dim values each
 	order   []int        // add: ridge indices sorted by vertex tuple
 	point   vec.Vector   // AddBlock: the record gathered from its columns
+	lo, hi  vec.Vector   // AddBlock: the block's coordinate box
 	dots    []float64    // screen: one facet's products with the block
 	mask    []bool       // AddBlock: records above some facet; Critical: points in use
 	view    [][]float64  // screen: the block's columns from some record on
@@ -796,8 +807,16 @@ func (s *Star) add(p vec.Vector, id int64) int {
 // against the facets it created. A point the screen passes is above a
 // facet of some earlier star, not necessarily the current one; Add
 // decides, so the screen can only skip points Add would discard.
+//
+// The screen skips every facet the block's coordinate box lies below
+// (MBBAboveAny's test); maxOverBox says why no such facet sets a bit.
 func (s *Star) AddBlock(cols [][]float64, ids []int64) bool {
-	s.mask = vec.Grown(s.mask, len(ids))
+	n := len(ids)
+	if n == 0 {
+		return false
+	}
+	s.box(cols, n)
+	s.mask = vec.Grown(s.mask, n)
 	mask := s.mask
 	clear(mask)
 	s.screen(cols, mask, 0, 0)
@@ -817,8 +836,26 @@ func (s *Star) AddBlock(cols [][]float64, ids []int64) bool {
 	return changed
 }
 
+// box sets [s.lo, s.hi] to the coordinate box of the block's first n ≥ 1
+// points.
+func (s *Star) box(cols [][]float64, n int) {
+	s.lo, s.hi = vec.Grown(s.lo, s.Dim), vec.Grown(s.hi, s.Dim)
+	for j, col := range cols {
+		lo, hi := col[0], col[0]
+		for _, x := range col[1:n] {
+			if x < lo {
+				lo = x
+			} else if x > hi {
+				hi = x
+			}
+		}
+		s.lo[j], s.hi[j] = lo, hi
+	}
+}
+
 // screen sets mask[i] for every point i ≥ from of the block that lies
-// strictly above one of the facets from first on.
+// strictly above one of the facets from first on, skipping the facets the
+// block's box [s.lo, s.hi] lies below.
 func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
 	n, d := len(mask)-from, s.Dim
 	if n <= 0 {
@@ -830,8 +867,11 @@ func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
 	}
 	mask = mask[from:]
 	for f := first; f < len(s.offsets); f++ {
-		vec.DotColumns(s.dots, s.normals[f*d:f*d+d], s.view)
-		limit := s.offsets[f] + Tol
+		normal, limit := s.normals[f*d:f*d+d], s.offsets[f]+Tol
+		if maxOverBox(normal, s.lo, s.hi) <= limit {
+			continue
+		}
+		vec.DotColumns(s.dots, normal, s.view)
 		for i, dot := range s.dots {
 			if dot > limit {
 				mask[i] = true
@@ -917,19 +957,21 @@ func (s *Star) Facets() []Facet {
 	return out
 }
 
-// VirtualSeeds returns the paper's axis-projection points for an apex:
-// for each dimension i with apex[i] > 0, the point apex[i]·e_i, with
-// negative ids −1−i. They seed the star when few real points are known
-// (Section 6.2 and footnote 6) and are excluded from Critical().
-func VirtualSeeds(apex vec.Vector) (pts []vec.Vector, ids []int64) {
+// VirtualSeeds appends to pts and ids the paper's axis-projection points
+// for an apex: for each dimension i with apex[i] > 0, the point
+// apex[i]·e_i, with negative ids −1−i. They seed the star when few real
+// points are known (Section 6.2 and footnote 6) and are excluded from
+// Critical(). The points are written into *slab, grown as needed, so a
+// caller that reuses its buffers allocates nothing.
+func VirtualSeeds(pts []vec.Vector, ids []int64, slab *[]float64, apex vec.Vector) ([]vec.Vector, []int64) {
 	d := len(apex)
-	slab := make([]float64, d*d)
-	pts, ids = make([]vec.Vector, 0, d), make([]int64, 0, d)
+	*slab = vec.Grown(*slab, d*d)
 	for i, x := range apex {
 		if x <= Tol {
 			continue
 		}
-		v := vec.Vector(slab[i*d : (i+1)*d : (i+1)*d])
+		v := vec.Vector((*slab)[i*d : (i+1)*d : (i+1)*d])
+		clear(v)
 		v[i] = x
 		pts = append(pts, v)
 		ids = append(ids, int64(-1-i))

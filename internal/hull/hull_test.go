@@ -1,6 +1,7 @@
 package hull
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -293,7 +294,7 @@ func TestStar2DHasTwoFacets(t *testing.T) {
 
 func TestStarCriticalExcludesVirtual(t *testing.T) {
 	apex := vec.Vector{0.8, 0.9}
-	vpts, vids := VirtualSeeds(apex)
+	vpts, vids := virtualSeeds(apex)
 	if len(vpts) != 2 {
 		t.Fatalf("VirtualSeeds returned %d points", len(vpts))
 	}
@@ -322,7 +323,7 @@ func TestStarCriticalExcludesVirtual(t *testing.T) {
 
 func TestStarDiscardsDominated(t *testing.T) {
 	apex := vec.Vector{0.9, 0.9, 0.9}
-	vpts, vids := VirtualSeeds(apex)
+	vpts, vids := virtualSeeds(apex)
 	star, err := NewStar(apex, vpts, vids)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +345,7 @@ func TestStarDiscardsDominated(t *testing.T) {
 
 func TestMBBAboveAny(t *testing.T) {
 	apex := vec.Vector{0.9, 0.9}
-	vpts, vids := VirtualSeeds(apex)
+	vpts, vids := virtualSeeds(apex)
 	star, err := NewStar(apex, vpts, vids)
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +499,7 @@ func TestStarBlockFeedMatchesPointFeed(t *testing.T) {
 		}
 		// Points on the planes of the star half the stream builds, nudged
 		// by less than Tol: the second half meets them.
-		vpts, vids := VirtualSeeds(apex)
+		vpts, vids := virtualSeeds(apex)
 		half, err := NewStar(apex, append(vpts, pts[:len(pts)/2]...), append(vids, ids[:len(ids)/2]...))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -520,28 +521,292 @@ func TestStarBlockFeedMatchesPointFeed(t *testing.T) {
 			ids = append(ids, int64(len(ids)))
 		}
 
-		one, err := NewStar(apex, vpts, vids)
+		// Blocks cut from the shuffled stream, and blocks cut from it sorted
+		// on one axis, so that each is narrow along it as a leaf is: shuffled
+		// blocks have boxes too wide for the screen's box skip to fire. (At
+		// d = 6 the sorted stream passes through stars of thousands of
+		// facets, a minute of test time; TestScreenMaskMatchesDefinition
+		// covers narrow blocks there.)
+		for _, sorted := range []bool{false, true} {
+			if sorted && d == 6 {
+				continue
+			}
+			order := make([]int, len(pts))
+			for i := range order {
+				order[i] = i
+			}
+			if sorted {
+				axis := int(seed) % d
+				slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pts[a][axis], pts[b][axis]) })
+			}
+			var cuts [][]int
+			for at := 0; at < len(order); {
+				n := min(1+r.Intn(96), len(order)-at)
+				cuts = append(cuts, order[at:at+n])
+				at += n
+			}
+			if sorted {
+				// A leaf's records in no order, the leaves in FP's order:
+				// best maxscore first, for the query (1, …, 1) the apex wins.
+				ones := make(vec.Vector, d)
+				for j := range ones {
+					ones[j] = 1
+				}
+				maxScore := func(cut []int) (m float64) {
+					for _, o := range cut {
+						m = max(m, vec.Dot(pts[o], ones))
+					}
+					return m
+				}
+				for _, cut := range cuts {
+					r.Shuffle(len(cut), func(i, j int) { cut[i], cut[j] = cut[j], cut[i] })
+				}
+				slices.SortStableFunc(cuts, func(a, b []int) int { return cmp.Compare(maxScore(b), maxScore(a)) })
+			}
+			one, err := NewStar(apex, vpts, vids)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			blocked, _ := NewStar(apex, vpts, vids)
+			for _, cut := range cuts {
+				blk, blkIDs := make([]vec.Vector, len(cut)), make([]int64, len(cut))
+				for i, o := range cut {
+					blk[i], blkIDs[i] = pts[o], ids[o]
+					one.Add(pts[o], ids[o])
+				}
+				blocked.AddBlock(columns(blk, d), blkIDs)
+			}
+			if diff := sameStar(r, one, blocked); diff != "" {
+				t.Fatalf("seed %d (d=%d, %d points, sorted %v): %s", seed, d, len(pts), sorted, diff)
+			}
+		}
+	}
+}
+
+// columns transposes d-dimensional points into a column-major block.
+func columns(pts []vec.Vector, d int) [][]float64 {
+	cols := make([][]float64, d)
+	for j := range cols {
+		cols[j] = make([]float64, len(pts))
+		for i, p := range pts {
+			cols[j][i] = p[j]
+		}
+	}
+	return cols
+}
+
+// TestScreenMaskMatchesDefinition: the screen, skipping every facet the
+// block's box lies below, sets exactly the definition's bits — point
+// i ≥ from is masked iff some facet f ≥ first has Dot(n_f, p_i) >
+// off_f + Tol. The blocks are built so that the skip fires, and at its
+// edge: cuts of points sorted on one axis, tight clusters, box corners
+// within ±2·Tol of a facet plane (the corner a record or not), zero-width
+// boxes, duplicates and one-record blocks; every block is also
+// re-screened from a later record against the later facets, with the
+// whole block's box, as AddBlock does after an Add that changed the star.
+func TestScreenMaskMatchesDefinition(t *testing.T) {
+	screens, skipped, edges, edgeSkips := 0, 0, 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := 2 + int(seed%5) // 2..6
+		apex, pts := apexAndPoints(r, 60+r.Intn(200), d)
+		vpts, vids := virtualSeeds(apex)
+		ids := make([]int64, 30)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		star, err := NewStar(apex, append(vpts, pts[:30]...), append(vids, ids...))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		blocked, _ := NewStar(apex, vpts, vids)
-		for i, p := range pts {
-			one.Add(p, ids[i])
+		if star.AddBlock(make([][]float64, d), nil) {
+			t.Fatalf("seed %d: an empty block changed the star", seed)
 		}
-		for at := 0; at < len(pts); {
-			n := min(1+r.Intn(96), len(pts)-at)
-			cols := make([][]float64, d)
-			for j := range cols {
-				cols[j] = make([]float64, n)
-				for i := range cols[j] {
-					cols[j][i] = pts[at+i][j]
+
+		var blocks [][]vec.Vector
+		target := map[int]int{} // block → the facet its box corner is near
+		sorted, axis := slices.Clone(pts), r.Intn(d)
+		slices.SortFunc(sorted, func(a, b vec.Vector) int { return cmp.Compare(a[axis], b[axis]) })
+		for at := 0; at < len(sorted); at += 16 {
+			blocks = append(blocks, sorted[at:min(at+16, len(sorted))])
+		}
+		for c := 0; c < 10; c++ {
+			center := pts[r.Intn(len(pts))]
+			cluster := make([]vec.Vector, 1+r.Intn(20))
+			for i := range cluster {
+				cluster[i] = center.Clone()
+				for j := range center {
+					cluster[i][j] += 1e-3 * r.NormFloat64()
 				}
 			}
-			blocked.AddBlock(cols, ids[at:at+n])
-			at += n
+			blocks = append(blocks, cluster, []vec.Vector{center}, []vec.Vector{center, center.Clone(), center})
 		}
-		if diff := sameStar(r, one, blocked); diff != "" {
-			t.Fatalf("seed %d (d=%d, %d points): %s", seed, d, len(pts), diff)
+		for f := 0; f < star.NumFacets(); f++ {
+			normal := vec.Vector(star.normals[f*d : f*d+d])
+			corner := make(vec.Vector, d)
+			for _, v := range star.verts[f*d : f*d+d] {
+				if v == apexID {
+					vec.AXPY(1/float64(d), star.apex, corner)
+				} else {
+					vec.AXPY(1/float64(d), star.pts[int(v)*d:int(v)*d+d], corner)
+				}
+			}
+			vec.AXPY((r.Float64()*4-2)*Tol, normal, corner)
+			// Records below the corner in every coordinate the normal
+			// rewards, so maxOverBox for f is attained at the corner.
+			blk := make([]vec.Vector, 1+r.Intn(12))
+			for i := range blk {
+				blk[i] = corner.Clone()
+				for j, nj := range normal {
+					if nj > 0 {
+						blk[i][j] -= 0.01 * r.Float64()
+					} else {
+						blk[i][j] += 0.01 * r.Float64()
+					}
+				}
+			}
+			// The corner itself in some blocks, so a record sits on it.
+			if r.Intn(2) == 0 {
+				blk[0] = corner
+			}
+			blocks = append(blocks, blk)
+			target[len(blocks)-1] = f
+		}
+
+		for b, blk := range blocks {
+			cols := columns(blk, d)
+			star.box(cols, len(blk))
+			for f := 0; f < star.NumFacets(); f++ {
+				skip := maxOverBox(star.normals[f*d:f*d+d], star.lo, star.hi) <= star.offsets[f]+Tol
+				screens++
+				if skip {
+					skipped++
+				}
+				if tf, ok := target[b]; ok && tf == f {
+					edges++
+					if skip {
+						edgeSkips++
+					}
+				}
+			}
+			from, first := 0, 0
+			for pass := 0; pass < 2; pass++ {
+				mask := make([]bool, len(blk))
+				star.screen(cols, mask, from, first)
+				for i, p := range blk {
+					want := false
+					for f := first; i >= from && f < star.NumFacets(); f++ {
+						want = want || vec.Dot(star.normals[f*d:f*d+d], p) > star.offsets[f]+Tol
+					}
+					if mask[i] != want {
+						t.Fatalf("seed %d, block %d (%d records), from %d, first %d: record %d masked %v, want %v", seed, b, len(blk), from, first, i, mask[i], want)
+					}
+				}
+				from, first = 1+r.Intn(len(blk)), r.Intn(star.NumFacets())
+			}
+		}
+	}
+	if skipped == 0 || skipped == screens || edgeSkips == 0 || edgeSkips == edges {
+		t.Fatalf("the box skip fired on %d of %d (facet, block) screens and %d of %d at a plane: the blocks do not test it", skipped, screens, edgeSkips, edges)
+	}
+	t.Logf("the box skip fired on %d of %d (facet, block) screens, and on %d of %d whose box corner is within 2·Tol of the facet's plane", skipped, screens, edgeSkips, edges)
+}
+
+// initialSimplexReference is the loop initialSimplex replaced, kept as its
+// oracle: every round recomputes p − origin and projects out every basis
+// row. It returns the chosen indices and the basis.
+func initialSimplexReference(pts []vec.Vector, d int, force int) ([]int, []float64, error) {
+	if len(pts) < d+1 {
+		return nil, nil, ErrDegenerate
+	}
+	var chosen []int
+	used := make([]bool, len(pts))
+	if force >= 0 {
+		chosen = append(chosen, force)
+		used[force] = true
+	} else {
+		lo, hi := 0, 0
+		for i, p := range pts {
+			if p[0] < pts[lo][0] {
+				lo = i
+			}
+			if p[0] > pts[hi][0] {
+				hi = i
+			}
+		}
+		if lo == hi {
+			hi = (lo + 1) % len(pts)
+		}
+		chosen = append(chosen, lo)
+		used[lo] = true
+	}
+	origin := pts[chosen[0]]
+	var basis []float64
+	r, bestRes := make(vec.Vector, d), make(vec.Vector, d)
+	for len(chosen) < d+1 {
+		best, bestNorm := -1, 0.0
+		for i, p := range pts {
+			if used[i] {
+				continue
+			}
+			for j := range r {
+				r[j] = p[j] - origin[j]
+			}
+			for b := 0; b < len(basis); b += d {
+				row := basis[b : b+d]
+				vec.AXPY(-vec.Dot(r, row), row, r)
+			}
+			if n := vec.Norm(r); n > bestNorm {
+				best, bestNorm = i, n
+				r, bestRes = bestRes, r
+			}
+		}
+		if best < 0 || bestNorm < Tol {
+			return nil, basis, ErrDegenerate
+		}
+		chosen = append(chosen, best)
+		used[best] = true
+		inv := 1 / bestNorm
+		for _, x := range bestRes {
+			basis = append(basis, inv*x)
+		}
+	}
+	return chosen, basis, nil
+}
+
+// TestInitialSimplexMatchesReference: keeping each point's residual and
+// projecting out only the newest basis row chooses the reference loop's
+// indices and builds its basis bit for bit — on random sets, on sets
+// within Tol of a hyperplane (where the last round's residuals straddle
+// the degeneracy threshold), on too-small and duplicated sets, with the
+// apex forced (Reset) and without (Build), through one reused scratch.
+func TestInitialSimplexMatchesReference(t *testing.T) {
+	var sc simplexScratch
+	for trial := 0; trial < 600; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		d := 2 + r.Intn(5) // 2..6
+		pts := randPoints(r, 1+r.Intn(80), d)
+		switch trial % 4 {
+		case 1: // within Tol of a hyperplane
+			for _, p := range pts {
+				p[d-1] = 0.3 + 0.2*p[0] - 0.1*p[d-2] + (r.Float64()*2-1)*Tol
+			}
+		case 2: // duplicates
+			for i := range pts {
+				pts[i] = pts[r.Intn(i+1)]
+			}
+		}
+		force := -1
+		if r.Intn(2) == 0 {
+			force = r.Intn(len(pts))
+		}
+		want, wantBasis, wantErr := initialSimplexReference(pts, d, force)
+		got, err := initialSimplex(pts, d, force, &sc)
+		if err != wantErr || !slices.Equal(got, want) {
+			t.Fatalf("trial %d (d=%d, %d points, force %d): chose %v (%v), want %v (%v)", trial, d, len(pts), force, got, err, want, wantErr)
+		}
+		if len(pts) >= d+1 && !slices.EqualFunc(sc.basis, wantBasis, sameBits) {
+			t.Fatalf("trial %d (d=%d, %d points, force %d): basis bits differ", trial, d, len(pts), force)
 		}
 	}
 }
@@ -551,7 +816,7 @@ func TestStarBlockFeedMatchesPointFeed(t *testing.T) {
 // point is not kept, and the star goes on exactly as one that never saw it.
 func TestStarRejectedAddLeavesNoTrace(t *testing.T) {
 	apex := vec.Vector{0.9, 0.9}
-	vpts, vids := VirtualSeeds(apex)
+	vpts, vids := virtualSeeds(apex)
 	seen, _ := NewStar(apex, vpts, vids)
 	clean, _ := NewStar(apex, vpts, vids)
 	if seen.Add(vec.Vector{0.95, 0.95}, 7) { // above both edges of the 2-d star
@@ -570,13 +835,27 @@ func TestStarRejectedAddLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// virtualSeeds is VirtualSeeds into fresh buffers.
+func virtualSeeds(apex vec.Vector) ([]vec.Vector, []int64) {
+	var slab []float64
+	return VirtualSeeds(nil, nil, &slab, apex)
+}
+
 func TestVirtualSeedsSkipZero(t *testing.T) {
-	pts, ids := VirtualSeeds(vec.Vector{0.5, 0, 0.25})
+	pts, ids := virtualSeeds(vec.Vector{0.5, 0, 0.25})
 	if len(pts) != 2 {
 		t.Fatalf("got %d seeds, want 2 (zero coordinate skipped)", len(pts))
 	}
 	if ids[0] != -1 || ids[1] != -3 {
 		t.Errorf("ids = %v", ids)
+	}
+	// Reused buffers: the seeds follow what the slices held, and a slab
+	// holding an earlier apex's seeds is overwritten whole.
+	slab := []float64{7, 7, 7, 7, 7, 7, 7, 7, 7}
+	pts, ids = VirtualSeeds([]vec.Vector{{1, 2, 3}}, []int64{4}, &slab, vec.Vector{0.5, 0, 0.25})
+	want := []vec.Vector{{1, 2, 3}, {0.5, 0, 0}, {0, 0, 0.25}}
+	if !slices.EqualFunc(pts, want, slices.Equal) || !slices.Equal(ids, []int64{4, -1, -3}) {
+		t.Errorf("appended seeds = %v %v, want %v [4 -1 -3]", pts, ids, want)
 	}
 }
 

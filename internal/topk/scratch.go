@@ -26,6 +26,7 @@ type GroupScratch struct {
 	heap   brsHeap
 	arena  []float64 // backing store for heap item points / rects
 	top    []brsItem // the popped top-k, in pop order
+	tkeys  []tKey    // materialize: T's records, sorted before they are copied out
 	point  []float64 // gather buffer for per-record scoring
 	scores []float64 // per-leaf bulk scoring buffer
 
@@ -46,6 +47,14 @@ type GroupScratch struct {
 
 	one   [1]vec.Vector // BRS's one-member query list, so a solo call allocates none
 	stats GroupStats
+}
+
+// tKey is one record of T as materialize sorts it: its score, id and arena
+// offset, with no pointer for the sort to move.
+type tKey struct {
+	score float64
+	id    int64
+	ref   int
 }
 
 var groupScratchPool = sync.Pool{New: func() interface{} { return new(GroupScratch) }}

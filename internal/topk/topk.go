@@ -18,7 +18,9 @@
 package topk
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/girlib/gir/internal/pager"
@@ -157,15 +159,22 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 // (sorted by score afterwards), node items form the resumable heap
 // (re-heapified with Init) — exactly the retention the per-item
 // allocating implementation performed, so results are byte-identical.
+//
+// T is sorted as pointer-free keys, then written once. slices.SortFunc
+// and sort.Slice are one pdqsort, so with less ≡ cmp < 0 over the same
+// sequence they make the same comparisons and swaps: ties keep the order
+// sort.Slice over the Records gave them.
 func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
-	nT, nH := 0, 0
+	keys, nH := gs.tkeys[:0], 0
 	for _, it := range gs.heap {
 		if it.node {
 			nH++
 		} else {
-			nT++
+			keys = append(keys, tKey{score: it.key, id: it.id, ref: it.ref})
 		}
 	}
+	gs.tkeys = keys
+	nT := len(keys)
 	pts := make([]float64, (1+k+nT)*d)
 	next := func() vec.Vector {
 		v := vec.Vector(pts[:d])
@@ -181,8 +190,15 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Re
 		copy(p, gs.arena[it.ref:it.ref+d])
 		res.Records[i] = Record{ID: it.id, Point: p, Score: it.key}
 	}
+	// T in decreasing score order (deterministic downstream behaviour).
+	slices.SortFunc(keys, func(a, b tKey) int { return cmp.Compare(b.score, a.score) })
 	if nT > 0 {
-		res.T = make([]Record, 0, nT)
+		res.T = make([]Record, nT)
+	}
+	for i, key := range keys {
+		p := next()
+		copy(p, gs.arena[key.ref:key.ref+d])
+		res.T[i] = Record{ID: key.id, Point: p, Score: key.score}
 	}
 	hp := make(NodeHeap, 0, nH)
 	rects := make([]float64, nH*2*d)
@@ -193,16 +209,10 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Re
 			copy(lo, gs.arena[it.ref:it.ref+d])
 			copy(hi, gs.arena[it.ref+d:it.ref+2*d])
 			hp = append(hp, NodeItem{Key: it.key, Child: it.child, Rect: rtree.Rect{Lo: lo, Hi: hi}})
-		} else {
-			p := next()
-			copy(p, gs.arena[it.ref:it.ref+d])
-			res.T = append(res.T, Record{ID: it.id, Point: p, Score: it.key})
 		}
 	}
 	hp.Init()
 	res.Heap = &hp
-	// T in decreasing score order (deterministic downstream behaviour).
-	sort.Slice(res.T, func(i, j int) bool { return res.T[i].Score > res.T[j].Score })
 	return res
 }
 

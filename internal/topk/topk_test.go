@@ -2,6 +2,8 @@ package topk
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +211,50 @@ func TestTSortedByScore(t *testing.T) {
 	for i := 1; i < len(res.T); i++ {
 		if res.T[i].Score > res.T[i-1].Score {
 			t.Fatal("T is not sorted by decreasing score")
+		}
+	}
+}
+
+// TestTOrderMatchesSortSlice: materialize sorts T as pointer-free keys
+// with slices.SortFunc, and the oracle is what it replaced — the Records
+// appended in heap order, then sort.Slice on decreasing score. Scores are
+// drawn from 1–50 distinct values, so ties are the common case and every
+// tie must keep the oracle's order: the id sequences are identical, from 0
+// records (where T stays nil) to 3 000, with node items between them.
+func TestTOrderMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	const d = 2
+	gs := new(GroupScratch)
+	sizes := []int{0, 1, 2, 12, 13, 50, 3000}
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(3001)
+		if trial < len(sizes) {
+			n = sizes[trial]
+		}
+		distinct := 1 + r.Intn(50)
+		gs.reset()
+		var want []Record
+		for i := 0; i < n; i++ {
+			if r.Intn(4) == 0 {
+				ref := gs.putRect([]float64{0, 0}, []float64{1, 1})
+				gs.heap = append(gs.heap, brsItem{key: r.Float64(), child: 7, node: true, ref: ref})
+			}
+			p := []float64{r.Float64(), r.Float64()}
+			ref := len(gs.arena)
+			gs.arena = append(gs.arena, p...)
+			s := float64(r.Intn(distinct))
+			gs.heap = append(gs.heap, brsItem{key: s, id: int64(i), ref: ref})
+			want = append(want, Record{ID: int64(i), Point: p, Score: s})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Score > want[j].Score })
+		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0)
+		if len(res.T) != len(want) || (n == 0) != (res.T == nil) {
+			t.Fatalf("trial %d: T has %d records (nil %v), want %d", trial, len(res.T), res.T == nil, len(want))
+		}
+		for i, rec := range res.T {
+			if rec.ID != want[i].ID || rec.Score != want[i].Score || !slices.Equal(rec.Point, want[i].Point) {
+				t.Fatalf("trial %d (%d records, %d scores): T[%d] = %d, want %d", trial, n, distinct, i, rec.ID, want[i].ID)
+			}
 		}
 	}
 }
