@@ -373,55 +373,6 @@ func BenchmarkAblationVolume(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFP2D compares the specialized two-dimensional FP
-// (angular sweep, Section 6.2) against the generic star maintenance.
-func BenchmarkAblationFP2D(b *testing.B) {
-	for _, generic := range []bool{false, true} {
-		name := "angular"
-		if generic {
-			name = "generic-star"
-		}
-		b.Run(name, func(b *testing.B) {
-			env := setupBench(b, datagen.IND, benchN, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := topk.BRS(env.tree, score.Linear{}, env.q, benchK)
-				opt := girint.Options{Method: girint.FP, Generic2DFP: generic}
-				if _, _, err := girint.Compute(env.tree, res, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPhase1Tighten measures the footnote-7 optimization:
-// tighter node pruning inside the Phase-1 cone at the price of one LP per
-// surviving heap entry.
-func BenchmarkAblationPhase1Tighten(b *testing.B) {
-	for _, tighten := range []bool{false, true} {
-		name := "plain"
-		if tighten {
-			name = "tightened"
-		}
-		b.Run(name, func(b *testing.B) {
-			env := setupBench(b, datagen.IND, benchN, 4)
-			b.ResetTimer()
-			var reads int64
-			for i := 0; i < b.N; i++ {
-				res := topk.BRS(env.tree, score.Linear{}, env.q, benchK)
-				before := env.store.Stats().Reads
-				opt := girint.Options{Method: girint.FP, Phase1Tighten: tighten}
-				if _, _, err := girint.Compute(env.tree, res, opt); err != nil {
-					b.Fatal(err)
-				}
-				reads += env.store.Stats().Reads - before
-			}
-			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
-		})
-	}
-}
-
 // BenchmarkAblationBulkVsInsert compares STR bulk loading with one-at-a-
 // time R* insertion for index construction.
 func BenchmarkAblationBulkVsInsert(b *testing.B) {

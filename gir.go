@@ -548,8 +548,12 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 // fsynced — before the tree sheds the record, so a failed append aborts
 // the delete with the dataset untouched and the record still served.
 // (The append runs once the tree's walk has found the record, so a miss
-// never logs a record replay would reject.)
+// never logs a record replay would reject.) A point of another dimension
+// is refused before anything is logged or applied.
 func (ds *Dataset) Delete(id int64, p []float64) (bool, error) {
+	if len(p) != ds.tree.Dim() {
+		return false, fmt.Errorf("gir: delete %d: point has dimension %d, want %d", id, len(p), ds.tree.Dim())
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	m := ds.nextMutationLocked(false, id, p)

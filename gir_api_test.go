@@ -133,7 +133,7 @@ func TestAllMethodsAgreeOnMembership(t *testing.T) {
 		}
 	})
 	for _, space := range []gir.Space{gir.SpaceBox, gir.SpaceSimplex} {
-		for d := 3; d <= 5; d++ {
+		for d := 2; d <= 5; d++ {
 			t.Run(fmt.Sprintf("engine/%v/d=%d", space, d), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(40 + d)))
 				engineFillMatchesSP(t, r, randomPoints(r, 20000, d), space, 8)
@@ -188,6 +188,9 @@ func engineFillMatchesSP(t *testing.T, r *rand.Rand, pts [][]float64, space gir.
 		}
 		q = space.Normalize(q)
 		k := 5 + r.Intn(16)
+		// Each query is a fill, even where an earlier query's region
+		// covers it (at d = 2 regions are wide).
+		e.Cache().Clear()
 		if res := e.TopK(q, k); res.Err != nil || res.CacheHit {
 			t.Fatalf("query %d: err=%v hit=%v, want a fill", i, res.Err, res.CacheHit)
 		}
@@ -547,4 +550,55 @@ func TestGIRNestsInK(t *testing.T) {
 			prev = v
 		}
 	})
+}
+
+// TestLogVolumeRatio holds LogVolumeRatio to VolumeRatio at the same
+// options: the natural log of the exact ratio where the ratio is exact (box
+// d = 2, simplex d = 3), and, in the d = 4 box, the log of the same
+// telescoped product, so that exponentiating it gives VolumeRatio bit for
+// bit.
+func TestLogVolumeRatio(t *testing.T) {
+	opt := gir.VolumeOptions{Samples: 500, Seed: 3}
+	for _, tc := range []struct {
+		space gir.Space
+		q     []float64
+		exact bool
+	}{
+		{gir.SpaceBox, []float64{0.6, 0.4}, true},
+		{gir.SpaceSimplex, []float64{0.5, 0.3, 0.2}, true},
+		{gir.SpaceBox, []float64{0.8, 0.6, 0.3, 0.7}, false},
+	} {
+		t.Run(fmt.Sprintf("%v/d=%d", tc.space, len(tc.q)), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(len(tc.q))))
+			ds, err := gir.NewDatasetInSpace(randomPoints(r, 2000, len(tc.q)), tc.space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ds.TopK(tc.space.Normalize(tc.q), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := ds.ComputeGIR(res, gir.FP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ratio, err := g.VolumeRatio(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logRatio, err := g.LogVolumeRatio(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(ratio > 0 && ratio < 1) {
+				t.Fatalf("VolumeRatio = %g, want a proper share of the space", ratio)
+			}
+			if tc.exact && logRatio != math.Log(ratio) {
+				t.Errorf("LogVolumeRatio = %v, want ln(VolumeRatio) = %v", logRatio, math.Log(ratio))
+			}
+			if !tc.exact && math.Float64bits(math.Exp(logRatio)) != math.Float64bits(ratio) {
+				t.Errorf("exp(LogVolumeRatio) = %v, want VolumeRatio = %v bit for bit", math.Exp(logRatio), ratio)
+			}
+		})
+	}
 }

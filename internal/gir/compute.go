@@ -58,17 +58,6 @@ type Options struct {
 	// minimal representation (useful when only membership tests are
 	// needed, or to measure the reduction step separately).
 	SkipReduce bool
-	// Generic2DFP disables the specialized two-dimensional FP (the
-	// angular-sweep variant of Section 6.2) and runs the generic star
-	// maintenance instead. Both are exact; the flag exists for the
-	// ablation benchmark.
-	Generic2DFP bool
-	// Phase1Tighten enables the footnote-7 optimization: FP's second step
-	// additionally prunes an R-tree node when no query vector inside the
-	// Phase-1 cone lets any record under the node's MBB overtake p_k
-	// (one small LP per surviving heap entry). It trades CPU for I/O;
-	// see BenchmarkAblationPhase1Tighten.
-	Phase1Tighten bool
 	// Domain is the query space the region is clipped to (nil = the unit
 	// box [0,1]^d, the historical behavior). The cone constraints are
 	// domain-independent — pairwise score comparisons are half-spaces
@@ -137,15 +126,7 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	case CP:
 		err = sc.cpPhase(tree, res, anchors, st)
 	case FP:
-		if ordered && d == 2 && !opt.Generic2DFP && !opt.Phase1Tighten {
-			sc.fp2dPhase(tree, res, st)
-			break
-		}
-		var pruner *phase1Pruner
-		if ordered && opt.Phase1Tighten {
-			pruner = newPhase1Pruner(sc.normals, sc.g(res.Kth().Point), opt.domainOrBox(d))
-		}
-		err = sc.fpPhase(tree, res, anchors, st, pruner)
+		err = sc.fpPhase(tree, res, anchors, st)
 	case Exhaustive:
 		if !ordered {
 			// The baseline applies Definition 2 literally — every result

@@ -108,26 +108,6 @@ func (r *Region) Halfspaces() []geom.Halfspace {
 	return out
 }
 
-// HalfspacesWithDomain returns cone constraints plus the half-spaces of
-// the region's query-space domain.
-func (r *Region) HalfspacesWithDomain() []geom.Halfspace {
-	return append(r.Halfspaces(), r.Space().Halfspaces()...)
-}
-
-// BindingConstraint returns the index of the constraint with the smallest
-// slack at q (the one the query would hit first moving outward along its
-// gradient), or -1 if the region has no constraints.
-func (r *Region) BindingConstraint(q vec.Vector) int {
-	best, bestSlack := -1, 0.0
-	for i, c := range r.Constraints {
-		s := vec.Dot(c.Normal, q) / vec.Norm(c.Normal)
-		if best == -1 || s < bestSlack {
-			best, bestSlack = i, s
-		}
-	}
-	return best
-}
-
 // Shrink returns a new region equal to r intersected with the added
 // half-spaces {Normal·q' ≥ 0}, its constraint set a minimal representation.
 // The receiver is not modified — regions stay immutable, which is what lets

@@ -64,15 +64,8 @@ func TestHalfspacesWithBox(t *testing.T) {
 	if got := len(reg.Halfspaces()); got != 1 {
 		t.Errorf("Halfspaces = %d", got)
 	}
-	if got := len(reg.HalfspacesWithDomain()); got != 1+6 {
-		t.Errorf("HalfspacesWithDomain = %d, want 7", got)
-	}
-}
-
-func TestBindingConstraintEmpty(t *testing.T) {
-	reg := &Region{Dim: 2, Query: vec.Vector{0.5, 0.5}}
-	if got := reg.BindingConstraint(vec.Vector{0.5, 0.5}); got != -1 {
-		t.Errorf("BindingConstraint on empty region = %d", got)
+	if got := len(reg.Space().Halfspaces()); got != 6 {
+		t.Errorf("the default domain has %d half-spaces, want the unit box's 6", got)
 	}
 }
 

@@ -880,18 +880,6 @@ func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
 	}
 }
 
-// AboveAny reports whether p lies strictly above at least one star facet
-// (i.e. whether Add would change the star).
-func (s *Star) AboveAny(p vec.Vector) bool {
-	d := s.Dim
-	for f, off := range s.offsets {
-		if vec.Dot(s.normals[f*d:f*d+d], p) > off+Tol {
-			return true
-		}
-	}
-	return false
-}
-
 // MBBAboveAny reports whether any point of the axis-aligned box [lo,hi]
 // lies strictly above some star facet. R-tree nodes for which this is
 // false are pruned by FP's second step.

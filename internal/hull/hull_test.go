@@ -360,8 +360,9 @@ func TestMBBAboveAny(t *testing.T) {
 	}
 }
 
-// Property: star pruning is consistent — AboveAny(p) is false exactly when
-// Add(p) leaves the star unchanged.
+// Property: star pruning is consistent — MBBAboveAny(p, p), the box
+// test on a single point, is false exactly when Add(p) leaves the star
+// unchanged.
 func TestStarAboveAnyConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -376,7 +377,7 @@ func TestStarAboveAnyConsistent(t *testing.T) {
 			return true
 		}
 		for i := d + 1; i < len(pts); i++ {
-			above := star.AboveAny(pts[i])
+			above := star.MBBAboveAny(pts[i], pts[i])
 			changed := star.Add(pts[i], ids[i])
 			if above != changed {
 				return false

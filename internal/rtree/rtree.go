@@ -524,26 +524,3 @@ func (b *NodeBlock) Point(i int, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// RangeSearch returns the record ids of all points inside query
-// (inclusive), in unspecified order. Used by tests and the caching
-// example; the GIR algorithms use their own traversals.
-func (t *Tree) RangeSearch(query Rect) []int64 {
-	var out []int64
-	var walk func(id pager.PageID)
-	walk = func(id pager.PageID) {
-		n := t.ReadNode(id)
-		for _, e := range n.Entries {
-			if !query.Intersects(e.Rect) {
-				continue
-			}
-			if n.Leaf {
-				out = append(out, e.RecID)
-			} else {
-				walk(e.Child)
-			}
-		}
-	}
-	walk(t.root)
-	return out
-}

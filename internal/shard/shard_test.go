@@ -99,6 +99,27 @@ func TestEmptyPartitionRejected(t *testing.T) {
 	}
 }
 
+// TestDeleteWrongDimensionRefused: the owning partition's Dataset.Delete
+// refuses a point of another dimension, and the partition keeps taking
+// writes.
+func TestDeleteWrongDimensionRefused(t *testing.T) {
+	points := genPoints(3, 400, 3)
+	c, err := New(points, Options{Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ok, err := c.Delete(5, []float64{0.5, 0.5, 0.5, 0.5}); err == nil || ok {
+		t.Fatalf("Delete with a 4-d point = %v, %v; want an error", ok, err)
+	}
+	if err := c.Insert(9001, []float64{0.5, 0.5, 0.5}); err != nil {
+		t.Fatalf("Insert after a refused delete: %v", err)
+	}
+	if ok, err := c.Delete(5, points[5]); err != nil || !ok {
+		t.Fatalf("Delete after a refused delete = %v, %v", ok, err)
+	}
+}
+
 type assignerFunc func(id int64, parts int) int
 
 func (f assignerFunc) Partition(id int64, parts int) int { return f(id, parts) }

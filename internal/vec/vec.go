@@ -151,15 +151,6 @@ func Norm(v Vector) float64 {
 	return math.Sqrt(s)
 }
 
-// Normalize returns v/|v|. It panics on the zero vector.
-func Normalize(v Vector) Vector {
-	n := Norm(v)
-	if n == 0 {
-		panic("vec: normalize of zero vector")
-	}
-	return Scale(1/n, v)
-}
-
 // Dist returns the Euclidean distance between v and w.
 func Dist(v, w Vector) float64 {
 	var s float64
@@ -196,70 +187,11 @@ type Matrix struct {
 	Data       []float64 // len Rows*Cols
 }
 
-// NewMatrix allocates an r×c zero matrix.
-func NewMatrix(r, c int) *Matrix {
-	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i,j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a slice aliasing row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Solve solves the square linear system A·x = b by Gaussian elimination with
-// partial pivoting, destroying A and b. It returns false if A is singular
-// (pivot magnitude below tol).
-func Solve(a *Matrix, b Vector, tol float64) (Vector, bool) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		panic("vec: Solve requires a square system")
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv, pmax := col, math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if m := math.Abs(a.At(r, col)); m > pmax {
-				piv, pmax = r, m
-			}
-		}
-		if pmax < tol {
-			return nil, false
-		}
-		if piv != col {
-			ri, rj := a.Row(col), a.Row(piv)
-			for j := range ri {
-				ri[j], rj[j] = rj[j], ri[j]
-			}
-			b[col], b[piv] = b[piv], b[col]
-		}
-		inv := 1 / a.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			rowR, rowC := a.Row(r), a.Row(col)
-			for j := col; j < n; j++ {
-				rowR[j] -= f * rowC[j]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make(Vector, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		row := a.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		x[i] = s / row[i]
-	}
-	return x, true
-}
 
 // HyperplaneThrough computes the hyperplane passing through the d points
 // pts (each of dimension d): a unit normal n and offset b with n·x = b for
@@ -319,25 +251,6 @@ func (ps *PlaneScratch) Hyperplane(normal Vector, pts []Vector, tol float64) (of
 func (ps *PlaneScratch) size(m, d int) {
 	ps.a = Matrix{Rows: m, Cols: d, Data: Grown(ps.a.Data, m*d)}
 	ps.isPiv = Grown(ps.isPiv, d)
-}
-
-// NullVector finds a nonzero vector orthogonal to each of the given rows
-// (len(rows) must be < d). It returns ok=false if the rows do not have full
-// rank, i.e. the null space has dimension > d−len(rows) (degenerate input).
-func NullVector(rows []Vector, d int, tol float64) (Vector, bool) {
-	if len(rows) >= d {
-		panic("vec: NullVector requires fewer rows than the dimension")
-	}
-	var ps PlaneScratch
-	ps.size(len(rows), d)
-	for i, r := range rows {
-		copy(ps.a.Row(i), r)
-	}
-	x := make(Vector, d)
-	if !ps.nullVector(x, tol) {
-		return nil, false
-	}
-	return x, true
 }
 
 // nullVector row-reduces ps.a in place and writes a null vector into x.

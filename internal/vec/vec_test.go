@@ -54,14 +54,10 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
-func TestNormNormalize(t *testing.T) {
+func TestNormDist(t *testing.T) {
 	v := Vector{3, 4}
 	if got := Norm(v); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm = %v", got)
-	}
-	n := Normalize(v)
-	if math.Abs(Norm(n)-1) > 1e-12 {
-		t.Errorf("Normalize produced norm %v", Norm(n))
 	}
 	if math.Abs(Dist(Vector{0, 0}, v)-5) > 1e-12 {
 		t.Errorf("Dist = %v", Dist(Vector{0, 0}, v))
@@ -82,64 +78,6 @@ func TestBasis(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSolveKnownSystem(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 2)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 3)
-	x, ok := Solve(a, Vector{5, 10}, 1e-12)
-	if !ok {
-		t.Fatal("Solve reported singular for a regular system")
-	}
-	if !Equal(x, Vector{1, 3}, 1e-9) {
-		t.Errorf("Solve = %v, want [1 3]", x)
-	}
-}
-
-func TestSolveSingular(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	if _, ok := Solve(a, Vector{1, 2}, 1e-9); ok {
-		t.Error("Solve accepted a singular matrix")
-	}
-}
-
-// Property: for random well-conditioned systems, Solve(A, A·x) recovers x.
-func TestSolveRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		a := NewMatrix(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, r.NormFloat64())
-			}
-			a.Set(i, i, a.At(i, i)+float64(n)) // diagonally dominant-ish
-		}
-		x := make(Vector, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		b := make(Vector, n)
-		for i := 0; i < n; i++ {
-			b[i] = Dot(a.Row(i), x)
-		}
-		cp := NewMatrix(n, n)
-		copy(cp.Data, a.Data)
-		got, ok := Solve(cp, b.Clone(), 1e-12)
-		return ok && Equal(got, x, 1e-6)
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -199,29 +137,41 @@ func TestHyperplaneThroughProperty(t *testing.T) {
 	}
 }
 
+// nullVectorOf runs the hyperplane solve's null-vector step on the given
+// rows (fewer than d).
+func nullVectorOf(rows []Vector, d int, tol float64) (Vector, bool) {
+	var ps PlaneScratch
+	ps.size(len(rows), d)
+	for i, r := range rows {
+		copy(ps.a.Row(i), r)
+	}
+	x := make(Vector, d)
+	return x, ps.nullVector(x, tol)
+}
+
 func TestNullVector(t *testing.T) {
 	rows := []Vector{{1, 0, 0}, {0, 1, 0}}
-	x, ok := NullVector(rows, 3, 1e-12)
+	x, ok := nullVectorOf(rows, 3, 1e-12)
 	if !ok {
-		t.Fatal("NullVector failed")
+		t.Fatal("nullVector failed")
 	}
 	if math.Abs(x[0]) > 1e-12 || math.Abs(x[1]) > 1e-12 || math.Abs(x[2]) < 1e-9 {
-		t.Errorf("NullVector = %v, want multiple of e3", x)
+		t.Errorf("nullVector = %v, want multiple of e3", x)
 	}
 }
 
 func TestNullVectorRankDeficient(t *testing.T) {
 	rows := []Vector{{1, 2, 3}, {2, 4, 6}}
-	if _, ok := NullVector(rows, 3, 1e-9); ok {
-		t.Error("NullVector accepted rank-deficient rows")
+	if _, ok := nullVectorOf(rows, 3, 1e-9); ok {
+		t.Error("nullVector accepted rank-deficient rows")
 	}
 }
 
 func TestMatrixAccessors(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(1, 2, 42)
+	m := Matrix{Rows: 2, Cols: 3, Data: make([]float64, 6)}
+	m.Data[5] = 42
 	if m.At(1, 2) != 42 {
-		t.Error("Set/At mismatch")
+		t.Error("At does not index row-major")
 	}
 	if len(m.Row(0)) != 3 {
 		t.Error("Row length mismatch")

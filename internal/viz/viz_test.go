@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
@@ -215,5 +216,33 @@ func TestUnconstrainedRegion(t *testing.T) {
 	lo, hi := MAH(reg, q)
 	if !vec.Equal(lo, vec.Vector{0, 0}, 1e-12) || !vec.Equal(hi, vec.Vector{1, 1}, 1e-12) {
 		t.Errorf("MAH = [%v,%v], want the unit box", lo, hi)
+	}
+}
+
+// On the simplex segment w1 + w2 = 1 a 2-d region is the sub-segment its
+// constraints cut, here t = w2 ∈ [1/5, 1/3]: points strictly inside it
+// are in the region, points of the domain segment outside it are not.
+func TestRenderSimplexSegmentMatchesContains(t *testing.T) {
+	reg := &gir.Region{
+		Dim:   2,
+		Query: vec.Vector{0.7, 0.3},
+		Constraints: []gir.Constraint{
+			{Normal: vec.Vector{1, -2}, Kind: gir.Replace, A: 1, B: 2}, // w1 ≥ 2w2 → t ≤ 1/3
+			{Normal: vec.Vector{-1, 4}, Kind: gir.Replace, A: 3, B: 4}, // 4w2 ≥ w1 → t ≥ 1/5
+		},
+		OrderSensitive: true,
+		Domain:         domain.Simplex(2),
+	}
+	inside := []float64{0.21, 0.3, 0.32}
+	outside := []float64{0.1, 0.19, 0.35, 0.9}
+	for _, tpar := range inside {
+		if !reg.Contains(vec.Vector{1 - tpar, tpar}, 1e-12) {
+			t.Errorf("t=%v should be inside the region", tpar)
+		}
+	}
+	for _, tpar := range outside {
+		if reg.Contains(vec.Vector{1 - tpar, tpar}, 1e-12) {
+			t.Errorf("t=%v should be outside the region", tpar)
+		}
 	}
 }

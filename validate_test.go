@@ -60,6 +60,41 @@ func TestPointsOutsideUnitRangeRefused(t *testing.T) {
 	}
 }
 
+// TestDeleteWrongDimensionRefused: a Delete whose point has another
+// dimension than the dataset's is an error that leaves no trace — no log
+// record, no version — and leaves the dataset accepting writes (a refusal
+// from inside the copy-on-write mutation would leave it open for good).
+func TestDeleteWrongDimensionRefused(t *testing.T) {
+	pts := randPoints(rand.New(rand.NewSource(33)), 5000, 3)
+	ds, err := NewDataset(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	if err := ds.EnableWAL(t.TempDir(), WALOptions{SyncEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	v, logged := ds.Version(), ds.WALStats().Records
+	for _, p := range [][]float64{{0.5, 0.5, 0.5, 0.5}, {0.5, 0.5}, nil} {
+		if ok, err := ds.Delete(3, p); err == nil || ok {
+			t.Errorf("Delete(3, %v) = %v, %v; want an error", p, ok, err)
+		}
+	}
+	if ds.Version() != v || ds.WALStats().Records != logged {
+		t.Errorf("refused deletes left a trace: version %d→%d, wal records %d→%d",
+			v, ds.Version(), logged, ds.WALStats().Records)
+	}
+	if err := ds.Insert(9001, []float64{0.5, 0.5, 0.5}); err != nil {
+		t.Fatalf("Insert after a refused delete: %v", err)
+	}
+	if ok, err := ds.Delete(3, pts[3]); err != nil || !ok {
+		t.Fatalf("Delete after a refused delete = %v, %v", ok, err)
+	}
+	if ds.Len() != len(pts) || ds.WALStats().Records != logged+2 {
+		t.Errorf("after one insert and one delete: len %d, wal records %d→%d", ds.Len(), logged, ds.WALStats().Records)
+	}
+}
+
 // TestNonFiniteWeightsRefused holds the query-side twin: NaN and +Inf
 // weights are errors from Dataset.TopK, Engine.TopK and Engine.BatchTopK in
 // both query spaces (on the simplex |NaN−1| > tol is false, so the Σw=1
