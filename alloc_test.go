@@ -15,6 +15,7 @@ import (
 
 	"github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -399,26 +400,17 @@ func TestTopKBufDoesNotAliasCache(t *testing.T) {
 	}
 }
 
-// warmRepairCache fills a hand-managed cache with FP regions
-// of the 20 000-record, d = 4 dataset — entries carrying the repair state
-// (candidates, unexpanded-subtree corners) a real fill retains: the
-// fixture of the drain gate and the maintenance microbenchmarks.
+// warmRepairCache fills a cache outside any engine with FP regions of the
+// 20 000-record, d = 4 dataset, through the engine's own fill path —
+// entries carrying the repair state (candidates, unexpanded-subtree
+// corners) a real fill retains: the fixture of the drain gate and the
+// maintenance microbenchmarks.
 func warmRepairCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
 	tb.Helper()
 	ds := allocDataset(tb, 20000, 4)
-	c := NewCache(2 * entries)
+	c := newCache(2 * entries)
 	for i := 0; i < entries; i++ {
-		res, err := ds.TopK(datagen.Query(4, int64(900+i)), k)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		g, err := ds.ComputeGIR(res, FP)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if !c.Put(g, res) {
-			tb.Fatal("Put failed")
-		}
+		fillEntry(tb, ds, datagen.Query(4, int64(900+i)), k, c)
 	}
 	return c, c.inner.Entries()
 }
@@ -448,12 +440,12 @@ func TestDrainAllocBudget(t *testing.T) {
 	nextID := int64(1 << 40)
 	pass, repaired, affected := 0, 0, 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		batch := []CacheMutation{{ID: victims[pass]}}
+		batch := []maintain.Mutation{{ID: victims[pass]}}
 		for i := 0; i < 8; i++ {
-			batch = append(batch, CacheMutation{Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
+			batch = append(batch, maintain.Mutation{Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
 			nextID++
 		}
-		st := c.ApplyBatch(batch)
+		st := drain(c, batch)
 		repaired, affected = repaired+st.Repaired, affected+st.Affected
 		pass++
 	})

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	cacheint "github.com/girlib/gir/internal/cache"
+	"github.com/girlib/gir/internal/maintain"
+	"github.com/girlib/gir/internal/vec"
 )
 
 // This file is the differential harness for BATCHED cache maintenance:
 // under the same 10k-step churn stream the repair harness uses, a cache
-// reconciled through ApplyBatch in bursts of B mutations must end in a
+// reconciled by the drainer's planner in bursts of B mutations must end in a
 // state byte-equal to a cache reconciled one mutation at a time — same
 // entry set, same regions (constraint for constraint), same records and
 // scores, same candidate sets, same maintenance stamps — while performing
@@ -46,6 +48,35 @@ func entryFingerprint(e *cacheint.Entry) string {
 	return b.String()
 }
 
+// newCache returns a cache of the given capacity outside any engine, for
+// the harnesses that drive fills and drain passes step by step.
+func newCache(capacity int) *Cache { return &Cache{inner: cacheint.New(capacity)} }
+
+// fillEntry answers q the way the engine's miss path does — one
+// answerGroup member, its region built by FP and its repair state retained
+// — and puts the answer into every given cache through prepareCachePut and
+// commitPut, unstamped. Each cache gets its own staged copy.
+func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache) {
+	tb.Helper()
+	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true, FP)
+	a := &answers[0]
+	if a.err != nil || a.girErr != nil {
+		tb.Fatalf("fill at %v: %v, %v", q, a.err, a.girErr)
+	}
+	for _, c := range caches {
+		if !c.commitPut(prepareCachePut(a.g, a.recs, a.cand, a.bounds, a.candOK), 0) {
+			tb.Fatal("commitPut refused an order-sensitive region")
+		}
+	}
+}
+
+// drain reconciles c with an ordered batch of applied writes in one pass
+// of a fresh repair planner — the drainer's own step.
+func drain(c *Cache, ms []maintain.Mutation) maintain.Outcome {
+	p := maintain.Planner{Repair: true}
+	return p.Drain(c.inner, ms)
+}
+
 func cacheFingerprints(c *Cache) []string {
 	entries := c.inner.Entries()
 	out := make([]string, len(entries))
@@ -75,8 +106,8 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cBatch := NewCache(32)
-	cSeq := NewCache(32)
+	cBatch := newCache(32)
+	cSeq := newCache(32)
 
 	pool := make([][]float64, 24)
 	ks := make([]int, len(pool))
@@ -87,24 +118,12 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 	// Fill both caches from ONE computation so their entries start
 	// identical (PutWithBox copies the candidate slice, so the two entries
 	// never alias).
-	fill := func(pi int) {
-		res, err := ds.TopK(pool[pi], ks[pi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ds.ComputeGIR(res, FP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cBatch.Put(g, res) || !cSeq.Put(g, res) {
-			t.Fatal("Put failed")
-		}
-	}
+	fill := func(pi int) { fillEntry(t, ds, pool[pi], ks[pi], cBatch, cSeq) }
 	for pi := range pool {
 		fill(pi)
 	}
 
-	var totBatch, totSeq BatchStats
+	var totBatch, totSeq maintain.Outcome
 	nextID := int64(1 << 40)
 	var live []int64
 	for id := range mirror {
@@ -114,7 +133,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 	for step := 0; step < steps; step += burst {
 		// One burst of writes applied to the dataset (and mirror) first —
 		// the state a drainer faces: mutations already durable, cache behind.
-		var ms []CacheMutation
+		var ms []maintain.Mutation
 		for j := 0; j < burst && step+j < steps; j++ {
 			if len(live) > n/2 && r.Intn(3) == 0 {
 				k := r.Intn(len(live))
@@ -125,7 +144,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 				delete(mirror, id)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
-				ms = append(ms, CacheMutation{Version: ds.Version(), ID: id})
+				ms = append(ms, maintain.Mutation{Version: ds.Version(), ID: id})
 			} else {
 				p := []float64{r.Float64(), r.Float64(), r.Float64()}
 				if r.Intn(4) == 0 {
@@ -140,12 +159,12 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 				}
 				mirror[id] = p
 				live = append(live, id)
-				ms = append(ms, CacheMutation{Version: ds.Version(), Insert: true, ID: id, Point: p})
+				ms = append(ms, maintain.Mutation{Version: ds.Version(), Insert: true, ID: id, Point: p})
 			}
 		}
 
 		// Batched pass vs the one-mutation-at-a-time baseline.
-		st := cBatch.ApplyBatch(ms)
+		st := drain(cBatch, ms)
 		if st.Scans != 1 {
 			t.Fatalf("burst at step %d took %d cache scans, want exactly 1", step, st.Scans)
 		}
@@ -163,7 +182,7 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 		totBatch.StampRaises += st.StampRaises
 		totBatch.Predicates += st.Predicates
 		for _, m := range ms {
-			s1 := cSeq.ApplyBatch([]CacheMutation{m})
+			s1 := drain(cSeq, []maintain.Mutation{m})
 			totSeq.Affected += s1.Affected
 			totSeq.Repaired += s1.Repaired
 			totSeq.Evicted += s1.Evicted

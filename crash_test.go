@@ -151,7 +151,7 @@ func TestKillDurability(t *testing.T) {
 	}
 	// Whatever instant the kills hit, the snapshot in the directory is a
 	// loadable one (atomic replace left old or new, never a hybrid).
-	ds, err := Open(filepath.Join(dir, datasetSnapName))
+	ds, err := openBase(filepath.Join(dir, datasetSnapName))
 	if err != nil {
 		t.Fatalf("post-crash snapshot does not load: %v", err)
 	}

@@ -27,6 +27,26 @@ func copyDir(t *testing.T, dst, src string) {
 	}
 }
 
+// saveBase writes a full snapshot of ds to path, beside whatever durable
+// directory ds logs to — the control a delta directory is held against.
+func saveBase(t *testing.T, ds *Dataset, path string) {
+	t.Helper()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if err := ds.saveLocked(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openBase loads one snapshot file on its own: no delta segments, no log.
+func openBase(path string) (*Dataset, error) {
+	store, meta, err := pager.LoadSnapshot(path)
+	if err != nil {
+		return nil, err
+	}
+	return attachDataset(store, meta, path)
+}
+
 func randPoints(r *rand.Rand, n, d int) [][]float64 {
 	points := make([][]float64, n)
 	for i := range points {
@@ -43,7 +63,7 @@ func randPoints(r *rand.Rand, n, d int) [][]float64 {
 // points between, recovers a copy of the directory — base + delta segments
 // + log — and requires Len, Version and top-k on a fixed query set to equal
 // the live dataset's AND those of a control recovered the old way, from a
-// full Save taken at the last checkpoint plus the same log. The script
+// full snapshot taken at the last checkpoint plus the same log. The script
 // crosses several compactions, and the bytes it wrote obey the rule's
 // bound: snapshot + delta bytes ≤ 2 × the bytes dirtied + one base.
 func TestDeltaCheckpointDifferential(t *testing.T) {
@@ -65,9 +85,7 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if err := ds.Save(filepath.Join(control, datasetSnapName)); err != nil {
-		t.Fatal(err)
-	}
+	saveBase(t, ds, filepath.Join(control, datasetSnapName))
 
 	verify := func(where string) {
 		t.Helper()
@@ -139,9 +157,7 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 		if recs := ds.WALStats().Records; recs != 0 || len(ds.dirty) != 0 {
 			t.Fatalf("checkpoint %d left %d log records and %d dirty pages", c, recs, len(ds.dirty))
 		}
-		if err := ds.Save(filepath.Join(control, datasetSnapName)); err != nil {
-			t.Fatal(err)
-		}
+		saveBase(t, ds, filepath.Join(control, datasetSnapName))
 		verify(fmt.Sprintf("checkpoint %d", c))
 	}
 	if compactions < 2 {
@@ -322,14 +338,13 @@ func TestDeltaCrashShapes(t *testing.T) {
 	}
 	recoverEquals("a foreign base's segments behind an intact one", crashed, 1, true)
 
-	// A plain Save over the base of a delta directory (an operator's manual
-	// "compaction") orphans the segments: they name the old base.
+	// A full snapshot written over the base of a delta directory (an
+	// operator's manual "compaction") orphans the segments: they name the
+	// old base.
 	crashed = t.TempDir()
 	copyDir(t, crashed, dir)
-	if err := ds.Save(filepath.Join(crashed, datasetSnapName)); err != nil {
-		t.Fatal(err)
-	}
-	recoverEquals("a full Save over a delta directory's base", crashed, 0, true)
+	saveBase(t, ds, filepath.Join(crashed, datasetSnapName))
+	recoverEquals("a full snapshot over a delta directory's base", crashed, 0, true)
 
 	// EnableWAL into a directory holding only a stray delta file removes it.
 	stray := t.TempDir()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/girlib/gir/internal/maintain"
 )
 
 // BenchmarkDrainBurst measures one maintenance pass over a warm cache for
@@ -25,20 +27,9 @@ func BenchmarkDrainBurst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCache(64)
+	c := newCache(64)
 	for i := 0; i < 32; i++ {
-		q := []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}
-		res, err := ds.TopK(q, k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := ds.ComputeGIR(res, FP)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !c.Put(g, res) {
-			b.Fatal("Put failed")
-		}
+		fillEntry(b, ds, []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}, k, c)
 	}
 
 	for _, burst := range []int{1, 8, 64} {
@@ -47,28 +38,28 @@ func BenchmarkDrainBurst(b *testing.B) {
 			version := int64(1)
 			nextID := int64(1 << 50)
 			for i := 0; i < b.N; i++ {
-				ins := make([]CacheMutation, burst)
-				del := make([]CacheMutation, burst)
+				ins := make([]maintain.Mutation, burst)
+				del := make([]maintain.Mutation, burst)
 				for j := range ins {
 					// Background points: provably unaffecting for every
 					// entry, so the pass exercises the absorb + stamp path
 					// (the common case under churn) without evicting the
 					// fixture.
 					p := []float64{0.2 * r.Float64(), 0.2 * r.Float64(), 0.2 * r.Float64()}
-					ins[j] = CacheMutation{Version: version, Insert: true, ID: nextID, Point: p}
+					ins[j] = maintain.Mutation{Version: version, Insert: true, ID: nextID, Point: p}
 					version++
-					del[j] = CacheMutation{Version: 0, ID: nextID} // versions assigned below
+					del[j] = maintain.Mutation{Version: 0, ID: nextID} // versions assigned below
 					nextID++
 				}
 				for j := range del {
 					del[j].Version = version
 					version++
 				}
-				st := c.ApplyBatch(ins)
+				st := drain(c, ins)
 				if st.Evicted != 0 {
 					b.Fatalf("background insert burst evicted %d entries", st.Evicted)
 				}
-				c.ApplyBatch(del)
+				drain(c, del)
 			}
 		})
 	}

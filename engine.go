@@ -130,7 +130,7 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 		if capacity == 0 {
 			capacity = 1024
 		}
-		c = NewCache(capacity)
+		c = &Cache{inner: cacheint.New(capacity)}
 	}
 	e := &Engine{ds: ds, cache: c, opts: opts}
 	e.planner.Repair = opts.RepairMode

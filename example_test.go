@@ -110,10 +110,12 @@ func ExampleGIR_LIRs() {
 }
 
 // ExampleCache replays sessions of users nudging one weight at a time, the
-// workload of the paper's caching application (Section 1). A query inside
-// a cached result's GIR is answered from the cache, exactly, without
-// touching the index; asking for more records than were cached is a
-// partial hit that still returns the cached prefix.
+// workload of the paper's caching application (Section 1), through an
+// Engine and the GIR-keyed Cache it owns. A query inside a cached result's
+// GIR is answered from the cache, exactly, without touching the index;
+// asking for more records than were cached is a partial hit, computed in
+// full and cached in turn. Every miss pays its traversal plus a one-time
+// GIR build.
 func ExampleCache() {
 	const n, d, k = 2000, 4, 10
 	r := rand.New(rand.NewSource(3))
@@ -151,28 +153,18 @@ func ExampleCache() {
 	sessions(func(q []float64, k int) { ds.TopK(q, k) })
 	without := ds.IOStats().PageReads
 
-	cache := gir.NewCache(64)
-	var with, fill int64
-	sessions(func(q []float64, k int) {
-		if hit, ok := cache.Lookup(q, k); ok && hit.Complete {
-			return
-		}
-		ds.ResetIOStats()
-		res, _ := ds.TopK(q, k)
-		with += ds.IOStats().PageReads
-		// Building the GIR is a one-time cost per cached result.
-		ds.ResetIOStats()
-		g, _ := ds.ComputeGIR(res, gir.FP)
-		fill += ds.IOStats().PageReads
-		cache.Put(g, res)
-	})
-	hits, partial, misses := cache.Stats()
-	fmt.Printf("%d hits, %d partial hits, %d misses, %d entries\n", hits, partial, misses, cache.Len())
-	fmt.Printf("page reads: %d without the cache, %d with it (+%d to build GIRs)\n", without, with, fill)
+	e := gir.NewEngine(ds, gir.EngineOptions{CacheCapacity: 64})
+	defer e.Close()
+	ds.ResetIOStats()
+	sessions(func(q []float64, k int) { e.TopK(q, k) })
+	with := ds.IOStats().PageReads
+	st := e.Stats()
+	fmt.Printf("%d hits, %d partial hits, %d misses, %d entries\n", st.CacheHits, st.PartialHits, st.Misses, e.Cache().Len())
+	fmt.Printf("page reads: %d without the cache, %d with it (GIR builds included)\n", without, with)
 
 	// Output:
 	// 48 hits, 5 partial hits, 37 misses, 42 entries
-	// page reads: 478 without the cache, 238 with it (+189 to build GIRs)
+	// page reads: 478 without the cache, 427 with it (GIR builds included)
 }
 
 // ExampleGIR_Constraints walks a query around its GIR (Sections 3.2 and

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/domain"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/maintain"
@@ -111,7 +110,7 @@ func spaceOfKind(k domain.Kind) Space {
 // Method selects the Phase-2 GIR algorithm. The zero value is FP, so an
 // unset Method field (EngineOptions.CacheMethod in particular) means the
 // paper's headline algorithm, not the slowest one.
-type Method int
+type Method = girint.Method
 
 // Phase-2 algorithms (the paper's Sections 5–6, implemented in
 // internal/gir). All produce the same region for linear scoring; they
@@ -120,33 +119,17 @@ const (
 	// FP computes only the hull facets incident to the k-th result record
 	// — the paper's fastest and most scalable algorithm, and the zero
 	// value. Linear only.
-	FP Method = iota
+	FP = girint.FP
 	// SP prunes candidate records to the skyline of the non-result set.
 	// Works for every monotone scoring function.
-	SP
+	SP = girint.SP
 	// CP prunes further, to skyline records on the skyline's convex hull.
 	// Linear scoring only.
-	CP
+	CP = girint.CP
 	// Exhaustive derives one half-space per non-result record (the
 	// Section 3.3 baseline). Use only on small datasets, e.g. to validate.
-	Exhaustive
+	Exhaustive = girint.Exhaustive
 )
-
-func (m Method) String() string { return m.internal().String() }
-
-func (m Method) internal() girint.Method {
-	switch m {
-	case SP:
-		return girint.SP
-	case CP:
-		return girint.CP
-	case FP:
-		return girint.FP
-	case Exhaustive:
-		return girint.Exhaustive
-	}
-	panic(fmt.Sprintf("gir: unknown method %d", int(m)))
-}
 
 // Scoring identifies a scoring function family for TopKFunc.
 type Scoring int
@@ -184,7 +167,8 @@ type Record struct {
 type IOStats struct {
 	PageReads  int64
 	PageWrites int64
-	// IOTime is PageReads × the dataset's per-read latency.
+	// IOTime is PageReads × the simulated per-read latency (100 µs,
+	// pager.DefaultCostModel).
 	IOTime time.Duration
 }
 
@@ -204,7 +188,6 @@ type Dataset struct {
 	mu     sync.RWMutex // serializes writers and configuration; readers do not take it
 	tree   *rtree.Tree  // the writer's mutable handle; readers use ds.snap
 	store  pager.Store
-	cost   pager.CostModel
 	wal    *pager.WAL // non-nil once EnableWAL/Recover attached a log
 	walDir string     // the durable directory the WAL lives in
 	space  Space      // the query-space domain (data space is [0,1]^d regardless)
@@ -496,7 +479,7 @@ func buildDataset(ids []int64, points [][]float64, space Space) (*Dataset, error
 	store := pager.NewMemStore()
 	tree := rtree.BulkLoad(store, d, pts, ids)
 	store.ResetStats()
-	ds := &Dataset{tree: tree, store: store, cost: pager.DefaultCostModel, space: space}
+	ds := &Dataset{tree: tree, store: store, space: space}
 	ds.publishSnapLocked(0, nil)
 	return ds, nil
 }
@@ -582,14 +565,10 @@ func (ds *Dataset) Version() int64 { return ds.snap.Load().version }
 // Dim returns the data dimensionality.
 func (ds *Dataset) Dim() int { return ds.tree.Dim() }
 
-// SetIOLatency configures the simulated per-page read latency used by
-// IOStats (default 100µs, pager.DefaultCostModel).
-func (ds *Dataset) SetIOLatency(l time.Duration) { ds.cost = pager.CostModel{ReadLatency: l} }
-
 // IOStats returns the cumulative simulated I/O counters.
 func (ds *Dataset) IOStats() IOStats {
 	s := ds.store.Stats()
-	return IOStats{PageReads: s.Reads, PageWrites: s.Writes, IOTime: ds.cost.IOTime(s)}
+	return IOStats{PageReads: s.Reads, PageWrites: s.Writes, IOTime: pager.DefaultCostModel.IOTime(s)}
 }
 
 // ResetIOStats zeroes the I/O counters (typically before a measurement).
@@ -605,15 +584,6 @@ type TopKResult struct {
 	inner    *topk.Result
 	consumed bool
 	version  int64 // the dataset version the traversal ran against
-
-	// Repair state, snapshotted when a GIR computation consumes the result
-	// (Phase 2 mutates the retained heap, so the snapshot must happen
-	// first): the candidate set T plus the top corners of unexpanded
-	// subtrees. Cache.Put stores these so the entry supports
-	// repair-instead-of-evict maintenance.
-	cand     []topk.Record
-	bounds   []vec.Vector
-	complete bool
 }
 
 // TopK answers a top-k query with linear scoring. The query vector must
@@ -643,41 +613,11 @@ func wrapTopK(res *topk.Result, err error, k int, version int64) (*TopKResult, e
 	return out, nil
 }
 
-// take marks the result consumed, returning an error on reuse. It also
-// snapshots the repair state: Phase 2 consumes and mutates the retained
-// heap, so the (T, unexpanded-subtree bounds) pair — which together with
-// the result covers the whole dataset — must be captured now.
+// take marks the result consumed, returning an error on reuse.
 func (r *TopKResult) take() (*topk.Result, error) {
 	if r.consumed || r.inner == nil {
 		return nil, errors.New("gir: this TopKResult cannot power a GIR computation (already used, or a records-only copy); run TopK again")
 	}
 	r.consumed = true
-	r.cand, r.bounds, r.complete = retainRepairState(r.inner)
 	return r.inner, nil
-}
-
-// retainRepairState snapshots the traversal state delete-repair needs: the
-// candidate set T and the top corner of every search-heap subtree BRS left
-// unexpanded. Oversized state (see cache.MaxRetained) is dropped — the
-// entry then simply evicts instead of repairing on delete.
-func retainRepairState(inner *topk.Result) (cand []topk.Record, bounds []vec.Vector, complete bool) {
-	n := len(inner.T)
-	if inner.Heap != nil {
-		n += inner.Heap.Len()
-	}
-	if n > cacheint.MaxRetained {
-		return nil, nil, false
-	}
-	cand = append([]topk.Record(nil), inner.T...)
-	if inner.Heap != nil {
-		// One slab for every corner: the entry keeps them all or none.
-		d := len(inner.Query)
-		slab := make([]float64, 0, inner.Heap.Len()*d)
-		bounds = make([]vec.Vector, 0, inner.Heap.Len())
-		for _, it := range *inner.Heap {
-			slab = append(slab, it.Rect.Hi...)
-			bounds = append(bounds, slab[len(slab)-d:len(slab):len(slab)])
-		}
-	}
-	return cand, bounds, true
 }

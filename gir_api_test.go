@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	gir "github.com/girlib/gir"
 )
@@ -357,16 +358,20 @@ func TestIOStatsAndLatency(t *testing.T) {
 	if s.PageReads == 0 {
 		t.Error("top-k performed no reads")
 	}
-	ds.SetIOLatency(1000000) // 1ms
-	s2 := ds.IOStats()
-	if s2.IOTime.Milliseconds() != s2.PageReads {
-		t.Errorf("IOTime %v inconsistent with %d reads at 1ms", s2.IOTime, s2.PageReads)
+	if want := time.Duration(s.PageReads) * 100 * time.Microsecond; s.IOTime != want {
+		t.Errorf("IOTime %v inconsistent with %d reads at 100µs", s.IOTime, s.PageReads)
 	}
 }
 
+// TestCacheAPI pins what an Engine's cache serves: a hit, an exact prefix
+// for a smaller k, a partial hit for a larger one, and — the rescoring fix
+// — a jittered vector inside the GIR served the records scored for it, bit
+// for bit what TopK computes, not the filling query's scores.
 func TestCacheAPI(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	ds, _ := gir.NewDataset(randomPoints(r, 400, 3))
+	e := gir.NewEngine(ds, gir.EngineOptions{CacheCapacity: 8})
+	defer e.Close()
 	q := []float64{0.5, 0.6, 0.7}
 	res, _ := ds.TopK(q, 10)
 	recs := res.Records
@@ -374,15 +379,12 @@ func TestCacheAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := gir.NewCache(8)
-	// Need an unconsumed result to cache; re-run the query.
-	res2, _ := ds.TopK(q, 10)
-	if !c.Put(g, res2) {
-		t.Fatal("Put failed")
+	if fill := e.TopK(q, 10); fill.Err != nil || fill.CacheHit {
+		t.Fatalf("cold engine: err %v, hit %v", fill.Err, fill.CacheHit)
 	}
-	hit, ok := c.Lookup(q, 10)
-	if !ok || !hit.Complete || len(hit.Records) != 10 {
-		t.Fatalf("lookup: ok=%v %+v", ok, hit)
+	hit := e.TopK(q, 10)
+	if !hit.CacheHit || len(hit.Records) != 10 {
+		t.Fatalf("lookup: %+v", hit)
 	}
 	for i := range recs {
 		if hit.Records[i].ID != recs[i].ID {
@@ -390,27 +392,23 @@ func TestCacheAPI(t *testing.T) {
 		}
 	}
 	// Smaller k: exact prefix.
-	hit3, ok := c.Lookup(q, 3)
-	if !ok || !hit3.Complete || len(hit3.Records) != 3 {
+	if hit3 := e.TopK(q, 3); !hit3.CacheHit || len(hit3.Records) != 3 {
 		t.Fatal("prefix lookup failed")
 	}
-	// Larger k: partial.
-	hit20, ok := c.Lookup(q, 20)
-	if !ok || hit20.Complete || len(hit20.Records) != 10 {
+	// Larger k: partial, computed in full.
+	if hit20 := e.TopK(q, 20); hit20.CacheHit || !hit20.PartialHit || len(hit20.Records) != 20 {
 		t.Fatal("partial lookup failed")
 	}
-	if hits, partial, _ := c.Stats(); hits != 2 || partial != 1 {
+	if hits, partial, _ := e.Cache().Stats(); hits != 2 || partial != 1 {
 		t.Errorf("stats: hits=%d partial=%d", hits, partial)
 	}
 
-	// A jittered vector inside the GIR is served the records scored for it,
-	// bit for bit what TopK computes, not the filling query's scores.
 	q2 := []float64{0.5, 0.6, 0.7001}
 	if !g.Contains(q2) {
 		t.Fatal("jittered vector left the GIR")
 	}
-	hit2, ok := c.Lookup(q2, 10)
-	if !ok || !hit2.Complete {
+	hit2 := e.TopK(q2, 10)
+	if !hit2.CacheHit {
 		t.Fatal("jittered lookup inside the GIR missed")
 	}
 	fresh, err := ds.TopK(q2, 10)

@@ -19,19 +19,20 @@ import (
 // Method selects the Phase-2 algorithm.
 type Method int8
 
-// Phase-2 algorithms.
+// Phase-2 algorithms. The zero value is FP, so an unset Method means the
+// paper's headline algorithm, not the slowest one.
 const (
-	// SP prunes non-result records to the skyline of D\R (Section 5.1).
-	// It is the only method valid for non-linear monotone scoring
-	// functions (Section 7.2).
-	SP Method = iota
-	// CP prunes to skyline records on the convex hull of the skyline,
-	// SL ∩ CH (Section 5.2). Linear scoring only.
-	CP
 	// FP computes only the convex-hull facets incident to p_k, refining
 	// them against the R-tree (Section 6). Linear scoring only. This is
 	// the paper's headline algorithm.
-	FP
+	FP Method = iota
+	// SP prunes non-result records to the skyline of D\R (Section 5.1).
+	// It is the only method valid for non-linear monotone scoring
+	// functions (Section 7.2).
+	SP
+	// CP prunes to skyline records on the convex hull of the skyline,
+	// SL ∩ CH (Section 5.2). Linear scoring only.
+	CP
 	// Exhaustive is the Section 3.3 baseline: every record contributes a
 	// half-space. Only viable on small data; used for validation.
 	Exhaustive
@@ -39,12 +40,12 @@ const (
 
 func (m Method) String() string {
 	switch m {
+	case FP:
+		return "FP"
 	case SP:
 		return "SP"
 	case CP:
 		return "CP"
-	case FP:
-		return "FP"
 	case Exhaustive:
 		return "Exhaustive"
 	}

@@ -47,9 +47,9 @@ import (
 // Mutation is one dataset write, in the order the writes were applied —
 // the one record of it from the dataset's apply path and log through the
 // engine's pending window to the planner. Version is the dataset version
-// the mutation produced; 0 means an unversioned (hand-managed) batch, for
-// which stamp gating and raising are skipped — the caller vouches for
-// ordering instead.
+// the mutation produced; 0 means an unversioned batch, for which stamp
+// gating and raising are skipped — the caller vouches for ordering
+// instead.
 type Mutation struct {
 	Version int64
 	Insert  bool

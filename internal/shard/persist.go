@@ -47,9 +47,9 @@ func (c *Coordinator) Checkpoint(dir string) error {
 // Recover rebuilds a tier from a directory EnableWAL/Checkpoint
 // populated: every part-* subdirectory is restored independently via
 // gir.RecoverEngine (snapshot + WAL replay + warm cache when its version
-// matches). opts.Parts, when set, must match the on-disk partition count;
-// opts.Assigner must be the one the tier was built with — assignment is
-// part of the data's identity, not a tuning knob.
+// matches). opts.Parts, when set, must match the on-disk partition count:
+// assignment hashes over it, so it is part of the data's identity, not a
+// tuning knob.
 func Recover(dir string, wopts gir.WALOptions, opts Options) (*Coordinator, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -73,7 +73,7 @@ func Recover(dir string, wopts gir.WALOptions, opts Options) (*Coordinator, erro
 			return nil, fmt.Errorf("shard: %s is missing %s (found %s)", dir, partDirName(i), name)
 		}
 	}
-	c := &Coordinator{assign: opts.assigner(), workers: opts.workers(len(names))}
+	c := &Coordinator{}
 	for i, name := range names {
 		ds, eng, err := gir.RecoverEngine(filepath.Join(dir, name), wopts, opts.Engine)
 		if err != nil {

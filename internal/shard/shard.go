@@ -8,7 +8,7 @@
 // partition order constraints the merge introduces — see Coordinator.GIR.
 //
 // Consistency is a per-partition version vector. A write routes to
-// exactly one partition (the Assigner's), so the mutation history is a
+// exactly one partition (its record's hash), so the mutation history is a
 // set of independent per-partition sequences; the vector of dataset
 // versions (v_1 … v_N) read at issue time is the consistency cut a
 // lookup is served against. No new machinery enforces it: each
@@ -32,20 +32,12 @@ import (
 	engineint "github.com/girlib/gir/internal/engine"
 )
 
-// Assigner maps a record id to its owning partition. It must be a pure
-// function of (id, parts): routing a write and routing the recovery of
-// that write must agree forever.
-type Assigner interface {
-	Partition(id int64, parts int) int
-}
-
-// HashAssigner is the default record-hash assignment: a splitmix64-style
-// finalizer over the id, reduced mod parts. Ids minted sequentially (the
-// common case) spread uniformly instead of striping.
-type HashAssigner struct{}
-
-// Partition implements Assigner.
-func (HashAssigner) Partition(id int64, parts int) int {
+// partition maps a record id to its owning partition: a splitmix64-style
+// finalizer over the id, reduced mod parts, so ids minted sequentially (the
+// common case) spread uniformly instead of striping. It is a pure function
+// of (id, parts): routing a write and routing the recovery of that write
+// agree forever.
+func partition(id int64, parts int) int {
 	x := uint64(id)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -59,13 +51,8 @@ func (HashAssigner) Partition(id int64, parts int) int {
 type Options struct {
 	// Parts is the partition count (≥ 1; 0 = 1).
 	Parts int
-	// Assigner routes record ids to partitions (nil = HashAssigner).
-	Assigner Assigner
 	// Engine configures every partition's Engine identically.
 	Engine gir.EngineOptions
-	// Workers bounds the goroutines a scatter fans out over (≤ 0 = one
-	// per partition).
-	Workers int
 	// Space is the query-space domain, shared by all partitions — regions
 	// from different domains must never be intersected.
 	Space gir.Space
@@ -76,13 +63,6 @@ func (o Options) parts() int {
 		return 1
 	}
 	return o.Parts
-}
-
-func (o Options) assigner() Assigner {
-	if o.Assigner == nil {
-		return HashAssigner{}
-	}
-	return o.Assigner
 }
 
 // part is one partition: its shard of the dataset plus the Engine serving
@@ -96,32 +76,26 @@ type part struct {
 // results. All methods are safe for concurrent use (they delegate to the
 // per-partition Engines, which are).
 type Coordinator struct {
-	parts   []part
-	assign  Assigner
-	workers int
-	dim     int
-	space   gir.Space
+	parts []part
+	dim   int
+	space gir.Space
 }
 
-// New partitions points by the Assigner over their indices (record i gets
+// New partitions points by record hash over their indices (record i gets
 // global id int64(i), exactly as gir.NewDataset numbers them) and builds
 // one Dataset + Engine per partition. Every partition must end up
 // non-empty — an empty shard cannot answer its scatter — so Parts must
 // not exceed what the assignment populates.
 func New(points [][]float64, opts Options) (*Coordinator, error) {
 	n := opts.parts()
-	assign := opts.assigner()
 	ids := make([][]int64, n)
 	pts := make([][][]float64, n)
 	for i, p := range points {
-		w := assign.Partition(int64(i), n)
-		if w < 0 || w >= n {
-			return nil, fmt.Errorf("shard: assigner sent record %d to partition %d of %d", i, w, n)
-		}
+		w := partition(int64(i), n)
 		ids[w] = append(ids[w], int64(i))
 		pts[w] = append(pts[w], p)
 	}
-	c := &Coordinator{assign: assign, workers: opts.workers(n), space: opts.Space}
+	c := &Coordinator{space: opts.Space}
 	for w := 0; w < n; w++ {
 		if len(ids[w]) == 0 {
 			c.Close()
@@ -136,13 +110,6 @@ func New(points [][]float64, opts Options) (*Coordinator, error) {
 	}
 	c.dim = c.parts[0].ds.Dim()
 	return c, nil
-}
-
-func (o Options) workers(parts int) int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return parts
 }
 
 // Dataset returns partition i's shard of the dataset.
@@ -166,12 +133,12 @@ func (c *Coordinator) Dim() int { return c.dim }
 // Insert routes the record to its owning partition; only that partition's
 // version advances, and only its cache reconciles the mutation.
 func (c *Coordinator) Insert(id int64, p []float64) error {
-	return c.parts[c.assign.Partition(id, len(c.parts))].ds.Insert(id, p)
+	return c.parts[partition(id, len(c.parts))].ds.Insert(id, p)
 }
 
 // Delete routes the delete to the record's owning partition.
 func (c *Coordinator) Delete(id int64, p []float64) (bool, error) {
-	return c.parts[c.assign.Partition(id, len(c.parts))].ds.Delete(id, p)
+	return c.parts[partition(id, len(c.parts))].ds.Delete(id, p)
 }
 
 // VersionVector is a consistency cut: element i is partition i's dataset
@@ -304,7 +271,7 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// scatter runs fn once per partition over the coordinator's worker pool.
+// scatter runs fn once per partition, each on its own goroutine.
 func (c *Coordinator) scatter(fn func(i int)) {
-	engineint.Fan(len(c.parts), c.workers, fn)
+	engineint.Fan(len(c.parts), len(c.parts), fn)
 }

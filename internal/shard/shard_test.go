@@ -75,11 +75,11 @@ func TestHashAssignerCoversAndBalances(t *testing.T) {
 	const parts, n = 4, 10000
 	counts := make([]int, parts)
 	for id := int64(0); id < n; id++ {
-		w := HashAssigner{}.Partition(id, parts)
+		w := partition(id, parts)
 		if w < 0 || w >= parts {
 			t.Fatalf("id %d assigned to partition %d of %d", id, w, parts)
 		}
-		if w != (HashAssigner{}).Partition(id, parts) {
+		if w != partition(id, parts) {
 			t.Fatalf("assignment of id %d is not deterministic", id)
 		}
 		counts[w]++
@@ -91,9 +91,10 @@ func TestHashAssignerCoversAndBalances(t *testing.T) {
 	}
 }
 
+// TestEmptyPartitionRejected: three records cannot fill eight partitions,
+// and a partition the hash leaves empty is refused.
 func TestEmptyPartitionRejected(t *testing.T) {
-	all0 := assignerFunc(func(int64, int) int { return 0 })
-	_, err := New(genPoints(1, 50, 3), Options{Parts: 2, Assigner: all0})
+	_, err := New(genPoints(1, 3, 3), Options{Parts: 8})
 	if err == nil {
 		t.Fatal("coordinator accepted an empty partition")
 	}
@@ -119,10 +120,6 @@ func TestDeleteWrongDimensionRefused(t *testing.T) {
 		t.Fatalf("Delete after a refused delete = %v, %v", ok, err)
 	}
 }
-
-type assignerFunc func(id int64, parts int) int
-
-func (f assignerFunc) Partition(id int64, parts int) int { return f(id, parts) }
 
 // TestTopKMatchesSingleEngine checks the scatter/gather merge is exact:
 // over 1/2/4 partitions in both spaces, every TopK answer is byte-equal

@@ -3,7 +3,6 @@ package gir
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,23 +19,10 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// Save persists the dataset's index — all pages plus tree metadata,
-// including the active query space and mutation version — to a single
-// snapshot file that Open can load later. The file is replaced
-// atomically (temp + fsync + rename), so a crash mid-save leaves the
-// previous snapshot intact. Save quiesces writers (it iterates every
-// store page, which a concurrent copy-on-write mutation would grow under
-// it) but never blocks queries. Building a large R*-tree once and reusing
-// it across runs is how the experiment harness is meant to be used at
-// paper scale.
-func (ds *Dataset) Save(path string) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.saveLocked(path)
-}
-
-// saveLocked is Save with the writer mutex already held, so no mutation
-// can land between the version it records and the pages it writes.
+// saveLocked writes a full snapshot of the dataset to path — every store
+// page plus the metadata block — atomically (temp + fsync + rename). The
+// caller holds the writer mutex, so no mutation can land between the
+// version it records and the pages it writes.
 func (ds *Dataset) saveLocked(path string) error {
 	return pager.Snapshot(ds.store, ds.metaLocked(), path)
 }
@@ -88,16 +74,6 @@ func parseDatasetMeta(meta []byte, path string) (datasetMeta, error) {
 	return m, nil
 }
 
-// Open loads a dataset snapshot written by Save, restoring its query
-// space and mutation version along with the index.
-func Open(path string) (*Dataset, error) {
-	store, meta, err := pager.LoadSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	return attachDataset(store, meta, path)
-}
-
 // attachDataset publishes a dataset over a loaded store at the state its
 // metadata block (read from path) describes.
 func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error) {
@@ -106,7 +82,7 @@ func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error
 		return nil, err
 	}
 	tree := rtree.Attach(store, m.dim, m.root, m.height, m.size)
-	ds := &Dataset{tree: tree, store: store, cost: pager.DefaultCostModel, space: m.space}
+	ds := &Dataset{tree: tree, store: store, space: m.space}
 	ds.publishSnapLocked(m.version, nil)
 	return ds, nil
 }
@@ -125,36 +101,13 @@ func (ds *Dataset) Close() error {
 // warmCacheMagic heads a warm-cache snapshot file (the trailing byte is a
 // format version): a whole-file CRC32C, then dimension, query space and
 // the dataset version the snapshot captured. Version 4 stopped storing the
-// retained repair state version 3 carried; no loader reads versions 1–3 —
-// LoadCache refuses them by name, RecoverEngine starts cold beside one.
+// retained repair state version 3 carried; RecoverEngine starts cold beside
+// a file of an earlier version.
 var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '4'}
 
 // cacheCRC is the Castagnoli table the warm-cache checksum uses (the same
 // polynomial as the pager's snapshot and WAL checksums).
 var cacheCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// SaveCache persists the engine's warm GIR cache — every entry's region,
-// result records, inscribed box and maintenance stamp; LoadCache rebuilds
-// the retained repair state — so a restarted server can skip the cold-fill
-// phase. The engine quiesces first: every published mutation is reconciled
-// before the snapshot, so the saved entries are exactly the cache a fresh
-// engine over the same dataset state would serve from; an engine that was
-// Closed with mutations still unreconciled returns an error instead of
-// persisting stale entries. Entries are written in recency order, preserving
-// LRU behavior across the restart, and the file is checksummed and replaced
-// atomically. Save the dataset alongside (Dataset.Save): a warm cache is only
-// sound for the dataset state it was saved against (Engine.Checkpoint writes
-// the pair in one consistent cut).
-func (e *Engine) SaveCache(path string) error {
-	if e.cache == nil {
-		return errors.New("gir: engine has no cache to save")
-	}
-	snaps, version, err := e.snapshotCacheQuiesced()
-	if err != nil {
-		return err
-	}
-	return writeCacheSnapshot(path, e.ds.Dim(), e.ds.Space(), version, snaps)
-}
 
 // writeCacheSnapshot encodes and atomically writes a warm-cache snapshot:
 // magic, CRC32C of everything after it, then dimension, query space, the
@@ -219,43 +172,29 @@ func (e *Engine) snapshotCacheQuiesced() ([]cacheint.Snapshot, int64, error) {
 	return snaps, version, nil
 }
 
-// LoadCache restores a warm cache saved by SaveCache into the engine's
-// cache, stamping every entry at the current dataset version. The caller
-// certifies the dataset contents are the ones the cache was saved against
-// (load the matching Dataset snapshot first); a dimension mismatch is
-// rejected, and so is a query-space mismatch — a region clipped to one
-// domain is not a certificate over another, so cross-domain loads refuse
-// rather than silently serve box regions to simplex queries (or vice
-// versa). Anything subtler is the caller's contract — exactly as for a
-// hand-managed Cache. Each entry's repair state is rebuilt by rerunning its
-// fill's traversal on the dataset, one per entry; an entry the dataset
-// cannot answer (k above its size) fails the load. Restored entries serve
-// immediately: the first lookups of the restarted engine are warm hits.
-func (e *Engine) LoadCache(path string) error {
-	return e.loadCache(path, nil)
-}
-
-// loadCache is LoadCache, optionally only if the snapshot records exactly
-// *requireVersion (RecoverEngine's case). A version mismatch is not an error
-// — it is the signature of a checkpoint that crashed between its two file
-// writes, and costs the warm start, nothing else; so does a file of an
-// earlier format, which an upgrade leaves beside unchanged dataset files.
-func (e *Engine) loadCache(path string, requireVersion *int64) error {
-	if e.cache == nil {
-		return errors.New("gir: engine has no cache to load into")
-	}
+// loadCache restores the warm cache Engine.Checkpoint wrote to path into
+// the engine's cache, stamping every entry at the current dataset version;
+// RecoverEngine is its one caller. The snapshot must record exactly version,
+// the dataset version of the recovered snapshot state: a mismatch is the
+// signature of a checkpoint that crashed between its two file writes and
+// costs the warm start, nothing else — and so does a file of an earlier
+// format, which an upgrade leaves beside unchanged dataset files. A file
+// that is no warm-cache snapshot, fails its checksum or was saved at
+// another dimension or in another query space is an error: a region
+// clipped to one domain is not a certificate over another. Each entry's
+// repair state is rebuilt by rerunning its fill's traversal on the dataset,
+// one per entry; an entry the dataset cannot answer (k above its size)
+// fails the load.
+func (e *Engine) loadCache(path string, version int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	if len(data) < 12 || !bytes.Equal(data[:8], warmCacheMagic[:]) {
-		if len(data) < 8 || !bytes.Equal(data[:7], warmCacheMagic[:7]) || data[7] >= warmCacheMagic[7] {
-			return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
-		}
-		if requireVersion != nil {
+		if len(data) >= 8 && bytes.Equal(data[:7], warmCacheMagic[:7]) && data[7] < warmCacheMagic[7] {
 			return nil // an earlier format: skip the warm start
 		}
-		return fmt.Errorf("gir: %s is not a warm-cache snapshot this build reads: %s predates %s", path, data[:8], warmCacheMagic[:])
+		return fmt.Errorf("gir: %s is not a warm-cache snapshot", path)
 	}
 	if crc32.Checksum(data[12:], cacheCRC) != binary.LittleEndian.Uint32(data[8:]) {
 		return fmt.Errorf("gir: %s fails its checksum — the warm-cache snapshot is corrupt", path)
@@ -269,7 +208,7 @@ func (e *Engine) loadCache(path string, requireVersion *int64) error {
 		return fmt.Errorf("gir: %s records unknown query space %d", path, sb[0])
 	}
 	savedVersion := dec.i64()
-	if dec.err == nil && requireVersion != nil && savedVersion != *requireVersion {
+	if dec.err == nil && savedVersion != version {
 		return nil // torn checkpoint pair: skip the warm start
 	}
 	if dec.err == nil && dim != e.ds.Dim() {

@@ -9,7 +9,11 @@ import (
 	gir "github.com/girlib/gir"
 )
 
-func TestSaveOpenRoundTrip(t *testing.T) {
+// TestCheckpointRecoverRoundTrip pins the one persisted form of a dataset:
+// the directory Checkpoint writes (one atomic snapshot when no log is
+// attached) recovers to a dataset with the same records, answers, regions
+// and writability.
+func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ds, err := gir.NewDataset(randomPoints(r, 2000, 3))
 	if err != nil {
@@ -21,14 +25,15 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "index.gir")
-	if err := ds.Save(path); err != nil {
+	dir := t.TempDir()
+	if err := ds.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := gir.Open(path)
+	reopened, err := gir.Recover(dir, gir.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reopened.Close()
 	if reopened.Len() != ds.Len() || reopened.Dim() != ds.Dim() {
 		t.Fatalf("metadata mismatch: %d/%d vs %d/%d", reopened.Len(), reopened.Dim(), ds.Len(), ds.Dim())
 	}
@@ -65,23 +70,24 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveOpenKeepsSpace pins that a dataset snapshot records its query
-// space: a simplex dataset reopens as a simplex dataset — validation and
+// TestCheckpointRecoverKeepsSpace pins that a checkpoint records its query
+// space: a simplex dataset recovers as a simplex dataset — validation and
 // freshly computed regions included.
-func TestSaveOpenKeepsSpace(t *testing.T) {
+func TestCheckpointRecoverKeepsSpace(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	ds, err := gir.NewDatasetInSpace(randomPoints(r, 500, 3), gir.SpaceSimplex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "index.gir")
-	if err := ds.Save(path); err != nil {
+	dir := t.TempDir()
+	if err := ds.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := gir.Open(path)
+	reopened, err := gir.Recover(dir, gir.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reopened.Close()
 	if reopened.Space() != gir.SpaceSimplex {
 		t.Fatalf("reopened space = %v, want simplex", reopened.Space())
 	}
@@ -102,15 +108,17 @@ func TestSaveOpenKeepsSpace(t *testing.T) {
 	}
 }
 
-func TestOpenRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "garbage")
-	if err := os.WriteFile(path, []byte("not a snapshot at all, definitely"), 0o644); err != nil {
+// TestRecoverRejectsGarbageBase: a directory whose base snapshot is not
+// one, or that holds none, does not recover.
+func TestRecoverRejectsGarbageBase(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "dataset.snap"), []byte("not a snapshot at all, definitely"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gir.Open(path); err == nil {
-		t.Error("garbage file accepted")
+	if _, err := gir.Recover(dir, gir.WALOptions{}); err == nil {
+		t.Error("garbage base accepted")
 	}
-	if _, err := gir.Open(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file accepted")
+	if _, err := gir.Recover(t.TempDir(), gir.WALOptions{}); err == nil {
+		t.Error("directory without a base accepted")
 	}
 }

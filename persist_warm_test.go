@@ -13,15 +13,17 @@ import (
 	"testing"
 
 	cacheint "github.com/girlib/gir/internal/cache"
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
 
-// TestWarmCacheRoundTrip pins the warm-cache persistence contract: a
-// restarted engine that loads a saved cache serves its first lookups as
-// warm hits, with entries byte-equal to the saved ones (regions, records,
-// candidate sets, bounds, stamps) — including the retained repair state,
-// proven by a post-restart delete being repaired in place.
+// TestWarmCacheRoundTrip pins the warm-cache persistence contract: an
+// engine recovered from the directory Engine.Checkpoint wrote serves its
+// first lookups as warm hits, with entries byte-equal to the checkpointed
+// ones (regions, records, candidate sets, bounds, stamps) — including the
+// retained repair state, proven by a post-restart delete being repaired in
+// place.
 func TestWarmCacheRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
 	const n, d, k = 2000, 3, 8
@@ -29,8 +31,12 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	for i := range points {
 		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
 	}
+	dir := t.TempDir()
 	ds1, err := NewDataset(points)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds1.EnableWAL(dir, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	e1 := NewEngine(ds1, EngineOptions{RepairMode: true})
@@ -48,8 +54,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		saved[i] = res.Records
 	}
 
-	path := filepath.Join(t.TempDir(), "warm.gircache")
-	if err := e1.SaveCache(path); err != nil {
+	if err := e1.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	before := cacheFingerprints(e1.Cache())
@@ -57,19 +62,18 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		t.Fatal("nothing cached — round trip is vacuous")
 	}
 	e1.Close()
+	if err := ds1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// "Restart": a fresh dataset over the same points (the production shape
-	// is Dataset.Save + Open alongside SaveCache/LoadCache) and a fresh
-	// engine that loads the warm cache before serving.
-	ds2, err := NewDataset(points)
+	// Restart: the engine RecoverEngine returns has loaded the warm cache
+	// before serving.
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(ds2, EngineOptions{RepairMode: true})
+	defer ds2.Close()
 	defer e2.Close()
-	if err := e2.LoadCache(path); err != nil {
-		t.Fatal(err)
-	}
 	after := cacheFingerprints(e2.Cache())
 	if len(after) != len(before) {
 		t.Fatalf("loaded %d entries, saved %d", len(after), len(before))
@@ -131,13 +135,26 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveCacheDuringWrites pins that SaveCache is safe to call while
-// mutations keep arriving: the snapshot is taken in a quiesced critical
-// section (no drain pass in flight, publishing blocked), so the encoder
-// never races the drainer's candidate-set absorbs. Run under -race this
-// is the regression test for exactly that race; the saved file must also
-// always load cleanly.
-func TestSaveCacheDuringWrites(t *testing.T) {
+// cacheSnapCount reads the entry count a warm-cache snapshot's header
+// records: after magic (8), checksum (4), dimension (4), query space (1)
+// and dataset version (8).
+func cacheSnapCount(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(binary.LittleEndian.Uint32(data[25:]))
+}
+
+// TestCheckpointCacheDuringWrites pins that Engine.Checkpoint is safe to
+// call while mutations keep arriving: the cache is snapshotted in a
+// quiesced critical section (no drain pass in flight, publishing blocked),
+// so the encoder never races the drainer's candidate-set absorbs. Run under
+// -race this is the regression test for exactly that race. Every pair the
+// checkpoint writes must also recover warm: the cache file records the
+// dataset file's version, so RecoverEngine restores every entry it holds.
+func TestCheckpointCacheDuringWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(90))
 	const n, d, k = 800, 3, 6
 	points := make([][]float64, n)
@@ -182,28 +199,64 @@ func TestSaveCacheDuringWrites(t *testing.T) {
 	}()
 
 	dir := t.TempDir()
+	restored := 0
 	for i := 0; i < 8; i++ {
-		path := filepath.Join(dir, "warm.gircache")
-		if err := e.SaveCache(path); err != nil {
+		if err := e.Checkpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-		ds2, err := NewDataset(points)
+		want := cacheSnapCount(t, filepath.Join(dir, cacheSnapName))
+		ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
 		if err != nil {
+			t.Fatalf("checkpoint %d did not recover: %v", i, err)
+		}
+		got := e2.Cache().Len()
+		e2.Close()
+		if err := ds2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		e2 := NewEngine(ds2, EngineOptions{})
-		if err := e2.LoadCache(path); err != nil {
-			t.Fatalf("snapshot %d did not load: %v", i, err)
+		if got != want {
+			t.Fatalf("checkpoint %d recovered %d of the %d cached entries it wrote", i, got, want)
 		}
-		e2.Close()
+		restored += got
 	}
 	close(stop)
 	<-done
+	if restored == 0 {
+		t.Fatal("no checkpoint held a cached entry — the warm check is vacuous")
+	}
 }
 
-// TestLoadCacheRejectsGarbage pins the failure modes: wrong magic, wrong
-// dimension, truncation.
-func TestLoadCacheRejectsGarbage(t *testing.T) {
+// recoverWithCache recovers a copy of the durable directory base with
+// cache as its cache.snap (none when nil), closes what it opened, and
+// reports how many entries the engine restored or why it refused.
+func recoverWithCache(t *testing.T, base string, cache []byte) (int, error) {
+	t.Helper()
+	dir := t.TempDir()
+	copyFileTo(t, filepath.Join(dir, datasetSnapName), filepath.Join(base, datasetSnapName), -1)
+	if cache != nil {
+		if err := os.WriteFile(filepath.Join(dir, cacheSnapName), cache, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, e, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
+	if err != nil {
+		return 0, err
+	}
+	n := e.Cache().Len()
+	e.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return n, nil
+}
+
+// TestRecoverEngineRejectsCorruptCache pins the warm-cache loader's failure
+// modes, end to end through RecoverEngine: a file that is no warm-cache
+// snapshot, a truncated or bit-flipped one, one saved at another dimension,
+// and one whose structure or query-space byte is bad behind a valid
+// checksum are all refused. A missing cache file or one of an earlier
+// format costs the warm start and nothing else.
+func TestRecoverEngineRejectsCorruptCache(t *testing.T) {
 	r := rand.New(rand.NewSource(89))
 	points := make([][]float64, 200)
 	for i := range points {
@@ -219,16 +272,26 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "warm.gircache")
-	if err := e.SaveCache(path); err != nil {
+	if err := e.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := e.LoadCache(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing file accepted")
+	data, err := os.ReadFile(filepath.Join(dir, cacheSnapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := recoverWithCache(t, dir, data); err != nil || n != 1 {
+		t.Fatalf("the intact pair recovered %d entries (%v), want 1", n, err)
+	}
+	if n, err := recoverWithCache(t, dir, nil); err != nil || n != 0 {
+		t.Errorf("a directory without a cache file recovered %d entries (%v), want a cold start", n, err)
+	}
+	if _, err := recoverWithCache(t, dir, []byte("not a warm-cache snapshot at all")); err == nil {
+		t.Error("garbage cache file accepted")
+	} else if !strings.Contains(err.Error(), "not a warm-cache snapshot") {
+		t.Errorf("garbage should be refused by its magic, got: %v", err)
 	}
 
-	// A 2-d dataset must reject the 3-d snapshot.
+	// A 2-d dataset at the same version must reject the 3-d snapshot.
 	pts2 := make([][]float64, 100)
 	for i := range pts2 {
 		pts2[i] = []float64{r.Float64(), r.Float64()}
@@ -237,22 +300,16 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(ds2, EngineOptions{})
-	defer e2.Close()
-	if err := e2.LoadCache(path); err == nil {
+	dir2 := t.TempDir()
+	if err := ds2.Checkpoint(dir2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recoverWithCache(t, dir2, data); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 
 	// Truncated snapshot must error, not panic or half-load silently.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(dir, "trunc.gircache")
-	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(trunc); err == nil {
+	if _, err := recoverWithCache(t, dir, data[:len(data)/2]); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
 
@@ -260,11 +317,7 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	// structural guards below could not see it.
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)-3] ^= 0x10
-	flipPath := filepath.Join(dir, "flip.gircache")
-	if err := os.WriteFile(flipPath, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(flipPath); err == nil {
+	if _, err := recoverWithCache(t, dir, flipped); err == nil {
 		t.Error("bit-flipped snapshot accepted")
 	} else if !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corruption should fail the checksum, got: %v", err)
@@ -280,11 +333,7 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	corrupt := append([]byte(nil), data...)
 	corrupt[29] = 200
 	refreshCacheCRC(corrupt)
-	bad := filepath.Join(dir, "bad.gircache")
-	if err := os.WriteFile(bad, corrupt, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(bad); err == nil {
+	if _, err := recoverWithCache(t, dir, corrupt); err == nil {
 		t.Error("snapshot with corrupted vector dimension accepted")
 	}
 
@@ -292,38 +341,17 @@ func TestLoadCacheRejectsGarbage(t *testing.T) {
 	badSpace := append([]byte(nil), data...)
 	badSpace[16] = 9 // the space byte follows magic (8) + crc (4) + dim (4)
 	refreshCacheCRC(badSpace)
-	badPath := filepath.Join(dir, "badspace.gircache")
-	if err := os.WriteFile(badPath, badSpace, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(badPath); err == nil {
+	if _, err := recoverWithCache(t, dir, badSpace); err == nil {
 		t.Error("snapshot with unknown query space accepted")
 	}
 
 	// A file headed GIRWARM2 — a format no build since the checksummed one
-	// writes — is outside input like any other unknown magic.
+	// writes — is an earlier format like GIRWARM3: the warm start is
+	// skipped, nothing else.
 	old := append([]byte(nil), data...)
 	old[7] = '2'
-	oldPath := filepath.Join(dir, "v2.gircache")
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(oldPath); err == nil {
-		t.Error("a GIRWARM2-headed file accepted")
-	} else if !strings.Contains(err.Error(), "not a warm-cache snapshot") {
-		t.Errorf("a GIRWARM2-headed file should be refused by its magic, got: %v", err)
-	}
-
-	// GIRWARM3 — the format that still carried the repair state — is refused
-	// by its magic too, and the error names it.
-	old[7] = '3'
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadCache(oldPath); err == nil {
-		t.Error("a GIRWARM3-headed file accepted")
-	} else if !strings.Contains(err.Error(), "GIRWARM3") {
-		t.Errorf("a GIRWARM3-headed file should be refused by name, got: %v", err)
+	if n, err := recoverWithCache(t, dir, old); err != nil || n != 0 {
+		t.Errorf("a GIRWARM2-headed file recovered %d entries (%v), want a cold start", n, err)
 	}
 }
 
@@ -333,13 +361,14 @@ func refreshCacheCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[8:], crc32.Checksum(data[12:], cacheCRC))
 }
 
-// TestSaveCacheAfterCloseWithPending pins the snapshotCacheQuiesced
+// TestCheckpointAfterCloseWithPending pins the snapshotCacheQuiesced
 // contract: an engine Closed while mutations were still queued has lost
-// its drainer — the cache can never be reconciled — so SaveCache must
-// refuse with an error naming the backlog instead of persisting stale
-// entries. The state is staged directly (closed flag + queued mutations)
-// because losing that race to a real Close is timing-dependent.
-func TestSaveCacheAfterCloseWithPending(t *testing.T) {
+// its drainer — the cache can never be reconciled — so Engine.Checkpoint
+// must refuse with an error naming the backlog instead of persisting stale
+// entries, and write neither file of the pair. The state is staged
+// directly (closed flag + queued mutations) because losing that race to a
+// real Close is timing-dependent.
+func TestCheckpointAfterCloseWithPending(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	points := make([][]float64, 300)
 	for i := range points {
@@ -355,27 +384,29 @@ func TestSaveCacheAfterCloseWithPending(t *testing.T) {
 	}
 	e.Close()
 	e.invMu.Lock()
-	e.pending = append(e.pending, CacheMutation{Version: ds.Version() + 1, Insert: true, ID: 999, Point: []float64{0.1, 0.2, 0.3}})
+	e.pending = append(e.pending, maintain.Mutation{Version: ds.Version() + 1, Insert: true, ID: 999, Point: []float64{0.1, 0.2, 0.3}})
 	e.invMu.Unlock()
 
-	path := filepath.Join(t.TempDir(), "stale.gircache")
-	err = e.SaveCache(path)
+	dir := t.TempDir()
+	err = e.Checkpoint(dir)
 	if err == nil {
-		t.Fatal("SaveCache persisted a cache with unreconciled mutations")
+		t.Fatal("Checkpoint persisted a cache with unreconciled mutations")
 	}
 	if !strings.Contains(err.Error(), "1 mutation") {
 		t.Errorf("error should name the unreconciled backlog, got: %v", err)
 	}
-	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-		t.Error("a stale cache snapshot was written despite the error")
+	for _, name := range []string{cacheSnapName, datasetSnapName} {
+		if _, statErr := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(statErr) {
+			t.Errorf("%s was written despite the error", name)
+		}
 	}
 }
 
 // TestWarmCacheRefusesCrossDomainLoad pins the query-space compatibility
-// rule: a warm cache saved by a simplex-space engine must refuse to load
-// into a box-space engine over the same data (and vice versa) — a region
-// clipped to one domain is not a validity certificate over the other.
-// The matching-space round trip must keep working, including the region's
+// rule: a warm cache checkpointed by a simplex-space engine must refuse to
+// load beside a box-space dataset over the same data — a region clipped to
+// one domain is not a validity certificate over the other. The
+// matching-space round trip must keep working, including the region's
 // domain itself (a restored simplex entry must reject non-normalized
 // lookups exactly like the original).
 func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
@@ -394,31 +425,34 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 	if res := e.TopK(q, k); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	path := filepath.Join(t.TempDir(), "simplex.gircache")
-	if err := e.SaveCache(path); err != nil {
+	simplexDir := t.TempDir()
+	if err := e.Checkpoint(simplexDir); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
+	cache, err := os.ReadFile(filepath.Join(simplexDir, cacheSnapName))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	boxDS, err := NewDataset(points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxEngine := NewEngine(boxDS, EngineOptions{})
-	defer boxEngine.Close()
-	if err := boxEngine.LoadCache(path); err == nil {
-		t.Fatal("box-space engine accepted a simplex-space warm cache")
-	}
-
-	simplexDS, err := NewDatasetInSpace(points, SpaceSimplex)
-	if err != nil {
+	boxDir := t.TempDir()
+	if err := boxDS.Checkpoint(boxDir); err != nil {
 		t.Fatal(err)
 	}
-	simplexEngine := NewEngine(simplexDS, EngineOptions{})
-	defer simplexEngine.Close()
-	if err := simplexEngine.LoadCache(path); err != nil {
-		t.Fatalf("matching-space load failed: %v", err)
+	if _, err := recoverWithCache(t, boxDir, cache); err == nil {
+		t.Fatal("a box-space dataset recovered beside a simplex-space warm cache")
 	}
+
+	simplexDS, simplexEngine, err := RecoverEngine(simplexDir, WALOptions{}, EngineOptions{})
+	if err != nil {
+		t.Fatalf("matching-space recovery failed: %v", err)
+	}
+	defer simplexDS.Close()
+	defer simplexEngine.Close()
 	res := simplexEngine.TopK(q, k)
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -429,7 +463,7 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 	// The restored region carries the simplex domain: the unnormalized
 	// image of the same preference vector is not a member (the engine
 	// would reject it at validation anyway; this pins the region itself).
-	if hit, ok := simplexEngine.Cache().Lookup([]float64{0.5, 0.6, 0.7}, k); ok {
+	if hit, ok := simplexEngine.cache.inner.Lookup(vec.Vector{0.5, 0.6, 0.7}, k); ok {
 		t.Errorf("restored simplex region accepted a non-normalized vector: %+v", hit)
 	}
 }
@@ -547,8 +581,11 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("streamed warm-cache file (%d bytes) differs from the reference encoding (%d bytes)", len(got), len(want))
 	}
-	if err := e.LoadCache(path); err != nil {
+	if err := e.loadCache(path, version); err != nil {
 		t.Fatalf("the engine cannot load what it wrote: %v", err)
+	}
+	if got := e.Cache().Len(); got != 2*len(snaps) {
+		t.Fatalf("loading %d entries beside themselves left %d", len(snaps), got)
 	}
 }
 

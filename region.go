@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	cacheint "github.com/girlib/gir/internal/cache"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -84,7 +85,7 @@ func (ds *Dataset) computeGIR(res *TopKResult, m Method, star bool) (*GIR, error
 func (ds *Dataset) computeGIRSnap(sn *treeSnap, inner *topk.Result, m Method, star bool) (*GIR, error) {
 	readsBefore := ds.store.Stats().Reads
 	start := time.Now()
-	opts := girint.Options{Method: m.internal(), Domain: sn.space.domain(sn.tree.Dim())}
+	opts := girint.Options{Method: m, Domain: sn.space.domain(sn.tree.Dim())}
 	var region *girint.Region
 	var st *girint.Stats
 	var err error
@@ -182,6 +183,32 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 		}
 	}
 	return out, stats
+}
+
+// retainRepairState snapshots the traversal state delete-repair needs: the
+// candidate set T and the top corner of every search-heap subtree BRS left
+// unexpanded. Oversized state (see cache.MaxRetained) is dropped — the
+// entry then simply evicts instead of repairing on delete.
+func retainRepairState(inner *topk.Result) (cand []topk.Record, bounds []vec.Vector, complete bool) {
+	n := len(inner.T)
+	if inner.Heap != nil {
+		n += inner.Heap.Len()
+	}
+	if n > cacheint.MaxRetained {
+		return nil, nil, false
+	}
+	cand = append([]topk.Record(nil), inner.T...)
+	if inner.Heap != nil {
+		// One slab for every corner: the entry keeps them all or none.
+		d := len(inner.Query)
+		slab := make([]float64, 0, inner.Heap.Len()*d)
+		bounds = make([]vec.Vector, 0, inner.Heap.Len())
+		for _, it := range *inner.Heap {
+			slab = append(slab, it.Rect.Hi...)
+			bounds = append(bounds, slab[len(slab)-d:len(slab):len(slab)])
+		}
+	}
+	return cand, bounds, true
 }
 
 // repairState rebuilds the repair state of an entry restored with result

@@ -6,6 +6,7 @@ import (
 
 	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/domain"
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/vec"
 )
 
@@ -217,7 +218,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(32)
+	c := newCache(32)
 
 	// Query pool; refills during churn keep the cache populated as entries
 	// evict, so repair opportunities keep arising.
@@ -231,17 +232,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 		ks[i] = 2 + r.Intn(6)
 	}
 	methods := []Method{SP, CP, FP, Exhaustive}
-	fill := func(pi int) {
-		res, err := ds.TopK(pool[pi], ks[pi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := ds.ComputeGIR(res, FP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Put(g, res)
-	}
+	fill := func(pi int) { fillEntry(t, ds, pool[pi], ks[pi], c) }
 	for pi := range pool {
 		fill(pi)
 	}
@@ -259,7 +250,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 	}
 
 	for step := 0; step < steps; step++ {
-		var st BatchStats
+		var st maintain.Outcome
 		if len(live) > n/2 && r.Intn(3) == 0 {
 			// Delete a random live record (base or churned) so result
 			// records really do disappear.
@@ -272,7 +263,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 			delete(mirror, id)
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
-			st = c.ApplyBatch([]CacheMutation{{ID: id}})
+			st = drain(c, []maintain.Mutation{{ID: id}})
 			delRepaired += st.Repaired
 		} else {
 			p := []float64{r.Float64(), r.Float64(), r.Float64()}
@@ -288,7 +279,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 			}
 			mirror[id] = p
 			live = append(live, id)
-			st = c.ApplyBatch([]CacheMutation{{Insert: true, ID: id, Point: p}})
+			st = drain(c, []maintain.Mutation{{Insert: true, ID: id, Point: p}})
 			insRepaired += st.Repaired
 		}
 		evicted += st.Evicted

@@ -107,13 +107,13 @@ func TestTornWriteCorpus(t *testing.T) {
 		}
 	}
 
-	// Warm-cache snapshot: same corpus, through LoadCache.
+	// Warm-cache snapshot: same corpus, through the loader RecoverEngine runs.
 	cachePath := filepath.Join(scratch, "cache")
 	for cut := 0; cut < len(cacheData); cut++ {
 		if err := os.WriteFile(cachePath, cacheData[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := le.LoadCache(cachePath); err == nil {
+		if err := le.loadCache(cachePath, le.ds.Version()); err == nil {
 			t.Fatalf("cache snapshot truncated at %d/%d bytes loaded", cut, len(cacheData))
 		}
 	}
@@ -123,7 +123,7 @@ func TestTornWriteCorpus(t *testing.T) {
 		if err := os.WriteFile(cachePath, cor, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := le.LoadCache(cachePath); err == nil {
+		if err := le.loadCache(cachePath, le.ds.Version()); err == nil {
 			t.Fatalf("cache snapshot with byte %d flipped loaded", off)
 		}
 	}

@@ -92,6 +92,7 @@ func walDecode(payload []byte) (maintain.Mutation, error) {
 // first; two live datasets logging to one directory would interleave
 // their records. A stray delta file beside no snapshot is removed.
 func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
+	dir = filepath.Clean(dir)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.wal != nil {
@@ -199,7 +200,7 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 // file outgrow the base — so the bytes written stay within twice the bytes
 // dirtied plus one base, and recovery reads at most twice the base.
 func (ds *Dataset) checkpointLocked(dir string) error {
-	if ds.wal != nil && dir != ds.walDir {
+	if ds.wal != nil && filepath.Clean(dir) != ds.walDir {
 		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", ds.walDir, dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -345,7 +346,7 @@ func openDurable(dir string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds.walDir, ds.base, ds.delta = dir, id, delta
+	ds.walDir, ds.base, ds.delta = filepath.Clean(dir), id, delta
 	ds.dirty = make(map[pager.PageID]struct{})
 	return ds, nil
 }
@@ -376,8 +377,7 @@ func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset,
 	if e.cache != nil {
 		cachePath := filepath.Join(dir, cacheSnapName)
 		if _, err := os.Stat(cachePath); err == nil {
-			version := ds.Version()
-			if err := e.loadCache(cachePath, &version); err != nil {
+			if err := e.loadCache(cachePath, ds.Version()); err != nil {
 				e.Close()
 				return nil, nil, err
 			}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/pager"
 )
 
@@ -172,7 +173,7 @@ func testReplayDifferential(t *testing.T, space Space, seed int64) {
 	// The shadow starts from the durable base snapshot and advances one
 	// record at a time through the replay path; the reference replays the
 	// same prefix through the ordinary mutation API.
-	shadow, err := Open(filepath.Join(dir, datasetSnapName))
+	shadow, err := openBase(filepath.Join(dir, datasetSnapName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +321,12 @@ func TestEnableWALGuards(t *testing.T) {
 	if err := ds.Checkpoint(t.TempDir()); err == nil {
 		t.Error("checkpoint into a directory other than the WAL's accepted")
 	}
+	// The log's directory is one directory however it is spelled.
+	for _, spelling := range []string{dir + "/", filepath.Dir(dir) + "/./" + filepath.Base(dir)} {
+		if err := ds.Checkpoint(spelling); err != nil {
+			t.Errorf("checkpoint into the WAL's directory spelled %q refused: %v", spelling, err)
+		}
+	}
 	ds2, err := NewDataset(points)
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +349,9 @@ func TestEnableWALGuards(t *testing.T) {
 	}
 	if ok, err := rec.Delete(9999, []float64{0.1, 0.2, 0.3}); err != nil || !ok {
 		t.Fatalf("recovered dataset lost a logged insert (%v, %v)", ok, err)
+	}
+	if err := rec.Checkpoint(dir + "/"); err != nil {
+		t.Errorf("checkpoint of a recovered dataset into its directory spelled %q refused: %v", dir+"/", err)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -534,7 +544,7 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed := 0
-			defer ds.subscribe(func(m CacheMutation) {
+			defer ds.subscribe(func(m maintain.Mutation) {
 				if m.Insert {
 					feed++
 				} else {
