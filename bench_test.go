@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/domain"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/invalidate"
@@ -143,8 +144,8 @@ func BenchmarkInsertAffectsKeep(b *testing.B) {
 // BenchmarkBRS's tree with its log on and a warm RepairMode cache of 300
 // entries; 24 balanced writes (off the clock, reconciled) separate two
 // checkpoints (12 on the first). KB/op is what the checkpoint wrote, from the files' sizes:
-// the cache snapshot, plus the delta file's growth — or the whole base when
-// the checkpoint replaced it (on a tree without delta checkpoints, always).
+// the cache snapshot, plus the dataset file's growth — or the whole file when
+// the checkpoint rewrote it.
 func BenchmarkCheckpoint(b *testing.B) {
 	ds, e, dir := warmDurable(b)
 	defer ds.Close()
@@ -157,8 +158,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 		return fi.Size(), fi
 	}
 	r := rand.New(rand.NewSource(5))
-	_, base := size("dataset.snap")
-	var written, delta int64
+	snapSize, snap := size("dataset.snap")
+	var written int64
 	var live [][]float64 // the last iteration's inserts, ids nextID-12..nextID-1
 	nextID := int64(1 << 40)
 	b.ReportAllocs()
@@ -185,14 +186,13 @@ func BenchmarkCheckpoint(b *testing.B) {
 		}
 		b.StopTimer()
 		cache, _ := size("cache.snap")
-		snapSize, snap := size("dataset.snap")
-		deltaNow, _ := size("dataset.delta")
-		if os.SameFile(base, snap) {
-			written += cache + deltaNow - delta
+		nowSize, now := size("dataset.snap")
+		if os.SameFile(snap, now) {
+			written += cache + nowSize - snapSize
 		} else {
-			written += cache + snapSize
+			written += cache + nowSize
 		}
-		base, delta = snap, deltaNow
+		snapSize, snap = nowSize, now
 		b.StartTimer()
 	}
 	b.StopTimer()
@@ -361,14 +361,14 @@ func BenchmarkAblationVolume(b *testing.B) {
 	hs := reg.Halfspaces()
 	b.Run("telescoping", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := volume.LogRatio(hs, 4, volume.Options{Samples: 1000, Seed: int64(i + 1)}); err != nil {
+			if _, err := volume.LogRatioIn(domain.UnitBox(4), hs, volume.Options{Samples: 1000, Seed: int64(i + 1)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			volume.BoxRatio(hs, 4, 1000*len(hs), int64(i+1))
+			volume.DomainRatio(domain.UnitBox(4), hs, 1000*len(hs), int64(i+1))
 		}
 	})
 }

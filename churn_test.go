@@ -139,10 +139,16 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 
 	var logMu sync.Mutex // guards mirror.log appends (single mutator, many readers later)
 	stop := make(chan struct{})
+	// The queriers wait for the mutator's first published mutation, so no
+	// run can finish its queries before any write lands.
+	started := make(chan struct{})
+	var startOnce sync.Once
+	begin := func() { startOnce.Do(func() { close(started) }) }
 	var mutator sync.WaitGroup
 	mutator.Add(1)
 	go func() {
 		defer mutator.Done()
+		defer begin() // a mutator that failed early must not strand the queriers
 		mr := rand.New(rand.NewSource(101))
 		nextID := int64(1 << 40)
 		var live []churnLogEntry // inserted-and-not-yet-deleted records
@@ -188,6 +194,7 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 				mirror.log = append(mirror.log, ent)
 				logMu.Unlock()
 			}
+			begin()
 		}
 	}()
 
@@ -199,6 +206,7 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 		queriers.Add(1)
 		go func(seed int64) {
 			defer queriers.Done()
+			<-started
 			qr := rand.New(rand.NewSource(seed))
 			for i := 0; i < 60; i++ {
 				pi := qr.Intn(len(pool))

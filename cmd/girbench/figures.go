@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/domain"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/pager"
@@ -213,7 +214,7 @@ func (s *suite) measure(tb *table, c cell, r *row) (skipped string) {
 		}
 		// A region with no interior has no ratio: the mean is over the
 		// queries that have one, as the paper's is.
-		switch lv, err := volume.LogRatio(reg.Halfspaces(), c.d, volume.Options{Samples: s.cfg.VolumeSamples, Seed: s.cfg.Seed + int64(qi)}); err {
+		switch lv, err := volume.LogRatioIn(domain.UnitBox(c.d), reg.Halfspaces(), volume.Options{Samples: s.cfg.VolumeSamples, Seed: s.cfg.Seed + int64(qi)}); err {
 		case nil:
 			logVolume += lv / math.Ln10
 			volumes++

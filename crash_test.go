@@ -149,13 +149,14 @@ func TestKillDurability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Whatever instant the kills hit, the snapshot in the directory is a
-	// loadable one (atomic replace left old or new, never a hybrid).
-	ds, err := openBase(filepath.Join(dir, datasetSnapName))
+	// Whatever instant the kills hit, the dataset file in the directory is
+	// a loadable one on its own (atomic replace left old or new, never a
+	// hybrid).
+	ds, err := openDurable(dir)
 	if err != nil {
-		t.Fatalf("post-crash snapshot does not load: %v", err)
+		t.Fatalf("post-crash dataset file does not load: %v", err)
 	}
 	if ds.Len() == 0 {
-		t.Fatal("post-crash snapshot is empty")
+		t.Fatal("post-crash dataset file is empty")
 	}
 }

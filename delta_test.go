@@ -1,6 +1,7 @@
 package gir
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,7 +12,7 @@ import (
 	"github.com/girlib/gir/internal/pager"
 )
 
-// copyDir copies every file of a durable directory — base, delta, log and
+// copyDir copies every file of a durable directory — dataset file, log and
 // whatever else sits there — the way a crash would leave them to a restart.
 func copyDir(t *testing.T, dst, src string) {
 	t.Helper()
@@ -27,24 +28,16 @@ func copyDir(t *testing.T, dst, src string) {
 	}
 }
 
-// saveBase writes a full snapshot of ds to path, beside whatever durable
-// directory ds logs to — the control a delta directory is held against.
+// saveBase writes a one-segment dataset file of ds to path, beside whatever
+// durable directory ds logs to — the control an appending directory is
+// held against.
 func saveBase(t *testing.T, ds *Dataset, path string) {
 	t.Helper()
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if err := ds.saveLocked(path); err != nil {
+	if _, err := pager.WriteFull(path, ds.metaLocked(), ds.store); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// openBase loads one snapshot file on its own: no delta segments, no log.
-func openBase(path string) (*Dataset, error) {
-	store, meta, err := pager.LoadSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	return attachDataset(store, meta, path)
 }
 
 func randPoints(r *rand.Rand, n, d int) [][]float64 {
@@ -60,12 +53,12 @@ func randPoints(r *rand.Rand, n, d int) [][]float64 {
 
 // TestDeltaCheckpointDifferential drives a seeded insert/delete/checkpoint
 // script through a durable dataset and, at every checkpoint and at random
-// points between, recovers a copy of the directory — base + delta segments
-// + log — and requires Len, Version and top-k on a fixed query set to equal
-// the live dataset's AND those of a control recovered the old way, from a
-// full snapshot taken at the last checkpoint plus the same log. The script
-// crosses several compactions, and the bytes it wrote obey the rule's
-// bound: snapshot + delta bytes ≤ 2 × the bytes dirtied + one base.
+// points between, recovers a copy of the directory — full segment +
+// appended segments + log — and requires Len, Version and top-k on a fixed
+// query set to equal the live dataset's AND those of a control recovered
+// from a one-segment file written at the last checkpoint plus the same log.
+// The script crosses several compactions, and the bytes it wrote obey the
+// rule's bound: bytes written ≤ 2 × the bytes dirtied + one full segment.
 func TestDeltaCheckpointDifferential(t *testing.T) {
 	t.Run("d=3", func(t *testing.T) { testDeltaDifferential(t, 3, 171) })
 	t.Run("d=4", func(t *testing.T) { testDeltaDifferential(t, 4, 172) })
@@ -95,7 +88,7 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 		crashed := t.TempDir()
 		copyDir(t, crashed, dir)
 		copyFileTo(t, filepath.Join(control, walName), filepath.Join(dir, walName), -1)
-		for _, c := range []struct{ name, dir string }{{"base+delta+log", crashed}, {"control (full save + log)", control}} {
+		for _, c := range []struct{ name, dir string }{{"segments+log", crashed}, {"control (one full segment + log)", control}} {
 			rec, err := Recover(c.dir, WALOptions{})
 			if err != nil {
 				t.Fatalf("%s: recovering %s: %v", where, c.name, err)
@@ -109,8 +102,8 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 					t.Fatalf("%s: %s diverged from live\nrecovered: %s\nlive:      %s", where, c.name, got, want)
 				}
 			}
-			if st := rec.DeltaStats(); st.TruncatedBytes != 0 || st.ForeignTail {
-				t.Fatalf("%s: %s dropped a delta tail on a clean directory: %+v", where, c.name, st)
+			if st := rec.DeltaStats(); st.TruncatedBytes != 0 {
+				t.Fatalf("%s: %s dropped a tail on a clean directory: %+v", where, c.name, st)
 			}
 			if err := rec.Close(); err != nil {
 				t.Fatal(err)
@@ -119,8 +112,8 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 	}
 
 	muts := genChurn(r, points, checkpoints*perSegment, d)
-	baseSize := func() int64 { return ds.base.SrcSize }
-	written, dirtied := baseSize(), int64(0) // EnableWAL's base is the "one base"
+	baseSize := func() int64 { return ds.base }
+	written, dirtied := baseSize(), int64(0) // EnableWAL's full segment is the "one base"
 	firstBase := written
 	compactions := 0
 	for c := 0; c < checkpoints; c++ {
@@ -131,7 +124,7 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 				verify(fmt.Sprintf("segment %d after write %d", c, i))
 			}
 		}
-		seg := pager.DeltaSegmentSize(29, len(ds.dirty))
+		seg := pager.SegmentSize(29, len(ds.dirty))
 		dirtied += seg
 		before := ds.DeltaStats()
 		if err := ds.Checkpoint(dir); err != nil {
@@ -148,11 +141,11 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 		} else {
 			t.Fatalf("checkpoint %d went from %+v to %+v: neither an append nor a compaction", c, before, after)
 		}
-		if fi, err := os.Stat(filepath.Join(dir, datasetDeltaName)); ds.DeltaStats().Bytes > 0 && (err != nil || fi.Size() != ds.DeltaStats().Bytes) {
-			t.Fatalf("checkpoint %d: delta file is %v bytes (%v), stats say %d", c, fi, err, ds.DeltaStats().Bytes)
+		if fi, err := os.Stat(filepath.Join(dir, datasetSnapName)); err != nil || fi.Size() != baseSize()+ds.DeltaStats().Bytes {
+			t.Fatalf("checkpoint %d: dataset file is %v (%v), stats say %d + %d bytes", c, fi, err, baseSize(), ds.DeltaStats().Bytes)
 		}
 		if ds.DeltaStats().Bytes > baseSize() {
-			t.Fatalf("checkpoint %d: delta file (%d bytes) outgrew its base (%d)", c, ds.DeltaStats().Bytes, baseSize())
+			t.Fatalf("checkpoint %d: appended segments (%d bytes) outgrew the first (%d)", c, ds.DeltaStats().Bytes, baseSize())
 		}
 		if recs := ds.WALStats().Records; recs != 0 || len(ds.dirty) != 0 {
 			t.Fatalf("checkpoint %d left %d log records and %d dirty pages", c, recs, len(ds.dirty))
@@ -167,9 +160,9 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 		t.Fatalf("%d of %d checkpoints were full rewrites — the script no longer exercises deltas", compactions, checkpoints)
 	}
 	if limit := 2*dirtied + baseSize(); written > limit {
-		t.Fatalf("wrote %d bytes of snapshot + delta, over the bound 2×%d dirtied + one %d-byte base", written, dirtied, baseSize())
+		t.Fatalf("wrote %d bytes of segments, over the bound 2×%d dirtied + one %d-byte full segment", written, dirtied, baseSize())
 	}
-	t.Logf("d=%d: %d checkpoints, %d compactions, %d KB dirtied, %d KB written (first base %d KB, last %d KB)",
+	t.Logf("d=%d: %d checkpoints, %d compactions, %d KB dirtied, %d KB written (first full segment %d KB, last %d KB)",
 		d, checkpoints, compactions, dirtied>>10, written>>10, firstBase>>10, baseSize()>>10)
 }
 
@@ -177,8 +170,8 @@ func testDeltaDifferential(t *testing.T, d int, seed int64) {
 // costs what changed": after w writes a checkpoint appends exactly one
 // segment holding the pages those writes dirtied — never more pages than the
 // store was written to — so its bytes are at most (dirtied + 1) ×
-// (PageSize + 16); with nothing dirty it appends one empty segment; and the
-// base file is not touched by either.
+// (PageSize + 16); with nothing dirty it appends one empty segment; and
+// neither touches a byte of the file's first segment.
 func TestDeltaCheckpointProportional(t *testing.T) {
 	r := rand.New(rand.NewSource(173))
 	const n, d, w = 40000, 4, 24
@@ -192,9 +185,13 @@ func TestDeltaCheckpointProportional(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	base, err := os.Stat(filepath.Join(dir, datasetSnapName))
+	snap := filepath.Join(dir, datasetSnapName)
+	first, err := os.ReadFile(snap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if int64(len(first)) != ds.base {
+		t.Fatalf("EnableWAL wrote %d bytes, a %d-byte full segment", len(first), ds.base)
 	}
 	muts := genChurn(r, points, 4*w, d)
 	for c := 0; c < 4; c++ {
@@ -219,27 +216,31 @@ func TestDeltaCheckpointProportional(t *testing.T) {
 		if limit := (dirty + 1) * (pager.PageSize + 16); appended > limit {
 			t.Fatalf("checkpoint %d appended %d bytes for %d dirty pages (limit %d)", c, appended, dirty, limit)
 		}
-		t.Logf("checkpoint %d: %d writes dirtied %d of %d pages, %d bytes appended (base %d)",
-			c, w, dirty, ds.store.NumPages(), appended, base.Size())
+		t.Logf("checkpoint %d: %d writes dirtied %d of %d pages, %d bytes appended (first segment %d)",
+			c, w, dirty, ds.store.NumPages(), appended, len(first))
 	}
 	before := ds.DeltaStats()
 	if err := ds.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if after := ds.DeltaStats(); after.Segments != before.Segments+1 || after.Pages != before.Pages ||
-		after.Bytes-before.Bytes != pager.DeltaSegmentSize(29, 0) {
+		after.Bytes-before.Bytes != pager.SegmentSize(29, 0) {
 		t.Fatalf("idle checkpoint: %+v → %+v, want one empty segment", before, after)
 	}
-	if now, err := os.Stat(filepath.Join(dir, datasetSnapName)); err != nil || !now.ModTime().Equal(base.ModTime()) || now.Size() != base.Size() {
-		t.Fatalf("the base snapshot was rewritten by delta checkpoints: %v, %v", now, err)
+	now, err := os.ReadFile(snap)
+	if err != nil || int64(len(now)) != ds.base+ds.DeltaStats().Bytes || !bytes.Equal(now[:len(first)], first) {
+		t.Fatalf("appends changed the file's first segment, or its size is not the segments' (%v)", err)
 	}
 }
 
-// TestDeltaCrashShapes pins the recoveries the torn-write corpus does not
-// enumerate: a kill between a compaction's rename and the delta file's
-// removal, a delta file of another base, a plain Save over a delta
-// directory's base, and a stray delta file under EnableWAL.
-func TestDeltaCrashShapes(t *testing.T) {
+// TestCompactionCrash pins the one crash shape a compaction has. The
+// rewrite is one atomic replace of the dataset file followed by the log's
+// reset, so a kill inside it leaves the old file or the new one beside the
+// old log; both recover the live state (the new file covers every record of
+// the old log, which replay skips by version). It also pins the directory:
+// after checkpoints that appended and compacted, it holds exactly the
+// dataset file, the log and the warm cache.
+func TestCompactionCrash(t *testing.T) {
 	r := rand.New(rand.NewSource(174))
 	const n, d, k = 3000, 3, 5
 	points := randPoints(r, n, d)
@@ -253,6 +254,8 @@ func TestDeltaCrashShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
+	e := NewEngine(ds, EngineOptions{})
+	defer e.Close()
 	muts := genChurn(r, points, 4000, d)
 	next := 0
 	segment := func(writes int) {
@@ -260,113 +263,85 @@ func TestDeltaCrashShapes(t *testing.T) {
 			applyMut(t, ds, m)
 		}
 		next += writes
-	}
-	recoverEquals := func(what, crashed string, wantSegments int64, wantForeign bool) {
-		t.Helper()
-		rec, err := Recover(crashed, WALOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		defer rec.Close()
-		if rec.Len() != ds.Len() || rec.Version() != ds.Version() {
-			t.Fatalf("%s: recovered (len %d, v%d), live is (len %d, v%d)", what, rec.Len(), rec.Version(), ds.Len(), ds.Version())
-		}
-		if got, want := topkFingerprint(t, rec, q, k), topkFingerprint(t, ds, q, k); got != want {
-			t.Fatalf("%s: top-k diverged\nrecovered: %s\nlive:      %s", what, got, want)
-		}
-		if st := rec.DeltaStats(); st.Segments != wantSegments || st.ForeignTail != wantForeign || (st.TruncatedBytes > 0) != wantForeign {
-			t.Fatalf("%s: delta stats %+v, want %d segments, foreign tail %v", what, st, wantSegments, wantForeign)
-		}
-	}
-
-	// Checkpoint until the next one will compact, keeping the files a crash
-	// inside that compaction would find: the old segments and the log the
-	// checkpoint was about to reset.
-	segment(8)
-	if err := ds.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	var oldDelta, oldLog []byte
-	for ds.DeltaStats().Segments > 0 {
-		segment(8)
 		if err := ds.wal.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if oldDelta, err = os.ReadFile(filepath.Join(dir, datasetDeltaName)); err != nil {
+	}
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if oldLog, err = os.ReadFile(filepath.Join(dir, walName)); err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.Checkpoint(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, datasetDeltaName)); !os.IsNotExist(err) {
-		t.Fatalf("compaction left the delta file behind (%v)", err)
-	}
-	crashed := t.TempDir()
-	copyDir(t, crashed, dir)
-	if err := os.WriteFile(filepath.Join(crashed, datasetDeltaName), oldDelta, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(crashed, walName), oldLog, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recoverEquals("killed between the compaction's rename and the delta file's removal", crashed, 0, true)
-	if fi, err := os.Stat(filepath.Join(crashed, datasetDeltaName)); err != nil || fi.Size() != 0 {
-		t.Fatalf("the old base's segments were not truncated away: %v, %v", fi, err)
+		return data
 	}
 
-	// A segment of a foreign base behind intact ones: the intact prefix
-	// applies, the rest is dropped.
+	// Checkpoint until one compacts, keeping the files a kill inside that
+	// compaction finds: the old dataset file and the log it was about to
+	// reset.
 	segment(8)
-	if err := ds.Checkpoint(dir); err != nil {
+	if err := e.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
-	crashed = t.TempDir()
-	copyDir(t, crashed, dir)
-	f, err := os.OpenFile(filepath.Join(crashed, datasetDeltaName), os.O_WRONLY|os.O_APPEND, 0)
+	var oldSnap, oldLog []byte
+	for ds.DeltaStats().Segments > 0 {
+		segment(8)
+		oldSnap, oldLog = read(datasetSnapName), read(walName)
+		if err := e.Checkpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if int64(len(read(datasetSnapName))) != ds.base || int64(len(oldSnap)) <= ds.base {
+		t.Fatalf("fixture: the compaction left a %d-byte file after a %d-byte one, want one full %d-byte segment", len(read(datasetSnapName)), len(oldSnap), ds.base)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(oldDelta); err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, ent := range entries {
+		names = append(names, ent.Name())
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	if got, want := strings.Join(names, " "), strings.Join([]string{cacheSnapName, datasetSnapName, walName}, " "); got != want {
+		t.Fatalf("the durable directory holds %q, want %q", got, want)
 	}
-	recoverEquals("a foreign base's segments behind an intact one", crashed, 1, true)
 
-	// A full snapshot written over the base of a delta directory (an
-	// operator's manual "compaction") orphans the segments: they name the
-	// old base.
-	crashed = t.TempDir()
-	copyDir(t, crashed, dir)
-	saveBase(t, ds, filepath.Join(crashed, datasetSnapName))
-	recoverEquals("a full snapshot over a delta directory's base", crashed, 0, true)
-
-	// EnableWAL into a directory holding only a stray delta file removes it.
-	stray := t.TempDir()
-	if err := os.WriteFile(filepath.Join(stray, datasetDeltaName), oldDelta, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := NewDataset(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds2.EnableWAL(stray, WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	defer ds2.Close()
-	if _, err := os.Stat(filepath.Join(stray, datasetDeltaName)); !os.IsNotExist(err) {
-		t.Fatalf("EnableWAL left a stray delta file beside its new base (%v)", err)
+	for _, c := range []struct {
+		what string
+		snap []byte
+	}{
+		{"killed inside a compaction, before its rename", oldSnap},
+		{"killed inside a compaction, after its rename", read(datasetSnapName)},
+	} {
+		crashed := t.TempDir()
+		copyDir(t, crashed, dir)
+		if err := os.WriteFile(filepath.Join(crashed, datasetSnapName), c.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, walName), oldLog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := Recover(crashed, WALOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if rec.Len() != ds.Len() || rec.Version() != ds.Version() {
+			t.Fatalf("%s: recovered (len %d, v%d), live is (len %d, v%d)", c.what, rec.Len(), rec.Version(), ds.Len(), ds.Version())
+		}
+		if got, want := topkFingerprint(t, rec, q, k), topkFingerprint(t, ds, q, k); got != want {
+			t.Fatalf("%s: top-k diverged\nrecovered: %s\nlive:      %s", c.what, got, want)
+		}
+		if st := rec.DeltaStats(); st.TruncatedBytes != 0 {
+			t.Fatalf("%s: dropped a tail of an intact file: %+v", c.what, st)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestWALReplayRefusesGap is the regression test for contiguous replay: a
-// log whose first record is not the snapshot state's next version — here a
-// directory that lost its delta file after the log was reset behind it —
+// log whose first record is not the file's next version — here a dataset
+// file cut back to its first segment after the log was reset behind it —
 // must fail recovery with an error naming both versions, where it used to
 // apply the records and serve a dataset that never existed.
 func TestWALReplayRefusesGap(t *testing.T) {
@@ -388,7 +363,7 @@ func TestWALReplayRefusesGap(t *testing.T) {
 	}
 	insert(1 << 20)
 	insert(1<<20 + 1)
-	if err := ds.Checkpoint(dir); err != nil { // v2 lives in the delta file only
+	if err := ds.Checkpoint(dir); err != nil { // v2 lives in the appended segment only
 		t.Fatal(err)
 	}
 	insert(1<<20 + 2) // the log now starts at v3
@@ -397,12 +372,12 @@ func TestWALReplayRefusesGap(t *testing.T) {
 	}
 	crashed := t.TempDir()
 	copyDir(t, crashed, dir)
-	if err := os.Remove(filepath.Join(crashed, datasetDeltaName)); err != nil {
+	if err := os.Truncate(filepath.Join(crashed, datasetSnapName), ds.base); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := Recover(crashed, WALOptions{})
 	if err == nil {
-		t.Fatalf("recovered (len %d, v%d) from a base at v0 and a log starting at v3", rec.Len(), rec.Version())
+		t.Fatalf("recovered (len %d, v%d) from a full segment at v0 and a log starting at v3", rec.Len(), rec.Version())
 	}
 	if msg := err.Error(); !strings.Contains(msg, "version 3") || !strings.Contains(msg, "version 0") {
 		t.Fatalf("the gap error should name both versions, got: %v", err)

@@ -192,11 +192,12 @@ type Dataset struct {
 	walDir string     // the durable directory the WAL lives in
 	space  Space      // the query-space domain (data space is [0,1]^d regardless)
 
-	// Checkpoint state of walDir (see checkpointLocked): base identifies its
-	// dataset.snap, delta describes the dataset.delta that extends it, and
-	// dirty holds the pages written since the last checkpoint — non-nil
-	// exactly while the directory is attached, replay included.
-	base  pager.BaseID
+	// Checkpoint state of walDir's dataset file (see checkpointLocked): base
+	// is the size of its first, full segment, delta describes the segments
+	// appended after it, and dirty holds the pages written since the last
+	// checkpoint — non-nil exactly while the directory is attached, replay
+	// included.
+	base  int64
 	delta pager.DeltaStats
 	dirty map[pager.PageID]struct{}
 
@@ -360,6 +361,16 @@ func (ds *Dataset) logStep(m maintain.Mutation) func() error {
 	return func() error { return ds.wal.Append(walEncode(m)) }
 }
 
+// logClosedLocked is the error a write gets once Close shut a durable
+// dataset's log: applied unlogged, it would be acknowledged and then lost on
+// the next Recover. A dataset that never had a log has none to close.
+func (ds *Dataset) logClosedLocked() error {
+	if ds.wal == nil && ds.walDir != "" {
+		return fmt.Errorf("gir: the write-ahead log in %s is closed; writes are refused", ds.walDir)
+	}
+	return nil
+}
+
 // nextMutationLocked stamps a mutation the caller is about to log and
 // apply with the version it will produce; the point is copied, so the
 // event subscribers keep does not alias the caller's slice.
@@ -505,8 +516,9 @@ func checkUnitRange(p []float64) error {
 // old version throughout. With a write-ahead log attached (EnableWAL),
 // the mutation is logged — and, per WALOptions.SyncEvery, fsynced —
 // before it is applied, so a crash after Insert returns never loses it; a
-// failed append aborts the insert. The fsync happens while only the
-// writer mutex is held — readers are never behind it.
+// failed append aborts the insert, and once Close has shut the log every
+// insert is refused. The fsync happens while only the writer mutex is
+// held — readers are never behind it.
 func (ds *Dataset) Insert(id int64, p []float64) error {
 	if len(p) != ds.tree.Dim() {
 		return fmt.Errorf("gir: dimension mismatch")
@@ -516,6 +528,9 @@ func (ds *Dataset) Insert(id int64, p []float64) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if err := ds.logClosedLocked(); err != nil {
+		return err
+	}
 	m := ds.nextMutationLocked(true, id, p)
 	if _, err := ds.applyLocked(m, ds.logStep(m)); err != nil {
 		return fmt.Errorf("gir: insert aborted, write-ahead append failed: %w", err)
@@ -539,6 +554,9 @@ func (ds *Dataset) Delete(id int64, p []float64) (bool, error) {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if err := ds.logClosedLocked(); err != nil {
+		return false, err
+	}
 	m := ds.nextMutationLocked(false, id, p)
 	ok, err := ds.applyLocked(m, ds.logStep(m))
 	if err != nil {

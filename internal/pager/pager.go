@@ -56,7 +56,7 @@ func (c CostModel) IOTime(s Stats) time.Duration {
 // higher-level coordination (see gir.Dataset). MemStore is the one
 // implementation; the interface is the seam for a test fake or another
 // backend. Read and Write cannot fail — everything the library writes to
-// a disk goes through AtomicWriteFile, AppendDelta and the WAL, which
+// a disk goes through AtomicWriteFile, AppendSegment and the WAL, which
 // return errors.
 type Store interface {
 	// Alloc reserves a new page and returns its id, preferring ids

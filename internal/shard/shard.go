@@ -243,6 +243,7 @@ func (c *Coordinator) Stats() Stats {
 		st.Aggregate.Repaired += es.Repaired
 		st.Aggregate.Invalidated += es.Invalidated
 		st.Aggregate.Fenced += es.Fenced
+		st.Aggregate.CacheProbes += es.CacheProbes
 		st.Aggregate.DrainPasses += es.DrainPasses
 		st.Aggregate.DrainedMutations += es.DrainedMutations
 		st.Aggregate.PredicateEvals += es.PredicateEvals

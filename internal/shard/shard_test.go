@@ -3,8 +3,10 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	gir "github.com/girlib/gir"
 )
@@ -392,5 +394,61 @@ func TestStatsAggregatesAndSkew(t *testing.T) {
 	}
 	if moved != 1 {
 		t.Fatalf("one insert advanced %d partitions", moved)
+	}
+}
+
+// TestStatsAggregateSumsEveryCounter holds Stats().Aggregate to its
+// definition field by field, found by reflection so a counter added to
+// gir.EngineStats later cannot be left out of the sum silently: every int64
+// and time.Duration counter is the sum over Parts, and Version/Reconciled
+// are the minima.
+func TestStatsAggregateSumsEveryCounter(t *testing.T) {
+	points := genPoints(4, 400, 3)
+	c, err := New(points, Options{Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		q := []float64{r.Float64(), r.Float64(), r.Float64()}
+		if res := c.TopK(q, 5); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if i%5 == 0 {
+			if err := c.Insert(int64(1<<41+i), []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := c.Stats()
+	agg := reflect.ValueOf(st.Aggregate)
+	durationType := reflect.TypeOf(time.Duration(0))
+	counters := 0
+	for f := 0; f < agg.NumField(); f++ {
+		field := agg.Type().Field(f)
+		if field.Type.Kind() != reflect.Int64 && field.Type != durationType {
+			continue
+		}
+		var sum, least int64
+		for i, ps := range st.Parts {
+			v := reflect.ValueOf(ps.Engine).Field(f).Int()
+			sum += v
+			if i == 0 || v < least {
+				least = v
+			}
+		}
+		want := sum
+		if field.Name == "Version" || field.Name == "Reconciled" {
+			want = least
+		} else {
+			counters++
+		}
+		if got := agg.Field(f).Int(); got != want {
+			t.Errorf("Aggregate.%s = %d, want %d over %d partitions", field.Name, got, want, len(st.Parts))
+		}
+	}
+	if counters == 0 || st.Aggregate.CacheProbes == 0 {
+		t.Fatalf("the run checked %d counters and probed %d cache entries: vacuous", counters, st.Aggregate.CacheProbes)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/vec"
 )
@@ -28,7 +29,7 @@ func orthantRegion() []geom.Halfspace {
 func TestConcurrentEstimatesDeterministic(t *testing.T) {
 	hs := orthantRegion()
 	opt := Options{Samples: 500, Seed: 12345}
-	want, err := LogRatio(hs, 4, opt)
+	want, err := LogRatioIn(domain.UnitBox(4), hs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestConcurrentEstimatesDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = LogRatio(hs, 4, opt)
+			results[i], errs[i] = LogRatioIn(domain.UnitBox(4), hs, opt)
 		}(w)
 	}
 	wg.Wait()
@@ -60,18 +61,18 @@ func TestConcurrentEstimatesDeterministic(t *testing.T) {
 // Seed.
 func TestInjectedRandTakesPrecedence(t *testing.T) {
 	hs := orthantRegion()
-	a, err := Ratio(hs, 4, Options{Samples: 400, Rand: rand.New(rand.NewSource(77)), Seed: 1})
+	a, err := RatioIn(domain.UnitBox(4), hs, Options{Samples: 400, Rand: rand.New(rand.NewSource(77)), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Ratio(hs, 4, Options{Samples: 400, Rand: rand.New(rand.NewSource(77)), Seed: 999})
+	b, err := RatioIn(domain.UnitBox(4), hs, Options{Samples: 400, Rand: rand.New(rand.NewSource(77)), Seed: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("identical injected sources gave %v and %v", a, b)
 	}
-	seeded, err := Ratio(hs, 4, Options{Samples: 400, Seed: 77})
+	seeded, err := RatioIn(domain.UnitBox(4), hs, Options{Samples: 400, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,30 +9,32 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// RatioIn over a box domain must be bit-identical to the historical
-// Ratio: same exact 2-d path, same telescoping RNG consumption.
+// RatioIn and LogRatioIn over a box domain must be bit-identical to the
+// box-only Ratio and LogRatio they replaced: same exact 2-d area, same
+// telescoping RNG consumption. The constants are those functions' outputs.
 func TestRatioInBoxMatchesRatio(t *testing.T) {
 	hs := []geom.Halfspace{
 		{A: vec.Vector{1, -0.5, 0.2}, B: 0},
 		{A: vec.Vector{-0.3, 1, -0.4}, B: 0},
 	}
 	opt := Options{Samples: 800, Seed: 5}
-	want, err := Ratio(hs, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := RatioIn(domain.UnitBox(3), hs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("RatioIn(box) = %v, Ratio = %v — must be bit-identical", got, want)
+	if want := math.Float64frombits(0x3fdef05bc01a36e3); got != want {
+		t.Errorf("RatioIn(box) = %v, Ratio gave %v — must be bit-identical", got, want)
+	}
+	lg, err := LogRatioIn(domain.UnitBox(3), hs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Float64frombits(0xbfe742825703412f); lg != want {
+		t.Errorf("LogRatioIn(box) = %v, LogRatio gave %v — must be bit-identical", lg, want)
 	}
 	hs2 := []geom.Halfspace{{A: vec.Vector{1, -1}, B: 0}}
-	want2, _ := Ratio(hs2, 2, opt)
-	got2, _ := RatioIn(domain.UnitBox(2), hs2, opt)
-	if got2 != want2 {
-		t.Errorf("RatioIn(box, d=2) = %v, Ratio = %v", got2, want2)
+	if got2, _ := RatioIn(domain.UnitBox(2), hs2, opt); got2 != 0.5 {
+		t.Errorf("RatioIn(box, d=2) = %v, Ratio gave 0.5", got2)
 	}
 }
 
@@ -140,7 +142,7 @@ func TestSimplexMeasureIgnoresSumDirection(t *testing.T) {
 	if math.Abs(got-1) > 1e-9 {
 		t.Errorf("sum-direction sandwich has simplex ratio %v, want 1", got)
 	}
-	box, err := Ratio(hs, 3, Options{Samples: 500, Seed: 1})
+	box, err := RatioIn(domain.UnitBox(3), hs, Options{Samples: 500, Seed: 1})
 	if err == nil && box > 0.01 {
 		t.Errorf("the same sandwich should be thin in box measure, got %v", box)
 	}

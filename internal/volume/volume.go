@@ -6,9 +6,9 @@
 // where the ratio is taken in the simplex's relative (d−1)-dimensional
 // measure — a uniformly random SUM-NORMALIZED preference vector.
 //
-// In low dimensions the ratio is computed exactly by polygon/segment
-// clipping (box d=2; simplex d=2 and d=3 via the affine parameterization
-// below). In higher dimensions GIR volumes reach 10⁻¹⁵ (Figure 14 spans
+// Both integrate in the domain's parameter space (below), where the ratio
+// is computed exactly by segment/polygon clipping in one and two parameter
+// dimensions (box d=2; simplex d=2 and d=3). In higher dimensions GIR volumes reach 10⁻¹⁵ (Figure 14 spans
 // fifteen orders of magnitude), far below what naive uniform Monte-Carlo
 // can resolve, so the estimator telescopes: with half-spaces h_1..h_m,
 //
@@ -19,10 +19,10 @@
 // zero far better than the product, which is what makes the tiny volumes
 // estimable.
 //
-// The simplex integrates in the domain's parameter space (Domain.Param*:
-// drop the last coordinate, w_d = 1 − Σu): the affine map has constant
-// Jacobian, so relative volumes — all a ratio needs — carry over exactly,
-// and the hit-and-run walk runs full-dimensionally instead of on a
+// The parameter space (Domain.Param*) is the box itself, and for the
+// simplex drops the last coordinate (w_d = 1 − Σu): the affine map has
+// constant Jacobian, so relative volumes — all a ratio needs — carry over
+// exactly, and the hit-and-run walk runs full-dimensionally instead of on a
 // measure-zero slice of ambient space.
 package volume
 
@@ -79,29 +79,12 @@ func (o Options) rng() *rand.Rand {
 // ErrEmpty is returned when the region has no interior.
 var ErrEmpty = errors.New("volume: region has empty interior")
 
-// Ratio returns vol(∩h_i ∩ [0,1]^d) / vol([0,1]^d). The half-spaces should
-// NOT include the box; it is added internally. For d = 2 the result is
-// exact; otherwise it is a Monte-Carlo estimate per the package comment.
-func Ratio(hs []geom.Halfspace, d int, opt Options) (float64, error) {
-	if d < 1 {
-		return 0, errors.New("volume: dimension must be ≥ 1")
-	}
-	if d == 2 {
-		return Exact2D(hs), nil
-	}
-	return telescope(hs, d, opt.withDefaults())
-}
-
 // RatioIn returns vol(∩h_i ∩ domain) / vol(domain) in the domain's own
 // measure (relative (d−1)-dimensional measure for the simplex). The
-// half-spaces should NOT include the domain; it is added internally. Box
-// domains take the historical code path bit for bit; the simplex
-// integrates in parameter space — exactly for d ≤ 3 (segment/triangle
-// clipping), telescoping Monte-Carlo above.
+// half-spaces should NOT include the domain; it is added internally. The
+// ratio is exact in one and two parameter dimensions (segment/polygon
+// clipping) and a telescoping Monte-Carlo estimate above.
 func RatioIn(dom domain.Domain, hs []geom.Halfspace, opt Options) (float64, error) {
-	if dom.Kind() == domain.KindBox {
-		return Ratio(hs, dom.Dim(), opt)
-	}
 	base, ph := paramProblem(dom, hs)
 	switch dom.ParamDim() {
 	case 1:
@@ -112,14 +95,13 @@ func RatioIn(dom domain.Domain, hs []geom.Halfspace, opt Options) (float64, erro
 	return telescopeIn(base, ph, dom.ParamDim(), opt.withDefaults())
 }
 
-// LogRatioIn is ln(RatioIn), usable when the ratio underflows float64.
-// Only the telescoped path needs its own branch (summing the log factors
-// avoids the underflow); the exact low-dimension cases delegate to
-// RatioIn so the two entry points can never disagree on dispatch.
+// LogRatioIn is ln(RatioIn), usable when the ratio underflows float64
+// (beyond ~10⁻³⁰⁰, which Figure 14's d=8 anti-correlated settings
+// approach). Only the telescoped path needs its own branch (summing the
+// log factors avoids the underflow); the exact low-dimension cases
+// delegate to RatioIn so the two entry points can never disagree on
+// dispatch.
 func LogRatioIn(dom domain.Domain, hs []geom.Halfspace, opt Options) (float64, error) {
-	if dom.Kind() == domain.KindBox {
-		return LogRatio(hs, dom.Dim(), opt)
-	}
 	if dom.ParamDim() > 2 {
 		base, ph := paramProblem(dom, hs)
 		logs, err := telescopeFactorsIn(base, ph, dom.ParamDim(), opt.withDefaults())
@@ -180,39 +162,7 @@ func exactParam2D(base, ph []geom.Halfspace) float64 {
 	return clipped / baseArea
 }
 
-// Exact2D computes the exact area of the clipped region in the unit
-// square via Sutherland–Hodgman clipping.
-func Exact2D(hs []geom.Halfspace) float64 {
-	return geom.PolygonArea(geom.ClipToPolygon(hs))
-}
-
-// LogRatio returns the natural log of the ratio (usable when the ratio
-// underflows float64 — beyond ~10⁻³⁰⁰ — which Figure 14's d=8 anti-
-// correlated settings approach).
-func LogRatio(hs []geom.Halfspace, d int, opt Options) (float64, error) {
-	if d == 2 {
-		a := Exact2D(hs)
-		if a == 0 {
-			return math.Inf(-1), nil
-		}
-		return math.Log(a), nil
-	}
-	opt = opt.withDefaults()
-	logs, err := telescopeFactors(hs, d, opt)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, l := range logs {
-		sum += l
-	}
-	return sum, nil
-}
-
-func telescope(hs []geom.Halfspace, d int, opt Options) (float64, error) {
-	return telescopeIn(domain.UnitBox(d).ParamBase(), hs, d, opt)
-}
-
+// telescopeIn multiplies telescopeFactorsIn's factors.
 func telescopeIn(base, hs []geom.Halfspace, d int, opt Options) (float64, error) {
 	logs, err := telescopeFactorsIn(base, hs, d, opt)
 	if err != nil {
@@ -223,12 +173,6 @@ func telescopeIn(base, hs []geom.Halfspace, d int, opt Options) (float64, error)
 		sum += l
 	}
 	return math.Exp(sum), nil
-}
-
-// telescopeFactors returns the log of each conditional acceptance factor
-// over the unit box.
-func telescopeFactors(hs []geom.Halfspace, d int, opt Options) ([]float64, error) {
-	return telescopeFactorsIn(domain.UnitBox(d).ParamBase(), hs, d, opt)
 }
 
 // telescopeFactorsIn telescopes over an arbitrary bounded base region (a
@@ -301,27 +245,11 @@ func hitAndRunAccept(region []geom.Halfspace, h geom.Halfspace, start vec.Vector
 	return float64(hit) / float64(samples)
 }
 
-// BoxRatio estimates the ratio with plain uniform sampling over the box —
-// the naive estimator, kept as a cross-check for not-too-small regions and
-// as the ablation baseline (BenchmarkAblationVolumeNaive).
-func BoxRatio(hs []geom.Halfspace, d int, samples int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	x := make(vec.Vector, d)
-	hit := 0
-	for s := 0; s < samples; s++ {
-		for j := 0; j < d; j++ {
-			x[j] = rng.Float64()
-		}
-		if geom.ContainsAll(hs, x, 0) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(samples)
-}
-
-// DomainRatio is BoxRatio generalized to any domain: uniform samples of
-// the domain (Dirichlet sticks for the simplex) against the half-spaces.
-// Cross-check only; it cannot resolve the tiny ratios RatioIn telescopes.
+// DomainRatio estimates the ratio with plain uniform sampling — the naive
+// estimator: uniform samples of the domain (Dirichlet sticks for the
+// simplex) against the half-spaces. Cross-check and ablation baseline only
+// (BenchmarkAblationVolume); it cannot resolve the tiny ratios RatioIn
+// telescopes.
 func DomainRatio(dom domain.Domain, hs []geom.Halfspace, samples int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	hit := 0

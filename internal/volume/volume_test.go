@@ -6,25 +6,35 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/vec"
 )
 
 func hs(a ...float64) geom.Halfspace { return geom.Halfspace{A: vec.Vector(a), B: 0} }
 
+// exact2D is the unit square's exact ratio (polygon clipping).
+func exact2D(h []geom.Halfspace) float64 {
+	v, err := RatioIn(domain.UnitBox(2), h, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestExact2DWedge(t *testing.T) {
 	// x ≥ y and x ≤ 2y: exact area 0.25 (see geom tests).
-	got := Exact2D([]geom.Halfspace{hs(1, -1), hs(-1, 2)})
+	got := exact2D([]geom.Halfspace{hs(1, -1), hs(-1, 2)})
 	if math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("area = %v, want 0.25", got)
 	}
 }
 
 func TestExact2DEmptyAndFull(t *testing.T) {
-	if got := Exact2D([]geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}); got != 0 {
+	if got := exact2D([]geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}); got != 0 {
 		t.Errorf("empty region area = %v", got)
 	}
-	if got := Exact2D(nil); math.Abs(got-1) > 1e-12 {
+	if got := exact2D(nil); math.Abs(got-1) > 1e-12 {
 		t.Errorf("unconstrained area = %v, want 1", got)
 	}
 }
@@ -40,7 +50,7 @@ func TestRatioKnownVolumes3D(t *testing.T) {
 		{"quarter", []geom.Halfspace{hs(1, -1, 0), hs(1, 0, -1)}, 1.0 / 3.0},
 	}
 	for _, c := range cases {
-		got, err := Ratio(c.hs, 3, Options{Samples: 6000, Seed: 42})
+		got, err := RatioIn(domain.UnitBox(3), c.hs, Options{Samples: 6000, Seed: 42})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -53,7 +63,7 @@ func TestRatioKnownVolumes3D(t *testing.T) {
 func TestRatioOrderChain4D(t *testing.T) {
 	// x1 ≥ x2 ≥ x3 ≥ x4: exactly 1/4! = 1/24.
 	h := []geom.Halfspace{hs(1, -1, 0, 0), hs(0, 1, -1, 0), hs(0, 0, 1, -1)}
-	got, err := Ratio(h, 4, Options{Samples: 8000, Seed: 7})
+	got, err := RatioIn(domain.UnitBox(4), h, Options{Samples: 8000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +88,11 @@ func TestRatioTinyVolume(t *testing.T) {
 	// ∏_{i=1}^{d-1} 1/(4^i·(i+1))… — rather than deriving it, check
 	// consistency: the estimate is far below naive-MC resolution yet
 	// log-stable across seeds.
-	l1, err := LogRatio(h, d, Options{Samples: 20000, Seed: 1})
+	l1, err := LogRatioIn(domain.UnitBox(d), h, Options{Samples: 20000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := LogRatio(h, d, Options{Samples: 20000, Seed: 99})
+	l2, err := LogRatioIn(domain.UnitBox(d), h, Options{Samples: 20000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestRatioTinyVolume(t *testing.T) {
 
 func TestRatioEmptyRegion(t *testing.T) {
 	h := []geom.Halfspace{{A: vec.Vector{1, 0, 0}, B: 2}} // x ≥ 2: impossible
-	if _, err := Ratio(h, 3, Options{}); err == nil {
+	if _, err := RatioIn(domain.UnitBox(3), h, Options{}); err == nil {
 		t.Error("expected ErrEmpty")
 	}
 }
@@ -119,11 +129,11 @@ func TestTelescopeMatchesNaive(t *testing.T) {
 			a[0] = math.Abs(a[0]) + 1
 			h = append(h, geom.Halfspace{A: a, B: 0})
 		}
-		naive := BoxRatio(h, d, 40000, seed+1)
+		naive := DomainRatio(domain.UnitBox(d), h, 40000, seed+1)
 		if naive < 0.05 {
 			return true // too small for the naive oracle; skip
 		}
-		tele, err := Ratio(h, d, Options{Samples: 4000, Seed: seed + 2})
+		tele, err := RatioIn(domain.UnitBox(d), h, Options{Samples: 4000, Seed: seed + 2})
 		if err != nil {
 			return false
 		}
@@ -144,8 +154,8 @@ func TestExact2DMatchesNaive(t *testing.T) {
 		for c := 0; c < 2; c++ {
 			h = append(h, geom.Halfspace{A: vec.Vector{r.NormFloat64(), r.NormFloat64()}, B: 0})
 		}
-		exact := Exact2D(h)
-		naive := BoxRatio(h, 2, 60000, seed+3)
+		exact := exact2D(h)
+		naive := DomainRatio(domain.UnitBox(2), h, 60000, seed+3)
 		return math.Abs(exact-naive) < 0.02
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(149))}
@@ -155,19 +165,19 @@ func TestExact2DMatchesNaive(t *testing.T) {
 }
 
 func TestLogRatio2D(t *testing.T) {
-	got, err := LogRatio([]geom.Halfspace{hs(1, -1)}, 2, Options{})
+	got, err := LogRatioIn(domain.UnitBox(2), []geom.Halfspace{hs(1, -1)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-math.Log(0.5)) > 1e-9 {
-		t.Errorf("LogRatio = %v, want log(0.5)", got)
+		t.Errorf("LogRatioIn = %v, want log(0.5)", got)
 	}
-	got, err = LogRatio([]geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}, 2, Options{})
+	got, err = LogRatioIn(domain.UnitBox(2), []geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(got, -1) {
-		t.Errorf("empty 2-d region LogRatio = %v, want −Inf", got)
+		t.Errorf("empty 2-d region LogRatioIn = %v, want −Inf", got)
 	}
 }
 

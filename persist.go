@@ -19,15 +19,7 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// saveLocked writes a full snapshot of the dataset to path — every store
-// page plus the metadata block — atomically (temp + fsync + rename). The
-// caller holds the writer mutex, so no mutation can land between the
-// version it records and the pages it writes.
-func (ds *Dataset) saveLocked(path string) error {
-	return pager.Snapshot(ds.store, ds.metaLocked(), path)
-}
-
-// metaLocked encodes the metadata block a snapshot or delta segment
+// metaLocked encodes the metadata block every segment of the dataset file
 // carries beside the pages (parseDatasetMeta is its inverse); the caller
 // holds the writer mutex.
 func (ds *Dataset) metaLocked() []byte {
@@ -42,11 +34,9 @@ func (ds *Dataset) metaLocked() []byte {
 	return meta
 }
 
-// datasetMeta decodes the snapshot metadata block: dimension, tree
-// geometry, query space, and the mutation version the snapshot captured
-// (the replay cursor for write-ahead recovery). Shorter 20/21-byte
-// metadata predates the version field, but those files are version-1/2
-// snapshots that pager.LoadSnapshot already refuses.
+// datasetMeta decodes a segment's metadata block: dimension, tree
+// geometry, query space, and the mutation version the segment captured
+// (the replay cursor for write-ahead recovery).
 type datasetMeta struct {
 	dim, height, size int
 	root              pager.PageID
@@ -87,8 +77,9 @@ func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error
 	return ds, nil
 }
 
-// Close syncs and closes the write-ahead log, if one is attached. It is a
-// no-op for a dataset without one.
+// Close syncs and closes the write-ahead log, if one is attached; from then
+// on Insert and Delete return an error rather than apply a write no log
+// records. It is a no-op for a dataset that never had a log.
 func (ds *Dataset) Close() error {
 	if ds.wal == nil {
 		return nil

@@ -11,15 +11,15 @@ import (
 )
 
 // TestTornWriteCorpus is the torn-write fuzz-by-enumeration for every
-// durable artifact: a dataset snapshot and a warm-cache snapshot
+// durable artifact: a one-segment dataset file and a warm-cache snapshot
 // truncated at EVERY byte boundary must fail to load with a clean error
 // (never a panic, never a silently garbage dataset), and with one byte
 // flipped per page-sized region must fail their checksums; a write-ahead
 // log truncated at every byte boundary must recover — without error — to
-// exactly the longest intact record prefix; and a delta file whose last
-// segment is cut at every byte or has any byte flipped must recover to
-// exactly the acknowledged state when the log it would have covered is still
-// beside it, and be refused when only a later log is (tornDeltaCorpus).
+// exactly the longest intact record prefix; and a dataset file whose last
+// appended segment is cut at every byte or has any byte flipped must recover
+// to exactly the acknowledged state when the log it would have covered is
+// still beside it, and be refused when only a later log is (tornDeltaCorpus).
 func TestTornWriteCorpus(t *testing.T) {
 	t.Run("delta", tornDeltaCorpus)
 	r := rand.New(rand.NewSource(160))
@@ -85,25 +85,27 @@ func TestTornWriteCorpus(t *testing.T) {
 	le := loadEngine()
 	defer le.Close()
 
-	// Dataset snapshot: every strict prefix must be rejected.
+	// The dataset file's first segment on its own, a one-segment file:
+	// every strict prefix must be rejected.
+	oneSeg := snapData[:ds.base]
 	snapPath := filepath.Join(scratch, "snap")
-	for cut := 0; cut < len(snapData); cut++ {
-		if err := os.WriteFile(snapPath, snapData[:cut], 0o644); err != nil {
+	for cut := 0; cut < len(oneSeg); cut++ {
+		if err := os.WriteFile(snapPath, oneSeg[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := pager.LoadSnapshot(snapPath); err == nil {
-			t.Fatalf("dataset snapshot truncated at %d/%d bytes loaded", cut, len(snapData))
+		if _, _, _, _, err := pager.LoadSegments(snapPath); err == nil {
+			t.Fatalf("dataset file truncated at %d/%d bytes loaded", cut, len(oneSeg))
 		}
 	}
 	// One flipped byte per page-sized region fails the checksum.
-	for off := 37; off < len(snapData); off += pager.PageSize {
-		cor := append([]byte(nil), snapData...)
+	for off := 37; off < len(oneSeg); off += pager.PageSize {
+		cor := append([]byte(nil), oneSeg...)
 		cor[off] ^= 0x20
 		if err := os.WriteFile(snapPath, cor, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := pager.LoadSnapshot(snapPath); err == nil {
-			t.Fatalf("dataset snapshot with byte %d flipped loaded", off)
+		if _, _, _, _, err := pager.LoadSegments(snapPath); err == nil {
+			t.Fatalf("dataset file with byte %d flipped loaded", off)
 		}
 	}
 
@@ -242,8 +244,9 @@ func TestTornWriteCorpus(t *testing.T) {
 	}
 }
 
-// tornDeltaCorpus damages the last delta segment of a durable directory in
-// every way a crash or bit rot can and recovers beside two logs. Beside the
+// tornDeltaCorpus damages the last appended segment of a durable
+// directory's dataset file in every way a crash or bit rot can and recovers
+// beside two logs. Beside the
 // log the checkpoint was about to reset — what a crash mid-append leaves —
 // the damaged segment is dropped and the log replays: exactly the
 // acknowledged state, the loss reported. Beside the log written AFTER the
@@ -287,7 +290,7 @@ func tornDeltaCorpus(t *testing.T) {
 	if err := ds.Checkpoint(dir); err != nil { // segment 1
 		t.Fatal(err)
 	}
-	firstEnd := ds.DeltaStats().Bytes
+	firstEnd := ds.base + ds.DeltaStats().Bytes
 	insert(1)
 	preLog := read(walName) // what the next checkpoint resets
 	ackLen, ackVersion := ds.Len(), ds.Version()
@@ -296,17 +299,14 @@ func tornDeltaCorpus(t *testing.T) {
 	}
 	insert(2)
 	postLog := read(walName)
-	snapData, deltaData := read(datasetSnapName), read(datasetDeltaName)
-	if st := ds.DeltaStats(); st.Segments != 2 || st.Bytes != int64(len(deltaData)) || firstEnd <= 0 {
-		t.Fatalf("fixture: %+v over a %d-byte delta file, first segment ends at %d", st, len(deltaData), firstEnd)
+	snapData := read(datasetSnapName)
+	if st := ds.DeltaStats(); st.Segments != 2 || ds.base+st.Bytes != int64(len(snapData)) || firstEnd <= ds.base {
+		t.Fatalf("fixture: %+v over a %d-byte file, appended segment 1 ends at %d", st, len(snapData), firstEnd)
 	}
 
 	crashDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(crashDir, datasetSnapName), snapData, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recoverWith := func(delta, log []byte) (*Dataset, error) {
-		if err := os.WriteFile(filepath.Join(crashDir, datasetDeltaName), delta, 0o644); err != nil {
+	recoverWith := func(snap, log []byte) (*Dataset, error) {
+		if err := os.WriteFile(filepath.Join(crashDir, datasetSnapName), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(crashDir, walName), log, 0o644); err != nil {
@@ -314,29 +314,29 @@ func tornDeltaCorpus(t *testing.T) {
 		}
 		return Recover(crashDir, WALOptions{})
 	}
-	check := func(what string, delta []byte) {
-		rec, err := recoverWith(delta, preLog)
+	check := func(what string, snap []byte) {
+		rec, err := recoverWith(snap, preLog)
 		if err != nil {
 			t.Fatalf("%s beside the pre-reset log: %v", what, err)
 		}
 		st := rec.DeltaStats()
 		if rec.Len() != ackLen || rec.Version() != ackVersion || st.Segments != 1 ||
-			st.TruncatedBytes != int64(len(delta))-firstEnd || st.ForeignTail {
+			st.TruncatedBytes != int64(len(snap))-firstEnd {
 			t.Fatalf("%s beside the pre-reset log: (len %d, v%d), want (len %d, v%d); delta stats %+v",
 				what, rec.Len(), rec.Version(), ackLen, ackVersion, st)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if rec, err := recoverWith(delta, postLog); err == nil {
+		if rec, err := recoverWith(snap, postLog); err == nil {
 			t.Fatalf("%s beside the post-reset log recovered (len %d, v%d): a stale tree was served", what, rec.Len(), rec.Version())
 		}
 	}
-	for cut := int(firstEnd); cut < len(deltaData); cut++ {
-		check(fmt.Sprintf("last segment cut at %d/%d", cut, len(deltaData)), deltaData[:cut])
+	for cut := int(firstEnd); cut < len(snapData); cut++ {
+		check(fmt.Sprintf("last segment cut at %d/%d", cut, len(snapData)), snapData[:cut])
 	}
-	for off := int(firstEnd); off < len(deltaData); off++ {
-		cor := append([]byte(nil), deltaData...)
+	for off := int(firstEnd); off < len(snapData); off++ {
+		cor := append([]byte(nil), snapData...)
 		cor[off] ^= 0x20
 		check(fmt.Sprintf("last segment with byte %d flipped", off), cor)
 	}
@@ -346,12 +346,12 @@ func tornDeltaCorpus(t *testing.T) {
 		log     []byte
 		version int64
 	}{{preLog, ackVersion}, {postLog, ds.Version()}} {
-		rec, err := recoverWith(deltaData, c.log)
+		rec, err := recoverWith(snapData, c.log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := rec.DeltaStats(); rec.Version() != c.version || st.Segments != 2 || st.TruncatedBytes != 0 {
-			t.Fatalf("intact delta file: recovered v%d, want v%d; delta stats %+v", rec.Version(), c.version, st)
+			t.Fatalf("intact dataset file: recovered v%d, want v%d; delta stats %+v", rec.Version(), c.version, st)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

@@ -17,15 +17,15 @@ import (
 // an Insert or Delete that returned is durable.
 type WALOptions = pager.WALOptions
 
-// A durable directory holds what Recover restores from: a base snapshot,
-// the delta segments checkpoints appended to it since (pager.AppendDelta),
-// and the log of the mutations after the last checkpoint. Engine.Checkpoint
-// adds the warm-cache snapshot alongside.
+// A durable directory holds what Recover restores from: the dataset file —
+// a full segment of every page, then one segment per checkpoint of the pages
+// written since (pager.AppendSegment) — and the log of the mutations after
+// the last checkpoint. Engine.Checkpoint adds the warm-cache snapshot
+// alongside.
 const (
-	datasetSnapName  = "dataset.snap"
-	datasetDeltaName = "dataset.delta"
-	cacheSnapName    = "cache.snap"
-	walName          = "wal.log"
+	datasetSnapName = "dataset.snap"
+	cacheSnapName   = "cache.snap"
+	walName         = "wal.log"
 )
 
 // walEncode serializes one mutation as a WAL record payload:
@@ -37,9 +37,9 @@ const (
 //	[8]×d coordinates (float64 bits)
 //
 // The version makes replay idempotent: a checkpoint that crashed between
-// renaming the new snapshot and truncating the log leaves records the
-// snapshot already covers, and Recover skips them by version instead of
-// applying them twice.
+// writing the dataset file and resetting the log leaves records the file
+// already covers, and Recover skips them by version instead of applying
+// them twice.
 func walEncode(m maintain.Mutation) []byte {
 	buf := make([]byte, 8+1+8+4+8*len(m.Point))
 	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Version))
@@ -80,17 +80,16 @@ func walDecode(payload []byte) (maintain.Mutation, error) {
 	return m, nil
 }
 
-// EnableWAL makes the dataset's mutations crash-safe: a base snapshot of
-// the current state is written to dir, and from this call on every
-// Insert/Delete appends a checksummed record to dir's write-ahead log
-// before the mutation becomes visible, fsynced per opts.SyncEvery. After
-// a crash, gir.Recover(dir) restores the snapshot and replays the log.
-// Checkpoint folds the log into the directory's snapshot state and
-// empties it.
+// EnableWAL makes the dataset's mutations crash-safe: a full segment of the
+// current state is written as dir's dataset file, and from this call on
+// every Insert/Delete appends a checksummed record to dir's write-ahead log
+// before the mutation becomes visible, fsynced per opts.SyncEvery. After a
+// crash, gir.Recover(dir) restores the dataset file and replays the log.
+// Checkpoint folds the log into the dataset file and empties it.
 //
 // dir must not already hold a durable dataset — recover or remove it
 // first; two live datasets logging to one directory would interleave
-// their records. A stray delta file beside no snapshot is removed.
+// their records.
 func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	dir = filepath.Clean(dir)
 	ds.mu.Lock()
@@ -140,15 +139,14 @@ func (ds *Dataset) WALStats() WALStats {
 	return ds.wal.Stats()
 }
 
-// DeltaStats describes the durable directory's delta file (see
-// pager.DeltaStats): the segments extending its base snapshot, and the tail
-// the Recover that opened the directory dropped — TruncatedBytes, with
-// ForeignTail telling the debris of a crash inside a compaction (intact
-// segments of the replaced base) from a torn append.
+// DeltaStats describes the segments of the durable directory's dataset file
+// after its first, full one (see pager.DeltaStats): the ones checkpoints
+// appended since the last compaction, and the torn tail the Recover that
+// opened the directory dropped (TruncatedBytes).
 type DeltaStats = pager.DeltaStats
 
-// DeltaStats is WALStats' sibling for the delta file; the zero value is
-// returned when no WAL is attached.
+// DeltaStats is WALStats' sibling for the dataset file's appended
+// segments; the zero value is returned when no WAL is attached.
 func (ds *Dataset) DeltaStats() DeltaStats {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
@@ -159,7 +157,7 @@ func (ds *Dataset) DeltaStats() DeltaStats {
 // the snapshot state already covers (version ≤ the dataset's) are skipped,
 // the next one is applied to the tree and published to subscribers exactly
 // as the original mutation was, and a record that skips a version is an
-// error — applying past lost mutations (a damaged delta file, another
+// error — applying past lost mutations (a damaged dataset file, another
 // directory's log) would build a dataset that never existed.
 func (ds *Dataset) applyWALPayload(payload []byte) error {
 	m, err := walDecode(payload)
@@ -173,7 +171,7 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 		return nil // the snapshot postdates this record (checkpoint + crash)
 	}
 	if m.Version != v+1 {
-		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a lost or damaged %s?); refusing to replay past the gap", m.Version, v, datasetDeltaName)
+		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a damaged %s?); refusing to replay past the gap", m.Version, v, datasetSnapName)
 	}
 	if len(m.Point) != ds.tree.Dim() {
 		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.Point), ds.tree.Dim())
@@ -186,19 +184,19 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	return nil
 }
 
-// checkpointLocked makes dir's snapshot state equal the dataset's and, when
-// a WAL is attached, empties the log every record of which is then covered.
+// checkpointLocked makes dir's dataset file equal the dataset and, when a
+// WAL is attached, empties the log every record of which is then covered.
 // The caller holds ds.mu exclusively, so no mutation can land between the
 // write and the truncate.
 //
 // With a log attached the cost is what changed, not what exists: the pages
-// written since the last checkpoint (ds.dirty) are appended to dir's delta
-// file as one checksummed segment naming the base it extends, and fsynced
-// before the log is reset. The base is rewritten (rebaseLocked, the
-// compaction step) by one fixed rule: when no base of the size this dataset
-// wrote or recovered sits in dir, or when the segment would make the delta
-// file outgrow the base — so the bytes written stay within twice the bytes
-// dirtied plus one base, and recovery reads at most twice the base.
+// written since the last checkpoint (ds.dirty) are appended to the dataset
+// file as one checksummed segment, and fsynced before the log is reset. The
+// file is rewritten whole (rebaseLocked, the compaction step) by one fixed
+// rule: when it is missing, when it is shorter than the end of the last
+// segment this dataset wrote or recovered, or when the appended segments
+// would outgrow the first one — so the bytes written stay within twice the
+// bytes dirtied plus one full segment, and recovery reads at most twice it.
 func (ds *Dataset) checkpointLocked(dir string) error {
 	if ds.wal != nil && filepath.Clean(dir) != ds.walDir {
 		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", ds.walDir, dir)
@@ -207,7 +205,7 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 		return err
 	}
 	if ds.wal == nil {
-		return ds.saveLocked(filepath.Join(dir, datasetSnapName))
+		return ds.rebaseLocked(dir)
 	}
 	pages := make([]pager.PageID, 0, len(ds.dirty))
 	for id := range ds.dirty {
@@ -215,14 +213,15 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 	}
 	slices.Sort(pages)
 	meta := ds.metaLocked()
-	info, err := os.Stat(filepath.Join(dir, datasetSnapName))
-	if err != nil || info.Size() != ds.base.SrcSize ||
-		ds.delta.Bytes+pager.DeltaSegmentSize(len(meta), len(pages)) > ds.base.SrcSize {
+	snap := filepath.Join(dir, datasetSnapName)
+	end := ds.base + ds.delta.Bytes
+	info, err := os.Stat(snap)
+	if err != nil || info.Size() < end || ds.delta.Bytes+pager.SegmentSize(len(meta), len(pages)) > ds.base {
 		if err := ds.rebaseLocked(dir); err != nil {
 			return err
 		}
 	} else {
-		n, err := pager.AppendDelta(filepath.Join(dir, datasetDeltaName), ds.delta.Bytes, ds.base.SrcCRC, meta, ds.store, pages)
+		n, err := pager.AppendSegment(snap, end, meta, ds.store, pages)
 		if err != nil {
 			return err
 		}
@@ -237,35 +236,25 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 	return nil
 }
 
-// rebaseLocked writes a full base snapshot of the current state into dir
-// (atomic rename) and removes the delta file it supersedes, in that order: a
-// crash between the two leaves segments naming the old base, which recovery
-// ignores, where removing first would strand the old base without the
-// segments the log was already reset behind.
+// rebaseLocked replaces dir's dataset file with one full segment of the
+// current state, atomically: a crash leaves the old file or the new one.
 func (ds *Dataset) rebaseLocked(dir string) error {
-	snap := filepath.Join(dir, datasetSnapName)
-	if err := ds.saveLocked(snap); err != nil {
-		return err
-	}
-	id, err := pager.SnapshotID(snap)
+	n, err := pager.WriteFull(filepath.Join(dir, datasetSnapName), ds.metaLocked(), ds.store)
 	if err != nil {
 		return err
 	}
-	ds.base = id
+	ds.base = n
 	ds.delta.Segments, ds.delta.Pages, ds.delta.Bytes = 0, 0, 0 // the open's tail diagnostics stay
-	if err := os.Remove(filepath.Join(dir, datasetDeltaName)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	return nil
 }
 
 // Checkpoint quiesces writers and persists the dataset to dir, then
 // truncates the write-ahead log (when one is attached via EnableWAL — dir
 // must then be the WAL directory, and only the pages written since the last
-// checkpoint are appended; without a log it writes one atomic snapshot). A
-// crash at any point leaves dir recoverable: a base is replaced by rename, a
-// torn delta segment is dropped on open with the log it would have covered
-// still intact, and log records the snapshot state already covers are
+// checkpoint are appended; without a log it writes the file whole). A crash
+// at any point leaves dir recoverable: a rewrite replaces the file by
+// rename, a torn appended segment is dropped on open with the log it would
+// have covered still intact, and log records the file already covers are
 // skipped by version on replay. Engines with a warm cache should use
 // Engine.Checkpoint, which saves the cache in the same quiesced cut.
 func (ds *Dataset) Checkpoint(dir string) error {
@@ -302,16 +291,17 @@ func (e *Engine) Checkpoint(dir string) error {
 		e.ds.tree.Dim(), e.ds.space, version, snaps)
 }
 
-// Recover restores a durable dataset from dir: it loads the base snapshot,
-// applies every intact delta segment that extends it, replays every intact
-// write-ahead record newer than that state, truncates any torn final
-// segment or record (the expected shape of a crash mid-append — never an
-// error), and leaves the log attached so new mutations keep appending. The
-// recovered state is exactly the never-crashed dataset that applied the
-// same durable mutation prefix; a log that does not continue the snapshot
-// state version by version is refused. What the truncations discarded is
-// reported by ds.WALStats() and ds.DeltaStats(), so a clean restart (all
-// tail counters zero) is distinguishable from loss.
+// Recover restores a durable dataset from dir: it loads the dataset file's
+// full first segment, applies every intact segment appended after it,
+// replays every intact write-ahead record newer than that state, truncates
+// any torn final segment or record (the expected shape of a crash
+// mid-append — never an error), and leaves the log attached so new
+// mutations keep appending. The recovered state is exactly the
+// never-crashed dataset that applied the same durable mutation prefix; a
+// log that does not continue the file's state version by version is
+// refused. What the truncations discarded is reported by ds.WALStats() and
+// ds.DeltaStats(), so a clean restart (all tail counters zero) is
+// distinguishable from loss.
 func Recover(dir string, opts WALOptions) (*Dataset, error) {
 	ds, err := openDurable(dir)
 	if err != nil {
@@ -323,30 +313,19 @@ func Recover(dir string, opts WALOptions) (*Dataset, error) {
 	return ds, nil
 }
 
-// openDurable loads dir's snapshot state — base plus delta segments — into
-// a dataset that tracks its dirty pages from here on, replay included.
+// openDurable loads dir's dataset file into a dataset that tracks its dirty
+// pages from here on, replay included.
 func openDurable(dir string) (*Dataset, error) {
 	snap := filepath.Join(dir, datasetSnapName)
-	store, meta, err := pager.LoadSnapshot(snap)
+	store, meta, base, delta, err := pager.LoadSegments(snap)
 	if err != nil {
 		return nil, err
-	}
-	id, err := pager.SnapshotID(snap)
-	if err != nil {
-		return nil, err
-	}
-	deltaMeta, delta, err := pager.ApplyDeltas(filepath.Join(dir, datasetDeltaName), id.SrcCRC, store)
-	if err != nil {
-		return nil, err
-	}
-	if deltaMeta != nil {
-		meta = deltaMeta
 	}
 	ds, err := attachDataset(store, meta, snap)
 	if err != nil {
 		return nil, err
 	}
-	ds.walDir, ds.base, ds.delta = filepath.Clean(dir), id, delta
+	ds.walDir, ds.base, ds.delta = filepath.Clean(dir), base, delta
 	ds.dirty = make(map[pager.PageID]struct{})
 	return ds, nil
 }

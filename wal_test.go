@@ -173,7 +173,7 @@ func testReplayDifferential(t *testing.T, space Space, seed int64) {
 	// The shadow starts from the durable base snapshot and advances one
 	// record at a time through the replay path; the reference replays the
 	// same prefix through the ordinary mutation API.
-	shadow, err := openBase(filepath.Join(dir, datasetSnapName))
+	shadow, err := openDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +296,53 @@ func TestCheckpointIdempotentReplay(t *testing.T) {
 	q := []float64{0.4, 0.5, 0.6}
 	if got, want := topkFingerprint(t, rec, q, k), topkFingerprint(t, ds, q, k); got != want {
 		t.Fatalf("stale-log recovery diverged\nrecovered: %s\nlive: %s", got, want)
+	}
+}
+
+// TestWALWriteAfterCloseRefused pins Close on a durable dataset: once the
+// log is shut, Insert and Delete return an error before anything is
+// applied — they used to apply unlogged, acknowledged writes a Recover then
+// lost. A dataset that never had a log keeps taking writes after Close.
+func TestWALWriteAfterCloseRefused(t *testing.T) {
+	points := [][]float64{{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.6}, {0.7, 0.8}}
+	dir := t.TempDir()
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Insert(100, []float64{0.9, 0.9}); err == nil {
+		t.Error("an insert after Close was acknowledged")
+	}
+	if ok, err := ds.Delete(0, points[0]); err == nil {
+		t.Errorf("a delete after Close was acknowledged (found %v)", ok)
+	}
+	if ds.Len() != len(points) || ds.Version() != 0 {
+		t.Fatalf("refused writes left Len %d, Version %d; want %d, 0", ds.Len(), ds.Version(), len(points))
+	}
+	rec, err := Recover(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Len() != ds.Len() || rec.Version() != ds.Version() {
+		t.Fatalf("recovered (len %d, v%d), the closed dataset served (len %d, v%d)", rec.Len(), rec.Version(), ds.Len(), ds.Version())
+	}
+
+	mem, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Insert(100, []float64{0.9, 0.9}); err != nil || mem.Len() != len(points)+1 {
+		t.Fatalf("a dataset without a log refused a write after Close: %v (len %d)", err, mem.Len())
 	}
 }
 
@@ -476,7 +523,7 @@ func TestRecoverEngineWarmPair(t *testing.T) {
 
 // TestDeleteWALAppendFailure is the table of the write paths whose I/O can
 // fail (it began as the delete row): an insert and a delete against a
-// severed log, and a checkpoint against an obstacle where its delta file
+// severed log, and a checkpoint against an obstacle where its dataset file
 // goes. Each must return the error — not panic — and leave the dataset as
 // it stood: cardinality, version, the served top-k, the subscriber feed,
 // the log's record count and the dirty set. Once the fault is lifted the
@@ -499,21 +546,28 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 			ds.mu.Unlock()
 		}
 	}
-	// blockDelta puts a directory where the checkpoint appends its segment.
-	blockDelta := func(t *testing.T, ds *Dataset, dir string) (lift func()) {
-		obstacle := filepath.Join(dir, datasetDeltaName)
-		if err := os.Mkdir(obstacle, 0o755); err != nil {
+	// blockSnap swaps a directory in for the dataset file: an append cannot
+	// open it and a rewrite cannot rename over it.
+	blockSnap := func(t *testing.T, ds *Dataset, dir string) (lift func()) {
+		snap := filepath.Join(dir, datasetSnapName)
+		if err := os.Rename(snap, snap+".aside"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(snap, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		return func() {
-			if err := os.Remove(obstacle); err != nil {
+			if err := os.Remove(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(snap+".aside", snap); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for _, tc := range []struct {
 		name   string
-		n      int // records built; 20 000 makes five inserts' pages a delta segment, not a rebase
+		n      int // records built; 20 000 makes five inserts' pages an appended segment, not a rewrite
 		writes int // inserts logged before the fault
 		fault  func(t *testing.T, ds *Dataset, dir string) (lift func())
 		op     func(ds *Dataset, dir string, victim Record) error
@@ -530,7 +584,7 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 				}
 				return err
 			}},
-		{name: "checkpoint", n: 20000, writes: 5, fault: blockDelta,
+		{name: "checkpoint", n: 20000, writes: 5, fault: blockSnap,
 			op: func(ds *Dataset, dir string, _ Record) error { return ds.Checkpoint(dir) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
