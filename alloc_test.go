@@ -10,6 +10,7 @@ package gir
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -400,6 +401,37 @@ func TestTopKBufDoesNotAliasCache(t *testing.T) {
 	}
 }
 
+// TestSharedResultsDoNotAliasRecords: results that share one computation
+// (here an in-batch repeat) each own their record slice, so reusing one as
+// a TopKBuf buffer leaves the other untouched.
+func TestSharedResultsDoNotAliasRecords(t *testing.T) {
+	ds := allocDataset(t, 2000, 3)
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8})
+	defer e.Close()
+
+	q, other := []float64{0.6, 0.3, 0.1}, []float64{0.1, 0.2, 0.7}
+	const k = 10
+	if res := e.TopK(other, k); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	out := e.BatchTopK([]Query{{Vector: q, K: k}, {Vector: q, K: k}})
+	if out[0].Err != nil || out[1].Err != nil || !out[1].Shared {
+		t.Fatalf("want a computed owner and a shared repeat (err=%v/%v, shared=%v)", out[0].Err, out[1].Err, out[1].Shared)
+	}
+	if &out[0].Records[0] == &out[1].Records[0] {
+		t.Fatal("the owner and its repeat share one record slice")
+	}
+	want := slices.Clone(out[1].Records)
+	if hit := e.TopKBuf(out[0].Records, other, k); hit.Err != nil || !hit.CacheHit {
+		t.Fatalf("expected warm hit (err=%v, hit=%v)", hit.Err, hit.CacheHit)
+	}
+	for i, r := range out[1].Records {
+		if r.ID != want[i].ID || r.Score != want[i].Score {
+			t.Fatalf("rank %d: reusing the owner's records as a buffer rewrote the repeat's (id %d, want %d)", i, r.ID, want[i].ID)
+		}
+	}
+}
+
 // warmRepairCache fills a cache outside any engine with FP regions of the
 // 20 000-record, d = 4 dataset, through the engine's own fill path —
 // entries carrying the repair state (candidates, unexpanded-subtree
@@ -437,12 +469,14 @@ func TestDrainAllocBudget(t *testing.T) {
 		victims = append(victims, e.Records[len(e.Records)/2].ID)
 	}
 	r := rand.New(rand.NewSource(5))
-	nextID := int64(1 << 40)
+	nextID, version := int64(1<<40), int64(0)
 	pass, repaired, affected := 0, 0, 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		batch := []maintain.Mutation{{ID: victims[pass]}}
+		version++
+		batch := []maintain.Mutation{{Version: version, ID: victims[pass]}}
 		for i := 0; i < 8; i++ {
-			batch = append(batch, maintain.Mutation{Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
+			version++
+			batch = append(batch, maintain.Mutation{Version: version, Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
 			nextID++
 		}
 		st := drain(c, batch)

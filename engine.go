@@ -30,8 +30,6 @@ import (
 //     the engine re-scores against the incoming vector (the GIR guarantees
 //     identity of composition and order; the dot products are recomputed
 //     with the same code path BRS uses).
-//   - BatchGIR results are byte-identical to a sequential
-//     Dataset.TopK + Dataset.ComputeGIR pair per query.
 //   - All Engine methods are safe to call concurrently; an Engine may be
 //     shared by any number of goroutines.
 //   - Mutations invalidate the cache FINE-GRAINED: every Insert/Delete is
@@ -286,8 +284,6 @@ type Query struct {
 type EngineResult struct {
 	// Records is the exact top-k, identical to Dataset.TopK's answer.
 	Records []Record
-	// GIR is the query's immutable region (BatchGIR only; nil otherwise).
-	GIR *GIR
 	// CacheHit is true when the result was served entirely from the cache.
 	CacheHit bool
 	// PartialHit is true when the cache held an exact prefix (cached K <
@@ -406,7 +402,7 @@ func (e *Engine) BatchTopK(queries []Query) []EngineResult {
 	engineint.Fan(len(queries), e.opts.Workers, func(i int) {
 		out[i], missed[i] = e.probe(nil, queries[i], sn)
 	})
-	e.computeMisses(queries, out, missed, sn.version, e.opts.CacheMethod, false)
+	e.computeMisses(queries, out, missed, sn.version)
 	return out
 }
 
@@ -429,7 +425,7 @@ func (e *Engine) TopKBuf(dst []Record, q []float64, k int) EngineResult {
 		return res
 	}
 	out := []EngineResult{res}
-	e.computeMisses([]Query{{Vector: q, K: k}}, out, []bool{true}, sn.version, e.opts.CacheMethod, false)
+	e.computeMisses([]Query{{Vector: q, K: k}}, out, []bool{true}, sn.version)
 	return out[0]
 }
 
@@ -480,9 +476,8 @@ type member struct {
 // every single-flight key, so a caller only ever shares a computation
 // whose leader observed the same version — and pinned its snapshot after
 // that: a follower can never inherit a result older than what it had
-// already seen. m is the region method; wantGIR makes the region part of
-// the answer (BatchGIR) instead of only a cache fill.
-func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []bool, version int64, m Method, wantGIR bool) {
+// already seen.
+func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []bool, version int64) {
 	byKey := make(map[string]int, len(queries))
 	var owners []member
 	var vecs []vec.Vector
@@ -507,23 +502,20 @@ func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []boo
 		return
 	}
 	prefix := fmt.Sprintf("t@%d:", version)
-	if wantGIR {
-		prefix = fmt.Sprintf("g%d@%d:", m, version)
-	}
 	for j := range owners {
 		owners[j].key = prefix + owners[j].key
 	}
 
 	groups := topk.FuseGroups(vecs, fuseGroupSize)
 	engineint.Fan(len(groups), e.opts.Workers, func(gi int) {
-		e.computeGroup(queries, out, owners, groups[gi], m, wantGIR)
+		e.computeGroup(queries, out, owners, groups[gi])
 	})
 
 	for o, fs := range followers {
 		src := out[owners[o].i]
 		for _, i := range fs {
 			e.deduped.Add(1)
-			out[i].Records, out[i].GIR, out[i].Err = src.Records, src.GIR, src.Err
+			out[i].Records, out[i].Err = slices.Clone(src.Records), src.Err
 			out[i].Shared = true
 		}
 	}
@@ -539,7 +531,7 @@ func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []boo
 // TopK for the same key still compute once — and waiting only AFTER our
 // own subset is published makes overlapping groups deadlock-free (a
 // leader never blocks before releasing its claims).
-func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []member, group []int, m Method, wantGIR bool) {
+func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []member, group []int) {
 	qs := make([]vec.Vector, 0, len(group))
 	ks := make([]int, 0, len(group))
 	for _, g := range group {
@@ -553,7 +545,7 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 		e.computed.Add(int64(len(qs)))
 		// One GIR build per distinct result amortizes over every later hit;
 		// without a cache nobody would read it.
-		answers, stats := e.ds.answerGroup(qs, ks, wantGIR || e.cache != nil, m)
+		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.CacheMethod)
 		e.sharedReads.Add(stats.SharedReads)
 		if len(qs) > 1 {
 			e.fusedGroups.Add(1)
@@ -567,15 +559,11 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 			}
 			a := &answers[next]
 			next++
-			err := a.err
-			if err == nil && wantGIR {
-				err = a.girErr // for a fill, a GIR failure only skips the insert
+			if a.err == nil {
+				e.putIfCurrent(a) // a failed region build only skips the insert
 			}
-			if err == nil {
-				e.putIfCurrent(a)
-			}
-			e.flight.Done(mb.key, mb.call, a, err)
-			out[mb.i].set(a, err, wantGIR)
+			e.flight.Done(mb.key, mb.call, a, a.err)
+			out[mb.i].set(a, a.err, false)
 		}
 	}
 
@@ -586,21 +574,23 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 		}
 		v, err := mb.call.Wait()
 		e.deduped.Add(1)
-		out[mb.i].Shared = true
 		a, _ := v.(*groupAnswer)
-		out[mb.i].set(a, err, wantGIR)
+		out[mb.i].set(a, err, true)
 	}
 }
 
-// set fills in a computed answer, or its error; the PartialHit and Shared
-// flags are the caller's.
-func (r *EngineResult) set(a *groupAnswer, err error, wantGIR bool) {
+// set fills in a computed answer, or its error; the PartialHit flag is the
+// caller's. A shared answer gets its own copy of the records, so no two
+// results ever alias one slice (Attrs stay shared and read-only, as on a
+// hit).
+func (r *EngineResult) set(a *groupAnswer, err error, shared bool) {
+	r.Shared = shared
 	if r.Err = err; err != nil {
 		return
 	}
 	r.Records = a.recs
-	if wantGIR {
-		r.GIR = a.g
+	if shared {
+		r.Records = slices.Clone(a.recs)
 	}
 }
 
@@ -632,25 +622,6 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 		return
 	}
 	e.cache.commitPut(p, fill.version)
-}
-
-// BatchGIR answers a batch of queries AND computes each result's immutable
-// region concurrently, inserting every region into the cache (so a
-// BatchGIR warms the cache for subsequent BatchTopK traffic). Results are
-// byte-identical to sequential TopK + ComputeGIR pairs. It takes the miss
-// path without a probe — a cache entry holds the region it was built
-// with, not one per method — so with caching disabled it is the plain
-// concurrent TopK + ComputeGIR fan-out.
-func (e *Engine) BatchGIR(queries []Query, m Method) []EngineResult {
-	out := make([]EngineResult, len(queries))
-	missed := make([]bool, len(queries))
-	sn := e.ds.snap.Load()
-	for i, q := range queries {
-		out[i].Err = sn.validate(q.Vector, q.K)
-		missed[i] = out[i].Err == nil
-	}
-	e.computeMisses(queries, out, missed, sn.version, m, true)
-	return out
 }
 
 // rescoreInto rebuilds cache-hit records into dst with scores for the

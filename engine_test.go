@@ -2,6 +2,7 @@ package gir_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,11 @@ func TestBatchTopKWithoutCache(t *testing.T) {
 	}
 }
 
-func TestBatchGIRMatchesSequential(t *testing.T) {
+// TestFillCachesComputeGIRRegion: a cold batch serves every query exactly
+// as Dataset.TopK does, and every region its fills cached is the one
+// ComputeGIR builds for that result with the engine's method (FP) —
+// constraint for constraint, attributions and normal bits.
+func TestFillCachesComputeGIRRegion(t *testing.T) {
 	ds := engineDataset(t, 3, 2000, 3)
 	e := gir.NewEngine(ds, gir.EngineOptions{Workers: 6, CacheCapacity: 32})
 	defer e.Close()
@@ -123,49 +128,48 @@ func TestBatchGIRMatchesSequential(t *testing.T) {
 	// Include an exact duplicate pair to exercise sharing.
 	queries = append(queries, queries[0])
 
-	results := e.BatchGIR(queries, gir.FP)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("query %d: %v", i, res.Err)
-		}
-		if res.GIR == nil {
-			t.Fatalf("query %d: no GIR", i)
-		}
-		if !res.GIR.Contains(queries[i].Vector) {
-			t.Fatalf("query %d outside its own GIR", i)
-		}
+	kOf := map[string]int{}
+	for i, res := range e.BatchTopK(queries) {
 		requireIdentical(t, ds, queries[i], res)
-
-		// The region must be byte-identical to the sequential pipeline's.
-		seq, err := ds.TopK(queries[i].Vector, queries[i].K)
+		key := fmt.Sprint(queries[i].Vector)
+		if k, ok := kOf[key]; ok && k != queries[i].K {
+			t.Fatalf("query %d: one vector asked with k = %d and %d", i, k, queries[i].K)
+		}
+		kOf[key] = queries[i].K
+	}
+	regions := e.CachedGIRs()
+	if len(regions) == 0 {
+		t.Fatal("the batch's fills cached nothing")
+	}
+	for ri, g := range regions {
+		k, ok := kOf[fmt.Sprint(g.Query())]
+		if !ok {
+			t.Fatalf("region %d: cached at %v, which no query asked", ri, g.Query())
+		}
+		seq, err := ds.TopK(g.Query(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantGIR, err := ds.ComputeGIR(seq, gir.FP)
+		want, err := ds.ComputeGIR(seq, gir.FP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gc, wc := res.GIR.Constraints(), wantGIR.Constraints()
+		gc, wc := g.Constraints(), want.Constraints()
 		if len(gc) != len(wc) {
-			t.Fatalf("query %d: %d constraints, want %d", i, len(gc), len(wc))
+			t.Fatalf("region %d: %d constraints, want %d", ri, len(gc), len(wc))
 		}
 		for ci := range wc {
 			if gc[ci].Kind != wc[ci].Kind || gc[ci].A != wc[ci].A || gc[ci].B != wc[ci].B {
-				t.Fatalf("query %d constraint %d: attribution differs", i, ci)
+				t.Fatalf("region %d constraint %d: attribution differs", ri, ci)
 			}
 			for j := range wc[ci].Normal {
-				if gc[ci].Normal[j] != wc[ci].Normal[j] {
-					t.Fatalf("query %d constraint %d: normal not bit-identical", i, ci)
+				if math.Float64bits(gc[ci].Normal[j]) != math.Float64bits(wc[ci].Normal[j]) {
+					t.Fatalf("region %d constraint %d: normal not bit-identical", ri, ci)
 				}
 			}
 		}
 	}
-	// The engine warmed the cache: replaying as BatchTopK must hit.
-	before := e.Stats().CacheHits
-	e.BatchTopK(queries)
-	if e.Stats().CacheHits == before {
-		t.Error("BatchGIR did not warm the cache for BatchTopK")
-	}
+	t.Logf("%d cached regions match ComputeGIR", len(regions))
 }
 
 func TestEngineInvalidQueriesDoNotPoisonBatch(t *testing.T) {

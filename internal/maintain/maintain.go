@@ -47,9 +47,7 @@ import (
 // Mutation is one dataset write, in the order the writes were applied —
 // the one record of it from the dataset's apply path and log through the
 // engine's pending window to the planner. Version is the dataset version
-// the mutation produced; 0 means an unversioned batch, for which stamp
-// gating and raising are skipped — the caller vouches for ordering
-// instead.
+// the mutation produced.
 type Mutation struct {
 	Version int64
 	Insert  bool
@@ -117,14 +115,14 @@ func (p *Planner) planEntry(entry *cache.Entry, batch []Mutation, out *Outcome) 
 		// A fence check may already have proven this mutation unaffecting
 		// (cleared stamps are raised contiguously), but the absorb below
 		// must still happen if the drainer has not folded it in yet.
-		known := m.Version > 0 && cur.ClearedThrough() >= m.Version
+		known := cur.ClearedThrough() >= m.Version
 		affects := false
 		if !known {
 			out.Predicates++
 			affects = p.affects(m, cur)
 		}
 		if !affects {
-			if m.Version == 0 || cur.AbsorbedThrough() < m.Version {
+			if cur.AbsorbedThrough() < m.Version {
 				absorb(cur, m)
 			}
 			continue
@@ -141,11 +139,10 @@ func (p *Planner) planEntry(entry *cache.Entry, batch []Mutation, out *Outcome) 
 		return cache.BatchDecision{Evict: true, Affected: affected, Repaired: repairs}
 	}
 	// The entry survives the whole batch: one stamp raise marks every
-	// versioned mutation reconciled. (Repaired views were constructed with
+	// mutation reconciled. (Repaired views were constructed with
 	// stamps at their repairing mutation's version; the raise completes
 	// them through the batch maximum.)
-	if maxV := batch[len(batch)-1].Version; maxV > 0 &&
-		(cur.ClearedThrough() < maxV || cur.AbsorbedThrough() < maxV) {
+	if maxV := batch[len(batch)-1].Version; cur.ClearedThrough() < maxV || cur.AbsorbedThrough() < maxV {
 		cur.RaiseStamps(maxV)
 		out.StampRaises++
 	}
@@ -233,10 +230,6 @@ func repairedView(e *cache.Entry, m Mutation) *cache.Entry {
 	if !ok {
 		return nil
 	}
-	version := m.Version
-	if version == 0 {
-		version = e.AbsorbedThrough()
-	}
 	lo, hi := viz.MAH(rp.Region, rp.Region.Query)
-	return cache.RepairedEntry(e, rp.Region, rp.Records, rp.Cand, lo, hi, version)
+	return cache.RepairedEntry(e, rp.Region, rp.Records, rp.Cand, lo, hi, m.Version)
 }

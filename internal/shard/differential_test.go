@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	gir "github.com/girlib/gir"
@@ -21,12 +19,6 @@ import (
 // cache serve (a fence bug, a missed invalidation, a version-vector
 // regression) surfaces as a byte diff. Run under -race, the scatter
 // fan-out also exercises the cross-partition concurrency.
-//
-// Every ~97 steps the harness additionally computes a global GIR and
-// verifies its certificate: jittered samples inside the global region
-// must lie inside EVERY partition's local region, and the brute-force
-// top-k at the sample must equal the region's result exactly —
-// composition and order.
 func TestShardedChurnDifferential(t *testing.T) {
 	steps := 10000
 	if testing.Short() {
@@ -61,8 +53,6 @@ func runShardDifferential(t *testing.T, space gir.Space, parts, n, d, distinct, 
 	if queries == 0 || writes == 0 {
 		t.Fatalf("degenerate workload: %d queries, %d writes", queries, writes)
 	}
-	r := rand.New(rand.NewSource(int64(parts)))
-	girChecks, girSamples := 0, 0
 	for step, op := range ops {
 		switch {
 		case op.Write && op.Insert:
@@ -80,63 +70,19 @@ func runShardDifferential(t *testing.T, space gir.Space, parts, n, d, distinct, 
 			if res.Err != nil {
 				t.Fatalf("step %d: %v", step, res.Err)
 			}
-			if len(res.At) != parts {
-				t.Fatalf("step %d: version vector has %d coordinates", step, len(res.At))
+			now := c.Versions()
+			if len(res.At) != parts || len(now) != parts {
+				t.Fatalf("step %d: version vectors have %d and %d coordinates", step, len(res.At), len(now))
 			}
-			if !c.Versions().AtLeast(res.At) {
-				t.Fatalf("step %d: served cut %v is ahead of the tier", step, res.At)
+			for i := range now {
+				if now[i] < res.At[i] {
+					t.Fatalf("step %d: served cut %v is ahead of the tier %v", step, res.At, now)
+				}
 			}
 			if !sameRecords(res.Records, bruteTopK(mirror, op.Query, op.K)) {
 				t.Fatalf("step %d: merged top-%d diverges from the oracle at cut %v", step, op.K, res.At)
 			}
 		}
-		if step%97 == 0 && !op.Write {
-			girChecks++
-			res := c.GIR(op.Query, op.K, gir.FP)
-			if res.Err != nil {
-				t.Fatalf("step %d: GIR: %v", step, res.Err)
-			}
-			if !sameRecords(res.Records, bruteTopK(mirror, op.Query, op.K)) {
-				t.Fatalf("step %d: GIR records diverge from the oracle", step)
-			}
-			if !res.Global.Contains(op.Query) {
-				t.Fatalf("step %d: global region excludes its own query", step)
-			}
-			for trial := 0; trial < 12; trial++ {
-				qp := make([]float64, d)
-				sum := 0.0
-				for j := range qp {
-					qp[j] = math.Max(0, math.Min(1, op.Query[j]*(1+0.2*(r.Float64()-0.5))))
-					sum += qp[j]
-				}
-				if space == gir.SpaceSimplex && sum > 0 {
-					// The simplex domain only contains Σw=1 vectors; jitter
-					// then project back, like the workload generator does.
-					for j := range qp {
-						qp[j] /= sum
-					}
-				}
-				if !res.Global.Contains(qp) {
-					continue
-				}
-				girSamples++
-				for _, pg := range res.Parts {
-					if !pg.GIR.Contains(qp) {
-						t.Fatalf("step %d: global-region point escapes partition %d's region", step, pg.Part)
-					}
-				}
-				at := bruteTopK(mirror, qp, op.K)
-				for j := range at {
-					if at[j].ID != res.Records[j].ID {
-						t.Fatalf("step %d: top-%d changed inside the global region (rank %d: %d vs %d)",
-							step, op.K, j, at[j].ID, res.Records[j].ID)
-					}
-				}
-			}
-		}
-	}
-	if girChecks == 0 || girSamples == 0 {
-		t.Fatalf("GIR verification never ran (%d checks, %d samples) — harness has no teeth", girChecks, girSamples)
 	}
 	// The tier must have genuinely served from cache under this stream —
 	// a silently cache-less differential would prove nothing about fence

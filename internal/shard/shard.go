@@ -1,11 +1,7 @@
 // Package shard is the horizontally partitioned serving tier: a
 // Coordinator owns N Engine partitions of one logical dataset, fans every
 // query to all partitions, and merges the per-partition answers into the
-// exact global result. The ROADMAP's scatter/gather step rests on the
-// paper's region algebra: each partition's GIR certifies that partition's
-// contribution, and the global immutable region is recovered by
-// intersecting the partition regions (same Domain) with the cross-
-// partition order constraints the merge introduces — see Coordinator.GIR.
+// exact global result.
 //
 // Consistency is a per-partition version vector. A write routes to
 // exactly one partition (its record's hash), so the mutation history is a
@@ -18,11 +14,6 @@
 // issued. Versions only advance, so a scatter issued after reading the
 // vector is served with every partition at-or-past its coordinate;
 // Result.At reports the cut.
-//
-// Partitions fail, checkpoint and warm-restore independently: EnableWAL/
-// Checkpoint/Recover operate on one subdirectory per partition, and a
-// partition restored via gir.RecoverEngine rejoins with its own version,
-// cache and log — the other partitions never stop serving.
 package shard
 
 import (
@@ -35,8 +26,8 @@ import (
 // partition maps a record id to its owning partition: a splitmix64-style
 // finalizer over the id, reduced mod parts, so ids minted sequentially (the
 // common case) spread uniformly instead of striping. It is a pure function
-// of (id, parts): routing a write and routing the recovery of that write
-// agree forever.
+// of (id, parts): an insert and a later delete of the same id route to the
+// same partition.
 func partition(id int64, parts int) int {
 	x := uint64(id)
 	x ^= x >> 30
@@ -53,8 +44,7 @@ type Options struct {
 	Parts int
 	// Engine configures every partition's Engine identically.
 	Engine gir.EngineOptions
-	// Space is the query-space domain, shared by all partitions — regions
-	// from different domains must never be intersected.
+	// Space is the query-space domain, shared by all partitions.
 	Space gir.Space
 }
 
@@ -78,7 +68,6 @@ type part struct {
 type Coordinator struct {
 	parts []part
 	dim   int
-	space gir.Space
 }
 
 // New partitions points by record hash over their indices (record i gets
@@ -95,7 +84,7 @@ func New(points [][]float64, opts Options) (*Coordinator, error) {
 		ids[w] = append(ids[w], int64(i))
 		pts[w] = append(pts[w], p)
 	}
-	c := &Coordinator{space: opts.Space}
+	c := &Coordinator{}
 	for w := 0; w < n; w++ {
 		if len(ids[w]) == 0 {
 			c.Close()
@@ -114,9 +103,6 @@ func New(points [][]float64, opts Options) (*Coordinator, error) {
 
 // Dataset returns partition i's shard of the dataset.
 func (c *Coordinator) Dataset(i int) *gir.Dataset { return c.parts[i].ds }
-
-// Engine returns partition i's Engine.
-func (c *Coordinator) Engine(i int) *gir.Engine { return c.parts[i].eng }
 
 // Len returns the total record count across partitions.
 func (c *Coordinator) Len() int {
@@ -144,20 +130,6 @@ func (c *Coordinator) Delete(id int64, p []float64) (bool, error) {
 // VersionVector is a consistency cut: element i is partition i's dataset
 // version.
 type VersionVector []int64
-
-// AtLeast reports whether every coordinate of v is ≥ the matching
-// coordinate of w — v's cut includes everything w's does.
-func (v VersionVector) AtLeast(w VersionVector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if v[i] < w[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Versions reads the current version vector. A query scattered after this
 // read is served with every partition at-or-past its coordinate (each

@@ -195,145 +195,6 @@ func TestBatchTopKMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestGIRGlobalRegionSound samples weight vectors inside the merged
-// global region and checks the certificate: at every sample the
-// brute-force global top-k is EXACTLY the region's result (composition
-// and order), and the sample lies inside every partition's local region.
-func TestGIRGlobalRegionSound(t *testing.T) {
-	points := genPoints(23, 600, 3)
-	mirror := mirrorOf(points)
-	for _, parts := range []int{1, 2, 4} {
-		c, err := New(points, Options{Parts: parts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rand.New(rand.NewSource(int64(parts) * 31))
-		checked := 0
-		for i := 0; i < 12; i++ {
-			q := []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}
-			k := 2 + r.Intn(6)
-			res := c.GIR(q, k, gir.FP)
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			if res.Global == nil {
-				t.Fatal("no global region")
-			}
-			if !res.Global.Contains(q) {
-				t.Fatalf("parts %d: global region excludes its own query", parts)
-			}
-			want := bruteTopK(mirror, q, k)
-			if !sameRecords(res.Records, want) {
-				t.Fatalf("parts %d: GIR records diverge from brute force", parts)
-			}
-			contributed := 0
-			for _, pg := range res.Parts {
-				contributed += pg.Contributed
-			}
-			if contributed != k {
-				t.Fatalf("parts %d: contributions sum to %d, want %d", parts, contributed, k)
-			}
-			for trial := 0; trial < 40; trial++ {
-				qp := make([]float64, 3)
-				for j := range qp {
-					qp[j] = q[j] * (1 + 0.25*(r.Float64()-0.5))
-					qp[j] = math.Max(0, math.Min(1, qp[j]))
-				}
-				if !res.Global.Contains(qp) {
-					continue
-				}
-				checked++
-				for _, pg := range res.Parts {
-					if !pg.GIR.Contains(qp) {
-						t.Fatalf("parts %d: global region point escapes partition %d's region", parts, pg.Part)
-					}
-				}
-				at := bruteTopK(mirror, qp, k)
-				for j := range at {
-					if at[j].ID != res.Records[j].ID {
-						t.Fatalf("parts %d: inside the global region the top-%d changed (rank %d: %d vs %d)",
-							parts, k, j, at[j].ID, res.Records[j].ID)
-					}
-				}
-			}
-		}
-		if checked == 0 {
-			t.Fatalf("parts %d: no jittered sample landed inside any global region — test has no teeth", parts)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestPersistRoundTrip checks the per-partition durability lifecycle:
-// WAL + churn + checkpoint + more churn + crash (no clean close of the
-// logs) + Recover must restore every partition to the exact logged
-// state, with the version vector preserved and queries byte-identical.
-func TestPersistRoundTrip(t *testing.T) {
-	points := genPoints(41, 400, 3)
-	mirror := mirrorOf(points)
-	dir := t.TempDir()
-	c, err := New(points, Options{Parts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableWAL(dir, gir.WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	write := func(n int) {
-		for i := 0; i < n; i++ {
-			id := int64(1<<30) + r.Int63n(1<<20)
-			if p, live := mirror[id]; live && r.Intn(2) == 0 {
-				if ok, err := c.Delete(id, p); err != nil || !ok {
-					t.Fatalf("delete of live record %d: %v, %v", id, ok, err)
-				}
-				delete(mirror, id)
-			} else if !live {
-				p := []float64{r.Float64(), r.Float64(), r.Float64()}
-				if err := c.Insert(id, p); err != nil {
-					t.Fatal(err)
-				}
-				mirror[id] = p
-			}
-		}
-	}
-	write(120)
-	if err := c.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	write(80)
-	before := c.Versions()
-	q := []float64{0.5, 0.3, 0.2}
-	want := bruteTopK(mirror, q, 10)
-
-	// Crash: abandon the coordinator without closing (the logs were
-	// fsynced per append), then recover the directory.
-	rec, err := Recover(dir, gir.WALOptions{}, Options{Parts: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	defer c.Close()
-	if got := rec.Versions(); !got.AtLeast(before) || !before.AtLeast(got) {
-		t.Fatalf("recovered version vector %v, want %v", got, before)
-	}
-	if rec.Len() != len(mirror) {
-		t.Fatalf("recovered %d records, want %d", rec.Len(), len(mirror))
-	}
-	res := rec.TopK(q, 10)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if !sameRecords(res.Records, want) {
-		t.Fatal("recovered tier serves a different top-10")
-	}
-	if _, err := Recover(dir, gir.WALOptions{}, Options{Parts: 5}); err == nil {
-		t.Fatal("partition-count mismatch accepted")
-	}
-}
-
 // TestStatsAggregatesAndSkew checks the tier-level stats read: aggregate
 // counters are the partition sums, the version minima are consistent,
 // and the skew ratios are populated and ≥ 1.

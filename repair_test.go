@@ -263,7 +263,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 			delete(mirror, id)
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
-			st = drain(c, []maintain.Mutation{{ID: id}})
+			st = drain(c, []maintain.Mutation{{Version: ds.Version(), ID: id}})
 			delRepaired += st.Repaired
 		} else {
 			p := []float64{r.Float64(), r.Float64(), r.Float64()}
@@ -279,7 +279,7 @@ func runRepairDifferential(t *testing.T, space Space) {
 			}
 			mirror[id] = p
 			live = append(live, id)
-			st = drain(c, []maintain.Mutation{{Insert: true, ID: id, Point: p}})
+			st = drain(c, []maintain.Mutation{{Version: ds.Version(), Insert: true, ID: id, Point: p}})
 			insRepaired += st.Repaired
 		}
 		evicted += st.Evicted
