@@ -164,7 +164,7 @@ func ExampleCache() {
 
 	// Output:
 	// 48 hits, 5 partial hits, 37 misses, 42 entries
-	// page reads: 478 without the cache, 427 with it (GIR builds included)
+	// page reads: 478 without the cache, 270 with it (GIR builds included)
 }
 
 // ExampleGIR_Constraints walks a query around its GIR (Sections 3.2 and

@@ -112,6 +112,9 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	anchors := res.Records[len(res.Records)-1:]
 	if ordered {
 		sc.phase1(res)
+		if opt.Method == FP {
+			sc.screen = sc.phase1Cone(anchors[0].Point)
+		}
 	} else {
 		st.Method += "*"
 		anchors = resultMinus(res)
@@ -172,6 +175,11 @@ type scratch struct {
 	seedIDs []int64
 	virtual []float64 // the virtual seeds' coordinates
 	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
+	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k
+	screen  bool      // FP: cone can drop records (a pointed GIR's Phase 1)
+	tbuf    []float64 // FP: the points screenPoints screens, column-major
+	tcols   [][]float64
+	keep    []bool // FP: which of them the cone keeps
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -179,6 +187,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
 	sc.d, sc.g = d, g
 	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
+	sc.screen = false
 }
 
 // add appends the half-space keeping record b below record a, given
@@ -198,6 +207,19 @@ func (sc *scratch) phase1(res *topk.Result) {
 		a, b := res.Records[i], res.Records[i+1]
 		sc.add(Reorder, a.ID, b.ID, a.Point, b.Point)
 	}
+}
+
+// phase1Cone computes the extreme rays of the Phase-1 cone
+// P1 = {q : (g(p_i) − g(p_{i+1}))·q ≥ 0}, pinned to the apex p_k, and
+// reports whether P1 is pointed — whether FP's screen (footnote 7) can
+// drop anything. It reads the constraints phase1 just emitted.
+func (sc *scratch) phase1Cone(apex vec.Vector) bool {
+	d := sc.d
+	sc.rows = sc.rows[:0]
+	for i := range sc.cons {
+		sc.rows = append(sc.rows, sc.normals[i*d:(i+1)*d])
+	}
+	return sc.cone.Reset(sc.rows, apex)
 }
 
 // replace appends one Phase-2 half-space per (anchor, record) pair,

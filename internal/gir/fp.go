@@ -23,6 +23,16 @@ import (
 // separate path. It builds the same regions and is not slower: on a 2-core
 // Xeon (IND, n = 20 000, k = 20) the star built a d = 2 GIR in 91–108 µs
 // with 13 allocations against the sweep's 106–117 µs with 572.
+//
+// A GIR's Phase 1 already bounds the region by the cone P1, and footnote 7
+// drops every record and node that cannot beat p_k anywhere in it: when P1
+// is pointed (sc.screen), a T record joins the star's seeds, a heap entry
+// is read and a critical record yields a constraint only if some extreme
+// ray of P1 lets it (geom.Cone). A dropped record's half-space is implied
+// by P1, so the region is the same set, and its minimal form the same
+// bytes; only the work shrinks. A fetched leaf still goes to the star
+// whole: screening its records as well leaves the star looser, and at
+// small k, where P1 is wide, that costs page reads.
 func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) error {
 	stars, err := sc.buildStars(tree, res, anchors, st)
 	if errors.Is(err, hull.ErrDegenerate) {
@@ -36,9 +46,13 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 	}
 
 	// Step 2: refine against records still on disk, pruning heap entries
-	// whose MBB lies below every facet of every star. A fetched leaf goes
-	// to each star as one column-major block.
+	// whose MBB lies below every facet of every star or cannot beat p_k
+	// anywhere in P1. A fetched leaf goes to each star as one column-major
+	// block.
 	prunable := func(lo, hi vec.Vector) bool {
+		if sc.screen && !sc.cone.BoxMayBeat(lo, hi) {
+			return true
+		}
 		for i := range stars {
 			if stars[i].MBBAboveAny(lo, hi) {
 				return false
@@ -78,9 +92,17 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 	for i := range stars {
 		st.StarFacets += stars[i].NumFacets()
 		ids, pts := stars[i].Critical()
-		st.Critical += len(ids)
+		if sc.screen {
+			// A leaf's records reach the star unscreened; a star vertex the
+			// cone drops cannot bound the region, as Phase 1 implies its
+			// half-space.
+			sc.screenPoints(len(pts), func(j int) vec.Vector { return pts[j] })
+		}
 		for j, id := range ids {
-			sc.add(Replace, anchors[i].ID, id, anchors[i].Point, pts[j])
+			if !sc.screen || sc.keep[j] {
+				st.Critical++
+				sc.add(Replace, anchors[i].ID, id, anchors[i].Point, pts[j])
+			}
 		}
 	}
 	return nil
@@ -89,19 +111,30 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 // buildStars runs FP's first step: seed each anchor's star with the
 // paper's virtual axis-projection points plus the in-memory set T (using
 // the max-per-dimension heuristic of Section 6.3.1, which the star's
-// greedy extent selection subsumes). If an anchor plus seeds are
-// degenerate, it pulls additional records from the search heap into T
-// until a full-dimensional simplex exists.
+// greedy extent selection subsumes), leaving out the T records the
+// Phase-1 screen drops. If an anchor plus seeds are degenerate, it
+// re-seeds from the whole of T, and if that is degenerate too it pulls
+// additional records from the search heap into T until a full-dimensional
+// simplex exists.
 func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]hull.Star, error) {
 	for len(sc.stars) < len(anchors) {
 		sc.stars = append(sc.stars, hull.Star{})
 	}
 	stars := sc.stars[:len(anchors)]
+	screen := sc.screen
+	if screen {
+		sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
+	}
 	for {
 		var err error
+		dropped := false
 		for i, a := range anchors {
 			sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
-			for _, rec := range res.T {
+			for j, rec := range res.T {
+				if screen && !sc.keep[j] {
+					dropped = true
+					continue
+				}
 				sc.seeds = append(sc.seeds, rec.Point)
 				sc.seedIDs = append(sc.seedIDs, rec.ID)
 			}
@@ -109,7 +142,16 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 				break
 			}
 		}
-		if !errors.Is(err, hull.ErrDegenerate) || res.Heap.Len() == 0 {
+		if !errors.Is(err, hull.ErrDegenerate) {
+			return stars, err
+		}
+		if screen = false; dropped {
+			// An apex coordinate at most hull.Tol has no virtual seed, so the
+			// screened seeds can lie in a flat that T does not: T, not a
+			// page read or SP, repairs that.
+			continue
+		}
+		if res.Heap.Len() == 0 {
 			return stars, err
 		}
 		// Pull one more node's worth of records and retry. They join T so
@@ -127,4 +169,21 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 			}
 		}
 	}
+}
+
+// screenPoints sets sc.keep[i] for each of the n points at(i) that the
+// Phase-1 cone lets beat p_k, screening them as one column-major block.
+func (sc *scratch) screenPoints(n int, at func(int) vec.Vector) {
+	d := sc.d
+	sc.tbuf, sc.tcols = vec.Grown(sc.tbuf, d*n), vec.Grown(sc.tcols, d)
+	for j := range sc.tcols {
+		sc.tcols[j] = sc.tbuf[j*n : (j+1)*n]
+	}
+	for i := 0; i < n; i++ {
+		for j, x := range at(i) {
+			sc.tcols[j][i] = x
+		}
+	}
+	sc.keep = vec.Grown(sc.keep, n)
+	sc.cone.Screen(sc.keep, sc.tcols)
 }

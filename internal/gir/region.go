@@ -182,7 +182,7 @@ type Stats struct {
 	SkylineSize    int    `json:"sl,omitempty"`              // |SL| (SP, CP)
 	HullVertices   int    `json:"sl_ch,omitempty"`           // |SL ∩ CH| (CP)
 	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP)
-	Critical       int    `json:"critical,omitempty"`        // critical records (FP)
+	Critical       int    `json:"critical,omitempty"`        // critical records (FP): star vertices the Phase-1 screen keeps, possibly 0
 	RMinus         int    `json:"r_minus,omitempty"`         // |R⁻| (GIR* only)
 	NodesRead      int    `json:"nodes_read,omitempty"`      // index nodes fetched in Phase 2
 	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)

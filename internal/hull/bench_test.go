@@ -12,13 +12,17 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// BenchmarkStarAddBlock is FP's star kernel alone, on the shape a cache
-// fill runs it: a d = 4 star seeded as FP seeds it (the virtual seeds and
-// BRS's T) and fed the leaves of a 200 000-record tree that FP's step 2
-// reads, a block per leaf, in its pop order. One op is one query's Reset
-// and AddBlocks, cycling over eight top-20 queries. leaves/op is the
-// leaves fed; skipped% is the share of (facet, leaf) screens the box skip
-// saves, counted on each leaf's first screen.
+// BenchmarkStarAddBlock is FP's star kernel alone, at its worst case: a
+// d = 4 star seeded with the virtual seeds and the whole of BRS's T, and
+// fed the leaves of a 200 000-record tree that a star-only step 2 would
+// read, a block per leaf, in its pop order. A fill no longer runs this
+// shape — FP seeds only the T records the Phase-1 cone keeps and reads
+// only the nodes it keeps, so at k = 20 a fill feeds the star a few
+// records and well under a leaf — but the kernel's cost per record is
+// what this measures. One op is one query's Reset and AddBlocks, cycling
+// over eight top-20 queries. leaves/op is the leaves fed; skipped% is the
+// share of (facet, leaf) screens the box skip saves, counted on each
+// leaf's first screen.
 func BenchmarkStarAddBlock(b *testing.B) {
 	const n, d, k = 200000, 4, 20
 	pts, err := datagen.Generate(datagen.IND, n, d, 1)
@@ -81,7 +85,7 @@ func BenchmarkStarAddBlock(b *testing.B) {
 			star.box(l.cols, len(l.ids))
 			for fi, off := range star.offsets {
 				screens++
-				if maxOverBox(star.normals[fi*d:fi*d+d], star.lo, star.hi) <= off+Tol {
+				if vec.MaxOverBox(star.normals[fi*d:fi*d+d], star.lo, star.hi) <= off+Tol {
 					skipped++
 				}
 			}

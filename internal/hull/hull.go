@@ -51,24 +51,6 @@ func (f *Facet) Above(p vec.Vector) bool { return vec.Dot(f.Normal, p) > f.Offse
 // Slack returns Normal·p − Offset.
 func (f *Facet) Slack(p vec.Vector) float64 { return vec.Dot(f.Normal, p) - f.Offset }
 
-// maxOverBox returns max_{x ∈ [lo,hi]} n·x, the "beneath-and-beyond" bound
-// used to prune R-tree MBBs against facet planes. It accumulates the terms
-// as Dot and vec.DotColumns do, from 0 in ascending coordinate order; since
-// a product with a fixed n_i and a sum are monotone under IEEE rounding,
-// the bound is ≥ the computed dot of every point in the box, not only of
-// the exact one.
-func maxOverBox(n, lo, hi vec.Vector) float64 {
-	var s float64
-	for i, ni := range n {
-		if ni > 0 {
-			s += ni * hi[i]
-		} else {
-			s += ni * lo[i]
-		}
-	}
-	return s
-}
-
 // simplexScratch holds initialSimplex's working buffers so a reused Star
 // selects its simplex without allocating; the zero value is ready.
 type simplexScratch struct {
@@ -809,7 +791,7 @@ func (s *Star) add(p vec.Vector, id int64) int {
 // decides, so the screen can only skip points Add would discard.
 //
 // The screen skips every facet the block's coordinate box lies below
-// (MBBAboveAny's test); maxOverBox says why no such facet sets a bit.
+// (MBBAboveAny's test); vec.MaxOverBox says why no such facet sets a bit.
 func (s *Star) AddBlock(cols [][]float64, ids []int64) bool {
 	n := len(ids)
 	if n == 0 {
@@ -868,7 +850,7 @@ func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
 	mask = mask[from:]
 	for f := first; f < len(s.offsets); f++ {
 		normal, limit := s.normals[f*d:f*d+d], s.offsets[f]+Tol
-		if maxOverBox(normal, s.lo, s.hi) <= limit {
+		if vec.MaxOverBox(normal, s.lo, s.hi) <= limit {
 			continue
 		}
 		vec.DotColumns(s.dots, normal, s.view)
@@ -886,7 +868,7 @@ func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
 func (s *Star) MBBAboveAny(lo, hi vec.Vector) bool {
 	d := s.Dim
 	for f, off := range s.offsets {
-		if maxOverBox(s.normals[f*d:f*d+d], lo, hi) > off+Tol {
+		if vec.MaxOverBox(s.normals[f*d:f*d+d], lo, hi) > off+Tol {
 			return true
 		}
 	}

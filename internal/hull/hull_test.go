@@ -654,7 +654,7 @@ func TestScreenMaskMatchesDefinition(t *testing.T) {
 			}
 			vec.AXPY((r.Float64()*4-2)*Tol, normal, corner)
 			// Records below the corner in every coordinate the normal
-			// rewards, so maxOverBox for f is attained at the corner.
+			// rewards, so vec.MaxOverBox for f is attained at the corner.
 			blk := make([]vec.Vector, 1+r.Intn(12))
 			for i := range blk {
 				blk[i] = corner.Clone()
@@ -678,7 +678,7 @@ func TestScreenMaskMatchesDefinition(t *testing.T) {
 			cols := columns(blk, d)
 			star.box(cols, len(blk))
 			for f := 0; f < star.NumFacets(); f++ {
-				skip := maxOverBox(star.normals[f*d:f*d+d], star.lo, star.hi) <= star.offsets[f]+Tol
+				skip := vec.MaxOverBox(star.normals[f*d:f*d+d], star.lo, star.hi) <= star.offsets[f]+Tol
 				screens++
 				if skip {
 					skipped++

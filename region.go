@@ -30,7 +30,7 @@ type ComputeStats struct {
 	SkylineSize    int           // |SL| (SP, CP)
 	HullVertices   int           // |SL ∩ CH| (CP)
 	StarFacets     int           // facets incident to p_k (FP)
-	CriticalCount  int           // critical records (FP)
+	CriticalCount  int           // critical records (FP): star vertices the Phase-1 screen keeps, possibly 0
 	RawConstraints int           // half-spaces before reduction
 	Constraints    int           // half-spaces in the minimal form
 }
