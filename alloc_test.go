@@ -10,6 +10,7 @@ package gir
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -233,6 +234,9 @@ func snapshotResult(res *topk.Result) *resultSnapshot {
 		s.tIDs = append(s.tIDs, r.ID)
 		s.tScores = append(s.tScores, r.Score)
 	}
+	if res.Heap == nil { // a records-only result retains no heap
+		return s
+	}
 	for _, it := range *res.Heap {
 		s.heapKey = append(s.heapKey, it.Key)
 		s.heapLo = append(s.heapLo, it.Rect.Lo.Clone())
@@ -256,6 +260,9 @@ func (s *resultSnapshot) verify(t *testing.T, res *topk.Result) {
 			t.Fatalf("non-result record %d mutated by a later pooled BRS run", i)
 		}
 	}
+	if res.Heap == nil {
+		return
+	}
 	for i, it := range *res.Heap {
 		if it.Key != s.heapKey[i] || !vecEqual(it.Rect.Lo, s.heapLo[i]) || !vecEqual(it.Rect.Hi, s.heapHi[i]) {
 			t.Fatalf("resumable heap item %d mutated by a later pooled BRS run", i)
@@ -266,7 +273,9 @@ func (s *resultSnapshot) verify(t *testing.T, res *topk.Result) {
 // TestScratchPoolNoAliasing proves the ownership rule the scratch pool
 // depends on: a returned Result (records, T, resumable heap, query) is
 // fully owned — churning enough queries through the pool to recycle every
-// scratch many times over must leave an earlier result bit-identical.
+// scratch many times over must leave an earlier result bit-identical. A
+// records-only result (query and records, no T or heap) owns its memory
+// too.
 func TestScratchPoolNoAliasing(t *testing.T) {
 	pts, err := datagen.Generate(datagen.IND, 20000, 4, 1)
 	if err != nil {
@@ -277,11 +286,81 @@ func TestScratchPoolNoAliasing(t *testing.T) {
 	q0 := datagen.Query(4, 7)
 	res := topk.BRS(tree, score.Linear{}, q0, 20)
 	snap := snapshotResult(res)
+	gs := topk.AcquireGroupScratch(tree)
+	recs, _ := topk.RecordsGroup(gs, tree, score.Linear{}, []vec.Vector{datagen.Query(4, 8)}, []int{20})
+	gs.Release()
+	if recs[0].T != nil || recs[0].Heap != nil {
+		t.Fatal("a records-only result retains T or a heap")
+	}
+	recSnap := snapshotResult(recs[0])
 
 	for seed := int64(100); seed < 150; seed++ {
-		topk.BRS(tree, score.Linear{}, datagen.Query(4, seed), 20)
+		q := datagen.Query(4, seed)
+		topk.BRS(tree, score.Linear{}, q, 20)
+		gs := topk.AcquireGroupScratch(tree)
+		topk.RecordsGroup(gs, tree, score.Linear{}, []vec.Vector{q, q}, []int{20, 5})
+		gs.Release()
 	}
 	snap.verify(t, res)
+	recSnap.verify(t, recs[0])
+}
+
+// TestUncachedMissAllocBudget bounds a miss on an engine without a cache:
+// it builds no region, so its traversal copies out only the query and the
+// records (topk.RecordsGroup) — a small constant number of objects, and
+// bytes that grow with k·d, not with the |T| records and the heap a
+// region build would resume from (at k = 20, d = 4 a retaining traversal
+// copies out about 64 KB, a records-only one about 3.3 KB).
+//
+// uncachedMissAllocBudget and uncachedMissFixedBytes are its budgets;
+// alloc_race_test.go raises them as it does the others.
+var (
+	uncachedMissAllocBudget = 30.0
+	uncachedMissFixedBytes  = 2048.0
+)
+
+func TestUncachedMissAllocBudget(t *testing.T) {
+	const d = 4
+	ds := allocDataset(t, 20000, d)
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: -1})
+	defer e.Close()
+
+	q := datagen.Query(d, 7)
+	for _, k := range []int{20, 100} {
+		var bad bool
+		miss := func() {
+			res := e.TopK(q, k)
+			bad = bad || res.Err != nil || res.CacheHit || len(res.Records) != k
+		}
+		for i := 0; i < 8; i++ { // pools warm
+			miss()
+		}
+		const runs = 200
+		before := e.Stats().Computed
+		allocs := testing.AllocsPerRun(runs, miss)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			miss()
+		}
+		runtime.ReadMemStats(&m1)
+		bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+		if bad || e.Stats().Computed-before != 2*runs+1 {
+			t.Fatalf("k=%d: not every call was a computed miss (bad=%v, computed %d of %d)", k, bad, e.Stats().Computed-before, 2*runs+1)
+		}
+		// What a miss hands back is the query and k records of d floats
+		// each, in the traversal's result and in the engine's: about 28 B
+		// per coordinate at d = 4, headers included. 64 B is room for
+		// that, not for T.
+		byteBudget := uncachedMissFixedBytes + 64*float64(k*d)
+		t.Logf("k=%d: an uncached miss allocates %.1f objects, %.0f B (budgets %.0f, %.0f B)", k, allocs, bytes, uncachedMissAllocBudget, byteBudget)
+		if allocs > uncachedMissAllocBudget {
+			t.Fatalf("k=%d: an uncached miss allocated %.1f objects, budget %.0f", k, allocs, uncachedMissAllocBudget)
+		}
+		if bytes > byteBudget {
+			t.Fatalf("k=%d: an uncached miss allocated %.0f B, budget %.0f B", k, bytes, byteBudget)
+		}
+	}
 }
 
 // TestFillScratchNoAliasing is the fill's half of the ownership rule:

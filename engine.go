@@ -98,7 +98,10 @@ type EngineOptions struct {
 	// GOMAXPROCS).
 	Workers int
 	// CacheCapacity is the cache size in entries (0 = 1024, < 0 disables
-	// caching entirely — every query computes, useful as a baseline).
+	// caching entirely). Without a cache every query computes, but a miss
+	// then costs only its traversal: no region is built, and the
+	// traversal copies out only the records, not the state a build
+	// resumes from.
 	CacheCapacity int
 	// CacheShards is ignored: the cache is one lock-free view (see
 	// Cache). The field remains so existing callers still compile.
@@ -393,8 +396,9 @@ const fuseGroupSize = 8
 // Cache lookups fan out across the worker pool; the batch's cache misses
 // are deduplicated, grouped by angular similarity of their weight vectors,
 // and each group is answered by ONE fused traversal that shares page
-// decodes and block-scores leaves for the whole group (topk.BRSGroup) —
-// byte identity per query is preserved by construction.
+// decodes and block-scores leaves for the whole group (topk.BRSGroup, or
+// topk.RecordsGroup on an uncached engine) — byte identity per query is
+// preserved by construction.
 func (e *Engine) BatchTopK(queries []Query) []EngineResult {
 	out := make([]EngineResult, len(queries))
 	missed := make([]bool, len(queries))
@@ -524,7 +528,8 @@ func (e *Engine) computeMisses(queries []Query, out []EngineResult, missed []boo
 // computeGroup is the one claim → compute → put → publish sequence, for
 // the members owners[g], g in group. It claims each member's single-flight
 // key, answers the claimed subset with one fused traversal under one
-// snapshot pin (Dataset.answerGroup), offers each region to the cache and
+// snapshot pin (Dataset.answerGroup), which builds regions only when
+// there is a cache to offer them to, offers each region to the cache and
 // publishes per-member results, then adopts results for members some
 // other caller was already computing. Claiming everything up front keeps
 // the engine's dedupe guarantee — a fused member and a concurrent solo
@@ -544,7 +549,8 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 	if len(qs) > 0 {
 		e.computed.Add(int64(len(qs)))
 		// One GIR build per distinct result amortizes over every later hit;
-		// without a cache nobody would read it.
+		// without a cache nobody would read it, so the traversal then
+		// retains nothing a build resumes from either.
 		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.CacheMethod)
 		e.sharedReads.Add(stats.SharedReads)
 		if len(qs) > 1 {

@@ -98,13 +98,25 @@ func (gs *GroupScratch) leafRow(slot, m, count int) []float64 {
 // traversal is correct for any group, but page sharing only pays when
 // members visit overlapping frontiers.
 func BRSGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
+	return gs.group(tree, f, qs, ks, true)
+}
+
+// RecordsGroup is BRSGroup for a caller that builds no region: the same
+// traversal, the same page reads and the same Records bit for bit, but
+// each Result copies out only its query and records — T and Heap are nil,
+// so the retained state is neither copied, sorted nor re-heapified.
+func RecordsGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
+	return gs.group(tree, f, qs, ks, false)
+}
+
+func (gs *GroupScratch) group(tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int, retain bool) ([]*Result, GroupStats) {
 	if len(qs) != len(ks) {
-		panic(fmt.Sprintf("topk: BRSGroup got %d queries and %d ks", len(qs), len(ks)))
+		panic(fmt.Sprintf("topk: a group got %d queries and %d ks", len(qs), len(ks)))
 	}
 	gs.begin()
 	out := make([]*Result, len(qs))
 	for m := range qs {
-		out[m] = gs.runMember(tree, f, qs, ks[m], m)
+		out[m] = gs.runMember(tree, f, qs, ks[m], m, retain)
 	}
 	return out, gs.stats
 }
@@ -193,11 +205,12 @@ func FuseGroups(qs []vec.Vector, limit int) [][]int {
 // BatchBRS answers a whole batch by fusing it: FuseGroups partitions the
 // queries, one BRSGroup traversal serves each group, and results land at
 // their query's position. Byte-identical to per-query BRS; the stats
-// aggregate every group.
+// aggregate every group. As in FuseGroups, limit < 1 is treated as 1.
 func BatchBRS(tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int, limit int) ([]*Result, GroupStats) {
 	if len(qs) != len(ks) {
 		panic(fmt.Sprintf("topk: BatchBRS got %d queries and %d ks", len(qs), len(ks)))
 	}
+	limit = max(limit, 1)
 	out := make([]*Result, len(qs))
 	gs := AcquireGroupScratch(tree)
 	defer gs.Release()

@@ -278,3 +278,77 @@ func TestBRSGroupAcrossVaryingK(t *testing.T) {
 		t.Error("identical vectors shared no reads")
 	}
 }
+
+// TestRecordsGroupMatchesRetaining is the differential of the two tails of
+// the one traversal: for groups of 1–8 members with varying k, with the
+// bulk scorer and a non-bulk one, RecordsGroup returns the Records
+// BRSGroup returns — ids, scores and points bit for bit — at the same
+// PageReads and SharedReads, and retains neither T nor the heap.
+func TestRecordsGroupMatchesRetaining(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, d := range []int{2, 4} {
+		tree, _, _ := buildTree(r, 3000, d)
+		for _, f := range []score.General{score.Linear{}, score.Leontief{}} {
+			for size := 1; size <= 8; size++ {
+				qs, ks := jitteredBatch(r, d, 1, size)
+				if size%3 == 0 {
+					qs[0] = randQuery(r, d) // one member off the cluster
+				}
+				for i := range ks {
+					ks[i] = 1 + r.Intn(40)
+				}
+				gs := AcquireGroupScratch(tree)
+				want, wantSt := BRSGroup(gs, tree, f, qs, ks)
+				got, gotSt := RecordsGroup(gs, tree, f, qs, ks)
+				gs.Release()
+				if gotSt != wantSt {
+					t.Fatalf("d=%d %T size %d: records-only stats %+v, retaining %+v", d, f, size, gotSt, wantSt)
+				}
+				for m := range qs {
+					g, w := got[m], want[m]
+					if g.T != nil || g.Heap != nil {
+						t.Fatalf("d=%d %T size %d member %d: records-only result retains T (%d) or a heap (%v)", d, f, size, m, len(g.T), g.Heap != nil)
+					}
+					if g.K != w.K || !bitsEqual(g.Query, w.Query) || len(g.Records) != len(w.Records) {
+						t.Fatalf("d=%d %T size %d member %d: k, query or record count differ", d, f, size, m)
+					}
+					for i, rec := range w.Records {
+						gr := g.Records[i]
+						if gr.ID != rec.ID || math.Float64bits(gr.Score) != math.Float64bits(rec.Score) || !bitsEqual(gr.Point, rec.Point) {
+							t.Fatalf("d=%d %T size %d member %d rank %d: records-only (%d, %v), retaining (%d, %v)", d, f, size, m, i, gr.ID, gr.Score, rec.ID, rec.Score)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func bitsEqual(a, b vec.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBatchBRSLimitBelowOne: BatchBRS treats limit < 1 as 1, as
+// FuseGroups documents — no fusion, every result equal to a solo BRS.
+func TestBatchBRSLimitBelowOne(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	tree, _, _ := buildTree(r, 2000, 3)
+	qs, ks := jitteredBatch(r, 3, 2, 4)
+	for _, limit := range []int{0, -1} {
+		got, stats := BatchBRS(tree, score.Linear{}, qs, ks, limit)
+		for i := range qs {
+			sameResult(t, "unfused batch", got[i], BRS(tree, score.Linear{}, qs[i], ks[i]))
+		}
+		if stats.SharedReads != 0 {
+			t.Errorf("limit %d: %d shared reads, want none without fusion", limit, stats.SharedReads)
+		}
+	}
+}

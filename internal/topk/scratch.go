@@ -16,9 +16,10 @@ import (
 // first decode. One traversal touches no other transient memory, so a
 // recycled GroupScratch makes the cold path O(1) amortized allocations.
 //
-// Ownership rule: everything inside a GroupScratch is private to the BRS
-// or BRSGroup call using it. Whatever outlives the call (Records, T, the
-// resumable heap, the query) is deep-copied into freshly allocated slabs
+// Ownership rule: everything inside a GroupScratch is private to the BRS,
+// BRSGroup or RecordsGroup call using it. Whatever outlives the call (the
+// query, Records and — retained only for a caller that builds a region —
+// T and the resumable heap) is deep-copied into freshly allocated slabs
 // before the call returns, so a Result — and any cache entry built from
 // it — never aliases pooled memory. Release only after the call that
 // used the scratch has returned.
@@ -88,7 +89,7 @@ func AcquireGroupScratch(tree *rtree.Tree) *GroupScratch {
 
 // Release returns the workspace to the pool. The caller must not touch it
 // — or anything still aliasing its buffers — afterwards; Results returned
-// by BRS and BRSGroup stay valid (they own their memory).
+// by BRS, BRSGroup and RecordsGroup stay valid (they own their memory).
 func (gs *GroupScratch) Release() {
 	gs.one[0] = nil
 	groupScratchPool.Put(gs)

@@ -7,7 +7,8 @@
 // records encountered in visited leaves, and the search heap of index
 // entries not yet expanded. Phase 2 (SP/CP via BBS, or FP's refinement
 // step) resumes the traversal from that heap, so no page is ever read
-// twice.
+// twice. That state is retained only for a caller that builds a region:
+// BRS, BRSGroup and BatchBRS retain it, RecordsGroup does not.
 //
 // There is one traversal (runMember), and it runs for a group of queries
 // over one tree state; a solo query is a group of one. The search runs
@@ -36,13 +37,15 @@ type Record struct {
 	Score float64
 }
 
-// Result carries the top-k answer plus the retained traversal state.
+// Result carries the top-k answer plus, when the traversal retained it,
+// the state a region build resumes from. A records-only Result
+// (RecordsGroup) has nil T and Heap.
 type Result struct {
 	Query   vec.Vector
 	K       int
 	Func    score.General
 	Records []Record // the top-k, in decreasing score order
-	T       []Record // non-result records encountered by BRS
+	T       []Record // non-result records encountered by BRS, when retained
 	Heap    *NodeHeap
 }
 
@@ -58,7 +61,7 @@ func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
 	defer gs.Release()
 	gs.one[0] = q
 	gs.begin()
-	return gs.runMember(tree, f, gs.one[:], k, 0)
+	return gs.runMember(tree, f, gs.one[:], k, 0, true)
 }
 
 // runMember is the BRS traversal, for member m of the group qs with
@@ -66,9 +69,11 @@ func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
 // member to touch a page pays its one counted read and retains the block,
 // and a leaf is scored on first decode for every member still to run, so
 // a later member finds its score row precomputed; the last member retains
-// and scores for nobody. The returned Result owns all of its memory; the
-// workspace is reused for the next member as soon as runMember returns.
-func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int) *Result {
+// and scores for nobody. retain only chooses what the tail copies out (see
+// materialize): the traversal itself is the same either way. The returned
+// Result owns all of its memory; the workspace is reused for the next
+// member as soon as runMember returns.
+func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int, retain bool) *Result {
 	q := qs[m]
 	if k <= 0 || k > tree.Len() {
 		panic(fmt.Sprintf("topk: k=%d out of range for %d records", k, tree.Len()))
@@ -149,7 +154,7 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 	if len(gs.top) < k {
 		panic("topk: heap exhausted before k records (corrupt index)")
 	}
-	return gs.materialize(f, q, d, k)
+	return gs.materialize(f, q, d, k, retain)
 }
 
 // materialize deep-copies the search state into a freshly allocated
@@ -159,18 +164,22 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 // (sorted by score afterwards), node items form the resumable heap
 // (re-heapified with Init) — exactly the retention the per-item
 // allocating implementation performed, so results are byte-identical.
+// Without retain it copies out only the query and the k records, into
+// one slab, and leaves T and Heap nil.
 //
 // T is sorted as pointer-free keys, then written once. slices.SortFunc
 // and sort.Slice are one pdqsort, so with less ≡ cmp < 0 over the same
 // sequence they make the same comparisons and swaps: ties keep the order
 // sort.Slice over the Records gave them.
-func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Result {
+func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, retain bool) *Result {
 	keys, nH := gs.tkeys[:0], 0
-	for _, it := range gs.heap {
-		if it.node {
-			nH++
-		} else {
-			keys = append(keys, tKey{score: it.key, id: it.id, ref: it.ref})
+	if retain { // a caller that builds no region reads neither T nor the heap
+		for _, it := range gs.heap {
+			if it.node {
+				nH++
+			} else {
+				keys = append(keys, tKey{score: it.key, id: it.id, ref: it.ref})
+			}
 		}
 	}
 	gs.tkeys = keys
@@ -189,6 +198,9 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int) *Re
 		p := next()
 		copy(p, gs.arena[it.ref:it.ref+d])
 		res.Records[i] = Record{ID: it.id, Point: p, Score: it.key}
+	}
+	if !retain {
+		return res
 	}
 	// T in decreasing score order (deterministic downstream behaviour).
 	slices.SortFunc(keys, func(a, b tKey) int { return cmp.Compare(b.score, a.score) })

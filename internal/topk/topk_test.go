@@ -247,7 +247,7 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 			want = append(want, Record{ID: int64(i), Point: p, Score: s})
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].Score > want[j].Score })
-		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0)
+		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0, true)
 		if len(res.T) != len(want) || (n == 0) != (res.T == nil) {
 			t.Fatalf("trial %d: T has %d records (nil %v), want %d", trial, len(res.T), res.T == nil, len(want))
 		}

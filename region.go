@@ -130,14 +130,17 @@ type groupAnswer struct {
 
 // answerGroup is the one way a miss is computed, for one query or many,
 // with or without a region: it validates each member against ONE pinned
-// snapshot, answers the valid ones with one fused traversal
-// (topk.BRSGroup — a single member is a group of one) and, when build is
-// set, computes each member's GIR with method m under the same pin, so no
-// mutation can land between a traversal and its region build and each
-// retained heap resumes into exactly the pages its traversal read. The
+// snapshot, answers the valid ones with one fused traversal (a single
+// member is a group of one) and, when build is set, computes each
+// member's GIR with method m under the same pin, so no mutation can land
+// between a traversal and its region build and each retained heap
+// resumes into exactly the pages its traversal read. The
 // repair state is snapshotted between BRS and Phase 2 — Phase 2 consumes
 // the heap, and FP prunes subtrees from it without reading them, so only
-// the pre-Phase-2 state covers the dataset.
+// the pre-Phase-2 state covers the dataset. Only a build reads that
+// state, so only a build retains it (topk.BRSGroup); without one the
+// traversal copies out just the records (topk.RecordsGroup), with the
+// same reads and the same records bit for bit.
 //
 // Validation is done here even when the caller already vetted the
 // queries: the pin may be a later version than the one that check saw,
@@ -162,8 +165,12 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 	if valid == 0 {
 		return out, topk.GroupStats{}
 	}
+	brs := topk.RecordsGroup
+	if build {
+		brs = topk.BRSGroup
+	}
 	gs := topk.AcquireGroupScratch(sn.tree)
-	results, stats := topk.BRSGroup(gs, sn.tree, score.Linear{}, qs[:valid], ks[:valid])
+	results, stats := brs(gs, sn.tree, score.Linear{}, qs[:valid], ks[:valid])
 	gs.Release()
 	next := 0
 	for i := range out {
