@@ -1,8 +1,8 @@
 // Microbenchmarks of the hot path (BRS, a cache fill, a checkpoint, a fused
-// batch) and ablation benchmarks for the design decisions the package
-// comments record. The paper's figures are not here: `girbench -fig N`
-// measures them, FIGURES.json holds their rows and cmd/girbench's
-// TestFigureClaims their orderings.
+// batch, a records-only group) and ablation benchmarks for the design
+// decisions the package comments record. The paper's figures are not here:
+// `girbench -fig N` measures them, FIGURES.json holds their rows and
+// cmd/girbench's TestFigureClaims their orderings.
 package gir
 
 import (
@@ -277,6 +277,32 @@ func BenchmarkBatchBRS(b *testing.B) {
 	b.StopTimer()
 	reads := float64(env.store.Stats().Reads)
 	b.ReportMetric(reads/float64(b.N*len(qs)), "pages/query")
+}
+
+// BenchmarkRecordsGroup is the records-only traversal an uncached miss
+// runs (topk.RecordsGroup): one group of 8 jittered queries per
+// iteration, at n = 20 000, d = 4, k = 20. BenchmarkBatchBRS times the
+// retaining tail of the same traversal.
+func BenchmarkRecordsGroup(b *testing.B) {
+	env := setupBench(b, datagen.IND, benchN, 4)
+	const size = 8
+	qs := make([]vec.Vector, size)
+	ks := make([]int, size)
+	for i := range qs {
+		qs[i] = env.q.Clone()
+		qs[i][i%4] += 0.001 * float64(i+1)
+		ks[i] = benchK
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gs := topk.AcquireGroupScratch(env.tree)
+		topk.RecordsGroup(gs, env.tree, score.Linear{}, qs, ks)
+		gs.Release()
+	}
+	b.StopTimer()
+	reads := float64(env.store.Stats().Reads)
+	b.ReportMetric(reads/float64(b.N*size), "pages/query")
 }
 
 // --- Ablations for the design decisions the package comments record ------

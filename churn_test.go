@@ -299,6 +299,51 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 		st.DrainPasses, st.DrainedMutations, st.PredicateEvals, st.FenceOpen)
 }
 
+// TestInsertTieEvicts: an insert that ties a cached entry's k-th record
+// and has the smaller id ranks ahead of it under (score desc, id asc), so
+// the drain must evict the entry: an exact duplicate of p_k under an id
+// below every stored one changes the next Engine.TopK, with or without
+// repair.
+func TestInsertTieEvicts(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	const n, d, k = 500, 3, 5
+	ids := make([]int64, n)
+	points := make([][]float64, n)
+	state := make(map[int64][]float64, n)
+	for i := range points {
+		ids[i] = int64(100 + i)
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+		state[ids[i]] = points[i]
+	}
+	q := []float64{0.6, 0.3, 0.5}
+	for _, repair := range []bool{false, true} {
+		ds, err := NewDatasetWithIDs(ids, points, SpaceBox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8, RepairMode: repair})
+		fill := e.TopK(q, k)
+		if hit := e.TopK(q, k); fill.Err != nil || hit.Err != nil || !hit.CacheHit {
+			t.Fatalf("repair %v: the fill did not cache (%v, %v)", repair, fill.Err, hit.Err)
+		}
+		pk := fill.Records[k-1]
+		const dupID = 7 // below every stored id
+		if err := ds.Insert(dupID, pk.Attrs); err != nil {
+			t.Fatal(err)
+		}
+		e.Quiesce()
+		state[dupID] = pk.Attrs
+		got := e.TopK(q, k)
+		e.Close()
+		if got.Err != nil {
+			t.Fatal(got.Err)
+		}
+		if want := bruteTopK(state, q, k); !sameIDs(idsOf(got.Records), want) {
+			t.Fatalf("repair %v: after a tying insert with a smaller id the engine served %v, brute force %v", repair, idsOf(got.Records), want)
+		}
+	}
+}
+
 func idsOf(recs []Record) []int64 {
 	out := make([]int64, len(recs))
 	for i, r := range recs {

@@ -1,5 +1,5 @@
 // Command girquery runs an interactive-style demonstration: it generates
-// (or loads) a dataset, answers a top-k query, computes its GIR, and
+// a dataset in-process, answers a top-k query, computes its GIR, and
 // prints everything a front-end like Figure 1 would need — the result, the
 // minimal bounding constraints with their perturbation attributions, the
 // per-weight slide-bar bounds (LIRs), the MAH, and the volume-ratio

@@ -238,3 +238,53 @@ func TestSkylineOrdering(t *testing.T) {
 		t.Errorf("skyline sizes COR=%d IND=%d ANTI=%d, want COR < IND < ANTI", sCor, sInd, sAnti)
 	}
 }
+
+// TestGenerateResolvedSmoke pins the command-line tools' pipeline end to
+// end (resolve → generate) for every kind at a small cardinality.
+func TestGenerateResolvedSmoke(t *testing.T) {
+	for _, kind := range []Kind{IND, COR, ANTI, HOUSE, HOTEL} {
+		kd, n, d := Resolve(kind, 50, 3)
+		if kind == HOUSE || kind == HOTEL {
+			if n != 50 {
+				t.Errorf("%s: small n not preserved (%d)", kind, n)
+			}
+			if (kind == HOUSE && d != HouseD) || (kind == HOTEL && d != HotelD) {
+				t.Errorf("%s: dimension not pinned (%d)", kind, d)
+			}
+		}
+		pts, err := Generate(kd, n, d, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if len(pts) != n {
+			t.Fatalf("%s: %d points, want %d", kind, len(pts), n)
+		}
+		for _, p := range pts {
+			if len(p) != d {
+				t.Fatalf("%s: point dimension %d, want %d", kind, len(p), d)
+			}
+			for _, x := range p {
+				if x < 0 || x > 1 {
+					t.Fatalf("%s: coordinate %v outside [0,1]", kind, x)
+				}
+			}
+		}
+	}
+	if _, err := Generate(Kind("NOPE"), 10, 3, 1); err == nil {
+		t.Error("unknown kind accepted")
+	}
+}
+
+// TestResolveDefaultsAndCaps pins the paper-size defaulting the
+// command-line tools rely on for n = 0 and the cap for oversized requests.
+func TestResolveDefaultsAndCaps(t *testing.T) {
+	if _, n, d := Resolve(HOUSE, 0, 9); n != HouseN || d != HouseD {
+		t.Errorf("HOUSE default = (%d, %d)", n, d)
+	}
+	if _, n, _ := Resolve(HOTEL, HotelN+5, 2); n != HotelN {
+		t.Errorf("HOTEL oversize not capped: %d", n)
+	}
+	if kd, n, d := Resolve(IND, 123, 7); kd != IND || n != 123 || d != 7 {
+		t.Errorf("IND passthrough = (%s, %d, %d)", kd, n, d)
+	}
+}

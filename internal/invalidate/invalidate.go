@@ -32,16 +32,18 @@
 //     region constraint alone implies p_k·w ≥ p·w on the nonnegative
 //     orthant (geom.ImpliedByOne), no weight of R prefers p (keep).
 //
-// Decisions are conservative: any numerical doubt (LP non-optimal status,
-// margins inside tolerance of zero) resolves toward "affected", so a kept
-// entry is always safe to serve. The one documented exception is exact
-// score ties: a new record that can only ever TIE the k-th record (margin
-// ≤ Tol everywhere in the region) is treated as unaffected, since tie
-// order between distinct records is not part of the GIR contract and exact
-// ties have measure zero under continuous data.
+// Ties follow the results' total order, (score desc, id asc): a new
+// record that ties p_k enters the top-k iff its id is smaller. So an
+// insert whose id is smaller than p_k's is affecting when its margin can
+// reach −Tol anywhere in the region, and one whose id is larger only when
+// the margin can exceed Tol. Inside that tolerance decisions are
+// conservative: any numerical doubt (LP non-optimal status, margins near
+// the threshold) resolves toward "affected", so a kept entry is always
+// safe to serve.
 package invalidate
 
 import (
+	"math"
 	"sync"
 
 	"github.com/girlib/gir/internal/geom"
@@ -67,22 +69,37 @@ func DeleteAffects(recs []topk.Record, id int64) bool {
 	return false
 }
 
-// InsertAffects reports whether inserting a record with attributes p can
+// InsertAffects is InsertAffectsID for an insert that loses every tie, as
+// one with an id above every result's does.
+func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, innerHi vec.Vector) bool {
+	return InsertAffectsID(reg, recs, math.MaxInt64, p, innerLo, innerHi)
+}
+
+// InsertAffectsID reports whether inserting record id with attributes p can
 // change the top-|recs| result anywhere in reg. Four closed-form filters
 // run before the LP, cheapest first: the domain-wide bound (keep), the
 // region's own query (evict), the inscribed box (evict), and the
 // implication certificate (keep): one region normal n with (p_k − p) − λn
 // componentwise nonnegative for some λ ≥ 0 (geom.ImpliedByOne, the test
-// Region.Shrink screens added half-spaces with). Each filter decides only
-// its own direction; what they leave open falls through to the exact LP,
-// on a pooled scratch (the fence calls this from query goroutines).
-func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, innerHi vec.Vector) bool {
+// Region.Shrink screens added half-spaces with). The certificate proves a
+// margin of at most zero, which keeps only an insert that loses a tie.
+// Each filter decides only its own direction; what they leave open falls
+// through to the exact LP, on a pooled scratch (the fence calls this from
+// query goroutines).
+func InsertAffectsID(reg *gir.Region, recs []topk.Record, id int64, p vec.Vector, innerLo, innerHi vec.Vector) bool {
 	if reg == nil || len(recs) == 0 {
 		return true // nothing to certify against: evict
 	}
-	pk := recs[len(recs)-1].Point
+	kth := recs[len(recs)-1]
+	pk := kth.Point
 	if len(p) != len(pk) || len(p) != reg.Dim {
 		return true // malformed input: evict rather than risk staleness
+	}
+	// The margin p must beat to enter: a tie is enough for a smaller id.
+	thr := Tol
+	winsTie := id < kth.ID
+	if winsTie {
+		thr = -Tol
 	}
 	dom := reg.Space()
 	s := scratches.Get().(*scratch)
@@ -97,12 +114,12 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 	// the classical componentwise-dominance test (Σ of positive diffs);
 	// for the simplex it is max_j diff_j — exact over the whole domain.
 	// Keep when even that cannot go positive.
-	if dom.UpperBound(diff) <= Tol {
+	if dom.UpperBound(diff) <= thr {
 		return false
 	}
 	// Query filter: the region's own query is inside it; a positive margin
 	// there means the new record enters that very result. Evict.
-	if vec.Dot(reg.Query, diff) > Tol {
+	if vec.Dot(reg.Query, diff) > thr {
 		return true
 	}
 	// Inscribed-box filter: maximize w·diff in closed form over
@@ -110,24 +127,27 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 	// cone, so a positive margin there is a positive margin at a point of
 	// region ∩ domain. Evict.
 	if len(innerLo) == len(diff) && len(innerHi) == len(diff) {
-		if inner, ok := dom.MaxOverBox(diff, innerLo, innerHi); ok && inner > Tol {
+		if inner, ok := dom.MaxOverBox(diff, innerLo, innerHi); ok && inner > thr {
 			return true
 		}
 	}
 	// Implication certificate: one region constraint alone proves the
-	// margin nonpositive on region ⊆ nonnegative orthant. Keep.
-	for i, x := range diff {
-		s.keep[i] = -x
-	}
-	for _, c := range reg.Constraints {
-		if geom.ImpliedByOne(s.keep, c.Normal) {
-			return false
+	// margin nonpositive on region ⊆ nonnegative orthant. Keep, unless p
+	// would win a tie.
+	if !winsTie {
+		for i, x := range diff {
+			s.keep[i] = -x
+		}
+		for _, c := range reg.Constraints {
+			if geom.ImpliedByOne(s.keep, c.Normal) {
+				return false
+			}
 		}
 	}
 	// Exact decision: max w·(p − p_k) over the region's cone constraints
 	// clipped to the domain. The region's query vector is feasible, so a
 	// non-Optimal status is a numerical failure, resolved conservatively;
-	// only a margin beyond Tol signals a genuine overtake.
+	// only a margin beyond the threshold signals an overtake.
 	s.cons = s.cons[:0]
 	for _, c := range reg.Constraints {
 		s.cons = append(s.cons, lp.Constraint{Coef: c.Normal, Op: lp.GE, RHS: 0})
@@ -137,7 +157,7 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 	if sol.Status != lp.Optimal {
 		return true // numerical failure: evict conservatively
 	}
-	return sol.Objective > Tol
+	return sol.Objective > thr
 }
 
 // scratch is one InsertAffects call's workspace.

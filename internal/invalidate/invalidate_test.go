@@ -109,11 +109,15 @@ func TestInsertAffectsExtremes(t *testing.T) {
 		t.Error("dominated insert flagged")
 	}
 
-	// Re-inserting the k-th record itself only ties it; ties are not
-	// invalidation events.
-	kth := fx.recs[len(fx.recs)-1].Point.Clone()
+	// A duplicate of the k-th record ties it everywhere: it enters the
+	// top-k iff its id is smaller, as (score desc, id asc) ranks ties.
+	pk := fx.recs[len(fx.recs)-1]
+	kth := pk.Point.Clone()
 	if InsertAffects(fx.reg, fx.recs, kth, fx.lo, fx.hi) {
-		t.Error("exact duplicate of the k-th record flagged")
+		t.Error("exact duplicate of the k-th record with a larger id flagged")
+	}
+	if !InsertAffectsID(fx.reg, fx.recs, pk.ID-1, kth, fx.lo, fx.hi) {
+		t.Error("exact duplicate of the k-th record with a smaller id not flagged")
 	}
 
 	// Degenerate inputs must evict conservatively.

@@ -185,7 +185,7 @@ func (p *Planner) FenceAffected(e *cache.Entry, pending []Mutation) bool {
 func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 	p.predicates.Add(1)
 	if m.Insert {
-		return invalidate.InsertAffects(e.Region, e.Records, m.Point, e.InnerLo, e.InnerHi)
+		return invalidate.InsertAffectsID(e.Region, e.Records, m.ID, m.Point, e.InnerLo, e.InnerHi)
 	}
 	return invalidate.DeleteAffects(e.Records, m.ID)
 }

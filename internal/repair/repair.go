@@ -96,7 +96,7 @@ func scoreAt(p, q vec.Vector) float64 { return score.Linear{}.Score(p, q) }
 
 // Insert attempts to repair an entry perturbed by inserting record
 // (id, p). The caller has already classified the entry as affected
-// (invalidate.InsertAffects returned true); Insert decides whether the
+// (invalidate.InsertAffectsID returned true); Insert decides whether the
 // perturbation is the closed-form k-th-displacement case and returns the
 // repaired entry, or (nil, false) meaning evict.
 func Insert(e Entry, id int64, p vec.Vector) (*Repaired, bool) {
@@ -138,7 +138,7 @@ func Insert(e Entry, id int64, p vec.Vector) (*Repaired, bool) {
 		if e.Records[k-2].Score-pScore <= Tol {
 			return nil, false
 		}
-		if invalidate.InsertAffects(reg, e.Records[:k-1], p, e.InnerLo, e.InnerHi) {
+		if invalidate.InsertAffectsID(reg, e.Records[:k-1], id, p, e.InnerLo, e.InnerHi) {
 			return nil, false
 		}
 	}

@@ -9,13 +9,12 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// This file pins the documented tie limitation end to end with a
+// This file pins the handling of exact ties end to end with a
 // hand-built, fully deterministic fixture (no RNG, no index):
 //
 //	internal/invalidate: an inserted record that can only ever TIE the
-//	k-th result is NOT an invalidation event (ties between distinct
-//	records are outside the GIR contract and have measure zero under
-//	continuous data).
+//	k-th result is an invalidation event iff its id is smaller, as the
+//	results' (score desc, id asc) order ranks ties.
 //
 //	internal/repair: the repair classifier must stay on the conservative
 //	side of the same line — any repaired ordering that would rest on an
@@ -57,10 +56,13 @@ func tieFixture() Entry {
 func TestTieIsNotAnInvalidationEvent(t *testing.T) {
 	e := tieFixture()
 	// An exact duplicate of the k-th record ties it at every weight vector:
-	// not an invalidation event (the documented limitation).
+	// an invalidation event only when it wins the tie by id.
 	dup := e.Records[1].Point.Clone()
-	if invalidate.InsertAffects(e.Region, e.Records, dup, e.InnerLo, e.InnerHi) {
-		t.Error("exact duplicate of the k-th record must not be an invalidation event")
+	if invalidate.InsertAffectsID(e.Region, e.Records, 9, dup, e.InnerLo, e.InnerHi) {
+		t.Error("exact duplicate of the k-th record with a larger id must not be an invalidation event")
+	}
+	if !invalidate.InsertAffectsID(e.Region, e.Records, 0, dup, e.InnerLo, e.InnerHi) {
+		t.Error("exact duplicate of the k-th record with a smaller id must be an invalidation event")
 	}
 	// A mirrored record (0.7,0.5) ties the k-th at the query q=(0.5,0.5)
 	// exactly — same coordinate sum — but beats it wherever w_0 > w_1, so

@@ -85,12 +85,9 @@ func (c *Coordinator) BatchTopK(queries []gir.Query) []Result {
 	return out
 }
 
-// sortMerged orders a gathered union by (score desc, id asc) — the same
-// total order a single engine's top-k emits, so the merge is
-// deterministic even across exact score ties within one partition.
-// (Exact ties BETWEEN partitions are the one case where the merged order
-// can differ from a particular single-engine run's heap order; the repo's
-// existing convention treats exact ties as order-equivalent.)
+// sortMerged orders a gathered union by (score desc, id asc) — the total
+// order every engine's top-k is ranked by, so the merge equals a single
+// engine's answer over the union, exact ties included.
 func sortMerged(recs []gir.Record) {
 	sort.Slice(recs, func(a, b int) bool {
 		if recs[a].Score != recs[b].Score {

@@ -4,8 +4,9 @@
 // The contract that makes fusion safe to serve through every existing
 // seam (cache fills, GIR phase 2, repair retention) is byte-identity per
 // member: BRSGroup runs for each member the traversal a group of one runs
-// — the same heap push/pop sequence, the same floating-point operations in
-// the same order — so Records, T and the resumable heap are bit-equal to a
+// — the same floating-point operations in the same order, and rankings
+// that are total orders, so nothing depends on which pages another member
+// decoded first — so Records, T and the resumable heap are bit-equal to a
 // solo BRS's. What is shared is the page work: decoded blocks are memoized
 // in a group-level cache (the first member to touch a page pays its one
 // counted read), and on first decode a leaf is scored against every

@@ -283,11 +283,20 @@ func TestBRSGroupAcrossVaryingK(t *testing.T) {
 // the one traversal: for groups of 1–8 members with varying k, with the
 // bulk scorer and a non-bulk one, RecordsGroup returns the Records
 // BRSGroup returns — ids, scores and points bit for bit — at the same
-// PageReads and SharedReads, and retains neither T nor the heap.
+// PageReads and SharedReads, and retains neither T nor the heap. It runs
+// on continuous data and on tied data (coordinates on a five-step grid),
+// where both tails must also give Scan's (score desc, id asc) order.
 func TestRecordsGroupMatchesRetaining(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	for _, d := range []int{2, 4} {
+	for _, c := range []struct {
+		d    int
+		tied bool
+	}{{2, false}, {4, false}, {3, true}} {
+		d := c.d
 		tree, _, _ := buildTree(r, 3000, d)
+		if c.tied {
+			tree = buildTiedTree(r, 3000, d)
+		}
 		for _, f := range []score.General{score.Linear{}, score.Leontief{}} {
 			for size := 1; size <= 8; size++ {
 				qs, ks := jitteredBatch(r, d, 1, size)
@@ -316,6 +325,14 @@ func TestRecordsGroupMatchesRetaining(t *testing.T) {
 						gr := g.Records[i]
 						if gr.ID != rec.ID || math.Float64bits(gr.Score) != math.Float64bits(rec.Score) || !bitsEqual(gr.Point, rec.Point) {
 							t.Fatalf("d=%d %T size %d member %d rank %d: records-only (%d, %v), retaining (%d, %v)", d, f, size, m, i, gr.ID, gr.Score, rec.ID, rec.Score)
+						}
+					}
+					if !c.tied {
+						continue
+					}
+					for i, rec := range Scan(tree, f, qs[m], ks[m]) {
+						if gr := g.Records[i]; gr.ID != rec.ID || math.Float64bits(gr.Score) != math.Float64bits(rec.Score) {
+							t.Fatalf("tied d=%d %T size %d member %d rank %d: records-only (%d, %v), Scan (%d, %v)", d, f, size, m, i, gr.ID, gr.Score, rec.ID, rec.Score)
 						}
 					}
 				}

@@ -9,12 +9,13 @@ import (
 
 // GroupScratch is the pooled workspace of one BRS group traversal — a
 // fused group of many queries or a solo query, which is a group of one.
-// It holds the member workspace (the search heap, the float64 arena
-// behind its items, the per-leaf scoring buffers), reused serially
-// across members, plus what a group shares: the block-decode cache and
-// the per-page precomputed score rows the multi-query kernel fills at
-// first decode. One traversal touches no other transient memory, so a
-// recycled GroupScratch makes the cold path O(1) amortized allocations.
+// It holds the member workspace (the search heap, the k-slot, the loser
+// lists, the float64 arena behind their items, the per-leaf scoring
+// buffers), reused serially across members, plus what a group shares: the
+// block-decode cache and the per-page precomputed score rows the
+// multi-query kernel fills at first decode. One traversal touches no other
+// transient memory, so a recycled GroupScratch makes the cold path O(1)
+// amortized allocations.
 //
 // Ownership rule: everything inside a GroupScratch is private to the BRS,
 // BRSGroup or RecordsGroup call using it. Whatever outlives the call (the
@@ -24,10 +25,11 @@ import (
 // it — never aliases pooled memory. Release only after the call that
 // used the scratch has returned.
 type GroupScratch struct {
-	heap   brsHeap
-	arena  []float64 // backing store for heap item points / rects
-	top    []brsItem // the popped top-k, in pop order
-	tkeys  []tKey    // materialize: T's records, sorted before they are copied out
+	nodes  nodeHeap  // the search heap: nodes still to expand
+	slot   kslot     // the best k records met so far
+	tlist  []item    // retaining tail: the records that lost, unsorted (T)
+	hlist  []item    // retaining tail: the nodes below the bound (the resumable heap)
+	arena  []float64 // backing store for item points / rects
 	point  []float64 // gather buffer for per-record scoring
 	scores []float64 // per-leaf bulk scoring buffer
 
@@ -50,14 +52,6 @@ type GroupScratch struct {
 	stats GroupStats
 }
 
-// tKey is one record of T as materialize sorts it: its score, id and arena
-// offset, with no pointer for the sort to move.
-type tKey struct {
-	score float64
-	id    int64
-	ref   int
-}
-
 var groupScratchPool = sync.Pool{New: func() interface{} { return new(GroupScratch) }}
 
 // AcquireGroupScratch returns a traversal workspace sized for queries
@@ -72,8 +66,8 @@ func AcquireGroupScratch(tree *rtree.Tree) *GroupScratch {
 	// plus the not-yet-popped remainder; fan-out × (height+1) is a
 	// comfortable over-estimate for the common k ≪ n case.
 	est := (tree.MaxLeafEntries() + tree.MaxInternalEntries()) * (tree.Height() + 1)
-	if cap(gs.heap) < est {
-		gs.heap = make(brsHeap, 0, est)
+	if cap(gs.nodes) < est {
+		gs.nodes = make(nodeHeap, 0, est)
 	}
 	if cap(gs.arena) < est*2*d {
 		gs.arena = make([]float64, 0, est*2*d)
@@ -104,9 +98,11 @@ func (gs *GroupScratch) begin() {
 
 // reset clears the member workspace for the group's next member.
 func (gs *GroupScratch) reset() {
-	gs.heap = gs.heap[:0]
+	gs.nodes = gs.nodes[:0]
+	gs.slot = gs.slot[:0]
+	gs.tlist = gs.tlist[:0]
+	gs.hlist = gs.hlist[:0]
 	gs.arena = gs.arena[:0]
-	gs.top = gs.top[:0]
 }
 
 // putPoint copies record i of a leaf block into the arena, returning its

@@ -2,6 +2,18 @@
 // [32]), the I/O-optimal top-k algorithm the paper uses to answer the
 // original query before GIR computation starts.
 //
+// Every ranking here is total: records rank (score desc, id asc) and
+// index nodes (maxscore desc, page id asc). A result therefore never
+// depends on page layout or on the order things were met in — exact
+// ties come out by id, as topk.Scan, the brute-force oracle, orders them.
+//
+// The traversal keeps its search heap for nodes only. Records go to a
+// k-slot, the best k met so far under the record order, and a record
+// that cannot rank costs one comparison instead of a heap push. A node
+// is expanded only while it can still hold a record that ranks, so on
+// continuous data BRS reads the same pages as with one mixed record/node
+// heap.
+//
 // Beyond the top-k result itself, BRS here retains exactly the state the
 // GIR algorithms need (Section 3.3 of the paper): the set T of non-result
 // records encountered in visited leaves, and the search heap of index
@@ -19,7 +31,6 @@
 package topk
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -44,8 +55,8 @@ type Result struct {
 	Query   vec.Vector
 	K       int
 	Func    score.General
-	Records []Record // the top-k, in decreasing score order
-	T       []Record // non-result records encountered by BRS, when retained
+	Records []Record // the top-k, in (score desc, id asc) order
+	T       []Record // non-result records encountered by BRS, in the same order, when retained
 	Heap    *NodeHeap
 }
 
@@ -69,10 +80,22 @@ func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
 // member to touch a page pays its one counted read and retains the block,
 // and a leaf is scored on first decode for every member still to run, so
 // a later member finds its score row precomputed; the last member retains
-// and scores for nobody. retain only chooses what the tail copies out (see
-// materialize): the traversal itself is the same either way. The returned
-// Result owns all of its memory; the workspace is reused for the next
-// member as soon as runMember returns.
+// and scores for nobody.
+//
+// The search heap holds nodes only; records go to the k-slot, the best k
+// met so far under (score desc, id asc). A record enters the slot only if
+// it ranks ahead of the slot's worst; a node is expanded only if its key
+// is at least the worst's score — a node goes ahead of a record at an
+// equal key, so a tied record with a smaller id beneath it is not missed —
+// and the loop stops when the best node left ranks below the worst. A node
+// with a key below the final k-th score is never expanded, and one above
+// it always is, so a traversal reads exactly the pages the mixed
+// record/node heap of Tao et al.'s BRS reads, ties at the k-th score
+// aside. retain only decides what happens to the losers: a records-only
+// traversal drops them, a retaining one keeps the records as T and the
+// nodes as the resumable heap (see materialize). The returned Result owns
+// all of its memory; the workspace is reused for the next member as soon
+// as runMember returns.
 func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int, retain bool) *Result {
 	q := qs[m]
 	if k <= 0 || k > tree.Len() {
@@ -113,7 +136,7 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 		return blk, slot
 	}
 
-	pushBlock := func(blk *rtree.NodeBlock, slot int) {
+	expand := func(blk *rtree.NodeBlock, slot int) {
 		n := blk.Count
 		if blk.Leaf {
 			sc := gs.leafRow(slot, m, n)
@@ -128,30 +151,44 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 				}
 			}
 			for i := 0; i < n; i++ {
-				gs.heap.push(brsItem{key: sc[i], id: blk.RecIDs[i], ref: gs.putPoint(blk, i)})
+				it := item{key: sc[i], tie: blk.RecIDs[i]}
+				switch {
+				case len(gs.slot) < k:
+					it.ref = gs.putPoint(blk, i)
+					gs.slot.push(it)
+				case ahead(it, gs.slot[0]):
+					it.ref = gs.putPoint(blk, i)
+					if out := gs.slot.replace(it); retain {
+						gs.tlist = append(gs.tlist, out)
+					}
+				case retain:
+					it.ref = gs.putPoint(blk, i)
+					gs.tlist = append(gs.tlist, it)
+				}
 			}
 			return
 		}
 		for i := 0; i < n; i++ {
 			lo := vec.Vector(blk.Lo[i*d : (i+1)*d])
 			hi := vec.Vector(blk.Hi[i*d : (i+1)*d])
-			key := f.MaxScore(lo, hi, q)
-			gs.heap.push(brsItem{key: key, child: blk.Children[i], node: true, ref: gs.putRect(lo, hi)})
+			it := item{key: f.MaxScore(lo, hi, q), tie: int64(blk.Children[i])}
+			if retain {
+				it.ref = gs.putRect(lo, hi)
+			}
+			switch {
+			case len(gs.slot) < k || it.key >= gs.slot[0].key:
+				gs.nodes.push(it)
+			case retain:
+				gs.hlist = append(gs.hlist, it)
+			}
 		}
 	}
-	pushBlock(readBlock(tree.Root()))
+	expand(readBlock(tree.Root()))
 
-	for len(gs.heap) > 0 && len(gs.top) < k {
-		it := gs.heap.pop()
-		if it.node {
-			pushBlock(readBlock(it.child))
-			continue
-		}
-		// A record popped from a max-heap on maxscore is the best
-		// unreported record overall (I/O optimality of BRS).
-		gs.top = append(gs.top, it)
+	for len(gs.nodes) > 0 && (len(gs.slot) < k || gs.nodes[0].key >= gs.slot[0].key) {
+		expand(readBlock(pager.PageID(gs.nodes.pop().tie)))
 	}
-	if len(gs.top) < k {
+	if len(gs.slot) < k {
 		panic("topk: heap exhausted before k records (corrupt index)")
 	}
 	return gs.materialize(f, q, d, k, retain)
@@ -160,68 +197,54 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 // materialize deep-copies the search state into a freshly allocated
 // Result: two slabs (one for every retained point including the query,
 // one for the resumable heap's rectangles) plus the slices over them.
-// Leftover heap items are visited in array order — record items form T
-// (sorted by score afterwards), node items form the resumable heap
-// (re-heapified with Init) — exactly the retention the per-item
-// allocating implementation performed, so results are byte-identical.
-// Without retain it copies out only the query and the k records, into
-// one slab, and leaves T and Heap nil.
-//
-// T is sorted as pointer-free keys, then written once. slices.SortFunc
-// and sort.Slice are one pdqsort, so with less ≡ cmp < 0 over the same
-// sequence they make the same comparisons and swaps: ties keep the order
-// sort.Slice over the Records gave them.
+// The k-slot, sorted, is the Records. With retain, the losing records,
+// sorted the same way, are T, and the losing nodes together with the
+// search heap's remainder are heapified into the resumable heap. Every
+// sort and heap here is a total order, so what a Result holds, and the
+// order its heap pops in, does not depend on the order the traversal met
+// things in. Without retain it copies out only the query and the k
+// records, into one slab, and leaves T and Heap nil.
 func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, retain bool) *Result {
-	keys, nH := gs.tkeys[:0], 0
+	nT := 0
 	if retain { // a caller that builds no region reads neither T nor the heap
-		for _, it := range gs.heap {
-			if it.node {
-				nH++
-			} else {
-				keys = append(keys, tKey{score: it.key, id: it.id, ref: it.ref})
-			}
-		}
+		nT = len(gs.tlist)
 	}
-	gs.tkeys = keys
-	nT := len(keys)
 	pts := make([]float64, (1+k+nT)*d)
 	next := func() vec.Vector {
 		v := vec.Vector(pts[:d])
 		pts = pts[d:]
 		return v
 	}
+	copyOut := func(dst []Record, its []item) {
+		slices.SortFunc(its, order)
+		for i, it := range its {
+			p := next()
+			copy(p, gs.arena[it.ref:it.ref+d])
+			dst[i] = Record{ID: it.tie, Point: p, Score: it.key}
+		}
+	}
 
 	res := &Result{K: k, Func: f, Query: next()}
 	copy(res.Query, q)
 	res.Records = make([]Record, k)
-	for i, it := range gs.top {
-		p := next()
-		copy(p, gs.arena[it.ref:it.ref+d])
-		res.Records[i] = Record{ID: it.id, Point: p, Score: it.key}
-	}
+	copyOut(res.Records, gs.slot)
 	if !retain {
 		return res
 	}
-	// T in decreasing score order (deterministic downstream behaviour).
-	slices.SortFunc(keys, func(a, b tKey) int { return cmp.Compare(b.score, a.score) })
 	if nT > 0 {
 		res.T = make([]Record, nT)
+		copyOut(res.T, gs.tlist)
 	}
-	for i, key := range keys {
-		p := next()
-		copy(p, gs.arena[key.ref:key.ref+d])
-		res.T[i] = Record{ID: key.id, Point: p, Score: key.score}
-	}
-	hp := make(NodeHeap, 0, nH)
-	rects := make([]float64, nH*2*d)
-	for _, it := range gs.heap {
-		if it.node {
-			lo, hi := vec.Vector(rects[:d]), vec.Vector(rects[d:2*d])
-			rects = rects[2*d:]
-			copy(lo, gs.arena[it.ref:it.ref+d])
-			copy(hi, gs.arena[it.ref+d:it.ref+2*d])
-			hp = append(hp, NodeItem{Key: it.key, Child: it.child, Rect: rtree.Rect{Lo: lo, Hi: hi}})
-		}
+	nodes := append(gs.hlist, gs.nodes...)
+	gs.hlist = nodes
+	hp := make(NodeHeap, len(nodes))
+	rects := make([]float64, len(nodes)*2*d)
+	for i, it := range nodes {
+		lo, hi := vec.Vector(rects[:d]), vec.Vector(rects[d:2*d])
+		rects = rects[2*d:]
+		copy(lo, gs.arena[it.ref:it.ref+d])
+		copy(hi, gs.arena[it.ref+d:it.ref+2*d])
+		hp[i] = NodeItem{Key: it.key, Child: pager.PageID(it.tie), Rect: rtree.Rect{Lo: lo, Hi: hi}}
 	}
 	hp.Init()
 	res.Heap = &hp

@@ -26,6 +26,19 @@ func buildTree(r *rand.Rand, n, d int) (*rtree.Tree, []vec.Vector, *pager.MemSto
 	return tree, pts, store
 }
 
+// buildTiedTree is buildTree on a five-step grid: every coordinate is one
+// of {0, ¼, ½, ¾, 1}, so exact score ties are the common case.
+func buildTiedTree(r *rand.Rand, n, d int) *rtree.Tree {
+	pts := make([]vec.Vector, n)
+	for i := range pts {
+		pts[i] = make(vec.Vector, d)
+		for j := range pts[i] {
+			pts[i][j] = float64(r.Intn(5)) / 4
+		}
+	}
+	return rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
+}
+
 func randQuery(r *rand.Rand, d int) vec.Vector {
 	q := make(vec.Vector, d)
 	for j := range q {
@@ -215,12 +228,12 @@ func TestTSortedByScore(t *testing.T) {
 	}
 }
 
-// TestTOrderMatchesSortSlice: materialize sorts T as pointer-free keys
-// with slices.SortFunc, and the oracle is what it replaced — the Records
-// appended in heap order, then sort.Slice on decreasing score. Scores are
-// drawn from 1–50 distinct values, so ties are the common case and every
-// tie must keep the oracle's order: the id sequences are identical, from 0
-// records (where T stays nil) to 3 000, with node items between them.
+// TestTOrderMatchesSortSlice: materialize sorts T by the records' total
+// order, and the oracle is sort.Slice on (score desc, id asc). Scores are
+// drawn from 1–50 distinct values and ids are a shuffled permutation, so
+// ties are the common case and each must land by id: the id sequences are
+// identical, from 0 records (where T stays nil) to 3 000, with losing
+// nodes between them.
 func TestTOrderMatchesSortSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	const d = 2
@@ -234,19 +247,24 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 		distinct := 1 + r.Intn(50)
 		gs.reset()
 		var want []Record
-		for i := 0; i < n; i++ {
+		for i, id := range r.Perm(n) {
 			if r.Intn(4) == 0 {
 				ref := gs.putRect([]float64{0, 0}, []float64{1, 1})
-				gs.heap = append(gs.heap, brsItem{key: r.Float64(), child: 7, node: true, ref: ref})
+				gs.hlist = append(gs.hlist, item{key: r.Float64(), tie: int64(i), ref: ref})
 			}
 			p := []float64{r.Float64(), r.Float64()}
 			ref := len(gs.arena)
 			gs.arena = append(gs.arena, p...)
 			s := float64(r.Intn(distinct))
-			gs.heap = append(gs.heap, brsItem{key: s, id: int64(i), ref: ref})
-			want = append(want, Record{ID: int64(i), Point: p, Score: s})
+			gs.tlist = append(gs.tlist, item{key: s, tie: int64(id), ref: ref})
+			want = append(want, Record{ID: int64(id), Point: p, Score: s})
 		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Score > want[j].Score })
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].ID < want[j].ID
+		})
 		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0, true)
 		if len(res.T) != len(want) || (n == 0) != (res.T == nil) {
 			t.Fatalf("trial %d: T has %d records (nil %v), want %d", trial, len(res.T), res.T == nil, len(want))
