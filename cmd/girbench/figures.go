@@ -37,10 +37,9 @@ import (
 // Recorded in every figure report's config, beside the default d (suiteD)
 // and what a page read is charged as I/O time (pager.DefaultCostModel).
 const (
-	figK             = 20      // Table 2's default k
-	figSkylineCap    = 30_000  // an SP or CP cell whose skyline outgrows this is skipped
-	figFacetBudget   = 300_000 // and so is a CH′ count that outgrows this
-	figVolumeSamples = 1500    // Monte-Carlo samples per telescoping factor of a volume ratio
+	figK           = 20      // Table 2's default k
+	figSkylineCap  = 30_000  // an SP or CP cell whose skyline outgrows this is skipped
+	figFacetBudget = 300_000 // and so is a CH′ count that outgrows this
 )
 
 // cpHullCap bounds the skyline size CP will attempt a convex hull over,
@@ -196,7 +195,6 @@ func (s *suite) measure(tb *table, c cell, r *row) (skipped string) {
 	r.Queries = cmp.Or(tb.queries, s.cfg.Queries)
 	var cpu time.Duration
 	var logVolume float64
-	volumes := 0
 	for qi := 0; qi < r.Queries; qi++ {
 		res := topK(qi)
 		reads, start := s.idx.store.Stats().Reads, time.Now()
@@ -212,25 +210,17 @@ func (s *suite) measure(tb *table, c cell, r *row) (skipped string) {
 		if !tb.volume {
 			continue
 		}
-		// A region with no interior has no ratio: the mean is over the
-		// queries that have one, as the paper's is.
-		switch lv, err := volume.LogRatioIn(domain.UnitBox(c.d), reg.Halfspaces(), volume.Options{Samples: s.cfg.VolumeSamples, Seed: s.cfg.Seed + int64(qi)}); err {
-		case nil:
-			logVolume += lv / math.Ln10
-			volumes++
-		case volume.ErrEmpty:
-		default:
+		ratio, err := volume.RatioIn(domain.UnitBox(c.d), reg.Halfspaces())
+		if err != nil {
 			return err.Error()
 		}
+		logVolume += math.Log10(ratio)
 	}
 	r.CPUMS = float64((cpu / time.Duration(r.Queries)).Microseconds()) / 1e3
 	r.PageReadsPerQuery = float64(r.PageReads) / float64(r.Queries)
 	r.IOMS = math.Round(r.PageReadsPerQuery) * s.cfg.ReadLatUS / 1e3
 	if tb.volume {
-		if volumes == 0 {
-			return volume.ErrEmpty.Error()
-		}
-		r.Log10Volume = math.Round(1e4*logVolume/float64(volumes)) / 1e4
+		r.Log10Volume = math.Round(1e4*logVolume/float64(r.Queries)) / 1e4
 	}
 	return ""
 }

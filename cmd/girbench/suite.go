@@ -68,16 +68,15 @@ type suiteConfig struct {
 	FsyncDelayMS float64 `json:"fsync_delay_ms,omitempty"`
 	GOMAXPROCS   int     `json:"gomaxprocs,omitempty"` // serving only: no figure column depends on it
 
-	Queries       int     `json:"queries,omitempty"` // per figure cell
-	K             int     `json:"k,omitempty"`       // the figures' default k
-	RealN         int     `json:"realn,omitempty"`   // cap on the HOUSE/HOTEL surrogates; 0 = the paper's sizes
-	Dims          []int   `json:"dims,omitempty"`
-	Ks            []int   `json:"ks,omitempty"`
-	NSweep        []int   `json:"nsweep,omitempty"`
-	SkylineCap    int     `json:"skyline_cap,omitempty"`
-	FacetBudget   int     `json:"facet_budget,omitempty"`
-	VolumeSamples int     `json:"volume_samples,omitempty"`
-	ReadLatUS     float64 `json:"read_latency_us,omitempty"`
+	Queries     int     `json:"queries,omitempty"` // per figure cell
+	K           int     `json:"k,omitempty"`       // the figures' default k
+	RealN       int     `json:"realn,omitempty"`   // cap on the HOUSE/HOTEL surrogates; 0 = the paper's sizes
+	Dims        []int   `json:"dims,omitempty"`
+	Ks          []int   `json:"ks,omitempty"`
+	NSweep      []int   `json:"nsweep,omitempty"`
+	SkylineCap  int     `json:"skyline_cap,omitempty"`
+	FacetBudget int     `json:"facet_budget,omitempty"`
+	ReadLatUS   float64 `json:"read_latency_us,omitempty"`
 }
 
 // Where an arm's stream goes.
@@ -119,7 +118,7 @@ type table struct {
 	kinds   []datagen.Kind
 	cells   []cellArm
 	queries int  // queries per cell where not -queries: Figures 6 and 8 plot one query's counts
-	volume  bool // also estimate each region's volume ratio
+	volume  bool // also measure each region's volume ratio
 }
 
 var suiteTables = []table{
@@ -419,7 +418,7 @@ func runSuite(cfg suiteConfig, figures bool, only, jsonPath string, w io.Writer)
 	var header string
 	if figures {
 		run, group, flagName = s.runFigure, "figures", "fig"
-		cfg.D, cfg.K, cfg.FacetBudget, cfg.VolumeSamples = suiteD, figK, figFacetBudget, figVolumeSamples
+		cfg.D, cfg.K, cfg.FacetBudget = suiteD, figK, figFacetBudget
 		cfg.SkylineCap = cmp.Or(cfg.SkylineCap, figSkylineCap) // a test lowers it; the command line cannot
 		cfg.ReadLatUS = float64(pager.DefaultCostModel.ReadLatency.Microseconds())
 		header = fmt.Sprintf("figures: -n %d -queries %d -seed %d -realn %d -dims %s -ks %s -nsweep %s; default d=%d k=%d (paper scale: -n 1000000 -queries 100)",

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 
 	gir "github.com/girlib/gir"
 	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/volume"
 )
 
 func main() {
@@ -33,7 +35,6 @@ func main() {
 	scoring := flag.String("scoring", "Linear", "scoring: Linear, Polynomial, Mixed")
 	star := flag.Bool("star", false, "compute the order-insensitive GIR*")
 	seed := flag.Int64("seed", 1, "random seed")
-	volSamples := flag.Int("volsamples", 2000, "Monte-Carlo samples per volume factor")
 	spaceName := flag.String("space", "box", "query space: box ([0,1]^d) or simplex (the paper's Σw=1 convention; the query is sum-normalized)")
 	flag.Parse()
 
@@ -117,9 +118,14 @@ func main() {
 		fmt.Printf("  w%d ∈ [%.4f, %.4f]\n", i+1, lo[i], hi[i])
 	}
 
-	if ratio, err := g.VolumeRatio(gir.VolumeOptions{Samples: *volSamples, Seed: *seed}); err == nil {
+	switch ratio, err := g.VolumeRatio(); {
+	case err == nil:
 		fmt.Printf("\nrobustness: GIR covers %.3g of the query space\n", ratio)
 		fmt.Printf("(probability a uniformly random query vector preserves this result)\n")
+	case errors.Is(err, volume.ErrEmpty):
+		fmt.Println("\nrobustness: the GIR has no interior")
+	default:
+		fmt.Printf("\nrobustness: %v\n", err)
 	}
 }
 

@@ -226,10 +226,9 @@ func ExampleGIR_Constraints() {
 
 // ExampleGIR_VolumeRatio scores a result's robustness, the sensitivity
 // measure of the paper's Figure 14: the share of all weight vectors that
-// keep the result. In the Σw=1 query space at d = 3 the ratio is exact.
-// A longer result has more order to keep, so its GIR nests inside the
-// shorter results' and its ratio falls; the order-insensitive GIR* is
-// never smaller than the GIR.
+// keep the result, exact in every space and dimension. A longer result has
+// more order to keep, so its GIR nests inside the shorter results' and its
+// ratio falls; the order-insensitive GIR* is never smaller than the GIR.
 func ExampleGIR_VolumeRatio() {
 	r := rand.New(rand.NewSource(1))
 	points := make([][]float64, 5000)
@@ -248,7 +247,7 @@ func ExampleGIR_VolumeRatio() {
 			compute = ds.ComputeGIRStar
 		}
 		g, _ := compute(res, gir.FP)
-		v, _ := g.VolumeRatio(gir.VolumeOptions{})
+		v, _ := g.VolumeRatio()
 		return v
 	}
 	fmt.Println("k   GIR       GIR*")

@@ -17,13 +17,13 @@
 //	g, _ := ds.ComputeGIR(res, gir.FP)       // facet-pruning GIR
 //	g.Contains(q2)                           // would q2 change the result?
 //	g.LIRs()                                 // per-weight validity ranges
-//	g.VolumeRatio(...)                       // robustness measure
+//	g.VolumeRatio()                          // robustness measure, exact
 //
 // The heavy lifting lives in internal packages: an R*-tree over a
 // simulated paged disk, the BRS top-k and BBS skyline algorithms, a
 // d-dimensional convex-hull kernel (including the star-only incremental
 // hull that powers FP), a simplex LP solver for minimal H-representations,
-// and Monte-Carlo volume estimation.
+// and exact volume by facet recursion over the region's vertices.
 package gir
 
 import (

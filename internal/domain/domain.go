@@ -13,7 +13,7 @@
 // A GIR is a polyhedral cone (half-spaces through the origin) clipped to
 // the active domain, so every layer that clips, samples, optimizes over or
 // labels the query space — geometry, GIR computation, cache invalidation,
-// repair, volume estimation, visualization — takes its bounds from a
+// repair, volume measurement, visualization — takes its bounds from a
 // Domain value instead of hard-coding the unit box. The UnitBox
 // implementation reproduces the pre-Domain arithmetic operation for
 // operation, so box-domain results are byte-identical to the historical
@@ -124,15 +124,13 @@ type Domain interface {
 	// (d−1)-simplex for KindSimplex, via exponential stick lengths).
 	Sample(rng *rand.Rand) vec.Vector
 
-	// ParamDim, ParamBase and ParamHalfspace give the affine
-	// parameterization volume estimation integrates in: an injective
-	// affine map from a ParamDim-dimensional parameter region (described
-	// by ParamBase) onto the domain, with ParamHalfspace carrying an
-	// ambient half-space into parameter space. Relative volumes are
-	// preserved (the Jacobian is constant), which is all a volume RATIO
-	// needs. The box parameterizes as itself; the simplex drops the last
-	// coordinate (w_d = 1 − Σ u_j).
-	ParamDim() int
+	// ParamBase and ParamHalfspace give the affine parameterization the
+	// volume is measured in: an injective affine map from a full-dimensional
+	// parameter region (described by ParamBase) onto the domain, with
+	// ParamHalfspace carrying an ambient half-space into parameter space.
+	// Relative volumes are preserved (the Jacobian is constant), which is
+	// all a volume RATIO needs. The box parameterizes as itself; the
+	// simplex drops the last coordinate (w_d = 1 − Σ u_j).
 	ParamBase() []geom.Halfspace
 	ParamHalfspace(h geom.Halfspace) geom.Halfspace
 
@@ -259,7 +257,6 @@ func (b box) Sample(rng *rand.Rand) vec.Vector {
 	return q
 }
 
-func (b box) ParamDim() int                                  { return b.d }
 func (b box) ParamBase() []geom.Halfspace                    { return geom.BoxHalfspaces(b.d) }
 func (b box) ParamHalfspace(h geom.Halfspace) geom.Halfspace { return h }
 
@@ -421,10 +418,8 @@ func (s simplex) Sample(rng *rand.Rand) vec.Vector {
 	return q
 }
 
-// ParamDim drops the last coordinate: w = (u_1..u_{d-1}, 1 − Σu).
-func (s simplex) ParamDim() int { return s.d - 1 }
-
-// ParamBase describes the parameter region {u ≥ 0, Σu ≤ 1}.
+// ParamBase describes the parameter region {u ≥ 0, Σu ≤ 1}: the last
+// coordinate dropped, w = (u_1..u_{d-1}, 1 − Σu).
 func (s simplex) ParamBase() []geom.Halfspace {
 	pd := s.d - 1
 	out := make([]geom.Halfspace, 0, pd+1)

@@ -249,11 +249,11 @@ func TestParamMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for d := 2; d <= 5; d++ {
 		s := Simplex(d)
-		pd := s.ParamDim()
-		if pd != d-1 {
-			t.Fatalf("simplex(%d) ParamDim = %d", d, pd)
-		}
 		base := s.ParamBase()
+		pd := len(base[0].A)
+		if pd != d-1 {
+			t.Fatalf("simplex(%d) has a %d-dimensional parameter space", d, pd)
+		}
 		for trial := 0; trial < 100; trial++ {
 			w := s.Sample(rng)
 			u := w[:pd]
@@ -273,7 +273,7 @@ func TestParamMembership(t *testing.T) {
 		}
 	}
 	b := UnitBox(3)
-	if b.ParamDim() != 3 || len(b.ParamBase()) != 6 {
+	if base := b.ParamBase(); len(base[0].A) != 3 || len(base) != 6 {
 		t.Error("box parameterization must be the identity")
 	}
 }

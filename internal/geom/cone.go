@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/bits"
 
 	"github.com/girlib/gir/internal/vec"
@@ -31,6 +32,8 @@ import (
 // joined (a redundant ray lies inside P and costs one more dot product). A
 // cone with fewer than d independent rows is not pointed, and one whose
 // rays outgrow maxConeRays is given up on; either screens nothing.
+// Enumerate runs the same method with no ray cap, for a caller that wants
+// the rays themselves.
 //
 // The zero value is ready; Reset reuses every buffer, so a pooled Cone
 // runs without allocating once it has seen its largest input.
@@ -51,7 +54,7 @@ type Cone struct {
 }
 
 const (
-	maxConeRows = 64    // a ray's tight rows are one bit mask
+	MaxConeRows = 64    // a ray's tight rows are one bit mask
 	maxConeRays = 256   // past this, the screen is not worth its dot products
 	coneSide    = 1e-9  // |a·g| at or below this puts unit ray g on row a
 	basisTol    = 1e-9  // a basis row's residual must exceed this
@@ -65,15 +68,44 @@ const (
 // pins the screen to apex, and reports whether the cone is pointed, that
 // is whether the screen can drop anything.
 func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
+	c.pointed = c.enumerate(normals, maxConeRays)
+	c.at = c.at[:0]
+	for r := range c.tight {
+		c.at = append(c.at, vec.Dot(c.ray(r), apex))
+	}
+	return c.pointed
+}
+
+// Enumerate computes the extreme rays of {q : a·q ≥ 0 for every a in
+// normals} however many there are, and returns their number: zero when the
+// cone is not pointed. Ray reads them. It pins no apex, so Screen keeps
+// every point until the next Reset. A caller that must not lose a row
+// passes at most MaxConeRows.
+func (c *Cone) Enumerate(normals []vec.Vector) int {
 	c.pointed = false
+	if !c.enumerate(normals, math.MaxInt) {
+		return 0
+	}
+	return len(c.tight)
+}
+
+// Ray returns ray r of the last Reset or Enumerate, unit length, and the
+// mask of the kept rows it lies on: bit i for the i-th row kept, in input
+// order, of those neither zero nor a duplicate direction.
+func (c *Cone) Ray(r int) (vec.Vector, uint64) { return c.ray(r), c.tight[r] }
+
+// enumerate runs the double description over normals, giving up past
+// maxRays rays, and reports whether the cone is pointed.
+func (c *Cone) enumerate(normals []vec.Vector, maxRays int) bool {
+	c.tight = c.tight[:0]
 	if len(normals) == 0 {
 		return false
 	}
 	d := len(normals[0])
 	c.d, c.m = d, 0
-	c.rows = vec.Grown(c.rows, min(len(normals), maxConeRows)*d)
+	c.rows = vec.Grown(c.rows, min(len(normals), MaxConeRows)*d)
 	for _, a := range normals {
-		if c.m == maxConeRows {
+		if c.m == MaxConeRows {
 			break
 		}
 		row := c.rows[c.m*d : (c.m+1)*d]
@@ -86,20 +118,13 @@ func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
 		return false
 	}
 	basis, ok := c.simplicial()
+	for i := 0; ok && i < c.m; i++ {
+		ok = basis&(1<<i) != 0 || c.cut(i, maxRays)
+	}
 	if !ok {
-		return false
+		c.tight = c.tight[:0]
 	}
-	for i := 0; i < c.m; i++ {
-		if basis&(1<<i) == 0 && !c.cut(i) {
-			return false
-		}
-	}
-	c.pointed = len(c.tight) > 0
-	c.at = c.at[:0]
-	for r := range c.tight {
-		c.at = append(c.at, vec.Dot(c.ray(r), apex))
-	}
-	return c.pointed
+	return len(c.tight) > 0
 }
 
 // duplicate reports whether the unit row has the direction of a kept one.
@@ -186,8 +211,8 @@ func (c *Cone) orthogonalize(a vec.Vector, o int) int {
 // cut intersects the cone with row i's half-space: the rays on its side
 // stay (those within coneSide of its hyperplane now lie on it), and every
 // adjacent pair it separates is joined at the hyperplane. It reports false
-// when the rays outgrow maxConeRays.
-func (c *Cone) cut(i int) bool {
+// when the rays outgrow maxRays.
+func (c *Cone) cut(i, maxRays int) bool {
 	d, a, bit := c.d, c.row(i), uint64(1)<<i
 	c.side = vec.Grown(c.side, len(c.tight))
 	c.next, c.nextT = c.next[:0], c.nextT[:0]
@@ -211,7 +236,7 @@ func (c *Cone) cut(i int) bool {
 			if sq >= -coneSide || !c.adjacent(c.tight[p]&c.tight[q]) {
 				continue
 			}
-			if len(c.nextT) == maxConeRays {
+			if len(c.nextT) == maxRays {
 				return false
 			}
 			// sp·g_q − sq·g_p: both weights positive, a·g = 0.

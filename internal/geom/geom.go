@@ -1,7 +1,6 @@
 // Package geom provides the geometric primitives behind GIR computation:
-// half-spaces, H-polytopes, minimal representations of polyhedral cones,
-// exact 2-D polygon clipping, Chebyshev centres and line–polytope
-// intersections.
+// half-spaces, H-polytopes, minimal representations of polyhedral cones
+// and their extreme rays.
 //
 // The GIR of a top-k query is the intersection of half-spaces whose bounding
 // hyperplanes pass through the origin (a polyhedral cone) clipped to the
@@ -260,118 +259,3 @@ func (r *reducer) implied(u vec.Vector, g int) bool {
 }
 
 var reducers = sync.Pool{New: func() any { return new(reducer) }}
-
-// ChebyshevCenter computes the centre and radius of the largest inscribed
-// ball of the polytope given by the half-spaces (which should include box
-// constraints if boundedness is not otherwise guaranteed). All coordinates
-// of the centre are nonnegative by construction (our query spaces live in
-// the positive orthant). ok is false if the region is empty or unbounded.
-func ChebyshevCenter(hs []Halfspace, d int) (center vec.Vector, radius float64, ok bool) {
-	// Variables: x_1..x_d, r. Maximize r subject to a_i·x − ||a_i||·r ≥ b_i.
-	nv := d + 1
-	cons := make([]lp.Constraint, 0, len(hs))
-	for _, h := range hs {
-		coef := make([]float64, nv)
-		copy(coef, h.A)
-		coef[d] = -vec.Norm(h.A)
-		cons = append(cons, lp.Constraint{Coef: coef, Op: lp.GE, RHS: h.B})
-	}
-	obj := make([]float64, nv)
-	obj[d] = 1
-	sol := lp.Maximize(obj, cons)
-	if sol.Status != lp.Optimal {
-		return nil, 0, false
-	}
-	c := make(vec.Vector, d)
-	copy(c, sol.X[:d])
-	return c, sol.X[d], sol.X[d] > 0
-}
-
-// LineClip intersects the line {x + t·u : t ∈ ℝ} with the polytope given by
-// the half-spaces, returning the feasible parameter interval [tmin, tmax].
-// If the line misses the polytope, tmin > tmax.
-func LineClip(hs []Halfspace, x, u vec.Vector) (tmin, tmax float64) {
-	tmin, tmax = math.Inf(-1), math.Inf(1)
-	for _, h := range hs {
-		au := vec.Dot(h.A, u)
-		slack := h.Slack(x) // a·x − b; need a·x + t·a·u ≥ b ⇒ t·au ≥ −slack
-		switch {
-		case math.Abs(au) < 1e-15:
-			if slack < 0 {
-				return 1, 0 // line entirely outside this half-space
-			}
-		case au > 0:
-			if t := -slack / au; t > tmin {
-				tmin = t
-			}
-		default:
-			if t := -slack / au; t < tmax {
-				tmax = t
-			}
-		}
-	}
-	return tmin, tmax
-}
-
-// --- Exact 2-D polygon machinery -------------------------------------------
-
-// UnitSquare returns the unit box as a counter-clockwise polygon.
-func UnitSquare() []vec.Vector {
-	return []vec.Vector{{0, 0}, {1, 0}, {1, 1}, {0, 1}}
-}
-
-// ClipPolygon clips a convex polygon (vertices in order) against the
-// half-plane h using the Sutherland–Hodgman rule, returning the surviving
-// polygon (possibly empty).
-func ClipPolygon(poly []vec.Vector, h Halfspace) []vec.Vector {
-	if len(poly) == 0 {
-		return nil
-	}
-	out := make([]vec.Vector, 0, len(poly)+2)
-	prev := poly[len(poly)-1]
-	prevIn := h.Slack(prev) >= 0
-	for _, cur := range poly {
-		curIn := h.Slack(cur) >= 0
-		if curIn != prevIn {
-			out = append(out, segmentCross(prev, cur, h))
-		}
-		if curIn {
-			out = append(out, cur)
-		}
-		prev, prevIn = cur, curIn
-	}
-	return out
-}
-
-// segmentCross returns the point where segment pq crosses the boundary of h.
-func segmentCross(p, q vec.Vector, h Halfspace) vec.Vector {
-	sp, sq := h.Slack(p), h.Slack(q)
-	t := sp / (sp - sq)
-	return vec.Add(p, vec.Scale(t, vec.Sub(q, p)))
-}
-
-// PolygonArea returns the absolute area of a simple polygon (shoelace).
-func PolygonArea(poly []vec.Vector) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	var s float64
-	for i, p := range poly {
-		q := poly[(i+1)%len(poly)]
-		s += p[0]*q[1] - q[0]*p[1]
-	}
-	return math.Abs(s) / 2
-}
-
-// ClipToPolygon clips the unit square by every half-space, yielding the
-// exact GIR polygon in two dimensions.
-func ClipToPolygon(hs []Halfspace) []vec.Vector {
-	poly := UnitSquare()
-	for _, h := range hs {
-		poly = ClipPolygon(poly, h)
-		if len(poly) == 0 {
-			return nil
-		}
-	}
-	return poly
-}

@@ -145,134 +145,6 @@ func TestReduceConePreservesRegion(t *testing.T) {
 	}
 }
 
-func TestChebyshevCenterUnitBox(t *testing.T) {
-	for d := 1; d <= 5; d++ {
-		c, r, ok := ChebyshevCenter(BoxHalfspaces(d), d)
-		if !ok {
-			t.Fatalf("d=%d: no centre", d)
-		}
-		if math.Abs(r-0.5) > 1e-7 {
-			t.Errorf("d=%d: radius = %v, want 0.5", d, r)
-		}
-		for j := 0; j < d; j++ {
-			if math.Abs(c[j]-0.5) > 1e-6 {
-				t.Errorf("d=%d: centre = %v", d, c)
-				break
-			}
-		}
-	}
-}
-
-func TestChebyshevCenterWedge(t *testing.T) {
-	// Cone x ≥ y clipped to the box: centre must satisfy the constraints
-	// strictly.
-	hs := append(BoxHalfspaces(2), Halfspace{A: vec.Vector{1, -1}, B: 0})
-	c, r, ok := ChebyshevCenter(hs, 2)
-	if !ok || r <= 0 {
-		t.Fatalf("no interior: c=%v r=%v ok=%v", c, r, ok)
-	}
-	if !ContainsAll(hs, c, 1e-9) {
-		t.Errorf("centre %v outside region", c)
-	}
-	if c[0]-c[1] < r*math.Sqrt2/2-1e-6 {
-		t.Errorf("centre %v too close to the wedge boundary for radius %v", c, r)
-	}
-}
-
-func TestChebyshevCenterEmpty(t *testing.T) {
-	hs := append(BoxHalfspaces(1), Halfspace{A: vec.Vector{1}, B: 2}) // x ≥ 2 in [0,1]
-	if _, _, ok := ChebyshevCenter(hs, 1); ok {
-		t.Error("expected empty region")
-	}
-}
-
-func TestLineClipBox(t *testing.T) {
-	hs := BoxHalfspaces(2)
-	x := vec.Vector{0.5, 0.5}
-	tmin, tmax := LineClip(hs, x, vec.Vector{1, 0})
-	if math.Abs(tmin+0.5) > 1e-12 || math.Abs(tmax-0.5) > 1e-12 {
-		t.Errorf("horizontal clip = [%v, %v]", tmin, tmax)
-	}
-	tmin, tmax = LineClip(hs, x, vec.Vector{1, 1})
-	if math.Abs(tmin+0.5) > 1e-12 || math.Abs(tmax-0.5) > 1e-12 {
-		t.Errorf("diagonal clip = [%v, %v]", tmin, tmax)
-	}
-}
-
-func TestLineClipMiss(t *testing.T) {
-	// Line parallel to a violated half-space: empty interval.
-	hs := []Halfspace{{A: vec.Vector{0, 1}, B: 1}} // y ≥ 1
-	tmin, tmax := LineClip(hs, vec.Vector{0, 0}, vec.Vector{1, 0})
-	if tmin <= tmax {
-		t.Errorf("expected empty interval, got [%v, %v]", tmin, tmax)
-	}
-}
-
-func TestClipPolygonHalfPlane(t *testing.T) {
-	poly := ClipPolygon(UnitSquare(), Halfspace{A: vec.Vector{1, -1}, B: 0}) // x ≥ y
-	if got := PolygonArea(poly); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("area = %v, want 0.5", got)
-	}
-}
-
-func TestClipToPolygonWedge(t *testing.T) {
-	// Wedge between x ≥ y and x ≤ 2y within the unit square.
-	hs := []geomHS{{vec.Vector{1, -1}, 0}, {vec.Vector{-1, 2}, 0}}
-	poly := ClipToPolygon([]Halfspace{{A: hs[0].a, B: hs[0].b}, {A: hs[1].a, B: hs[1].b}})
-	// Area: ∫ between lines y=x/2 and y=x over the square = exact value
-	// 0.5·(1·1) − 0.5·(1·0.5) = 0.25.
-	if got := PolygonArea(poly); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("area = %v, want 0.25", got)
-	}
-}
-
-type geomHS struct {
-	a vec.Vector
-	b float64
-}
-
-func TestClipToPolygonEmpty(t *testing.T) {
-	hs := []Halfspace{{A: vec.Vector{1, 0}, B: 2}} // x ≥ 2: misses the box
-	if poly := ClipToPolygon(hs); len(poly) != 0 {
-		t.Errorf("expected empty polygon, got %v", poly)
-	}
-}
-
-// Property: clipping by a random half-plane never increases area, and the
-// surviving vertices satisfy the half-plane.
-func TestClipPolygonProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		poly := UnitSquare()
-		area := PolygonArea(poly)
-		for i := 0; i < 4; i++ {
-			h := Halfspace{A: vec.Vector{r.NormFloat64(), r.NormFloat64()}, B: r.NormFloat64() * 0.3}
-			if vec.Norm(h.A) < 1e-9 {
-				continue
-			}
-			poly = ClipPolygon(poly, h)
-			na := PolygonArea(poly)
-			if na > area+1e-9 {
-				return false
-			}
-			area = na
-			for _, p := range poly {
-				if !h.Contains(p, 1e-7) {
-					return false
-				}
-			}
-			if len(poly) == 0 {
-				return true
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(23))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestImpliedByOneTable(t *testing.T) {
 	cases := []struct {
 		name string

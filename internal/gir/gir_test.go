@@ -1,6 +1,7 @@
 package gir
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,7 +66,7 @@ func insideSamples(r *rand.Rand, reg *Region, count int) []vec.Vector {
 		for j := range u {
 			u[j] = r.NormFloat64()
 		}
-		tmin, tmax := geom.LineClip(hs, reg.Query, u)
+		tmin, tmax := lineClip(hs, reg.Query, u)
 		if tmin > tmax {
 			continue
 		}
@@ -73,6 +74,24 @@ func insideSamples(r *rand.Rand, reg *Region, count int) []vec.Vector {
 		out = append(out, vec.Add(reg.Query, vec.Scale(t, u)))
 	}
 	return out
+}
+
+// lineClip returns the interval [tmin, tmax] of t where x + t·u satisfies
+// every half-space; tmin > tmax when the line misses them.
+func lineClip(hs []geom.Halfspace, x, u vec.Vector) (tmin, tmax float64) {
+	tmin, tmax = math.Inf(-1), math.Inf(1)
+	for _, h := range hs {
+		au, slack := vec.Dot(h.A, u), h.Slack(x)
+		switch {
+		case au > 1e-15:
+			tmin = max(tmin, -slack/au)
+		case au < -1e-15:
+			tmax = min(tmax, -slack/au)
+		case slack < 0:
+			return 1, 0
+		}
+	}
+	return tmin, tmax
 }
 
 func sameTopK(a []topk.Record, b []topk.Record) bool {

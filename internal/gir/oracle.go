@@ -135,8 +135,8 @@ func (o *Oracle) LIR(dim int, tol float64) (lo, hi float64) {
 }
 
 // VolumeRatio estimates the preserved fraction of the query space by
-// uniform sampling (the region has no H-representation to telescope
-// over). Suitable for the moderate dimensionalities where general scoring
+// uniform sampling (the region has no H-representation to measure
+// exactly). Suitable for the moderate dimensionalities where general scoring
 // functions are used; returns the hit fraction.
 func (o *Oracle) VolumeRatio(samples int, seed int64) float64 {
 	if samples <= 0 {

@@ -1,7 +1,7 @@
 // Package lp implements a small dense linear-programming solver (two-phase
 // primal simplex) sufficient for the geometric subproblems in this library:
 // conical-membership redundancy tests for half-spaces, feasibility checks,
-// Chebyshev centres of H-polytopes, and linear objectives over the GIR.
+// and linear objectives over the GIR.
 //
 // The solver handles problems of the form
 //

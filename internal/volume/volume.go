@@ -1,127 +1,76 @@
-// Package volume estimates the ratio of a GIR's volume to the volume of
-// its query space — the sensitivity measure of the paper's Figure 14
+// Package volume computes the ratio of a GIR's volume to the volume of its
+// query space — the sensitivity measure of the paper's Figure 14
 // (equivalently, the LIK probability of [30]: the chance that a uniformly
 // random query vector preserves the result). Both query-space domains are
-// supported (RatioIn): the unit box [0,1]^d and the paper's Σw=1 simplex,
-// where the ratio is taken in the simplex's relative (d−1)-dimensional
-// measure — a uniformly random SUM-NORMALIZED preference vector.
+// supported: the unit box [0,1]^d and the paper's Σw=1 simplex, where the
+// ratio is taken in the simplex's relative (d−1)-dimensional measure — a
+// uniformly random SUM-NORMALIZED preference vector.
 //
-// Both integrate in the domain's parameter space (below), where the ratio
-// is computed exactly by segment/polygon clipping in one and two parameter
-// dimensions (box d=2; simplex d=2 and d=3). In higher dimensions GIR volumes reach 10⁻¹⁵ (Figure 14 spans
-// fifteen orders of magnitude), far below what naive uniform Monte-Carlo
-// can resolve, so the estimator telescopes: with half-spaces h_1..h_m,
+// The ratio is exact in every dimension. RatioIn maps the region into the
+// domain's parameter space (Domain.Param*: the box itself; the simplex
+// with its last coordinate dropped, w_d = 1 − Σu, an affine map of
+// constant Jacobian, so relative volumes carry over exactly) and measures
+// the region and the base by one routine.
 //
-//	vol = vol(domain) · Π_j P(x ∈ h_j | x ∈ domain ∩ h_1..h_{j-1}),
+// Vertices: each row a·x ≥ b becomes (a, −b)·(x, t) ≥ 0, beside t ≥ 0.
+// geom.Cone's double description gives that cone's extreme rays, and a ray
+// (x, t) is the vertex x/t with the rows it lies on.
 //
-// estimating each conditional acceptance probability with hit-and-run
-// samples drawn from the previous region. Each factor is bounded away from
-// zero far better than the product, which is what makes the tiny volumes
-// estimable.
+// Volume: the facet recursion of Lasserre (1983), as Büeler, Enge & Fukuda
+// ("Exact volume computation for polytopes: a practical study", 2000) run
+// it. Pulling an m-face F from one of its points v₀,
 //
-// The parameter space (Domain.Param*) is the box itself, and for the
-// simplex drops the last coordinate (w_d = 1 − Σu): the affine map has
-// constant Jacobian, so relative volumes — all a ratio needs — carry over
-// exactly, and the hit-and-run walk runs full-dimensionally instead of on a
-// measure-zero slice of ambient space.
+//	vol_m(F) = (1/m) · Σ_G dist(v₀, aff G) · vol_{m−1}(G)
+//
+// over the facets G of F that do not hold v₀, down to points, whose volume
+// is 1. A facet of F is the set of F's points that lie on one more row,
+// when its affine rank is m − 1. Two rows that give the same set are one
+// facet, and a face is measured once however many paths reach it.
+//
+// Why it stays exact. The DD's tolerances keep redundant rays: points of
+// the polytope that are not vertices, marked only on rows they lie on. The
+// recursion stays exact as long as three things hold: every true vertex is
+// present, every point lies in the polytope, and every tight mark is sound.
+// Then F's points on a row span the face that row cuts from F, so a facet
+// is found with its true hull, and the pyramids from v₀ — a vertex or
+// not — over the facets that miss it tile F.
 package volume
 
 import (
+	"encoding/binary"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/vec"
 )
 
-// Options tunes the Monte-Carlo estimator.
-type Options struct {
-	// Samples per telescoping factor (default 2000).
-	Samples int
-	// BurnIn steps of the hit-and-run walk before sampling (default 64).
-	BurnIn int
-	// Seed for the deterministic RNG (default 1).
-	Seed int64
-	// Rand, when non-nil, supplies the random source directly and takes
-	// precedence over Seed. A *rand.Rand is not safe for concurrent use:
-	// share Options freely across goroutines only in seeded form (each
-	// call then derives its own private source, so concurrent estimates
-	// are both race-free and deterministic).
-	Rand *rand.Rand
-}
-
-func (o Options) withDefaults() Options {
-	if o.Samples <= 0 {
-		o.Samples = 2000
-	}
-	if o.BurnIn <= 0 {
-		o.BurnIn = 64
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// rng returns the injected source or a fresh, privately seeded one. Every
-// estimate threads this single *rand.Rand through the whole telescoping
-// walk; the package never touches the global math/rand source (which
-// would race under concurrent estimation and defeat determinism).
-func (o Options) rng() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand
-	}
-	return rand.New(rand.NewSource(o.Seed))
-}
-
-// ErrEmpty is returned when the region has no interior.
+// ErrEmpty is returned when the region has no interior: its vertices'
+// affine rank is below the parameter dimension.
 var ErrEmpty = errors.New("volume: region has empty interior")
 
-// RatioIn returns vol(∩h_i ∩ domain) / vol(domain) in the domain's own
-// measure (relative (d−1)-dimensional measure for the simplex). The
-// half-spaces should NOT include the domain; it is added internally. The
-// ratio is exact in one and two parameter dimensions (segment/polygon
-// clipping) and a telescoping Monte-Carlo estimate above.
-func RatioIn(dom domain.Domain, hs []geom.Halfspace, opt Options) (float64, error) {
-	base, ph := paramProblem(dom, hs)
-	switch dom.ParamDim() {
-	case 1:
-		return exactInterval(base, ph), nil
-	case 2:
-		return exactParam2D(base, ph), nil
-	}
-	return telescopeIn(base, ph, dom.ParamDim(), opt.withDefaults())
-}
+// rankTol is the offset from a face's affine hull below which a point adds
+// no dimension to it.
+const rankTol = 1e-12
 
-// LogRatioIn is ln(RatioIn), usable when the ratio underflows float64
-// (beyond ~10⁻³⁰⁰, which Figure 14's d=8 anti-correlated settings
-// approach). Only the telescoped path needs its own branch (summing the
-// log factors avoids the underflow); the exact low-dimension cases
-// delegate to RatioIn so the two entry points can never disagree on
-// dispatch.
-func LogRatioIn(dom domain.Domain, hs []geom.Halfspace, opt Options) (float64, error) {
-	if dom.ParamDim() > 2 {
-		base, ph := paramProblem(dom, hs)
-		logs, err := telescopeFactorsIn(base, ph, dom.ParamDim(), opt.withDefaults())
-		if err != nil {
-			return 0, err
-		}
-		var sum float64
-		for _, l := range logs {
-			sum += l
-		}
-		return sum, nil
-	}
-	ratio, err := RatioIn(dom, hs, opt)
+// RatioIn returns vol(∩h_i ∩ domain) / vol(domain) in the domain's own
+// measure (relative (d−1)-dimensional measure for the simplex), exactly.
+// The half-spaces should NOT include the domain; it is added internally.
+// Region and domain together may have at most geom.MaxConeRows − 1 rows.
+func RatioIn(dom domain.Domain, hs []geom.Halfspace) (float64, error) {
+	base, ph := paramProblem(dom, hs)
+	whole, err := polytopeVolume(base)
 	if err != nil {
 		return 0, err
 	}
-	if ratio == 0 {
-		return math.Inf(-1), nil
+	part, err := polytopeVolume(append(ph, base...))
+	if err != nil {
+		return 0, err
 	}
-	return math.Log(ratio), nil
+	return part / whole, nil
 }
 
 // paramProblem maps the region into the domain's parameter space.
@@ -134,122 +83,140 @@ func paramProblem(dom domain.Domain, hs []geom.Halfspace) (base, ph []geom.Halfs
 	return base, ph
 }
 
-// exactInterval computes the 1-d ratio: both the base and the clipped
-// region are intervals of the parameter line, resolved by line clipping.
-func exactInterval(base, ph []geom.Halfspace) float64 {
-	x := vec.Vector{0}
-	u := vec.Vector{1}
-	b0, b1 := geom.LineClip(base, x, u)
-	if b0 >= b1 {
-		return 0
+// polytopeVolume returns the volume of the bounded polytope
+// {x : a·x ≥ b for every row}.
+func polytopeVolume(rows []geom.Halfspace) (float64, error) {
+	if len(rows) >= geom.MaxConeRows {
+		return 0, fmt.Errorf("volume: %d rows and t ≥ 0 exceed the %d a tight mask holds", len(rows), geom.MaxConeRows)
 	}
-	r0, r1 := geom.LineClip(append(append([]geom.Halfspace{}, base...), ph...), x, u)
-	if r0 >= r1 {
-		return 0
+	n := len(rows[0].A)
+	normals := make([]vec.Vector, 0, len(rows)+1)
+	for _, h := range rows {
+		normals = append(normals, append(h.A.Clone(), -h.B))
 	}
-	return (r1 - r0) / (b1 - b0)
+	normals = append(normals, vec.Basis(n+1, n)) // t ≥ 0
+	var c geom.Cone
+	p := polytope{memo: map[string]float64{}}
+	var all []int
+	for r := range c.Enumerate(normals) {
+		g, tight := c.Ray(r)
+		p.pts = append(p.pts, vec.Scale(1/g[n], g[:n]))
+		p.tight = append(p.tight, tight)
+		all = append(all, r)
+	}
+	if len(all) == 0 {
+		return 0, ErrEmpty
+	}
+	basis := p.affine(all)
+	if len(basis) < n {
+		return 0, ErrEmpty
+	}
+	return p.volume(all, basis), nil
 }
 
-// exactParam2D computes the 2-d parameter-space ratio by exact polygon
-// clipping: area(base ∩ region) / area(base). The base region of every
-// supported domain lies in the unit square, which seeds the clip.
-func exactParam2D(base, ph []geom.Halfspace) float64 {
-	baseArea := geom.PolygonArea(geom.ClipToPolygon(base))
-	if baseArea == 0 {
-		return 0
-	}
-	clipped := geom.PolygonArea(geom.ClipToPolygon(append(append([]geom.Halfspace{}, base...), ph...)))
-	return clipped / baseArea
+// polytope is one polytope's points, their tight rows, and the volumes of
+// the faces measured so far, keyed by point set.
+type polytope struct {
+	pts   []vec.Vector
+	tight []uint64
+	memo  map[string]float64
 }
 
-// telescopeIn multiplies telescopeFactorsIn's factors.
-func telescopeIn(base, hs []geom.Halfspace, d int, opt Options) (float64, error) {
-	logs, err := telescopeFactorsIn(base, hs, d, opt)
-	if err != nil {
-		return 0, err
+// volume returns the m-dimensional volume of the face whose points are
+// face, ascending, where basis is an orthonormal basis of the face's
+// m-dimensional affine hull's direction space.
+func (p *polytope) volume(face []int, basis []vec.Vector) float64 {
+	m := len(basis)
+	if m == 0 {
+		return 1
 	}
+	key := faceKey(face)
+	if v, ok := p.memo[key]; ok {
+		return v
+	}
+	v0 := face[0]
 	var sum float64
-	for _, l := range logs {
-		sum += l
-	}
-	return math.Exp(sum), nil
-}
-
-// telescopeFactorsIn telescopes over an arbitrary bounded base region (a
-// domain's parameter base): each factor is the conditional acceptance of
-// one more half-space given the previous prefix.
-func telescopeFactorsIn(base, hs []geom.Halfspace, d int, opt Options) ([]float64, error) {
-	// An interior point of the FULL region is interior to every prefix
-	// region, so one Chebyshev centre warm-starts every walk.
-	all := append(append([]geom.Halfspace{}, hs...), base...)
-	center, radius, ok := geom.ChebyshevCenter(all, d)
-	if !ok || radius <= 0 {
-		return nil, ErrEmpty
-	}
-	rng := opt.rng()
-	logs := make([]float64, 0, len(hs))
-	region := append([]geom.Halfspace{}, base...) // grows one half-space at a time
-	for _, h := range hs {
-		samples := opt.Samples
-		// A first pass sizes the factor; very small factors get more
-		// samples to keep the relative error of the product bounded.
-		acc := hitAndRunAccept(region, h, center, rng, samples, opt.BurnIn)
-		if acc*float64(samples) < 50 {
-			extra := hitAndRunAccept(region, h, center, rng, samples*4, opt.BurnIn)
-			acc = (acc + 4*extra) / 5
+	var seen []string
+	for row := 0; row < geom.MaxConeRows; row++ {
+		bit := uint64(1) << row
+		if p.tight[v0]&bit != 0 {
+			continue // v₀'s pyramid over it is flat, or the row holds all of F
 		}
-		if acc == 0 {
-			// The walk never entered h: the true factor is below ~1/samples.
-			// Use a half-count to keep the product finite but tiny.
-			acc = 0.5 / float64(samples*5)
-		}
-		logs = append(logs, math.Log(acc))
-		region = append(region, h)
-	}
-	return logs, nil
-}
-
-// hitAndRunAccept runs a hit-and-run walk inside `region` and returns the
-// fraction of samples that satisfy h.
-func hitAndRunAccept(region []geom.Halfspace, h geom.Halfspace, start vec.Vector, rng *rand.Rand, samples, burnIn int) float64 {
-	d := len(start)
-	x := start.Clone()
-	u := make(vec.Vector, d)
-	hit := 0
-	total := burnIn + samples
-	for step := 0; step < total; step++ {
-		// Random direction.
-		var norm float64
-		for {
-			norm = 0
-			for j := 0; j < d; j++ {
-				u[j] = rng.NormFloat64()
-				norm += u[j] * u[j]
-			}
-			if norm > 1e-18 {
-				break
+		var g []int
+		for _, i := range face {
+			if p.tight[i]&bit != 0 {
+				g = append(g, i)
 			}
 		}
-		tmin, tmax := geom.LineClip(region, x, u)
-		if tmin > tmax {
-			continue // numerically outside; keep the previous point
+		if len(g) < m {
+			continue // fewer than m points span no (m−1)-face
 		}
-		t := tmin + (tmax-tmin)*rng.Float64()
-		for j := 0; j < d; j++ {
-			x[j] += t * u[j]
+		gk := faceKey(g)
+		if slices.Contains(seen, gk) {
+			continue
 		}
-		if step >= burnIn && h.Contains(x, 0) {
-			hit++
+		seen = append(seen, gk)
+		if gb := p.affine(g); len(gb) == m-1 {
+			sum += p.offset(v0, g[0], gb) * p.volume(g, gb)
 		}
 	}
-	return float64(hit) / float64(samples)
+	v := sum / float64(m)
+	p.memo[key] = v
+	return v
 }
 
-// DomainRatio estimates the ratio with plain uniform sampling — the naive
-// estimator: uniform samples of the domain (Dirichlet sticks for the
-// simplex) against the half-spaces. Cross-check and ablation baseline only
-// (BenchmarkAblationVolume); it cannot resolve the tiny ratios RatioIn
-// telescopes.
+// affine returns an orthonormal basis of the direction space of the
+// points' affine hull: Gram–Schmidt over their offsets from the first
+// point, taking the largest residual first, until none exceeds rankTol.
+func (p *polytope) affine(face []int) []vec.Vector {
+	o := p.pts[face[0]]
+	res := make([]vec.Vector, len(face)-1)
+	for i, j := range face[1:] {
+		res[i] = vec.Sub(p.pts[j], o)
+	}
+	var basis []vec.Vector
+	for len(basis) < len(o) {
+		best, bestNorm := -1, rankTol
+		for i, r := range res {
+			if nm := vec.Norm(r); nm > bestNorm {
+				best, bestNorm = i, nm
+			}
+		}
+		if best < 0 {
+			break
+		}
+		q := vec.Scale(1/bestNorm, res[best])
+		for _, r := range res {
+			vec.AXPY(-vec.Dot(r, q), q, r)
+		}
+		basis = append(basis, q)
+	}
+	return basis
+}
+
+// offset returns the distance from point v to the affine hull through
+// point g with direction basis gb.
+func (p *polytope) offset(v, g int, gb []vec.Vector) float64 {
+	r := vec.Sub(p.pts[v], p.pts[g])
+	for _, q := range gb {
+		vec.AXPY(-vec.Dot(r, q), q, r)
+	}
+	return vec.Norm(r)
+}
+
+// faceKey names a point set, ascending, for the memo and the dedup.
+func faceKey(face []int) string {
+	b := make([]byte, 0, 2*len(face))
+	for _, i := range face {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	return string(b)
+}
+
+// DomainRatio estimates the ratio with plain uniform sampling: uniform
+// samples of the domain (Dirichlet sticks for the simplex) against the
+// half-spaces. It is the test oracle and ablation baseline
+// (BenchmarkAblationVolume), resolving ratios down to about 10/samples.
 func DomainRatio(dom domain.Domain, hs []geom.Halfspace, samples int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	hit := 0

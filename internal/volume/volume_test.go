@@ -1,29 +1,66 @@
 package volume
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
+	"github.com/girlib/gir/internal/gir"
+	"github.com/girlib/gir/internal/pager"
+	"github.com/girlib/gir/internal/rtree"
+	"github.com/girlib/gir/internal/score"
+	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
 
 func hs(a ...float64) geom.Halfspace { return geom.Halfspace{A: vec.Vector(a), B: 0} }
 
-// exact2D is the unit square's exact ratio (polygon clipping).
+// exact2D is the unit square's ratio.
 func exact2D(h []geom.Halfspace) float64 {
-	v, err := RatioIn(domain.UnitBox(2), h, Options{})
+	v, err := RatioIn(domain.UnitBox(2), h)
 	if err != nil {
 		panic(err)
 	}
 	return v
 }
 
+// closeTo reports whether got is within 1e-9 of want, relatively.
+func closeTo(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+
+// chain is the order chain x₁ ≥ c·x₂, x₂ ≥ c·x₃, … in d dimensions.
+func chain(d int, c float64) []geom.Halfspace {
+	var h []geom.Halfspace
+	for i := 0; i+1 < d; i++ {
+		a := make(vec.Vector, d)
+		a[i], a[i+1] = 1, -c
+		h = append(h, geom.Halfspace{A: a})
+	}
+	return h
+}
+
+// fpRegion is the FP GIR of the top-k at datagen.Query(d, qseed) over
+// kind's data, bulk-loaded at seed 1.
+func fpRegion(t testing.TB, kind datagen.Kind, n, d, k int, qseed int64) []geom.Halfspace {
+	pts, err := datagen.Generate(kind, n, d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
+	res := topk.BRS(tree, score.Linear{}, datagen.Query(d, qseed), k)
+	reg, _, err := gir.Compute(tree, res, gir.Options{Method: gir.FP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg.Halfspaces()
+}
+
 func TestExact2DWedge(t *testing.T) {
-	// x ≥ y and x ≤ 2y: exact area 0.25 (see geom tests).
+	// x ≥ y and x ≤ 2y: exact area 0.25.
 	got := exact2D([]geom.Halfspace{hs(1, -1), hs(-1, 2)})
 	if math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("area = %v, want 0.25", got)
@@ -31,11 +68,33 @@ func TestExact2DWedge(t *testing.T) {
 }
 
 func TestExact2DEmptyAndFull(t *testing.T) {
-	if got := exact2D([]geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}); got != 0 {
-		t.Errorf("empty region area = %v", got)
+	if _, err := RatioIn(domain.UnitBox(2), []geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}); !errors.Is(err, ErrEmpty) {
+		t.Errorf("empty region: err = %v, want ErrEmpty", err)
 	}
 	if got := exact2D(nil); math.Abs(got-1) > 1e-12 {
 		t.Errorf("unconstrained area = %v, want 1", got)
+	}
+}
+
+// TestRatioClosedForms holds RatioIn to ratios known in closed form: one
+// ordering of all d weights keeps 1/d! of the box and, by symmetry, of the
+// simplex; a half-plane keeps half the square.
+func TestRatioClosedForms(t *testing.T) {
+	fact := 1.0
+	for d := 2; d <= 7; d++ {
+		fact *= float64(d)
+		for _, dom := range []domain.Domain{domain.UnitBox(d), domain.Simplex(d)} {
+			got, err := RatioIn(dom, chain(d, 1))
+			if err != nil {
+				t.Fatalf("%v d=%d: %v", dom.Name(), d, err)
+			}
+			if !closeTo(got, 1/fact) {
+				t.Errorf("%v d=%d: order chain ratio = %v, want 1/%v!", dom.Name(), d, got, d)
+			}
+		}
+	}
+	if got := exact2D([]geom.Halfspace{hs(1, -1)}); !closeTo(got, 0.5) {
+		t.Errorf("half-plane ratio = %v, want 0.5", got)
 	}
 }
 
@@ -50,72 +109,112 @@ func TestRatioKnownVolumes3D(t *testing.T) {
 		{"quarter", []geom.Halfspace{hs(1, -1, 0), hs(1, 0, -1)}, 1.0 / 3.0},
 	}
 	for _, c := range cases {
-		got, err := RatioIn(domain.UnitBox(3), c.hs, Options{Samples: 6000, Seed: 42})
+		got, err := RatioIn(domain.UnitBox(3), c.hs)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if math.Abs(got-c.want)/c.want > 0.15 {
-			t.Errorf("%s: ratio = %v, want ≈ %v", c.name, got, c.want)
+		if !closeTo(got, c.want) {
+			t.Errorf("%s: ratio = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
 func TestRatioOrderChain4D(t *testing.T) {
 	// x1 ≥ x2 ≥ x3 ≥ x4: exactly 1/4! = 1/24.
-	h := []geom.Halfspace{hs(1, -1, 0, 0), hs(0, 1, -1, 0), hs(0, 0, 1, -1)}
-	got, err := RatioIn(domain.UnitBox(4), h, Options{Samples: 8000, Seed: 7})
+	got, err := RatioIn(domain.UnitBox(4), chain(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1.0 / 24.0
-	if math.Abs(got-want)/want > 0.2 {
-		t.Errorf("ratio = %v, want ≈ %v", got, want)
+	if want := 1.0 / 24.0; !closeTo(got, want) {
+		t.Errorf("ratio = %v, want %v", got, want)
 	}
 }
 
-// The telescoping estimator must resolve volumes far below naive MC reach:
-// a d-dimensional order chain has volume 1/d!, about 2.5e-7 at d=10 —
-// and a tightened chain x_i ≥ α·x_{i+1} shrinks it much further.
+// TestRatioTinyVolume measures regions far below what sampling can see:
+// {x ∈ [0,1]^d : x_i ≥ c·x_{i+1}} has volume 1/(d!·c^{d(d−1)/2})
+// (integrate x_d, then x_{d−1}, … in turn), about 1.29e-12 at d = 6 and
+// c = 4, and 1.2e-21 at c = 16, whose last edge is 16⁻⁵ ≈ 1e-6 long.
 func TestRatioTinyVolume(t *testing.T) {
 	d := 6
-	var h []geom.Halfspace
-	for i := 0; i+1 < d; i++ {
-		a := make(vec.Vector, d)
-		a[i], a[i+1] = 1, -4 // x_i ≥ 4·x_{i+1}
-		h = append(h, geom.Halfspace{A: a, B: 0})
-	}
-	// Exact volume of {x ∈ [0,1]^d : x_i ≥ 4x_{i+1}} is
-	// ∏_{i=1}^{d-1} 1/(4^i·(i+1))… — rather than deriving it, check
-	// consistency: the estimate is far below naive-MC resolution yet
-	// log-stable across seeds.
-	l1, err := LogRatioIn(domain.UnitBox(d), h, Options{Samples: 20000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := LogRatioIn(domain.UnitBox(d), h, Options{Samples: 20000, Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1 > math.Log(1e-5) {
-		t.Errorf("volume too large: exp(%v)", l1)
-	}
-	// Figure 14 is a log-scale plot averaged over 100 queries; the
-	// estimator must be stable to well under a decade per query.
-	if math.Abs(l1-l2) > 1.5 {
-		t.Errorf("estimates unstable across seeds: %v vs %v", l1, l2)
+	for _, c := range []float64{4, 16} {
+		got, err := RatioIn(domain.UnitBox(d), chain(d, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 / (720 * math.Pow(c, float64(d*(d-1)/2)))
+		if !closeTo(got, want) {
+			t.Errorf("c=%v: ratio = %v, want %v", c, got, want)
+		}
 	}
 }
 
 func TestRatioEmptyRegion(t *testing.T) {
 	h := []geom.Halfspace{{A: vec.Vector{1, 0, 0}, B: 2}} // x ≥ 2: impossible
-	if _, err := RatioIn(domain.UnitBox(3), h, Options{}); err == nil {
-		t.Error("expected ErrEmpty")
+	if _, err := RatioIn(domain.UnitBox(3), h); !errors.Is(err, ErrEmpty) {
+		t.Errorf("err = %v, want ErrEmpty", err)
 	}
 }
 
-// Property: telescoping and naive MC agree on regions big enough for the
-// naive estimator to see.
+// TestRatioTooManyRows refuses a region whose rows a tight mask cannot
+// hold rather than measure it without some of them.
+func TestRatioTooManyRows(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var h []geom.Halfspace
+	for len(h) < geom.MaxConeRows {
+		h = append(h, hs(1, r.Float64()-1, r.Float64()-1))
+	}
+	if _, err := RatioIn(domain.UnitBox(3), h); err == nil || errors.Is(err, ErrEmpty) {
+		t.Errorf("err = %v, want a row-count error", err)
+	}
+}
+
+// TestRatioMatchesSampling holds the exact ratio to plain uniform sampling
+// at 10⁶ samples, within 4σ of the binomial, wherever the ratio is at
+// least 1e-4: random cones through a point of the domain in both spaces at
+// d = 2..6, and FP regions on IND, ANTI and COR.
+func TestRatioMatchesSampling(t *testing.T) {
+	const samples = 1_000_000
+	check := func(name string, dom domain.Domain, h []geom.Halfspace, seed int64) {
+		t.Helper()
+		exact, err := RatioIn(dom, h)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if exact < 1e-4 {
+			return
+		}
+		naive := DomainRatio(dom, h, samples, seed)
+		if sigma := math.Sqrt(exact * (1 - exact) / samples); math.Abs(exact-naive) > 4*sigma {
+			t.Errorf("%s: exact %v, sampled %v (σ %.2g)", name, exact, naive, sigma)
+		}
+	}
+	r := rand.New(rand.NewSource(139))
+	for d := 2; d <= 6; d++ {
+		for _, dom := range []domain.Domain{domain.UnitBox(d), domain.Simplex(d)} {
+			q := dom.Sample(r)
+			var h []geom.Halfspace
+			for c := 0; c < 3; c++ {
+				a := make(vec.Vector, d)
+				for j := range a {
+					a[j] = r.NormFloat64()
+				}
+				if vec.Dot(a, q) < 0 {
+					a = vec.Scale(-1, a)
+				}
+				h = append(h, geom.Halfspace{A: a})
+			}
+			check(dom.Name()+" random", dom, h, int64(d))
+		}
+	}
+	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
+		check(string(kind)+" FP", domain.UnitBox(3), fpRegion(t, kind, 2000, 3, 3, 1), 7)
+	}
+}
+
+// TestTelescopeMatchesNaive: on random cones tilted to keep substantial
+// volume, the exact ratio agrees with naive sampling within 4σ.
 func TestTelescopeMatchesNaive(t *testing.T) {
+	const samples = 40000
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := 3 + r.Intn(2)
@@ -125,19 +224,12 @@ func TestTelescopeMatchesNaive(t *testing.T) {
 			for j := range a {
 				a[j] = r.NormFloat64()
 			}
-			// Tilt positive so the region keeps substantial volume.
 			a[0] = math.Abs(a[0]) + 1
-			h = append(h, geom.Halfspace{A: a, B: 0})
+			h = append(h, geom.Halfspace{A: a})
 		}
-		naive := DomainRatio(domain.UnitBox(d), h, 40000, seed+1)
-		if naive < 0.05 {
-			return true // too small for the naive oracle; skip
-		}
-		tele, err := RatioIn(domain.UnitBox(d), h, Options{Samples: 4000, Seed: seed + 2})
-		if err != nil {
-			return false
-		}
-		return math.Abs(tele-naive)/naive < 0.25
+		exact, err := RatioIn(domain.UnitBox(d), h)
+		naive := DomainRatio(domain.UnitBox(d), h, samples, seed+1)
+		return err == nil && math.Abs(exact-naive) <= 4*math.Sqrt(exact*(1-exact)/samples)
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(139))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -145,8 +237,8 @@ func TestTelescopeMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: 2-d telescoping path is never taken (exact), and the exact
-// area matches naive MC.
+// TestExact2DMatchesNaive: random wedges of the square against naive
+// sampling.
 func TestExact2DMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -154,9 +246,12 @@ func TestExact2DMatchesNaive(t *testing.T) {
 		for c := 0; c < 2; c++ {
 			h = append(h, geom.Halfspace{A: vec.Vector{r.NormFloat64(), r.NormFloat64()}, B: 0})
 		}
-		exact := exact2D(h)
+		exact, err := RatioIn(domain.UnitBox(2), h)
+		if errors.Is(err, ErrEmpty) {
+			exact, err = 0, nil // two wedges that meet only at the origin
+		}
 		naive := DomainRatio(domain.UnitBox(2), h, 60000, seed+3)
-		return math.Abs(exact-naive) < 0.02
+		return err == nil && math.Abs(exact-naive) < 0.02
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(149))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -164,26 +259,19 @@ func TestExact2DMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestLogRatio2D(t *testing.T) {
-	got, err := LogRatioIn(domain.UnitBox(2), []geom.Halfspace{hs(1, -1)}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-math.Log(0.5)) > 1e-9 {
-		t.Errorf("LogRatioIn = %v, want log(0.5)", got)
-	}
-	got, err = LogRatioIn(domain.UnitBox(2), []geom.Halfspace{{A: vec.Vector{1, 0}, B: 2}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(got, -1) {
-		t.Errorf("empty 2-d region LogRatioIn = %v, want −Inf", got)
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Samples <= 0 || o.BurnIn <= 0 || o.Seed == 0 {
-		t.Errorf("defaults not applied: %+v", o)
+// TestThinRegionHasVolume measures FP regions of about 1e-18 of the d = 6
+// box: thin, yet full-dimensional, so they have a ratio.
+func TestThinRegionHasVolume(t *testing.T) {
+	for _, tc := range []struct {
+		kind  datagen.Kind
+		qseed int64
+	}{{datagen.IND, 2}, {datagen.ANTI, 1}} {
+		got, err := RatioIn(domain.UnitBox(6), fpRegion(t, tc.kind, 20000, 6, 100, tc.qseed))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		if !(got > 0 && got < 1e-15) {
+			t.Errorf("%s: ratio = %v, want in (0, 1e-15)", tc.kind, got)
+		}
 	}
 }

@@ -298,38 +298,17 @@ func (g *GIR) Shrink(normals [][]float64) (*GIR, error) {
 	return &GIR{region: g.region.Shrink(added), Stats: g.Stats}, nil
 }
 
-// VolumeOptions tunes VolumeRatio. The ratio is exact, and these options
-// ignored, in the box at d = 2 and in the simplex at d ≤ 3. Above that it
-// is a Monte-Carlo estimate whose spread grows as the ratio shrinks: at
-// the default 2000 samples, ratios below about 1e-5 move by up to two
-// decades across seeds (HOTEL surrogate, box d = 4, seeds 1–3: top-50
-// from 10^−6.8 to 10^−8.9, top-100 from 10^−5.5 to 10^−7.3). Do not rank
-// results by such ratios without more samples.
-type VolumeOptions struct {
-	// Samples per Monte-Carlo factor (default 2000).
-	Samples int
-	// Seed of the deterministic estimator (default 1).
-	Seed int64
-}
-
 // VolumeRatio returns vol(GIR)/vol(query space): the probability that a
 // uniformly random query vector OF THE ACTIVE SPACE preserves the result
 // — the robustness measure of the paper's Figure 14 (the LIK measure of
 // [30]). In the simplex space both volumes are taken in the simplex's
 // relative (d−1)-dimensional measure, which is what keeps the ratio
-// comparable to the paper's plots at higher d. Exact in low dimensions
-// (box d=2; simplex d≤3), Monte-Carlo estimated above (internal/volume).
-func (g *GIR) VolumeRatio(opt VolumeOptions) (float64, error) {
-	return volume.RatioIn(g.region.Space(), g.region.Halfspaces(),
-		volume.Options{Samples: opt.Samples, Seed: opt.Seed})
-}
-
-// LogVolumeRatio returns ln(VolumeRatio); usable when the ratio underflows
-// (high dimensions shrink GIRs exponentially — Figure 14 spans 15 orders
-// of magnitude). Such small ratios are estimates; see VolumeOptions.
-func (g *GIR) LogVolumeRatio(opt VolumeOptions) (float64, error) {
-	return volume.LogRatioIn(g.region.Space(), g.region.Halfspaces(),
-		volume.Options{Samples: opt.Samples, Seed: opt.Seed})
+// comparable to the paper's plots at higher d. The ratio is exact in every
+// dimension: internal/volume enumerates the region's vertices and sums
+// pyramids over its facets. It returns an error when the region has no
+// interior.
+func (g *GIR) VolumeRatio() (float64, error) {
+	return volume.RatioIn(g.region.Space(), g.region.Halfspaces())
 }
 
 // Interval is a per-weight validity range; see LIRs.
