@@ -14,13 +14,13 @@ import (
 
 // This file is the differential harness for BATCHED cache maintenance:
 // under the same 10k-step churn stream the repair harness uses, a cache
-// reconciled by the drainer's planner in bursts of B mutations must end in a
-// state byte-equal to a cache reconciled one mutation at a time — same
-// entry set, same regions (constraint for constraint), same records and
-// scores, same candidate sets, same maintenance stamps — while performing
-// one scan and at most one stamp raise per entry per pass. The planner's
-// verdict chain (absorb / repair-and-keep-checking / evict-short-circuit)
-// is exactly the per-mutation recurrence unrolled, and this test pins it.
+// reconciled by the planner in bursts of B mutations must end in a state
+// byte-equal to a cache reconciled one mutation at a time, as the engine's
+// writes drain — same entry set, same regions (constraint for constraint),
+// same records and scores, same candidate sets — while performing one scan
+// per pass. The planner's verdict chain (absorb /
+// repair-and-keep-checking / evict-short-circuit) is exactly the
+// per-mutation recurrence unrolled, and this test pins it.
 
 // entryFingerprint renders one cached entry canonically. Entry iteration
 // order differs between caches (shard placement is seeded per cache), so
@@ -44,7 +44,7 @@ func entryFingerprint(e *cacheint.Entry) string {
 	for _, hi := range e.Bounds {
 		fmt.Fprintf(&b, "b %v\n", hi)
 	}
-	fmt.Fprintf(&b, "cc=%v cleared=%d absorbed=%d\n", e.CandComplete(), e.ClearedThrough(), e.AbsorbedThrough())
+	fmt.Fprintf(&b, "cc=%v\n", e.CandComplete())
 	return b.String()
 }
 
@@ -55,7 +55,7 @@ func newCache(capacity int) *Cache { return &Cache{inner: cacheint.New(capacity)
 // fillEntry answers q the way the engine's miss path does — one
 // answerGroup member, its region built by FP and its repair state retained
 // — and puts the answer into every given cache through prepareCachePut and
-// commitPut, unstamped. Each cache gets its own staged copy.
+// commitPut. Each cache gets its own staged copy.
 func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache) {
 	tb.Helper()
 	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true, FP)
@@ -64,14 +64,14 @@ func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache)
 		tb.Fatalf("fill at %v: %v, %v", q, a.err, a.girErr)
 	}
 	for _, c := range caches {
-		if !c.commitPut(prepareCachePut(a.g, a.recs, a.cand, a.bounds, a.candOK), 0) {
+		if !c.commitPut(prepareCachePut(a.g, a.recs, a.cand, a.bounds, a.candOK)) {
 			tb.Fatal("commitPut refused an order-sensitive region")
 		}
 	}
 }
 
 // drain reconciles c with an ordered batch of applied writes in one pass
-// of a fresh repair planner — the drainer's own step.
+// of a fresh repair planner — the engine's drain step, over a batch.
 func drain(c *Cache, ms []maintain.Mutation) maintain.Outcome {
 	p := maintain.Planner{Repair: true}
 	return p.Drain(c.inner, ms)
@@ -168,10 +168,6 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 		if st.Scans != 1 {
 			t.Fatalf("burst at step %d took %d cache scans, want exactly 1", step, st.Scans)
 		}
-		if st.StampRaises > st.Entries {
-			t.Fatalf("burst at step %d raised stamps %d times over %d entries (must be ≤ 1 per entry)",
-				step, st.StampRaises, st.Entries)
-		}
 		if st.Affected != st.Repaired+st.Evicted {
 			t.Fatalf("batch pass breaks the invariant: affected %d != repaired %d + evicted %d",
 				st.Affected, st.Repaired, st.Evicted)
@@ -179,14 +175,12 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 		totBatch.Affected += st.Affected
 		totBatch.Repaired += st.Repaired
 		totBatch.Evicted += st.Evicted
-		totBatch.StampRaises += st.StampRaises
 		totBatch.Predicates += st.Predicates
 		for _, m := range ms {
 			s1 := drain(cSeq, []maintain.Mutation{m})
 			totSeq.Affected += s1.Affected
 			totSeq.Repaired += s1.Repaired
 			totSeq.Evicted += s1.Evicted
-			totSeq.StampRaises += s1.StampRaises
 			totSeq.Predicates += s1.Predicates
 		}
 
@@ -222,19 +216,13 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 	if totBatch.Evicted == 0 {
 		t.Error("nothing evicted — the short-circuit path never ran, suspicious")
 	}
-	// With version stamps deduplicating (mutation, entry) pairs, the
-	// batched chain evaluates each pair exactly as often as the sequential
-	// recurrence — never more. (The engine-level saving beyond this comes
-	// from the shorter fence window; BenchmarkDrainBurst measures it.)
+	// The batched chain evaluates each (mutation, entry) pair exactly as
+	// often as the sequential recurrence — never more.
 	if totBatch.Predicates != totSeq.Predicates {
 		t.Errorf("batched chain changed the predicate work: batched %d, sequential %d",
 			totBatch.Predicates, totSeq.Predicates)
 	}
-	if totBatch.StampRaises >= totSeq.StampRaises {
-		t.Errorf("batching did not reduce stamp raises: batched %d, sequential %d",
-			totBatch.StampRaises, totSeq.StampRaises)
-	}
-	t.Logf("%d mutations in bursts of %d: affected=%d repaired=%d evicted=%d; predicates batched=%d sequential=%d; stamp raises batched=%d sequential=%d",
+	t.Logf("%d mutations in bursts of %d: affected=%d repaired=%d evicted=%d; predicates batched=%d sequential=%d",
 		steps, burst, totBatch.Affected, totBatch.Repaired, totBatch.Evicted,
-		totBatch.Predicates, totSeq.Predicates, totBatch.StampRaises, totSeq.StampRaises)
+		totBatch.Predicates, totSeq.Predicates)
 }

@@ -179,7 +179,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 		}
 		nextID += 12
-		e.Quiesce()
 		b.StartTimer()
 		if err := e.Checkpoint(dir); err != nil {
 			b.Fatal(err)

@@ -26,7 +26,8 @@ type Cache struct {
 // preparedPut is a staged cache insert: all admission checks, record
 // copies and inscribed-box geometry done, only the publication left. The
 // Engine stages outside its fill lock and commits inside it, so dataset
-// writers (which publish events under that lock) never wait on geometry.
+// writers (which drain into the cache under that lock) never wait on
+// geometry.
 type preparedPut struct {
 	reg    *girint.Region
 	recs   []topk.Record
@@ -54,23 +55,18 @@ func prepareCachePut(g *GIR, recs []Record, cand []topk.Record, bounds []vec.Vec
 	return &preparedPut{reg: reg, recs: trecs, cand: cand, bounds: bounds, candOK: candOK, lo: lo, hi: hi}
 }
 
-// commitPut inserts a staged entry, seeding its cleared-version stamp.
-func (c *Cache) commitPut(p *preparedPut, clearedThrough int64) bool {
-	if p == nil {
-		return false
-	}
-	return c.inner.PutWithBox(p.reg, p.recs, p.lo, p.hi, p.cand, p.bounds, p.candOK, clearedThrough)
+// commitPut inserts a staged entry.
+func (c *Cache) commitPut(p *preparedPut) bool {
+	return c.inner.PutWithBox(p.reg, p.recs, p.lo, p.hi, p.cand, p.bounds, p.candOK, 0)
 }
 
 // lookupEntry is the engine's allocation-free hit path: it hands back the
 // raw cache entry, so a complete hit can be rescored straight into a
-// caller-owned buffer. Entries the generation-fence veto rejects are
-// invisible and never counted as hits. The entry's Records are shared and
-// read-only — the PutWithBox copy discipline means they alias neither
-// pooled scratch nor any caller slice. complete is true when the entry
-// covers the requested k.
-func (c *Cache) lookupEntry(q []float64, k int, veto func(*cache.Entry) bool) (e *cache.Entry, complete, ok bool) {
-	e, ok = c.inner.LookupVeto(vec.Vector(q), k, veto)
+// caller-owned buffer. The entry's Records are shared and read-only — the
+// PutWithBox copy discipline means they alias neither pooled scratch nor
+// any caller slice. complete is true when the entry covers the requested k.
+func (c *Cache) lookupEntry(q []float64, k int) (e *cache.Entry, complete, ok bool) {
+	e, ok = c.inner.Lookup(vec.Vector(q), k)
 	if !ok {
 		return nil, false, false
 	}

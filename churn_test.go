@@ -1,10 +1,15 @@
 package gir
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
+
+	"github.com/girlib/gir/internal/score"
+	"github.com/girlib/gir/internal/topk"
 )
 
 // This file is the churn harness for fine-grained cache invalidation:
@@ -13,8 +18,8 @@ import (
 // dataset version inside the serve window [version-before-call,
 // version-after-call]. A stale entry escaping invalidation (served after a
 // mutation that perturbs it) matches no version in its window and fails
-// the test. Run under -race this also exercises the publish/drain/fence
-// lock ordering.
+// the test. Run under -race this also exercises the lock ordering of a
+// write's drain against cache fills.
 
 // churnLogEntry mirrors one applied mutation for brute-force replay.
 type churnLogEntry struct {
@@ -98,9 +103,8 @@ func TestEngineChurnRepairMode(t *testing.T) {
 }
 
 // Simplex arms: the same mutator/querier races over the Σw=1 query space.
-// Every layer the verdict chain touches — region membership, the fence
-// predicate, invalidation LPs, repair certification — must clip to the
-// simplex; a box assumption anywhere shows up as a stale serve here.
+// Every layer the verdict chain touches — region membership, invalidation
+// LPs, repair certification — must clip to the simplex; a box assumption anywhere shows up as a stale serve here.
 func TestEngineChurnSimplex(t *testing.T) {
 	runEngineChurn(t, EngineOptions{Workers: 4, CacheCapacity: 48}, SpaceSimplex)
 }
@@ -242,7 +246,6 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 	close(stop)
 	mutator.Wait()
 	close(results)
-	e.Quiesce() // settle the drainer so the maintenance counters are final
 
 	verified, hadMultiVersionWindows := 0, 0
 	for sr := range results {
@@ -280,23 +283,124 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 	if !opts.RepairMode && st.Repaired != 0 {
 		t.Errorf("repairs happened with RepairMode off: %d", st.Repaired)
 	}
-	if st.Fenced < 0 {
-		t.Errorf("negative fence counter: %d", st.Fenced)
+	t.Logf("verified=%d (windows spanning mutations: %d) mutations=%d hits=%d misses=%d affected=%d repaired=%d invalidated=%d predicates=%d",
+		verified, hadMultiVersionWindows, len(mirror.log), st.CacheHits, st.Misses, st.Affected, st.Repaired, st.Invalidated, st.PredicateEvals)
+}
+
+// TestWriteReturnsReconciled: a write reconciles the cache before it
+// returns. After every Insert and Delete, with no other call in between,
+// every cached entry must be exactly topk.Scan at its own query and k over
+// the dataset at ds.Version() — ids in order and scores bit for bit — while
+// two readers keep filling and hitting the cache. Both spaces, evict and
+// repair.
+func TestWriteReturnsReconciled(t *testing.T) {
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		for _, repair := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/repair=%v", space, repair), func(t *testing.T) {
+				runWriteReturnsReconciled(t, space, repair)
+			})
+		}
 	}
-	// Batched drain bookkeeping: every published mutation was reconciled by
-	// some pass, and passes never outnumber mutations (a pass coalesces ≥ 1).
-	if st.DrainedMutations != int64(len(mirror.log)) {
-		t.Errorf("drainer reconciled %d mutations, %d were published", st.DrainedMutations, len(mirror.log))
+}
+
+func runWriteReturnsReconciled(t *testing.T, space Space, repair bool) {
+	r := rand.New(rand.NewSource(29))
+	const n, writes = 400, 150
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
 	}
-	if st.DrainPasses > st.DrainedMutations {
-		t.Errorf("%d drain passes for %d mutations — passes must coalesce", st.DrainPasses, st.DrainedMutations)
+	ds, err := NewDatasetInSpace(points, space)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.DrainPasses == 0 && len(mirror.log) > 0 {
-		t.Error("mutations ran but no drain pass was counted")
+	e := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: 32, RepairMode: repair})
+	defer e.Close()
+	pool := make([][]float64, 16)
+	ks := make([]int, len(pool))
+	for i := range pool {
+		pool[i] = []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}
+		if space == SpaceSimplex {
+			pool[i] = space.Normalize(pool[i])
+		}
+		ks[i] = 3 + r.Intn(6)
 	}
-	t.Logf("verified=%d (windows spanning mutations: %d) mutations=%d hits=%d misses=%d affected=%d repaired=%d invalidated=%d fenced=%d drain passes=%d (batched %d mutations) predicates=%d fence open %v",
-		verified, hadMultiVersionWindows, len(mirror.log), st.CacheHits, st.Misses, st.Affected, st.Repaired, st.Invalidated, st.Fenced,
-		st.DrainPasses, st.DrainedMutations, st.PredicateEvals, st.FenceOpen)
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			qr := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pi := qr.Intn(len(pool))
+				if res := e.TopK(pool[pi], ks[pi]); res.Err != nil {
+					t.Error(res.Err)
+					return
+				}
+			}
+		}(int64(g + 1))
+	}
+	defer func() { close(stop); readers.Wait() }()
+
+	var live []int64
+	live2p := make(map[int64][]float64)
+	nextID, checked := int64(1<<40), 0
+	for w := 0; w < writes; w++ {
+		if pi := w % len(pool); w%3 == 0 { // keep the cache populated on one core too
+			if res := e.TopK(pool[pi], ks[pi]); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		if len(live) > 0 && r.Intn(3) == 0 {
+			i := r.Intn(len(live))
+			id := live[i]
+			if ok, err := ds.Delete(id, live2p[id]); err != nil || !ok {
+				t.Fatalf("delete %d: %v, %v", id, ok, err)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		} else {
+			p := []float64{r.Float64(), r.Float64(), r.Float64()}
+			if r.Intn(3) == 0 {
+				for j := range p {
+					p[j] = 0.85 + 0.14*r.Float64()
+				}
+			}
+			if err := ds.Insert(nextID, p); err != nil {
+				t.Fatal(err)
+			}
+			live, live2p[nextID] = append(live, nextID), p
+			nextID++
+		}
+		// This goroutine is the only writer, so the snapshot is the state at
+		// ds.Version() until the next write.
+		sn := ds.snap.Load()
+		for _, ent := range e.cache.inner.Entries() {
+			want := topk.Scan(sn.tree, score.Linear{}, ent.Region.Query, ent.K)
+			for i, sc := range want {
+				if g := ent.Records[i]; g.ID != sc.ID || math.Float64bits(g.Score) != math.Float64bits(sc.Score) {
+					t.Fatalf("after write %d (version %d) an entry at q=%v k=%d holds (%d, %v) at rank %d, the scan (%d, %v)",
+						w, sn.version, ent.Region.Query, ent.K, g.ID, g.Score, i, sc.ID, sc.Score)
+				}
+			}
+			checked++
+		}
+	}
+	st := e.Stats()
+	if checked == 0 || st.Affected == 0 {
+		t.Fatalf("vacuous: %d entries checked, %d affect events", checked, st.Affected)
+	}
+	if repair && st.Repaired == 0 {
+		t.Error("RepairMode on but nothing was repaired")
+	}
+	t.Logf("%d entry checks after %d writes; affected=%d repaired=%d evicted=%d", checked, writes, st.Affected, st.Repaired, st.Invalidated)
 }
 
 // TestInsertTieEvicts: an insert that ties a cached entry's k-th record
@@ -331,7 +435,6 @@ func TestInsertTieEvicts(t *testing.T) {
 		if err := ds.Insert(dupID, pk.Attrs); err != nil {
 			t.Fatal(err)
 		}
-		e.Quiesce()
 		state[dupID] = pk.Attrs
 		got := e.TopK(q, k)
 		e.Close()

@@ -83,7 +83,7 @@ type suiteConfig struct {
 const (
 	same    = iota // the previous arm's target again: the warm pass of a cold one
 	bare           // a Dataset: every query traverses
-	engined        // an Engine over a Dataset: cache, single-flight, fence
+	engined        // an Engine over a Dataset: cache, single-flight, drain
 	sharded        // a shard.Coordinator over `parts` Engines
 )
 
@@ -197,7 +197,6 @@ type row struct {
 	Affected    int64 `json:"affected,omitempty"` // = repaired + invalidated
 	Repaired    int64 `json:"repaired,omitempty"`
 	Invalidated int64 `json:"invalidated,omitempty"`
-	Fenced      int64 `json:"fenced,omitempty"`
 
 	PageReadsPerQuery float64 `json:"page_reads_per_query,omitempty"`
 	FusedGroups       int64   `json:"fused_groups,omitempty"`
@@ -250,7 +249,6 @@ type target interface {
 	BatchTopK(qs []gir.Query) error
 	Insert(id int64, p []float64) error
 	Delete(id int64, p []float64) error
-	Quiesce() // settle background maintenance so the counters are final
 	Counters() counters
 	// Finish adds what only this kind of target knows to its row, after
 	// the pass: the log and its recovery check, the partitions (as
@@ -279,7 +277,6 @@ func (t *bareTarget) BatchTopK(qs []gir.Query) error {
 }
 func (t *bareTarget) Insert(id int64, p []float64) error { return t.ds.Insert(id, p) }
 func (t *bareTarget) Delete(id int64, p []float64) error { _, err := t.ds.Delete(id, p); return err }
-func (t *bareTarget) Quiesce()                           {}
 func (t *bareTarget) Counters() counters                 { return counters{PageReads: t.ds.IOStats().PageReads} }
 
 // Finish on a logged dataset checkpoints, recovers the directory into a
@@ -343,7 +340,6 @@ func (t *engineTarget) wrote(err error) error {
 	}
 	return err
 }
-func (t *engineTarget) Quiesce() { t.e.Quiesce() }
 func (t *engineTarget) Counters() counters {
 	c := t.bareTarget.Counters()
 	c.EngineStats = t.e.Stats()
@@ -367,7 +363,6 @@ func (t shardTarget) BatchTopK(qs []gir.Query) error {
 }
 func (t shardTarget) Insert(id int64, p []float64) error { return t.c.Insert(id, p) }
 func (t shardTarget) Delete(id int64, p []float64) error { _, err := t.c.Delete(id, p); return err }
-func (t shardTarget) Quiesce()                           { t.c.Quiesce() }
 func (t shardTarget) Close()                             { t.c.Close() }
 func (t shardTarget) Counters() counters {
 	st := t.c.Stats()
@@ -644,7 +639,6 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 	if err := errors.Join(append(errs, <-mutated)...); err != nil {
 		return row{}, err
 	}
-	t.Quiesce()
 	after := t.Counters()
 
 	nWrites, wlat := writes.summarize()
@@ -668,7 +662,6 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 		Affected:        after.Affected - before.Affected,
 		Repaired:        after.Repaired - before.Repaired,
 		Invalidated:     after.Invalidated - before.Invalidated,
-		Fenced:          after.Fenced - before.Fenced,
 		FusedGroups:     after.FusedGroups - before.FusedGroups,
 		FusedQueries:    after.FusedQueries - before.FusedQueries,
 		SharedPageReads: after.SharedPageReads - before.SharedPageReads,
@@ -752,7 +745,6 @@ var columns = []struct {
 	{"recomputes", "%.0f", func(r *row) float64 { return float64(r.Recomputes) }},
 	{"repaired", "%.0f", func(r *row) float64 { return float64(r.Repaired) }},
 	{"evicted", "%.0f", func(r *row) float64 { return float64(r.Invalidated) }},
-	{"fence-vetos", "%.0f", func(r *row) float64 { return float64(r.Fenced) }},
 	{"page reads", "%.0f", func(r *row) float64 { return float64(r.PageReads) }},
 	{"reads/query", "%.1f", func(r *row) float64 { return r.PageReadsPerQuery }},
 	{"groups", "%.0f", func(r *row) float64 { return float64(r.FusedGroups) }},

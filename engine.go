@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	cacheint "github.com/girlib/gir/internal/cache"
 	engineint "github.com/girlib/gir/internal/engine"
@@ -32,21 +31,17 @@ import (
 //     with the same code path BRS uses).
 //   - All Engine methods are safe to call concurrently; an Engine may be
 //     shared by any number of goroutines.
-//   - Mutations invalidate the cache FINE-GRAINED: every Insert/Delete is
-//     published to the engine as an event, and a background drainer pops
-//     ALL pending events at once and reconciles the cache in one batched
-//     pass (internal/maintain): for each cached entry the batch is walked
-//     in version order — unaffecting mutations are absorbed into the
-//     entry's candidate set, affecting ones repair it in place (RepairMode)
-//     or evict it, and a repaired entry keeps being checked against the
-//     rest of the batch. A write burst of B mutations costs one cache scan
-//     and at most one stamp raise per entry, not B. Writes never block on
-//     that analysis, and a generation fence keeps lookups correct while
-//     events drain: a hit is served from a not-yet-reconciled cache only
-//     after one batched predicate proves the entry unaffected by the whole
-//     pending window. A query racing a mutation may be served from either
-//     side of it; once the mutation returns, later queries never see
-//     results the mutation invalidated.
+//   - Mutations invalidate the cache FINE-GRAINED, and a write reconciles
+//     the cache before it returns: every Insert/Delete hands its mutation
+//     to the engine under the dataset's writer lock, before the new version
+//     becomes visible, and the engine drains it into the cache on the spot
+//     (internal/maintain). A cached entry the mutation cannot perturb
+//     absorbs it into its candidate set; one it can is repaired in place
+//     (RepairMode) or evicted. Writers pay for that analysis and readers
+//     never wait for it: a reader that pins version v finds the cache
+//     reconciled through v. A query racing a mutation may be served from
+//     either side of it; once the mutation returns, later queries never
+//     see results the mutation invalidated.
 //
 // The engine serves linear scoring only — GIR-keyed caching is only sound
 // for the linear family the regions are computed under (Section 3 of the
@@ -58,29 +53,20 @@ type Engine struct {
 	flight  engineint.Group
 	planner maintain.Planner // all maintenance policy lives here
 
-	// Invalidation state. pending holds published-but-unreconciled
-	// mutations in version order; applied is the dataset version the cache
-	// is fully reconciled with (every entry is valid at applied). invMu
-	// guards pending/closed/fenceUpSince and orders cache fills against
-	// drain passes.
-	invMu        sync.Mutex
-	invCond      *sync.Cond
-	pending      []maintain.Mutation
-	applied      atomic.Int64
-	closed       bool
-	unsub        func()
-	drained      sync.WaitGroup
-	fenceUpSince time.Time // when pending last went non-empty (zero when empty)
+	// Maintenance state. applied is the dataset version the cache is
+	// reconciled with: every entry is valid at applied. Once the engine is
+	// built, applied is written only under both ds.mu and invMu, so either
+	// lock suffices to read it. invMu also guards unsub, and orders the
+	// drain of each write (reconcile) against cache fills (putIfCurrent).
+	invMu   sync.Mutex
+	applied int64
+	unsub   func()
 
 	deduped     atomic.Int64
 	computed    atomic.Int64
 	affected    atomic.Int64 // (mutation, entry) pairs a mutation could perturb (repair + evict events)
 	repaired    atomic.Int64 // affect events resolved by an in-place patch
 	invalidated atomic.Int64 // entries evicted by fine-grained invalidation
-	fenced      atomic.Int64 // cache hits vetoed by the generation fence
-	drainPasses atomic.Int64 // batched maintenance passes run
-	drainedMuts atomic.Int64 // mutations those passes reconciled
-	fenceNanos  atomic.Int64 // cumulative wall time the generation fence was up
 
 	fusedGroups  atomic.Int64 // fused traversals that served ≥ 2 queries
 	fusedQueries atomic.Int64 // queries those traversals answered
@@ -135,147 +121,55 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 	}
 	e := &Engine{ds: ds, cache: c, opts: opts}
 	e.planner.Repair = opts.RepairMode
-	e.invCond = sync.NewCond(&e.invMu)
 	if c != nil {
-		// Subscribe before reading the version: events for any later
-		// mutation are then guaranteed to reach the queue, and applied can
-		// only be behind reality (conservative).
-		e.unsub = ds.subscribe(e.enqueueMutation)
-		e.applied.Store(ds.Version())
-		e.drained.Add(1)
-		go e.drainMutations()
+		// Subscribe and read the starting version in one critical section
+		// of the writer lock: a write between the two would be drained and
+		// then have applied moved back behind it, letting a stale fill in.
+		ds.mu.Lock()
+		e.applied = ds.Version()
+		e.unsub = ds.subscribeLocked(e.reconcile)
+		ds.mu.Unlock()
 	}
 	return e
 }
 
-// Close detaches the engine from the dataset's mutation feed and stops the
-// invalidation drainer. Call it when the engine is no longer needed; an
-// engine must not serve queries after Close. Engines without a cache need
-// no Close (it is a no-op).
+// Close detaches the engine from the dataset's mutation feed. Call it when
+// the engine is no longer needed; an engine must not serve queries after
+// Close, and a write after it leaves the cache behind the dataset, which
+// Engine.Checkpoint then refuses to save. Engines without a cache need no
+// Close (it is a no-op).
 func (e *Engine) Close() {
 	e.invMu.Lock()
 	unsub := e.unsub
 	e.unsub = nil
-	alreadyClosed := e.closed
-	e.closed = true
-	e.invCond.Broadcast()
 	e.invMu.Unlock()
 	if unsub != nil {
-		// Outside invMu: unsubscribing takes the dataset's mutation lock,
-		// and mutation publishing acquires ds.mu → invMu in that order.
+		// Outside invMu: unsubscribing takes the dataset's writer lock, and
+		// a write holds that lock while reconcile takes invMu.
 		unsub()
 	}
-	if !alreadyClosed && e.cache != nil {
-		e.drained.Wait()
-	}
 }
 
-// enqueueMutation receives one dataset mutation. It runs under the
-// dataset's exclusive lock, before the mutation's version becomes visible,
-// so it must only append and signal — the LP work happens in the drainer.
-func (e *Engine) enqueueMutation(m maintain.Mutation) {
-	e.invMu.Lock()
-	if !e.closed {
-		if len(e.pending) == 0 {
-			e.fenceUpSince = time.Now() // the generation fence just went up
-		}
-		e.pending = append(e.pending, m)
-		// Broadcast, not Signal: both the drainer (waiting for work) and
-		// Quiesce callers (waiting for its absence) sleep on this cond.
-		e.invCond.Broadcast()
-	}
-	e.invMu.Unlock()
-}
-
-// Quiesce blocks until every mutation published so far has been applied
-// to the cache (the generation fence is down and stats are settled).
-// Serving does not require it — the fence keeps lookups correct while
-// events drain — but benchmarks and tests use it to read deterministic
-// Invalidated/Fenced counters.
-func (e *Engine) Quiesce() {
-	if e.cache == nil {
-		return
-	}
+// reconcile is the engine's dataset subscriber: it drains one mutation into
+// the cache, a batch of one for the internal/maintain planner. It runs under
+// the dataset's writer lock, before the mutation's version becomes visible,
+// so the write pays for the drain and no reader can pin a version the cache
+// is behind. Event counts are credited from applied outcomes, so
+// Repaired + Invalidated = Affected holds exactly.
+func (e *Engine) reconcile(m maintain.Mutation) {
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
-	for len(e.pending) > 0 && !e.closed {
-		e.invCond.Wait()
-	}
+	out := e.planner.Drain(e.cache.inner, []maintain.Mutation{m})
+	e.affected.Add(int64(out.Affected))
+	e.repaired.Add(int64(out.Repaired))
+	e.invalidated.Add(int64(out.Evicted))
+	e.applied = m.Version
 }
 
-// drainMutations reconciles pending mutations with the cache in version
-// order, a whole batch per pass: every pass pops all pending mutations and
-// hands them to the internal/maintain planner, which scans the cache once
-// and walks each entry through the batch's verdict chain. The batch stays
-// in pending until its pass completes, so putIfCurrent can tell
-// "reconciled" from "in flight"; applied then advances straight to the
-// batch's maximum version.
-func (e *Engine) drainMutations() {
-	defer e.drained.Done()
-	for {
-		e.invMu.Lock()
-		for len(e.pending) == 0 && !e.closed {
-			e.invCond.Wait()
-		}
-		if e.closed {
-			e.invMu.Unlock()
-			return
-		}
-		batch := slices.Clone(e.pending)
-		n := len(batch)
-		e.invMu.Unlock()
-
-		out := e.planner.Drain(e.cache.inner, batch)
-		// Event counts are credited from applied outcomes, so the
-		// Repaired + Invalidated = Affected invariant is exact even when
-		// an affected entry vanishes to concurrent LRU pressure between
-		// the decision and its application.
-		e.affected.Add(int64(out.Affected))
-		e.repaired.Add(int64(out.Repaired))
-		e.invalidated.Add(int64(out.Evicted))
-		e.drainPasses.Add(1)
-		e.drainedMuts.Add(int64(n))
-
-		e.invMu.Lock()
-		e.pending = e.pending[n:]
-		e.applied.Store(batch[n-1].Version)
-		if len(e.pending) == 0 && !e.fenceUpSince.IsZero() {
-			e.fenceNanos.Add(time.Since(e.fenceUpSince).Nanoseconds())
-			e.fenceUpSince = time.Time{}
-		}
-		e.invCond.Broadcast() // wake Quiesce callers once the queue empties
-		e.invMu.Unlock()
-	}
-}
-
-// fenceVeto returns the lookup veto enforcing the generation fence for a
-// call that observed the given dataset version, or nil on the fast path
-// (cache fully reconciled with that version — the steady state, one
-// atomic load). While mutations are pending, a candidate hit is suppressed
-// unless one batched predicate over the whole pending window proves it
-// unaffected (maintain.FenceAffected, which also raises the entry's
-// cleared stamp over the unaffecting prefix so no (mutation, entry) pair
-// is ever evaluated twice); the drainer will evict or repair the truly
-// affected entries and restore the fast path.
-func (e *Engine) fenceVeto(version int64) func(*cacheint.Entry) bool {
-	if e.applied.Load() >= version {
-		return nil
-	}
-	e.invMu.Lock()
-	snap := slices.Clone(e.pending)
-	e.invMu.Unlock()
-	if len(snap) == 0 {
-		// The drainer finished between the two loads; applied has caught up.
-		return nil
-	}
-	return func(entry *cacheint.Entry) bool {
-		if e.planner.FenceAffected(entry, snap) {
-			e.fenced.Add(1)
-			return true
-		}
-		return false
-	}
-}
+// Quiesce returns at once: every write has reconciled the cache before it
+// returned, so there is nothing to wait for. It remains for callers that
+// still call it.
+func (e *Engine) Quiesce() {}
 
 // Query is one query of a batch.
 type Query struct {
@@ -309,18 +203,11 @@ type EngineStats struct {
 	Affected    int64 // (mutation, entry) pairs a mutation could perturb (= Repaired + Invalidated)
 	Repaired    int64 // affect events resolved by an in-place patch (RepairMode)
 	Invalidated int64 // cache entries evicted by fine-grained invalidation
-	Fenced      int64 // candidate hits vetoed while mutation events drained
+	Fenced      int64 // always 0: no hit is vetoed, since a write reconciles the cache before it returns
 	CacheProbes int64 // cache entries containment-tested by lookups (÷ lookups = entries probed per lookup)
-
-	// Maintenance-pipeline economics (the batching the internal/maintain
-	// planner buys): how many passes reconciled how many mutations, how
-	// many affectedness predicates ran (drain + fence), and how long the
-	// generation fence was up in total. DrainPasses < DrainedMutations
-	// means write bursts were coalesced.
-	DrainPasses      int64
-	DrainedMutations int64
-	PredicateEvals   int64
-	FenceOpen        time.Duration
+	// PredicateEvals counts the affectedness predicates the write path's
+	// drains ran (closed-form filters + LP fallback).
+	PredicateEvals int64
 
 	// Fused-batch economics: how many multi-member fused traversals ran,
 	// how many queries they answered, and how many page visits were served
@@ -331,37 +218,28 @@ type EngineStats struct {
 	SharedPageReads int64
 
 	// Version is the dataset mutation version visible when the stats were
-	// read; Reconciled is the version the cache is fully reconciled with
-	// (= Version when the generation fence is down or caching is off). A
-	// sharded coordinator reads these to place a partition on its version
-	// vector and to see drain lag at a glance.
-	Version    int64
-	Reconciled int64
+	// read; a sharded coordinator reads it to place a partition on its
+	// version vector.
+	Version int64
 }
 
 // Stats returns cumulative engine counters.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		Deduped:          e.deduped.Load(),
-		Computed:         e.computed.Load(),
-		Affected:         e.affected.Load(),
-		Repaired:         e.repaired.Load(),
-		Invalidated:      e.invalidated.Load(),
-		Fenced:           e.fenced.Load(),
-		DrainPasses:      e.drainPasses.Load(),
-		DrainedMutations: e.drainedMuts.Load(),
-		PredicateEvals:   e.planner.Predicates(),
-		FenceOpen:        time.Duration(e.fenceNanos.Load()),
-		FusedGroups:      e.fusedGroups.Load(),
-		FusedQueries:     e.fusedQueries.Load(),
-		SharedPageReads:  e.sharedReads.Load(),
-		Version:          e.ds.Version(),
+		Deduped:         e.deduped.Load(),
+		Computed:        e.computed.Load(),
+		Affected:        e.affected.Load(),
+		Repaired:        e.repaired.Load(),
+		Invalidated:     e.invalidated.Load(),
+		PredicateEvals:  e.planner.Predicates(),
+		FusedGroups:     e.fusedGroups.Load(),
+		FusedQueries:    e.fusedQueries.Load(),
+		SharedPageReads: e.sharedReads.Load(),
+		Version:         e.ds.Version(),
 	}
-	st.Reconciled = st.Version
 	if e.cache != nil {
 		st.CacheHits, st.PartialHits, st.Misses = e.cache.Stats()
 		st.CacheProbes = e.cache.inner.Probes()
-		st.Reconciled = e.applied.Load()
 	}
 	return st
 }
@@ -371,7 +249,7 @@ func (e *Engine) Cache() *Cache { return e.cache }
 
 // Space returns the query-space domain the engine serves in, inherited
 // from its Dataset at construction. Every region the engine computes,
-// caches, fences, repairs or persists is clipped to this space.
+// caches, repairs or persists is clipped to this space.
 func (e *Engine) Space() Space { return e.ds.Space() }
 
 // fuseGroupSize caps how many misses of one call a fused traversal serves
@@ -380,14 +258,13 @@ func (e *Engine) Space() Space { return e.ds.Space() }
 // member's result stays byte-identical to a solo TopK.
 const fuseGroupSize = 8
 
-// The life of a query: probe (cache lookup under the generation fence
-// returned by fenceVeto) → on a miss, computeMisses dedupes the call's
-// misses and groups them (topk.FuseGroups) → computeGroup claims each
-// member's single-flight key, has Dataset.answerGroup compute the whole
-// group under one snapshot pin, offers each region to the cache
-// (putIfCurrent) and publishes each answer to its waiters (Group.Done). A
-// solo TopK is a batch of one and its miss a group of one; there is no
-// other way a result is computed.
+// The life of a query: probe (cache lookup) → on a miss, computeMisses
+// dedupes the call's misses and groups them (topk.FuseGroups) →
+// computeGroup claims each member's single-flight key, has
+// Dataset.answerGroup compute the whole group under one snapshot pin,
+// offers each region to the cache (putIfCurrent) and publishes each answer
+// to its waiters (Group.Done). A solo TopK is a batch of one and its miss a
+// group of one; there is no other way a result is computed.
 
 // BatchTopK answers a batch of top-k queries concurrently. The i-th result
 // corresponds to the i-th query; every result is byte-identical to what
@@ -434,10 +311,10 @@ func (e *Engine) TopKBuf(dst []Record, q []float64, k int) EngineResult {
 }
 
 // probe validates one query against the snapshot its call observed on
-// entry and offers it to the cache under the generation fence. missed
-// reports that the query is valid and still needs computing (res then
-// carries only the PartialHit flag); otherwise res is final: the
-// validation error, or a complete hit rescored into dst.
+// entry and offers it to the cache. missed reports that the query is valid
+// and still needs computing (res then carries only the PartialHit flag);
+// otherwise res is final: the validation error, or a complete hit rescored
+// into dst.
 func (e *Engine) probe(dst []Record, q Query, sn *treeSnap) (res EngineResult, missed bool) {
 	if err := sn.validate(q.Vector, q.K); err != nil {
 		return EngineResult{Err: err}, false
@@ -445,7 +322,7 @@ func (e *Engine) probe(dst []Record, q Query, sn *treeSnap) (res EngineResult, m
 	if e.cache == nil {
 		return EngineResult{}, true
 	}
-	entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K, e.fenceVeto(sn.version))
+	entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K)
 	if !ok {
 		return EngineResult{}, true
 	}
@@ -600,34 +477,27 @@ func (r *EngineResult) set(a *groupAnswer, err error, shared bool) {
 	}
 }
 
-// putIfCurrent inserts a freshly built region unless some mutation later
-// than its compute version has been published (a stale region must never
-// enter the cache). The check and the insert happen under invMu — the same
-// lock the drainer holds while popping a finished pass — so an entry can
-// never slip in behind an invalidation pass that would have evicted it: if
-// any mutation newer than ver exists, it is either still in pending (we
-// reject) or fully applied (applied > ver, we reject).
+// putIfCurrent inserts a freshly built region only if the cache is
+// reconciled with exactly the version it was computed at: a later write has
+// already drained, and its verdict on this region was never taken, so a
+// stale region must never enter the cache. The check and the insert happen
+// under invMu, the lock every drain holds, so no drain can run between them.
 func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	if e.cache == nil || fill.girErr != nil || fill.g == nil {
 		return
 	}
 	// Staging (record copies, inscribed-box geometry) happens before the
-	// lock: dataset writers publish events under invMu (via ds.mu), so the
-	// critical section must stay at a few comparisons plus the view's
-	// copy-and-publish.
+	// lock: dataset writers drain under invMu, so the critical section must
+	// stay at one comparison plus the view's copy-and-publish.
 	p := prepareCachePut(fill.g, fill.recs, fill.cand, fill.bounds, fill.candOK)
 	if p == nil {
 		return
 	}
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
-	if e.applied.Load() > fill.version {
-		return
+	if e.applied == fill.version {
+		e.cache.commitPut(p)
 	}
-	if n := len(e.pending); n > 0 && e.pending[n-1].Version > fill.version {
-		return
-	}
-	e.cache.commitPut(p, fill.version)
 }
 
 // rescoreInto rebuilds cache-hit records into dst with scores for the

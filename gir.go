@@ -286,15 +286,14 @@ func (s *treeSnap) topK(q []float64, k int, sc Scoring) (*topk.Result, error) {
 	return topk.BRS(s.tree, sc.function(s.tree.Dim()), vec.Vector(q), k), nil
 }
 
-// subscribe registers fn to observe every future mutation and returns an
-// unsubscribe function. fn is invoked while the exclusive mutation lock is
-// held and BEFORE the new dataset version becomes visible, so a reader
-// that observes version v is guaranteed the events for every mutation up
-// to v have already been delivered. fn must therefore be fast and must
-// never block (the Engine just appends to an in-memory queue).
-func (ds *Dataset) subscribe(fn func(maintain.Mutation)) (unsubscribe func()) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+// subscribeLocked registers fn to observe every future mutation and returns
+// an unsubscribe function; the caller holds ds.mu exclusively, so it can
+// read the version fn's first event will follow in the same critical
+// section. fn is invoked while the exclusive mutation lock is held and
+// BEFORE the new dataset version becomes visible, so a reader that observes
+// version v is guaranteed every mutation up to v has already been handled:
+// the Engine reconciles its cache inside fn, and the write pays for it.
+func (ds *Dataset) subscribeLocked(fn func(maintain.Mutation)) (unsubscribe func()) {
 	if ds.subs == nil {
 		ds.subs = make(map[int64]func(maintain.Mutation))
 	}
@@ -574,9 +573,9 @@ func (ds *Dataset) Len() int {
 // Version returns the dataset's mutation version: 0 at construction,
 // advanced by one per applied Insert/Delete. It is the coordinate a
 // sharded serving tier's version vector is built from — an Engine over
-// this dataset serves results at or past the version read here (its
-// generation fence vetoes cache hits that any not-yet-reconciled
-// mutation could perturb). The version is read off the published
+// this dataset serves results at or past the version read here (a write
+// reconciles the engine's cache before its version is published). The
+// version is read off the published
 // snapshot, so it can never lag or lead the data a query sees.
 func (ds *Dataset) Version() int64 { return ds.snap.Load().version }
 

@@ -19,7 +19,9 @@
 // fills are milliseconds apart, so copying a few hundred pointers per write
 // is noise. A lookup that loaded the previous view may serve an entry a
 // writer has just evicted or replaced: entries are immutable once
-// published, and the Engine's generation fence covers that window.
+// published, and the Engine drains each write into the cache before the
+// write's version becomes visible, so such a lookup is one that raced the
+// write and is served from the version before it.
 //
 // A lookup tests the query against the domain once per distinct domain in
 // the view, then each entry's cone on its flat row-major normals, stopping
@@ -94,19 +96,17 @@ type Entry struct {
 	// later unaffecting mutation. Bounds holds the top corners of R-tree
 	// subtrees the fill never expanded; together with Records and Cand they
 	// cover the whole dataset, which is what makes delete-repair promotion
-	// sound. Both are owned by the single maintenance goroutine (the
-	// Engine's drainer, or the caller of the Cache's repair methods) —
+	// sound. Both are owned by whoever drains mutations into the cache
+	// (the Engine drains one write at a time, under its writers' locks) —
 	// lookups never touch them — so they need no locking beyond the
 	// publication of the view.
 	Cand         []topk.Record
 	Bounds       []vec.Vector
 	candComplete bool
-	absorbed     int64 // mutations ≤ this version are folded into Cand
 
 	lastUse atomic.Int64
 	hits    atomic.Int64 // complete hits served, halved at every reorder
 	rank    int64        // hits when the last reorder sorted; writer-only
-	cleared atomic.Int64 // mutations ≤ this version are known not to affect the entry
 }
 
 // newEntry builds an entry for reg, flattening its normals for the probe.
@@ -157,49 +157,14 @@ func (e *Entry) coneContains(q vec.Vector) bool {
 	return true
 }
 
-// ClearedThrough returns the highest dataset version v such that every
-// mutation with version ≤ v is known not to affect this entry (starting at
-// the entry's compute version). The Engine's fence and drainer use it to
-// evaluate each (mutation, entry) pair at most once.
-func (e *Entry) ClearedThrough() int64 { return e.cleared.Load() }
-
-// RaiseCleared monotonically raises ClearedThrough to v. Callers must only
-// raise contiguously: v is safe once every mutation in (current, v] has
-// been checked against the entry.
-func (e *Entry) RaiseCleared(v int64) {
-	for {
-		cur := e.cleared.Load()
-		if cur >= v || e.cleared.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // CandComplete reports whether Records ∪ Cand ∪ Bounds provably covers the
-// dataset (as of AbsorbedThrough) — the precondition for delete repair.
+// dataset — the precondition for delete repair.
 func (e *Entry) CandComplete() bool { return e.candComplete }
 
-// AbsorbedThrough returns the version through which unaffecting mutations
-// have been folded into the candidate set. Maintenance-goroutine only.
-func (e *Entry) AbsorbedThrough() int64 { return e.absorbed }
-
-// RaiseStamps raises both maintenance stamps (cleared and absorbed) to v —
-// the batch planner's single per-entry stamp raise: individual mutations of
-// a batch are absorbed without advancing the stamps, then one call here
-// marks the whole batch reconciled. Maintenance-goroutine only (the cleared
-// raise is atomic and safe against concurrent fence raises; the absorbed
-// raise is not, exactly like Absorb*).
-func (e *Entry) RaiseStamps(v int64) {
-	e.RaiseCleared(v)
-	if e.absorbed < v {
-		e.absorbed = v
-	}
-}
-
-// AbsorbInsert folds an unaffecting insert (version v) into the candidate
-// set: the new record is a non-result candidate of this entry from v on.
-// Maintenance-goroutine only.
-func (e *Entry) AbsorbInsert(v int64, rec topk.Record) {
+// AbsorbInsert folds an unaffecting insert into the candidate set: the new
+// record is a non-result candidate of this entry from then on. Drainer
+// only.
+func (e *Entry) AbsorbInsert(rec topk.Record) {
 	if e.candComplete {
 		if len(e.Cand) >= MaxRetained {
 			e.candComplete = false
@@ -208,20 +173,17 @@ func (e *Entry) AbsorbInsert(v int64, rec topk.Record) {
 			e.Cand = append(e.Cand, rec)
 		}
 	}
-	e.absorbed = v
 }
 
-// AbsorbDelete folds an unaffecting delete (version v) into the candidate
-// set, dropping the record if it was a candidate. Maintenance-goroutine
-// only.
-func (e *Entry) AbsorbDelete(v int64, id int64) {
+// AbsorbDelete folds an unaffecting delete into the candidate set, dropping
+// the record if it was a candidate. Drainer only.
+func (e *Entry) AbsorbDelete(id int64) {
 	for i, c := range e.Cand {
 		if c.ID == id {
 			e.Cand = append(e.Cand[:i], e.Cand[i+1:]...)
-			break
+			return
 		}
 	}
-	e.absorbed = v
 }
 
 // Cache holds up to a fixed number of entries in one lock-free view, with
@@ -262,23 +224,8 @@ func (c *Cache) publish(entries []*Entry) { c.view.Store(&entries) }
 // force that recomputation on every repeat). Regions stored by Put are
 // always order-sensitive, so a hit is always sound for ordered serving.
 func (c *Cache) Lookup(q vec.Vector, k int) (*Entry, bool) {
-	return c.LookupVeto(q, k, nil)
-}
-
-// LookupVeto is Lookup with a per-entry veto: an entry for which veto
-// returns true is skipped as if it were not cached (and never counted as a
-// hit). The Engine uses this as its generation fence — while mutation
-// events are still draining, a hit is only served after the candidate
-// entry is proven unaffected by every pending mutation. The veto may be
-// expensive (LP solves); it runs on the view the lookup loaded, with no
-// lock held, so concurrent Puts and evictions never stall behind it. That
-// is sound because entries are immutable once published and the caller
-// takes its fence snapshot before the scan: an entry evicted mid-check is
-// one the veto itself rejects, or one whose mutation the query
-// legitimately raced.
-func (c *Cache) LookupVeto(q vec.Vector, k int, veto func(*Entry) bool) (*Entry, bool) {
 	view := c.load()
-	best, probes := bestContaining(view, q, k, veto)
+	best, probes := bestContaining(view, q, k)
 	c.probes.Add(int64(probes))
 	if best == nil {
 		c.misses.Add(1)
@@ -299,8 +246,8 @@ func (c *Cache) LookupVeto(q vec.Vector, k int, veto func(*Entry) bool) (*Entry,
 
 // bestContaining returns the first entry containing q that covers k, else
 // the containing entry with the largest K, and how many entries it
-// containment-tested. Vetoed entries are invisible.
-func bestContaining(entries []*Entry, q vec.Vector, k int, veto func(*Entry) bool) (best *Entry, probes int) {
+// containment-tested.
+func bestContaining(entries []*Entry, q vec.Vector, k int) (best *Entry, probes int) {
 	kind, inside := domain.Kind(-1), false
 	for _, e := range entries {
 		if e.dim != len(q) {
@@ -313,7 +260,7 @@ func bestContaining(entries []*Entry, q vec.Vector, k int, veto func(*Entry) boo
 			continue
 		}
 		probes++
-		if !e.coneContains(q) || (veto != nil && veto(e)) {
+		if !e.coneContains(q) {
 			continue
 		}
 		if e.K >= k {
@@ -360,14 +307,14 @@ func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
 	return c.PutWithBox(reg, records, lo, hi, nil, nil, false, 0)
 }
 
-// PutWithBox is Put with the inscribed box, the retained repair state
+// PutWithBox is Put with the inscribed box and the retained repair state
 // (candidate set + unexpanded-subtree bounds; candComplete asserts they
-// cover the dataset at the compute version) and the entry's compute
-// version (seeding ClearedThrough) supplied by the caller. The Engine uses
-// it to do the box geometry outside its fill lock, so dataset writers —
-// who publish events under that lock — are never stalled behind it, and to
-// restore persisted entries (oldest first: insertion order is recency).
-func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, clearedThrough int64) bool {
+// cover the dataset at the compute version) supplied by the caller. The
+// Engine uses it to do the box geometry outside its fill lock, so dataset
+// writers — who drain under that lock — are never stalled behind it, and
+// to restore persisted entries (oldest first: insertion order is recency).
+// The last parameter is unused.
+func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, _ int64) bool {
 	if reg == nil || !reg.OrderSensitive {
 		return false
 	}
@@ -377,8 +324,6 @@ func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, inne
 	// — the caller's slice may alias a TopKResult (Candidates) or be Put
 	// into several caches. Bounds are never mutated and can be shared.
 	e.Cand, e.Bounds, e.candComplete = append([]topk.Record(nil), cand...), bounds, candComplete
-	e.absorbed = clearedThrough
-	e.cleared.Store(clearedThrough)
 	c.insert(e)
 	return true
 }
@@ -408,16 +353,11 @@ func (c *Cache) insert(e *Entry) {
 
 // RepairedEntry builds the replacement entry a successful repair swaps in
 // for old: the patched region/result/candidates, a freshly inscribed box,
-// the old entry's unexpanded-subtree bounds and completeness flag, and
-// cleared/absorbed stamps at the repairing mutation's version (the repaired
-// entry is current as of that mutation, so the fence serves it
-// immediately). Recency and hit count carry over when the swap happens
-// (MaintainBatch).
-func RepairedEntry(old *Entry, reg *gir.Region, records, cand []topk.Record, innerLo, innerHi vec.Vector, version int64) *Entry {
+// and the old entry's unexpanded-subtree bounds and completeness flag.
+// Recency and hit count carry over when the swap happens (MaintainBatch).
+func RepairedEntry(old *Entry, reg *gir.Region, records, cand []topk.Record, innerLo, innerHi vec.Vector) *Entry {
 	e := newEntry(reg, records, innerLo, innerHi)
 	e.Cand, e.Bounds, e.candComplete = cand, old.Bounds, old.candComplete
-	e.absorbed = version
-	e.cleared.Store(version)
 	return e
 }
 
@@ -446,20 +386,19 @@ type BatchOutcome struct {
 }
 
 // MaintainBatch runs one maintenance pass over the whole cache for an
-// entire batch of pending mutations: decide is evaluated once per entry of
+// entire ordered batch of mutations: decide is evaluated once per entry of
 // the published view with no lock held (it may solve LPs for every
 // mutation of the batch), then the evictions and replacements are applied
 // by identity to the view current at that point, published as one fresh
 // copy under the writer mutex. Entries inserted or evicted concurrently
-// are simply not considered; the Engine's generation fence covers that
-// window. However long the batch, the cache is scanned once and the mutex
-// is taken at most once. A replacement inherits the old entry's recency
-// stamp and hit count, so a repair never perturbs LRU or hit order.
+// are simply not considered (the Engine admits no fill while it drains).
+// However long the batch, the cache is scanned once and the mutex is taken
+// at most once. A replacement inherits the old entry's recency stamp and
+// hit count, so a repair never perturbs LRU or hit order.
 //
 // Lookups may keep serving a just-replaced old entry from the view they
 // loaded before the swap; that is the same race as serving a just-evicted
-// entry, and the same fence veto suppresses it while the triggering
-// mutations are pending.
+// entry: the lookup raced the write.
 func (c *Cache) MaintainBatch(decide func(*Entry) BatchDecision) BatchOutcome {
 	view := c.load()
 	out := BatchOutcome{Entries: len(view)}
@@ -506,14 +445,11 @@ func (c *Cache) Entries() []*Entry { return slices.Clone(c.load()) }
 // Snapshot is the part of one entry's state warm-cache persistence
 // serializes: what no traversal can rebuild. The repair state (Cand, Bounds,
 // candComplete) is left out — the loader reruns the fill's traversal and
-// hands PutWithBox a fresh one. Version is the entry's maintenance stamp
-// (cleared and absorbed agree whenever the maintenance goroutine is
-// quiescent, which is when snapshots are taken).
+// hands PutWithBox a fresh one.
 type Snapshot struct {
 	Region           *gir.Region
 	Records          []topk.Record
 	InnerLo, InnerHi vec.Vector
-	Version          int64
 }
 
 // LastUse returns the entry's recency stamp on the cache's global clock
@@ -521,17 +457,14 @@ type Snapshot struct {
 // cache keeps the saved LRU order.
 func (e *Entry) LastUse() int64 { return e.lastUse.Load() }
 
-// Snapshot exports the entry's persisted state. Call it only while
-// maintenance is quiescent (the stamp is maintenance-goroutine-owned). It
-// copies nothing: every field it reads is immutable once published — the
-// candidate slice, the one piece later absorbs mutate in place, is not part
-// of it.
+// Snapshot exports the entry's persisted state. It copies nothing: every
+// field it reads is immutable once published — the candidate slice, the
+// one piece later absorbs mutate in place, is not part of it.
 func (e *Entry) Snapshot() Snapshot {
 	return Snapshot{
 		Region:  e.Region,
 		Records: e.Records,
 		InnerLo: e.InnerLo, InnerHi: e.InnerHi,
-		Version: e.ClearedThrough(),
 	}
 }
 

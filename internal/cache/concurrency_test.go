@@ -369,7 +369,7 @@ func TestConcurrentViewWriters(t *testing.T) {
 			case 0:
 				return BatchDecision{Evict: true, Affected: 1}
 			case 1, 2, 3, 4:
-				repl := RepairedEntry(e, e.Region, e.Records, nil, e.InnerLo, e.InnerHi, 0)
+				repl := RepairedEntry(e, e.Region, e.Records, nil, e.InnerLo, e.InnerHi)
 				return BatchDecision{Replace: repl, Affected: 1, Repaired: 1}
 			}
 			return BatchDecision{}

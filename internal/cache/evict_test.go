@@ -4,32 +4,6 @@ import (
 	"testing"
 )
 
-func TestLookupVeto(t *testing.T) {
-	_, q, reg, recs := setup(t, 9, 300, 3, 5)
-	c := New(4)
-	if !c.Put(reg, recs) {
-		t.Fatal("Put failed")
-	}
-	hits0, _, misses0 := c.Stats()
-
-	// A veto makes the entry invisible and counts a miss, not a hit.
-	if _, ok := c.LookupVeto(q, 5, func(*Entry) bool { return true }); ok {
-		t.Fatal("vetoed entry served")
-	}
-	hits1, _, misses1 := c.Stats()
-	if hits1 != hits0 || misses1 != misses0+1 {
-		t.Fatalf("veto accounting: hits %d→%d misses %d→%d", hits0, hits1, misses0, misses1)
-	}
-
-	// A nil veto and a false veto both serve.
-	if _, ok := c.LookupVeto(q, 5, nil); !ok {
-		t.Fatal("nil veto missed")
-	}
-	if _, ok := c.LookupVeto(q, 5, func(*Entry) bool { return false }); !ok {
-		t.Fatal("false veto missed")
-	}
-}
-
 func TestPutComputesInscribedBox(t *testing.T) {
 	_, q, reg, recs := setup(t, 11, 300, 3, 5)
 	c := New(4)

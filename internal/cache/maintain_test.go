@@ -29,12 +29,12 @@ func TestMaintainBatch(t *testing.T) {
 	}
 	keepE, evictE, swapE := olds[0], olds[1], olds[2]
 
-	// The replacement keeps the region but re-stamps records/state, as a
-	// repair would.
+	// The replacement keeps the region but swaps a record, as a repair
+	// would.
 	lo, hi := viz.MAH(swapE.Region, swapE.Region.Query)
 	newRecs := append([]topk.Record(nil), swapE.Records...)
 	newRecs[len(newRecs)-1] = topk.Record{ID: 4242, Point: newRecs[len(newRecs)-1].Point, Score: newRecs[len(newRecs)-1].Score}
-	repl := RepairedEntry(swapE, swapE.Region, newRecs, nil, lo, hi, 17)
+	repl := RepairedEntry(swapE, swapE.Region, newRecs, nil, lo, hi)
 
 	out := c.MaintainBatch(func(e *Entry) BatchDecision {
 		switch e {
@@ -75,9 +75,6 @@ func TestMaintainBatch(t *testing.T) {
 	if got.Records[len(got.Records)-1].ID != 4242 {
 		t.Error("replacement records not served")
 	}
-	if got.ClearedThrough() != 17 || got.AbsorbedThrough() != 17 {
-		t.Errorf("replacement stamps: cleared %d absorbed %d, want 17/17", got.ClearedThrough(), got.AbsorbedThrough())
-	}
 	if got.lastUse.Load() == 0 {
 		t.Error("replacement lost the recency stamp")
 	}
@@ -85,26 +82,26 @@ func TestMaintainBatch(t *testing.T) {
 
 // TestAbsorb pins the candidate-set bookkeeping unaffecting mutations
 // drive: inserts append (until the cap drops completeness), deletes
-// remove, and stamps advance.
+// remove.
 func TestAbsorb(t *testing.T) {
 	e := &Entry{candComplete: true}
-	e.AbsorbInsert(3, topk.Record{ID: 7})
-	e.AbsorbInsert(4, topk.Record{ID: 8})
-	if len(e.Cand) != 2 || e.AbsorbedThrough() != 4 {
-		t.Fatalf("after inserts: %d candidates, absorbed %d", len(e.Cand), e.AbsorbedThrough())
+	e.AbsorbInsert(topk.Record{ID: 7})
+	e.AbsorbInsert(topk.Record{ID: 8})
+	if len(e.Cand) != 2 {
+		t.Fatalf("after inserts: %d candidates", len(e.Cand))
 	}
-	e.AbsorbDelete(5, 7)
-	if len(e.Cand) != 1 || e.Cand[0].ID != 8 || e.AbsorbedThrough() != 5 {
-		t.Fatalf("after delete: %+v, absorbed %d", e.Cand, e.AbsorbedThrough())
+	e.AbsorbDelete(7)
+	if len(e.Cand) != 1 || e.Cand[0].ID != 8 {
+		t.Fatalf("after delete: %+v", e.Cand)
 	}
-	e.AbsorbDelete(6, 99) // absent id: stamp still advances
-	if len(e.Cand) != 1 || e.AbsorbedThrough() != 6 {
-		t.Fatalf("after no-op delete: %d candidates, absorbed %d", len(e.Cand), e.AbsorbedThrough())
+	e.AbsorbDelete(99) // absent id
+	if len(e.Cand) != 1 {
+		t.Fatalf("after no-op delete: %d candidates", len(e.Cand))
 	}
 
 	full := &Entry{candComplete: true, Cand: make([]topk.Record, MaxRetained)}
 	full.Bounds = []vec.Vector{{1, 1}}
-	full.AbsorbInsert(9, topk.Record{ID: 1})
+	full.AbsorbInsert(topk.Record{ID: 1})
 	if full.CandComplete() {
 		t.Error("candidate set over the cap must drop completeness")
 	}

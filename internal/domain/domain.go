@@ -81,9 +81,6 @@ type Domain interface {
 	// Contains reports whether q lies in the domain within tol. The
 	// simplex sum equality uses max(tol, EqTol).
 	Contains(q vec.Vector, tol float64) bool
-	// Interior returns a strictly interior point of the domain (relative
-	// interior for the simplex): the uniform weight vector.
-	Interior() vec.Vector
 	// Normalize maps a nonnegative, nonzero vector onto the domain: the
 	// box clamps coordinates to [0,1]; the simplex divides by the sum.
 	Normalize(q vec.Vector) vec.Vector
@@ -92,10 +89,6 @@ type Domain interface {
 	// space, the half-spaces a region's cone is clipped by. The simplex
 	// equality is represented as its two half-spaces.
 	Halfspaces() []geom.Halfspace
-	// LPConstraints is the domain as internal/lp rows over the ambient
-	// variables, with x ≥ 0 left implicit (the solver enforces it):
-	// x_i ≤ 1 for the box, Σx = 1 for the simplex.
-	LPConstraints() []lp.Constraint
 	// MaximizeLinear maximizes c·x over domain ∩ {cons} on the caller's
 	// solver (a pooled one on the maintenance path; the Solution's X is
 	// the solver's, valid until its next call). The domain guarantees the
@@ -192,14 +185,6 @@ func (b box) Contains(q vec.Vector, tol float64) bool {
 	return true
 }
 
-func (b box) Interior() vec.Vector {
-	c := make(vec.Vector, b.d)
-	for i := range c {
-		c[i] = 0.5
-	}
-	return c
-}
-
 func (b box) Normalize(q vec.Vector) vec.Vector {
 	out := make(vec.Vector, len(q))
 	for i, x := range q {
@@ -209,16 +194,6 @@ func (b box) Normalize(q vec.Vector) vec.Vector {
 }
 
 func (b box) Halfspaces() []geom.Halfspace { return geom.BoxHalfspaces(b.d) }
-
-func (b box) LPConstraints() []lp.Constraint {
-	cons := make([]lp.Constraint, 0, b.d)
-	for i := 0; i < b.d; i++ {
-		row := make([]float64, b.d)
-		row[i] = 1
-		cons = append(cons, lp.Constraint{Coef: row, Op: lp.LE, RHS: 1})
-	}
-	return cons
-}
 
 // MaximizeLinear is lp's box-clipped program on the caller's solver.
 func (b box) MaximizeLinear(s *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
@@ -293,14 +268,8 @@ func (s simplex) Contains(q vec.Vector, tol float64) bool {
 	return sum >= 1-eq && sum <= 1+eq
 }
 
-func (s simplex) Interior() vec.Vector {
-	c := make(vec.Vector, s.d)
-	for i := range c {
-		c[i] = 1 / float64(s.d)
-	}
-	return c
-}
-
+// Normalize divides by the sum of the positive weights; a vector with
+// none maps to the uniform weight vector, the simplex's centre.
 func (s simplex) Normalize(q vec.Vector) vec.Vector {
 	out := make(vec.Vector, len(q))
 	sum := 0.0
@@ -310,7 +279,9 @@ func (s simplex) Normalize(q vec.Vector) vec.Vector {
 		}
 	}
 	if sum <= 0 {
-		copy(out, s.Interior())
+		for i := range out {
+			out[i] = 1 / float64(s.d)
+		}
 		return out
 	}
 	for i, x := range q {
@@ -336,19 +307,15 @@ func (s simplex) Halfspaces() []geom.Halfspace {
 	return append(out, geom.Halfspace{A: ones, B: 1}, geom.Halfspace{A: neg, B: -1})
 }
 
-func (s simplex) LPConstraints() []lp.Constraint {
+// MaximizeLinear adds Σx = 1 to the caller's rows (x ≥ 0 is the solver's).
+func (s simplex) MaximizeLinear(sv *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
 	ones := make([]float64, s.d)
 	for i := range ones {
 		ones[i] = 1
 	}
-	return []lp.Constraint{{Coef: ones, Op: lp.EQ, RHS: 1}}
-}
-
-func (s simplex) MaximizeLinear(sv *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
 	all := make([]lp.Constraint, 0, 1+len(cons))
-	all = append(all, s.LPConstraints()...)
-	all = append(all, cons...)
-	return sv.Maximize(c, all)
+	all = append(all, lp.Constraint{Coef: ones, Op: lp.EQ, RHS: 1})
+	return sv.Maximize(c, append(all, cons...))
 }
 
 // UpperBound over the simplex is attained at a vertex: max_j c_j.

@@ -71,11 +71,13 @@ func TestSimplexContains(t *testing.T) {
 	}
 }
 
+// TestInteriorInsideDomain: Normalize of the zero vector lies in the
+// domain in both spaces (the box's origin, the simplex's centre).
 func TestInteriorInsideDomain(t *testing.T) {
 	for d := 2; d <= 6; d++ {
 		for _, dom := range []Domain{UnitBox(d), Simplex(d)} {
-			if !dom.Contains(dom.Interior(), 0) {
-				t.Errorf("%s(%d): interior point outside the domain", dom.Name(), d)
+			if p := dom.Normalize(make(vec.Vector, d)); !dom.Contains(p, 0) {
+				t.Errorf("%s(%d): Normalize(0) = %v lies outside the domain", dom.Name(), d, p)
 			}
 		}
 	}

@@ -84,8 +84,7 @@ func InsertAffects(reg *gir.Region, recs []topk.Record, p vec.Vector, innerLo, i
 // Region.Shrink screens added half-spaces with). The certificate proves a
 // margin of at most zero, which keeps only an insert that loses a tie.
 // Each filter decides only its own direction; what they leave open falls
-// through to the exact LP, on a pooled scratch (the fence calls this from
-// query goroutines).
+// through to the exact LP, on a pooled scratch.
 func InsertAffectsID(reg *gir.Region, recs []topk.Record, id int64, p vec.Vector, innerLo, innerHi vec.Vector) bool {
 	if reg == nil || len(recs) == 0 {
 		return true // nothing to certify against: evict

@@ -1,16 +1,13 @@
 // Package maintain is the cache-maintenance planner: the single place
 // where the verdict for a cached GIR entry against dataset mutations is
-// decided. It unifies what used to be smeared across the Engine's drainer
-// (per-mutation predicate + absorb), internal/invalidate (the affectedness
-// classifier), internal/repair (in-place patching) and internal/cache
-// (apply mechanics) into one batch pass:
+// decided. The Engine hands it each write as a batch of one, under the
+// write's lock and before the write's version becomes visible; a caller may
+// also drain a longer ordered batch in one pass:
 //
-//	pop ALL pending mutations → for every cached entry, walk the batch in
-//	version order through one verdict chain:
+//	for every cached entry, walk the batch in version order through one
+//	verdict chain:
 //
-//	  unaffected → absorb the mutation into the entry's candidate set
-//	               (stamps are raised ONCE per entry at the end of the
-//	               chain, not once per mutation);
+//	  unaffected → absorb the mutation into the entry's candidate set;
 //	  affected   → repair in place when a sound closed-form patch exists
 //	               (Repair mode); the repaired view — not yet committed to
 //	               the cache — keeps being checked against the REST of the
@@ -19,17 +16,11 @@
 //	  else       → evict, short-circuiting the remaining mutations for
 //	               this entry.
 //
-// A drain pass over a burst of B mutations therefore performs exactly one
-// cache scan, at most one acquisition of the cache's writer mutex, and at
-// most one stamp raise per entry, instead of B of each. Outcome counters are
-// per (mutation, entry) events, so the caller's per-mutation accounting
-// (Affected == Repaired + Invalidated) is reconstructed exactly from
-// batch outcomes.
-//
-// The same planner powers the Engine's lookup fence: a candidate cache hit
-// taken while mutations are pending is vetoed by one batched predicate
-// over the whole pending window (FenceAffected) instead of a per-mutation
-// loop of LP calls.
+// A drain pass over a batch of B mutations therefore performs exactly one
+// cache scan and at most one acquisition of the cache's writer mutex,
+// instead of B of each. Outcome counters are per (mutation, entry) events,
+// so the caller's per-mutation accounting (Affected == Repaired +
+// Invalidated) is reconstructed exactly from batch outcomes.
 package maintain
 
 import (
@@ -45,9 +36,8 @@ import (
 )
 
 // Mutation is one dataset write, in the order the writes were applied —
-// the one record of it from the dataset's apply path and log through the
-// engine's pending window to the planner. Version is the dataset version
-// the mutation produced.
+// the one record of it from the dataset's apply path and log to the
+// planner. Version is the dataset version the mutation produced.
 type Mutation struct {
 	Version int64
 	Insert  bool
@@ -57,32 +47,30 @@ type Mutation struct {
 
 // Outcome reports what one drain pass did. Affected, Repaired and Evicted
 // count (mutation, entry) events credited by the cache apply step, so
-// Affected == Repaired + Evicted holds exactly; Scans, StampRaises and
-// Predicates are the batching economics the planner exists to improve.
+// Affected == Repaired + Evicted holds exactly; Scans and Predicates are
+// the batching economics.
 type Outcome struct {
-	Entries     int   // cached entries the pass considered
-	Scans       int   // full cache scans (always 1 per pass)
-	Affected    int   // (mutation, entry) pairs where the mutation could perturb the entry
-	Repaired    int   // affect events resolved by an in-place patch
-	Evicted     int   // entries removed (≤ 1 per entry per pass)
-	StampRaises int   // per-entry stamp raises (≤ Entries: one per surviving entry)
-	Predicates  int64 // affectedness predicate evaluations this pass
+	Entries    int   // cached entries the pass considered
+	Scans      int   // full cache scans (always 1 per pass)
+	Affected   int   // (mutation, entry) pairs where the mutation could perturb the entry
+	Repaired   int   // affect events resolved by an in-place patch
+	Evicted    int   // entries removed (≤ 1 per entry per pass)
+	Predicates int64 // affectedness predicate evaluations this pass
 }
 
 // Planner holds the maintenance policy and its cumulative counters. The
 // zero value is an evict-only planner; set Repair for
-// repair-instead-of-evict. Drain must not run concurrently with itself
-// (single maintenance goroutine, exactly as the cache's entry ownership
-// rules require); FenceAffected may run from any number of goroutines.
+// repair-instead-of-evict. Drain must not run concurrently with itself, as
+// the cache's entry ownership rules require; the Engine's writers are
+// serialized by the dataset's lock.
 type Planner struct {
 	Repair bool
 
-	predicates atomic.Int64 // every affectedness evaluation (drain + fence)
+	predicates atomic.Int64 // every affectedness evaluation
 }
 
 // Predicates returns the cumulative number of affectedness predicate
-// evaluations (closed-form filters + LP fallback) the planner has run,
-// across drain passes and fence checks.
+// evaluations (closed-form filters + LP fallback) the planner has run.
 func (p *Planner) Predicates() int64 { return p.predicates.Load() }
 
 // Drain reconciles the cache with an ordered mutation batch in one pass.
@@ -106,25 +94,15 @@ func (p *Planner) Drain(c *cache.Cache, batch []Mutation) Outcome {
 // planEntry walks one entry through the batch — the unified verdict chain.
 // cur is the entry's current view: the live entry at first, then any
 // uncommitted repaired replacement; absorbs mutate the view in place
-// (live-entry Cand/Bounds are maintenance-goroutine-owned, lookups never
-// read them) and only the final view is committed.
+// (live-entry Cand/Bounds are drainer-owned, lookups never read them) and
+// only the final view is committed.
 func (p *Planner) planEntry(entry *cache.Entry, batch []Mutation, out *Outcome) cache.BatchDecision {
 	cur := entry
 	affected, repairs := 0, 0
 	for _, m := range batch {
-		// A fence check may already have proven this mutation unaffecting
-		// (cleared stamps are raised contiguously), but the absorb below
-		// must still happen if the drainer has not folded it in yet.
-		known := cur.ClearedThrough() >= m.Version
-		affects := false
-		if !known {
-			out.Predicates++
-			affects = p.affects(m, cur)
-		}
-		if !affects {
-			if cur.AbsorbedThrough() < m.Version {
-				absorb(cur, m)
-			}
+		out.Predicates++
+		if !p.affects(m, cur) {
+			absorb(cur, m)
 			continue
 		}
 		affected++
@@ -138,46 +116,10 @@ func (p *Planner) planEntry(entry *cache.Entry, batch []Mutation, out *Outcome) 
 		// No sound repair: evict, short-circuiting the remaining mutations.
 		return cache.BatchDecision{Evict: true, Affected: affected, Repaired: repairs}
 	}
-	// The entry survives the whole batch: one stamp raise marks every
-	// mutation reconciled. (Repaired views were constructed with
-	// stamps at their repairing mutation's version; the raise completes
-	// them through the batch maximum.)
-	if maxV := batch[len(batch)-1].Version; cur.ClearedThrough() < maxV || cur.AbsorbedThrough() < maxV {
-		cur.RaiseStamps(maxV)
-		out.StampRaises++
-	}
 	if cur == entry {
 		return cache.BatchDecision{}
 	}
 	return cache.BatchDecision{Replace: cur, Affected: affected, Repaired: repairs}
-}
-
-// FenceAffected is the lookup-fence predicate: it reports whether ANY
-// mutation of the pending window can perturb the entry, walking the window
-// in version order and raising the entry's cleared stamp over the
-// unaffecting prefix (one raise, only when the prefix advanced it) so the
-// pair is never re-evaluated — by later fence checks or by the drain pass
-// itself. Unlike Drain it never absorbs: candidate-set bookkeeping belongs
-// to the maintenance goroutine alone, and FenceAffected runs on query
-// goroutines.
-func (p *Planner) FenceAffected(e *cache.Entry, pending []Mutation) bool {
-	clearedTo := int64(0)
-	for _, m := range pending {
-		if e.ClearedThrough() >= m.Version {
-			continue
-		}
-		if p.affects(m, e) {
-			if clearedTo > 0 {
-				e.RaiseCleared(clearedTo)
-			}
-			return true
-		}
-		clearedTo = m.Version
-	}
-	if clearedTo > 0 {
-		e.RaiseCleared(clearedTo)
-	}
-	return false
 }
 
 // affects runs the affectedness classifier for one (mutation, entry) pair
@@ -191,26 +133,24 @@ func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 }
 
 // absorb folds an unaffecting mutation into the entry view's candidate
-// set WITHOUT raising the absorbed stamp (the chain raises once at the
-// end): an inserted record becomes a promotion candidate, a deleted one
+// set: an inserted record becomes a promotion candidate, a deleted one
 // stops being one. Without this, a later delete-repair could promote a
 // ghost or miss a better candidate.
 func absorb(e *cache.Entry, m Mutation) {
 	if m.Insert {
-		e.AbsorbInsert(e.AbsorbedThrough(), topk.Record{
+		e.AbsorbInsert(topk.Record{
 			ID:    m.ID,
 			Point: m.Point,
 			Score: score.Linear{}.Score(m.Point, e.Region.Query),
 		})
 	} else {
-		e.AbsorbDelete(e.AbsorbedThrough(), m.ID)
+		e.AbsorbDelete(m.ID)
 	}
 }
 
 // repairedView runs the repair analysis for one affected entry view and
-// builds its (uncommitted) replacement, stamped at the repairing
-// mutation's version, or returns nil when no sound closed-form repair
-// exists and the chain must evict.
+// builds its (uncommitted) replacement, or returns nil when no sound
+// closed-form repair exists and the chain must evict.
 func repairedView(e *cache.Entry, m Mutation) *cache.Entry {
 	re := repair.Entry{
 		Region: e.Region, Records: e.Records,
@@ -231,5 +171,5 @@ func repairedView(e *cache.Entry, m Mutation) *cache.Entry {
 		return nil
 	}
 	lo, hi := viz.MAH(rp.Region, rp.Region.Query)
-	return cache.RepairedEntry(e, rp.Region, rp.Records, rp.Cand, lo, hi, m.Version)
+	return cache.RepairedEntry(e, rp.Region, rp.Records, rp.Cand, lo, hi)
 }

@@ -16,7 +16,7 @@ import (
 
 // fill computes one cacheable entry — result, region, inscribed box and
 // full retained repair state — and puts it into c.
-func fill(t *testing.T, tree *rtree.Tree, c *cache.Cache, q vec.Vector, k int, version int64) {
+func fill(t *testing.T, tree *rtree.Tree, c *cache.Cache, q vec.Vector, k int) {
 	t.Helper()
 	res := topk.BRS(tree, score.Linear{}, q, k)
 	cand := append([]topk.Record(nil), res.T...)
@@ -31,14 +31,14 @@ func fill(t *testing.T, tree *rtree.Tree, c *cache.Cache, q vec.Vector, k int, v
 		t.Fatal(err)
 	}
 	lo, hi := viz.MAH(reg, reg.Query)
-	if !c.PutWithBox(reg, res.Records, lo, hi, cand, bounds, true, version) {
+	if !c.PutWithBox(reg, res.Records, lo, hi, cand, bounds, true, 0) {
 		t.Fatal("PutWithBox failed")
 	}
 }
 
 // setup builds a tree plus a cache holding entries for `queries` random
 // query vectors.
-func setup(t *testing.T, seed int64, n, d, k, queries int, version int64) (*rtree.Tree, *cache.Cache, []vec.Vector) {
+func setup(t *testing.T, seed int64, n, d, k, queries int) (*rtree.Tree, *cache.Cache, []vec.Vector) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	pts := make([]vec.Vector, n)
@@ -57,16 +57,16 @@ func setup(t *testing.T, seed int64, n, d, k, queries int, version int64) (*rtre
 			q[j] = 0.2 + 0.7*r.Float64()
 		}
 		qs[i] = q
-		fill(t, tree, c, q, k, version)
+		fill(t, tree, c, q, k)
 	}
 	return tree, c, qs
 }
 
 // TestDrainBulkAbsorb: a batch of unaffecting inserts is folded into every
-// entry's candidate set in one pass — one scan, one stamp raise per entry,
-// no affect events — and the stamps land on the batch maximum.
+// entry's candidate set in one pass — one scan, every (mutation, entry)
+// pair evaluated once, no affect events.
 func TestDrainBulkAbsorb(t *testing.T) {
-	_, c, _ := setup(t, 1, 300, 3, 5, 4, 0)
+	_, c, _ := setup(t, 1, 300, 3, 5, 4)
 	const b = 8
 	batch := make([]Mutation, b)
 	for i := range batch {
@@ -85,9 +85,6 @@ func TestDrainBulkAbsorb(t *testing.T) {
 	if out.Entries != 4 {
 		t.Fatalf("Entries = %d, want 4", out.Entries)
 	}
-	if out.StampRaises != out.Entries {
-		t.Fatalf("StampRaises = %d, want one per entry (%d)", out.StampRaises, out.Entries)
-	}
 	if out.Predicates != int64(b*out.Entries) {
 		t.Fatalf("Predicates = %d, want %d (every (mutation, entry) pair once)", out.Predicates, b*out.Entries)
 	}
@@ -95,15 +92,6 @@ func TestDrainBulkAbsorb(t *testing.T) {
 		if got := len(e.Cand) - countBaseCand(e, 9000); got != b {
 			t.Fatalf("entry absorbed %d of %d inserts", got, b)
 		}
-		if e.AbsorbedThrough() != b || e.ClearedThrough() != b {
-			t.Fatalf("stamps = (%d, %d), want (%d, %d)", e.ClearedThrough(), e.AbsorbedThrough(), b, b)
-		}
-	}
-
-	// Re-draining the same batch is a no-op: stamps gate every pair.
-	out2 := p.Drain(c, batch)
-	if out2.Predicates != 0 || out2.StampRaises != 0 {
-		t.Fatalf("re-drain re-evaluated: %+v", out2)
 	}
 }
 
@@ -120,7 +108,7 @@ func countBaseCand(e *cache.Entry, churnBase int64) int {
 // TestDrainEvictShortCircuits: once a mutation evicts an entry, the rest
 // of the batch is never evaluated against it.
 func TestDrainEvictShortCircuits(t *testing.T) {
-	_, c, _ := setup(t, 2, 300, 3, 5, 1, 0)
+	_, c, _ := setup(t, 2, 300, 3, 5, 1)
 	batch := []Mutation{
 		{Version: 1, Insert: true, ID: 9001, Point: vec.Vector{0.999, 0.999, 0.999}}, // beats every result everywhere
 		{Version: 2, Insert: true, ID: 9002, Point: vec.Vector{0.5, 0.5, 0.5}},
@@ -141,11 +129,11 @@ func TestDrainEvictShortCircuits(t *testing.T) {
 
 // TestDrainRepairChain: one batch whose mutations affect the same entry
 // twice commits a single replacement carrying both repairs, with the same
-// final state (records, region constraints, candidates, stamps) as
+// final state (records, region constraints, candidates) as
 // draining the mutations one pass at a time.
 func TestDrainRepairChain(t *testing.T) {
-	tree, c, qs := setup(t, 3, 400, 3, 6, 1, 0)
-	_, cSeq, _ := setup(t, 3, 400, 3, 6, 1, 0)
+	tree, c, qs := setup(t, 3, 400, 3, 6, 1)
+	_, cSeq, _ := setup(t, 3, 400, 3, 6, 1)
 
 	// Delete the entry's 6th and then 5th result record: each delete is
 	// repairable by candidate promotion, and the second verdict must be
@@ -190,10 +178,6 @@ func TestDrainRepairChain(t *testing.T) {
 	if len(got.Region.Constraints) != len(seq.Region.Constraints) {
 		t.Fatalf("region constraint counts differ: %d vs %d", len(got.Region.Constraints), len(seq.Region.Constraints))
 	}
-	if got.ClearedThrough() != seq.ClearedThrough() || got.AbsorbedThrough() != seq.AbsorbedThrough() {
-		t.Fatalf("stamps differ: (%d,%d) vs (%d,%d)",
-			got.ClearedThrough(), got.AbsorbedThrough(), seq.ClearedThrough(), seq.AbsorbedThrough())
-	}
 
 	// The repaired entry still matches a fresh recompute.
 	res := topk.BRS(tree, score.Linear{}, qs[0], 6)
@@ -218,60 +202,11 @@ func ids(recs []topk.Record) []int64 {
 	return out
 }
 
-// TestFenceAffected: the batched fence predicate clears the unaffecting
-// prefix with one stamp raise, vetoes on the first affecting mutation, and
-// never re-evaluates cleared pairs.
-func TestFenceAffected(t *testing.T) {
-	_, c, _ := setup(t, 4, 300, 3, 5, 1, 0)
-	e := c.Entries()[0]
-	pendingOK := []Mutation{
-		{Version: 1, Insert: true, ID: 9001, Point: vec.Vector{0.01, 0.02, 0.01}},
-		{Version: 2, Insert: true, ID: 9002, Point: vec.Vector{0.02, 0.01, 0.01}},
-	}
-	var p Planner
-	if p.FenceAffected(e, pendingOK) {
-		t.Fatal("unaffecting window vetoed the entry")
-	}
-	if e.ClearedThrough() != 2 {
-		t.Fatalf("cleared = %d, want 2 (prefix raise)", e.ClearedThrough())
-	}
-	base := p.Predicates()
-	if p.FenceAffected(e, pendingOK) {
-		t.Fatal("vetoed on re-check")
-	}
-	if p.Predicates() != base {
-		t.Fatal("cleared pairs were re-evaluated")
-	}
-
-	pendingBad := append(append([]Mutation(nil), pendingOK...),
-		Mutation{Version: 3, Insert: true, ID: 9003, Point: vec.Vector{0.999, 0.999, 0.999}})
-	if !p.FenceAffected(e, pendingBad) {
-		t.Fatal("affecting window not vetoed")
-	}
-	if p.Predicates() != base+1 {
-		t.Fatalf("expected exactly one new predicate evaluation, got %d", p.Predicates()-base)
-	}
-
-	// The drainer still absorbs mutations the fence cleared: candidate
-	// bookkeeping is not the fence's job.
-	before := len(e.Cand)
-	out := p.Drain(c, pendingOK)
-	if out.Predicates != 0 {
-		t.Fatalf("drain re-evaluated fence-cleared pairs: %+v", out)
-	}
-	if len(c.Entries()[0].Cand) != before+2 {
-		t.Fatal("fence-cleared mutations were not absorbed by the drain")
-	}
-	if got := c.Entries()[0].AbsorbedThrough(); got != 2 {
-		t.Fatalf("absorbed = %d, want 2", got)
-	}
-}
-
 // TestDrainRepairThenEvict: a repair mid-chain followed by an
 // unrepairable mutation evicts the ORIGINAL entry and credits the whole
 // chain (affected = repairs + 1).
 func TestDrainRepairThenEvict(t *testing.T) {
-	_, c, _ := setup(t, 5, 400, 3, 6, 1, 0)
+	_, c, _ := setup(t, 5, 400, 3, 6, 1)
 	e := c.Entries()[0]
 	last := e.Records[5]
 	batch := []Mutation{

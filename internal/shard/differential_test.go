@@ -16,8 +16,8 @@ import (
 // synchronously — the coordinator acknowledges the owning partition's
 // mutation before the next operation issues — so the oracle's state IS
 // the cut every following query must be served at-or-past; any stale
-// cache serve (a fence bug, a missed invalidation, a version-vector
-// regression) surfaces as a byte diff. Run under -race, the scatter
+// cache serve (a missed invalidation, a drain behind its write, a
+// version-vector regression) surfaces as a byte diff. Run under -race, the scatter
 // fan-out also exercises the cross-partition concurrency.
 func TestShardedChurnDifferential(t *testing.T) {
 	steps := 10000
@@ -85,8 +85,8 @@ func runShardDifferential(t *testing.T, space gir.Space, parts, n, d, distinct, 
 		}
 	}
 	// The tier must have genuinely served from cache under this stream —
-	// a silently cache-less differential would prove nothing about fence
-	// or maintenance correctness.
+	// a silently cache-less differential would prove nothing about
+	// maintenance correctness.
 	if st := c.Stats(); st.Aggregate.CacheHits == 0 {
 		t.Fatal("differential stream never hit the cache")
 	}

@@ -18,9 +18,9 @@ type Result struct {
 
 // TopK answers one global top-k query by scatter/gather: every partition
 // computes its local top-min(k, |partition|) through its Engine (cache,
-// single-flight and generation fence all apply per partition), and the
-// gathered union is merged with the deterministic (score desc, id asc)
-// tiebreak. The result is record-for-record identical to a single-engine
+// single-flight and write-time reconciliation all apply per partition),
+// and the gathered union is merged with the deterministic (score desc, id
+// asc) tiebreak. The result is record-for-record identical to a single-engine
 // TopK over the union dataset: each partition's local list is exactly the
 // global order restricted to its records (scores are computed by the same
 // bit-equal dot product everywhere), so the k-prefix of the merged union

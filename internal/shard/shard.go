@@ -8,8 +8,8 @@
 // set of independent per-partition sequences; the vector of dataset
 // versions (v_1 … v_N) read at issue time is the consistency cut a
 // lookup is served against. No new machinery enforces it: each
-// partition's Engine already guarantees — via its generation fence
-// (Planner.FenceAffected, reused unchanged) — that a served result
+// partition's Engine already guarantees — a write reconciles its cache
+// before the write's version becomes visible — that a served result
 // reflects at least the partition's version at the moment the query was
 // issued. Versions only advance, so a scatter issued after reading the
 // vector is served with every partition at-or-past its coordinate;
@@ -133,23 +133,14 @@ type VersionVector []int64
 
 // Versions reads the current version vector. A query scattered after this
 // read is served with every partition at-or-past its coordinate (each
-// Engine's generation fence enforces the per-partition half; versions
-// only advance).
+// Engine's write-time reconciliation enforces the per-partition half;
+// versions only advance).
 func (c *Coordinator) Versions() VersionVector {
 	v := make(VersionVector, len(c.parts))
 	for i := range c.parts {
 		v[i] = c.parts[i].ds.Version()
 	}
 	return v
-}
-
-// Quiesce blocks until every partition's cache is reconciled with every
-// mutation published so far (all generation fences down). Serving never
-// requires it; tests and benchmarks use it for deterministic counters.
-func (c *Coordinator) Quiesce() {
-	for i := range c.parts {
-		c.parts[i].eng.Quiesce()
-	}
 }
 
 // Close shuts down every partition's Engine and Dataset. The first error
@@ -167,14 +158,13 @@ func (c *Coordinator) Close() error {
 
 // PartitionStats is one partition's slice of a Stats read.
 type PartitionStats struct {
-	Part       int
-	Records    int
-	Version    int64
-	Reconciled int64
-	CacheLen   int
-	CacheCap   int
-	Lookups    int64 // cache lookups (hits + partial + misses)
-	Engine     gir.EngineStats
+	Part     int
+	Records  int
+	Version  int64
+	CacheLen int
+	CacheCap int
+	Lookups  int64 // cache lookups (hits + partial + misses)
+	Engine   gir.EngineStats
 }
 
 // Stats aggregates the tier: per-partition engine counters plus the skew
@@ -182,7 +172,7 @@ type PartitionStats struct {
 // across partitions (1.0 = perfectly even).
 type Stats struct {
 	Parts      []PartitionStats
-	Aggregate  gir.EngineStats // counter sums; Version/Reconciled hold the vector's minima
+	Aggregate  gir.EngineStats // counter sums; Version holds the vector's minimum
 	RecordSkew float64
 	LookupSkew float64
 }
@@ -194,12 +184,11 @@ func (c *Coordinator) Stats() Stats {
 	for i := range c.parts {
 		es := c.parts[i].eng.Stats()
 		ps := PartitionStats{
-			Part:       i,
-			Records:    c.parts[i].ds.Len(),
-			Version:    es.Version,
-			Reconciled: es.Reconciled,
-			Lookups:    es.CacheHits + es.PartialHits + es.Misses,
-			Engine:     es,
+			Part:    i,
+			Records: c.parts[i].ds.Len(),
+			Version: es.Version,
+			Lookups: es.CacheHits + es.PartialHits + es.Misses,
+			Engine:  es,
 		}
 		if cache := c.parts[i].eng.Cache(); cache != nil {
 			ps.CacheLen, ps.CacheCap = cache.Len(), cache.Capacity()
@@ -214,20 +203,13 @@ func (c *Coordinator) Stats() Stats {
 		st.Aggregate.Affected += es.Affected
 		st.Aggregate.Repaired += es.Repaired
 		st.Aggregate.Invalidated += es.Invalidated
-		st.Aggregate.Fenced += es.Fenced
 		st.Aggregate.CacheProbes += es.CacheProbes
-		st.Aggregate.DrainPasses += es.DrainPasses
-		st.Aggregate.DrainedMutations += es.DrainedMutations
 		st.Aggregate.PredicateEvals += es.PredicateEvals
-		st.Aggregate.FenceOpen += es.FenceOpen
 		st.Aggregate.FusedGroups += es.FusedGroups
 		st.Aggregate.FusedQueries += es.FusedQueries
 		st.Aggregate.SharedPageReads += es.SharedPageReads
 		if i == 0 || es.Version < st.Aggregate.Version {
 			st.Aggregate.Version = es.Version
-		}
-		if i == 0 || es.Reconciled < st.Aggregate.Reconciled {
-			st.Aggregate.Reconciled = es.Reconciled
 		}
 
 		recSum += float64(ps.Records)

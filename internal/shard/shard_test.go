@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	gir "github.com/girlib/gir"
 )
@@ -227,8 +226,8 @@ func TestStatsAggregatesAndSkew(t *testing.T) {
 		if ps.CacheCap == 0 {
 			t.Fatalf("partition %d reports zero cache capacity", ps.Part)
 		}
-		if ps.Version != 0 || ps.Reconciled != 0 {
-			t.Fatalf("unwritten partition %d reports version %d/%d", ps.Part, ps.Version, ps.Reconciled)
+		if ps.Version != 0 {
+			t.Fatalf("unwritten partition %d reports version %d", ps.Part, ps.Version)
 		}
 	}
 	if st.Aggregate.CacheHits != hits || st.Aggregate.Misses != misses {
@@ -261,8 +260,7 @@ func TestStatsAggregatesAndSkew(t *testing.T) {
 // TestStatsAggregateSumsEveryCounter holds Stats().Aggregate to its
 // definition field by field, found by reflection so a counter added to
 // gir.EngineStats later cannot be left out of the sum silently: every int64
-// and time.Duration counter is the sum over Parts, and Version/Reconciled
-// are the minima.
+// counter is the sum over Parts, and Version is the minimum.
 func TestStatsAggregateSumsEveryCounter(t *testing.T) {
 	points := genPoints(4, 400, 3)
 	c, err := New(points, Options{Parts: 2})
@@ -284,11 +282,10 @@ func TestStatsAggregateSumsEveryCounter(t *testing.T) {
 	}
 	st := c.Stats()
 	agg := reflect.ValueOf(st.Aggregate)
-	durationType := reflect.TypeOf(time.Duration(0))
 	counters := 0
 	for f := 0; f < agg.NumField(); f++ {
 		field := agg.Type().Field(f)
-		if field.Type.Kind() != reflect.Int64 && field.Type != durationType {
+		if field.Type.Kind() != reflect.Int64 {
 			continue
 		}
 		var sum, least int64
@@ -300,7 +297,7 @@ func TestStatsAggregateSumsEveryCounter(t *testing.T) {
 			}
 		}
 		want := sum
-		if field.Name == "Version" || field.Name == "Reconciled" {
+		if field.Name == "Version" {
 			want = least
 		} else {
 			counters++

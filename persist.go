@@ -102,10 +102,11 @@ var cacheCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // writeCacheSnapshot encodes and atomically writes a warm-cache snapshot:
 // magic, CRC32C of everything after it, then dimension, query space, the
-// dataset version the entries are reconciled with, and the entries. The
-// entries stream through one fixed chunk (pager.SumWriter) and the checksum
-// is patched into the header once known — the temp file is not visible at
-// path until the rename — so saving costs no buffer the size of the cache.
+// dataset version the entries are reconciled with, and the entries, each
+// stamped with that version. The entries stream through one fixed chunk
+// (pager.SumWriter) and the checksum is patched into the header once known
+// — the temp file is not visible at path until the rename — so saving
+// costs no buffer the size of the cache.
 func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps []cacheint.Snapshot) error {
 	return pager.AtomicWriteFile(path, func(f *os.File) error {
 		var head [12]byte
@@ -119,7 +120,7 @@ func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps 
 		w.U64(uint64(version))
 		w.U32(uint32(len(snaps)))
 		for i := range snaps {
-			encodeCacheEntry(w, &snaps[i])
+			encodeCacheEntry(w, &snaps[i], version)
 		}
 		sum, err := w.Sum()
 		if err != nil {
@@ -131,29 +132,17 @@ func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps 
 	})
 }
 
-// snapshotCacheQuiesced captures every cache entry in recency order at a
-// moment when no mutation is pending and none can be published: it waits
-// for the drain queue to empty while holding the fill lock — the same
-// lock mutation publishing and drain-pass completion run under — and
-// snapshots inside that critical section. A drain pass only exists while
-// its batch is in pending, so an empty queue under invMu means the
-// maintenance goroutine is idle and every stamp read is final. Writers that
-// arrive meanwhile block on publishing, as they do behind a fill commit.
-// The returned version is the dataset version the entries are exactly
-// reconciled with (no publish can complete while invMu is held, so the
-// read is stable). If the engine was Closed with mutations still queued,
-// the drainer is gone and the cache can never catch up: that is an error,
-// not a snapshot of stale entries.
-func (e *Engine) snapshotCacheQuiesced() ([]cacheint.Snapshot, int64, error) {
-	e.invMu.Lock()
-	defer e.invMu.Unlock()
-	for len(e.pending) > 0 && !e.closed {
-		e.invCond.Wait()
-	}
-	if n := len(e.pending); n > 0 {
-		return nil, 0, fmt.Errorf("gir: engine closed with %d mutations unreconciled — the cache is stale and was not saved", n)
-	}
+// snapshotCacheLocked captures every cache entry in recency order, and the
+// dataset version they are reconciled with; the caller holds ds.mu
+// exclusively, so no write, and with it no drain, can run meanwhile. A write
+// always reconciles the cache before it returns, except after Close: the
+// engine then no longer follows the dataset, and a cache behind the dataset
+// is an error, not a snapshot of stale entries.
+func (e *Engine) snapshotCacheLocked() ([]cacheint.Snapshot, int64, error) {
 	version := e.ds.Version()
+	if e.applied < version { // every write to applied holds ds.mu
+		return nil, 0, fmt.Errorf("gir: engine closed at version %d, dataset written through %d — the cache is stale and was not saved", e.applied, version)
+	}
 	entries := e.cache.inner.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].LastUse() < entries[j].LastUse() })
 	snaps := make([]cacheint.Snapshot, len(entries))
@@ -164,7 +153,7 @@ func (e *Engine) snapshotCacheQuiesced() ([]cacheint.Snapshot, int64, error) {
 }
 
 // loadCache restores the warm cache Engine.Checkpoint wrote to path into
-// the engine's cache, stamping every entry at the current dataset version;
+// the engine's cache, reconciled with the current dataset version;
 // RecoverEngine is its one caller. The snapshot must record exactly version,
 // the dataset version of the recovered snapshot state: a mismatch is the
 // signature of a checkpoint that crashed between its two file writes and
@@ -223,7 +212,7 @@ func (e *Engine) loadCache(path string, version int64) error {
 		if err != nil {
 			return fmt.Errorf("gir: %s entry %d does not fit the dataset: %w", path, i, err)
 		}
-		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, cand, bounds, ok, sn.version)
+		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, cand, bounds, ok, 0)
 	}
 	if dec.err != nil {
 		return fmt.Errorf("gir: loading cache from %s: %w", path, dec.err)
@@ -258,7 +247,10 @@ func encodeBool(w *pager.SumWriter, v bool) {
 	w.U8(b)
 }
 
-func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot) {
+// encodeCacheEntry writes one entry; version fills the entry's stamp slot,
+// which a loader reads past (every entry is reconciled with the file's
+// version).
+func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot, version int64) {
 	encodeVec(w, s.Region.Query)
 	encodeBool(w, s.Region.OrderSensitive)
 	w.U32(uint32(len(s.Region.Constraints)))
@@ -271,7 +263,7 @@ func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot) {
 	encodeRecs(w, s.Records)
 	encodeVec(w, s.InnerLo)
 	encodeVec(w, s.InnerHi)
-	w.U64(uint64(s.Version))
+	w.U64(uint64(version))
 }
 
 // cacheDecoder reads what encodeCacheEntry and writeCacheSnapshot write.
@@ -374,6 +366,6 @@ func (d *cacheDecoder) entry(dim int, dom domain.Domain) cacheint.Snapshot {
 	}
 	s.InnerLo = d.dimVec(dim, "inscribed-box corner")
 	s.InnerHi = d.dimVec(dim, "inscribed-box corner")
-	s.Version = d.i64()
+	d.i64() // the entry's stamp: the file's version
 	return s
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	cacheint "github.com/girlib/gir/internal/cache"
-	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
@@ -115,7 +114,6 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	if ok, err := ds2.Delete(victim.ID, victim.Attrs); err != nil || !ok {
 		t.Fatalf("victim record missing from the restarted dataset: %v, %v", ok, err)
 	}
-	e2.Quiesce()
 	if got := e2.Stats().Repaired; got < 1 {
 		t.Fatalf("post-restart delete was not repaired (repaired=%d) — retained repair state was lost", got)
 	}
@@ -361,44 +359,70 @@ func refreshCacheCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[8:], crc32.Checksum(data[12:], cacheCRC))
 }
 
-// TestCheckpointAfterCloseWithPending pins the snapshotCacheQuiesced
-// contract: an engine Closed while mutations were still queued has lost
-// its drainer — the cache can never be reconciled — so Engine.Checkpoint
-// must refuse with an error naming the backlog instead of persisting stale
-// entries, and write neither file of the pair. The state is staged
-// directly (closed flag + queued mutations) because losing that race to a
-// real Close is timing-dependent.
-func TestCheckpointAfterCloseWithPending(t *testing.T) {
+// TestCheckpointAfterCloseThenWriteRefused: a Closed engine no longer
+// follows its dataset, so after Close and a write its cache is behind the
+// dataset. Engine.Checkpoint must refuse rather than save entries stamped
+// with a version they do not hold, and write neither file of the pair; a
+// recovery of the dataset alone then serves the write, cold. A Close with
+// no later write still checkpoints, and its cache recovers warm.
+func TestCheckpointAfterCloseThenWriteRefused(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	points := make([][]float64, 300)
 	for i := range points {
 		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
 	}
-	ds, err := NewDataset(points)
-	if err != nil {
+	q := []float64{0.4, 0.5, 0.6}
+	fresh := func() (*Dataset, *Engine) {
+		ds, err := NewDataset(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ds, EngineOptions{})
+		if res := e.TopK(q, 4); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		e.Close()
+		return ds, e
+	}
+	recovered := func(dir string) EngineResult {
+		ds, e, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		defer e.Close()
+		return e.TopK(q, 4)
+	}
+
+	ds, e := fresh()
+	dir := t.TempDir()
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatalf("a Close with no later write must still checkpoint: %v", err)
+	}
+	if res := recovered(dir); !res.CacheHit {
+		t.Error("the checkpointed cache did not recover warm")
+	}
+
+	ds, e = fresh()
+	const top = 999 // outranks every record for q
+	if err := ds.Insert(top, []float64{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{})
-	if res := e.TopK([]float64{0.4, 0.5, 0.6}, 4); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	e.Close()
-	e.invMu.Lock()
-	e.pending = append(e.pending, maintain.Mutation{Version: ds.Version() + 1, Insert: true, ID: 999, Point: []float64{0.1, 0.2, 0.3}})
-	e.invMu.Unlock()
-
-	dir := t.TempDir()
-	err = e.Checkpoint(dir)
-	if err == nil {
-		t.Fatal("Checkpoint persisted a cache with unreconciled mutations")
-	}
-	if !strings.Contains(err.Error(), "1 mutation") {
-		t.Errorf("error should name the unreconciled backlog, got: %v", err)
+	dir = t.TempDir()
+	err := e.Checkpoint(dir)
+	if err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Fatalf("Checkpoint after Close and a write: got %v, want a refusal naming the stale cache", err)
 	}
 	for _, name := range []string{cacheSnapName, datasetSnapName} {
 		if _, statErr := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(statErr) {
 			t.Errorf("%s was written despite the error", name)
 		}
+	}
+	if err := ds.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	if res := recovered(dir); res.Err != nil || res.CacheHit || res.Records[0].ID != top {
+		t.Errorf("recovered TopK: hit %v, ids %v (%v); want a miss led by %d", res.CacheHit, idsOf(res.Records), res.Err, top)
 	}
 }
 
@@ -472,7 +496,7 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 // replaced — every field through its own little write into one payload
 // buffer, checksummed whole — kept here as the reference the GIRWARM4 bytes
 // are compared against: per entry query, order flag, constraints, records,
-// inscribed box and stamp, and no repair state.
+// inscribed box and stamp (the header's version), and no repair state.
 type refCacheEncoder struct{ buf bytes.Buffer }
 
 func (e *refCacheEncoder) u32(v uint32) { binary.Write(&e.buf, binary.LittleEndian, v) }
@@ -502,7 +526,7 @@ func (e *refCacheEncoder) bool(v bool) {
 	}
 }
 
-func (e *refCacheEncoder) entry(s cacheint.Snapshot) {
+func (e *refCacheEncoder) entry(s cacheint.Snapshot, version int64) {
 	e.vec(s.Region.Query)
 	e.bool(s.Region.OrderSensitive)
 	e.u32(uint32(len(s.Region.Constraints)))
@@ -518,11 +542,11 @@ func (e *refCacheEncoder) entry(s cacheint.Snapshot) {
 	}
 	e.vec(s.InnerLo)
 	e.vec(s.InnerHi)
-	e.i64(s.Version)
+	e.i64(version)
 }
 
 // TestWarmCacheBytesMatchReference pins the file format across the encoder
-// rewrite: for a cache with regions, records and stamps moved by real
+// rewrite: for a cache with regions and records moved by real
 // mutations (repairs included), the streamed writer's file — several chunks
 // long — is byte-identical to the reference encoder's.
 func TestWarmCacheBytesMatchReference(t *testing.T) {
@@ -547,7 +571,9 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	for _, m := range genChurn(r, points, 40, d) {
 		applyMut(t, ds, m)
 	}
-	snaps, version, err := e.snapshotCacheQuiesced()
+	ds.mu.Lock()
+	snaps, version, err := e.snapshotCacheLocked()
+	ds.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +587,7 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	ref.i64(version)
 	ref.u32(uint32(len(snaps)))
 	for _, s := range snaps {
-		ref.entry(s)
+		ref.entry(s, version)
 	}
 	want := append([]byte(nil), warmCacheMagic[:]...)
 	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(ref.buf.Bytes(), cacheCRC))
@@ -648,14 +674,12 @@ func (f *repairFixture) churn(ds *Dataset, steps int) {
 // shared by two entries is deleted once) and reports how many repairs the
 // engine credited for them.
 func (f *repairFixture) deleteKth(e *Engine, ds *Dataset, n int) int64 {
-	e.Quiesce()
 	before := e.Stats().Repaired
 	for _, ent := range e.cache.inner.Entries()[:min(n, e.cache.Len())] {
 		if id := ent.Records[ent.K-1].ID; f.mirror[id] != nil {
 			f.del(ds, id)
 		}
 	}
-	e.Quiesce()
 	return e.Stats().Repaired - before
 }
 
@@ -744,7 +768,6 @@ func testRecoverRebuild(t *testing.T, space Space) {
 		t.Fatal(err)
 	}
 	f.churn(ds, 100) // the logged tail RecoverEngine replays through the restored cache
-	e.Quiesce()
 	e.Close()
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
@@ -796,7 +819,9 @@ func testRecoverRebuildTie(t *testing.T) {
 	}
 	// Rewrite the checkpoint's cache with the entry holding the twin the
 	// traversal did not report — what a repair that promoted it leaves.
-	snaps, version, err := e.snapshotCacheQuiesced()
+	ds.mu.Lock()
+	snaps, version, err := e.snapshotCacheLocked()
+	ds.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

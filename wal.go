@@ -267,9 +267,10 @@ func (ds *Dataset) Checkpoint(dir string) error {
 // consistent pair, truncating the dataset's write-ahead log on the way
 // (Dataset.Checkpoint's steps, then the cache file). It takes the
 // dataset's exclusive lock — blocking writers, not readers, for the
-// duration — waits for every published mutation to be reconciled with the
-// cache, and only then snapshots both: the saved cache is exactly the
-// cache a fresh engine over the saved dataset state would serve.
+// duration — and snapshots both: every write has already reconciled the
+// cache, so the saved cache is valid at the saved dataset state. After
+// Close followed by a write the cache is behind the dataset, and the
+// checkpoint is refused with neither file written.
 //
 // Both record the dataset version they captured; RecoverEngine loads the
 // cache only when its version matches the dataset snapshot state's, so a
@@ -280,7 +281,7 @@ func (e *Engine) Checkpoint(dir string) error {
 	if e.cache == nil {
 		return e.ds.checkpointLocked(dir)
 	}
-	snaps, version, err := e.snapshotCacheQuiesced()
+	snaps, version, err := e.snapshotCacheLocked()
 	if err != nil {
 		return fmt.Errorf("gir: checkpoint aborted: %w", err)
 	}
@@ -345,8 +346,8 @@ func (ds *Dataset) attachWAL(opts WALOptions) error {
 // by Engine.Checkpoint is restored when it matches the version of the
 // snapshot state (a crash between the checkpoint's writes leaves a mismatch,
 // which costs the warm start, never correctness), and the write-ahead tail
-// is replayed through the engine's mutation pipeline so the cache is
-// reconciled with every recovered mutation before the first query.
+// is replayed through the engine, whose cache each replayed mutation
+// reconciles as it is applied.
 func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset, *Engine, error) {
 	ds, err := openDurable(dir)
 	if err != nil {
@@ -366,6 +367,5 @@ func RecoverEngine(dir string, wopts WALOptions, eopts EngineOptions) (*Dataset,
 		e.Close()
 		return nil, nil, err
 	}
-	e.Quiesce() // reconcile the replayed tail with the warm cache
 	return ds, e, nil
 }

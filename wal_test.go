@@ -453,7 +453,6 @@ func TestRecoverEngineWarmPair(t *testing.T) {
 	for _, m := range genChurn(r, points, 200, d) {
 		applyMut(t, ds, m)
 	}
-	e.Quiesce()
 	reference := make([]string, len(pool))
 	for i, q := range pool {
 		reference[i] = topkFingerprint(t, ds, q, k)
@@ -598,13 +597,16 @@ func TestDeleteWALAppendFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed := 0
-			defer ds.subscribe(func(m maintain.Mutation) {
+			ds.mu.Lock()
+			unsub := ds.subscribeLocked(func(m maintain.Mutation) {
 				if m.Insert {
 					feed++
 				} else {
 					feed--
 				}
-			})()
+			})
+			ds.mu.Unlock()
+			defer unsub()
 			for i := 0; i < tc.writes; i++ {
 				if err := ds.Insert(int64(1<<41+i), []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
 					t.Fatal(err)
