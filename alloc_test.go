@@ -108,13 +108,21 @@ func TestColdBRSAllocBudget(t *testing.T) {
 // the FP region, the inscribed box, the put and an eviction. Phase 2 runs
 // in pooled scratch (star, page block, raw constraints, the reduction's
 // programs), so what a fill allocates is what outlives it: the result,
-// the region's slab, the entry and its repair state — a few dozen
+// the region's slab and the entry (its repair state only in RepairMode,
+// which this engine is not in) — a few dozen
 // objects, where the one-object-per-facet, per-constraint and per-program
 // build took thousands.
 //
-// fillAllocBudget is its budget; alloc_race_test.go raises it to the race
-// build's own measurement × 2, as it does for drainAllocBudget.
-var fillAllocBudget = 100.0
+// fillAllocBudget and fillByteBudget are its budgets; alloc_race_test.go
+// raises them to the race build's own measurement × 2, as it does for
+// drainAllocBudget. A fill allocated about 97 KB when it copied T twice
+// more as a candidate set no evicting engine reads, and allocates about
+// 51 KB without (n = 20 000, d = 4, k = 10): the byte budget sits between
+// the two, so the copies cannot creep back.
+var (
+	fillAllocBudget = 100.0
+	fillByteBudget  = 64.0 * 1024
+)
 
 func TestFillAllocBudget(t *testing.T) {
 	ds := allocDataset(t, 20000, 4)
@@ -136,14 +144,24 @@ func TestFillAllocBudget(t *testing.T) {
 	before := e.Stats().Computed
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, fill)
-	if errSeen || hitSeen || e.Stats().Computed-before != runs+1 {
-		t.Fatalf("not every call was a fill (err=%v, hit=%v, computed %d of %d)", errSeen, hitSeen, e.Stats().Computed-before, runs+1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		fill()
 	}
-	// datagen.Query allocates the vector: one object that is the test's.
+	runtime.ReadMemStats(&m1)
+	if errSeen || hitSeen || e.Stats().Computed-before != 2*runs+1 {
+		t.Fatalf("not every call was a fill (err=%v, hit=%v, computed %d of %d)", errSeen, hitSeen, e.Stats().Computed-before, 2*runs+1)
+	}
+	// datagen.Query allocates the vector: one object, 32 B, that is the test's.
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc)/runs - 32
+	t.Logf("a cache fill allocates %.1f objects, %.0f B (budgets %.0f, %.0f B)", allocs-1, bytes, fillAllocBudget, fillByteBudget)
 	if allocs-1 > fillAllocBudget {
 		t.Fatalf("a cache fill allocated %.1f objects, budget %.0f", allocs-1, fillAllocBudget)
 	}
-	t.Logf("a cache fill allocates %.1f objects (budget %.0f)", allocs-1, fillAllocBudget)
+	if bytes > fillByteBudget {
+		t.Fatalf("a cache fill allocated %.0f B, budget %.0f B", bytes, fillByteBudget)
+	}
 }
 
 // TestBatchDispatchAllocBudget bounds the engine's per-query dispatch
@@ -367,10 +385,17 @@ func TestUncachedMissAllocBudget(t *testing.T) {
 // everything a cache entry keeps — region normals and query, records,
 // candidates, unexpanded-subtree bounds, inscribed box — is copied out of
 // the pooled Phase-2 scratch, so hundreds of later fills through the same
-// pools, from one goroutine and from four, leave it bit-identical.
+// pools, from one goroutine and from four, leave it bit-identical. The
+// candidates and bounds are there only in RepairMode; an engine that
+// evicts keeps neither, and its arm holds that too.
 func TestFillScratchNoAliasing(t *testing.T) {
+	t.Run("repair", func(t *testing.T) { testFillScratchNoAliasing(t, true) })
+	t.Run("evict", func(t *testing.T) { testFillScratchNoAliasing(t, false) })
+}
+
+func testFillScratchNoAliasing(t *testing.T, repair bool) {
 	ds := allocDataset(t, 20000, 4)
-	e := NewEngine(ds, EngineOptions{Workers: 4})
+	e := NewEngine(ds, EngineOptions{Workers: 4, RepairMode: repair})
 	defer e.Close()
 
 	q0 := datagen.Query(4, 7)
@@ -400,8 +425,11 @@ func TestFillScratchNoAliasing(t *testing.T) {
 		return append(append(floats, entry.InnerLo...), entry.InnerHi...), ids
 	}
 	wantF, wantI := flatten()
-	if len(entry.Region.Constraints) == 0 || len(entry.Cand) == 0 || len(entry.Bounds) == 0 {
+	if len(entry.Region.Constraints) == 0 || repair && (len(entry.Cand) == 0 || len(entry.Bounds) == 0) {
 		t.Fatalf("entry too bare to test: %d constraints, %d candidates, %d bounds", len(entry.Region.Constraints), len(entry.Cand), len(entry.Bounds))
+	}
+	if !repair && (entry.Cand != nil || entry.Bounds != nil || entry.CandComplete()) {
+		t.Fatalf("an evicting engine's entry holds %d candidates and %d bounds (complete %v)", len(entry.Cand), len(entry.Bounds), entry.CandComplete())
 	}
 
 	check := func(after string) {

@@ -3,6 +3,7 @@ package gir
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -55,16 +56,17 @@ func newCache(capacity int) *Cache { return &Cache{inner: cacheint.New(capacity)
 // fillEntry answers q the way the engine's miss path does — one
 // answerGroup member, its region built by FP and its repair state retained
 // — and puts the answer into every given cache through prepareCachePut and
-// commitPut. Each cache gets its own staged copy.
+// commitPut. Each cache gets its own staged copy, and its own candidate
+// slice, which the entry takes over.
 func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache) {
 	tb.Helper()
-	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true, FP)
+	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true, true, FP)
 	a := &answers[0]
 	if a.err != nil || a.girErr != nil {
 		tb.Fatalf("fill at %v: %v, %v", q, a.err, a.girErr)
 	}
 	for _, c := range caches {
-		if !c.commitPut(prepareCachePut(a.g, a.recs, a.cand, a.bounds, a.candOK)) {
+		if !c.commitPut(prepareCachePut(a.g, a.recs, slices.Clone(a.cand), a.bounds, a.candOK)) {
 			tb.Fatal("commitPut refused an order-sensitive region")
 		}
 	}
@@ -116,8 +118,8 @@ func TestBatchMaintenanceDifferential(t *testing.T) {
 		ks[i] = 2 + r.Intn(6)
 	}
 	// Fill both caches from ONE computation so their entries start
-	// identical (PutWithBox copies the candidate slice, so the two entries
-	// never alias).
+	// identical (fillEntry hands each cache its own candidate slice, so the
+	// two entries never alias).
 	fill := func(pi int) { fillEntry(t, ds, pool[pi], ks[pi], cBatch, cSeq) }
 	for pi := range pool {
 		fill(pi)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
 )
@@ -285,6 +286,63 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 	}
 	t.Logf("verified=%d (windows spanning mutations: %d) mutations=%d hits=%d misses=%d affected=%d repaired=%d invalidated=%d predicates=%d",
 		verified, hadMultiVersionWindows, len(mirror.log), st.CacheHits, st.Misses, st.Affected, st.Repaired, st.Invalidated, st.PredicateEvals)
+}
+
+// TestHitNeverRunsAheadOfVersion: a write drains into the cache before it
+// publishes its version, so in between a repaired entry already holds the
+// answer at a version no reader can pin. A probe in that window, on the
+// snapshot a reader loads then, must not serve it: the probe misses, or
+// serves the answer at the published version. The test's subscriber runs
+// the engine's drain and then probes, for deletes of the cached result's
+// top record, until three of them were repaired in place.
+func TestHitNeverRunsAheadOfVersion(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	const n, k = 400, 5
+	points := make([][]float64, n)
+	state := make(map[int64][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+		state[int64(i)] = points[i]
+	}
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{Workers: 1, RepairMode: true})
+	defer e.Close()
+	q := []float64{0.5, 0.3, 0.6}
+	probes, hits := 0, 0
+	e.unsub() // takes ds.mu
+	ds.mu.Lock()
+	e.unsub = ds.subscribeLocked(func(m maintain.Mutation) {
+		e.reconcile(m)
+		sn := ds.snap.Load() // m's version is not published yet
+		res, missed := e.probe(nil, Query{Vector: q, K: k}, sn)
+		probes++
+		if missed {
+			return
+		}
+		hits++
+		if want := bruteTopK(state, q, k); !sameIDs(idsOf(res.Records), want) {
+			t.Errorf("a probe at version %d, inside write %d's drain-to-publish window, served %v; the published answer is %v", sn.version, m.Version, idsOf(res.Records), want)
+		}
+	})
+	ds.mu.Unlock()
+	for i := 0; i < 40 && e.Stats().Repaired < 3; i++ {
+		res := e.TopK(q, k)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		id := res.Records[0].ID
+		if ok, err := ds.Delete(id, state[id]); err != nil || !ok {
+			t.Fatalf("delete %d: %v, %v", id, ok, err)
+		}
+		delete(state, id) // after the write returns: the subscriber sees the state before it
+	}
+	if e.Stats().Repaired == 0 || probes == 0 {
+		t.Fatalf("%d repairs, %d probes: the window was never exercised", e.Stats().Repaired, probes)
+	}
+	t.Logf("%d probes inside the window, %d served from the cache, %d repairs", probes, hits, e.Stats().Repaired)
 }
 
 // TestWriteReturnsReconciled: a write reconciles the cache before it

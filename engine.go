@@ -35,11 +35,12 @@ import (
 //     the cache before it returns: every Insert/Delete hands its mutation
 //     to the engine under the dataset's writer lock, before the new version
 //     becomes visible, and the engine drains it into the cache on the spot
-//     (internal/maintain). A cached entry the mutation cannot perturb
-//     absorbs it into its candidate set; one it can is repaired in place
-//     (RepairMode) or evicted. Writers pay for that analysis and readers
-//     never wait for it: a reader that pins version v finds the cache
-//     reconciled through v. A query racing a mutation may be served from
+//     (internal/maintain). A cached entry the mutation can perturb is
+//     evicted, or in RepairMode repaired in place; in RepairMode one it
+//     cannot perturb absorbs it into its candidate set. Writers pay for that
+//     analysis and readers never wait for it: a reader that pins version v
+//     finds the cache reconciled through v, and is served a hit only while
+//     the cache is at exactly v. A query racing a mutation may be served from
 //     either side of it; once the mutation returns, later queries never
 //     see results the mutation invalidated.
 //
@@ -55,11 +56,13 @@ type Engine struct {
 
 	// Maintenance state. applied is the dataset version the cache is
 	// reconciled with: every entry is valid at applied. Once the engine is
-	// built, applied is written only under both ds.mu and invMu, so either
-	// lock suffices to read it. invMu also guards unsub, and orders the
-	// drain of each write (reconcile) against cache fills (putIfCurrent).
+	// built, applied is written only under both ds.mu and invMu, and a
+	// write stores it before its drain publishes any entry, so a probe that
+	// loads it after its lookup never serves an entry from a version ahead
+	// of the probe's snapshot. invMu also guards unsub, and orders the drain
+	// of each write (reconcile) against cache fills (putIfCurrent).
 	invMu   sync.Mutex
-	applied int64
+	applied atomic.Int64
 	unsub   func()
 
 	deduped     atomic.Int64
@@ -103,6 +106,9 @@ type EngineOptions struct {
 	// result records promotes the best retained candidate — and evicted
 	// only when no sound repair exists (internal/repair). Repaired entries
 	// keep serving without a full top-k + GIR recompute on the next miss.
+	// Only in RepairMode does a fill, or a warm start, retain a candidate
+	// set and the unexpanded subtrees' corners for its entry; without it an
+	// entry holds its region and records alone.
 	RepairMode bool
 }
 
@@ -126,7 +132,7 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 		// of the writer lock: a write between the two would be drained and
 		// then have applied moved back behind it, letting a stale fill in.
 		ds.mu.Lock()
-		e.applied = ds.Version()
+		e.applied.Store(ds.Version())
 		e.unsub = ds.subscribeLocked(e.reconcile)
 		ds.mu.Unlock()
 	}
@@ -154,16 +160,18 @@ func (e *Engine) Close() {
 // the cache, a batch of one for the internal/maintain planner. It runs under
 // the dataset's writer lock, before the mutation's version becomes visible,
 // so the write pays for the drain and no reader can pin a version the cache
-// is behind. Event counts are credited from applied outcomes, so
-// Repaired + Invalidated = Affected holds exactly.
+// is behind. The cache is then one version ahead of every published
+// snapshot until the write publishes, so applied moves first and probe
+// refuses the cache to a snapshot it is ahead of. Event counts are credited
+// from applied outcomes, so Repaired + Invalidated = Affected holds exactly.
 func (e *Engine) reconcile(m maintain.Mutation) {
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
+	e.applied.Store(m.Version)
 	out := e.planner.Drain(e.cache.inner, []maintain.Mutation{m})
 	e.affected.Add(int64(out.Affected))
 	e.repaired.Add(int64(out.Repaired))
 	e.invalidated.Add(int64(out.Evicted))
-	e.applied = m.Version
 }
 
 // Quiesce returns at once: every write has reconciled the cache before it
@@ -323,7 +331,9 @@ func (e *Engine) probe(dst []Record, q Query, sn *treeSnap) (res EngineResult, m
 		return EngineResult{}, true
 	}
 	entry, complete, ok := e.cache.lookupEntry(q.Vector, q.K)
-	if !ok {
+	if !ok || e.applied.Load() != sn.version {
+		// A write drained the cache ahead of sn (reconcile): an entry may
+		// already hold the answer at a version sn does not show.
 		return EngineResult{}, true
 	}
 	if !complete {
@@ -428,7 +438,7 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 		// One GIR build per distinct result amortizes over every later hit;
 		// without a cache nobody would read it, so the traversal then
 		// retains nothing a build resumes from either.
-		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.CacheMethod)
+		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.RepairMode, e.opts.CacheMethod)
 		e.sharedReads.Add(stats.SharedReads)
 		if len(qs) > 1 {
 			e.fusedGroups.Add(1)
@@ -495,7 +505,7 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	}
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
-	if e.applied == fill.version {
+	if e.applied.Load() == fill.version {
 		e.cache.commitPut(p)
 	}
 }

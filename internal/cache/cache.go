@@ -314,16 +314,17 @@ func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
 // writers — who drain under that lock — are never stalled behind it, and
 // to restore persisted entries (oldest first: insertion order is recency).
 // The last parameter is unused.
+//
+// The entry takes ownership of cand: later absorption (AbsorbInsert,
+// AbsorbDelete) mutates it in place, so the caller passes a slice nothing
+// else holds, and a fresh one to each cache. Bounds are never mutated and
+// can be shared.
 func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, _ int64) bool {
 	if reg == nil || !reg.OrderSensitive {
 		return false
 	}
 	e := newEntry(reg, records, innerLo, innerHi)
-	// The candidate set is mutated in place by later absorption
-	// (AbsorbInsert/AbsorbDelete), so the entry must own its backing array
-	// — the caller's slice may alias a TopKResult (Candidates) or be Put
-	// into several caches. Bounds are never mutated and can be shared.
-	e.Cand, e.Bounds, e.candComplete = append([]topk.Record(nil), cand...), bounds, candComplete
+	e.Cand, e.Bounds, e.candComplete = cand, bounds, candComplete
 	c.insert(e)
 	return true
 }

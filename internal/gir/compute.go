@@ -121,6 +121,11 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 		st.RMinus = len(anchors)
 	}
 
+	if opt.Method == SP || opt.Method == CP {
+		// The skyline seeds from T in the record order (skyline.InMemory);
+		// FP sorts only the records its screen keeps (buildStars).
+		topk.SortRecords(res.T)
+	}
 	var err error
 	switch opt.Method {
 	case SP:

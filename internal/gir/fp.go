@@ -112,29 +112,36 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 // paper's virtual axis-projection points plus the in-memory set T (using
 // the max-per-dimension heuristic of Section 6.3.1, which the star's
 // greedy extent selection subsumes), leaving out the T records the
-// Phase-1 screen drops. If an anchor plus seeds are degenerate, it
-// re-seeds from the whole of T, and if that is degenerate too it pulls
-// additional records from the search heap into T until a full-dimensional
-// simplex exists.
+// Phase-1 screen drops. T arrives in traversal order, and only the seeds
+// are sorted: the screen moves the records it keeps to T's front and
+// sorts that run, which under the total record order is exactly the
+// subsequence of the sorted T the screen keeps. If an anchor plus seeds
+// are degenerate, it sorts the whole of T and re-seeds from it, and if
+// that is degenerate too it pulls additional records from the search heap
+// into T until a full-dimensional simplex exists.
 func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]hull.Star, error) {
 	for len(sc.stars) < len(anchors) {
 		sc.stars = append(sc.stars, hull.Star{})
 	}
 	stars := sc.stars[:len(anchors)]
-	screen := sc.screen
-	if screen {
+	seeds := res.T
+	if sc.screen {
 		sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
+		n := 0
+		for i, kept := range sc.keep[:len(res.T)] {
+			if kept {
+				res.T[n], res.T[i] = res.T[i], res.T[n]
+				n++
+			}
+		}
+		seeds = res.T[:n]
 	}
+	topk.SortRecords(seeds)
 	for {
 		var err error
-		dropped := false
 		for i, a := range anchors {
 			sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
-			for j, rec := range res.T {
-				if screen && !sc.keep[j] {
-					dropped = true
-					continue
-				}
+			for _, rec := range seeds {
 				sc.seeds = append(sc.seeds, rec.Point)
 				sc.seedIDs = append(sc.seedIDs, rec.ID)
 			}
@@ -145,10 +152,13 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 		if !errors.Is(err, hull.ErrDegenerate) {
 			return stars, err
 		}
-		if screen = false; dropped {
+		if len(seeds) < len(res.T) {
 			// An apex coordinate at most hull.Tol has no virtual seed, so the
 			// screened seeds can lie in a flat that T does not: T, not a
-			// page read or SP, repairs that.
+			// page read or SP, repairs that. It is sorted once, before any
+			// pull appends to it.
+			topk.SortRecords(res.T)
+			seeds = res.T
 			continue
 		}
 		if res.Heap.Len() == 0 {
@@ -168,6 +178,7 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 				res.Heap.PushItem(topk.NodeItem{Key: res.Func.MaxScore(lo, hi, res.Query), Child: blk.Children[i], Rect: rtree.Rect{Lo: lo, Hi: hi}})
 			}
 		}
+		seeds = res.T
 	}
 }
 

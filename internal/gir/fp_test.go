@@ -1,9 +1,14 @@
 package gir
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/girlib/gir/internal/datagen"
+	"github.com/girlib/gir/internal/domain"
+	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -15,9 +20,9 @@ import (
 // the box, p_k = (0.5, 0.5, 0): its third axis has no virtual seed, so the
 // seeds span the plane x₃ = 0 unless a T record leaves it, and the
 // Phase-1 cone (every pair of weights within a factor 1.25) screens out
-// every T record. The star must then re-seed from the whole of T — no
-// page read, no SP fallback — and build the region SP builds (here Phase
-// 1's six half-spaces alone).
+// every T record. The star must then re-seed from the whole of T, sorted
+// — no page read, no SP fallback — and build the region SP builds (here
+// Phase 1's six half-spaces alone).
 func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	const d, k = 3, 7
 	// p_i − p_{i+1} walks every row of {q : 0.8 ≤ q_i/q_j ≤ 1.25}, each
@@ -50,9 +55,25 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 			t.Fatalf("fixture: the screen keeps T record %v", res.T[i].Point)
 		}
 	}
+	sorted := slices.Clone(res.T)
+	topk.SortRecords(sorted)
 	var st Stats
 	if _, err := sc.buildStars(tree, res, res.Records[k-1:], &st); err != nil || st.NodesRead != 0 {
 		t.Fatalf("seeding read %d nodes (err %v); the whole of T spans the space and needs none", st.NodesRead, err)
+	}
+	var seeds []int64
+	for _, id := range sc.seedIDs {
+		if id >= 0 { // the virtual seeds have negative ids
+			seeds = append(seeds, id)
+		}
+	}
+	if len(seeds) != len(sorted) {
+		t.Fatalf("re-seeded from %d records, |T| = %d", len(seeds), len(sorted))
+	}
+	for i, rec := range sorted {
+		if seeds[i] != rec.ID {
+			t.Fatalf("seed %d is record %d, the sorted T's is %d", i, seeds[i], rec.ID)
+		}
 	}
 
 	fp, fst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
@@ -77,4 +98,97 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 			t.Fatalf("FP and SP disagree at %v", p)
 		}
 	}
+}
+
+// TestFPSeedsAreKeptSortedT holds FP's seeding to its definition now that
+// BRS hands T over in traversal order: a star's real seeds are exactly the
+// records of T the Phase-1 screen keeps, in the order they hold in the
+// sorted T, and the whole sorted T where the screen cannot act (k − 1 < d,
+// a GIR*) or the degenerate-seed fallback fires. So FP reads the seeds the
+// sorted T gave it before, and its regions stay the same bytes. It runs
+// box and simplex queries over continuous (IND, d = 4) and tied (a
+// five-step grid, d = 3) data.
+func TestFPSeedsAreKeptSortedT(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	ind, err := datagen.Generate(datagen.IND, 4000, 4, 39)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := make([]vec.Vector, 4000)
+	for i := range grid {
+		grid[i] = vec.Vector{float64(r.Intn(5)) / 4, float64(r.Intn(5)) / 4, float64(r.Intn(5)) / 4}
+	}
+	screened, whole, fallbacks := 0, 0, 0
+	for _, pts := range [][]vec.Vector{ind, grid} {
+		d := len(pts[0])
+		tree := rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
+		for _, dom := range []domain.Domain{domain.UnitBox(d), domain.Simplex(d)} {
+			for qi := 0; qi < 40; qi++ {
+				q := dom.Normalize(dom.Sample(r))
+				k := 1 + r.Intn(30)
+				res := topk.BRS(tree, score.Linear{}, q, k)
+				sorted := slices.Clone(res.T)
+				topk.SortRecords(sorted)
+
+				sc := new(scratch)
+				sc.reset(d, score.Linear{}.Transform)
+				sc.phase1(res)
+				apex := res.Records[k-1]
+				want := sorted
+				if sc.screen = sc.phase1Cone(apex.Point); sc.screen {
+					sc.screenPoints(len(sorted), func(i int) vec.Vector { return sorted[i].Point })
+					want = nil
+					for i, rec := range sorted {
+						if sc.keep[i] {
+							want = append(want, rec)
+						}
+					}
+				}
+				var st Stats
+				if _, err := sc.buildStars(tree, res, res.Records[k-1:], &st); err != nil {
+					t.Fatal(err)
+				}
+				var got []int64
+				for _, id := range sc.seedIDs {
+					if id >= 0 { // the virtual seeds have negative ids
+						got = append(got, id)
+					}
+				}
+				ids := func(recs []topk.Record) []int64 {
+					out := make([]int64, len(recs))
+					for i, rec := range recs {
+						out[i] = rec.ID
+					}
+					return out
+				}
+				// The fallback re-seeds from the whole of T only where the
+				// kept run leaves the star degenerate.
+				degenerate := func() bool {
+					var slab []float64
+					pts, pids := hull.VirtualSeeds(nil, nil, &slab, apex.Point)
+					for _, rec := range want {
+						pts, pids = append(pts, rec.Point), append(pids, rec.ID)
+					}
+					var star hull.Star
+					return errors.Is(star.Reset(apex.Point, pts, pids), hull.ErrDegenerate)
+				}
+				switch {
+				case slices.Equal(got, ids(want)):
+				case st.NodesRead == 0 && slices.Equal(got, ids(sorted)) && degenerate():
+					fallbacks++
+				default:
+					t.Fatalf("d=%d %v q%d k=%d: seeds %v, want the screen's kept run %v of the sorted T", d, dom.Kind(), qi, k, got, ids(want))
+				}
+				if len(want) < len(sorted) {
+					screened++
+				} else {
+					whole++
+				}
+			}
+		}
+	}
+	if screened == 0 || whole == 0 {
+		t.Fatalf("%d screened and %d whole-T seedings; the test needs both", screened, whole)
+	}
+	t.Logf("%d screened seedings (%d fell back to the whole of T), %d whole-T seedings", screened, fallbacks, whole)
 }

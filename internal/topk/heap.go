@@ -105,7 +105,7 @@ type item struct {
 func ahead(a, b item) bool { return a.key > b.key || (a.key == b.key && a.tie < b.tie) }
 
 // order is ahead as a three-way comparison, for sorting. (cmp.Or over two
-// cmp.Compare calls makes a fill's sort of T measurably slower.)
+// cmp.Compare calls makes a fill's sorts measurably slower.)
 func order(a, b item) int {
 	switch {
 	case ahead(a, b):

@@ -20,7 +20,10 @@
 // entries not yet expanded. Phase 2 (SP/CP via BBS, or FP's refinement
 // step) resumes the traversal from that heap, so no page is ever read
 // twice. That state is retained only for a caller that builds a region:
-// BRS, BRSGroup and BatchBRS retain it, RecordsGroup does not.
+// BRS, BRSGroup and BatchBRS retain it, RecordsGroup does not. T comes out
+// in the order the traversal met it, not in the record order: FP's
+// Phase-1 screen drops most of it unread, so a reader that needs the
+// record order sorts only what it reads (SortRecords).
 //
 // There is one traversal (runMember), and it runs for a group of queries
 // over one tree state; a solo query is a group of one. The search runs
@@ -56,12 +59,19 @@ type Result struct {
 	K       int
 	Func    score.General
 	Records []Record // the top-k, in (score desc, id asc) order
-	T       []Record // non-result records encountered by BRS, in the same order, when retained
+	T       []Record // non-result records encountered by BRS, in traversal order, when retained; a reader that needs the record order sorts what it reads
 	Heap    *NodeHeap
 }
 
 // Kth returns the k-th (last) result record.
 func (r *Result) Kth() Record { return r.Records[len(r.Records)-1] }
+
+// SortRecords sorts recs into the record order, (score desc, id asc).
+func SortRecords(recs []Record) {
+	slices.SortFunc(recs, func(a, b Record) int {
+		return order(item{key: a.Score, tie: a.ID}, item{key: b.Score, tie: b.ID})
+	})
+}
 
 // BRS answers the top-k query over the tree with scoring function f and
 // query vector q, using a pooled workspace. It is a group of one: the same
@@ -197,13 +207,14 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 // materialize deep-copies the search state into a freshly allocated
 // Result: two slabs (one for every retained point including the query,
 // one for the resumable heap's rectangles) plus the slices over them.
-// The k-slot, sorted, is the Records. With retain, the losing records,
-// sorted the same way, are T, and the losing nodes together with the
-// search heap's remainder are heapified into the resumable heap. Every
-// sort and heap here is a total order, so what a Result holds, and the
-// order its heap pops in, does not depend on the order the traversal met
-// things in. Without retain it copies out only the query and the k
-// records, into one slab, and leaves T and Heap nil.
+// The k-slot, sorted, is the Records. With retain, the losing records, in
+// the order the traversal met them, are T, and the losing nodes together
+// with the search heap's remainder are heapified into the resumable heap.
+// The sort and the heap are total orders, so the Records, and the order
+// the heap pops in, do not depend on the order the traversal met things
+// in; T's contents do not either, only its order. Without retain it copies
+// out only the query and the k records, into one slab, and leaves T and
+// Heap nil.
 func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, retain bool) *Result {
 	nT := 0
 	if retain { // a caller that builds no region reads neither T nor the heap
@@ -233,7 +244,11 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, ret
 	}
 	if nT > 0 {
 		res.T = make([]Record, nT)
-		copyOut(res.T, gs.tlist)
+		for i, it := range gs.tlist {
+			p := next()
+			copy(p, gs.arena[it.ref:it.ref+d])
+			res.T[i] = Record{ID: it.tie, Point: p, Score: it.key}
+		}
 	}
 	nodes := append(gs.hlist, gs.nodes...)
 	gs.hlist = nodes

@@ -1,6 +1,9 @@
 package topk
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -217,23 +220,60 @@ func TestBRSPanicsOnBadK(t *testing.T) {
 	}
 }
 
+// TestTSortedByScore holds a retaining BRS to its contract, on continuous
+// and on tied data: the Records come out in the record order (score desc,
+// id asc); T comes out in traversal order, every record of it ranks behind
+// the k-th, and SortRecords puts it in the record order; and the sorted T
+// — the non-result records the traversal met — is the set BRS has always
+// returned, pinned by a hash of its (id, score) sequence over 40 queries.
 func TestTSortedByScore(t *testing.T) {
+	const pinned = 0x5c9a55ae446dfa8e
 	r := rand.New(rand.NewSource(11))
-	tree, _, _ := buildTree(r, 500, 3)
-	res := BRS(tree, score.Linear{}, randQuery(r, 3), 5)
-	for i := 1; i < len(res.T); i++ {
-		if res.T[i].Score > res.T[i-1].Score {
-			t.Fatal("T is not sorted by decreasing score")
+	inOrder := func(recs []Record) bool {
+		for i := 1; i < len(recs); i++ {
+			if a, b := recs[i-1], recs[i]; a.Score < b.Score || (a.Score == b.Score && a.ID >= b.ID) {
+				return false
+			}
 		}
+		return true
+	}
+	cont, _, _ := buildTree(r, 500, 3)
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, tree := range []*rtree.Tree{cont, buildTiedTree(r, 2000, 3)} {
+		for i := 0; i < 20; i++ {
+			res := BRS(tree, score.Linear{}, randQuery(r, 3), 1+r.Intn(20))
+			if !inOrder(res.Records) {
+				t.Fatalf("query %d: the Records are not in the record order", i)
+			}
+			sorted := slices.Clone(res.T)
+			SortRecords(sorted)
+			if !inOrder(sorted) {
+				t.Fatalf("query %d: SortRecords left T out of the record order", i)
+			}
+			for _, rec := range sorted {
+				if !inOrder([]Record{res.Kth(), rec}) {
+					t.Fatalf("query %d: T record %d (score %v) ranks ahead of the k-th record %d (score %v)", i, rec.ID, rec.Score, res.Kth().ID, res.Kth().Score)
+				}
+				binary.LittleEndian.PutUint64(buf[:8], uint64(rec.ID))
+				binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(rec.Score))
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got := h.Sum64(); got != pinned {
+		t.Fatalf("the sorted T hashes to %#x, pinned %#x: a traversal met other records", got, pinned)
 	}
 }
 
-// TestTOrderMatchesSortSlice: materialize sorts T by the records' total
-// order, and the oracle is sort.Slice on (score desc, id asc). Scores are
-// drawn from 1–50 distinct values and ids are a shuffled permutation, so
-// ties are the common case and each must land by id: the id sequences are
-// identical, from 0 records (where T stays nil) to 3 000, with losing
-// nodes between them.
+// TestTOrderMatchesSortSlice: materialize copies T out in the order the
+// traversal met it, and SortRecords sorts it by the records' total order,
+// whose oracle is sort.Slice on (score desc, id asc). Scores are drawn
+// from 1–50 distinct values and ids are a shuffled permutation, so ties
+// are the common case and each must land by id: T holds the losers in
+// the order they were met, and the sorted id sequences are identical,
+// from 0 records (where T stays nil) to 3 000, with losing nodes between
+// them. The Records, a k-slot of 0, stay empty.
 func TestTOrderMatchesSortSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	const d = 2
@@ -246,7 +286,7 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 		}
 		distinct := 1 + r.Intn(50)
 		gs.reset()
-		var want []Record
+		var met, want []Record
 		for i, id := range r.Perm(n) {
 			if r.Intn(4) == 0 {
 				ref := gs.putRect([]float64{0, 0}, []float64{1, 1})
@@ -257,8 +297,9 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 			gs.arena = append(gs.arena, p...)
 			s := float64(r.Intn(distinct))
 			gs.tlist = append(gs.tlist, item{key: s, tie: int64(id), ref: ref})
-			want = append(want, Record{ID: int64(id), Point: p, Score: s})
+			met = append(met, Record{ID: int64(id), Point: p, Score: s})
 		}
+		want = slices.Clone(met)
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].Score != want[j].Score {
 				return want[i].Score > want[j].Score
@@ -266,13 +307,18 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 			return want[i].ID < want[j].ID
 		})
 		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0, true)
-		if len(res.T) != len(want) || (n == 0) != (res.T == nil) {
-			t.Fatalf("trial %d: T has %d records (nil %v), want %d", trial, len(res.T), res.T == nil, len(want))
+		if len(res.T) != len(want) || (n == 0) != (res.T == nil) || len(res.Records) != 0 {
+			t.Fatalf("trial %d: T has %d records (nil %v), want %d; %d Records", trial, len(res.T), res.T == nil, len(want), len(res.Records))
 		}
-		for i, rec := range res.T {
-			if rec.ID != want[i].ID || rec.Score != want[i].Score || !slices.Equal(rec.Point, want[i].Point) {
-				t.Fatalf("trial %d (%d records, %d scores): T[%d] = %d, want %d", trial, n, distinct, i, rec.ID, want[i].ID)
+		same := func(what string, got, want []Record) {
+			for i, rec := range got {
+				if rec.ID != want[i].ID || rec.Score != want[i].Score || !slices.Equal(rec.Point, want[i].Point) {
+					t.Fatalf("trial %d (%d records, %d scores): %s[%d] = %d, want %d", trial, n, distinct, what, i, rec.ID, want[i].ID)
+				}
 			}
 		}
+		same("T", res.T, met)
+		SortRecords(res.T)
+		same("sorted T", res.T, want)
 	}
 }

@@ -140,8 +140,8 @@ func writeCacheSnapshot(path string, dim int, space Space, version int64, snaps 
 // is an error, not a snapshot of stale entries.
 func (e *Engine) snapshotCacheLocked() ([]cacheint.Snapshot, int64, error) {
 	version := e.ds.Version()
-	if e.applied < version { // every write to applied holds ds.mu
-		return nil, 0, fmt.Errorf("gir: engine closed at version %d, dataset written through %d — the cache is stale and was not saved", e.applied, version)
+	if applied := e.applied.Load(); applied < version { // every write to applied holds ds.mu
+		return nil, 0, fmt.Errorf("gir: engine closed at version %d, dataset written through %d — the cache is stale and was not saved", applied, version)
 	}
 	entries := e.cache.inner.Entries()
 	sort.Slice(entries, func(i, j int) bool { return entries[i].LastUse() < entries[j].LastUse() })
@@ -161,10 +161,11 @@ func (e *Engine) snapshotCacheLocked() ([]cacheint.Snapshot, int64, error) {
 // format, which an upgrade leaves beside unchanged dataset files. A file
 // that is no warm-cache snapshot, fails its checksum or was saved at
 // another dimension or in another query space is an error: a region
-// clipped to one domain is not a certificate over another. Each entry's
-// repair state is rebuilt by rerunning its fill's traversal on the dataset,
-// one per entry; an entry the dataset cannot answer (k above its size)
-// fails the load.
+// clipped to one domain is not a certificate over another. In RepairMode
+// each entry's repair state is rebuilt by rerunning its fill's traversal on
+// the dataset, one per entry; an engine that does not repair reads no
+// repair state, so it runs none. An entry the dataset cannot answer (k
+// above its size) fails the load either way.
 func (e *Engine) loadCache(path string, version int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -208,7 +209,7 @@ func (e *Engine) loadCache(path string, version int64) error {
 		if dec.err != nil {
 			break
 		}
-		cand, bounds, ok, err := sn.repairState(gs, s.Region.Query, s.Records)
+		cand, bounds, ok, err := sn.repairState(gs, s.Region.Query, s.Records, e.opts.RepairMode)
 		if err != nil {
 			return fmt.Errorf("gir: %s entry %d does not fit the dataset: %w", path, i, err)
 		}

@@ -862,6 +862,70 @@ func testRecoverRebuildTie(t *testing.T) {
 	f.checkAnswers(e2, [][]float64{q}, k)
 }
 
+// TestRecoverEngineWithoutRepairSkipsRepairState: an engine that evicts
+// rather than repairs reads no candidate set, so RecoverEngine runs no
+// traversal to rebuild one. Its restored entries hold no repair state,
+// compute nothing, and serve every checkpointed query as a hit with brute
+// force's answer; the same directory recovered in RepairMode still
+// rebuilds a complete state for every entry.
+func TestRecoverEngineWithoutRepairSkipsRepairState(t *testing.T) {
+	const n, k = 1500, 6
+	r := rand.New(rand.NewSource(175))
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	pool := make([][]float64, 16)
+	for i := range pool {
+		pool[i] = []float64{0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64()}
+	}
+	f := newRepairFixture(t, 176, points)
+	dir := t.TempDir()
+	ds, err := NewDataset(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{})
+	f.checkAnswers(e, pool, k)
+	if err := e.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	cached := e.cache.Len()
+	e.Close()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, repair := range []bool{false, true} {
+		ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: repair})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := e2.cache.inner.Entries()
+		if len(entries) != cached || cached == 0 {
+			t.Fatalf("repair %v: %d entries restored, %d checkpointed", repair, len(entries), cached)
+		}
+		for _, ent := range entries {
+			if ent.CandComplete() != repair || !repair && (ent.Cand != nil || ent.Bounds != nil) {
+				t.Fatalf("repair %v: entry at %v restored with complete %v, %d candidates, %d bounds", repair, ent.Region.Query, ent.CandComplete(), len(ent.Cand), len(ent.Bounds))
+			}
+		}
+		hits, _, _ := e2.cache.Stats()
+		f.checkAnswers(e2, pool, k)
+		after, _, _ := e2.cache.Stats()
+		if computed := e2.Stats().Computed; computed != 0 || after-hits != int64(len(pool)) {
+			t.Fatalf("repair %v: %d of %d queries hit, %d computed", repair, after-hits, len(pool), computed)
+		}
+		e2.Close()
+		if err := ds2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRecoverEngineColdBesideEarlierCacheFormat pins the upgrade path: a
 // durable directory whose cache.snap is GIRWARM3 — written by the build
 // before the format dropped the repair state — recovers cold (no entries,
