@@ -306,7 +306,7 @@ func BenchmarkRecordsGroup(b *testing.B) {
 
 // --- Ablations for the design decisions the package comments record ------
 
-// BenchmarkAblationReduce isolates the LP-based redundancy elimination:
+// BenchmarkAblationReduce isolates the redundancy elimination (geom.ReduceCone):
 // GIR computation with and without the reduction step.
 func BenchmarkAblationReduce(b *testing.B) {
 	for _, skip := range []bool{false, true} {

@@ -25,40 +25,55 @@ import (
 // unlike the combinatorial one, stays sound when the ray set holds a
 // redundant ray.
 //
-// Every numerical shortcut errs toward a larger cone, so toward keeping
-// records: a zero or duplicate-direction row, or a row past the 64th, is
-// dropped; a ray within coneSide of a row's hyperplane counts as lying on
-// it; and a rank counts every pivot above rankTol, so a doubtful pair is
-// joined (a redundant ray lies inside P and costs one more dot product). A
-// cone with fewer than d independent rows is not pointed, and one whose
-// rays outgrow maxConeRays is given up on; either screens nothing.
-// Enumerate runs the same method with no ray cap, for a caller that wants
-// the rays themselves.
+// For the screen every numerical shortcut errs toward a larger cone, so
+// toward keeping records: a zero or duplicate-direction row, or a row past
+// the 64th distinct one, is dropped; a ray within coneSide of a row's
+// hyperplane counts as lying on it; and a rank counts every pivot above
+// rankTol, so a doubtful pair is joined (a redundant ray lies inside P and
+// costs one more dot product). A cone with fewer than d independent rows
+// is not pointed, and one whose rays outgrow maxConeRays is given up on;
+// either screens nothing. Enumerate runs the same method with no ray cap,
+// for a caller that wants the rays themselves, and refuses a 65th distinct
+// row instead of dropping it.
+//
+// Reduce reads the minimal representation off the rays (see ReduceCone),
+// cutting the rays of the last Reset by the rows that follow, and there
+// the bias flips: a row is kept or dropped on the rays' word only when
+// every margin is clear, and any doubt hands the whole set to the
+// membership programs.
 //
 // The zero value is ready; Reset reuses every buffer, so a pooled Cone
 // runs without allocating once it has seen its largest input.
 type Cone struct {
 	d, m    int
-	pointed bool
+	seen    int       // the input rows the kept ones were taken from
+	capped  bool      // the rays outgrew their budget
+	pointed bool      // Screen is pinned to the rays of the last Reset
 	rows    []float64 // the m unit rows kept, row-major
+	idx     []int     // per kept row, its index in the input
 	rays    []float64 // the unit rays, row-major
 	tight   []uint64  // per ray, the kept rows it lies on
 	next    []float64 // the rays after the row being cut
 	nextT   []uint64
-	side    []float64 // per ray, its product with the row being cut
+	side    []float64 // per ray, its product with the row being cut (facet: per row, with the rays' sum)
 	basis   []int     // the rows the simplicial cone starts from
 	orth    []float64 // Gram–Schmidt: up to d orthonormal rows
 	resid   []float64 // Gram–Schmidt: the rows' residuals
 	at      []float64 // per ray, its product with the pinned apex
 	dots    []float64 // Screen: one ray's products with the block
+	face    []uint64  // Reduce: per ray, the kept rows it lies on, recomputed
+	prod    []float64 // Reduce: per ray, its products with the kept rows
 }
 
 const (
 	MaxConeRows = 64    // a ray's tight rows are one bit mask
-	maxConeRays = 256   // past this, the screen is not worth its dot products
+	maxConeRays = 256   // past this, neither the screen nor the reduction is worth its dot products
+	maxFreshDim = 4     // past this, a reduction's own double description is no cheaper than its programs
 	coneSide    = 1e-9  // |a·g| at or below this puts unit ray g on row a
+	coneClear   = 1e-6  // Reduce: a ray or a facet this far inside a row is clearly off it
 	basisTol    = 1e-9  // a basis row's residual must exceed this
 	rankTol     = 1e-12 // a residual above this counts toward a rank
+	rankClear   = 1e-6  // Reduce: a residual above this counts toward a rank beyond doubt
 	coneSlack   = -1e-9 // g·(x − apex) above this on some ray keeps x
 	coneZeroRow = 1e-12 // a row no longer than this constrains nothing
 	coneDupRow  = 1e-9  // unit rows this close are one direction
@@ -66,9 +81,10 @@ const (
 
 // Reset computes the extreme rays of {q : a·q ≥ 0 for every a in normals},
 // pins the screen to apex, and reports whether the cone is pointed, that
-// is whether the screen can drop anything.
+// is whether the screen can drop anything. Reset(nil, nil) empties the
+// cone, so the next Reduce starts over.
 func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
-	c.pointed = c.enumerate(normals, maxConeRays)
+	c.pointed = c.enumerate(normals, maxConeRays, false)
 	c.at = c.at[:0]
 	for r := range c.tight {
 		c.at = append(c.at, vec.Dot(c.ray(r), apex))
@@ -78,12 +94,13 @@ func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
 
 // Enumerate computes the extreme rays of {q : a·q ≥ 0 for every a in
 // normals} however many there are, and returns their number: zero when the
-// cone is not pointed. Ray reads them. It pins no apex, so Screen keeps
-// every point until the next Reset. A caller that must not lose a row
-// passes at most MaxConeRows.
+// cone is not pointed, and zero when more than MaxConeRows of the rows are
+// neither zero nor a duplicate direction, since a row left out would leave
+// the rays of a larger cone. Ray reads them. It pins no apex, so Screen
+// keeps every point until the next Reset.
 func (c *Cone) Enumerate(normals []vec.Vector) int {
 	c.pointed = false
-	if !c.enumerate(normals, math.MaxInt) {
+	if !c.enumerate(normals, math.MaxInt, true) {
 		return 0
 	}
 	return len(c.tight)
@@ -95,36 +112,167 @@ func (c *Cone) Enumerate(normals []vec.Vector) int {
 func (c *Cone) Ray(r int) (vec.Vector, uint64) { return c.ray(r), c.tight[r] }
 
 // enumerate runs the double description over normals, giving up past
-// maxRays rays, and reports whether the cone is pointed.
-func (c *Cone) enumerate(normals []vec.Vector, maxRays int) bool {
-	c.tight = c.tight[:0]
+// maxRays rays, and reports whether the cone is pointed. Past MaxConeRows
+// distinct rows it cuts by the first 64 alone, or, if exact, refuses.
+func (c *Cone) enumerate(normals []vec.Vector, maxRays int, exact bool) bool {
+	c.m, c.seen, c.capped = 0, 0, false
+	c.tight, c.idx = c.tight[:0], c.idx[:0]
 	if len(normals) == 0 {
 		return false
 	}
-	d := len(normals[0])
-	c.d, c.m = d, 0
-	c.rows = vec.Grown(c.rows, min(len(normals), MaxConeRows)*d)
-	for _, a := range normals {
-		if c.m == MaxConeRows {
-			break
-		}
-		row := c.rows[c.m*d : (c.m+1)*d]
-		if !scaleTo(row, a, coneZeroRow) || c.duplicate(row) {
-			continue
-		}
-		c.m++
-	}
-	if c.m < d {
+	c.d = len(normals[0])
+	if !c.addRows(normals) && exact || c.m < c.d {
 		return false
 	}
 	basis, ok := c.simplicial()
-	for i := 0; ok && i < c.m; i++ {
-		ok = basis&(1<<i) != 0 || c.cut(i, maxRays)
-	}
 	if !ok {
 		c.tight = c.tight[:0]
+		return false
+	}
+	return c.cutRows(0, basis, maxRays)
+}
+
+// addRows keeps, unit length, the rows of normals from c.seen on that are
+// neither zero nor a duplicate direction. It reports false, leaving c.seen
+// at the row, when one more would pass MaxConeRows.
+func (c *Cone) addRows(normals []vec.Vector) bool {
+	for d := c.d; c.seen < len(normals); c.seen++ {
+		at := c.m * d
+		c.rows = append(c.rows[:at], normals[c.seen]...)
+		row := vec.Vector(c.rows[at:])
+		if !scaleTo(row, row, coneZeroRow) || c.duplicate(row) {
+			continue
+		}
+		if c.m == MaxConeRows {
+			return false
+		}
+		c.idx = append(c.idx, c.seen)
+		c.m++
+	}
+	return true
+}
+
+// cutRows cuts by the kept rows from the from-th on, skipping the basis
+// rows, and reports whether rays remain; past maxRays it gives up.
+func (c *Cone) cutRows(from int, basis uint64, maxRays int) bool {
+	for i := from; i < c.m; i++ {
+		if basis&(1<<i) == 0 && !c.cut(i, maxRays) {
+			c.capped = true
+			c.tight = c.tight[:0]
+			return false
+		}
 	}
 	return len(c.tight) > 0
+}
+
+// reduceRays brings the double description up to every row of normals —
+// cutting the rays it holds, a prefix's, by the rows past c.seen, starting
+// over when it holds none — under maxConeRays. It reports false when the
+// cone is not pointed, the rays outgrow their budget (a Reset that gave up
+// is not retried), a 65th distinct row comes, or a fresh start would be
+// past maxFresh dimensions.
+func (c *Cone) reduceRays(normals []vec.Vector, maxFresh int) bool {
+	switch d := len(normals[0]); {
+	case c.capped:
+		return false
+	case len(c.tight) > 0 && c.d == d && c.seen <= len(normals):
+		from := c.m
+		return c.addRows(normals) && c.cutRows(from, 0, maxConeRays)
+	case d > maxFresh:
+		return false
+	}
+	return c.enumerate(normals, maxConeRays, true)
+}
+
+// redundant decides from the rays which kept rows are redundant: a row is
+// a facet — irredundant — exactly when the rays on it span d − 1
+// dimensions. It returns the redundant rows as a mask, or false when some
+// margin is doubtful: a ray off a row by more than coneSide but not by
+// coneClear, or a rank short of d − 1 with a Gram–Schmidt residual between
+// rankTol and rankClear. A facet must also carry a certificate the
+// membership programs cannot argue with, its rays' sum clearly inside
+// every other row. It reports false, too, for a cone that is not
+// full-dimensional, which some row lies on throughout: there the minimal
+// set depends on the order rows are tried.
+func (c *Cone) redundant() (uint64, bool) {
+	d, m := c.d, c.m
+	c.face, c.prod, c.orth = c.face[:0], vec.Grown(c.prod, len(c.tight)*m), vec.Grown(c.orth, d*d)
+	onAll := ^uint64(0)
+	for r := range c.tight {
+		g, prod := c.ray(r), c.prod[r*m:(r+1)*m]
+		var on uint64
+		for i := range prod {
+			var s float64
+			for j, x := range c.rows[i*d : (i+1)*d] {
+				s += x * g[j]
+			}
+			switch prod[i] = s; {
+			case math.Abs(s) <= coneSide:
+				on |= 1 << i
+			case s <= coneClear:
+				return 0, false
+			}
+		}
+		c.face = append(c.face, on)
+		onAll &= on
+	}
+	if onAll != 0 {
+		return 0, false
+	}
+	var drop uint64
+	for i := 0; i < m; i++ {
+		facet, ok := c.facet(i)
+		if !ok {
+			return 0, false
+		}
+		if !facet {
+			drop |= 1 << i
+		}
+	}
+	return drop, true
+}
+
+// facet reports whether kept row i is a facet of the cone, and false for
+// ok when the rays cannot say beyond doubt. The rays on the row are
+// orthogonalized in turn: d − 1 residuals above rankClear prove the rank
+// (a facet, if the certificate holds), and all at or below rankTol, bar
+// the pivots, prove it short (a lower face: redundant). The certificate
+// of a facet is its rays' sum s: a_i·s = 0 while a_j·s > coneClear·‖s‖
+// for every other row j, so any nonnegative combination of the other rows
+// that is within the programs' tolerance of a_i would be far shorter than
+// a_i.
+func (c *Cone) facet(i int) (facet, ok bool) {
+	d, m, bit := c.d, c.m, uint64(1)<<i
+	c.resid, c.side = vec.Grown(c.resid, d), vec.Grown(c.side, m)
+	sum, at := vec.Vector(c.resid), c.side // the rays' sum and its products with the rows
+	clear(sum)
+	clear(at)
+	rank, doubt := 0, false
+	for r, on := range c.face {
+		if on&bit == 0 {
+			continue
+		}
+		vec.AXPY(1, c.ray(r), sum)
+		vec.AXPY(1, c.prod[r*m:(r+1)*m], at)
+		if rank < d-1 {
+			switch res := c.orthogonalize(c.ray(r), rank); {
+			case res > rankClear:
+				rank++
+			case res > rankTol:
+				doubt = true
+			}
+		}
+	}
+	if rank < d-1 {
+		return false, !doubt
+	}
+	margin := coneClear * vec.Norm(sum)
+	for j, s := range at {
+		if j != i && s <= margin {
+			return false, false
+		}
+	}
+	return true, true
 }
 
 // duplicate reports whether the unit row has the direction of a kept one.
@@ -178,11 +326,11 @@ func (c *Cone) simplicial() (uint64, bool) {
 	for t, bt := range c.basis {
 		o := 0
 		for s, bs := range c.basis {
-			if s != t {
-				o += c.orthogonalize(c.row(bs), o)
+			if s != t && c.orthogonalize(c.row(bs), o) > rankTol {
+				o++
 			}
 		}
-		if c.orthogonalize(c.row(bt), o) == 0 {
+		if c.orthogonalize(c.row(bt), o) <= rankTol {
 			return 0, false
 		}
 		copy(c.ray(t), c.orth[o*d:(o+1)*d])
@@ -191,10 +339,11 @@ func (c *Cone) simplicial() (uint64, bool) {
 	return picked, true
 }
 
-// orthogonalize appends a's component orthogonal to the first o rows of
-// c.orth as row o, unit length, and reports 1 if that component is longer
-// than rankTol, 0 (appending nothing) if not.
-func (c *Cone) orthogonalize(a vec.Vector, o int) int {
+// orthogonalize writes a's component orthogonal to the first o rows of
+// c.orth as row o and returns its length. Above rankTol the row is scaled
+// to unit length and counts toward a rank; at or below it, it counts for
+// nothing.
+func (c *Cone) orthogonalize(a vec.Vector, o int) float64 {
 	d := c.d
 	q := vec.Vector(c.orth[o*d : (o+1)*d])
 	copy(q, a)
@@ -202,10 +351,14 @@ func (c *Cone) orthogonalize(a vec.Vector, o int) int {
 		p := vec.Vector(c.orth[s*d : (s+1)*d])
 		vec.AXPY(-vec.Dot(q, p), p, q)
 	}
-	if !scaleTo(q, q, rankTol) {
-		return 0
+	nm := vec.Norm(q)
+	if nm > rankTol {
+		inv := 1 / nm
+		for j, x := range q {
+			q[j] = inv * x
+		}
 	}
-	return 1
+	return nm
 }
 
 // cut intersects the cone with row i's half-space: the rays on its side
@@ -271,7 +424,9 @@ func (c *Cone) adjacent(common uint64) bool {
 	}
 	rank := 0
 	for ; common != 0 && rank < need; common &= common - 1 {
-		rank += c.orthogonalize(c.row(bits.TrailingZeros64(common)), rank)
+		if c.orthogonalize(c.row(bits.TrailingZeros64(common)), rank) > rankTol {
+			rank++
+		}
 	}
 	return rank >= need
 }

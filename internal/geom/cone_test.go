@@ -363,3 +363,33 @@ func TestConeRaysSimplicial(t *testing.T) {
 		t.Error("a two-row cone in d = 3 reported pointed, or dropped a record")
 	}
 }
+
+// TestConeEnumerateRefusesPastMaxRows checks that Enumerate, whose callers
+// want the rays of exactly the cone they pass, refuses a 65th distinct row
+// instead of cutting by the first 64 alone, while zero rows and duplicate
+// directions past the 64th cost nothing; and that Reset, whose screen may
+// err toward a larger cone, still cuts by the first 64.
+func TestConeEnumerateRefusesPastMaxRows(t *testing.T) {
+	rows := []vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	for j := 1; len(rows) < MaxConeRows; j++ {
+		rows = append(rows, vec.Vector{1, 1, float64(j)}) // inside the orthant's dual: redundant
+	}
+	padded := append(slices.Clone(rows), vec.Vector{0, 0, 0}, vec.Vector{2, 2, 2})
+	if got := new(Cone).Enumerate(padded); got != 3 {
+		t.Errorf("64 distinct rows, a zero row and a duplicate: Enumerate = %d rays, want the orthant's 3", got)
+	}
+	cut := append(slices.Clone(padded), vec.Vector{1, -1, 0}) // the 65th distinct row cuts e₂ away
+	var c Cone
+	if got := c.Enumerate(cut); got != 0 {
+		t.Errorf("65 distinct rows: Enumerate = %d rays, want 0 (refused)", got)
+	}
+	if got := c.Enumerate(append(slices.Clone(rows[:3]), cut[len(cut)-1])); got != 3 {
+		t.Errorf("the orthant cut by x₁ ≥ x₂: Enumerate = %d rays, want 3", got)
+	}
+	if !c.Reset(cut, vec.Vector{0.5, 0.5, 0.5}) || len(c.tight) != 3 {
+		t.Fatalf("Reset over 65 distinct rows: %d rays, want the first 64's 3", len(c.tight))
+	}
+	if !slices.ContainsFunc([]int{0, 1, 2}, func(r int) bool { return vec.Equal(c.ray(r), vec.Vector{0, 1, 0}, 1e-12) }) {
+		t.Errorf("Reset over 65 distinct rows cut by the 65th: e₂ is gone")
+	}
+}

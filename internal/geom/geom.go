@@ -11,6 +11,7 @@ package geom
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -55,30 +56,98 @@ func ContainsAll(hs []Halfspace, x vec.Vector, tol float64) bool {
 
 // ReduceCone returns the indices of a minimal subset of the given
 // origin-anchored half-space normals {x : a_i·x ≥ 0} whose intersection
-// equals the intersection of all of them. By LP duality (Farkas' lemma),
-// a_i is redundant iff a_i lies in the conical hull of the others.
+// equals the intersection of all of them.
 //
-// Near-parallel duplicates are collapsed first (keeping the lowest index),
-// since a pair of mutually redundant constraints would otherwise survive
-// the one-at-a-time elimination.
+// Zero normals (no longer than tol) and duplicate directions are
+// collapsed first, keeping the lowest index, since a pair of mutually
+// redundant constraints would otherwise survive the one-at-a-time
+// elimination below. The rest is decided on one of two paths:
 //
-// The work runs in a pooled reducer — unit normals, the membership
-// programs' generator matrix and the simplex tableau — so only the
-// returned index slice is allocated.
+//   - By the extreme rays, at tol = 1e-12, the zero length of Cone's own
+//     filter. The double description runs over the rows, and in a
+//     pointed, full-dimensional cone a row is irredundant exactly when the
+//     rays on it span d − 1 dimensions (Fukuda & Prodon 1996). A row is
+//     kept only when its rays clear every rank with a margin and their sum
+//     lies clearly inside every other row, and dropped only when its rays
+//     clearly fall short; so the rays never drop a doubtful row, nor keep
+//     one a membership program would call redundant within its tolerance.
+//   - By membership programs, for every row at once, whenever the rays
+//     leave any row in doubt, the cone is not pointed or not
+//     full-dimensional, more than MaxConeRows distinct rows remain, or the
+//     rays outgrow their budget; and at d > 4, where a double description
+//     of its own is no cheaper than the programs (Cone.Reduce continues
+//     one at any d). By LP duality (Farkas' lemma), a_i is redundant iff
+//     it lies in the conical hull of the others, and the rows are tried
+//     one at a time in index order against those still kept.
+//
+// Both paths return the same set wherever the rays decide. The work runs
+// in a pooled reducer — unit normals, a Cone, the membership programs'
+// generator matrix and the simplex tableau — so only the returned index
+// slice is allocated.
 func ReduceCone(normals []vec.Vector, tol float64) []int {
-	n := len(normals)
-	if n == 0 {
-		return nil
-	}
 	r := reducers.Get().(*reducer)
 	defer reducers.Put(r)
-	d := len(normals[0])
-	r.unit, r.alive = vec.Grown(r.unit, n*d), vec.Grown(r.alive, n)
-	unit := func(i int) vec.Vector { return r.unit[i*d : (i+1)*d] }
-	for i, a := range normals {
-		r.alive[i] = scaleTo(unit(i), a, tol)
+	r.cone.Reset(nil, nil)
+	keep, _ := r.reduce(&r.cone, normals, tol, maxFreshDim)
+	return keep
+}
+
+// Reduce is ReduceCone continuing c's double description: only the rows
+// after those of the last Reset are cut, and when that Reset gave up on its
+// ray budget the membership programs decide at once. The last Reset must
+// have seen a prefix of normals, the same rows in the same order, or
+// nothing (Reset(nil, nil)): the rays of other rows give a wrong set. It
+// leaves c's screen unpinned.
+func (c *Cone) Reduce(normals []vec.Vector, tol float64) []int {
+	r := reducers.Get().(*reducer)
+	defer reducers.Put(r)
+	c.pointed = false // the rays change under the screen's apex products
+	keep, _ := r.reduce(c, normals, tol, maxFreshDim)
+	return keep
+}
+
+// reduce is ReduceCone on c's rays, starting a double description of its
+// own only up to maxFresh dimensions; it also reports whether the rays
+// decided, the membership programs not running. The cone's own filter —
+// zero rows at coneZeroRow, duplicate directions, the lowest index kept —
+// is dedupe's, so on the rays' path its kept rows are r.alive's.
+func (r *reducer) reduce(c *Cone, normals []vec.Vector, tol float64, maxFresh int) ([]int, bool) {
+	if len(normals) == 0 {
+		return nil, true
 	}
-	// Collapse duplicates (same direction).
+	if tol == coneZeroRow && c.reduceRays(normals, maxFresh) {
+		if drop, ok := c.redundant(); ok {
+			r.alive = vec.Grown(r.alive, len(normals))
+			clear(r.alive)
+			for j, i := range c.idx[:c.m] {
+				r.alive[i] = drop&(1<<j) == 0
+			}
+			return r.indices(c.m - bits.OnesCount64(drop)), true
+		}
+	}
+	return r.indices(r.eliminate(r.dedupe(normals, tol))), false
+}
+
+// indices returns, ascending, the kept rows r.alive marks.
+func (r *reducer) indices(kept int) []int {
+	keep := make([]int, 0, kept)
+	for i, alive := range r.alive {
+		if alive {
+			keep = append(keep, i)
+		}
+	}
+	return keep
+}
+
+// dedupe scales the normals into r.unit, marks in r.alive those neither
+// zero nor a duplicate direction of an earlier one, and returns their
+// number.
+func (r *reducer) dedupe(normals []vec.Vector, tol float64) int {
+	n, d := len(normals), len(normals[0])
+	r.d, r.unit, r.alive = d, vec.Grown(r.unit, n*d), vec.Grown(r.alive, n)
+	for i, a := range normals {
+		r.alive[i] = scaleTo(r.row(i), a, tol)
+	}
 	kept := 0
 	for i := 0; i < n; i++ {
 		if !r.alive[i] {
@@ -86,24 +155,29 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 		}
 		kept++
 		for j := i + 1; j < n; j++ {
-			if r.alive[j] && vec.Equal(unit(i), unit(j), 1e-9) {
+			if r.alive[j] && vec.Equal(r.row(i), r.row(j), coneDupRow) {
 				r.alive[j] = false
 			}
 		}
 	}
-	// One-at-a-time conical membership elimination: is unit(i) in
-	// {Σ λ_j g_j : λ ≥ 0} over the other live normals g_j?
-	for i := 0; i < n && kept > 1; i++ {
+	return kept
+}
+
+// eliminate runs the one-at-a-time conical membership elimination over
+// the kept rows — is unit(i) in {Σ λ_j g_j : λ ≥ 0} over the other live
+// normals g_j? — and returns how many are left.
+func (r *reducer) eliminate(kept int) int {
+	for i := 0; i < len(r.alive) && kept > 1; i++ {
 		if !r.alive[i] {
 			continue
 		}
-		r.membership(kept-1, unit(i))
+		r.membership(kept-1, r.row(i))
 		col := 0
-		for j := 0; j < n; j++ {
-			if j == i || !r.alive[j] {
+		for j, alive := range r.alive {
+			if j == i || !alive {
 				continue
 			}
-			for row, x := range unit(j) {
+			for row, x := range r.row(j) {
 				r.rows[row].Coef[col] = x
 			}
 			col++
@@ -113,13 +187,7 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 			kept--
 		}
 	}
-	keep := make([]int, 0, kept)
-	for i := 0; i < n; i++ {
-		if r.alive[i] {
-			keep = append(keep, i)
-		}
-	}
-	return keep
+	return kept
 }
 
 // ConeCuts returns, ascending, the indices of the added normals whose
@@ -211,8 +279,10 @@ func scaleTo(dst, a vec.Vector, tol float64) bool {
 
 // reducer is ReduceCone's and ConeCuts' pooled workspace.
 type reducer struct {
+	d     int
 	unit  []float64 // the normals scaled to unit length, row-major
 	alive []bool
+	cone  Cone            // ReduceCone: the rays
 	order []visit         // ConeCuts: the added normals, most binding first
 	gen   []float64       // a membership program's rows, back to back
 	rows  []lp.Constraint // over gen
@@ -224,6 +294,8 @@ type visit struct {
 	slack float64
 	i     int
 }
+
+func (r *reducer) row(i int) vec.Vector { return r.unit[i*r.d : (i+1)*r.d] }
 
 // membership sizes the program "is target in the conical hull of m
 // generators": one equality row per dimension, one column per generator,

@@ -180,7 +180,7 @@ type scratch struct {
 	seedIDs []int64
 	virtual []float64 // the virtual seeds' coordinates
 	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
-	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k
+	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k; finish cuts them by Phase 2's rows
 	screen  bool      // FP: cone can drop records (a pointed GIR's Phase 1)
 	tbuf    []float64 // FP: the points screenPoints screens, column-major
 	tcols   [][]float64
@@ -193,6 +193,7 @@ func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
 	sc.d, sc.g = d, g
 	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
 	sc.screen = false
+	sc.cone.Reset(nil, nil) // finish continues only this computation's cone
 }
 
 // add appends the half-space keeping record b below record a, given
@@ -243,8 +244,11 @@ func (sc *scratch) replace(anchors, recs []topk.Record) {
 // — the most binding first, which is what Contains' first-violation exit
 // wants — copied with the query into one fresh slab. The reduction sees
 // the constraints in the order the phases emitted them, so the kept set
-// does not depend on the final order. Raw constraints are returned as
-// emitted.
+// does not depend on the final order. It reads the minimal set off the
+// cone's extreme rays (geom.Cone.Reduce): after FP's screen the Phase-1
+// rays are already there, and only the Phase-2 rows are cut into them;
+// any other computation starts the double description afresh. Raw
+// constraints are returned as emitted.
 func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vector) {
 	d := sc.d
 	sc.rows = sc.rows[:0]
@@ -259,7 +263,7 @@ func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vect
 			keep[i] = i
 		}
 	} else {
-		keep = geom.ReduceCone(sc.rows, 1e-12)
+		keep = sc.cone.Reduce(sc.rows, 1e-12)
 		sc.slack = sc.slack[:0]
 		for _, n := range sc.rows {
 			sc.slack = append(sc.slack, vec.Dot(n, q))
