@@ -108,17 +108,16 @@ func TestColdBRSAllocBudget(t *testing.T) {
 // the FP region, the inscribed box, the put and an eviction. Phase 2 runs
 // in pooled scratch (star, page block, raw constraints, the reduction's
 // programs), so what a fill allocates is what outlives it: the result,
-// the region's slab and the entry (its repair state only in RepairMode,
-// which this engine is not in) — a few dozen
-// objects, where the one-object-per-facet, per-constraint and per-program
-// build took thousands.
+// the region's slab and the entry — a few dozen objects, where the
+// one-object-per-facet, per-constraint and per-program build took
+// thousands.
 //
 // fillAllocBudget and fillByteBudget are its budgets; alloc_race_test.go
 // raises them to the race build's own measurement × 2, as it does for
 // drainAllocBudget. A fill allocated about 97 KB when it copied T twice
-// more as a candidate set no evicting engine reads, and allocates about
-// 51 KB without (n = 20 000, d = 4, k = 10): the byte budget sits between
-// the two, so the copies cannot creep back.
+// more as a candidate set nothing reads, and allocates about 51 KB without
+// (n = 20 000, d = 4, k = 10): the byte budget sits between the two, so the
+// copies cannot creep back.
 var (
 	fillAllocBudget = 100.0
 	fillByteBudget  = 64.0 * 1024
@@ -383,19 +382,13 @@ func TestUncachedMissAllocBudget(t *testing.T) {
 
 // TestFillScratchNoAliasing is the fill's half of the ownership rule:
 // everything a cache entry keeps — region normals and query, records,
-// candidates, unexpanded-subtree bounds, inscribed box — is copied out of
-// the pooled Phase-2 scratch, so hundreds of later fills through the same
-// pools, from one goroutine and from four, leave it bit-identical. The
-// candidates and bounds are there only in RepairMode; an engine that
-// evicts keeps neither, and its arm holds that too.
+// inscribed box — is copied out of the pooled Phase-2 scratch, so hundreds
+// of later fills through the same pools, from one goroutine and from four,
+// leave it bit-identical. The entry holds no candidate set and no subtree
+// corners.
 func TestFillScratchNoAliasing(t *testing.T) {
-	t.Run("repair", func(t *testing.T) { testFillScratchNoAliasing(t, true) })
-	t.Run("evict", func(t *testing.T) { testFillScratchNoAliasing(t, false) })
-}
-
-func testFillScratchNoAliasing(t *testing.T, repair bool) {
 	ds := allocDataset(t, 20000, 4)
-	e := NewEngine(ds, EngineOptions{Workers: 4, RepairMode: repair})
+	e := NewEngine(ds, EngineOptions{Workers: 4})
 	defer e.Close()
 
 	q0 := datagen.Query(4, 7)
@@ -413,23 +406,18 @@ func testFillScratchNoAliasing(t *testing.T, repair bool) {
 			floats = append(floats, c.Normal...)
 			ids = append(ids, c.A, c.B)
 		}
-		for _, recs := range [][]topk.Record{entry.Records, entry.Cand} {
-			for _, r := range recs {
-				floats = append(append(floats, r.Point...), r.Score)
-				ids = append(ids, r.ID)
-			}
-		}
-		for _, b := range entry.Bounds {
-			floats = append(floats, b...)
+		for _, r := range entry.Records {
+			floats = append(append(floats, r.Point...), r.Score)
+			ids = append(ids, r.ID)
 		}
 		return append(append(floats, entry.InnerLo...), entry.InnerHi...), ids
 	}
 	wantF, wantI := flatten()
-	if len(entry.Region.Constraints) == 0 || repair && (len(entry.Cand) == 0 || len(entry.Bounds) == 0) {
-		t.Fatalf("entry too bare to test: %d constraints, %d candidates, %d bounds", len(entry.Region.Constraints), len(entry.Cand), len(entry.Bounds))
+	if len(entry.Region.Constraints) == 0 {
+		t.Fatal("entry too bare to test: no constraints")
 	}
-	if !repair && (entry.Cand != nil || entry.Bounds != nil || entry.CandComplete()) {
-		t.Fatalf("an evicting engine's entry holds %d candidates and %d bounds (complete %v)", len(entry.Cand), len(entry.Bounds), entry.CandComplete())
+	if entry.Cand != nil || entry.Bounds != nil || entry.CandComplete() {
+		t.Fatalf("the entry holds %d candidates and %d bounds (complete %v)", len(entry.Cand), len(entry.Bounds), entry.CandComplete())
 	}
 
 	check := func(after string) {
@@ -539,12 +527,10 @@ func TestSharedResultsDoNotAliasRecords(t *testing.T) {
 	}
 }
 
-// warmRepairCache fills a cache outside any engine with FP regions of the
-// 20 000-record, d = 4 dataset, through the engine's own fill path —
-// entries carrying the repair state (candidates, unexpanded-subtree
-// corners) a real fill retains: the fixture of the drain gate and the
-// maintenance microbenchmarks.
-func warmRepairCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
+// warmCache fills a cache outside any engine with FP regions of the
+// 20 000-record, d = 4 dataset, through the engine's own fill path: the
+// fixture of the drain gate and the maintenance microbenchmark.
+func warmCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
 	tb.Helper()
 	ds := allocDataset(tb, 20000, 4)
 	c := newCache(2 * entries)
@@ -555,21 +541,19 @@ func warmRepairCache(tb testing.TB, entries, k int) (*Cache, []*cache.Entry) {
 }
 
 // drainAllocBudget is TestDrainAllocBudget's budget: what a drain pass
-// measures × 2. alloc_race_test.go raises it to the race build's own
-// measurement × 2 — the gate holds there too, at the number that build reads.
-var drainAllocBudget = 90.0
+// measures (13 objects) × 2. alloc_race_test.go raises it to the race
+// build's own measurement × 2 — the gate holds there too, at the number
+// that build reads.
+var drainAllocBudget = 26.0
 
 // TestDrainAllocBudget bounds one drain pass over a warm cache of 16
-// entries: one delete of a cached result record — every entry holding it
-// is repaired by promotion, several hundred candidate half-spaces handed
-// to Region.Shrink — and eight uniform inserts, each classified against
-// every entry. The pass works in pooled scratch (the added normals' slab,
-// the classifier's vectors and LP rows, the reduction's programs), so what
-// it allocates is what outlives it: a repaired entry's region slab,
-// records, candidates and inscribed box (45 objects; 1 428 before the
-// maintenance path was pooled).
+// entries: one delete of a cached result record, which evicts every entry
+// holding it, and eight uniform inserts, each classified against every
+// entry. The classifier works in pooled scratch (its vectors and LP rows),
+// so what a pass allocates is the set of condemned entries and the view it
+// publishes without them.
 func TestDrainAllocBudget(t *testing.T) {
-	c, entries := warmRepairCache(t, 16, 10)
+	c, entries := warmCache(t, 16, 10)
 	const runs = 8
 	var victims []int64
 	for _, e := range entries[:runs+1] {
@@ -577,7 +561,7 @@ func TestDrainAllocBudget(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(5))
 	nextID, version := int64(1<<40), int64(0)
-	pass, repaired, affected := 0, 0, 0
+	pass, evicted := 0, 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		version++
 		batch := []maintain.Mutation{{Version: version, ID: victims[pass]}}
@@ -586,15 +570,14 @@ func TestDrainAllocBudget(t *testing.T) {
 			batch = append(batch, maintain.Mutation{Version: version, Insert: true, ID: nextID, Point: []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}})
 			nextID++
 		}
-		st := drain(c, batch)
-		repaired, affected = repaired+st.Repaired, affected+st.Affected
+		evicted += drain(c, batch).Evicted
 		pass++
 	})
-	if repaired < pass {
-		t.Fatalf("%d passes repaired %d entries (%d affected): the gate is not measuring delete repair", pass, repaired, affected)
+	if evicted < pass {
+		t.Fatalf("%d passes evicted %d entries: the gate is not measuring an eviction", pass, evicted)
 	}
 	if allocs > drainAllocBudget {
 		t.Fatalf("a drain pass allocated %.1f objects, budget %.0f", allocs, drainAllocBudget)
 	}
-	t.Logf("a drain pass allocates %.1f objects (budget %.0f; %d passes, %d affect events, %d repaired)", allocs, drainAllocBudget, pass, affected, repaired)
+	t.Logf("a drain pass allocates %.1f objects (budget %.0f; %d passes, %d evicted)", allocs, drainAllocBudget, pass, evicted)
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/invalidate"
 	"github.com/girlib/gir/internal/pager"
-	"github.com/girlib/gir/internal/repair"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -85,43 +84,12 @@ func BenchmarkFill(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
 }
 
-// BenchmarkShrinkRepairDelete is one delete repair per iteration on the
-// shape the traced churn workload measured: an entry of the 20 000-record,
-// d = 4 cache whose region has 8 constraints, the promoted candidate's
-// half-space against every other candidate and every unexpanded-subtree
-// corner handed to Region.Shrink (added/op), a handful kept.
-func BenchmarkShrinkRepairDelete(b *testing.B) {
-	_, entries := warmRepairCache(b, 32, benchK)
-	e := entries[0]
-	for _, x := range entries {
-		if abs(len(x.Region.Constraints)-8) < abs(len(e.Region.Constraints)-8) {
-			e = x
-		}
-	}
-	re := repair.Entry{Region: e.Region, Records: e.Records, Cand: e.Cand, Bounds: e.Bounds, InnerLo: e.InnerLo, InnerHi: e.InnerHi}
-	id := e.Records[len(e.Records)/2].ID
-	var rp *repair.Repaired
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ok bool
-		if rp, ok = repair.Delete(re, id); !ok {
-			b.Fatal("the fixture's delete is not repairable")
-		}
-	}
-	b.ReportMetric(float64(len(e.Region.Constraints)), "old")
-	b.ReportMetric(float64(len(e.Cand)-1+len(e.Bounds)), "added/op")
-	b.ReportMetric(float64(len(rp.Region.Constraints)), "kept")
-}
-
-func abs(x int) int { return max(x, -x) }
-
 // BenchmarkInsertAffectsKeep is one uniform insert classified against
 // every entry of a 32-entry cache per iteration — the drain pass's inner
 // loop, where all but a fraction of a percent of the verdicts are "keep"
 // (affected/op reports the rest).
 func BenchmarkInsertAffectsKeep(b *testing.B) {
-	_, entries := warmRepairCache(b, 32, benchK)
+	_, entries := warmCache(b, 32, benchK)
 	r := rand.New(rand.NewSource(3))
 	pts := make([]vec.Vector, 1024)
 	for i := range pts {
@@ -141,8 +109,7 @@ func BenchmarkInsertAffectsKeep(b *testing.B) {
 }
 
 // BenchmarkCheckpoint is one Engine.Checkpoint per iteration on
-// BenchmarkBRS's tree with its log on and a warm RepairMode cache of 300
-// entries; 24 balanced writes (off the clock, reconciled) separate two
+// BenchmarkBRS's tree with its log on and a warm cache of 300 entries; 24 balanced writes (off the clock, reconciled) separate two
 // checkpoints (12 on the first). KB/op is what the checkpoint wrote, from the files' sizes:
 // the cache snapshot, plus the dataset file's growth — or the whole file when
 // the checkpoint rewrote it.
@@ -200,11 +167,11 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // warmDurableOpts is the engine warmDurable builds and
 // BenchmarkRecoverEngine recovers.
-var warmDurableOpts = EngineOptions{Workers: 1, CacheCapacity: 300, RepairMode: true}
+var warmDurableOpts = EngineOptions{Workers: 1, CacheCapacity: 300}
 
 // warmDurable is the checkpoint benchmarks' fixture: BenchmarkBRS's tree
-// with its log on in a fresh directory, and a warm RepairMode engine filled
-// from 300 distinct vectors.
+// with its log on in a fresh directory, and a warm engine filled from 300
+// distinct vectors.
 func warmDurable(b *testing.B) (*Dataset, *Engine, string) {
 	ds := allocDataset(b, 100000, 4)
 	dir := b.TempDir()
@@ -219,9 +186,9 @@ func warmDurable(b *testing.B) (*Dataset, *Engine, string) {
 }
 
 // BenchmarkRecoverEngine is one RecoverEngine per iteration from the
-// directory one checkpoint of warmDurable's engine leaves, no log tail. It
-// is where the repair state a checkpoint no longer writes is paid for — one
-// traversal per entry.
+// directory one checkpoint of warmDurable's engine leaves, no log tail:
+// the dataset file's load and the warm cache's decode, which reads no
+// page.
 func BenchmarkRecoverEngine(b *testing.B) {
 	ds, e, dir := warmDurable(b)
 	if err := e.Checkpoint(dir); err != nil {

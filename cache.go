@@ -31,15 +31,12 @@ type Cache struct {
 type preparedPut struct {
 	reg    *girint.Region
 	recs   []topk.Record
-	cand   []topk.Record
-	bounds []vec.Vector
-	candOK bool
 	lo, hi vec.Vector
 }
 
 // prepareCachePut stages an insert, or returns nil when the entry is not
 // cacheable (no region, or an order-insensitive GIR*).
-func prepareCachePut(g *GIR, recs []Record, cand []topk.Record, bounds []vec.Vector, candOK bool) *preparedPut {
+func prepareCachePut(g *GIR, recs []Record) *preparedPut {
 	if g == nil {
 		return nil
 	}
@@ -52,12 +49,12 @@ func prepareCachePut(g *GIR, recs []Record, cand []topk.Record, bounds []vec.Vec
 		trecs[i] = topk.Record{ID: r.ID, Point: vec.Vector(r.Attrs), Score: r.Score}
 	}
 	lo, hi := viz.MAH(reg, reg.Query)
-	return &preparedPut{reg: reg, recs: trecs, cand: cand, bounds: bounds, candOK: candOK, lo: lo, hi: hi}
+	return &preparedPut{reg: reg, recs: trecs, lo: lo, hi: hi}
 }
 
 // commitPut inserts a staged entry.
 func (c *Cache) commitPut(p *preparedPut) bool {
-	return c.inner.PutWithBox(p.reg, p.recs, p.lo, p.hi, p.cand, p.bounds, p.candOK, 0)
+	return c.inner.PutWithBox(p.reg, p.recs, p.lo, p.hi, nil, nil, false, 0)
 }
 
 // lookupEntry is the engine's allocation-free hit path: it hands back the

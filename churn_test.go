@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	cacheint "github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -94,24 +96,12 @@ func TestEngineChurnNeverServesStale(t *testing.T) {
 	runEngineChurn(t, EngineOptions{Workers: 4, CacheCapacity: 48}, SpaceBox)
 }
 
-// TestEngineChurnRepairMode runs the same mutator/querier race with
-// repair-instead-of-evict maintenance: every served answer must still
-// match brute-force top-k somewhere in its version window (a repaired
-// entry serving a stale or mis-promoted result fails exactly like an
-// un-evicted one), and the maintenance counters must reconcile.
-func TestEngineChurnRepairMode(t *testing.T) {
-	runEngineChurn(t, EngineOptions{Workers: 4, CacheCapacity: 48, RepairMode: true}, SpaceBox)
-}
-
-// Simplex arms: the same mutator/querier races over the Σw=1 query space.
-// Every layer the verdict chain touches — region membership, invalidation
-// LPs, repair certification — must clip to the simplex; a box assumption anywhere shows up as a stale serve here.
+// TestEngineChurnSimplex: the same mutator/querier race over the Σw=1
+// query space. Every layer the drain touches — region membership, the
+// invalidation LPs — must clip to the simplex; a box assumption anywhere
+// shows up as a stale serve here.
 func TestEngineChurnSimplex(t *testing.T) {
 	runEngineChurn(t, EngineOptions{Workers: 4, CacheCapacity: 48}, SpaceSimplex)
-}
-
-func TestEngineChurnRepairModeSimplex(t *testing.T) {
-	runEngineChurn(t, EngineOptions{Workers: 4, CacheCapacity: 48, RepairMode: true}, SpaceSimplex)
 }
 
 func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
@@ -248,6 +238,11 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 	mutator.Wait()
 	close(results)
 
+	// Every failure below prints the engine's counters, so it says whether
+	// the cache was exercised at all and how the writes treated it.
+	st := e.Stats()
+	counters := fmt.Sprintf("hits=%d misses=%d computed=%d refused fills=%d writes=%d affected=%d evicted=%d predicates=%d",
+		st.CacheHits, st.Misses, st.Computed, st.RefusedFills, len(mirror.log), st.Affected, st.Invalidated, st.PredicateEvals)
 	verified, hadMultiVersionWindows := 0, 0
 	for sr := range results {
 		ok := false
@@ -256,45 +251,39 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 			ok = sameIDs(sr.ids, want)
 		}
 		if !ok {
-			t.Fatalf("STALE result served: q=%v k=%d got %v, matching no dataset version in [%d, %d]",
-				sr.q, sr.k, sr.ids, sr.v0, sr.v1)
+			t.Fatalf("STALE result served: q=%v k=%d got %v, matching no dataset version in [%d, %d] (%s)",
+				sr.q, sr.k, sr.ids, sr.v0, sr.v1, counters)
 		}
 		if sr.v1 > sr.v0 {
 			hadMultiVersionWindows++
 		}
 		verified++
 	}
-	st := e.Stats()
 	if verified == 0 {
-		t.Fatal("nothing verified")
+		t.Fatalf("nothing verified (%s)", counters)
 	}
 	if st.CacheHits == 0 {
-		t.Error("cache never hit — churn test is vacuous")
+		t.Errorf("cache never hit — churn test is vacuous (%s)", counters)
 	}
 	if len(mirror.log) == 0 {
-		t.Error("no mutations ran — churn test is vacuous")
+		t.Errorf("no mutations ran — churn test is vacuous (%s)", counters)
 	}
 	// Maintenance-counter consistency: every entry a mutation could perturb
-	// was either repaired in place or evicted, and nothing else was counted
-	// in either bucket.
-	if st.Repaired+st.Invalidated != st.Affected {
-		t.Errorf("counters inconsistent: repaired %d + evicted %d != affected %d",
-			st.Repaired, st.Invalidated, st.Affected)
+	// was evicted, and nothing is repaired.
+	if st.Affected != st.Invalidated || st.Repaired != 0 {
+		t.Errorf("counters inconsistent: affected %d, evicted %d, repaired %d", st.Affected, st.Invalidated, st.Repaired)
 	}
-	if !opts.RepairMode && st.Repaired != 0 {
-		t.Errorf("repairs happened with RepairMode off: %d", st.Repaired)
-	}
-	t.Logf("verified=%d (windows spanning mutations: %d) mutations=%d hits=%d misses=%d affected=%d repaired=%d invalidated=%d predicates=%d",
-		verified, hadMultiVersionWindows, len(mirror.log), st.CacheHits, st.Misses, st.Affected, st.Repaired, st.Invalidated, st.PredicateEvals)
+	t.Logf("verified=%d (windows spanning mutations: %d) %s", verified, hadMultiVersionWindows, counters)
 }
 
 // TestHitNeverRunsAheadOfVersion: a write drains into the cache before it
-// publishes its version, so in between a repaired entry already holds the
-// answer at a version no reader can pin. A probe in that window, on the
-// snapshot a reader loads then, must not serve it: the probe misses, or
-// serves the answer at the published version. The test's subscriber runs
-// the engine's drain and then probes, for deletes of the cached result's
-// top record, until three of them were repaired in place.
+// publishes its version, so in between the cache is reconciled with a
+// version no reader can pin. A probe in that window, on the snapshot a
+// reader loads then, must not serve from it: the probe misses, or serves
+// the answer at the published version. The test's subscriber runs the
+// engine's drain and then probes, for deletes that alternate between the
+// cached result's top record (the drain evicts the entry) and a record
+// outside every result (the drain keeps it).
 func TestHitNeverRunsAheadOfVersion(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	const n, k = 400, 5
@@ -308,7 +297,7 @@ func TestHitNeverRunsAheadOfVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{Workers: 1, RepairMode: true})
+	e := NewEngine(ds, EngineOptions{Workers: 1})
 	defer e.Close()
 	q := []float64{0.5, 0.3, 0.6}
 	probes, hits := 0, 0
@@ -328,40 +317,47 @@ func TestHitNeverRunsAheadOfVersion(t *testing.T) {
 		}
 	})
 	ds.mu.Unlock()
-	for i := 0; i < 40 && e.Stats().Repaired < 3; i++ {
+	kept := 0
+	for i := 0; i < 12; i++ {
 		res := e.TopK(q, k)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
 		id := res.Records[0].ID
+		if i%2 == 1 { // a record no result at q holds: the entry stays cached
+			id = bruteTopK(state, []float64{0, 0, 1}, len(state))[len(state)-1]
+			if slices.Contains(idsOf(res.Records), id) {
+				t.Fatalf("fixture: record %d is in the cached result", id)
+			}
+			kept++
+		}
+		evicted := e.Stats().Invalidated
 		if ok, err := ds.Delete(id, state[id]); err != nil || !ok {
 			t.Fatalf("delete %d: %v, %v", id, ok, err)
 		}
 		delete(state, id) // after the write returns: the subscriber sees the state before it
+		if i%2 == 1 && e.Stats().Invalidated != evicted {
+			t.Fatalf("deleting record %d, outside the result, evicted the entry", id)
+		}
 	}
-	if e.Stats().Repaired == 0 || probes == 0 {
-		t.Fatalf("%d repairs, %d probes: the window was never exercised", e.Stats().Repaired, probes)
+	if probes == 0 || kept == 0 || e.Stats().Invalidated == 0 {
+		t.Fatalf("%d probes, %d kept, %d evicted: the window was never exercised", probes, kept, e.Stats().Invalidated)
 	}
-	t.Logf("%d probes inside the window, %d served from the cache, %d repairs", probes, hits, e.Stats().Repaired)
+	t.Logf("%d probes inside the window, %d served from the cache, %d evictions", probes, hits, e.Stats().Invalidated)
 }
 
 // TestWriteReturnsReconciled: a write reconciles the cache before it
 // returns. After every Insert and Delete, with no other call in between,
 // every cached entry must be exactly topk.Scan at its own query and k over
 // the dataset at ds.Version() — ids in order and scores bit for bit — while
-// two readers keep filling and hitting the cache. Both spaces, evict and
-// repair.
+// two readers keep filling and hitting the cache. Both spaces.
 func TestWriteReturnsReconciled(t *testing.T) {
 	for _, space := range []Space{SpaceBox, SpaceSimplex} {
-		for _, repair := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/repair=%v", space, repair), func(t *testing.T) {
-				runWriteReturnsReconciled(t, space, repair)
-			})
-		}
+		t.Run(space.String(), func(t *testing.T) { runWriteReturnsReconciled(t, space) })
 	}
 }
 
-func runWriteReturnsReconciled(t *testing.T, space Space, repair bool) {
+func runWriteReturnsReconciled(t *testing.T, space Space) {
 	r := rand.New(rand.NewSource(29))
 	const n, writes = 400, 150
 	points := make([][]float64, n)
@@ -372,7 +368,7 @@ func runWriteReturnsReconciled(t *testing.T, space Space, repair bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: 32, RepairMode: repair})
+	e := NewEngine(ds, EngineOptions{Workers: 2, CacheCapacity: 32})
 	defer e.Close()
 	pool := make([][]float64, 16)
 	ks := make([]int, len(pool))
@@ -455,17 +451,13 @@ func runWriteReturnsReconciled(t *testing.T, space Space, repair bool) {
 	if checked == 0 || st.Affected == 0 {
 		t.Fatalf("vacuous: %d entries checked, %d affect events", checked, st.Affected)
 	}
-	if repair && st.Repaired == 0 {
-		t.Error("RepairMode on but nothing was repaired")
-	}
-	t.Logf("%d entry checks after %d writes; affected=%d repaired=%d evicted=%d", checked, writes, st.Affected, st.Repaired, st.Invalidated)
+	t.Logf("%d entry checks after %d writes; evicted=%d", checked, writes, st.Invalidated)
 }
 
 // TestInsertTieEvicts: an insert that ties a cached entry's k-th record
 // and has the smaller id ranks ahead of it under (score desc, id asc), so
 // the drain must evict the entry: an exact duplicate of p_k under an id
-// below every stored one changes the next Engine.TopK, with or without
-// repair.
+// below every stored one changes the next Engine.TopK.
 func TestInsertTieEvicts(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const n, d, k = 500, 3, 5
@@ -478,30 +470,28 @@ func TestInsertTieEvicts(t *testing.T) {
 		state[ids[i]] = points[i]
 	}
 	q := []float64{0.6, 0.3, 0.5}
-	for _, repair := range []bool{false, true} {
-		ds, err := NewDatasetWithIDs(ids, points, SpaceBox)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8, RepairMode: repair})
-		fill := e.TopK(q, k)
-		if hit := e.TopK(q, k); fill.Err != nil || hit.Err != nil || !hit.CacheHit {
-			t.Fatalf("repair %v: the fill did not cache (%v, %v)", repair, fill.Err, hit.Err)
-		}
-		pk := fill.Records[k-1]
-		const dupID = 7 // below every stored id
-		if err := ds.Insert(dupID, pk.Attrs); err != nil {
-			t.Fatal(err)
-		}
-		state[dupID] = pk.Attrs
-		got := e.TopK(q, k)
-		e.Close()
-		if got.Err != nil {
-			t.Fatal(got.Err)
-		}
-		if want := bruteTopK(state, q, k); !sameIDs(idsOf(got.Records), want) {
-			t.Fatalf("repair %v: after a tying insert with a smaller id the engine served %v, brute force %v", repair, idsOf(got.Records), want)
-		}
+	ds, err := NewDatasetWithIDs(ids, points, SpaceBox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 8})
+	defer e.Close()
+	fill := e.TopK(q, k)
+	if hit := e.TopK(q, k); fill.Err != nil || hit.Err != nil || !hit.CacheHit {
+		t.Fatalf("the fill did not cache (%v, %v)", fill.Err, hit.Err)
+	}
+	pk := fill.Records[k-1]
+	const dupID = 7 // below every stored id
+	if err := ds.Insert(dupID, pk.Attrs); err != nil {
+		t.Fatal(err)
+	}
+	state[dupID] = pk.Attrs
+	got := e.TopK(q, k)
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if want := bruteTopK(state, q, k); !sameIDs(idsOf(got.Records), want) {
+		t.Fatalf("after a tying insert with a smaller id the engine served %v, brute force %v", idsOf(got.Records), want)
 	}
 }
 
@@ -523,4 +513,141 @@ func sameIDs(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// TestRepairModeIsInert: EngineOptions.RepairMode changes nothing. One
+// seeded stream of queries, inserts and deletes (deletes of cached result
+// records among them) runs through two engines over identical durable
+// datasets, one built with RepairMode. Every answer, the final
+// EngineStats and the cache — ids, scores and region bytes, entry for
+// entry — must be identical; no write is credited as a repair, every
+// affected entry is evicted, and no entry holds a candidate set or subtree
+// corners. Recovering either directory under either setting then reads no
+// page while it loads the cache.
+func TestRepairModeIsInert(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const n, steps = 600, 800
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	pool := make([][]float64, 12)
+	ks := make([]int, len(pool))
+	for i := range pool {
+		pool[i] = []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}
+		ks[i] = 3 + r.Intn(6)
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	var dss []*Dataset
+	var engines []*Engine
+	for i, repair := range []bool{false, true} {
+		ds, err := NewDataset(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.EnableWAL(dirs[i], WALOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		dss = append(dss, ds)
+		engines = append(engines, NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 16, RepairMode: repair}))
+	}
+	live := map[int64][]float64{}
+	for i, p := range points {
+		live[int64(i)] = p
+	}
+	write := func(m churnMut) {
+		for _, ds := range dss {
+			applyMut(t, ds, m)
+		}
+		if m.insert {
+			live[m.id] = m.point
+		} else {
+			delete(live, m.id)
+		}
+	}
+	var last []Record
+	nextID := int64(1 << 20)
+	for step := 0; step < steps; step++ {
+		switch x := r.Float64(); {
+		case x < 0.1 && len(last) > 0: // a cached result record
+			id := last[r.Intn(len(last))].ID
+			if p := live[id]; p != nil {
+				write(churnMut{id: id, point: p})
+			}
+		case x < 0.25:
+			p := []float64{r.Float64(), r.Float64(), r.Float64()}
+			if r.Intn(3) == 0 {
+				for j := range p {
+					p[j] = 0.8 + 0.19*r.Float64()
+				}
+			}
+			write(churnMut{insert: true, id: nextID, point: p})
+			nextID++
+		default:
+			pi := r.Intn(len(pool))
+			a, b := engines[0].TopK(pool[pi], ks[pi]), engines[1].TopK(pool[pi], ks[pi])
+			if a.Err != nil || b.Err != nil {
+				t.Fatal(a.Err, b.Err)
+			}
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("step %d: the engines answered %v and %v", step, a, b)
+			}
+			last = a.Records
+		}
+	}
+	for pi := range pool { // refill what the writes evicted, so the comparison below has entries
+		a, b := engines[0].TopK(pool[pi], ks[pi]), engines[1].TopK(pool[pi], ks[pi])
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("refill %d: the engines answered %v and %v", pi, a, b)
+		}
+	}
+	sa, sb := engines[0].Stats(), engines[1].Stats()
+	if sa != sb {
+		t.Fatalf("stats differ:\n%+v\n%+v", sa, sb)
+	}
+	if sa.Repaired != 0 || sa.Affected != sa.Invalidated || sa.Invalidated == 0 || sa.CacheHits == 0 {
+		t.Fatalf("repaired %d, affected %d, evicted %d, hits %d: want no repair, every affected entry evicted, and both exercised", sa.Repaired, sa.Affected, sa.Invalidated, sa.CacheHits)
+	}
+	fa, fb := engines[0].cache.inner.Entries(), engines[1].cache.inner.Entries()
+	if len(fa) != len(fb) || len(fa) == 0 {
+		t.Fatalf("%d and %d entries cached", len(fa), len(fb))
+	}
+	for i := range fa {
+		if x, y := entryFingerprint(fa[i]), entryFingerprint(fb[i]); x != y {
+			t.Fatalf("entry %d differs:\n%s\n%s", i, x, y)
+		}
+		for _, ent := range []*cacheint.Entry{fa[i], fb[i]} {
+			if ent.Cand != nil || ent.Bounds != nil || ent.CandComplete() {
+				t.Fatalf("an entry holds %d candidates and %d bounds", len(ent.Cand), len(ent.Bounds))
+			}
+		}
+	}
+	for i := range engines {
+		if err := engines[i].Checkpoint(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+		engines[i].Close()
+		if err := dss[i].Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range dirs {
+		for _, repair := range []bool{false, true} {
+			ds, e, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: repair})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Cache().Len(); got != len(fa) {
+				t.Errorf("repair %v: restored %d entries, checkpointed %d", repair, got, len(fa))
+			}
+			if reads := ds.IOStats().PageReads; reads != 0 {
+				t.Errorf("repair %v: loading the cache read %d pages", repair, reads)
+			}
+			e.Close()
+			if err := ds.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("%d steps: %d hits, %d misses, %d evicted, %d entries at the end", steps, sa.CacheHits, sa.Misses, sa.Invalidated, len(fa))
 }

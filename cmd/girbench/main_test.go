@@ -70,17 +70,17 @@ func TestSuiteSmoke(t *testing.T) {
 				t.Error("warm fused pass served no cache hits")
 			}
 		}},
-		{"churn", []string{"repair", "fine-grained", "global flush"}, func(t *testing.T, rows []row) {
+		{"churn", []string{"fine-grained", "global flush"}, func(t *testing.T, rows []row) {
 			for _, r := range rows {
-				if r.Affected != r.Repaired+r.Invalidated {
-					t.Errorf("%s: affected %d != repaired %d + invalidated %d", r.Name, r.Affected, r.Repaired, r.Invalidated)
+				if r.Affected != r.Invalidated {
+					t.Errorf("%s: affected %d != invalidated %d", r.Name, r.Affected, r.Invalidated)
 				}
 				if r.Hits == 0 || r.Writes == 0 {
 					t.Errorf("%s: %d hits, %d writes — the cache never matched a region or the stream carried no churn", r.Name, r.Hits, r.Writes)
 				}
-			}
-			if rows[1].Repaired != 0 || rows[2].Repaired != 0 {
-				t.Errorf("an arm without RepairMode repaired: %+v %+v", rows[1], rows[2])
+				if r.RefusedFills > r.Recomputes {
+					t.Errorf("%s: %d refused fills of %d recomputes", r.Name, r.RefusedFills, r.Recomputes)
+				}
 			}
 		}},
 		{"wal", []string{"no-wal", "wal (sync every 1)", "wal (sync every 32)"}, func(t *testing.T, rows []row) {

@@ -96,11 +96,11 @@ type arm struct {
 	batched bool // reads go in BatchTopK calls of up to suiteInflight consecutive ones
 	warm    bool // serve the stream's reads once, untimed, before measuring
 
-	nocache, repair bool // engined: caching off; RepairMode
-	flush           bool // engined: clear the whole cache after every write (the flush-the-world baseline the engine has no switch for)
-	walSync         int  // > 0: log to a temporary directory, fsync every walSync appends; the arm ends with a checkpoint and a recovery
-	mutator         bool // writes come from a paced concurrent goroutine, and every fsync takes suiteFsyncDelay longer (a spinning disk)
-	parts           int  // sharded: partition count
+	nocache bool // engined: caching off
+	flush   bool // engined: clear the whole cache after every write (the flush-the-world baseline the engine has no switch for)
+	walSync int  // > 0: log to a temporary directory, fsync every walSync appends; the arm ends with a checkpoint and a recovery
+	mutator bool // writes come from a paced concurrent goroutine, and every fsync takes suiteFsyncDelay longer (a spinning disk)
+	parts   int  // sharded: partition count
 }
 
 // table is one comparison: its arms over one stream, or — a figure table —
@@ -134,8 +134,7 @@ var suiteTables = []table{
 		{name: "fused cache (cold)", on: engined, batched: true},
 		{name: "fused cache (warm)", on: same, batched: true},
 	}},
-	{Name: "churn", Compares: "what a warm cache keeps under writes: repair in place vs evict what a write can perturb vs flush everything", WriteMix: suiteWriteMix, arms: []arm{
-		{name: "repair", on: engined, repair: true, warm: true},
+	{Name: "churn", Compares: "what a warm cache keeps under writes: evict what a write can perturb vs flush everything", WriteMix: suiteWriteMix, arms: []arm{
 		{name: "fine-grained", on: engined, warm: true},
 		{name: "global flush", on: engined, flush: true, warm: true},
 	}},
@@ -192,11 +191,11 @@ type row struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 
-	Deduped     int64 `json:"deduped,omitempty"`
-	Recomputes  int64 `json:"recomputes,omitempty"`
-	Affected    int64 `json:"affected,omitempty"` // = repaired + invalidated
-	Repaired    int64 `json:"repaired,omitempty"`
-	Invalidated int64 `json:"invalidated,omitempty"`
+	Deduped      int64 `json:"deduped,omitempty"`
+	Recomputes   int64 `json:"recomputes,omitempty"`
+	RefusedFills int64 `json:"refused_fills,omitempty"` // recomputed regions the cache turned away: a write drained after their traversal
+	Affected     int64 `json:"affected,omitempty"`      // = invalidated
+	Invalidated  int64 `json:"invalidated,omitempty"`
 
 	PageReadsPerQuery float64 `json:"page_reads_per_query,omitempty"`
 	FusedGroups       int64   `json:"fused_groups,omitempty"`
@@ -533,7 +532,7 @@ func (s *suite) runTable(tb *table) error {
 
 // open builds an arm's target over a fresh copy of the suite's points.
 func (s *suite) open(a arm) (target, error) {
-	eopts := gir.EngineOptions{CacheCapacity: 2 * s.cfg.Distinct, RepairMode: a.repair}
+	eopts := gir.EngineOptions{CacheCapacity: 2 * s.cfg.Distinct}
 	if a.nocache {
 		eopts.CacheCapacity = -1
 	}
@@ -659,8 +658,8 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 
 		Deduped:         after.Deduped - before.Deduped,
 		Recomputes:      after.Computed - before.Computed,
+		RefusedFills:    after.RefusedFills - before.RefusedFills,
 		Affected:        after.Affected - before.Affected,
-		Repaired:        after.Repaired - before.Repaired,
 		Invalidated:     after.Invalidated - before.Invalidated,
 		FusedGroups:     after.FusedGroups - before.FusedGroups,
 		FusedQueries:    after.FusedQueries - before.FusedQueries,
@@ -743,7 +742,7 @@ var columns = []struct {
 	{"hit%", "%.1f", func(r *row) float64 { return 100 * r.HitRate }},
 	{"deduped", "%.0f", func(r *row) float64 { return float64(r.Deduped) }},
 	{"recomputes", "%.0f", func(r *row) float64 { return float64(r.Recomputes) }},
-	{"repaired", "%.0f", func(r *row) float64 { return float64(r.Repaired) }},
+	{"refused", "%.0f", func(r *row) float64 { return float64(r.RefusedFills) }},
 	{"evicted", "%.0f", func(r *row) float64 { return float64(r.Invalidated) }},
 	{"page reads", "%.0f", func(r *row) float64 { return float64(r.PageReads) }},
 	{"reads/query", "%.1f", func(r *row) float64 { return r.PageReadsPerQuery }},

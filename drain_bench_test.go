@@ -13,7 +13,7 @@ import (
 // the write, so B=1 is what a write pays for the drain; B=8 and B=64 are
 // the planner's batch path. Bursts alternate between inserting B
 // background records and deleting them again, so the cache state (32
-// entries, candidate sets) is steady across iterations and B=1 vs B=8 vs
+// entries) is steady across iterations and B=1 vs B=8 vs
 // B=64 differences are the batching economics alone (scans, lock traffic),
 // not growing entry state. CI runs this in the bench smoke so drain-cost
 // regressions show up in PR runs.
@@ -43,7 +43,7 @@ func BenchmarkDrainBurst(b *testing.B) {
 				del := make([]maintain.Mutation, burst)
 				for j := range ins {
 					// Background points: provably unaffecting for every
-					// entry, so the pass exercises the absorb path (the
+					// entry, so the pass exercises the keep path (the
 					// common case under churn) without evicting the
 					// fixture.
 					p := []float64{0.2 * r.Float64(), 0.2 * r.Float64(), 0.2 * r.Float64()}

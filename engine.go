@@ -35,14 +35,16 @@ import (
 //     the cache before it returns: every Insert/Delete hands its mutation
 //     to the engine under the dataset's writer lock, before the new version
 //     becomes visible, and the engine drains it into the cache on the spot
-//     (internal/maintain). A cached entry the mutation can perturb is
-//     evicted, or in RepairMode repaired in place; in RepairMode one it
-//     cannot perturb absorbs it into its candidate set. Writers pay for that
+//     (internal/maintain). The region says which writes matter: a delete
+//     only if it removes a cached result record, an insert only if it can
+//     beat p_k somewhere in the region. An entry such a write can perturb
+//     is evicted and refilled by the next miss in its region; every other
+//     entry is kept as it is, and stays exact. Writers pay for that
 //     analysis and readers never wait for it: a reader that pins version v
 //     finds the cache reconciled through v, and is served a hit only while
-//     the cache is at exactly v. A query racing a mutation may be served from
-//     either side of it; once the mutation returns, later queries never
-//     see results the mutation invalidated.
+//     the cache is at exactly v. A query racing a mutation may be served
+//     from either side of it; once the mutation returns, later queries
+//     never see results the mutation invalidated.
 //
 // The engine serves linear scoring only — GIR-keyed caching is only sound
 // for the linear family the regions are computed under (Section 3 of the
@@ -65,11 +67,10 @@ type Engine struct {
 	applied atomic.Int64
 	unsub   func()
 
-	deduped     atomic.Int64
-	computed    atomic.Int64
-	affected    atomic.Int64 // (mutation, entry) pairs a mutation could perturb (repair + evict events)
-	repaired    atomic.Int64 // affect events resolved by an in-place patch
-	invalidated atomic.Int64 // entries evicted by fine-grained invalidation
+	deduped      atomic.Int64
+	computed     atomic.Int64
+	invalidated  atomic.Int64 // entries evicted by fine-grained invalidation
+	refusedFills atomic.Int64 // fills putIfCurrent turned away: a write drained after their traversal
 
 	fusedGroups  atomic.Int64 // fused traversals that served ≥ 2 queries
 	fusedQueries atomic.Int64 // queries those traversals answered
@@ -80,8 +81,8 @@ type Engine struct {
 // GOMAXPROCS workers, a 1024-entry cache and FP (the paper's fastest
 // method) for cache-fill GIR computation.
 // The query-space domain is inherited from the Dataset (NewDatasetInSpace):
-// fills, cache membership, invalidation predicates and repairs all run in
-// that space — see Engine.Space.
+// fills, cache membership and invalidation predicates all run in that
+// space — see Engine.Space.
 type EngineOptions struct {
 	// Workers bounds the goroutines a batch fans out over (≤ 0 =
 	// GOMAXPROCS).
@@ -98,17 +99,11 @@ type EngineOptions struct {
 	// CacheMethod is the GIR algorithm used to build regions on the miss
 	// path. The zero value is FP; every method caches the same region.
 	CacheMethod Method
-	// RepairMode upgrades fine-grained invalidation to
-	// repair-instead-of-evict: an affected entry is patched in place when
-	// the mutation perturbs it in a closed-form way — an Insert that
-	// displaces only its k-th record swaps the new record in and shrinks
-	// the region by the new pairwise constraint; a Delete of one of its
-	// result records promotes the best retained candidate — and evicted
-	// only when no sound repair exists (internal/repair). Repaired entries
-	// keep serving without a full top-k + GIR recompute on the next miss.
-	// Only in RepairMode does a fill, or a warm start, retain a candidate
-	// set and the unexpanded subtrees' corners for its entry; without it an
-	// entry holds its region and records alone.
+	// RepairMode is ignored: the engine evicts every entry a write can
+	// perturb, and never patches one in place.
+	//
+	// Deprecated: an engine has one maintenance policy; the field remains
+	// so existing callers still compile.
 	RepairMode bool
 }
 
@@ -126,7 +121,6 @@ func NewEngine(ds *Dataset, opts EngineOptions) *Engine {
 		c = &Cache{inner: cacheint.New(capacity)}
 	}
 	e := &Engine{ds: ds, cache: c, opts: opts}
-	e.planner.Repair = opts.RepairMode
 	if c != nil {
 		// Subscribe and read the starting version in one critical section
 		// of the writer lock: a write between the two would be drained and
@@ -162,15 +156,12 @@ func (e *Engine) Close() {
 // so the write pays for the drain and no reader can pin a version the cache
 // is behind. The cache is then one version ahead of every published
 // snapshot until the write publishes, so applied moves first and probe
-// refuses the cache to a snapshot it is ahead of. Event counts are credited
-// from applied outcomes, so Repaired + Invalidated = Affected holds exactly.
+// refuses the cache to a snapshot it is ahead of.
 func (e *Engine) reconcile(m maintain.Mutation) {
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
 	e.applied.Store(m.Version)
 	out := e.planner.Drain(e.cache.inner, []maintain.Mutation{m})
-	e.affected.Add(int64(out.Affected))
-	e.repaired.Add(int64(out.Repaired))
 	e.invalidated.Add(int64(out.Evicted))
 }
 
@@ -208,14 +199,18 @@ type EngineStats struct {
 	Misses      int64 // cache lookups that found nothing
 	Deduped     int64 // queries that shared an identical in-flight computation
 	Computed    int64 // full BRS (+ cache-fill GIR) computations executed
-	Affected    int64 // (mutation, entry) pairs a mutation could perturb (= Repaired + Invalidated)
-	Repaired    int64 // affect events resolved by an in-place patch (RepairMode)
+	Affected    int64 // (mutation, entry) pairs a mutation could perturb; each evicts, so = Invalidated
+	Repaired    int64 // always 0: no entry is patched in place (see EngineOptions.RepairMode)
 	Invalidated int64 // cache entries evicted by fine-grained invalidation
 	Fenced      int64 // always 0: no hit is vetoed, since a write reconciles the cache before it returns
 	CacheProbes int64 // cache entries containment-tested by lookups (÷ lookups = entries probed per lookup)
 	// PredicateEvals counts the affectedness predicates the write path's
 	// drains ran (closed-form filters + LP fallback).
 	PredicateEvals int64
+	// RefusedFills counts the regions fills built that the cache turned
+	// away, because a write drained between the fill's traversal and its
+	// put: the cache had moved past the version the region describes.
+	RefusedFills int64
 
 	// Fused-batch economics: how many multi-member fused traversals ran,
 	// how many queries they answered, and how many page visits were served
@@ -233,12 +228,13 @@ type EngineStats struct {
 
 // Stats returns cumulative engine counters.
 func (e *Engine) Stats() EngineStats {
+	evicted := e.invalidated.Load()
 	st := EngineStats{
 		Deduped:         e.deduped.Load(),
 		Computed:        e.computed.Load(),
-		Affected:        e.affected.Load(),
-		Repaired:        e.repaired.Load(),
-		Invalidated:     e.invalidated.Load(),
+		Affected:        evicted,
+		Invalidated:     evicted,
+		RefusedFills:    e.refusedFills.Load(),
 		PredicateEvals:  e.planner.Predicates(),
 		FusedGroups:     e.fusedGroups.Load(),
 		FusedQueries:    e.fusedQueries.Load(),
@@ -257,7 +253,7 @@ func (e *Engine) Cache() *Cache { return e.cache }
 
 // Space returns the query-space domain the engine serves in, inherited
 // from its Dataset at construction. Every region the engine computes,
-// caches, repairs or persists is clipped to this space.
+// caches or persists is clipped to this space.
 func (e *Engine) Space() Space { return e.ds.Space() }
 
 // fuseGroupSize caps how many misses of one call a fused traversal serves
@@ -438,7 +434,7 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 		// One GIR build per distinct result amortizes over every later hit;
 		// without a cache nobody would read it, so the traversal then
 		// retains nothing a build resumes from either.
-		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.RepairMode, e.opts.CacheMethod)
+		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.CacheMethod)
 		e.sharedReads.Add(stats.SharedReads)
 		if len(qs) > 1 {
 			e.fusedGroups.Add(1)
@@ -490,8 +486,9 @@ func (r *EngineResult) set(a *groupAnswer, err error, shared bool) {
 // putIfCurrent inserts a freshly built region only if the cache is
 // reconciled with exactly the version it was computed at: a later write has
 // already drained, and its verdict on this region was never taken, so a
-// stale region must never enter the cache. The check and the insert happen
-// under invMu, the lock every drain holds, so no drain can run between them.
+// stale region must never enter the cache, and counts as a refused fill.
+// The check and the insert happen under invMu, the lock every drain holds,
+// so no drain can run between them.
 func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	if e.cache == nil || fill.girErr != nil || fill.g == nil {
 		return
@@ -499,15 +496,17 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	// Staging (record copies, inscribed-box geometry) happens before the
 	// lock: dataset writers drain under invMu, so the critical section must
 	// stay at one comparison plus the view's copy-and-publish.
-	p := prepareCachePut(fill.g, fill.recs, fill.cand, fill.bounds, fill.candOK)
+	p := prepareCachePut(fill.g, fill.recs)
 	if p == nil {
 		return
 	}
 	e.invMu.Lock()
 	defer e.invMu.Unlock()
-	if e.applied.Load() == fill.version {
-		e.cache.commitPut(p)
+	if e.applied.Load() != fill.version {
+		e.refusedFills.Add(1)
+		return
 	}
+	e.cache.commitPut(p)
 }
 
 // rescoreInto rebuilds cache-hit records into dst with scores for the

@@ -14,14 +14,14 @@
 // The entries are one immutable view: a slice published through an atomic
 // pointer and never written after. A lookup loads it once and scans it
 // without a lock, so lookups never wait for each other or for a writer.
-// Writers — Put and the eviction it triggers, MaintainBatch's apply, Clear
-// and the reorder below — serialize on one mutex and publish a fresh copy;
-// fills are milliseconds apart, so copying a few hundred pointers per write
-// is noise. A lookup that loaded the previous view may serve an entry a
-// writer has just evicted or replaced: entries are immutable once
-// published, and the Engine drains each write into the cache before the
-// write's version becomes visible, so such a lookup is one that raced the
-// write and is served from the version before it.
+// Writers — Put and the eviction it triggers, MaintainBatch's evictions,
+// Clear and the reorder below — serialize on one mutex and publish a fresh
+// copy; fills are milliseconds apart, so copying a few hundred pointers per
+// write is noise. A lookup that loaded the previous view may serve an entry
+// a writer has just evicted: entries are immutable once published, and the
+// Engine drains each write into the cache before the write's version
+// becomes visible, so such a lookup is one that raced the write and is
+// served from the version before it.
 //
 // A lookup tests the query against the domain once per distinct domain in
 // the view, then each entry's cone on its flat row-major normals, stopping
@@ -59,12 +59,9 @@ import (
 // for callers that still pass one.
 const DefaultShards = 16
 
-// MaxRetained caps the repair state (candidates + subtree bounds) stored
-// per entry. A fill whose retained state exceeds the cap is cached without
-// it (candComplete = false): the entry still serves and still supports
-// insert repair, but a delete of one of its result records evicts instead
-// of promoting — promotion is only sound when the candidate set provably
-// covers every record the fill did not report.
+// MaxRetained was the cap on the repair state an entry kept.
+//
+// Deprecated: no entry retains repair state; the cache never reads it.
 const MaxRetained = 2048
 
 // reorderEvery is how many clock ticks per entry pass between two
@@ -91,15 +88,10 @@ type Entry struct {
 	// is positive in the region, with no LP solve.
 	InnerLo, InnerHi vec.Vector
 
-	// Repair state (see internal/repair). Cand is the retained non-result
-	// candidate set: the fill's T, maintained since by absorbing every
-	// later unaffecting mutation. Bounds holds the top corners of R-tree
-	// subtrees the fill never expanded; together with Records and Cand they
-	// cover the whole dataset, which is what makes delete-repair promotion
-	// sound. Both are owned by whoever drains mutations into the cache
-	// (the Engine drains one write at a time, under its writers' locks) —
-	// lookups never touch them — so they need no locking beyond the
-	// publication of the view.
+	// Cand, Bounds and CandComplete hold what PutWithBox was given for
+	// them, unread: the cache keeps or evicts an entry, and never patches
+	// one from a candidate set. They remain for callers that still pass
+	// one.
 	Cand         []topk.Record
 	Bounds       []vec.Vector
 	candComplete bool
@@ -157,34 +149,8 @@ func (e *Entry) coneContains(q vec.Vector) bool {
 	return true
 }
 
-// CandComplete reports whether Records ∪ Cand ∪ Bounds provably covers the
-// dataset — the precondition for delete repair.
+// CandComplete returns the candComplete flag PutWithBox was given.
 func (e *Entry) CandComplete() bool { return e.candComplete }
-
-// AbsorbInsert folds an unaffecting insert into the candidate set: the new
-// record is a non-result candidate of this entry from then on. Drainer
-// only.
-func (e *Entry) AbsorbInsert(rec topk.Record) {
-	if e.candComplete {
-		if len(e.Cand) >= MaxRetained {
-			e.candComplete = false
-			e.Cand, e.Bounds = nil, nil
-		} else {
-			e.Cand = append(e.Cand, rec)
-		}
-	}
-}
-
-// AbsorbDelete folds an unaffecting delete into the candidate set, dropping
-// the record if it was a candidate. Drainer only.
-func (e *Entry) AbsorbDelete(id int64) {
-	for i, c := range e.Cand {
-		if c.ID == id {
-			e.Cand = append(e.Cand[:i], e.Cand[i+1:]...)
-			return
-		}
-	}
-}
 
 // Cache holds up to a fixed number of entries in one lock-free view, with
 // global LRU eviction. Safe for concurrent use.
@@ -298,7 +264,6 @@ func (c *Cache) reorder() {
 // Put stores a result and its order-sensitive GIR, evicting the least
 // recently used entry if the cache is full. Order-insensitive regions are
 // rejected: serving a cached *ordered* list from them would be unsound.
-// Entries stored through Put carry no repair state (delete repair evicts).
 func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
 	if reg == nil || !reg.OrderSensitive {
 		return false
@@ -307,18 +272,13 @@ func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
 	return c.PutWithBox(reg, records, lo, hi, nil, nil, false, 0)
 }
 
-// PutWithBox is Put with the inscribed box and the retained repair state
-// (candidate set + unexpanded-subtree bounds; candComplete asserts they
-// cover the dataset at the compute version) supplied by the caller. The
+// PutWithBox is Put with the inscribed box supplied by the caller. The
 // Engine uses it to do the box geometry outside its fill lock, so dataset
 // writers — who drain under that lock — are never stalled behind it, and
 // to restore persisted entries (oldest first: insertion order is recency).
-// The last parameter is unused.
-//
-// The entry takes ownership of cand: later absorption (AbsorbInsert,
-// AbsorbDelete) mutates it in place, so the caller passes a slice nothing
-// else holds, and a fresh one to each cache. Bounds are never mutated and
-// can be shared.
+// cand, bounds and candComplete are stored on the entry as given and never
+// read (see Entry.Cand); the library passes none. The last parameter is
+// unused.
 func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, _ int64) bool {
 	if reg == nil || !reg.OrderSensitive {
 		return false
@@ -352,67 +312,35 @@ func (c *Cache) insert(e *Entry) {
 	c.publish(append(fresh, e))
 }
 
-// RepairedEntry builds the replacement entry a successful repair swaps in
-// for old: the patched region/result/candidates, a freshly inscribed box,
-// and the old entry's unexpanded-subtree bounds and completeness flag.
-// Recency and hit count carry over when the swap happens (MaintainBatch).
-func RepairedEntry(old *Entry, reg *gir.Region, records, cand []topk.Record, innerLo, innerHi vec.Vector) *Entry {
-	e := newEntry(reg, records, innerLo, innerHi)
-	e.Cand, e.Bounds, e.candComplete = cand, old.Bounds, old.candComplete
-	return e
-}
-
-// BatchDecision is a MaintainBatch callback's verdict for one entry after
-// walking a whole ordered mutation batch: keep (zero value), evict, or
-// swap in the final repaired replacement. Affected and Repaired carry the
-// per-(mutation, entry) event counts of the entry's verdict chain — an
-// entry repaired twice and then evicted reports Affected 3, Repaired 2,
-// Evict true — and are credited to the pass outcome only if the verdict
-// actually applies (the entry was still cached when the writer mutex was
-// taken), which keeps Affected == Repaired + Evicted exact even under
-// concurrent LRU pressure.
-type BatchDecision struct {
-	Evict    bool
-	Replace  *Entry
-	Affected int
-	Repaired int
-}
-
-// BatchOutcome sums what one MaintainBatch pass actually applied.
+// BatchOutcome sums what one MaintainBatch pass applied.
 type BatchOutcome struct {
-	Entries  int // entries the pass scanned (exactly one scan per pass)
-	Affected int // (mutation, entry) affect events credited
-	Repaired int // in-place patches credited (≥ entries replaced: a chain may repair several times)
-	Evicted  int // entries removed
+	Entries int // entries the pass scanned (exactly one scan per pass)
+	Evicted int // entries removed
 }
 
 // MaintainBatch runs one maintenance pass over the whole cache for an
-// entire ordered batch of mutations: decide is evaluated once per entry of
+// entire ordered batch of mutations: evict is evaluated once per entry of
 // the published view with no lock held (it may solve LPs for every
-// mutation of the batch), then the evictions and replacements are applied
-// by identity to the view current at that point, published as one fresh
+// mutation of the batch), then the entries it condemned are removed by
+// identity from the view current at that point, published as one fresh
 // copy under the writer mutex. Entries inserted or evicted concurrently
 // are simply not considered (the Engine admits no fill while it drains).
 // However long the batch, the cache is scanned once and the mutex is taken
-// at most once. A replacement inherits the old entry's recency stamp and
-// hit count, so a repair never perturbs LRU or hit order.
-//
-// Lookups may keep serving a just-replaced old entry from the view they
-// loaded before the swap; that is the same race as serving a just-evicted
-// entry: the lookup raced the write.
-func (c *Cache) MaintainBatch(decide func(*Entry) BatchDecision) BatchOutcome {
+// at most once. A lookup that loaded the view before the eviction may
+// still serve the entry: that lookup raced the write.
+func (c *Cache) MaintainBatch(evict func(*Entry) bool) BatchOutcome {
 	view := c.load()
 	out := BatchOutcome{Entries: len(view)}
-	var verdicts map[*Entry]BatchDecision
+	var condemned map[*Entry]bool
 	for _, e := range view {
-		if d := decide(e); d.Evict || d.Replace != nil {
-			if verdicts == nil {
-				verdicts = make(map[*Entry]BatchDecision)
+		if evict(e) {
+			if condemned == nil {
+				condemned = make(map[*Entry]bool)
 			}
-			verdicts[e] = d
+			condemned[e] = true
 		}
 	}
-	if verdicts == nil {
+	if condemned == nil {
 		return out
 	}
 	c.mu.Lock()
@@ -420,20 +348,11 @@ func (c *Cache) MaintainBatch(decide func(*Entry) BatchDecision) BatchOutcome {
 	view = c.load()
 	fresh := make([]*Entry, 0, len(view))
 	for _, e := range view {
-		d, ok := verdicts[e]
-		if !ok {
-			fresh = append(fresh, e)
+		if condemned[e] {
+			out.Evicted++
 			continue
 		}
-		if d.Evict {
-			out.Evicted++
-		} else {
-			d.Replace.lastUse.Store(e.lastUse.Load())
-			d.Replace.hits.Store(e.hits.Load())
-			fresh = append(fresh, d.Replace)
-		}
-		out.Affected += d.Affected
-		out.Repaired += d.Repaired
+		fresh = append(fresh, e)
 	}
 	c.publish(fresh)
 	return out
@@ -444,9 +363,7 @@ func (c *Cache) MaintainBatch(decide func(*Entry) BatchDecision) BatchOutcome {
 func (c *Cache) Entries() []*Entry { return slices.Clone(c.load()) }
 
 // Snapshot is the part of one entry's state warm-cache persistence
-// serializes: what no traversal can rebuild. The repair state (Cand, Bounds,
-// candComplete) is left out — the loader reruns the fill's traversal and
-// hands PutWithBox a fresh one.
+// serializes: its region, records and inscribed box.
 type Snapshot struct {
 	Region           *gir.Region
 	Records          []topk.Record
@@ -459,8 +376,7 @@ type Snapshot struct {
 func (e *Entry) LastUse() int64 { return e.lastUse.Load() }
 
 // Snapshot exports the entry's persisted state. It copies nothing: every
-// field it reads is immutable once published — the candidate slice, the
-// one piece later absorbs mutate in place, is not part of it.
+// field it reads is immutable once published.
 func (e *Entry) Snapshot() Snapshot {
 	return Snapshot{
 		Region:  e.Region,

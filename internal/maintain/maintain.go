@@ -2,25 +2,21 @@
 // where the verdict for a cached GIR entry against dataset mutations is
 // decided. The Engine hands it each write as a batch of one, under the
 // write's lock and before the write's version becomes visible; a caller may
-// also drain a longer ordered batch in one pass:
+// also drain a longer ordered batch in one pass.
 //
-//	for every cached entry, walk the batch in version order through one
-//	verdict chain:
-//
-//	  unaffected → absorb the mutation into the entry's candidate set;
-//	  affected   → repair in place when a sound closed-form patch exists
-//	               (Repair mode); the repaired view — not yet committed to
-//	               the cache — keeps being checked against the REST of the
-//	               batch, so one publication of the cache's view commits
-//	               the net effect of any number of in-batch repairs;
-//	  else       → evict, short-circuiting the remaining mutations for
-//	               this entry.
+// The verdict is the paper's fine-grained invalidation, read off the
+// entry's region: a delete matters only if it removes one of the entry's
+// result records, and an insert only if it can beat p_k somewhere in the
+// region (internal/invalidate). Each entry walks the batch in version
+// order until the first mutation that affects it, and is then evicted;
+// an entry no mutation affects is kept as it is. A kept entry is still
+// exact, and an evicted one is refilled by the next miss that lands in
+// its region.
 //
 // A drain pass over a batch of B mutations therefore performs exactly one
 // cache scan and at most one acquisition of the cache's writer mutex,
-// instead of B of each. Outcome counters are per (mutation, entry) events,
-// so the caller's per-mutation accounting (Affected == Repaired +
-// Invalidated) is reconstructed exactly from batch outcomes.
+// instead of B of each, and evaluates each (mutation, entry) pair at most
+// once.
 package maintain
 
 import (
@@ -28,11 +24,7 @@ import (
 
 	"github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/invalidate"
-	"github.com/girlib/gir/internal/repair"
-	"github.com/girlib/gir/internal/score"
-	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
-	"github.com/girlib/gir/internal/viz"
 )
 
 // Mutation is one dataset write, in the order the writes were applied —
@@ -45,25 +37,26 @@ type Mutation struct {
 	Point   vec.Vector // the record's attributes; the planner reads an insert's only
 }
 
-// Outcome reports what one drain pass did. Affected, Repaired and Evicted
-// count (mutation, entry) events credited by the cache apply step, so
-// Affected == Repaired + Evicted holds exactly; Scans and Predicates are
-// the batching economics.
+// Outcome reports what one drain pass did: how many entries it evicted,
+// and the batching economics (Scans, Predicates). An evicted entry is the
+// only kind a mutation affects, so evictions are also the affect events.
 type Outcome struct {
 	Entries    int   // cached entries the pass considered
 	Scans      int   // full cache scans (always 1 per pass)
-	Affected   int   // (mutation, entry) pairs where the mutation could perturb the entry
-	Repaired   int   // affect events resolved by an in-place patch
 	Evicted    int   // entries removed (≤ 1 per entry per pass)
 	Predicates int64 // affectedness predicate evaluations this pass
 }
 
-// Planner holds the maintenance policy and its cumulative counters. The
-// zero value is an evict-only planner; set Repair for
-// repair-instead-of-evict. Drain must not run concurrently with itself, as
+// Planner holds the maintenance policy's cumulative counters. The zero
+// value is ready to use. Drain must not run concurrently with itself, as
 // the cache's entry ownership rules require; the Engine's writers are
 // serialized by the dataset's lock.
 type Planner struct {
+	// Repair is ignored: a drain keeps or evicts an entry, and never
+	// patches one in place.
+	//
+	// Deprecated: the planner has one policy; the field remains so
+	// existing callers still compile.
 	Repair bool
 
 	predicates atomic.Int64 // every affectedness evaluation
@@ -81,45 +74,18 @@ func (p *Planner) Drain(c *cache.Cache, batch []Mutation) Outcome {
 		return out
 	}
 	out.Scans = 1
-	res := c.MaintainBatch(func(e *cache.Entry) cache.BatchDecision {
-		return p.planEntry(e, batch, &out)
-	})
-	out.Entries = res.Entries
-	out.Affected = res.Affected
-	out.Repaired = res.Repaired
-	out.Evicted = res.Evicted
-	return out
-}
-
-// planEntry walks one entry through the batch — the unified verdict chain.
-// cur is the entry's current view: the live entry at first, then any
-// uncommitted repaired replacement; absorbs mutate the view in place
-// (live-entry Cand/Bounds are drainer-owned, lookups never read them) and
-// only the final view is committed.
-func (p *Planner) planEntry(entry *cache.Entry, batch []Mutation, out *Outcome) cache.BatchDecision {
-	cur := entry
-	affected, repairs := 0, 0
-	for _, m := range batch {
-		out.Predicates++
-		if !p.affects(m, cur) {
-			absorb(cur, m)
-			continue
-		}
-		affected++
-		if p.Repair {
-			if ne := repairedView(cur, m); ne != nil {
-				repairs++
-				cur = ne
-				continue // keep checking the repaired view against the rest
+	res := c.MaintainBatch(func(e *cache.Entry) bool {
+		for _, m := range batch {
+			out.Predicates++
+			if p.affects(m, e) {
+				return true // the rest of the batch is never evaluated against e
 			}
 		}
-		// No sound repair: evict, short-circuiting the remaining mutations.
-		return cache.BatchDecision{Evict: true, Affected: affected, Repaired: repairs}
-	}
-	if cur == entry {
-		return cache.BatchDecision{}
-	}
-	return cache.BatchDecision{Replace: cur, Affected: affected, Repaired: repairs}
+		return false
+	})
+	out.Entries = res.Entries
+	out.Evicted = res.Evicted
+	return out
 }
 
 // affects runs the affectedness classifier for one (mutation, entry) pair
@@ -130,46 +96,4 @@ func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 		return invalidate.InsertAffectsID(e.Region, e.Records, m.ID, m.Point, e.InnerLo, e.InnerHi)
 	}
 	return invalidate.DeleteAffects(e.Records, m.ID)
-}
-
-// absorb folds an unaffecting mutation into the entry view's candidate
-// set: an inserted record becomes a promotion candidate, a deleted one
-// stops being one. Without this, a later delete-repair could promote a
-// ghost or miss a better candidate.
-func absorb(e *cache.Entry, m Mutation) {
-	if m.Insert {
-		e.AbsorbInsert(topk.Record{
-			ID:    m.ID,
-			Point: m.Point,
-			Score: score.Linear{}.Score(m.Point, e.Region.Query),
-		})
-	} else {
-		e.AbsorbDelete(m.ID)
-	}
-}
-
-// repairedView runs the repair analysis for one affected entry view and
-// builds its (uncommitted) replacement, or returns nil when no sound
-// closed-form repair exists and the chain must evict.
-func repairedView(e *cache.Entry, m Mutation) *cache.Entry {
-	re := repair.Entry{
-		Region: e.Region, Records: e.Records,
-		Cand: e.Cand, Bounds: e.Bounds,
-		InnerLo: e.InnerLo, InnerHi: e.InnerHi,
-	}
-	var rp *repair.Repaired
-	var ok bool
-	if m.Insert {
-		rp, ok = repair.Insert(re, m.ID, m.Point)
-	} else {
-		if !e.CandComplete() {
-			return nil // candidate set was dropped or never covered the dataset
-		}
-		rp, ok = repair.Delete(re, m.ID)
-	}
-	if !ok {
-		return nil
-	}
-	lo, hi := viz.MAH(rp.Region, rp.Region.Query)
-	return cache.RepairedEntry(e, rp.Region, rp.Records, rp.Cand, lo, hi)
 }

@@ -42,7 +42,7 @@ func TestShardedChurnDifferential(t *testing.T) {
 func runShardDifferential(t *testing.T, space gir.Space, parts, n, d, distinct, steps int) {
 	points := genPoints(77, n, d)
 	mirror := mirrorOf(points)
-	c, err := New(points, Options{Parts: parts, Space: space, Engine: gir.EngineOptions{RepairMode: true}})
+	c, err := New(points, Options{Parts: parts, Space: space, Engine: gir.EngineOptions{}})
 	if err != nil {
 		t.Fatal(err)
 	}

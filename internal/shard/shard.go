@@ -201,10 +201,10 @@ func (c *Coordinator) Stats() Stats {
 		st.Aggregate.Deduped += es.Deduped
 		st.Aggregate.Computed += es.Computed
 		st.Aggregate.Affected += es.Affected
-		st.Aggregate.Repaired += es.Repaired
 		st.Aggregate.Invalidated += es.Invalidated
 		st.Aggregate.CacheProbes += es.CacheProbes
 		st.Aggregate.PredicateEvals += es.PredicateEvals
+		st.Aggregate.RefusedFills += es.RefusedFills
 		st.Aggregate.FusedGroups += es.FusedGroups
 		st.Aggregate.FusedQueries += es.FusedQueries
 		st.Aggregate.SharedPageReads += es.SharedPageReads

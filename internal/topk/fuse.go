@@ -2,7 +2,7 @@
 // over the index pages.
 //
 // The contract that makes fusion safe to serve through every existing
-// seam (cache fills, GIR phase 2, repair retention) is byte-identity per
+// seam (cache fills, GIR phase 2) is byte-identity per
 // member: BRSGroup runs for each member the traversal a group of one runs
 // — the same floating-point operations in the same order, and rankings
 // that are total orders, so nothing depends on which pages another member

@@ -161,11 +161,10 @@ func (e *Engine) snapshotCacheLocked() ([]cacheint.Snapshot, int64, error) {
 // format, which an upgrade leaves beside unchanged dataset files. A file
 // that is no warm-cache snapshot, fails its checksum or was saved at
 // another dimension or in another query space is an error: a region
-// clipped to one domain is not a certificate over another. In RepairMode
-// each entry's repair state is rebuilt by rerunning its fill's traversal on
-// the dataset, one per entry; an engine that does not repair reads no
-// repair state, so it runs none. An entry the dataset cannot answer (k
-// above its size) fails the load either way.
+// clipped to one domain is not a certificate over another. Each entry is
+// checked against the recovered dataset's dimension and size, which reads
+// no page: an entry the dataset cannot answer (k above its size) fails the
+// load.
 func (e *Engine) loadCache(path string, version int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -201,19 +200,16 @@ func (e *Engine) loadCache(path string, version int64) error {
 	count := int(dec.u32())
 	sn := e.ds.pinSnap()
 	defer sn.release()
-	gs := topk.AcquireGroupScratch(sn.tree)
-	defer gs.Release()
 	dom := space.domain(dim)
 	for i := 0; i < count; i++ {
 		s := dec.entry(dim, dom)
 		if dec.err != nil {
 			break
 		}
-		cand, bounds, ok, err := sn.repairState(gs, s.Region.Query, s.Records, e.opts.RepairMode)
-		if err != nil {
+		if err := sn.validate(s.Region.Query, len(s.Records)); err != nil {
 			return fmt.Errorf("gir: %s entry %d does not fit the dataset: %w", path, i, err)
 		}
-		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, cand, bounds, ok, 0)
+		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, nil, nil, false, 0)
 	}
 	if dec.err != nil {
 		return fmt.Errorf("gir: loading cache from %s: %w", path, dec.err)

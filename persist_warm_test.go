@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -20,9 +19,9 @@ import (
 // TestWarmCacheRoundTrip pins the warm-cache persistence contract: an
 // engine recovered from the directory Engine.Checkpoint wrote serves its
 // first lookups as warm hits, with entries byte-equal to the checkpointed
-// ones (regions, records, candidate sets, bounds, stamps) — including the
-// retained repair state, proven by a post-restart delete being repaired in
-// place.
+// ones (regions, records, inscribed boxes), and the restored entries are
+// maintained like fresh fills: a post-restart delete of a cached record
+// evicts its entry, and the next query serves the post-delete answer.
 func TestWarmCacheRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
 	const n, d, k = 2000, 3, 8
@@ -38,7 +37,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	if err := ds1.EnableWAL(dir, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	e1 := NewEngine(ds1, EngineOptions{RepairMode: true})
+	e1 := NewEngine(ds1, EngineOptions{})
 
 	pool := make([][]float64, 16)
 	for i := range pool {
@@ -67,7 +66,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 
 	// Restart: the engine RecoverEngine returns has loaded the warm cache
 	// before serving.
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +106,19 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 		t.Fatalf("restarted engine served %d hits, want %d", st.CacheHits, len(pool))
 	}
 
-	// The retained repair state survived: deleting a cached result record
-	// must be repairable in place (candidate promotion), not just evicted,
-	// and the repaired entry must serve the true post-delete result.
+	// A restored entry is maintained like a fresh fill: deleting one of its
+	// result records evicts it, and the next query serves the true
+	// post-delete result.
 	victim := saved[0][k-1]
 	if ok, err := ds2.Delete(victim.ID, victim.Attrs); err != nil || !ok {
 		t.Fatalf("victim record missing from the restarted dataset: %v, %v", ok, err)
 	}
-	if got := e2.Stats().Repaired; got < 1 {
-		t.Fatalf("post-restart delete was not repaired (repaired=%d) — retained repair state was lost", got)
+	if got := e2.Stats().Invalidated; got < 1 {
+		t.Fatalf("post-restart delete of a cached record evicted nothing (invalidated=%d)", got)
 	}
 	res := e2.TopK(pool[0], k)
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if res.Err != nil || res.CacheHit {
+		t.Fatalf("the query of the evicted entry: err %v, hit %v", res.Err, res.CacheHit)
 	}
 	fresh, err := ds2.TopK(pool[0], k)
 	if err != nil {
@@ -127,7 +126,7 @@ func TestWarmCacheRoundTrip(t *testing.T) {
 	}
 	for j := range fresh.Records {
 		if res.Records[j].ID != fresh.Records[j].ID || res.Records[j].Score != fresh.Records[j].Score {
-			t.Fatalf("post-restart repair serves %v at rank %d, fresh top-k has %v",
+			t.Fatalf("after the post-restart delete the engine serves %v at rank %d, fresh top-k has %v",
 				res.Records[j], j, fresh.Records[j])
 		}
 	}
@@ -146,10 +145,10 @@ func cacheSnapCount(t *testing.T, path string) int {
 }
 
 // TestCheckpointCacheDuringWrites pins that Engine.Checkpoint is safe to
-// call while mutations keep arriving: the cache is snapshotted in a
-// quiesced critical section (no drain pass in flight, publishing blocked),
-// so the encoder never races the drainer's candidate-set absorbs. Run under
-// -race this is the regression test for exactly that race. Every pair the
+// call while mutations keep arriving: the cache is snapshotted under the
+// dataset's writer lock (no drain pass in flight, publishing blocked), so
+// the encoder never races a write's drain. Run under -race this is the
+// regression test for exactly that race. Every pair the
 // checkpoint writes must also recover warm: the cache file records the
 // dataset file's version, so RecoverEngine restores every entry it holds.
 func TestCheckpointCacheDuringWrites(t *testing.T) {
@@ -163,7 +162,7 @@ func TestCheckpointCacheDuringWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	e := NewEngine(ds, EngineOptions{})
 	defer e.Close()
 	for i := 0; i < 12; i++ {
 		q := []float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()}
@@ -184,9 +183,8 @@ func TestCheckpointCacheDuringWrites(t *testing.T) {
 				return
 			default:
 			}
-			// Background inserts: mostly unaffecting, so the drainer's absorb
-			// path — the one that mutates entry candidate sets in place — runs
-			// continuously while snapshots are taken.
+			// Background inserts: mostly unaffecting, so the drain keeps
+			// most entries and runs continuously while snapshots are taken.
 			p := []float64{wr.Float64(), wr.Float64(), wr.Float64()}
 			if err := ds.Insert(id, p); err != nil {
 				t.Error(err)
@@ -546,9 +544,9 @@ func (e *refCacheEncoder) entry(s cacheint.Snapshot, version int64) {
 }
 
 // TestWarmCacheBytesMatchReference pins the file format across the encoder
-// rewrite: for a cache with regions and records moved by real
-// mutations (repairs included), the streamed writer's file — several chunks
-// long — is byte-identical to the reference encoder's.
+// rewrite: for a cache that real mutations have drained, the streamed
+// writer's file — several chunks long — is byte-identical to the reference
+// encoder's.
 func TestWarmCacheBytesMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
 	const n, d, k = 3000, 4, 10
@@ -560,9 +558,9 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	e := NewEngine(ds, EngineOptions{})
 	defer e.Close()
-	for i := 0; i < 128; i++ { // enough entries to span several chunks without their repair state
+	for i := 0; i < 128; i++ { // enough entries to span several chunks
 		q := SpaceSimplex.Normalize([]float64{0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64(), 0.1 + r.Float64()})
 		if res := e.TopK(q, k); res.Err != nil {
 			t.Fatal(res.Err)
@@ -615,317 +613,6 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 	}
 }
 
-// TestRecoverEngineRebuildsRepairState pins what GIRWARM4 leaves to the
-// loader: the repair state a checkpoint no longer writes is rebuilt whole.
-// After churn (absorbed inserts and deletes, in-place repairs), a checkpoint
-// and a logged tail, every entry RecoverEngine restores covers the recovered
-// dataset with Records ∪ Cand ∪ Bounds, its Cand holds no result id, and
-// deleting cached k-th records repairs in place and serves brute force's
-// answers. The tie subtest restores an entry whose k-th record is the twin
-// of a duplicate point the rebuilding traversal does not report.
-func TestRecoverEngineRebuildsRepairState(t *testing.T) {
-	for _, space := range []Space{SpaceBox, SpaceSimplex} {
-		t.Run(space.String(), func(t *testing.T) { testRecoverRebuild(t, space) })
-	}
-	t.Run("tie", testRecoverRebuildTie)
-}
-
-// repairFixture is a durable dataset under churn with its shadow contents.
-type repairFixture struct {
-	t      *testing.T
-	r      *rand.Rand
-	mirror map[int64][]float64
-	live   []int64
-	nextID int64
-}
-
-func newRepairFixture(t *testing.T, seed int64, points [][]float64) *repairFixture {
-	f := &repairFixture{t: t, r: rand.New(rand.NewSource(seed)), mirror: make(map[int64][]float64), nextID: 1 << 20}
-	for i, p := range points {
-		f.mirror[int64(i)] = p
-		f.live = append(f.live, int64(i))
-	}
-	return f
-}
-
-func (f *repairFixture) del(ds *Dataset, id int64) {
-	applyMut(f.t, ds, churnMut{id: id, point: f.mirror[id]})
-	delete(f.mirror, id)
-	f.live = slices.DeleteFunc(f.live, func(x int64) bool { return x == id })
-}
-
-// churn applies steps random writes, about half inserts of fresh records and
-// half deletes of live ones.
-func (f *repairFixture) churn(ds *Dataset, steps int) {
-	for ; steps > 0; steps-- {
-		if f.r.Float64() < 0.5 {
-			p := []float64{f.r.Float64(), f.r.Float64(), f.r.Float64()}
-			applyMut(f.t, ds, churnMut{insert: true, id: f.nextID, point: p})
-			f.mirror[f.nextID] = p
-			f.live = append(f.live, f.nextID)
-			f.nextID++
-			continue
-		}
-		f.del(ds, f.live[f.r.Intn(len(f.live))])
-	}
-}
-
-// deleteKth deletes the k-th record of up to n cached entries (a record
-// shared by two entries is deleted once) and reports how many repairs the
-// engine credited for them.
-func (f *repairFixture) deleteKth(e *Engine, ds *Dataset, n int) int64 {
-	before := e.Stats().Repaired
-	for _, ent := range e.cache.inner.Entries()[:min(n, e.cache.Len())] {
-		if id := ent.Records[ent.K-1].ID; f.mirror[id] != nil {
-			f.del(ds, id)
-		}
-	}
-	return e.Stats().Repaired - before
-}
-
-// checkCoverage asserts the repair-state invariant on every cached entry:
-// complete, no result id among the candidates, and every other record of
-// the dataset a candidate or componentwise under a bound corner.
-func (f *repairFixture) checkCoverage(e *Engine) {
-	entries := e.cache.inner.Entries()
-	if len(entries) == 0 {
-		f.t.Fatal("nothing restored — the coverage check is vacuous")
-	}
-	for _, ent := range entries {
-		if !ent.CandComplete() {
-			f.t.Fatalf("entry at %v restored without repair state", ent.Region.Query)
-		}
-		covered := make(map[int64]bool, len(ent.Records)+len(ent.Cand))
-		for _, r := range ent.Records {
-			covered[r.ID] = true
-		}
-		for _, c := range ent.Cand {
-			if slices.ContainsFunc(ent.Records, func(r topk.Record) bool { return r.ID == c.ID }) {
-				f.t.Fatalf("entry at %v holds result record %d as a candidate", ent.Region.Query, c.ID)
-			}
-			covered[c.ID] = true
-		}
-		for id, p := range f.mirror {
-			under := func(hi vec.Vector) bool {
-				for j := range p {
-					if p[j] > hi[j] {
-						return false
-					}
-				}
-				return true
-			}
-			if !covered[id] && !slices.ContainsFunc(ent.Bounds, under) {
-				f.t.Fatalf("entry at %v: record %d %v is no result, no candidate and under no bound corner", ent.Region.Query, id, p)
-			}
-		}
-	}
-}
-
-// checkAnswers asserts every pool query's served ids equal brute force's.
-func (f *repairFixture) checkAnswers(e *Engine, pool [][]float64, k int) {
-	for i, q := range pool {
-		res := e.TopK(q, k)
-		if res.Err != nil {
-			f.t.Fatal(res.Err)
-		}
-		want := bruteTopK(f.mirror, q, k)
-		for j, r := range res.Records {
-			if r.ID != want[j] {
-				f.t.Fatalf("query %d rank %d serves %d, brute force %d", i, j, r.ID, want[j])
-			}
-		}
-	}
-}
-
-func testRecoverRebuild(t *testing.T, space Space) {
-	const n, k = 1500, 6
-	r := rand.New(rand.NewSource(171))
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-	}
-	pool := make([][]float64, 24)
-	for i := range pool {
-		pool[i] = space.Normalize([]float64{0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64()})
-	}
-	f := newRepairFixture(t, 172, points)
-	dir := t.TempDir()
-	ds, err := NewDatasetInSpace(points, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 16}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
-	f.checkAnswers(e, pool, k)
-	f.churn(ds, 150)
-	if f.deleteKth(e, ds, 4) == 0 {
-		t.Fatal("no in-place repair before the checkpoint — the saved entries are all fresh fills")
-	}
-	f.checkAnswers(e, pool, k) // refills what the churn evicted
-	if err := e.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	f.churn(ds, 100) // the logged tail RecoverEngine replays through the restored cache
-	e.Close()
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds2.Close()
-	defer e2.Close()
-	if e2.Stats().Computed != 0 {
-		t.Fatal("recovery computed fills")
-	}
-	f.checkCoverage(e2)
-	if f.deleteKth(e2, ds2, 8) == 0 {
-		t.Fatal("no delete of a restored entry's k-th record was repaired in place")
-	}
-	f.checkCoverage(e2)
-	f.checkAnswers(e2, pool, k)
-}
-
-func testRecoverRebuildTie(t *testing.T) {
-	const n, k = 400, 5
-	r := rand.New(rand.NewSource(173))
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-	}
-	q := []float64{0.5, 0.3, 0.6}
-	f := newRepairFixture(t, 174, points)
-	kth := bruteTopK(f.mirror, q, k)[k-1]
-	points = append(points, slices.Clone(points[kth])) // id n: the k-th record's twin
-	f.mirror[n] = points[n]
-	dir := t.TempDir()
-	ds, err := NewDataset(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
-	if res := e.TopK(q, k); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if err := e.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the checkpoint's cache with the entry holding the twin the
-	// traversal did not report — what a repair that promoted it leaves.
-	ds.mu.Lock()
-	snaps, version, err := e.snapshotCacheLocked()
-	ds.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 {
-		t.Fatalf("the tie fill cached %d entries, want 1", len(snaps))
-	}
-	recs := slices.Clone(snaps[0].Records)
-	reported, other := recs[k-1].ID, kth
-	if reported == kth {
-		other = n
-	} else if reported != n {
-		t.Fatalf("fixture: the fill's k-th record is %d, neither twin (%d, %d)", reported, kth, n)
-	}
-	recs[k-1].ID = other
-	snaps[0].Records = recs
-	if err := writeCacheSnapshot(filepath.Join(dir, cacheSnapName), ds.Dim(), SpaceBox, version, snaps); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds2.Close()
-	defer e2.Close()
-	f.checkCoverage(e2)
-	ent := e2.cache.inner.Entries()[0]
-	if !slices.ContainsFunc(ent.Cand, func(c topk.Record) bool { return c.ID == reported }) {
-		t.Fatalf("the twin the traversal reports (%d) is not a candidate of the entry holding %d", reported, recs[k-1].ID)
-	}
-	if f.deleteKth(e2, ds2, 1) == 0 {
-		t.Fatal("deleting the entry's twin was not repaired in place")
-	}
-	f.checkAnswers(e2, [][]float64{q}, k)
-}
-
-// TestRecoverEngineWithoutRepairSkipsRepairState: an engine that evicts
-// rather than repairs reads no candidate set, so RecoverEngine runs no
-// traversal to rebuild one. Its restored entries hold no repair state,
-// compute nothing, and serve every checkpointed query as a hit with brute
-// force's answer; the same directory recovered in RepairMode still
-// rebuilds a complete state for every entry.
-func TestRecoverEngineWithoutRepairSkipsRepairState(t *testing.T) {
-	const n, k = 1500, 6
-	r := rand.New(rand.NewSource(175))
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-	}
-	pool := make([][]float64, 16)
-	for i := range pool {
-		pool[i] = []float64{0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64(), 0.2 + 0.6*r.Float64()}
-	}
-	f := newRepairFixture(t, 176, points)
-	dir := t.TempDir()
-	ds, err := NewDataset(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(ds, EngineOptions{})
-	f.checkAnswers(e, pool, k)
-	if err := e.Checkpoint(dir); err != nil {
-		t.Fatal(err)
-	}
-	cached := e.cache.Len()
-	e.Close()
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, repair := range []bool{false, true} {
-		ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: repair})
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries := e2.cache.inner.Entries()
-		if len(entries) != cached || cached == 0 {
-			t.Fatalf("repair %v: %d entries restored, %d checkpointed", repair, len(entries), cached)
-		}
-		for _, ent := range entries {
-			if ent.CandComplete() != repair || !repair && (ent.Cand != nil || ent.Bounds != nil) {
-				t.Fatalf("repair %v: entry at %v restored with complete %v, %d candidates, %d bounds", repair, ent.Region.Query, ent.CandComplete(), len(ent.Cand), len(ent.Bounds))
-			}
-		}
-		hits, _, _ := e2.cache.Stats()
-		f.checkAnswers(e2, pool, k)
-		after, _, _ := e2.cache.Stats()
-		if computed := e2.Stats().Computed; computed != 0 || after-hits != int64(len(pool)) {
-			t.Fatalf("repair %v: %d of %d queries hit, %d computed", repair, after-hits, len(pool), computed)
-		}
-		e2.Close()
-		if err := ds2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestRecoverEngineColdBesideEarlierCacheFormat pins the upgrade path: a
 // durable directory whose cache.snap is GIRWARM3 — written by the build
 // before the format dropped the repair state — recovers cold (no entries,
@@ -947,7 +634,7 @@ func TestRecoverEngineColdBesideEarlierCacheFormat(t *testing.T) {
 	if err := ds.EnableWAL(dir, WALOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	e := NewEngine(ds, EngineOptions{})
 	if res := e.TopK(q, k); res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -970,7 +657,7 @@ func TestRecoverEngineColdBesideEarlierCacheFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
 	if err != nil {
 		t.Fatalf("a GIRWARM3 cache beside intact dataset files should cost the warm start, not fail: %v", err)
 	}

@@ -2,10 +2,8 @@ package gir
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	cacheint "github.com/girlib/gir/internal/cache"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -115,15 +113,11 @@ func (ds *Dataset) computeGIRSnap(sn *treeSnap, inner *topk.Result, m Method, st
 }
 
 // groupAnswer is one member's share of an answerGroup call: its records
-// and, when a region was asked for, the region and (in RepairMode) the
-// retained repair state a cache entry keeps — all computed against one
+// and, when a region was asked for, its region — both computed against one
 // dataset version.
 type groupAnswer struct {
 	recs    []Record
 	g       *GIR // nil with girErr set when only the region build failed
-	cand    []topk.Record
-	bounds  []vec.Vector
-	candOK  bool
 	version int64
 	err     error // the member was invalid at the pinned version; nothing else is set
 	girErr  error
@@ -138,12 +132,7 @@ type groupAnswer struct {
 // resumes into exactly the pages its traversal read. Only a build reads
 // T and the heap, so only a build retains them (topk.BRSGroup); without
 // one the traversal copies out just the records (topk.RecordsGroup), with
-// the same reads and the same records bit for bit. With repair set (an
-// engine in RepairMode, the only reader of a candidate set) the repair
-// state is snapshotted between BRS and Phase 2 — Phase 2 consumes the
-// heap, and FP prunes subtrees from it without reading them, so only the
-// pre-Phase-2 state covers the dataset. Without it a fill copies neither
-// T nor the heap's corners: fine-grained eviction never reads them.
+// the same reads and the same records bit for bit.
 //
 // Validation is done here even when the caller already vetted the
 // queries: the pin may be a later version than the one that check saw,
@@ -153,7 +142,7 @@ type groupAnswer struct {
 // Every member's records are byte-identical to a solo Dataset.TopK at the
 // pinned version. A member whose region build fails still carries its
 // records (girErr set).
-func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build, repair bool, m Method) ([]groupAnswer, topk.GroupStats) {
+func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) ([]groupAnswer, topk.GroupStats) {
 	sn := ds.pinSnap()
 	defer sn.release()
 	out := make([]groupAnswer, len(qs))
@@ -188,63 +177,10 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build, repair bool, m 
 			a.recs[j] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
 		}
 		if build {
-			if repair {
-				a.cand, a.bounds, a.candOK = retainRepairState(res)
-			}
 			a.g, a.girErr = ds.computeGIRSnap(sn, res, m, false)
 		}
 	}
 	return out, stats
-}
-
-// retainRepairState snapshots the traversal state delete-repair needs: the
-// candidate set T, in traversal order, and the top corner of every
-// search-heap subtree BRS left unexpanded, in fresh slices the cache entry
-// takes over. Only a RepairMode engine calls it. Oversized state (see
-// cache.MaxRetained) is dropped — the entry then simply evicts instead of
-// repairing on delete.
-func retainRepairState(inner *topk.Result) (cand []topk.Record, bounds []vec.Vector, complete bool) {
-	n := len(inner.T)
-	if inner.Heap != nil {
-		n += inner.Heap.Len()
-	}
-	if n > cacheint.MaxRetained {
-		return nil, nil, false
-	}
-	cand = append([]topk.Record(nil), inner.T...)
-	if inner.Heap != nil {
-		// One slab for every corner: the entry keeps them all or none.
-		d := len(inner.Query)
-		slab := make([]float64, 0, inner.Heap.Len()*d)
-		bounds = make([]vec.Vector, 0, inner.Heap.Len())
-		for _, it := range *inner.Heap {
-			slab = append(slab, it.Rect.Hi...)
-			bounds = append(bounds, slab[len(slab)-d:len(slab):len(slab)])
-		}
-	}
-	return cand, bounds, true
-}
-
-// repairState validates an entry restored with result recs at query q
-// and, with repair set, rebuilds its repair state: the fill's own
-// traversal, a group of one at (q, len(recs)) on this snapshot, then
-// retainRepairState. The candidates are the traversal's records ∪ T minus
-// recs' ids — T itself off ties; on a tie at the k-th score the traversal
-// may report a record recs does not hold, and keeping it keeps Records ∪
-// Cand ∪ Bounds covering the dataset.
-func (sn *treeSnap) repairState(gs *topk.GroupScratch, q vec.Vector, recs []topk.Record, repair bool) ([]topk.Record, []vec.Vector, bool, error) {
-	if err := sn.validate(q, len(recs)); err != nil || !repair {
-		return nil, nil, false, err
-	}
-	results, _ := topk.BRSGroup(gs, sn.tree, score.Linear{}, []vec.Vector{q}, []int{len(recs)})
-	cand, bounds, ok := retainRepairState(results[0])
-	if !ok {
-		return nil, nil, false, nil
-	}
-	cand = slices.DeleteFunc(append(cand, results[0].Records...), func(c topk.Record) bool {
-		return slices.ContainsFunc(recs, func(r topk.Record) bool { return r.ID == c.ID })
-	})
-	return cand, bounds, true, nil
 }
 
 // Dim returns the query-space dimensionality.

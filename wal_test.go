@@ -439,7 +439,7 @@ func TestRecoverEngineWarmPair(t *testing.T) {
 	if err := ds.EnableWAL(dir, WALOptions{SyncEvery: 16}); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(ds, EngineOptions{RepairMode: true})
+	e := NewEngine(ds, EngineOptions{})
 	for _, q := range pool {
 		if res := e.TopK(q, k); res.Err != nil {
 			t.Fatal(res.Err)
@@ -466,7 +466,7 @@ func TestRecoverEngineWarmPair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{RepairMode: true})
+	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
