@@ -385,8 +385,12 @@ func TestUncachedMissAllocBudget(t *testing.T) {
 // inscribed box — is copied out of the pooled Phase-2 scratch, so hundreds
 // of later fills through the same pools, from one goroutine and from four,
 // leave it bit-identical. The entry holds no candidate set and no subtree
-// corners.
+// corners. Its one arm is the evicting engine, the only maintenance policy.
 func TestFillScratchNoAliasing(t *testing.T) {
+	t.Run("evict", testFillScratchNoAliasing)
+}
+
+func testFillScratchNoAliasing(t *testing.T) {
 	ds := allocDataset(t, 20000, 4)
 	e := NewEngine(ds, EngineOptions{Workers: 4})
 	defer e.Close()
