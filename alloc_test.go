@@ -115,12 +115,14 @@ func TestColdBRSAllocBudget(t *testing.T) {
 // fillAllocBudget and fillByteBudget are its budgets; alloc_race_test.go
 // raises them to the race build's own measurement × 2, as it does for
 // drainAllocBudget. A fill allocated about 97 KB when it copied T twice
-// more as a candidate set nothing reads, and allocates about 51 KB without
-// (n = 20 000, d = 4, k = 10): the byte budget sits between the two, so the
-// copies cannot creep back.
+// more as a candidate set nothing reads, and about 51 KB when it copied T
+// and the resumable heap out whole (n = 20 000, d = 4, k = 10). It
+// allocates about 11 KB now that the traversal's tail copies out only what
+// the Phase-1 cone keeps: the byte budget sits between the last two, so a
+// whole-T copy cannot creep back.
 var (
 	fillAllocBudget = 100.0
-	fillByteBudget  = 64.0 * 1024
+	fillByteBudget  = 24.0 * 1024
 )
 
 func TestFillAllocBudget(t *testing.T) {

@@ -92,6 +92,10 @@ func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
 	return c.pointed
 }
 
+// Pointed reports whether the last Reset found the cone pointed, that is
+// whether Screen and BoxMayBeat can drop anything.
+func (c *Cone) Pointed() bool { return c.pointed }
+
 // Enumerate computes the extreme rays of {q : a·q ≥ 0 for every a in
 // normals} however many there are, and returns their number: zero when the
 // cone is not pointed, and zero when more than MaxConeRows of the rows are

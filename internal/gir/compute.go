@@ -2,6 +2,7 @@ package gir
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -97,7 +98,10 @@ func ComputeStar(tree *rtree.Tree, res *topk.Result, opt Options) (*Region, *Sta
 // GIR, the pruned result R⁻ for the GIR*.
 func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Region, *Stats, error) {
 	d := tree.Dim()
-	st := &Stats{Method: opt.Method.String(), TSize: len(res.T)}
+	st := &Stats{Method: opt.Method.String(), TSize: len(res.T) + res.DroppedT}
+	if res.Cone != nil && (opt.Method != FP || !ordered) {
+		return nil, nil, errors.New("gir: a screened traversal (topk.ScreenedGroup) builds only an FP GIR")
+	}
 	if _, ok := res.Func.(score.Function); !ok {
 		return nil, nil, fmt.Errorf("gir: scoring function %q is not separable; exact GIRs need S(p,q)=Σ wᵢ·gᵢ(pᵢ) — use BuildOracle for an approximate region (Section 7.2)", res.Func.Name())
 	}
@@ -113,7 +117,7 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	if ordered {
 		sc.phase1(res)
 		if opt.Method == FP {
-			sc.screen = sc.phase1Cone(anchors[0].Point)
+			sc.screen = sc.phase1Cone(res, anchors[0].Point)
 		}
 	} else {
 		st.Method += "*"
@@ -182,6 +186,7 @@ type scratch struct {
 	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
 	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k; finish cuts them by Phase 2's rows
 	screen  bool      // FP: cone can drop records (a pointed GIR's Phase 1)
+	tail    bool      // FP: the traversal's tail already screened T and the heap by cone
 	tbuf    []float64 // FP: the points screenPoints screens, column-major
 	tcols   [][]float64
 	keep    []bool // FP: which of them the cone keeps
@@ -192,7 +197,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
 	sc.d, sc.g = d, g
 	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
-	sc.screen = false
+	sc.screen, sc.tail = false, false
 	sc.cone.Reset(nil, nil) // finish continues only this computation's cone
 }
 
@@ -218,8 +223,17 @@ func (sc *scratch) phase1(res *topk.Result) {
 // phase1Cone computes the extreme rays of the Phase-1 cone
 // P1 = {q : (g(p_i) − g(p_{i+1}))·q ≥ 0}, pinned to the apex p_k, and
 // reports whether P1 is pointed — whether FP's screen (footnote 7) can
-// drop anything. It reads the constraints phase1 just emitted.
-func (sc *scratch) phase1Cone(apex vec.Vector) bool {
+// drop anything. It reads the constraints phase1 just emitted. A
+// traversal whose tail already built it on the same rows
+// (topk.ScreenedGroup) hands it over in res.Cone: the cone's buffers are
+// swapped with the scratch's, so it is reset once, and res keeps no
+// reference to it.
+func (sc *scratch) phase1Cone(res *topk.Result, apex vec.Vector) bool {
+	if c := res.Cone; c != nil {
+		sc.cone, *c, res.Cone = *c, sc.cone, nil
+		sc.tail = sc.cone.Pointed()
+		return sc.tail
+	}
 	d := sc.d
 	sc.rows = sc.rows[:0]
 	for i := range sc.cons {

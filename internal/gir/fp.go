@@ -30,11 +30,17 @@ import (
 // is read and a critical record yields a constraint only if some extreme
 // ray of P1 lets it (geom.Cone). A dropped record's half-space is implied
 // by P1, so the region is the same set, and its minimal form the same
-// bytes; only the work shrinks. A fetched leaf still goes to the star
-// whole: screening its records as well leaves the star looser, and at
-// small k, where P1 is wide, that costs page reads.
+// bytes; only the work shrinks. A fill drops T's records and the heap's
+// entries before FP starts: the traversal's tail built P1 and copied out
+// only what it keeps (topk.ScreenedGroup, sc.tail), and the entries it
+// left out count as pruned here, as they would have been on their pop.
+// Otherwise FP screens T itself, and prunes heap entries as it pops them.
+// A fetched leaf still goes to the star whole: screening its records as
+// well leaves the star looser, and at small k, where P1 is wide, that
+// costs page reads.
 func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) error {
 	stars, err := sc.buildStars(tree, res, anchors, st)
+	st.NodesPruned += res.DroppedNodes
 	if errors.Is(err, hull.ErrDegenerate) {
 		// The known records span a lower-dimensional flat; SP is always
 		// applicable and exact, so degrade gracefully.
@@ -113,19 +119,22 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 // the max-per-dimension heuristic of Section 6.3.1, which the star's
 // greedy extent selection subsumes), leaving out the T records the
 // Phase-1 screen drops. T arrives in traversal order, and only the seeds
-// are sorted: the screen moves the records it keeps to T's front and
-// sorts that run, which under the total record order is exactly the
-// subsequence of the sorted T the screen keeps. If an anchor plus seeds
-// are degenerate, it sorts the whole of T and re-seeds from it, and if
-// that is degenerate too it pulls additional records from the search heap
-// into T until a full-dimensional simplex exists.
+// are sorted. A screened traversal copied out only the records the screen
+// keeps (sc.tail); otherwise the screen moves them to T's front. Either
+// way it sorts that run, which under the total record order is exactly
+// the subsequence of the sorted T the screen keeps. If an anchor plus
+// seeds are degenerate, it sorts the whole of T and re-seeds from it —
+// rerunning the traversal first when its tail kept only the screened run,
+// which the snapshot the caller pins allows and Stats.Rereads counts —
+// and if that is degenerate too it pulls additional records from the
+// search heap into T until a full-dimensional simplex exists.
 func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]hull.Star, error) {
 	for len(sc.stars) < len(anchors) {
 		sc.stars = append(sc.stars, hull.Star{})
 	}
 	stars := sc.stars[:len(anchors)]
 	seeds := res.T
-	if sc.screen {
+	if sc.screen && !sc.tail {
 		sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
 		n := 0
 		for i, kept := range sc.keep[:len(res.T)] {
@@ -152,11 +161,19 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 		if !errors.Is(err, hull.ErrDegenerate) {
 			return stars, err
 		}
-		if len(seeds) < len(res.T) {
-			// An apex coordinate at most hull.Tol has no virtual seed, so the
-			// screened seeds can lie in a flat that T does not: T, not a
-			// page read or SP, repairs that. It is sorted once, before any
-			// pull appends to it.
+		// An apex coordinate at most hull.Tol has no virtual seed, so the
+		// screened seeds can lie in a flat that T does not: T, not a page
+		// read or SP, repairs that. It is sorted once, before any pull
+		// appends to it.
+		switch {
+		case sc.tail:
+			// T and the heap hold only what the tail's screen kept; rerun
+			// the traversal on the same tree for the whole of both.
+			*res = *topk.BRS(tree, res.Func, res.Query, res.K)
+			sc.tail = false
+			st.Rereads++
+			fallthrough
+		case len(seeds) < len(res.T):
 			topk.SortRecords(res.T)
 			seeds = res.T
 			continue

@@ -1,6 +1,8 @@
 package gir
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 	"slices"
@@ -25,18 +27,7 @@ import (
 // Phase 1's six half-spaces alone).
 func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	const d, k = 3, 7
-	// p_i − p_{i+1} walks every row of {q : 0.8 ≤ q_i/q_j ≤ 1.25}, each
-	// 0.02 ahead of the next at q = (1,1,1)/3.
-	pts := []vec.Vector{
-		{0.54, 0.54, 0.04}, {0.54, 0.44, 0.12}, {0.54, 0.52, 0.02}, {0.44, 0.52, 0.1},
-		{0.52, 0.52, 0}, {0.6, 0.42, 0}, {0.5, 0.5, 0},
-	}
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 400; i++ {
-		pts = append(pts, vec.Vector{0.2 * r.Float64(), 0.2 * r.Float64(), 0.2 * r.Float64()})
-	}
-	tree := rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
-	q := vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	tree, pts, q, r := wholeTFixture()
 
 	res := topk.BRS(tree, score.Linear{}, q, k)
 	apex := res.Records[k-1]
@@ -46,7 +37,7 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	sc := new(scratch)
 	sc.reset(d, score.Linear{}.Transform)
 	sc.phase1(res)
-	if sc.screen = sc.phase1Cone(apex.Point); !sc.screen {
+	if sc.screen = sc.phase1Cone(res, apex.Point); !sc.screen {
 		t.Fatal("fixture: the Phase-1 cone is not pointed")
 	}
 	sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
@@ -100,6 +91,63 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	}
 }
 
+// wholeTFixture is TestFPSeedsFallBackToWholeT's tree (k = 7 at q, d = 3),
+// its points, query and the random source the test goes on with.
+func wholeTFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
+	// p_i − p_{i+1} walks every row of {q : 0.8 ≤ q_i/q_j ≤ 1.25}, each
+	// 0.02 ahead of the next at q = (1,1,1)/3.
+	pts := []vec.Vector{
+		{0.54, 0.54, 0.04}, {0.54, 0.44, 0.12}, {0.54, 0.52, 0.02}, {0.44, 0.52, 0.1},
+		{0.52, 0.52, 0}, {0.6, 0.42, 0}, {0.5, 0.5, 0},
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 400; i++ {
+		pts = append(pts, vec.Vector{0.2 * r.Float64(), 0.2 * r.Float64(), 0.2 * r.Float64()})
+	}
+	return rtree.BulkLoad(pager.NewMemStore(), 3, pts, nil), pts, vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}, r
+}
+
+// TestScreenedFillRereadsWholeT is TestFPSeedsFallBackToWholeT on a fill's
+// path: the traversal's tail screens T by the Phase-1 cone and keeps none
+// of it, so the seeds (p_k = (0.5, 0.5, 0) and its two virtual seeds) are
+// degenerate and FP needs the whole of T. The build must rerun the
+// traversal once, on the same tree, and then build the region, and count
+// everything else, as the build from BRS's whole T does.
+func TestScreenedFillRereadsWholeT(t *testing.T) {
+	const k = 7
+	tree, _, q, _ := wholeTFixture()
+	gs := topk.AcquireGroupScratch(tree)
+	defer gs.Release()
+	res, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
+	if res[0].Cone == nil || len(res[0].T) != 0 || res[0].DroppedT < 3 {
+		t.Fatalf("fixture: the tail kept %d T records and dropped %d (cone %v); want it to keep none", len(res[0].T), res[0].DroppedT, res[0].Cone != nil)
+	}
+	got, gst, err := Compute(tree, res[0], Options{Method: FP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Cone != nil {
+		t.Error("the Result still holds the scratch's cone after the build")
+	}
+	want, wst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gst.Rereads != 1 || wst.Rereads != 0 {
+		t.Fatalf("the screened build reran %d traversals and the whole one %d; want 1 and 0", gst.Rereads, wst.Rereads)
+	}
+	gst.Rereads = 0
+	if *gst != *wst {
+		t.Fatalf("stats %+v, the whole-T build's %+v", *gst, *wst)
+	}
+	a, b := sha256.New(), sha256.New()
+	hashRegion(a, got)
+	hashRegion(b, want)
+	if !bytes.Equal(a.Sum(nil), b.Sum(nil)) {
+		t.Fatalf("the screened build's region differs from the whole-T build's:\n%v\n%v", got.Constraints, want.Constraints)
+	}
+}
+
 // TestFPSeedsAreKeptSortedT holds FP's seeding to its definition now that
 // BRS hands T over in traversal order: a star's real seeds are exactly the
 // records of T the Phase-1 screen keeps, in the order they hold in the
@@ -135,7 +183,7 @@ func TestFPSeedsAreKeptSortedT(t *testing.T) {
 				sc.phase1(res)
 				apex := res.Records[k-1]
 				want := sorted
-				if sc.screen = sc.phase1Cone(apex.Point); sc.screen {
+				if sc.screen = sc.phase1Cone(res, apex.Point); sc.screen {
 					sc.screenPoints(len(sorted), func(i int) vec.Vector { return sorted[i].Point })
 					want = nil
 					for i, rec := range sorted {

@@ -13,6 +13,7 @@ import (
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
+	"github.com/girlib/gir/internal/vec"
 )
 
 // fpRegionsGolden is the SHA-256 of the regions TestFPRegionsGolden
@@ -31,10 +32,16 @@ const fpStatsGolden = "a61d8f025528ccb5ade643b105e060e00ddb7d630a2e31170d61fdfb2
 // counts that describe how it built them: GIR builds on IND, ANTI and COR
 // data at d = 2…6 and k = 1, 5, 10, 20, 50 (and GIR* builds at k = 5).
 // k = 10 and 50 are there because at k − 1 < d the Phase-1 cone has no
-// extreme ray to screen with.
+// extreme ray to screen with. Every GIR is built twice, from BRS's whole T
+// and heap and from a fill's screened tail (topk.ScreenedGroup), and both
+// sets of builds must hash to the same regions and the same Stats: the
+// records and nodes the tail leaves out still count in TSize and
+// NodesPruned. Rereads, which only the screened builds can have, is not
+// hashed; the test logs it.
 func TestFPRegionsGolden(t *testing.T) {
-	regions, stats := sha256.New(), sha256.New()
-	builds := 0
+	whole := [2]hash.Hash{sha256.New(), sha256.New()} // regions, stats
+	screened := [2]hash.Hash{sha256.New(), sha256.New()}
+	builds, rereads := 0, 0
 	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
 		for d := 2; d <= 6; d++ {
 			pts, err := datagen.Generate(kind, 3000, d, int64(d))
@@ -45,31 +52,47 @@ func TestFPRegionsGolden(t *testing.T) {
 			for qi := 0; qi < 6; qi++ {
 				q := datagen.Query(d, int64(100*d+qi))
 				for _, k := range []int{1, 5, 10, 20, 50} {
-					build := func(compute func(*rtree.Tree, *topk.Result, Options) (*Region, *Stats, error)) {
-						reg, st, err := compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
+					build := func(compute func(*rtree.Tree, *topk.Result, Options) (*Region, *Stats, error), res *topk.Result, into ...[2]hash.Hash) {
+						reg, st, err := compute(tree, res, Options{Method: FP})
 						if err != nil {
 							t.Fatalf("%s d=%d q%d k=%d: %v", kind, d, qi, k, err)
 						}
-						hashRegion(regions, reg)
-						hashStats(stats, st)
-						builds++
+						for _, h := range into {
+							hashRegion(h[0], reg)
+							hashStats(h[1], st)
+						}
+						rereads += st.Rereads
 					}
-					build(Compute)
+					build(Compute, topk.BRS(tree, score.Linear{}, q, k), whole)
+					gs := topk.AcquireGroupScratch(tree)
+					res, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
+					build(Compute, res[0], screened)
+					if res[0].Cone != nil {
+						t.Fatalf("%s d=%d q%d k=%d: the Result still holds the scratch's cone after its build", kind, d, qi, k)
+					}
+					gs.Release()
+					builds++
 					// A GIR* keeps one star per record of R⁻, so it stays at
-					// one k and d ≤ 5 to keep the test to a few seconds.
+					// one k and d ≤ 5 to keep the test to a few seconds. No
+					// traversal screens for it.
 					if k == 5 && d <= 5 {
-						build(ComputeStar)
+						build(ComputeStar, topk.BRS(tree, score.Linear{}, q, k), whole, screened)
+						builds++
 					}
 				}
 			}
 		}
 	}
-	if got := hex.EncodeToString(regions.Sum(nil)); got != fpRegionsGolden {
-		t.Errorf("%d FP regions hash to %s, want %s", builds, got, fpRegionsGolden)
+	for i, want := range []string{fpRegionsGolden, fpStatsGolden} {
+		what := [2]string{"regions", "builds' stats"}[i]
+		if got := hex.EncodeToString(whole[i].Sum(nil)); got != want {
+			t.Errorf("%d FP %s hash to %s, want %s", builds, what, got, want)
+		}
+		if got := hex.EncodeToString(screened[i].Sum(nil)); got != want {
+			t.Errorf("%d FP %s from the screened tail hash to %s, want %s", builds, what, got, want)
+		}
 	}
-	if got := hex.EncodeToString(stats.Sum(nil)); got != fpStatsGolden {
-		t.Errorf("%d FP builds' stats hash to %s, want %s", builds, got, fpStatsGolden)
-	}
+	t.Logf("%d builds each way; the screened builds reran %d traversals", builds, rereads)
 }
 
 func hashRegion(h hash.Hash, reg *Region) {

@@ -99,7 +99,7 @@ func (gs *GroupScratch) leafRow(slot, m, count int) []float64 {
 // traversal is correct for any group, but page sharing only pays when
 // members visit overlapping frontiers.
 func BRSGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
-	return gs.group(tree, f, qs, ks, true)
+	return gs.group(tree, f, qs, ks, retainAll)
 }
 
 // RecordsGroup is BRSGroup for a caller that builds no region: the same
@@ -107,17 +107,30 @@ func BRSGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vect
 // each Result copies out only its query and records — T and Heap are nil,
 // so the retained state is neither copied, sorted nor re-heapified.
 func RecordsGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
-	return gs.group(tree, f, qs, ks, false)
+	return gs.group(tree, f, qs, ks, recordsOnly)
 }
 
-func (gs *GroupScratch) group(tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int, retain bool) ([]*Result, GroupStats) {
+// ScreenedGroup is BRSGroup for a caller that builds an FP GIR from each
+// Result: the same traversal, page reads and Records, but once a member's
+// k-slot is final its tail builds the Phase-1 cone of the result (when
+// k − 1 ≥ d and f is linear), hands it over as Result.Cone and, when the
+// cone is pointed, copies out only the T records and heap nodes that can
+// beat p_k somewhere in it. What is left out cannot bound the GIR, so an
+// FP build reads the same seeds and pops the same entries that matter; a
+// build that needs the whole of T after all reruns BRS on the same tree.
+// The Results must be built before gs is released (see GroupScratch).
+func ScreenedGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
+	return gs.group(tree, f, qs, ks, retainScreened)
+}
+
+func (gs *GroupScratch) group(tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int, t tail) ([]*Result, GroupStats) {
 	if len(qs) != len(ks) {
 		panic(fmt.Sprintf("topk: a group got %d queries and %d ks", len(qs), len(ks)))
 	}
 	gs.begin()
 	out := make([]*Result, len(qs))
 	for m := range qs {
-		out[m] = gs.runMember(tree, f, qs, ks[m], m, retain)
+		out[m] = gs.runMember(tree, f, qs, ks[m], m, t)
 	}
 	return out, gs.stats
 }

@@ -3,6 +3,7 @@ package topk
 import (
 	"sync"
 
+	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/vec"
 )
@@ -18,12 +19,15 @@ import (
 // amortized allocations.
 //
 // Ownership rule: everything inside a GroupScratch is private to the BRS,
-// BRSGroup or RecordsGroup call using it. Whatever outlives the call (the
-// query, Records and — retained only for a caller that builds a region —
-// T and the resumable heap) is deep-copied into freshly allocated slabs
-// before the call returns, so a Result — and any cache entry built from
-// it — never aliases pooled memory. Release only after the call that
-// used the scratch has returned.
+// BRSGroup, RecordsGroup or ScreenedGroup call using it. Whatever outlives
+// the call (the query, Records and — retained only for a caller that
+// builds a region — T and the resumable heap) is deep-copied into freshly
+// allocated slabs before the call returns, so a Result — and any cache
+// entry built from it — never aliases pooled memory. The one exception is
+// a ScreenedGroup Result's Phase-1 cone, which is the scratch's until a
+// region build takes it over. Release only after the call that used the
+// scratch has returned and, after ScreenedGroup, after every member's
+// region build.
 type GroupScratch struct {
 	nodes  nodeHeap  // the search heap: nodes still to expand
 	slot   kslot     // the best k records met so far
@@ -32,6 +36,16 @@ type GroupScratch struct {
 	arena  []float64 // backing store for item points / rects
 	point  []float64 // gather buffer for per-record scoring
 	scores []float64 // per-leaf bulk scoring buffer
+
+	// The screened tail: per member, the Phase-1 cone a region build takes
+	// over; the cone's rows; and T's points, column-major, with the
+	// screen's verdicts.
+	cones []*geom.Cone
+	diffs []float64
+	prows []vec.Vector
+	tbuf  []float64
+	tcols [][]float64
+	keep  []bool
 
 	// cache retains every page a member decodes for the members still to
 	// run. The group's last member — a solo query is its own last member —

@@ -14,16 +14,19 @@
 // continuous data BRS reads the same pages as with one mixed record/node
 // heap.
 //
-// Beyond the top-k result itself, BRS here retains exactly the state the
-// GIR algorithms need (Section 3.3 of the paper): the set T of non-result
+// Beyond the top-k result itself, BRS here retains the state the GIR
+// algorithms need (Section 3.3 of the paper): the set T of non-result
 // records encountered in visited leaves, and the search heap of index
 // entries not yet expanded. Phase 2 (SP/CP via BBS, or FP's refinement
 // step) resumes the traversal from that heap, so no page is ever read
-// twice. That state is retained only for a caller that builds a region:
-// BRS, BRSGroup and BatchBRS retain it, RecordsGroup does not. T comes out
-// in the order the traversal met it, not in the record order: FP's
-// Phase-1 screen drops most of it unread, so a reader that needs the
-// record order sorts only what it reads (SortRecords).
+// twice. What the tail keeps of it depends on the caller. RecordsGroup
+// builds no region and keeps none of it. BRS, BRSGroup and BatchBRS keep
+// all of it, T in the order the traversal met it, since a reader that
+// needs the record order sorts only what it reads (SortRecords).
+// ScreenedGroup is for a caller that builds an FP GIR: once the k-slot is
+// final it builds the Phase-1 cone of the result and keeps only the
+// records and nodes that can beat p_k somewhere in it (footnote 7), so
+// FP's screen runs as the losers are copied out rather than after.
 //
 // There is one traversal (runMember), and it runs for a group of queries
 // over one tree state; a solo query is a group of one. The search runs
@@ -38,6 +41,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -59,8 +63,17 @@ type Result struct {
 	K       int
 	Func    score.General
 	Records []Record // the top-k, in (score desc, id asc) order
-	T       []Record // non-result records encountered by BRS, in traversal order, when retained; a reader that needs the record order sorts what it reads
+	T       []Record // non-result records encountered by BRS, in traversal order, when retained (a screened tail's: those Cone keeps); a reader that needs the record order sorts what it reads
 	Heap    *NodeHeap
+
+	// Cone is the Phase-1 cone of the Records, pinned to p_k, that
+	// ScreenedGroup's tail built; nil from every other traversal. It is
+	// the group scratch's, so a region build takes it over (and clears
+	// it) before the scratch is released. When it is pointed, T and Heap
+	// hold only what it lets beat p_k: DroppedT records and DroppedNodes
+	// nodes were left out.
+	Cone                   *geom.Cone
+	DroppedT, DroppedNodes int
 }
 
 // Kth returns the k-th (last) result record.
@@ -82,8 +95,17 @@ func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
 	defer gs.Release()
 	gs.one[0] = q
 	gs.begin()
-	return gs.runMember(tree, f, gs.one[:], k, 0, true)
+	return gs.runMember(tree, f, gs.one[:], k, 0, retainAll)
 }
+
+// tail is what a traversal keeps of the records and nodes that lost.
+type tail int8
+
+const (
+	recordsOnly    tail = iota // nothing: the caller builds no region
+	retainAll                  // T and the resumable heap, whole
+	retainScreened             // what the Phase-1 cone lets beat p_k: the caller builds an FP GIR
+)
 
 // runMember is the BRS traversal, for member m of the group qs with
 // result size k. Reads go through the group's decode cache: the first
@@ -101,13 +123,14 @@ func BRS(tree *rtree.Tree, f score.General, q vec.Vector, k int) *Result {
 // with a key below the final k-th score is never expanded, and one above
 // it always is, so a traversal reads exactly the pages the mixed
 // record/node heap of Tao et al.'s BRS reads, ties at the k-th score
-// aside. retain only decides what happens to the losers: a records-only
-// traversal drops them, a retaining one keeps the records as T and the
-// nodes as the resumable heap (see materialize). The returned Result owns
-// all of its memory; the workspace is reused for the next member as soon
-// as runMember returns.
-func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int, retain bool) *Result {
-	q := qs[m]
+// aside. The tail t only decides what happens to the losers: a
+// records-only traversal drops them, a retaining one keeps the records as
+// T and the nodes as the resumable heap, whole or screened (see
+// materialize). The returned Result owns all of its memory but a screened
+// tail's cone; the rest of the workspace is reused for the next member as
+// soon as runMember returns.
+func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Vector, k, m int, t tail) *Result {
+	q, retain := qs[m], t != recordsOnly
 	if k <= 0 || k > tree.Len() {
 		panic(fmt.Sprintf("topk: k=%d out of range for %d records", k, tree.Len()))
 	}
@@ -201,54 +224,54 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 	if len(gs.slot) < k {
 		panic("topk: heap exhausted before k records (corrupt index)")
 	}
-	return gs.materialize(f, q, d, k, retain)
+	return gs.materialize(f, q, d, k, m, t)
 }
 
 // materialize deep-copies the search state into a freshly allocated
 // Result: two slabs (one for every retained point including the query,
 // one for the resumable heap's rectangles) plus the slices over them.
-// The k-slot, sorted, is the Records. With retain, the losing records, in
-// the order the traversal met them, are T, and the losing nodes together
-// with the search heap's remainder are heapified into the resumable heap.
-// The sort and the heap are total orders, so the Records, and the order
-// the heap pops in, do not depend on the order the traversal met things
-// in; T's contents do not either, only its order. Without retain it copies
-// out only the query and the k records, into one slab, and leaves T and
-// Heap nil.
-func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, retain bool) *Result {
+// The k-slot, sorted, is the Records. A retaining tail keeps the losing
+// records, in the order the traversal met them, as T, and heapifies the
+// losing nodes together with the search heap's remainder into the
+// resumable heap; a screened tail first drops the ones member m's
+// Phase-1 cone rules out (screen). The sort and the heap are total
+// orders, so the Records, and the order the heap pops in, do not depend on
+// the order the traversal met things in; T's contents do not either, only
+// its order. A records-only tail copies out only the query and the k
+// records, into one slab, and leaves T and Heap nil.
+func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k, m int, t tail) *Result {
+	slices.SortFunc(gs.slot, order)
+	res := &Result{K: k, Func: f}
+	if t == retainScreened && k > d && score.IsLinear(f) { // k − 1 ≥ d rows: P1 may be pointed
+		res.Cone = gs.phase1Cone(m, d)
+		if res.Cone.Pointed() {
+			res.DroppedT, res.DroppedNodes = gs.screen(res.Cone, d)
+		}
+	}
 	nT := 0
-	if retain { // a caller that builds no region reads neither T nor the heap
+	if t != recordsOnly { // a caller that builds no region reads neither T nor the heap
 		nT = len(gs.tlist)
 	}
 	pts := make([]float64, (1+k+nT)*d)
-	next := func() vec.Vector {
-		v := vec.Vector(pts[:d])
-		pts = pts[d:]
-		return v
-	}
 	copyOut := func(dst []Record, its []item) {
-		slices.SortFunc(its, order)
 		for i, it := range its {
-			p := next()
+			p := vec.Vector(pts[:d])
+			pts = pts[d:]
 			copy(p, gs.arena[it.ref:it.ref+d])
 			dst[i] = Record{ID: it.tie, Point: p, Score: it.key}
 		}
 	}
 
-	res := &Result{K: k, Func: f, Query: next()}
+	res.Query, pts = pts[:d], pts[d:]
 	copy(res.Query, q)
 	res.Records = make([]Record, k)
 	copyOut(res.Records, gs.slot)
-	if !retain {
+	if t == recordsOnly {
 		return res
 	}
 	if nT > 0 {
 		res.T = make([]Record, nT)
-		for i, it := range gs.tlist {
-			p := next()
-			copy(p, gs.arena[it.ref:it.ref+d])
-			res.T[i] = Record{ID: it.tie, Point: p, Score: it.key}
-		}
+		copyOut(res.T, gs.tlist)
 	}
 	nodes := append(gs.hlist, gs.nodes...)
 	gs.hlist = nodes
@@ -264,6 +287,65 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k int, ret
 	hp.Init()
 	res.Heap = &hp
 	return res
+}
+
+// phase1Cone resets member m's cone on the Phase-1 rows of the sorted
+// k-slot, p_i − p_{i+1}, pinned to p_k: the rows and the apex a GIR build
+// derives from the Records, bit for bit, so the build can continue the
+// cone rather than reset it again.
+func (gs *GroupScratch) phase1Cone(m, d int) *geom.Cone {
+	for len(gs.cones) <= m {
+		gs.cones = append(gs.cones, new(geom.Cone))
+	}
+	k := len(gs.slot)
+	gs.diffs, gs.prows = vec.Grown(gs.diffs, (k-1)*d), gs.prows[:0]
+	for i := 0; i+1 < k; i++ {
+		a, b, row := gs.arena[gs.slot[i].ref:], gs.arena[gs.slot[i+1].ref:], gs.diffs[i*d:(i+1)*d]
+		for j := range row {
+			row[j] = a[j] - b[j]
+		}
+		gs.prows = append(gs.prows, row)
+	}
+	apex := gs.slot[k-1].ref
+	c := gs.cones[m]
+	c.Reset(gs.prows, gs.arena[apex:apex+d])
+	return c
+}
+
+// screen is footnote 7 in the tail: it keeps in the loser lists only the
+// records cone lets beat p_k, screened as one column-major block in the
+// order they were met (the block a GIR build's own screen of T would
+// read), and the nodes whose boxes may, and reports how many of each it
+// dropped. The nodes left on the search heap join the losing ones.
+func (gs *GroupScratch) screen(c *geom.Cone, d int) (recs, nodes int) {
+	n := len(gs.tlist)
+	gs.tbuf, gs.tcols, gs.keep = vec.Grown(gs.tbuf, n*d), vec.Grown(gs.tcols, d), vec.Grown(gs.keep, n)
+	for j := range gs.tcols {
+		gs.tcols[j] = gs.tbuf[j*n : (j+1)*n]
+	}
+	for i, it := range gs.tlist {
+		for j, x := range gs.arena[it.ref : it.ref+d] {
+			gs.tcols[j][i] = x
+		}
+	}
+	c.Screen(gs.keep, gs.tcols)
+	kept := gs.tlist[:0]
+	for i, it := range gs.tlist {
+		if gs.keep[i] {
+			kept = append(kept, it)
+		}
+	}
+	recs, gs.tlist = n-len(kept), kept
+
+	all := append(gs.hlist, gs.nodes...)
+	box := all[:0]
+	for _, it := range all {
+		if c.BoxMayBeat(gs.arena[it.ref:it.ref+d], gs.arena[it.ref+d:it.ref+2*d]) {
+			box = append(box, it)
+		}
+	}
+	gs.hlist, gs.nodes = box, gs.nodes[:0]
+	return recs, len(all) - len(box)
 }
 
 // Scan is the trivial O(n·log n) oracle: it scores every record by reading

@@ -306,7 +306,7 @@ func TestTOrderMatchesSortSlice(t *testing.T) {
 			}
 			return want[i].ID < want[j].ID
 		})
-		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0, true)
+		res := gs.materialize(score.Linear{}, vec.Vector{0.5, 0.5}, d, 0, 0, retainAll)
 		if len(res.T) != len(want) || (n == 0) != (res.T == nil) || len(res.Records) != 0 {
 			t.Fatalf("trial %d: T has %d records (nil %v), want %d; %d Records", trial, len(res.T), res.T == nil, len(want), len(res.Records))
 		}

@@ -18,6 +18,7 @@ type GIR struct {
 	region *girint.Region
 	// Stats describes the computation that produced the region.
 	Stats ComputeStats
+	build *girint.Stats // the build's own counts, ComputeStats' source
 }
 
 // ComputeStats mirrors the quantities the paper's evaluation plots.
@@ -98,6 +99,7 @@ func (ds *Dataset) computeGIRSnap(sn *treeSnap, inner *topk.Result, m Method, st
 	elapsed := time.Since(start)
 	return &GIR{
 		region: region,
+		build:  st,
 		Stats: ComputeStats{
 			Method:         st.Method,
 			Elapsed:        elapsed,
@@ -129,10 +131,16 @@ type groupAnswer struct {
 // member is a group of one) and, when build is set, computes each
 // member's GIR with method m under the same pin, so no mutation can land
 // between a traversal and its region build and each retained heap
-// resumes into exactly the pages its traversal read. Only a build reads
-// T and the heap, so only a build retains them (topk.BRSGroup); without
-// one the traversal copies out just the records (topk.RecordsGroup), with
-// the same reads and the same records bit for bit.
+// resumes into exactly the pages its traversal read. What the traversal
+// copies out follows what the build reads, with the same reads and the
+// same records bit for bit in every case:
+//   - no build: just the records (topk.RecordsGroup);
+//   - an FP build: the records, and of T and the heap only what the
+//     Phase-1 cone lets beat p_k, screened in the traversal's tail
+//     (topk.ScreenedGroup; when P1 is not pointed, all of them). A build
+//     whose screened seeds are degenerate reruns the traversal on the
+//     still-pinned snapshot;
+//   - any other build: the records, T and the heap whole (topk.BRSGroup).
 //
 // Validation is done here even when the caller already vetted the
 // queries: the pin may be a later version than the one that check saw,
@@ -158,12 +166,15 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 		return out, topk.GroupStats{}
 	}
 	brs := topk.RecordsGroup
-	if build {
+	switch {
+	case build && m == FP:
+		brs = topk.ScreenedGroup
+	case build:
 		brs = topk.BRSGroup
 	}
 	gs := topk.AcquireGroupScratch(sn.tree)
+	defer gs.Release() // after the builds: each takes its Phase-1 cone from gs
 	results, stats := brs(gs, sn.tree, score.Linear{}, qs[:valid], ks[:valid])
-	gs.Release()
 	next := 0
 	for i := range out {
 		a := &out[i]
