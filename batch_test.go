@@ -52,7 +52,7 @@ func newCache(capacity int) *Cache { return &Cache{inner: cacheint.New(capacity)
 // its own staged copy.
 func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache) {
 	tb.Helper()
-	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true, FP)
+	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true)
 	a := &answers[0]
 	if a.err != nil || a.girErr != nil {
 		tb.Fatalf("fill at %v: %v, %v", q, a.err, a.girErr)

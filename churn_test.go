@@ -495,6 +495,47 @@ func TestInsertTieEvicts(t *testing.T) {
 	}
 }
 
+// TestInsertBelowEveryIDKeepsEntries: an insert whose id is below every
+// p_k's wins every tie, but w = 0, where every record ties, ranks nothing.
+// The drain must decide it over the region's nonzero weights, so inserting
+// the origin under the smallest id evicts nothing in either query space
+// (the box's region contains w = 0, and it used to empty the cache), and
+// every entry it keeps still holds topk.Scan's answer.
+func TestInsertBelowEveryIDKeepsEntries(t *testing.T) {
+	points := randPoints(rand.New(rand.NewSource(62)), 2000, 3)
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		r := rand.New(rand.NewSource(63))
+		ds, err := NewDatasetInSpace(points, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64})
+		for i := 0; i < 20; i++ {
+			q := space.Normalize([]float64{0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64(), 0.15 + 0.7*r.Float64()})
+			if res := e.TopK(q, 1+r.Intn(20)); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+		before := e.Cache().Len()
+		if err := ds.Insert(-1, []float64{0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+		if after := e.Cache().Len(); before < 10 || after != before || e.Stats().Invalidated != 0 {
+			t.Fatalf("%v: inserting the origin under id -1 left %d of %d entries (%d evicted)", space, after, before, e.Stats().Invalidated)
+		}
+		sn := ds.snap.Load()
+		for _, ent := range e.cache.inner.Entries() {
+			want := topk.Scan(sn.tree, score.Linear{}, ent.Region.Query, ent.K)
+			for i, sc := range want {
+				if g := ent.Records[i]; g.ID != sc.ID || math.Float64bits(g.Score) != math.Float64bits(sc.Score) {
+					t.Fatalf("%v: a kept entry at q=%v k=%d holds (%d, %v) at rank %d, the scan (%d, %v)", space, ent.Region.Query, ent.K, g.ID, g.Score, i, sc.ID, sc.Score)
+				}
+			}
+		}
+		e.Close()
+	}
+}
+
 func idsOf(recs []Record) []int64 {
 	out := make([]int64, len(recs))
 	for i, r := range recs {

@@ -96,8 +96,12 @@ type EngineOptions struct {
 	// CacheShards is ignored: the cache is one lock-free view (see
 	// Cache). The field remains so existing callers still compile.
 	CacheShards int
-	// CacheMethod is the GIR algorithm used to build regions on the miss
-	// path. The zero value is FP; every method caches the same region.
+	// CacheMethod is ignored: a fill always builds its region with FP,
+	// screening T and the heap in the traversal's tail
+	// (topk.ScreenedGroup). Every method would cache the same region.
+	//
+	// Deprecated: an engine has one fill method; the field remains so
+	// existing callers still compile.
 	CacheMethod Method
 	// RepairMode is ignored: the engine evicts every entry a write can
 	// perturb, and never patches one in place.
@@ -277,8 +281,8 @@ const fuseGroupSize = 8
 // Cache lookups fan out across the worker pool; the batch's cache misses
 // are deduplicated, grouped by angular similarity of their weight vectors,
 // and each group is answered by ONE fused traversal that shares page
-// decodes and block-scores leaves for the whole group (topk.BRSGroup, or
-// topk.RecordsGroup on an uncached engine) — byte identity per query is
+// decodes and block-scores leaves for the whole group (topk.ScreenedGroup,
+// or topk.RecordsGroup on an uncached engine) — byte identity per query is
 // preserved by construction.
 func (e *Engine) BatchTopK(queries []Query) []EngineResult {
 	out := make([]EngineResult, len(queries))
@@ -434,7 +438,7 @@ func (e *Engine) computeGroup(queries []Query, out []EngineResult, owners []memb
 		// One GIR build per distinct result amortizes over every later hit;
 		// without a cache nobody would read it, so the traversal then
 		// retains nothing a build resumes from either.
-		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil, e.opts.CacheMethod)
+		answers, stats := e.ds.answerGroup(qs, ks, e.cache != nil)
 		e.sharedReads.Add(stats.SharedReads)
 		if len(qs) > 1 {
 			e.fusedGroups.Add(1)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,22 +156,68 @@ func TestFillCachesComputeGIRRegion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gc, wc := g.Constraints(), want.Constraints()
-		if len(gc) != len(wc) {
-			t.Fatalf("region %d: %d constraints, want %d", ri, len(gc), len(wc))
-		}
-		for ci := range wc {
-			if gc[ci].Kind != wc[ci].Kind || gc[ci].A != wc[ci].A || gc[ci].B != wc[ci].B {
-				t.Fatalf("region %d constraint %d: attribution differs", ri, ci)
-			}
-			for j := range wc[ci].Normal {
-				if math.Float64bits(gc[ci].Normal[j]) != math.Float64bits(wc[ci].Normal[j]) {
-					t.Fatalf("region %d constraint %d: normal not bit-identical", ri, ci)
-				}
-			}
+		if msg := sameConstraints(g, want); msg != "" {
+			t.Fatalf("region %d: %s", ri, msg)
 		}
 	}
 	t.Logf("%d cached regions match ComputeGIR", len(regions))
+}
+
+// TestCacheMethodIsInert: EngineOptions.CacheMethod is ignored, and every
+// fill builds its region with FP. An engine asked for SP caches what a
+// zero-value engine caches over the same stream — the same regions, bit
+// for bit, which TestFillCachesComputeGIRRegion holds to ComputeGIR with
+// FP — and its fills read the same pages, where SP would read the
+// skyline's.
+func TestCacheMethodIsInert(t *testing.T) {
+	queries := engineWorkload(30)
+	var regions [2][]*gir.GIR
+	var reads [2]int64
+	for i, m := range []gir.Method{0, gir.SP} {
+		ds := engineDataset(t, 5, 2000, 3)
+		e := gir.NewEngine(ds, gir.EngineOptions{Workers: 1, CacheCapacity: 64, CacheMethod: m})
+		before := ds.IOStats().PageReads
+		for _, q := range queries {
+			requireIdentical(t, ds, q, e.TopK(q.Vector, q.K))
+		}
+		reads[i] = ds.IOStats().PageReads - before
+		regions[i] = e.CachedGIRs()
+		sort.Slice(regions[i], func(a, b int) bool {
+			return fmt.Sprint(regions[i][a].Query()) < fmt.Sprint(regions[i][b].Query())
+		})
+		e.Close()
+	}
+	if reads[0] != reads[1] || len(regions[0]) != len(regions[1]) || len(regions[0]) == 0 {
+		t.Fatalf("the SP-option engine read %d pages and cached %d regions, the zero-value one %d and %d", reads[1], len(regions[1]), reads[0], len(regions[0]))
+	}
+	for ri, g := range regions[1] {
+		if !slices.Equal(g.Query(), regions[0][ri].Query()) {
+			t.Fatalf("region %d: cached at %v, the zero-value engine's at %v", ri, g.Query(), regions[0][ri].Query())
+		}
+		if msg := sameConstraints(g, regions[0][ri]); msg != "" {
+			t.Fatalf("region %d at %v: %s", ri, g.Query(), msg)
+		}
+	}
+}
+
+// sameConstraints compares two regions constraint for constraint,
+// attributions and normal bits, and says how they differ.
+func sameConstraints(got, want *gir.GIR) string {
+	gc, wc := got.Constraints(), want.Constraints()
+	if len(gc) != len(wc) {
+		return fmt.Sprintf("%d constraints, want %d", len(gc), len(wc))
+	}
+	for ci := range wc {
+		if gc[ci].Kind != wc[ci].Kind || gc[ci].A != wc[ci].A || gc[ci].B != wc[ci].B {
+			return fmt.Sprintf("constraint %d: attribution differs", ci)
+		}
+		for j := range wc[ci].Normal {
+			if math.Float64bits(gc[ci].Normal[j]) != math.Float64bits(wc[ci].Normal[j]) {
+				return fmt.Sprintf("constraint %d: normal not bit-identical", ci)
+			}
+		}
+	}
+	return ""
 }
 
 func TestEngineInvalidQueriesDoNotPoisonBatch(t *testing.T) {

@@ -108,8 +108,8 @@ func spaceOfKind(k domain.Kind) Space {
 }
 
 // Method selects the Phase-2 GIR algorithm. The zero value is FP, so an
-// unset Method field (EngineOptions.CacheMethod in particular) means the
-// paper's headline algorithm, not the slowest one.
+// unset Method field means the paper's headline algorithm, not the
+// slowest one.
 type Method = girint.Method
 
 // Phase-2 algorithms (the paper's Sections 5–6, implemented in
@@ -267,6 +267,11 @@ func (s *treeSnap) validate(q []float64, k int) error {
 	// the sum, and neither fails w < 0 or the simplex test below.
 	if !(sum <= math.MaxFloat64) {
 		return errors.New("gir: query weights must be finite")
+	}
+	// At w = 0 every record ties and no region exists, yet every cached
+	// region's cone contains 0, so the probe would serve any entry.
+	if sum == 0 {
+		return errors.New("gir: query weights must not all be zero")
 	}
 	if s.space == SpaceSimplex && math.Abs(sum-1) > domain.EqTol {
 		return fmt.Errorf("gir: query weights sum to %v; the simplex query space needs Σw = 1 (normalize with gir.SpaceSimplex.Normalize)", sum)
@@ -604,7 +609,7 @@ type TopKResult struct {
 }
 
 // TopK answers a top-k query with linear scoring. The query vector must
-// have the dataset's dimension and nonnegative weights.
+// have the dataset's dimension and nonnegative weights, not all zero.
 func (ds *Dataset) TopK(q []float64, k int) (*TopKResult, error) {
 	return ds.TopKFunc(q, k, Linear)
 }

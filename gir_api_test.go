@@ -141,9 +141,10 @@ func TestAllMethodsAgreeOnMembership(t *testing.T) {
 			})
 		}
 	}
-	// Every record in the coordinate hyperplane x_d = 0: p_k has no
-	// virtual seed on that axis and no record leaves the flat, so FP finds
-	// no full-dimensional simplex and the fill is its SP fallback.
+	// Every record in the coordinate hyperplane x_d = 0: no record leaves
+	// the flat, and p_k's projection on its last axis is the origin, so
+	// only its virtual seed p_k − e_d there lets FP build a star, with no
+	// SP fallback.
 	t.Run("engine/flat", func(t *testing.T) {
 		r := rand.New(rand.NewSource(46))
 		pts := randomPoints(r, 2000, 4)
@@ -152,15 +153,119 @@ func TestAllMethodsAgreeOnMembership(t *testing.T) {
 		}
 		engineFillMatchesSP(t, r, pts, gir.SpaceBox, 4)
 		ds, _ := gir.NewDataset(pts)
-		res, _ := ds.TopK([]float64{0.5, 0.4, 0.6, 0.3}, 10)
-		g, err := ds.ComputeGIR(res, gir.FP)
+		q := []float64{0.5, 0.4, 0.6, 0.3}
+		res, _ := ds.TopK(q, 10)
+		fp, err := ds.ComputeGIR(res, gir.FP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Stats.StarFacets != 0 || g.Stats.SkylineSize == 0 {
-			t.Fatalf("FP on the flat dataset did not fall back to SP: %+v", g.Stats)
+		if fp.Stats.StarFacets == 0 || fp.Stats.SkylineSize != 0 {
+			t.Fatalf("FP on the flat dataset fell back to SP: %+v", fp.Stats)
 		}
+		res, _ = ds.TopK(q, 10)
+		sp, err := ds.ComputeGIR(res, gir.SP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMembership(t, r, fp, sp, q, -1)
 	})
+	// q_i = 0 on an axis where p_k is 0 too: q lies on the query space's
+	// face w_i = 0, which is all the virtual seed p_k − e_i's half-space
+	// says. FP must build its star there and agree with the exhaustive
+	// baseline, on flat data (x_d = 0 everywhere) and on a 1/8 grid, where
+	// zero coordinates and ties are the rule.
+	for _, data := range []string{"flat", "grid"} {
+		for d := 3; d <= 5; d++ {
+			t.Run(fmt.Sprintf("zero-axis/%s/d=%d", data, d), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(50 + d)))
+				pts := randomPoints(r, 300, d)
+				for _, p := range pts {
+					for j := range p {
+						p[j] = math.Round(p[j]*8) / 8
+					}
+					if data == "flat" {
+						p[d-1] = 0
+					}
+				}
+				ds, _ := gir.NewDataset(pts)
+				cases := 0
+				for trial := 0; trial < 200 && cases < 24; trial++ {
+					q := make([]float64, d)
+					for j := range q {
+						q[j] = 0.15 + 0.7*r.Float64()
+					}
+					i := r.Intn(d)
+					if data == "flat" {
+						i = d - 1
+					}
+					q[i] = 0
+					k := 2 + r.Intn(10)
+					res, _ := ds.TopK(q, k)
+					if res.Records[k-1].Attrs[i] != 0 {
+						continue
+					}
+					cases++
+					fp, err := ds.ComputeGIR(res, gir.FP)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fp.Stats.StarFacets == 0 || fp.Stats.SkylineSize != 0 {
+						t.Fatalf("q=%v k=%d: FP fell back to SP: %+v", q, k, fp.Stats)
+					}
+					res, _ = ds.TopK(q, k)
+					ex, err := ds.ComputeGIR(res, gir.Exhaustive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMembership(t, r, fp, ex, q, i)
+				}
+				if cases == 0 {
+					t.Fatal("no query put p_k's zero coordinate on a zero weight")
+				}
+			})
+		}
+	}
+}
+
+// sameMembership holds got to want's membership at uniform points of the
+// box and at points near q, half of all of them with weight zero (when
+// zero ≥ 0) set to 0, skipping points within 1e-9 of a boundary of
+// either region.
+func sameMembership(t *testing.T, r *rand.Rand, got, want *gir.GIR, q []float64, zero int) {
+	t.Helper()
+	near := func(p []float64) bool {
+		for _, g := range []*gir.GIR{got, want} {
+			for _, c := range g.Constraints() {
+				dot, norm := 0.0, 0.0
+				for j, x := range c.Normal {
+					dot, norm = dot+x*p[j], norm+x*x
+				}
+				if math.Abs(dot) <= 1e-9*math.Sqrt(norm) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for trial := 0; trial < 1200; trial++ {
+		p, scale := make([]float64, len(q)), []float64{0.01, 0.05, 0.2}[trial%3]
+		for j := range p {
+			if trial%6 == 0 {
+				p[j] = r.Float64()
+			} else {
+				p[j] = math.Abs(q[j] + scale*r.NormFloat64())
+			}
+		}
+		if zero >= 0 && trial%4 < 2 {
+			p[zero] = 0
+		}
+		if near(p) {
+			continue
+		}
+		if got.Contains(p) != want.Contains(p) {
+			t.Fatalf("at %v: contains %v, want %v (q = %v)", p, got.Contains(p), want.Contains(p), q)
+		}
+	}
 }
 
 // engineFillMatchesSP fills a zero-value engine's cache with random

@@ -42,8 +42,10 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 	stars, err := sc.buildStars(tree, res, anchors, st)
 	st.NodesPruned += res.DroppedNodes
 	if errors.Is(err, hull.ErrDegenerate) {
-		// The known records span a lower-dimensional flat; SP is always
-		// applicable and exact, so degrade gracefully.
+		// Only numerics leave an anchor and its virtual seeds without a
+		// simplex. SP is always applicable and exact, and seeds its
+		// skyline from the sorted T, as compute sorts it for SP.
+		topk.SortRecords(res.T)
 		sc.spPhase(tree, res, anchors, st)
 		return nil
 	}
@@ -114,21 +116,18 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 	return nil
 }
 
-// buildStars runs FP's first step: seed each anchor's star with the
-// paper's virtual axis-projection points plus the in-memory set T (using
-// the max-per-dimension heuristic of Section 6.3.1, which the star's
-// greedy extent selection subsumes), leaving out the T records the
-// Phase-1 screen drops. T arrives in traversal order, and only the seeds
-// are sorted. A screened traversal copied out only the records the screen
+// buildStars runs FP's first step: seed each anchor's star with its
+// virtual seeds (hull.VirtualSeeds, which with the anchor always span a
+// full-dimensional simplex) plus the in-memory set T (using the
+// max-per-dimension heuristic of Section 6.3.1, which the star's greedy
+// extent selection subsumes), leaving out the T records the Phase-1
+// screen drops. T arrives in traversal order, and only the seeds are
+// sorted. A screened traversal copied out only the records the screen
 // keeps (sc.tail); otherwise the screen moves them to T's front. Either
 // way it sorts that run, which under the total record order is exactly
-// the subsequence of the sorted T the screen keeps. If an anchor plus
-// seeds are degenerate, it sorts the whole of T and re-seeds from it —
-// rerunning the traversal first when its tail kept only the screened run,
-// which the snapshot the caller pins allows and Stats.Rereads counts —
-// and if that is degenerate too it pulls additional records from the
-// search heap into T until a full-dimensional simplex exists.
-func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) ([]hull.Star, error) {
+// the subsequence of the sorted T the screen keeps. It reads no page and
+// counts nothing, but takes the tree and Stats as the phases do.
+func (sc *scratch) buildStars(_ *rtree.Tree, res *topk.Result, anchors []topk.Record, _ *Stats) ([]hull.Star, error) {
 	for len(sc.stars) < len(anchors) {
 		sc.stars = append(sc.stars, hull.Star{})
 	}
@@ -146,57 +145,17 @@ func (sc *scratch) buildStars(tree *rtree.Tree, res *topk.Result, anchors []topk
 		seeds = res.T[:n]
 	}
 	topk.SortRecords(seeds)
-	for {
-		var err error
-		for i, a := range anchors {
-			sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
-			for _, rec := range seeds {
-				sc.seeds = append(sc.seeds, rec.Point)
-				sc.seedIDs = append(sc.seedIDs, rec.ID)
-			}
-			if err = stars[i].Reset(a.Point, sc.seeds, sc.seedIDs); err != nil {
-				break
-			}
+	for i, a := range anchors {
+		sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
+		for _, rec := range seeds {
+			sc.seeds = append(sc.seeds, rec.Point)
+			sc.seedIDs = append(sc.seedIDs, rec.ID)
 		}
-		if !errors.Is(err, hull.ErrDegenerate) {
+		if err := stars[i].Reset(a.Point, sc.seeds, sc.seedIDs); err != nil {
 			return stars, err
 		}
-		// An apex coordinate at most hull.Tol has no virtual seed, so the
-		// screened seeds can lie in a flat that T does not: T, not a page
-		// read or SP, repairs that. It is sorted once, before any pull
-		// appends to it.
-		switch {
-		case sc.tail:
-			// T and the heap hold only what the tail's screen kept; rerun
-			// the traversal on the same tree for the whole of both.
-			*res = *topk.BRS(tree, res.Func, res.Query, res.K)
-			sc.tail = false
-			st.Rereads++
-			fallthrough
-		case len(seeds) < len(res.T):
-			topk.SortRecords(res.T)
-			seeds = res.T
-			continue
-		}
-		if res.Heap.Len() == 0 {
-			return stars, err
-		}
-		// Pull one more node's worth of records and retry. They join T so
-		// that a later SP fallback (or any other consumer of the
-		// encountered set) still sees them.
-		blk := tree.ReadBlock(res.Heap.PopItem().Child, &sc.blk)
-		st.NodesRead++
-		for i := 0; i < blk.Count; i++ {
-			if blk.Leaf {
-				p := vec.Vector(blk.Point(i, make([]float64, sc.d)))
-				res.T = append(res.T, topk.Record{ID: blk.RecIDs[i], Point: p, Score: res.Func.Score(p, res.Query)})
-			} else {
-				lo, hi := vec.Vector(blk.Lo[i*sc.d:(i+1)*sc.d]).Clone(), vec.Vector(blk.Hi[i*sc.d:(i+1)*sc.d]).Clone()
-				res.Heap.PushItem(topk.NodeItem{Key: res.Func.MaxScore(lo, hi, res.Query), Child: blk.Children[i], Rect: rtree.Rect{Lo: lo, Hi: hi}})
-			}
-		}
-		seeds = res.T
 	}
+	return stars, nil
 }
 
 // screenPoints sets sc.keep[i] for each of the n points at(i) that the

@@ -18,82 +18,74 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// TestFPSeedsFallBackToWholeT builds a GIR whose apex lies on a face of
-// the box, p_k = (0.5, 0.5, 0): its third axis has no virtual seed, so the
-// seeds span the plane x₃ = 0 unless a T record leaves it, and the
-// Phase-1 cone (every pair of weights within a factor 1.25) screens out
-// every T record. The star must then re-seed from the whole of T, sorted
-// — no page read, no SP fallback — and build the region SP builds (here
+// TestFPSeedsSpanOnBoxFace builds a GIR whose apex lies on a face of the
+// box, p_k = (0.5, 0.5, 0), and whose Phase-1 cone (every pair of weights
+// within a factor 1.25) screens out every T record. The apex's projection
+// on its third axis would be the origin, in the plane x₃ = 0 with the
+// other two, so only the virtual seed p_k − e₃ lets the star span the
+// space. FP must build a star, with no SP fallback, both from BRS's whole
+// T and from a fill's screened tail, which keeps none of T; the two builds
+// must give the same region and Stats, and the region SP builds (here
 // Phase 1's six half-spaces alone).
-func TestFPSeedsFallBackToWholeT(t *testing.T) {
+func TestFPSeedsSpanOnBoxFace(t *testing.T) {
 	const d, k = 3, 7
-	tree, pts, q, r := wholeTFixture()
-
+	tree, pts, q, r := boxFaceFixture()
 	res := topk.BRS(tree, score.Linear{}, q, k)
-	apex := res.Records[k-1]
-	if !vec.Equal(apex.Point, pts[k-1], 0) || len(res.T) < d || res.Heap.Len() == 0 {
-		t.Fatalf("fixture: apex %v, |T| = %d, %d heap entries; want p_k = %v, |T| ≥ %d and a heap to read", apex.Point, len(res.T), res.Heap.Len(), pts[k-1], d)
+	if !vec.Equal(res.Records[k-1].Point, pts[k-1], 0) || len(res.T) < d {
+		t.Fatalf("fixture: apex %v, |T| = %d; want p_k = %v and |T| ≥ %d", res.Records[k-1].Point, len(res.T), pts[k-1], d)
 	}
-	sc := new(scratch)
-	sc.reset(d, score.Linear{}.Transform)
-	sc.phase1(res)
-	if sc.screen = sc.phase1Cone(res, apex.Point); !sc.screen {
-		t.Fatal("fixture: the Phase-1 cone is not pointed")
+	want, wst, err := Compute(tree, res, Options{Method: FP})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
-	for i, keep := range sc.keep {
-		if keep {
-			t.Fatalf("fixture: the screen keeps T record %v", res.T[i].Point)
+	gs := topk.AcquireGroupScratch(tree)
+	defer gs.Release()
+	screened, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
+	if screened[0].Cone == nil || len(screened[0].T) != 0 || screened[0].DroppedT < d {
+		t.Fatalf("fixture: the tail kept %d T records and dropped %d (cone %v); want it to keep none", len(screened[0].T), screened[0].DroppedT, screened[0].Cone != nil)
+	}
+	got, gst, err := Compute(tree, screened[0], Options{Method: FP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Stats{wst, gst} {
+		if st.Method != "FP" || st.SkylineSize != 0 || st.StarFacets < d {
+			t.Fatalf("FP stats %+v; want a star and no SP fallback", *st)
 		}
 	}
-	sorted := slices.Clone(res.T)
-	topk.SortRecords(sorted)
-	var st Stats
-	if _, err := sc.buildStars(tree, res, res.Records[k-1:], &st); err != nil || st.NodesRead != 0 {
-		t.Fatalf("seeding read %d nodes (err %v); the whole of T spans the space and needs none", st.NodesRead, err)
+	if *gst != *wst {
+		t.Fatalf("stats %+v, the whole-T build's %+v", *gst, *wst)
 	}
-	var seeds []int64
-	for _, id := range sc.seedIDs {
-		if id >= 0 { // the virtual seeds have negative ids
-			seeds = append(seeds, id)
-		}
-	}
-	if len(seeds) != len(sorted) {
-		t.Fatalf("re-seeded from %d records, |T| = %d", len(seeds), len(sorted))
-	}
-	for i, rec := range sorted {
-		if seeds[i] != rec.ID {
-			t.Fatalf("seed %d is record %d, the sorted T's is %d", i, seeds[i], rec.ID)
-		}
+	a, b := sha256.New(), sha256.New()
+	hashRegion(a, got)
+	hashRegion(b, want)
+	if !bytes.Equal(a.Sum(nil), b.Sum(nil)) {
+		t.Fatalf("the screened build's region differs from the whole-T build's:\n%v\n%v", got.Constraints, want.Constraints)
 	}
 
-	fp, fst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
-	if err != nil || fst.Method != "FP" || fst.SkylineSize != 0 || fst.StarFacets < d {
-		t.Fatalf("FP: err %v, stats %+v; want a star and no SP fallback", err, fst)
-	}
 	sp, _, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: SP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fp.Constraints) != len(sp.Constraints) {
-		t.Fatalf("FP kept %d constraints, SP %d", len(fp.Constraints), len(sp.Constraints))
+	if len(want.Constraints) != len(sp.Constraints) {
+		t.Fatalf("FP kept %d constraints, SP %d", len(want.Constraints), len(sp.Constraints))
 	}
 	for _, p := range append(insideSamples(r, sp, 50), q) {
-		if !fp.Contains(p, 1e-9) {
+		if !want.Contains(p, 1e-9) {
 			t.Fatalf("FP's region misses %v, inside SP's", p)
 		}
 	}
 	for i := 0; i < 200; i++ {
 		p := vec.Vector{r.Float64(), r.Float64(), r.Float64()}
-		if fp.Contains(p, 1e-9) != sp.Contains(p, 1e-9) && minAbsSlack(sp, p) > 1e-6 {
+		if want.Contains(p, 1e-9) != sp.Contains(p, 1e-9) && minAbsSlack(sp, p) > 1e-6 {
 			t.Fatalf("FP and SP disagree at %v", p)
 		}
 	}
 }
 
-// wholeTFixture is TestFPSeedsFallBackToWholeT's tree (k = 7 at q, d = 3),
+// boxFaceFixture is TestFPSeedsSpanOnBoxFace's tree (k = 7 at q, d = 3),
 // its points, query and the random source the test goes on with.
-func wholeTFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
+func boxFaceFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
 	// p_i − p_{i+1} walks every row of {q : 0.8 ≤ q_i/q_j ≤ 1.25}, each
 	// 0.02 ahead of the next at q = (1,1,1)/3.
 	pts := []vec.Vector{
@@ -105,47 +97,6 @@ func wholeTFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
 		pts = append(pts, vec.Vector{0.2 * r.Float64(), 0.2 * r.Float64(), 0.2 * r.Float64()})
 	}
 	return rtree.BulkLoad(pager.NewMemStore(), 3, pts, nil), pts, vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}, r
-}
-
-// TestScreenedFillRereadsWholeT is TestFPSeedsFallBackToWholeT on a fill's
-// path: the traversal's tail screens T by the Phase-1 cone and keeps none
-// of it, so the seeds (p_k = (0.5, 0.5, 0) and its two virtual seeds) are
-// degenerate and FP needs the whole of T. The build must rerun the
-// traversal once, on the same tree, and then build the region, and count
-// everything else, as the build from BRS's whole T does.
-func TestScreenedFillRereadsWholeT(t *testing.T) {
-	const k = 7
-	tree, _, q, _ := wholeTFixture()
-	gs := topk.AcquireGroupScratch(tree)
-	defer gs.Release()
-	res, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
-	if res[0].Cone == nil || len(res[0].T) != 0 || res[0].DroppedT < 3 {
-		t.Fatalf("fixture: the tail kept %d T records and dropped %d (cone %v); want it to keep none", len(res[0].T), res[0].DroppedT, res[0].Cone != nil)
-	}
-	got, gst, err := Compute(tree, res[0], Options{Method: FP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Cone != nil {
-		t.Error("the Result still holds the scratch's cone after the build")
-	}
-	want, wst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gst.Rereads != 1 || wst.Rereads != 0 {
-		t.Fatalf("the screened build reran %d traversals and the whole one %d; want 1 and 0", gst.Rereads, wst.Rereads)
-	}
-	gst.Rereads = 0
-	if *gst != *wst {
-		t.Fatalf("stats %+v, the whole-T build's %+v", *gst, *wst)
-	}
-	a, b := sha256.New(), sha256.New()
-	hashRegion(a, got)
-	hashRegion(b, want)
-	if !bytes.Equal(a.Sum(nil), b.Sum(nil)) {
-		t.Fatalf("the screened build's region differs from the whole-T build's:\n%v\n%v", got.Constraints, want.Constraints)
-	}
 }
 
 // TestFPSeedsAreKeptSortedT holds FP's seeding to its definition now that

@@ -186,7 +186,6 @@ type Stats struct {
 	RMinus         int    `json:"r_minus,omitempty"`         // |R⁻| (GIR* only)
 	NodesRead      int    `json:"nodes_read,omitempty"`      // index nodes fetched in Phase 2
 	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)
-	Rereads        int    `json:"rereads,omitempty"`         // traversals rerun because a screened T left FP's seeds degenerate
 	RawConstraints int    `json:"constraints_raw,omitempty"` // constraints before redundancy elimination
 	Constraints    int    `json:"constraints,omitempty"`     // constraints in the final minimal representation
 }

@@ -927,22 +927,34 @@ func (s *Star) Facets() []Facet {
 	return out
 }
 
-// VirtualSeeds appends to pts and ids the paper's axis-projection points
-// for an apex: for each dimension i with apex[i] > 0, the point
-// apex[i]·e_i, with negative ids −1−i. They seed the star when few real
-// points are known (Section 6.2 and footnote 6) and are excluded from
-// Critical(). The points are written into *slab, grown as needed, so a
-// caller that reuses its buffers allocates nothing.
+// VirtualSeeds appends to pts and ids one virtual point per dimension i,
+// with negative id −1−i: the paper's axis projection apex[i]·e_i (Section
+// 6.2 and footnote 6), or apex − e_i wherever that projection would land
+// within Tol of the origin or of the apex — apex[i] ≤ Tol, or at most one
+// coordinate of the apex above Tol. Every one is dominated by the apex, so
+// its half-space is w_i ≥ 0 at worst, which every query space holds, and
+// together with the apex they span a full-dimensional simplex, so they
+// seed the star however few real points are known. They are excluded
+// from Critical(). The points are written into *slab, grown as needed, so
+// a caller that reuses its buffers allocates nothing.
 func VirtualSeeds(pts []vec.Vector, ids []int64, slab *[]float64, apex vec.Vector) ([]vec.Vector, []int64) {
 	d := len(apex)
 	*slab = vec.Grown(*slab, d*d)
-	for i, x := range apex {
-		if x <= Tol {
-			continue
+	above := 0
+	for _, x := range apex {
+		if x > Tol {
+			above++
 		}
+	}
+	for i, x := range apex {
 		v := vec.Vector((*slab)[i*d : (i+1)*d : (i+1)*d])
-		clear(v)
-		v[i] = x
+		if x > Tol && above > 1 {
+			clear(v)
+			v[i] = x
+		} else {
+			copy(v, apex)
+			v[i]--
+		}
 		pts = append(pts, v)
 		ids = append(ids, int64(-1-i))
 	}

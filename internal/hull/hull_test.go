@@ -842,21 +842,60 @@ func virtualSeeds(apex vec.Vector) ([]vec.Vector, []int64) {
 	return VirtualSeeds(nil, nil, &slab, apex)
 }
 
-func TestVirtualSeedsSkipZero(t *testing.T) {
-	pts, ids := virtualSeeds(vec.Vector{0.5, 0, 0.25})
-	if len(pts) != 2 {
-		t.Fatalf("got %d seeds, want 2 (zero coordinate skipped)", len(pts))
-	}
-	if ids[0] != -1 || ids[1] != -3 {
-		t.Errorf("ids = %v", ids)
+// TestVirtualSeedsSpanWithApex holds VirtualSeeds to its contract for
+// apexes with no, one and d − 1 zero coordinates, the origin and one
+// coordinate within Tol of zero: d points, each dominated by the apex,
+// that with it span a full-dimensional simplex (the star's initial
+// simplex takes all of them), and the paper's projection apex[i]·e_i on
+// every axis where it lands on neither the origin nor the apex.
+func TestVirtualSeedsSpanWithApex(t *testing.T) {
+	for _, apex := range []vec.Vector{
+		{0.8, 0.9, 0.3}, {0.5, 0, 0.25}, {0.5, 0, 0}, {0, 0, 0},
+		{0, 0, 0.7, 0}, {1e-11, 0.4, 0.2, 0.9, 0.1, 0},
+	} {
+		d := len(apex)
+		pts, ids := virtualSeeds(apex)
+		if len(pts) != d {
+			t.Fatalf("apex %v: %d seeds, want %d", apex, len(pts), d)
+		}
+		above := 0
+		for _, x := range apex {
+			if x > Tol {
+				above++
+			}
+		}
+		for i, p := range pts {
+			if ids[i] != int64(-1-i) {
+				t.Fatalf("apex %v: seed %d has id %d", apex, i, ids[i])
+			}
+			for j, x := range p {
+				if x > apex[j] {
+					t.Fatalf("apex %v: seed %v is not dominated by it", apex, p)
+				}
+			}
+			if apex[i] > Tol && above > 1 {
+				proj := make(vec.Vector, d)
+				proj[i] = apex[i]
+				if !slices.Equal(p, proj) {
+					t.Fatalf("apex %v: seed %d is %v, want the projection %v", apex, i, p, proj)
+				}
+			}
+		}
+		star, err := NewStar(apex, pts, ids)
+		if err != nil {
+			t.Fatalf("apex %v: %v", apex, err)
+		}
+		if star.NumFacets() != d {
+			t.Fatalf("apex %v: the seeds' star has %d facets, want the simplex's %d", apex, star.NumFacets(), d)
+		}
 	}
 	// Reused buffers: the seeds follow what the slices held, and a slab
 	// holding an earlier apex's seeds is overwritten whole.
 	slab := []float64{7, 7, 7, 7, 7, 7, 7, 7, 7}
-	pts, ids = VirtualSeeds([]vec.Vector{{1, 2, 3}}, []int64{4}, &slab, vec.Vector{0.5, 0, 0.25})
-	want := []vec.Vector{{1, 2, 3}, {0.5, 0, 0}, {0, 0, 0.25}}
-	if !slices.EqualFunc(pts, want, slices.Equal) || !slices.Equal(ids, []int64{4, -1, -3}) {
-		t.Errorf("appended seeds = %v %v, want %v [4 -1 -3]", pts, ids, want)
+	pts, ids := VirtualSeeds([]vec.Vector{{1, 2, 3}}, []int64{4}, &slab, vec.Vector{0.5, 0, 0.25})
+	want := []vec.Vector{{1, 2, 3}, {0.5, 0, 0}, {0.5, -1, 0.25}, {0, 0, 0.25}}
+	if !slices.EqualFunc(pts, want, slices.Equal) || !slices.Equal(ids, []int64{4, -1, -2, -3}) {
+		t.Errorf("appended seeds = %v %v, want %v [4 -1 -2 -3]", pts, ids, want)
 	}
 }
 

@@ -35,17 +35,20 @@
 // Ties follow the results' total order, (score desc, id asc): a new
 // record that ties p_k enters the top-k iff its id is smaller. So an
 // insert whose id is smaller than p_k's is affecting when its margin can
-// reach −Tol anywhere in the region, and one whose id is larger only when
-// the margin can exceed Tol. Inside that tolerance decisions are
-// conservative: any numerical doubt (LP non-optimal status, margins near
-// the threshold) resolves toward "affected", so a kept entry is always
-// safe to serve.
+// reach −Tol anywhere in the region but w = 0, and one whose id is larger
+// only when the margin can exceed Tol. Rankings are scale-invariant, so
+// the former is decided over region ∩ {Σw = 1} in either query space: in
+// the box the margin is 0 at w = 0, which ranks nothing, and would evict
+// every entry. Inside that tolerance decisions are conservative: any
+// numerical doubt (LP non-optimal status, margins near the threshold)
+// resolves toward "affected", so a kept entry is always safe to serve.
 package invalidate
 
 import (
 	"math"
 	"sync"
 
+	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
 	gir "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/lp"
@@ -94,13 +97,13 @@ func InsertAffectsID(reg *gir.Region, recs []topk.Record, id int64, p vec.Vector
 	if len(p) != len(pk) || len(p) != reg.Dim {
 		return true // malformed input: evict rather than risk staleness
 	}
-	// The margin p must beat to enter: a tie is enough for a smaller id.
-	thr := Tol
+	// The margin p must beat to enter: a tie is enough for a smaller id,
+	// anywhere in the region but w = 0.
+	thr, dom := Tol, reg.Space()
 	winsTie := id < kth.ID
 	if winsTie {
-		thr = -Tol
+		thr, dom = -Tol, domain.Simplex(reg.Dim)
 	}
-	dom := reg.Space()
 	s := scratches.Get().(*scratch)
 	defer scratches.Put(s)
 	s.diff, s.keep = vec.Grown(s.diff, len(p)), vec.Grown(s.keep, len(p))

@@ -119,6 +119,11 @@ func TestInsertAffectsExtremes(t *testing.T) {
 	if !InsertAffectsID(fx.reg, fx.recs, pk.ID-1, kth, fx.lo, fx.hi) {
 		t.Error("exact duplicate of the k-th record with a smaller id not flagged")
 	}
+	// The origin ties p_k only at w = 0, which the box region contains but
+	// which ranks nothing: a smaller id does not let it in.
+	if InsertAffectsID(fx.reg, fx.recs, pk.ID-1, make(vec.Vector, d), fx.lo, fx.hi) {
+		t.Error("the origin with a smaller id flagged")
+	}
 
 	// Degenerate inputs must evict conservatively.
 	if !InsertAffects(nil, fx.recs, top, nil, nil) {

@@ -116,8 +116,7 @@ func RecordsGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.
 // k − 1 ≥ d and f is linear), hands it over as Result.Cone and, when the
 // cone is pointed, copies out only the T records and heap nodes that can
 // beat p_k somewhere in it. What is left out cannot bound the GIR, so an
-// FP build reads the same seeds and pops the same entries that matter; a
-// build that needs the whole of T after all reruns BRS on the same tree.
+// FP build reads the same seeds and pops the same entries that matter.
 // The Results must be built before gs is released (see GroupScratch).
 func ScreenedGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {
 	return gs.group(tree, f, qs, ks, retainScreened)

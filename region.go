@@ -129,18 +129,15 @@ type groupAnswer struct {
 // with or without a region: it validates each member against ONE pinned
 // snapshot, answers the valid ones with one fused traversal (a single
 // member is a group of one) and, when build is set, computes each
-// member's GIR with method m under the same pin, so no mutation can land
+// member's GIR with FP under the same pin, so no mutation can land
 // between a traversal and its region build and each retained heap
 // resumes into exactly the pages its traversal read. What the traversal
 // copies out follows what the build reads, with the same reads and the
-// same records bit for bit in every case:
+// same records bit for bit either way:
 //   - no build: just the records (topk.RecordsGroup);
-//   - an FP build: the records, and of T and the heap only what the
-//     Phase-1 cone lets beat p_k, screened in the traversal's tail
-//     (topk.ScreenedGroup; when P1 is not pointed, all of them). A build
-//     whose screened seeds are degenerate reruns the traversal on the
-//     still-pinned snapshot;
-//   - any other build: the records, T and the heap whole (topk.BRSGroup).
+//   - a build: the records, and of T and the heap only what the Phase-1
+//     cone lets beat p_k, screened in the traversal's tail
+//     (topk.ScreenedGroup; when P1 is not pointed, all of them).
 //
 // Validation is done here even when the caller already vetted the
 // queries: the pin may be a later version than the one that check saw,
@@ -150,7 +147,7 @@ type groupAnswer struct {
 // Every member's records are byte-identical to a solo Dataset.TopK at the
 // pinned version. A member whose region build fails still carries its
 // records (girErr set).
-func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) ([]groupAnswer, topk.GroupStats) {
+func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool) ([]groupAnswer, topk.GroupStats) {
 	sn := ds.pinSnap()
 	defer sn.release()
 	out := make([]groupAnswer, len(qs))
@@ -166,11 +163,8 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 		return out, topk.GroupStats{}
 	}
 	brs := topk.RecordsGroup
-	switch {
-	case build && m == FP:
+	if build {
 		brs = topk.ScreenedGroup
-	case build:
-		brs = topk.BRSGroup
 	}
 	gs := topk.AcquireGroupScratch(sn.tree)
 	defer gs.Release() // after the builds: each takes its Phase-1 cone from gs
@@ -188,7 +182,7 @@ func (ds *Dataset) answerGroup(qs []vec.Vector, ks []int, build bool, m Method) 
 			a.recs[j] = Record{ID: r.ID, Attrs: r.Point, Score: r.Score}
 		}
 		if build {
-			a.g, a.girErr = ds.computeGIRSnap(sn, res, m, false)
+			a.g, a.girErr = ds.computeGIRSnap(sn, res, FP, false)
 		}
 	}
 	return out, stats

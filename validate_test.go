@@ -134,3 +134,37 @@ func TestNonFiniteWeightsRefused(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestZeroQueryRefused: the all-zero weight vector is an error from
+// Dataset.TopK, Engine.TopK and Engine.BatchTopK in both query spaces. At
+// w = 0 every record ties and no region exists, while every cached
+// region's cone contains 0: a warm engine served any entry as its hit.
+func TestZeroQueryRefused(t *testing.T) {
+	points := randPoints(rand.New(rand.NewSource(34)), 2000, 3)
+	zero := []float64{0, 0, 0}
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		ds, err := NewDatasetInSpace(points, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(ds, EngineOptions{CacheCapacity: 16})
+		if res := e.TopK(space.Normalize([]float64{0.5, 0.25, 0.25}), 5); res.Err != nil || e.Cache().Len() != 1 {
+			t.Fatalf("%v: the warm-up query: err %v, %d cache entries", space, res.Err, e.Cache().Len())
+		}
+		if _, err := ds.TopK(zero, 5); err == nil {
+			t.Errorf("%v: Dataset.TopK accepted the zero query", space)
+		}
+		if res := e.TopK(zero, 5); res.Err == nil {
+			t.Errorf("%v: Engine.TopK accepted the zero query (hit %v, records %v)", space, res.CacheHit, res.Records)
+		}
+		for _, res := range e.BatchTopK([]Query{{Vector: zero, K: 5}, {Vector: zero, K: 1}}) {
+			if res.Err == nil {
+				t.Errorf("%v: Engine.BatchTopK accepted the zero query", space)
+			}
+		}
+		if st := e.Stats(); st.CacheHits != 0 || st.Computed != 1 {
+			t.Errorf("%v: the refused queries left %d hits and %d computations, want 0 and the warm-up's 1", space, st.CacheHits, st.Computed)
+		}
+		e.Close()
+	}
+}
