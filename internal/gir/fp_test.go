@@ -18,33 +18,96 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// TestFPSeedsSpanOnBoxFace builds a GIR whose apex lies on a face of the
-// box, p_k = (0.5, 0.5, 0), and whose Phase-1 cone (every pair of weights
-// within a factor 1.25) screens out every T record. The apex's projection
-// on its third axis would be the origin, in the plane x₃ = 0 with the
-// other two, so only the virtual seed p_k − e₃ lets the star span the
-// space. FP must build a star, with no SP fallback, both from BRS's whole
-// T and from a fill's screened tail, which keeps none of T; the two builds
-// must give the same region and Stats, and the region SP builds (here
-// Phase 1's six half-spaces alone).
-func TestFPSeedsSpanOnBoxFace(t *testing.T) {
+// TestFPSeedsFallBackToWholeT builds a GIR whose apex lies on a face of
+// the box, p_k = (0.5, 0.5, 0), and whose Phase-1 cone (every pair of
+// weights within a factor 1.25) screens out every T record. The apex's
+// projection on its third axis would be the origin, in the plane x₃ = 0
+// with the other two, so a seeding from projections alone would have to
+// fall back to the whole of T, or to SP, to span the space. The virtual
+// seed p_k − e₃ must span it instead: the star takes its d virtual seeds
+// and no T record, and FP builds, with no SP fallback, the region SP
+// builds (here Phase 1's six half-spaces alone).
+func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	const d, k = 3, 7
 	tree, pts, q, r := boxFaceFixture()
+
 	res := topk.BRS(tree, score.Linear{}, q, k)
-	if !vec.Equal(res.Records[k-1].Point, pts[k-1], 0) || len(res.T) < d {
-		t.Fatalf("fixture: apex %v, |T| = %d; want p_k = %v and |T| ≥ %d", res.Records[k-1].Point, len(res.T), pts[k-1], d)
+	apex := res.Records[k-1]
+	if !vec.Equal(apex.Point, pts[k-1], 0) || len(res.T) < d {
+		t.Fatalf("fixture: apex %v, |T| = %d; want p_k = %v and |T| ≥ %d", apex.Point, len(res.T), pts[k-1], d)
 	}
-	want, wst, err := Compute(tree, res, Options{Method: FP})
+	sc := new(scratch)
+	sc.reset(d, score.Linear{}.Transform)
+	sc.phase1(res)
+	if sc.screen = sc.phase1Cone(res, apex.Point); !sc.screen {
+		t.Fatal("fixture: the Phase-1 cone is not pointed")
+	}
+	sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
+	for i, keep := range sc.keep[:len(res.T)] {
+		if keep {
+			t.Fatalf("fixture: the screen keeps T record %v", res.T[i].Point)
+		}
+	}
+	if _, err := sc.buildStars(tree, res, res.Records[k-1:], nil); err != nil {
+		t.Fatalf("seeding from the virtual simplex: %v", err)
+	}
+	if len(sc.seedIDs) != d {
+		t.Fatalf("the star took %d seeds (ids %v); want its %d virtual seeds alone", len(sc.seedIDs), sc.seedIDs, d)
+	}
+	for _, id := range sc.seedIDs {
+		if id >= 0 { // the virtual seeds have negative ids
+			t.Fatalf("the star took T record %d as a seed (ids %v); the screen keeps none", id, sc.seedIDs)
+		}
+	}
+
+	fp, fst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
+	if err != nil || fst.Method != "FP" || fst.SkylineSize != 0 || fst.StarFacets < d {
+		t.Fatalf("FP: err %v, stats %+v; want a star and no SP fallback", err, fst)
+	}
+	sp, _, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: SP})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(fp.Constraints) != len(sp.Constraints) {
+		t.Fatalf("FP kept %d constraints, SP %d", len(fp.Constraints), len(sp.Constraints))
+	}
+	for _, p := range append(insideSamples(r, sp, 50), q) {
+		if !fp.Contains(p, 1e-9) {
+			t.Fatalf("FP's region misses %v, inside SP's", p)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		p := vec.Vector{r.Float64(), r.Float64(), r.Float64()}
+		if fp.Contains(p, 1e-9) != sp.Contains(p, 1e-9) && minAbsSlack(sp, p) > 1e-6 {
+			t.Fatalf("FP and SP disagree at %v", p)
+		}
+	}
+}
+
+// TestScreenedFillRereadsWholeT is TestFPSeedsFallBackToWholeT on a fill's
+// path: the traversal's tail screens T by the Phase-1 cone and keeps none
+// of it, so the star's seeds are p_k and its virtual seeds alone. The
+// build must not need the whole of T back: with no rerun of the traversal
+// it must build a star, with no SP fallback, give the region and Stats
+// the build from BRS's whole T gives, and leave the Result without the
+// scratch's cone.
+func TestScreenedFillRereadsWholeT(t *testing.T) {
+	const d, k = 3, 7
+	tree, _, q, _ := boxFaceFixture()
 	gs := topk.AcquireGroupScratch(tree)
 	defer gs.Release()
-	screened, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
-	if screened[0].Cone == nil || len(screened[0].T) != 0 || screened[0].DroppedT < d {
-		t.Fatalf("fixture: the tail kept %d T records and dropped %d (cone %v); want it to keep none", len(screened[0].T), screened[0].DroppedT, screened[0].Cone != nil)
+	res, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
+	if res[0].Cone == nil || len(res[0].T) != 0 || res[0].DroppedT < d {
+		t.Fatalf("fixture: the tail kept %d T records and dropped %d (cone %v); want it to keep none", len(res[0].T), res[0].DroppedT, res[0].Cone != nil)
 	}
-	got, gst, err := Compute(tree, screened[0], Options{Method: FP})
+	got, gst, err := Compute(tree, res[0], Options{Method: FP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Cone != nil {
+		t.Error("the Result still holds the scratch's cone after the build")
+	}
+	want, wst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,28 +125,9 @@ func TestFPSeedsSpanOnBoxFace(t *testing.T) {
 	if !bytes.Equal(a.Sum(nil), b.Sum(nil)) {
 		t.Fatalf("the screened build's region differs from the whole-T build's:\n%v\n%v", got.Constraints, want.Constraints)
 	}
-
-	sp, _, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: SP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Constraints) != len(sp.Constraints) {
-		t.Fatalf("FP kept %d constraints, SP %d", len(want.Constraints), len(sp.Constraints))
-	}
-	for _, p := range append(insideSamples(r, sp, 50), q) {
-		if !want.Contains(p, 1e-9) {
-			t.Fatalf("FP's region misses %v, inside SP's", p)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		p := vec.Vector{r.Float64(), r.Float64(), r.Float64()}
-		if want.Contains(p, 1e-9) != sp.Contains(p, 1e-9) && minAbsSlack(sp, p) > 1e-6 {
-			t.Fatalf("FP and SP disagree at %v", p)
-		}
-	}
 }
 
-// boxFaceFixture is TestFPSeedsSpanOnBoxFace's tree (k = 7 at q, d = 3),
+// boxFaceFixture is TestFPSeedsFallBackToWholeT's tree (k = 7 at q, d = 3),
 // its points, query and the random source the test goes on with.
 func boxFaceFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
 	// p_i − p_{i+1} walks every row of {q : 0.8 ≤ q_i/q_j ≤ 1.25}, each
