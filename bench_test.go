@@ -6,6 +6,7 @@
 package gir
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -61,27 +62,34 @@ func BenchmarkBRS(b *testing.B) {
 // region, inscribed box, put, eviction — on BenchmarkBRS's tree: 640
 // distinct vectors walked in a circle through a 64-entry cache, so no
 // vector finds its own entry again (fills/op reports how many did miss).
+// It runs three shapes: k = 20 at d = 4, and the two where FP's star
+// once dominated a fill, k = 5 at d = 4 (a wide Phase-1 cone, many leaves
+// read) and k = 20 at d = 6 (IND at n = 100 000 too).
 func BenchmarkFill(b *testing.B) {
-	ds := allocDataset(b, 100000, 4)
-	e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64})
-	defer e.Close()
-	qs := make([][]float64, 640)
-	for i := range qs {
-		qs[i] = datagen.Query(4, int64(1000+i))
+	for _, shape := range []struct{ d, k int }{{4, benchK}, {4, 5}, {6, benchK}} {
+		b.Run(fmt.Sprintf("d=%d/k=%d", shape.d, shape.k), func(b *testing.B) {
+			ds := allocDataset(b, 100000, shape.d)
+			e := NewEngine(ds, EngineOptions{Workers: 1, CacheCapacity: 64})
+			defer e.Close()
+			qs := make([][]float64, 640)
+			for i := range qs {
+				qs[i] = datagen.Query(shape.d, int64(1000+i))
+			}
+			for _, q := range qs[:128] { // past capacity: every timed put evicts
+				e.TopK(q, shape.k)
+			}
+			before := e.Stats().Computed
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := e.TopK(qs[(128+i)%len(qs)], shape.k); res.Err != nil {
+					b.Fatal(res.Err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
+		})
 	}
-	for _, q := range qs[:128] { // past capacity: every timed put evicts
-		e.TopK(q, benchK)
-	}
-	before := e.Stats().Computed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := e.TopK(qs[(128+i)%len(qs)], benchK); res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(e.Stats().Computed-before)/float64(b.N), "fills/op")
 }
 
 // BenchmarkInsertAffectsKeep is one uniform insert classified against

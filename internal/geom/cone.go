@@ -12,9 +12,11 @@ import (
 // rays, so a linear function that is negative on every ray is negative on
 // all of P but the origin. Pinned to an apex, it screens records the way
 // the paper's footnote 7 prunes FP's nodes, with P the Phase-1 cone: a
-// record x with g·x < g·apex on every ray g scores below the apex for every
-// query in P, so Phase 1 already implies its half-space and it bounds
-// nothing. The test is one dot product per ray, no LP.
+// record x with g·x ≤ g·apex on every ray g scores at most the apex for
+// every query in P, so Phase 1 already implies its half-space and it
+// bounds nothing. The test is one dot product per ray, no LP. Cut goes on
+// to cut the cone by such half-spaces one at a time: FP's Phase 2 grows
+// the region's own rays this way.
 //
 // Reset finds the rays by the double description method (Motzkin et al.
 // 1953; Fukuda & Prodon, "Double description method revisited", 1996):
@@ -32,22 +34,25 @@ import (
 // rankTol, so a doubtful pair is joined (a redundant ray lies inside P and
 // costs one more dot product). A cone with fewer than d independent rows
 // is not pointed, and one whose rays outgrow maxConeRays is given up on;
-// either screens nothing. Enumerate runs the same method with no ray cap,
-// for a caller that wants the rays themselves, and refuses a 65th distinct
-// row instead of dropping it.
+// either screens nothing. A record that beats the apex on some ray by at
+// most coneSlack is dropped, as a hull drops a point that close to a
+// facet: its half-space cuts nothing off a unit ray but a sliver.
+// Enumerate runs the same method with no ray cap, for a caller that wants
+// the rays themselves, and refuses a 65th distinct row instead of
+// dropping it.
 //
 // Reduce reads the minimal representation off the rays (see ReduceCone),
-// cutting the rays of the last Reset by the rows that follow, and there
-// the bias flips: a row is kept or dropped on the rays' word only when
-// every margin is clear, and any doubt hands the whole set to the
-// membership programs.
+// cutting the rays of the last Reset and the Cuts after it by the rows
+// that follow, and there the bias flips: a row is kept or dropped on the
+// rays' word only when every margin is clear, and any doubt hands the
+// whole set to the membership programs.
 //
 // The zero value is ready; Reset reuses every buffer, so a pooled Cone
 // runs without allocating once it has seen its largest input.
 type Cone struct {
 	d, m    int
 	seen    int       // the input rows the kept ones were taken from
-	capped  bool      // the rays outgrew their budget
+	capped  bool      // a cut gave up: past the ray budget, no ray left, or (Cut) a 65th distinct row
 	pointed bool      // Screen is pinned to the rays of the last Reset
 	rows    []float64 // the m unit rows kept, row-major
 	idx     []int     // per kept row, its index in the input
@@ -59,6 +64,7 @@ type Cone struct {
 	basis   []int     // the rows the simplicial cone starts from
 	orth    []float64 // Gram–Schmidt: up to d orthonormal rows
 	resid   []float64 // Gram–Schmidt: the rows' residuals
+	apex    []float64 // the pinned apex
 	at      []float64 // per ray, its product with the pinned apex
 	dots    []float64 // Screen: one ray's products with the block
 	face    []uint64  // Reduce: per ray, the kept rows it lies on, recomputed
@@ -74,7 +80,7 @@ const (
 	basisTol    = 1e-9  // a basis row's residual must exceed this
 	rankTol     = 1e-12 // a residual above this counts toward a rank
 	rankClear   = 1e-6  // Reduce: a residual above this counts toward a rank beyond doubt
-	coneSlack   = -1e-9 // g·(x − apex) above this on some ray keeps x
+	coneSlack   = 1e-10 // g·(x − apex) above this on some ray keeps x
 	coneZeroRow = 1e-12 // a row no longer than this constrains nothing
 	coneDupRow  = 1e-9  // unit rows this close are one direction
 )
@@ -85,12 +91,75 @@ const (
 // cone, so the next Reduce starts over.
 func (c *Cone) Reset(normals []vec.Vector, apex vec.Vector) bool {
 	c.pointed = c.enumerate(normals, maxConeRays, false)
-	c.at = c.at[:0]
-	for r := range c.tight {
-		c.at = append(c.at, vec.Dot(c.ray(r), apex))
-	}
+	c.apex = append(c.apex[:0], apex...)
+	c.pin()
 	return c.pointed
 }
+
+// pin sets each ray's product with the apex.
+func (c *Cone) pin() {
+	c.at = c.at[:0]
+	for r := range c.tight {
+		c.at = append(c.at, vec.Dot(c.ray(r), c.apex))
+	}
+}
+
+// Cut intersects the cone of the last Reset, pointed, with {q : row·q ≥ 0}
+// and reports whether it keeps the row: whether some ray lies strictly
+// outside it (by more than coneSide, the row at unit length). A row it
+// does not keep is implied by the cone, so it is neither cut nor counted
+// as an input row. A kept row becomes the next input row, so Reduce over
+// the rows of the Reset followed by the kept rows, in order, only
+// classifies, and Screen and BoxMayBeat screen by the cut cone.
+//
+// A row that would be the 65th distinct one, or a cut whose rays outgrow
+// maxConeRays, caps the cone instead: the rays stay as they were, a
+// larger cone, so Screen keeps every point it kept before. A capped cone
+// keeps every row that Screen's test keeps a point by, some ray g with
+// g·row < −1e-10, cuts nothing more, and hands Reduce to the membership
+// programs. So does a cone that was not pointed, which keeps every row.
+func (c *Cone) Cut(row vec.Vector) bool {
+	switch {
+	case !c.pointed:
+		return true
+	case c.capped:
+		for r := range c.tight {
+			if vec.Dot(c.ray(r), row) < -coneSlack {
+				return true
+			}
+		}
+		return false
+	}
+	at := c.m * c.d
+	c.rows = append(c.rows[:at], row...)
+	a := vec.Vector(c.rows[at:])
+	if !scaleTo(a, a, coneZeroRow) {
+		return false
+	}
+	outside := false
+	for r := 0; r < len(c.tight) && !outside; r++ {
+		outside = vec.Dot(a, c.ray(r)) < -coneSide
+	}
+	if !outside || c.duplicate(a) {
+		return false
+	}
+	if c.m == MaxConeRows {
+		c.capped = true
+		return true
+	}
+	c.idx = append(c.idx, c.seen)
+	c.m++
+	if !c.cut(c.m-1, maxConeRays) {
+		c.m, c.idx, c.capped = c.m-1, c.idx[:c.m-1], true
+		return true
+	}
+	c.seen++
+	c.pin()
+	return true
+}
+
+// NumRays returns the number of rays the cone holds.
+func (c *Cone) NumRays() int { return len(c.tight) }
 
 // Pointed reports whether the last Reset found the cone pointed, that is
 // whether Screen and BoxMayBeat can drop anything.
@@ -157,7 +226,8 @@ func (c *Cone) addRows(normals []vec.Vector) bool {
 }
 
 // cutRows cuts by the kept rows from the from-th on, skipping the basis
-// rows, and reports whether rays remain; past maxRays it gives up.
+// rows, and reports whether rays remain; past maxRays, or where a cut
+// would leave none, it gives up.
 func (c *Cone) cutRows(from int, basis uint64, maxRays int) bool {
 	for i := from; i < c.m; i++ {
 		if basis&(1<<i) == 0 && !c.cut(i, maxRays) {
@@ -367,8 +437,9 @@ func (c *Cone) orthogonalize(a vec.Vector, o int) float64 {
 
 // cut intersects the cone with row i's half-space: the rays on its side
 // stay (those within coneSide of its hyperplane now lie on it), and every
-// adjacent pair it separates is joined at the hyperplane. It reports false
-// when the rays outgrow maxRays.
+// adjacent pair it separates is joined at the hyperplane. It reports false,
+// leaving the rays as they were, when they would outgrow maxRays or none
+// would remain (numerics only: a row of a GIR holds at its query).
 func (c *Cone) cut(i, maxRays int) bool {
 	d, a, bit := c.d, c.row(i), uint64(1)<<i
 	c.side = vec.Grown(c.side, len(c.tight))
@@ -410,6 +481,9 @@ func (c *Cone) cut(i, maxRays int) bool {
 			c.nextT = append(c.nextT, c.tight[p]&c.tight[q]|bit)
 		}
 	}
+	if len(c.nextT) == 0 {
+		return false
+	}
 	c.rays, c.next = c.next, c.rays
 	c.tight, c.nextT = c.nextT, c.tight
 	return true
@@ -438,7 +512,7 @@ func (c *Cone) adjacent(common uint64) bool {
 // Screen sets keep[i] for every point i of the column-major block —
 // cols[j][i] is coordinate j of point i — that may score above the apex
 // for some query in the cone, and clears it for the rest: point i is kept
-// if some ray g has g·x_i − g·apex > −1e-9. A cone that is not pointed
+// if some ray g has g·x_i − g·apex > 1e-10. A cone that is not pointed
 // keeps every point.
 func (c *Cone) Screen(keep []bool, cols [][]float64) {
 	if !c.pointed {

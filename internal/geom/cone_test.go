@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -391,5 +392,247 @@ func TestConeEnumerateRefusesPastMaxRows(t *testing.T) {
 	}
 	if !slices.ContainsFunc([]int{0, 1, 2}, func(r int) bool { return vec.Equal(c.ray(r), vec.Vector{0, 1, 0}, 1e-12) }) {
 		t.Errorf("Reset over 65 distinct rows cut by the 65th: e₂ is gone")
+	}
+}
+
+// TestConeCutMatchesEnumerate holds Cut to Enumerate. Rows cut in one at
+// a time after a Reset must leave the rays Enumerate finds over all of
+// them, each on the rows Enumerate says it lies on: the same kept rows,
+// and beyond them only rows Cut did not keep, which the ray lies on. A row
+// no ray lies strictly outside must be neither kept nor counted, and a
+// kept one must be counted as the next input row. It runs d = 2…6 with
+// random rows, near-parallel ones (1e-4 apart), zero rows and duplicate
+// directions; and a capped cone as testCutCaps says. Rows 1e-6 apart are
+// left out: at d = 6 their rays lie a hair apart, and the method's
+// tolerances merge or split them by the order the rows come in, for
+// Enumerate alone as well (117 rays in one order, 122 in another on this
+// test's seed).
+func TestConeCutMatchesEnumerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	kept, skipped := 0, 0
+	for d := 2; d <= 6; d++ {
+		for trial := 0; trial < 40; trial++ {
+			q0 := randPoint(rng, d)
+			for j := range q0 {
+				q0[j] += 0.1
+			}
+			// Random rows q0 lies strictly inside, so the cone is pointed
+			// once d of them are independent.
+			inside := func() vec.Vector {
+				a := make(vec.Vector, d)
+				for j := range a {
+					a[j] = rng.NormFloat64()
+				}
+				vec.AXPY((0.05+rng.Float64()-vec.Dot(a, q0))/vec.Dot(q0, q0), q0, a)
+				return a
+			}
+			var rows []vec.Vector
+			for len(rows) < d+1 {
+				rows = append(rows, inside())
+			}
+			for len(rows) < 30 {
+				switch i := rng.Intn(len(rows)); rng.Intn(6) {
+				case 0:
+					if vec.Norm(rows[i]) == 0 {
+						continue // no direction to be near
+					}
+					a := rows[i].Clone()
+					for j := range a {
+						a[j] += 1e-4 * rng.NormFloat64()
+					}
+					rows = append(rows, a)
+				case 1:
+					rows = append(rows, make(vec.Vector, d))
+				case 2:
+					rows = append(rows, vec.Scale(0.5+rng.Float64(), rows[i]))
+				default:
+					rows = append(rows, inside())
+				}
+			}
+			var c Cone
+			if !c.Reset(rows[:d+1], q0) {
+				t.Fatalf("d=%d trial %d: the first d + 1 rows make no pointed cone", d, trial)
+			}
+			input := []int{} // per input row of the cone, its index in rows
+			for i := range rows[:d+1] {
+				input = append(input, i)
+			}
+			for i := d + 1; i < len(rows); i++ {
+				m, seen := c.m, c.seen
+				outside := false
+				if u := vec.Scale(1, rows[i]); scaleTo(u, u, coneZeroRow) {
+					for r := range c.tight {
+						outside = outside || vec.Dot(u, c.ray(r)) < -coneSide
+					}
+				}
+				if !c.Cut(rows[i]) {
+					if outside || c.m != m || c.seen != seen {
+						t.Fatalf("d=%d trial %d row %d: not kept, with a ray strictly outside it (%v) or counted (m %d → %d, seen %d → %d)", d, trial, i, outside, m, c.m, seen, c.seen)
+					}
+					skipped++
+					continue
+				}
+				if !outside || c.m != m+1 || c.seen != seen+1 || c.idx[m] != seen {
+					t.Fatalf("d=%d trial %d row %d: kept with no ray strictly outside it (%v), or not counted as the next input row (m %d → %d, seen %d → %d)", d, trial, i, outside, m, c.m, seen, c.seen)
+				}
+				input = append(input, i)
+				kept++
+			}
+			var e Cone
+			if n := e.Enumerate(rows); n != len(c.tight) {
+			}
+			cutRows := map[int]bool{}
+			for _, i := range c.idx[:c.m] {
+				cutRows[input[i]] = true
+			}
+			for r := range c.tight {
+				g, on := c.Ray(r)
+				match := -1
+				for s := range e.tight {
+					if vec.Equal(e.ray(s), g, 1e-7) {
+						match = s
+					}
+				}
+				if match < 0 {
+					t.Fatalf("d=%d trial %d: Cut's ray %v is none of Enumerate's", d, trial, g)
+				}
+				want := map[int]bool{}
+				for ; e.tight[match] != 0; e.tight[match] &= e.tight[match] - 1 {
+					want[e.idx[bits.TrailingZeros64(e.tight[match])]] = true
+				}
+				for ; on != 0; on &= on - 1 {
+					i := input[c.idx[bits.TrailingZeros64(on)]]
+					if !want[i] {
+						t.Fatalf("d=%d trial %d: Cut's ray %v lies on row %d, Enumerate's not", d, trial, g, i)
+					}
+					delete(want, i)
+				}
+				for i := range want {
+					u := vec.Scale(1/vec.Norm(rows[i]), rows[i])
+					if cutRows[i] || math.Abs(vec.Dot(u, g)) > coneSide {
+						t.Fatalf("d=%d trial %d: Enumerate's ray %v lies on row %d, Cut's not", d, trial, g, i)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d rows kept, %d neither kept nor counted", kept, skipped)
+	if kept == 0 || skipped == 0 {
+		t.Fatal("the test needs rows of both kinds")
+	}
+	t.Run("capped", testCutCaps)
+}
+
+// testCutCaps holds a capped cone to its contract: a cut that would
+// need a 65th distinct row, or whose rays would pass maxConeRays, keeps
+// the row but leaves the rays as they were, so Screen keeps every point it
+// kept before; from then on Cut keeps exactly the rows some ray beats by
+// Screen's test and cuts nothing, and Reduce answers through the
+// membership programs.
+func testCutCaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	// A circular cone {z ≥ ‖(x, y)‖} approached by tangent planes at
+	// angles in bit-reversed order: each cuts the ray between its
+	// neighbours away, so the 65th distinct row caps the cone.
+	tangent := func(j int) vec.Vector {
+		theta := 2 * math.Pi * float64(bits.Reverse8(uint8(j))) / 256
+		return vec.Vector{math.Cos(theta), math.Sin(theta), 1}
+	}
+	var rows []vec.Vector
+	for j := 0; j < 3; j++ {
+		rows = append(rows, tangent(j))
+	}
+	// The same in d = 6, tangent planes at random directions: the rays
+	// outgrow their budget long before 64 rows.
+	sphere := func() vec.Vector {
+		u := make(vec.Vector, 6)
+		for j := range u[:5] {
+			u[j] = rng.NormFloat64()
+		}
+		vec.AXPY(1/vec.Norm(u)-1, u, u)
+		u[5] = 1
+		return u
+	}
+	var wide []vec.Vector
+	for i := 0; i < 6; i++ {
+		a := vec.Vector{0, 0, 0, 0, 0, 1}
+		if i < 5 {
+			a[i] = 2
+		} else {
+			copy(a, vec.Vector{-2, -2, -2, -2, -2})
+		}
+		wide = append(wide, a)
+	}
+	for _, tc := range []struct {
+		name  string
+		start []vec.Vector
+		next  func(j int) vec.Vector
+		rows  bool // capped by the 65th row, else by the ray budget
+	}{
+		{"65th row", rows, tangent, true},
+		{"ray budget", wide, func(int) vec.Vector { return sphere() }, false},
+	} {
+		d := len(tc.start[0])
+		var c Cone
+		if !c.Reset(tc.start, make(vec.Vector, d)) {
+			t.Fatalf("%s: the starting cone is not pointed", tc.name)
+		}
+		seen := slices.Clone(tc.start)
+		j := len(tc.start)
+		for ; !c.capped && j < 400; j++ {
+			before := slices.Clone(c.rays[:len(c.tight)*d])
+			pts := make([]vec.Vector, 50)
+			for i := range pts {
+				pts[i] = vec.Scale(2*rng.Float64()-1, c.ray(rng.Intn(len(c.tight))))
+				pts[i] = vec.Add(pts[i], vec.Scale(0.1, randPoint(rng, d)))
+			}
+			keep := screen(&c, pts...)
+			row := tc.next(j)
+			if !c.Cut(row) {
+				continue
+			}
+			seen = append(seen, row)
+			if !c.capped {
+				continue
+			}
+			if tc.rows != (c.m == MaxConeRows) {
+				t.Fatalf("%s: capped with %d rows and %d rays", tc.name, c.m, len(c.tight))
+			}
+			if !slices.Equal(before, c.rays[:len(c.tight)*d]) {
+				t.Fatalf("%s: the capping cut moved the rays", tc.name)
+			}
+			for i, k := range screen(&c, pts...) {
+				if keep[i] && !k {
+					t.Fatalf("%s: the capped cone drops %v, which it kept before", tc.name, pts[i])
+				}
+			}
+		}
+		if !c.capped {
+			t.Fatalf("%s: never capped (%d rows, %d rays)", tc.name, c.m, len(c.tight))
+		}
+		m, rays := c.m, slices.Clone(c.rays[:len(c.tight)*d])
+		for i := 0; i < 20; i++ {
+			row := tc.next(j + i)
+			beaten := false
+			for r := range c.tight {
+				beaten = beaten || vec.Dot(c.ray(r), row) < -coneSlack
+			}
+			if c.Cut(row) != beaten {
+				t.Fatalf("%s: a capped cone kept row %v: %v, some ray beats it: %v", tc.name, row, !beaten, beaten)
+			}
+			if beaten {
+				seen = append(seen, row)
+			}
+		}
+		if c.m != m || !slices.Equal(rays, c.rays[:len(c.tight)*d]) {
+			t.Fatalf("%s: a capped cone went on cutting", tc.name)
+		}
+		keep, decided := ReduceConeRays(&c, seen, 1e-12)
+		if decided {
+			t.Fatalf("%s: the rays decided a capped cone's reduction", tc.name)
+		}
+		if want := ReduceConeLP(seen, 1e-12); !slices.Equal(keep, want) {
+			t.Fatalf("%s: Reduce kept %v, the membership programs %v", tc.name, keep, want)
+		}
 	}
 }

@@ -93,11 +93,12 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 }
 
 // Reduce is ReduceCone continuing c's double description: only the rows
-// after those of the last Reset are cut, and when that Reset gave up on its
-// ray budget the membership programs decide at once. The last Reset must
-// have seen a prefix of normals, the same rows in the same order, or
-// nothing (Reset(nil, nil)): the rays of other rows give a wrong set. It
-// leaves c's screen unpinned.
+// after those of the last Reset and the Cuts that kept a row are cut, and
+// when that Reset gave up on its ray budget, or a Cut capped the cone, the
+// membership programs decide at once. The last Reset's rows followed by
+// the rows Cut kept must be a prefix of normals, the same rows in the
+// same order, or nothing (Reset(nil, nil)): the rays of other rows give a
+// wrong set. It leaves c's screen unpinned.
 func (c *Cone) Reduce(normals []vec.Vector, tol float64) []int {
 	r := reducers.Get().(*reducer)
 	defer reducers.Put(r)

@@ -117,7 +117,7 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	if ordered {
 		sc.phase1(res)
 		if opt.Method == FP {
-			sc.screen = sc.phase1Cone(res, anchors[0].Point)
+			sc.pointed = sc.phase1Cone(res, anchors[0].Point)
 		}
 	} else {
 		st.Method += "*"
@@ -127,7 +127,7 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 
 	if opt.Method == SP || opt.Method == CP {
 		// The skyline seeds from T in the record order (skyline.InMemory);
-		// FP sorts only the records its screen keeps (buildStars).
+		// FP sorts T itself (fpPhase).
 		topk.SortRecords(res.T)
 	}
 	var err error
@@ -165,8 +165,8 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 func sepFunc(res *topk.Result) score.Function { return res.Func.(score.Function) }
 
 // scratch is the pooled workspace of one region computation: the raw
-// constraints, FP's stars with the page block and seed lists that feed
-// them, and the buffers of the final ordering. Everything in it is
+// constraints, FP's cone or stars with the page block and seed lists that
+// feed them, and the buffers of the final ordering. Everything in it is
 // private to the compute call holding it; finish copies what the Region
 // keeps into fresh slabs, so a Region never aliases pooled memory.
 type scratch struct {
@@ -184,12 +184,12 @@ type scratch struct {
 	seedIDs []int64
 	virtual []float64 // the virtual seeds' coordinates
 	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
-	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k; finish cuts them by Phase 2's rows
-	screen  bool      // FP: cone can drop records (a pointed GIR's Phase 1)
-	tail    bool      // FP: the traversal's tail already screened T and the heap by cone
-	tbuf    []float64 // FP: the points screenPoints screens, column-major
+	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k; Phase 2 cuts them, and finish continues them
+	pointed bool      // FP: the cone is pointed, so Phase 2 cuts it (fpPhase)
+	tbuf    []float64 // FP: T, column-major, for the cone's screen
 	tcols   [][]float64
-	keep    []bool // FP: which of them the cone keeps
+	keep    []bool     // FP: which records of T or of a leaf the cone keeps
+	point   vec.Vector // FP: a leaf record gathered from its columns
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -197,7 +197,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
 	sc.d, sc.g = d, g
 	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
-	sc.screen, sc.tail = false, false
+	sc.pointed = false
 	sc.cone.Reset(nil, nil) // finish continues only this computation's cone
 }
 
@@ -222,17 +222,15 @@ func (sc *scratch) phase1(res *topk.Result) {
 
 // phase1Cone computes the extreme rays of the Phase-1 cone
 // P1 = {q : (g(p_i) − g(p_{i+1}))·q ≥ 0}, pinned to the apex p_k, and
-// reports whether P1 is pointed — whether FP's screen (footnote 7) can
-// drop anything. It reads the constraints phase1 just emitted. A
-// traversal whose tail already built it on the same rows
-// (topk.ScreenedGroup) hands it over in res.Cone: the cone's buffers are
-// swapped with the scratch's, so it is reset once, and res keeps no
-// reference to it.
+// reports whether P1 is pointed — whether FP can cut it (fpPhase). It
+// reads the constraints phase1 just emitted. A traversal whose tail
+// already built it on the same rows (topk.ScreenedGroup) hands it over in
+// res.Cone: the cone's buffers are swapped with the scratch's, so it is
+// reset once, and res keeps no reference to it.
 func (sc *scratch) phase1Cone(res *topk.Result, apex vec.Vector) bool {
 	if c := res.Cone; c != nil {
 		sc.cone, *c, res.Cone = *c, sc.cone, nil
-		sc.tail = sc.cone.Pointed()
-		return sc.tail
+		return sc.cone.Pointed()
 	}
 	d := sc.d
 	sc.rows = sc.rows[:0]
@@ -259,9 +257,9 @@ func (sc *scratch) replace(anchors, recs []topk.Record) {
 // wants — copied with the query into one fresh slab. The reduction sees
 // the constraints in the order the phases emitted them, so the kept set
 // does not depend on the final order. It reads the minimal set off the
-// cone's extreme rays (geom.Cone.Reduce): after FP's screen the Phase-1
-// rays are already there, and only the Phase-2 rows are cut into them;
-// any other computation starts the double description afresh. Raw
+// cone's extreme rays (geom.Cone.Reduce): after FP on a pointed Phase 1
+// every row is already cut into them, and any other computation starts
+// the double description afresh. Raw
 // constraints are returned as emitted.
 func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vector) {
 	d := sc.d

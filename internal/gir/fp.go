@@ -9,82 +9,120 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// fpPhase implements Facet Pruning (Section 6): maintain only the convex-
-// hull facets of {anchor} ∪ D\R that are incident to the anchor — one
-// star per anchor, p_k alone for the GIR (Section 7.1 for the GIR*) —
-// first over the in-memory set T (step 1), then refining against the
-// R-tree through the retained BRS search heap (step 2). The records
-// incident to the final facets — the critical records — are the only
+// fpPhase implements Facet Pruning (Section 6): keep only what bounds the
+// region at the anchor — first over the in-memory set T (step 1), then
+// refining against the R-tree through the retained BRS search heap
+// (step 2) — so the records it keeps, the critical records, are the only
 // non-result records that can bound the region.
 //
-// The star covers every dimensionality d ≥ 2; for d = 2 it degenerates
-// exactly to the paper's two rotating facets (the star of a convex-polygon
-// vertex always has two edges), so Section 6.2's angular sweep is not a
-// separate path. It builds the same regions and is not slower: on a 2-core
-// Xeon (IND, n = 20 000, k = 20) the star built a d = 2 GIR in 91–108 µs
-// with 13 allocations against the sweep's 106–117 µs with 572.
+// The paper keeps the convex-hull facets incident to the anchor, its star,
+// and footnote 7 prunes by the Phase-1 cone P1 as well. Both describe one
+// object, the region's extreme rays: the star's facet normals span the
+// normal cone at the anchor, and the region is P1 cut by it. So where P1
+// is pointed (sc.pointed: a GIR with k − 1 ≥ d and rows of full rank),
+// FP grows no star: it continues P1's rays (geom.Cone) as the region
+// itself. The run of T that P1's rays keep, in record order, is cut in
+// first, then each record of a fetched leaf that the current rays let beat
+// p_k; a record is a Phase-2
+// constraint only when it cuts, that is puts some ray strictly outside
+// its half-space, and a heap entry is read only if its box may beat p_k
+// on the current rays. A record that does not cut is implied by the
+// records before it and Phase 1, so the region is the star's set and its
+// minimal form the star's bytes, but where the star's region leaves the
+// half-spaces of its virtual seeds (the cone also keeps the records that
+// bound it only out there, off the query space) or lies in a hyperplane
+// (no unique minimal form). finish's reduction finds the rays already
+// there and only classifies. A cone that passes 64
+// distinct rows or its ray budget stops cutting and keeps its rays, a
+// larger cone: every record that beats p_k on one of them is kept, and
+// the reduction goes to the membership programs.
 //
-// A GIR's Phase 1 already bounds the region by the cone P1, and footnote 7
-// drops every record and node that cannot beat p_k anywhere in it: when P1
-// is pointed (sc.screen), a T record joins the star's seeds, a heap entry
-// is read and a critical record yields a constraint only if some extreme
-// ray of P1 lets it (geom.Cone). A dropped record's half-space is implied
-// by P1, so the region is the same set, and its minimal form the same
-// bytes; only the work shrinks. A fill drops T's records and the heap's
-// entries before FP starts: the traversal's tail built P1 and copied out
-// only what it keeps (topk.ScreenedGroup, sc.tail), and the entries it
+// A fill's traversal already built P1 and copied out only the T records
+// and heap entries it lets beat p_k (topk.ScreenedGroup); the entries it
 // left out count as pruned here, as they would have been on their pop.
-// Otherwise FP screens T itself, and prunes heap entries as it pops them.
-// A fetched leaf still goes to the star whole: screening its records as
-// well leaves the star looser, and at small k, where P1 is wide, that
-// costs page reads.
+//
+// The star stays where no pointed P1 exists: k ≤ d, rank-deficient
+// Phase-1 rows, and the GIR*, one star per anchor of R⁻ (Section 7.1).
+// It covers every dimensionality d ≥ 2; for d = 2 it degenerates exactly
+// to the paper's two rotating facets (the star of a convex-polygon vertex
+// always has two edges), so Section 6.2's angular sweep is not a separate
+// path.
 func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) error {
-	stars, err := sc.buildStars(tree, res, anchors, st)
 	st.NodesPruned += res.DroppedNodes
+	if !sc.pointed {
+		return sc.starPhase(tree, res, anchors, st)
+	}
+	a := anchors[0]
+	for _, rec := range sc.keptT(res) {
+		sc.cutIn(a, rec.ID, rec.Point, st)
+	}
+	sc.refine(tree, res, st, nil, a)
+	st.StarFacets = sc.cone.NumRays()
+	return nil
+}
+
+// starPhase is FP on one star per anchor.
+func (sc *scratch) starPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) error {
+	stars, err := sc.buildStars(res, anchors)
 	if errors.Is(err, hull.ErrDegenerate) {
 		// Only numerics leave an anchor and its virtual seeds without a
 		// simplex. SP is always applicable and exact, and seeds its
-		// skyline from the sorted T, as compute sorts it for SP.
-		topk.SortRecords(res.T)
+		// skyline from the sorted T, which buildStars sorted.
 		sc.spPhase(tree, res, anchors, st)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
+	sc.refine(tree, res, st, stars, topk.Record{})
+	for i := range stars {
+		st.StarFacets += stars[i].NumFacets()
+		ids, pts := stars[i].Critical()
+		st.Critical += len(ids)
+		for j, id := range ids {
+			sc.add(Replace, anchors[i].ID, id, anchors[i].Point, pts[j])
+		}
+	}
+	return nil
+}
 
-	// Step 2: refine against records still on disk, pruning heap entries
-	// whose MBB lies below every facet of every star or cannot beat p_k
-	// anywhere in P1. A fetched leaf goes to each star as one column-major
-	// block.
-	prunable := func(lo, hi vec.Vector) bool {
-		if sc.screen && !sc.cone.BoxMayBeat(lo, hi) {
-			return true
+// refine is FP's step 2: it pops the resumable heap and reads an entry
+// only if its box may beat an anchor — above some facet of some star, or,
+// with no stars, on some ray of the cone — pruning the rest, and feeds a
+// fetched leaf to every star as one column-major block, or cuts the cone
+// by each of its records the rays keep.
+func (sc *scratch) refine(tree *rtree.Tree, res *topk.Result, st *Stats, stars []hull.Star, a topk.Record) {
+	mayBeat := func(lo, hi vec.Vector) bool {
+		if stars == nil {
+			return sc.cone.BoxMayBeat(lo, hi)
 		}
 		for i := range stars {
 			if stars[i].MBBAboveAny(lo, hi) {
-				return false
+				return true
 			}
 		}
-		return true
+		return false
 	}
 	d, h := sc.d, res.Heap
 	for h.Len() > 0 {
 		it := h.PopItem()
-		if prunable(it.Rect.Lo, it.Rect.Hi) {
+		if !mayBeat(it.Rect.Lo, it.Rect.Hi) {
 			st.NodesPruned++
 			continue
 		}
 		blk := tree.ReadBlock(it.Child, &sc.blk)
 		st.NodesRead++
 		if blk.Leaf {
+			if stars == nil {
+				sc.cutLeaf(blk, a, st)
+			}
 			for i := range stars {
 				stars[i].AddBlock(blk.Cols, blk.RecIDs)
 			}
 			continue
 		}
 		for i, child := range blk.Children {
-			if prunable(blk.Lo[i*d:(i+1)*d], blk.Hi[i*d:(i+1)*d]) {
+			if !mayBeat(blk.Lo[i*d:(i+1)*d], blk.Hi[i*d:(i+1)*d]) {
 				st.NodesPruned++
 				continue
 			}
@@ -96,58 +134,79 @@ func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Re
 			h.PushItem(topk.NodeItem{Key: res.Func.MaxScore(rect.Lo, rect.Hi, res.Query), Child: child, Rect: rect})
 		}
 	}
-
-	for i := range stars {
-		st.StarFacets += stars[i].NumFacets()
-		ids, pts := stars[i].Critical()
-		if sc.screen {
-			// A leaf's records reach the star unscreened; a star vertex the
-			// cone drops cannot bound the region, as Phase 1 implies its
-			// half-space.
-			sc.screenPoints(len(pts), func(j int) vec.Vector { return pts[j] })
-		}
-		for j, id := range ids {
-			if !sc.screen || sc.keep[j] {
-				st.Critical++
-				sc.add(Replace, anchors[i].ID, id, anchors[i].Point, pts[j])
-			}
-		}
-	}
-	return nil
 }
 
-// buildStars runs FP's first step: seed each anchor's star with its
-// virtual seeds (hull.VirtualSeeds, which with the anchor always span a
-// full-dimensional simplex) plus the in-memory set T (using the
-// max-per-dimension heuristic of Section 6.3.1, which the star's greedy
-// extent selection subsumes), leaving out the T records the Phase-1
-// screen drops. T arrives in traversal order, and only the seeds are
-// sorted. A screened traversal copied out only the records the screen
-// keeps (sc.tail); otherwise the screen moves them to T's front. Either
-// way it sorts that run, which under the total record order is exactly
-// the subsequence of the sorted T the screen keeps. It reads no page and
-// counts nothing, but takes the tree and Stats as the phases do.
-func (sc *scratch) buildStars(_ *rtree.Tree, res *topk.Result, anchors []topk.Record, _ *Stats) ([]hull.Star, error) {
+// keptT returns the run of T the cone's rays keep, screened as one
+// column-major block and moved to T's front, sorted into the record
+// order: under that total order it is exactly the subsequence of the
+// sorted T the screen keeps, whether or not a screened tail already left
+// the rest out, and only it is sorted.
+func (sc *scratch) keptT(res *topk.Result) []topk.Record {
+	n, d := len(res.T), sc.d
+	sc.tbuf, sc.tcols = vec.Grown(sc.tbuf, d*n), vec.Grown(sc.tcols, d)
+	for j := range sc.tcols {
+		sc.tcols[j] = sc.tbuf[j*n : (j+1)*n]
+	}
+	for i, rec := range res.T {
+		for j, x := range rec.Point {
+			sc.tcols[j][i] = x
+		}
+	}
+	sc.keep = vec.Grown(sc.keep, n)
+	sc.cone.Screen(sc.keep, sc.tcols)
+	kept := 0
+	for i, k := range sc.keep {
+		if k {
+			res.T[kept], res.T[i] = res.T[i], res.T[kept]
+			kept++
+		}
+	}
+	topk.SortRecords(res.T[:kept])
+	return res.T[:kept]
+}
+
+// cutLeaf cuts the cone by each record of the leaf its rays keep, in the
+// leaf's order.
+func (sc *scratch) cutLeaf(blk *rtree.NodeBlock, a topk.Record, st *Stats) {
+	sc.keep, sc.point = vec.Grown(sc.keep, len(blk.RecIDs)), vec.Grown(sc.point, sc.d)
+	sc.cone.Screen(sc.keep, blk.Cols)
+	for i, kept := range sc.keep {
+		if kept {
+			for j, col := range blk.Cols {
+				sc.point[j] = col[i]
+			}
+			sc.cutIn(a, blk.RecIDs[i], sc.point, st)
+		}
+	}
+}
+
+// cutIn cuts the cone by record x's half-space below anchor a and keeps
+// it as a Phase-2 constraint only if it cut (geom.Cone.Cut).
+func (sc *scratch) cutIn(a topk.Record, id int64, x vec.Vector, st *Stats) {
+	n := len(sc.normals)
+	sc.add(Replace, a.ID, id, a.Point, x)
+	if !sc.cone.Cut(sc.normals[n:]) {
+		sc.normals, sc.cons = sc.normals[:n], sc.cons[:len(sc.cons)-1]
+		return
+	}
+	st.Critical++
+}
+
+// buildStars runs FP's first step on the star: seed each anchor's star
+// with its virtual seeds (hull.VirtualSeeds, which with the anchor always
+// span a full-dimensional simplex) plus the in-memory set T in the record
+// order (using the max-per-dimension heuristic of Section 6.3.1, which
+// the star's greedy extent selection subsumes). It sorts T, which
+// arrives in traversal order.
+func (sc *scratch) buildStars(res *topk.Result, anchors []topk.Record) ([]hull.Star, error) {
 	for len(sc.stars) < len(anchors) {
 		sc.stars = append(sc.stars, hull.Star{})
 	}
 	stars := sc.stars[:len(anchors)]
-	seeds := res.T
-	if sc.screen && !sc.tail {
-		sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
-		n := 0
-		for i, kept := range sc.keep[:len(res.T)] {
-			if kept {
-				res.T[n], res.T[i] = res.T[i], res.T[n]
-				n++
-			}
-		}
-		seeds = res.T[:n]
-	}
-	topk.SortRecords(seeds)
+	topk.SortRecords(res.T)
 	for i, a := range anchors {
 		sc.seeds, sc.seedIDs = hull.VirtualSeeds(sc.seeds[:0], sc.seedIDs[:0], &sc.virtual, a.Point)
-		for _, rec := range seeds {
+		for _, rec := range res.T {
 			sc.seeds = append(sc.seeds, rec.Point)
 			sc.seedIDs = append(sc.seedIDs, rec.ID)
 		}
@@ -156,21 +215,4 @@ func (sc *scratch) buildStars(_ *rtree.Tree, res *topk.Result, anchors []topk.Re
 		}
 	}
 	return stars, nil
-}
-
-// screenPoints sets sc.keep[i] for each of the n points at(i) that the
-// Phase-1 cone lets beat p_k, screening them as one column-major block.
-func (sc *scratch) screenPoints(n int, at func(int) vec.Vector) {
-	d := sc.d
-	sc.tbuf, sc.tcols = vec.Grown(sc.tbuf, d*n), vec.Grown(sc.tcols, d)
-	for j := range sc.tcols {
-		sc.tcols[j] = sc.tbuf[j*n : (j+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		for j, x := range at(i) {
-			sc.tcols[j][i] = x
-		}
-	}
-	sc.keep = vec.Grown(sc.keep, n)
-	sc.cone.Screen(sc.keep, sc.tcols)
 }

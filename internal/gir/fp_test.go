@@ -3,14 +3,13 @@ package gir
 import (
 	"bytes"
 	"crypto/sha256"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/domain"
-	"github.com/girlib/gir/internal/hull"
+	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -22,11 +21,13 @@ import (
 // the box, p_k = (0.5, 0.5, 0), and whose Phase-1 cone (every pair of
 // weights within a factor 1.25) screens out every T record. The apex's
 // projection on its third axis would be the origin, in the plane x₃ = 0
-// with the other two, so a seeding from projections alone would have to
-// fall back to the whole of T, or to SP, to span the space. The virtual
-// seed p_k − e₃ must span it instead: the star takes its d virtual seeds
-// and no T record, and FP builds, with no SP fallback, the region SP
-// builds (here Phase 1's six half-spaces alone).
+// with the other two, so a star seeded from projections alone would have
+// to fall back to the whole of T, or to SP, to span the space. The
+// virtual seed p_k − e₃ must span it instead: a star given no T record
+// takes its d virtual seeds as its simplex. The cone is pointed, so FP
+// builds on it, not on a star: no T record cuts it, and FP builds, with
+// no SP fallback, the region SP builds (here Phase 1's six half-spaces
+// alone).
 func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	const d, k = 3, 7
 	tree, pts, q, r := boxFaceFixture()
@@ -39,30 +40,29 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	sc := new(scratch)
 	sc.reset(d, score.Linear{}.Transform)
 	sc.phase1(res)
-	if sc.screen = sc.phase1Cone(res, apex.Point); !sc.screen {
+	if !sc.phase1Cone(res, apex.Point) {
 		t.Fatal("fixture: the Phase-1 cone is not pointed")
 	}
-	sc.screenPoints(len(res.T), func(i int) vec.Vector { return res.T[i].Point })
-	for i, keep := range sc.keep[:len(res.T)] {
-		if keep {
-			t.Fatalf("fixture: the screen keeps T record %v", res.T[i].Point)
+	for _, rec := range res.T {
+		if screenKeeps(&sc.cone, rec.Point) {
+			t.Fatalf("fixture: the screen keeps T record %v", rec.Point)
 		}
 	}
-	if _, err := sc.buildStars(tree, res, res.Records[k-1:], nil); err != nil {
+	if _, err := sc.buildStars(&topk.Result{}, res.Records[k-1:]); err != nil {
 		t.Fatalf("seeding from the virtual simplex: %v", err)
 	}
 	if len(sc.seedIDs) != d {
 		t.Fatalf("the star took %d seeds (ids %v); want its %d virtual seeds alone", len(sc.seedIDs), sc.seedIDs, d)
 	}
-	for _, id := range sc.seedIDs {
-		if id >= 0 { // the virtual seeds have negative ids
-			t.Fatalf("the star took T record %d as a seed (ids %v); the screen keeps none", id, sc.seedIDs)
-		}
-	}
 
 	fp, fst, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: FP})
-	if err != nil || fst.Method != "FP" || fst.SkylineSize != 0 || fst.StarFacets < d {
-		t.Fatalf("FP: err %v, stats %+v; want a star and no SP fallback", err, fst)
+	if err != nil || fst.Method != "FP" || fst.SkylineSize != 0 || fst.StarFacets < d || fst.RawConstraints-(k-1) != fst.Critical {
+		t.Fatalf("FP: err %v, stats %+v; want the cone's rays and no SP fallback", err, fst)
+	}
+	for _, c := range fp.Constraints {
+		if c.Kind == Replace && slices.ContainsFunc(res.T, func(rec topk.Record) bool { return rec.ID == c.B }) {
+			t.Fatalf("T record %d, which the screen drops, bounds FP's region", c.B)
+		}
 	}
 	sp, _, err := Compute(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: SP})
 	if err != nil {
@@ -84,13 +84,23 @@ func TestFPSeedsFallBackToWholeT(t *testing.T) {
 	}
 }
 
+// screenKeeps reports whether the cone's screen keeps point x.
+func screenKeeps(c *geom.Cone, x vec.Vector) bool {
+	cols := make([][]float64, len(x))
+	for j := range cols {
+		cols[j] = []float64{x[j]}
+	}
+	keep := []bool{false}
+	c.Screen(keep, cols)
+	return keep[0]
+}
+
 // TestScreenedFillRereadsWholeT is TestFPSeedsFallBackToWholeT on a fill's
 // path: the traversal's tail screens T by the Phase-1 cone and keeps none
-// of it, so the star's seeds are p_k and its virtual seeds alone. The
-// build must not need the whole of T back: with no rerun of the traversal
-// it must build a star, with no SP fallback, give the region and Stats
-// the build from BRS's whole T gives, and leave the Result without the
-// scratch's cone.
+// of it. The build must not need the whole of T back: with no rerun of
+// the traversal it must build FP on the cone (its rays in StarFacets),
+// with no SP fallback, give the region and Stats the build from BRS's
+// whole T gives, and leave the Result without the scratch's cone.
 func TestScreenedFillRereadsWholeT(t *testing.T) {
 	const d, k = 3, 7
 	tree, _, q, _ := boxFaceFixture()
@@ -113,7 +123,7 @@ func TestScreenedFillRereadsWholeT(t *testing.T) {
 	}
 	for _, st := range []*Stats{wst, gst} {
 		if st.Method != "FP" || st.SkylineSize != 0 || st.StarFacets < d {
-			t.Fatalf("FP stats %+v; want a star and no SP fallback", *st)
+			t.Fatalf("FP stats %+v; want the cone's rays and no SP fallback", *st)
 		}
 	}
 	if *gst != *wst {
@@ -143,14 +153,17 @@ func boxFaceFixture() (*rtree.Tree, []vec.Vector, vec.Vector, *rand.Rand) {
 	return rtree.BulkLoad(pager.NewMemStore(), 3, pts, nil), pts, vec.Vector{1.0 / 3, 1.0 / 3, 1.0 / 3}, r
 }
 
-// TestFPSeedsAreKeptSortedT holds FP's seeding to its definition now that
-// BRS hands T over in traversal order: a star's real seeds are exactly the
-// records of T the Phase-1 screen keeps, in the order they hold in the
-// sorted T, and the whole sorted T where the screen cannot act (k − 1 < d,
-// a GIR*) or the degenerate-seed fallback fires. So FP reads the seeds the
-// sorted T gave it before, and its regions stay the same bytes. It runs
-// box and simplex queries over continuous (IND, d = 4) and tied (a
-// five-step grid, d = 3) data.
+// TestFPSeedsAreKeptSortedT holds what each FP path seeds its first step
+// from, now that BRS hands T over in traversal order. The star, which
+// runs where the Phase-1 cone is not pointed (k − 1 < d here), takes the
+// whole of T in the record order as its real seeds. The cone, where it is
+// pointed, is cut by the records of the screen's kept run in the record
+// order: from BRS's whole T and from a fill's screened tail alike, the
+// records that cut it, and so the Phase-2 constraints step 1 emits, are
+// those a fresh Phase-1 cone cut by that run in order keeps. So FP reads
+// T in the order the sorted T gave it before, and its regions stay the
+// same bytes. It runs box and simplex queries over continuous (IND, d = 4)
+// and tied (a five-step grid, d = 3) data.
 func TestFPSeedsAreKeptSortedT(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
 	ind, err := datagen.Generate(datagen.IND, 4000, 4, 39)
@@ -161,7 +174,34 @@ func TestFPSeedsAreKeptSortedT(t *testing.T) {
 	for i := range grid {
 		grid[i] = vec.Vector{float64(r.Intn(5)) / 4, float64(r.Intn(5)) / 4, float64(r.Intn(5)) / 4}
 	}
-	screened, whole, fallbacks := 0, 0, 0
+	ids := func(recs []topk.Record) []int64 {
+		out := make([]int64, len(recs))
+		for i, rec := range recs {
+			out[i] = rec.ID
+		}
+		return out
+	}
+	// stepOne runs the cone path's first step alone (an empty heap leaves
+	// step 2 nothing to read) and returns the records whose constraints it
+	// emitted.
+	stepOne := func(res *topk.Result) []int64 {
+		sc := new(scratch)
+		sc.reset(len(res.Query), score.Linear{}.Transform)
+		sc.phase1(res)
+		if sc.pointed = sc.phase1Cone(res, res.Kth().Point); !sc.pointed {
+			t.Fatal("the cone is not pointed")
+		}
+		res.Heap = new(topk.NodeHeap)
+		if err := sc.fpPhase(nil, res, res.Records[len(res.Records)-1:], new(Stats)); err != nil {
+			t.Fatal(err)
+		}
+		var got []int64
+		for _, c := range sc.cons[len(res.Records)-1:] {
+			got = append(got, c.B)
+		}
+		return got
+	}
+	cone, star := 0, 0
 	for _, pts := range [][]vec.Vector{ind, grid} {
 		d := len(pts[0])
 		tree := rtree.BulkLoad(pager.NewMemStore(), d, pts, nil)
@@ -172,66 +212,51 @@ func TestFPSeedsAreKeptSortedT(t *testing.T) {
 				res := topk.BRS(tree, score.Linear{}, q, k)
 				sorted := slices.Clone(res.T)
 				topk.SortRecords(sorted)
+				apex := res.Kth()
 
 				sc := new(scratch)
 				sc.reset(d, score.Linear{}.Transform)
 				sc.phase1(res)
-				apex := res.Records[k-1]
-				want := sorted
-				if sc.screen = sc.phase1Cone(res, apex.Point); sc.screen {
-					sc.screenPoints(len(sorted), func(i int) vec.Vector { return sorted[i].Point })
-					want = nil
-					for i, rec := range sorted {
-						if sc.keep[i] {
-							want = append(want, rec)
+				if !sc.phase1Cone(res, apex.Point) {
+					star++
+					if _, err := sc.buildStars(res, res.Records[k-1:]); err != nil {
+						t.Fatal(err)
+					}
+					var got []int64
+					for _, id := range sc.seedIDs {
+						if id >= 0 { // the virtual seeds have negative ids
+							got = append(got, id)
 						}
 					}
+					if !slices.Equal(got, ids(sorted)) {
+						t.Fatalf("d=%d %v q%d k=%d: the star's seeds %v, want the sorted T %v", d, dom.Kind(), qi, k, got, ids(sorted))
+					}
+					continue
 				}
-				var st Stats
-				if _, err := sc.buildStars(tree, res, res.Records[k-1:], &st); err != nil {
-					t.Fatal(err)
-				}
-				var got []int64
-				for _, id := range sc.seedIDs {
-					if id >= 0 { // the virtual seeds have negative ids
-						got = append(got, id)
+				cone++
+				var want []int64
+				var fresh geom.Cone
+				fresh.Reset(sc.rows, apex.Point)
+				for _, rec := range sorted {
+					if screenKeeps(&sc.cone, rec.Point) && fresh.Cut(vec.Sub(apex.Point, rec.Point)) {
+						want = append(want, rec.ID)
 					}
 				}
-				ids := func(recs []topk.Record) []int64 {
-					out := make([]int64, len(recs))
-					for i, rec := range recs {
-						out[i] = rec.ID
-					}
-					return out
+				if got := stepOne(res); !slices.Equal(got, want) {
+					t.Fatalf("d=%d %v q%d k=%d: whole T cut the cone by %v, want the kept run's %v", d, dom.Kind(), qi, k, got, want)
 				}
-				// The fallback re-seeds from the whole of T only where the
-				// kept run leaves the star degenerate.
-				degenerate := func() bool {
-					var slab []float64
-					pts, pids := hull.VirtualSeeds(nil, nil, &slab, apex.Point)
-					for _, rec := range want {
-						pts, pids = append(pts, rec.Point), append(pids, rec.ID)
-					}
-					var star hull.Star
-					return errors.Is(star.Reset(apex.Point, pts, pids), hull.ErrDegenerate)
-				}
-				switch {
-				case slices.Equal(got, ids(want)):
-				case st.NodesRead == 0 && slices.Equal(got, ids(sorted)) && degenerate():
-					fallbacks++
-				default:
-					t.Fatalf("d=%d %v q%d k=%d: seeds %v, want the screen's kept run %v of the sorted T", d, dom.Kind(), qi, k, got, ids(want))
-				}
-				if len(want) < len(sorted) {
-					screened++
-				} else {
-					whole++
+				gs := topk.AcquireGroupScratch(tree)
+				tail, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
+				got := stepOne(tail[0])
+				gs.Release()
+				if !slices.Equal(got, want) {
+					t.Fatalf("d=%d %v q%d k=%d: the screened tail cut the cone by %v, want the kept run's %v", d, dom.Kind(), qi, k, got, want)
 				}
 			}
 		}
 	}
-	if screened == 0 || whole == 0 {
-		t.Fatalf("%d screened and %d whole-T seedings; the test needs both", screened, whole)
+	if cone == 0 || star == 0 {
+		t.Fatalf("%d cone and %d star seedings; the test needs both", cone, star)
 	}
-	t.Logf("%d screened seedings (%d fell back to the whole of T), %d whole-T seedings", screened, fallbacks, whole)
+	t.Logf("%d cone seedings, %d star seedings", cone, star)
 }

@@ -26,7 +26,7 @@ const fpRegionsGolden = "abab4e59e8feab9aecbac2021136a48a6a1bd6b2297637de7ca8d99
 // which is a deterministic count. A change to how FP gets to a region (what
 // it reads, prunes or keeps on its star) moves it without moving the
 // regions.
-const fpStatsGolden = "a61d8f025528ccb5ade643b105e060e00ddb7d630a2e31170d61fdfb283ce15a"
+const fpStatsGolden = "80ae474b167ab12db8b9f08765a4e4b24a787e8ef9134d952b7e968491284b5d"
 
 // TestFPRegionsGolden pins FP's regions byte for byte, and separately the
 // counts that describe how it built them: GIR builds on IND, ANTI and COR
@@ -40,7 +40,7 @@ const fpStatsGolden = "a61d8f025528ccb5ade643b105e060e00ddb7d630a2e31170d61fdfb2
 func TestFPRegionsGolden(t *testing.T) {
 	whole := [2]hash.Hash{sha256.New(), sha256.New()} // regions, stats
 	screened := [2]hash.Hash{sha256.New(), sha256.New()}
-	builds := 0
+	builds, girReads := 0, 0
 	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
 		for d := 2; d <= 6; d++ {
 			pts, err := datagen.Generate(kind, 3000, d, int64(d))
@@ -59,6 +59,9 @@ func TestFPRegionsGolden(t *testing.T) {
 						for _, h := range into {
 							hashRegion(h[0], reg)
 							hashStats(h[1], st)
+						}
+						if reg.OrderSensitive && into[0] == whole {
+							girReads += st.NodesRead
 						}
 					}
 					build(Compute, topk.BRS(tree, score.Linear{}, q, k), whole)
@@ -90,7 +93,7 @@ func TestFPRegionsGolden(t *testing.T) {
 			t.Errorf("%d FP %s from the screened tail hash to %s, want %s", builds, what, got, want)
 		}
 	}
-	t.Logf("%d builds each way", builds)
+	t.Logf("%d builds each way; the GIR builds read %d nodes", builds, girReads)
 }
 
 func hashRegion(h hash.Hash, reg *Region) {

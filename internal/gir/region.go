@@ -176,13 +176,21 @@ func slabbed(d int, q vec.Vector, src []Constraint, keep []int) ([]Constraint, v
 // Stats reports what a GIR computation did — the quantities plotted in the
 // paper's Figures 6, 8 and 15–18, under the column names girbench's figure
 // tables record them by.
+//
+// FP's two counts depend on its path (fpPhase). Where the Phase-1 cone is
+// pointed, StarFacets is the final cone's extreme rays — the normals of
+// the facets incident to p_k, the star's own — and Critical the records
+// that cut the cone (past its row or ray cap, that beat p_k on one of its
+// rays). On the star, they are the facets incident to the anchors at the
+// end and the star's real vertices. Either way an FP build has some of
+// the first, and SP's fallback none.
 type Stats struct {
 	Method         string `json:"method,omitempty"`
 	TSize          int    `json:"t_size,omitempty"`          // non-result records retained by BRS
 	SkylineSize    int    `json:"sl,omitempty"`              // |SL| (SP, CP)
 	HullVertices   int    `json:"sl_ch,omitempty"`           // |SL ∩ CH| (CP)
-	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP)
-	Critical       int    `json:"critical,omitempty"`        // critical records (FP): star vertices the Phase-1 screen keeps, possibly 0
+	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP): the cone's rays or the star's facets
+	Critical       int    `json:"critical,omitempty"`        // critical records (FP): those that cut the cone, or the star's vertices; possibly 0
 	RMinus         int    `json:"r_minus,omitempty"`         // |R⁻| (GIR* only)
 	NodesRead      int    `json:"nodes_read,omitempty"`      // index nodes fetched in Phase 2
 	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)

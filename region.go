@@ -28,8 +28,8 @@ type ComputeStats struct {
 	PageReads      int64         // simulated disk reads during it
 	SkylineSize    int           // |SL| (SP, CP)
 	HullVertices   int           // |SL ∩ CH| (CP)
-	StarFacets     int           // facets incident to p_k (FP)
-	CriticalCount  int           // critical records (FP): star vertices the Phase-1 screen keeps, possibly 0
+	StarFacets     int           // facets incident to p_k (FP): the cone's rays, or the star's facets where Phase 1 is not pointed
+	CriticalCount  int           // critical records (FP): those that cut the cone, or the star's vertices; possibly 0
 	RawConstraints int           // half-spaces before reduction
 	Constraints    int           // half-spaces in the minimal form
 }
