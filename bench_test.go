@@ -14,6 +14,7 @@ import (
 
 	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/domain"
+	"github.com/girlib/gir/internal/geom"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/invalidate"
@@ -302,8 +303,10 @@ func BenchmarkAblationReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStarVsFullHull quantifies FP's core idea: maintaining
-// only the star of p_k versus building the full hull of {p_k} ∪ D\R.
+// BenchmarkAblationStarVsFullHull quantifies FP's core idea: cutting the
+// Phase-1 cone on the orthant, pinned to p_k, into the region by every
+// record of D\R (geom.Cone.Cut keeps only the records that cut it), versus
+// building the full hull of {p_k} ∪ D\R.
 func BenchmarkAblationStarVsFullHull(b *testing.B) {
 	env := setupBench(b, datagen.IND, 5000, 4)
 	res := topk.BRS(env.tree, score.Linear{}, env.q, benchK)
@@ -328,14 +331,19 @@ func BenchmarkAblationStarVsFullHull(b *testing.B) {
 	walk(env.tree.Root())
 	apex := vec.Vector(res.Kth().Point)
 
-	b.Run("star-only", func(b *testing.B) {
-		ids := make([]int64, len(pts))
-		for i := range ids {
-			ids[i] = int64(i)
+	b.Run("cone", func(b *testing.B) {
+		var phase1, cuts []vec.Vector
+		for i := 0; i+1 < len(res.Records); i++ {
+			phase1 = append(phase1, vec.Sub(res.Records[i].Point, res.Records[i+1].Point))
 		}
+		for _, x := range pts {
+			cuts = append(cuts, vec.Sub(apex, x))
+		}
+		var c geom.Cone
 		for i := 0; i < b.N; i++ {
-			if _, err := hull.NewStar(apex, pts, ids); err != nil {
-				b.Fatal(err)
+			c.Reset(len(apex), phase1, apex)
+			for _, row := range cuts {
+				c.Cut(row)
 			}
 		}
 	})

@@ -21,9 +21,10 @@
 //
 // The heavy lifting lives in internal packages: an R*-tree over a
 // simulated paged disk, the BRS top-k and BBS skyline algorithms, a
-// d-dimensional convex-hull kernel (including the star-only incremental
-// hull that powers FP), a simplex LP solver for minimal H-representations,
-// and exact volume by facet recursion over the region's vertices.
+// d-dimensional convex-hull kernel, the double description of polyhedral
+// cones on the nonnegative orthant (whose extreme rays FP cuts into the
+// region), a simplex LP solver for minimal H-representations, and exact
+// volume by facet recursion over the region's vertices.
 package gir
 
 import (

@@ -137,69 +137,53 @@ func rowRank(rows []vec.Vector) int {
 	return len(basis)
 }
 
-// bestOverCone solves max (x − apex)·q over the cone ∩ [−1,1]^d, the
-// footnote-7 LP the screen replaces, and returns the maximiser.
+// bestOverCone solves max (x − apex)·q over the cone ∩ [0,1]^d, the
+// footnote-7 LP the screen replaces on the orthant, and returns the
+// maximiser.
 func bestOverCone(rows []vec.Vector, x, apex vec.Vector) (vec.Vector, bool) {
 	d := len(x)
-	// q = u − v with u, v ∈ [0,1]^d.
-	obj := make([]float64, 2*d)
-	for j := 0; j < d; j++ {
-		obj[j], obj[d+j] = x[j]-apex[j], apex[j]-x[j]
-	}
+	obj := vec.Sub(x, apex)
 	var cons []lp.Constraint
 	for _, a := range rows {
-		coef := make([]float64, 2*d)
-		for j := 0; j < d; j++ {
-			coef[j], coef[d+j] = a[j], -a[j]
-		}
-		cons = append(cons, lp.Constraint{Coef: coef, Op: lp.GE, RHS: 0})
+		cons = append(cons, lp.Constraint{Coef: a, Op: lp.GE, RHS: 0})
 	}
-	for j := 0; j < 2*d; j++ {
-		coef := make([]float64, 2*d)
-		coef[j] = 1
-		cons = append(cons, lp.Constraint{Coef: coef, Op: lp.LE, RHS: 1})
+	for j := 0; j < d; j++ {
+		cons = append(cons, lp.Constraint{Coef: vec.Basis(d, j), Op: lp.LE, RHS: 1})
 	}
 	sol := lp.Maximize(obj, cons)
 	if sol.Status != lp.Optimal {
 		return nil, false
 	}
-	q := make(vec.Vector, d)
-	for j := range q {
-		q[j] = sol.X[j] - sol.X[d+j]
-	}
-	return q, true
+	return vec.Vector(sol.X[:d]).Clone(), true
 }
 
 // TestConeRaysProperty holds the Phase-1 screen to its definition on every
-// kind of ranked result coneCases draws: every ray lies in the cone; no
-// record or box the screen drops beats the apex by more than 1e-9 at any
-// query inside the cone, sampled around q0 or found by the LP; and a cone
-// that is not pointed drops nothing.
+// kind of ranked result coneCases draws, with k = 1 (no row: the orthant
+// alone) and rows of rank below d among them: every ray is a unit vector
+// in the cone and in the orthant, and no record or box the screen drops
+// beats the apex by more than 1e-9 at any query inside the cone on the
+// orthant, sampled around q0 or found by the LP.
 func TestConeRaysProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var c Cone
-	dropped, kept, pointed := 0, 0, map[string]int{}
+	dropped, kept, deficient := 0, 0, 0
+	drops := map[string]int{}
 	for trial := 0; trial < 25; trial++ {
 		for d := 2; d <= 6; d++ {
-			for _, k := range []int{2, d, d + 1, 2 * d, 20} {
+			for _, k := range []int{1, 2, d, d + 1, 2 * d, 20} {
 				for _, cc := range coneCases(rng, d, k) {
 					rows, apex := cc.rows(), cc.apex()
-					ok := c.Reset(rows, apex)
-					if ok && len(c.tight) == 0 {
-						t.Fatalf("%s d=%d k=%d: a pointed cone without rays", cc.name, d, k)
+					c.Reset(d, rows, apex)
+					if len(c.tight) == 0 || c.capped {
+						t.Fatalf("%s d=%d k=%d: %d rays, capped %v", cc.name, d, k, len(c.tight), c.capped)
 					}
-					if rank := rowRank(rows); rank < d && ok {
-						t.Fatalf("%s d=%d k=%d: rows of rank %d < d make a pointed cone", cc.name, d, k, rank)
+					if rowRank(rows) < d {
+						deficient++
 					}
-					if !ok {
-						checkKeepsAll(t, &c, rng, d, cc.name)
-						continue
-					}
-					pointed[cc.name]++
 					for r := range c.tight {
 						g := c.ray(r)
-						if math.Abs(vec.Norm(g)-1) > 1e-12 {
-							t.Fatalf("%s d=%d k=%d: ray %v is not a unit vector", cc.name, d, k, g)
+						if math.Abs(vec.Norm(g)-1) > 1e-12 || slices.ContainsFunc(g, func(x float64) bool { return x < 0 }) {
+							t.Fatalf("%s d=%d k=%d: ray %v is not a unit vector in the orthant", cc.name, d, k, g)
 						}
 						for i, a := range rows {
 							if s := vec.Dot(a, g); s < -1e-9 {
@@ -224,6 +208,7 @@ func TestConeRaysProperty(t *testing.T) {
 							continue
 						}
 						dropped++
+						drops[cc.name]++
 						checkBeaten(t, rows, qs, p, apex, cc.name)
 						lo, hi := p.Clone(), p.Clone()
 						for j := range lo {
@@ -243,17 +228,14 @@ func TestConeRaysProperty(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"random", "near-tied", "duplicate", "near-zero"} {
-		if pointed[name] == 0 {
-			t.Errorf("no %s case came out pointed: the property is vacuous there", name)
+	for _, name := range []string{"random", "near-tied", "duplicate", "near-zero", "rank-deficient"} {
+		if drops[name] == 0 {
+			t.Errorf("the screen dropped no %s record: the property is vacuous there", name)
 		}
 	}
-	if pointed["rank-deficient"] != 0 {
-		t.Errorf("%d rank-deficient cases came out pointed", pointed["rank-deficient"])
-	}
-	t.Logf("pointed cases %v; the screen dropped %d records and kept %d", pointed, dropped, kept)
-	if dropped == 0 || kept == 0 {
-		t.Errorf("the screen dropped %d and kept %d records: one side is untested", dropped, kept)
+	t.Logf("drops per case %v, %d cones of row rank below d; the screen dropped %d records and kept %d", drops, deficient, dropped, kept)
+	if dropped == 0 || kept == 0 || deficient == 0 {
+		t.Errorf("the screen dropped %d and kept %d records, on %d cones of row rank below d: some side is untested", dropped, kept, deficient)
 	}
 }
 
@@ -270,8 +252,9 @@ func screen(c *Cone, pts ...vec.Vector) []bool {
 	return keep
 }
 
-// samplesInside returns queries in the cone: q0 and perturbations of it at
-// several scales, each kept if it satisfies every row exactly.
+// samplesInside returns queries in the cone on the orthant: q0 and
+// perturbations of it at several scales, each kept if it is nonnegative
+// and satisfies every row exactly.
 func samplesInside(rng *rand.Rand, rows []vec.Vector, q0 vec.Vector) []vec.Vector {
 	var qs []vec.Vector
 	for _, scale := range []float64{0, 1, 0.1, 0.01, 1e-4} {
@@ -280,7 +263,7 @@ func samplesInside(rng *rand.Rand, rows []vec.Vector, q0 vec.Vector) []vec.Vecto
 			for j := range q {
 				q[j] += scale * (2*rng.Float64() - 1)
 			}
-			inside := true
+			inside := !slices.ContainsFunc(q, func(x float64) bool { return x < 0 })
 			for _, a := range rows {
 				inside = inside && vec.Dot(a, q) >= 0
 			}
@@ -314,19 +297,9 @@ func checkBeaten(t *testing.T, rows, qs []vec.Vector, x, apex vec.Vector, name s
 	}
 }
 
-// checkKeepsAll fails if a cone that is not pointed drops a record or box.
-func checkKeepsAll(t *testing.T, c *Cone, rng *rand.Rand, d int, name string) {
-	t.Helper()
-	for i := 0; i < 5; i++ {
-		lo := randPoint(rng, d)
-		if !screen(c, lo)[0] || !c.BoxMayBeat(lo, lo) {
-			t.Fatalf("%s: a cone that is not pointed dropped %v", name, lo)
-		}
-	}
-}
-
 // TestConeRaysSimplicial checks the rays of a cone with known rays: the
-// orthant's are the unit axes, and a cut through it adds the joins.
+// orthant's are the unit axes, with its rows given or not, and a cut
+// through it adds the joins.
 func TestConeRaysSimplicial(t *testing.T) {
 	var c Cone
 	apex := vec.Vector{0.5, 0.5, 0.5}
@@ -337,16 +310,18 @@ func TestConeRaysSimplicial(t *testing.T) {
 		}
 		return out
 	}
-	if !c.Reset([]vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, apex) || len(rays()) != 3 {
-		t.Fatalf("orthant: %d rays, want 3", len(rays()))
-	}
-	for i, want := range []vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
-		if !slices.ContainsFunc(rays(), func(g vec.Vector) bool { return vec.Equal(g, want, 1e-12) }) {
-			t.Errorf("orthant ray %d (%v) missing from %v", i, want, rays())
+	for _, rows := range [][]vec.Vector{nil, {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}} {
+		if c.Reset(3, rows, apex); len(rays()) != 3 {
+			t.Fatalf("orthant (rows %v): %d rays, want 3", rows, len(rays()))
+		}
+		for i, want := range []vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
+			if !slices.ContainsFunc(rays(), func(g vec.Vector) bool { return vec.Equal(g, want, 1e-12) }) {
+				t.Errorf("orthant ray %d (%v) missing from %v", i, want, rays())
+			}
 		}
 	}
 	// x₁ ≥ x₂ cuts e₂ away and joins it with e₁ at (1,1,0)/√2.
-	if !c.Reset([]vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, -1, 0}}, apex) || len(rays()) != 3 {
+	if c.Reset(3, []vec.Vector{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, -1, 0}}, apex); len(rays()) != 3 {
 		t.Fatalf("cut orthant: %d rays, want 3", len(rays()))
 	}
 	s := 1 / math.Sqrt2
@@ -359,9 +334,13 @@ func TestConeRaysSimplicial(t *testing.T) {
 	if keep := screen(&c, vec.Vector{0.2, 0.6, 0.6}, vec.Vector{0.4, 0.4, 0.4}); !keep[0] || keep[1] {
 		t.Errorf("Screen kept %v, want [true false] by the cut orthant's rays", keep)
 	}
-	// Two rows in three dimensions leave a line: nothing can be dropped.
-	if c.Reset([]vec.Vector{{1, 0, 0}, {0, 1, 0}}, apex) || !screen(&c, vec.Vector{0, 0, 0})[0] {
-		t.Error("a two-row cone in d = 3 reported pointed, or dropped a record")
+	// One direction in three dimensions, twice: the orthant still points
+	// the cone, so its screen is the cut orthant's.
+	if c.Reset(3, []vec.Vector{{1, -1, 0}, {2, -2, 0}}, apex); len(rays()) != 3 {
+		t.Fatalf("the orthant cut by one direction: %d rays, want 3", len(rays()))
+	}
+	if keep := screen(&c, vec.Vector{0.2, 0.6, 0.6}, vec.Vector{0.4, 0.4, 0.4}); !keep[0] || keep[1] {
+		t.Errorf("Screen kept %v, want [true false] by the orthant cut by one direction", keep)
 	}
 }
 
@@ -387,7 +366,7 @@ func TestConeEnumerateRefusesPastMaxRows(t *testing.T) {
 	if got := c.Enumerate(append(slices.Clone(rows[:3]), cut[len(cut)-1])); got != 3 {
 		t.Errorf("the orthant cut by x₁ ≥ x₂: Enumerate = %d rays, want 3", got)
 	}
-	if !c.Reset(cut, vec.Vector{0.5, 0.5, 0.5}) || len(c.tight) != 3 {
+	if c.Reset(3, cut, vec.Vector{0.5, 0.5, 0.5}); len(c.tight) != 3 {
 		t.Fatalf("Reset over 65 distinct rows: %d rays, want the first 64's 3", len(c.tight))
 	}
 	if !slices.ContainsFunc([]int{0, 1, 2}, func(r int) bool { return vec.Equal(c.ray(r), vec.Vector{0, 1, 0}, 1e-12) }) {
@@ -416,8 +395,7 @@ func TestConeCutMatchesEnumerate(t *testing.T) {
 			for j := range q0 {
 				q0[j] += 0.1
 			}
-			// Random rows q0 lies strictly inside, so the cone is pointed
-			// once d of them are independent.
+			// Random rows q0 lies strictly inside.
 			inside := func() vec.Vector {
 				a := make(vec.Vector, d)
 				for j := range a {
@@ -450,9 +428,7 @@ func TestConeCutMatchesEnumerate(t *testing.T) {
 				}
 			}
 			var c Cone
-			if !c.Reset(rows[:d+1], q0) {
-				t.Fatalf("d=%d trial %d: the first d + 1 rows make no pointed cone", d, trial)
-			}
+			c.Reset(d, rows[:d+1], q0)
 			input := []int{} // per input row of the cone, its index in rows
 			for i := range rows[:d+1] {
 				input = append(input, i)
@@ -531,37 +507,32 @@ func TestConeCutMatchesEnumerate(t *testing.T) {
 // membership programs.
 func testCutCaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	// A circular cone {z ≥ ‖(x, y)‖} approached by tangent planes at
-	// angles in bit-reversed order: each cuts the ray between its
-	// neighbours away, so the 65th distinct row caps the cone.
+	// The circular cone {z ≥ ‖(x, y)‖} on the orthant approached by
+	// tangent planes z ≥ (cos θ, sin θ)·(x, y), θ in [0, π/2] in
+	// bit-reversed order: each cuts the ray between its neighbours away,
+	// so the 65th distinct row caps the cone.
 	tangent := func(j int) vec.Vector {
-		theta := 2 * math.Pi * float64(bits.Reverse8(uint8(j))) / 256
-		return vec.Vector{math.Cos(theta), math.Sin(theta), 1}
+		theta := math.Pi / 2 * float64(bits.Reverse8(uint8(j))) / 256
+		return vec.Vector{-math.Cos(theta), -math.Sin(theta), 1}
 	}
 	var rows []vec.Vector
 	for j := 0; j < 3; j++ {
 		rows = append(rows, tangent(j))
 	}
-	// The same in d = 6, tangent planes at random directions: the rays
-	// outgrow their budget long before 64 rows.
+	// The same in d = 6, tangent planes at random directions into the
+	// orthant: the rays outgrow their budget long before 64 rows.
 	sphere := func() vec.Vector {
 		u := make(vec.Vector, 6)
 		for j := range u[:5] {
-			u[j] = rng.NormFloat64()
+			u[j] = math.Abs(rng.NormFloat64())
 		}
-		vec.AXPY(1/vec.Norm(u)-1, u, u)
+		vec.AXPY(-1/vec.Norm(u)-1, u, u)
 		u[5] = 1
 		return u
 	}
 	var wide []vec.Vector
 	for i := 0; i < 6; i++ {
-		a := vec.Vector{0, 0, 0, 0, 0, 1}
-		if i < 5 {
-			a[i] = 2
-		} else {
-			copy(a, vec.Vector{-2, -2, -2, -2, -2})
-		}
-		wide = append(wide, a)
+		wide = append(wide, sphere())
 	}
 	for _, tc := range []struct {
 		name  string
@@ -574,9 +545,7 @@ func testCutCaps(t *testing.T) {
 	} {
 		d := len(tc.start[0])
 		var c Cone
-		if !c.Reset(tc.start, make(vec.Vector, d)) {
-			t.Fatalf("%s: the starting cone is not pointed", tc.name)
-		}
+		c.Reset(d, tc.start, make(vec.Vector, d))
 		seen := slices.Clone(tc.start)
 		j := len(tc.start)
 		for ; !c.capped && j < 400; j++ {

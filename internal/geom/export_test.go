@@ -24,7 +24,7 @@ func ReduceConeRays(c *Cone, normals []vec.Vector, tol float64) ([]int, bool) {
 	defer reducers.Put(r)
 	if c == nil {
 		c = &r.cone
-		c.Reset(nil, nil)
+		c.Reset(0, nil)
 	}
 	return r.reduce(c, normals, tol, math.MaxInt)
 }

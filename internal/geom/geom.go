@@ -4,15 +4,16 @@
 //
 // The GIR of a top-k query is the intersection of half-spaces whose bounding
 // hyperplanes pass through the origin (a polyhedral cone) clipped to the
-// query space [0,1]^d. This package supplies the machinery; the gir package
-// attaches top-k semantics (which records produced which half-space).
+// query space, the unit box or the simplex. Both lie in the nonnegative
+// orthant, so the cones here are taken on it: their rays start from its
+// unit axes, and a minimal form leaves out what the orthant implies. This
+// package supplies the machinery; the gir package attaches top-k semantics
+// (which records produced which half-space).
 package geom
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"github.com/girlib/gir/internal/lp"
@@ -56,29 +57,33 @@ func ContainsAll(hs []Halfspace, x vec.Vector, tol float64) bool {
 
 // ReduceCone returns the indices of a minimal subset of the given
 // origin-anchored half-space normals {x : a_i·x ≥ 0} whose intersection
-// equals the intersection of all of them.
+// with the nonnegative orthant O = {x ≥ 0} equals that of all of them.
+// Every query space lies in O, so this is the minimal form on the query
+// space; O's d unit rows bound the cone but are never returned, so a
+// componentwise nonnegative normal, which O implies, is never kept.
 //
 // Zero normals (no longer than tol) and duplicate directions are
 // collapsed first, keeping the lowest index, since a pair of mutually
 // redundant constraints would otherwise survive the one-at-a-time
 // elimination below. The rest is decided on one of two paths:
 //
-//   - By the extreme rays, at tol = 1e-12, the zero length of Cone's own
-//     filter. The double description runs over the rows, and in a
-//     pointed, full-dimensional cone a row is irredundant exactly when the
-//     rays on it span d − 1 dimensions (Fukuda & Prodon 1996). A row is
-//     kept only when its rays clear every rank with a margin and their sum
-//     lies clearly inside every other row, and dropped only when its rays
-//     clearly fall short; so the rays never drop a doubtful row, nor keep
-//     one a membership program would call redundant within its tolerance.
+//   - By the extreme rays of the cone on O, at tol = 1e-12, the zero
+//     length of Cone's own filter. The double description runs over the
+//     rows from O, and in a full-dimensional cone a row that O does not
+//     imply is irredundant exactly when the rays on it span d − 1
+//     dimensions (Fukuda & Prodon 1996). A row is kept only when its rays
+//     clear every rank with a margin and their sum lies clearly inside
+//     every other row and O's, and dropped only when its rays clearly fall
+//     short; so the rays never drop a doubtful row, nor keep one a
+//     membership program would call redundant within its tolerance.
 //   - By membership programs, for every row at once, whenever the rays
-//     leave any row in doubt, the cone is not pointed or not
-//     full-dimensional, more than MaxConeRows distinct rows remain, or the
-//     rays outgrow their budget; and at d > 4, where a double description
-//     of its own is no cheaper than the programs (Cone.Reduce continues
-//     one at any d). By LP duality (Farkas' lemma), a_i is redundant iff
-//     it lies in the conical hull of the others, and the rows are tried
-//     one at a time in index order against those still kept.
+//     leave any row in doubt, the cone is not full-dimensional, more than
+//     MaxConeRows distinct rows remain, or the rays outgrow their budget;
+//     and at d > 4, where a double description of its own is no cheaper
+//     than the programs (Cone.Reduce continues one at any d). By LP
+//     duality (Farkas' lemma), a_i is redundant on O iff it lies in the
+//     conical hull of the others and e_1…e_d, and the rows are tried one
+//     at a time in index order against those still kept.
 //
 // Both paths return the same set wherever the rays decide. The work runs
 // in a pooled reducer — unit normals, a Cone, the membership programs'
@@ -87,7 +92,7 @@ func ContainsAll(hs []Halfspace, x vec.Vector, tol float64) bool {
 func ReduceCone(normals []vec.Vector, tol float64) []int {
 	r := reducers.Get().(*reducer)
 	defer reducers.Put(r)
-	r.cone.Reset(nil, nil)
+	r.cone.Reset(0, nil)
 	keep, _ := r.reduce(&r.cone, normals, tol, maxFreshDim)
 	return keep
 }
@@ -97,13 +102,13 @@ func ReduceCone(normals []vec.Vector, tol float64) []int {
 // when that Reset gave up on its ray budget, or a Cut capped the cone, the
 // membership programs decide at once. The last Reset's rows followed by
 // the rows Cut kept must be a prefix of normals, the same rows in the
-// same order, or nothing (Reset(nil, nil)): the rays of other rows give a
-// wrong set. It leaves c's screen unpinned.
+// same order, or nothing (Reset(0, nil)): the rays of other rows give a
+// wrong set. It leaves c's screen pinned to the cut cone.
 func (c *Cone) Reduce(normals []vec.Vector, tol float64) []int {
 	r := reducers.Get().(*reducer)
 	defer reducers.Put(r)
-	c.pointed = false // the rays change under the screen's apex products
 	keep, _ := r.reduce(c, normals, tol, maxFreshDim)
+	c.pin()
 	return keep
 }
 
@@ -165,10 +170,11 @@ func (r *reducer) dedupe(normals []vec.Vector, tol float64) int {
 }
 
 // eliminate runs the one-at-a-time conical membership elimination over
-// the kept rows — is unit(i) in {Σ λ_j g_j : λ ≥ 0} over the other live
-// normals g_j? — and returns how many are left.
+// the kept rows — is unit(i) in {Σ λ_j g_j + μ : λ, μ ≥ 0} over the other
+// live normals g_j and O's rows, that is Σ λ_j g_j ≤ unit(i)
+// componentwise? — and returns how many are left.
 func (r *reducer) eliminate(kept int) int {
-	for i := 0; i < len(r.alive) && kept > 1; i++ {
+	for i := 0; i < len(r.alive) && kept > 0; i++ {
 		if !r.alive[i] {
 			continue
 		}
@@ -189,47 +195,6 @@ func (r *reducer) eliminate(kept int) int {
 		}
 	}
 	return kept
-}
-
-// ConeCuts returns, ascending, the indices of the added normals whose
-// half-space {x : a·x ≥ 0} still cuts once the kept ones hold — the
-// incremental face of ReduceCone, for a kept set that is already minimal.
-// The added normals are visited most binding at the point at first
-// (smallest a·at/‖a‖), each tested against the kept normals and the added
-// ones accepted before it: a zero normal or one that ImpliedByOne proves
-// (an exact duplicate direction at λ = 1) is dropped in closed form, the
-// rest by one membership program with a column per accepted normal, which
-// is where a near-duplicate direction goes. What is dropped is
-// implied on the nonnegative orthant, where every query space lies; an
-// accepted normal may make a kept one redundant, so a caller that wants
-// the minimal set reduces kept plus the result.
-func ConeCuts(kept, added []vec.Vector, at vec.Vector, tol float64) []int {
-	r := reducers.Get().(*reducer)
-	defer reducers.Put(r)
-	d := len(at)
-	r.unit, r.order = vec.Grown(r.unit, (len(kept)+len(added))*d), vec.Grown(r.order, len(added))
-	gen := func(i int) vec.Vector { return r.unit[i*d : (i+1)*d] }
-	g := 0
-	for _, a := range kept {
-		if scaleTo(gen(g), a, tol) {
-			g++
-		}
-	}
-	for i, a := range added {
-		r.order[i] = visit{vec.Dot(a, at) / vec.Norm(a), i}
-	}
-	slices.SortFunc(r.order, func(x, y visit) int {
-		return cmp.Or(cmp.Compare(x.slack, y.slack), cmp.Compare(x.i, y.i))
-	})
-	var cuts []int
-	for _, v := range r.order {
-		if u := gen(g); scaleTo(u, added[v.i], tol) && !r.implied(u, g) {
-			cuts = append(cuts, v.i)
-			g++
-		}
-	}
-	slices.Sort(cuts)
-	return cuts
 }
 
 // ImpliedByOne reports whether a·w ≥ 0 follows from n·w ≥ 0 alone on the
@@ -278,57 +243,28 @@ func scaleTo(dst, a vec.Vector, tol float64) bool {
 	return true
 }
 
-// reducer is ReduceCone's and ConeCuts' pooled workspace.
+// reducer is ReduceCone's pooled workspace.
 type reducer struct {
 	d     int
 	unit  []float64 // the normals scaled to unit length, row-major
 	alive []bool
-	cone  Cone            // ReduceCone: the rays
-	order []visit         // ConeCuts: the added normals, most binding first
+	cone  Cone            // the rays
 	gen   []float64       // a membership program's rows, back to back
 	rows  []lp.Constraint // over gen
 	lp    lp.Solver
 }
 
-// visit is one added normal in ConeCuts' order.
-type visit struct {
-	slack float64
-	i     int
-}
-
 func (r *reducer) row(i int) vec.Vector { return r.unit[i*r.d : (i+1)*r.d] }
 
 // membership sizes the program "is target in the conical hull of m
-// generators": one equality row per dimension, one column per generator,
-// which the caller fills.
+// generators and O's rows": one row per dimension, Σ λ_j g_j ≤ target,
+// one column per generator, which the caller fills.
 func (r *reducer) membership(m int, target vec.Vector) {
 	d := len(target)
 	r.gen, r.rows = vec.Grown(r.gen, d*m), vec.Grown(r.rows, d)
 	for row := range r.rows {
-		r.rows[row] = lp.Constraint{Coef: r.gen[row*m : (row+1)*m], Op: lp.EQ, RHS: target[row]}
+		r.rows[row] = lp.Constraint{Coef: r.gen[row*m : (row+1)*m], Op: lp.LE, RHS: target[row]}
 	}
-}
-
-// implied reports whether the unit normal u is implied by the first g unit
-// normals of r.unit: closed form against each, then the membership program
-// against all.
-func (r *reducer) implied(u vec.Vector, g int) bool {
-	if g == 0 {
-		return false
-	}
-	d := len(u)
-	for j := 0; j < g; j++ {
-		if ImpliedByOne(u, r.unit[j*d:(j+1)*d]) {
-			return true
-		}
-	}
-	r.membership(g, u)
-	for j := 0; j < g; j++ {
-		for row, x := range r.unit[j*d : (j+1)*d] {
-			r.rows[row].Coef[j] = x
-		}
-	}
-	return r.lp.Feasible(g, r.rows)
 }
 
 var reducers = sync.Pool{New: func() any { return new(reducer) }}

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -52,16 +51,21 @@ func TestBoxHalfspaces(t *testing.T) {
 }
 
 func TestReduceConeDropsObviousRedundancy(t *testing.T) {
-	// In 2-d: x ≥ 0, y ≥ 0, and x+y ≥ 0 (redundant).
-	normals := []vec.Vector{{1, 0}, {0, 1}, {1, 1}}
+	// In 2-d on the orthant: x ≥ y, 2y ≥ x, x ≥ y/2 (x ≥ y plus y ≥ 0) and
+	// x + y ≥ 0, which the orthant implies.
+	normals := []vec.Vector{{1, -1}, {-1, 2}, {1, -0.5}, {1, 1}}
 	keep := ReduceCone(normals, 1e-12)
 	if len(keep) != 2 || keep[0] != 0 || keep[1] != 1 {
 		t.Errorf("keep = %v, want [0 1]", keep)
 	}
+	// The orthant's own rows bound the cone but are never kept.
+	if keep := ReduceCone([]vec.Vector{{1, 0}, {0, 1}, {1, 1}}, 1e-12); len(keep) != 0 {
+		t.Errorf("the orthant's rows: keep = %v, want none", keep)
+	}
 }
 
 func TestReduceConeKeepsEssential(t *testing.T) {
-	normals := []vec.Vector{{1, 0}, {0, 1}}
+	normals := []vec.Vector{{1, -1}, {-1, 2}}
 	keep := ReduceCone(normals, 1e-12)
 	if len(keep) != 2 {
 		t.Errorf("keep = %v, want both", keep)
@@ -69,7 +73,7 @@ func TestReduceConeKeepsEssential(t *testing.T) {
 }
 
 func TestReduceConeDuplicates(t *testing.T) {
-	normals := []vec.Vector{{1, 1}, {2, 2}, {0.5, 0.5}}
+	normals := []vec.Vector{{1, -1}, {2, -2}, {0.5, -0.5}}
 	keep := ReduceCone(normals, 1e-12)
 	if len(keep) != 1 || keep[0] != 0 {
 		t.Errorf("keep = %v, want [0]", keep)
@@ -77,7 +81,7 @@ func TestReduceConeDuplicates(t *testing.T) {
 }
 
 func TestReduceConeZeroNormal(t *testing.T) {
-	normals := []vec.Vector{{0, 0}, {1, 0}}
+	normals := []vec.Vector{{0, 0}, {1, -1}}
 	keep := ReduceCone(normals, 1e-12)
 	if len(keep) != 1 || keep[0] != 1 {
 		t.Errorf("keep = %v, want [1]", keep)
@@ -85,7 +89,7 @@ func TestReduceConeZeroNormal(t *testing.T) {
 }
 
 // Property: the region defined by the reduced cone equals the original
-// region at random sample points.
+// region at random sample points of the orthant.
 func TestReduceConePreservesRegion(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -118,7 +122,7 @@ func TestReduceConePreservesRegion(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			x := make(vec.Vector, d)
 			for j := range x {
-				x[j] = r.NormFloat64()
+				x[j] = math.Abs(r.NormFloat64())
 			}
 			// Membership in the full set must match membership in the
 			// reduced set, except within numerical tolerance of a boundary.
@@ -168,29 +172,5 @@ func TestImpliedByOneTable(t *testing.T) {
 		if got := ImpliedByOne(c.a, c.n); got != c.want {
 			t.Errorf("%s: ImpliedByOne(%v, %v) = %v, want %v", c.name, c.a, c.n, got, c.want)
 		}
-	}
-}
-
-func TestConeCuts(t *testing.T) {
-	at := vec.Vector{0.5, 0.3, 0.2}
-	kept := []vec.Vector{{1, -1, 0}}
-	added := []vec.Vector{
-		{0, 0, 0},      // zero: never cuts
-		{2, -2, 0},     // duplicate direction of a kept one
-		{2, -1, 0},     // kept one plus (1,0,0): implied on the orthant
-		{0, 1, -1},     // cuts
-		{0, 2, -2},     // duplicate of the previous
-		{1, 0, -1},     // the sum of the kept one and (0,1,−1): membership program
-		{1, -1.2, 0.1}, // cuts
-	}
-	got := ConeCuts(kept, added, at, 1e-12)
-	if want := []int{3, 6}; !slices.Equal(got, want) {
-		t.Errorf("ConeCuts = %v, want %v", got, want)
-	}
-	if got := ConeCuts(kept, nil, at, 1e-12); len(got) != 0 {
-		t.Errorf("ConeCuts with nothing added = %v", got)
-	}
-	if got := ConeCuts(nil, added[3:5], at, 1e-12); !slices.Equal(got, []int{0}) {
-		t.Errorf("ConeCuts with nothing kept = %v, want [0]", got)
 	}
 }

@@ -51,8 +51,8 @@ func rowSets(tb testing.TB, m gir.Method, kind datagen.Kind, n, d int, ks []int,
 
 // shrinkRowSets returns the rows Region.Shrink reduces when a record is
 // inserted just below p_k: FP's minimal region, then the one added row
-// g(p_k) − g(x) that still cuts it (geom.ConeCuts), x a small random step
-// from p_k that scores below it at the query.
+// g(p_k) − g(x) that still cuts it on the orthant (the reduction keeps it),
+// x a small random step from p_k that scores below it at the query.
 func shrinkRowSets(tb testing.TB, kind datagen.Kind, n, d int, ks []int, queries int, seed int64) []rowSet {
 	var out []rowSet
 	rng := rand.New(rand.NewSource(seed))
@@ -71,8 +71,8 @@ func shrinkRowSets(tb testing.TB, kind datagen.Kind, n, d int, ks []int, queries
 			if vec.Dot(a, q) < 0 {
 				a = vec.Scale(-1, a)
 			}
-			if len(geom.ConeCuts(rows, []vec.Vector{a}, q, 1e-12)) == 1 {
-				out = append(out, rowSet{rows: append(rows, a), phase1: len(rows)})
+			if all := append(rows, a); slices.Contains(geom.ReduceCone(all, 1e-12), len(rows)) {
+				out = append(out, rowSet{rows: all, phase1: len(rows)})
 				return
 			}
 		}
@@ -110,7 +110,7 @@ func fillRowSets(tb testing.TB, queries int) []rowSet {
 // through Reset first, as FP's screen runs them, then the rest. The apex
 // pins only the screen, so any point will do.
 func continued(c *geom.Cone, s rowSet) ([]int, bool) {
-	c.Reset(s.rows[:s.phase1], s.rows[0])
+	c.Reset(len(s.rows[0]), s.rows[:s.phase1], s.rows[0])
 	return geom.ReduceConeRays(c, s.rows, 1e-12)
 }
 
@@ -144,11 +144,11 @@ func unitRandom(rng *rand.Rand, d int) vec.Vector {
 }
 
 // TestReduceConeMatchesLP holds ReduceCone, whichever path decides, to the
-// membership programs alone, index for index: on random pointed cones, on
-// the shapes where the rays' margins are thin or the cone is not pointed
-// or not full-dimensional, and on FP's raw rows; each both from scratch
-// and continuing the rays of a prefix, as a GIR build continues those of
-// its Phase 1.
+// membership programs alone, index for index: on random cones, on the
+// shapes where the rays' margins are thin, the rows have rank below d or
+// the cone is not full-dimensional, and on FP's raw rows; each both from
+// scratch and continuing the rays of a prefix, as a GIR build continues
+// those of its Phase 1.
 func TestReduceConeMatchesLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	var cases, decided int
@@ -274,10 +274,9 @@ func TestReduceConeMatchesLP(t *testing.T) {
 // the rays from scratch (rays), and by the rays continued from FP's screen
 // (phase1 is that screen's Reset alone, continued the Reset and the
 // reduction, so the reduction's own cost in a fill is their difference).
-// The d4 and d5 shapes are the row sets that reach a double description
-// of their own, over IND, n = 20 000: FP's where k − 1 < d leaves its
-// Phase-1 cone unpointed, CP's, and Region.Shrink's (an FP region and one
-// row that cuts it). Their rays arm starts the double description at any
+// The d4 and d5 shapes are row sets a fresh double description could
+// reduce, over IND, n = 20 000: FP's raw rows at k ≤ d, CP's, and
+// Region.Shrink's (an FP region and one row that cuts it). Their rays arm starts the double description at any
 // d, so lp against rays is what sets maxFreshDim.
 func BenchmarkReduce(b *testing.B) {
 	var c geom.Cone
@@ -303,7 +302,7 @@ func BenchmarkReduce(b *testing.B) {
 	}{
 		{"fill", func() []rowSet { return fillRowSets(b, 100) }, []arm{
 			{"lp", lp}, {"rays", rays},
-			{"phase1", func(s rowSet) ([]int, bool) { c.Reset(s.rows[:s.phase1], s.rows[0]); return nil, true }},
+			{"phase1", func(s rowSet) ([]int, bool) { c.Reset(len(s.rows[0]), s.rows[:s.phase1], s.rows[0]); return nil, true }},
 			{"continued", func(s rowSet) ([]int, bool) { return continued(&c, s) }},
 		}},
 		{"d4fp", fp(4), both},

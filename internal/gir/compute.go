@@ -24,8 +24,9 @@ type Method int8
 // paper's headline algorithm, not the slowest one.
 const (
 	// FP computes only the convex-hull facets incident to p_k, refining
-	// them against the R-tree (Section 6). Linear scoring only. This is
-	// the paper's headline algorithm.
+	// them against the R-tree (Section 6): it cuts the Phase-1 cone on the
+	// orthant by the records that beat p_k on its rays. Linear scoring
+	// only. This is the paper's headline algorithm.
 	FP Method = iota
 	// SP prunes non-result records to the skyline of D\R (Section 5.1).
 	// It is the only method valid for non-linear monotone scoring
@@ -116,9 +117,6 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	anchors := res.Records[len(res.Records)-1:]
 	if ordered {
 		sc.phase1(res)
-		if opt.Method == FP {
-			sc.pointed = sc.phase1Cone(res, anchors[0].Point)
-		}
 	} else {
 		st.Method += "*"
 		anchors = resultMinus(res)
@@ -139,7 +137,7 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 	case CP:
 		err = sc.cpPhase(tree, res, anchors, st)
 	case FP:
-		err = sc.fpPhase(tree, res, anchors, st)
+		sc.fpPhase(tree, res, anchors, st)
 	case Exhaustive:
 		if !ordered {
 			// The baseline applies Definition 2 literally — every result
@@ -165,8 +163,8 @@ func compute(tree *rtree.Tree, res *topk.Result, opt Options, ordered bool) (*Re
 func sepFunc(res *topk.Result) score.Function { return res.Func.(score.Function) }
 
 // scratch is the pooled workspace of one region computation: the raw
-// constraints, FP's cone or stars with the page block and seed lists that
-// feed them, and the buffers of the final ordering. Everything in it is
+// constraints, FP's cone with the page block and buffers that feed it, and
+// the buffers of the final ordering. Everything in it is
 // private to the compute call holding it; finish copies what the Region
 // keeps into fresh slabs, so a Region never aliases pooled memory.
 type scratch struct {
@@ -178,15 +176,11 @@ type scratch struct {
 	rows    []vec.Vector // finish: the normals as ReduceCone's input
 	slack   []float64    // finish: every raw constraint's Normal·q
 
-	stars   []hull.Star // FP: one per anchor
 	blk     rtree.NodeBlock
-	seeds   []vec.Vector
-	seedIDs []int64
-	virtual []float64 // the virtual seeds' coordinates
-	rects   []float64 // FP step 2: the MBBs of the heap entries it pushes
-	cone    geom.Cone // FP: the Phase-1 cone's rays, pinned to p_k; Phase 2 cuts them, and finish continues them
-	pointed bool      // FP: the cone is pointed, so Phase 2 cuts it (fpPhase)
-	tbuf    []float64 // FP: T, column-major, for the cone's screen
+	rects   []float64    // FP step 2: the MBBs of the heap entries it pushes
+	cone    geom.Cone    // FP: the Phase-1 cone's rays on O, pinned to the anchors; Phase 2 cuts them, and finish continues them
+	anchors []vec.Vector // FP: the anchors' points, for the cone's pin
+	tbuf    []float64    // FP: T, column-major, for the cone's screen
 	tcols   [][]float64
 	keep    []bool     // FP: which records of T or of a leaf the cone keeps
 	point   vec.Vector // FP: a leaf record gathered from its columns
@@ -197,8 +191,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) reset(d int, g func(vec.Vector) vec.Vector) {
 	sc.d, sc.g = d, g
 	sc.cons, sc.normals, sc.rects = sc.cons[:0], sc.normals[:0], sc.rects[:0]
-	sc.pointed = false
-	sc.cone.Reset(nil, nil) // finish continues only this computation's cone
+	sc.cone.Reset(0, nil) // finish continues only this computation's cone
 }
 
 // add appends the half-space keeping record b below record a, given
@@ -220,24 +213,28 @@ func (sc *scratch) phase1(res *topk.Result) {
 	}
 }
 
-// phase1Cone computes the extreme rays of the Phase-1 cone
-// P1 = {q : (g(p_i) − g(p_{i+1}))·q ≥ 0}, pinned to the apex p_k, and
-// reports whether P1 is pointed — whether FP can cut it (fpPhase). It
-// reads the constraints phase1 just emitted. A traversal whose tail
-// already built it on the same rows (topk.ScreenedGroup) hands it over in
-// res.Cone: the cone's buffers are swapped with the scratch's, so it is
-// reset once, and res keeps no reference to it.
-func (sc *scratch) phase1Cone(res *topk.Result, apex vec.Vector) bool {
+// phase1Cone computes the extreme rays of O ∩ P1, where
+// P1 = {q : (g(p_i) − g(p_{i+1}))·q ≥ 0} for a GIR and R^d for a GIR*,
+// pinned to the anchors. It reads the constraints phase1 just emitted. A
+// traversal whose tail already built it on the same rows
+// (topk.ScreenedGroup) hands it over in res.Cone: the cone's buffers are
+// swapped with the scratch's, so it is reset once, and res keeps no
+// reference to it.
+func (sc *scratch) phase1Cone(res *topk.Result, anchors []topk.Record) {
 	if c := res.Cone; c != nil {
 		sc.cone, *c, res.Cone = *c, sc.cone, nil
-		return sc.cone.Pointed()
+		return
 	}
 	d := sc.d
-	sc.rows = sc.rows[:0]
+	sc.rows, sc.anchors = sc.rows[:0], sc.anchors[:0]
 	for i := range sc.cons {
 		sc.rows = append(sc.rows, sc.normals[i*d:(i+1)*d])
 	}
-	return sc.cone.Reset(sc.rows, apex)
+	for _, a := range anchors {
+		sc.anchors = append(sc.anchors, a.Point)
+	}
+	sc.cone.Reset(d, sc.rows, sc.anchors...)
+	clear(sc.anchors) // the pool must not keep the result's points reachable
 }
 
 // replace appends one Phase-2 half-space per (anchor, record) pair,
@@ -256,11 +253,10 @@ func (sc *scratch) replace(anchors, recs []topk.Record) {
 // — the most binding first, which is what Contains' first-violation exit
 // wants — copied with the query into one fresh slab. The reduction sees
 // the constraints in the order the phases emitted them, so the kept set
-// does not depend on the final order. It reads the minimal set off the
-// cone's extreme rays (geom.Cone.Reduce): after FP on a pointed Phase 1
-// every row is already cut into them, and any other computation starts
-// the double description afresh. Raw
-// constraints are returned as emitted.
+// does not depend on the final order. It reads the minimal set on the
+// orthant off the cone's extreme rays (geom.Cone.Reduce): after FP every
+// row is already cut into them, and any other computation starts the
+// double description afresh. Raw constraints are returned as emitted.
 func (sc *scratch) finish(q vec.Vector, skipReduce bool) ([]Constraint, vec.Vector) {
 	d := sc.d
 	sc.rows = sc.rows[:0]

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/girlib/gir/internal/datagen"
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
-	"github.com/girlib/gir/internal/hull"
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
@@ -19,118 +19,111 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// TestConeFPMatchesStar is the differential of FP's two Phase-2 paths on
-// every build whose Phase-1 cone is pointed: Compute cuts the cone by the
-// records that beat p_k on its rays, and the reference (computeOnStar)
-// grows the star over T and the leaves it reads. Their regions must be
-// the same bytes, and the cone must read no more index nodes than the
-// star, built from BRS's whole T and, for the cone, from a fill's
-// screened tail too (with the same region and Stats). The one exception
-// is the star's own: its virtual seeds bound its region too, so where that
-// region leaves their half-spaces (a zero weight, an apex on a face of
-// the box), the records that bound the region only out there are on no
-// facet of the star. There the two regions must be the same set inside
-// those half-spaces, and so on the query space, and the cone may read
-// the pages that hold those records. It runs IND, ANTI
+// TestConeFPMatchesSP is the differential of FP's cone against the
+// methods that keep every candidate record: every region is the minimal
+// form on the nonnegative orthant, so FP, which cuts the orthant's cone by
+// only the records that beat an anchor on its rays, must give SP's region
+// byte for byte, and Exhaustive's on small data. FP is built from BRS's
+// whole T and, for a GIR, from a fill's screened tail too, with the same
+// region and Stats. A region that lies in a hyperplane has no unique
+// minimal form — rows that agree on the hyperplane are one constraint
+// there, and each method keeps the first it met — so there the regions
+// must be the same set on the orthant, by their rays. It runs IND, ANTI
 // and COR data at d = 2…6 and data tied on a 1/4 and a 1/8 grid, box and
-// simplex queries, each also with a zero coordinate, and k from d + 1 to
-// 70, past the 64 Phase-1 rows the cone can hold. On the grid a zero
-// weight ties records that differ only on its axis, so some Phase-1 cones
-// lie in a hyperplane; there the minimal form is the membership
-// programs', and the cone, which never emits a row its rays already
-// satisfy, must still give the star's bytes.
-func TestConeFPMatchesStar(t *testing.T) {
+// simplex queries, each also with a zero coordinate, k from 1 to 70 (past
+// the 64 Phase-1 rows the cone can hold), and the GIR* at k = 5.
+func TestConeFPMatchesSP(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	type dataset struct {
 		name string
 		pts  []vec.Vector
 	}
-	var sets []dataset
-	for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
-		for d := 2; d <= 6; d++ {
-			pts, err := datagen.Generate(kind, 2000, d, int64(44+d))
-			if err != nil {
-				t.Fatal(err)
+	grid := func(n, d, steps int) []vec.Vector {
+		pts := make([]vec.Vector, n)
+		for i := range pts {
+			pts[i] = make(vec.Vector, d)
+			for j := range pts[i] {
+				pts[i][j] = float64(r.Intn(steps+1)) / float64(steps)
 			}
-			sets = append(sets, dataset{fmt.Sprintf("%s d=%d", kind, d), pts})
 		}
+		return pts
 	}
-	for _, steps := range []int{4, 8} {
-		for d := 2; d <= 5; d++ {
-			pts := make([]vec.Vector, 2000)
-			for i := range pts {
-				pts[i] = make(vec.Vector, d)
-				for j := range pts[i] {
-					pts[i][j] = float64(r.Intn(steps+1)) / float64(steps)
+	sets := func(n int) []dataset {
+		var out []dataset
+		for _, kind := range []datagen.Kind{datagen.IND, datagen.ANTI, datagen.COR} {
+			for d := 2; d <= 6; d++ {
+				pts, err := datagen.Generate(kind, n, d, int64(44+d))
+				if err != nil {
+					t.Fatal(err)
 				}
+				out = append(out, dataset{fmt.Sprintf("%s d=%d", kind, d), pts})
 			}
-			sets = append(sets, dataset{fmt.Sprintf("1/%d-grid d=%d", steps, d), pts})
 		}
+		for _, steps := range []int{4, 8} {
+			for d := 2; d <= 5; d++ {
+				out = append(out, dataset{fmt.Sprintf("1/%d-grid d=%d", steps, d), grid(n, d, steps)})
+			}
+		}
+		return out
 	}
 	region := func(reg *Region) []byte {
 		h := sha256.New()
 		hashRegion(h, reg)
 		return h.Sum(nil)
 	}
-	builds, past64, hyperplane, outside, differ, coneReads, starReads := 0, 0, 0, 0, 0, 0, 0
-	for _, set := range sets {
+	// same fails unless got and want are the same bytes, but for which of
+	// several records whose rows below one anchor share a direction bounds
+	// the region (each method keeps the first it met), or, where want
+	// lies in a hyperplane, the same set on the orthant.
+	hyperplane, parallel := 0, 0
+	same := func(name, what string, got, want *Region) {
+		if bytes.Equal(region(got), region(want)) {
+			return
+		}
+		if sameDirections(got, want) {
+			parallel++
+			return
+		}
+		d := got.Dim
+		if !flat(d, normals(want)) {
+			t.Fatalf("%s: FP's region differs from %s's:\n%v\n%v", name, what, got.Constraints, want.Constraints)
+		}
+		if !inside(rays(d, normals(got)), normals(want)) || !inside(rays(d, normals(want)), normals(got)) {
+			t.Fatalf("%s: FP's region and %s's, in a hyperplane, are not the same set on the orthant:\n%v\n%v", name, what, got.Constraints, want.Constraints)
+		}
+		hyperplane++
+	}
+	type build func(*rtree.Tree, *topk.Result, Options) (*Region, *Stats, error)
+	compute := func(name string, f build, tree *rtree.Tree, q vec.Vector, k int, m Method) (*Region, *Stats) {
+		reg, st, err := f(tree, topk.BRS(tree, score.Linear{}, q, k), Options{Method: m})
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, m, err)
+		}
+		return reg, st
+	}
+	queries := func(d int) []vec.Vector {
+		var qs []vec.Vector
+		for range coneQueryPairs {
+			for _, dom := range []domain.Domain{domain.UnitBox(d), domain.Simplex(d)} {
+				q := dom.Normalize(dom.Sample(r))
+				zero := q.Clone()
+				zero[r.Intn(d)] = 0
+				qs = append(qs, q, dom.Normalize(zero))
+			}
+		}
+		return qs
+	}
+
+	builds, past64, exhaustive := 0, 0, 0
+	for _, set := range sets(2000) {
 		d := len(set.pts[0])
 		tree := rtree.BulkLoad(pager.NewMemStore(), d, set.pts, nil)
-		var qs []vec.Vector
-		for _, dom := range []domain.Domain{domain.UnitBox(d), domain.Simplex(d), domain.UnitBox(d), domain.Simplex(d)} {
-			q := dom.Normalize(dom.Sample(r))
-			zero := q.Clone()
-			zero[r.Intn(d)] = 0
-			qs = append(qs, q, dom.Normalize(zero))
-		}
-		for qi, q := range qs {
-			for _, k := range []int{d + 1, d + 2, 2*d + 1, 10, 20, 40, 70} {
+		for qi, q := range queries(d) {
+			for _, k := range []int{1, 2, d, d + 1, 2*d + 1, 10, 20, 40, 70} {
 				name := fmt.Sprintf("%s q%d %v k=%d", set.name, qi, q, k)
-				res := topk.BRS(tree, score.Linear{}, q, k)
-				rows := make([]vec.Vector, k-1)
-				for i := range rows {
-					rows[i] = vec.Sub(res.Records[i].Point, res.Records[i+1].Point)
-				}
-				var p1 geom.Cone
-				if !p1.Reset(rows, res.Kth().Point) {
-					continue // the star's build either way
-				}
-				onAll := ^uint64(0)
-				for r := 0; r < p1.NumRays(); r++ {
-					_, on := p1.Ray(r)
-					onAll &= on
-				}
-				got, st, err := Compute(tree, res, Options{Method: FP})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				want, wst, err := computeOnStar(tree, topk.BRS(tree, score.Linear{}, q, k))
-				if err != nil {
-					t.Fatalf("%s: the star: %v", name, err)
-				}
-				// The star's virtual seeds bound it as well. Where its region
-				// leaves their half-spaces, a record that bounds the region
-				// only out there is on no facet of the star, and the cone
-				// may read the pages that can hold one and keeps it. A region that
-				// lies in a hyperplane has no unique minimal form: rows that
-				// agree on the hyperplane are one constraint there, and the
-				// star keeps the one on its hull, the cone the first it met.
-				virtual := virtualRows(res.Kth().Point)
-				leaves := !inside(rays(normals(want)), virtual)
-				if !bytes.Equal(region(got), region(want)) {
-					if !leaves && !flat(normals(want)) {
-						t.Fatalf("%s: the cone's region differs from the star's:\n%v\n%v", name, got.Constraints, want.Constraints)
-					}
-					if !inside(rays(normals(got)), normals(want)) || !inside(rays(append(normals(want), virtual...)), normals(got)) {
-						t.Fatalf("%s: the cone's region and the star's are not the same set inside the virtual seeds' half-spaces:\n%v\n%v", name, got.Constraints, want.Constraints)
-					}
-					differ++
-				}
-				if leaves {
-					outside++
-				} else if st.NodesRead > wst.NodesRead {
-					t.Fatalf("%s: the cone read %d nodes, the star %d", name, st.NodesRead, wst.NodesRead)
-				}
+				got, st := compute(name, Compute, tree, q, k, FP)
+				want, _ := compute(name, Compute, tree, q, k, SP)
+				same(name, "SP", got, want)
 				gs := topk.AcquireGroupScratch(tree)
 				tail, _ := topk.ScreenedGroup(gs, tree, score.Linear{}, []vec.Vector{q}, []int{k})
 				screened, sst, err := Compute(tree, tail[0], Options{Method: FP})
@@ -142,35 +135,70 @@ func TestConeFPMatchesStar(t *testing.T) {
 					t.Fatalf("%s: the screened tail's build (%+v) differs from the whole T's (%+v)", name, *sst, *st)
 				}
 				builds++
-				coneReads += st.NodesRead
-				starReads += wst.NodesRead
 				if k > 65 {
 					past64++
 				}
-				if onAll != 0 {
-					hyperplane++
+				if k == 5 {
+					got, _ := compute(name+" GIR*", ComputeStar, tree, q, k, FP)
+					want, _ := compute(name+" GIR*", ComputeStar, tree, q, k, SP)
+					same(name+" GIR*", "SP", got, want)
+					builds++
 				}
 			}
 		}
 	}
-	if past64 == 0 || hyperplane == 0 || outside == 0 {
-		t.Fatalf("%d pointed builds passed 64 Phase-1 rows, %d had a Phase-1 cone in a hyperplane and %d a star's region outside its virtual seeds' half-spaces; the test needs all three", past64, hyperplane, outside)
+	for _, set := range sets(150) {
+		d := len(set.pts[0])
+		tree := rtree.BulkLoad(pager.NewMemStore(), d, set.pts, nil)
+		for qi, q := range queries(d)[:4] {
+			for _, k := range []int{1, d + 1, 10} {
+				name := fmt.Sprintf("n=150 %s q%d %v k=%d", set.name, qi, q, k)
+				got, _ := compute(name, Compute, tree, q, k, FP)
+				want, _ := compute(name, Compute, tree, q, k, Exhaustive)
+				same(name, "Exhaustive", got, want)
+				exhaustive++
+			}
+			got, _ := compute(fmt.Sprintf("n=150 %s q%d GIR*", set.name, qi), ComputeStar, tree, q, 5, FP)
+			want, _ := compute(fmt.Sprintf("n=150 %s q%d GIR*", set.name, qi), ComputeStar, tree, q, 5, Exhaustive)
+			same(fmt.Sprintf("n=150 %s q%d GIR*", set.name, qi), "Exhaustive", got, want)
+			exhaustive++
+		}
 	}
-	t.Logf("%d pointed builds (%d past 64 Phase-1 rows, %d with a Phase-1 cone in a hyperplane, %d with a star's region outside its virtual seeds' half-spaces; %d not the same bytes): the cone read %d nodes, the star %d",
-		builds, past64, hyperplane, outside, differ, coneReads, starReads)
+	if past64 == 0 || hyperplane == 0 {
+		t.Fatalf("%d builds passed 64 Phase-1 rows and %d regions lay in a hyperplane; the test needs both", past64, hyperplane)
+	}
+	t.Logf("%d builds against SP (%d past 64 Phase-1 rows) and %d against Exhaustive; %d regions in a hyperplane, the same set by their rays, and %d bounded by another record of a row's direction",
+		builds, past64, exhaustive, hyperplane, parallel)
 }
 
-// virtualRows returns the rows of the half-spaces of the star's virtual
-// seeds at the apex, apex − v.
-func virtualRows(apex vec.Vector) []vec.Vector {
-	var slab []float64
-	seeds, _ := hull.VirtualSeeds(nil, nil, &slab, apex)
-	rows := make([]vec.Vector, len(seeds))
-	for i, v := range seeds {
-		rows[i] = vec.Sub(apex, v)
+// sameDirections reports whether two regions have the same query and the
+// same constraints up to the records that bound them: one each of every
+// kind, anchor and normal direction. Records whose rows below one anchor
+// share a direction (on a line through it) bound the region alike.
+func sameDirections(a, b *Region) bool {
+	if !slices.Equal(a.Query, b.Query) || len(a.Constraints) != len(b.Constraints) {
+		return false
 	}
-	return rows
+	used := make([]bool, len(b.Constraints))
+	for _, c := range a.Constraints {
+		u, found := vec.Scale(1/vec.Norm(c.Normal), c.Normal), false
+		for j, o := range b.Constraints {
+			if !used[j] && o.Kind == c.Kind && o.A == c.A && vec.Equal(u, vec.Scale(1/vec.Norm(o.Normal), o.Normal), 1e-12) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
+
+// coneQueryPairs is how many box and simplex query pairs (a query and its
+// zero-coordinate twin) TestConeFPMatchesSP draws per dataset;
+// race_test.go lowers it for the race build.
+var coneQueryPairs = 2
 
 // normals returns the region's constraint normals.
 func normals(reg *Region) []vec.Vector {
@@ -181,10 +209,11 @@ func normals(reg *Region) []vec.Vector {
 	return rows
 }
 
-// rays returns the extreme rays of the cone of the rows.
-func rays(rows []vec.Vector) []vec.Vector {
+// rays returns the extreme rays of the cone of the rows on the orthant of
+// R^d (the orthant's own for no rows).
+func rays(d int, rows []vec.Vector) []vec.Vector {
 	var c geom.Cone
-	n := c.Enumerate(rows)
+	n := c.Enumerate(append(rows[:len(rows):len(rows)], make(vec.Vector, d)))
 	out := make([]vec.Vector, n)
 	for r := range out {
 		g, _ := c.Ray(r)
@@ -193,12 +222,16 @@ func rays(rows []vec.Vector) []vec.Vector {
 	return out
 }
 
-// flat reports whether the cone of the rows lies in a hyperplane: whether
-// every ray lies on some row.
-func flat(rows []vec.Vector) bool {
-	rs := rays(rows)
+// flat reports whether the cone of the rows on the orthant lies in a
+// hyperplane: whether every ray lies on some row or has some coordinate
+// zero.
+func flat(d int, rows []vec.Vector) bool {
+	rs := rays(d, rows)
 	if len(rs) == 0 {
 		return false
+	}
+	for j := 0; j < d; j++ {
+		rows = append(rows, vec.Basis(d, j))
 	}
 	for _, a := range rows {
 		on := true

@@ -18,21 +18,21 @@ import (
 
 // fpRegionsGolden is the SHA-256 of the regions TestFPRegionsGolden
 // builds — each one's query and its constraints in order (normal bits,
-// kind, A, B). A change to FP or the star that should leave regions
+// kind, A, B). A change to FP or the reduction that should leave regions
 // untouched must leave it as it is.
-const fpRegionsGolden = "abab4e59e8feab9aecbac2021136a48a6a1bd6b2297637de7ca8d995a707e36a"
+const fpRegionsGolden = "240a940982755da32c5628228e4bd26974d13d8f5edc31fca4f1e7e85a04c8b2"
 
 // fpStatsGolden is the SHA-256 of the same builds' Stats, every one of
 // which is a deterministic count. A change to how FP gets to a region (what
-// it reads, prunes or keeps on its star) moves it without moving the
+// it reads, prunes or cuts its cone by) moves it without moving the
 // regions.
-const fpStatsGolden = "80ae474b167ab12db8b9f08765a4e4b24a787e8ef9134d952b7e968491284b5d"
+const fpStatsGolden = "94d05ba8e5562cff6a907a6d9e8ea14799fd01d33038f43317a4669d3b6fecb8"
 
 // TestFPRegionsGolden pins FP's regions byte for byte, and separately the
 // counts that describe how it built them: GIR builds on IND, ANTI and COR
-// data at d = 2…6 and k = 1, 5, 10, 20, 50 (and GIR* builds at k = 5).
-// k = 10 and 50 are there because at k − 1 < d the Phase-1 cone has no
-// extreme ray to screen with. Every GIR is built twice, from BRS's whole T
+// data at d = 2…6 and k = 1, 5, 10, 20, 50 (and GIR* builds at k = 5):
+// from k = 1, where the cone starts as the orthant alone, to past 50
+// Phase-1 rows. Every GIR is built twice, from BRS's whole T
 // and heap and from a fill's screened tail (topk.ScreenedGroup), and both
 // sets of builds must hash to the same regions and the same Stats: the
 // records and nodes the tail leaves out still count in TSize and
@@ -73,9 +73,9 @@ func TestFPRegionsGolden(t *testing.T) {
 					}
 					gs.Release()
 					builds++
-					// A GIR* keeps one star per record of R⁻, so it stays at
-					// one k and d ≤ 5 to keep the test to a few seconds. No
-					// traversal screens for it.
+					// A GIR* cuts by one half-space per record of R⁻ and
+					// candidate, so it stays at one k and d ≤ 5 to keep the
+					// test to a few seconds. No traversal screens for it.
 					if k == 5 && d <= 5 {
 						build(ComputeStar, topk.BRS(tree, score.Linear{}, q, k), whole, screened)
 						builds++

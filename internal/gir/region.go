@@ -8,7 +8,6 @@ package gir
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
@@ -115,17 +114,15 @@ func (r *Region) Halfspaces() []geom.Halfspace {
 // added: the query and every kept normal are copied into one fresh slab,
 // so a caller may build the added normals in memory it reuses.
 //
-// The receiver's set is already minimal, so only the added half-spaces are
-// tested. Those with a componentwise nonnegative normal are dropped on
-// sight: over the nonnegative query space they hold everywhere.
-// geom.ConeCuts keeps, of the rest, those the receiver's constraints do not
-// imply — in closed form where one constraint alone proves it
-// (geom.ImpliedByOne), by a membership program a handful of columns wide
-// otherwise. A kept one can make one of the receiver's redundant, so the
-// few survivors go through the whole-set reduction once. This is the
-// geometric core of cache repair (internal/repair): a mutation that
-// perturbs a cached result in a closed-form way is absorbed by shrinking
-// the region with the new pairwise constraints instead of recomputing it.
+// The result is geom.ReduceCone over the receiver's constraints followed
+// by the added ones: the minimal form on the nonnegative orthant, where
+// every query space lies, so an added half-space that holds there (a
+// componentwise nonnegative normal, or one a receiver's constraint implies
+// on the orthant) is dropped, and one that cuts can make a receiver's
+// redundant. This is the geometric core of cache repair
+// (internal/repair): a mutation that perturbs a cached result in a
+// closed-form way is absorbed by shrinking the region with the new
+// pairwise constraints instead of recomputing it.
 func (r *Region) Shrink(added []Constraint) *Region {
 	sc := scratchPool.Get().(*scratch)
 	defer func() { // the pool must not keep the receiver's and the caller's normals reachable
@@ -133,22 +130,11 @@ func (r *Region) Shrink(added []Constraint) *Region {
 		clear(sc.rows)
 		scratchPool.Put(sc)
 	}()
-	sc.cons, sc.rows = append(sc.cons[:0], r.Constraints...), sc.rows[:0]
-	for _, c := range r.Constraints {
+	sc.cons, sc.rows = append(append(sc.cons[:0], r.Constraints...), added...), sc.rows[:0]
+	for _, c := range sc.cons {
 		sc.rows = append(sc.rows, c.Normal)
 	}
-	for _, c := range added {
-		if slices.ContainsFunc(c.Normal, func(x float64) bool { return x < 0 }) {
-			sc.cons, sc.rows = append(sc.cons, c), append(sc.rows, c.Normal)
-		}
-	}
-	old := len(r.Constraints)
-	n := old // the receiver's constraints, then the added ones that cut
-	for _, i := range geom.ConeCuts(sc.rows[:old], sc.rows[old:], r.Query, 1e-12) {
-		sc.cons[n], sc.rows[n] = sc.cons[old+i], sc.rows[old+i]
-		n++
-	}
-	cons, query := slabbed(r.Dim, r.Query, sc.cons, geom.ReduceCone(sc.rows[:n], 1e-12))
+	cons, query := slabbed(r.Dim, r.Query, sc.cons, geom.ReduceCone(sc.rows, 1e-12))
 	return &Region{
 		Dim:            r.Dim,
 		Query:          query,
@@ -177,20 +163,18 @@ func slabbed(d int, q vec.Vector, src []Constraint, keep []int) ([]Constraint, v
 // paper's Figures 6, 8 and 15–18, under the column names girbench's figure
 // tables record them by.
 //
-// FP's two counts depend on its path (fpPhase). Where the Phase-1 cone is
-// pointed, StarFacets is the final cone's extreme rays — the normals of
-// the facets incident to p_k, the star's own — and Critical the records
-// that cut the cone (past its row or ray cap, that beat p_k on one of its
-// rays). On the star, they are the facets incident to the anchors at the
-// end and the star's real vertices. Either way an FP build has some of
-// the first, and SP's fallback none.
+// FP's two counts describe its cone (fpPhase): StarFacets is the final
+// cone's extreme rays on the orthant — the normals of the facets incident
+// to p_k, the star's own, with the orthant's — and Critical the records
+// that cut it (past its row or ray cap, that beat an anchor on one of its
+// rays). Every FP build has some of the first.
 type Stats struct {
 	Method         string `json:"method,omitempty"`
 	TSize          int    `json:"t_size,omitempty"`          // non-result records retained by BRS
 	SkylineSize    int    `json:"sl,omitempty"`              // |SL| (SP, CP)
 	HullVertices   int    `json:"sl_ch,omitempty"`           // |SL ∩ CH| (CP)
-	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP): the cone's rays or the star's facets
-	Critical       int    `json:"critical,omitempty"`        // critical records (FP): those that cut the cone, or the star's vertices; possibly 0
+	StarFacets     int    `json:"star_facets,omitempty"`     // facets incident to p_k at the end (FP): the final cone's rays
+	Critical       int    `json:"critical,omitempty"`        // critical records (FP): those that cut the cone; possibly 0
 	RMinus         int    `json:"r_minus,omitempty"`         // |R⁻| (GIR* only)
 	NodesRead      int    `json:"nodes_read,omitempty"`      // index nodes fetched in Phase 2
 	NodesPruned    int    `json:"nodes_pruned,omitempty"`    // heap entries pruned without a read in Phase 2 (FP)

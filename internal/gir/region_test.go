@@ -73,9 +73,12 @@ func TestReduceTrivialSets(t *testing.T) {
 	if got := reduce(nil); len(got) != 0 {
 		t.Error("reduce(nil) non-empty")
 	}
-	one := []Constraint{{Normal: vec.Vector{1, 0}}}
+	one := []Constraint{{Normal: vec.Vector{1, -1}}}
 	if got := reduce(one); len(got) != 1 {
 		t.Error("reduce of a single constraint changed it")
+	}
+	if got := reduce([]Constraint{{Normal: vec.Vector{1, 0}}}); len(got) != 0 {
+		t.Error("reduce kept a constraint the orthant implies")
 	}
 }
 

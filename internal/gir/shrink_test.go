@@ -11,13 +11,10 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// reduce is the whole-set reduction Shrink ran before it became
-// incremental — one membership LP per constraint, old and new — kept as
-// the oracle the incremental path is held against.
+// reduce is the whole-set reduction on the orthant, kept as the oracle
+// Shrink is held against: a lone constraint is not minimal there when
+// the orthant implies it.
 func reduce(cons []Constraint) []Constraint {
-	if len(cons) <= 1 {
-		return cons
-	}
 	normals := make([]vec.Vector, len(cons))
 	for i, c := range cons {
 		normals[i] = c.Normal
@@ -70,27 +67,10 @@ func impliedOver(t *testing.T, dom domain.Domain, have, need []Constraint) error
 	return nil
 }
 
-// certificateCouldFire reports whether the orthant certificate applies to
-// any pair the incremental path can meet. Where it cannot, both sides run
-// pure cone membership over the same dual cone and must keep the same
-// number of constraints; where it can, the incremental side may drop a
-// half-space that is implied only on w ≥ 0, which the whole-set oracle
-// (blind to the orthant) keeps — the same set on every query space, a
-// different count.
-func certificateCouldFire(old, added []Constraint) bool {
-	all := append(append([]Constraint(nil), old...), added...)
-	for _, a := range added {
-		for _, n := range all {
-			if &a.Normal[0] != &n.Normal[0] && geom.ImpliedByOne(a.Normal, n.Normal) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// checkShrink holds one (receiver, added) case against the oracle.
-func checkShrink(t *testing.T, name string, r *Region, added []Constraint) (sameCountChecked bool) {
+// checkShrink holds one (receiver, added) case against the oracle: the
+// same region on the query space, minimal, and as many constraints as the
+// oracle keeps.
+func checkShrink(t *testing.T, name string, r *Region, added []Constraint) {
 	t.Helper()
 	before := append([]Constraint(nil), r.Constraints...)
 	got := r.Shrink(added)
@@ -116,13 +96,9 @@ func checkShrink(t *testing.T, name string, r *Region, added []Constraint) (same
 	if again := reduce(got.Constraints); len(again) != len(got.Constraints) {
 		t.Fatalf("%s: result is not minimal: %d constraints reduce to %d", name, len(got.Constraints), len(again))
 	}
-	if certificateCouldFire(r.Constraints, added) {
-		return false
-	}
 	if len(got.Constraints) != len(want) {
 		t.Fatalf("%s: %d constraints, the oracle keeps %d\n got %v\nwant %v", name, len(got.Constraints), len(want), got.Constraints, want)
 	}
-	return true
 }
 
 func shrinkDomains(d int) []domain.Domain {
@@ -151,13 +127,12 @@ func randomNormal(r *rand.Rand, d int, lattice bool) vec.Vector {
 }
 
 // TestShrinkMatchesWholeSetReduction is the set-equality property: over
-// seeded random cones in d = 2…6 under both query spaces, the incremental
-// Shrink and the whole-set oracle describe the same region, the result is
-// minimal, and wherever the orthant certificate cannot apply the two keep
-// the same number of constraints.
+// seeded random cones in d = 2…6 under both query spaces, Shrink and the
+// whole-set oracle describe the same region, the result is minimal, and
+// the two keep the same number of constraints.
 func TestShrinkMatchesWholeSetReduction(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	cases, counted := 0, 0
+	cases := 0
 	for d := 2; d <= 6; d++ {
 		for _, dom := range shrinkDomains(d) {
 			for trial := 0; trial < 60; trial++ {
@@ -202,16 +177,11 @@ func TestShrinkMatchesWholeSetReduction(t *testing.T) {
 					added = append(added, Constraint{Normal: c, Kind: Replace, A: -1, B: int64(i)})
 				}
 				cases++
-				if checkShrink(t, fmt.Sprintf("d=%d dom=%v trial=%d", d, dom, trial), reg, added) {
-					counted++
-				}
+				checkShrink(t, fmt.Sprintf("d=%d dom=%v trial=%d", d, dom, trial), reg, added)
 			}
 		}
 	}
-	if counted < cases/10 {
-		t.Fatalf("the constraint count was compared in %d of %d cases: the property is vacuous", counted, cases)
-	}
-	t.Logf("%d cases, constraint count compared exactly in %d", cases, counted)
+	t.Logf("%d cases", cases)
 }
 
 // TestShrinkShapes pins the shapes that break naive incremental versions.
@@ -241,7 +211,7 @@ func TestShrinkShapes(t *testing.T) {
 		{"implied by one old constraint on the orthant only", wedge[:1], []Constraint{con(2, -1, 0)}, 1},
 		{"plain dominance over an added one", nil, []Constraint{con(1, -1, 0), con(1, -1, 0.5)}, 1},
 		{"cuts the query away", wedge, []Constraint{con(-1, 0, 1)}, -1},
-		{"receiver built with reduction skipped", []Constraint{con(1, -1, 0), con(2, -2, 0), con(1, -0.5, 0), con(0, 1, -1), con(1, 0, -1)}, []Constraint{con(1, -2, 0)}, 3},
+		{"receiver built with reduction skipped", []Constraint{con(1, -1, 0), con(2, -2, 0), con(1, -0.5, 0), con(0, 1, -1), con(1, 0, -1)}, []Constraint{con(1, -2, 0)}, 2}, // (1,−1,0) = (1,−2,0) + e₂
 	}
 	for _, s := range shapes {
 		for _, dom := range shrinkDomains(3) {

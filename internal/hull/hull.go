@@ -1,26 +1,12 @@
-// Package hull implements convex hulls in arbitrary (low) dimension:
-//
-//   - Build: a full incremental convex hull (quickhull with conflict lists,
-//     in the spirit of Clarkson's randomized incremental construction),
-//     used by the CP algorithm and by the facet-counting experiments.
-//   - Star: an incremental structure that maintains ONLY the hull facets
-//     incident to a pinned apex vertex. This is the kernel of the paper's
-//     FP (Facet Pruning) algorithm: the apex is the k-th result record p_k,
-//     and the star's non-apex vertices are the critical records.
-//
-// Correctness of star-only maintenance rests on two facts proved in the
-// paper (Section 6): (i) a ridge containing the
-// apex is shared by exactly two facets that both contain the apex, so
-// horizon ridges through the apex are discoverable inside the star; and
-// (ii) a new point changes the star iff it lies strictly above one of the
-// star's facet planes.
+// Package hull implements convex hulls in arbitrary (low) dimension: Build
+// is a full incremental convex hull (quickhull with conflict lists, in the
+// spirit of Clarkson's randomized incremental construction), used by the CP
+// algorithm, the GIR*'s result pruning and the facet-counting experiments.
 package hull
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/girlib/gir/internal/vec"
@@ -51,8 +37,8 @@ func (f *Facet) Above(p vec.Vector) bool { return vec.Dot(f.Normal, p) > f.Offse
 // Slack returns Normal·p − Offset.
 func (f *Facet) Slack(p vec.Vector) float64 { return vec.Dot(f.Normal, p) - f.Offset }
 
-// simplexScratch holds initialSimplex's working buffers so a reused Star
-// selects its simplex without allocating; the zero value is ready.
+// simplexScratch holds initialSimplex's working buffers; the zero value is
+// ready.
 type simplexScratch struct {
 	chosen []int
 	used   []bool
@@ -60,8 +46,7 @@ type simplexScratch struct {
 	res    []float64 // point i's residual against the basis is res[i*d:(i+1)*d]
 }
 
-// initialSimplex greedily selects d+1 affinely independent point indices,
-// optionally forcing the inclusion of index `force` (pass -1 to disable).
+// initialSimplex greedily selects d+1 affinely independent point indices.
 // It returns ErrDegenerate if the points span a lower-dimensional flat.
 // The result and sc.used (which marks it) alias sc until its next use.
 //
@@ -70,7 +55,7 @@ type simplexScratch struct {
 // order, as recomputing p − origin and projecting out every row each
 // round, so the choice and the basis bits are that loop's, at O(|pts|·d²)
 // rather than O(|pts|·d³).
-func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]int, error) {
+func initialSimplex(pts []vec.Vector, d int, sc *simplexScratch) ([]int, error) {
 	if len(pts) < d+1 {
 		return nil, ErrDegenerate
 	}
@@ -78,26 +63,15 @@ func initialSimplex(pts []vec.Vector, d int, force int, sc *simplexScratch) ([]i
 	used := vec.Grown(sc.used, len(pts))
 	clear(used)
 	sc.used = used
-	if force >= 0 {
-		chosen = append(chosen, force)
-		used[force] = true
-	} else {
-		// Start from the two points with extreme first coordinates.
-		lo, hi := 0, 0
-		for i, p := range pts {
-			if p[0] < pts[lo][0] {
-				lo = i
-			}
-			if p[0] > pts[hi][0] {
-				hi = i
-			}
+	// Start from the point with the least first coordinate.
+	lo := 0
+	for i, p := range pts {
+		if p[0] < pts[lo][0] {
+			lo = i
 		}
-		if lo == hi {
-			hi = (lo + 1) % len(pts)
-		}
-		chosen = append(chosen, lo)
-		used[lo] = true
 	}
+	chosen = append(chosen, lo)
+	used[lo] = true
 	// Each round takes the point with the largest residual against the
 	// affine hull of the points chosen so far.
 	origin := pts[chosen[0]]
@@ -223,7 +197,7 @@ func build(points []vec.Vector, maxFacets int) (*Hull, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("hull: dimension %d not supported", d)
 	}
-	simplex, err := initialSimplex(points, d, -1, new(simplexScratch))
+	simplex, err := initialSimplex(points, d, new(simplexScratch))
 	if err != nil {
 		return nil, err
 	}
@@ -500,463 +474,4 @@ func (h *Hull) IncidentFacets(idx int) []*Facet {
 		}
 	}
 	return out
-}
-
-// --- Star: facets incident to a pinned apex --------------------------------
-
-// Star incrementally maintains the convex-hull facets incident to a pinned
-// apex over a growing point set. Points are fed one at a time with Add or
-// a column-major block at a time with AddBlock; the structure is exact
-// provided every added point has apex-score strictly below the apex in
-// the pinning direction (guaranteed in FP, where the apex is the k-th
-// result record and added points are non-result records).
-//
-// The layout is flat: only live facets are kept (an Add that changes the
-// star compacts the facets it replaced away), their normals row-major in
-// one slice with offsets and fixed-stride vertex ids beside them, the
-// points in one slab. Every buffer — including the scratch of Add,
-// AddBlock and Critical — is reused by Reset, so a pooled Star runs
-// without allocating once it has seen its largest input.
-type Star struct {
-	Dim int
-
-	apex, interior vec.Vector // interior: fixed reference for orientation
-	pts            []float64  // non-apex points referenced by facets: point v is pts[v*Dim:(v+1)*Dim]
-	ids            []int64    // caller's id per point; virtual points get negative ids
-
-	// Facet f has outward unit normal normals[f*Dim:(f+1)*Dim], offset
-	// offsets[f] and vertices verts[f*Dim:(f+1)*Dim] (positions into pts,
-	// apexID for the apex).
-	normals []float64
-	offsets []float64
-	verts   []int32
-
-	plane   vec.PlaneScratch
-	simplex simplexScratch
-	all     []vec.Vector // Reset: the apex followed by the seeds
-	span    []vec.Vector // addFacet: the new facet's points
-	nv      []int32      // add: the new facet's vertices
-	vis     []int        // add: facets the point sees, ascending
-	ridges  []int32      // add: candidate horizon ridges, Dim values each
-	order   []int        // add: ridge indices sorted by vertex tuple
-	point   vec.Vector   // AddBlock: the record gathered from its columns
-	lo, hi  vec.Vector   // AddBlock: the block's coordinate box
-	dots    []float64    // screen: one facet's products with the block
-	mask    []bool       // AddBlock: records above some facet; Critical: points in use
-	view    [][]float64  // screen: the block's columns from some record on
-	cols    [][]float64  // Reset: unused seeds, column-major, over colbuf
-	colbuf  []float64
-	blockID []int64
-	crit    []int // Critical: positions of the critical points
-	critID  []int64
-	critPt  []vec.Vector
-}
-
-// apexID is the sentinel vertex id for the apex inside Star facets.
-const apexID = -1
-
-// seedBlock is how many seeds Reset transposes and screens at a time.
-const seedBlock = 128
-
-// NewStar builds the initial star from the apex and at least d seed points
-// (with caller ids). Seeds that are affinely dependent are skipped; if no
-// non-degenerate simplex exists among them, ErrDegenerate is returned.
-// Virtual seeds (axis projections of the apex, per Section 6.2/6.3 of the
-// paper) should be given negative ids; they participate in the geometry but
-// are excluded from Critical().
-func NewStar(apex vec.Vector, seeds []vec.Vector, seedIDs []int64) (*Star, error) {
-	s := new(Star)
-	if err := s.Reset(apex, seeds, seedIDs); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Reset rebuilds s as NewStar(apex, seeds, seedIDs) would build a fresh
-// star, reusing every buffer. The arguments are copied, not retained
-// (s.all keeps the slice headers until the next Reset).
-func (s *Star) Reset(apex vec.Vector, seeds []vec.Vector, seedIDs []int64) error {
-	d := len(apex)
-	if d < 2 {
-		return fmt.Errorf("hull: dimension %d not supported", d)
-	}
-	if len(seeds) != len(seedIDs) {
-		panic("hull: seeds and seedIDs length mismatch")
-	}
-	s.Dim = d
-	s.pts, s.ids = s.pts[:0], s.ids[:0]
-	s.normals, s.offsets, s.verts = s.normals[:0], s.offsets[:0], s.verts[:0]
-	s.all = append(append(s.all[:0], apex), seeds...)
-	simplex, err := initialSimplex(s.all, d, 0, &s.simplex) // force apex (index 0)
-	if err != nil {
-		return err
-	}
-	s.apex = append(s.apex[:0], apex...)
-	s.interior = centroidOf(vec.Grown(s.interior, d), s.all, simplex)
-	s.span, s.point = vec.Grown(s.span, d), vec.Grown(s.point, d)
-	// Register the chosen seeds: simplex[i] (i ≥ 1, the apex is first) is
-	// point i−1.
-	for _, si := range simplex[1:] {
-		s.pts = append(s.pts, s.all[si]...)
-		s.ids = append(s.ids, seedIDs[si-1])
-	}
-	// Simplex facets containing the apex: omit one non-apex vertex each.
-	for omit := 1; omit <= d; omit++ {
-		nv := append(s.nv[:0], apexID)
-		for i := 1; i <= d; i++ {
-			if i != omit {
-				nv = append(nv, int32(i-1))
-			}
-		}
-		s.nv = nv
-		if !s.addFacet(nv) {
-			return ErrDegenerate
-		}
-	}
-	// Feed the unused seeds through the normal incremental path, a
-	// column-major block at a time.
-	s.colbuf, s.cols, s.blockID = vec.Grown(s.colbuf, d*seedBlock), vec.Grown(s.cols, d), vec.Grown(s.blockID, seedBlock)
-	for j := range s.cols {
-		s.cols[j] = s.colbuf[j*seedBlock : (j+1)*seedBlock]
-	}
-	used := s.simplex.used
-	for i := 1; i < len(s.all); {
-		n := 0
-		for ; i < len(s.all) && n < seedBlock; i++ {
-			if used[i] {
-				continue
-			}
-			for j, x := range s.all[i] {
-				s.cols[j][n] = x
-			}
-			s.blockID[n] = seedIDs[i-1]
-			n++
-		}
-		s.AddBlock(s.cols, s.blockID[:n])
-	}
-	return nil
-}
-
-// addFacet appends the oriented facet through the given vertices (one of
-// which must be apexID; verts is copied). Returns false on degeneracy.
-func (s *Star) addFacet(verts []int32) bool {
-	d := s.Dim
-	for i, v := range verts {
-		if v == apexID {
-			s.span[i] = s.apex
-		} else {
-			s.span[i] = s.pts[int(v)*d : int(v)*d+d]
-		}
-	}
-	at := len(s.normals)
-	s.normals = slices.Grow(s.normals, d)[:at+d]
-	n := vec.Vector(s.normals[at:])
-	off, ok := s.plane.Hyperplane(n, s.span, Tol)
-	if !ok {
-		s.normals = s.normals[:at]
-		return false
-	}
-	if vec.Dot(n, s.interior) > off {
-		for i := range n {
-			n[i] = -n[i]
-		}
-		off = -off
-	}
-	s.offsets = append(s.offsets, off)
-	s.verts = append(s.verts, verts...)
-	return true
-}
-
-// Add processes a new point with the caller's id. It returns true if the
-// star changed (p is a new critical-candidate vertex), false if p was
-// discarded (below every incident facet) — in which case the star is
-// exactly as it was.
-func (s *Star) Add(p vec.Vector, id int64) bool { return s.add(p, id) > 0 }
-
-// add is Add returning how many facets it created; they are the last
-// ones, after the surviving facets in their old order.
-func (s *Star) add(p vec.Vector, id int64) int {
-	d := s.Dim
-	vis := s.vis[:0]
-	for f, off := range s.offsets {
-		var dot float64
-		for j, x := range s.normals[f*d : f*d+d] {
-			dot += x * p[j]
-		}
-		if dot > off+Tol {
-			vis = append(vis, f)
-		}
-	}
-	s.vis = vis
-	if len(vis) == 0 {
-		return 0
-	}
-	// Horizon ridges through the apex: each apex-ridge (a facet minus one
-	// non-apex vertex) is shared by exactly two star facets; it is a
-	// horizon ridge iff exactly one of them is visible. A candidate is
-	// stored as its d−2 non-apex vertices in ascending order followed by
-	// the facet and vertex position it came from; sorting the candidates
-	// by vertex tuple puts the ones seen from two visible facets side by
-	// side.
-	w, stride := d-2, d
-	rid := s.ridges[:0]
-	for _, f := range vis {
-		fv := s.verts[f*d : f*d+d]
-		for pos, omit := range fv {
-			if omit == apexID {
-				continue // omitting the apex gives a non-apex ridge
-			}
-			at := len(rid)
-			for j, v := range fv {
-				if j != pos && v != apexID {
-					rid = append(rid, v)
-				}
-			}
-			slices.Sort(rid[at:])
-			rid = append(rid, int32(f), int32(pos))
-		}
-	}
-	s.ridges = rid
-	order := s.order[:0]
-	for r := 0; r < len(rid); r += stride {
-		order = append(order, r)
-	}
-	s.order = order
-	byTuple := func(a, b int) int { return slices.Compare(rid[a:a+w], rid[b:b+w]) }
-	slices.SortFunc(order, byTuple)
-	for i := 0; i < len(order); {
-		j := i + 1
-		for j < len(order) && byTuple(order[i], order[j]) == 0 {
-			j++
-		}
-		if j-i > 1 { // interior ridge of the visible region
-			for _, r := range order[i:j] {
-				rid[r+w] = -1
-			}
-		}
-		i = j
-	}
-	// One new facet per horizon ridge: the ridge's vertices in their
-	// facet's order, then p.
-	pID, old := int32(len(s.ids)), len(s.offsets)
-	s.pts = append(s.pts, p...)
-	s.ids = append(s.ids, id)
-	for r := 0; r < len(rid); r += stride {
-		f, pos := int(rid[r+w]), int(rid[r+w+1])
-		if f < 0 {
-			continue
-		}
-		nv := s.nv[:0]
-		for j, v := range s.verts[f*d : f*d+d] {
-			if j != pos {
-				nv = append(nv, v)
-			}
-		}
-		s.nv = append(nv, pID)
-		s.addFacet(s.nv)
-	}
-	created := len(s.offsets) - old
-	if created == 0 {
-		// Degenerate corner case: p would swallow every facet it saw
-		// without replacements (numerically near-coplanar). Keep the old
-		// facets to stay conservative, and forget p.
-		s.pts, s.ids = s.pts[:len(s.pts)-d], s.ids[:pID]
-		return 0
-	}
-	// Compact the visible facets away.
-	to, next := vis[0], 1
-	for f := vis[0] + 1; f < len(s.offsets); f++ {
-		if next < len(vis) && vis[next] == f {
-			next++
-			continue
-		}
-		copy(s.normals[to*d:to*d+d], s.normals[f*d:f*d+d])
-		copy(s.verts[to*d:to*d+d], s.verts[f*d:f*d+d])
-		s.offsets[to] = s.offsets[f]
-		to++
-	}
-	s.normals, s.offsets, s.verts = s.normals[:to*d], s.offsets[:to], s.verts[:to*d]
-	return created
-}
-
-// AddBlock feeds the points of a column-major block — cols[j][i] is
-// coordinate j of point i, ids[i] its caller id, an R-tree leaf's layout
-// — in order, and reports whether the star changed. The outcome is
-// exactly that of calling Add for every point in turn: the block is
-// first screened against every facet with vec.DotColumns (bit-identical
-// to Add's own products), only points above some facet go through Add,
-// and whenever an Add changes the star the rest of the block is screened
-// against the facets it created. A point the screen passes is above a
-// facet of some earlier star, not necessarily the current one; Add
-// decides, so the screen can only skip points Add would discard.
-//
-// The screen skips every facet the block's coordinate box lies below
-// (MBBAboveAny's test); vec.MaxOverBox says why no such facet sets a bit.
-func (s *Star) AddBlock(cols [][]float64, ids []int64) bool {
-	n := len(ids)
-	if n == 0 {
-		return false
-	}
-	s.box(cols, n)
-	s.mask = vec.Grown(s.mask, n)
-	mask := s.mask
-	clear(mask)
-	s.screen(cols, mask, 0, 0)
-	changed := false
-	for i, id := range ids {
-		if !mask[i] {
-			continue
-		}
-		for j, col := range cols {
-			s.point[j] = col[i]
-		}
-		if created := s.add(s.point, id); created > 0 {
-			changed = true
-			s.screen(cols, mask, i+1, len(s.offsets)-created)
-		}
-	}
-	return changed
-}
-
-// box sets [s.lo, s.hi] to the coordinate box of the block's first n ≥ 1
-// points.
-func (s *Star) box(cols [][]float64, n int) {
-	s.lo, s.hi = vec.Grown(s.lo, s.Dim), vec.Grown(s.hi, s.Dim)
-	for j, col := range cols {
-		lo, hi := col[0], col[0]
-		for _, x := range col[1:n] {
-			if x < lo {
-				lo = x
-			} else if x > hi {
-				hi = x
-			}
-		}
-		s.lo[j], s.hi[j] = lo, hi
-	}
-}
-
-// screen sets mask[i] for every point i ≥ from of the block that lies
-// strictly above one of the facets from first on, skipping the facets the
-// block's box [s.lo, s.hi] lies below.
-func (s *Star) screen(cols [][]float64, mask []bool, from, first int) {
-	n, d := len(mask)-from, s.Dim
-	if n <= 0 {
-		return
-	}
-	s.dots, s.view = vec.Grown(s.dots, n), vec.Grown(s.view, d)
-	for j := range s.view {
-		s.view[j] = cols[j][from:]
-	}
-	mask = mask[from:]
-	for f := first; f < len(s.offsets); f++ {
-		normal, limit := s.normals[f*d:f*d+d], s.offsets[f]+Tol
-		if vec.MaxOverBox(normal, s.lo, s.hi) <= limit {
-			continue
-		}
-		vec.DotColumns(s.dots, normal, s.view)
-		for i, dot := range s.dots {
-			if dot > limit {
-				mask[i] = true
-			}
-		}
-	}
-}
-
-// MBBAboveAny reports whether any point of the axis-aligned box [lo,hi]
-// lies strictly above some star facet. R-tree nodes for which this is
-// false are pruned by FP's second step.
-func (s *Star) MBBAboveAny(lo, hi vec.Vector) bool {
-	d := s.Dim
-	for f, off := range s.offsets {
-		if vec.MaxOverBox(s.normals[f*d:f*d+d], lo, hi) > off+Tol {
-			return true
-		}
-	}
-	return false
-}
-
-// NumFacets returns the number of facets incident to the apex.
-func (s *Star) NumFacets() int { return len(s.offsets) }
-
-// Critical returns the non-virtual records incident to the star's facets
-// — the paper's critical records — as caller ids in ascending order with
-// their coordinates alongside. Both slices (and the coordinates) alias
-// the star's buffers: they are valid until its next Add, AddBlock, Reset
-// or Critical.
-func (s *Star) Critical() (ids []int64, pts []vec.Vector) {
-	d := s.Dim
-	s.mask = vec.Grown(s.mask, len(s.ids))
-	clear(s.mask)
-	for _, v := range s.verts {
-		if v != apexID {
-			s.mask[v] = true
-		}
-	}
-	crit := s.crit[:0]
-	for v, inUse := range s.mask {
-		if inUse && s.ids[v] >= 0 {
-			crit = append(crit, v)
-		}
-	}
-	s.crit = crit
-	slices.SortFunc(crit, func(a, b int) int { return cmp.Compare(s.ids[a], s.ids[b]) })
-	ids, pts = s.critID[:0], s.critPt[:0]
-	for _, v := range crit {
-		ids = append(ids, s.ids[v])
-		pts = append(pts, s.pts[v*d:v*d+d:v*d+d])
-	}
-	s.critID, s.critPt = ids, pts
-	return ids, pts
-}
-
-// Facets returns copies of the facets (vertex ids use −1 for the apex and
-// otherwise the caller ids passed to Add/NewStar).
-func (s *Star) Facets() []Facet {
-	d := s.Dim
-	out := make([]Facet, len(s.offsets))
-	for f, off := range s.offsets {
-		verts := make([]int, d)
-		for i, v := range s.verts[f*d : f*d+d] {
-			verts[i] = apexID
-			if v != apexID {
-				verts[i] = int(s.ids[v])
-			}
-		}
-		out[f] = Facet{Vertices: verts, Normal: vec.Vector(s.normals[f*d : f*d+d]).Clone(), Offset: off}
-	}
-	return out
-}
-
-// VirtualSeeds appends to pts and ids one virtual point per dimension i,
-// with negative id −1−i: the paper's axis projection apex[i]·e_i (Section
-// 6.2 and footnote 6), or apex − e_i wherever that projection would land
-// within Tol of the origin or of the apex — apex[i] ≤ Tol, or at most one
-// coordinate of the apex above Tol. Every one is dominated by the apex, so
-// its half-space is w_i ≥ 0 at worst, which every query space holds, and
-// together with the apex they span a full-dimensional simplex, so they
-// seed the star however few real points are known. They are excluded
-// from Critical(). The points are written into *slab, grown as needed, so
-// a caller that reuses its buffers allocates nothing.
-func VirtualSeeds(pts []vec.Vector, ids []int64, slab *[]float64, apex vec.Vector) ([]vec.Vector, []int64) {
-	d := len(apex)
-	*slab = vec.Grown(*slab, d*d)
-	above := 0
-	for _, x := range apex {
-		if x > Tol {
-			above++
-		}
-	}
-	for i, x := range apex {
-		v := vec.Vector((*slab)[i*d : (i+1)*d : (i+1)*d])
-		if x > Tol && above > 1 {
-			clear(v)
-			v[i] = x
-		} else {
-			copy(v, apex)
-			v[i]--
-		}
-		pts = append(pts, v)
-		ids = append(ids, int64(-1-i))
-	}
-	return pts, ids
 }

@@ -112,10 +112,10 @@ func RecordsGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.
 
 // ScreenedGroup is BRSGroup for a caller that builds an FP GIR from each
 // Result: the same traversal, page reads and Records, but once a member's
-// k-slot is final its tail builds the Phase-1 cone of the result (when
-// k − 1 ≥ d and f is linear), hands it over as Result.Cone and, when the
-// cone is pointed, copies out only the T records and heap nodes that can
-// beat p_k somewhere in it. What is left out cannot bound the GIR, so an
+// k-slot is final its tail builds the Phase-1 cone of the result on the
+// nonnegative orthant (when f is linear), hands it over as Result.Cone and
+// copies out only the T records and heap nodes that can beat p_k somewhere
+// in it. What is left out cannot bound the GIR, so an
 // FP build reads the same seeds and pops the same entries that matter.
 // The Results must be built before gs is released (see GroupScratch).
 func ScreenedGroup(gs *GroupScratch, tree *rtree.Tree, f score.General, qs []vec.Vector, ks []int) ([]*Result, GroupStats) {

@@ -66,12 +66,12 @@ type Result struct {
 	T       []Record // non-result records encountered by BRS, in traversal order, when retained (a screened tail's: those Cone keeps); a reader that needs the record order sorts what it reads
 	Heap    *NodeHeap
 
-	// Cone is the Phase-1 cone of the Records, pinned to p_k, that
-	// ScreenedGroup's tail built; nil from every other traversal. It is
-	// the group scratch's, so a region build takes it over (and clears
-	// it) before the scratch is released. When it is pointed, T and Heap
-	// hold only what it lets beat p_k: DroppedT records and DroppedNodes
-	// nodes were left out.
+	// Cone is the Phase-1 cone of the Records on the nonnegative orthant,
+	// pinned to p_k, that ScreenedGroup's tail built; nil from every other
+	// traversal. It is the group scratch's, so a region build takes it
+	// over (and clears it) before the scratch is released. T and Heap hold
+	// only what it lets beat p_k: DroppedT records and DroppedNodes nodes
+	// were left out.
 	Cone                   *geom.Cone
 	DroppedT, DroppedNodes int
 }
@@ -242,11 +242,9 @@ func (gs *GroupScratch) runMember(tree *rtree.Tree, f score.General, qs []vec.Ve
 func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k, m int, t tail) *Result {
 	slices.SortFunc(gs.slot, order)
 	res := &Result{K: k, Func: f}
-	if t == retainScreened && k > d && score.IsLinear(f) { // k − 1 ≥ d rows: P1 may be pointed
+	if t == retainScreened && score.IsLinear(f) {
 		res.Cone = gs.phase1Cone(m, d)
-		if res.Cone.Pointed() {
-			res.DroppedT, res.DroppedNodes = gs.screen(res.Cone, d)
-		}
+		res.DroppedT, res.DroppedNodes = gs.screen(res.Cone, d)
 	}
 	nT := 0
 	if t != recordsOnly { // a caller that builds no region reads neither T nor the heap
@@ -290,7 +288,7 @@ func (gs *GroupScratch) materialize(f score.General, q vec.Vector, d, k, m int, 
 }
 
 // phase1Cone resets member m's cone on the Phase-1 rows of the sorted
-// k-slot, p_i − p_{i+1}, pinned to p_k: the rows and the apex a GIR build
+// k-slot, p_i − p_{i+1}, pinned to p_k: the rows and the anchor a GIR build
 // derives from the Records, bit for bit, so the build can continue the
 // cone rather than reset it again.
 func (gs *GroupScratch) phase1Cone(m, d int) *geom.Cone {
@@ -308,7 +306,7 @@ func (gs *GroupScratch) phase1Cone(m, d int) *geom.Cone {
 	}
 	apex := gs.slot[k-1].ref
 	c := gs.cones[m]
-	c.Reset(gs.prows, gs.arena[apex:apex+d])
+	c.Reset(d, gs.prows, gs.arena[apex:apex+d])
 	return c
 }
 

@@ -216,34 +216,13 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // The normal's orientation is arbitrary; callers orient it against a
 // reference point.
 func HyperplaneThrough(pts []Vector, tol float64) (normal Vector, offset float64, ok bool) {
-	var ps PlaneScratch
-	normal = make(Vector, len(pts))
-	if offset, ok = ps.Hyperplane(normal, pts, tol); !ok {
-		return nil, 0, false
-	}
-	return normal, offset, true
-}
-
-// PlaneScratch is the reusable workspace of the hyperplane solve: the
-// difference matrix it row-reduces and the pivot bookkeeping. The zero
-// value is ready to use; a caller that fits many hyperplanes (the star
-// hull creates one per new facet) keeps one and allocates nothing.
-type PlaneScratch struct {
-	a      Matrix
-	pivCol []int
-	isPiv  []bool
-}
-
-// Hyperplane is HyperplaneThrough writing the unit normal into the
-// caller's buffer (len d) — the same arithmetic in the same order, so the
-// result is bit-identical.
-func (ps *PlaneScratch) Hyperplane(normal Vector, pts []Vector, tol float64) (offset float64, ok bool) {
 	d := len(pts)
-	if d == 0 || len(pts[0]) != d || len(normal) != d {
-		panic("vec: Hyperplane requires d points of dimension d")
+	if d == 0 || len(pts[0]) != d {
+		panic("vec: HyperplaneThrough requires d points of dimension d")
 	}
 	// Solve for n with n·(p_i − p_0) = 0, i = 1..d−1: a null vector of the
 	// (d−1)×d difference matrix, then normalized.
+	var ps planeScratch
 	ps.size(d-1, d)
 	for i := 1; i < d; i++ {
 		row := ps.a.Row(i - 1)
@@ -251,8 +230,9 @@ func (ps *PlaneScratch) Hyperplane(normal Vector, pts []Vector, tol float64) (of
 			row[j] = pts[i][j] - pts[0][j]
 		}
 	}
+	normal = make(Vector, d)
 	if !ps.nullVector(normal, tol) {
-		return 0, false
+		return nil, 0, false
 	}
 	n := Norm(normal)
 	if n == 0 {
@@ -262,16 +242,24 @@ func (ps *PlaneScratch) Hyperplane(normal Vector, pts []Vector, tol float64) (of
 	for i := range normal {
 		normal[i] *= inv
 	}
-	return Dot(normal, pts[0]), true
+	return normal, Dot(normal, pts[0]), true
 }
 
-func (ps *PlaneScratch) size(m, d int) {
+// planeScratch is the hyperplane solve's workspace: the difference matrix
+// it row-reduces and the pivot bookkeeping.
+type planeScratch struct {
+	a      Matrix
+	pivCol []int
+	isPiv  []bool
+}
+
+func (ps *planeScratch) size(m, d int) {
 	ps.a = Matrix{Rows: m, Cols: d, Data: Grown(ps.a.Data, m*d)}
 	ps.isPiv = Grown(ps.isPiv, d)
 }
 
 // nullVector row-reduces ps.a in place and writes a null vector into x.
-func (ps *PlaneScratch) nullVector(x Vector, tol float64) bool {
+func (ps *planeScratch) nullVector(x Vector, tol float64) bool {
 	a := &ps.a
 	m, d := a.Rows, a.Cols
 	pivCols := ps.pivCol[:0]

@@ -140,7 +140,7 @@ func TestHyperplaneThroughProperty(t *testing.T) {
 // nullVectorOf runs the hyperplane solve's null-vector step on the given
 // rows (fewer than d).
 func nullVectorOf(rows []Vector, d int, tol float64) (Vector, bool) {
-	var ps PlaneScratch
+	var ps planeScratch
 	ps.size(len(rows), d)
 	for i, r := range rows {
 		copy(ps.a.Row(i), r)

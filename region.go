@@ -28,8 +28,8 @@ type ComputeStats struct {
 	PageReads      int64         // simulated disk reads during it
 	SkylineSize    int           // |SL| (SP, CP)
 	HullVertices   int           // |SL ∩ CH| (CP)
-	StarFacets     int           // facets incident to p_k (FP): the cone's rays, or the star's facets where Phase 1 is not pointed
-	CriticalCount  int           // critical records (FP): those that cut the cone, or the star's vertices; possibly 0
+	StarFacets     int           // facets incident to p_k (FP): the final cone's rays
+	CriticalCount  int           // critical records (FP): those that cut the cone; possibly 0
 	RawConstraints int           // half-spaces before reduction
 	Constraints    int           // half-spaces in the minimal form
 }
@@ -136,8 +136,8 @@ type groupAnswer struct {
 // same records bit for bit either way:
 //   - no build: just the records (topk.RecordsGroup);
 //   - a build: the records, and of T and the heap only what the Phase-1
-//     cone lets beat p_k, screened in the traversal's tail
-//     (topk.ScreenedGroup; when P1 is not pointed, all of them).
+//     cone on the orthant lets beat p_k, screened in the traversal's tail
+//     (topk.ScreenedGroup).
 //
 // Validation is done here even when the caller already vetted the
 // queries: the pin may be a later version than the one that check saw,

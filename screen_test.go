@@ -8,6 +8,8 @@ import (
 
 	"github.com/girlib/gir/internal/datagen"
 	girint "github.com/girlib/gir/internal/gir"
+	"github.com/girlib/gir/internal/score"
+	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
 
@@ -20,12 +22,13 @@ import (
 // k ∈ {1, 2, d, d+1, 10, 30}. Fills run solo and as fused groups of
 // jittered near-repeats through answerGroup, the engine's one fill path,
 // which hands back each build's Stats, and through an Engine's cached
-// BatchTopK at the ks whose tails screen (k − 1 ≥ d), whose fused
-// members' regions are read back from the cache. Most of its time is the
-// unscreened whole-T stars at d = 6, the same on both paths.
+// BatchTopK, whose fused members' regions are read back from the cache.
+// Every tail screens, k ≤ d among them: the orthant's cone is pointed for
+// every k, and the test counts the solo fills at k ≤ d whose tail left a
+// T record or a heap node out.
 func TestScreenedFillMatchesTwoStep(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	fills, fused, cached := 0, 0, 0
+	fills, fused, cached, small, screenedSmall := 0, 0, 0, 0, 0
 	for _, kind := range []datagen.Kind{datagen.IND, datagen.COR, datagen.ANTI} {
 		for d := 2; d <= 6; d++ {
 			for _, tied := range []bool{false, true} {
@@ -61,6 +64,12 @@ func TestScreenedFillMatchesTwoStep(t *testing.T) {
 					for _, k := range ks {
 						check([]vec.Vector{q}, []int{k})
 						fills++
+						if k <= d {
+							small++
+							if screened(ds, q, k) {
+								screenedSmall++
+							}
+						}
 					}
 					// One fused group: a near-repeat of q per k, so the
 					// group's members screen with cones of their own.
@@ -76,7 +85,7 @@ func TestScreenedFillMatchesTwoStep(t *testing.T) {
 				var batch []Query
 				for qi := 0; qi < screenQueries; qi++ {
 					q := datagen.Query(d, int64(5000*d+qi))
-					for _, k := range ks[3:] {
+					for _, k := range ks {
 						for j := 0; j < 3; j++ {
 							batch = append(batch, Query{Vector: jitter(r, q), K: k})
 						}
@@ -98,15 +107,27 @@ func TestScreenedFillMatchesTwoStep(t *testing.T) {
 			}
 		}
 	}
-	if e := 3 * 5 * 2 * screenQueries * 6; fills != e || fused != e || cached == 0 {
-		t.Fatalf("%d solo fills, %d fused, %d cached regions; want %d, %d and some", fills, fused, cached, e, e)
+	if e := 3 * 5 * 2 * screenQueries * 6; fills != e || fused != e || cached == 0 || screenedSmall == 0 {
+		t.Fatalf("%d solo fills, %d fused, %d cached regions, %d tails at k ≤ d that screened; want %d, %d and some of each", fills, fused, cached, screenedSmall, e, e)
 	}
-	t.Logf("%d solo and %d fused fills and %d cached regions equal the two-step path's", fills, fused, cached)
+	t.Logf("%d solo and %d fused fills and %d cached regions equal the two-step path's; %d of the %d solo tails at k ≤ d screened",
+		fills, fused, cached, screenedSmall, small)
+}
+
+// screened reports whether the screened tail of a fill at (q, k) left a T
+// record or a heap node out.
+func screened(ds *Dataset, q vec.Vector, k int) bool {
+	sn := ds.pinSnap()
+	defer sn.release()
+	gs := topk.AcquireGroupScratch(sn.tree)
+	defer gs.Release()
+	res, _ := topk.ScreenedGroup(gs, sn.tree, score.Linear{}, []vec.Vector{q}, []int{k})
+	return res[0].DroppedT+res[0].DroppedNodes > 0
 }
 
 // screenQueries is how many query vectors each arm of
 // TestScreenedFillMatchesTwoStep draws per cell; alloc_race_test.go lowers
-// it for the race build, where a d = 6 star costs ten times as much.
+// it for the race build, where every build costs several times as much.
 var screenQueries = 3
 
 // screenDataset is n = 500 records of kind in d dimensions; tied rounds
