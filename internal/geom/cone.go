@@ -24,6 +24,18 @@ import (
 // goes on to cut the cone by such half-spaces one at a time: FP's Phase 2
 // cuts P into the region's own rays this way.
 //
+// Most records lose on every ray, and one box test shows it without the
+// rays. pin keeps the box [wlo, whi] of the rays scaled to Σ = 1, which
+// holds P's Σw = 1 slice. If the most w·(x − a) reaches over that box is
+// at or below 0 for every anchor a, then so is g·(x − a) for every ray g,
+// a positive multiple of a point of the box, and the record is dropped
+// unread by the rays. The drop holds in floating point as well: the box's
+// bound and a ray's g·x − g·a each round by about d·2⁻⁵² of the
+// coordinates' size (unit rays, Σ = 1 scaling, data in [0,1]^d), far
+// below coneSlack, so a record the box bounds at ≤ 0 has every ray's
+// margin ≤ coneSlack, which the per-ray test drops too. The box decides
+// first and the rays decide the rest, so the kept set is the rays' alone.
+//
 // Reset finds the rays by the double description method (Motzkin et al.
 // 1953; Fukuda & Prodon, "Double description method revisited", 1996),
 // started from O, whose rays are the unit axes: each row keeps the rays on
@@ -74,7 +86,12 @@ type Cone struct {
 	resid   []float64 // facet: the rays' sum
 	anchors []float64 // the pinned anchors, row-major
 	at      []float64 // per ray, its least product with an anchor
-	dots    []float64 // Screen: one ray's products with the block
+	box     []float64 // the rays scaled to Σ = 1: their least coordinates wlo, then ½(whi − wlo)
+	bound   []float64 // Screen: per point, the box's bound over the anchors
+	dots    []float64 // Screen: one ray's products with the undecided points
+	pick    []int     // Screen: the points the box leaves undecided
+	sub     []float64 // Screen: their coordinates, column-major
+	subCols [][]float64
 	face    []uint64  // Reduce: per ray, the kept rows it lies on, recomputed
 	prod    []float64 // Reduce: per ray, its products with the kept rows
 }
@@ -105,15 +122,30 @@ func (c *Cone) Reset(d int, normals []vec.Vector, anchors ...vec.Vector) {
 	c.pin()
 }
 
-// pin sets each ray's least product with an anchor.
+// pin sets each ray's least product with an anchor, and the box of the
+// rays scaled to Σ = 1.
 func (c *Cone) pin() {
-	c.at = c.at[:0]
+	d := c.d
+	c.at, c.box = c.at[:0], vec.Grown(c.box, 2*d)
+	wlo, whi := c.box[:d], c.box[d:]
+	for j := range wlo {
+		wlo[j], whi[j] = math.Inf(1), math.Inf(-1)
+	}
 	for r := range c.tight {
-		at := math.Inf(1)
-		for a := 0; a < len(c.anchors); a += c.d {
-			at = min(at, vec.Dot(c.ray(r), c.anchors[a:a+c.d]))
+		g, at, sum := c.ray(r), math.Inf(1), 0.0
+		for a := 0; a < len(c.anchors); a += d {
+			at = min(at, vec.Dot(g, c.anchors[a:a+d]))
 		}
 		c.at = append(c.at, at)
+		for _, x := range g {
+			sum += x
+		}
+		for j, x := range g {
+			wlo[j], whi[j] = min(wlo[j], x/sum), max(whi[j], x/sum)
+		}
+	}
+	for j := range whi {
+		whi[j] = (whi[j] - wlo[j]) / 2
 	}
 }
 
@@ -497,25 +529,97 @@ func (c *Cone) adjacent(common, zero uint64) bool {
 // for some query in the cone, and clears it for the rest: point i is kept
 // if some ray g has g·x_i − g·a > 1e-10 for the anchor a of least product
 // with g.
+//
+// The Σ = 1 box decides most points first, in one branch-free pass over the
+// block (boxBound); only the points it leaves undecided are copied into a
+// small block and tested ray by ray. The per-ray products are DotColumns',
+// bit for bit, so the kept set is the per-ray test's alone.
 func (c *Cone) Screen(keep []bool, cols [][]float64) {
 	clear(keep)
-	c.dots = vec.Grown(c.dots, len(keep))
+	n, d := len(keep), c.d
+	if len(c.at) == 0 || len(c.anchors) == 0 || n == 0 {
+		return
+	}
+	c.bound, c.dots = vec.Grown(c.bound, n), vec.Grown(c.dots, n)
+	c.boxBound(c.bound, c.anchors[:d], cols)
+	for a := d; a < len(c.anchors); a += d {
+		c.boxBound(c.dots, c.anchors[a:a+d], cols)
+		for i, b := range c.dots {
+			c.bound[i] = max(c.bound[i], b)
+		}
+	}
+	c.pick = c.pick[:0]
+	for i, b := range c.bound {
+		if b > 0 {
+			c.pick = append(c.pick, i)
+		}
+	}
+	u := len(c.pick)
+	if u == 0 {
+		return
+	}
+	c.sub, c.subCols = vec.Grown(c.sub, u*d), vec.Grown(c.subCols, d)
+	for j, col := range cols {
+		sub := c.sub[j*u : (j+1)*u]
+		for p, i := range c.pick {
+			sub[p] = col[i]
+		}
+		c.subCols[j] = sub
+	}
+	dots := c.dots[:u]
 	for r, at := range c.at {
-		vec.DotColumns(c.dots, c.ray(r), cols)
-		for i, s := range c.dots {
+		vec.DotColumns(dots, c.ray(r), c.subCols)
+		for p, s := range dots {
 			if s-at > coneSlack {
-				keep[i] = true
+				keep[c.pick[p]] = true
 			}
 		}
 	}
 }
 
-// BoxMayBeat reports whether some point of the box [lo, hi] may score
-// above an anchor for some query in the cone: Screen's test with each
-// ray's maximum over the box in place of its product with a point.
-func (c *Cone) BoxMayBeat(lo, hi vec.Vector) bool {
+// boxBound sets dst[i] to the most w·(x_i − a) reaches over the box
+// [wlo, whi] for every point i of the column-major block: with t = x − a,
+// Σ_j wlo_j·t_j + ½(whi_j − wlo_j)·(t_j + |t_j|), whi_j·t_j where t_j > 0
+// and wlo_j·t_j elsewhere, with no branch.
+func (c *Cone) boxBound(dst []float64, a []float64, cols [][]float64) {
+	d := c.d
+	clear(dst)
+	for j, w := range c.box[:d] {
+		h, aj := c.box[d+j], a[j]
+		for i, x := range cols[j][:len(dst)] {
+			t := x - aj
+			dst[i] += w*t + h*(t+math.Abs(t))
+		}
+	}
+}
+
+// BoxMayBeat reports whether some point of a box with upper corner hi may
+// score above an anchor for some query in the cone. Every ray lies in O, so
+// its maximum over the box is its product with hi, and the test is
+// Screen's for the point hi: the Σ = 1 box first, then the rays.
+func (c *Cone) BoxMayBeat(hi vec.Vector) bool {
+	if !c.boxMayBeat(hi) {
+		return false
+	}
 	for r, at := range c.at {
-		if vec.MaxOverBox(c.ray(r), lo, hi)-at > coneSlack {
+		if vec.Dot(c.ray(r), hi)-at > coneSlack {
+			return true
+		}
+	}
+	return false
+}
+
+// boxMayBeat is boxBound's test for one point x: whether the box bounds
+// w·(x − a) above 0 for some anchor a.
+func (c *Cone) boxMayBeat(x vec.Vector) bool {
+	d := c.d
+	for a := 0; a < len(c.anchors); a += d {
+		var s float64
+		for j, w := range c.box[:d] {
+			t := x[j] - c.anchors[a+j]
+			s += w*t + c.box[d+j]*(t+math.Abs(t))
+		}
+		if s > 0 {
 			return true
 		}
 	}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -162,11 +163,14 @@ func bestOverCone(rows []vec.Vector, x, apex vec.Vector) (vec.Vector, bool) {
 // alone) and rows of rank below d among them: every ray is a unit vector
 // in the cone and in the orthant, and no record or box the screen drops
 // beats the apex by more than 1e-9 at any query inside the cone on the
-// orthant, sampled around q0 or found by the LP.
+// orthant, sampled around q0 or found by the LP. On those cones, on cones
+// cut until they cap and on GIR* cones pinned to several anchors,
+// checkScreen holds Screen and BoxMayBeat to the per-ray test alone and
+// the Σ = 1 box's drops to every ray's.
 func TestConeRaysProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var c Cone
-	dropped, kept, deficient := 0, 0, 0
+	dropped, kept, deficient, boxDrops := 0, 0, 0, 0
 	drops := map[string]int{}
 	for trial := 0; trial < 25; trial++ {
 		for d := 2; d <= 6; d++ {
@@ -201,6 +205,7 @@ func TestConeRaysProperty(t *testing.T) {
 							}
 						}
 					}
+					boxDrops += checkScreen(t, &c, pts, rng, cc.name)
 					for x, keep := range screen(&c, pts...) {
 						p := pts[x]
 						if keep {
@@ -215,7 +220,7 @@ func TestConeRaysProperty(t *testing.T) {
 							lo[j] -= 0.01 * rng.Float64()
 							hi[j] += 0.01 * rng.Float64()
 						}
-						if !c.BoxMayBeat(lo, hi) {
+						if !c.BoxMayBeat(hi) {
 							for _, corner := range []vec.Vector{lo, hi} {
 								if screen(&c, corner)[0] {
 									t.Fatalf("%s: box [%v, %v] dropped, its corner %v kept", cc.name, lo, hi, corner)
@@ -233,10 +238,133 @@ func TestConeRaysProperty(t *testing.T) {
 			t.Errorf("the screen dropped no %s record: the property is vacuous there", name)
 		}
 	}
-	t.Logf("drops per case %v, %d cones of row rank below d; the screen dropped %d records and kept %d", drops, deficient, dropped, kept)
-	if dropped == 0 || kept == 0 || deficient == 0 {
-		t.Errorf("the screen dropped %d and kept %d records, on %d cones of row rank below d: some side is untested", dropped, kept, deficient)
+	t.Logf("drops per case %v, %d cones of row rank below d; the screen dropped %d records and kept %d, the box %d points and boxes", drops, deficient, dropped, kept, boxDrops)
+	if dropped == 0 || kept == 0 || deficient == 0 || boxDrops == 0 {
+		t.Errorf("the screen dropped %d and kept %d records, on %d cones of row rank below d, the box %d: some side is untested", dropped, kept, deficient, boxDrops)
 	}
+	t.Run("capped", func(t *testing.T) { testScreenCutCones(t, rng, 1) })
+	t.Run("GIR*", func(t *testing.T) { testScreenCutCones(t, rng, 4) })
+}
+
+// testScreenCutCones runs checkScreen on cones pinned to the given number
+// of anchors, the top records of a ranking, and cut one record's
+// half-space below each anchor at a time as FP's Phase 2 cuts them; one
+// anchor starts from its Phase-1 cone, several from O, as a GIR* does. The
+// records come close to the anchors, so the cones grow until a cut caps
+// them; each is checked every few cuts, capped included.
+func testScreenCutCones(t *testing.T, rng *rand.Rand, anchors int) {
+	capped, boxDrops := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		for d := 3; d <= 6; d++ {
+			top := coneCases(rng, d, 8)[0] // random records ranked by q0
+			q0, pinned := top.q0, top.recs[len(top.recs)-anchors:]
+			var c Cone
+			if anchors == 1 {
+				c.Reset(d, top.rows(), pinned...)
+			} else {
+				c.Reset(d, nil, pinned...)
+			}
+			low := pinned[len(pinned)-1] // the lowest anchor at q0
+			name := fmt.Sprintf("d=%d %d anchors trial %d", d, anchors, trial)
+			for cut := 0; cut < 400 && !c.capped; cut++ {
+				// x = low − 0.1·δ with δ·q0 small and positive: x scores
+				// just below every anchor, and its row cuts near q0.
+				delta := make(vec.Vector, d)
+				for j := range delta {
+					delta[j] = rng.NormFloat64()
+				}
+				vec.AXPY((0.01+0.05*rng.Float64()-vec.Dot(delta, q0))/vec.Dot(q0, q0), q0, delta)
+				x := vec.Sub(low, vec.Scale(0.1, delta))
+				for _, a := range pinned {
+					c.Cut(vec.Sub(a, x))
+				}
+				if cut%8 == 0 || c.capped {
+					pts := make([]vec.Vector, 30)
+					for i := range pts {
+						pts[i] = pinned[rng.Intn(len(pinned))].Clone()
+						for j := range pts[i] {
+							pts[i][j] += 0.05 * rng.NormFloat64()
+						}
+					}
+					boxDrops += checkScreen(t, &c, pts, rng, name)
+				}
+			}
+			if c.capped {
+				capped++
+			}
+		}
+	}
+	t.Logf("%d of 24 cones capped; the box dropped %d points and boxes", capped, boxDrops)
+	if capped == 0 || boxDrops == 0 {
+		t.Errorf("%d cones capped and the box dropped %d points and boxes: some side is untested", capped, boxDrops)
+	}
+}
+
+// checkScreen holds c's screen to the per-ray test alone over the points
+// and a small box around each: Screen keeps exactly the points, and
+// BoxMayBeat exactly the boxes, that some ray g lets beat its least anchor
+// product by more than coneSlack, and every point and box corner hi the
+// Σ = 1 box bounds at or below 0 against every anchor, no ray keeps. It
+// returns how many points and boxes the box dropped.
+func checkScreen(t *testing.T, c *Cone, pts []vec.Vector, rng *rand.Rand, name string) (boxDrops int) {
+	t.Helper()
+	for i, keep := range screen(c, pts...) {
+		p := pts[i]
+		lo, hi := p.Clone(), p.Clone()
+		for j := range lo {
+			lo[j] -= 0.01 * rng.Float64()
+			hi[j] += 0.01 * rng.Float64()
+		}
+		point := perRay(c, func(g vec.Vector) float64 { return vec.Dot(g, p) })
+		box := perRay(c, func(g vec.Vector) float64 { return maxOverBox(g, lo, hi) })
+		if keep != (point >= 0) {
+			t.Fatalf("%s: Screen keeps %v: %v; the per-ray test keeps it by ray %d", name, p, keep, point)
+		}
+		if got := c.BoxMayBeat(hi); got != (box >= 0) {
+			t.Fatalf("%s: BoxMayBeat([%v, %v]) = %v; the per-ray test keeps it by ray %d", name, lo, hi, got, box)
+		}
+		if !c.boxMayBeat(p) {
+			if boxDrops++; point >= 0 {
+				t.Fatalf("%s: the box drops %v, ray %d keeps it", name, p, point)
+			}
+		}
+		if !c.boxMayBeat(hi) {
+			if boxDrops++; box >= 0 {
+				t.Fatalf("%s: the box drops [%v, %v], ray %d keeps it", name, lo, hi, box)
+			}
+		}
+	}
+	return boxDrops
+}
+
+// maxOverBox returns max n·x over x in [lo, hi], summed from 0 in
+// ascending coordinate order as vec.Dot sums.
+func maxOverBox(n, lo, hi vec.Vector) float64 {
+	var s float64
+	for i, ni := range n {
+		if ni > 0 {
+			s += ni * hi[i]
+		} else {
+			s += ni * lo[i]
+		}
+	}
+	return s
+}
+
+// perRay is the screen's test without the box: the first ray g whose
+// score(g) beats g's least product with an anchor by more than coneSlack,
+// or −1.
+func perRay(c *Cone, score func(g vec.Vector) float64) int {
+	for r := range c.tight {
+		g, at := c.ray(r), math.Inf(1)
+		for a := 0; a < len(c.anchors); a += c.d {
+			at = min(at, vec.Dot(g, c.anchors[a:a+c.d]))
+		}
+		if score(g)-at > coneSlack {
+			return r
+		}
+	}
+	return -1
 }
 
 // screen runs Cone.Screen over the points as one column-major block.

@@ -219,11 +219,12 @@ func (sc *scratch) phase1(res *topk.Result) {
 // traversal whose tail already built it on the same rows
 // (topk.ScreenedGroup) hands it over in res.Cone: the cone's buffers are
 // swapped with the scratch's, so it is reset once, and res keeps no
-// reference to it.
-func (sc *scratch) phase1Cone(res *topk.Result, anchors []topk.Record) {
+// reference to it. It reports whether the cone was handed over, so res.T
+// is already screened by it.
+func (sc *scratch) phase1Cone(res *topk.Result, anchors []topk.Record) (screened bool) {
 	if c := res.Cone; c != nil {
 		sc.cone, *c, res.Cone = *c, sc.cone, nil
-		return
+		return true
 	}
 	d := sc.d
 	sc.rows, sc.anchors = sc.rows[:0], sc.anchors[:0]
@@ -235,6 +236,7 @@ func (sc *scratch) phase1Cone(res *topk.Result, anchors []topk.Record) {
 	}
 	sc.cone.Reset(d, sc.rows, sc.anchors...)
 	clear(sc.anchors) // the pool must not keep the result's points reachable
+	return false
 }
 
 // replace appends one Phase-2 half-space per (anchor, record) pair,

@@ -39,9 +39,9 @@ import (
 // their pop. For d = 2 the cone's two rays are the paper's two rotating
 // facets, so Section 6.2's angular sweep is not a separate path.
 func (sc *scratch) fpPhase(tree *rtree.Tree, res *topk.Result, anchors []topk.Record, st *Stats) {
-	sc.phase1Cone(res, anchors)
+	screened := sc.phase1Cone(res, anchors)
 	st.NodesPruned += res.DroppedNodes
-	for _, rec := range sc.keptT(res) {
+	for _, rec := range sc.keptT(res, screened) {
 		sc.cutIn(anchors, rec.ID, rec.Point, st)
 	}
 	sc.refine(tree, res, anchors, st)
@@ -55,7 +55,7 @@ func (sc *scratch) refine(tree *rtree.Tree, res *topk.Result, anchors []topk.Rec
 	d, h := sc.d, res.Heap
 	for h.Len() > 0 {
 		it := h.PopItem()
-		if !sc.cone.BoxMayBeat(it.Rect.Lo, it.Rect.Hi) {
+		if !sc.cone.BoxMayBeat(it.Rect.Hi) {
 			st.NodesPruned++
 			continue
 		}
@@ -66,7 +66,7 @@ func (sc *scratch) refine(tree *rtree.Tree, res *topk.Result, anchors []topk.Rec
 			continue
 		}
 		for i, child := range blk.Children {
-			if !sc.cone.BoxMayBeat(blk.Lo[i*d:(i+1)*d], blk.Hi[i*d:(i+1)*d]) {
+			if !sc.cone.BoxMayBeat(blk.Hi[i*d : (i+1)*d]) {
 				st.NodesPruned++
 				continue
 			}
@@ -83,9 +83,15 @@ func (sc *scratch) refine(tree *rtree.Tree, res *topk.Result, anchors []topk.Rec
 // keptT returns the run of T the cone's rays keep, screened as one
 // column-major block and moved to T's front, sorted into the record
 // order: under that total order it is exactly the subsequence of the
-// sorted T the screen keeps, whether or not a screened tail already left
-// the rest out, and only it is sorted.
-func (sc *scratch) keptT(res *topk.Result) []topk.Record {
+// sorted T the screen keeps, and only it is sorted. A T the traversal's
+// tail already screened by this cone and these anchors (screened) is that
+// run as it stands: the screen decides each point alone, so a second pass
+// would keep all of it, and it is only sorted.
+func (sc *scratch) keptT(res *topk.Result, screened bool) []topk.Record {
+	if screened {
+		topk.SortRecords(res.T)
+		return res.T
+	}
 	n, d := len(res.T), sc.d
 	sc.tbuf, sc.tcols = vec.Grown(sc.tbuf, d*n), vec.Grown(sc.tcols, d)
 	for j := range sc.tcols {

@@ -31,9 +31,6 @@ type Facet struct {
 	Offset   float64
 }
 
-// Above reports whether p lies strictly above the facet plane (outside).
-func (f *Facet) Above(p vec.Vector) bool { return vec.Dot(f.Normal, p) > f.Offset+Tol }
-
 // Slack returns Normal·p − Offset.
 func (f *Facet) Slack(p vec.Vector) float64 { return vec.Dot(f.Normal, p) - f.Offset }
 
@@ -416,17 +413,6 @@ func (h *Hull) addPoint(pi, startID int, interior vec.Vector) ([]int, error) {
 // NumFacets returns the number of facets on the hull.
 func (h *Hull) NumFacets() int { return h.alive }
 
-// Facets returns the live facets.
-func (h *Hull) Facets() []*Facet {
-	out := make([]*Facet, 0, h.alive)
-	for _, f := range h.facets {
-		if f.alive {
-			out = append(out, &f.Facet)
-		}
-	}
-	return out
-}
-
 // VertexIndices returns the sorted indices of points that are hull
 // vertices.
 func (h *Hull) VertexIndices() []int {
@@ -444,34 +430,5 @@ func (h *Hull) VertexIndices() []int {
 		out = append(out, v)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// Contains reports whether p lies inside or on the hull (below every
-// facet plane, within tolerance).
-func (h *Hull) Contains(p vec.Vector) bool {
-	for _, f := range h.facets {
-		if f.alive && f.Slack(p) > Tol {
-			return false
-		}
-	}
-	return true
-}
-
-// IncidentFacets returns the facets having the given point index as a
-// vertex (the "star" of that vertex, extracted from the full hull).
-func (h *Hull) IncidentFacets(idx int) []*Facet {
-	var out []*Facet
-	for _, f := range h.facets {
-		if !f.alive {
-			continue
-		}
-		for _, v := range f.Vertices {
-			if v == idx {
-				out = append(out, &f.Facet)
-				break
-			}
-		}
-	}
 	return out
 }

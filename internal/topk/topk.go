@@ -26,7 +26,11 @@
 // ScreenedGroup is for a caller that builds an FP GIR: once the k-slot is
 // final it builds the Phase-1 cone of the result and keeps only the
 // records and nodes that can beat p_k somewhere in it (footnote 7), so
-// FP's screen runs as the losers are copied out rather than after.
+// FP's screen runs as the losers are copied out rather than after. The
+// cone's Σw = 1 box drops most of them in one branch-free pass over T's
+// columns and one corner test per node (geom.Cone.Screen, BoxMayBeat);
+// only what it leaves undecided meets the rays, and the build takes T as
+// screened.
 //
 // There is one traversal (runMember), and it runs for a group of queries
 // over one tree state; a solo query is a group of one. The search runs
@@ -338,7 +342,7 @@ func (gs *GroupScratch) screen(c *geom.Cone, d int) (recs, nodes int) {
 	all := append(gs.hlist, gs.nodes...)
 	box := all[:0]
 	for _, it := range all {
-		if c.BoxMayBeat(gs.arena[it.ref:it.ref+d], gs.arena[it.ref+d:it.ref+2*d]) {
+		if c.BoxMayBeat(gs.arena[it.ref+d : it.ref+2*d]) {
 			box = append(box, it)
 		}
 	}

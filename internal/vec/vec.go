@@ -142,23 +142,6 @@ func DotColumnsMulti(dst [][]float64, qs []Vector, cols [][]float64) {
 	}
 }
 
-// MaxOverBox returns max_{x ∈ [lo,hi]} n·x, the bound that prunes an
-// R-tree box against a plane. It accumulates the terms as Dot and
-// DotColumns do, from 0 in ascending coordinate order; since a product
-// with a fixed n_i and a sum are monotone under IEEE rounding, the bound is
-// ≥ the computed dot of every point in the box, not only of the exact one.
-func MaxOverBox(n, lo, hi Vector) float64 {
-	var s float64
-	for i, ni := range n {
-		if ni > 0 {
-			s += ni * hi[i]
-		} else {
-			s += ni * lo[i]
-		}
-	}
-	return s
-}
-
 // Norm returns the Euclidean norm of v.
 func Norm(v Vector) float64 {
 	var s float64
