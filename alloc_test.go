@@ -105,7 +105,7 @@ func TestColdBRSAllocBudget(t *testing.T) {
 }
 
 // TestFillAllocBudget bounds one cache fill — an Engine.TopK miss: BRS,
-// the FP region, the inscribed box, the put and an eviction. Phase 2 runs
+// the FP region, its rays, the put and an eviction. Phase 2 runs
 // in pooled scratch (star, page block, raw constraints, the reduction's
 // programs), so what a fill allocates is what outlives it: the result,
 // the region's slab and the entry — a few dozen objects, where the
@@ -384,7 +384,7 @@ func TestUncachedMissAllocBudget(t *testing.T) {
 
 // TestFillScratchNoAliasing is the fill's half of the ownership rule:
 // everything a cache entry keeps — region normals and query, records,
-// inscribed box — is copied out of the pooled Phase-2 scratch, so hundreds
+// rays — is copied out of the pooled Phase-2 scratch, so hundreds
 // of later fills through the same pools, from one goroutine and from four,
 // leave it bit-identical. The entry holds no candidate set and no subtree
 // corners. Its one arm is the evicting engine, the only maintenance policy.
@@ -416,7 +416,7 @@ func testFillScratchNoAliasing(t *testing.T) {
 			floats = append(append(floats, r.Point...), r.Score)
 			ids = append(ids, r.ID)
 		}
-		return append(append(floats, entry.InnerLo...), entry.InnerHi...), ids
+		return append(floats, entry.Rays...), ids
 	}
 	wantF, wantI := flatten()
 	if len(entry.Region.Constraints) == 0 {
@@ -555,8 +555,8 @@ var drainAllocBudget = 26.0
 // TestDrainAllocBudget bounds one drain pass over a warm cache of 16
 // entries: one delete of a cached result record, which evicts every entry
 // holding it, and eight uniform inserts, each classified against every
-// entry. The classifier works in pooled scratch (its vectors and LP rows),
-// so what a pass allocates is the set of condemned entries and the view it
+// entry. The classifier reads the entry's rays and allocates nothing, so
+// what a pass allocates is the set of condemned entries and the view it
 // publishes without them.
 func TestDrainAllocBudget(t *testing.T) {
 	c, entries := warmCache(t, 16, 10)

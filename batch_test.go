@@ -38,7 +38,7 @@ func entryFingerprint(e *cacheint.Entry) string {
 	for _, c := range e.Region.Constraints {
 		fmt.Fprintf(&b, "c %v %v %d %d\n", c.Normal, c.Kind, c.A, c.B)
 	}
-	fmt.Fprintf(&b, "box %v %v\n", e.InnerLo, e.InnerHi)
+	fmt.Fprintf(&b, "rays %v\n", e.Rays)
 	return b.String()
 }
 
@@ -48,8 +48,8 @@ func newCache(capacity int) *Cache { return &Cache{inner: cacheint.New(capacity)
 
 // fillEntry answers q the way the engine's miss path does — one
 // answerGroup member, its region built by FP — and puts the answer into
-// every given cache through prepareCachePut and commitPut. Each cache gets
-// its own staged copy.
+// every given cache through newCacheEntry and Insert. Each cache gets its
+// own entry.
 func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache) {
 	tb.Helper()
 	answers, _ := ds.answerGroup([]vec.Vector{q}, []int{k}, true)
@@ -58,9 +58,11 @@ func fillEntry(tb testing.TB, ds *Dataset, q []float64, k int, caches ...*Cache)
 		tb.Fatalf("fill at %v: %v, %v", q, a.err, a.girErr)
 	}
 	for _, c := range caches {
-		if !c.commitPut(prepareCachePut(a.g, a.recs)) {
-			tb.Fatal("commitPut refused an order-sensitive region")
+		ent := newCacheEntry(a.g, a.recs)
+		if ent == nil {
+			tb.Fatal("newCacheEntry refused an order-sensitive region")
 		}
+		c.inner.Insert(ent)
 	}
 }
 
@@ -255,19 +257,25 @@ func bruteTopKStrict(state map[int64][]float64, q []float64, k int, tieTol float
 }
 
 // sampleEntryRegion draws weight vectors inside the entry's region: its
-// query, points of its inscribed box, and accepted jittered queries. For
-// simplex-domain entries every candidate is renormalized onto Σw=1 first
-// (inscribed-box corners and raw jitters are off the simplex, and the
-// region would reject them).
+// query, random convex combinations of its rays (on Σw = 1, inside the
+// unit box), and accepted jittered queries. For simplex-domain entries
+// every candidate is renormalized onto Σw=1 first (raw jitters are off the
+// simplex, and the region would reject them).
 func sampleEntryRegion(r *rand.Rand, e *cacheint.Entry, count int) [][]float64 {
 	q := e.Region.Query
 	simplex := e.Region.Space().Kind() == domain.KindSimplex
 	out := [][]float64{append([]float64(nil), q...)}
 	for tries := 0; len(out) < count && tries < 30*count; tries++ {
 		w := make([]float64, e.Region.Dim)
-		if tries%2 == 0 && len(e.InnerLo) == len(w) && len(e.InnerHi) == len(w) {
+		if tries%2 == 0 && len(e.Rays) > 0 {
+			d, sum := len(w), 0.0
+			for g := e.Rays; len(g) > 0; g = g[d:] {
+				mu := r.ExpFloat64()
+				sum += mu
+				vec.AXPY(mu, vec.Vector(g[:d]), vec.Vector(w))
+			}
 			for j := range w {
-				w[j] = e.InnerLo[j] + (e.InnerHi[j]-e.InnerLo[j])*r.Float64()
+				w[j] /= sum
 			}
 		} else {
 			for j := range w {

@@ -7,6 +7,7 @@ package gir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -60,7 +61,7 @@ func BenchmarkBRS(b *testing.B) {
 }
 
 // BenchmarkFill is one cache fill per iteration — probe miss, BRS, FP
-// region, inscribed box, put, eviction — on BenchmarkBRS's tree: 640
+// region, its rays, put, eviction — on BenchmarkBRS's tree: 640
 // distinct vectors walked in a circle through a 64-entry cache, so no
 // vector finds its own entry again (fills/op reports how many did miss).
 // It runs three shapes: k = 20 at d = 4, and the two where FP's star
@@ -95,8 +96,8 @@ func BenchmarkFill(b *testing.B) {
 
 // BenchmarkInsertAffectsKeep is one uniform insert classified against
 // every entry of a 32-entry cache per iteration — the drain pass's inner
-// loop, where all but a fraction of a percent of the verdicts are "keep"
-// (affected/op reports the rest).
+// loop, the entry's test on its rays, where all but a fraction of a
+// percent of the verdicts are "keep" (affected/op reports the rest).
 func BenchmarkInsertAffectsKeep(b *testing.B) {
 	_, entries := warmCache(b, 32, benchK)
 	r := rand.New(rand.NewSource(3))
@@ -109,7 +110,7 @@ func BenchmarkInsertAffectsKeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			if invalidate.InsertAffects(e.Region, e.Records, pts[i%len(pts)], e.InnerLo, e.InnerHi) {
+			if invalidate.InsertAffectsRays(e.Rays, e.Records, math.MaxInt64, pts[i%len(pts)]) {
 				affected++
 			}
 		}

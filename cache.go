@@ -2,10 +2,8 @@ package gir
 
 import (
 	"github.com/girlib/gir/internal/cache"
-	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
-	"github.com/girlib/gir/internal/viz"
 )
 
 // Cache is an Engine's GIR-keyed top-k result cache (the caching
@@ -23,20 +21,13 @@ type Cache struct {
 	inner *cache.Cache
 }
 
-// preparedPut is a staged cache insert: all admission checks, record
-// copies and inscribed-box geometry done, only the publication left. The
-// Engine stages outside its fill lock and commits inside it, so dataset
-// writers (which drain into the cache under that lock) never wait on
-// geometry.
-type preparedPut struct {
-	reg    *girint.Region
-	recs   []topk.Record
-	lo, hi vec.Vector
-}
-
-// prepareCachePut stages an insert, or returns nil when the entry is not
-// cacheable (no region, or an order-insensitive GIR*).
-func prepareCachePut(g *GIR, recs []Record) *preparedPut {
+// newCacheEntry builds the cache entry for a fill's region and records —
+// the record copies, the probe's flat normals and the drain's rays — or
+// returns nil when the region is not cacheable (no region, or an
+// order-insensitive GIR*). The Engine builds it outside its fill lock and
+// only inserts it under that lock, so dataset writers (which drain into
+// the cache under it) never wait on the geometry.
+func newCacheEntry(g *GIR, recs []Record) *cache.Entry {
 	if g == nil {
 		return nil
 	}
@@ -48,20 +39,14 @@ func prepareCachePut(g *GIR, recs []Record) *preparedPut {
 	for i, r := range recs {
 		trecs[i] = topk.Record{ID: r.ID, Point: vec.Vector(r.Attrs), Score: r.Score}
 	}
-	lo, hi := viz.MAH(reg, reg.Query)
-	return &preparedPut{reg: reg, recs: trecs, lo: lo, hi: hi}
-}
-
-// commitPut inserts a staged entry.
-func (c *Cache) commitPut(p *preparedPut) bool {
-	return c.inner.PutWithBox(p.reg, p.recs, p.lo, p.hi, nil, nil, false, 0)
+	return cache.NewEntry(reg, trecs)
 }
 
 // lookupEntry is the engine's allocation-free hit path: it hands back the
 // raw cache entry, so a complete hit can be rescored straight into a
-// caller-owned buffer. The entry's Records are shared and read-only — the
-// PutWithBox copy discipline means they alias neither pooled scratch nor
-// any caller slice. complete is true when the entry covers the requested k.
+// caller-owned buffer. The entry's Records are shared and read-only —
+// newCacheEntry copies them, so they alias neither pooled scratch nor any
+// caller slice. complete is true when the entry covers the requested k.
 func (c *Cache) lookupEntry(q []float64, k int) (e *cache.Entry, complete, ok bool) {
 	e, ok = c.inner.Lookup(vec.Vector(q), k)
 	if !ok {

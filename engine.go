@@ -209,7 +209,8 @@ type EngineStats struct {
 	Fenced      int64 // always 0: no hit is vetoed, since a write reconciles the cache before it returns
 	CacheProbes int64 // cache entries containment-tested by lookups (÷ lookups = entries probed per lookup)
 	// PredicateEvals counts the affectedness predicates the write path's
-	// drains ran (closed-form filters + LP fallback).
+	// drains ran, one per (mutation, entry) pair: a delete's scan of the
+	// entry's records, or an insert's test on the entry's rays.
 	PredicateEvals int64
 	// RefusedFills counts the regions fills built that the cache turned
 	// away, because a write drained between the fill's traversal and its
@@ -497,11 +498,11 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 	if e.cache == nil || fill.girErr != nil || fill.g == nil {
 		return
 	}
-	// Staging (record copies, inscribed-box geometry) happens before the
-	// lock: dataset writers drain under invMu, so the critical section must
-	// stay at one comparison plus the view's copy-and-publish.
-	p := prepareCachePut(fill.g, fill.recs)
-	if p == nil {
+	// The entry is built before the lock: dataset writers drain under
+	// invMu, so the critical section must stay at one comparison plus the
+	// view's copy-and-publish.
+	ent := newCacheEntry(fill.g, fill.recs)
+	if ent == nil {
 		return
 	}
 	e.invMu.Lock()
@@ -510,7 +511,7 @@ func (e *Engine) putIfCurrent(fill *groupAnswer) {
 		e.refusedFills.Add(1)
 		return
 	}
-	e.cache.commitPut(p)
+	e.cache.inner.Insert(ent)
 }
 
 // rescoreInto rebuilds cache-hit records into dst with scores for the

@@ -14,7 +14,7 @@
 // The entries are one immutable view: a slice published through an atomic
 // pointer and never written after. A lookup loads it once and scans it
 // without a lock, so lookups never wait for each other or for a writer.
-// Writers — Put and the eviction it triggers, MaintainBatch's evictions,
+// Writers — Insert and the eviction it triggers, MaintainBatch's evictions,
 // Clear and the reorder below — serialize on one mutex and publish a fresh
 // copy; fills are milliseconds apart, so copying a few hundred pointers per
 // write is noise. A lookup that loaded the previous view may serve an entry
@@ -51,7 +51,6 @@ import (
 	"github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
-	"github.com/girlib/gir/internal/viz"
 )
 
 // DefaultShards is the shard count NewSharded was once given by default.
@@ -82,10 +81,15 @@ type Entry struct {
 	Records []topk.Record // the cached top-k, in score order
 	K       int
 
-	// InnerLo/InnerHi is an axis-parallel box inscribed in the region (its
-	// MAH), computed once at Put time. Invalidation uses it as a closed-form
-	// filter: a mutation whose score margin is positive anywhere in the box
-	// is positive in the region, with no LP solve.
+	// Rays is the region's extreme rays on the nonnegative orthant, scaled
+	// to Σw = 1, row-major (gir.Region.Rays), enumerated once when the
+	// entry is built: a drain decides an insert on them
+	// (invalidate.InsertAffectsRays).
+	Rays []float64
+
+	// InnerLo and InnerHi are always nil: no entry holds an inscribed box.
+	//
+	// Deprecated: the fields remain so existing callers still compile.
 	InnerLo, InnerHi vec.Vector
 
 	// Cand, Bounds and CandComplete hold what PutWithBox was given for
@@ -101,8 +105,16 @@ type Entry struct {
 	rank    int64        // hits when the last reorder sorted; writer-only
 }
 
-// newEntry builds an entry for reg, flattening its normals for the probe.
-func newEntry(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector) *Entry {
+// NewEntry builds the entry for an order-sensitive region and its result,
+// flattening the region's normals for the probe and enumerating its rays
+// for the drain; it returns nil for a nil or order-insensitive region,
+// which the cache refuses: serving a cached *ordered* list from it would be
+// unsound. The entry keeps reg and records, which must not change after;
+// Insert publishes it, once.
+func NewEntry(reg *gir.Region, records []topk.Record) *Entry {
+	if reg == nil || !reg.OrderSensitive {
+		return nil
+	}
 	normals := make([]float64, 0, len(reg.Constraints)*reg.Dim)
 	for _, c := range reg.Constraints {
 		normals = append(normals, c.Normal...)
@@ -111,7 +123,7 @@ func newEntry(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vecto
 	return &Entry{
 		normals: normals, dim: reg.Dim, kind: space.Kind(), space: space,
 		Region: reg, Records: records, K: len(records),
-		InnerLo: innerLo, InnerHi: innerHi,
+		Rays: reg.Rays(),
 	}
 }
 
@@ -261,37 +273,35 @@ func (c *Cache) reorder() {
 	c.reorderedAt.Store(c.clock.Load())
 }
 
-// Put stores a result and its order-sensitive GIR, evicting the least
-// recently used entry if the cache is full. Order-insensitive regions are
-// rejected: serving a cached *ordered* list from them would be unsound.
+// Put stores a result and its order-sensitive GIR (NewEntry, then Insert)
+// and reports whether the cache took it.
 func (c *Cache) Put(reg *gir.Region, records []topk.Record) bool {
-	if reg == nil || !reg.OrderSensitive {
+	e := NewEntry(reg, records)
+	if e == nil {
 		return false
 	}
-	lo, hi := viz.MAH(reg, reg.Query)
-	return c.PutWithBox(reg, records, lo, hi, nil, nil, false, 0)
-}
-
-// PutWithBox is Put with the inscribed box supplied by the caller. The
-// Engine uses it to do the box geometry outside its fill lock, so dataset
-// writers — who drain under that lock — are never stalled behind it, and
-// to restore persisted entries (oldest first: insertion order is recency).
-// cand, bounds and candComplete are stored on the entry as given and never
-// read (see Entry.Cand); the library passes none. The last parameter is
-// unused.
-func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, innerLo, innerHi vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, _ int64) bool {
-	if reg == nil || !reg.OrderSensitive {
-		return false
-	}
-	e := newEntry(reg, records, innerLo, innerHi)
-	e.Cand, e.Bounds, e.candComplete = cand, bounds, candComplete
-	c.insert(e)
+	c.Insert(e)
 	return true
 }
 
-// insert publishes a fresh entry at the end of the view, evicting the least
-// recently stamped entry when the cache is full.
-func (c *Cache) insert(e *Entry) {
+// PutWithBox is Put. The box arguments and the last parameter are ignored;
+// cand, bounds and candComplete are stored on the entry as given and never
+// read (see Entry.Cand). They remain so existing callers still compile.
+func (c *Cache) PutWithBox(reg *gir.Region, records []topk.Record, _, _ vec.Vector, cand []topk.Record, bounds []vec.Vector, candComplete bool, _ int64) bool {
+	e := NewEntry(reg, records)
+	if e == nil {
+		return false
+	}
+	e.Cand, e.Bounds, e.candComplete = cand, bounds, candComplete
+	c.Insert(e)
+	return true
+}
+
+// Insert publishes an entry NewEntry built at the end of the view, evicting
+// the least recently stamped entry when the cache is full. The Engine
+// builds the entry before it takes the lock its drains hold, so a put
+// under that lock is this copy-and-publish alone.
+func (c *Cache) Insert(e *Entry) {
 	e.lastUse.Store(c.clock.Add(1))
 	c.puts.Add(1)
 	c.mu.Lock()
@@ -320,10 +330,10 @@ type BatchOutcome struct {
 
 // MaintainBatch runs one maintenance pass over the whole cache for an
 // entire ordered batch of mutations: evict is evaluated once per entry of
-// the published view with no lock held (it may solve LPs for every
-// mutation of the batch), then the entries it condemned are removed by
-// identity from the view current at that point, published as one fresh
-// copy under the writer mutex. Entries inserted or evicted concurrently
+// the published view with no lock held (it may test every mutation of the
+// batch against the entry's rays), then the entries it condemned are
+// removed by identity from the view current at that point, published as
+// one fresh copy under the writer mutex. Entries inserted or evicted concurrently
 // are simply not considered (the Engine admits no fill while it drains).
 // However long the batch, the cache is scanned once and the mutex is taken
 // at most once. A lookup that loaded the view before the eviction may
@@ -363,11 +373,10 @@ func (c *Cache) MaintainBatch(evict func(*Entry) bool) BatchOutcome {
 func (c *Cache) Entries() []*Entry { return slices.Clone(c.load()) }
 
 // Snapshot is the part of one entry's state warm-cache persistence
-// serializes: its region, records and inscribed box.
+// serializes: its region and records. A loader rebuilds the rest (Put).
 type Snapshot struct {
-	Region           *gir.Region
-	Records          []topk.Record
-	InnerLo, InnerHi vec.Vector
+	Region  *gir.Region
+	Records []topk.Record
 }
 
 // LastUse returns the entry's recency stamp on the cache's global clock
@@ -378,11 +387,7 @@ func (e *Entry) LastUse() int64 { return e.lastUse.Load() }
 // Snapshot exports the entry's persisted state. It copies nothing: every
 // field it reads is immutable once published.
 func (e *Entry) Snapshot() Snapshot {
-	return Snapshot{
-		Region:  e.Region,
-		Records: e.Records,
-		InnerLo: e.InnerLo, InnerHi: e.InnerHi,
-	}
+	return Snapshot{Region: e.Region, Records: e.Records}
 }
 
 // Clear drops every entry (hit/miss counters are preserved) and reports

@@ -173,7 +173,7 @@ func TestConeContainsMatchesRegion(t *testing.T) {
 		for j := range q {
 			q[j] = r.Float64()
 		}
-		reg := &gir.Region{Dim: d, Query: q}
+		reg := &gir.Region{Dim: d, Query: q, OrderSensitive: true}
 		for c := r.Intn(10); c > 0; c-- {
 			n := make(vec.Vector, d)
 			switch r.Intn(4) {
@@ -189,7 +189,7 @@ func TestConeContainsMatchesRegion(t *testing.T) {
 			}
 			reg.Constraints = append(reg.Constraints, gir.Constraint{Normal: n})
 		}
-		e := newEntry(reg, nil, nil, nil)
+		e := NewEntry(reg, nil)
 		if got, want := e.coneContains(q), reg.Contains(q, 0); got != want {
 			t.Fatalf("trial %d (d=%d, %d constraints): coneContains %v, Region.Contains %v", trial, d, len(reg.Constraints), got, want)
 		}

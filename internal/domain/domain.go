@@ -12,7 +12,7 @@
 //
 // A GIR is a polyhedral cone (half-spaces through the origin) clipped to
 // the active domain, so every layer that clips, samples, optimizes over or
-// labels the query space — geometry, GIR computation, cache invalidation,
+// labels the query space — geometry, GIR computation, cache membership,
 // repair, volume measurement, visualization — takes its bounds from a
 // Domain value instead of hard-coding the unit box. The UnitBox
 // implementation reproduces the pre-Domain arithmetic operation for
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"github.com/girlib/gir/internal/geom"
 	"github.com/girlib/gir/internal/lp"
@@ -90,27 +89,16 @@ type Domain interface {
 	// equality is represented as its two half-spaces.
 	Halfspaces() []geom.Halfspace
 	// MaximizeLinear maximizes c·x over domain ∩ {cons} on the caller's
-	// solver (a pooled one on the maintenance path; the Solution's X is
-	// the solver's, valid until its next call). The domain guarantees the
-	// program is bounded, so a non-Optimal status signals a numerical
-	// failure the caller should treat conservatively.
+	// solver (the Solution's X is the solver's, valid until its next
+	// call). The domain guarantees the program is bounded, so a
+	// non-Optimal status signals a numerical failure. No serving path
+	// calls it: it is the LP reference tests hold the closed forms to.
 	MaximizeLinear(s *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution
-	// UpperBound returns max{c·w : w ∈ domain} in closed form — the
-	// domain-wide bound behind the dominance filters (≤ 0 means no point
-	// of the domain scores c positively).
-	UpperBound(c vec.Vector) float64
-	// MaxOverBox maximizes c·w in closed form over [lo,hi] ∩ domain. ok
-	// is false when the intersection is empty (the filter is then
-	// inconclusive and the caller must fall back to the LP). For a box
-	// [lo,hi] inscribed in a region's cone, the result is a sound
-	// positive filter for the region ∩ domain: the maximizer is a point
-	// of the domain.
-	MaxOverBox(c, lo, hi vec.Vector) (float64, bool)
 
 	// AxisBounds returns the domain's bounding interval per axis — the
-	// range an inscribed axis-parallel box (viz.MAH, the cache's
-	// closed-form filter boxes) must stay within. [0,1] for both
-	// built-ins: the simplex's bounding box is the unit box.
+	// range an inscribed axis-parallel box (viz.MAH, behind GIR.MAH) must
+	// stay within. [0,1] for both built-ins: the simplex's bounding box is
+	// the unit box.
 	AxisBounds() (lo, hi float64)
 
 	// Sample draws a uniform point of the domain (uniform over the
@@ -198,28 +186,6 @@ func (b box) Halfspaces() []geom.Halfspace { return geom.BoxHalfspaces(b.d) }
 // MaximizeLinear is lp's box-clipped program on the caller's solver.
 func (b box) MaximizeLinear(s *lp.Solver, c vec.Vector, cons []lp.Constraint) lp.Solution {
 	return s.MaximizeOverBox(c, cons)
-}
-
-func (b box) UpperBound(c vec.Vector) float64 {
-	ub := 0.0
-	for _, x := range c {
-		if x > 0 {
-			ub += x
-		}
-	}
-	return ub
-}
-
-func (b box) MaxOverBox(c, lo, hi vec.Vector) (float64, bool) {
-	v := 0.0
-	for j, cj := range c {
-		if cj > 0 {
-			v += cj * hi[j]
-		} else {
-			v += cj * lo[j]
-		}
-	}
-	return v, true
 }
 
 func (b box) AxisBounds() (lo, hi float64) { return 0, 1 }
@@ -316,56 +282,6 @@ func (s simplex) MaximizeLinear(sv *lp.Solver, c vec.Vector, cons []lp.Constrain
 	all := make([]lp.Constraint, 0, 1+len(cons))
 	all = append(all, lp.Constraint{Coef: ones, Op: lp.EQ, RHS: 1})
 	return sv.Maximize(c, append(all, cons...))
-}
-
-// UpperBound over the simplex is attained at a vertex: max_j c_j.
-func (s simplex) UpperBound(c vec.Vector) float64 {
-	ub := math.Inf(-1)
-	for _, x := range c {
-		if x > ub {
-			ub = x
-		}
-	}
-	return ub
-}
-
-// MaxOverBox solves max{c·w : Σw = 1, lo ≤ w ≤ hi} by fractional
-// knapsack: start at lo and spend the remaining mass 1 − Σlo on
-// coordinates in decreasing c_j order. ok is false when the box misses
-// the Σ = 1 plane entirely.
-func (s simplex) MaxOverBox(c, lo, hi vec.Vector) (float64, bool) {
-	sumLo, sumHi := 0.0, 0.0
-	for j := range lo {
-		sumLo += lo[j]
-		sumHi += hi[j]
-	}
-	if sumLo > 1+EqTol || sumHi < 1-EqTol {
-		return 0, false
-	}
-	order := make([]int, len(c))
-	for j := range order {
-		order[j] = j
-	}
-	sort.Slice(order, func(a, b int) bool { return c[order[a]] > c[order[b]] })
-	v := 0.0
-	for j, lj := range lo {
-		v += c[j] * lj
-	}
-	mass := 1 - sumLo
-	for _, j := range order {
-		if mass <= 0 {
-			break
-		}
-		room := hi[j] - lo[j]
-		if room > mass {
-			room = mass
-		}
-		if room > 0 {
-			v += c[j] * room
-			mass -= room
-		}
-	}
-	return v, true
 }
 
 func (s simplex) AxisBounds() (lo, hi float64) { return 0, 1 }

@@ -134,8 +134,9 @@ func TestSimplexSampleMean(t *testing.T) {
 	}
 }
 
-// MaximizeLinear against the closed-form UpperBound: with no extra
-// constraints the LP must reach the domain-wide bound.
+// MaximizeLinear against the domain-wide upper bound in closed form: with
+// no extra constraints the LP must reach Σ_j max(c_j, 0) over the box and
+// max_j c_j over the simplex.
 func TestMaximizeLinearMatchesUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -149,98 +150,23 @@ func TestMaximizeLinearMatchesUpperBound(t *testing.T) {
 			if sol.Status != lp.Optimal {
 				t.Fatalf("%s: status %v", dom.Name(), sol.Status)
 			}
-			// The box includes w = 0, so its unconstrained max is ≥ 0
-			// even when every c_j < 0; the simplex max is exactly max c_j.
-			want := dom.UpperBound(c)
-			if dom.Kind() == KindBox && want < 0 {
+			want := math.Inf(-1)
+			for _, x := range c {
+				want = max(want, x)
+			}
+			if dom.Kind() == KindBox {
 				want = 0
+				for _, x := range c {
+					want += max(x, 0)
+				}
 			}
 			if math.Abs(sol.Objective-want) > 1e-9 {
-				t.Errorf("%s: MaximizeLinear = %v, UpperBound = %v (c=%v)", dom.Name(), sol.Objective, want, c)
+				t.Errorf("%s: MaximizeLinear = %v, the bound = %v (c=%v)", dom.Name(), sol.Objective, want, c)
 			}
 			if !dom.Contains(vec.Vector(sol.X), 1e-9) {
 				t.Errorf("%s: maximizer %v outside the domain", dom.Name(), sol.X)
 			}
 		}
-	}
-}
-
-// MaxOverBox against the LP over the same body.
-func TestMaxOverBoxMatchesLP(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 60; trial++ {
-		d := 2 + rng.Intn(3)
-		c := make(vec.Vector, d)
-		lo := make(vec.Vector, d)
-		hi := make(vec.Vector, d)
-		for j := range c {
-			c[j] = rng.NormFloat64()
-			a, b := rng.Float64(), rng.Float64()
-			if a > b {
-				a, b = b, a
-			}
-			lo[j], hi[j] = a, b
-		}
-		boxCons := make([]lp.Constraint, 0, 2*d)
-		for j := 0; j < d; j++ {
-			row := make([]float64, d)
-			row[j] = 1
-			boxCons = append(boxCons, lp.Constraint{Coef: row, Op: lp.GE, RHS: lo[j]})
-			row2 := make([]float64, d)
-			row2[j] = 1
-			boxCons = append(boxCons, lp.Constraint{Coef: row2, Op: lp.LE, RHS: hi[j]})
-		}
-		for _, dom := range []Domain{UnitBox(d), Simplex(d)} {
-			got, ok := dom.MaxOverBox(c, lo, hi)
-			sol := dom.MaximizeLinear(new(lp.Solver), c, boxCons)
-			feasible := sol.Status == lp.Optimal
-			if !ok {
-				if feasible {
-					t.Errorf("%s: MaxOverBox inconclusive but LP found %v (lo=%v hi=%v)", dom.Name(), sol.Objective, lo, hi)
-				}
-				continue
-			}
-			if !feasible {
-				// ok with an empty intersection can only happen within EqTol
-				// slack; that is the conservative direction (a filter may
-				// only claim a maximum that exists).
-				sum := 0.0
-				for _, x := range lo {
-					sum += x
-				}
-				if dom.Kind() == KindSimplex && sum > 1+EqTol {
-					t.Errorf("simplex: MaxOverBox ok over an empty box")
-				}
-				continue
-			}
-			if math.Abs(got-sol.Objective) > 1e-7 {
-				t.Errorf("%s: MaxOverBox = %v, LP = %v (c=%v lo=%v hi=%v)", dom.Name(), got, sol.Objective, c, lo, hi)
-			}
-		}
-	}
-}
-
-func TestSimplexMaxOverBoxEmpty(t *testing.T) {
-	s := Simplex(2)
-	if _, ok := s.MaxOverBox(vec.Vector{1, 1}, vec.Vector{0.6, 0.6}, vec.Vector{0.9, 0.9}); ok {
-		t.Error("box with Σlo > 1 intersects the simplex?")
-	}
-	if _, ok := s.MaxOverBox(vec.Vector{1, 1}, vec.Vector{0.1, 0.1}, vec.Vector{0.3, 0.3}); ok {
-		t.Error("box with Σhi < 1 intersects the simplex?")
-	}
-}
-
-func TestUpperBound(t *testing.T) {
-	c := vec.Vector{0.5, -0.2, 0.3}
-	if got := UnitBox(3).UpperBound(c); math.Abs(got-0.8) > 1e-15 {
-		t.Errorf("box UpperBound = %v, want 0.8", got)
-	}
-	if got := Simplex(3).UpperBound(c); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("simplex UpperBound = %v, want 0.5", got)
-	}
-	neg := vec.Vector{-1, -2}
-	if got := Simplex(2).UpperBound(neg); math.Abs(got+1) > 1e-15 {
-		t.Errorf("simplex UpperBound of all-negative = %v, want -1", got)
 	}
 }
 

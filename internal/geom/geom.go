@@ -12,7 +12,6 @@
 package geom
 
 import (
-	"math"
 	"math/bits"
 	"sync"
 
@@ -195,38 +194,6 @@ func (r *reducer) eliminate(kept int) int {
 		}
 	}
 	return kept
-}
-
-// ImpliedByOne reports whether a·w ≥ 0 follows from n·w ≥ 0 alone on the
-// nonnegative orthant: whether a − λn is componentwise nonnegative for
-// some λ ≥ 0, in which case a·w = (a − λn)·w + λ(n·w) ≥ 0 for every
-// w ≥ 0 with n·w ≥ 0. Each component bounds λ from one side — a_i/n_i from
-// above where n_i > 0, from below where n_i < 0, and a_i ≥ 0 where
-// n_i = 0 — so the test is an interval intersection, no LP. It is a
-// certificate, not a decision: true is a proof, false says nothing.
-//
-// A negative n_i below 1e-9 of n's largest component counts as zero, as
-// lp's presolve reads it: it could only rescue a negative a_i with a λ so
-// large that the proof would rest on n·w being exactly, not numerically,
-// nonnegative (found by internal/repair's fuzz target, corpus entry
-// ef40aeaa2d409d8c).
-func ImpliedByOne(a, n vec.Vector) bool {
-	var scale float64
-	for _, ni := range n {
-		scale = max(scale, math.Abs(ni))
-	}
-	lo, hi := 0.0, math.Inf(1)
-	for i, ni := range n {
-		switch {
-		case ni > 0:
-			hi = min(hi, a[i]/ni)
-		case ni < -1e-9*scale:
-			lo = max(lo, a[i]/ni)
-		case !(a[i] >= 0):
-			return false
-		}
-	}
-	return lo <= hi
 }
 
 // scaleTo writes a scaled to unit length into dst and reports whether a is

@@ -148,29 +148,3 @@ func TestReduceConePreservesRegion(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestImpliedByOneTable(t *testing.T) {
-	cases := []struct {
-		name string
-		a, n vec.Vector
-		want bool
-	}{
-		{"a is n", vec.Vector{1, -1}, vec.Vector{1, -1}, true},
-		{"a is a multiple of n", vec.Vector{3, -3, 0}, vec.Vector{1, -1, 0}, true},
-		{"a is n plus a nonnegative vector", vec.Vector{2, -1, 0.5}, vec.Vector{1, -1, 0}, true},
-		{"plain dominance (λ = 0)", vec.Vector{1, 0, 2}, vec.Vector{-1, 1, -1}, true},
-		{"zero in n under a nonnegative a_i", vec.Vector{1, -1, 0.3}, vec.Vector{1, -1, 0}, true},
-		{"zero in n under a negative a_i", vec.Vector{1, -1, -0.3}, vec.Vector{1, -1, 0}, false},
-		{"empty interval", vec.Vector{1, -2}, vec.Vector{1, -1}, false}, // λ ≤ 1 and λ ≥ 2
-		{"anti-parallel", vec.Vector{-1, 1}, vec.Vector{1, -1}, false},
-		{"zero n, negative a", vec.Vector{1, -1}, vec.Vector{0, 0}, false},
-		{"zero n, nonnegative a", vec.Vector{1, 0}, vec.Vector{0, 0}, true},
-		{"a sub-scale negative n_i rescues nothing", vec.Vector{0, 0, -0.19}, vec.Vector{-0.19, 0, -9e-72}, false},
-		{"NaN proves nothing", vec.Vector{math.NaN(), 1}, vec.Vector{1, -1}, false},
-	}
-	for _, c := range cases {
-		if got := ImpliedByOne(c.a, c.n); got != c.want {
-			t.Errorf("%s: ImpliedByOne(%v, %v) = %v, want %v", c.name, c.a, c.n, got, c.want)
-		}
-	}
-}

@@ -98,6 +98,39 @@ func (r *Region) Contains(q vec.Vector, tol float64) bool {
 	return true
 }
 
+// Rays returns the extreme rays of the region's cone on the nonnegative
+// orthant, each scaled to Σw = 1, as one fresh row-major slab of Dim-wide
+// rows: the vertices of the region's Σw = 1 slice, so the largest value a
+// linear function takes there is its largest on a ray. They come from one
+// geom.Cone.Reset on a pooled cone, whose shortcuts all err toward a larger
+// cone (rows past the 64th dropped, a cut past the ray budget not made, a
+// ray within its tolerance of a hyperplane kept): the rays may span more
+// than the region, never less.
+func (r *Region) Rays() []float64 {
+	sc := scratchPool.Get().(*scratch)
+	defer func() { // the pool must not keep the receiver's normals reachable
+		clear(sc.rows)
+		scratchPool.Put(sc)
+	}()
+	sc.rows = sc.rows[:0]
+	for _, c := range r.Constraints {
+		sc.rows = append(sc.rows, c.Normal)
+	}
+	sc.cone.Reset(r.Dim, sc.rows)
+	rays := make([]float64, 0, sc.cone.NumRays()*r.Dim)
+	for i := range sc.cone.NumRays() {
+		g, _ := sc.cone.Ray(i)
+		var sum float64 // ≥ 1: g is a unit vector in the orthant
+		for _, x := range g {
+			sum += x
+		}
+		for _, x := range g {
+			rays = append(rays, x/sum)
+		}
+	}
+	return rays
+}
+
 // Halfspaces returns the cone constraints as half-spaces (without the box).
 func (r *Region) Halfspaces() []geom.Halfspace {
 	out := make([]geom.Halfspace, len(r.Constraints))

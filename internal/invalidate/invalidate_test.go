@@ -167,69 +167,148 @@ func TestInsertAffectsComplete(t *testing.T) {
 	}
 }
 
-// TestInsertAffectsBoxConsistent pins that the inscribed-box fast path is
-// an acceleration, not a semantic change: with and without the box the
-// decision is identical.
-func TestInsertAffectsBoxConsistent(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	fx := makeFixture(t, r, 300, 3, 5)
-	for cand := 0; cand < 60; cand++ {
-		p := make(vec.Vector, fx.reg.Dim)
-		for j := range p {
-			p[j] = r.Float64()
+// TestInsertAffectsRaysMatchLP holds the rays' verdict to the residual LP
+// it replaced, Domain.MaximizeLinear over the region's constraints, in both
+// query spaces at d = 2…6, on four kinds of region: FP regions on random
+// data, near-degenerate ones (records on a line through p_k, so several
+// rows share a direction, every third off it by 1e-13), FP regions on tied
+// 1/4-grid data, and raw FP constraint sets past 64 rows, whose rays a
+// capped cone gives. The rays must never keep an insert whose LP margin
+// exceeds Tol; an insert that wins the id tie is decided over
+// region ∩ {Σw = 1}, as the rays decide it. It logs how many inserts the
+// rays evict that the LP keeps: the cost of deciding on the rays.
+func TestInsertAffectsRaysMatchLP(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	kinds := []string{"random", "collinear", "grid", "capped"}
+	verdicts, evictions := make(map[string]int), make(map[string]int)
+	extra := make(map[string]int) // the rays evict, the LP keeps
+	for _, kind := range kinds {
+		for d := 2; d <= 6; d++ {
+			for _, space := range []func(int) domain.Domain{domain.UnitBox, domain.Simplex} {
+				dom := space(d)
+				for trial := 0; trial < lpRegions; trial++ {
+					reg, recs := lpRegion(t, r, kind, dom)
+					rays := reg.Rays()
+					cons := make([]lp.Constraint, len(reg.Constraints))
+					for i, c := range reg.Constraints {
+						cons[i] = lp.Constraint{Coef: c.Normal, Op: lp.GE, RHS: 0}
+					}
+					kth := recs[len(recs)-1]
+					for ins := 0; ins < 20; ins++ {
+						p := lpInsert(r, kind, kth.Point)
+						for _, id := range []int64{kth.ID - 1, kth.ID + 1} {
+							winsTie := id < kth.ID
+							lpDom, thr := dom, Tol
+							if winsTie {
+								lpDom, thr = domain.Simplex(d), -Tol
+							}
+							sol := lpDom.MaximizeLinear(new(lp.Solver), vec.Sub(p, kth.Point), cons)
+							if sol.Status != lp.Optimal {
+								t.Fatalf("%s d=%d %s: LP status %v", kind, d, dom.Name(), sol.Status)
+							}
+							got := InsertAffectsRays(rays, recs, id, p)
+							if !got && sol.Objective > Tol {
+								t.Fatalf("%s d=%d %s (wins tie %v): the rays keep insert %v, the LP's margin is %g",
+									kind, d, dom.Name(), winsTie, p, sol.Objective)
+							}
+							if got != InsertAffectsID(reg, recs, id, p, nil, nil) {
+								t.Fatalf("%s d=%d %s: the region wrapper disagrees with the entry's test", kind, d, dom.Name())
+							}
+							verdicts[kind]++
+							if got {
+								evictions[kind]++
+								if sol.Objective <= thr {
+									extra[kind]++
+								}
+							}
+						}
+					}
+				}
+			}
 		}
-		with := InsertAffects(fx.reg, fx.recs, p, fx.lo, fx.hi)
-		without := InsertAffects(fx.reg, fx.recs, p, nil, nil)
-		if with != without {
-			t.Fatalf("insert %v: with box %v, without box %v", p, with, without)
-		}
+	}
+	for _, kind := range kinds {
+		t.Logf("%s: %d verdicts, %d evictions, %d of them inserts the LP keeps", kind, verdicts[kind], evictions[kind], extra[kind])
 	}
 }
 
-// TestCertificateNeverOverclaims holds the closed-form implication
-// certificate against the LP it stands in front of, on both query spaces:
-// whenever geom.ImpliedByOne says a·w ≥ 0 follows from one region normal,
-// the maximum of −a·w over the region is at most Tol. The table covers the
-// certificate's branches — a zero component in n (the a_i ≥ 0 branch),
-// λ = 0 (plain dominance) and an empty interval; InsertAffects must keep
-// in the first two without being told.
-func TestCertificateNeverOverclaims(t *testing.T) {
-	pk := vec.Vector{0.6, 0.5, 0.4}
-	cases := []struct {
-		name    string
-		n       vec.Vector // the region's one constraint
-		p       vec.Vector // the inserted record; a = p_k − p
-		implied bool
-	}{
-		{"zero component in n, a_i ≥ 0 there", vec.Vector{1, -1, 0}, vec.Vector{0.3, 0.7, 0.35}, true}, // a = (0.3,−0.2,0.05)
-		{"zero component in n, a_i < 0 there", vec.Vector{1, -1, 0}, vec.Vector{0.3, 0.7, 0.45}, false},
-		{"λ = 0: plain dominance", vec.Vector{-1, 1, 0.5}, vec.Vector{0.5, 0.5, 0.1}, true},
-		{"λ pinned to one value", vec.Vector{1, -1, 0}, vec.Vector{0.4, 0.7, 0.4}, true}, // a = 0.2·n
-		{"empty interval", vec.Vector{1, -1, 0}, vec.Vector{0.5, 0.7, 0.4}, false},       // a = (0.1,−0.2,0): λ ≤ 0.1, λ ≥ 0.2
+// lpRegions is how many regions TestInsertAffectsRaysMatchLP draws per
+// kind, dimension and space; race_test.go lowers it.
+var lpRegions = 2
+
+// lpRegion builds one region of the given kind in dom, with its result.
+func lpRegion(t *testing.T, r *rand.Rand, kind string, dom domain.Domain) (*gir.Region, []topk.Record) {
+	t.Helper()
+	d := dom.Dim()
+	n, k := 200, 2+r.Intn(8)
+	if kind == "capped" {
+		n, k = 400, 70
 	}
-	for _, c := range cases {
-		for _, dom := range []domain.Domain{domain.UnitBox(3), domain.Simplex(3)} {
-			q := dom.Normalize(vec.Vector{0.6, 0.3, 0.1})
-			if c.n[0] < 0 {
-				q = dom.Normalize(vec.Vector{0.1, 0.6, 0.3})
+	coord := r.Float64
+	if kind == "grid" {
+		coord = func() float64 { return float64(r.Intn(5)) / 4 }
+	}
+	pts := make([]vec.Vector, n)
+	for i := range pts {
+		pts[i] = make(vec.Vector, d)
+		for j := range pts[i] {
+			pts[i][j] = coord()
+		}
+	}
+	q := make(vec.Vector, d)
+	for j := range q {
+		q[j] = 0.15 + 0.7*r.Float64()
+	}
+	q = dom.Normalize(q)
+	res := topk.BRS(rtree.BulkLoad(pager.NewMemStore(), d, pts, nil), score.Linear{}, q, k)
+	if kind == "collinear" {
+		// Records on a line through p_k, below it at q, so every one of
+		// their rows has the line's direction; every third is off it by
+		// 1e-13.
+		pk := res.Records[k-1].Point
+		v := make(vec.Vector, d)
+		for j := range v {
+			v[j] = r.NormFloat64()
+		}
+		if vec.Dot(q, v) < 0 {
+			v = vec.Scale(-1, v)
+		}
+		for i := 1; i <= 8; i++ {
+			x := vec.Sub(pk, vec.Scale(0.01*float64(i), v))
+			if i%3 == 0 {
+				x[0] += 1e-13
 			}
-			reg := &gir.Region{Dim: 3, Query: q, Domain: dom, Constraints: []gir.Constraint{{Normal: c.n}}}
-			a := vec.Sub(pk, c.p)
-			if got := geom.ImpliedByOne(a, c.n); got != c.implied {
-				t.Errorf("%s: ImpliedByOne = %v, want %v", c.name, got, c.implied)
-				continue
-			}
-			sol := dom.MaximizeLinear(new(lp.Solver), vec.Scale(-1, a), []lp.Constraint{{Coef: c.n, Op: lp.GE, RHS: 0}})
-			if sol.Status != lp.Optimal {
-				t.Fatalf("%s (%s): LP status %v", c.name, dom.Name(), sol.Status)
-			}
-			if c.implied && sol.Objective > Tol {
-				t.Errorf("%s (%s): certificate says implied, the LP finds a margin of %g", c.name, dom.Name(), sol.Objective)
-			}
-			recs := []topk.Record{{ID: 1, Point: pk}}
-			if got, want := InsertAffects(reg, recs, c.p, nil, nil), sol.Objective > Tol; got != want {
-				t.Errorf("%s (%s): InsertAffects = %v, the LP says %v (margin %g)", c.name, dom.Name(), got, want, sol.Objective)
+			pts = append(pts, x)
+		}
+		res = topk.BRS(rtree.BulkLoad(pager.NewMemStore(), d, pts, nil), score.Linear{}, q, k)
+	}
+	reg, _, err := gir.Compute(rtree.BulkLoad(pager.NewMemStore(), d, pts, nil), res, gir.Options{Method: gir.FP, Domain: dom, SkipReduce: kind == "capped"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind == "capped" && len(reg.Constraints) <= geom.MaxConeRows {
+		t.Fatalf("a raw region of %d rows does not pass the cone's row cap", len(reg.Constraints))
+	}
+	return reg, res.Records
+}
+
+// lpInsert draws an insert for a region of the given kind: uniform, on the
+// grid for grid data, and now and then p_k itself or p_k nudged.
+func lpInsert(r *rand.Rand, kind string, pk vec.Vector) vec.Vector {
+	p := make(vec.Vector, len(pk))
+	switch r.Intn(6) {
+	case 0:
+		copy(p, pk)
+	case 1:
+		for j := range p {
+			p[j] = pk[j] + 0.02*r.NormFloat64()
+		}
+	default:
+		for j := range p {
+			if p[j] = r.Float64(); kind == "grid" {
+				p[j] = float64(r.Intn(5)) / 4
 			}
 		}
 	}
+	return p
 }

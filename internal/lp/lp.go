@@ -479,10 +479,10 @@ func (s *Solver) Feasible(numVars int, cons []Constraint) bool {
 
 // MaximizeOverBox maximizes c·x over the unit box [0,1]^n intersected with
 // the given constraint system (x ≥ 0 is implicit, x ≤ 1 is appended here).
-// This is the shape of the cache-invalidation subproblem: the GIR is a cone
-// clipped to the query space, and the question "can an inserted record
-// outscore the cached k-th record anywhere in the region" is exactly a
-// bounded LP over that body. The box guarantees the program is never
+// It is the box domain's Domain.MaximizeLinear, the LP reference tests
+// hold the cache's ray test to: "can an inserted record outscore the
+// cached k-th record anywhere in the region" is a bounded LP over a cone
+// clipped to the query space. The box guarantees the program is never
 // unbounded, so a non-Optimal status signals a numerical failure the
 // caller should treat conservatively. The n one-hot box rows are built
 // once per n and kept with the Solver's other buffers.

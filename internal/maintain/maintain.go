@@ -7,7 +7,8 @@
 // The verdict is the paper's fine-grained invalidation, read off the
 // entry's region: a delete matters only if it removes one of the entry's
 // result records, and an insert only if it can beat p_k somewhere in the
-// region (internal/invalidate). Each entry walks the batch in version
+// region, which the entry's extreme rays decide (internal/invalidate).
+// Each entry walks the batch in version
 // order until the first mutation that affects it, and is then evicted;
 // an entry no mutation affects is kept as it is. A kept entry is still
 // exact, and an evicted one is refilled by the next miss that lands in
@@ -63,7 +64,8 @@ type Planner struct {
 }
 
 // Predicates returns the cumulative number of affectedness predicate
-// evaluations (closed-form filters + LP fallback) the planner has run.
+// evaluations the planner has run: a delete's scan of the entry's records,
+// or an insert's dot product with each of the entry's rays.
 func (p *Planner) Predicates() int64 { return p.predicates.Load() }
 
 // Drain reconciles the cache with an ordered mutation batch in one pass.
@@ -93,7 +95,7 @@ func (p *Planner) Drain(c *cache.Cache, batch []Mutation) Outcome {
 func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 	p.predicates.Add(1)
 	if m.Insert {
-		return invalidate.InsertAffectsID(e.Region, e.Records, m.ID, m.Point, e.InnerLo, e.InnerHi)
+		return invalidate.InsertAffectsRays(e.Rays, e.Records, m.ID, m.Point)
 	}
 	return invalidate.DeleteAffects(e.Records, m.ID)
 }

@@ -14,8 +14,8 @@ import (
 	"github.com/girlib/gir/internal/vec"
 )
 
-// fill computes one cacheable entry — result, region and inscribed box —
-// and puts it into c.
+// fill computes one cacheable entry — result, region and its rays — and
+// puts it into c.
 func fill(t *testing.T, tree *rtree.Tree, c *cache.Cache, q vec.Vector, k int) {
 	t.Helper()
 	res := topk.BRS(tree, score.Linear{}, q, k)

@@ -76,8 +76,8 @@ type Entry struct {
 	Cand    []topk.Record // retained non-result candidates (T at fill time, maintained since)
 	Bounds  []vec.Vector  // top corners of R-tree subtrees the fill never expanded
 
-	// InnerLo/InnerHi is the inscribed box of Region (used by the LP
-	// filters, exactly as in invalidation).
+	// InnerLo and InnerHi are ignored: invalidation decides on Region's
+	// rays. They remain so existing callers still compile.
 	InnerLo, InnerHi vec.Vector
 }
 

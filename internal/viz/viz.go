@@ -157,11 +157,10 @@ func simplexLIRs(reg *gir.Region, dom domain.Domain, q vec.Vector) []Interval {
 // corner, which picks l_i where a_i > 0 and u_i where a_i < 0.
 //
 // The box is inscribed in the region's CONE clipped to [0,1]^d in every
-// domain. For a simplex-domain region that is exactly what the cache's
-// closed-form MAH filter needs: every point of [lo,hi] ∩ {Σw=1} then
-// lies in cone ∩ simplex = region, so Domain.MaxOverBox over the entry's
-// box is a sound positive filter (and, for the user, the box bounds are
-// the envelope of rebalanced weight settings that keep the result).
+// domain. For a simplex-domain region every point of [lo,hi] ∩ {Σw=1}
+// then lies in cone ∩ simplex = region, so for the user the box bounds are
+// the envelope of rebalanced weight settings that keep the result. It is
+// user API (GIR.MAH) only: the cache holds no box.
 func MAH(reg *gir.Region, q vec.Vector) (lo, hi vec.Vector) {
 	d := reg.Dim
 	// The result is one slab; the bisection's trial box (l, u) lives on

@@ -92,9 +92,10 @@ func (ds *Dataset) Close() error {
 // warmCacheMagic heads a warm-cache snapshot file (the trailing byte is a
 // format version): a whole-file CRC32C, then dimension, query space and
 // the dataset version the snapshot captured. Version 4 stopped storing the
-// retained repair state version 3 carried; RecoverEngine starts cold beside
-// a file of an earlier version.
-var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '4'}
+// retained repair state version 3 carried, and version 5 the inscribed box
+// version 4 carried (a loader builds each entry as a fill does, rays
+// included); RecoverEngine starts cold beside a file of an earlier version.
+var warmCacheMagic = [8]byte{'G', 'I', 'R', 'W', 'A', 'R', 'M', '5'}
 
 // cacheCRC is the Castagnoli table the warm-cache checksum uses (the same
 // polynomial as the pager's snapshot and WAL checksums).
@@ -209,7 +210,7 @@ func (e *Engine) loadCache(path string, version int64) error {
 		if err := sn.validate(s.Region.Query, len(s.Records)); err != nil {
 			return fmt.Errorf("gir: %s entry %d does not fit the dataset: %w", path, i, err)
 		}
-		e.cache.inner.PutWithBox(s.Region, s.Records, s.InnerLo, s.InnerHi, nil, nil, false, 0)
+		e.cache.inner.Put(s.Region, s.Records) // oldest first: insertion order is recency
 	}
 	if dec.err != nil {
 		return fmt.Errorf("gir: loading cache from %s: %w", path, dec.err)
@@ -258,8 +259,6 @@ func encodeCacheEntry(w *pager.SumWriter, s *cacheint.Snapshot, version int64) {
 		w.U64(uint64(c.B))
 	}
 	encodeRecs(w, s.Records)
-	encodeVec(w, s.InnerLo)
-	encodeVec(w, s.InnerHi)
 	w.U64(uint64(version))
 }
 
@@ -361,8 +360,6 @@ func (d *cacheDecoder) entry(dim int, dom domain.Domain) cacheint.Snapshot {
 	for i := 0; i < nr && d.err == nil; i++ {
 		s.Records = append(s.Records, d.dimRec(dim, "record point"))
 	}
-	s.InnerLo = d.dimVec(dim, "inscribed-box corner")
-	s.InnerHi = d.dimVec(dim, "inscribed-box corner")
 	d.i64() // the entry's stamp: the file's version
 	return s
 }

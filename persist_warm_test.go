@@ -19,9 +19,10 @@ import (
 // TestWarmCacheRoundTrip pins the warm-cache persistence contract: an
 // engine recovered from the directory Engine.Checkpoint wrote serves its
 // first lookups as warm hits, with entries byte-equal to the checkpointed
-// ones (regions, records, inscribed boxes), and the restored entries are
-// maintained like fresh fills: a post-restart delete of a cached record
-// evicts its entry, and the next query serves the post-delete answer.
+// ones (regions, records, and the rays the load enumerates again), and the
+// restored entries are maintained like fresh fills: a post-restart delete
+// of a cached record evicts its entry, and the next query serves the
+// post-delete answer.
 func TestWarmCacheRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
 	const n, d, k = 2000, 3, 8
@@ -492,9 +493,10 @@ func TestWarmCacheRefusesCrossDomainLoad(t *testing.T) {
 
 // refCacheEncoder is the per-field warm-cache encoder the streamed one
 // replaced — every field through its own little write into one payload
-// buffer, checksummed whole — kept here as the reference the GIRWARM4 bytes
-// are compared against: per entry query, order flag, constraints, records,
-// inscribed box and stamp (the header's version), and no repair state.
+// buffer, checksummed whole — kept here as the reference the GIRWARM5 bytes
+// are compared against: per entry query, order flag, constraints, records
+// and stamp (the header's version), and neither repair state nor an
+// inscribed box.
 type refCacheEncoder struct{ buf bytes.Buffer }
 
 func (e *refCacheEncoder) u32(v uint32) { binary.Write(&e.buf, binary.LittleEndian, v) }
@@ -538,8 +540,6 @@ func (e *refCacheEncoder) entry(s cacheint.Snapshot, version int64) {
 	for _, r := range s.Records {
 		e.rec(r)
 	}
-	e.vec(s.InnerLo)
-	e.vec(s.InnerHi)
 	e.i64(version)
 }
 
@@ -615,9 +615,10 @@ func TestWarmCacheBytesMatchReference(t *testing.T) {
 
 // TestRecoverEngineColdBesideEarlierCacheFormat pins the upgrade path: a
 // durable directory whose cache.snap is GIRWARM3 — written by the build
-// before the format dropped the repair state — recovers cold (no entries,
-// correct answers) like a torn pair, instead of failing: its dataset files
-// did not change.
+// before the format dropped the repair state — or GIRWARM4 — written
+// before it dropped the inscribed box — recovers cold (no entries, correct
+// answers) like a torn pair, instead of failing: its dataset files did not
+// change.
 func TestRecoverEngineColdBesideEarlierCacheFormat(t *testing.T) {
 	r := rand.New(rand.NewSource(175))
 	const n, k = 600, 5
@@ -652,25 +653,28 @@ func TestRecoverEngineColdBesideEarlierCacheFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[7] = '3'
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
-	if err != nil {
-		t.Fatalf("a GIRWARM3 cache beside intact dataset files should cost the warm start, not fail: %v", err)
-	}
-	defer ds2.Close()
-	defer e2.Close()
-	if got := e2.Cache().Len(); got != 0 {
-		t.Fatalf("restored %d entries from a GIRWARM3 file", got)
-	}
-	if got := topkFingerprint(t, ds2, q, k); got != want {
-		t.Fatalf("recovered dataset answers %s, want %s", got, want)
-	}
-	res := e2.TopK(q, k)
-	if res.Err != nil || res.CacheHit {
-		t.Fatalf("cold engine: err %v, hit %v", res.Err, res.CacheHit)
+	for _, format := range []byte{'3', '4'} {
+		data[7] = format
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds2, e2, err := RecoverEngine(dir, WALOptions{}, EngineOptions{})
+		if err != nil {
+			t.Fatalf("a GIRWARM%c cache beside intact dataset files should cost the warm start, not fail: %v", format, err)
+		}
+		if got := e2.Cache().Len(); got != 0 {
+			t.Fatalf("restored %d entries from a GIRWARM%c file", got, format)
+		}
+		if got := topkFingerprint(t, ds2, q, k); got != want {
+			t.Fatalf("GIRWARM%c: recovered dataset answers %s, want %s", format, got, want)
+		}
+		res := e2.TopK(q, k)
+		if res.Err != nil || res.CacheHit {
+			t.Fatalf("GIRWARM%c: cold engine: err %v, hit %v", format, res.Err, res.CacheHit)
+		}
+		e2.Close()
+		if err := ds2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
