@@ -207,7 +207,13 @@ type EngineStats struct {
 	Repaired    int64 // always 0: no entry is patched in place (see EngineOptions.RepairMode)
 	Invalidated int64 // cache entries evicted by fine-grained invalidation
 	Fenced      int64 // always 0: no hit is vetoed, since a write reconciles the cache before it returns
-	CacheProbes int64 // cache entries containment-tested by lookups (÷ lookups = entries probed per lookup)
+	// CacheProbes counts the cache entries lookups looked at past the dim
+	// and domain checks (÷ lookups = entries probed per lookup); each had
+	// its ray box tested. CacheConeTests counts those whose box held the
+	// query, so that their cone was tested: the box holds every query the
+	// cone does, so it rejects no entry that contains the query.
+	CacheProbes    int64
+	CacheConeTests int64
 	// PredicateEvals counts the affectedness predicates the write path's
 	// drains ran, one per (mutation, entry) pair: a delete's scan of the
 	// entry's records, or an insert's test on the entry's rays.
@@ -248,7 +254,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	if e.cache != nil {
 		st.CacheHits, st.PartialHits, st.Misses = e.cache.Stats()
-		st.CacheProbes = e.cache.inner.Probes()
+		st.CacheProbes, st.CacheConeTests = e.cache.inner.Probes(), e.cache.inner.ConeTests()
 	}
 	return st
 }

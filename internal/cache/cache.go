@@ -24,8 +24,9 @@
 // served from the version before it.
 //
 // A lookup tests the query against the domain once per distinct domain in
-// the view, then each entry's cone on its flat row-major normals, stopping
-// at the first violated constraint. Entries are ordered by the hits they
+// the view, then each entry's ray box (Entry), and only where the box holds
+// the query, the entry's cone on its flat row-major normals, stopping at
+// the first violated constraint. Entries are ordered by the hits they
 // serve: each counts its complete hits, and once the clock (below) has
 // advanced 64 ticks per entry since the last reorder, the hit that crosses
 // the threshold publishes the view stable-sorted by count, most first, and
@@ -37,8 +38,8 @@
 // per put: a hit stamps its entry with the tick, and eviction removes the
 // least recently stamped entry. The tick doubles as the hit counter (hits
 // are the ticks that were neither partial hits nor puts), so a complete hit
-// takes no lock and updates two shared counters: the clock and the probe
-// count.
+// takes no lock and updates three shared counters: the clock, and the
+// probe and cone-test counts, which share a cache line.
 package cache
 
 import (
@@ -68,10 +69,23 @@ const MaxRetained = 2048
 const reorderEvery = 64
 
 // Entry is one cached result with its immutable region.
+//
+// A probe screens an entry by its ray box before its cone: box holds lo_j
+// then hi_j, the least and largest j-th coordinate of the entry's Rays,
+// padded by boxPad (or [0,1]^d when there are no rays). A query q with
+// s = Σq passes when s·lo_j ≤ q_j ≤ s·hi_j for every j. The box never
+// rejects a query the cone holds: the rays span at least the region on the
+// orthant (gir.Region.Rays' shortcuts only widen them), so such a q is a
+// nonnegative combination of rays, q/s a convex combination of the Σ = 1
+// rays, and each q_j/s lies between the rays' least and largest j-th
+// coordinates; the padding absorbs the rounding of s, of the products and
+// of the rays themselves.
 type Entry struct {
 	// The containment test's inputs, first so a probe reads them together:
-	// the region's cone normals as one row-major slab of dim-wide rows, and
-	// its domain (kind and dim identify it).
+	// the ray box, the region's cone normals as row-major dim-wide rows (the
+	// box and the normals are one slab, so the box costs a fill no
+	// allocation), and its domain (kind and dim identify it).
+	box     []float64
 	normals []float64
 	dim     int
 	kind    domain.Kind
@@ -105,26 +119,55 @@ type Entry struct {
 	rank    int64        // hits when the last reorder sorted; writer-only
 }
 
+// boxPad widens the ray box on every side; see Entry.
+const boxPad = 1e-9
+
 // NewEntry builds the entry for an order-sensitive region and its result,
-// flattening the region's normals for the probe and enumerating its rays
-// for the drain; it returns nil for a nil or order-insensitive region,
-// which the cache refuses: serving a cached *ordered* list from it would be
-// unsound. The entry keeps reg and records, which must not change after;
-// Insert publishes it, once.
+// enumerating its rays for the drain and flattening their bounding box and
+// the region's normals into one slab for the probe; it returns nil for a
+// nil or order-insensitive region, which the cache refuses: serving a
+// cached *ordered* list from it would be unsound. The entry keeps reg and
+// records, which must not change after; Insert publishes it, once.
 func NewEntry(reg *gir.Region, records []topk.Record) *Entry {
 	if reg == nil || !reg.OrderSensitive {
 		return nil
 	}
-	normals := make([]float64, 0, len(reg.Constraints)*reg.Dim)
+	d, rays := reg.Dim, reg.Rays()
+	slab := make([]float64, 2*d, (2+len(reg.Constraints))*d)
+	lo, hi := slab[:d], slab[d:]
+	for j := range lo {
+		lo[j], hi[j] = 0, 1 // [0,1]^d when there are no rays
+		if len(rays) > 0 {
+			lo[j], hi[j] = rays[j], rays[j]
+		}
+		for i := j; i < len(rays); i += d {
+			lo[j], hi[j] = min(lo[j], rays[i]), max(hi[j], rays[i])
+		}
+		lo[j], hi[j] = lo[j]-boxPad, hi[j]+boxPad
+	}
 	for _, c := range reg.Constraints {
-		normals = append(normals, c.Normal...)
+		slab = append(slab, c.Normal...)
 	}
 	space := reg.Space()
 	return &Entry{
-		normals: normals, dim: reg.Dim, kind: space.Kind(), space: space,
+		box: slab[: 2*d : 2*d], normals: slab[2*d:], dim: d, kind: space.Kind(), space: space,
 		Region: reg, Records: records, K: len(records),
-		Rays: reg.Rays(),
+		Rays: rays,
 	}
+}
+
+// boxHolds reports whether q, whose coordinates sum to s, lies in the ray
+// box scaled by s (see Entry), testing one coordinate at a time and
+// stopping at the first outside. The caller has checked dim.
+func (e *Entry) boxHolds(q vec.Vector, s float64) bool {
+	d := e.dim
+	lo, hi := e.box[:d], e.box[d:2*d]
+	for j, x := range q[:d] {
+		if x < s*lo[j] || x > s*hi[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // coneContains reports whether q lies on the nonnegative side of every cone
@@ -171,9 +214,10 @@ type Cache struct {
 	mu       sync.Mutex               // serializes writers
 	capacity int
 
-	clock                         atomic.Int64 // one tick per served lookup and per put
-	partial, puts, misses, probes atomic.Int64
-	reorderedAt                   atomic.Int64 // clock at the last reorder
+	clock                 atomic.Int64 // one tick per served lookup and per put
+	partial, puts, misses atomic.Int64
+	probes, coneTests     atomic.Int64 // adjacent: a lookup adds to both
+	reorderedAt           atomic.Int64 // clock at the last reorder
 }
 
 // New returns a cache holding at most capacity entries (≥ 1).
@@ -201,10 +245,14 @@ func (c *Cache) publish(entries []*Entry) { c.view.Store(&entries) }
 // the preference, a small-K entry would shadow a covering one forever and
 // force that recomputation on every repeat). Regions stored by Put are
 // always order-sensitive, so a hit is always sound for ordered serving.
+// An entry's cone is tested only when its ray box holds q; the box never
+// rejects an entry whose cone holds q (Entry), so the entry returned is the
+// one a cone-only scan would return.
 func (c *Cache) Lookup(q vec.Vector, k int) (*Entry, bool) {
 	view := c.load()
-	best, probes := bestContaining(view, q, k)
+	best, probes, coneTests := bestContaining(view, q, k)
 	c.probes.Add(int64(probes))
+	c.coneTests.Add(int64(coneTests))
 	if best == nil {
 		c.misses.Add(1)
 		return nil, false
@@ -223,9 +271,15 @@ func (c *Cache) Lookup(q vec.Vector, k int) (*Entry, bool) {
 }
 
 // bestContaining returns the first entry containing q that covers k, else
-// the containing entry with the largest K, and how many entries it
-// containment-tested.
-func bestContaining(entries []*Entry, q vec.Vector, k int) (best *Entry, probes int) {
+// the containing entry with the largest K, how many entries past the dim
+// and domain checks it looked at (probes) and how many of those it
+// cone-tested: those whose ray box holds q, a superset of those whose cone
+// does (Entry).
+func bestContaining(entries []*Entry, q vec.Vector, k int) (best *Entry, probes, coneTests int) {
+	var sum float64
+	for _, x := range q {
+		sum += x
+	}
 	kind, inside := domain.Kind(-1), false
 	for _, e := range entries {
 		if e.dim != len(q) {
@@ -238,17 +292,21 @@ func bestContaining(entries []*Entry, q vec.Vector, k int) (best *Entry, probes 
 			continue
 		}
 		probes++
+		if !e.boxHolds(q, sum) {
+			continue
+		}
+		coneTests++
 		if !e.coneContains(q) {
 			continue
 		}
 		if e.K >= k {
-			return e, probes
+			return e, probes, coneTests
 		}
 		if best == nil || e.K > best.K {
 			best = e
 		}
 	}
-	return best, probes
+	return best, probes, coneTests
 }
 
 // reorder publishes the view stable-sorted by hits served, most first, and
@@ -411,8 +469,13 @@ func (c *Cache) Stats() (hits, partial, misses int64) {
 	return c.clock.Load() - partial - puts, partial, c.misses.Load()
 }
 
-// Probes returns how many entries lookups have containment-tested.
+// Probes returns how many entries lookups have looked at past the dim and
+// domain checks: each had its ray box tested.
 func (c *Cache) Probes() int64 { return c.probes.Load() }
+
+// ConeTests returns how many of those entries' ray boxes held the query, so
+// that their cones were tested.
+func (c *Cache) ConeTests() int64 { return c.coneTests.Load() }
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.load()) }

@@ -203,6 +203,7 @@ func (c *Coordinator) Stats() Stats {
 		st.Aggregate.Affected += es.Affected
 		st.Aggregate.Invalidated += es.Invalidated
 		st.Aggregate.CacheProbes += es.CacheProbes
+		st.Aggregate.CacheConeTests += es.CacheConeTests
 		st.Aggregate.PredicateEvals += es.PredicateEvals
 		st.Aggregate.RefusedFills += es.RefusedFills
 		st.Aggregate.FusedGroups += es.FusedGroups
