@@ -461,16 +461,14 @@ func runWriteReturnsReconciled(t *testing.T, space Space) {
 func TestInsertTieEvicts(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const n, d, k = 500, 3, 5
-	ids := make([]int64, n)
 	points := make([][]float64, n)
 	state := make(map[int64][]float64, n)
 	for i := range points {
-		ids[i] = int64(100 + i)
 		points[i] = []float64{r.Float64(), r.Float64(), r.Float64()}
-		state[ids[i]] = points[i]
+		state[int64(i)] = points[i]
 	}
 	q := []float64{0.6, 0.3, 0.5}
-	ds, err := NewDatasetWithIDs(ids, points, SpaceBox)
+	ds, err := NewDataset(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +479,7 @@ func TestInsertTieEvicts(t *testing.T) {
 		t.Fatalf("the fill did not cache (%v, %v)", fill.Err, hit.Err)
 	}
 	pk := fill.Records[k-1]
-	const dupID = 7 // below every stored id
+	const dupID = -1 // below every stored id (0…n−1)
 	if err := ds.Insert(dupID, pk.Attrs); err != nil {
 		t.Fatal(err)
 	}

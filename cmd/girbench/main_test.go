@@ -117,22 +117,27 @@ func TestSuiteSmoke(t *testing.T) {
 				if want := []int{1, 4}[i]; r.Shards != want || len(r.Parts) != want {
 					t.Fatalf("%s: %d shards, %d partition rows, want %d", r.Name, r.Shards, len(r.Parts), want)
 				}
-				if r.Hits == 0 || r.RecordSkew < 1 || r.LookupSkew < 1 {
+				if r.Hits == 0 || r.RecordSkew < 1 {
 					t.Errorf("%s: no hits or a skew below 1: %+v", r.Name, r)
 				}
-				records := 0
+				records, versions := 0, int64(0)
 				for _, p := range r.Parts {
-					records += p.Records
-					if p.Hits+p.Partial+p.Misses == 0 {
-						t.Errorf("%s: %s saw no lookups — the scatter skipped it", r.Name, p.Name)
-					}
+					records, versions = records+p.Records, versions+p.Version
 				}
-				if records < cfg.N {
-					t.Errorf("%s: partitions hold %d records, seeded with %d", r.Name, records, cfg.N)
+				if records < cfg.N || versions != int64(r.Writes) {
+					t.Errorf("%s: partitions hold %d records and %d writes, seeded with %d and written %d times", r.Name, records, versions, cfg.N, r.Writes)
+				}
+				// One engine serves every partition: a query is one cache lookup.
+				if lookups := r.Hits + r.Partial + r.Misses; lookups != int64(r.Queries) {
+					t.Errorf("%s: %d cache lookups for %d queries", r.Name, lookups, r.Queries)
 				}
 			}
-			if rows[0].MergeOverheadPct != 0 {
-				t.Errorf("the one-partition row carries merge overhead: %+v", rows[0])
+			if rows[1].Hits != rows[0].Hits || rows[1].Misses != rows[0].Misses || rows[1].Recomputes != rows[0].Recomputes {
+				t.Errorf("four partitions served %d hits, %d misses, %d recomputes; one served %d, %d, %d",
+					rows[1].Hits, rows[1].Misses, rows[1].Recomputes, rows[0].Hits, rows[0].Misses, rows[0].Recomputes)
+			}
+			if rows[0].PartsOverheadPct != 0 {
+				t.Errorf("the one-partition row carries partition overhead: %+v", rows[0])
 			}
 		}},
 	}

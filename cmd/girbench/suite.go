@@ -31,7 +31,6 @@ import (
 	"github.com/girlib/gir/internal/engine"
 	girint "github.com/girlib/gir/internal/gir"
 	"github.com/girlib/gir/internal/pager"
-	"github.com/girlib/gir/internal/shard"
 )
 
 // What CI, the README and the tests only ever ran at one value is a
@@ -84,7 +83,6 @@ const (
 	same    = iota // the previous arm's target again: the warm pass of a cold one
 	bare           // a Dataset: every query traverses
 	engined        // an Engine over a Dataset: cache, single-flight, drain
-	sharded        // a shard.Coordinator over `parts` Engines
 )
 
 // arm is one row of a table: a target and a way of issuing the stream —
@@ -100,7 +98,7 @@ type arm struct {
 	flush   bool // engined: clear the whole cache after every write (the flush-the-world baseline the engine has no switch for)
 	walSync int  // > 0: log to a temporary directory, fsync every walSync appends; the arm ends with a checkpoint and a recovery
 	mutator bool // writes come from a paced concurrent goroutine, and every fsync takes suiteFsyncDelay longer (a spinning disk)
-	parts   int  // sharded: partition count
+	parts   int  // > 0: the dataset is that many partitions (gir.NewPartitionedDataset), and the row reports each
 }
 
 // table is one comparison: its arms over one stream, or — a figure table —
@@ -147,9 +145,9 @@ var suiteTables = []table{
 		{name: "read-only", on: bare},
 		{name: "syncevery=1 churn", on: bare, walSync: 1, mutator: true},
 	}},
-	{Name: "shard", Compares: "one partition vs four: scatter/gather merge cost, hit rate, per-partition skew", WriteMix: suiteWriteMix, arms: []arm{
-		{name: "1 shard(s)", on: sharded, parts: 1, warm: true},
-		{name: "4 shard(s)", on: sharded, parts: 4, warm: true},
+	{Name: "shard", Compares: "one partition vs four under one engine: what the top page costs, hit rate, per-partition records", WriteMix: suiteWriteMix, arms: []arm{
+		{name: "1 shard(s)", on: engined, parts: 1, warm: true},
+		{name: "4 shard(s)", on: engined, parts: 4, warm: true},
 	}},
 
 	{Name: "fig6", Figure: 6, Sweep: "d", Compares: "what SP and CP keep of D\\R: |SL| (the SP rows) and |SL∩CH| (the CP rows) vs d, one query", queries: 1,
@@ -212,9 +210,8 @@ type row struct {
 
 	Shards           int     `json:"shards,omitempty"`
 	RecordSkew       float64 `json:"record_skew,omitempty"`
-	LookupSkew       float64 `json:"lookup_skew,omitempty"`
-	MergeOverheadPct float64 `json:"merge_overhead_pct,omitempty"` // QPS lost against the table's first row (negative = faster)
-	Parts            []row   `json:"parts,omitempty"`              // one per partition: records, version, its lookups as hits/partial/misses, lookups/s as qps
+	PartsOverheadPct float64 `json:"parts_overhead_pct,omitempty"` // QPS lost against the table's first row (negative = faster)
+	Parts            []row   `json:"parts,omitempty"`              // one per partition: its records and version
 	Records          int     `json:"records,omitempty"`
 	Version          int64   `json:"version,omitempty"`
 
@@ -239,7 +236,6 @@ type report struct {
 type counters struct {
 	gir.EngineStats
 	PageReads int64
-	parts     []shard.PartitionStats // sharded targets only
 }
 
 // target is what a stream is issued against.
@@ -261,6 +257,7 @@ type bareTarget struct {
 	ds      *gir.Dataset
 	walDir  string
 	walSync int
+	parts   bool // report the partitions
 }
 
 func (t *bareTarget) TopK(q []float64, k int) error { _, err := t.ds.TopK(q, k); return err }
@@ -278,10 +275,20 @@ func (t *bareTarget) Insert(id int64, p []float64) error { return t.ds.Insert(id
 func (t *bareTarget) Delete(id int64, p []float64) error { _, err := t.ds.Delete(id, p); return err }
 func (t *bareTarget) Counters() counters                 { return counters{PageReads: t.ds.IOStats().PageReads} }
 
-// Finish on a logged dataset checkpoints, recovers the directory into a
+// Finish on a partitioned dataset records each partition's records and
+// version at the end of the pass, and the record skew over them (max/mean).
+// On a logged dataset it checkpoints, recovers the directory into a
 // second dataset and requires the same cardinality: a suite that prices a
 // broken durability path is worse than no number.
 func (t *bareTarget) Finish(r *row, _ counters) error {
+	if t.parts {
+		most := 0
+		for i, p := range t.ds.Partitions() {
+			r.Parts = append(r.Parts, row{Name: fmt.Sprintf("part %d", i), Records: p.Records, Version: p.Version})
+			most = max(most, p.Records)
+		}
+		r.Shards, r.RecordSkew = len(r.Parts), float64(most*len(r.Parts))/float64(t.ds.Len())
+	}
 	if t.walDir == "" {
 		return nil
 	}
@@ -347,51 +354,6 @@ func (t *engineTarget) Counters() counters {
 	return c
 }
 func (t *engineTarget) Close() { t.e.Close(); t.bareTarget.Close() }
-
-// shardTarget is the partitioned tier.
-type shardTarget struct{ c *shard.Coordinator }
-
-func (t shardTarget) TopK(q []float64, k int) error { return t.c.TopK(q, k).Err }
-func (t shardTarget) BatchTopK(qs []gir.Query) error {
-	for _, res := range t.c.BatchTopK(qs) {
-		if res.Err != nil {
-			return res.Err
-		}
-	}
-	return nil
-}
-func (t shardTarget) Insert(id int64, p []float64) error { return t.c.Insert(id, p) }
-func (t shardTarget) Delete(id int64, p []float64) error { _, err := t.c.Delete(id, p); return err }
-func (t shardTarget) Close()                             { t.c.Close() }
-func (t shardTarget) Counters() counters {
-	st := t.c.Stats()
-	c := counters{EngineStats: st.Aggregate, parts: st.Parts}
-	for i := range st.Parts {
-		c.PageReads += t.c.Dataset(i).IOStats().PageReads
-	}
-	return c
-}
-
-// Finish records the partitions: each one's records, version and its own
-// lookups during the pass (the skew ratios are the coordinator's, over its
-// lifetime — placement, not one pass).
-func (t shardTarget) Finish(r *row, before counters) error {
-	st := t.c.Stats()
-	r.Shards, r.RecordSkew, r.LookupSkew = len(st.Parts), st.RecordSkew, st.LookupSkew
-	for i, ps := range st.Parts {
-		was := before.parts[i].Engine
-		p := row{
-			Name: fmt.Sprintf("part %d", ps.Part), Records: ps.Records, Version: ps.Version,
-			Hits: ps.Engine.CacheHits - was.CacheHits, Partial: ps.Engine.PartialHits - was.PartialHits, Misses: ps.Engine.Misses - was.Misses,
-		}
-		if lookups := p.Hits + p.Partial + p.Misses; lookups > 0 {
-			p.HitRate = float64(p.Hits) / float64(lookups)
-			p.QPS = float64(lookups) / (r.ElapsedMS / 1e3)
-		}
-		r.Parts = append(r.Parts, p)
-	}
-	return nil
-}
 
 // suite is one run: the configuration, the points every serving arm shares
 // and the index consecutive figure cells share.
@@ -523,7 +485,7 @@ func (s *suite) runTable(tb *table) error {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
 		if r.Shards > 1 {
-			r.MergeOverheadPct = 100 * (tb.Rows[0].QPS - r.QPS) / tb.Rows[0].QPS
+			r.PartsOverheadPct = 100 * (tb.Rows[0].QPS - r.QPS) / tb.Rows[0].QPS
 		}
 		tb.Rows = append(tb.Rows, r)
 	}
@@ -536,18 +498,11 @@ func (s *suite) open(a arm) (target, error) {
 	if a.nocache {
 		eopts.CacheCapacity = -1
 	}
-	if a.on == sharded {
-		c, err := shard.New(s.raw, shard.Options{Parts: a.parts, Space: s.space, Engine: eopts})
-		if err != nil {
-			return nil, err
-		}
-		return shardTarget{c}, nil
-	}
-	ds, err := gir.NewDatasetInSpace(s.raw, s.space)
+	ds, err := gir.NewPartitionedDataset(s.raw, max(a.parts, 1), s.space)
 	if err != nil {
 		return nil, err
 	}
-	bt := &bareTarget{ds: ds, walSync: a.walSync}
+	bt := &bareTarget{ds: ds, walSync: a.walSync, parts: a.parts > 0}
 	if a.walSync > 0 {
 		if bt.walDir, err = os.MkdirTemp("", "girbench-wal-*"); err != nil {
 			return nil, err
@@ -759,8 +714,7 @@ var columns = []struct {
 	{"write p99", "%.0fµ", func(r *row) float64 { return r.WriteP99US }},
 	{"wal bytes", "%.0f", func(r *row) float64 { return float64(r.WALBytes) }},
 	{"rec-skew", "%.2f", func(r *row) float64 { return r.RecordSkew }},
-	{"look-skew", "%.2f", func(r *row) float64 { return r.LookupSkew }},
-	{"merge-ovh%", "%.1f", func(r *row) float64 { return r.MergeOverheadPct }},
+	{"parts-ovh%", "%.1f", func(r *row) float64 { return r.PartsOverheadPct }},
 }
 
 func printTable(w io.Writer, tb *table) {

@@ -152,10 +152,9 @@ func (r *Region) Halfspaces() []geom.Halfspace {
 // every query space lies, so an added half-space that holds there (a
 // componentwise nonnegative normal, or one a receiver's constraint implies
 // on the orthant) is dropped, and one that cuts can make a receiver's
-// redundant. This is the geometric core of cache repair
-// (internal/repair): a mutation that perturbs a cached result in a
-// closed-form way is absorbed by shrinking the region with the new
-// pairwise constraints instead of recomputing it.
+// redundant. It backs the root package's GIR.Shrink and internal/repair,
+// which only the benchmark's probes reach; the engine's drain evicts an
+// entry a write perturbs and never shrinks one.
 func (r *Region) Shrink(added []Constraint) *Region {
 	sc := scratchPool.Get().(*scratch)
 	defer func() { // the pool must not keep the receiver's and the caller's normals reachable

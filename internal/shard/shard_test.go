@@ -25,9 +25,9 @@ func genPoints(seed int64, n, d int) [][]float64 {
 }
 
 // bruteTopK is the oracle: plain-loop dot products over a mirror of the
-// logical dataset, sorted (score desc, id asc) — the same comparator the
-// coordinator merges with and the same arithmetic order the engines
-// score with, so agreement is exact, not approximate.
+// logical dataset, sorted (score desc, id asc) — the order every ranking
+// uses — in the same arithmetic order the engine scores with, so
+// agreement is exact, not approximate.
 func bruteTopK(state map[int64][]float64, q []float64, k int) []gir.Record {
 	recs := make([]gir.Record, 0, len(state))
 	for id, p := range state {
@@ -72,22 +72,43 @@ func sameRecords(got, want []gir.Record) bool {
 	return true
 }
 
+// TestHashAssignerCoversAndBalances: the placement hash spreads indices
+// over every partition evenly, and routes an insert and a later delete of
+// one id to the same partition.
 func TestHashAssignerCoversAndBalances(t *testing.T) {
 	const parts, n = 4, 10000
-	counts := make([]int, parts)
-	for id := int64(0); id < n; id++ {
-		w := partition(id, parts)
-		if w < 0 || w >= parts {
-			t.Fatalf("id %d assigned to partition %d of %d", id, w, parts)
-		}
-		if w != partition(id, parts) {
-			t.Fatalf("assignment of id %d is not deterministic", id)
-		}
-		counts[w]++
+	c, err := New(genPoints(5, n, 2), Options{Parts: parts})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for w, c := range counts {
-		if c < n/parts/2 || c > n/parts*2 {
-			t.Fatalf("partition %d holds %d of %d records — hash assignment is badly skewed: %v", w, c, n, counts)
+	defer c.Close()
+	for w, p := range c.Stats().Parts {
+		if p.Records < n/parts/2 || p.Records > n/parts*2 {
+			t.Fatalf("partition %d holds %d of %d records — hash placement is badly skewed: %+v", w, p.Records, n, c.Stats().Parts)
+		}
+	}
+	for id := int64(n); id < n+20; id++ {
+		p := []float64{0.3, 0.6}
+		if err := c.Insert(id, p); err != nil {
+			t.Fatal(err)
+		}
+		inserted := c.Versions()
+		if ok, err := c.Delete(id, p); err != nil || !ok {
+			t.Fatalf("delete of inserted record %d = %v, %v", id, ok, err)
+		}
+		deleted := c.Versions()
+		moved := 0
+		for w := range deleted {
+			switch deleted[w] - inserted[w] {
+			case 0:
+			case 1:
+				moved++
+			default:
+				t.Fatalf("delete of record %d moved the cut from %v to %v", id, inserted, deleted)
+			}
+		}
+		if moved != 1 {
+			t.Fatalf("delete of record %d advanced %d partitions", id, moved)
 		}
 	}
 }
@@ -194,62 +215,62 @@ func TestBatchTopKMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestStatsAggregatesAndSkew checks the tier-level stats read: aggregate
-// counters are the partition sums, the version minima are consistent,
-// and the skew ratios are populated and ≥ 1.
-func TestStatsAggregatesAndSkew(t *testing.T) {
-	points := genPoints(3, 600, 3)
-	c, err := New(points, Options{Parts: 3})
+// TestPartitionsReadOneCut: the partitions' records and versions come
+// from one published snapshot, so every read sums to the records and the
+// writes of one version, also while a writer runs; and one insert advances
+// exactly one coordinate, by one.
+func TestPartitionsReadOneCut(t *testing.T) {
+	const n = 600
+	c, err := New(genPoints(3, n, 3), Options{Parts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 40; i++ {
-		q := []float64{r.Float64(), r.Float64(), r.Float64()}
-		if res := c.TopK(q, 5); res.Err != nil {
-			t.Fatal(res.Err)
+	const writes = 200
+	done := make(chan struct{})
+	go func() { // inserts only: a snapshot at version v holds n + v records
+		defer close(done)
+		r := rand.New(rand.NewSource(9))
+		for i := 0; i < writes; i++ {
+			if err := c.Insert(int64(1<<41+i), []float64{r.Float64(), r.Float64(), r.Float64()}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func() (records int, version int64) {
+		for _, p := range c.Stats().Parts {
+			records, version = records+p.Records, version+p.Version
+		}
+		if records != n+int(version) {
+			t.Fatalf("one read sums to %d records at %d writes, want %d", records, version, n+int(version))
+		}
+		return records, version
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			check()
 		}
 	}
-	st := c.Stats()
-	if len(st.Parts) != 3 {
-		t.Fatalf("stats cover %d partitions", len(st.Parts))
+	if records, version := check(); records != c.ds.Len() || version != writes || version != c.ds.Version() {
+		t.Fatalf("partitions sum to %d records and %d writes; Len %d, %d written, dataset version %d", records, version, c.ds.Len(), writes, c.ds.Version())
 	}
-	var hits, misses, lookups int64
-	for _, ps := range st.Parts {
-		hits += ps.Engine.CacheHits
-		misses += ps.Engine.Misses
-		lookups += ps.Lookups
-		if ps.Records == 0 {
-			t.Fatalf("partition %d reports zero records", ps.Part)
-		}
-		if ps.CacheCap == 0 {
-			t.Fatalf("partition %d reports zero cache capacity", ps.Part)
-		}
-		if ps.Version != 0 {
-			t.Fatalf("unwritten partition %d reports version %d", ps.Part, ps.Version)
-		}
-	}
-	if st.Aggregate.CacheHits != hits || st.Aggregate.Misses != misses {
-		t.Fatalf("aggregate counters are not the partition sums: %+v", st.Aggregate)
-	}
-	if lookups == 0 {
-		t.Fatal("no lookups recorded")
-	}
-	if st.RecordSkew < 1 || st.LookupSkew < 1 {
-		t.Fatalf("skew ratios below 1: %v, %v", st.RecordSkew, st.LookupSkew)
-	}
-	// Route one write and confirm exactly one coordinate advances.
-	id := int64(1 << 41)
-	if err := c.Insert(id, []float64{0.4, 0.4, 0.4}); err != nil {
+
+	before := c.Versions()
+	if err := c.Insert(1<<42, []float64{0.4, 0.4, 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
-	for _, v := range c.Versions() {
-		if v == 1 {
+	for i, v := range c.Versions() {
+		switch v - before[i] {
+		case 0:
+		case 1:
 			moved++
-		} else if v != 0 {
-			t.Fatalf("unexpected version %d", v)
+		default:
+			t.Fatalf("one insert moved coordinate %d from %d to %d", i, before[i], v)
 		}
 	}
 	if moved != 1 {
@@ -257,19 +278,17 @@ func TestStatsAggregatesAndSkew(t *testing.T) {
 	}
 }
 
-// TestStatsAggregateSumsEveryCounter holds Stats().Aggregate to its
-// definition field by field, found by reflection so a counter added to
-// gir.EngineStats later cannot be left out of the sum silently: every int64
-// counter is the sum over Parts, and Version is the minimum.
-func TestStatsAggregateSumsEveryCounter(t *testing.T) {
-	points := genPoints(4, 400, 3)
-	c, err := New(points, Options{Parts: 2})
+// TestStatsAggregateIsTheEngine: one Engine serves every partition, so the
+// tier's counters are that Engine's, and each query is one cache lookup.
+func TestStatsAggregateIsTheEngine(t *testing.T) {
+	c, err := New(genPoints(4, 400, 3), Options{Parts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 20; i++ {
+	const queries = 20
+	for i := 0; i < queries; i++ {
 		q := []float64{r.Float64(), r.Float64(), r.Float64()}
 		if res := c.TopK(q, 5); res.Err != nil {
 			t.Fatal(res.Err)
@@ -281,32 +300,10 @@ func TestStatsAggregateSumsEveryCounter(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	agg := reflect.ValueOf(st.Aggregate)
-	counters := 0
-	for f := 0; f < agg.NumField(); f++ {
-		field := agg.Type().Field(f)
-		if field.Type.Kind() != reflect.Int64 {
-			continue
-		}
-		var sum, least int64
-		for i, ps := range st.Parts {
-			v := reflect.ValueOf(ps.Engine).Field(f).Int()
-			sum += v
-			if i == 0 || v < least {
-				least = v
-			}
-		}
-		want := sum
-		if field.Name == "Version" {
-			want = least
-		} else {
-			counters++
-		}
-		if got := agg.Field(f).Int(); got != want {
-			t.Errorf("Aggregate.%s = %d, want %d over %d partitions", field.Name, got, want, len(st.Parts))
-		}
+	if want := c.eng.Stats(); !reflect.DeepEqual(st.Aggregate, want) {
+		t.Fatalf("Aggregate = %+v, the engine's Stats = %+v", st.Aggregate, want)
 	}
-	if counters == 0 || st.Aggregate.CacheProbes == 0 {
-		t.Fatalf("the run checked %d counters and probed %d cache entries: vacuous", counters, st.Aggregate.CacheProbes)
+	if lookups := st.Aggregate.CacheHits + st.Aggregate.PartialHits + st.Aggregate.Misses; lookups != queries {
+		t.Fatalf("%d cache lookups for %d queries", lookups, queries)
 	}
 }

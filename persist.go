@@ -23,9 +23,9 @@ import (
 // carries beside the pages (parseDatasetMeta is its inverse); the caller
 // holds the writer mutex.
 func (ds *Dataset) metaLocked() []byte {
-	root, height, size := ds.tree.Meta()
+	root, height, size := ds.trees[0].Meta()
 	meta := make([]byte, 29)
-	binary.LittleEndian.PutUint32(meta[0:], uint32(ds.tree.Dim()))
+	binary.LittleEndian.PutUint32(meta[0:], uint32(ds.Dim()))
 	binary.LittleEndian.PutUint32(meta[4:], uint32(root))
 	binary.LittleEndian.PutUint32(meta[8:], uint32(height))
 	binary.LittleEndian.PutUint64(meta[12:], uint64(size))
@@ -72,7 +72,7 @@ func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error
 		return nil, err
 	}
 	tree := rtree.Attach(store, m.dim, m.root, m.height, m.size)
-	ds := &Dataset{tree: tree, store: store, space: m.space}
+	ds := &Dataset{trees: []*rtree.Tree{tree}, store: store, space: m.space}
 	ds.publishSnapLocked(m.version, nil)
 	return ds, nil
 }

@@ -225,12 +225,13 @@ func (g *GIR) Constraints() []Constraint {
 // Shrink returns a new GIR equal to this one intersected with the
 // additional half-spaces {w : normal·w ≥ 0}, with the combined constraint
 // set reduced to a minimal representation. The receiver is unchanged.
+// Normals must have the region's dimension.
 //
-// This is the public face of repair-style region maintenance: when a
-// dataset mutation perturbs a cached result in a known pairwise way (a new
-// record p displacing the k-th record p_k, say), the post-mutation region
-// is the old one shrunk by the new pairwise constraint (p − p_k here) —
-// no recomputation needed. Normals must have the region's dimension.
+// It narrows a region to the weights that also meet further linear
+// conditions — a user's own bounds on the weights, or the pairwise
+// constraint p − p_k of a record p that would have to stay behind the
+// k-th. The Engine does not use it: a write that can perturb a cached
+// result evicts the entry, and the next miss refills it.
 func (g *GIR) Shrink(normals [][]float64) (*GIR, error) {
 	added := make([]girint.Constraint, 0, len(normals))
 	for i, n := range normals {

@@ -21,12 +21,8 @@ func TestPointsOutsideUnitRangeRefused(t *testing.T) {
 		if _, err := NewDataset(pts); err == nil {
 			t.Errorf("NewDataset accepted coordinate %v", x)
 		}
-		ids := make([]int64, len(pts))
-		for i := range ids {
-			ids[i] = int64(1000 + i)
-		}
-		if _, err := NewDatasetWithIDs(ids, pts, SpaceSimplex); err == nil {
-			t.Errorf("NewDatasetWithIDs accepted coordinate %v", x)
+		if _, err := NewPartitionedDataset(pts, 2, SpaceSimplex); err == nil {
+			t.Errorf("NewPartitionedDataset accepted coordinate %v", x)
 		}
 	}
 

@@ -89,11 +89,15 @@ func walDecode(payload []byte) (maintain.Mutation, error) {
 //
 // dir must not already hold a durable dataset — recover or remove it
 // first; two live datasets logging to one directory would interleave
-// their records.
+// their records. A partitioned dataset (NewPartitionedDataset) is refused,
+// as by both Checkpoints, before anything is written.
 func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	dir = filepath.Clean(dir)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
+	if err := ds.persistableLocked(); err != nil {
+		return err
+	}
 	if ds.wal != nil {
 		return fmt.Errorf("gir: dataset already logs to %s", ds.walDir)
 	}
@@ -173,8 +177,8 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 	if m.Version != v+1 {
 		return fmt.Errorf("gir: write-ahead log continues at version %d but the recovered snapshot state stands at version %d — the mutations between are missing (a damaged %s?); refusing to replay past the gap", m.Version, v, datasetSnapName)
 	}
-	if len(m.Point) != ds.tree.Dim() {
-		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.Point), ds.tree.Dim())
+	if len(m.Point) != ds.Dim() {
+		return fmt.Errorf("gir: WAL record has dimension %d, dataset has %d", len(m.Point), ds.Dim())
 	}
 	if ok, _ := ds.applyLocked(m, nil); !ok {
 		// The record passed its CRC, so this is real log/snapshot
@@ -198,6 +202,9 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 // would outgrow the first one — so the bytes written stay within twice the
 // bytes dirtied plus one full segment, and recovery reads at most twice it.
 func (ds *Dataset) checkpointLocked(dir string) error {
+	if err := ds.persistableLocked(); err != nil {
+		return err
+	}
 	if ds.wal != nil && filepath.Clean(dir) != ds.walDir {
 		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", ds.walDir, dir)
 	}
@@ -233,6 +240,16 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 		return err
 	}
 	clear(ds.dirty)
+	return nil
+}
+
+// persistableLocked refuses a partitioned dataset before anything is written:
+// the dataset file records one tree, and its published root is a top page
+// no write logs.
+func (ds *Dataset) persistableLocked() error {
+	if ds.parts != nil {
+		return fmt.Errorf("gir: a dataset of %d partitions has no durable form", len(ds.parts))
+	}
 	return nil
 }
 
@@ -289,7 +306,7 @@ func (e *Engine) Checkpoint(dir string) error {
 		return err
 	}
 	return writeCacheSnapshot(filepath.Join(dir, cacheSnapName),
-		e.ds.tree.Dim(), e.ds.space, version, snaps)
+		e.ds.Dim(), e.ds.space, version, snaps)
 }
 
 // Recover restores a durable dataset from dir: it loads the dataset file's
