@@ -156,7 +156,7 @@ func BenchmarkInsertAffectsKeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			if invalidate.InsertAffectsRays(e.Rays, e.Records, math.MaxInt64, pts[i%len(pts)]) {
+			if invalidate.InsertAffectsRays(e.Box(), e.Rays, e.Records, math.MaxInt64, pts[i%len(pts)]) {
 				affected++
 			}
 		}

@@ -97,7 +97,7 @@ type Entry struct {
 
 	// Rays is the region's extreme rays on the nonnegative orthant, scaled
 	// to Σw = 1, row-major (gir.Region.Rays), enumerated once when the
-	// entry is built: a drain decides an insert on them
+	// entry is built: a drain decides an insert on them and their Box
 	// (invalidate.InsertAffectsRays).
 	Rays []float64
 
@@ -169,6 +169,10 @@ func (e *Entry) boxHolds(q vec.Vector, s float64) bool {
 	}
 	return true
 }
+
+// Box returns the entry's padded ray box, lo then hi (see Entry). The
+// caller must not modify it.
+func (e *Entry) Box() []float64 { return e.box }
 
 // coneContains reports whether q lies on the nonnegative side of every cone
 // normal. The dot product accumulates in vec.Dot's order, so the verdict is

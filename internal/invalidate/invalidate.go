@@ -37,6 +37,16 @@
 // Σ μ_r ĝ_r with μ ≥ 0 and Σ μ_r = Σ w* ≤ d in either domain, so
 // w*·(p − p_k) > Tol forces max_r ĝ_r·(p − p_k) > Tol/d.
 //
+// Before its rays, the test reads the entry's ray box (lo_j ≤ ĝ_j ≤ hi_j
+// for every ray ĝ and coordinate j; cache.Entry pads it by 1e-9): with
+// v = p − p_k, an insert whose bound Σ_j max(lo_j·v_j, hi_j·v_j) is at most
+// the threshold is kept without reading a ray. The bound is at least every
+// ray's margin after rounding too: each rounded ĝ_j·v_j is at most the
+// rounded max, since rounding is monotone, both sums add their terms in the
+// same order, and a rounded sum is monotone in each addend. Every product is
+// rounded on its own (no fused multiply-add), so this holds on every
+// architecture, and the verdicts are the rays' alone.
+//
 // The rays may span more than the region: a cone capped at its row or ray
 // budget keeps a larger cone's rays, and the double description's
 // tolerances keep rays just outside a hyperplane. A larger cone has a
@@ -71,9 +81,10 @@ func DeleteAffects(recs []topk.Record, id int64) bool {
 // InsertAffectsRays reports whether inserting record id with attributes p
 // can change the top-|recs| result anywhere in a region whose extreme rays,
 // scaled to Σw = 1, are the row-major len(p)-wide rows of rays (see the
-// package comment). A cache entry holds its region's rays; this is the test
-// a drain runs on them.
-func InsertAffectsRays(rays []float64, recs []topk.Record, id int64, p vec.Vector) bool {
+// package comment). box, when it has 2·len(p) values, is lo then hi, a box
+// holding every ray, and is read first. A cache entry holds its region's
+// rays and their box; this is the test a drain runs on them.
+func InsertAffectsRays(box, rays []float64, recs []topk.Record, id int64, p vec.Vector) bool {
 	d := len(p)
 	if len(recs) == 0 || d == 0 || len(rays) == 0 || len(rays)%d != 0 {
 		return true // nothing to certify against, or malformed: evict
@@ -87,10 +98,21 @@ func InsertAffectsRays(rays []float64, recs []topk.Record, id int64, p vec.Vecto
 	if id < kth.ID { // a tie is enough, anywhere in the region but w = 0
 		thr = -Tol
 	}
+	if len(box) == 2*d {
+		lo, hi := box[:d], box[d:]
+		var s float64
+		for j, x := range p {
+			v := x - pk[j]
+			s += max(float64(lo[j]*v), float64(hi[j]*v))
+		}
+		if s <= thr {
+			return false
+		}
+	}
 	for g := rays; len(g) > 0; g = g[d:] {
 		var s float64
 		for j, x := range p {
-			s += g[j] * (x - pk[j])
+			s += float64(g[j] * (x - pk[j]))
 		}
 		if s > thr {
 			return true
@@ -112,5 +134,5 @@ func InsertAffectsID(reg *gir.Region, recs []topk.Record, id int64, p vec.Vector
 	if reg == nil || len(p) != reg.Dim {
 		return true
 	}
-	return InsertAffectsRays(reg.Rays(), recs, id, p)
+	return InsertAffectsRays(nil, reg.Rays(), recs, id, p)
 }

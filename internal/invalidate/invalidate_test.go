@@ -2,8 +2,10 @@ package invalidate
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/girlib/gir/internal/cache"
 	"github.com/girlib/gir/internal/domain"
 	"github.com/girlib/gir/internal/geom"
 	gir "github.com/girlib/gir/internal/gir"
@@ -206,7 +208,7 @@ func TestInsertAffectsRaysMatchLP(t *testing.T) {
 							if sol.Status != lp.Optimal {
 								t.Fatalf("%s d=%d %s: LP status %v", kind, d, dom.Name(), sol.Status)
 							}
-							got := InsertAffectsRays(rays, recs, id, p)
+							got := InsertAffectsRays(nil, rays, recs, id, p)
 							if !got && sol.Objective > Tol {
 								t.Fatalf("%s d=%d %s (wins tie %v): the rays keep insert %v, the LP's margin is %g",
 									kind, d, dom.Name(), winsTie, p, sol.Objective)
@@ -230,6 +232,86 @@ func TestInsertAffectsRaysMatchLP(t *testing.T) {
 	for _, kind := range kinds {
 		t.Logf("%s: %d verdicts, %d evictions, %d of them inserts the LP keeps", kind, verdicts[kind], evictions[kind], extra[kind])
 	}
+}
+
+// TestInsertAffectsBoxMatchesRays holds the drain's ray-box test to the
+// rays alone over TestInsertAffectsRaysMatchLP's corpus (the same seed and
+// draws): with the entry's box first the verdicts are the box-less loop's,
+// every one. A box built without the last ray must change some verdict,
+// so the corpus reaches inserts the box alone would keep wrongly.
+func TestInsertAffectsBoxMatchesRays(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	verdicts, boxKeeps, shortBoxWrong := 0, 0, 0
+	for _, kind := range []string{"random", "collinear", "grid", "capped"} {
+		for d := 2; d <= 6; d++ {
+			for _, space := range []func(int) domain.Domain{domain.UnitBox, domain.Simplex} {
+				dom := space(d)
+				for trial := 0; trial < lpRegions; trial++ {
+					reg, recs := lpRegion(t, r, kind, dom)
+					e := cache.NewEntry(reg, recs)
+					rays := e.Rays
+					if box := rayBox(rays, d); !slices.Equal(box, e.Box()) {
+						t.Fatalf("%s d=%d %s: entry box %v, want %v", kind, d, dom.Name(), e.Box(), box)
+					}
+					var short []float64
+					if len(rays) > d {
+						short = rayBox(rays[:len(rays)-d], d)
+					}
+					kth := recs[len(recs)-1]
+					for ins := 0; ins < 20; ins++ {
+						p := lpInsert(r, kind, kth.Point)
+						for _, id := range []int64{kth.ID - 1, kth.ID + 1} {
+							want := InsertAffectsRays(nil, rays, recs, id, p)
+							if got := InsertAffectsRays(e.Box(), rays, recs, id, p); got != want {
+								t.Fatalf("%s d=%d %s: with the box %v, the rays alone %v (insert %v, id %d)", kind, d, dom.Name(), got, want, p, id)
+							}
+							verdicts++
+							if !want && !boxBeats(e.Box(), kth.Point, p, id < kth.ID) {
+								boxKeeps++
+							}
+							if short != nil && InsertAffectsRays(short, rays, recs, id, p) != want {
+								shortBoxWrong++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d verdicts, %d kept by the box alone; a box without the last ray changed %d", verdicts, boxKeeps, shortBoxWrong)
+	if boxKeeps == 0 || shortBoxWrong == 0 {
+		t.Fatalf("the box kept %d inserts and a box without the last ray changed %d verdicts; both must be > 0", boxKeeps, shortBoxWrong)
+	}
+}
+
+// rayBox is the rays' bounding box, lo then hi, padded by 1e-9 as a cache
+// entry pads it.
+func rayBox(rays []float64, d int) []float64 {
+	box := make([]float64, 2*d)
+	for j := 0; j < d; j++ {
+		lo, hi := rays[j], rays[j]
+		for i := j; i < len(rays); i += d {
+			lo, hi = min(lo, rays[i]), max(hi, rays[i])
+		}
+		box[j], box[d+j] = lo-1e-9, hi+1e-9
+	}
+	return box
+}
+
+// boxBeats reports whether the box bound of p over p_k passes the
+// threshold, i.e. whether the box alone leaves the verdict to the rays.
+func boxBeats(box []float64, pk, p vec.Vector, winsTie bool) bool {
+	d := len(p)
+	thr := Tol / float64(d)
+	if winsTie {
+		thr = -Tol
+	}
+	var s float64
+	for j, x := range p {
+		v := x - pk[j]
+		s += max(box[j]*v, box[d+j]*v)
+	}
+	return s > thr
 }
 
 // lpRegions is how many regions TestInsertAffectsRaysMatchLP draws per

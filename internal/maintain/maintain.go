@@ -95,7 +95,7 @@ func (p *Planner) Drain(c *cache.Cache, batch []Mutation) Outcome {
 func (p *Planner) affects(m Mutation, e *cache.Entry) bool {
 	p.predicates.Add(1)
 	if m.Insert {
-		return invalidate.InsertAffectsRays(e.Rays, e.Records, m.ID, m.Point)
+		return invalidate.InsertAffectsRays(e.Box(), e.Rays, e.Records, m.ID, m.Point)
 	}
 	return invalidate.DeleteAffects(e.Records, m.ID)
 }

@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/girlib/gir/internal/pager"
@@ -141,62 +144,101 @@ func (t *Tree) growRoot(oldRoot *Node, sibling Entry) {
 // when the children are leaves, minimum area enlargement otherwise, ties
 // broken by the smaller area and then the first child.
 //
-// The overlap sum skips only terms that are exactly 0, and stops only once
-// it cannot win, so it picks the child the full O(fan-out²) sum picks (for
-// finite coordinates). When r already lies inside a child, its enlarged box
-// is the child's and every term is 0. A sibling disjoint from the enlarged
-// box overlaps neither it nor the child inside it. And no term is negative,
-// even after rounding: each interval of enlarged ∩ o contains the one of
-// child ∩ o, and rounding is monotone in the differences and the products,
-// so the partial sum never falls and a candidate past the best has lost.
+// One O(fan-out·d) pass finds the child with the least (area enlargement,
+// area, index), which is the answer above the leaves. Over leaves it is
+// also the answer when its overlap increment is exactly 0 — r lies inside
+// it, or growing it to cover r adds no overlap with its siblings — because
+// no child's increment is below 0 and it wins every tie; only otherwise
+// does the full rule run.
+//
+// That rule's overlap sum skips only terms that are exactly 0, and stops
+// only once it cannot win, so it picks the child the full O(fan-out²) sum
+// picks (for finite coordinates). When r already lies inside a child, its
+// enlarged box is the child's and every term is 0. A sibling disjoint from
+// the enlarged box overlaps neither it nor the child inside it. And no
+// term is negative, even after rounding: each interval of enlarged ∩ o
+// contains the one of child ∩ o, and rounding is monotone in the
+// differences and the products, so the partial sum never falls and a
+// candidate past the best has lost.
 func (t *Tree) chooseSubtree(n *Node, r Rect, childrenAreLeaves bool) int {
 	if t.enlarged.Lo == nil {
 		t.enlarged = Rect{Lo: make(vec.Vector, t.dim), Hi: make(vec.Vector, t.dim)}
 	}
 	enlarged := t.enlarged
-	best, bestOverlapInc, bestAreaInc, bestArea := -1, 0.0, 0.0, 0.0
+	best, bestAreaInc, bestArea, bestGrew := -1, 0.0, 0.0, false
 	for i, e := range n.Entries {
-		grew := false
-		for k := range enlarged.Lo {
-			lo, hi := e.Rect.Lo[k], e.Rect.Hi[k]
-			if r.Lo[k] < lo {
-				lo, grew = r.Lo[k], true
-			}
-			if r.Hi[k] > hi {
-				hi, grew = r.Hi[k], true
-			}
-			enlarged.Lo[k], enlarged.Hi[k] = lo, hi
-		}
+		grew := enlargeInto(enlarged, e.Rect, r)
 		area := e.Rect.Area()
 		areaInc := enlarged.Area() - area
-		overlapInc := 0.0
-		if childrenAreLeaves && grew {
-			for j, o := range n.Entries {
-				if j == i || !enlarged.Intersects(o.Rect) {
-					continue
-				}
-				overlapInc += enlarged.OverlapArea(o.Rect) - e.Rect.OverlapArea(o.Rect)
-				if best >= 0 && overlapInc > bestOverlapInc {
-					break
-				}
-			}
+		if best < 0 || areaInc < bestAreaInc || areaInc == bestAreaInc && area < bestArea {
+			best, bestAreaInc, bestArea, bestGrew = i, areaInc, area, grew
+		}
+	}
+	if !childrenAreLeaves || !bestGrew {
+		return best
+	}
+	enlargeInto(enlarged, n.Entries[best].Rect, r)
+	if overlapInc(n, best, enlarged, 0) == 0 {
+		return best
+	}
+
+	best, bestOverlapInc := -1, math.Inf(1)
+	for i, e := range n.Entries {
+		grew := enlargeInto(enlarged, e.Rect, r)
+		area := e.Rect.Area()
+		areaInc := enlarged.Area() - area
+		inc := 0.0
+		if grew {
+			inc = overlapInc(n, i, enlarged, bestOverlapInc)
 		}
 		better := false
 		switch {
 		case best < 0:
 			better = true
-		case childrenAreLeaves && overlapInc != bestOverlapInc:
-			better = overlapInc < bestOverlapInc
+		case inc != bestOverlapInc:
+			better = inc < bestOverlapInc
 		case areaInc != bestAreaInc:
 			better = areaInc < bestAreaInc
 		default:
 			better = area < bestArea
 		}
 		if better {
-			best, bestOverlapInc, bestAreaInc, bestArea = i, overlapInc, areaInc, area
+			best, bestOverlapInc, bestAreaInc, bestArea = i, inc, areaInc, area
 		}
 	}
 	return best
+}
+
+// enlargeInto sets dst to the smallest box covering c and r and reports
+// whether it is larger than c.
+func enlargeInto(dst, c, r Rect) (grew bool) {
+	for k := range dst.Lo {
+		lo, hi := c.Lo[k], c.Hi[k]
+		if r.Lo[k] < lo {
+			lo, grew = r.Lo[k], true
+		}
+		if r.Hi[k] > hi {
+			hi, grew = r.Hi[k], true
+		}
+		dst.Lo[k], dst.Hi[k] = lo, hi
+	}
+	return grew
+}
+
+// overlapInc sums, over n's children but i, the overlap that growing child
+// i to enlarged adds, and stops once the sum passes bound.
+func overlapInc(n *Node, i int, enlarged Rect, bound float64) float64 {
+	c, inc := n.Entries[i].Rect, 0.0
+	for j, o := range n.Entries {
+		if j == i || !enlarged.Intersects(o.Rect) {
+			continue
+		}
+		inc += enlarged.OverlapArea(o.Rect) - c.OverlapArea(o.Rect)
+		if inc > bound {
+			break
+		}
+	}
+	return inc
 }
 
 // forcedReinsertSet removes the p⌈·⌉ entries whose centres are farthest
@@ -236,6 +278,7 @@ func (t *Tree) split(n *Node) *Node {
 	entries := n.Entries
 	m := t.minOf(n)
 	d := t.dim
+	nE := len(entries)
 
 	type distribution struct {
 		axis, k int
@@ -244,8 +287,19 @@ func (t *Tree) split(n *Node) *Node {
 		overlap float64
 		areaSum float64
 	}
-	var best *distribution
-	sorted := make([]Entry, len(entries))
+	best := distribution{marginS: math.Inf(1)} // the first candidate beats it
+	sorted := make([]Entry, nE)
+	// prefix[i] bounds sorted[:i] and suffix[i] bounds sorted[i:]: every
+	// box is grown in place in one slab, for every axis and sort order.
+	prefix, suffix := make([]Rect, nE+1), make([]Rect, nE+1)
+	slab := make([]float64, 4*(nE+1)*d)
+	for i := range prefix {
+		b := slab[4*i*d : 4*(i+1)*d]
+		prefix[i] = Rect{Lo: b[:d:d], Hi: b[d : 2*d : 2*d]}
+		suffix[i] = Rect{Lo: b[2*d : 3*d : 3*d], Hi: b[3*d:]}
+	}
+	prefix[0], suffix[nE] = EmptyRect(d), EmptyRect(d)
+	cands := make([]distribution, 0, nE)
 
 	for axis := 0; axis < d; axis++ {
 		for _, byLo := range []bool{true, false} {
@@ -257,33 +311,19 @@ func (t *Tree) split(n *Node) *Node {
 				}
 				return sorted[i].Rect.Hi[ax] < sorted[j].Rect.Hi[ax]
 			})
-			// Prefix/suffix MBBs for O(1) distribution evaluation.
-			nE := len(sorted)
-			prefix := make([]Rect, nE+1)
-			suffix := make([]Rect, nE+1)
-			prefix[0], suffix[nE] = EmptyRect(d), EmptyRect(d)
 			for i := 0; i < nE; i++ {
-				prefix[i+1] = prefix[i].Enlarged(sorted[i].Rect)
-				suffix[nE-1-i] = suffix[nE-i].Enlarged(sorted[nE-1-i].Rect)
+				enlargeInto(prefix[i+1], prefix[i], sorted[i].Rect)
+				enlargeInto(suffix[nE-1-i], suffix[nE-i], sorted[nE-1-i].Rect)
 			}
 			var axisMargin float64
-			type cand struct {
-				k       int
-				overlap float64
-				areaSum float64
-			}
-			var cands []cand
+			cands = cands[:0]
 			for k := m; k <= nE-m; k++ {
 				g1, g2 := prefix[k], suffix[k]
 				axisMargin += g1.Margin() + g2.Margin()
-				cands = append(cands, cand{k, g1.OverlapArea(g2), g1.Area() + g2.Area()})
+				cands = append(cands, distribution{axis: axis, k: k, byLo: byLo, overlap: g1.OverlapArea(g2), areaSum: g1.Area() + g2.Area()})
 			}
-			for _, c := range cands {
-				dd := &distribution{axis: axis, k: c.k, byLo: byLo, marginS: axisMargin, overlap: c.overlap, areaSum: c.areaSum}
-				if best == nil {
-					best = dd
-					continue
-				}
+			for _, dd := range cands {
+				dd.marginS = axisMargin
 				switch {
 				case dd.marginS != best.marginS:
 					if dd.marginS < best.marginS {
@@ -332,39 +372,78 @@ func (t *Tree) Delete(id int64, p vec.Vector) bool {
 // log a delete before applying it on the same walk that decides whether
 // there is anything to log.
 func (t *Tree) DeleteWith(id int64, p vec.Vector, step func() error) (bool, error) {
-	var found *Node
-	var leafPath []pathStep
+	path, leaf, slot := t.findRecord(id, p)
+	if leaf == nil {
+		return false, nil
+	}
+	return t.removeRecord(path, leaf, slot, step)
+}
 
-	var walk func(nid pager.PageID, path []pathStep) bool
-	walk = func(nid pager.PageID, path []pathStep) bool {
-		n := t.ReadNode(nid)
-		if n.Leaf {
-			for i, e := range n.Entries {
-				if e.RecID == id && vec.Equal(e.Point(), p, 0) {
-					n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-					found = n
-					leafPath = append([]pathStep(nil), path...)
-					return true
+// findRecord finds the leaf entry holding record id at p, depth first in
+// entry order, and returns the internal nodes above it with the slots taken
+// (root first), the leaf and the entry's slot; leaf is nil on a miss.
+//
+// The search reads the raw page bytes: an internal entry's box is tested
+// on the page, and a leaf's record-id column, stored first, is scanned
+// before any coordinate is read. Only the root-to-leaf path it found is
+// decoded, from the buffers the search already holds, so the pages read
+// and their order are those of a decoding walk.
+func (t *Tree) findRecord(id int64, p vec.Vector) (path []pathStep, leaf *Node, slot int) {
+	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+	var walk func(nid pager.PageID) bool
+	walk = func(nid pager.PageID) bool {
+		nid = t.resolveID(nid)
+		buf := t.store.Read(nid)
+		count := int(binary.LittleEndian.Uint16(buf[1:3]))
+		if buf[0] == 1 {
+		records:
+			for i := 0; i < count; i++ {
+				if int64(binary.LittleEndian.Uint64(buf[nodeHeader+8*i:])) != id {
+					continue
 				}
+				for j, x := range p {
+					if f64(buf[nodeHeader+8*(count*(j+1)+i):]) != x {
+						continue records
+					}
+				}
+				leaf, slot = t.decode(nid, buf), i
+				return true
 			}
 			return false
 		}
-		for i, e := range n.Entries {
-			if e.Rect.Contains(p) && walk(e.Child, append(path, pathStep{n, i})) {
+	children:
+		for i := 0; i < count; i++ {
+			e := buf[nodeHeader+i*(4+16*t.dim):]
+			for j, x := range p {
+				if x < f64(e[4+8*j:]) || x > f64(e[4+8*(t.dim+j):]) {
+					continue children
+				}
+			}
+			if walk(pager.PageID(binary.LittleEndian.Uint32(e))) {
+				path = append(path, pathStep{t.decode(nid, buf), i})
 				return true
 			}
 		}
 		return false
 	}
-	if !walk(t.root, nil) {
-		return false, nil
+	if !walk(t.root) {
+		return nil, nil, -1
 	}
+	slices.Reverse(path)
+	return path, leaf, slot
+}
+
+// removeRecord is DeleteWith once the search has found the record: it runs
+// step, removes the leaf's entry at slot and condenses the tree along the
+// path findRecord returned.
+func (t *Tree) removeRecord(leafPath []pathStep, found *Node, slot int, step func() error) (bool, error) {
 	if step != nil {
 		if err := step(); err != nil {
 			return false, err
 		}
 	}
 	t.size--
+	found.Entries = append(found.Entries[:slot], found.Entries[slot+1:]...)
 
 	// Condense: dissolve underfull nodes bottom-up, collect orphans.
 	type orphan struct {

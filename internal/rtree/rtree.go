@@ -37,19 +37,6 @@ func EmptyRect(d int) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// Clone deep-copies the rectangle.
-func (r Rect) Clone() Rect { return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()} }
-
-// Contains reports whether p lies inside r (inclusive).
-func (r Rect) Contains(p vec.Vector) bool {
-	for i := range p {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether r and s overlap (inclusive).
 func (r Rect) Intersects(s Rect) bool {
 	for i := range r.Lo {
@@ -58,20 +45,6 @@ func (r Rect) Intersects(s Rect) bool {
 		}
 	}
 	return true
-}
-
-// Enlarged returns the smallest rectangle covering both r and s.
-func (r Rect) Enlarged(s Rect) Rect {
-	out := r.Clone()
-	for i := range out.Lo {
-		if s.Lo[i] < out.Lo[i] {
-			out.Lo[i] = s.Lo[i]
-		}
-		if s.Hi[i] > out.Hi[i] {
-			out.Hi[i] = s.Hi[i]
-		}
-	}
-	return out
 }
 
 // ExpandInPlace grows r to cover s.

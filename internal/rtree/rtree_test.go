@@ -276,15 +276,15 @@ func TestRectOps(t *testing.T) {
 	if !a.Intersects(b) || a.Intersects(Rect{Lo: vec.Vector{5, 5}, Hi: vec.Vector{6, 6}}) {
 		t.Error("Intersects wrong")
 	}
-	u := a.Enlarged(b)
-	if !vec.Equal(u.Lo, vec.Vector{0, 0}, 0) || !vec.Equal(u.Hi, vec.Vector{3, 2}, 0) {
-		t.Errorf("Enlarged = %v", u)
+	u := Rect{Lo: vec.Vector{9, 9}, Hi: vec.Vector{9, 9}}
+	if !enlargeInto(u, a, b) || !vec.Equal(u.Lo, vec.Vector{0, 0}, 0) || !vec.Equal(u.Hi, vec.Vector{3, 2}, 0) {
+		t.Errorf("enlargeInto = %v", u)
+	}
+	if enlargeInto(u, a, PointRect(vec.Vector{1, 1})) || !vec.Equal(u.Lo, a.Lo, 0) || !vec.Equal(u.Hi, a.Hi, 0) {
+		t.Errorf("enlargeInto by an inner point = %v", u)
 	}
 	if !vec.Equal(a.Center(), vec.Vector{1, 0.5}, 0) {
 		t.Errorf("Center = %v", a.Center())
-	}
-	if !a.Contains(vec.Vector{1, 1}) || a.Contains(vec.Vector{1, 1.5}) {
-		t.Error("Contains wrong")
 	}
 }
 

@@ -1,11 +1,13 @@
 package rtree
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/girlib/gir/internal/pager"
@@ -93,17 +95,12 @@ func TestWritePagesGolden(t *testing.T) {
 func chooseSubtreeReference(n *Node, r Rect, childrenAreLeaves bool) int {
 	best, bestOverlapInc, bestAreaInc, bestArea := -1, 0.0, 0.0, 0.0
 	for i, e := range n.Entries {
-		enlarged := e.Rect.Enlarged(r)
+		enlarged := enlargedRef(e.Rect, r)
 		areaInc := enlarged.Area() - e.Rect.Area()
 		area := e.Rect.Area()
 		overlapInc := 0.0
 		if childrenAreLeaves {
-			for j, o := range n.Entries {
-				if j == i {
-					continue
-				}
-				overlapInc += enlarged.OverlapArea(o.Rect) - e.Rect.OverlapArea(o.Rect)
-			}
+			overlapInc = overlapIncReference(n, i, r)
 		}
 		better := false
 		switch {
@@ -123,6 +120,28 @@ func chooseSubtreeReference(n *Node, r Rect, childrenAreLeaves bool) int {
 	return best
 }
 
+// overlapIncReference is the overlap that growing child i of n to cover r
+// adds, summed over every other child.
+func overlapIncReference(n *Node, i int, r Rect) float64 {
+	enlarged := enlargedRef(n.Entries[i].Rect, r)
+	inc := 0.0
+	for j, o := range n.Entries {
+		if j != i {
+			inc += enlarged.OverlapArea(o.Rect) - n.Entries[i].Rect.OverlapArea(o.Rect)
+		}
+	}
+	return inc
+}
+
+// enlargedRef is the smallest box covering a and b, in fresh vectors.
+func enlargedRef(a, b Rect) Rect {
+	out := Rect{Lo: make(vec.Vector, len(a.Lo)), Hi: make(vec.Vector, len(a.Lo))}
+	for k := range out.Lo {
+		out.Lo[k], out.Hi[k] = min(a.Lo[k], b.Lo[k]), max(a.Hi[k], b.Hi[k])
+	}
+	return out
+}
+
 // gridCoord draws from a coarse grid most of the time, so boxes share
 // edges, touch, coincide and collapse to zero width on some axis.
 func gridCoord(r *rand.Rand) float64 {
@@ -132,43 +151,224 @@ func gridCoord(r *rand.Rand) float64 {
 	return float64(r.Intn(5)) / 4
 }
 
+// gridBox draws a box with gridCoord corners.
+func gridBox(r *rand.Rand, d int) Rect {
+	lo, hi := make(vec.Vector, d), make(vec.Vector, d)
+	for j := range lo {
+		lo[j], hi[j] = gridCoord(r), gridCoord(r)
+		if lo[j] > hi[j] {
+			lo[j], hi[j] = hi[j], lo[j]
+		}
+	}
+	return Rect{Lo: lo, Hi: hi}
+}
+
+// TestChooseSubtreeMatchesReference holds chooseSubtree to the full rule on
+// point entries, as an insert descends with, and on boxes, as a condense
+// reinserts internal entries with. It requires both of its exits: the
+// least-enlargement child taken at once, and the full rule run because
+// that child's overlap increment is positive.
 func TestChooseSubtreeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
+	var fallbacks, shortcuts int
 	for d := 1; d <= 8; d++ {
 		tr := New(pager.NewMemStore(), d)
 		for trial := 0; trial < 400; trial++ {
 			n := &Node{}
 			for i := 2 + r.Intn(tr.maxInt-1); i > 0; i-- {
-				lo, hi := make(vec.Vector, d), make(vec.Vector, d)
-				for j := range lo {
-					lo[j], hi[j] = gridCoord(r), gridCoord(r)
-					if lo[j] > hi[j] {
-						lo[j], hi[j] = hi[j], lo[j]
-					}
-				}
-				n.Entries = append(n.Entries, Entry{Rect: Rect{Lo: lo, Hi: hi}})
+				n.Entries = append(n.Entries, Entry{Rect: gridBox(r, d)})
 			}
 			p := make(vec.Vector, d)
+			c := n.Entries[r.Intn(len(n.Entries))].Rect
+			var box Rect
 			switch trial % 3 {
 			case 0: // a corner of some child: inside it and whatever it touches
-				copy(p, n.Entries[r.Intn(len(n.Entries))].Rect.Hi)
+				copy(p, c.Hi)
+				box = Rect{Lo: c.Lo.Clone(), Hi: c.Hi.Clone()} // the child itself
 			case 1: // inside one child, maybe several
-				c := n.Entries[r.Intn(len(n.Entries))].Rect
+				box = Rect{Lo: make(vec.Vector, d), Hi: make(vec.Vector, d)}
 				for j := range p {
 					p[j] = c.Lo[j] + r.Float64()*(c.Hi[j]-c.Lo[j])
+					box.Lo[j], box.Hi[j] = min(p[j], c.Hi[j]), c.Hi[j]
 				}
 			default:
 				for j := range p {
 					p[j] = gridCoord(r)
 				}
+				box = gridBox(r, d)
 			}
-			q := PointRect(p)
-			for _, leaves := range []bool{true, false} {
-				if got, want := tr.chooseSubtree(n, q, leaves), chooseSubtreeReference(n, q, leaves); got != want {
-					t.Fatalf("d=%d trial %d leaves=%v: chose %d, reference %d", d, trial, leaves, got, want)
+			for _, q := range []Rect{PointRect(p), box} {
+				for _, leaves := range []bool{true, false} {
+					if got, want := tr.chooseSubtree(n, q, leaves), chooseSubtreeReference(n, q, leaves); got != want {
+						t.Fatalf("d=%d trial %d leaves=%v entry %v: chose %d, reference %d", d, trial, leaves, q, got, want)
+					}
+				}
+				if least := chooseSubtreeReference(n, q, false); overlapIncReference(n, least, q) > 0 {
+					fallbacks++
+				} else {
+					shortcuts++
 				}
 			}
 		}
+	}
+	t.Logf("%d entries decided by the least enlargement, %d by the full rule", shortcuts, fallbacks)
+	if fallbacks == 0 || shortcuts == 0 {
+		t.Fatalf("one exit never ran: %d shortcuts, %d fallbacks", shortcuts, fallbacks)
+	}
+}
+
+// findRecordDecoded is findRecord as a walk over decoded nodes, the oracle
+// for its search on page bytes.
+func findRecordDecoded(tr *Tree, id int64, p vec.Vector) (path []pathStep, leaf *Node, slot int) {
+	var walk func(nid pager.PageID) bool
+	walk = func(nid pager.PageID) bool {
+		n := tr.ReadNode(nid)
+		if n.Leaf {
+			for i, e := range n.Entries {
+				if e.RecID == id && vec.Equal(e.Point(), p, 0) {
+					leaf, slot = n, i
+					return true
+				}
+			}
+			return false
+		}
+	children:
+		for i, e := range n.Entries {
+			for j, x := range p {
+				if x < e.Rect.Lo[j] || x > e.Rect.Hi[j] {
+					continue children
+				}
+			}
+			path = append(path, pathStep{n, i})
+			if walk(e.Child) {
+				return true
+			}
+			path = path[:len(path)-1]
+		}
+		return false
+	}
+	if !walk(tr.root) {
+		return nil, nil, -1
+	}
+	return path, leaf, slot
+}
+
+// deleteTwins runs one delete on twin trees, DeleteWith on a and the
+// decoded walk with the same removal on b, and fails unless both find the
+// same path, read the same pages and leave the same tree.
+func deleteTwins(t *testing.T, a, b *Tree, id int64, p vec.Vector) bool {
+	t.Helper()
+	readsA := a.store.Stats().Reads
+	pathA, leafA, slotA := a.findRecord(id, p)
+	readsA = a.store.Stats().Reads - readsA
+	readsB := b.store.Stats().Reads
+	pathB, leafB, slotB := findRecordDecoded(b, id, p)
+	readsB = b.store.Stats().Reads - readsB
+	if readsA != readsB || slotA != slotB || !reflect.DeepEqual(pathA, pathB) || !reflect.DeepEqual(leafA, leafB) {
+		t.Fatalf("delete %d at %v: search read %d pages, found slot %d; the decoded walk read %d, found slot %d", id, p, readsA, slotA, readsB, slotB)
+	}
+
+	readsA = a.store.Stats().Reads
+	okA, _ := a.DeleteWith(id, p, nil)
+	readsA = a.store.Stats().Reads - readsA
+	readsB = b.store.Stats().Reads
+	okB := false
+	if pathB, leafB, slotB := findRecordDecoded(b, id, p); leafB != nil {
+		okB, _ = b.removeRecord(pathB, leafB, slotB, nil)
+	}
+	readsB = b.store.Stats().Reads - readsB
+	if okA != okB || readsA != readsB {
+		t.Fatalf("delete %d at %v: DeleteWith %v after %d reads, the decoded walk %v after %d", id, p, okA, readsA, okB, readsB)
+	}
+	return okA
+}
+
+// TestDeleteWithMatchesDecodedWalk holds DeleteWith's search on page bytes
+// to a walk over decoded nodes: the same found or missed record, the same
+// path, the same counted reads and the same pages after the delete, on
+// grid data where points repeat under other ids and lie on shared box
+// faces, for present records, a present id at another point and absent
+// ids, in place and inside open copy-on-write mutations after relocations.
+func TestDeleteWithMatchesDecodedWalk(t *testing.T) {
+	for _, d := range []int{2, 3, 5} {
+		r := rand.New(rand.NewSource(int64(60 + d)))
+		pts := make([]vec.Vector, 3000)
+		for i := range pts {
+			pts[i] = make(vec.Vector, d)
+			for j := range pts[i] {
+				pts[i][j] = gridCoord(r)
+			}
+		}
+		a := BulkLoad(pager.NewMemStore(), d, pts, nil)
+		b := BulkLoad(pager.NewMemStore(), d, pts, nil)
+		live := make([]int64, len(pts))
+		for i := range live {
+			live[i] = int64(i)
+		}
+		hits, misses := 0, 0
+		for round := 0; round < 60; round++ {
+			cow := round%2 == 1
+			if cow {
+				a.BeginCOW()
+				b.BeginCOW()
+			}
+			// Inserts relocate the pages of their paths inside a mutation;
+			// one in three repeats a live point under a new id.
+			for i := 0; i < 10; i++ {
+				p := make(vec.Vector, d)
+				for j := range p {
+					p[j] = gridCoord(r)
+				}
+				if r.Intn(3) == 0 {
+					p = pts[live[r.Intn(len(live))]].Clone()
+				}
+				pts = append(pts, p)
+				live = append(live, int64(len(pts)-1))
+				a.Insert(live[len(live)-1], p)
+				b.Insert(live[len(live)-1], p)
+			}
+			for i := 0; i < 20; i++ {
+				k := r.Intn(len(live))
+				id := live[k]
+				switch r.Intn(4) {
+				case 0: // a present id at another live record's point
+					if other := pts[live[r.Intn(len(live))]]; !vec.Equal(other, pts[id], 0) {
+						if deleteTwins(t, a, b, id, other) {
+							t.Fatalf("d=%d: record %d deleted at another point", d, id)
+						}
+						misses++
+						continue
+					}
+				case 1: // an absent id at a live point
+					if deleteTwins(t, a, b, -1-id, pts[id]) {
+						t.Fatalf("d=%d: absent record %d deleted", d, -1-id)
+					}
+					misses++
+					continue
+				}
+				if !deleteTwins(t, a, b, id, pts[id]) {
+					t.Fatalf("d=%d: live record %d missed", d, id)
+				}
+				hits++
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if cow {
+				freedA, freshA := a.CommitCOW()
+				freedB, freshB := b.CommitCOW()
+				if !reflect.DeepEqual(freedA, freedB) || !reflect.DeepEqual(freshA, freshB) {
+					t.Fatalf("d=%d round %d: the twins' mutations wrote different pages", d, round)
+				}
+				for _, id := range freedA {
+					a.store.Free(id)
+					b.store.Free(id)
+				}
+			}
+			if !bytes.Equal(pageHash(a), pageHash(b)) {
+				t.Fatalf("d=%d round %d: the twins' pages differ", d, round)
+			}
+		}
+		t.Logf("d=%d: %d deletes found their record, %d missed", d, hits, misses)
 	}
 }
 
@@ -250,5 +450,35 @@ func BenchmarkTreeDelete(b *testing.B) {
 		tr.BeginCOW()
 		tr.Delete(int64(1<<32+i), p)
 		tr.CommitCOW()
+	}
+}
+
+// BenchmarkTreeChurn is one copy-on-write write of churn's steady state:
+// laps of churnScript inserts, then deletes of the same records, into a
+// tree that has absorbed one lap of each already, with every superseded
+// page freed as a published dataset frees it.
+func BenchmarkTreeChurn(b *testing.B) {
+	const churnScript = 500
+	tr, _ := writeBench(b)
+	ps := randPoints(rand.New(rand.NewSource(2)), churnScript, tr.Dim())
+	write := func(i int) {
+		tr.BeginCOW()
+		if k := i % len(ps); i/len(ps)%2 == 0 {
+			tr.Insert(int64(1<<32+k), ps[k])
+		} else if !tr.Delete(int64(1<<32+k), ps[k]) {
+			b.Fatalf("churn delete of record %d missed", k)
+		}
+		freed, _ := tr.CommitCOW()
+		for _, id := range freed {
+			tr.Store().Free(id)
+		}
+	}
+	for i := 0; i < 2*len(ps); i++ {
+		write(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(i)
 	}
 }
