@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	cacheint "github.com/girlib/gir/internal/cache"
+	engineint "github.com/girlib/gir/internal/engine"
 	"github.com/girlib/gir/internal/maintain"
 	"github.com/girlib/gir/internal/score"
 	"github.com/girlib/gir/internal/topk"
@@ -274,6 +275,82 @@ func runEngineChurn(t *testing.T, opts EngineOptions, space Space) {
 		t.Errorf("counters inconsistent: affected %d, evicted %d, repaired %d", st.Affected, st.Invalidated, st.Repaired)
 	}
 	t.Logf("verified=%d (windows spanning mutations: %d) %s", verified, hadMultiVersionWindows, counters)
+}
+
+// TestChurnDifferential is the ground-truth harness for the engine under
+// writes: a 10k-step Zipf-query/write-mix stream in both query spaces, each
+// read byte-compared (ids, attributes, score bits) against a brute-force
+// oracle over a mirror of the dataset. Writes are applied synchronously, so
+// the mirror IS the version every following read must be served at; a
+// stale cache serve (a missed eviction, a drain behind its write) is a
+// byte diff.
+func TestChurnDifferential(t *testing.T) {
+	steps := 10000
+	if testing.Short() {
+		steps = 1500
+	}
+	for _, space := range []Space{SpaceBox, SpaceSimplex} {
+		t.Run(space.String(), func(t *testing.T) {
+			t.Parallel()
+			runChurnDifferential(t, space, steps)
+		})
+	}
+}
+
+func runChurnDifferential(t *testing.T, space Space, steps int) {
+	const n, d, distinct = 1200, 3, 24
+	points := randPoints(rand.New(rand.NewSource(77)), n, d)
+	mirror := make(map[int64][]float64, n)
+	for i, p := range points {
+		mirror[int64(i)] = p
+	}
+	ds, err := NewDatasetInSpace(points, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(ds, EngineOptions{})
+	defer e.Close()
+
+	ops, queries, writes := engineint.NewChurnWorkloadIn(
+		177, d, distinct, 1.3, 0.001, steps, 0.05, 2, 8, space == SpaceSimplex)
+	if queries == 0 || writes == 0 {
+		t.Fatalf("degenerate workload: %d queries, %d writes", queries, writes)
+	}
+	for step, op := range ops {
+		switch {
+		case op.Write && op.Insert:
+			if err := ds.Insert(op.ID, op.Point); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			mirror[op.ID] = op.Point
+		case op.Write:
+			if ok, err := ds.Delete(op.ID, op.Point); err != nil || !ok {
+				t.Fatalf("step %d: delete of live record %d: %v, %v", step, op.ID, ok, err)
+			}
+			delete(mirror, op.ID)
+		default:
+			res := e.TopK(op.Query, op.K)
+			if res.Err != nil {
+				t.Fatalf("step %d: %v", step, res.Err)
+			}
+			if len(res.Records) != op.K {
+				t.Fatalf("step %d: %d records for k = %d", step, len(res.Records), op.K)
+			}
+			want := bruteTopKScored(mirror, op.Query, op.K)
+			for i, got := range res.Records {
+				if got.ID != want[i].id || math.Float64bits(got.Score) != math.Float64bits(want[i].score) ||
+					!slices.Equal(got.Attrs, mirror[got.ID]) {
+					t.Fatalf("step %d: rank %d of top-%d is %d (%v), the oracle's %d (%v) at version %d",
+						step, i, op.K, got.ID, got.Score, want[i].id, want[i].score, ds.Version())
+				}
+			}
+		}
+	}
+	// A stream the cache never served from proves nothing about its
+	// maintenance.
+	if st := e.Stats(); st.CacheHits == 0 || st.Invalidated == 0 {
+		t.Fatalf("%d hits and %d evictions over the stream", st.CacheHits, st.Invalidated)
+	}
 }
 
 // TestHitNeverRunsAheadOfVersion: a write drains into the cache before it

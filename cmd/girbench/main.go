@@ -12,7 +12,7 @@
 // With -serve they are the serving tables: arms over one operation stream.
 //
 //	girbench -serve -json BENCH.json   # every table
-//	girbench -serve -table churn       # one of serve, fuse, churn, wal, stall, shard
+//	girbench -serve -table churn       # one of serve, fuse, churn, wal, stall
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	var cfg suiteConfig
 	fig := flag.Int("fig", 0, "figure to reproduce (6, 8, 14, 15, 16, 17, 18, 19); 0 = all")
 	serve := flag.Bool("serve", false, "run the serving tables instead of the figures")
-	suiteTable := flag.String("table", "", "-serve: run only this table (serve, fuse, churn, wal, stall, shard); default all")
+	suiteTable := flag.String("table", "", "-serve: run only this table (serve, fuse, churn, wal, stall); default all")
 	suiteStream := flag.Int("stream", 4000, "-serve: operations in the stream")
 	suiteDistinct := flag.Int("distinct", 64, "-serve: distinct query vectors in the Zipf pool")
 	suiteSpace := flag.String("space", "box", "-serve: query-space domain — box ([0,1]^d) or simplex (the paper's Σw=1 convention; queries are sum-normalized)")

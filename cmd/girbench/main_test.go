@@ -112,34 +112,6 @@ func TestSuiteSmoke(t *testing.T) {
 				t.Errorf("the churn arm: %d durable writes, recovered=%v — the mutator never ran or its log does not replay", rows[1].Writes, rows[1].Recovered)
 			}
 		}},
-		{"shard", []string{"1 shard(s)", "4 shard(s)"}, func(t *testing.T, rows []row) {
-			for i, r := range rows {
-				if want := []int{1, 4}[i]; r.Shards != want || len(r.Parts) != want {
-					t.Fatalf("%s: %d shards, %d partition rows, want %d", r.Name, r.Shards, len(r.Parts), want)
-				}
-				if r.Hits == 0 || r.RecordSkew < 1 {
-					t.Errorf("%s: no hits or a skew below 1: %+v", r.Name, r)
-				}
-				records, versions := 0, int64(0)
-				for _, p := range r.Parts {
-					records, versions = records+p.Records, versions+p.Version
-				}
-				if records < cfg.N || versions != int64(r.Writes) {
-					t.Errorf("%s: partitions hold %d records and %d writes, seeded with %d and written %d times", r.Name, records, versions, cfg.N, r.Writes)
-				}
-				// One engine serves every partition: a query is one cache lookup.
-				if lookups := r.Hits + r.Partial + r.Misses; lookups != int64(r.Queries) {
-					t.Errorf("%s: %d cache lookups for %d queries", r.Name, lookups, r.Queries)
-				}
-			}
-			if rows[1].Hits != rows[0].Hits || rows[1].Misses != rows[0].Misses || rows[1].Recomputes != rows[0].Recomputes {
-				t.Errorf("four partitions served %d hits, %d misses, %d recomputes; one served %d, %d, %d",
-					rows[1].Hits, rows[1].Misses, rows[1].Recomputes, rows[0].Hits, rows[0].Misses, rows[0].Recomputes)
-			}
-			if rows[0].PartsOverheadPct != 0 {
-				t.Errorf("the one-partition row carries partition overhead: %+v", rows[0])
-			}
-		}},
 	}
 
 	for _, space := range []string{"box", "simplex"} {
@@ -209,7 +181,7 @@ func TestSuiteTableFlag(t *testing.T) {
 	if s := out.String(); !strings.Contains(s, "\nwal —") || strings.Contains(s, "\nserve —") {
 		t.Errorf("-table wal printed:\n%s", s)
 	}
-	if err := runSuite(cfg, false, "burst", "", &out); err == nil || !strings.Contains(err.Error(), "serve, fuse, churn, wal, stall, shard") {
+	if err := runSuite(cfg, false, "burst", "", &out); err == nil || !strings.Contains(err.Error(), "serve, fuse, churn, wal, stall") {
 		t.Errorf("unknown table: %v", err)
 	}
 	for _, bad := range []suiteConfig{{N: 400, Stream: 60, Distinct: 0, Space: "box"}, {N: 400, Stream: 60, Distinct: 4, Space: "sphere"}, {N: 400, Distinct: 4, Space: "box"}} {

@@ -40,7 +40,7 @@ const (
 	suiteZipfS      = 1.3   // Zipf skew of query popularity
 	suiteJitter     = 0.001 // gaussian nudge: near-repeats that land inside a cached region
 	suiteInflight   = 64    // concurrent callers of an in-flight arm = queries per BatchTopK call
-	suiteWriteMix   = 0.05  // share of operations that are writes in the churn, wal and shard streams
+	suiteWriteMix   = 0.05  // share of operations that are writes in the churn and wal streams
 	suiteWALGroup   = 32    // group-commit interval of the third wal arm
 	suiteWriteRate  = 200   // the stall mutator's durable writes per second
 	suiteFsyncDelay = 2 * time.Millisecond
@@ -98,7 +98,6 @@ type arm struct {
 	flush   bool // engined: clear the whole cache after every write (the flush-the-world baseline the engine has no switch for)
 	walSync int  // > 0: log to a temporary directory, fsync every walSync appends; the arm ends with a checkpoint and a recovery
 	mutator bool // writes come from a paced concurrent goroutine, and every fsync takes suiteFsyncDelay longer (a spinning disk)
-	parts   int  // > 0: the dataset is that many partitions (gir.NewPartitionedDataset), and the row reports each
 }
 
 // table is one comparison: its arms over one stream, or — a figure table —
@@ -144,10 +143,6 @@ var suiteTables = []table{
 	{Name: "stall", Compares: "read tail latency alone vs beside a writer that fsyncs every append: readers pin a snapshot and never wait for it", arms: []arm{
 		{name: "read-only", on: bare},
 		{name: "syncevery=1 churn", on: bare, walSync: 1, mutator: true},
-	}},
-	{Name: "shard", Compares: "one partition vs four under one engine: what the top page costs, hit rate, per-partition records", WriteMix: suiteWriteMix, arms: []arm{
-		{name: "1 shard(s)", on: engined, parts: 1, warm: true},
-		{name: "4 shard(s)", on: engined, parts: 4, warm: true},
 	}},
 
 	{Name: "fig6", Figure: 6, Sweep: "d", Compares: "what SP and CP keep of D\\R: |SL| (the SP rows) and |SL∩CH| (the CP rows) vs d, one query", queries: 1,
@@ -208,13 +203,6 @@ type row struct {
 	WALBytes    int64   `json:"wal_bytes,omitempty"`
 	Recovered   bool    `json:"recovered,omitempty"` // checkpoint + Recover gave back the live cardinality
 
-	Shards           int     `json:"shards,omitempty"`
-	RecordSkew       float64 `json:"record_skew,omitempty"`
-	PartsOverheadPct float64 `json:"parts_overhead_pct,omitempty"` // QPS lost against the table's first row (negative = faster)
-	Parts            []row   `json:"parts,omitempty"`              // one per partition: its records and version
-	Records          int     `json:"records,omitempty"`
-	Version          int64   `json:"version,omitempty"`
-
 	At           int     `json:"at,omitempty"`     // the table's sweep variable in this cell
 	CPUMS        float64 `json:"cpu_ms,omitempty"` // mean Phase-2 time per query: the one clock of a figure row, recorded and never asserted
 	IOMS         float64 `json:"io_ms,omitempty"`  // mean Phase-2 page reads per query, rounded, × the config's read latency
@@ -246,9 +234,8 @@ type target interface {
 	Delete(id int64, p []float64) error
 	Counters() counters
 	// Finish adds what only this kind of target knows to its row, after
-	// the pass: the log and its recovery check, the partitions (as
-	// differences against the counters read before the pass).
-	Finish(r *row, before counters) error
+	// the pass: the log and its recovery check.
+	Finish(r *row) error
 	Close()
 }
 
@@ -257,7 +244,6 @@ type bareTarget struct {
 	ds      *gir.Dataset
 	walDir  string
 	walSync int
-	parts   bool // report the partitions
 }
 
 func (t *bareTarget) TopK(q []float64, k int) error { _, err := t.ds.TopK(q, k); return err }
@@ -275,20 +261,10 @@ func (t *bareTarget) Insert(id int64, p []float64) error { return t.ds.Insert(id
 func (t *bareTarget) Delete(id int64, p []float64) error { _, err := t.ds.Delete(id, p); return err }
 func (t *bareTarget) Counters() counters                 { return counters{PageReads: t.ds.IOStats().PageReads} }
 
-// Finish on a partitioned dataset records each partition's records and
-// version at the end of the pass, and the record skew over them (max/mean).
-// On a logged dataset it checkpoints, recovers the directory into a
+// Finish on a logged dataset checkpoints, recovers the directory into a
 // second dataset and requires the same cardinality: a suite that prices a
 // broken durability path is worse than no number.
-func (t *bareTarget) Finish(r *row, _ counters) error {
-	if t.parts {
-		most := 0
-		for i, p := range t.ds.Partitions() {
-			r.Parts = append(r.Parts, row{Name: fmt.Sprintf("part %d", i), Records: p.Records, Version: p.Version})
-			most = max(most, p.Records)
-		}
-		r.Shards, r.RecordSkew = len(r.Parts), float64(most*len(r.Parts))/float64(t.ds.Len())
-	}
+func (t *bareTarget) Finish(r *row) error {
 	if t.walDir == "" {
 		return nil
 	}
@@ -484,9 +460,6 @@ func (s *suite) runTable(tb *table) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		if r.Shards > 1 {
-			r.PartsOverheadPct = 100 * (tb.Rows[0].QPS - r.QPS) / tb.Rows[0].QPS
-		}
 		tb.Rows = append(tb.Rows, r)
 	}
 	return nil
@@ -498,11 +471,11 @@ func (s *suite) open(a arm) (target, error) {
 	if a.nocache {
 		eopts.CacheCapacity = -1
 	}
-	ds, err := gir.NewPartitionedDataset(s.raw, max(a.parts, 1), s.space)
+	ds, err := gir.NewDatasetInSpace(s.raw, s.space)
 	if err != nil {
 		return nil, err
 	}
-	bt := &bareTarget{ds: ds, walSync: a.walSync, parts: a.parts > 0}
+	bt := &bareTarget{ds: ds, walSync: a.walSync}
 	if a.walSync > 0 {
 		if bt.walDir, err = os.MkdirTemp("", "girbench-wal-*"); err != nil {
 			return nil, err
@@ -631,7 +604,7 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 	if lookups := r.Hits + r.Partial + r.Misses; lookups > 0 {
 		r.HitRate = float64(r.Hits) / float64(lookups)
 	}
-	err := t.Finish(&r, before)
+	err := t.Finish(&r)
 	return r, err
 }
 
@@ -713,8 +686,6 @@ var columns = []struct {
 	{"write p50", "%.0fµ", func(r *row) float64 { return r.WriteP50US }},
 	{"write p99", "%.0fµ", func(r *row) float64 { return r.WriteP99US }},
 	{"wal bytes", "%.0f", func(r *row) float64 { return float64(r.WALBytes) }},
-	{"rec-skew", "%.2f", func(r *row) float64 { return r.RecordSkew }},
-	{"parts-ovh%", "%.1f", func(r *row) float64 { return r.PartsOverheadPct }},
 }
 
 func printTable(w io.Writer, tb *table) {

@@ -232,8 +232,7 @@ type EngineStats struct {
 	SharedPageReads int64
 
 	// Version is the dataset mutation version visible when the stats were
-	// read; a sharded coordinator reads it to place a partition on its
-	// version vector.
+	// read.
 	Version int64
 }
 

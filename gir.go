@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,8 +174,7 @@ type IOStats struct {
 }
 
 // Dataset is an indexed collection of records in [0,1]^d, stored in an
-// R*-tree over simulated 4 KiB disk pages — or, built by
-// NewPartitionedDataset, in one R*-tree per partition under a top page.
+// R*-tree over simulated 4 KiB disk pages.
 //
 // A Dataset is safe for concurrent use, and reads never block on writes:
 // every query pins an immutable snapshot of the index (published by the
@@ -188,13 +186,12 @@ type IOStats struct {
 // at; after an intervening mutation ComputeGIR returns an error — rerun
 // TopK.
 type Dataset struct {
-	mu     sync.RWMutex  // serializes writers and configuration; readers do not take it
-	trees  []*rtree.Tree // the writer's mutable handles, one per partition; readers use ds.snap
-	parts  []Partition   // partitioned datasets only: what the next snapshot publishes
-	store  pager.Store   // the one page store every partition's tree lives in
-	wal    *pager.WAL    // non-nil once EnableWAL/Recover attached a log
-	walDir string        // the durable directory the WAL lives in
-	space  Space         // the query-space domain (data space is [0,1]^d regardless)
+	mu     sync.RWMutex // serializes writers and configuration; readers do not take it
+	tree   *rtree.Tree  // the writer's mutable handle; readers use ds.snap
+	store  pager.Store
+	wal    *pager.WAL // non-nil once EnableWAL/Recover attached a log
+	walDir string     // the durable directory the WAL lives in
+	space  Space      // the query-space domain (data space is [0,1]^d regardless)
 
 	// Checkpoint state of walDir's dataset file (see checkpointLocked): base
 	// is the size of its first, full segment, delta describes the segments
@@ -222,14 +219,11 @@ type Dataset struct {
 // tree view over the shared store plus the version and query space it was
 // published with. Snapshot pages are never overwritten (mutations are
 // copy-on-write), so any number of readers traverse a pinned snapshot
-// with no lock at all. A partitioned dataset's tree is rooted at a top
-// page whose children are the partition roots, and parts holds each
-// partition's cut at this version.
+// with no lock at all.
 type treeSnap struct {
 	tree    *rtree.Tree
 	version int64
 	space   Space
-	parts   []Partition
 	refs    atomic.Int64 // pinned readers
 	// freed is set at retirement: the pages the superseding mutation
 	// relocated or discarded. They may back this and any earlier version,
@@ -334,9 +328,7 @@ func (ds *Dataset) subscribeLocked(fn func(maintain.Mutation)) (unsubscribe func
 // directory is attached, the pages the mutation wrote join the dirty set the
 // next checkpoint persists.
 func (ds *Dataset) applyLocked(m maintain.Mutation, log func() error) (bool, error) {
-	part := placement(m.ID, len(ds.trees))
-	tree := ds.trees[part]
-	tree.BeginCOW()
+	ds.tree.BeginCOW()
 	var ok bool
 	var err error
 	if m.Insert {
@@ -344,17 +336,14 @@ func (ds *Dataset) applyLocked(m maintain.Mutation, log func() error) (bool, err
 			err = log()
 		}
 		if ok = err == nil; ok {
-			tree.Insert(m.ID, m.Point)
+			ds.tree.Insert(m.ID, m.Point)
 		}
 	} else {
-		ok, err = tree.DeleteWith(m.ID, m.Point, log)
+		ok, err = ds.tree.DeleteWith(m.ID, m.Point, log)
 	}
-	freed, fresh := tree.CommitCOW()
+	freed, fresh := ds.tree.CommitCOW()
 	if !ok {
 		return false, err
-	}
-	if ds.parts != nil {
-		ds.parts[part] = Partition{Records: tree.Len(), Version: ds.parts[part].Version + 1}
 	}
 	if ds.dirty != nil {
 		for id := range fresh {
@@ -399,30 +388,20 @@ func (ds *Dataset) nextMutationLocked(insert bool, id int64, p []float64) mainta
 	}
 }
 
-// publishSnapLocked swaps in a fresh snapshot of the writer trees' state
+// publishSnapLocked swaps in a fresh snapshot of the writer tree's state
 // at the given version and retires the previous one, attaching the pages
 // this mutation superseded. It is the only place a dataset version (or
 // tree state, or query space) becomes visible; the caller holds ds.mu
 // exclusively, or is a constructor whose dataset nobody else can see yet.
 // Retired snapshots are reclaimed oldest-first as their pins drain.
-//
-// A partitioned dataset publishes a fresh top page over the partition
-// roots (rtree.Join), and the previous top page retires with the pages
-// the mutation freed: no published version but the previous one
-// references it. One partition's root is the snapshot's root.
 func (ds *Dataset) publishSnapLocked(version int64, freed []pager.PageID) {
-	prev := ds.snap.Load()
-	next := &treeSnap{version: version, space: ds.space}
-	if ds.parts == nil {
-		root, height, size := ds.trees[0].Meta()
-		next.tree = rtree.Attach(ds.store, ds.Dim(), root, height, size)
-	} else {
-		next.tree = rtree.Join(ds.trees)
-		next.parts = slices.Clone(ds.parts)
-		if prev != nil {
-			freed = append(freed, prev.tree.Root())
-		}
+	root, height, size := ds.tree.Meta()
+	next := &treeSnap{
+		tree:    rtree.Attach(ds.store, ds.tree.Dim(), root, height, size),
+		version: version,
+		space:   ds.space,
 	}
+	prev := ds.snap.Load()
 	ds.snap.Store(next)
 	if prev != nil {
 		prev.freed = freed
@@ -456,7 +435,29 @@ func (ds *Dataset) reclaimLocked() {
 // The DATA space is [0,1]^d either way — only query vectors, regions and
 // volume measures live in the chosen space.
 func NewDatasetInSpace(points [][]float64, space Space) (*Dataset, error) {
-	return NewPartitionedDataset(points, 1, space)
+	if len(points) == 0 {
+		return nil, errors.New("gir: empty dataset")
+	}
+	d := len(points[0])
+	if d < 2 {
+		return nil, fmt.Errorf("gir: dimension %d not supported (need ≥ 2)", d)
+	}
+	pts := make([]vec.Vector, len(points))
+	for i, p := range points {
+		if len(p) != d {
+			return nil, fmt.Errorf("gir: point %d has dimension %d, want %d", i, len(p), d)
+		}
+		if err := checkUnitRange(p); err != nil {
+			return nil, fmt.Errorf("gir: point %d %v", i, err)
+		}
+		pts[i] = vec.Vector(p)
+	}
+	store := pager.NewMemStore()
+	tree := rtree.BulkLoad(store, d, pts, nil)
+	store.ResetStats()
+	ds := &Dataset{tree: tree, store: store, space: space}
+	ds.publishSnapLocked(0, nil)
+	return ds, nil
 }
 
 // Space returns the dataset's active query-space domain.
@@ -469,89 +470,7 @@ func (ds *Dataset) Space() Space {
 // and coordinates in [0,1]. The query space defaults to the unit box;
 // see NewDatasetInSpace for the paper's Σw=1 simplex.
 func NewDataset(points [][]float64) (*Dataset, error) {
-	return NewPartitionedDataset(points, 1, SpaceBox)
-}
-
-// NewPartitionedDataset is NewDatasetInSpace over parts partitions: record
-// i goes to partition placement(i, parts), bulk-loaded as its own R*-tree
-// in the dataset's one page store, and every published snapshot is one
-// tree whose root is a top page with the partition roots as children, so
-// queries, GIRs and engines run on it unchanged. A write goes to its
-// record's partition, by the same hash of its id, under the one writer
-// mutex. Every partition must start non-empty, and parts may not exceed
-// an internal page's fan-out. A partitioned dataset has no durable form:
-// EnableWAL and both Checkpoints refuse it. One partition is
-// NewDatasetInSpace.
-func NewPartitionedDataset(points [][]float64, parts int, space Space) (*Dataset, error) {
-	if len(points) == 0 {
-		return nil, errors.New("gir: empty dataset")
-	}
-	d := len(points[0])
-	if d < 2 {
-		return nil, fmt.Errorf("gir: dimension %d not supported (need ≥ 2)", d)
-	}
-	if _, fanout := rtree.Capacities(d); parts < 1 || parts > fanout {
-		return nil, fmt.Errorf("gir: %d partitions outside [1, %d] at d = %d", parts, fanout, d)
-	}
-	groups, ids := make([][]vec.Vector, parts), make([][]int64, parts)
-	for w := range groups {
-		groups[w], ids[w] = make([]vec.Vector, 0, len(points)/parts+1), make([]int64, 0, len(points)/parts+1)
-	}
-	for i, p := range points {
-		if len(p) != d {
-			return nil, fmt.Errorf("gir: point %d has dimension %d, want %d", i, len(p), d)
-		}
-		if err := checkUnitRange(p); err != nil {
-			return nil, fmt.Errorf("gir: point %d %v", i, err)
-		}
-		w := placement(int64(i), parts)
-		groups[w], ids[w] = append(groups[w], vec.Vector(p)), append(ids[w], int64(i))
-	}
-	store := pager.NewMemStore()
-	ds := &Dataset{store: store, space: space}
-	for w, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("gir: partition %d of %d is empty over %d records — fewer partitions needed", w, parts, len(points))
-		}
-		ds.trees = append(ds.trees, rtree.BulkLoad(store, d, g, ids[w]))
-		if parts > 1 {
-			ds.parts = append(ds.parts, Partition{Records: len(g)})
-		}
-	}
-	store.ResetStats()
-	ds.publishSnapLocked(0, nil)
-	return ds, nil
-}
-
-// placement maps a record id to its partition: a splitmix64 finalizer over
-// the id, reduced mod parts, so ids minted in sequence spread evenly
-// instead of striping. It depends on (id, parts) alone, so an insert and a
-// later delete of one id reach the same partition.
-func placement(id int64, parts int) int {
-	x := uint64(id)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(parts))
-}
-
-// Partition is one partition of a dataset at a published version.
-type Partition struct {
-	Records int   // the records it holds
-	Version int64 // the writes it has taken
-}
-
-// Partitions reads every partition's records and writes off one published
-// snapshot, so they sum to that snapshot's Len and Version. A dataset not
-// built by NewPartitionedDataset is one partition.
-func (ds *Dataset) Partitions() []Partition {
-	s := ds.snap.Load()
-	if s.parts == nil {
-		return []Partition{{Records: s.tree.Len(), Version: s.version}}
-	}
-	return slices.Clone(s.parts)
+	return NewDatasetInSpace(points, SpaceBox)
 }
 
 // checkUnitRange reports the first coordinate outside the [0,1] data
@@ -631,15 +550,15 @@ func (ds *Dataset) Len() int {
 }
 
 // Version returns the dataset's mutation version: 0 at construction,
-// advanced by one per applied Insert/Delete, and the sum of Partitions'
-// versions. An Engine over this dataset serves results at or past the
-// version read here (a write reconciles the engine's cache before its
-// version is published). The version is read off the published
-// snapshot, so it can never lag or lead the data a query sees.
+// advanced by one per applied Insert/Delete. An Engine over this dataset
+// serves results at or past the version read here (a write reconciles the
+// engine's cache before its version is published). The version is read
+// off the published snapshot, so it can never lag or lead the data a
+// query sees.
 func (ds *Dataset) Version() int64 { return ds.snap.Load().version }
 
 // Dim returns the data dimensionality.
-func (ds *Dataset) Dim() int { return ds.trees[0].Dim() }
+func (ds *Dataset) Dim() int { return ds.tree.Dim() }
 
 // IOStats returns the cumulative simulated I/O counters.
 func (ds *Dataset) IOStats() IOStats {

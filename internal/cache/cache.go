@@ -485,5 +485,5 @@ func (c *Cache) ConeTests() int64 { return c.coneTests.Load() }
 func (c *Cache) Len() int { return len(c.load()) }
 
 // Capacity returns the maximum entry count the cache admits before
-// evicting (exposed so serving tiers can report per-partition fill).
+// evicting.
 func (c *Cache) Capacity() int { return c.capacity }

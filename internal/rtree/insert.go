@@ -488,15 +488,15 @@ func (t *Tree) removeRecord(leafPath []pathStep, found *Node, slot int, step fun
 	}
 	t.writeNode(node) // the root
 
-	// Shrink the root if it lost all but one child.
-	for t.height > 1 {
-		root := t.ReadNode(t.root)
-		if len(root.Entries) != 1 {
-			break
-		}
+	// Shrink the root if it lost all but one child. The first test is on the
+	// root the condense just wrote, whose child ids resolve as a decode of
+	// its page would; a promoted child is read from its page.
+	for root := node; t.height > 1 && len(root.Entries) == 1; {
 		t.retirePage(root.ID)
-		t.root = root.Entries[0].Child
-		t.height--
+		t.root = t.resolveID(root.Entries[0].Child)
+		if t.height--; t.height > 1 {
+			root = t.ReadNode(t.root)
+		}
 	}
 
 	// Reinsert orphans at their original levels.

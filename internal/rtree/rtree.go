@@ -151,15 +151,14 @@ type Tree struct {
 
 const nodeHeader = 4 // leaf flag (1) + entry count (2) + pad (1)
 
-// Capacities returns the leaf and internal fan-outs at dimension d, which
-// derive from the 4 KiB page size:
+// Capacities derive from the 4 KiB page size:
 // leaf entry    = recID (8) + d·8 bytes,
 // internal entry = child (4) + 2d·8 bytes.
 // Leaf pages store their entries column-major (all recIDs, then all
 // coordinates of dimension 0, then dimension 1, …) so a scoring kernel can
 // run over each dimension's contiguous float64 block; the per-entry byte
 // budget — and hence the fan-out — is unchanged.
-func Capacities(d int) (maxLeaf, maxInt int) {
+func capacities(d int) (maxLeaf, maxInt int) {
 	maxLeaf = (pager.PageSize - nodeHeader) / (8 + 8*d)
 	maxInt = (pager.PageSize - nodeHeader) / (4 + 16*d)
 	return maxLeaf, maxInt
@@ -170,7 +169,7 @@ func New(store pager.Store, dim int) *Tree {
 	if dim < 1 {
 		panic("rtree: dimension must be ≥ 1")
 	}
-	maxLeaf, maxInt := Capacities(dim)
+	maxLeaf, maxInt := capacities(dim)
 	t := &Tree{
 		store: store, dim: dim,
 		maxLeaf: maxLeaf, minLeaf: max(2, maxLeaf*2/5),
@@ -187,37 +186,13 @@ func New(store pager.Store, dim int) *Tree {
 // snapshot, with any delta segments applied) from its persisted metadata,
 // without touching any page.
 func Attach(store pager.Store, dim int, root pager.PageID, height, size int) *Tree {
-	maxLeaf, maxInt := Capacities(dim)
+	maxLeaf, maxInt := capacities(dim)
 	return &Tree{
 		store: store, dim: dim,
 		root: root, height: height, size: size,
 		maxLeaf: maxLeaf, minLeaf: max(2, maxLeaf*2/5),
 		maxInt: maxInt, minInt: max(2, maxInt*2/5),
 	}
-}
-
-// Join writes a fresh internal page whose children are the trees' roots,
-// each under the unit box, and returns a read-only tree rooted there: one
-// level above the tallest tree, holding all their records. The trees must
-// share one store and have no copy-on-write mutation open; the page is
-// written through trees[0]. The unit box is every child's box
-// because the partitions a caller joins each span the data space (hash
-// placement): true boxes would prune nothing and would change with every
-// write.
-func Join(trees []*Tree) *Tree {
-	d, store := trees[0].dim, trees[0].store
-	unit := Rect{Lo: make(vec.Vector, d), Hi: make(vec.Vector, d)}
-	for j := range unit.Hi {
-		unit.Hi[j] = 1
-	}
-	top := &Node{ID: store.Alloc(), Entries: make([]Entry, len(trees))}
-	height, size := 0, 0
-	for i, t := range trees {
-		top.Entries[i] = Entry{Rect: unit, Child: t.root}
-		height, size = max(height, t.height), size+t.size
-	}
-	trees[0].writeNode(top)
-	return Attach(store, d, top.ID, height+1, size)
 }
 
 // Meta returns the metadata needed to Attach to this tree's store later:

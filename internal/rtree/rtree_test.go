@@ -248,7 +248,7 @@ func TestIOAccounting(t *testing.T) {
 
 func TestCapacitiesMatchPageSize(t *testing.T) {
 	for d := 2; d <= 8; d++ {
-		maxLeaf, maxInt := Capacities(d)
+		maxLeaf, maxInt := capacities(d)
 		if nodeHeader+maxLeaf*(8+8*d) > pager.PageSize {
 			t.Errorf("d=%d: leaf layout exceeds page", d)
 		}

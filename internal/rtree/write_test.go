@@ -414,6 +414,66 @@ func TestDeleteWithStep(t *testing.T) {
 	}
 }
 
+// TestDeleteReadsOnlyItsSearch: a copy-on-write delete whose leaf stays at
+// or above its minimum reads the pages its search reads and no more (the
+// root-shrink test uses the root the condense holds), and deletes that
+// shed root after root down to a leaf keep a valid tree.
+func TestDeleteReadsOnlyItsSearch(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	store := pager.NewMemStore()
+	pts := randPoints(r, 3000, 3)
+	tr := BulkLoad(store, 3, pts, nil)
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: the test needs an internal root", tr.Height())
+	}
+	live := map[int64]vec.Vector{}
+	for i, p := range pts {
+		live[int64(i)] = p
+	}
+	del := func(id int64) {
+		t.Helper()
+		tr.BeginCOW()
+		if !tr.Delete(id, live[id]) {
+			t.Fatalf("delete of live record %d missed", id)
+		}
+		freed, _ := tr.CommitCOW()
+		for _, pid := range freed {
+			store.Free(pid)
+		}
+		delete(live, id)
+	}
+	checked := 0
+	for _, i := range r.Perm(len(pts))[:200] {
+		id := int64(i)
+		r0 := store.Stats().Reads
+		_, leaf, _ := tr.findRecord(id, live[id])
+		search := store.Stats().Reads - r0
+		if len(leaf.Entries) <= tr.minLeaf {
+			del(id)
+			continue
+		}
+		r1 := store.Stats().Reads
+		del(id)
+		if got := store.Stats().Reads - r1; got != search {
+			t.Fatalf("delete of %d read %d pages, its search %d", id, got, search)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no delete left its leaf above the minimum")
+	}
+	for id := range live {
+		if len(live) == 2 {
+			break
+		}
+		del(id)
+	}
+	if tr.Height() != 1 || tr.Len() != 2 {
+		t.Fatalf("height %d with %d records after deleting down to 2", tr.Height(), tr.Len())
+	}
+	checkInvariants(t, tr, live)
+}
+
 // writeBench is the benchmark's tree: n = 200 000 bulk-loaded points at
 // d = 4, and fresh points to insert.
 func writeBench(b *testing.B) (*Tree, []vec.Vector) {

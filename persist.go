@@ -23,7 +23,7 @@ import (
 // carries beside the pages (parseDatasetMeta is its inverse); the caller
 // holds the writer mutex.
 func (ds *Dataset) metaLocked() []byte {
-	root, height, size := ds.trees[0].Meta()
+	root, height, size := ds.tree.Meta()
 	meta := make([]byte, 29)
 	binary.LittleEndian.PutUint32(meta[0:], uint32(ds.Dim()))
 	binary.LittleEndian.PutUint32(meta[4:], uint32(root))
@@ -72,7 +72,7 @@ func attachDataset(store pager.Store, meta []byte, path string) (*Dataset, error
 		return nil, err
 	}
 	tree := rtree.Attach(store, m.dim, m.root, m.height, m.size)
-	ds := &Dataset{trees: []*rtree.Tree{tree}, store: store, space: m.space}
+	ds := &Dataset{tree: tree, store: store, space: m.space}
 	ds.publishSnapLocked(m.version, nil)
 	return ds, nil
 }

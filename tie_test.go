@@ -9,7 +9,6 @@ import (
 	"github.com/girlib/gir/internal/pager"
 	"github.com/girlib/gir/internal/rtree"
 	"github.com/girlib/gir/internal/score"
-	"github.com/girlib/gir/internal/shard"
 	"github.com/girlib/gir/internal/topk"
 	"github.com/girlib/gir/internal/vec"
 )
@@ -78,9 +77,9 @@ func sameRanking(t *testing.T, tag string, qi int, got []gir.Record, want []topk
 }
 
 // TestTiedDataCanonicalOrder is the tied-data differential: Dataset.TopK,
-// an engine's cold fill and its hit on the same vector, an uncached
-// BatchTopK (the records-only traversal, fused over near-repeats) and the
-// 1-, 2- and 4-partition coordinators' merges all serve topk.Scan's order.
+// an engine's cold fill and its hit on the same vector, and an uncached
+// BatchTopK (the records-only traversal, fused over near-repeats) all serve
+// topk.Scan's order.
 func TestTiedDataCanonicalOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	pts := tiedPoints(r, tiedN, tiedD)
@@ -133,22 +132,6 @@ func TestTiedDataCanonicalOrder(t *testing.T) {
 		t.Error("the uncached batch fused no queries")
 	}
 	e.Close()
-
-	for _, parts := range []int{1, 2, 4} {
-		c, err := shard.New(pts, shard.Options{Parts: parts, Engine: gir.EngineOptions{Workers: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range c.BatchTopK(qs[:tiedQueries]) {
-			if res.Err != nil {
-				t.Fatal(res.Err)
-			}
-			sameRanking(t, "shard merge", i, res.Records, want[i])
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestTiedDataInsertionOrder: the same tied points, bulk-loaded and

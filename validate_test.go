@@ -21,8 +21,8 @@ func TestPointsOutsideUnitRangeRefused(t *testing.T) {
 		if _, err := NewDataset(pts); err == nil {
 			t.Errorf("NewDataset accepted coordinate %v", x)
 		}
-		if _, err := NewPartitionedDataset(pts, 2, SpaceSimplex); err == nil {
-			t.Errorf("NewPartitionedDataset accepted coordinate %v", x)
+		if _, err := NewDatasetInSpace(pts, SpaceSimplex); err == nil {
+			t.Errorf("NewDatasetInSpace accepted coordinate %v", x)
 		}
 	}
 

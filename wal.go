@@ -89,15 +89,11 @@ func walDecode(payload []byte) (maintain.Mutation, error) {
 //
 // dir must not already hold a durable dataset — recover or remove it
 // first; two live datasets logging to one directory would interleave
-// their records. A partitioned dataset (NewPartitionedDataset) is refused,
-// as by both Checkpoints, before anything is written.
+// their records.
 func (ds *Dataset) EnableWAL(dir string, opts WALOptions) error {
 	dir = filepath.Clean(dir)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	if err := ds.persistableLocked(); err != nil {
-		return err
-	}
 	if ds.wal != nil {
 		return fmt.Errorf("gir: dataset already logs to %s", ds.walDir)
 	}
@@ -202,9 +198,6 @@ func (ds *Dataset) applyWALPayload(payload []byte) error {
 // would outgrow the first one — so the bytes written stay within twice the
 // bytes dirtied plus one full segment, and recovery reads at most twice it.
 func (ds *Dataset) checkpointLocked(dir string) error {
-	if err := ds.persistableLocked(); err != nil {
-		return err
-	}
 	if ds.wal != nil && filepath.Clean(dir) != ds.walDir {
 		return fmt.Errorf("gir: dataset logs to %s; checkpoint there, not %s", ds.walDir, dir)
 	}
@@ -240,16 +233,6 @@ func (ds *Dataset) checkpointLocked(dir string) error {
 		return err
 	}
 	clear(ds.dirty)
-	return nil
-}
-
-// persistableLocked refuses a partitioned dataset before anything is written:
-// the dataset file records one tree, and its published root is a top page
-// no write logs.
-func (ds *Dataset) persistableLocked() error {
-	if ds.parts != nil {
-		return fmt.Errorf("gir: a dataset of %d partitions has no durable form", len(ds.parts))
-	}
 	return nil
 }
 
