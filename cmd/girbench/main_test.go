@@ -34,7 +34,9 @@ func TestJoinInts(t *testing.T) {
 // TestSuiteSmoke runs every table of the serving suite at toy scale in both
 // query spaces and holds, per table, the arm names in order and the one
 // thing each comparison is there to show; the file it wrote must read back
-// through the one report type as what was measured.
+// through the one report type as what was measured. Exactly the arms whose
+// counts depend on goroutine timing are marked so, in the file and in the
+// printed table, and a row writes pages exactly when it applies writes.
 func TestSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the serving suite smoke is not -short")
@@ -42,6 +44,8 @@ func TestSuiteSmoke(t *testing.T) {
 	// The stream must outlast a couple of scheduler ticks, or on one core
 	// the stall table's mutator never gets to write beside the readers.
 	cfg := suiteConfig{N: 1500, Seed: 7, Stream: 1200, Distinct: 8}
+	// The 64-caller arms of serve and fuse, and the stall mutator's.
+	timed := map[string]bool{"engine no-cache": true, "engine cache (cold)": true, "engine cache (warm)": true, "unfused no-cache": true, "syncevery=1 churn": true}
 	checks := []struct {
 		table string
 		arms  []string
@@ -160,6 +164,12 @@ func TestSuiteSmoke(t *testing.T) {
 						}
 						if !strings.Contains(out.String(), "\n"+r.Name) {
 							t.Errorf("%s was not printed", r.Name)
+						}
+						if r.Timed != timed[r.Name] || strings.Contains(out.String(), "\n"+r.Name+" †") != timed[r.Name] {
+							t.Errorf("%s: marked timing-dependent %v, want %v, in the file or the printed table", r.Name, r.Timed, timed[r.Name])
+						}
+						if (r.PageWrites > 0) != (r.Writes > 0) {
+							t.Errorf("%s: %d page writes for %d writes", r.Name, r.PageWrites, r.Writes)
 						}
 					}
 					c.check(t, tb.Rows)

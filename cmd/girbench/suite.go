@@ -170,6 +170,7 @@ var suiteTables = []table{
 // and the columns from `at` down.
 type row struct {
 	Name      string  `json:"name"`
+	Timed     bool    `json:"timing_dependent,omitempty"` // concurrent callers or the stall mutator interleave with the stream: its counts, not only its clocks, differ between runs
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 	QPS       float64 `json:"qps,omitempty"`         // queries / elapsed
 	OpsPerSec float64 `json:"ops_per_sec,omitempty"` // (queries + writes) / elapsed, on rows with writes
@@ -198,6 +199,7 @@ type row struct {
 	WriteP50US  float64 `json:"write_p50_us,omitempty"`
 	WriteP99US  float64 `json:"write_p99_us,omitempty"`
 	WriteMeanUS float64 `json:"write_mean_us,omitempty"`
+	PageWrites  int64   `json:"page_writes,omitempty"`
 	SyncEvery   int     `json:"sync_every,omitempty"`
 	WALRecords  int64   `json:"wal_records,omitempty"` // the log at the end of the pass, before its checkpoint
 	WALBytes    int64   `json:"wal_bytes,omitempty"`
@@ -223,7 +225,7 @@ type report struct {
 // two reads.
 type counters struct {
 	gir.EngineStats
-	PageReads int64
+	gir.IOStats
 }
 
 // target is what a stream is issued against.
@@ -259,7 +261,7 @@ func (t *bareTarget) BatchTopK(qs []gir.Query) error {
 }
 func (t *bareTarget) Insert(id int64, p []float64) error { return t.ds.Insert(id, p) }
 func (t *bareTarget) Delete(id int64, p []float64) error { _, err := t.ds.Delete(id, p); return err }
-func (t *bareTarget) Counters() counters                 { return counters{PageReads: t.ds.IOStats().PageReads} }
+func (t *bareTarget) Counters() counters                 { return counters{IOStats: t.ds.IOStats()} }
 
 // Finish on a logged dataset checkpoints, recovers the directory into a
 // second dataset and requires the same cardinality: a suite that prices a
@@ -571,6 +573,7 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 	nWrites, wlat := writes.summarize()
 	r := row{
 		Name:      a.name,
+		Timed:     a.callers > 1 || a.mutator,
 		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 		QPS:       float64(queries) / elapsed.Seconds(),
 		Queries:   queries,
@@ -595,6 +598,7 @@ func (s *suite) run(t target, ops []engine.ChurnOp, a arm) (row, error) {
 		WriteP50US:      wlat.P50US,
 		WriteP99US:      wlat.P99US,
 		WriteMeanUS:     wlat.MeanUS,
+		PageWrites:      after.PageWrites - before.PageWrites,
 	}
 	_, r.latSummary = reads.summarize()
 	r.PageReadsPerQuery = float64(r.PageReads) / float64(max(1, queries))
@@ -673,6 +677,7 @@ var columns = []struct {
 	{"refused", "%.0f", func(r *row) float64 { return float64(r.RefusedFills) }},
 	{"evicted", "%.0f", func(r *row) float64 { return float64(r.Invalidated) }},
 	{"page reads", "%.0f", func(r *row) float64 { return float64(r.PageReads) }},
+	{"page writes", "%.0f", func(r *row) float64 { return float64(r.PageWrites) }},
 	{"reads/query", "%.1f", func(r *row) float64 { return r.PageReadsPerQuery }},
 	{"groups", "%.0f", func(r *row) float64 { return float64(r.FusedGroups) }},
 	{"fusedq", "%.0f", func(r *row) float64 { return float64(r.FusedQueries) }},
@@ -700,8 +705,13 @@ func printTable(w io.Writer, tb *table) {
 			}
 		}
 	}
+	timed := false
 	for j := range tb.Rows {
-		fmt.Fprintf(w, "\n%-26s", tb.Rows[j].Name)
+		name := tb.Rows[j].Name
+		if tb.Rows[j].Timed {
+			name, timed = name+" †", true
+		}
+		fmt.Fprintf(w, "\n%-26s", name)
 		if why := tb.Rows[j].Skipped; why != "" {
 			fmt.Fprintf(w, " skipped: %s", why)
 			continue
@@ -714,6 +724,9 @@ func printTable(w io.Writer, tb *table) {
 			}
 			fmt.Fprintf(w, " %*s", max(9, len(c.head)), text)
 		}
+	}
+	if timed {
+		fmt.Fprint(w, "\n† concurrent callers or the paced writer interleave with the stream: the row's counts differ between runs")
 	}
 	fmt.Fprintln(w)
 }

@@ -345,19 +345,23 @@ func (sc *scratch) exhaustivePhase(tree *rtree.Tree, res *topk.Result, anchors [
 		inResult[r.ID] = true
 	}
 	before := tree.Store().Stats().Reads
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
-		for _, e := range n.Entries {
-			if !n.Leaf {
-				rec(tree.ReadNode(e.Child))
-			} else if !inResult[e.RecID] {
-				p := e.Point()
+	// One block per depth: a node's children are read into the next.
+	blks := make([]rtree.NodeBlock, tree.Height())
+	sc.point = vec.Grown(sc.point, sc.d)
+	var walk func(blk *rtree.NodeBlock, depth int)
+	walk = func(blk *rtree.NodeBlock, depth int) {
+		for _, child := range blk.Children {
+			walk(tree.ReadBlock(child, &blks[depth+1]), depth+1)
+		}
+		for i, id := range blk.RecIDs {
+			if !inResult[id] {
+				p := blk.Point(i, sc.point)
 				for _, a := range anchors {
-					sc.add(Replace, a.ID, e.RecID, a.Point, p)
+					sc.add(Replace, a.ID, id, a.Point, p)
 				}
 			}
 		}
 	}
-	rec(tree.ReadNode(tree.Root()))
+	walk(tree.ReadBlock(tree.Root(), &blks[0]), 0)
 	st.NodesRead = int(tree.Store().Stats().Reads - before)
 }

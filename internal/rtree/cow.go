@@ -6,8 +6,8 @@ import "github.com/girlib/gir/internal/pager"
 // overwrites an existing page: the first write to a node this mutation
 // relocates it to a freshly allocated page id, records old→new in the
 // remap, and marks the old page superseded. Because every R* mutation
-// rewrites the full path from each modified node to the root (walk-up,
-// refreshPath, condense — verified invariant, see writeNode), the
+// rewrites the full path from each modified node to the root (its one
+// walk back up, ascend — verified invariant, see writeNode), the
 // relocation propagates: ancestors re-encode their child pointers through
 // the remap, and resolving the root at commit yields a tree whose every
 // reachable page was either untouched by the mutation or freshly written.

@@ -40,56 +40,95 @@ type pathStep struct {
 	slot int
 }
 
+// orphan is an entry a write's walk took out of the tree, to be reinserted
+// at its level.
+type orphan struct {
+	e     Entry
+	level int
+}
+
 // insertAtLevel places the entry into a node at the given level
-// (0 = leaf level) and handles overflow up the root path.
+// (0 = leaf level), chosen by chooseSubtree, and walks back up the path.
 func (t *Tree) insertAtLevel(e Entry, level int, ctx *insertCtx) {
-	// Descend, recording the path.
 	var path []pathStep
 	cur := t.ReadNode(t.root)
-	curLevel := t.height - 1
-	for curLevel > level {
+	for curLevel := t.height - 1; curLevel > level; curLevel-- {
 		slot := t.chooseSubtree(cur, e.Rect, curLevel == level+1)
 		path = append(path, pathStep{cur, slot})
 		cur = t.ReadNode(cur.Entries[slot].Child)
-		curLevel--
 	}
 	cur.Entries = append(cur.Entries, e)
+	t.ascend(path, cur, level, false, ctx)
+}
 
-	// Walk back up fixing overflows and tightening MBBs.
-	node := cur
+// ascend is every write's one walk back up: node, at the given level, has
+// just gained or lost an entry, and path holds the nodes above it, root
+// first, with the slot taken in each. Level by level, an overfull node
+// evicts entries for forced reinsertion (once per level per logical
+// insert, ctx) or splits and carries its sibling up; with condense, an
+// underfull non-root node is dissolved; every other node is written once
+// and its parent entry's box refreshed at the recorded slot. Then the root
+// grows or sheds single-child levels, and the evicted and dissolved
+// entries are reinserted at their levels.
+//
+// Only a delete's walk condenses (R*'s condense-tree): bulk loading packs
+// some nodes below the minimum fill, and an insert's walk that dissolved
+// them would rebuild whole subtrees to place one record.
+func (t *Tree) ascend(path []pathStep, node *Node, level int, condense bool, ctx *insertCtx) {
+	var orphans []orphan
+	var sibling *Entry
 	for lvl := level; ; lvl++ {
-		overflow := len(node.Entries) > t.capOf(node)
-		var splitEntry *Entry
-		if overflow {
-			isRoot := lvl == t.height-1
+		isRoot := len(path) == 0
+		sibling = nil
+		switch {
+		case len(node.Entries) > t.capOf(node):
 			if bit := uint64(1) << lvl; !isRoot && ctx.reinserted&bit == 0 {
 				ctx.reinserted |= bit
-				evicted := t.forcedReinsertSet(node)
-				t.writeNode(node)
-				t.refreshPath(path)
-				for _, ev := range evicted {
-					t.insertAtLevel(ev, lvl, ctx)
-				}
-				return // the reinsertions finished the job
+				orphans = t.forcedReinsertSet(node, lvl, orphans)
+			} else {
+				s := t.split(node)
+				sibling = &Entry{Rect: s.MBB(t.dim), Child: s.ID}
 			}
-			sibling := t.split(node)
-			se := Entry{Rect: sibling.MBB(t.dim), Child: sibling.ID}
-			splitEntry = &se
+		case condense && !isRoot && len(node.Entries) < t.minOf(node):
+			for _, e := range node.Entries {
+				orphans = append(orphans, orphan{e, lvl})
+			}
+			t.retirePage(node.ID)
+			parent := path[len(path)-1]
+			path = path[:len(path)-1]
+			parent.node.Entries = append(parent.node.Entries[:parent.slot], parent.node.Entries[parent.slot+1:]...)
+			node = parent.node
+			continue
 		}
 		t.writeNode(node)
-		if len(path) == 0 {
-			if splitEntry != nil {
-				t.growRoot(node, *splitEntry)
-			}
-			return
+		if isRoot {
+			break
 		}
 		parent := path[len(path)-1]
 		path = path[:len(path)-1]
 		parent.node.Entries[parent.slot].Rect = node.MBB(t.dim)
-		if splitEntry != nil {
-			parent.node.Entries = append(parent.node.Entries, *splitEntry)
+		if sibling != nil {
+			parent.node.Entries = append(parent.node.Entries, *sibling)
 		}
 		node = parent.node
+	}
+
+	// node is the root just written. It grows over a split sibling, or
+	// sheds the levels where it has one child: the first test is on the
+	// root the walk holds, and a promoted child is read from its page.
+	if sibling != nil {
+		t.growRoot(node, *sibling)
+	} else {
+		for root := node; t.height > 1 && len(root.Entries) == 1; {
+			t.retirePage(root.ID)
+			t.root = t.resolveID(root.Entries[0].Child)
+			if t.height--; t.height > 1 {
+				root = t.ReadNode(t.root)
+			}
+		}
+	}
+	for _, o := range orphans {
+		t.insertAtLevel(o.e, o.level, ctx)
 	}
 }
 
@@ -107,24 +146,6 @@ func (t *Tree) minOf(n *Node) int {
 		return t.minLeaf
 	}
 	return t.minInt
-}
-
-// refreshPath rewrites the (modified) MBBs along a path after entries were
-// removed for reinsertion.
-func (t *Tree) refreshPath(path []pathStep) {
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i].node
-		if i+1 < len(path) {
-			child := path[i+1].node
-			n.Entries[path[i].slot].Rect = child.MBB(t.dim)
-		} else {
-			// The deepest path node's child was already written; recompute
-			// from the stored child.
-			child := t.ReadNode(n.Entries[path[i].slot].Child)
-			n.Entries[path[i].slot].Rect = child.MBB(t.dim)
-		}
-		t.writeNode(n)
-	}
 }
 
 // growRoot replaces the root with a new internal node over the old root and
@@ -242,9 +263,10 @@ func overlapInc(n *Node, i int, enlarged Rect, bound float64) float64 {
 }
 
 // forcedReinsertSet removes the p⌈·⌉ entries whose centres are farthest
-// from the node's MBB centre and returns them in increasing distance order
-// ("close reinsert"), mutating the node in place.
-func (t *Tree) forcedReinsertSet(n *Node) []Entry {
+// from the node's MBB centre and appends them to out, as orphans of the
+// node's level, in increasing distance order ("close reinsert"), mutating
+// the node in place.
+func (t *Tree) forcedReinsertSet(n *Node, level int, out []orphan) []orphan {
 	p := int(reinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
@@ -265,9 +287,9 @@ func (t *Tree) forcedReinsertSet(n *Node) []Entry {
 	for _, de := range keep {
 		n.Entries = append(n.Entries, de.e)
 	}
-	out := make([]Entry, len(evict))
-	for i, de := range evict {
-		out[i] = de.e
+	out = slices.Grow(out, p)
+	for _, de := range evict {
+		out = append(out, orphan{de.e, level})
 	}
 	return out
 }
@@ -434,75 +456,17 @@ func (t *Tree) findRecord(id int64, p vec.Vector) (path []pathStep, leaf *Node, 
 }
 
 // removeRecord is DeleteWith once the search has found the record: it runs
-// step, removes the leaf's entry at slot and condenses the tree along the
-// path findRecord returned.
-func (t *Tree) removeRecord(leafPath []pathStep, found *Node, slot int, step func() error) (bool, error) {
+// step, removes the leaf's entry at slot and condenses the tree on the walk
+// back up the path findRecord returned.
+func (t *Tree) removeRecord(path []pathStep, leaf *Node, slot int, step func() error) (bool, error) {
 	if step != nil {
 		if err := step(); err != nil {
 			return false, err
 		}
 	}
 	t.size--
-	found.Entries = append(found.Entries[:slot], found.Entries[slot+1:]...)
-
-	// Condense: dissolve underfull nodes bottom-up, collect orphans.
-	type orphan struct {
-		e     Entry
-		level int
-	}
-	var orphans []orphan
-	node := found
-	level := 0
-	for {
-		isRoot := len(leafPath) == 0
-		if !isRoot && len(node.Entries) < t.minOf(node) {
-			// Dissolve: remove from parent, orphan the remaining entries.
-			parent := leafPath[len(leafPath)-1]
-			for _, e := range node.Entries {
-				orphans = append(orphans, orphan{e, level})
-			}
-			parent.node.Entries = append(parent.node.Entries[:parent.slot], parent.node.Entries[parent.slot+1:]...)
-			t.retirePage(node.ID)
-		} else {
-			t.writeNode(node)
-			if !isRoot {
-				parent := leafPath[len(leafPath)-1]
-				// The slot may have shifted if a previous dissolve removed
-				// an earlier entry; find the child by id. The stored child id
-				// predates any copy-on-write relocation of the node, so
-				// resolve it before comparing.
-				for i := range parent.node.Entries {
-					if t.resolveID(parent.node.Entries[i].Child) == node.ID {
-						parent.node.Entries[i].Rect = node.MBB(t.dim)
-						break
-					}
-				}
-			}
-		}
-		if isRoot {
-			break
-		}
-		node = leafPath[len(leafPath)-1].node
-		leafPath = leafPath[:len(leafPath)-1]
-		level++
-	}
-	t.writeNode(node) // the root
-
-	// Shrink the root if it lost all but one child. The first test is on the
-	// root the condense just wrote, whose child ids resolve as a decode of
-	// its page would; a promoted child is read from its page.
-	for root := node; t.height > 1 && len(root.Entries) == 1; {
-		t.retirePage(root.ID)
-		t.root = t.resolveID(root.Entries[0].Child)
-		if t.height--; t.height > 1 {
-			root = t.ReadNode(t.root)
-		}
-	}
-
-	// Reinsert orphans at their original levels.
+	leaf.Entries = append(leaf.Entries[:slot], leaf.Entries[slot+1:]...)
 	var ctx insertCtx
-	for _, o := range orphans {
-		t.insertAtLevel(o.e, o.level, &ctx)
-	}
+	t.ascend(path, leaf, 0, true, &ctx)
 	return true, nil
 }

@@ -7,7 +7,7 @@
 // Nodes are serialized into 4 KiB pages of a pager.Store, so every node
 // visit is a counted, simulated disk read. Query algorithms (BRS top-k, BBS
 // skyline, FP refinement) live in their own packages and drive the
-// traversal themselves through Root/ReadNode.
+// traversal themselves through Root/ReadBlock.
 package rtree
 
 import (
@@ -216,10 +216,10 @@ func (t *Tree) Root() pager.PageID { return t.root }
 // Store exposes the underlying page store (for I/O statistics).
 func (t *Tree) Store() pager.Store { return t.store }
 
-// ReadNode fetches and decodes a node page (a counted disk read). Inside a
-// copy-on-write mutation the id is resolved through the relocation remap,
-// so the mutation reads its own writes; the returned node's ID is the
-// resolved page.
+// ReadNode fetches and decodes a node page (a counted disk read) for the
+// write path (readers use ReadBlock). Inside a copy-on-write mutation the
+// id is resolved through the relocation remap, so the mutation reads its
+// own writes; the returned node's ID is the resolved page.
 func (t *Tree) ReadNode(id pager.PageID) *Node {
 	id = t.resolveID(id)
 	return t.decode(id, t.store.Read(id))

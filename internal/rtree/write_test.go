@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/girlib/gir/internal/pager"
@@ -416,8 +417,9 @@ func TestDeleteWithStep(t *testing.T) {
 
 // TestDeleteReadsOnlyItsSearch: a copy-on-write delete whose leaf stays at
 // or above its minimum reads the pages its search reads and no more (the
-// root-shrink test uses the root the condense holds), and deletes that
-// shed root after root down to a leaf keep a valid tree.
+// root-shrink test uses the root the condense holds) and writes each page
+// of its path once, and deletes that shed root after root down to a leaf
+// keep a valid tree.
 func TestDeleteReadsOnlyItsSearch(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	store := pager.NewMemStore()
@@ -452,10 +454,13 @@ func TestDeleteReadsOnlyItsSearch(t *testing.T) {
 			del(id)
 			continue
 		}
-		r1 := store.Stats().Reads
+		r1, w1, height := store.Stats().Reads, store.Stats().Writes, tr.Height()
 		del(id)
 		if got := store.Stats().Reads - r1; got != search {
 			t.Fatalf("delete of %d read %d pages, its search %d", id, got, search)
+		}
+		if got := store.Stats().Writes - w1; got != int64(height) {
+			t.Fatalf("delete of %d wrote %d pages on a path of %d", id, got, height)
 		}
 		checked++
 	}
@@ -472,6 +477,100 @@ func TestDeleteReadsOnlyItsSearch(t *testing.T) {
 		t.Fatalf("height %d with %d records after deleting down to 2", tr.Height(), tr.Len())
 	}
 	checkInvariants(t, tr, live)
+}
+
+// readLog is a store that keeps every page read, with its bytes as read.
+type readLog struct {
+	pager.Store
+	ids  []pager.PageID
+	bufs [][]byte
+}
+
+func (s *readLog) Read(id pager.PageID) []byte {
+	buf := s.Store.Read(id)
+	s.ids, s.bufs = append(s.ids, id), append(s.bufs, bytes.Clone(buf))
+	return buf
+}
+
+// TestInsertReadsOnlyItsDescents: an insert reads the pages of its
+// descents and no more, its own and each forced reinsertion's. Each
+// descent reads the root first, and every later read of it is of a child
+// of the page read just before. Inserts whose walk evicts entries for
+// forced reinsertion, at the leaves and above, must be among them.
+func TestInsertReadsOnlyItsDescents(t *testing.T) {
+	const d = 6
+	r := rand.New(rand.NewSource(9))
+	log := &readLog{Store: pager.NewMemStore()}
+	tr := New(log, d)
+	reinserting, descents := 0, 0
+	for i, p := range randPoints(r, 4000, d) {
+		root, height := tr.Root(), tr.Height()
+		log.ids, log.bufs = log.ids[:0], log.bufs[:0]
+		tr.Insert(int64(i), p)
+		if tr.Height() != height {
+			continue // the root split, and later descents start at the new root
+		}
+		n := 0
+		var prev *Node
+		for k, id := range log.ids {
+			if id == root {
+				n++
+			} else if prev == nil || prev.Leaf || !slices.ContainsFunc(prev.Entries, func(e Entry) bool { return e.Child == id }) {
+				t.Fatalf("insert %d: read %d of %d, page %d, is no child of the page read before it", i, k, len(log.ids), id)
+			}
+			prev = tr.decode(id, log.bufs[k])
+		}
+		if n > 1 {
+			reinserting, descents = reinserting+1, descents+n-1
+		}
+	}
+	t.Logf("height %d: %d inserts reinserted, in %d more descents", tr.Height(), reinserting, descents)
+	if tr.Height() < 3 || reinserting == 0 {
+		t.Fatalf("height %d, %d inserts reinserted: the test needs both above the leaves", tr.Height(), reinserting)
+	}
+}
+
+// TestInsertIntoUnderfullLeafDissolvesNothing: bulk loading leaves some
+// leaves below the minimum fill, and an insert into one writes its path
+// once and retires no page, because only a delete's walk condenses.
+func TestInsertIntoUnderfullLeafDissolvesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	store := pager.NewMemStore()
+	pts := randPoints(r, 2500, 3) // STR packs 9 of its leaves below the minimum
+	tr := BulkLoad(store, 3, pts, nil)
+	inserted, stillUnder := 0, 0
+	for _, p := range pts {
+		// The leaf an insert at p descends to.
+		leaf := tr.ReadNode(tr.Root())
+		for lvl := tr.Height() - 1; lvl > 0; lvl-- {
+			leaf = tr.ReadNode(leaf.Entries[tr.chooseSubtree(leaf, PointRect(p), lvl == 1)].Child)
+		}
+		if len(leaf.Entries) >= tr.minLeaf {
+			continue
+		}
+		id := int64(len(pts) + inserted)
+		w := store.Stats().Writes
+		tr.BeginCOW()
+		tr.Insert(id, p.Clone())
+		freed, fresh := tr.CommitCOW()
+		if got := store.Stats().Writes - w; got != int64(tr.Height()) || len(freed) != tr.Height() || len(fresh) != tr.Height() {
+			t.Fatalf("insert into a leaf of %d entries wrote %d pages, superseded %d and allocated %d on a path of %d", len(leaf.Entries), got, len(freed), len(fresh), tr.Height())
+		}
+		if _, got, _ := tr.findRecord(id, p); got == nil || len(got.Entries) != len(leaf.Entries)+1 {
+			t.Fatalf("record %d is not in its leaf of %d entries", id, len(leaf.Entries))
+		}
+		inserted++
+		if len(leaf.Entries)+1 < tr.minLeaf {
+			stillUnder++
+		}
+	}
+	t.Logf("%d inserts into underfull leaves, %d of them left underfull", inserted, stillUnder)
+	if stillUnder == 0 {
+		t.Fatalf("%d inserts landed in an underfull leaf, none left it underfull", inserted)
+	}
+	if tr.Len() != len(pts)+inserted {
+		t.Fatalf("Len %d after %d inserts into %d records", tr.Len(), inserted, len(pts))
+	}
 }
 
 // writeBench is the benchmark's tree: n = 200 000 bulk-loaded points at
