@@ -364,14 +364,16 @@ func BenchmarkAblationStarVsFullHull(b *testing.B) {
 	var pts []vec.Vector
 	var walk func(id pager.PageID)
 	walk = func(id pager.PageID) {
-		n := env.tree.ReadNode(id)
-		for _, e := range n.Entries {
-			if n.Leaf {
-				if !inResult[e.RecID] {
-					pts = append(pts, e.Point())
-				}
-			} else {
-				walk(e.Child)
+		blk := env.tree.ReadBlock(id, &rtree.NodeBlock{})
+		if !blk.Leaf {
+			for _, child := range blk.Children {
+				walk(child)
+			}
+			return
+		}
+		for i, rid := range blk.RecIDs {
+			if !inResult[rid] {
+				pts = append(pts, blk.Point(i, make(vec.Vector, len(blk.Cols))))
 			}
 		}
 	}

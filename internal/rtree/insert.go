@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -51,11 +50,11 @@ type orphan struct {
 // (0 = leaf level), chosen by chooseSubtree, and walks back up the path.
 func (t *Tree) insertAtLevel(e Entry, level int, ctx *insertCtx) {
 	var path []pathStep
-	cur := t.ReadNode(t.root)
+	cur := t.readNode(t.root)
 	for curLevel := t.height - 1; curLevel > level; curLevel-- {
 		slot := t.chooseSubtree(cur, e.Rect, curLevel == level+1)
 		path = append(path, pathStep{cur, slot})
-		cur = t.ReadNode(cur.Entries[slot].Child)
+		cur = t.readNode(cur.Entries[slot].Child)
 	}
 	cur.Entries = append(cur.Entries, e)
 	t.ascend(path, cur, level, false, ctx)
@@ -123,7 +122,7 @@ func (t *Tree) ascend(path []pathStep, node *Node, level int, condense bool, ctx
 			t.retirePage(root.ID)
 			t.root = t.resolveID(root.Entries[0].Child)
 			if t.height--; t.height > 1 {
-				root = t.ReadNode(t.root)
+				root = t.readNode(t.root)
 			}
 		}
 	}
@@ -405,50 +404,48 @@ func (t *Tree) DeleteWith(id int64, p vec.Vector, step func() error) (bool, erro
 // entry order, and returns the internal nodes above it with the slots taken
 // (root first), the leaf and the entry's slot; leaf is nil on a miss.
 //
-// The search reads the raw page bytes: an internal entry's box is tested
-// on the page, and a leaf's record-id column, stored first, is scanned
-// before any coordinate is read. Only the root-to-leaf path it found is
-// decoded, from the buffers the search already holds, so the pages read
-// and their order are those of a decoding walk.
+// The search reads each page into the writer's block for its depth, so the
+// block above stays whole while its children are read. It tests an
+// internal entry's box in the block's Lo/Hi rows, and a leaf's record ids
+// before any coordinate. Only the root-to-leaf path it found is copied out
+// as Nodes.
 func (t *Tree) findRecord(id int64, p vec.Vector) (path []pathStep, leaf *Node, slot int) {
-	f64 := func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-	var walk func(nid pager.PageID) bool
-	walk = func(nid pager.PageID) bool {
-		nid = t.resolveID(nid)
-		buf := t.store.Read(nid)
-		count := int(binary.LittleEndian.Uint16(buf[1:3]))
-		if buf[0] == 1 {
+	d := t.dim
+	var walk func(nid pager.PageID, depth int) bool
+	walk = func(nid pager.PageID, depth int) bool {
+		blk := t.ReadBlock(nid, t.block(depth))
+		if blk.Leaf {
 		records:
-			for i := 0; i < count; i++ {
-				if int64(binary.LittleEndian.Uint64(buf[nodeHeader+8*i:])) != id {
+			for i, rid := range blk.RecIDs {
+				if rid != id {
 					continue
 				}
 				for j, x := range p {
-					if f64(buf[nodeHeader+8*(count*(j+1)+i):]) != x {
+					if blk.Cols[j][i] != x {
 						continue records
 					}
 				}
-				leaf, slot = t.decode(nid, buf), i
+				leaf, slot = t.nodeOf(blk), i
 				return true
 			}
 			return false
 		}
 	children:
-		for i := 0; i < count; i++ {
-			e := buf[nodeHeader+i*(4+16*t.dim):]
+		for i, child := range blk.Children {
+			lo, hi := blk.Lo[i*d:(i+1)*d], blk.Hi[i*d:(i+1)*d]
 			for j, x := range p {
-				if x < f64(e[4+8*j:]) || x > f64(e[4+8*(t.dim+j):]) {
+				if x < lo[j] || x > hi[j] {
 					continue children
 				}
 			}
-			if walk(pager.PageID(binary.LittleEndian.Uint32(e))) {
-				path = append(path, pathStep{t.decode(nid, buf), i})
+			if walk(child, depth+1) {
+				path = append(path, pathStep{t.nodeOf(blk), i})
 				return true
 			}
 		}
 		return false
 	}
-	if !walk(t.root) {
+	if !walk(t.root, 0) {
 		return nil, nil, -1
 	}
 	slices.Reverse(path)

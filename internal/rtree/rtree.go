@@ -108,9 +108,6 @@ type Entry struct {
 	RecID int64        // leaf nodes only
 }
 
-// Point returns the record coordinates of a leaf entry.
-func (e Entry) Point() vec.Vector { return e.Rect.Lo }
-
 // Node is a deserialized page.
 type Node struct {
 	ID      pager.PageID
@@ -143,10 +140,13 @@ type Tree struct {
 	// pages in place exactly as the original tree did.
 	cow *cowState
 
-	// Writer scratch: chooseSubtree's enlarged box and writeNode's page
-	// buffer (the store copies what it is given).
+	// Writer scratch: chooseSubtree's enlarged box, writeNode's page
+	// buffer (the store copies what it is given) and one block per depth
+	// of a write's walk. Only the writer's handle uses it, under the
+	// dataset's write lock; a handle from Attach never does.
 	enlarged Rect
 	wbuf     []byte
+	blocks   []*NodeBlock
 }
 
 const nodeHeader = 4 // leaf flag (1) + entry count (2) + pad (1)
@@ -216,13 +216,18 @@ func (t *Tree) Root() pager.PageID { return t.root }
 // Store exposes the underlying page store (for I/O statistics).
 func (t *Tree) Store() pager.Store { return t.store }
 
-// ReadNode fetches and decodes a node page (a counted disk read) for the
-// write path (readers use ReadBlock). Inside a copy-on-write mutation the
-// id is resolved through the relocation remap, so the mutation reads its
-// own writes; the returned node's ID is the resolved page.
-func (t *Tree) ReadNode(id pager.PageID) *Node {
-	id = t.resolveID(id)
-	return t.decode(id, t.store.Read(id))
+// readNode reads a node page into the writer's first block and copies it
+// out as a Node, whose ID is the page ReadBlock resolved.
+func (t *Tree) readNode(id pager.PageID) *Node {
+	return t.nodeOf(t.ReadBlock(id, t.block(0)))
+}
+
+// block returns the writer's reusable block for depth i of a walk.
+func (t *Tree) block(i int) *NodeBlock {
+	for len(t.blocks) <= i {
+		t.blocks = append(t.blocks, &NodeBlock{})
+	}
+	return t.blocks[i]
 }
 
 // MaxLeafEntries returns the leaf fan-out (useful to size experiments).
@@ -291,50 +296,40 @@ func (t *Tree) writeNode(n *Node) {
 	t.wbuf = buf
 }
 
-// decode parses a page into a Node whose coordinates all live in one
+// nodeOf copies a block into a Node whose coordinates all live in one
 // []float64 slab: each entry's Lo and Hi are capped sub-slices of it (a leaf
 // entry's Lo is its Hi), so an append can never spill into a neighbour.
-// Nothing writes into decoded coordinates — the R* algorithms replace an
+// The copy is what lets a Node outlive its block: orphans, split siblings
+// and a path's boxes are still in use when the next read overwrites it.
+// Nothing writes into a Node's coordinates — the R* algorithms replace an
 // entry's Rect rather than edit it, and ExpandInPlace only grows the fresh
 // EmptyRect of MBB — and that must stay so, or entries would corrupt each
 // other.
-func (t *Tree) decode(id pager.PageID, buf []byte) *Node {
-	n := &Node{ID: id, Leaf: buf[0] == 1}
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	d := t.dim
-	off := nodeHeader
+func (t *Tree) nodeOf(blk *NodeBlock) *Node {
+	n := &Node{ID: blk.ID, Leaf: blk.Leaf}
+	count, d := blk.Count, t.dim
 	n.Entries = make([]Entry, count, count+1) // room for the entry an insert adds
 	if n.Leaf {
 		slab := make([]float64, count*d)
 		for i := range n.Entries {
-			p := slab[i*d : (i+1)*d : (i+1)*d]
-			n.Entries[i] = Entry{Rect: PointRect(p), RecID: int64(binary.LittleEndian.Uint64(buf[off:]))}
-			off += 8
-		}
-		for j := 0; j < d; j++ {
-			for i := 0; i < count; i++ {
-				slab[i*d+j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
+			p := blk.Point(i, slab[i*d:(i+1)*d:(i+1)*d])
+			n.Entries[i] = Entry{Rect: PointRect(p), RecID: blk.RecIDs[i]}
 		}
 		return n
 	}
 	slab := make([]float64, 2*count*d)
 	for i := range n.Entries {
-		child := pager.PageID(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		box := slab[2*i*d : 2*(i+1)*d : 2*(i+1)*d]
-		for k := range box {
-			box[k] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		n.Entries[i] = Entry{Rect: Rect{Lo: box[:d:d], Hi: box[d:]}, Child: child}
+		lo, hi := slab[2*i*d:(2*i+1)*d:(2*i+1)*d], slab[(2*i+1)*d:(2*i+2)*d:(2*i+2)*d]
+		copy(lo, blk.Lo[i*d:(i+1)*d])
+		copy(hi, blk.Hi[i*d:(i+1)*d])
+		n.Entries[i] = Entry{Rect: Rect{Lo: lo, Hi: hi}, Child: blk.Children[i]}
 	}
 	return n
 }
 
-// NodeBlock is a reusable decoded view of one node page, the zero-copy
-// counterpart of Node for hot traversal loops. A leaf block exposes its
+// NodeBlock is a reusable decoded view of one node page, and every page
+// read goes through one: a traversal reads the block in place, a write
+// copies the nodes it changes out of it (nodeOf). A leaf block exposes its
 // records column-major — Cols[j][i] is coordinate j of record i, each
 // Cols[j] a contiguous float64 slice — which is what lets a linear scorer
 // process a whole leaf with branch-free dot-product accumulation. An
@@ -364,7 +359,11 @@ type NodeBlock struct {
 }
 
 // ReadBlock fetches a node page (a counted disk read) and decodes it into
-// blk, reusing blk's buffers across calls. It returns blk.
+// blk, reusing blk's buffers across calls. It returns blk. It is the only
+// code that parses a page, as writeNode is the only code that encodes one.
+// Inside a copy-on-write mutation the id is resolved through the
+// relocation remap, so the mutation reads its own writes, and blk.ID is
+// the resolved page.
 func (t *Tree) ReadBlock(id pager.PageID, blk *NodeBlock) *NodeBlock {
 	id = t.resolveID(id)
 	buf := t.store.Read(id)

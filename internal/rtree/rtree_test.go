@@ -29,7 +29,7 @@ func checkInvariants(t *testing.T, tr *Tree, want map[int64]vec.Vector) {
 	leafDepth := -1
 	var walk func(id pager.PageID, depth int, bound *Rect)
 	walk = func(id pager.PageID, depth int, bound *Rect) {
-		n := tr.ReadNode(id)
+		n := tr.readNode(id)
 		if bound != nil {
 			for _, e := range n.Entries {
 				for i := range e.Rect.Lo {
@@ -58,7 +58,7 @@ func checkInvariants(t *testing.T, tr *Tree, want map[int64]vec.Vector) {
 				if _, dup := seen[e.RecID]; dup {
 					t.Fatalf("record %d appears twice", e.RecID)
 				}
-				seen[e.RecID] = e.Point()
+				seen[e.RecID] = e.Rect.Lo
 			}
 			return
 		}
@@ -125,7 +125,7 @@ func TestBulkLoadInvariants(t *testing.T) {
 			leafDepth := -1
 			var walk func(id pager.PageID, depth int, bound *Rect)
 			walk = func(id pager.PageID, depth int, bound *Rect) {
-				node := tr.ReadNode(id)
+				node := tr.readNode(id)
 				if bound != nil {
 					for _, e := range node.Entries {
 						for i := range e.Rect.Lo {
@@ -206,10 +206,10 @@ func TestSerializationRoundTrip(t *testing.T) {
 		found := map[int64]vec.Vector{}
 		var walk func(id pager.PageID)
 		walk = func(id pager.PageID) {
-			n := tr.ReadNode(id)
+			n := tr.readNode(id)
 			for _, e := range n.Entries {
 				if n.Leaf {
-					found[e.RecID] = e.Point()
+					found[e.RecID] = e.Rect.Lo
 				} else {
 					walk(e.Child)
 				}
@@ -232,7 +232,7 @@ func TestIOAccounting(t *testing.T) {
 	tr := BulkLoad(store, 2, pts, nil)
 	store.ResetStats()
 	// One root-to-leaf descent reads one page per level and writes none.
-	for n := tr.ReadNode(tr.Root()); !n.Leaf; n = tr.ReadNode(n.Entries[0].Child) {
+	for n := tr.readNode(tr.Root()); !n.Leaf; n = tr.readNode(n.Entries[0].Child) {
 	}
 	s := store.Stats()
 	if s.Reads != int64(tr.Height()) {

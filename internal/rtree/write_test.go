@@ -27,7 +27,7 @@ func pageHash(tr *Tree) []byte {
 	walk = func(id pager.PageID) {
 		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(id)))
 		h.Write(tr.Store().Read(id))
-		if n := tr.ReadNode(id); !n.Leaf {
+		if n := tr.readNode(id); !n.Leaf {
 			for _, e := range n.Entries {
 				walk(e.Child)
 			}
@@ -218,15 +218,15 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 	}
 }
 
-// findRecordDecoded is findRecord as a walk over decoded nodes, the oracle
-// for its search on page bytes.
+// findRecordDecoded is findRecord as a walk over copied-out nodes, the
+// oracle for its search over the writer's blocks.
 func findRecordDecoded(tr *Tree, id int64, p vec.Vector) (path []pathStep, leaf *Node, slot int) {
 	var walk func(nid pager.PageID) bool
 	walk = func(nid pager.PageID) bool {
-		n := tr.ReadNode(nid)
+		n := tr.readNode(nid)
 		if n.Leaf {
 			for i, e := range n.Entries {
-				if e.RecID == id && vec.Equal(e.Point(), p, 0) {
+				if e.RecID == id && vec.Equal(e.Rect.Lo, p, 0) {
 					leaf, slot = n, i
 					return true
 				}
@@ -502,6 +502,10 @@ func TestInsertReadsOnlyItsDescents(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	log := &readLog{Store: pager.NewMemStore()}
 	tr := New(log, d)
+	// The logged bytes are parsed by ReadBlock over a one-page store.
+	page := pager.NewMemStore()
+	pid := page.Alloc()
+	parser, blk := Attach(page, d, pid, 1, 0), &NodeBlock{}
 	reinserting, descents := 0, 0
 	for i, p := range randPoints(r, 4000, d) {
 		root, height := tr.Root(), tr.Height()
@@ -511,14 +515,15 @@ func TestInsertReadsOnlyItsDescents(t *testing.T) {
 			continue // the root split, and later descents start at the new root
 		}
 		n := 0
-		var prev *Node
+		var prev *NodeBlock
 		for k, id := range log.ids {
 			if id == root {
 				n++
-			} else if prev == nil || prev.Leaf || !slices.ContainsFunc(prev.Entries, func(e Entry) bool { return e.Child == id }) {
+			} else if prev == nil || prev.Leaf || !slices.Contains(prev.Children, id) {
 				t.Fatalf("insert %d: read %d of %d, page %d, is no child of the page read before it", i, k, len(log.ids), id)
 			}
-			prev = tr.decode(id, log.bufs[k])
+			page.Write(pid, log.bufs[k])
+			prev = parser.ReadBlock(pid, blk)
 		}
 		if n > 1 {
 			reinserting, descents = reinserting+1, descents+n-1
@@ -541,9 +546,9 @@ func TestInsertIntoUnderfullLeafDissolvesNothing(t *testing.T) {
 	inserted, stillUnder := 0, 0
 	for _, p := range pts {
 		// The leaf an insert at p descends to.
-		leaf := tr.ReadNode(tr.Root())
+		leaf := tr.readNode(tr.Root())
 		for lvl := tr.Height() - 1; lvl > 0; lvl-- {
-			leaf = tr.ReadNode(leaf.Entries[tr.chooseSubtree(leaf, PointRect(p), lvl == 1)].Child)
+			leaf = tr.readNode(leaf.Entries[tr.chooseSubtree(leaf, PointRect(p), lvl == 1)].Child)
 		}
 		if len(leaf.Entries) >= tr.minLeaf {
 			continue
@@ -570,6 +575,88 @@ func TestInsertIntoUnderfullLeafDissolvesNothing(t *testing.T) {
 	}
 	if tr.Len() != len(pts)+inserted {
 		t.Fatalf("Len %d after %d inserts into %d records", tr.Len(), inserted, len(pts))
+	}
+}
+
+// TestWriterNodesDoNotAliasBlocks: the Nodes a write copies out of the
+// writer's blocks — a descent's node, a search's path and leaf, and the
+// orphans of a forced reinsertion above and at the leaves — keep their
+// coordinates while later descents and searches reuse those blocks, and a
+// snapshot taken before copy-on-write inserts and a delete reads the same
+// pages after them.
+func TestWriterNodesDoNotAliasBlocks(t *testing.T) {
+	const d = 6
+	r := rand.New(rand.NewSource(11))
+	store := pager.NewMemStore()
+	pts := randPoints(r, 5000, d)
+	tr := BulkLoad(store, d, pts, nil)
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: the test needs two internal levels", tr.Height())
+	}
+	coords := func(entries []Entry) (out []float64) {
+		for _, e := range entries {
+			out = append(append(out, e.Rect.Lo...), e.Rect.Hi...)
+		}
+		return out
+	}
+	path, leaf, _ := tr.findRecord(0, pts[0])
+	held := []*Node{tr.readNode(tr.Root()), leaf}
+	for _, s := range path {
+		held = append(held, s.node)
+	}
+	orphans := tr.forcedReinsertSet(tr.readNode(path[1].node.ID), 1, nil)
+	orphans = tr.forcedReinsertSet(tr.readNode(leaf.ID), 0, orphans)
+	want := make([][]float64, len(held))
+	for i, n := range held {
+		want[i] = coords(n.Entries)
+	}
+	var evicted []Entry
+	for _, o := range orphans {
+		evicted = append(evicted, o.e)
+	}
+	wantOrphans := coords(evicted)
+
+	check := func(after string) {
+		t.Helper()
+		for i, n := range held {
+			if got := coords(n.Entries); !slices.Equal(got, want[i]) {
+				t.Fatalf("node %d changed its coordinates after %s", n.ID, after)
+			}
+		}
+		if !slices.Equal(coords(evicted), wantOrphans) {
+			t.Fatalf("the orphans of a forced reinsertion changed their coordinates after %s", after)
+		}
+	}
+	// Later searches and descents, then writes, each reading into the
+	// writer's blocks.
+	for i := 1; i <= 200; i++ {
+		tr.findRecord(int64(len(pts)-i), pts[len(pts)-i])
+		tr.readNode(held[0].Entries[i%len(held[0].Entries)].Child)
+	}
+	check("searches and descents")
+	for i, p := range randPoints(r, 200, d) {
+		tr.Insert(int64(len(pts)+i), p)
+		if !tr.Delete(int64(i+1), pts[i+1]) {
+			t.Fatalf("delete of live record %d missed", i+1)
+		}
+	}
+	check("writes")
+
+	root, height, size := tr.Meta()
+	snap := Attach(store, d, root, height, size)
+	before := pageHash(snap)
+	for i, p := range randPoints(r, 300, d) {
+		tr.BeginCOW()
+		tr.Insert(int64(2*len(pts)+i), p)
+		tr.CommitCOW() // the superseded pages stay: the snapshot holds them
+	}
+	tr.BeginCOW()
+	if !tr.Delete(int64(len(pts)-1), pts[len(pts)-1]) {
+		t.Fatal("copy-on-write delete of a live record missed")
+	}
+	tr.CommitCOW()
+	if !bytes.Equal(pageHash(snap), before) {
+		t.Fatal("copy-on-write writes changed a page of the snapshot taken before them")
 	}
 }
 

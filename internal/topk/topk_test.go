@@ -116,13 +116,12 @@ func TestBRSRetainedStateComplete(t *testing.T) {
 		}
 		var collect func(id pager.PageID)
 		collect = func(id pager.PageID) {
-			node := tree.ReadNode(id)
-			for _, e := range node.Entries {
-				if node.Leaf {
-					seen[e.RecID]++
-				} else {
-					collect(e.Child)
-				}
+			blk := tree.ReadBlock(id, &rtree.NodeBlock{})
+			for _, rid := range blk.RecIDs {
+				seen[rid]++
+			}
+			for _, child := range blk.Children {
+				collect(child)
 			}
 		}
 		for _, it := range *res.Heap {
@@ -158,15 +157,15 @@ func TestBRSHeapKeysAreUpperBounds(t *testing.T) {
 		ok := true
 		var walk func(id pager.PageID, bound float64)
 		walk = func(id pager.PageID, bound float64) {
-			n := tree.ReadNode(id)
-			for _, e := range n.Entries {
-				if n.Leaf {
-					if (score.Linear{}).Score(e.Point(), q) > bound+1e-9 {
-						ok = false
-					}
-				} else {
-					walk(e.Child, bound)
+			blk := tree.ReadBlock(id, &rtree.NodeBlock{})
+			p := make(vec.Vector, d)
+			for i := range blk.RecIDs {
+				if (score.Linear{}).Score(blk.Point(i, p), q) > bound+1e-9 {
+					ok = false
 				}
+			}
+			for _, child := range blk.Children {
+				walk(child, bound)
 			}
 		}
 		for _, it := range *res.Heap {
